@@ -259,9 +259,23 @@ class HostEstimator:
 
 
 class ActivityEstimator:
-    """Attempt failure probability for one (workflow, activity) pair."""
+    """Attempt failure probability for one (workflow, activity) pair.
 
-    __slots__ = ("workflow_id", "activity", "attempts", "failures", "duration")
+    Counts move through :meth:`record` only: it is what invalidates the
+    cached Wilson bounds and tells the owning suite there is something
+    new to export.
+    """
+
+    __slots__ = (
+        "workflow_id",
+        "activity",
+        "attempts",
+        "failures",
+        "duration",
+        "_wilson",
+        "_dirty",
+        "_gauges",
+    )
 
     def __init__(
         self, workflow_id: str, activity: str, *, alpha: float = 0.3
@@ -271,17 +285,33 @@ class ActivityEstimator:
         self.attempts = 0
         self.failures = 0
         self.duration = Ewma(alpha)
+        self._wilson: tuple[float, float] | None = None
+        #: The owning suite's set of estimators awaiting export, and the
+        #: four gauges this one exports to (both set by the suite).
+        self._dirty: set["ActivityEstimator"] | None = None
+        self._gauges: tuple[Any, Any, Any, Any] | None = None
 
     def record(self, outcome: str) -> None:
         self.attempts += 1
         if outcome != "done":
             self.failures += 1
+        self._wilson = None
+        if self._dirty is not None:
+            self._dirty.add(self)
 
     def failure_probability(self) -> float:
         return self.failures / max(1, self.attempts)
 
+    def wilson(self) -> tuple[float, float]:
+        """Wilson 95% bounds on the failure probability (computed once
+        per :meth:`record`, however many readers ask)."""
+        bounds = self._wilson
+        if bounds is None:
+            bounds = self._wilson = wilson_interval(self.failures, self.attempts)
+        return bounds
+
     def snapshot(self) -> dict[str, Any]:
-        low, high = wilson_interval(self.failures, self.attempts)
+        low, high = self.wilson()
         return {
             "workflow_id": self.workflow_id,
             "activity": self.activity,
@@ -345,6 +375,10 @@ class EstimatorSuite:
         self.hosts: dict[str, HostEstimator] = {}
         self.activities: dict[tuple[str, str], ActivityEstimator] = {}
         self.drift_events = 0
+        #: Activity estimators created or recorded since their last export,
+        #: and the (registry, generation) their bound gauges belong to.
+        self._dirty: set[ActivityEstimator] = set()
+        self._exported_to: tuple[Any, int] | None = None
         self._clock = clock
         self._bus: "EventBus | None" = None
         self._subscriptions: list["Subscription"] = []
@@ -403,6 +437,8 @@ class EstimatorSuite:
             estimator = self.activities[key] = ActivityEstimator(
                 workflow_id, activity, alpha=self.alpha
             )
+            estimator._dirty = self._dirty
+            self._dirty.add(estimator)
         return estimator
 
     # -- event handlers ------------------------------------------------------
@@ -483,12 +519,10 @@ class EstimatorSuite:
         """Largest Wilson lower bound across activity estimators — the
         conservative "something is reliably failing" scalar health rules
         key on."""
-        best = 0.0
-        for estimator in self.activities.values():
-            low, _ = wilson_interval(estimator.failures, estimator.attempts)
-            if low > best:
-                best = low
-        return best
+        return max(
+            (estimator.wilson()[0] for estimator in self.activities.values()),
+            default=0.0,
+        )
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -543,32 +577,52 @@ class EstimatorSuite:
                 help="host failures attributed by the estimators",
                 host=hostname,
             ).set(estimator.failures)
-        for key in sorted(self.activities):
-            estimator = self.activities[key]
-            low, high = wilson_interval(
-                estimator.failures, estimator.attempts
-            )
-            labels = {
-                "workflow_id": estimator.workflow_id,
-                "activity": estimator.activity,
-            }
-            gauge(
-                "obs_attempt_failure_probability",
-                help="attempt failures / attempts",
-                **labels,
-            ).set(estimator.failure_probability())
-            gauge(
-                "obs_attempt_failure_wilson_low",
-                help="Wilson 95% lower bound on the failure probability",
-                **labels,
-            ).set(low)
-            gauge(
-                "obs_attempt_failure_wilson_high",
-                help="Wilson 95% upper bound on the failure probability",
-                **labels,
-            ).set(high)
-            gauge(
-                "obs_attempts_total",
-                help="terminal attempt outcomes observed",
-                **labels,
-            ).set(estimator.attempts)
+        # Activity gauges change only through record(), so only the
+        # estimators recorded since the last export are walked — in key
+        # order, which registers families and series exactly as a walk
+        # over all of them would.  A different registry, or one whose
+        # instruments were replaced or overwritten (clear/merge), gets
+        # everything again through fresh handles.
+        source = (registry, registry.generation)
+        if source != self._exported_to:
+            self._exported_to = source
+            for estimator in self.activities.values():
+                estimator._gauges = None
+            self._dirty.update(self.activities.values())
+        for estimator in sorted(
+            self._dirty, key=lambda e: (e.workflow_id, e.activity)
+        ):
+            gauges = estimator._gauges
+            if gauges is None:
+                labels = {
+                    "workflow_id": estimator.workflow_id,
+                    "activity": estimator.activity,
+                }
+                gauges = estimator._gauges = (
+                    gauge(
+                        "obs_attempt_failure_probability",
+                        help="attempt failures / attempts",
+                        **labels,
+                    ),
+                    gauge(
+                        "obs_attempt_failure_wilson_low",
+                        help="Wilson 95% lower bound on the failure probability",
+                        **labels,
+                    ),
+                    gauge(
+                        "obs_attempt_failure_wilson_high",
+                        help="Wilson 95% upper bound on the failure probability",
+                        **labels,
+                    ),
+                    gauge(
+                        "obs_attempts_total",
+                        help="terminal attempt outcomes observed",
+                        **labels,
+                    ),
+                )
+            low, high = estimator.wilson()
+            gauges[0].set(estimator.failure_probability())
+            gauges[1].set(low)
+            gauges[2].set(high)
+            gauges[3].set(estimator.attempts)
+        self._dirty.clear()

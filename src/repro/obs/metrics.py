@@ -230,6 +230,14 @@ class MetricsRegistry:
 
     def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
+        #: Bumped by :meth:`clear` and :meth:`merge` — whatever replaces or
+        #: overwrites instruments behind their holders' backs.  Between
+        #: two reads of the same generation, families and their series
+        #: only grow (in registration order), and a value changes only
+        #: through the instrument itself; holders of bound instruments
+        #: (the time-series store, the estimator export) re-resolve when
+        #: it moves.
+        self.generation = 0
         self._families: dict[str, _Family] = {}
 
     # -- instrument lookup ---------------------------------------------------
@@ -353,6 +361,7 @@ class MetricsRegistry:
         the snapshot's value."""
         if not self.enabled:
             return
+        self.generation += 1
         for name, family_snap in snapshot.items():
             kind = family_snap["kind"]
             buckets = family_snap.get("buckets")
@@ -385,4 +394,5 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         """Drop every family and series."""
+        self.generation += 1
         self._families.clear()

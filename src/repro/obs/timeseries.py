@@ -24,12 +24,18 @@ Feeding happens on a cadence: :class:`PeriodicCollector` re-runs the
 end-of-run scrapers against the live registry and samples every registry
 family into the store on a recurring reactor timer, so ``/timeseries``
 and the drift/health layers see the same numbers ``/metrics`` serves.
+A tick does work only for the series whose value moved since the last
+one (see :class:`TimeSeriesStore`); the rest catch up when read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
+from contextlib import contextmanager
+from itertools import islice
+from math import copysign
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
@@ -52,6 +58,13 @@ __all__ = [
 #: count, sum, min, max, last.
 _T, _N, _SUM, _MIN, _MAX, _LAST = range(6)
 
+#: ``Series._synced`` of a ring no registry instrument feeds: it is never
+#: behind the store's tick count.
+_UNFED = math.inf
+
+#: The tick log is not trimmed below this many entries.
+_MIN_TICK_LOG = 64
+
 
 class Series:
     """One metric's history: fixed-step buckets in a bounded ring.
@@ -65,7 +78,17 @@ class Series:
       is occurrences per second.
     """
 
-    __slots__ = ("name", "labels", "kind", "step", "capacity", "_points")
+    __slots__ = (
+        "name",
+        "labels",
+        "kind",
+        "step",
+        "capacity",
+        "_points",
+        "_store",
+        "_held",
+        "_synced",
+    )
 
     def __init__(
         self,
@@ -88,14 +111,39 @@ class Series:
         self.step = step
         self.capacity = capacity
         self._points: list[list[float]] = []
+        #: The store this ring belongs to, if any.  While a registry
+        #: instrument feeds the ring (:meth:`TimeSeriesStore.collect`),
+        #: ``_held`` is the value last sampled and ``_synced`` how many of
+        #: the store's ticks the ring reflects; the ticks in between
+        #: sampled ``_held`` again and are replayed on the next read or
+        #: write.  Read through the methods below, never ``_points``.
+        self._store: "TimeSeriesStore | None" = None
+        self._held = math.nan
+        self._synced: float = _UNFED
+
+    @contextmanager
+    def _reading(self) -> Iterator[list[list[float]]]:
+        """The ring, caught up with its store's ticks, for the length of
+        one read (under the store's lock: a read may write)."""
+        store = self._store
+        if store is None:
+            yield self._points
+            return
+        with store._lock:
+            store._replay(self)
+            yield self._points
 
     def __len__(self) -> int:
-        return len(self._points)
+        with self._reading() as points:
+            return len(points)
 
     def observe(self, t: float, value: float = 1.0) -> None:
         """Record *value* at simulation time *t* (downsampled into the
         ``t // step`` bucket; out-of-order samples fold into the newest
         bucket rather than being dropped)."""
+        store = self._store
+        if store is not None and self._synced < store._tick_count:
+            store._replay(self)
         bucket = math.floor(t / self.step) * self.step
         points = self._points
         if points:
@@ -119,55 +167,59 @@ class Series:
         self, since: float | None = None, until: float | None = None
     ) -> list[dict[str, float]]:
         """JSON-safe points in ``[since, until]`` (whole ring by default)."""
-        return [
-            {
-                "t": p[_T],
-                "count": p[_N],
-                "sum": p[_SUM],
-                "min": p[_MIN],
-                "max": p[_MAX],
-                "last": p[_LAST],
-            }
-            for p in self._window(since, until)
-        ]
-
-    def _window(
-        self, since: float | None, until: float | None
-    ) -> list[list[float]]:
-        out = self._points
-        if since is not None:
-            out = [p for p in out if p[_T] >= since]
-        if until is not None:
-            out = [p for p in out if p[_T] <= until]
-        return out
+        with self._reading() as points:
+            return [
+                {
+                    "t": p[_T],
+                    "count": p[_N],
+                    "sum": p[_SUM],
+                    "min": p[_MIN],
+                    "max": p[_MAX],
+                    "last": p[_LAST],
+                }
+                for p in _window(points, since, until)
+            ]
 
     def latest(self) -> float | None:
         """Most recent observed value, or None on an empty ring."""
-        return self._points[-1][_LAST] if self._points else None
+        with self._reading() as points:
+            return points[-1][_LAST] if points else None
 
     def mean(self, since: float | None = None) -> float | None:
         """Mean of the raw observations in the window."""
-        window = self._window(since, None)
-        total = sum(p[_N] for p in window)
-        if not total:
-            return None
-        return sum(p[_SUM] for p in window) / total
+        with self._reading() as points:
+            window = _window(points, since, None)
+            total = sum(p[_N] for p in window)
+            if not total:
+                return None
+            return sum(p[_SUM] for p in window) / total
 
     def rate(self, since: float | None = None) -> float | None:
         """Per-second rate over the window (see class docstring for how
         each kind derives it); None when the window can't support one."""
-        window = self._window(since, None)
-        if not window:
-            return None
-        if self.kind == "event":
-            span = window[-1][_T] - window[0][_T] + self.step
-            return sum(p[_N] for p in window) / span
-        if len(window) < 2:
-            return None
-        span = window[-1][_T] - window[0][_T]
-        if span <= 0:
-            return None
-        return (window[-1][_LAST] - window[0][_LAST]) / span
+        with self._reading() as points:
+            window = _window(points, since, None)
+            if not window:
+                return None
+            if self.kind == "event":
+                span = window[-1][_T] - window[0][_T] + self.step
+                return sum(p[_N] for p in window) / span
+            if len(window) < 2:
+                return None
+            span = window[-1][_T] - window[0][_T]
+            if span <= 0:
+                return None
+            return (window[-1][_LAST] - window[0][_LAST]) / span
+
+
+def _window(
+    points: list[list[float]], since: float | None, until: float | None
+) -> list[list[float]]:
+    if since is not None:
+        points = [p for p in points if p[_T] >= since]
+    if until is not None:
+        points = [p for p in points if p[_T] <= until]
+    return points
 
 
 class HistogramSeries:
@@ -282,6 +334,17 @@ class _NullSeries:
 _NULL_SERIES = _NullSeries()
 
 
+class _Feed:
+    """One registry family's instruments paired with the rings they feed
+    (in the family's own series order, which only ever grows)."""
+
+    __slots__ = ("family", "pairs")
+
+    def __init__(self, family: Any) -> None:
+        self.family = family
+        self.pairs: list[tuple[Any, Any]] = []
+
+
 class TimeSeriesStore:
     """Label-keyed table of bounded series rings.
 
@@ -289,6 +352,15 @@ class TimeSeriesStore:
     may override both.  A store constructed with ``enabled=False``
     returns the shared no-op series and records nothing — the disabled
     telemetry path stays allocation-free.
+
+    :meth:`collect` costs one comparison per registry series whose value
+    held still and one :meth:`Series.observe` per series whose value
+    moved.  The store logs each tick's time instead; a ring that sat
+    ticks out replays them, with the value it held, when it is next read
+    or written — every accessor here and every :class:`Series` read
+    method does so, under one lock that also serialises them against
+    :meth:`collect`, so what any reader sees is what sampling every
+    series on every tick would have built.
     """
 
     def __init__(
@@ -303,6 +375,21 @@ class TimeSeriesStore:
         self.capacity = capacity
         self._series: dict[tuple[str, LabelItems], Series] = {}
         self._histograms: dict[tuple[str, LabelItems], HistogramSeries] = {}
+        self._lock = threading.RLock()
+        #: ``(registry, registry.generation)`` the feeds were bound under,
+        #: and one feed per registry family in registration order.
+        self._source: tuple[Any, int] | None = None
+        self._feeds: list[_Feed] = []
+        #: The tick log: non-decreasing times of recent collect() calls.
+        #: ``_tick_count`` ticks were ever logged, the first ``_tick_base``
+        #: of them already trimmed off; the log is next trimmed when it
+        #: grows past ``_tick_limit``.  ``_shapes`` are the (step,
+        #: capacity) pairs of fed rings, which decide what can be trimmed.
+        self._tick_times: list[float] = []
+        self._tick_base = 0
+        self._tick_count = 0
+        self._tick_limit = _MIN_TICK_LOG
+        self._shapes: set[tuple[float, int]] = set()
 
     # -- series lookup -------------------------------------------------------
 
@@ -317,17 +404,29 @@ class TimeSeriesStore:
     ) -> Series | _NullSeries:
         if not self.enabled:
             return _NULL_SERIES
-        key = (name, _label_key(labels))
-        series = self._series.get(key)
+        return self._series_for(name, _label_key(labels), kind, step, capacity)
+
+    def _series_for(
+        self,
+        name: str,
+        key: LabelItems,
+        kind: str,
+        step: float | None = None,
+        capacity: int | None = None,
+    ) -> Series:
+        series = self._series.get((name, key))
         if series is None:
             series = Series(
                 name,
-                labels=key[1],
+                labels=key,
                 kind=kind,
                 step=step if step is not None else self.step,
                 capacity=capacity if capacity is not None else self.capacity,
             )
-            self._series[key] = series
+            series._store = self
+            # Readers on other threads iterate the table under the lock.
+            with self._lock:
+                self._series[(name, key)] = series
         return series
 
     def histogram_series(
@@ -341,17 +440,27 @@ class TimeSeriesStore:
     ) -> HistogramSeries | None:
         if not self.enabled:
             return None
-        key = (name, _label_key(labels))
-        series = self._histograms.get(key)
+        return self._histogram_for(name, _label_key(labels), bounds, step, capacity)
+
+    def _histogram_for(
+        self,
+        name: str,
+        key: LabelItems,
+        bounds: tuple[float, ...],
+        step: float | None = None,
+        capacity: int | None = None,
+    ) -> HistogramSeries:
+        series = self._histograms.get((name, key))
         if series is None:
             series = HistogramSeries(
                 name,
                 bounds,
-                labels=key[1],
+                labels=key,
                 step=step if step is not None else self.step,
                 capacity=capacity if capacity is not None else self.capacity,
             )
-            self._histograms[key] = series
+            with self._lock:
+                self._histograms[(name, key)] = series
         return series
 
     def observe(
@@ -365,72 +474,176 @@ class TimeSeriesStore:
     def collect(self, registry: "MetricsRegistry", now: float) -> None:
         """Sample every registry family into the store at time *now*:
         counters and gauges land in value series, histograms in
-        cumulative-count snapshots."""
+        cumulative-count snapshots.
+
+        A value series whose instrument still reads what it last sampled
+        is left alone (the tick goes in the log, see the class
+        docstring); NaN never equals itself and so is sampled every tick.
+        """
         if not self.enabled:
             return
-        for family in registry.families():
-            if family.kind == "histogram":
-                for key, hist in family.series.items():
-                    track = self._histograms.get((family.name, key))
-                    if track is None:
-                        track = self._histograms[(family.name, key)] = (
-                            HistogramSeries(
-                                family.name,
-                                hist.bounds,
-                                labels=key,
-                                step=self.step,
-                                capacity=self.capacity,
-                            )
-                        )
-                    track.sample(now, hist.counts, hist.count, hist.sum)
-            else:
-                kind = "counter" if family.kind == "counter" else "gauge"
-                for key, instrument in family.series.items():
-                    series = self._series.get((family.name, key))
-                    if series is None:
-                        series = self._series[(family.name, key)] = Series(
-                            family.name,
-                            labels=key,
-                            kind=kind,
-                            step=self.step,
-                            capacity=self.capacity,
-                        )
-                    series.observe(now, instrument.value)
+        with self._lock:
+            source = (registry, registry.generation)
+            if source != self._source:
+                # Another registry, or this one cleared or merged into:
+                # the old instruments feed nothing from here on.
+                self._settle(release=True)
+                self._source = source
+            times = self._tick_times
+            if times and now < times[-1]:
+                # Replay and trimming rely on an ordered log.
+                self._settle(release=False)
+            feeds = self._feeds
+            after = self._tick_count + 1
+            for index, family in enumerate(registry.families()):
+                if index == len(feeds):
+                    feeds.append(_Feed(family))
+                feed = feeds[index]
+                pairs = feed.pairs
+                if len(family.series) > len(pairs):
+                    self._bind(feed)
+                if family.kind == "histogram":
+                    for hist, track in pairs:
+                        track.sample(now, hist.counts, hist.count, hist.sum)
+                    continue
+                for instrument, series in pairs:
+                    value = instrument.value
+                    held = series._held
+                    if value == held and (
+                        value or copysign(1.0, value) == copysign(1.0, held)
+                    ):
+                        continue
+                    # observe() first replays the ticks the ring sat out.
+                    series.observe(now, value)
+                    series._held = value
+                    series._synced = after
+            times.append(now)
+            self._tick_count = after
+            if len(times) > self._tick_limit:
+                self._trim_ticks()
+
+    def _bind(self, feed: _Feed) -> None:
+        """Pair the family's series that appeared since the last tick
+        with their rings (creating those the store has not seen)."""
+        family = feed.family
+        pairs = feed.pairs
+        fresh = islice(family.series.items(), len(pairs), None)
+        if family.kind == "histogram":
+            for key, hist in fresh:
+                pairs.append(
+                    (hist, self._histogram_for(family.name, key, hist.bounds))
+                )
+            return
+        kind = "counter" if family.kind == "counter" else "gauge"
+        for key, instrument in fresh:
+            # An unfed ring holds NaN: sampled on this tick whatever it reads.
+            series = self._series_for(family.name, key, kind)
+            self._shapes.add((series.step, series.capacity))
+            pairs.append((instrument, series))
+
+    def _replay(self, series: Series) -> None:
+        """Bring a fed ring up to date: one ``observe(t, held)`` per tick
+        it sat out, oldest first (nothing to do for any other ring)."""
+        with self._lock:
+            if series._synced >= self._tick_count:
+                return
+            start = series._synced - self._tick_base
+            series._synced = self._tick_count  # observe() checks it
+            times = self._tick_times
+            held = series._held
+            observe = series.observe
+            if start < 0:
+                # -start of its ticks are off the log; none was later
+                # than times[0].  If even that one folds into the ring's
+                # newest bucket they all did, and any time that folds
+                # stands in for theirs.  Otherwise the log still spans
+                # capacity + 1 newer buckets (_trim_ticks), which push
+                # out whatever the trimmed ticks would have built.
+                points = series._points
+                first = times[0]
+                step = series.step
+                if points and math.floor(first / step) * step <= points[-1][_T]:
+                    for _ in range(-start):
+                        observe(first, held)
+                start = 0
+            for t in islice(times, start, None):
+                observe(t, held)
+
+    def _trim_ticks(self) -> None:
+        """Drop the ticks no ring can need: all but the newest that, for
+        every fed ring's (step, capacity), span capacity + 1 buckets —
+        a ring further behind than that keeps none of the older ones."""
+        times = self._tick_times
+        keep = len(times)
+        for step, capacity in self._shapes:
+            index, buckets, newest = len(times), 0, None
+            while index and buckets <= capacity:
+                index -= 1
+                bucket = math.floor(times[index] / step)
+                if bucket != newest:
+                    newest = bucket
+                    buckets += 1
+            keep = min(keep, index)
+        del times[:keep]
+        self._tick_base += keep
+        self._tick_limit = max(_MIN_TICK_LOG, 2 * len(times))
+
+    def _settle(self, *, release: bool) -> None:
+        """Replay every fed ring up to the last tick and empty the log;
+        with *release*, the instruments also stop feeding them."""
+        for feed in self._feeds:
+            if feed.family.kind == "histogram":
+                continue
+            for _instrument, series in feed.pairs:
+                self._replay(series)
+                if release:
+                    series._held = math.nan
+                    series._synced = _UNFED
+        if release:
+            self._feeds = []
+            self._shapes.clear()
+        del self._tick_times[:]
+        self._tick_base = self._tick_count
 
     # -- queries -------------------------------------------------------------
 
     def names(self) -> list[str]:
-        names = {name for name, _ in self._series}
-        names.update(name for name, _ in self._histograms)
+        with self._lock:
+            names = {name for name, _ in self._series}
+            names.update(name for name, _ in self._histograms)
         return sorted(names)
 
     def get(self, name: str, **labels: Any) -> Series | None:
         return self._series.get((name, _label_key(labels)))
 
     def all_series(self) -> Iterator[Series]:
-        return iter(self._series.values())
+        with self._lock:
+            return iter(list(self._series.values()))
 
     def matching(self, name: str) -> list[Series]:
         """Every labelled series of one family name."""
-        return [s for (n, _), s in self._series.items() if n == name]
+        with self._lock:
+            return [s for (n, _), s in self._series.items() if n == name]
 
     def matching_histograms(self, name: str) -> list[HistogramSeries]:
-        return [s for (n, _), s in self._histograms.items() if n == name]
+        with self._lock:
+            return [s for (n, _), s in self._histograms.items() if n == name]
 
     # -- snapshots (cross-process aggregation) -------------------------------
 
     def snapshot(self) -> dict:
         """JSON-able dump of every series ring (the merge wire format)."""
         out: dict[str, list[dict[str, Any]]] = {}
-        for (name, _key), series in self._series.items():
-            out.setdefault(name, []).append(
-                {
-                    "labels": dict(series.labels),
-                    "kind": series.kind,
-                    "step": series.step,
-                    "points": series.points(),
-                }
-            )
+        with self._lock:
+            for (name, _key), series in self._series.items():
+                out.setdefault(name, []).append(
+                    {
+                        "labels": dict(series.labels),
+                        "kind": series.kind,
+                        "step": series.step,
+                        "points": series.points(),
+                    }
+                )
         return out
 
     def merge(self, snapshot: Mapping[str, Any]) -> None:
@@ -439,55 +652,59 @@ class TimeSeriesStore:
         snapshot's *last* wins)."""
         if not self.enabled:
             return
-        for name, records in snapshot.items():
-            for record in records:
-                series = self.series(
-                    name, kind=record.get("kind", "gauge"), **record["labels"]
-                )
-                by_bucket = {p[_T]: p for p in series._points}
-                for point in record["points"]:
-                    mine = by_bucket.get(point["t"])
-                    if mine is None:
-                        series._points.append(
-                            [
-                                point["t"],
-                                point["count"],
-                                point["sum"],
-                                point["min"],
-                                point["max"],
-                                point["last"],
-                            ]
-                        )
-                    else:
-                        mine[_N] += point["count"]
-                        mine[_SUM] += point["sum"]
-                        mine[_MIN] = min(mine[_MIN], point["min"])
-                        mine[_MAX] = max(mine[_MAX], point["max"])
-                        mine[_LAST] = point["last"]
-                series._points.sort(key=lambda p: p[_T])
-                if len(series._points) > series.capacity:
-                    del series._points[: len(series._points) - series.capacity]
+        with self._lock:
+            for name, records in snapshot.items():
+                for record in records:
+                    series = self.series(
+                        name, kind=record.get("kind", "gauge"), **record["labels"]
+                    )
+                    self._replay(series)
+                    points = series._points
+                    by_bucket = {p[_T]: p for p in points}
+                    for point in record["points"]:
+                        mine = by_bucket.get(point["t"])
+                        if mine is None:
+                            points.append(
+                                [
+                                    point["t"],
+                                    point["count"],
+                                    point["sum"],
+                                    point["min"],
+                                    point["max"],
+                                    point["last"],
+                                ]
+                            )
+                        else:
+                            mine[_N] += point["count"]
+                            mine[_SUM] += point["sum"]
+                            mine[_MIN] = min(mine[_MIN], point["min"])
+                            mine[_MAX] = max(mine[_MAX], point["max"])
+                            mine[_LAST] = point["last"]
+                    points.sort(key=lambda p: p[_T])
+                    if len(points) > series.capacity:
+                        del points[: len(points) - series.capacity]
 
     # -- exports -------------------------------------------------------------
 
     def dump_jsonl(self, path: str | Path) -> int:
         """One JSON line per series ring; returns the line count."""
         lines = []
-        for (name, _key), series in sorted(
-            self._series.items(), key=lambda item: item[0]
-        ):
-            lines.append(
-                json.dumps(
-                    {
-                        "series": name,
-                        "labels": dict(series.labels),
-                        "kind": series.kind,
-                        "step": series.step,
-                        "points": series.points(),
-                    },
-                    sort_keys=True,
+        with self._lock:
+            for (name, _key), series in sorted(
+                self._series.items(), key=lambda item: item[0]
+            ):
+                lines.append(
+                    json.dumps(
+                        {
+                            "series": name,
+                            "labels": dict(series.labels),
+                            "kind": series.kind,
+                            "step": series.step,
+                            "points": series.points(),
+                        },
+                        sort_keys=True,
+                    )
                 )
-            )
         atomic_write_text(path, "".join(line + "\n" for line in lines))
         return len(lines)
 
@@ -495,17 +712,18 @@ class TimeSeriesStore:
         """Flat CSV of the rings (one row per point), optionally filtered
         to one family name."""
         rows = ["series,labels,t,count,sum,min,max,last"]
-        for (family, _key), series in sorted(
-            self._series.items(), key=lambda item: item[0]
-        ):
-            if name is not None and family != name:
-                continue
-            label_text = ";".join(f"{k}={v}" for k, v in series.labels)
-            for p in series.points():
-                rows.append(
-                    f"{family},{label_text},{p['t']:g},{p['count']:g},"
-                    f"{p['sum']:g},{p['min']:g},{p['max']:g},{p['last']:g}"
-                )
+        with self._lock:
+            for (family, _key), series in sorted(
+                self._series.items(), key=lambda item: item[0]
+            ):
+                if name is not None and family != name:
+                    continue
+                label_text = ";".join(f"{k}={v}" for k, v in series.labels)
+                for p in series.points():
+                    rows.append(
+                        f"{family},{label_text},{p['t']:g},{p['count']:g},"
+                        f"{p['sum']:g},{p['min']:g},{p['max']:g},{p['last']:g}"
+                    )
         return "\n".join(rows) + "\n"
 
 

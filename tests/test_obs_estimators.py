@@ -3,7 +3,9 @@ drift detector with its golden detection bounds (a 3× MTTF shift fires
 within 200 events; 10k stationary events stay silent), and the
 EstimatorSuite wired to a live bus — terminal-outcome subscriptions,
 host-failure attribution and dedup, drift event publication with prompt
-health re-evaluation, liveness ingestion, and gauge export."""
+health re-evaluation, liveness ingestion, and gauge export — which walks
+only the estimators recorded since the last export and must leave the
+registry as a walk over all of them would."""
 
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from repro.obs import (
     MetricsRegistry,
     PageHinkley,
     priors_from_grid,
+    prometheus_text,
     wilson_interval,
 )
 
@@ -290,6 +293,151 @@ class TestEstimatorSuite:
         assert registry.value(
             "obs_attempt_failure_wilson_high", **labels
         ) == pytest.approx(high)
+
+
+def export_every_activity(suite: EstimatorSuite, registry: MetricsRegistry) -> None:
+    """What ``export`` did before it tracked what changed: every activity
+    estimator, in key order, through a fresh gauge lookup, every time."""
+    for key in sorted(suite.activities):
+        estimator = suite.activities[key]
+        low, high = wilson_interval(estimator.failures, estimator.attempts)
+        labels = {"workflow_id": key[0], "activity": key[1]}
+        registry.gauge(
+            "obs_attempt_failure_probability",
+            help="attempt failures / attempts",
+            **labels,
+        ).set(estimator.failure_probability())
+        registry.gauge(
+            "obs_attempt_failure_wilson_low",
+            help="Wilson 95% lower bound on the failure probability",
+            **labels,
+        ).set(low)
+        registry.gauge(
+            "obs_attempt_failure_wilson_high",
+            help="Wilson 95% upper bound on the failure probability",
+            **labels,
+        ).set(high)
+        registry.gauge(
+            "obs_attempts_total",
+            help="terminal attempt outcomes observed",
+            **labels,
+        ).set(estimator.attempts)
+
+
+class _CountingRegistry(MetricsRegistry):
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+
+    def gauge(self, name, **kw):
+        self.lookups += 1
+        return super().gauge(name, **kw)
+
+
+class TestExportOfWhatChanged:
+    """No host estimators here, so ``export`` is the activity walk alone
+    and ``export_every_activity`` is its whole reference."""
+
+    def test_ticks_match_a_full_walk_in_values_and_order(self):
+        suite = EstimatorSuite()
+        registry, reference = MetricsRegistry(), MetricsRegistry()
+        rng = random.Random(13)
+        # Workflows show up out of key order and keep recording later.
+        for tick in range(12):
+            for _ in range(rng.randrange(0, 6)):
+                wfid = f"wf-{rng.randrange(0, 9)}"
+                activity = rng.choice(["solve", "fetch", "publish"])
+                suite.activity(wfid, activity).record(
+                    rng.choice(["done", "done", "failed", "exception"])
+                )
+            suite.export(registry)
+            export_every_activity(suite, reference)
+            assert registry.snapshot() == reference.snapshot(), tick
+            assert prometheus_text(registry) == prometheus_text(reference), tick
+
+    def test_clean_estimators_cost_nothing(self):
+        suite = EstimatorSuite()
+        for i in range(50):
+            suite.activity(f"wf-{i:02d}", "task").record("done")
+        registry = _CountingRegistry()
+        suite.export(registry)
+        assert registry.lookups == 4 * 50
+        suite.activity("wf-07", "task").record("failed")
+        suite.export(registry)
+        suite.export(registry)
+        assert registry.lookups == 4 * 50  # bound handles, one dirty estimator
+        labels = {"workflow_id": "wf-07", "activity": "task"}
+        assert registry.value("obs_attempts_total", **labels) == 2.0
+        assert registry.value("obs_attempt_failure_probability", **labels) == 0.5
+
+    def test_estimator_created_but_never_recorded_is_exported(self):
+        suite = EstimatorSuite()
+        suite.activity("wf-1", "idle")
+        registry, reference = MetricsRegistry(), MetricsRegistry()
+        suite.export(registry)
+        export_every_activity(suite, reference)
+        assert registry.snapshot() == reference.snapshot()
+        labels = {"workflow_id": "wf-1", "activity": "idle"}
+        assert registry.value("obs_attempts_total", **labels) == 0.0
+        assert registry.value("obs_attempt_failure_wilson_high", **labels) == 1.0
+
+    def test_second_registry_gets_everything(self):
+        suite = EstimatorSuite()
+        suite.activity("wf-1", "task").record("failed")
+        suite.activity("wf-2", "task").record("done")
+        first, second, reference = (MetricsRegistry() for _ in range(3))
+        suite.export(first)
+        suite.activity("wf-2", "task").record("failed")
+        suite.export(second)  # wf-1 is clean, and still has to land here
+        export_every_activity(suite, reference)
+        assert second.snapshot() == reference.snapshot()
+        # ...and going back, the first one catches up through new handles.
+        suite.activity("wf-1", "task").record("done")
+        suite.export(first)
+        export_every_activity(suite, reference)
+        assert first.snapshot() == reference.snapshot()
+
+    def test_cleared_registry_gets_everything(self):
+        suite = EstimatorSuite()
+        suite.activity("wf-1", "task").record("failed")
+        suite.activity("wf-2", "task").record("done")
+        registry, reference = MetricsRegistry(), MetricsRegistry()
+        suite.export(registry)
+        registry.clear()
+        suite.activity("wf-2", "task").record("done")
+        suite.export(registry)
+        export_every_activity(suite, reference)
+        assert registry.snapshot() == reference.snapshot()
+
+    def test_gauge_overwritten_by_a_merge_is_restored(self):
+        suite = EstimatorSuite()
+        suite.activity("wf-1", "task").record("failed")
+        registry, reference = MetricsRegistry(), MetricsRegistry()
+        suite.export(registry)
+        stray = MetricsRegistry()
+        stray.gauge("obs_attempts_total", workflow_id="wf-1", activity="task").set(99)
+        registry.merge(stray.snapshot())
+        assert registry.value(
+            "obs_attempts_total", workflow_id="wf-1", activity="task"
+        ) == 99.0
+        suite.export(registry)  # nothing recorded since the last export
+        export_every_activity(suite, reference)
+        assert registry.snapshot() == reference.snapshot()
+
+    def test_failure_probability_bound_tracks_records_between_exports(self):
+        suite = EstimatorSuite()
+        estimator = suite.activity("wf-1", "task")
+        for n in range(1, 20):
+            estimator.record("failed")
+            if n % 5 == 0:
+                suite.export(MetricsRegistry())
+            assert suite.max_failure_probability() == wilson_interval(n, n)[0]
+        for n in range(1, 40):
+            estimator.record("done")
+            assert (
+                suite.max_failure_probability()
+                == wilson_interval(19, 19 + n)[0]
+            )
 
 
 class TestPriorsFromGrid:

@@ -226,8 +226,17 @@ class TestProfileHelper:
         stats = profile_engine_mc(
             "retrying", FAULTY, runs=5, sort="tottime", limit=5, stream=out
         )
-        assert stats is not None
-        assert "simkernel" in out.getvalue()
+        # Which rows make the printed top five is decided by the clock;
+        # that the kernel's event loop ran under the profiler is not.
+        assert "function calls" in out.getvalue()
+        steps = [
+            ncalls
+            for (filename, _line, function), (
+                _primitive, ncalls, _tottime, _cumtime, _callers
+            ) in stats.stats.items()
+            if function == "step" and filename.endswith("simkernel.py")
+        ]
+        assert steps and steps[0] > 0
 
 
 class TestSweepParallel:

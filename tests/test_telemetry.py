@@ -492,6 +492,119 @@ class TestTelemetryServer:
             stop.set()
             server.stop()
 
+    def test_timeseries_reads_while_a_batch_ticks(self):
+        """A read of the store can write (a ring that sat ticks out
+        catches up when read), so the HTTP thread's reads and the
+        collector's ticks take turns.  Hammer one family while 50
+        staggered instances run: every response must parse, every ring
+        must be in time order with whole points, and the store must end
+        up exactly as the same run leaves it with nobody reading."""
+        import sys
+        import threading
+        import time
+
+        from repro.grid import GridConfig, SimulatedGrid
+        from repro.obs import EstimatorSuite, PeriodicCollector, TimeSeriesStore
+
+        instances = 50
+
+        def batch():
+            grid = SimulatedGrid(config=GridConfig(heartbeats=False))
+            grid.add_host(RELIABLE("h1"))
+            grid.install("h1", "task", FixedDurationTask(3.0))
+            bus = EventBus()
+            observer = RunObserver(bus)
+            store = TimeSeriesStore(step=0.5)
+            collector = PeriodicCollector(
+                store=store,
+                registry=observer.metrics,
+                reactor=grid.reactor,
+                interval=0.5,
+                scrapers=(lambda registry: scrape_bus(registry, bus),),
+                estimators=EstimatorSuite(bus, clock=grid.reactor.now),
+            )
+            host = EngineHost(grid, reactor=grid.reactor, bus=bus)
+            wf = single_task_workflow()
+            for i in range(instances):
+                grid.reactor.call_later(float(i), lambda: host.submit(wf))
+            collector.start()
+            return grid, store, collector, host
+
+        def drive(grid, collector, host, between_ticks=lambda: None):
+            ticks, last = 0, None
+            # Until every instance is done and one more tick has seen it.
+            while last is None or ticks == last:
+                assert grid.kernel.step()
+                if collector.ticks > ticks:
+                    ticks = collector.ticks
+                    between_ticks()
+                if last is None and len(host.results()) == instances:
+                    last = ticks
+            collector.stop()
+
+        grid, quiet_store, collector, host = batch()
+        drive(grid, collector, host)
+
+        grid, store, collector, host = batch()
+        server = TelemetryServer(store=store)
+        port = server.start()
+        url = f"http://127.0.0.1:{port}/timeseries/obs_attempts_total"
+        failures: list[str] = []
+        responses = [0]
+        stop = threading.Event()
+
+        def hammer():
+            while not stop.is_set():
+                try:
+                    _status, text = _get(url)
+                except urllib.error.HTTPError as err:
+                    if err.code != 404:  # no attempt has ended yet
+                        failures.append(repr(err))
+                        return
+                    text = None
+                except Exception as exc:  # noqa: BLE001 - collected below
+                    failures.append(repr(exc))
+                    return
+                responses[0] += 1
+                if text is None:
+                    continue
+                for ring in json.loads(text)["series"]:
+                    times = [p["t"] for p in ring["points"]]
+                    if times != sorted(set(times)) or not times:
+                        failures.append(f"ring out of order: {times}")
+                    if any(p["count"] < 1 for p in ring["points"]):
+                        failures.append(f"torn point in {ring}")
+
+        def let_readers_in():
+            # At least one more response before the next tick, so reads
+            # land all through the run and not only after it.
+            seen = responses[0]
+            deadline = time.monotonic() + 5.0
+            while responses[0] == seen and not failures:
+                assert time.monotonic() < deadline, "reader made no progress"
+                time.sleep(0.0005)
+
+        readers = [threading.Thread(target=hammer, daemon=True) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            drive(grid, collector, host, let_readers_in)
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=10)
+                assert not reader.is_alive()
+            assert not failures, failures[:3]
+            assert responses[0] >= collector.ticks
+            assert len(store.matching("obs_attempts_total")) == instances
+            assert store.snapshot() == quiet_store.snapshot()
+            assert store.to_csv() == quiet_store.to_csv()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            server.stop()
+
     def test_tracker_live_phases(self):
         bus = EventBus()
         tracker = WorkflowStatusTracker(bus)
