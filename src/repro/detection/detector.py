@@ -15,12 +15,18 @@ application notifications (``TaskStart`` / ``TaskEnd`` / ``Exception`` /
 For every terminal state an :class:`AttemptOutcome` is published on the
 event bus under ``task.done`` / ``task.failed`` / ``task.exception`` — the
 engine's recovery coordinator subscribes to these.
+
+The detector holds *live* attempts only: the verdict is the last thing it
+knows about an attempt, so the attempt is dropped from the table the moment
+its terminal outcome is published.  Anything arriving later for that job is
+an unknown-job message and is ignored; the message record of a run is
+:meth:`repro.detection.log.MessageLog.tee`, not the detector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..core.exceptions import UserException
 from ..core.states import TaskState, TaskStateMachine
@@ -120,7 +126,6 @@ class _Attempt:
     checkpoint_flag: str | None = None
     checkpoint_progress: float = 0.0
     exception: UserException | None = None
-    messages: list[Message] = field(default_factory=list)
 
 
 class FailureDetector:
@@ -239,41 +244,48 @@ class FailureDetector:
     # -- message input ---------------------------------------------------------
 
     def deliver(self, msg: Message) -> None:
-        """Feed one message from the network / executor into the detector."""
-        if isinstance(msg, Heartbeat):
-            self.heartbeats_observed += 1
-            if self.monitor is not None:
-                if self.batch_heartbeats:
-                    self._pending_beats.append(msg)
-                    if not self._flush_scheduled:
-                        self._flush_scheduled = True
-                        self._reactor.call_soon(self._flush_beats)
-                else:
-                    self.monitor.observe(msg)
+        """Feed one message from the network / executor into the detector.
+
+        Dispatch is on the message's exact type; a subclass of a message
+        type takes the ``isinstance`` route once per delivery."""
+        kind = type(msg)
+        on_message = (
+            None
+            if kind is Heartbeat
+            else _ON_ATTEMPT_MESSAGE.get(kind) or _handler_for_subclass(msg)
+        )
+        if on_message is not None:
+            attempt = self._attempts.get(msg.job_id)  # type: ignore[attr-defined]
+            if attempt is not None:  # else late or unknown: the network is async
+                on_message(self, attempt, msg)
             return
-        job_id = getattr(msg, "job_id", "")
-        attempt = self._attempts.get(job_id)
-        if attempt is None or attempt.machine.terminal:
-            return  # late or unknown message: ignore (network is async)
-        attempt.messages.append(msg)
-        if isinstance(msg, TaskStart):
-            if attempt.machine.state is TaskState.INACTIVE:
-                attempt.machine.transition(TaskState.ACTIVE, at=self._reactor.now())
-                self._publish(attempt, reason="task-start")
-        elif isinstance(msg, CheckpointNotice):
-            attempt.checkpoint_flag = msg.flag
-            attempt.checkpoint_progress = msg.progress
-        elif isinstance(msg, TaskEnd):
-            attempt.saw_task_end = True
-            attempt.result = msg.result
-        elif isinstance(msg, ExceptionNotice):
-            attempt.exception = msg.exception
-            self._ensure_active(attempt)
-            self._finish(attempt, TaskState.EXCEPTION, reason="exception-notice")
-        elif isinstance(msg, Done):
-            self._on_done(attempt, msg)
-        else:  # pragma: no cover - defensive
-            raise DetectionError(f"unhandled message type: {type(msg).__name__}")
+        self.heartbeats_observed += 1
+        if self.monitor is not None:
+            if self.batch_heartbeats:
+                self._pending_beats.append(msg)  # type: ignore[arg-type]
+                if not self._flush_scheduled:
+                    self._flush_scheduled = True
+                    self._reactor.call_soon(self._flush_beats)
+            else:
+                self.monitor.observe(msg)  # type: ignore[arg-type]
+
+    def _on_task_start(self, attempt: _Attempt, _msg: TaskStart) -> None:
+        if attempt.machine.state is TaskState.INACTIVE:
+            attempt.machine.transition(TaskState.ACTIVE, at=self._reactor.now())
+            self._publish(attempt, reason="task-start")
+
+    def _on_checkpoint(self, attempt: _Attempt, msg: CheckpointNotice) -> None:
+        attempt.checkpoint_flag = msg.flag
+        attempt.checkpoint_progress = msg.progress
+
+    def _on_task_end(self, attempt: _Attempt, msg: TaskEnd) -> None:
+        attempt.saw_task_end = True
+        attempt.result = msg.result
+
+    def _on_exception(self, attempt: _Attempt, msg: ExceptionNotice) -> None:
+        attempt.exception = msg.exception
+        self._ensure_active(attempt)
+        self._finish(attempt, TaskState.EXCEPTION, reason="exception-notice")
 
     def _flush_beats(self) -> None:
         """Deliver the turn's buffered heartbeats to the monitor in one
@@ -300,6 +312,8 @@ class FailureDetector:
             self._finish(attempt, TaskState.FAILED, reason=reason)
 
     def _on_host_suspected(self, _topic: str, hostname: str) -> None:
+        # A snapshot of the live attempts: failing one can cancel (forget)
+        # or conclude siblings and start new ones while we walk.
         for attempt in list(self._attempts.values()):
             if attempt.hostname == hostname and not attempt.machine.terminal:
                 self._ensure_active(attempt)
@@ -314,41 +328,70 @@ class FailureDetector:
 
     def _finish(self, attempt: _Attempt, state: TaskState, *, reason: str) -> None:
         attempt.machine.transition(state, at=self._reactor.now())
+        # The verdict is final: stop tracking before anyone reacts to it.
+        self._attempts.pop(attempt.job_id, None)
         self._publish(attempt, reason=reason)
 
     def _publish(self, attempt: _Attempt, *, reason: str) -> None:
-        outcome = AttemptOutcome(
-            job_id=attempt.job_id,
-            activity=attempt.activity,
-            state=attempt.machine.state,
-            hostname=attempt.hostname,
-            exception=attempt.exception,
-            checkpoint_flag=attempt.checkpoint_flag,
-            result=attempt.result,
-            reason=reason,
-            at=self._reactor.now(),
-            workflow_id=attempt.workflow_id,
-            trace_id=attempt.trace_id,
-            span_id=attempt.span_id,
-            parent_id=attempt.parent_id,
-        )
-        self._bus.publish(
-            scoped_topic(
-                _TOPIC_FOR_STATE[attempt.machine.state], attempt.workflow_id
-            ),
-            outcome,
-        )
+        state = attempt.machine.state
+        topic = scoped_topic(_TOPIC_FOR_STATE[state], attempt.workflow_id)
+        if self._bus.wants(topic):
+            self._bus.publish(
+                topic,
+                AttemptOutcome(
+                    job_id=attempt.job_id,
+                    activity=attempt.activity,
+                    state=state,
+                    hostname=attempt.hostname,
+                    exception=attempt.exception,
+                    checkpoint_flag=attempt.checkpoint_flag,
+                    result=attempt.result,
+                    reason=reason,
+                    at=self._reactor.now(),
+                    workflow_id=attempt.workflow_id,
+                    trace_id=attempt.trace_id,
+                    span_id=attempt.span_id,
+                    parent_id=attempt.parent_id,
+                ),
+            )
 
     # -- queries ------------------------------------------------------------------
 
     def state_of(self, job_id: str) -> TaskState | None:
+        """State of a live attempt; ``None`` once it has its verdict (or
+        was never tracked)."""
         attempt = self._attempts.get(job_id)
         return attempt.machine.state if attempt else None
 
-    def attempt_log(self, job_id: str) -> list[Message]:
-        attempt = self._attempts.get(job_id)
-        return list(attempt.messages) if attempt else []
-
     def checkpoint_flag(self, job_id: str) -> str | None:
+        """Last checkpoint flag a live attempt reported."""
         attempt = self._attempts.get(job_id)
         return attempt.checkpoint_flag if attempt else None
+
+    @property
+    def live_attempts(self) -> int:
+        """Attempts tracked and still without a verdict."""
+        return len(self._attempts)
+
+
+_AttemptHandler = Callable[[FailureDetector, _Attempt, Any], None]
+
+#: Exact message type → what the detector does with it for a live attempt.
+_ON_ATTEMPT_MESSAGE: dict[type, _AttemptHandler] = {
+    TaskStart: FailureDetector._on_task_start,
+    CheckpointNotice: FailureDetector._on_checkpoint,
+    TaskEnd: FailureDetector._on_task_end,
+    ExceptionNotice: FailureDetector._on_exception,
+    Done: FailureDetector._on_done,
+}
+
+
+def _handler_for_subclass(msg: Message) -> _AttemptHandler | None:
+    """The handler of the first listed message type *msg* is an instance
+    of; ``None`` for a heartbeat subclass."""
+    if isinstance(msg, Heartbeat):
+        return None
+    for kind, on_message in _ON_ATTEMPT_MESSAGE.items():
+        if isinstance(msg, kind):
+            return on_message
+    raise DetectionError(f"unhandled message type: {type(msg).__name__}")

@@ -77,6 +77,9 @@ __all__ = [
 
 #: Bus topics for engine lifecycle events (payloads are plain dicts so
 #: subscribers — the trace recorder, UIs, tests — need no engine imports).
+#: Each publish site asks ``bus.wants(topic)`` before building its payload;
+#: trace contexts are minted outside that guard, so causal ids never depend
+#: on who is listening.
 ENGINE_NODE_LAUNCHED = "engine.node_launched"
 ENGINE_NODE_COMPLETED = "engine.node_completed"
 ENGINE_NODE_CANCELLED = "engine.node_cancelled"
@@ -415,18 +418,20 @@ class WorkflowEngine:
         if self.runtime.tracer is not None and self._trace_root is not None:
             node_ctx = self.runtime.tracer.child(self._trace_root)
             self._node_ctx[name] = node_ctx
-        self.runtime.bus.publish(
-            ENGINE_NODE_LAUNCHED,
-            stamp(
-                {
-                    "workflow": self.workflow.name,
-                    "workflow_id": self.workflow_id,
-                    "node": name,
-                    "at": node_inst.started_at,
-                },
-                node_ctx,
-            ),
-        )
+        bus = self.runtime.bus
+        if bus.wants(ENGINE_NODE_LAUNCHED):
+            bus.publish(
+                ENGINE_NODE_LAUNCHED,
+                stamp(
+                    {
+                        "workflow": self.workflow.name,
+                        "workflow_id": self.workflow_id,
+                        "node": name,
+                        "at": node_inst.started_at,
+                    },
+                    node_ctx,
+                ),
+            )
         spec_node = self.workflow.node(name)
         if isinstance(spec_node, SubWorkflow):
             # A sub-workflow is a run-once composite: reuse the loop runner
@@ -495,18 +500,21 @@ class WorkflowEngine:
         self._unresolved -= 1
         node_inst = self.instance.node(name)
         node_inst.finished_at = self.runtime.reactor.now()
-        self.runtime.bus.publish(
-            ENGINE_NODE_CANCELLED,
-            stamp(
-                {
-                    "workflow": self.workflow.name,
-                    "workflow_id": self.workflow_id,
-                    "node": name,
-                    "at": node_inst.finished_at,
-                },
-                self._node_ctx.pop(name, None),
-            ),
-        )
+        node_ctx = self._node_ctx.pop(name, None)
+        bus = self.runtime.bus
+        if bus.wants(ENGINE_NODE_CANCELLED):
+            bus.publish(
+                ENGINE_NODE_CANCELLED,
+                stamp(
+                    {
+                        "workflow": self.workflow.name,
+                        "workflow_id": self.workflow_id,
+                        "node": name,
+                        "at": node_inst.finished_at,
+                    },
+                    node_ctx,
+                ),
+            )
 
     # -- task resolution -------------------------------------------------------------------
 
@@ -579,21 +587,24 @@ class WorkflowEngine:
         node_inst.finished_at = self.runtime.reactor.now()
         if status is NodeStatus.DONE:
             self._record_outputs(name, result)
-        self.runtime.bus.publish(
-            ENGINE_NODE_COMPLETED,
-            stamp(
-                {
-                    "workflow": self.workflow.name,
-                    "workflow_id": self.workflow_id,
-                    "node": name,
-                    "status": status.value,
-                    "tries": tries,
-                    "exception": exception.name if exception else None,
-                    "at": node_inst.finished_at,
-                },
-                self._node_ctx.pop(name, None),
-            ),
-        )
+        node_ctx = self._node_ctx.pop(name, None)
+        bus = self.runtime.bus
+        if bus.wants(ENGINE_NODE_COMPLETED):
+            bus.publish(
+                ENGINE_NODE_COMPLETED,
+                stamp(
+                    {
+                        "workflow": self.workflow.name,
+                        "workflow_id": self.workflow_id,
+                        "node": name,
+                        "status": status.value,
+                        "tries": tries,
+                        "exception": exception.name if exception else None,
+                        "at": node_inst.finished_at,
+                    },
+                    node_ctx,
+                ),
+            )
         fire_outgoing_edges(self.instance, name, status, exception)
         self._checkpoint()
         # Every outgoing edge of this node just resolved (fired or dead):
@@ -675,18 +686,20 @@ class WorkflowEngine:
                 if inst.tries_used
             },
         )
-        self.runtime.bus.publish(
-            ENGINE_WORKFLOW_FINISHED,
-            stamp(
-                {
-                    "workflow": self.workflow.name,
-                    "workflow_id": self.workflow_id,
-                    "status": self.instance.status.value,
-                    "at": self.instance.finished_at,
-                },
-                self._trace_root,
-            ),
-        )
+        bus = self.runtime.bus
+        if bus.wants(ENGINE_WORKFLOW_FINISHED):
+            bus.publish(
+                ENGINE_WORKFLOW_FINISHED,
+                stamp(
+                    {
+                        "workflow": self.workflow.name,
+                        "workflow_id": self.workflow_id,
+                        "status": self.instance.status.value,
+                        "at": self.instance.finished_at,
+                    },
+                    self._trace_root,
+                ),
+            )
         if self._on_finished is not None:
             self._on_finished(self._result)
 

@@ -140,14 +140,16 @@ class EngineHost:
         # Narrate admission before the first node launches so live
         # trackers (/workflows, repro top) list the instance from the
         # moment it exists, not from its first task.
-        self.runtime.bus.publish(
-            ENGINE_WORKFLOW_ADMITTED,
-            {
-                "workflow": workflow.name,
-                "workflow_id": wfid,
-                "at": self.runtime.reactor.now(),
-            },
-        )
+        bus = self.runtime.bus
+        if bus.wants(ENGINE_WORKFLOW_ADMITTED):
+            bus.publish(
+                ENGINE_WORKFLOW_ADMITTED,
+                {
+                    "workflow": workflow.name,
+                    "workflow_id": wfid,
+                    "at": self.runtime.reactor.now(),
+                },
+            )
         engine.start()
         return wfid
 

@@ -58,7 +58,8 @@ __all__ = [
 
 #: Bus topics narrating strategy dispatch (payloads are plain dicts, like
 #: the ``engine.*`` topics, so observers need no recovery imports).  Only
-#: published when the coordinator is constructed with a bus.
+#: published when the coordinator is constructed with a bus, and only
+#: built when that bus has someone to deliver them to.
 RECOVERY_RETRY = "recovery.retry"
 RECOVERY_EXHAUSTED = "recovery.exhausted"
 RECOVERY_CHECKPOINT_RESTART = "recovery.checkpoint_restart"
@@ -344,12 +345,19 @@ class RecoveryCoordinator:
     def _flag_key(self, run: ActivityRun, slot: _Slot) -> str:
         return f"{self._flag_scope}{run.activity.name}@slot{slot.index}"
 
+    def _wants(self, topic: str) -> bool:
+        """Whether narration on *topic* has an audience
+        (:meth:`~repro.events.EventBus.wants`).  Every publish site builds
+        its detail dict inside this guard and mints its trace context
+        outside it, so span ids do not depend on who is listening."""
+        return self._bus is not None and self._bus.wants(topic)
+
     def _publish(self, topic: str, detail: dict[str, Any]) -> None:
-        if self._bus is not None:
-            detail["at"] = self._reactor.now()
-            if self.workflow_id:
-                detail["workflow_id"] = self.workflow_id
-            self._bus.publish(topic, detail)
+        """Complete and publish *detail*; call only after :meth:`_wants`."""
+        detail["at"] = self._reactor.now()
+        if self.workflow_id:
+            detail["workflow_id"] = self.workflow_id
+        self._bus.publish(topic, detail)  # type: ignore[union-attr]
 
     def _submit(self, run: ActivityRun, slot: _Slot) -> None:
         slot.retry_timer = None
@@ -369,20 +377,21 @@ class RecoveryCoordinator:
             if self._tracer is not None and parent is not None:
                 restart_ctx = self._tracer.child(parent)
                 parent = restart_ctx
-            self._publish(
-                RECOVERY_CHECKPOINT_RESTART,
-                stamp(
-                    {
-                        "activity": run.activity.name,
-                        "slot": slot.index,
-                        "flag": flag,
-                        "flag_source": self.checkpoints.source_span_of(
-                            self._flag_key(run, slot)
-                        ),
-                    },
-                    restart_ctx,
-                ),
-            )
+            if self._wants(RECOVERY_CHECKPOINT_RESTART):
+                self._publish(
+                    RECOVERY_CHECKPOINT_RESTART,
+                    stamp(
+                        {
+                            "activity": run.activity.name,
+                            "slot": slot.index,
+                            "flag": flag,
+                            "flag_source": self.checkpoints.source_span_of(
+                                self._flag_key(run, slot)
+                            ),
+                        },
+                        restart_ctx,
+                    ),
+                )
         if self._tracer is not None and parent is not None:
             slot.attempt_trace = self._tracer.child(parent)
         request = SubmitRequest(
@@ -434,20 +443,21 @@ class RecoveryCoordinator:
                 # attempt will descend from the decision.
                 decision_ctx = self._tracer.child(slot.attempt_trace)
                 slot.next_parent = decision_ctx
-            self._publish(
-                RECOVERY_RETRY,
-                stamp(
-                    {
-                        "activity": run.activity.name,
-                        "slot": slot.index,
-                        "option": decision.option_index,
-                        "delay": decision.delay,
-                        "tries": slot.tries_used,
-                        "host": slot.last_host,
-                    },
-                    decision_ctx,
-                ),
-            )
+            if self._wants(RECOVERY_RETRY):
+                self._publish(
+                    RECOVERY_RETRY,
+                    stamp(
+                        {
+                            "activity": run.activity.name,
+                            "slot": slot.index,
+                            "option": decision.option_index,
+                            "delay": decision.delay,
+                            "tries": slot.tries_used,
+                            "host": slot.last_host,
+                        },
+                        decision_ctx,
+                    ),
+                )
             if decision.delay > 0:
                 slot.retry_timer = self._reactor.call_later(
                     decision.delay, lambda: self._retry_fire(run, slot)
@@ -459,18 +469,19 @@ class RecoveryCoordinator:
         exhausted_ctx = None
         if self._tracer is not None and slot.attempt_trace is not None:
             exhausted_ctx = self._tracer.child(slot.attempt_trace)
-        self._publish(
-            RECOVERY_EXHAUSTED,
-            stamp(
-                {
-                    "activity": run.activity.name,
-                    "slot": slot.index,
-                    "tries": slot.tries_used,
-                    "host": slot.last_host,
-                },
-                exhausted_ctx,
-            ),
-        )
+        if self._wants(RECOVERY_EXHAUSTED):
+            self._publish(
+                RECOVERY_EXHAUSTED,
+                stamp(
+                    {
+                        "activity": run.activity.name,
+                        "slot": slot.index,
+                        "tries": slot.tries_used,
+                        "host": slot.last_host,
+                    },
+                    exhausted_ctx,
+                ),
+            )
         if all(s.exhausted for s in run.slots):
             if exception is not None:
                 # A masked-but-unmaskable exception: report it as what it
@@ -535,17 +546,18 @@ class RecoveryCoordinator:
                         trace_id=outcome.trace_id, span_id=outcome.span_id
                     )
                 )
-            self._publish(
-                RECOVERY_REPLICATION_WIN,
-                stamp(
-                    {
-                        "activity": run.activity.name,
-                        "host": outcome.hostname,
-                        "slots": len(run.slots),
-                    },
-                    win_ctx,
-                ),
-            )
+            if self._wants(RECOVERY_REPLICATION_WIN):
+                self._publish(
+                    RECOVERY_REPLICATION_WIN,
+                    stamp(
+                        {
+                            "activity": run.activity.name,
+                            "host": outcome.hostname,
+                            "slots": len(run.slots),
+                        },
+                        win_ctx,
+                    ),
+                )
         self._cancel_slots(run)
         for slot in run.slots:
             self.checkpoints.clear(self._flag_key(run, slot))
@@ -589,17 +601,18 @@ class RecoveryCoordinator:
         resolved_ctx = None
         if self._tracer is not None and run.trace is not None:
             resolved_ctx = self._tracer.child(run.trace)
-        self._publish(
-            RECOVERY_RESOLVED,
-            stamp(
-                {
-                    "activity": resolution.activity,
-                    "state": resolution.state.value,
-                    "tries": resolution.tries_used,
-                },
-                resolved_ctx,
-            ),
-        )
+        if self._wants(RECOVERY_RESOLVED):
+            self._publish(
+                RECOVERY_RESOLVED,
+                stamp(
+                    {
+                        "activity": resolution.activity,
+                        "state": resolution.state.value,
+                        "tries": resolution.tries_used,
+                    },
+                    resolved_ctx,
+                ),
+            )
         self._on_resolution(resolution)
 
     # -- queries ----------------------------------------------------------------------------

@@ -31,6 +31,19 @@ per-topic **route cache**: the first publish on a topic resolves its route
 dict lookup.  Routes hold references to the live handler dicts, so
 subscriber churn on existing patterns never invalidates them; only the
 appearance or pruning of a pattern/topic does.
+
+Most publications of an unobserved run reach no one (node launches,
+``task.active``, recovery narration: four in five on the benchmark's
+multiplexed workloads), and building their payloads costs more than
+routing them.  Publishers on the per-attempt path therefore ask
+:meth:`EventBus.wants` first and build the payload only when the answer
+is yes::
+
+    if bus.wants(topic):
+        bus.publish(topic, {...})
+
+A declined publication is still counted as offered (``stats()``:
+``publishes`` = dispatched + ``declined``).
 """
 
 from __future__ import annotations
@@ -122,7 +135,10 @@ class EventBus:
         self._routes: dict[str, tuple[dict[int, Handler], ...]] = {}
         self._next_token = 0
         self._history: list[EventRecord] | None = None
+        #: Publications dispatched, and publications :meth:`wants` turned
+        #: away before they were built.
         self._seq = 0
+        self._declined = 0
         #: Every-event observers (flight recorders) invoked on each publish
         #: *before* routed dispatch — in publish order, ahead of any
         #: recursive publishes a handler triggers.  A tuple so the empty
@@ -226,11 +242,33 @@ class EventBus:
         self._routes[topic] = route
         return route
 
+    def wants(self, topic: str) -> bool:
+        """Whether a publication on *topic* would reach anyone right now:
+        history is on, a tap is attached, or a live handler is routed.
+
+        Ask once per publication about to be offered: ``False`` counts it
+        as declined, and the caller skips building the payload (and the
+        :meth:`publish` call).  Resolves and caches the topic's route
+        exactly as :meth:`publish` would have.
+        """
+        if self._taps or self._history is not None:
+            return True
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._build_route(topic)
+        for handlers in route:
+            if handlers:
+                return True
+        self._declined += 1
+        return False
+
     def publish(self, topic: str, payload: Any = None) -> int:
         """Publish *payload* on *topic*; returns number of handlers invoked."""
         if self._history is not None:
             self._history.append(
-                EventRecord(seq=self._seq, topic=topic, payload=payload)
+                EventRecord(
+                    seq=self._seq + self._declined, topic=topic, payload=payload
+                )
             )
         self._seq += 1
         taps = self._taps
@@ -254,8 +292,10 @@ class EventBus:
     # -- diagnostics -------------------------------------------------------
 
     def stats(self) -> dict[str, int | float]:
-        """Dispatch-path counters: interned topic routes, route builds
-        (full matching passes), and live subscription-group counts.
+        """Dispatch-path counters: publications offered (``publishes``,
+        of which ``declined`` were turned away by :meth:`wants` and never
+        built), interned topic routes, route builds (full matching
+        passes), and live subscription-group counts.
 
         ``prefix_patterns`` / ``regex_patterns`` split the pattern
         entries by matching strategy, and ``prefix_fastpath_share`` is
@@ -266,7 +306,8 @@ class EventBus:
             1 for entry in self._patterns if entry.prefix is not None
         )
         return {
-            "publishes": self._seq,
+            "publishes": self._seq + self._declined,
+            "declined": self._declined,
             "cached_routes": len(self._routes),
             "route_builds": self.route_builds,
             "exact_topics": len(self._exact),

@@ -11,6 +11,14 @@ Keeping behaviours as pure planners (no internal mutable state) means the
 same behaviour object can serve every attempt and every replica, with all
 randomness drawn from named streams so runs are reproducible.
 
+It also means a plan that only the behaviour's own fields determine is the
+same plan every time: :class:`FixedDurationTask`, :class:`CrashingTask` and
+:class:`CheckpointingTask` (per resume point) build and validate their
+steps once per behaviour object and hand every attempt the same list.
+Plans are therefore **read-only** for callers — a subclass that varies a
+step builds a new :class:`Step` rather than editing one it was handed.
+Behaviours that draw from the RNG streams plan afresh per attempt.
+
 The behaviours here cover the paper's evaluation workloads:
 
 * :class:`FixedDurationTask` — plain task of duration F;
@@ -27,6 +35,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from ..core.exceptions import UserException
@@ -97,7 +106,8 @@ class TaskBehavior(ABC):
     def plan(self, ctx: PlanContext) -> list[Step]:
         """Return the attempt's steps in nondecreasing offset order, always
         beginning with a ``start`` step and ending with a terminal step
-        (``end``, ``crash`` or ``exception``)."""
+        (``end``, ``crash`` or ``exception``).  The list may be shared
+        with other attempts: callers must not modify it or its steps."""
 
     @staticmethod
     def _validated(steps: list[Step]) -> list[Step]:
@@ -123,6 +133,10 @@ class FixedDurationTask(TaskBehavior):
             raise ValueError(f"duration must be >= 0, got {self.duration!r}")
 
     def plan(self, ctx: PlanContext) -> list[Step]:
+        return self._plan
+
+    @cached_property
+    def _plan(self) -> list[Step]:
         return self._validated(
             [
                 Step(0.0, "start"),
@@ -171,6 +185,18 @@ class CheckpointingTask(TaskBehavior):
         if ctx.checkpoint_state is not None:
             done_segments = int(ctx.checkpoint_state.get("segments_done", 0))
             done_segments = max(0, min(done_segments, self.checkpoints))
+        plans = self._plans
+        steps = plans.get(done_segments)
+        if steps is None:
+            steps = plans[done_segments] = self._plan_from(done_segments)
+        return steps
+
+    @cached_property
+    def _plans(self) -> dict[int, list[Step]]:
+        """Resume point (segments already done) → plan, filled on demand."""
+        return {}
+
+    def _plan_from(self, done_segments: int) -> list[Step]:
         steps = [Step(0.0, "start")]
         # Restoring saved state costs R (only when actually resuming).
         t = self.recovery_time if done_segments > 0 else 0.0
@@ -289,11 +315,16 @@ class CrashingTask(TaskBehavior):
             raise ValueError("crash_at must lie within [0, duration]")
 
     def plan(self, ctx: PlanContext) -> list[Step]:
-        crashes_this_attempt = self.crashes is None or ctx.attempt <= self.crashes
-        if crashes_this_attempt:
-            return self._validated(
-                [Step(0.0, "start"), Step(self.crash_at, "crash")]
-            )
+        if self.crashes is None or ctx.attempt <= self.crashes:
+            return self._crash_plan
+        return self._end_plan
+
+    @cached_property
+    def _crash_plan(self) -> list[Step]:
+        return self._validated([Step(0.0, "start"), Step(self.crash_at, "crash")])
+
+    @cached_property
+    def _end_plan(self) -> list[Step]:
         return self._validated(
             [Step(0.0, "start"), Step(self.duration, "end", {"result": self.result})]
         )

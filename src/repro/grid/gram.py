@@ -15,12 +15,19 @@ Crash observability is configurable (``GramConfig.crash_detection``):
 * ``"heartbeat"`` — nothing is synthesised; the failure is noticed only
   when the heartbeat monitor times out.  This is the realistic path and is
   exercised by the detector tests and the heartbeat ablation benchmark.
+
+The service's job table holds *live* submissions only: a job (its
+:class:`JobProcess` and the :class:`JobRecord` it carries) is dropped the
+moment it finishes or is cancelled — the record is updated first, so a
+caller that kept it still reads the final status — and
+:attr:`GramService.submitted_count` is a plain counter.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from ..ckpt.store import CheckpointStore
@@ -28,7 +35,7 @@ from ..core.exceptions import UserException
 from ..detection.messages import CheckpointNotice, Done, ExceptionNotice, TaskEnd, TaskStart
 from ..errors import CheckpointError, GridError, UnknownExecutableError
 from ..execution import SubmitRequest
-from .behaviors import PlanContext, Step
+from .behaviors import PlanContext, Step, TaskBehavior
 from .host import Host
 from .network import Network
 from .random import RandomStreams
@@ -54,7 +61,8 @@ class GramConfig:
 
 @dataclass
 class JobRecord:
-    """Service-side record of one submission (for queries and stats)."""
+    """Service-side record of one submission, queryable while the job is
+    live (:meth:`GramService.job`)."""
 
     job_id: str
     request: SubmitRequest
@@ -73,16 +81,16 @@ class JobProcess:
     def __init__(
         self,
         service: "GramService",
-        job_id: str,
-        request: SubmitRequest,
+        record: JobRecord,
         host: Host,
-        attempt: int,
+        behavior: TaskBehavior,
     ) -> None:
         self.service = service
-        self.job_id = job_id
-        self.request = request
+        self.record = record
+        self.job_id = record.job_id
+        self.request = record.request
         self.host = host
-        self.attempt = attempt
+        self.behavior = behavior
         self._handles: list[EventHandle] = []
         self._finished = False
 
@@ -90,30 +98,29 @@ class JobProcess:
 
     def begin(self) -> None:
         """Plan the behaviour and schedule its steps (host is UP)."""
-        record = self.service.job(self.job_id)
-        if record is not None and record.status in {"submitted", "queued"}:
-            record.status = "running"
-        kernel = self.service.kernel
-        behavior = self.host.resolve(self.request.executable)
+        self.record.status = "running"
+        service = self.service
+        request = self.request
+        spec = self.host.spec
         checkpoint_state: dict[str, Any] | None = None
-        if self.request.checkpoint_flag:
+        if request.checkpoint_flag:
             try:
-                checkpoint_state = self.service.store.load(self.request.checkpoint_flag)
+                checkpoint_state = service.store.load(request.checkpoint_flag)
             except CheckpointError:
                 checkpoint_state = None  # lost checkpoint: cold start
         ctx = PlanContext(
-            activity=self.request.activity,
+            activity=request.activity,
             job_id=self.job_id,
-            host=self.host.spec,
-            attempt=self.attempt,
-            streams=self.service.streams,
+            host=spec,
+            attempt=self.record.attempt,
+            streams=service.streams,
             checkpoint_state=checkpoint_state,
         )
-        for step in behavior.plan(ctx):
-            scaled = step.offset / self.host.spec.speed
-            self._handles.append(
-                kernel.schedule(scaled, lambda s=step: self._execute(s))
-            )
+        schedule = service.kernel.schedule
+        speed = spec.speed
+        execute = self._execute
+        for step in self.behavior.plan(ctx):
+            self._handles.append(schedule(step.offset / speed, partial(execute, step)))
 
     def abort(self) -> None:
         """Silently stop (cancellation): no further messages."""
@@ -151,25 +158,23 @@ class JobProcess:
                 )
             )
         else:
-            reported = {"done": False}
+            self.host.on_recover(self._report_orphan)
+        self.service._job_finished(self)
 
-            def report_orphan(host: Host) -> None:
-                if reported["done"]:
-                    return
-                reported["done"] = True
-                self.service.network.send(
-                    host.hostname,
-                    Done(
-                        sent_at=self.service.kernel.now(),
-                        job_id=self.job_id,
-                        hostname=host.hostname,
-                        exit_code=137,
-                        host_crashed=True,
-                    ),
-                )
-
-            self.host.on_recover(report_orphan)
-        self.service._job_finished(self.job_id, "finished")
+    def _report_orphan(self, host: Host) -> None:
+        """The restarted job manager reports the job the crash orphaned —
+        once: the listener leaves with the report."""
+        host.off_recover(self._report_orphan)
+        self.service.network.send(
+            host.hostname,
+            Done(
+                sent_at=self.service.kernel.now(),
+                job_id=self.job_id,
+                hostname=host.hostname,
+                exit_code=137,
+                host_crashed=True,
+            ),
+        )
 
     # -- step execution ----------------------------------------------------------
 
@@ -177,44 +182,48 @@ class JobProcess:
         if self._finished:
             return
         now = self.service.kernel.now()
-        send = lambda msg: self.service.network.send(self.host.hostname, msg)  # noqa: E731
+        send = self.service.network.send
+        hostname = self.host.hostname
         if step.action == "start":
-            send(TaskStart(sent_at=now, job_id=self.job_id, hostname=self.host.hostname))
+            send(hostname, TaskStart(sent_at=now, job_id=self.job_id, hostname=hostname))
         elif step.action == "checkpoint":
             flag = f"{self.request.activity}#{self.job_id}@{step.offset:g}"
             self.service.store.save(flag, dict(step.payload.get("state", {})))
             send(
+                hostname,
                 CheckpointNotice(
                     sent_at=now,
                     job_id=self.job_id,
-                    hostname=self.host.hostname,
+                    hostname=hostname,
                     flag=flag,
                     progress=float(step.payload.get("progress", 0.0)),
-                )
+                ),
             )
         elif step.action == "exception":
             exc = step.payload.get("exception")
             if not isinstance(exc, UserException):  # pragma: no cover - defensive
                 exc = UserException("unknown")
             send(
+                hostname,
                 ExceptionNotice(
                     sent_at=now,
                     job_id=self.job_id,
-                    hostname=self.host.hostname,
+                    hostname=hostname,
                     exception=exc,
-                )
+                ),
             )
             self._terminate(exit_code=1)
         elif step.action == "crash":
             self._terminate(exit_code=139)
         elif step.action == "end":
             send(
+                hostname,
                 TaskEnd(
                     sent_at=now,
                     job_id=self.job_id,
-                    hostname=self.host.hostname,
+                    hostname=hostname,
                     result=step.payload.get("result"),
-                )
+                ),
             )
             self._terminate(exit_code=0)
 
@@ -232,7 +241,7 @@ class JobProcess:
                 exit_code=exit_code,
             ),
         )
-        self.service._job_finished(self.job_id, "finished")
+        self.service._job_finished(self)
 
 
 class GramService:
@@ -253,8 +262,10 @@ class GramService:
         self.streams = streams
         self.store = store
         self.config = config or GramConfig()
-        self._jobs: dict[str, JobRecord] = {}
+        #: Live submissions only: dropped on finish or cancel.
         self._processes: dict[str, JobProcess] = {}
+        #: Submissions ever accepted (rejected ones included).
+        self.submitted_count = 0
         # Keyed by (workflow_id, activity): concurrent workflow instances
         # running the same specification must not share attempt sequences
         # (a deterministic crash-on-attempt-1 behaviour would otherwise
@@ -265,8 +276,8 @@ class GramService:
     def reset(self) -> None:
         """Forget all submissions and restart job-id numbering, as if
         freshly constructed over the same hosts/network/store."""
-        self._jobs.clear()
         self._processes.clear()
+        self.submitted_count = 0
         self._attempt_counters.clear()
         self._seq = itertools.count(1)
 
@@ -283,29 +294,27 @@ class GramService:
         if host is None:
             raise GridError(f"unknown host: {request.hostname!r}")
         job_id = f"job-{next(self._seq):06d}"
+        self.submitted_count += 1
         attempt_key = (request.workflow_id, request.activity)
         attempt = self._attempt_counters.get(attempt_key, 0) + 1
         self._attempt_counters[attempt_key] = attempt
-        record = JobRecord(job_id=job_id, request=request, attempt=attempt)
-        self._jobs[job_id] = record
         try:
-            host.resolve(request.executable)
+            behavior = host.resolve(request.executable)
         except UnknownExecutableError:
-            record.status = "finished"
             self._reject(job_id, request, exit_code=127)
             return job_id
-        process = JobProcess(self, job_id, request, host, attempt)
+        if not host.up and not request.queue_when_down:
+            self._reject(job_id, request, exit_code=75)  # EX_TEMPFAIL
+            return job_id
+        record = JobRecord(job_id=job_id, request=request, attempt=attempt)
+        process = JobProcess(self, record, host, behavior)
         self._processes[job_id] = process
         if host.up:
             record.status = "running"
             host.start_job(process)
-        elif request.queue_when_down:
+        else:
             record.status = "queued"
             host.queue_job(process)
-        else:
-            record.status = "finished"
-            self._processes.pop(job_id, None)
-            self._reject(job_id, request, exit_code=75)  # EX_TEMPFAIL
         return job_id
 
     def _reject(self, job_id: str, request: SubmitRequest, *, exit_code: int) -> None:
@@ -322,32 +331,39 @@ class GramService:
     # -- cancellation -------------------------------------------------------------
 
     def cancel(self, job_id: str) -> None:
-        """Silently stop a job (no Done is emitted).  Idempotent."""
-        record = self._jobs.get(job_id)
-        if record is None or record.status in {"finished", "cancelled"}:
-            return
-        record.status = "cancelled"
+        """Silently stop a live job (no Done is emitted).  Idempotent: a
+        finished, cancelled or unknown job is left alone."""
         process = self._processes.pop(job_id, None)
-        if process is not None:
-            process.host.cancel_job(job_id)
-            process.abort()
+        if process is None:
+            return
+        process.record.status = "cancelled"
+        process.host.cancel_job(job_id)
+        process.abort()
 
     # -- internal -------------------------------------------------------------------
 
-    def _job_finished(self, job_id: str, status: str) -> None:
-        record = self._jobs.get(job_id)
-        if record is not None and record.status != "cancelled":
-            record.status = status
-        self._processes.pop(job_id, None)
+    def _job_finished(self, process: JobProcess) -> None:
+        """*process* ran to its end or died with its host: let go of it."""
+        process.record.status = "finished"
+        self._processes.pop(process.job_id, None)
 
     # -- queries ---------------------------------------------------------------------
 
     def job(self, job_id: str) -> JobRecord | None:
-        return self._jobs.get(job_id)
+        """The record of a live job; ``None`` once it finished or was
+        cancelled (or was rejected at submission)."""
+        process = self._processes.get(job_id)
+        return process.record if process is not None else None
 
     def jobs_for_activity(self, activity: str) -> list[JobRecord]:
-        return [r for r in self._jobs.values() if r.request.activity == activity]
+        """Records of *activity*'s live jobs."""
+        return [
+            p.record
+            for p in self._processes.values()
+            if p.request.activity == activity
+        ]
 
     @property
-    def submitted_count(self) -> int:
-        return len(self._jobs)
+    def live_jobs(self) -> int:
+        """Jobs submitted and neither finished nor cancelled."""
+        return len(self._processes)

@@ -184,6 +184,13 @@ class Host:
     def on_recover(self, listener: Callable[["Host"], None]) -> None:
         self._recover_listeners.append(listener)
 
+    def off_recover(self, listener: Callable[["Host"], None]) -> None:
+        """Remove a recovery listener (matched by equality).  Idempotent."""
+        try:
+            self._recover_listeners.remove(listener)
+        except ValueError:
+            pass
+
     # -- failure lifecycle ----------------------------------------------------------
 
     def _schedule_next_crash(self) -> None:

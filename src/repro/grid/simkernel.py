@@ -20,8 +20,9 @@ engine-level Monte-Carlo point, see ``benchmarks/bench_engine_mc.py``):
   counter-driven in-place compaction) — the same structure backing the
   wall-clock :class:`repro.reactor.RealTimeReactor`, so the two reactors
   cannot drift apart;
-* the drain loops (:meth:`run`, :meth:`run_until`) pop inline instead of
-  delegating to :meth:`step`, avoiding a method call per event.
+* the drain loops (:meth:`run`, :meth:`run_until`, :meth:`run_until_done`)
+  pop inline instead of delegating to :meth:`step`, and :meth:`schedule`
+  pushes inline, so an event costs one Python frame beyond its callback.
 
 :class:`SimReactor` adapts the kernel to the :class:`repro.reactor.Reactor`
 interface so the workflow engine can run unmodified inside the simulation.
@@ -34,6 +35,7 @@ from typing import Callable
 
 from ..reactor import Reactor, TimerHandle
 from ..timerheap import CALLBACK as _CALLBACK
+from ..timerheap import FIRED as _FIRED
 from ..timerheap import WHEN as _WHEN
 from ..timerheap import TimerHeap
 
@@ -125,7 +127,11 @@ class SimKernel:
         """Run *callback* ``delay`` virtual seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        return EventHandle(self, self._timers.push(self._now + delay, callback))
+        timers = self._timers
+        entry = [self._now + delay, timers.next_seq, callback]
+        timers.next_seq += 1
+        heapq.heappush(timers.heap, entry)
+        return EventHandle(self, entry)
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Run *callback* at absolute virtual time *when* (>= now)."""
@@ -145,6 +151,7 @@ class SimKernel:
                 timers.note_popped_cancelled()
                 continue
             self._now = entry[_WHEN]
+            entry[_CALLBACK] = _FIRED
             callback()
             self._events_processed += 1
             return True
@@ -168,6 +175,7 @@ class SimKernel:
                 timers.note_popped_cancelled()
                 continue
             self._now = entry[_WHEN]
+            entry[_CALLBACK] = _FIRED
             callback()
             processed += 1
             self._events_processed += 1
@@ -197,12 +205,36 @@ class SimKernel:
             if head[_WHEN] > when:
                 break
             entry = pop(heap)
+            callback = entry[_CALLBACK]
             self._now = entry[_WHEN]
-            entry[_CALLBACK]()
+            entry[_CALLBACK] = _FIRED
+            callback()
             processed += 1
             self._events_processed += 1
         self._now = max(self._now, when)
         return processed
+
+    def run_until_done(
+        self, is_done: Callable[[], bool], deadline: float | None = None
+    ) -> None:
+        """Run events one at a time until ``is_done()`` holds (it is asked
+        before every pop), the queue drains, or the clock has reached
+        *deadline*."""
+        timers = self._timers
+        heap = timers.heap
+        pop = heapq.heappop
+        if deadline is None:
+            deadline = float("inf")
+        while heap and not is_done() and self._now < deadline:
+            entry = pop(heap)
+            callback = entry[_CALLBACK]
+            if callback is None:
+                timers.note_popped_cancelled()
+                continue
+            self._now = entry[_WHEN]
+            entry[_CALLBACK] = _FIRED
+            callback()
+            self._events_processed += 1
 
 
 class PeriodicTask:
@@ -276,21 +308,12 @@ class SimReactor(Reactor):
             self.kernel.run_until(self.kernel.now() + timeout)
 
     def run_until_complete(self, is_done, timeout: float | None = None) -> bool:
-        """Exact steppable loop: process events one at a time until the
-        predicate holds, the queue drains, or virtual *timeout* elapses."""
+        """Exact loop: process events one at a time until the predicate
+        holds, the queue drains, or virtual *timeout* elapses."""
         kernel = self.kernel
-        step = kernel.step
-        deadline = None if timeout is None else kernel.now() + timeout
-        if deadline is None:
-            while not is_done():
-                if not step():
-                    break
-        else:
-            while not is_done():
-                if kernel.now() >= deadline:
-                    break
-                if not step():
-                    break
+        kernel.run_until_done(
+            is_done, None if timeout is None else kernel.now() + timeout
+        )
         return bool(is_done())
 
     def _has_work(self) -> bool:

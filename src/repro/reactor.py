@@ -57,7 +57,8 @@ class TimerHandle:
         self._lock = lock
 
     def cancel(self) -> None:
-        """Prevent the timer's callback from running.  Idempotent."""
+        """Prevent the timer's callback from running.  Idempotent; a no-op
+        once the timer has fired."""
         if self._lock is None:
             self._heap.cancel(self._entry)
         else:
@@ -238,10 +239,7 @@ class RealTimeReactor(Reactor):
     def _pop_due(self) -> Callable[[], None] | None:
         """The callback of the next due live timer, or ``None``."""
         with self._cond:
-            entry = self._timers.pop_due(self.now())
-            if entry is not None:
-                return entry[CALLBACK]
-        return None
+            return self._timers.pop_due(self.now())
 
     def _next_wait(self, deadline: float | None) -> float | None:
         """Seconds to sleep before the next interesting moment (caller holds

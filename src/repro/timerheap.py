@@ -12,23 +12,41 @@ cannot drift apart:
   is dropped when popped; when cancelled entries pile up the heap is
   compacted in place so pathological cancel-heavy workloads (heartbeat
   monitors, timer churn) stay O(live events);
+* an entry that is popped to run has its ``callback`` replaced by
+  :data:`FIRED` first, so cancelling a timer that already ran is a no-op:
+  it is neither counted nor allowed to trigger a compaction of a heap
+  that holds no cancelled entry (and the entry lets go of its callback);
 * compaction rebuilds the list *in place* (``heap[:] = ...``) because drain
   loops hold a local reference to it.
 
 Owners that pop entries inline (the simulation kernel's drain loops) must
 call :meth:`TimerHeap.note_popped_cancelled` whenever they pop an entry
-whose callback is ``None``, keeping the cancellation counter honest.
+whose callback is ``None``, keeping the cancellation counter honest, and
+must store :data:`FIRED` in the callback slot of every entry they run.
+The kernel also pushes inline (``[when, next_seq, callback]``, then
+``next_seq += 1``): one frame less on every scheduled event.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Any, Callable
 
-__all__ = ["TimerHeap", "WHEN", "SEQ", "CALLBACK", "COMPACT_MIN_CANCELLED"]
+__all__ = [
+    "TimerHeap",
+    "WHEN",
+    "SEQ",
+    "CALLBACK",
+    "FIRED",
+    "COMPACT_MIN_CANCELLED",
+]
 
-# Heap-entry slots: [when, seq, callback]; callback is None once cancelled.
+# Heap-entry slots: [when, seq, callback]; callback is None once cancelled
+# and FIRED once the entry has been popped to run.
 WHEN, SEQ, CALLBACK = 0, 1, 2
+
+#: Occupies the callback slot of an entry whose timer has run.
+FIRED: Any = object()
 
 #: Compact the heap when at least this many entries are cancelled *and* they
 #: outnumber the live ones (amortises the rebuild over many cancellations).
@@ -43,13 +61,21 @@ class TimerHeap:
     mutates the heap list.
     """
 
-    __slots__ = ("heap", "_seq", "_cancelled", "compactions", "cancelled_total")
+    __slots__ = (
+        "heap",
+        "next_seq",
+        "_cancelled",
+        "compactions",
+        "cancelled_total",
+    )
 
     def __init__(self) -> None:
         #: The underlying heap list.  Owners may read it directly for hot
-        #: drain loops; mutation goes through the methods below.
+        #: drain loops; apart from the kernel's inline push, mutation goes
+        #: through the methods below.
         self.heap: list[list] = []
-        self._seq = 0
+        #: Sequence number the next pushed entry takes (FIFO tie-break).
+        self.next_seq = 0
         self._cancelled = 0
         #: Monotonic observability counters: compaction passes performed
         #: and total cancellations ever recorded.  Unlike ``_cancelled``
@@ -66,16 +92,18 @@ class TimerHeap:
 
     def push(self, when: float, callback: Callable[[], None]) -> list:
         """Queue *callback* at absolute time *when*; returns the entry."""
-        entry = [when, self._seq, callback]
-        self._seq += 1
+        entry = [when, self.next_seq, callback]
+        self.next_seq += 1
         heapq.heappush(self.heap, entry)
         return entry
 
     # -- cancellation ------------------------------------------------------
 
     def cancel(self, entry: list) -> None:
-        """Cancel *entry*'s callback.  Idempotent; may compact the heap."""
-        if entry[CALLBACK] is not None:
+        """Cancel *entry*'s callback.  Idempotent, and a no-op for an
+        entry that already ran; may compact the heap."""
+        callback = entry[CALLBACK]
+        if callback is not None and callback is not FIRED:
             entry[CALLBACK] = None
             self.note_cancelled()
 
@@ -108,7 +136,7 @@ class TimerHeap:
     @property
     def scheduled_total(self) -> int:
         """Total entries ever pushed (the sequence counter)."""
-        return self._seq
+        return self.next_seq
 
     def live_count(self) -> int:
         """Number of queued, non-cancelled entries."""
@@ -125,11 +153,15 @@ class TimerHeap:
             return heap[0]
         return None
 
-    def pop_due(self, now: float) -> list | None:
-        """Remove and return the next live entry with ``when <= now``."""
+    def pop_due(self, now: float) -> Callable[[], None] | None:
+        """Remove the next live entry with ``when <= now``, mark it fired
+        and return its callback for the caller to run."""
         head = self.peek_live()
         if head is not None and head[WHEN] <= now:
-            return heapq.heappop(self.heap)
+            entry = heapq.heappop(self.heap)
+            callback = entry[CALLBACK]
+            entry[CALLBACK] = FIRED
+            return callback
         return None
 
     # -- lifecycle ---------------------------------------------------------
@@ -138,7 +170,7 @@ class TimerHeap:
         """Forget every entry and restart the sequence counter (so a reused
         heap reproduces a fresh one's FIFO tie-breaking exactly)."""
         self.heap.clear()
-        self._seq = 0
+        self.next_seq = 0
         self._cancelled = 0
         self.compactions = 0
         self.cancelled_total = 0

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ckpt.store import MemoryCheckpointStore
+from repro.execution import SubmitRequest
+from repro.grid import GridConfig, SimulatedGrid
 from repro.grid.behaviors import (
     CheckpointingTask,
     CrashingTask,
@@ -172,3 +179,129 @@ class TestFlaky:
         p1 = task.plan(ctx(seed=9))
         p2 = task.plan(ctx(seed=9))
         assert [(s.offset, s.action) for s in p1] == [(s.offset, s.action) for s in p2]
+
+
+class CountingStreams(RandomStreams):
+    """Counts the draws a plan makes."""
+
+    def __init__(self, seed: int = 7) -> None:
+        super().__init__(seed=seed)
+        self.bernoullis = 0
+        self.generators = 0
+
+    def bernoulli(self, name, p):
+        self.bernoullis += 1
+        return super().bernoulli(name, p)
+
+    def get(self, name):
+        self.generators += 1
+        return super().get(name)
+
+
+_durations = st.floats(min_value=0.5, max_value=500.0, allow_nan=False)
+_field_determined = st.one_of(
+    st.builds(FixedDurationTask, duration=_durations, result=st.integers(0, 3)),
+    st.builds(
+        lambda duration, share, crashes: CrashingTask(
+            duration=duration, crash_at=duration * share, crashes=crashes
+        ),
+        _durations,
+        st.floats(min_value=0.0, max_value=1.0),
+        st.one_of(st.none(), st.integers(0, 4)),
+    ),
+    st.builds(
+        CheckpointingTask,
+        duration=_durations,
+        checkpoints=st.integers(1, 6),
+        overhead=st.floats(min_value=0.0, max_value=3.0),
+        recovery_time=st.floats(min_value=0.0, max_value=3.0),
+    ),
+)
+_contexts = st.lists(
+    st.tuples(
+        st.integers(1, 7),  # attempt number
+        st.one_of(st.none(), st.integers(-1, 8)),  # segments already done
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestPlanOnce:
+    @settings(max_examples=150, deadline=None)
+    @given(behavior=_field_determined, contexts=_contexts)
+    def test_a_memoised_plan_is_the_plan(self, behavior, contexts):
+        seen = {}
+        for attempt, done in contexts:
+            state = None if done is None else {"segments_done": done}
+            plan = behavior.plan(ctx(attempt=attempt, checkpoint_state=state))
+            # A behaviour that has never planned before builds it afresh.
+            fresh = dataclasses.replace(behavior).plan(
+                ctx(attempt=attempt, checkpoint_state=state)
+            )
+            assert plan == fresh
+            assert plan is not fresh
+            key = tuple((s.offset, s.action) for s in plan)
+            # ... and equal plans of one behaviour are one list.
+            assert seen.setdefault(key, plan) is plan
+
+    def test_rng_behaviours_plan_afresh_and_draw_as_before(self):
+        prone = ExceptionProneTask(duration=30.0, checks=5, probability=0.2)
+        flaky = FlakyTask(duration=10.0, crash_probability=0.5)
+        streams = CountingStreams()
+
+        def context(i, streams):
+            return PlanContext("act", f"job-{i}", RELIABLE("h1"), 1, streams)
+
+        outcomes = set()
+        for i in range(40):
+            streams.bernoullis = streams.generators = 0
+            plan = prone.plan(context(i, streams))
+            last = plan[-1]
+            checks_run = (
+                5 if last.action == "end" else last.payload["exception"].data["check"]
+            )
+            # One Bernoulli per check reached, on every attempt ...
+            assert streams.bernoullis == checks_run
+            # ... and the plan an unshared behaviour draws from scratch.
+            assert plan == dataclasses.replace(prone).plan(
+                context(i, RandomStreams(7))
+            )
+
+            streams.bernoullis = streams.generators = 0
+            plan = flaky.plan(context(i, streams))
+            crashed = plan[-1].action == "crash"
+            # The Bernoulli, then a uniform only when it crashes (each
+            # fetches the attempt's generator once).
+            assert (streams.bernoullis, streams.generators) == (1, 1 + crashed)
+            assert plan == dataclasses.replace(flaky).plan(
+                context(i, RandomStreams(7))
+            )
+            outcomes |= {last.action, plan[-1].action}
+        assert outcomes == {"end", "exception", "crash"}
+
+    def test_attempts_sharing_a_plan_save_independent_states(self):
+        class KeepingStore(MemoryCheckpointStore):
+            """Keeps the very dict it is handed (a store need not copy)."""
+
+            def save(self, key, state):
+                self._data[key] = state
+
+            def load(self, key):
+                return self._data[key]
+
+        store = KeepingStore()
+        grid = SimulatedGrid(config=GridConfig(heartbeats=False), store=store)
+        grid.add_host(RELIABLE("h1", slots=None))
+        task = CheckpointingTask(duration=20.0, checkpoints=2)
+        grid.install("h1", "task", task)
+        grid.connect(lambda msg: None)
+        for name in ("a", "b"):
+            grid.submit(SubmitRequest(activity=name, executable="task", hostname="h1"))
+        grid.run()
+        first_a, first_b = (store.load(k) for k in store.keys() if k.endswith("@10.5"))
+        assert first_a == first_b == {"segments_done": 1}
+        shared = task.plan(ctx())[1].payload["state"]
+        assert first_a is not first_b and first_a is not shared
+        first_a["segments_done"] = 99
+        assert first_b == shared == {"segments_done": 1}

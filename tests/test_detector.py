@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.core.exceptions import UserException
@@ -13,11 +15,13 @@ from repro.detection.detector import (
     TASK_FAILED,
     FailureDetector,
 )
+from repro.detection.log import MessageLog
 from repro.detection.messages import (
     CheckpointNotice,
     Done,
     ExceptionNotice,
     Heartbeat,
+    Message,
     TaskEnd,
     TaskStart,
 )
@@ -118,6 +122,30 @@ class TestDeterminationRules:
         assert len(outcomes(bus, TASK_FAILED)) == 1
         assert outcomes(bus, TASK_DONE) == []
 
+    def test_message_subclasses_are_handled_as_their_base_type(self, detector, bus):
+        @dataclass(frozen=True)
+        class VerboseDone(Done):
+            log_tail: str = ""
+
+        @dataclass(frozen=True)
+        class SignedHeartbeat(Heartbeat):
+            signature: str = ""
+
+        @dataclass(frozen=True)
+        class Telegram(Message):
+            job_id: str = ""
+
+        job = track(detector)
+        detector.deliver(TaskStart(job_id=job, hostname="n1"))
+        detector.deliver(SignedHeartbeat(hostname="n1", seq=0))
+        assert detector.heartbeats_observed == 1
+        detector.deliver(VerboseDone(job_id=job, hostname="n1", exit_code=3))
+        assert [o.reason for o in outcomes(bus, TASK_FAILED)] == [
+            "done-without-taskend"
+        ]
+        with pytest.raises(DetectionError):
+            detector.deliver(Telegram(job_id=job))
+
     def test_unknown_job_messages_ignored(self, detector, bus):
         detector.deliver(Done(job_id="ghost", hostname="n1"))
         assert outcomes(bus, TASK_FAILED) == []
@@ -141,11 +169,23 @@ class TestRegistration:
         failed = outcomes(bus, TASK_FAILED)
         assert failed and failed[0].reason == "host-down"
 
-    def test_attempt_log_records_messages(self, detector):
+    def test_attempt_log_records_messages(self, detector, bus, tmp_path):
+        # The detector lets go of an attempt at its verdict; the record of
+        # what it was delivered is the tee'd message log.
+        log = MessageLog(tmp_path / "messages.jsonl")
+        deliver = log.tee(detector.deliver)
         job = track(detector)
-        detector.deliver(TaskStart(job_id=job, hostname="n1"))
-        detector.deliver(Done(job_id=job, hostname="n1"))
-        assert len(detector.attempt_log(job)) == 2
+        sent = [
+            TaskStart(job_id=job, hostname="n1"),
+            Done(job_id=job, hostname="n1"),
+            Done(job_id=job, hostname="n1"),  # late duplicate: still logged
+        ]
+        for msg in sent:
+            deliver(msg)
+        assert list(MessageLog.read(log.path)) == sent
+        assert len(outcomes(bus, TASK_FAILED)) == 1
+        assert detector.live_attempts == 0
+        assert detector.state_of(job) is None
 
 
 class TestHostSuspicionIntegration:

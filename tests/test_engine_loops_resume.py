@@ -16,6 +16,7 @@ from repro.grid import (
     FixedDurationTask,
     GridConfig,
     SimulatedGrid,
+    Step,
 )
 from repro.wpdl import JoinMode, WorkflowBuilder
 
@@ -24,9 +25,9 @@ class Counter(FixedDurationTask):
     """Reports the attempt number so loop conditions can count iterations."""
 
     def plan(self, ctx):
-        steps = list(super().plan(ctx))
-        steps[-1].payload["result"] = {"count": ctx.attempt}
-        return steps
+        # Plans are shared between attempts: vary a step by building one.
+        start, end = super().plan(ctx)
+        return [start, Step(end.offset, "end", {"result": {"count": ctx.attempt}})]
 
 
 def loop_workflow(iterations: int):

@@ -26,6 +26,7 @@ from repro.grid import (
     CrashingTask,
     ExceptionProneTask,
     FixedDurationTask,
+    Step,
     inject_crash,
 )
 from repro.wpdl import JoinMode, Parameter, WorkflowBuilder
@@ -319,11 +320,11 @@ class TestControlFlowFeatures:
         # use the attempt count embedded by the behaviour result.
         class Residual(FixedDurationTask):
             def plan(self, ctx):
-                plan = super().plan(ctx)
-                steps = list(plan)
-                end = steps[-1]
-                end.payload["result"] = {"residual": 1.0 / ctx.attempt}
-                return steps
+                # Plans are shared between attempts: vary a step by
+                # building one, never by editing the one handed out.
+                start, end = super().plan(ctx)
+                result = {"residual": 1.0 / ctx.attempt}
+                return [start, Step(end.offset, "end", {"result": result})]
 
         quiet_grid.install("h1", "solve", Residual(duration=10.0))
         body = (
@@ -398,6 +399,8 @@ class TestControlFlowFeatures:
 
         class Consume(FixedDurationTask):
             def plan(self, ctx):
+                # GRAM's table holds live jobs only: look while it runs.
+                received["jobs"] = quiet_grid.gram.jobs_for_activity("consumer")
                 return super().plan(ctx)
 
         quiet_grid.install("h1", "consume", Consume(duration=1.0))
@@ -419,8 +422,10 @@ class TestControlFlowFeatures:
         assert result.succeeded
         assert result.variables["n"] == 9
         # The submitted request carried the resolved input value.
-        jobs = quiet_grid.gram.jobs_for_activity("consumer")
-        assert jobs[0].request.arguments == {"count": 9}
+        [job] = received["jobs"]
+        assert job.request.arguments == {"count": 9}
+        assert job.status == "finished"
+        assert quiet_grid.gram.jobs_for_activity("consumer") == []
 
     def test_diamond_and_join_collects_both_branches(self, quiet_grid):
         quiet_grid.add_host(RELIABLE("h1"))

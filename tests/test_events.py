@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro import events
 from repro.events import EventBus, _PatternEntry
 
 
@@ -276,3 +287,120 @@ class TestHistory:
         bus.publish("a", 1)
         bus.enable_history()
         assert len(bus.history) == 1
+
+
+class TestWants:
+    def test_nobody_listening_declines_and_still_counts_as_offered(self):
+        bus = EventBus()
+        assert bus.wants("engine.node_launched") is False
+        assert bus.wants("engine.node_launched") is False
+        bus.publish("engine.workflow_finished", None)
+        stats = bus.stats()
+        assert stats["declined"] == 2
+        assert stats["publishes"] == 3
+
+    def test_history_sequence_numbers_count_declined_publications(self):
+        bus = EventBus()
+        assert not bus.wants("x")
+        bus.enable_history()
+        assert bus.wants("x")
+        bus.publish("x", 1)
+        assert [r.seq for r in bus.history] == [1]
+
+
+#: Exact, prefix and regex patterns over a small topic alphabet, plus enough
+#: distinct topics to overflow the (shrunk) route cache several times.
+_PATTERNS = ("a.x", "a.y", "b.x", "a.*", "b.*", "*", "*.x", "a.*.z", "t.1*")
+_TOPICS = ("a.x", "a.y", "b.x", "b.y", "a.q.z", "c") + tuple(
+    f"t.{i}" for i in range(24)
+)
+
+
+class BusChurn(RuleBasedStateMachine):
+    """``wants`` and ``publish`` must agree whatever the subscription set
+    has been through: ``wants(t)`` is true exactly when ``publish(t, …)``
+    would reach a handler, a tap or the history."""
+
+    subscriptions = Bundle("subscriptions")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._saved_limit = events._MAX_CACHED_ROUTES
+        events._MAX_CACHED_ROUTES = 8  # overflow often, not after 65536 topics
+        self.bus = EventBus()
+        self.calls = 0
+        self.taps = []
+        self.dispatched = 0
+        self.declined = 0
+
+    def teardown(self) -> None:
+        events._MAX_CACHED_ROUTES = self._saved_limit
+
+    def _handler(self, _topic, _payload) -> None:
+        self.calls += 1
+
+    @rule(target=subscriptions, pattern=st.sampled_from(_PATTERNS))
+    def subscribe(self, pattern):
+        return self.bus.subscribe(pattern, self._handler)
+
+    @rule(target=subscriptions, pattern=st.sampled_from(_PATTERNS))
+    def subscribe_one_shot(self, pattern):
+        """A handler that unsubscribes itself while being delivered to."""
+        holder = []
+
+        def once(_topic, _payload) -> None:
+            self.calls += 1
+            self.bus.unsubscribe(holder[0])
+
+        holder.append(self.bus.subscribe(pattern, once))
+        return holder[0]
+
+    @rule(sub=subscriptions)
+    def unsubscribe(self, sub):
+        self.bus.unsubscribe(sub)  # idempotent: may already be gone
+
+    @rule()
+    def add_tap(self):
+        def tap(_topic, _payload) -> None:
+            self.calls += 1
+
+        self.taps.append(tap)
+        self.bus.add_tap(tap)
+
+    @precondition(lambda self: self.taps)
+    @rule(data=st.data())
+    def remove_tap(self, data):
+        tap = data.draw(st.sampled_from(self.taps))
+        self.taps.remove(tap)
+        self.bus.remove_tap(tap)
+
+    @rule()
+    def enable_history(self):
+        self.bus.enable_history()
+
+    @rule(topic=st.sampled_from(_TOPICS))
+    def offer(self, topic):
+        wanted = self.bus.wants(topic)
+        if not wanted:
+            self.declined += 1
+        # Publish regardless, to see what the answer should have been.
+        recorded = len(self.bus.history)
+        self.calls = 0
+        delivered = self.bus.publish(topic, None)
+        self.dispatched += 1
+        reached = self.calls > 0 or len(self.bus.history) > recorded
+        assert wanted == reached
+        assert delivered == self.calls - len(self.taps)
+
+    @invariant()
+    def offered_is_dispatched_plus_declined(self):
+        stats = self.bus.stats()
+        assert stats["declined"] == self.declined
+        assert stats["publishes"] == self.dispatched + self.declined
+        assert stats["cached_routes"] <= 8
+
+
+TestBusChurn = BusChurn.TestCase
+TestBusChurn.settings = settings(
+    max_examples=60, stateful_step_count=60, deadline=None
+)

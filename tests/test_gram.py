@@ -68,9 +68,14 @@ class TestHappyPath:
     def test_job_record_status_transitions(self, grid):
         grid.install("n1", "task", FixedDurationTask(10.0))
         job = grid.submit(req())
-        assert grid.gram.job(job).status == "running"
+        record = grid.gram.job(job)
+        assert record.status == "running"
         grid.run()
-        assert grid.gram.job(job).status == "finished"
+        # The table holds live jobs only; the record kept the final status.
+        assert record.status == "finished"
+        assert grid.gram.job(job) is None
+        assert grid.gram.live_jobs == 0
+        assert grid.gram.submitted_count == 1
 
 
 class TestFailures:
@@ -145,13 +150,19 @@ class TestHostCrashInteraction:
         grid.kernel.schedule(
             10.0, lambda: grid.host("n1").crash(schedule_recovery=False)
         )
-        grid.kernel.schedule(25.0, grid.host("n1").recover)
+        host = grid.host("n1")
+        grid.kernel.schedule(25.0, host.recover)
+        # A second outage, with nothing running, has nothing to report.
+        grid.kernel.schedule(30.0, lambda: host.crash(schedule_recovery=False))
+        grid.kernel.schedule(35.0, host.recover)
         grid.kernel.run_until(50.0)
-        # The restarted job manager reports the orphaned job.
+        # The restarted job manager reports the orphaned job, once, and
+        # the host keeps no listener for it afterwards.
         dones = [m for m in seen if isinstance(m, Done)]
         assert len(dones) == 1
         assert dones[0].host_crashed
         assert dones[0].sent_at == pytest.approx(25.0)
+        assert host._recover_listeners == []
 
     def test_queued_submission_starts_after_recovery(self, grid):
         seen = collect(grid)
@@ -228,10 +239,12 @@ class TestCancel:
         seen = collect(grid)
         grid.install("n1", "task", FixedDurationTask(10.0))
         job = grid.submit(req())
+        record = grid.gram.job(job)
         grid.kernel.schedule(5.0, lambda: grid.cancel(job))
         grid.run()
         assert [type(m).__name__ for m in seen] == ["TaskStart"]
-        assert grid.gram.job(job).status == "cancelled"
+        assert record.status == "cancelled"
+        assert grid.gram.job(job) is None
 
     def test_cancel_unknown_job_is_noop(self, grid):
         grid.cancel("ghost")  # no error
@@ -246,6 +259,35 @@ class TestCancel:
         seen = collect(grid)
         grid.run()
         assert seen == []
+
+
+class TestTimerChurn:
+    def test_finished_jobs_leave_no_timer_cancellations(self, grid):
+        # Every job cancels all of its step handles when it terminates,
+        # and by then every one of them has fired: 100 jobs x 2 steps must
+        # read as zero cancellations (and never compact the heap).
+        grid.install("n1", "task", CrashingTask(duration=9.0, crash_at=1.0, crashes=1))
+        collect(grid)
+        for i in range(100):
+            grid.kernel.schedule(
+                float(i), lambda i=i: grid.submit(req(activity=f"a{i}"))
+            )
+        grid.run()
+        stats = grid.kernel.stats()
+        assert stats["timers_scheduled"] > 300
+        assert stats["timers_cancelled"] == 0
+        assert stats["compactions"] == 0
+        assert grid.gram.submitted_count == 100
+
+    def test_only_pending_steps_count_when_a_job_is_cancelled(self, grid):
+        grid.install("n1", "task", CheckpointingTask(30.0, checkpoints=3))
+        collect(grid)
+        job = grid.submit(req())
+        # start and the first checkpoint have fired; two checkpoints and
+        # the end are still queued.
+        grid.kernel.schedule(15.0, lambda: grid.cancel(job))
+        grid.run()
+        assert grid.kernel.stats()["timers_cancelled"] == 3
 
 
 class TestAttemptNumbers:

@@ -9,6 +9,8 @@ contract — multiplexed results bit-identical to isolated sequential runs.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,9 @@ from tests.helpers import (
     single_task_workflow,
 )
 from repro.core import FailurePolicy
+from repro.core.policy import ResourceSelection
 from repro.detection.detector import scoped_topic
+from repro.detection.messages import Done, TaskEnd
 from repro.engine import EngineHost, WorkflowEngine
 from repro.errors import EngineError
 from repro.grid import (
@@ -30,9 +34,10 @@ from repro.grid import (
     FixedDurationTask,
     GridConfig,
     SimulatedGrid,
+    UNRELIABLE,
     inject_crash,
 )
-from repro.obs import RunObserver
+from repro.obs import RunObserver, Tracer
 from repro.wpdl import WorkflowBuilder
 
 
@@ -416,3 +421,140 @@ class TestBatchedHeartbeats:
         assert result_identity(batched) == result_identity(unbatched)
         assert batched.succeeded
         assert batched.tries["work"] == 2
+
+
+class TestDemandDrivenPublication:
+    """Publishers build payloads only when someone receives them
+    (``EventBus.wants``); what a listener sees, and the trace ids on it,
+    must not depend on when it started listening."""
+
+    INSTANCES = 100
+
+    def _run(self, attach_after: int | None):
+        """100 staggered crash-and-retry instances with causal tracing on;
+        a ``RunObserver`` attaches once *attach_after* have finished
+        (``None``: never).  Returns (events it recorded, index of the first
+        event recorded after the 50th termination, results, bus stats)."""
+        grid = crashing_grid()
+        host = EngineHost(grid, reactor=grid.reactor, tracer=Tracer())
+        bus = host.runtime.bus
+        reactor = grid.reactor
+        workflow = single_task_workflow()
+        for i in range(self.INSTANCES):
+            reactor.call_later(1.5 * i, lambda: host.submit(workflow))
+        observer = None
+        if attach_after == 0:
+            observer = RunObserver(bus, clock=reactor.now)
+        reactor.run_until_complete(lambda: len(host.results()) >= 50)
+        cut = len(observer.events) if observer is not None else 0
+        if attach_after == 50:
+            observer = RunObserver(bus, clock=reactor.now)
+        reactor.run_until_complete(
+            lambda: len(host.results()) == self.INSTANCES
+        )
+        events = observer.events if observer is not None else []
+        return events, cut, list(host.results().values()), bus.stats()
+
+    def test_late_subscriber_sees_what_an_early_one_saw(self):
+        early, cut, early_results, early_stats = self._run(0)
+        late, _, late_results, late_stats = self._run(50)
+        _, _, bare_results, bare_stats = self._run(None)
+        assert 0 < cut < len(early)
+        # Same topics, payloads and trace/span/parent ids from then on.
+        assert late == early[cut:]
+        assert any(event.detail.get("parent_id") for event in late)
+        identities = [result_identity(r) for r in bare_results]
+        assert [result_identity(r) for r in early_results] == identities
+        assert [result_identity(r) for r in late_results] == identities
+        # Every publication is offered whoever listens; only the share
+        # that is built and dispatched differs.
+        assert (
+            early_stats["publishes"]
+            == late_stats["publishes"]
+            == bare_stats["publishes"]
+        )
+        assert early_stats["declined"] == 0
+        assert 0 < late_stats["declined"] < bare_stats["declined"]
+
+
+class TestNothingOutlivesTheVerdict:
+    """The detector and GRAM hold live attempts only: a long-lived host
+    running batch after batch must not accumulate per-attempt state."""
+
+    #: Types of which one instance exists per submitted attempt.
+    PER_ATTEMPT = {
+        "_Attempt",
+        "TaskStateMachine",
+        "JobProcess",
+        "JobRecord",
+        "SubmitRequest",
+        "PlanContext",
+        "AttemptOutcome",
+    }
+
+    def _census(self):
+        gc.collect()
+        objects = gc.get_objects()
+        per_attempt = sum(1 for o in objects if type(o).__name__ in self.PER_ATTEMPT)
+        return len(objects), per_attempt
+
+    def test_three_batches_on_one_host(self):
+        grid = SimulatedGrid(
+            seed=11,
+            config=GridConfig(crash_detection="heartbeat", heartbeats=True),
+        )
+        hosts = [f"v{i}" for i in range(4)]
+        for name in hosts:
+            grid.add_host(
+                UNRELIABLE(
+                    name, mttf=30.0, mean_downtime=3.0, heartbeat_period=1.0,
+                    slots=None,
+                )
+            )
+        grid.install_everywhere("task", FixedDurationTask(15.0, result="ok"))
+        policy = FailurePolicy.retrying(
+            None, resource_selection=ResourceSelection.ROTATE
+        )
+        workflow = (
+            WorkflowBuilder("chain")
+            .program("task", hosts=hosts)
+            .activity("a", implement="task", policy=policy)
+            .activity("b", implement="task", policy=policy)
+            .transition("a", "b")
+            .build()
+        )
+        host = EngineHost(grid, reactor=grid.reactor, heartbeat_timeout=3.0)
+        detector = host.runtime.detector
+        censuses = [self._census()]
+        tables, submitted, tries = [], [], []
+        for _batch in range(3):
+            host.submit_many(workflow, 100)
+            results = host.wait_all(timeout=1e7)
+            # A host that is down as the batch ends still owes the report
+            # of the jobs its crash orphaned (all long since failed over by
+            # heartbeat suspicion); give it time to come back and file it.
+            grid.reactor.run_until_idle(timeout=60.0)
+            censuses.append(self._census())
+            tables.append((detector.live_attempts, grid.gram.live_jobs))
+            submitted.append(grid.gram.submitted_count)
+            tries.append(sum(sum(r.tries.values()) for r in results.values()))
+        assert all(r.succeeded for r in results.values()) and len(results) == 300
+        assert tries[-1] > 800  # hosts did crash under the batches
+        assert tables == [(0, 0)] * 3
+        assert submitted == tries
+        # No per-attempt object survives its batch ...
+        assert [per_attempt for _total, per_attempt in censuses] == [0, 0, 0, 0]
+        # ... so what a batch leaves behind is per-instance state (engines,
+        # results), the same for every batch however many attempts it took
+        # — give or take the hosts' own timers at the moment of the census.
+        totals = [total for total, _per_attempt in censuses]
+        assert totals[3] - totals[2] <= 1.05 * (totals[2] - totals[1])
+
+        # A straggler for a job that already has its verdict is an
+        # unknown-job message: ignored, nothing published, nothing revived.
+        offered = host.runtime.bus.stats()["publishes"]
+        detector.deliver(Done(job_id="job-000001", hostname="v0", exit_code=0))
+        detector.deliver(TaskEnd(job_id="job-000001", hostname="v0"))
+        assert host.runtime.bus.stats()["publishes"] == offered
+        assert detector.live_attempts == 0
+        assert detector.state_of("job-000001") is None

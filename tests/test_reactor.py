@@ -65,6 +65,16 @@ class TestHeapCompaction:
             handle.cancel()
         rt.run_until_idle(timeout=0.5)  # returns promptly: nothing live
 
+    def test_cancelling_fired_timers_neither_counts_nor_compacts(self, rt):
+        handles = [rt.call_later(0.0, lambda: None) for _ in range(200)]
+        rt.run_until_idle(timeout=2.0)
+        rt.call_later(30.0, lambda: None)
+        for handle in handles:
+            handle.cancel()
+        assert not any(handle.cancelled for handle in handles)
+        assert rt._timers.cancelled_total == 0
+        assert rt._timers.compactions == 0
+
     def test_cancelled_timers_do_not_fire(self, rt):
         fired = []
         handles = [

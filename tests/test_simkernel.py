@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.grid.simkernel import PeriodicTask
+from repro.grid.simkernel import PeriodicTask, SimReactor
 
 
 class TestScheduling:
@@ -78,6 +78,56 @@ class TestCancellation:
         h.cancel()
         assert kernel.pending() == 1
         assert kernel.run() == 1
+
+
+class TestCancellingFiredTimers:
+    # Owners cancel whole batches of handles on teardown (a job cancels
+    # every step when it terminates), fired ones included: that must not
+    # read as timer churn, let alone compact a heap with nothing to drop.
+
+    @pytest.mark.parametrize("drain", ["run", "run_until", "step", "reactor"])
+    def test_cancel_after_firing_is_not_a_cancellation(self, kernel, drain):
+        fired = []
+        handles = [
+            kernel.schedule(float(i), lambda i=i: fired.append(i))
+            for i in range(200)
+        ]
+        if drain == "run":
+            kernel.run()
+        elif drain == "run_until":
+            kernel.run_until(199.0)
+        elif drain == "step":
+            while kernel.step():
+                pass
+        else:
+            SimReactor(kernel).run_until_complete(lambda: len(fired) == 200)
+        assert fired == list(range(200))
+        kernel.schedule(1000.0, lambda: None)  # the heap is not empty
+        for handle in handles:
+            handle.cancel()
+        assert not any(handle.cancelled for handle in handles)
+        stats = kernel.stats()
+        assert stats["timers_cancelled"] == 0
+        assert stats["compactions"] == 0
+        assert stats["pending"] == 1
+
+    def test_timer_cancelling_itself_while_running(self, kernel):
+        handles = []
+        kernel.schedule(2.0, lambda: None)
+        handles.append(kernel.schedule(1.0, lambda: handles[0].cancel()))
+        assert kernel.run() == 2
+        assert not handles[0].cancelled
+        assert kernel.stats()["timers_cancelled"] == 0
+
+    def test_pending_cancellations_are_still_counted(self, kernel):
+        fired = kernel.schedule(1.0, lambda: None)
+        pending = kernel.schedule(5.0, lambda: None)
+        kernel.run_until(2.0)
+        fired.cancel()
+        pending.cancel()
+        assert pending.cancelled and not fired.cancelled
+        assert kernel.stats()["timers_cancelled"] == 1
+        assert kernel.run() == 0
 
 
 class TestCompaction:
