@@ -41,13 +41,13 @@ class EngineTrace(RunObserver):
 
     def count(self, topic: str) -> int:
         """Number of recorded events with exactly this topic."""
-        return sum(1 for e in self._events if e.topic == topic)
+        return sum(1 for record in self._events if record[0] == topic)
 
     def for_node(self, name: str) -> list[TraceEvent]:
         """All events concerning one node/activity."""
         return [
             e
-            for e in self._events
+            for e in self.events
             if e.detail.get("node") == name or e.detail.get("activity") == name
         ]
 
@@ -56,11 +56,11 @@ class EngineTrace(RunObserver):
         terminal = {TASK_DONE, TASK_FAILED, TASK_EXCEPTION}
         return [
             e
-            for e in self._events
+            for e in self.events
             if e.topic in terminal and e.detail.get("activity") == activity
         ]
 
     def render(self) -> str:
         """The full trace, one line per event, time-ordered."""
-        ordered = sorted(self._events, key=lambda e: (e.at, e.topic))
+        ordered = sorted(self.events, key=lambda e: (e.at, e.topic))
         return "\n".join(str(e) for e in ordered)

@@ -53,10 +53,12 @@ from .health import (
 from .metrics import (
     ATTEMPT_BUCKETS,
     DEFAULT_BUCKETS,
+    BoundFamily,
     Counter,
     Gauge,
     Histogram,
     MetricsError,
+    MetricSpec,
     MetricsRegistry,
 )
 from .observer import (
@@ -89,6 +91,7 @@ __all__ = [
     "ALERT_RESOLVED",
     "ATTEMPT_BUCKETS",
     "ActivityEstimator",
+    "BoundFamily",
     "Counter",
     "DEFAULT_BUCKETS",
     "DRIFT_MTTF",
@@ -101,6 +104,7 @@ __all__ = [
     "Histogram",
     "HistogramSeries",
     "HostEstimator",
+    "MetricSpec",
     "MetricsError",
     "MetricsRegistry",
     "NULL_OBS",

@@ -34,6 +34,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from .metrics import MetricSpec
+from .observer import ATTEMPT_OUTCOME
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events import EventBus, Subscription
     from .metrics import MetricsRegistry
@@ -56,6 +59,69 @@ DRIFT_MTTF = "obs.drift.mttf"
 #: Failure-detector reasons that count as a *host* failure (as opposed to
 #: a task's own nonzero exit, which says nothing about the host's MTTF).
 _HOST_FAILURE_REASONS = ("host-crashed", "host-suspected")
+
+# -- exported gauges (declared once; see EstimatorSuite.export) ---------------
+
+_PER_HOST = ("host",)
+_PER_ACTIVITY = ("workflow_id", "activity")
+
+HOST_MTTF_OBSERVED = MetricSpec(
+    "obs_host_mttf_observed",
+    "gauge",
+    "EWMA of observed inter-failure gaps",
+    _PER_HOST,
+)
+HOST_MTTF_PRIOR = MetricSpec(
+    "obs_host_mttf_prior", "gauge", "catalog-declared MTTF", _PER_HOST
+)
+HOST_DOWNTIME_OBSERVED = MetricSpec(
+    "obs_host_downtime_observed",
+    "gauge",
+    "EWMA of suspected->recovered spans",
+    _PER_HOST,
+)
+HOST_HEARTBEAT_LOSS_RATE = MetricSpec(
+    "obs_host_heartbeat_loss_rate",
+    "gauge",
+    "suspicions per heartbeat observed",
+    _PER_HOST,
+)
+HOST_DRIFT = MetricSpec(
+    "obs_host_drift",
+    "gauge",
+    "1 when the catalog-drift detector has latched",
+    _PER_HOST,
+)
+HOST_FAILURES_TOTAL = MetricSpec(
+    "obs_host_failures_total",
+    "gauge",
+    "host failures attributed by the estimators",
+    _PER_HOST,
+)
+ATTEMPT_FAILURE_PROBABILITY = MetricSpec(
+    "obs_attempt_failure_probability",
+    "gauge",
+    "attempt failures / attempts",
+    _PER_ACTIVITY,
+)
+ATTEMPT_FAILURE_WILSON_LOW = MetricSpec(
+    "obs_attempt_failure_wilson_low",
+    "gauge",
+    "Wilson 95% lower bound on the failure probability",
+    _PER_ACTIVITY,
+)
+ATTEMPT_FAILURE_WILSON_HIGH = MetricSpec(
+    "obs_attempt_failure_wilson_high",
+    "gauge",
+    "Wilson 95% upper bound on the failure probability",
+    _PER_ACTIVITY,
+)
+ATTEMPTS_TOTAL = MetricSpec(
+    "obs_attempts_total",
+    "gauge",
+    "terminal attempt outcomes observed",
+    _PER_ACTIVITY,
+)
 
 
 class Ewma:
@@ -444,14 +510,9 @@ class EstimatorSuite:
     # -- event handlers ------------------------------------------------------
 
     def _on_task_event(self, topic: str, payload: Any) -> None:
-        # The subscriptions are terminal-outcome prefixes, so the topic
-        # itself names the outcome — no per-event state-enum access.
-        if topic.startswith("task.done"):
-            outcome = "done"
-        elif topic.startswith("task.failed"):
-            outcome = "failed"
-        else:
-            outcome = "exception"
+        outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+        if not outcome:  # unknown state, or still running
+            return
         wfid = getattr(payload, "workflow_id", "") or ""
         name = getattr(payload, "activity", "") or ""
         self.activity(wfid, name).record(outcome)
@@ -539,44 +600,28 @@ class EstimatorSuite:
     def export(self, registry: "MetricsRegistry") -> None:
         """Current estimator values as registry gauges (picked up by the
         collector into the store and served on ``/metrics``)."""
-        gauge = registry.gauge
+        family = registry.family
+        mttf_observed = family(HOST_MTTF_OBSERVED)
+        mttf_prior = family(HOST_MTTF_PRIOR)
+        downtime_observed = family(HOST_DOWNTIME_OBSERVED)
+        heartbeat_loss_rate = family(HOST_HEARTBEAT_LOSS_RATE)
+        drift = family(HOST_DRIFT)
+        failures_total = family(HOST_FAILURES_TOTAL)
         for hostname in sorted(self.hosts):
             estimator = self.hosts[hostname]
             if estimator.mttf.value is not None:
-                gauge(
-                    "obs_host_mttf_observed",
-                    help="EWMA of observed inter-failure gaps",
-                    host=hostname,
-                ).set(estimator.mttf.value)
+                mttf_observed.labels(hostname).set(estimator.mttf.value)
             if math.isfinite(estimator.prior_mttf):
-                gauge(
-                    "obs_host_mttf_prior",
-                    help="catalog-declared MTTF",
-                    host=hostname,
-                ).set(estimator.prior_mttf)
+                mttf_prior.labels(hostname).set(estimator.prior_mttf)
             if estimator.downtime.value is not None:
-                gauge(
-                    "obs_host_downtime_observed",
-                    help="EWMA of suspected->recovered spans",
-                    host=hostname,
-                ).set(estimator.downtime.value)
-            gauge(
-                "obs_host_heartbeat_loss_rate",
-                help="suspicions per heartbeat observed",
-                host=hostname,
-            ).set(estimator.heartbeat_loss_rate())
-            gauge(
-                "obs_host_drift",
-                help="1 when the catalog-drift detector has latched",
-                host=hostname,
-            ).set(1.0 if estimator.detector.drifted else 0.0)
+                downtime_observed.labels(hostname).set(estimator.downtime.value)
+            heartbeat_loss_rate.labels(hostname).set(
+                estimator.heartbeat_loss_rate()
+            )
+            drift.labels(hostname).set(1.0 if estimator.detector.drifted else 0.0)
             # Monotone total: the store's per-window slope of this gauge
             # is the host failure rate.
-            gauge(
-                "obs_host_failures_total",
-                help="host failures attributed by the estimators",
-                host=hostname,
-            ).set(estimator.failures)
+            failures_total.labels(hostname).set(estimator.failures)
         # Activity gauges change only through record(), so only the
         # estimators recorded since the last export are walked — in key
         # order, which registers families and series exactly as a walk
@@ -589,36 +634,23 @@ class EstimatorSuite:
             for estimator in self.activities.values():
                 estimator._gauges = None
             self._dirty.update(self.activities.values())
+        if not self._dirty:
+            return
+        probability = family(ATTEMPT_FAILURE_PROBABILITY)
+        wilson_low = family(ATTEMPT_FAILURE_WILSON_LOW)
+        wilson_high = family(ATTEMPT_FAILURE_WILSON_HIGH)
+        attempts_total = family(ATTEMPTS_TOTAL)
         for estimator in sorted(
             self._dirty, key=lambda e: (e.workflow_id, e.activity)
         ):
             gauges = estimator._gauges
             if gauges is None:
-                labels = {
-                    "workflow_id": estimator.workflow_id,
-                    "activity": estimator.activity,
-                }
+                labels = (estimator.workflow_id, estimator.activity)
                 gauges = estimator._gauges = (
-                    gauge(
-                        "obs_attempt_failure_probability",
-                        help="attempt failures / attempts",
-                        **labels,
-                    ),
-                    gauge(
-                        "obs_attempt_failure_wilson_low",
-                        help="Wilson 95% lower bound on the failure probability",
-                        **labels,
-                    ),
-                    gauge(
-                        "obs_attempt_failure_wilson_high",
-                        help="Wilson 95% upper bound on the failure probability",
-                        **labels,
-                    ),
-                    gauge(
-                        "obs_attempts_total",
-                        help="terminal attempt outcomes observed",
-                        **labels,
-                    ),
+                    probability.labels(*labels),
+                    wilson_low.labels(*labels),
+                    wilson_high.labels(*labels),
+                    attempts_total.labels(*labels),
                 )
             low, high = estimator.wilson()
             gauges[0].set(estimator.failure_probability())

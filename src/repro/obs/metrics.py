@@ -9,6 +9,20 @@ pre-declaring series::
     registry.counter("recovery_retries_total", activity="FU").inc()
     registry.histogram("task_attempt_sim_seconds", technique="retrying").observe(31.4)
 
+A call site that fires per event declares its family once, as a
+module-level :class:`MetricSpec`, and resolves instruments through the
+registry's bound family — one ``dict.get`` on the tuple of label values;
+the label key is built only the first time a label set is seen::
+
+    RETRIES = MetricSpec(
+        "recovery_retries_total", "counter", "resubmissions", ("activity",)
+    )
+    retries = registry.family(RETRIES)      # once per registry
+    retries.labels("FU").inc()              # per event
+
+The keyword form above is the same lookup reached by keyword: both land
+in the same bound family and the same series table.
+
 Design constraints, in order:
 
 * **cheap when off** — a disabled registry returns shared no-op
@@ -31,6 +45,7 @@ implicit ``+Inf`` overflow; exporters cumulate on the way out, so
 from __future__ import annotations
 
 import bisect
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
 from ..errors import GridWFSError
@@ -39,6 +54,8 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "MetricSpec",
+    "BoundFamily",
     "MetricsRegistry",
     "MetricsError",
     "DEFAULT_BUCKETS",
@@ -63,6 +80,10 @@ ATTEMPT_BUCKETS = (1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0)
 
 
 LabelItems = tuple[tuple[str, str], ...]
+
+
+def _kind_mismatch(name: str, registered: str, asked: str) -> MetricsError:
+    return MetricsError(f"metric {name!r} is a {registered}, not a {asked}")
 
 
 def _label_key(labels: Mapping[str, Any]) -> LabelItems:
@@ -202,6 +223,92 @@ class _Family:
         self.series: dict[LabelItems, Counter | Gauge | Histogram] = {}
 
 
+@dataclass(frozen=True, slots=True)
+class MetricSpec:
+    """Declaration of one metric family: what all of its series share.
+
+    ``labels`` are the label *names*, in the order
+    :meth:`BoundFamily.labels` takes their values.  A label also listed in
+    ``optional`` is left off a series whose value for it is empty — how
+    ``workflow_id`` stays off the series of a classic single-instance run.
+    Declared at module level by the code that emits the family, which is
+    also what the README's metric catalogue is generated from.
+    """
+
+    name: str
+    kind: str
+    help: str = ""
+    labels: tuple[str, ...] = ()
+    buckets: tuple[float, ...] | None = None
+    optional: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise MetricsError(f"metric {self.name!r}: unknown kind {self.kind!r}")
+        if not set(self.optional) <= set(self.labels):
+            raise MetricsError(
+                f"metric {self.name!r}: optional labels {self.optional!r} "
+                f"are not among {self.labels!r}"
+            )
+
+
+class BoundFamily:
+    """One registry's instruments of one :class:`MetricSpec`, looked up by
+    the tuple of label values.
+
+    Handed out by :meth:`MetricsRegistry.family` and good for the
+    registry's lifetime: :meth:`MetricsRegistry.clear` and
+    :meth:`~MetricsRegistry.merge` empty the table in place, so a holder
+    never resolves to an instrument the registry has dropped.
+    """
+
+    __slots__ = ("spec", "_registry", "_children", "_sorted")
+
+    def __init__(self, registry: "MetricsRegistry", spec: MetricSpec) -> None:
+        self.spec = spec
+        self._registry = registry
+        #: ``(name, position, optional)`` per label, by name: the order a
+        #: series key lists its labels in (:func:`_label_key`).
+        self._sorted = sorted(
+            (name, position, name in spec.optional)
+            for position, name in enumerate(spec.labels)
+        )
+        #: Label values (all ``str``) -> instrument.  A lookup by values
+        #: that are not strings misses here and resolves by their text,
+        #: so ``1``, ``1.0`` and ``True`` can never share an entry.
+        self._children: dict[tuple[str, ...], Any] = {}
+
+    def labels(self, *values: Any):
+        """The instrument for these label values (in ``spec.labels``
+        order), created on first use."""
+        try:
+            child = self._children.get(values)
+        except TypeError:  # an unhashable value: resolved by its text
+            child = None
+        if child is None:
+            child = self._registry._resolve(self, values)
+        return child
+
+
+class _NullFamily:
+    """What a disabled registry binds every spec of one kind to."""
+
+    __slots__ = ("_instrument",)
+
+    def __init__(self, instrument: Any) -> None:
+        self._instrument = instrument
+
+    def labels(self, *values: Any):
+        return self._instrument
+
+
+_NULL_FAMILIES = {
+    "counter": _NullFamily(_NULL_COUNTER),
+    "gauge": _NullFamily(_NULL_GAUGE),
+    "histogram": _NullFamily(_NULL_HISTOGRAM),
+}
+
+
 class _TimerContext:
     """Context manager observing elapsed clock time into a histogram."""
 
@@ -239,10 +346,70 @@ class MetricsRegistry:
         #: it moves.
         self.generation = 0
         self._families: dict[str, _Family] = {}
+        #: One bound family per declared (name, label names, optional
+        #: labels) ever asked for; holders keep theirs across a clear().
+        self._bound: dict[tuple, BoundFamily] = {}
+        #: The keyword form's bound families, per (name, label names as
+        #: passed).  Nobody holds one and each exists only while its
+        #: family does — kind, help and buckets are the family's, so
+        #: :meth:`clear` drops them with the families.
+        self._by_keyword: dict[tuple[str, tuple[str, ...]], BoundFamily] = {}
 
     # -- instrument lookup ---------------------------------------------------
 
-    def _series(
+    def family(self, spec: MetricSpec) -> BoundFamily | _NullFamily:
+        """The bound family of *spec* in this registry (the shared no-op
+        one when disabled).  Binding registers nothing: a family appears
+        in :meth:`families` when its first series does, so export order
+        is first-use order however early a holder binds."""
+        if not self.enabled:
+            return _NULL_FAMILIES[spec.kind]
+        key = (spec.name, spec.labels, spec.optional)
+        bound = self._bound.get(key)
+        if bound is None:
+            bound = self._bound[key] = BoundFamily(self, spec)
+        elif bound.spec.kind != spec.kind:
+            raise _kind_mismatch(spec.name, bound.spec.kind, spec.kind)
+        return bound
+
+    def _resolve(self, bound: BoundFamily, values: tuple[Any, ...]):
+        """A label set *bound* has not seen as given: find or create its
+        series and remember it under the values' text."""
+        spec = bound.spec
+        if len(values) != len(spec.labels):
+            raise MetricsError(
+                f"metric {spec.name!r} takes labels {spec.labels!r}, "
+                f"got {len(values)} value(s)"
+            )
+        texts = tuple(map(str, values))
+        instrument = bound._children.get(texts)
+        if instrument is not None:
+            return instrument
+        family = self._families.get(spec.name)
+        if family is None:
+            family = _Family(spec.name, spec.kind, spec.help, spec.buckets)
+            self._families[spec.name] = family
+        elif family.kind != spec.kind:
+            raise _kind_mismatch(spec.name, family.kind, spec.kind)
+        # What _label_key would make of these labels, without the sort.
+        key = tuple(
+            [
+                (name, texts[position])
+                for name, position, optional in bound._sorted
+                if texts[position] or not optional
+            ]
+        )
+        instrument = family.series.get(key)
+        if instrument is None:
+            if spec.kind == "histogram":
+                instrument = Histogram(family.buckets or DEFAULT_BUCKETS)
+            else:
+                instrument = _KINDS[spec.kind]()
+            family.series[key] = instrument
+        bound._children[texts] = instrument
+        return instrument
+
+    def _keyword(
         self,
         name: str,
         kind: str,
@@ -251,32 +418,25 @@ class MetricsRegistry:
         labels: Mapping[str, Any],
     ):
         family = self._families.get(name)
-        if family is None:
-            family = _Family(name, kind, help, buckets)
-            self._families[name] = family
-        elif family.kind != kind:
-            raise MetricsError(
-                f"metric {name!r} is a {family.kind}, not a {kind}"
+        if family is not None and family.kind != kind:
+            raise _kind_mismatch(name, family.kind, kind)
+        names = tuple(labels)
+        bound = self._by_keyword.get((name, names))
+        if bound is None:
+            bound = self._by_keyword[name, names] = BoundFamily(
+                self, MetricSpec(name, kind, help, names, buckets)
             )
-        key = _label_key(labels)
-        instrument = family.series.get(key)
-        if instrument is None:
-            if kind == "histogram":
-                instrument = Histogram(family.buckets or DEFAULT_BUCKETS)
-            else:
-                instrument = _KINDS[kind]()
-            family.series[key] = instrument
-        return instrument
+        return bound.labels(*labels.values())
 
     def counter(self, name: str, *, help: str = "", **labels: Any) -> Counter:
         if not self.enabled:
             return _NULL_COUNTER
-        return self._series(name, "counter", help, None, labels)
+        return self._keyword(name, "counter", help, None, labels)
 
     def gauge(self, name: str, *, help: str = "", **labels: Any) -> Gauge:
         if not self.enabled:
             return _NULL_GAUGE
-        return self._series(name, "gauge", help, None, labels)
+        return self._keyword(name, "gauge", help, None, labels)
 
     def histogram(
         self,
@@ -288,7 +448,7 @@ class MetricsRegistry:
     ) -> Histogram:
         if not self.enabled:
             return _NULL_HISTOGRAM
-        return self._series(name, "histogram", help, buckets, labels)
+        return self._keyword(name, "histogram", help, buckets, labels)
 
     def timer(
         self,
@@ -361,7 +521,7 @@ class MetricsRegistry:
         the snapshot's value."""
         if not self.enabled:
             return
-        self.generation += 1
+        self._moved()
         for name, family_snap in snapshot.items():
             kind = family_snap["kind"]
             buckets = family_snap.get("buckets")
@@ -394,5 +554,13 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         """Drop every family and series."""
-        self.generation += 1
+        self._moved()
         self._families.clear()
+        self._by_keyword.clear()
+
+    def _moved(self) -> None:
+        """Instruments are about to be replaced or overwritten: bump
+        :attr:`generation` and forget what the bound families resolved."""
+        self.generation += 1
+        for bound in (*self._bound.values(), *self._by_keyword.values()):
+            bound._children.clear()

@@ -21,6 +21,11 @@ documents its bus payloads as plain dicts precisely so subscribers need no
 engine imports, and depending only on the published contract keeps this
 module import-cycle-free (``repro.engine`` imports us for ``EngineTrace``).
 
+An attempt span ends with its terminal ``task.*`` event — or, for an
+attempt the engine cancelled and told the detector to forget (a losing
+replica, a branch that lost an OR join), when its node resolves, labelled
+``outcome="cancelled"``.
+
 The observer survives :meth:`WorkflowEngine.reset`: its subscriptions are
 its own (the engine only re-subscribes *its* handlers), and per-run span
 bookkeeping is cleared when a workflow finishes, so engine-reuse loops
@@ -35,7 +40,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..events import EventBus, Subscription
 from .core import Observability
-from .metrics import ATTEMPT_BUCKETS
+from .metrics import ATTEMPT_BUCKETS, MetricSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.engine import WorkflowEngine
@@ -68,22 +73,139 @@ class RecordedEvent:
         return f"{self.at:10.3f}  {self.topic:24s} {parts}"
 
 
-_TERMINAL_TASK_TOPICS = ("task.done", "task.failed", "task.exception")
-_TASK_BASE_TOPICS = ("task.active",) + _TERMINAL_TASK_TOPICS
+def _expand(record: tuple) -> RecordedEvent:
+    """One ring record → the :class:`RecordedEvent` readers see.
 
-
-def _base_task_topic(topic: str) -> str:
-    """Strip a per-instance scope suffix: ``task.done.wf-3`` → ``task.done``.
-
-    Multiplexed engines publish attempt outcomes on workflow-scoped topics
-    (:func:`repro.detection.detector.scoped_topic`); the wildcard
-    subscription still delivers them here, but span/metric routing needs
-    the base family.
+    Runs when :attr:`RunObserver.events` is read, never in a bus handler.
+    A record is ``(topic, payload snapshot)`` — dict payloads flatten into
+    the detail with ``at`` lifted out — or, for an ``AttemptOutcome``, the
+    topic followed by the fields the detail is made of (the outcome itself
+    is not kept: it may carry a task's whole result).
     """
-    for base in _TASK_BASE_TOPICS:
-        if topic == base or topic.startswith(base + "."):
-            return base
-    return topic
+    if len(record) == 2:
+        topic, payload = record
+        detail = (
+            dict(payload) if isinstance(payload, dict) else {"payload": payload}
+        )
+        if topic.startswith("task."):
+            at = 0.0
+        else:
+            at = float(detail.pop("at", 0.0) or 0.0)
+        return RecordedEvent(at=at, topic=topic, detail=detail)
+    topic, job, activity, host, reason, exception, at, *ids = record
+    detail = {
+        "job": job,
+        "activity": activity,
+        "host": host,
+        "reason": reason,
+        "exception": exception,
+    }
+    for key, value in zip(("workflow_id", "span_id", "parent_id"), ids):
+        if value:
+            detail[key] = value
+    return RecordedEvent(at=at, topic=topic, detail=detail)
+
+
+# -- metric families ----------------------------------------------------------
+#
+# Declared once, here; RunObserver binds them to its registry at
+# construction and resolves a series per event with one dict lookup.
+
+_PER_WORKFLOW = ("workflow_id",)
+
+NODES_LAUNCHED = MetricSpec(
+    "engine_nodes_launched_total",
+    "counter",
+    "nodes entering RUNNING",
+    ("workflow", "workflow_id"),
+    optional=_PER_WORKFLOW,
+)
+NODE_COMPLETIONS = MetricSpec(
+    "engine_node_completions_total",
+    "counter",
+    "terminal node resolutions by status",
+    ("status", "workflow_id"),
+    optional=_PER_WORKFLOW,
+)
+TASK_TRIES = MetricSpec(
+    "task_tries",
+    "histogram",
+    "submission attempts consumed per node resolution",
+    ("node",),
+    buckets=ATTEMPT_BUCKETS,
+)
+WORKFLOW_RUNS = MetricSpec(
+    "engine_workflow_runs_total",
+    "counter",
+    "workflow terminations by status",
+    ("status", "workflow_id"),
+    optional=_PER_WORKFLOW,
+)
+TASK_ATTEMPTS = MetricSpec(
+    "task_attempts_total",
+    "counter",
+    "terminal detector outcomes per attempt",
+    ("activity", "outcome", "workflow_id"),
+    optional=_PER_WORKFLOW,
+)
+TASK_ATTEMPT_SECONDS = MetricSpec(
+    "task_attempt_sim_seconds",
+    "histogram",
+    "virtual seconds from TaskStart to terminal outcome",
+    ("activity",),
+)
+RECOVERY_RETRIES = MetricSpec(
+    "recovery_retries_total",
+    "counter",
+    "resubmissions scheduled after detected crashes",
+    ("activity", "workflow_id"),
+    optional=_PER_WORKFLOW,
+)
+RECOVERY_RETRY_DELAY = MetricSpec(
+    "recovery_retry_delay_seconds",
+    "histogram",
+    "strategy-chosen wait before each resubmission",
+    ("activity",),
+)
+CHECKPOINT_RESTARTS = MetricSpec(
+    "recovery_checkpoint_restarts_total",
+    "counter",
+    "submissions restarting from a saved checkpoint flag",
+    ("activity",),
+)
+REPLICATION_WINS = MetricSpec(
+    "recovery_replication_wins_total",
+    "counter",
+    "replicated activities resolved by this host's replica",
+    ("activity", "host"),
+)
+SLOTS_EXHAUSTED = MetricSpec(
+    "recovery_slots_exhausted_total",
+    "counter",
+    "retry loops that ran out of budget",
+    ("activity",),
+)
+TRIES_PER_RESOLUTION = MetricSpec(
+    "recovery_tries_per_resolution",
+    "histogram",
+    "total attempts consumed per task-level resolution",
+    ("activity", "state"),
+    buckets=ATTEMPT_BUCKETS,
+)
+
+#: ``AttemptOutcome.state`` → the attempt's outcome label ("" while it is
+#: still running).  The detector's ``TaskState`` is a ``str`` enum, so its
+#: members find their plain-string keys here without an import.  Shared by
+#: every consumer of ``task.*`` events (tracker, estimators).
+ATTEMPT_OUTCOME = {
+    "active": "",
+    "done": "done",
+    "failed": "failed",
+    "exception": "exception",
+}
+
+#: What the handlers read fields from when a payload is not a dict.
+_NO_FIELDS: dict[str, Any] = {}
 
 
 class RunObserver:
@@ -100,16 +222,40 @@ class RunObserver:
         self.obs = obs if obs is not None else Observability()
         if clock is not None:
             self.obs.bind_clock(clock)
-        self._events: deque[RecordedEvent] = deque(maxlen=max_events)
+        #: One record per observed event (see :func:`_expand`), turned into
+        #: a :class:`RecordedEvent` only when :attr:`events` is read.
+        self._events: deque[tuple] = deque(maxlen=max_events)
         self._bus: EventBus | None = None
         self._subscriptions: list[Subscription] = []
         # Per-run span bookkeeping, keyed by workflow_id ("" for a classic
         # single-instance run) so N multiplexed instances never share or
-        # clobber each other's spans; cleared per-instance on
-        # workflow_finished.
+        # clobber each other's spans; an instance's entries go when its
+        # workflow finishes.  Open attempts are kept per node
+        # (workflow_id → node → job → span) so that a node's resolution
+        # can end the attempts it cancelled.
         self._workflow_spans: dict[str, "Span"] = {}
-        self._node_spans: dict[tuple[str, str], "Span"] = {}
-        self._attempt_spans: dict[str, "Span"] = {}
+        self._node_spans: dict[str, dict[str, "Span"]] = {}
+        self._attempt_spans: dict[str, dict[str, dict[str, "Span"]]] = {}
+        #: job → attempt span ended as cancelled by its node's resolution.
+        #: A resolution reaches us *before* the terminal ``task.*`` event
+        #: that caused it (the engine publishes from inside its own handler
+        #: for that event), so the attempt that just won is in here too
+        #: until its outcome arrives and claims it — at which point the
+        #: dispatch that did the cancelling is over and the rest can go.
+        self._cancelled: dict[str, "Span"] = {}
+        family = self.obs.metrics.family
+        self._nodes_launched = family(NODES_LAUNCHED)
+        self._node_completions = family(NODE_COMPLETIONS)
+        self._task_tries = family(TASK_TRIES)
+        self._workflow_runs = family(WORKFLOW_RUNS)
+        self._task_attempts = family(TASK_ATTEMPTS)
+        self._task_attempt_seconds = family(TASK_ATTEMPT_SECONDS)
+        self._retries = family(RECOVERY_RETRIES)
+        self._retry_delay = family(RECOVERY_RETRY_DELAY)
+        self._checkpoint_restarts = family(CHECKPOINT_RESTARTS)
+        self._replication_wins = family(REPLICATION_WINS)
+        self._slots_exhausted = family(SLOTS_EXHAUSTED)
+        self._tries_per_resolution = family(TRIES_PER_RESOLUTION)
         if bus is not None:
             self.attach_bus(bus)
 
@@ -156,7 +302,7 @@ class RunObserver:
     @property
     def events(self) -> list[RecordedEvent]:
         """The observed events, oldest first (bounded ring)."""
-        return list(self._events)
+        return [_expand(record) for record in self._events]
 
     @property
     def spans(self) -> list["Span"]:
@@ -166,78 +312,80 @@ class RunObserver:
     def metrics(self) -> "MetricsRegistry":
         return self.obs.metrics
 
+    def _record(self, topic: str, payload: Any) -> dict[str, Any]:
+        """Snapshot one dict-shaped event into the ring (a shallow copy
+        guards against post-publish mutation) and return the mapping the
+        handler reads its fields from."""
+        if isinstance(payload, dict):
+            self._events.append((topic, dict(payload)))
+            return payload
+        self._events.append((topic, payload))
+        return _NO_FIELDS
+
+    def _cancel_attempts(self, jobs: dict[str, "Span"]) -> None:
+        """End the attempts a resolved node left running: their jobs were
+        cancelled and forgotten, so no terminal ``task.*`` event follows."""
+        end = self.obs.spans.end
+        for span in jobs.values():
+            span.labels["outcome"] = "cancelled"
+            end(span)
+        self._cancelled.update(jobs)
+
     # -- engine lifecycle ----------------------------------------------------
 
     def _on_engine_event(self, topic: str, payload: Any) -> None:
-        detail = (
-            dict(payload) if isinstance(payload, dict) else {"payload": payload}
-        )
-        at = float(detail.pop("at", 0.0) or 0.0)
-        self._events.append(RecordedEvent(at=at, topic=topic, detail=detail))
-        node = detail.get("node")
-        workflow = detail.get("workflow", "")
+        detail = self._record(topic, payload)
         wfid = detail.get("workflow_id", "") or ""
-        wl = {"workflow_id": wfid} if wfid else {}
         spans = self.obs.spans
-        metrics = self.obs.metrics
         if topic == "engine.node_launched":
+            node = detail.get("node")
+            workflow = detail.get("workflow", "")
             workflow_span = self._workflow_spans.get(wfid)
             if workflow_span is None:
-                workflow_span = spans.begin(
-                    "workflow.run", workflow=workflow, **wl
-                )
+                labels = {"workflow": workflow}
+                if wfid:
+                    labels["workflow_id"] = wfid
+                workflow_span = spans.open("workflow.run", labels)
                 self._workflow_spans[wfid] = workflow_span
-            metrics.counter(
-                "engine_nodes_launched_total",
-                help="nodes entering RUNNING",
-                workflow=workflow,
-                **wl,
-            ).inc()
-            self._node_spans[(wfid, node)] = spans.begin(
-                "node.run",
-                parent=workflow_span.id,
-                node=node,
-                workflow=workflow,
-                **wl,
-            )
+            self._nodes_launched.labels(workflow, wfid).inc()
+            labels = {"node": node, "workflow": workflow}
+            if wfid:
+                labels["workflow_id"] = wfid
+            nodes = self._node_spans.get(wfid)
+            if nodes is None:
+                nodes = self._node_spans[wfid] = {}
+            nodes[node] = spans.open("node.run", labels, workflow_span.id)
         elif topic in ("engine.node_completed", "engine.node_cancelled"):
+            node = detail.get("node")
             status = detail.get("status", "cancelled")
-            span = self._node_spans.pop((wfid, node), None)
+            attempts = self._attempt_spans.get(wfid)
+            if attempts is not None:
+                jobs = attempts.pop(node, None)
+                if jobs:
+                    self._cancel_attempts(jobs)
+            nodes = self._node_spans.get(wfid)
+            span = nodes.pop(node, None) if nodes is not None else None
             if span is not None:
                 span.labels["status"] = status
                 spans.end(span)
-            metrics.counter(
-                "engine_node_completions_total",
-                help="terminal node resolutions by status",
-                status=status,
-                **wl,
-            ).inc()
+            self._node_completions.labels(status, wfid).inc()
             tries = detail.get("tries")
             if tries:
-                metrics.histogram(
-                    "task_tries",
-                    help="submission attempts consumed per node resolution",
-                    buckets=ATTEMPT_BUCKETS,
-                    node=node,
-                ).observe(float(tries))
+                self._task_tries.labels(node).observe(float(tries))
         elif topic == "engine.workflow_finished":
             status = detail.get("status", "")
-            metrics.counter(
-                "engine_workflow_runs_total",
-                help="workflow terminations by status",
-                status=status,
-                **wl,
-            ).inc()
+            self._workflow_runs.labels(status, wfid).inc()
+            # Engine reuse starts this instance's next run with fresh
+            # bookkeeping; sibling instances' spans are untouched.
+            attempts = self._attempt_spans.pop(wfid, None)
+            if attempts:
+                for jobs in attempts.values():
+                    self._cancel_attempts(jobs)
+            self._node_spans.pop(wfid, None)
             workflow_span = self._workflow_spans.pop(wfid, None)
             if workflow_span is not None:
                 workflow_span.labels["status"] = status
                 spans.end(workflow_span)
-            # Engine reuse starts this instance's next run with fresh
-            # bookkeeping; sibling instances' spans are untouched.
-            for key in [k for k in self._node_spans if k[0] == wfid]:
-                del self._node_spans[key]
-            if not wfid:
-                self._attempt_spans.clear()
 
     # -- detector attempts ---------------------------------------------------
 
@@ -245,166 +393,197 @@ class RunObserver:
         # AttemptOutcome, duck-typed via the published contract.
         job = getattr(payload, "job_id", None)
         if job is None:  # pragma: no cover - defensive
-            self._events.append(
-                RecordedEvent(at=0.0, topic=topic, detail={"payload": payload})
-            )
+            self._events.append((topic, payload))
             return
         activity = payload.activity
+        host = payload.hostname
+        reason = payload.reason
         exception = payload.exception
         wfid = getattr(payload, "workflow_id", "") or ""
-        wl = {"workflow_id": wfid} if wfid else {}
-        detail = {
-            "job": job,
-            "activity": activity,
-            "host": payload.hostname,
-            "reason": payload.reason,
-            "exception": exception.name if exception else None,
-        }
-        if wfid:
-            detail["workflow_id"] = wfid
         # Causal ids stamped by the tracer (repro.obs.tracectx), carried as
         # span labels so exporters can draw the decision → attempt chain.
-        trace_labels = {
-            key: value
-            for key, value in (
-                ("span_id", getattr(payload, "span_id", "") or ""),
-                ("parent_id", getattr(payload, "parent_id", "") or ""),
+        span_id = getattr(payload, "span_id", "") or ""
+        parent_id = getattr(payload, "parent_id", "") or ""
+        self._events.append(
+            (
+                topic,
+                job,
+                activity,
+                host,
+                reason,
+                exception.name if exception else None,
+                payload.at,
+                wfid,
+                span_id,
+                parent_id,
             )
-            if value
-        }
-        if trace_labels:
-            detail.update(trace_labels)
-        at = payload.at
-        self._events.append(RecordedEvent(at=at, topic=topic, detail=detail))
-        spans = self.obs.spans
-        base = _base_task_topic(topic)
-        if base == "task.active":
-            node_span = self._node_spans.get((wfid, activity))
-            self._attempt_spans[job] = spans.begin(
+        )
+        outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+        if outcome is None:
+            return
+        attempts = self._attempt_spans.get(wfid)
+        jobs = attempts.get(activity) if attempts is not None else None
+        if outcome:
+            span = jobs.pop(job, None) if jobs is not None else None
+            if span is None and self._cancelled:
+                span = self._cancelled.pop(job, None)
+                if span is not None:
+                    self._cancelled.clear()
+        else:
+            span = None
+        if span is None:
+            # A running attempt — or one whose terminal outcome came before
+            # any TaskStart (e.g. instant crash): that one is recorded as a
+            # zero-duration attempt so the trace still shows it.
+            labels = {"activity": activity, "job": job, "host": host}
+            if wfid:
+                labels["workflow_id"] = wfid
+            if span_id:
+                labels["span_id"] = span_id
+            if parent_id:
+                labels["parent_id"] = parent_id
+            nodes = self._node_spans.get(wfid)
+            node_span = nodes.get(activity) if nodes is not None else None
+            span = self.obs.spans.open(
                 "task.attempt",
-                parent=node_span.id if node_span is not None else None,
-                activity=activity,
-                job=job,
-                host=payload.hostname,
-                **wl,
-                **trace_labels,
+                labels,
+                node_span.id if node_span is not None else None,
             )
-        elif base in _TERMINAL_TASK_TOPICS:
-            outcome = base.rsplit(".", 1)[1]
-            span = self._attempt_spans.pop(job, None)
-            if span is None:
-                # Terminal before TaskStart (e.g. instant crash): record a
-                # zero-duration attempt so the trace still shows it.
-                node_span = self._node_spans.get((wfid, activity))
-                span = spans.begin(
-                    "task.attempt",
-                    parent=node_span.id if node_span is not None else None,
-                    activity=activity,
-                    job=job,
-                    host=payload.hostname,
-                    **wl,
-                    **trace_labels,
-                )
-            span.labels["outcome"] = outcome
-            if payload.reason:
-                span.labels["reason"] = payload.reason
-            spans.end(span)
-            metrics = self.obs.metrics
-            metrics.counter(
-                "task_attempts_total",
-                help="terminal detector outcomes per attempt",
-                activity=activity,
-                outcome=outcome,
-                **wl,
-            ).inc()
-            metrics.histogram(
-                "task_attempt_sim_seconds",
-                help="virtual seconds from TaskStart to terminal outcome",
-                activity=activity,
-            ).observe(span.sim_duration)
+        if not outcome:
+            if jobs is None:
+                if attempts is None:
+                    attempts = self._attempt_spans[wfid] = {}
+                jobs = attempts[activity] = {}
+            jobs[job] = span
+            return
+        span.labels["outcome"] = outcome
+        if reason:
+            span.labels["reason"] = reason
+        self.obs.spans.end(span)
+        self._task_attempts.labels(activity, outcome, wfid).inc()
+        self._task_attempt_seconds.labels(activity).observe(span.sim_duration)
 
     # -- recovery dispatch ---------------------------------------------------
 
     def _on_recovery_event(self, topic: str, payload: Any) -> None:
-        detail = (
-            dict(payload) if isinstance(payload, dict) else {"payload": payload}
-        )
-        at = float(detail.pop("at", 0.0) or 0.0)
-        self._events.append(RecordedEvent(at=at, topic=topic, detail=detail))
+        detail = self._record(topic, payload)
         activity = detail.get("activity", "")
         wfid = detail.get("workflow_id", "") or ""
-        wl = {"workflow_id": wfid} if wfid else {}
-        metrics = self.obs.metrics
-        # Every recovery decision leaves a zero-duration marker span under
-        # its node, carrying the causal ids — the chrome_trace exporter
-        # draws flow arrows from these to the attempts they spawned.
-        if topic != "recovery.resolved":
-            trace_labels = {
-                key: detail[key]
-                for key in ("span_id", "parent_id")
-                if detail.get(key)
-            }
-            node_span = self._node_spans.get((wfid, activity))
-            self.obs.spans.instant(
-                topic,
-                parent=node_span.id if node_span is not None else None,
-                activity=activity,
-                **wl,
-                **trace_labels,
-            )
+        if topic == "recovery.resolved":
+            self._tries_per_resolution.labels(
+                activity, detail.get("state", "")
+            ).observe(float(detail.get("tries", 0) or 0))
+            return
+        # Every other recovery decision leaves a zero-duration marker span
+        # under its node, carrying the causal ids — the chrome_trace
+        # exporter draws flow arrows from these to the attempts they
+        # spawned.
+        spans = self.obs.spans
+        labels = {"activity": activity}
+        if wfid:
+            labels["workflow_id"] = wfid
+        for key in ("span_id", "parent_id"):
+            value = detail.get(key)
+            if value:
+                labels[key] = value
+        nodes = self._node_spans.get(wfid)
+        node_span = nodes.get(activity) if nodes is not None else None
+        parent = node_span.id if node_span is not None else None
+        spans.end(spans.open(topic, labels, parent))
         if topic == "recovery.retry":
             delay = float(detail.get("delay", 0.0) or 0.0)
-            metrics.counter(
-                "recovery_retries_total",
-                help="resubmissions scheduled after detected crashes",
-                activity=activity,
-                **wl,
-            ).inc()
-            metrics.histogram(
-                "recovery_retry_delay_seconds",
-                help="strategy-chosen wait before each resubmission",
-                activity=activity,
-            ).observe(delay)
+            self._retries.labels(activity, wfid).inc()
+            self._retry_delay.labels(activity).observe(delay)
             if delay > 0:
-                node_span = self._node_spans.get((wfid, activity))
-                self.obs.spans.interval(
+                at = float(detail.get("at", 0.0) or 0.0)
+                spans.interval(
                     "recovery.backoff",
                     at,
                     at + delay,
-                    parent=node_span.id if node_span is not None else None,
+                    parent=parent,
                     activity=activity,
                     slot=detail.get("slot", 0),
                 )
         elif topic == "recovery.checkpoint_restart":
-            metrics.counter(
-                "recovery_checkpoint_restarts_total",
-                help="submissions restarting from a saved checkpoint flag",
-                activity=activity,
-            ).inc()
+            self._checkpoint_restarts.labels(activity).inc()
         elif topic == "recovery.replication_win":
-            metrics.counter(
-                "recovery_replication_wins_total",
-                help="replicated activities resolved by this host's replica",
-                activity=activity,
-                host=detail.get("host", ""),
-            ).inc()
+            self._replication_wins.labels(activity, detail.get("host", "")).inc()
         elif topic == "recovery.exhausted":
-            metrics.counter(
-                "recovery_slots_exhausted_total",
-                help="retry loops that ran out of budget",
-                activity=activity,
-            ).inc()
-        elif topic == "recovery.resolved":
-            metrics.histogram(
-                "recovery_tries_per_resolution",
-                help="total attempts consumed per task-level resolution",
-                buckets=ATTEMPT_BUCKETS,
-                activity=activity,
-                state=detail.get("state", ""),
-            ).observe(float(detail.get("tries", 0) or 0))
+            self._slots_exhausted.labels(activity).inc()
 
 
 # -- end-of-run scrapers ------------------------------------------------------
+
+
+def _gauge(name: str, help: str) -> MetricSpec:
+    return MetricSpec(name, "gauge", help)
+
+
+SIM_EVENTS_PROCESSED = _gauge(
+    "sim_events_processed", "callbacks executed by the sim kernel"
+)
+SIM_TIMERS_SCHEDULED = _gauge(
+    "sim_timers_scheduled", "timer entries pushed onto the heap"
+)
+SIM_TIMERS_CANCELLED = _gauge(
+    "sim_timers_cancelled", "timer entries lazily cancelled"
+)
+SIM_TIMER_COMPACTIONS = _gauge(
+    "sim_timer_compactions", "in-place heap compaction passes"
+)
+SIM_CANCELLED_TIMER_RATIO = _gauge(
+    "sim_cancelled_timer_ratio",
+    "cancelled / scheduled timers (lazy-cancellation pressure)",
+)
+
+BUS_PUBLISHES = _gauge("bus_publishes", "events published on the bus")
+BUS_CACHED_ROUTES = _gauge(
+    "bus_cached_routes", "interned topic → subscriber routes"
+)
+BUS_ROUTE_BUILDS = _gauge(
+    "bus_route_builds", "full matching passes (route-cache misses)"
+)
+BUS_SUBSCRIPTION_GROUPS = _gauge(
+    "bus_subscription_groups", "live exact-topic groups plus pattern entries"
+)
+BUS_ROUTE_CACHE_HIT_RATE = _gauge(
+    "bus_route_cache_hit_rate", "publishes served without a matching pass"
+)
+BUS_PREFIX_PATTERNS = _gauge(
+    "bus_prefix_patterns", "wildcard patterns on the startswith fast path"
+)
+BUS_REGEX_PATTERNS = _gauge(
+    "bus_regex_patterns", "wildcard patterns requiring a compiled regex"
+)
+BUS_PREFIX_FASTPATH_SHARE = _gauge(
+    "bus_prefix_fastpath_share",
+    "fraction of live patterns matched via startswith",
+)
+
+NETWORK_MESSAGES_SENT = _gauge(
+    "network_messages_sent", "messages offered to the network"
+)
+NETWORK_MESSAGES_DELIVERED = _gauge(
+    "network_messages_delivered", "messages reaching the client sink"
+)
+NETWORK_DROPPED_PARTITION = _gauge(
+    "network_messages_dropped_partition", "drops from host partitions"
+)
+NETWORK_DROPPED_LOSS = _gauge(
+    "network_messages_dropped_loss", "drops from i.i.d. message loss"
+)
+GRAM_JOBS_SUBMITTED = _gauge(
+    "gram_jobs_submitted", "submissions accepted by the GRAM service"
+)
+
+DETECTOR_HEARTBEATS = _gauge(
+    "detector_heartbeats_observed",
+    "heartbeat messages consumed by the failure detector",
+)
+
+
+def _set(registry: "MetricsRegistry", spec: MetricSpec, value: float) -> None:
+    registry.family(spec).labels().set(value)
 
 
 def scrape_kernel(registry: "MetricsRegistry", kernel: Any) -> None:
@@ -414,26 +593,15 @@ def scrape_kernel(registry: "MetricsRegistry", kernel: Any) -> None:
     cheap plain-int counters on its hot path, so scraping once at export
     time costs nothing per event.
     """
-    kernel_stats = kernel.stats()
-    gauge = registry.gauge
-    gauge(
-        "sim_events_processed", help="callbacks executed by the sim kernel"
-    ).set(kernel_stats["events_processed"])
-    gauge(
-        "sim_timers_scheduled", help="timer entries pushed onto the heap"
-    ).set(kernel_stats["timers_scheduled"])
-    gauge(
-        "sim_timers_cancelled", help="timer entries lazily cancelled"
-    ).set(kernel_stats["timers_cancelled"])
-    gauge(
-        "sim_timer_compactions", help="in-place heap compaction passes"
-    ).set(kernel_stats["compactions"])
-    gauge(
-        "sim_cancelled_timer_ratio",
-        help="cancelled / scheduled timers (lazy-cancellation pressure)",
-    ).set(
-        kernel_stats["timers_cancelled"]
-        / max(1, kernel_stats["timers_scheduled"])
+    stats = kernel.stats()
+    _set(registry, SIM_EVENTS_PROCESSED, stats["events_processed"])
+    _set(registry, SIM_TIMERS_SCHEDULED, stats["timers_scheduled"])
+    _set(registry, SIM_TIMERS_CANCELLED, stats["timers_cancelled"])
+    _set(registry, SIM_TIMER_COMPACTIONS, stats["compactions"])
+    _set(
+        registry,
+        SIM_CANCELLED_TIMER_RATIO,
+        stats["timers_cancelled"] / max(1, stats["timers_scheduled"]),
     )
 
 
@@ -445,36 +613,22 @@ def scrape_bus(registry: "MetricsRegistry", bus: "EventBus") -> None:
     figure the multiplexed-host benchmarks watch.
     """
     stats = bus.stats()
-    gauge = registry.gauge
-    gauge("bus_publishes", help="events published on the bus").set(
-        stats["publishes"]
+    _set(registry, BUS_PUBLISHES, stats["publishes"])
+    _set(registry, BUS_CACHED_ROUTES, stats["cached_routes"])
+    _set(registry, BUS_ROUTE_BUILDS, stats["route_builds"])
+    _set(
+        registry,
+        BUS_SUBSCRIPTION_GROUPS,
+        stats["exact_topics"] + stats["pattern_entries"],
     )
-    gauge(
-        "bus_cached_routes", help="interned topic → subscriber routes"
-    ).set(stats["cached_routes"])
-    gauge(
-        "bus_route_builds", help="full matching passes (route-cache misses)"
-    ).set(stats["route_builds"])
-    gauge(
-        "bus_subscription_groups",
-        help="live exact-topic groups plus pattern entries",
-    ).set(stats["exact_topics"] + stats["pattern_entries"])
-    gauge(
-        "bus_route_cache_hit_rate",
-        help="publishes served without a matching pass",
-    ).set(1.0 - stats["route_builds"] / max(1, stats["publishes"]))
-    gauge(
-        "bus_prefix_patterns",
-        help="wildcard patterns on the startswith fast path",
-    ).set(stats["prefix_patterns"])
-    gauge(
-        "bus_regex_patterns",
-        help="wildcard patterns requiring a compiled regex",
-    ).set(stats["regex_patterns"])
-    gauge(
-        "bus_prefix_fastpath_share",
-        help="fraction of live patterns matched via startswith",
-    ).set(stats["prefix_fastpath_share"])
+    _set(
+        registry,
+        BUS_ROUTE_CACHE_HIT_RATE,
+        1.0 - stats["route_builds"] / max(1, stats["publishes"]),
+    )
+    _set(registry, BUS_PREFIX_PATTERNS, stats["prefix_patterns"])
+    _set(registry, BUS_REGEX_PATTERNS, stats["regex_patterns"])
+    _set(registry, BUS_PREFIX_FASTPATH_SHARE, stats["prefix_fastpath_share"])
 
 
 def scrape_grid(registry: "MetricsRegistry", grid: "SimulatedGrid") -> None:
@@ -484,35 +638,18 @@ def scrape_grid(registry: "MetricsRegistry", grid: "SimulatedGrid") -> None:
     network and GRAM counters only a grid has.
     """
     scrape_kernel(registry, grid.kernel)
-    gauge = registry.gauge
     net = grid.network.stats
-    for name, value, help_text in (
-        ("network_messages_sent", net.sent, "messages offered to the network"),
-        (
-            "network_messages_delivered",
-            net.delivered,
-            "messages reaching the client sink",
-        ),
-        (
-            "network_messages_dropped_partition",
-            net.dropped_partition,
-            "drops from host partitions",
-        ),
-        (
-            "network_messages_dropped_loss",
-            net.dropped_loss,
-            "drops from i.i.d. message loss",
-        ),
-    ):
-        gauge(name, help=help_text).set(value)
-    gauge(
-        "gram_jobs_submitted", help="submissions accepted by the GRAM service"
-    ).set(grid.gram.submitted_count)
+    _set(registry, NETWORK_MESSAGES_SENT, net.sent)
+    _set(registry, NETWORK_MESSAGES_DELIVERED, net.delivered)
+    _set(registry, NETWORK_DROPPED_PARTITION, net.dropped_partition)
+    _set(registry, NETWORK_DROPPED_LOSS, net.dropped_loss)
+    _set(registry, GRAM_JOBS_SUBMITTED, grid.gram.submitted_count)
 
 
 def scrape_detector(registry: "MetricsRegistry", detector: Any) -> None:
     """Record the failure detector's heartbeat traffic counter."""
-    registry.gauge(
-        "detector_heartbeats_observed",
-        help="heartbeat messages consumed by the failure detector",
-    ).set(getattr(detector, "heartbeats_observed", 0))
+    _set(
+        registry,
+        DETECTOR_HEARTBEATS,
+        getattr(detector, "heartbeats_observed", 0),
+    )

@@ -24,8 +24,9 @@ balancers see consistent behaviour.
 Status is maintained by :class:`WorkflowStatusTracker`, a bus subscriber
 — not by poking engine internals from the server thread.  All mutation
 happens on the reactor thread inside the tracker's handlers; the HTTP
-thread only reads JSON-safe scalars out of per-instance dicts, which the
-GIL makes safe without locks.
+thread only reads JSON-safe scalars out of per-instance dicts and copies
+their two containers (``attempts``, ``running_nodes``) whole, which the
+GIL makes safe without locks — so the handlers update both in place.
 """
 
 from __future__ import annotations
@@ -38,17 +39,9 @@ from typing import Any, Callable
 from ..events import EventBus, Subscription
 from .export import _finite, prometheus_text
 from .metrics import MetricsRegistry
+from .observer import ATTEMPT_OUTCOME
 
 __all__ = ["WorkflowStatusTracker", "TelemetryServer"]
-
-_TERMINAL_TASK = ("task.done", "task.failed", "task.exception")
-
-
-def _base_task_topic(topic: str) -> str:
-    for base in ("task.active",) + _TERMINAL_TASK:
-        if topic == base or topic.startswith(base + "."):
-            return base
-    return topic
 
 
 class WorkflowStatusTracker:
@@ -56,6 +49,16 @@ class WorkflowStatusTracker:
 
     def __init__(self, bus: EventBus | None = None) -> None:
         self._status: dict[str, dict[str, Any]] = {}
+        #: Running attempts: workflow_id → job id → node.  A node's
+        #: resolution cancels whatever it still has here (no terminal
+        #: ``task.*`` event follows for a cancelled job), and an instance's
+        #: entry goes when its workflow finishes.
+        self._running: dict[str, dict[str, str]] = {}
+        #: Jobs counted as cancelled by a resolution.  The resolution
+        #: reaches us *before* the terminal event that caused it, so the
+        #: attempt that just won is in here until its outcome claims it;
+        #: by then the dispatch that did the cancelling is over.
+        self._cancelled: set[str] = set()
         self._bus: EventBus | None = None
         self._subscriptions: list[Subscription] = []
         if bus is not None:
@@ -101,12 +104,15 @@ class WorkflowStatusTracker:
     def _on_engine_event(self, topic: str, payload: Any) -> None:
         if not isinstance(payload, dict):
             return
-        entry = self._entry(str(payload.get("workflow_id", "") or ""))
-        if payload.get("workflow"):
-            entry["workflow"] = str(payload["workflow"])
-        trace = payload.get("trace_id")
-        if trace and not entry["trace_id"]:
-            entry["trace_id"] = str(trace)
+        wfid = str(payload.get("workflow_id", "") or "")
+        entry = self._status.get(wfid) or self._entry(wfid)
+        workflow = payload.get("workflow")
+        if workflow:
+            entry["workflow"] = str(workflow)
+        if not entry["trace_id"]:
+            trace = payload.get("trace_id")
+            if trace:
+                entry["trace_id"] = str(trace)
         node = payload.get("node")
         if topic == "engine.workflow_admitted":
             if entry["nodes_launched"] == 0 and entry["phase"] == "running":
@@ -114,46 +120,80 @@ class WorkflowStatusTracker:
         elif topic == "engine.node_launched":
             entry["phase"] = "running"
             entry["nodes_launched"] += 1
-            running = list(entry["running_nodes"])
-            running.append(str(node))
-            entry["running_nodes"] = running
+            entry["running_nodes"].append(str(node))
         elif topic in ("engine.node_completed", "engine.node_cancelled"):
             entry["nodes_completed"] += 1
-            entry["running_nodes"] = [
-                n for n in entry["running_nodes"] if n != str(node)
-            ]
+            name = str(node)
+            nodes = entry["running_nodes"]
+            while name in nodes:
+                nodes.remove(name)
+            running = self._running.get(wfid)
+            if running:
+                self._cancel(
+                    entry, running, [job for job, at in running.items() if at == node]
+                )
         elif topic == "engine.workflow_finished":
             entry["phase"] = str(payload.get("status", "done"))
             at = payload.get("at")
             entry["finished_at"] = float(at) if at is not None else None
             entry["running_nodes"] = []
+            running = self._running.pop(wfid, None)
+            if running:
+                self._cancel(entry, running, list(running))
+
+    def _cancel(
+        self, entry: dict[str, Any], running: dict[str, str], jobs: list[str]
+    ) -> None:
+        """Count the attempts a resolved node left running as cancelled."""
+        if not jobs:
+            return
+        for job in jobs:
+            del running[job]
+        attempts = entry["attempts"]
+        count = len(jobs)
+        attempts["cancelled"] = attempts.get("cancelled", 0) + count
+        attempts["in_flight"] -= count
+        self._cancelled.update(jobs)
 
     def _on_task_event(self, topic: str, payload: Any) -> None:
-        wfid = str(getattr(payload, "workflow_id", "") or "")
-        base = _base_task_topic(topic)
-        entry = self._entry(wfid)
-        attempts = dict(entry["attempts"])
-        if base == "task.active":
-            attempts["total"] = attempts.get("total", 0) + 1
-            attempts["in_flight"] = attempts.get("in_flight", 0) + 1
-        elif base in _TERMINAL_TASK:
-            outcome = base.rsplit(".", 1)[1]
-            attempts[outcome] = attempts.get(outcome, 0) + 1
-            attempts["in_flight"] = max(0, attempts.get("in_flight", 0) - 1)
-        else:
+        outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+        if outcome is None:
             return
-        entry["attempts"] = attempts
+        wfid = str(getattr(payload, "workflow_id", "") or "")
+        job = getattr(payload, "job_id", "")
+        entry = self._status.get(wfid) or self._entry(wfid)
+        attempts = entry["attempts"]
+        running = self._running.get(wfid)
+        if not outcome:
+            if running is None:
+                running = self._running[wfid] = {}
+            running[job] = payload.activity
+            attempts["total"] += 1
+            attempts["in_flight"] += 1
+            return
+        attempts[outcome] = attempts.get(outcome, 0) + 1
+        if running is not None and running.pop(job, None) is not None:
+            attempts["in_flight"] -= 1
+        elif job in self._cancelled:
+            # The attempt whose outcome resolved its node.
+            self._cancelled.clear()
+            if attempts["cancelled"] == 1:
+                del attempts["cancelled"]
+            else:
+                attempts["cancelled"] -= 1
 
     def _on_recovery_event(self, topic: str, payload: Any) -> None:
         if not isinstance(payload, dict):
             return
-        entry = self._entry(str(payload.get("workflow_id", "") or ""))
-        entry["last_recovery"] = {
-            "action": topic,
-            "activity": str(payload.get("activity", "")),
-            "at": float(payload.get("at", 0.0) or 0.0),
-            "span_id": str(payload.get("span_id", "") or ""),
-        }
+        wfid = str(payload.get("workflow_id", "") or "")
+        entry = self._status.get(wfid) or self._entry(wfid)
+        # The fields as published; :meth:`status_of` renders them.
+        entry["last_recovery"] = (
+            topic,
+            payload.get("activity", ""),
+            payload.get("at", 0.0),
+            payload.get("span_id", ""),
+        )
 
     # -- reads (any thread) --------------------------------------------------
 
@@ -168,7 +208,13 @@ class WorkflowStatusTracker:
         copy["attempts"] = dict(entry["attempts"])
         copy["running_nodes"] = list(entry["running_nodes"])
         if entry["last_recovery"] is not None:
-            copy["last_recovery"] = dict(entry["last_recovery"])
+            action, activity, at, span_id = entry["last_recovery"]
+            copy["last_recovery"] = {
+                "action": action,
+                "activity": str(activity),
+                "at": float(at or 0.0),
+                "span_id": str(span_id or ""),
+            }
         return copy
 
     def snapshot(self) -> list[dict[str, Any]]:

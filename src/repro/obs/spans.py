@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterator
 __all__ = ["Span", "SpanRecorder"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One recorded interval; ``sim_end is None`` while still open."""
 
@@ -124,15 +124,23 @@ class SpanRecorder:
         self, name: str, *, parent: int | None = None, **labels: Any
     ) -> Span:
         """Open a span; the caller keeps the handle and ends it later."""
+        return self.open(name, labels, parent)
+
+    def open(
+        self, name: str, labels: dict[str, Any], parent: int | None = None
+    ) -> Span:
+        """:meth:`begin` for a caller that has its labels in a dict already:
+        the span takes ownership of *labels* (no copy), so the caller must
+        not reuse the dict."""
         if not self.enabled:
             return _DUMMY
         span = Span(
-            id=next(self._ids),
-            name=name,
-            sim_start=self._now(),
-            wall_start=time.perf_counter(),
-            labels=labels,
-            parent=parent,
+            next(self._ids),
+            name,
+            self._now(),
+            time.perf_counter(),
+            labels,
+            parent,
         )
         self._ring.append(span)
         return span
@@ -147,7 +155,7 @@ class SpanRecorder:
 
     def instant(self, name: str, *, parent: int | None = None, **labels: Any) -> Span:
         """A zero-duration marker span."""
-        return self.end(self.begin(name, parent=parent, **labels))
+        return self.end(self.open(name, labels, parent))
 
     def interval(
         self,
@@ -186,7 +194,8 @@ class SpanRecorder:
 
     def _begin_stacked(self, name: str, labels: dict) -> Span:
         parent = self._stack[-1].id if self._stack else None
-        span = self.begin(name, parent=parent, **labels)
+        # The context object keeps its labels and may be entered again.
+        span = self.open(name, dict(labels), parent)
         if span is not _DUMMY:
             self._stack.append(span)
         return span

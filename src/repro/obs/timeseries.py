@@ -32,12 +32,14 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import threading
+from array import array
 from contextlib import contextmanager
 from itertools import islice
 from math import copysign
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from .export import atomic_write_text
 from .metrics import LabelItems, _label_key
@@ -53,10 +55,14 @@ __all__ = [
     "PeriodicCollector",
 ]
 
-#: Point layout inside a :class:`Series` ring (plain lists keep the
-#: per-sample cost to index assignments): bucket start time, observation
-#: count, sum, min, max, last.
+#: Point layout inside a :class:`Series` ring — one flat ``array('d')``,
+#: :data:`_STRIDE` doubles per point: bucket start time, observation
+#: count, sum, min, max, last.  A point is named by the offset of its
+#: first field.
 _T, _N, _SUM, _MIN, _MAX, _LAST = range(6)
+_STRIDE = 6
+#: One point as the bytes ``array.frombytes`` appends in a single copy.
+_pack_point = struct.Struct(f"{_STRIDE}d").pack
 
 #: ``Series._synced`` of a ring no registry instrument feeds: it is never
 #: behind the store's tick count.
@@ -86,6 +92,7 @@ class Series:
         "capacity",
         "_points",
         "_store",
+        "_instrument",
         "_held",
         "_synced",
     )
@@ -110,19 +117,21 @@ class Series:
         self.kind = kind
         self.step = step
         self.capacity = capacity
-        self._points: list[list[float]] = []
+        self._points = array("d")
         #: The store this ring belongs to, if any.  While a registry
         #: instrument feeds the ring (:meth:`TimeSeriesStore.collect`),
-        #: ``_held`` is the value last sampled and ``_synced`` how many of
-        #: the store's ticks the ring reflects; the ticks in between
-        #: sampled ``_held`` again and are replayed on the next read or
-        #: write.  Read through the methods below, never ``_points``.
+        #: ``_instrument`` is that instrument, ``_held`` the value last
+        #: sampled and ``_synced`` how many of the store's ticks the ring
+        #: reflects; the ticks in between sampled ``_held`` again and are
+        #: replayed on the next read or write.  Read through the methods
+        #: below, never ``_points``.
         self._store: "TimeSeriesStore | None" = None
+        self._instrument: Any = None
         self._held = math.nan
         self._synced: float = _UNFED
 
     @contextmanager
-    def _reading(self) -> Iterator[list[list[float]]]:
+    def _reading(self) -> Iterator[array]:
         """The ring, caught up with its store's ticks, for the length of
         one read (under the store's lock: a read may write)."""
         store = self._store
@@ -135,7 +144,7 @@ class Series:
 
     def __len__(self) -> int:
         with self._reading() as points:
-            return len(points)
+            return len(points) // _STRIDE
 
     def observe(self, t: float, value: float = 1.0) -> None:
         """Record *value* at simulation time *t* (downsampled into the
@@ -146,20 +155,21 @@ class Series:
             store._replay(self)
         bucket = math.floor(t / self.step) * self.step
         points = self._points
-        if points:
-            last = points[-1]
-            if bucket <= last[_T]:
-                last[_N] += 1
-                last[_SUM] += value
-                if value < last[_MIN]:
-                    last[_MIN] = value
-                if value > last[_MAX]:
-                    last[_MAX] = value
-                last[_LAST] = value
+        size = len(points)
+        if size:
+            last = size - _STRIDE
+            if bucket <= points[last]:
+                points[last + _N] += 1.0
+                points[last + _SUM] += value
+                if value < points[last + _MIN]:
+                    points[last + _MIN] = value
+                if value > points[last + _MAX]:
+                    points[last + _MAX] = value
+                points[last + _LAST] = value
                 return
-        points.append([bucket, 1, value, value, value, value])
-        if len(points) > self.capacity:
-            del points[0]
+        points.frombytes(_pack_point(bucket, 1.0, value, value, value, value))
+        if size >= self.capacity * _STRIDE:
+            del points[:_STRIDE]
 
     # -- window queries ------------------------------------------------------
 
@@ -170,12 +180,12 @@ class Series:
         with self._reading() as points:
             return [
                 {
-                    "t": p[_T],
-                    "count": p[_N],
-                    "sum": p[_SUM],
-                    "min": p[_MIN],
-                    "max": p[_MAX],
-                    "last": p[_LAST],
+                    "t": points[p],
+                    "count": int(points[p + _N]),
+                    "sum": points[p + _SUM],
+                    "min": points[p + _MIN],
+                    "max": points[p + _MAX],
+                    "last": points[p + _LAST],
                 }
                 for p in _window(points, since, until)
             ]
@@ -183,16 +193,16 @@ class Series:
     def latest(self) -> float | None:
         """Most recent observed value, or None on an empty ring."""
         with self._reading() as points:
-            return points[-1][_LAST] if points else None
+            return points[-1] if points else None
 
     def mean(self, since: float | None = None) -> float | None:
         """Mean of the raw observations in the window."""
         with self._reading() as points:
             window = _window(points, since, None)
-            total = sum(p[_N] for p in window)
+            total = sum(points[p + _N] for p in window)
             if not total:
                 return None
-            return sum(p[_SUM] for p in window) / total
+            return sum(points[p + _SUM] for p in window) / total
 
     def rate(self, since: float | None = None) -> float | None:
         """Per-second rate over the window (see class docstring for how
@@ -201,25 +211,28 @@ class Series:
             window = _window(points, since, None)
             if not window:
                 return None
+            first, last = window[0], window[-1]
             if self.kind == "event":
-                span = window[-1][_T] - window[0][_T] + self.step
-                return sum(p[_N] for p in window) / span
+                span = points[last] - points[first] + self.step
+                return sum(points[p + _N] for p in window) / span
             if len(window) < 2:
                 return None
-            span = window[-1][_T] - window[0][_T]
+            span = points[last] - points[first]
             if span <= 0:
                 return None
-            return (window[-1][_LAST] - window[0][_LAST]) / span
+            return (points[last + _LAST] - points[first + _LAST]) / span
 
 
 def _window(
-    points: list[list[float]], since: float | None, until: float | None
-) -> list[list[float]]:
+    points: array, since: float | None, until: float | None
+) -> Sequence[int]:
+    """Offsets of the points whose bucket lies in ``[since, until]``."""
+    offsets: Sequence[int] = range(0, len(points), _STRIDE)
     if since is not None:
-        points = [p for p in points if p[_T] >= since]
+        offsets = [p for p in offsets if points[p] >= since]
     if until is not None:
-        points = [p for p in points if p[_T] <= until]
-    return points
+        offsets = [p for p in offsets if points[p] <= until]
+    return offsets
 
 
 class HistogramSeries:
@@ -231,7 +244,15 @@ class HistogramSeries:
     "p95 over the last 60 virtual seconds", not since process start.
     """
 
-    __slots__ = ("name", "labels", "bounds", "step", "capacity", "_samples")
+    __slots__ = (
+        "name",
+        "labels",
+        "bounds",
+        "step",
+        "capacity",
+        "_samples",
+        "_instrument",
+    )
 
     def __init__(
         self,
@@ -248,6 +269,9 @@ class HistogramSeries:
         self.step = step
         self.capacity = capacity
         self._samples: list[tuple[float, tuple[int, ...], int, float]] = []
+        #: The registry histogram :meth:`TimeSeriesStore.collect` samples
+        #: into this track, while one does.
+        self._instrument: Any = None
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -335,14 +359,14 @@ _NULL_SERIES = _NullSeries()
 
 
 class _Feed:
-    """One registry family's instruments paired with the rings they feed
-    (in the family's own series order, which only ever grows)."""
+    """The rings one registry family feeds, in the family's own series
+    order (which only ever grows); each ring holds its instrument."""
 
-    __slots__ = ("family", "pairs")
+    __slots__ = ("family", "series")
 
     def __init__(self, family: Any) -> None:
         self.family = family
-        self.pairs: list[tuple[Any, Any]] = []
+        self.series: list[Any] = []
 
 
 class TimeSeriesStore:
@@ -373,8 +397,9 @@ class TimeSeriesStore:
         self.enabled = enabled
         self.step = step
         self.capacity = capacity
-        self._series: dict[tuple[str, LabelItems], Series] = {}
-        self._histograms: dict[tuple[str, LabelItems], HistogramSeries] = {}
+        #: name → label key → ring, families and rings in first-seen order.
+        self._series: dict[str, dict[LabelItems, Series]] = {}
+        self._histograms: dict[str, dict[LabelItems, HistogramSeries]] = {}
         self._lock = threading.RLock()
         #: ``(registry, registry.generation)`` the feeds were bound under,
         #: and one feed per registry family in registration order.
@@ -414,7 +439,8 @@ class TimeSeriesStore:
         step: float | None = None,
         capacity: int | None = None,
     ) -> Series:
-        series = self._series.get((name, key))
+        table = self._series.get(name)
+        series = table.get(key) if table is not None else None
         if series is None:
             series = Series(
                 name,
@@ -424,9 +450,11 @@ class TimeSeriesStore:
                 capacity=capacity if capacity is not None else self.capacity,
             )
             series._store = self
-            # Readers on other threads iterate the table under the lock.
+            # Readers on other threads iterate the tables under the lock.
             with self._lock:
-                self._series[(name, key)] = series
+                if table is None:
+                    table = self._series[name] = {}
+                table[key] = series
         return series
 
     def histogram_series(
@@ -450,7 +478,8 @@ class TimeSeriesStore:
         step: float | None = None,
         capacity: int | None = None,
     ) -> HistogramSeries:
-        series = self._histograms.get((name, key))
+        table = self._histograms.get(name)
+        series = table.get(key) if table is not None else None
         if series is None:
             series = HistogramSeries(
                 name,
@@ -460,7 +489,9 @@ class TimeSeriesStore:
                 capacity=capacity if capacity is not None else self.capacity,
             )
             with self._lock:
-                self._histograms[(name, key)] = series
+                if table is None:
+                    table = self._histograms[name] = {}
+                table[key] = series
         return series
 
     def observe(
@@ -499,15 +530,16 @@ class TimeSeriesStore:
                 if index == len(feeds):
                     feeds.append(_Feed(family))
                 feed = feeds[index]
-                pairs = feed.pairs
-                if len(family.series) > len(pairs):
+                fed = feed.series
+                if len(family.series) > len(fed):
                     self._bind(feed)
                 if family.kind == "histogram":
-                    for hist, track in pairs:
+                    for track in fed:
+                        hist = track._instrument
                         track.sample(now, hist.counts, hist.count, hist.sum)
                     continue
-                for instrument, series in pairs:
-                    value = instrument.value
+                for series in fed:
+                    value = series._instrument.value
                     held = series._held
                     if value == held and (
                         value or copysign(1.0, value) == copysign(1.0, held)
@@ -526,20 +558,21 @@ class TimeSeriesStore:
         """Pair the family's series that appeared since the last tick
         with their rings (creating those the store has not seen)."""
         family = feed.family
-        pairs = feed.pairs
-        fresh = islice(family.series.items(), len(pairs), None)
+        fed = feed.series
+        fresh = islice(family.series.items(), len(fed), None)
         if family.kind == "histogram":
             for key, hist in fresh:
-                pairs.append(
-                    (hist, self._histogram_for(family.name, key, hist.bounds))
-                )
+                track = self._histogram_for(family.name, key, hist.bounds)
+                track._instrument = hist
+                fed.append(track)
             return
         kind = "counter" if family.kind == "counter" else "gauge"
         for key, instrument in fresh:
             # An unfed ring holds NaN: sampled on this tick whatever it reads.
             series = self._series_for(family.name, key, kind)
+            series._instrument = instrument
             self._shapes.add((series.step, series.capacity))
-            pairs.append((instrument, series))
+            fed.append(series)
 
     def _replay(self, series: Series) -> None:
         """Bring a fed ring up to date: one ``observe(t, held)`` per tick
@@ -562,7 +595,7 @@ class TimeSeriesStore:
                 points = series._points
                 first = times[0]
                 step = series.step
-                if points and math.floor(first / step) * step <= points[-1][_T]:
+                if points and math.floor(first / step) * step <= points[-_STRIDE]:
                     for _ in range(-start):
                         observe(first, held)
                 start = 0
@@ -593,10 +626,14 @@ class TimeSeriesStore:
         with *release*, the instruments also stop feeding them."""
         for feed in self._feeds:
             if feed.family.kind == "histogram":
+                if release:
+                    for track in feed.series:
+                        track._instrument = None
                 continue
-            for _instrument, series in feed.pairs:
+            for series in feed.series:
                 self._replay(series)
                 if release:
+                    series._instrument = None
                     series._held = math.nan
                     series._synced = _UNFED
         if release:
@@ -609,42 +646,45 @@ class TimeSeriesStore:
 
     def names(self) -> list[str]:
         with self._lock:
-            names = {name for name, _ in self._series}
-            names.update(name for name, _ in self._histograms)
-        return sorted(names)
+            return sorted(self._series.keys() | self._histograms.keys())
 
     def get(self, name: str, **labels: Any) -> Series | None:
-        return self._series.get((name, _label_key(labels)))
+        table = self._series.get(name)
+        return table.get(_label_key(labels)) if table is not None else None
 
     def all_series(self) -> Iterator[Series]:
+        """Every value series, family by family."""
         with self._lock:
-            return iter(list(self._series.values()))
+            return iter(
+                [s for table in self._series.values() for s in table.values()]
+            )
 
     def matching(self, name: str) -> list[Series]:
         """Every labelled series of one family name."""
         with self._lock:
-            return [s for (n, _), s in self._series.items() if n == name]
+            return list(self._series.get(name, {}).values())
 
     def matching_histograms(self, name: str) -> list[HistogramSeries]:
         with self._lock:
-            return [s for (n, _), s in self._histograms.items() if n == name]
+            return list(self._histograms.get(name, {}).values())
 
     # -- snapshots (cross-process aggregation) -------------------------------
 
     def snapshot(self) -> dict:
         """JSON-able dump of every series ring (the merge wire format)."""
-        out: dict[str, list[dict[str, Any]]] = {}
         with self._lock:
-            for (name, _key), series in self._series.items():
-                out.setdefault(name, []).append(
+            return {
+                name: [
                     {
                         "labels": dict(series.labels),
                         "kind": series.kind,
                         "step": series.step,
                         "points": series.points(),
                     }
-                )
-        return out
+                    for series in table.values()
+                ]
+                for name, table in self._series.items()
+            }
 
     def merge(self, snapshot: Mapping[str, Any]) -> None:
         """Fold another store's :meth:`snapshot` into this one: points
@@ -660,39 +700,56 @@ class TimeSeriesStore:
                     )
                     self._replay(series)
                     points = series._points
-                    by_bucket = {p[_T]: p for p in points}
+                    size = len(points)
+                    by_bucket = {points[p]: p for p in range(0, size, _STRIDE)}
                     for point in record["points"]:
                         mine = by_bucket.get(point["t"])
                         if mine is None:
-                            points.append(
-                                [
+                            points.extend(
+                                (
                                     point["t"],
                                     point["count"],
                                     point["sum"],
                                     point["min"],
                                     point["max"],
                                     point["last"],
-                                ]
+                                )
                             )
                         else:
-                            mine[_N] += point["count"]
-                            mine[_SUM] += point["sum"]
-                            mine[_MIN] = min(mine[_MIN], point["min"])
-                            mine[_MAX] = max(mine[_MAX], point["max"])
-                            mine[_LAST] = point["last"]
-                    points.sort(key=lambda p: p[_T])
-                    if len(points) > series.capacity:
-                        del points[: len(points) - series.capacity]
+                            points[mine + _N] += point["count"]
+                            points[mine + _SUM] += point["sum"]
+                            points[mine + _MIN] = min(
+                                points[mine + _MIN], point["min"]
+                            )
+                            points[mine + _MAX] = max(
+                                points[mine + _MAX], point["max"]
+                            )
+                            points[mine + _LAST] = point["last"]
+                    if len(points) > size:
+                        # Stable by bucket time, as sorting the points
+                        # themselves would be.
+                        order = sorted(
+                            range(0, len(points), _STRIDE), key=points.__getitem__
+                        )
+                        order = order[-series.capacity :]
+                        series._points = array(
+                            "d", [x for p in order for x in points[p : p + _STRIDE]]
+                        )
 
     # -- exports -------------------------------------------------------------
+
+    def _sorted_series(self) -> Iterator[tuple[str, Series]]:
+        """``(name, series)`` by name, then by label key."""
+        for name in sorted(self._series):
+            table = self._series[name]
+            for key in sorted(table):
+                yield name, table[key]
 
     def dump_jsonl(self, path: str | Path) -> int:
         """One JSON line per series ring; returns the line count."""
         lines = []
         with self._lock:
-            for (name, _key), series in sorted(
-                self._series.items(), key=lambda item: item[0]
-            ):
+            for name, series in self._sorted_series():
                 lines.append(
                     json.dumps(
                         {
@@ -713,9 +770,7 @@ class TimeSeriesStore:
         to one family name."""
         rows = ["series,labels,t,count,sum,min,max,last"]
         with self._lock:
-            for (family, _key), series in sorted(
-                self._series.items(), key=lambda item: item[0]
-            ):
+            for family, series in self._sorted_series():
                 if name is not None and family != name:
                     continue
                 label_text = ";".join(f"{k}={v}" for k, v in series.labels)

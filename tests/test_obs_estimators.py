@@ -166,7 +166,8 @@ class TestHostEstimator:
 class _Payload:
     """Duck-typed stand-in for the engine's AttemptOutcome payloads."""
 
-    def __init__(self, **kw):
+    def __init__(self, state, **kw):
+        self.state = state
         self.workflow_id = kw.get("workflow_id", "wf-1")
         self.activity = kw.get("activity", "task")
         self.reason = kw.get("reason", "")
@@ -186,10 +187,10 @@ class TestEstimatorSuite:
     def test_terminal_topics_feed_activity_estimators(self):
         bus = EventBus()
         suite = EstimatorSuite(bus)
-        bus.publish("task.done.wf-1", _Payload())
-        bus.publish("task.failed.wf-1", _Payload(reason="exit-code"))
-        bus.publish("task.exception.wf-1", _Payload())
-        bus.publish("task.active.wf-1", _Payload())  # non-terminal: ignored
+        bus.publish("task.done.wf-1", _Payload("done"))
+        bus.publish("task.failed.wf-1", _Payload("failed", reason="exit-code"))
+        bus.publish("task.exception.wf-1", _Payload("exception"))
+        bus.publish("task.active.wf-1", _Payload("active"))  # non-terminal: ignored
         estimator = suite.activities[("wf-1", "task")]
         assert estimator.attempts == 3 and estimator.failures == 2
         assert estimator.failure_probability() == pytest.approx(2 / 3)
@@ -199,12 +200,12 @@ class TestEstimatorSuite:
         suite = EstimatorSuite(bus)
         bus.publish(
             "task.failed.wf-1",
-            _Payload(reason="exit-code", hostname="h1", at=5.0),
+            _Payload("failed", reason="exit-code", hostname="h1", at=5.0),
         )
         assert "h1" not in suite.hosts  # a task's own exit is not host MTTF
         bus.publish(
             "task.failed.wf-1",
-            _Payload(reason="host-crashed", hostname="h1", at=9.0),
+            _Payload("failed", reason="host-crashed", hostname="h1", at=9.0),
         )
         assert suite.hosts["h1"].failures == 1
 
@@ -247,7 +248,7 @@ class TestEstimatorSuite:
         bus = EventBus()
         suite = EstimatorSuite(bus)
         suite.detach()
-        bus.publish("task.done.wf-1", _Payload())
+        bus.publish("task.done.wf-1", _Payload("done"))
         assert not suite.activities
 
     def test_ingest_liveness_folds_monitor_counters(self):
@@ -324,10 +325,26 @@ def export_every_activity(suite: EstimatorSuite, registry: MetricsRegistry) -> N
         ).set(estimator.attempts)
 
 
+class _CountingFamily:
+    def __init__(self, registry, bound):
+        self._registry = registry
+        self._bound = bound
+
+    def labels(self, *values):
+        self._registry.lookups += 1
+        return self._bound.labels(*values)
+
+
 class _CountingRegistry(MetricsRegistry):
+    """Counts every instrument lookup, hit or miss: ``labels()`` on a
+    bound family it handed out and the keyword form alike."""
+
     def __init__(self):
         super().__init__()
         self.lookups = 0
+
+    def family(self, spec):
+        return _CountingFamily(self, super().family(spec))
 
     def gauge(self, name, **kw):
         self.lookups += 1

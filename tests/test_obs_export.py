@@ -209,3 +209,21 @@ class TestHistogramSumProperty:
         assert cumulative[-1] == len(values)
         [count_line] = [ln for ln in lines if ln.startswith("h_count")]
         assert int(count_line.rsplit(" ", 1)[1]) == len(values)
+
+
+class TestMetricCatalogue:
+    def test_readme_table_matches_the_declarations(self):
+        from pathlib import Path
+
+        from repro.obs import catalogue
+
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        assert catalogue.main(["--check", str(readme)]) == 0
+
+    def test_declared_names_are_unique_and_typed(self):
+        from repro.obs.catalogue import metric_specs
+
+        specs = metric_specs()
+        assert len({spec.name for spec in specs}) == len(specs) >= 41
+        assert {spec.kind for spec in specs} == {"counter", "gauge", "histogram"}
+        assert all(set(spec.optional) <= set(spec.labels) for spec in specs)

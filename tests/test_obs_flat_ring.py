@@ -1,0 +1,276 @@
+"""The flat ``array('d')`` ring renders what the list-of-lists ring did.
+
+:class:`ListRing` is the ring :class:`~repro.obs.timeseries.Series` used
+to be — a list of six-element lists, evicting from the front — kept here
+as the reference.  Random interleavings of observations (out of order,
+NaN, both zeros), reads through every window query, merges and — at store
+level — runs of collector ticks that let rings lag behind a trimmed tick
+log must leave both rendering the same JSON.  Capacities are 2–6, so the
+ring is full and evicting in most examples.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs import MetricsRegistry, Series, TimeSeriesStore
+from repro.obs import timeseries
+
+T, N, SUM, MIN, MAX, LAST = range(6)
+
+
+class ListRing:
+    """Reference ring: the list-of-lists implementation, as it was."""
+
+    def __init__(self, *, kind: str, step: float, capacity: int) -> None:
+        self.kind = kind
+        self.step = step
+        self.capacity = capacity
+        self.ring: list[list[float]] = []
+
+    def observe(self, t: float, value: float = 1.0) -> None:
+        bucket = math.floor(t / self.step) * self.step
+        ring = self.ring
+        if ring and bucket <= ring[-1][T]:
+            last = ring[-1]
+            last[N] += 1
+            last[SUM] += value
+            if value < last[MIN]:
+                last[MIN] = value
+            if value > last[MAX]:
+                last[MAX] = value
+            last[LAST] = value
+            return
+        ring.append([bucket, 1, value, value, value, value])
+        if len(ring) > self.capacity:
+            del ring[0]
+
+    def _window(self, since, until):
+        ring = self.ring
+        if since is not None:
+            ring = [p for p in ring if p[T] >= since]
+        if until is not None:
+            ring = [p for p in ring if p[T] <= until]
+        return ring
+
+    def points(self, since=None, until=None):
+        return [
+            {
+                "t": p[T],
+                "count": p[N],
+                "sum": p[SUM],
+                "min": p[MIN],
+                "max": p[MAX],
+                "last": p[LAST],
+            }
+            for p in self._window(since, until)
+        ]
+
+    def latest(self):
+        return self.ring[-1][LAST] if self.ring else None
+
+    def mean(self, since=None):
+        window = self._window(since, None)
+        total = sum(p[N] for p in window)
+        return sum(p[SUM] for p in window) / total if total else None
+
+    def rate(self, since=None):
+        window = self._window(since, None)
+        if not window:
+            return None
+        if self.kind == "event":
+            span = window[-1][T] - window[0][T] + self.step
+            return sum(p[N] for p in window) / span
+        if len(window) < 2:
+            return None
+        span = window[-1][T] - window[0][T]
+        if span <= 0:
+            return None
+        return (window[-1][LAST] - window[0][LAST]) / span
+
+    def merge(self, points: list[dict]) -> None:
+        ring = self.ring
+        by_bucket = {p[T]: p for p in ring}
+        for point in points:
+            mine = by_bucket.get(point["t"])
+            if mine is None:
+                ring.append(
+                    [point[k] for k in ("t", "count", "sum", "min", "max", "last")]
+                )
+            else:
+                mine[N] += point["count"]
+                mine[SUM] += point["sum"]
+                mine[MIN] = min(mine[MIN], point["min"])
+                mine[MAX] = max(mine[MAX], point["max"])
+                mine[LAST] = point["last"]
+        ring.sort(key=lambda p: p[T])
+        if len(ring) > self.capacity:
+            del ring[: len(ring) - self.capacity]
+
+
+def same(value) -> str:
+    """NaN-safe, sign-of-zero-preserving comparison form.  Counts are
+    ``int`` in both rings; the flat one holds every other field as a
+    double, which prints as the list ring's floats do."""
+    return json.dumps(value, sort_keys=True)
+
+
+values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, math.nan, math.inf, -math.inf, 1e300]),
+    st.floats(allow_nan=False, width=32),
+)
+times = st.floats(0.0, 40.0)
+sinces = st.one_of(st.none(), st.floats(0.0, 40.0))
+READS = ("points", "window", "latest", "mean", "rate", "len")
+
+series_ops = st.one_of(
+    st.tuples(st.just("observe"), times, values),
+    st.tuples(st.just("observe"), times, values),
+    st.tuples(st.just("read"), st.sampled_from(READS), sinces),
+    st.tuples(
+        st.just("merge"), st.lists(st.tuples(times, values), min_size=1, max_size=4)
+    ),
+)
+
+
+def read(ring, how: str, since):
+    if how == "window":
+        return ring.points(since, None if since is None else since + 9.0)
+    if how == "latest":
+        return ring.latest()
+    if how == "mean":
+        return ring.mean(since)
+    if how == "rate":
+        return ring.rate(since)
+    if how == "len":
+        return len(ring.points()) if isinstance(ring, ListRing) else len(ring)
+    return ring.points()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(series_ops, max_size=60),
+    st.integers(2, 6),
+    st.sampled_from([1.0, 2.5]),
+    st.sampled_from(["gauge", "counter", "event"]),
+)
+def test_flat_ring_equals_the_list_ring(ops, capacity, step, kind):
+    store = TimeSeriesStore(step=step, capacity=capacity)
+    flat = store.series("s", kind=kind)
+    assert isinstance(flat, Series)
+    listed = ListRing(kind=kind, step=step, capacity=capacity)
+    for op in ops:
+        if op[0] == "observe":
+            flat.observe(op[1], op[2])
+            listed.observe(op[1], op[2])
+        elif op[0] == "read":
+            assert same(read(flat, op[1], op[2])) == same(read(listed, op[1], op[2]))
+        else:
+            donor = TimeSeriesStore(step=step, capacity=capacity)
+            for t, value in op[1]:
+                donor.observe("s", t, value, kind=kind)
+            snapshot = donor.snapshot()
+            store.merge(snapshot)
+            listed.merge(snapshot["s"][0]["points"])
+    assert same(flat.points()) == same(listed.points())
+    assert all(type(p["count"]) is int for p in flat.points())
+    assert len(flat) <= capacity
+
+
+store_ops = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 3), values),
+    st.tuples(st.just("inc"), st.integers(0, 3), st.sampled_from([0.0, 1.0, 0.5])),
+    # Runs of ticks with nothing written in between let rings lag, and a
+    # log allowed to trim from 4 entries makes them lag behind the log.
+    st.tuples(
+        st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]), st.integers(1, 25)
+    ),
+    st.tuples(
+        st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]), st.integers(1, 25)
+    ),
+    st.tuples(st.just("read"), st.integers(0, 3)),
+    st.tuples(st.just("merge"), st.integers(0, 3), times, values),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(store_ops, max_size=40), st.integers(2, 6), st.sampled_from([1.0, 2.5]))
+def test_lazily_fed_flat_rings_equal_eagerly_fed_list_rings(ops, capacity, step):
+    registry = MetricsRegistry()
+    store = TimeSeriesStore(step=step, capacity=capacity)
+    reference: dict[int, ListRing] = {}
+    now = 0.0
+    with mock.patch.object(timeseries, "_MIN_TICK_LOG", 4):
+        store._tick_limit = 4
+        for op in ops:
+            if op[0] == "set":
+                registry.gauge("g", i=op[1]).set(op[2])
+            elif op[0] == "inc":
+                registry.gauge("g", i=op[1]).inc(op[2])
+            elif op[0] == "tick":
+                for _ in range(op[2]):
+                    now += op[1]
+                    store.collect(registry, now)
+                    # The reference samples every series on every tick.
+                    for family in registry.families():
+                        for key, instrument in family.series.items():
+                            ring = reference.setdefault(
+                                int(dict(key)["i"]),
+                                ListRing(kind="gauge", step=step, capacity=capacity),
+                            )
+                            ring.observe(now, instrument.value)
+            elif op[0] == "read":
+                series = store.get("g", i=op[1])
+                if series is not None:
+                    assert same(series.points()) == same(reference[op[1]].points())
+            else:
+                donor = TimeSeriesStore(step=step, capacity=capacity)
+                donor.observe("g", op[2], op[3], i=op[1])
+                snapshot = donor.snapshot()
+                store.merge(snapshot)
+                reference.setdefault(
+                    op[1], ListRing(kind="gauge", step=step, capacity=capacity)
+                ).merge(snapshot["g"][0]["points"])
+    rendered = {
+        int(record["labels"]["i"]): record["points"]
+        for record in store.snapshot().get("g", [])
+    }
+    assert same(rendered) == same({i: r.points() for i, r in reference.items()})
+
+
+def test_a_full_ring_evicts_one_bucket_per_new_bucket():
+    series = Series("s", step=1.0, capacity=8)
+    listed = ListRing(kind="gauge", step=1.0, capacity=8)
+    for t in range(100):
+        series.observe(float(t), float(t))
+        listed.observe(float(t), float(t))
+        assert len(series) == min(t + 1, 8)
+        assert len(series._points) == 6 * len(series)  # nothing kept past capacity
+        assert series.points() == listed.points()
+        assert series.latest() == float(t)
+
+
+def test_an_int_observed_reads_back_as_a_float(tmp_path):
+    """The one rendering difference from the list ring, which kept a value
+    as the object it was given: a ring of doubles prints the ``int`` 3 as
+    ``3.0`` (and an ``int`` step's bucket times likewise).  Nothing in
+    ``repro`` observes an ``int`` — instruments hold floats — but a
+    caller of ``store.observe`` can."""
+    store = TimeSeriesStore(step=5, capacity=4)
+    store.observe("queue_depth", 12, 3)
+    listed = ListRing(kind="gauge", step=5, capacity=4)
+    listed.observe(12, 3)
+    assert listed.points() == store.get("queue_depth").points()  # 3 == 3.0
+    assert json.dumps(listed.points()[0]) == (
+        '{"t": 10, "count": 1, "sum": 3, "min": 3, "max": 3, "last": 3}'
+    )
+    assert json.dumps(store.get("queue_depth").points()[0]) == (
+        '{"t": 10.0, "count": 1, "sum": 3.0, "min": 3.0, "max": 3.0, "last": 3.0}'
+    )
+    assert store.dump_jsonl(tmp_path / "series.jsonl") == 1
+    assert '"last": 3.0' in (tmp_path / "series.jsonl").read_text()

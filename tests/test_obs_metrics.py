@@ -16,6 +16,7 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsError,
+    MetricSpec,
     MetricsRegistry,
 )
 
@@ -205,3 +206,230 @@ class TestSnapshotMerge:
                 reg.counter("n").inc()
         left.merge(right.snapshot())
         assert left.snapshot() == whole.snapshot()
+
+
+# -- bound families ≡ keyword lookups ------------------------------------------
+
+_SPECS = (
+    MetricSpec("c1", "counter", "one label", ("k",)),
+    MetricSpec(
+        "c2", "counter", "per workflow", ("k", "workflow_id"),
+        optional=("workflow_id",),
+    ),
+    MetricSpec("g0", "gauge", "no labels"),
+    MetricSpec("h1", "histogram", "timed", ("k",), buckets=(1.0, 2.0)),
+)
+
+#: 1, 1.0 and True are equal and hash alike, "1" is their text twice over,
+#: and "" is what makes an optional label drop out.
+_label_values = st.sampled_from(["a", "b", "", "1", "1.0", "True", 1, 1.0, True, None])
+
+
+def _keyword_labels(spec: MetricSpec, values) -> dict:
+    """What a call site passes by keyword for these values: an optional
+    label with nothing in it is left out (``**wl`` in the old handlers)."""
+    return {
+        name: value
+        for name, value in zip(spec.labels, values)
+        if name not in spec.optional or str(value)
+    }
+
+
+def _by_keyword(registry, spec: MetricSpec, labels: dict, *, reverse=False):
+    if reverse:
+        labels = dict(reversed(list(labels.items())))
+    lookup = getattr(registry, spec.kind)
+    if spec.kind == "histogram":
+        return lookup(spec.name, help=spec.help, buckets=spec.buckets, **labels)
+    return lookup(spec.name, help=spec.help, **labels)
+
+
+def _touch(instrument, kind: str) -> None:
+    if kind == "histogram":
+        instrument.observe(1.5)
+    else:
+        instrument.inc()
+
+
+_lookups = st.tuples(
+    st.sampled_from(["bound", "keyword", "reversed"]),
+    st.integers(0, len(_SPECS) - 1),
+    st.lists(_label_values, min_size=2, max_size=2),
+)
+_bound_ops = st.one_of(
+    _lookups,
+    _lookups,
+    _lookups,
+    st.just(("clear",)),
+    st.tuples(st.just("merge"), st.integers(0, len(_SPECS) - 1), _label_values),
+)
+
+
+class TestBoundFamilies:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_bound_ops, max_size=30))
+    def test_bound_child_is_the_keyword_instrument_in_first_use_order(self, ops):
+        registry = MetricsRegistry()
+        bound = [registry.family(spec) for spec in _SPECS]  # bound up front
+        assert registry.snapshot() == {}  # ...which registers nothing
+        #: family name -> label key -> times touched, in first-use order.
+        model: dict[str, dict[tuple, int]] = {}
+        for op in ops:
+            if op[0] == "clear":
+                registry.clear()
+                model.clear()
+                continue
+            if op[0] == "merge":
+                spec = _SPECS[op[1]]
+                values = (op[2], "wf-9")[: len(spec.labels)]
+                other = MetricsRegistry()
+                _touch(other.family(spec).labels(*values), spec.kind)
+                registry.merge(other.snapshot())
+                how = "bound"
+            else:
+                how, index, pair = op
+                spec = _SPECS[index]
+                values = tuple(pair[: len(spec.labels)])
+            labels = _keyword_labels(spec, values)
+            if how == "bound":
+                instrument = bound[_SPECS.index(spec)].labels(*values)
+            else:
+                instrument = _by_keyword(
+                    registry, spec, labels, reverse=how == "reversed"
+                )
+            # Whichever way it was reached, it is the one object.
+            assert instrument is bound[_SPECS.index(spec)].labels(*values)
+            assert instrument is _by_keyword(registry, spec, labels)
+            assert instrument is registry.family(spec).labels(*values)
+            key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+            series = model.setdefault(spec.name, {})
+            if op[0] == "merge":
+                # A gauge takes the merged value; the others add it.
+                series[key] = 1 if spec.kind == "gauge" else series.get(key, 0) + 1
+            else:
+                _touch(instrument, spec.kind)
+                series[key] = series.get(key, 0) + 1
+            snapshot = registry.snapshot()
+            assert list(snapshot) == list(model)
+            for name, family in snapshot.items():
+                assert [
+                    tuple(sorted(s["labels"].items())) for s in family["series"]
+                ] == list(model[name])
+                assert [
+                    s["count"] if family["kind"] == "histogram" else s["value"]
+                    for s in family["series"]
+                ] == list(model[name].values())
+        # No bound entry outlives the series it resolved to.
+        live = {
+            id(instrument)
+            for family in registry.families()
+            for instrument in family.series.values()
+        }
+        for family in (*registry._bound.values(), *registry._by_keyword.values()):
+            assert all(id(child) in live for child in family._children.values())
+
+    def test_values_that_are_equal_but_print_differently_stay_apart(self):
+        registry = MetricsRegistry()
+        family = registry.family(_SPECS[0])
+        one, float_one, true, text = (
+            family.labels(1),
+            family.labels(1.0),
+            family.labels(True),
+            family.labels("1"),
+        )
+        assert one is text and one is registry.counter("c1", k=1)
+        assert float_one is registry.counter("c1", k="1.0") and float_one is not one
+        assert true is registry.counter("c1", k=True) and true is not one
+        assert family.labels(1.0) is float_one  # and again, after the table filled
+
+    def test_optional_label_is_left_off_only_when_empty(self):
+        registry = MetricsRegistry()
+        family = registry.family(_SPECS[1])
+        assert family.labels("a", "") is registry.counter("c2", k="a")
+        assert family.labels("a", "wf-1") is registry.counter(
+            "c2", k="a", workflow_id="wf-1"
+        )
+        assert [s["labels"] for s in registry.snapshot()["c2"]["series"]] == [
+            {"k": "a"},
+            {"k": "a", "workflow_id": "wf-1"},
+        ]
+
+    def test_disabled_registry_binds_to_the_null_instruments(self):
+        registry = MetricsRegistry(enabled=False)
+        for spec in _SPECS:
+            family = registry.family(spec)
+            instrument = family.labels(*["x"] * len(spec.labels))
+            assert instrument is _by_keyword(
+                registry, spec, dict.fromkeys(spec.labels, "x")
+            )
+            _touch(instrument, spec.kind)
+        assert registry.snapshot() == {}
+        assert not registry._bound and not registry._by_keyword
+
+    def test_wrong_arity_and_kind_are_refused(self):
+        registry = MetricsRegistry()
+        with pytest.raises(MetricsError, match="takes labels"):
+            registry.family(_SPECS[0]).labels("a", "b")
+        registry.family(_SPECS[0]).labels("a")
+        with pytest.raises(MetricsError, match="is a counter"):
+            registry.gauge("c1", k="a")
+        with pytest.raises(MetricsError, match="is a counter"):
+            registry.family(MetricSpec("c1", "gauge", "", ("k",)))
+
+    def test_bound_family_outlives_a_clear(self):
+        registry = MetricsRegistry()
+        family = registry.family(_SPECS[0])
+        before = family.labels("a")
+        before.inc(5)
+        registry.clear()
+        after = family.labels("a")
+        assert after is not before and after.value == 0.0
+        assert after is registry.counter("c1", k="a")
+
+    def test_a_cleared_name_can_come_back_as_another_kind(self):
+        registry = MetricsRegistry()
+        registry.counter("x", k="a").inc()
+        registry.clear()
+        registry.gauge("x", k="a").set(3.0)
+        assert registry.snapshot()["x"]["kind"] == "gauge"
+        registry.clear()
+        other = MetricsRegistry()
+        other.histogram("x", buckets=(1.0, 2.0), k="a").observe(1.5)
+        registry.merge(other.snapshot())
+        assert registry.snapshot()["x"] == other.snapshot()["x"]
+
+    def test_a_cleared_histogram_takes_the_next_callers_buckets_and_help(self):
+        registry = MetricsRegistry()
+        registry.histogram("h", help="old", buckets=(1.0, 2.0), k="a")
+        # While the family lives, the first declaration wins...
+        assert registry.histogram("h", help="new", buckets=(5.0,), k="b").bounds == (
+            1.0,
+            2.0,
+        )
+        registry.clear()
+        # ...and once it is gone, nothing of it is left to win.
+        assert registry.histogram("h", help="new", buckets=(5.0,), k="a").bounds == (
+            5.0,
+        )
+        family = registry.snapshot()["h"]
+        assert family["help"] == "new" and family["buckets"] == [5.0]
+
+    def test_a_refused_keyword_lookup_leaves_nothing_behind(self):
+        registry = MetricsRegistry()
+        registry.gauge("x", a="1")
+        with pytest.raises(MetricsError, match="is a gauge"):
+            registry.counter("x", b="2")
+        assert registry.gauge("x", b="2") is registry.gauge("x", b=2)
+
+    def test_unhashable_label_values_resolve_by_their_text(self):
+        registry = MetricsRegistry()
+        by_list = registry.counter("c1", k=[1, 2])
+        assert by_list is registry.counter("c1", k="[1, 2]")
+        assert by_list is registry.family(_SPECS[0]).labels([1, 2])
+        assert registry.snapshot()["c1"]["series"][0]["labels"] == {"k": "[1, 2]"}
+
+    def test_malformed_declarations_are_refused(self):
+        with pytest.raises(MetricsError, match="unknown kind"):
+            MetricSpec("x", "summary")
+        with pytest.raises(MetricsError, match="optional labels"):
+            MetricSpec("x", "counter", "", ("a",), optional=("b",))

@@ -258,19 +258,23 @@ class TestTickCost:
         gauges = [registry.gauge("g", i=i) for i in range(n)]
         store = TimeSeriesStore(step=1.0)
         store.collect(registry, 0.0)
-        rings = [store._series[("g", (("i", str(i)),))] for i in range(n)]
-        before = [(id(r._points[-1]), list(r._points[-1])) for r in rings]
+        rings = [store.get("g", i=i) for i in range(n)]
         for gauge in gauges[:k]:
             gauge.inc()
         with counting_observe() as counting:
             store.collect(registry, 1.0)
-        assert counting.calls == k
-        # Nothing was allocated or touched for the rest.
-        for ring, (point_id, point) in list(zip(rings, before))[k:]:
-            assert len(ring._points) == 1
-            assert id(ring._points[-1]) == point_id and ring._points[-1] == point
-        # ...until someone looks: then the skipped tick is there.
-        assert [len(ring) for ring in rings] == [2] * n
+            assert counting.calls == k
+            # Nothing was written for the rest: each of them still owes
+            # exactly that one tick's observation...
+            for ring in rings[:k]:
+                assert len(ring) == 2
+            assert counting.calls == k
+            # ...until someone looks: then the skipped tick is there.
+            for done, ring in enumerate(rings[k:], start=1):
+                assert len(ring) == 2
+                assert counting.calls == k + done
+            assert [len(ring) for ring in rings] == [2] * n
+            assert counting.calls == n
         assert rings[-1].points()[-1] == {
             "t": 1.0,
             "count": 1,
@@ -292,9 +296,12 @@ class TestTickCost:
             store.collect(registry, float(t))
         with counting_observe() as counting:
             payload = TelemetryServer(store=store).render_timeseries("wanted")
-        assert [len(ring["points"]) for ring in payload["series"]] == [5, 5, 5]
-        assert counting.calls == 3 * 4
-        assert all(len(s._points) == 1 for s in store.matching("other"))
+            assert [len(ring["points"]) for ring in payload["series"]] == [5, 5, 5]
+            assert counting.calls == 3 * 4
+            # The other family was left four ticks behind: reading it now
+            # costs those twelve observations, not zero.
+            assert [len(s) for s in store.matching("other")] == [5, 5, 5]
+            assert counting.calls == 2 * 3 * 4
 
     def test_first_tick_samples_everything_once(self):
         registry = MetricsRegistry()

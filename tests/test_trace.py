@@ -199,3 +199,44 @@ class TestCancelledEvents:
             e for e in trace.events if e.topic == ENGINE_NODE_CANCELLED
         ]
         assert [e.detail["node"] for e in cancelled] == ["laggard"]
+
+    def test_cancelled_attempt_ends_with_its_node(self, quiet_grid):
+        """The laggard's job is cancelled and forgotten: no terminal
+        ``task.*`` event ever comes for it, so its span has to end when the
+        node is cancelled — and the winner's (whose ``task.done`` reaches
+        the observer *after* the resolutions it caused, the last one after
+        ``engine.workflow_finished``) must end as done, exactly once."""
+        two_reliable_hosts(quiet_grid)
+        quiet_grid.install("u1", "fast", FixedDurationTask(10.0))
+        quiet_grid.install("r1", "slow", FixedDurationTask(100.0))
+        wf = (
+            WorkflowBuilder("race")
+            .program("fast", hosts=["u1"])
+            .program("slow", hosts=["r1"])
+            .dummy("split")
+            .activity("quick", implement="fast")
+            .activity("laggard", implement="slow")
+            .dummy("join", join=JoinMode.OR)
+            .redundant("split", "join", "quick", "laggard")
+            .build()
+        )
+        engine = WorkflowEngine(wf, quiet_grid, reactor=quiet_grid.reactor)
+        trace = EngineTrace.attach(engine)
+        engine.run()
+        attempts = {
+            s.labels["activity"]: s for s in trace.spans if s.name == "task.attempt"
+        }
+        assert len([s for s in trace.spans if s.name == "task.attempt"]) == 2
+        assert not any(s.open for s in trace.spans)
+        assert attempts["quick"].labels["outcome"] == "done"
+        assert attempts["quick"].sim_duration == 10.0
+        assert attempts["laggard"].labels["outcome"] == "cancelled"
+        assert attempts["laggard"].sim_end == 10.0
+        # A cancelled attempt is not a detector outcome: no metric series.
+        metrics = trace.metrics
+        assert metrics.value("task_attempts_total", activity="quick", outcome="done") == 1
+        assert (
+            metrics.value("task_attempts_total", activity="laggard", outcome="cancelled")
+            is None
+        )
+        assert trace._attempt_spans == {} and trace._cancelled == {}
