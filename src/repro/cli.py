@@ -67,7 +67,9 @@ Exit status: 0 on success, 1 on workflow failure, 2 on usage/spec errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+import time
 from typing import Sequence
 
 from .engine.checkpoint import EngineCheckpointer
@@ -128,94 +130,48 @@ def _wants_observer(args: argparse.Namespace) -> bool:
     return bool(args.metrics or args.trace) or args.serve_telemetry is not None
 
 
-def _instrumented(args: argparse.Namespace) -> bool:
-    """Any telemetry consumer present?  Gates tracer construction — an
-    uninstrumented run carries ``tracer=None`` and stamps nothing."""
-    return _wants_observer(args) or bool(args.flight_record)
-
-
 def _make_tracer(args: argparse.Namespace):
-    if not _instrumented(args):
+    """A causal tracer when any telemetry consumer is present; an
+    uninstrumented run carries ``tracer=None`` and stamps nothing."""
+    if not (_wants_observer(args) or args.flight_record):
         return None
     from .obs import Tracer
 
     return Tracer()
 
 
-def _attach_observer(args: argparse.Namespace, engine: WorkflowEngine):
-    """One :class:`repro.obs.RunObserver` when ``--metrics``/``--trace``/
-    ``--serve-telemetry`` asks for it; ``None`` keeps the run entirely
-    uninstrumented."""
-    if not _wants_observer(args):
-        return None
-    from .obs import RunObserver
+@contextlib.contextmanager
+def _telemetry(args: argparse.Namespace, runtime, grid):
+    """The run's telemetry rig for the duration of the ``with`` block: the
+    :class:`repro.obs.TelemetryPlane` the flags ask for (``--metrics``/
+    ``--trace`` the observer, ``--flight-record`` the journal,
+    ``--serve-telemetry`` the statistical layer) plus the HTTP
+    scrape/status server.  Yields the plane; an uninstrumented run gets
+    one with every part ``None``."""
+    from .obs import TelemetryPlane
 
-    return RunObserver.attach(engine)
+    serving = args.serve_telemetry is not None
+    bus, reactor = runtime.bus, runtime.reactor
+    plane = TelemetryPlane(
+        bus,
+        reactor,
+        grid,
+        runtime.detector,
+        observe=_wants_observer(args),
+        flight_record=args.flight_record or False,
+        interval=args.telemetry_interval if serving else None,
+    )
+    plane.start()
+    server = None
+    if serving:
+        from .obs import TelemetryServer
 
-
-def _start_telemetry(args: argparse.Namespace, runtime, grid, registry):
-    """Stand up the live telemetry plane: the flight recorder journaling
-    the bus, the statistical collector (time-series store, estimator
-    suite, health rules), and the HTTP scrape/status server.  Returns
-    ``(server, recorder, collector)``, any of which may be ``None``."""
-    recorder = server = collector = None
-    bus = runtime.bus
-    if args.flight_record:
-        from .obs import FlightRecorder
-
-        recorder = FlightRecorder(bus, spill_path=args.flight_record)
-    if args.serve_telemetry is not None:
-        from .obs import (
-            EstimatorSuite,
-            HealthEngine,
-            PeriodicCollector,
-            TelemetryServer,
-            TimeSeriesStore,
-            WorkflowStatusTracker,
-            default_rules,
-            priors_from_grid,
-            scrape_bus,
-            scrape_detector,
-            scrape_grid,
-        )
-
-        reactor = runtime.reactor
-        detector = runtime.detector
-        store = TimeSeriesStore(step=args.telemetry_interval)
-        estimators = EstimatorSuite(
-            bus,
-            clock=reactor.now,
-            priors=priors_from_grid(grid),
-            store=store,
-        )
-        health = HealthEngine(clock=reactor.now, bus=bus)
-        default_rules(health, store=store, estimators=estimators)
-        # Drift latches re-evaluate the rules immediately, not on the
-        # next collector tick.
-        estimators.health = health
-        collector = PeriodicCollector(
-            store=store,
-            registry=registry,
-            reactor=reactor,
-            interval=args.telemetry_interval,
-            scrapers=(
-                lambda reg: scrape_grid(reg, grid),
-                lambda reg: scrape_bus(reg, bus),
-                lambda reg: scrape_detector(reg, detector),
-                lambda reg: estimators.ingest_liveness(
-                    detector.liveness_snapshot()
-                ),
-            ),
-            estimators=estimators,
-            health=health,
-        )
-        collector.start()
         server = TelemetryServer(
-            registry=registry,
-            tracker=WorkflowStatusTracker(bus),
-            store=store,
-            health=health,
-            estimators=estimators,
+            registry=plane.observer.metrics,
+            tracker=plane.tracker,
+            store=plane.store,
+            health=plane.health,
+            estimators=plane.estimators,
             port=args.serve_telemetry,
             # repro top derives event/progress rates from these levels.
             extra_health=lambda: {
@@ -229,32 +185,25 @@ def _start_telemetry(args: argparse.Namespace, runtime, grid, registry):
             f"/alerts, /timeseries, /workflows (watch with: repro.cli top "
             f"{server.url})"
         )
-    return server, recorder, collector
-
-
-def _stop_telemetry(
-    args: argparse.Namespace, server, recorder, collector=None
-) -> None:
-    if collector is not None:
-        collector.stop()
-    if recorder is not None:
-        recorder.close()
-        stats = recorder.stats()
-        print(
-            f"flight recording written to {args.flight_record} "
-            f"({stats['spilled']} events; inspect with: repro.cli inspect "
-            f"{args.flight_record})"
-        )
-    if server is not None:
-        if args.telemetry_linger > 0:
-            import time
-
+    try:
+        yield plane
+    finally:
+        plane.stop()
+        if plane.recorder is not None:
+            plane.recorder.close()
             print(
-                f"telemetry: lingering {args.telemetry_linger:g}s at "
-                f"{server.url} before shutdown"
+                f"flight recording written to {args.flight_record} "
+                f"({plane.recorder.stats()['spilled']} events; inspect "
+                f"with: repro.cli inspect {args.flight_record})"
             )
-            time.sleep(args.telemetry_linger)
-        server.stop()
+        if server is not None:
+            if args.telemetry_linger > 0:
+                print(
+                    f"telemetry: lingering {args.telemetry_linger:g}s at "
+                    f"{server.url} before shutdown"
+                )
+                time.sleep(args.telemetry_linger)
+            server.stop()
 
 
 #: Longest wall sleep one virtual gap may cost under ``--pace`` (long
@@ -270,8 +219,6 @@ def _drive_paced(reactor, is_done, pace: float, timeout: float | None) -> bool:
     one event at a time and sleeps the scaled virtual gap in between, so
     ``/metrics`` and ``/workflows`` can be curled mid-run.
     """
-    import time
-
     kernel = getattr(reactor, "kernel", None)
     if kernel is None:
         raise GridWFSError("--pace needs a simulated grid (a sim kernel)")
@@ -289,25 +236,16 @@ def _drive_paced(reactor, is_done, pace: float, timeout: float | None) -> bool:
     return True
 
 
-def _export_observation(
-    args: argparse.Namespace, observer, grid, engine: WorkflowEngine
-) -> None:
+def _export_observation(args: argparse.Namespace, plane) -> None:
     from .obs import (
         atomic_write_text,
         prometheus_text,
-        scrape_bus,
-        scrape_detector,
-        scrape_grid,
         write_chrome_trace,
         write_jsonl,
     )
 
-    # scrape_grid covers the kernel block (events processed, timer-heap
-    # compactions) via scrape_kernel; the bus scrape adds route-cache
-    # hit rates.  All are end-of-run pulls of plain-int counters.
-    scrape_grid(observer.metrics, grid)
-    scrape_bus(observer.metrics, engine.runtime.bus)
-    scrape_detector(observer.metrics, engine.runtime.detector)
+    observer = plane.observer
+    plane.scrape(observer.metrics)
     if args.metrics:
         atomic_write_text(args.metrics, prometheus_text(observer.metrics))
         print(f"metrics written to {args.metrics}")
@@ -355,14 +293,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _run_single(args: argparse.Namespace, grid, engine: WorkflowEngine) -> int:
     """Shared ``run``/``resume`` body: telemetry rig, (paced) drive,
     report, export, teardown."""
-    observer = _attach_observer(args, engine)
-    server, recorder, collector = _start_telemetry(
-        args,
-        engine.runtime,
-        grid,
-        observer.metrics if observer is not None else None,
-    )
-    try:
+    with _telemetry(args, engine.runtime, grid) as plane:
         if args.pace > 0:
             engine.start()
             done = _drive_paced(
@@ -383,10 +314,8 @@ def _run_single(args: argparse.Namespace, grid, engine: WorkflowEngine) -> int:
             print(run_report(engine.instance))
         else:
             _print_result(result)
-        if observer is not None:
-            _export_observation(args, observer, grid, engine)
-    finally:
-        _stop_telemetry(args, server, recorder, collector)
+        if plane.observer is not None:
+            _export_observation(args, plane)
     return 0 if result.succeeded else 1
 
 
@@ -401,20 +330,7 @@ def _run_multiplexed(args: argparse.Namespace, grid, workflows) -> int:
         heartbeat_timeout=args.heartbeat_timeout,
         tracer=_make_tracer(args),
     )
-    observer = None
-    if _wants_observer(args):
-        from .obs import RunObserver
-
-        observer = RunObserver(
-            host.runtime.bus, clock=host.runtime.reactor.now
-        )
-    server, recorder, collector = _start_telemetry(
-        args,
-        host.runtime,
-        grid,
-        observer.metrics if observer is not None else None,
-    )
-    try:
+    with _telemetry(args, host.runtime, grid) as plane:
         seen_specs: set[int] = set()
         for workflow in workflows:
             first = id(workflow) not in seen_specs
@@ -442,19 +358,9 @@ def _run_multiplexed(args: argparse.Namespace, grid, workflows) -> int:
                 f"(completion time: {result.completion_time:.3f} virtual seconds)"
             )
         print(f"{succeeded}/{len(results)} instance(s) succeeded")
-        if observer is not None:
-            _export_observation(args, observer, grid, _HostFacade(host))
-    finally:
-        _stop_telemetry(args, server, recorder, collector)
+        if plane.observer is not None:
+            _export_observation(args, plane)
     return 0 if succeeded == len(results) else 1
-
-
-class _HostFacade:
-    """Adapts an :class:`EngineHost` to ``_export_observation``'s
-    engine-shaped argument (only ``.runtime`` is consulted)."""
-
-    def __init__(self, host) -> None:
-        self.runtime = host.runtime
 
 
 def cmd_serve_batch(args: argparse.Namespace) -> int:
@@ -635,25 +541,11 @@ def cmd_top(args: argparse.Namespace) -> int:
 def cmd_mc(args: argparse.Namespace) -> int:
     import json
 
-    from .errors import SimulationError
-    from .sim import (
-        SampleCache,
-        SimulationParams,
-        adaptive_samples,
-        engine_samples,
-        sample_technique,
-        summarize,
-    )
+    from .sim import SampleCache, SimulationParams, estimate_cells
 
     techniques = _mc_techniques(args.technique)
     variance_reduction = _mc_variance_reduction(args)
     target = _mc_ci_target(args)
-    if args.engine and variance_reduction is not None:
-        raise SimulationError(
-            "--antithetic/--crn apply to the vectorised samplers only; "
-            "the engine path draws no invertible uniforms to mirror or "
-            "share (drop --engine, or keep just --target-ci)"
-        )
     params = SimulationParams(
         mttf=args.mttf,
         downtime=args.downtime,
@@ -663,75 +555,37 @@ def cmd_mc(args: argparse.Namespace) -> int:
         runs=args.runs,
         seed=args.seed,
     )
-    cache = SampleCache() if args.cache else None
     registry = None
     if args.stats:
         from .obs import MetricsRegistry
 
         registry = MetricsRegistry()
     adaptive = target is not None or variance_reduction is not None
-    rows = []
-    for technique in techniques:
-        converged = True
-        if args.engine:
-            samples = engine_samples(
-                technique,
-                params,
-                runs=args.runs,
-                jobs=args.jobs,
-                cache=cache,
-                metrics=registry,
-                target_ci=target,
-            )
-            if target is None:
-                summary = summarize(samples)
-            else:
-                # engine_samples returns a bare vector; recompute the
-                # stopping predicate so "budget exhausted" is reported
-                # honestly.
-                summary = summarize(samples, confidence=target.confidence)
-                converged = target.met(summary)
-        elif adaptive:
-            cell = adaptive_samples(
-                technique,
-                params,
-                target=target,
-                variance_reduction=variance_reduction,
-                runs=args.runs,
-                cache=cache,
-            )
-            summary = cell.summary
-            converged = cell.converged
-        elif cache is not None:
-            key = cache.key(
-                kind="sampler",
-                technique=technique,
-                params=params,
-                runs=args.runs,
-                base_seed=params.seed,
-            )
-            samples = cache.load(key)
-            if samples is None:
-                samples = sample_technique(technique, params, runs=args.runs)
-                cache.store(key, samples)
-            summary = summarize(samples)
-        else:
-            samples = sample_technique(technique, params, runs=args.runs)
-            summary = summarize(samples)
-        rows.append(
-            {
-                "technique": technique,
-                "mode": "engine" if args.engine else "sampler",
-                "runs": summary.n,
-                "mean": summary.mean,
-                "ci99_halfwidth": summary.ci_halfwidth,
-                "rel_ci": summary.rel_halfwidth,
-                "ess": summary.ess,
-                "converged": converged,
-                "p50": summary.p50,
-                "p95": summary.p95,
-            }
-        )
+    estimates = estimate_cells(
+        [(technique, params) for technique in techniques],
+        runs=args.runs,
+        target=target,
+        variance_reduction=variance_reduction,
+        engine=args.engine,
+        jobs=args.jobs,
+        cache=SampleCache() if args.cache else None,
+        metrics=registry,
+    )
+    rows = [
+        {
+            "technique": cell.technique,
+            "mode": "engine" if args.engine else "sampler",
+            "runs": cell.summary.n,
+            "mean": cell.summary.mean,
+            "ci99_halfwidth": cell.summary.ci_halfwidth,
+            "rel_ci": cell.summary.rel_halfwidth,
+            "ess": cell.summary.ess,
+            "converged": cell.converged,
+            "p50": cell.summary.p50,
+            "p95": cell.summary.p95,
+        }
+        for cell in estimates
+    ]
     if args.json:
         payload = rows
         if registry is not None:
@@ -754,7 +608,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         )
         for row in rows:
             detail = f"(p50={row['p50']:.2f}, p95={row['p95']:.2f}"
-            if adaptive or args.engine and target is not None:
+            if adaptive:
                 detail += f", n={row['runs']}"
                 if row["ess"] > row["runs"]:
                     detail += f", eff.n={row['ess']:.0f}"
@@ -895,19 +749,22 @@ def _print_mc_stats(registry, techniques, *, engine_mode: bool) -> None:
             registry.value("mc_pool_sampler_cache_misses_total"),
         )
     )
-    disk_hits = sum(
-        s.value
-        for f in registry.families()
-        if f.name == "mc_disk_cache_hits_total"
-        for s in f.series.values()
+
+    def across_techniques(name: str) -> float:
+        return sum(
+            series.value
+            for family in registry.families()
+            if family.name == name
+            for series in family.series.values()
+        )
+
+    print(
+        "  disk sample cache:   "
+        + _rate(
+            across_techniques("mc_disk_cache_hits_total"),
+            across_techniques("mc_disk_cache_misses_total"),
+        )
     )
-    disk_misses = sum(
-        s.value
-        for f in registry.families()
-        if f.name == "mc_disk_cache_misses_total"
-        for s in f.series.values()
-    )
-    print("  disk sample cache:   " + _rate(disk_hits, disk_misses))
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -1165,9 +1022,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for --engine sampling (0 = all cores; "
-        "default: $REPRO_JOBS, else 1; results are identical for any "
-        "value)",
+        help="worker processes (0 = all cores; default: $REPRO_JOBS, "
+        "else 1; results are identical for any value)",
     )
     p_mc.add_argument(
         "--engine",
@@ -1261,7 +1117,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for the fixed-budget path (0 = all cores)",
+        help="worker processes (0 = all cores; --crn rounds stay in "
+        "process; results are identical for any value)",
     )
     p_sweep.add_argument(
         "--seed", type=int, default=20030623, help="root RNG seed"

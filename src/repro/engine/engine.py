@@ -296,25 +296,6 @@ class WorkflowEngine:
             )
         return self._result
 
-    def set_tracer(self, tracer: Tracer | None) -> None:
-        """Turn causal tracing on or off for subsequent runs (live toggle).
-
-        Swaps the allocator on the shared runtime and the coordinator and
-        re-mints (or clears) the workflow root.  Call between runs — nodes
-        already launched keep the contexts they were stamped with.  The
-        observability-overhead benchmark uses this to compare traced and
-        untraced passes of one engine instance, which is what isolates the
-        tracing cost from object-layout luck.
-        """
-        self.runtime.tracer = tracer
-        self.coordinator.set_tracer(tracer)
-        self._node_ctx = {}
-        self._trace_root = (
-            None
-            if tracer is None
-            else tracer.root(self.workflow_id or self.workflow.name)
-        )
-
     def reset(self) -> None:
         """Rewind to a fresh, not-yet-started instance of the same workflow
         (mirroring :meth:`repro.grid.simgrid.SimulatedGrid.reset`).

@@ -25,7 +25,7 @@ infrastructure:
 With deterministic task behaviours and non-contending resources, N
 multiplexed instances produce bit-identical per-instance
 :class:`~repro.engine.engine.WorkflowResult`\\ s to N sequential runs (the
-``bench_engine_multiplex`` determinism oracle asserts exactly this).
+100-instance oracle in ``tests/test_multiplex.py`` asserts exactly this).
 """
 
 from __future__ import annotations

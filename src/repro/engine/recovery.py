@@ -161,8 +161,7 @@ class RecoveryCoordinator:
         self.workflow_id = workflow_id
         self._flag_scope = f"{workflow_id}::" if workflow_id else ""
         #: Causal-context allocator (``None`` keeps every trace site to a
-        #: single ``is None`` check — the uninstrumented hot path).  Swap
-        #: live via :meth:`set_tracer`.
+        #: single ``is None`` check — the uninstrumented hot path).
         self._tracer = tracer
         self._runs: dict[str, ActivityRun] = {}
         self._job_index: dict[str, tuple[str, int]] = {}  # job_id -> (activity, slot)
@@ -292,14 +291,6 @@ class RecoveryCoordinator:
             raise RecoveryError(f"unexpected outcome state {outcome.state}")
 
     # -- reuse ---------------------------------------------------------------------------
-
-    def set_tracer(self, tracer: Tracer | None) -> None:
-        """Swap the causal-context allocator (``None`` turns tracing off).
-
-        Safe between runs; attempts already in flight keep the contexts
-        they were minted with.
-        """
-        self._tracer = tracer
 
     def reset(self) -> None:
         """Drop all in-flight bookkeeping, returning the coordinator to its

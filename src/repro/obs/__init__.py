@@ -19,8 +19,9 @@ The live telemetry plane builds on those:
 :mod:`repro.obs.tracectx` (causal trace/span ids stamped through every
 bus payload), :mod:`repro.obs.recorder` (the flight recorder journaling
 every event), :mod:`repro.obs.postmortem` (``repro inspect`` timeline
-reconstruction), and :mod:`repro.obs.server` (the HTTP scrape/status
-endpoint behind ``--serve-telemetry``).
+reconstruction), :mod:`repro.obs.server` (the HTTP scrape/status
+endpoint behind ``--serve-telemetry``), and :mod:`repro.obs.plane` (the
+one assembly that attaches all of them to a runtime).
 """
 
 from .core import NULL_OBS, Observability
@@ -69,6 +70,7 @@ from .observer import (
     scrape_grid,
     scrape_kernel,
 )
+from .plane import TelemetryPlane
 from .postmortem import (
     WorkflowTimeline,
     build_timelines,
@@ -116,6 +118,7 @@ __all__ = [
     "Series",
     "Span",
     "SpanRecorder",
+    "TelemetryPlane",
     "TelemetryServer",
     "TimeSeriesStore",
     "TopClient",

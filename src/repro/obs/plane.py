@@ -1,0 +1,121 @@
+"""The telemetry plane of one runtime, wired once.
+
+``repro run/serve-batch --metrics/--trace/--flight-record/
+--serve-telemetry`` and the plane tests (``tests/obs_plane.py``) attach
+the same consumers to a runtime's bus in the same order; this module is
+that wiring, so there is one place that knows it.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .estimators import EstimatorSuite, priors_from_grid
+from .health import HealthEngine, default_rules
+from .observer import RunObserver, scrape_bus, scrape_detector, scrape_grid
+from .recorder import FlightRecorder
+from .server import WorkflowStatusTracker
+from .timeseries import PeriodicCollector, TimeSeriesStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..detection import FailureDetector
+    from ..events import EventBus
+
+__all__ = ["TelemetryPlane"]
+
+
+class TelemetryPlane:
+    """Every :mod:`repro.obs` consumer of one runtime.
+
+    Construction subscribes to *bus* in a fixed order — observer, flight
+    recorder, status tracker, estimators, health engine — which is part
+    of the plane's observable behaviour: the estimators and the health
+    engine publish (``obs.drift.mttf``, ``obs.alert.*``) from inside
+    their handlers, so a consumer subscribed before them journals a cause
+    before its effect and one subscribed after does not.
+
+    Each part is optional and ``None`` when off:
+
+    * *observe* — the :class:`RunObserver` (metrics registry, spans,
+      event ring) behind ``--metrics``/``--trace`` and ``/metrics``;
+    * *flight_record* — the :class:`FlightRecorder` journaling every bus
+      event: ``True`` keeps the ring only, a path also spills to it;
+    * *interval* — the statistical layer on a simulated-seconds cadence:
+      status tracker, time-series store, estimator suite (priors from
+      *grid*'s catalogue), health rules, and the
+      :class:`PeriodicCollector` that scrapes *grid*, *bus* and
+      *detector* into the observer's registry each tick.
+
+    :meth:`start` and :meth:`stop` bracket the stretches in which the
+    simulation is driven; a long-lived host calls them once per batch.
+    """
+
+    def __init__(
+        self,
+        bus: "EventBus",
+        reactor,
+        grid,
+        detector: "FailureDetector",
+        *,
+        observe: bool = True,
+        flight_record: bool | str = False,
+        interval: float | None = None,
+    ) -> None:
+        self._sources = (grid, bus, detector)
+        clock = reactor.now
+        self.observer = RunObserver(bus, clock=clock) if observe else None
+        self.recorder = None
+        if flight_record:
+            spill = None if flight_record is True else flight_record
+            self.recorder = FlightRecorder(bus, spill_path=spill)
+        self.tracker = self.store = self.estimators = None
+        self.health = self.collector = None
+        if interval is None:
+            return
+        self.tracker = WorkflowStatusTracker(bus)
+        self.store = store = TimeSeriesStore(step=interval)
+        self.estimators = estimators = EstimatorSuite(
+            bus, clock=clock, priors=priors_from_grid(grid), store=store
+        )
+        self.health = health = HealthEngine(clock=clock, bus=bus)
+        default_rules(health, store=store, estimators=estimators)
+        # Drift latches re-evaluate the rules immediately, not on the
+        # next collector tick.
+        estimators.health = health
+        self.collector = PeriodicCollector(
+            store=store,
+            registry=self.observer.metrics if observe else None,
+            reactor=reactor,
+            interval=interval,
+            scrapers=(
+                self.scrape,
+                lambda reg: estimators.ingest_liveness(
+                    detector.liveness_snapshot()
+                ),
+            ),
+            estimators=estimators,
+            health=health,
+        )
+
+    def scrape(self, registry) -> None:
+        """Pull the plain-int levels the runtime keeps for itself into
+        *registry*: the grid's (hosts, and the kernel block — events
+        processed, timer-heap compactions), the bus's (route-cache hit
+        rates) and the detector's.  The collector does this every tick;
+        an exporter does it once at the end of a run."""
+        grid, bus, detector = self._sources
+        scrape_grid(registry, grid)
+        scrape_bus(registry, bus)
+        scrape_detector(registry, detector)
+
+    def start(self) -> None:
+        """Start the collector's ticks (no-op without the statistical
+        layer)."""
+        if self.collector is not None:
+            self.collector.start()
+
+    def stop(self) -> None:
+        """Stop the collector's ticks; every consumer stays attached and
+        readable, and :meth:`start` resumes."""
+        if self.collector is not None:
+            self.collector.stop()

@@ -20,8 +20,8 @@ ids make recordings diffable too.
 
 Tracing is opt-in per runtime (``EngineRuntime.tracer``): an
 uninstrumented engine carries ``tracer=None`` and pays one ``is None``
-check per publish site, nothing more (``bench_obs_overhead`` gates the
-enabled path under 2%).
+check per publish site, nothing more (what the enabled plane costs is
+the ledger's ``obs.overhead_ratio`` row, ``benchmarks/ledger``).
 """
 
 from __future__ import annotations

@@ -1,11 +1,22 @@
-"""Adaptive, variance-reduced Monte-Carlo sampling.
+"""The sampling pipeline: adaptive, variance-reduced Monte-Carlo.
+
+Every estimate in :mod:`repro.sim` is one call of :func:`estimate_cells`
+— **plan** (per cell: draw source, RNG streams, batch schedule, cache
+key), **execute** (one round loop holding the only cache lookup/store
+site and the only pool fan-out), **summarise** (one
+:class:`CellEstimate` per cell).  :func:`evaluate_grid`,
+:func:`adaptive_samples`, :func:`~repro.sim.runner.sweep_mttf`,
+:func:`~repro.sim.runner.sweep` and
+:func:`~repro.sim.engine_mc.engine_samples` only build the cell list and
+reshape the result.
 
 The paper's standard experiment (E[T] vs MTTF per technique, Figures
 10–12) spends an identical fixed run budget on every (technique, MTTF,
 downtime) cell even though the confidence-interval width varies by orders
 of magnitude across the grid: checkpointing at MTTF = 100 is almost
-deterministic while plain retrying at MTTF = 10 is heavy-tailed.  This
-module draws *fewer, smarter* samples:
+deterministic while plain retrying at MTTF = 10 is heavy-tailed.  A fixed
+budget is the pipeline's one-batch schedule; the rest of this module
+draws *fewer, smarter* samples:
 
 CI-targeted adaptive stopping
     :class:`CITarget` declares the precision a cell must reach — a
@@ -35,23 +46,12 @@ Common random numbers (CRN)
     :func:`~repro.sim.runner.crossover` estimates — are computed on
     positively correlated noise and are far more stable across the grid.
 
-Fused grid evaluation
-    :func:`evaluate_grid` runs the whole (technique × MTTF) grid as one
-    round-based batched evaluation: each round draws the next geometric
-    batch for every still-unconverged cell, sharing the CRN pool and the
-    per-round RNG streams across cells so generator spawning and pool
-    growth are amortised over the grid instead of paid per point.
-
 Everything here is opt-in: with ``variance_reduction=None`` and no CI
-target, callers fall through to the untouched samplers of
-:mod:`repro.sim.samplers` and results stay bit-identical to fixed-budget
-sampling.  Batches are seeded ``SeedSequence(entropy=seed,
-spawn_key=(salt, batch))`` — disjoint from the single-shot
-``spawn_key=(salt,)`` streams — so adaptive estimates are deterministic
-in their inputs and cacheable (:mod:`repro.sim.cache` kind
-``"adaptive"``; the key deliberately excludes ``max_runs`` so a cached
-cell that satisfies the CI target is a hit regardless of the requested
-budget).
+target a cell's vector is exactly
+:func:`~repro.sim.samplers.sample_technique`'s.  Batch streams
+(:func:`_sampler_batch`) and cache keys (:meth:`_CellPlan.cache_key`) are
+pure functions of the plan, so estimates are deterministic in their
+inputs, independent of the worker count, and cacheable.
 """
 
 from __future__ import annotations
@@ -62,7 +62,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SimulationError
-from .cache import resolve_cache
+from .cache import SampleCache, resolve_cache
+from .parallel import (
+    DEFAULT_RUN_TIMEOUT,
+    _engine_shard,
+    pool_map,
+    resolve_jobs,
+    shard_bounds,
+)
 from .params import SimulationParams
 from .samplers import EXTENDED_TECHNIQUES, TECHNIQUES, sample_technique
 from .stats import Summary, summarize, z_value
@@ -76,6 +83,7 @@ __all__ = [
     "UniformPool",
     "VR_MODES",
     "adaptive_samples",
+    "estimate_cells",
     "evaluate_grid",
     "pair_means",
     "resolve_variance_reduction",
@@ -187,17 +195,19 @@ class CITarget:
 
     def batch_sizes(self) -> list[int]:
         """The geometric batch schedule up to ``max_runs``."""
-        sizes: list[int] = []
-        total = 0
-        while total < self.max_runs:
-            nxt = (
-                self.min_runs
-                if total == 0
-                else min(self.max_runs, math.ceil(total * self.growth))
-            )
-            sizes.append(nxt - total)
-            total = nxt
-        return sizes
+        return list(self.boundaries_for(self.max_runs))
+
+    def cache_spec(self) -> dict:
+        """The fields a CI-targeted cache key covers — deliberately not
+        ``max_runs``, so a stored vector that meets the target is a hit
+        whatever budget the caller brings."""
+        return {
+            "rel": self.rel,
+            "abs": self.abs,
+            "confidence": self.confidence,
+            "min_runs": self.min_runs,
+            "growth": self.growth,
+        }
 
     def boundaries_for(self, n: int) -> tuple[int, ...]:
         """Reconstruct the batch sizes that produced an *n*-draw vector.
@@ -224,27 +234,6 @@ class CITarget:
 # -- variance-reduction kernels ------------------------------------------------
 
 
-def _flat_size(size) -> tuple[int, tuple[int, ...] | None]:
-    """Normalise a numpy ``size`` argument to (count, reshape-target)."""
-    if size is None:
-        return 1, None
-    if isinstance(size, tuple):
-        return int(np.prod(size, dtype=np.int64)), size
-    return int(size), None
-
-
-def _shape(values: np.ndarray, size) -> np.ndarray:
-    if isinstance(size, tuple):
-        return values.reshape(size)
-    if size is None:
-        return values[0]
-    return values
-
-
-def _inverse_exponential(u: np.ndarray, scale: float) -> np.ndarray:
-    return -scale * np.log1p(-u)
-
-
 def _inverse_geometric(u: np.ndarray, p: float) -> np.ndarray:
     """Inverse-CDF geometric (trials to first success, >= 1), matching
     ``Generator.geometric``'s support."""
@@ -253,15 +242,44 @@ def _inverse_geometric(u: np.ndarray, p: float) -> np.ndarray:
     return (np.floor(np.log1p(-u) / math.log1p(-p)) + 1).astype(np.int64)
 
 
-class AntitheticGenerator:
-    """Duck-typed ``Generator`` producing antithetic uniform blocks.
+class _InverseCDFGenerator:
+    """Duck-types the ``Generator`` methods the samplers consume
+    (``exponential``/``geometric``/``random``) by pushing the subclass's
+    uniforms (:meth:`_uniforms`, *n* of them, possibly a view of shared
+    storage) through the inverse CDF.  Marginally every draw is exact, so
+    any sampler consuming such a generator stays unbiased."""
+
+    def _uniforms(self, n: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def _draw(self, size, transform=None) -> np.ndarray:
+        """*size* follows numpy: ``None`` a scalar, an int, or a shape."""
+        shape = size if isinstance(size, tuple) else ()
+        count = int(np.prod(shape, dtype=np.int64)) if shape else int(size or 1)
+        values = self._uniforms(count)
+        values = values.copy() if transform is None else transform(values)
+        if shape:
+            return values.reshape(shape)
+        return values[0] if size is None else values
+
+    def exponential(self, scale: float = 1.0, size=None) -> np.ndarray:
+        return self._draw(size, lambda u: -scale * np.log1p(-u))
+
+    def geometric(self, p: float, size=None) -> np.ndarray:
+        return self._draw(size, lambda u: _inverse_geometric(u, p))
+
+    def random(self, size=None) -> np.ndarray:
+        return self._draw(size)
+
+
+class AntitheticGenerator(_InverseCDFGenerator):
+    """Antithetic uniform blocks.
 
     Each draw of *n* values consumes ``ceil(n/2)`` fresh uniforms ``u``
     and appends their mirrors ``1 − u`` (the antithetic second half), then
     applies the requested inverse CDF.  Run *i* of a batch therefore
     pairs with run ``i + ceil(n/2)`` on mirrored noise — the pairing
-    :func:`pair_means` exploits.  Marginally every draw is exact, so any
-    sampler consuming this generator stays unbiased.
+    :func:`pair_means` exploits.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
@@ -274,18 +292,6 @@ class AntitheticGenerator:
         # 1 - 0.0 == 1.0 falls outside random()'s [0, 1) contract; clip
         # rather than bias every transform with an epsilon.
         return np.minimum(out, _ALMOST_ONE, out=out)
-
-    def exponential(self, scale: float = 1.0, size=None) -> np.ndarray:
-        n, _ = _flat_size(size)
-        return _shape(_inverse_exponential(self._uniforms(n), scale), size)
-
-    def geometric(self, p: float, size=None) -> np.ndarray:
-        n, _ = _flat_size(size)
-        return _shape(_inverse_geometric(self._uniforms(n), p), size)
-
-    def random(self, size=None) -> np.ndarray:
-        n, _ = _flat_size(size)
-        return _shape(self._uniforms(n), size)
 
 
 class UniformPool:
@@ -310,8 +316,8 @@ class UniformPool:
         return self._data[start : start + n]
 
 
-class CRNGenerator:
-    """Duck-typed ``Generator`` replaying a shared :class:`UniformPool`.
+class CRNGenerator(_InverseCDFGenerator):
+    """Replays a shared :class:`UniformPool`.
 
     Each point of a sweep gets its own cursor starting at 0, so all
     points consume the *same* uniform sequence in call order and differ
@@ -327,18 +333,6 @@ class CRNGenerator:
         u = self._pool.take(self.cursor, n)
         self.cursor += n
         return u
-
-    def exponential(self, scale: float = 1.0, size=None) -> np.ndarray:
-        n, _ = _flat_size(size)
-        return _shape(_inverse_exponential(self._uniforms(n), scale), size)
-
-    def geometric(self, p: float, size=None) -> np.ndarray:
-        n, _ = _flat_size(size)
-        return _shape(_inverse_geometric(self._uniforms(n), p), size)
-
-    def random(self, size=None) -> np.ndarray:
-        n, _ = _flat_size(size)
-        return _shape(self._uniforms(n).copy(), size)
 
 
 def pair_means(samples: np.ndarray) -> np.ndarray:
@@ -376,16 +370,10 @@ def _vr_summary(
     if mode != "antithetic":
         return summarize(samples, confidence=confidence)
     z = z_value(confidence)
-    pm_parts = []
-    offset = 0
-    for size in boundaries:
-        pm_parts.append(pair_means(samples[offset : offset + size]))
-        offset += size
-    if offset != samples.size:
-        raise SimulationError(
-            f"batch boundaries cover {offset} of {samples.size} samples"
-        )
-    pm = np.concatenate(pm_parts)
+    # *boundaries* partition the vector: _CellPlan.estimate derives them
+    # from its size.
+    batches = np.split(samples, np.cumsum(boundaries)[:-1])
+    pm = np.concatenate([pair_means(batch) for batch in batches])
     var_pm = float(pm.var(ddof=1)) if pm.size > 1 else 0.0
     half = z * math.sqrt(var_pm / pm.size) if pm.size > 0 else 0.0
     var_raw = float(samples.var(ddof=1)) if samples.size > 1 else 0.0
@@ -396,12 +384,12 @@ def _vr_summary(
     return summarize(samples, confidence=confidence, ci_halfwidth=half, ess=ess)
 
 
-# -- adaptive cell evaluation --------------------------------------------------
+# -- the sampling pipeline: plan → execute → summarise --------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class CellEstimate:
-    """One (technique, params) cell's adaptive estimate."""
+    """One (technique, params) cell's estimate."""
 
     technique: str
     params: SimulationParams
@@ -411,7 +399,8 @@ class CellEstimate:
     summary: Summary
     #: Batch sizes in draw order (reconstructs antithetic pairing).
     boundaries: tuple[int, ...]
-    #: Whether the CI target was met (False means max_runs exhausted).
+    #: Whether the CI target was met (False means max_runs exhausted;
+    #: always True for a fixed budget).
     converged: bool
     #: Served from the content-addressed cache without drawing.
     cached: bool = False
@@ -437,95 +426,302 @@ def _crn_pool(params: SimulationParams, technique: str) -> UniformPool:
     )
 
 
-class _CellSampler:
-    """Draws successive batches for one cell under one VR mode."""
-
-    def __init__(
-        self,
-        technique: str,
-        params: SimulationParams,
-        mode: str | None,
-        pool: UniformPool | None,
-    ) -> None:
-        self.technique = technique
-        self.params = params
-        self.mode = mode
-        self._crn = CRNGenerator(pool) if mode == "crn" else None
-        self._batch = 0
-
-    def draw(self, runs: int) -> np.ndarray:
-        if self._crn is not None:
-            rng = self._crn  # cursor persists across batches
-        else:
-            rng = _batch_rng(self.params, self.technique, self._batch)
-            if self.mode == "antithetic":
-                rng = AntitheticGenerator(rng)
-        self._batch += 1
-        return sample_technique(self.technique, self.params, rng=rng, runs=runs)
-
-
-def _adaptive_cache_key(
-    store,
+def _sampler_batch(
     technique: str,
     params: SimulationParams,
     mode: str | None,
-    target: CITarget | None,
-    runs: int,
-) -> str:
-    """Cache key for an adaptive/VR cell.
+    batch: int | None,
+    size: int,
+    crn: CRNGenerator | None,
+) -> tuple[np.ndarray, None]:
+    """Worker body: one batch of one vectorised-sampler cell.
 
-    With a CI target the key is budget-independent: it covers the target
-    precision, bounds floor, growth and VR mode but *not* ``max_runs`` —
-    acceptance (:func:`_accepts`) decides at load time whether a stored
-    vector satisfies the caller's budget.  Without a target (fixed-budget
-    VR sampling) the run count is the budget and keys on it.
+    The RNG stream is a pure function of the arguments — ``batch=None`` is
+    the sampler's own single-shot stream (``spawn_key=(salt,)``), batch
+    *b* is ``spawn_key=(salt, b)``, mirrored under ``"antithetic"`` — so
+    the batch may be drawn on any worker.  The exception is CRN, whose
+    generator (*crn*) carries its pool cursor from batch to batch and
+    therefore never leaves the parent process.
     """
-    spec = None
-    if target is not None:
-        spec = {
-            "rel": target.rel,
-            "abs": target.abs,
-            "confidence": target.confidence,
-            "min_runs": target.min_runs,
-            "growth": target.growth,
-        }
-    return store.key(
-        kind="adaptive",
-        technique=technique,
-        params=params.with_runs(1),
-        runs=0 if target is not None else runs,
-        base_seed=params.seed,
-        extra={"variance_reduction": mode, "target": spec},
-    )
+    if crn is not None:
+        rng = crn
+    elif batch is None:
+        rng = None
+    else:
+        rng = _batch_rng(params, technique, batch)
+        if mode == "antithetic":
+            rng = AntitheticGenerator(rng)
+    return sample_technique(technique, params, rng=rng, runs=size), None
 
 
-def _accepts(
-    samples: np.ndarray,
-    technique: str,
-    params: SimulationParams,
-    mode: str | None,
-    target: CITarget | None,
-    runs: int,
-) -> CellEstimate | None:
-    """Re-evaluate a cached vector against the *caller's* budget."""
-    if target is None:
-        if samples.size != runs:
-            return None
-        boundaries = (samples.size,)
-        summary = _vr_summary(samples, boundaries, mode, 0.99)
-        return CellEstimate(
-            technique, params, samples, summary, boundaries, True, cached=True
+@dataclass(frozen=True)
+class _CellPlan:
+    """Everything that decides one cell's sample vector, fixed before the
+    first draw: draw source, RNG streams, batch schedule, cache key and
+    stopping rule.  :func:`estimate_cells` builds one per cell and is the
+    only consumer."""
+
+    technique: str
+    params: SimulationParams
+    #: The fixed budget — the one-batch schedule ``[runs]``; unused under
+    #: a CI target, whose :meth:`CITarget.batch_sizes` replace it.
+    runs: int
+    target: CITarget | None
+    mode: str | None
+    #: ``(base_seed, timeout)`` of an engine cell (run *i* is seeded
+    #: :func:`~repro.sim.parallel.seed_for` ``(base_seed, i)``); ``None``
+    #: draws from the vectorised sampler.
+    engine: tuple[int, float] | None
+
+    def cache_key(self, store: SampleCache) -> str:
+        """The cell's content address.
+
+        Kinds: ``"sampler"`` (plain fixed budget — the single-shot
+        stream), ``"adaptive"`` (any VR mode and/or CI target — the batch
+        streams), ``"engine"`` / ``"engine-adaptive"``.  Under a CI target
+        the key is budget-independent: it covers
+        :meth:`CITarget.cache_spec` but carries ``runs`` as 0, and
+        :meth:`estimate` decides at load time whether a stored vector
+        satisfies the caller's budget.  Without one the run count is the
+        budget and keys on it.
+        """
+        target = self.target
+        spec = None if target is None else target.cache_spec()
+        if self.engine is not None:
+            base_seed, timeout = self.engine
+            kind = "engine" if target is None else "engine-adaptive"
+            extra = {"timeout": timeout}
+            if target is not None:
+                extra["target"] = spec
+        elif target is None and self.mode is None:
+            base_seed, kind, extra = self.params.seed, "sampler", None
+        else:
+            base_seed, kind = self.params.seed, "adaptive"
+            extra = {"variance_reduction": self.mode, "target": spec}
+        return store.key(
+            kind=kind,
+            technique=self.technique,
+            params=(
+                self.params.with_runs(1)
+                if kind.endswith("adaptive")
+                else self.params
+            ),
+            runs=self.runs if target is None else 0,
+            base_seed=base_seed,
+            extra=extra,
         )
-    if samples.size < target.min_runs:
-        return None
-    boundaries = target.boundaries_for(samples.size)
-    summary = _vr_summary(samples, boundaries, mode, target.confidence)
-    converged = target.met(summary)
-    if not converged and samples.size < target.max_runs:
-        return None  # caller's budget allows refining further: recompute
-    return CellEstimate(
-        technique, params, samples, summary, boundaries, converged, cached=True
-    )
+
+    def tasks(
+        self,
+        batch: int,
+        drawn: int,
+        jobs: int,
+        collect: bool,
+        crn: CRNGenerator | None,
+    ) -> list[tuple]:
+        """The ``(fn, args)`` draw tasks whose results, concatenated in
+        order, are batch *batch* — the runs after the *drawn* already
+        held.  Each returns ``(samples, metrics snapshot or None)``.
+
+        An engine batch is contiguous in run-index space and splits into
+        one index shard per worker; seeds are per index, so a CI-targeted
+        vector is always an exact prefix of the fixed-budget vector for
+        the same ``base_seed``.  A sampler batch is one task.
+        """
+        target = self.target
+        size = self.runs if target is None else target.batch_sizes()[batch]
+        if self.engine is None:
+            plain = target is None and self.mode is None
+            stream = None if plain else batch
+            return [
+                (
+                    _sampler_batch,
+                    (self.technique, self.params, self.mode, stream, size, crn),
+                )
+            ]
+        base_seed, timeout = self.engine
+        return [
+            (
+                _engine_shard,
+                (
+                    self.technique,
+                    self.params,
+                    base_seed,
+                    drawn + start,
+                    drawn + stop,
+                    timeout,
+                    collect,
+                ),
+            )
+            for start, stop in shard_bounds(size, jobs)
+        ]
+
+    def estimate(
+        self, samples: np.ndarray, *, cached: bool = False
+    ) -> CellEstimate | None:
+        """Summarise *samples* and apply the stopping rule: the cell's
+        estimate, or ``None`` when the CI target is unmet and the budget
+        allows drawing (or, for a cached vector, refining) further."""
+        target = self.target
+        if target is None:
+            boundaries, confidence = (samples.size,), 0.99
+        else:
+            boundaries = target.boundaries_for(samples.size)
+            confidence = target.confidence
+        summary = _vr_summary(samples, boundaries, self.mode, confidence)
+        converged = target is None or target.met(summary)
+        if not converged and samples.size < target.max_runs:
+            return None
+        return CellEstimate(
+            self.technique,
+            self.params,
+            samples,
+            summary,
+            boundaries,
+            converged,
+            cached,
+        )
+
+
+def estimate_cells(
+    cells,
+    *,
+    runs: int | None = None,
+    target: "CITarget | float | None" = None,
+    variance_reduction: str | None = None,
+    engine: bool = False,
+    base_seed: int | None = None,
+    timeout: float = DEFAULT_RUN_TIMEOUT,
+    jobs: int | None = None,
+    cache=None,
+    metrics=None,
+) -> list[CellEstimate]:
+    """Estimate E[T] for every ``(technique, params)`` cell — the one
+    sampling pipeline behind :func:`~repro.sim.runner.sweep_mttf`,
+    :func:`~repro.sim.runner.sweep`, :func:`evaluate_grid`,
+    :func:`adaptive_samples`, :func:`~repro.sim.engine_mc.engine_samples`
+    and ``repro mc``.
+
+    **Plan.**  Each cell gets a :class:`_CellPlan`: the draw source (the
+    vectorised sampler, or with *engine* the full Grid-WFS stack per run,
+    seeded from *base_seed* — default ``params.seed`` — under a *timeout*
+    virtual-time budget), its RNG streams, its batch schedule — *runs*
+    (default ``params.runs``) in one batch, or under *target* geometric
+    batches from ``min_runs`` to ``max_runs`` — and its cache key.
+
+    **Execute.**  Cells found in *cache* whose stored vector satisfies the
+    plan are served without drawing.  The rest advance in rounds: round
+    *r* draws batch *r* of every still-pending cell as one task list
+    fanned over *jobs* workers (:func:`~repro.sim.parallel.pool_map`; in
+    process at ``jobs=1``), so the easy bulk of a grid drops out after
+    the first round and only the hard tail keeps sampling.  Every batch
+    is a pure function of (cell, batch index), so results are
+    bit-identical for any worker count — except under CRN, where all
+    cells of a technique replay one :class:`UniformPool` through cursors
+    that carry across batches, so CRN rounds stay in process whatever
+    *jobs* says.  A cell leaves the loop when its target is met or its
+    budget spent, and is stored in *cache* at that moment.
+
+    **Summarise.**  Each cell is reported as a :class:`CellEstimate`
+    with the variance-reduction-aware :class:`Summary`; estimates come
+    back in cell order.
+
+    With neither *target* nor *variance_reduction* a sampler cell's
+    vector is exactly :func:`~repro.sim.samplers.sample_technique`'s.
+    *metrics* is an optional :class:`~repro.obs.metrics.MetricsRegistry`:
+    it counts cache lookups, and engine shards merge their per-run
+    histograms and sampler-cache counters into it.
+    """
+    mode = resolve_variance_reduction(variance_reduction)
+    tgt = CITarget.of(target)
+    if engine and mode is not None:
+        raise SimulationError(
+            "variance reduction (--antithetic/--crn) applies to the "
+            "vectorised samplers only: the engine path draws no invertible "
+            "uniforms to mirror or share"
+        )
+    plans: list[_CellPlan] = []
+    for technique, params in cells:
+        if technique not in EXTENDED_TECHNIQUES:
+            raise SimulationError(
+                f"unknown technique {technique!r}; "
+                f"expected one of {EXTENDED_TECHNIQUES}"
+            )
+        budget = params.runs if runs is None else runs
+        if tgt is None and budget < 1:
+            raise SimulationError(f"runs must be >= 1, got {budget!r}")
+        seed = params.seed if base_seed is None else base_seed
+        plans.append(
+            _CellPlan(
+                technique,
+                params,
+                budget,
+                tgt,
+                mode,
+                (seed, timeout) if engine else None,
+            )
+        )
+    store = resolve_cache(cache)
+    # CRN cursors carry across batches, so CRN rounds stay in process.
+    jobs = 1 if mode == "crn" else resolve_jobs(jobs)
+    collect = metrics is not None and metrics.enabled
+
+    estimates: list[CellEstimate | None] = [None] * len(plans)
+    #: Still-sampling cell → the chunks drawn so far, in draw order.
+    pending: dict[int, list[np.ndarray]] = {}
+    crn: dict[int, CRNGenerator] = {}
+    pools: dict[tuple[str, int], UniformPool] = {}
+    keys = [plan.cache_key(store) for plan in plans] if store is not None else []
+    for i, plan in enumerate(plans):
+        if store is not None:
+            hit = store.load(keys[i])
+            if metrics is not None:
+                metrics.counter(
+                    "mc_disk_cache_hits_total"
+                    if hit is not None
+                    else "mc_disk_cache_misses_total",
+                    help="sample-vector lookups in the on-disk cache",
+                    technique=plan.technique,
+                ).inc()
+            if hit is not None and (
+                hit.size == plan.runs
+                if tgt is None
+                else hit.size >= tgt.min_runs
+            ):
+                estimates[i] = plan.estimate(hit, cached=True)
+        if estimates[i] is not None:
+            continue
+        pending[i] = []
+        if mode == "crn":
+            shared = (plan.technique, plan.params.seed)
+            if shared not in pools:
+                pools[shared] = _crn_pool(plan.params, plan.technique)
+            crn[i] = CRNGenerator(pools[shared])
+
+    batch = 0
+    while pending:
+        tasks: list[tuple] = []
+        owners: list[int] = []
+        for i, chunks in pending.items():
+            drawn = sum(chunk.size for chunk in chunks)
+            cell_tasks = plans[i].tasks(batch, drawn, jobs, collect, crn.get(i))
+            tasks += cell_tasks
+            owners += [i] * len(cell_tasks)
+        for i, (chunk, snapshot) in zip(owners, pool_map(tasks, jobs)):
+            pending[i].append(chunk)
+            if snapshot is not None:
+                metrics.merge(snapshot)
+        for i, chunks in list(pending.items()):
+            samples = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+            estimates[i] = plans[i].estimate(samples)
+            if estimates[i] is None:
+                pending[i] = [samples]
+                continue
+            del pending[i]
+            if store is not None:
+                store.store(keys[i], samples)
+        batch += 1
+    return estimates
 
 
 def adaptive_samples(
@@ -539,23 +735,21 @@ def adaptive_samples(
 ) -> CellEstimate:
     """Adaptively sample one (technique, params) cell.
 
-    With both *target* and *variance_reduction* unset this defers to the
-    plain fixed-budget sampler (bit-identical to
+    With both *target* and *variance_reduction* unset this is the plain
+    fixed-budget sampler (bit-identical to
     :func:`~repro.sim.samplers.sample_technique`).  Otherwise draws
     geometric batches under the VR mode until the :class:`CITarget` is
     met (or ``max_runs`` spent); with a *target* the *runs* argument is
     ignored in favour of the target's bounds.
     """
-    grid = evaluate_grid(
-        params,
-        [params.mttf],
-        [technique],
+    [estimate] = estimate_cells(
+        [(technique, params)],
         target=target,
         variance_reduction=variance_reduction,
         runs=runs,
         cache=cache,
     )
-    return grid.cells[(technique, float(params.mttf))]
+    return estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,24 +776,6 @@ class GridEvaluation:
     def all_converged(self) -> bool:
         return all(c.converged for c in self.cells.values())
 
-    def series(self) -> dict:
-        """Per-technique :class:`~repro.sim.runner.Series`, the shape
-        :func:`~repro.sim.runner.sweep_mttf` returns."""
-        from .runner import Series, TECHNIQUE_LABELS
-
-        out = {}
-        for technique in self.techniques:
-            summaries = tuple(
-                self.cells[(technique, m)].summary for m in self.mttfs
-            )
-            out[technique] = Series(
-                label=TECHNIQUE_LABELS.get(technique, technique),
-                x=self.mttfs,
-                y=tuple(s.mean for s in summaries),
-                summaries=summaries,
-            )
-        return out
-
 
 def evaluate_grid(
     params: SimulationParams,
@@ -609,120 +785,31 @@ def evaluate_grid(
     target: "CITarget | float | None" = None,
     variance_reduction: str | None = None,
     runs: int | None = None,
+    jobs: int | None = None,
     cache=None,
 ) -> GridEvaluation:
-    """Fused adaptive evaluation of a (technique × MTTF) grid.
-
-    One round-based loop drives every cell: round *r* draws batch *r*
-    for each cell that has neither met the CI target nor exhausted
-    ``max_runs``, so the easy bulk of the grid drops out after the first
-    round and only the hard tail keeps sampling.  Under CRN all cells of
-    a technique share one :class:`UniformPool`, each replaying it from
-    position zero; the pool grows once per round to the deepest cursor
-    instead of once per cell.
+    """Fused evaluation of a (technique × MTTF) grid: one
+    :func:`estimate_cells` call over every cell, so each round draws the
+    next batch only for the cells that have neither met the CI target nor
+    exhausted ``max_runs``, and under CRN all MTTF points of a technique
+    share one :class:`UniformPool`, each replaying it from position zero.
 
     Without a target, every cell draws a single fixed batch of *runs*
     (``params.runs`` when unset) under the VR mode; without a VR mode
     *and* without a target the per-cell vectors are exactly
     :func:`~repro.sim.samplers.sample_technique`'s.
     """
-    mode = resolve_variance_reduction(variance_reduction)
-    tgt = CITarget.of(target)
     techniques = tuple(techniques)
     mttfs = tuple(float(m) for m in mttfs)
-    for technique in techniques:
-        if technique not in EXTENDED_TECHNIQUES:
-            raise SimulationError(
-                f"unknown technique {technique!r}; "
-                f"expected one of {EXTENDED_TECHNIQUES}"
-            )
-    store = resolve_cache(cache)
-    fixed_runs = runs if runs is not None else params.runs
-
-    cells: dict[tuple[str, float], CellEstimate] = {}
-    pending: dict[tuple[str, float], _CellSampler] = {}
-    chunks: dict[tuple[str, float], list[np.ndarray]] = {}
-    pools: dict[str, UniformPool] = {}
-
-    for technique in techniques:
-        if mode == "crn":
-            pools[technique] = _crn_pool(params, technique)
-        for mttf in mttfs:
-            cell = (technique, mttf)
-            cell_params = params.with_mttf(mttf)
-            if mode is None and tgt is None:
-                # Bit-identical fast path: the untouched single-shot
-                # sampler, salted exactly as it always was.
-                samples = sample_technique(
-                    technique, cell_params, runs=fixed_runs
-                )
-                cells[cell] = CellEstimate(
-                    technique,
-                    cell_params,
-                    samples,
-                    summarize(samples),
-                    (samples.size,),
-                    True,
-                )
-                continue
-            if store is not None:
-                key = _adaptive_cache_key(
-                    store, technique, cell_params, mode, tgt, fixed_runs
-                )
-                hit = store.load(key)
-                if hit is not None:
-                    accepted = _accepts(
-                        hit, technique, cell_params, mode, tgt, fixed_runs
-                    )
-                    if accepted is not None:
-                        cells[cell] = accepted
-                        continue
-            pending[cell] = _CellSampler(
-                technique, cell_params, mode, pools.get(technique)
-            )
-            chunks[cell] = []
-
-    schedule = tgt.batch_sizes() if tgt is not None else [fixed_runs]
-    totals = {cell: 0 for cell in pending}
-    for batch_size in schedule:
-        if not pending:
-            break
-        for cell in list(pending):
-            sampler = pending[cell]
-            chunks[cell].append(sampler.draw(batch_size))
-            totals[cell] += batch_size
-            samples = (
-                chunks[cell][0]
-                if len(chunks[cell]) == 1
-                else np.concatenate(chunks[cell])
-            )
-            boundaries = tuple(c.size for c in chunks[cell])
-            confidence = tgt.confidence if tgt is not None else 0.99
-            summary = _vr_summary(samples, boundaries, mode, confidence)
-            converged = tgt is None or tgt.met(summary)
-            exhausted = tgt is not None and totals[cell] >= tgt.max_runs
-            if converged or exhausted:
-                del pending[cell]
-                cells[cell] = CellEstimate(
-                    sampler.technique,
-                    sampler.params,
-                    samples,
-                    summary,
-                    boundaries,
-                    converged,
-                )
-                if store is not None:
-                    key = _adaptive_cache_key(
-                        store,
-                        sampler.technique,
-                        sampler.params,
-                        mode,
-                        tgt,
-                        fixed_runs,
-                    )
-                    store.store(key, samples)
-    if pending:  # pragma: no cover - schedule always covers max_runs
-        raise SimulationError(
-            f"{len(pending)} cell(s) left unsampled by the batch schedule"
-        )
-    return GridEvaluation(cells=cells, mttfs=mttfs, techniques=techniques)
+    keys = [(technique, mttf) for technique in techniques for mttf in mttfs]
+    estimates = estimate_cells(
+        [(technique, params.with_mttf(mttf)) for technique, mttf in keys],
+        target=target,
+        variance_reduction=variance_reduction,
+        runs=runs,
+        jobs=jobs,
+        cache=cache,
+    )
+    return GridEvaluation(
+        cells=dict(zip(keys, estimates)), mttfs=mttfs, techniques=techniques
+    )

@@ -30,6 +30,8 @@ from ..grid.resource import ResourceSpec
 from ..grid.simgrid import GridConfig, SimulatedGrid
 from ..wpdl.builder import WorkflowBuilder
 from ..wpdl.model import Workflow
+from .adaptive import CITarget, estimate_cells
+from .parallel import DEFAULT_RUN_TIMEOUT
 from .params import SimulationParams
 from .samplers import EXTENDED_TECHNIQUES
 
@@ -98,6 +100,28 @@ def build_technique_workflow(
     )
 
 
+def _build_grid(
+    technique: str, params: SimulationParams, seed: int
+) -> SimulatedGrid:
+    """The technique's simulated Grid: one host per replica, each with the
+    cell's MTTF and mean downtime and the task installed; crashes are
+    observed promptly and heartbeats are off (see the module docstring)."""
+    grid = SimulatedGrid(
+        seed=seed,
+        config=GridConfig(crash_detection="prompt", heartbeats=False),
+    )
+    behavior = _behavior(technique, params)
+    for i in range(_host_count(technique, params)):
+        spec = ResourceSpec(
+            hostname=f"{_HOST_PREFIX}{i}",
+            mttf=params.mttf,
+            mean_downtime=params.downtime,
+        )
+        grid.add_host(spec)
+        grid.install(spec.hostname, "task", behavior)
+    return grid
+
+
 class EngineSampler:
     """Reusable end-to-end engine runner for one ``(technique, params)``.
 
@@ -115,26 +139,13 @@ class EngineSampler:
         technique: str,
         params: SimulationParams,
         *,
-        timeout: float = 10_000_000.0,
-        trace_context: bool = False,
+        timeout: float = DEFAULT_RUN_TIMEOUT,
     ) -> None:
         self.technique = technique
         self.params = params
         self.timeout = timeout
         self.workflow = build_technique_workflow(technique, params)
-        behavior = _behavior(technique, params)
-        self._grid = SimulatedGrid(
-            seed=params.seed,
-            config=GridConfig(crash_detection="prompt", heartbeats=False),
-        )
-        for i in range(_host_count(technique, params)):
-            spec = ResourceSpec(
-                hostname=f"{_HOST_PREFIX}{i}",
-                mttf=params.mttf,
-                mean_downtime=params.downtime,
-            )
-            self._grid.add_host(spec)
-            self._grid.install(spec.hostname, "task", behavior)
+        self._grid = _build_grid(technique, params, params.seed)
         #: Cumulative kernel events across all runs (throughput diagnostics).
         self.events_processed = 0
         #: Optional :class:`repro.obs.metrics.MetricsRegistry`; when set,
@@ -143,52 +154,23 @@ class EngineSampler:
         #: engine Monte-Carlo benchmark asserts the instrumented-but-
         #: disabled path stays within 2% of this one.
         self.metrics = None
-        #: Optional causal tracing (``trace_context=True``): the engine is
-        #: built with a :class:`repro.obs.tracectx.Tracer` so every bus
-        #: payload carries trace/span ids.  The observability-overhead
-        #: benchmark gates this path against the untraced one.
-        self._tracer = None
-        if trace_context:
-            from ..obs.tracectx import Tracer
-
-            self._tracer = Tracer()
-        self._engine: WorkflowEngine | None = None
-
-    @property
-    def engine(self) -> WorkflowEngine | None:
-        """The reused engine, once :meth:`run` has built it (diagnostics)."""
-        return self._engine
-
-    def set_trace_context(self, enabled: bool) -> None:
-        """Toggle causal tracing on the reused engine between runs.
-
-        The observability-overhead benchmark flips this on one sampler
-        instance so traced and untraced passes share every object layout.
-        """
-        if enabled and self._tracer is None:
-            from ..obs.tracectx import Tracer
-
-            self._tracer = Tracer()
-        elif not enabled:
-            self._tracer = None
-        if self._engine is not None:
-            self._engine.set_tracer(self._tracer)
+        #: The reused engine, once :meth:`run` has built it (diagnostics).
+        self.engine: WorkflowEngine | None = None
 
     def run(self, seed: int) -> float:
         """One end-to-end engine execution; returns the completion time."""
         grid = self._grid
         grid.reset(seed=seed)
-        if self._engine is None:
-            self._engine = WorkflowEngine(
+        if self.engine is None:
+            self.engine = WorkflowEngine(
                 self.workflow,
                 grid,
                 reactor=grid.reactor,
                 validate_spec=False,
-                tracer=self._tracer,
             )
         else:
-            self._engine.reset()
-        result = self._engine.run(timeout=self.timeout)
+            self.engine.reset()
+        result = self.engine.run(timeout=self.timeout)
         self.events_processed += grid.kernel.events_processed
         if not result.succeeded:
             raise SimulationError(
@@ -223,7 +205,7 @@ def run_engine_once(
     params: SimulationParams,
     *,
     seed: int,
-    timeout: float = 10_000_000.0,
+    timeout: float = DEFAULT_RUN_TIMEOUT,
 ) -> float:
     """One end-to-end engine execution; returns the completion time.
 
@@ -233,19 +215,7 @@ def run_engine_once(
     directly), which amortises construction across runs.
     """
     workflow = build_technique_workflow(technique, params)
-    grid = SimulatedGrid(
-        seed=seed,
-        config=GridConfig(crash_detection="prompt", heartbeats=False),
-    )
-    behavior = _behavior(technique, params)
-    for i in range(_host_count(technique, params)):
-        spec = ResourceSpec(
-            hostname=f"{_HOST_PREFIX}{i}",
-            mttf=params.mttf,
-            mean_downtime=params.downtime,
-        )
-        grid.add_host(spec)
-        grid.install(spec.hostname, "task", behavior)
+    grid = _build_grid(technique, params, seed)
     engine = WorkflowEngine(
         workflow, grid, reactor=grid.reactor, validate_spec=False
     )
@@ -257,94 +227,6 @@ def run_engine_once(
     return result.completion_time
 
 
-def _engine_adaptive(
-    technique: str,
-    params: SimulationParams,
-    target_ci,
-    runs: int,
-    base_seed: int,
-    jobs: int | None,
-    timeout: float,
-    cache,
-    metrics,
-) -> np.ndarray:
-    """CI-targeted engine sampling, sharing :class:`repro.sim.adaptive`'s
-    stopping rule.
-
-    Batches are contiguous in run-index space (batch *b* covers indices
-    ``[total, total + size)`` with the per-index seeds of
-    :func:`~repro.sim.parallel.seed_for`), so the adaptive vector is
-    always an exact prefix of the fixed-budget vector for the same
-    ``base_seed`` — the agreement oracle sees the same runs, just fewer
-    of them.  Cached under kind ``"engine-adaptive"`` with a
-    budget-independent key: a stored vector that meets the target is a
-    hit regardless of the caller's ``max_runs``.
-    """
-    from .adaptive import CITarget
-    from .cache import resolve_cache
-    from .parallel import SEED_STRIDE, engine_samples_parallel
-    from .stats import summarize
-
-    if isinstance(target_ci, CITarget):
-        tgt = target_ci
-    else:
-        # A bare number is a relative target; the runs= argument becomes
-        # the budget ceiling (keeping engine call sites cheap to write).
-        min_runs = max(2, min(100, runs))
-        tgt = CITarget(
-            rel=float(target_ci),
-            min_runs=min_runs,
-            max_runs=max(runs, min_runs),
-        )
-    store = resolve_cache(cache)
-    key = None
-    if store is not None:
-        key = store.key(
-            kind="engine-adaptive",
-            technique=technique,
-            params=params.with_runs(1),
-            runs=0,
-            base_seed=base_seed,
-            extra={
-                "timeout": timeout,
-                "target": {
-                    "rel": tgt.rel,
-                    "abs": tgt.abs,
-                    "confidence": tgt.confidence,
-                    "min_runs": tgt.min_runs,
-                    "growth": tgt.growth,
-                },
-            },
-        )
-        hit = store.load(key)
-        if hit is not None and hit.size >= tgt.min_runs:
-            summary = summarize(hit, confidence=tgt.confidence)
-            if tgt.met(summary) or hit.size >= tgt.max_runs:
-                return hit
-    chunks: list[np.ndarray] = []
-    total = 0
-    samples = np.empty(0)
-    for batch in tgt.batch_sizes():
-        chunks.append(
-            engine_samples_parallel(
-                technique,
-                params,
-                runs=batch,
-                base_seed=base_seed + SEED_STRIDE * total,
-                jobs=jobs,
-                timeout=timeout,
-                metrics=metrics,
-            )
-        )
-        total += batch
-        samples = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        if tgt.met(summarize(samples, confidence=tgt.confidence)):
-            break
-    if store is not None:
-        store.store(key, samples)
-    return samples
-
-
 def engine_samples(
     technique: str,
     params: SimulationParams,
@@ -352,12 +234,15 @@ def engine_samples(
     runs: int = 500,
     base_seed: int | None = None,
     jobs: int | None = None,
-    timeout: float = 10_000_000.0,
+    timeout: float = DEFAULT_RUN_TIMEOUT,
     cache=None,
     metrics=None,
     target_ci=None,
 ) -> np.ndarray:
-    """Completion times from *runs* independent engine executions.
+    """Completion times from *runs* independent engine executions — one
+    engine cell of the sampling pipeline
+    (:func:`repro.sim.adaptive.estimate_cells`, which documents pool,
+    cache and stopping rule), returned as the bare vector.
 
     Hundreds of runs give means within a few percent of the 100k-run
     samplers — enough for the cross-validation tests and figure overlays
@@ -382,57 +267,29 @@ def engine_samples(
     processes) and disk-cache hit/miss counters.  ``None`` — the default —
     records nothing and adds no measurable overhead.
 
-    *target_ci* switches to CI-targeted adaptive sampling: a bare number
-    is a relative half-width target with *runs* as the budget ceiling, a
-    :class:`~repro.sim.adaptive.CITarget` is used as-is.  Runs stay
-    seeded per index, so the adaptive vector is an exact prefix of the
-    fixed-budget vector (see :func:`_engine_adaptive`).
+    *target_ci* switches to CI-targeted adaptive sampling: a
+    :class:`~repro.sim.adaptive.CITarget` is used as-is; a bare number is
+    a relative half-width target with *runs* as the budget ceiling
+    (keeping engine call sites cheap to write).  Runs stay seeded per
+    index, so the adaptive vector is an exact prefix of the fixed-budget
+    vector — the agreement oracle sees the same runs, just fewer of them.
     """
-    from .cache import resolve_cache
-    from .parallel import engine_samples_parallel
-
-    base_seed = params.seed if base_seed is None else base_seed
-    if target_ci is not None:
-        return _engine_adaptive(
-            technique,
-            params,
-            target_ci,
-            runs,
-            base_seed,
-            jobs,
-            timeout,
-            cache,
-            metrics,
+    if target_ci is not None and not isinstance(target_ci, CITarget):
+        min_runs = max(2, min(100, runs))
+        target_ci = CITarget(
+            rel=float(target_ci),
+            min_runs=min_runs,
+            max_runs=max(runs, min_runs),
         )
-    store = resolve_cache(cache)
-    if store is not None:
-        key = store.key(
-            kind="engine",
-            technique=technique,
-            params=params,
-            runs=runs,
-            base_seed=base_seed,
-            extra={"timeout": timeout},
-        )
-        hit = store.load(key)
-        if metrics is not None:
-            metrics.counter(
-                "mc_disk_cache_hits_total" if hit is not None
-                else "mc_disk_cache_misses_total",
-                help="sample-vector lookups in the on-disk cache",
-                technique=technique,
-            ).inc()
-        if hit is not None:
-            return hit
-    samples = engine_samples_parallel(
-        technique,
-        params,
+    [estimate] = estimate_cells(
+        [(technique, params)],
         runs=runs,
+        target=target_ci,
+        engine=True,
         base_seed=base_seed,
-        jobs=jobs,
         timeout=timeout,
+        jobs=jobs,
+        cache=cache,
         metrics=metrics,
     )
-    if store is not None:
-        store.store(key, samples)
-    return samples
+    return estimate.samples

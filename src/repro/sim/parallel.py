@@ -10,13 +10,21 @@ sequential loop:
 Seed sharding
     Run *i* always uses seed ``base_seed + SEED_STRIDE * i`` — a fixed
     per-index seed stream, independent of how runs are distributed over
-    workers.  The run-index space ``[0, runs)`` is chunked into contiguous
-    shards (one per worker); each worker fills its slice and the parent
-    reassembles slices by offset, accepting them in completion order
-    (:func:`concurrent.futures.as_completed`) so one slow shard never
-    serialises assembly of the others.  Because no run's randomness
-    depends on a neighbour's, the concatenation equals the sequential
-    result exactly, for any worker count.
+    workers.  The run-index space of a batch is chunked into contiguous
+    shards (one per worker, :func:`shard_bounds`); each worker fills its
+    slice (:func:`_engine_shard`) and the slices concatenate in shard
+    order.  Because no run's randomness depends on a neighbour's, the
+    concatenation equals the sequential result exactly, for any worker
+    count.
+
+One pool map
+    :func:`pool_map` is the only place work crosses the process boundary:
+    the sampling pipeline (:func:`repro.sim.adaptive.estimate_cells`)
+    hands it one round's draw tasks — engine index shards and
+    vectorised-sampler cells alike — and gets the results back in task
+    order, accepted in completion order
+    (:func:`concurrent.futures.as_completed`) so one slow task never
+    serialises collection of the others.
 
 Amortised startup
     The executor is a process-wide singleton shared by every call
@@ -35,14 +43,15 @@ Worker-side failures
     :func:`repro.sim.engine_mc.run_engine_once`.
 
 Single-worker calls (``jobs=1``, the default) bypass the pool entirely and
-run the reusable-sampler loop in process, so the sequential path has zero
-multiprocessing overhead.
+run every task in process, so the sequential path has zero multiprocessing
+overhead.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections.abc import Callable, Sequence
 from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
 
@@ -54,12 +63,11 @@ from .pool import get_pool, sampler_cache_info, shutdown_pool, worker_sampler
 
 __all__ = [
     "SEED_STRIDE",
+    "DEFAULT_RUN_TIMEOUT",
     "seed_for",
     "shard_bounds",
     "resolve_jobs",
-    "engine_samples_parallel",
-    "sweep_samples_parallel",
-    "cell_samples_parallel",
+    "pool_map",
 ]
 
 #: Per-run seed stride (prime, so run seeds never collide with the small
@@ -151,7 +159,7 @@ def _engine_shard(
     stop: int,
     timeout: float,
     collect_stats: bool = False,
-) -> tuple[int, np.ndarray, dict | None]:
+) -> tuple[np.ndarray, dict | None]:
     """Worker body: completion times for run indices ``[start, stop)``.
 
     Module-level (picklable) and usable in process: the sequential path
@@ -159,7 +167,7 @@ def _engine_shard(
     The sampler comes from the per-process cache, so consecutive shards of
     one configuration skip world construction entirely.
 
-    With *collect_stats* the third element is a
+    With *collect_stats* the second element is a
     :meth:`repro.obs.metrics.MetricsRegistry.snapshot` covering this
     shard: per-run attempt/completion histograms (recorded by the
     sampler), the shard's sampler-cache hit or miss, and its wall-clock
@@ -206,165 +214,46 @@ def _engine_shard(
     finally:
         sampler.metrics = previous_metrics
     if registry is None:
-        return start, out, None
+        return out, None
     registry.histogram(
         "mc_shard_wall_seconds",
         help="wall-clock duration of one contiguous run shard",
         technique=technique,
     ).observe(time.perf_counter() - wall_start)
-    return start, out, registry.snapshot()
+    return out, registry.snapshot()
 
 
-def _submit_resilient(jobs: int, submit_all):
-    """Submit work to the persistent pool, retrying once on a broken pool.
+def pool_map(tasks: Sequence[tuple[Callable, tuple]], jobs: int) -> list:
+    """``fn(*args)`` for every ``(fn, args)`` task, results in task order,
+    on at most *jobs* workers of the persistent pool.
+
+    Tasks must be module-level callables with picklable arguments whose
+    results do not depend on placement — every caller's are seeded by
+    their arguments alone, so the list equals the sequential evaluation
+    exactly.  ``jobs <= 1`` (or a single task) runs in process.
 
     A worker killed hard (OOM, signal) breaks the executor for all later
     submissions; since the pool is a long-lived singleton, one automatic
     replace-and-retry keeps a single casualty from poisoning every
     subsequent call.
     """
+    jobs = min(jobs, len(tasks))
+    if jobs <= 1:
+        return [fn(*args) for fn, args in tasks]
+
+    def submit_all(pool) -> list:
+        futures = {
+            pool.submit(fn, *args): i for i, (fn, args) in enumerate(tasks)
+        }
+        results: list = [None] * len(tasks)
+        # Completion-order collection: a slow task delays only itself,
+        # never its finished neighbours.
+        for future in as_completed(futures):
+            results[futures[future]] = future.result()
+        return results
+
     try:
         return submit_all(get_pool(jobs))
     except BrokenProcessPool:
         shutdown_pool()
         return submit_all(get_pool(jobs))
-
-
-def engine_samples_parallel(
-    technique: str,
-    params: SimulationParams,
-    *,
-    runs: int,
-    base_seed: int,
-    jobs: int | None = None,
-    timeout: float = DEFAULT_RUN_TIMEOUT,
-    metrics=None,
-) -> np.ndarray:
-    """Completion times from *runs* end-to-end engine executions, fanned out
-    over *jobs* worker processes (bit-identical to ``jobs=1``).
-
-    *metrics* is an optional enabled
-    :class:`~repro.obs.metrics.MetricsRegistry`: each shard then collects
-    per-run histograms and cache counters locally (in its worker process)
-    and the snapshots are merged into *metrics* here — per-worker
-    aggregation without any shared state.
-    """
-    if runs < 1:
-        raise SimulationError(f"runs must be >= 1, got {runs!r}")
-    collect = metrics is not None and metrics.enabled
-    jobs = min(resolve_jobs(jobs), runs)
-    if jobs <= 1:
-        start, times, snapshot = _engine_shard(
-            technique, params, base_seed, 0, runs, timeout, collect
-        )
-        if snapshot is not None:
-            metrics.merge(snapshot)
-        return times
-
-    def submit_all(pool):
-        times = np.empty(runs)
-        snapshots = []
-        futures = [
-            pool.submit(
-                _engine_shard,
-                technique,
-                params,
-                base_seed,
-                start,
-                stop,
-                timeout,
-                collect,
-            )
-            for start, stop in shard_bounds(runs, jobs)
-        ]
-        # Completion-order collection: reassembly is by shard offset, so a
-        # slow shard delays only itself, never its finished neighbours.
-        for future in as_completed(futures):
-            start, shard, snapshot = future.result()
-            times[start : start + shard.size] = shard
-            if snapshot is not None:
-                snapshots.append(snapshot)
-        return times, snapshots
-
-    times, snapshots = _submit_resilient(jobs, submit_all)
-    for snapshot in snapshots:
-        metrics.merge(snapshot)
-    return times
-
-
-# -- standalone-sampler sweeps -------------------------------------------------
-
-
-def _sweep_point(
-    technique: str, params: SimulationParams, mttf: float, runs: int | None
-) -> np.ndarray:
-    """Worker body: one (technique, MTTF) point of a standard sweep."""
-    from .samplers import sample_technique
-
-    return sample_technique(technique, params.with_mttf(mttf), runs=runs)
-
-
-def _cell_point(
-    technique: str, params: SimulationParams, runs: int | None
-) -> np.ndarray:
-    """Worker body: one fully-specified (technique, params) cell."""
-    from .samplers import sample_technique
-
-    return sample_technique(technique, params, runs=runs)
-
-
-def cell_samples_parallel(
-    cells: list[tuple[str, SimulationParams]],
-    *,
-    runs: int | None = None,
-    jobs: int | None = None,
-) -> list[np.ndarray]:
-    """Sample arbitrary ``(technique, params)`` cells across the persistent
-    pool — the generic-sweep sibling of :func:`sweep_samples_parallel`,
-    for sweeps whose x axis is *any* parameter (replica count, overhead,
-    downtime), not just MTTF.  Cell order matches the sequential
-    evaluation exactly; each cell draws from its own seeded generator."""
-    jobs = min(resolve_jobs(jobs), len(cells) or 1)
-    if jobs <= 1:
-        return [_cell_point(t, p, runs) for t, p in cells]
-
-    def submit_all(pool):
-        futures = {
-            pool.submit(_cell_point, t, p, runs): i
-            for i, (t, p) in enumerate(cells)
-        }
-        results: list[np.ndarray | None] = [None] * len(cells)
-        for future in as_completed(futures):
-            results[futures[future]] = future.result()
-        return results
-
-    return _submit_resilient(jobs, submit_all)
-
-
-def sweep_samples_parallel(
-    points: list[tuple[str, float]],
-    params: SimulationParams,
-    *,
-    runs: int | None = None,
-    jobs: int | None = None,
-) -> list[np.ndarray]:
-    """Sample every ``(technique, mttf)`` point of a sweep, fanning points
-    out over *jobs* workers of the persistent pool.  Point order (and
-    therefore every sample vector) matches the sequential evaluation
-    exactly — each point draws from its own seeded generator, so placement
-    and completion order are irrelevant."""
-    jobs = min(resolve_jobs(jobs), len(points) or 1)
-    if jobs <= 1:
-        return [_sweep_point(t, params, m, runs) for t, m in points]
-
-    def submit_all(pool):
-        futures = {
-            pool.submit(_sweep_point, t, params, m, runs): i
-            for i, (t, m) in enumerate(points)
-        }
-        results: list[np.ndarray | None] = [None] * len(points)
-        for future in as_completed(futures):
-            results[futures[future]] = future.result()
-        return results
-
-    return _submit_resilient(jobs, submit_all)

@@ -1,11 +1,11 @@
 """Persistent worker pool for the Monte-Carlo execution layer.
 
-:func:`repro.sim.parallel.engine_samples_parallel` originally created a
-fresh :class:`~concurrent.futures.ProcessPoolExecutor` per call, so every
-sweep point paid pool startup (fork + import) and every shard rebuilt its
-:class:`~repro.sim.engine_mc.EngineSampler` from scratch — enough overhead
-to make ``jobs=4`` *slower* than the sequential loop on short points.  This
-module amortises both costs:
+A fresh :class:`~concurrent.futures.ProcessPoolExecutor` per call makes
+every sweep point pay pool startup (fork + import) and every shard
+rebuild its :class:`~repro.sim.engine_mc.EngineSampler` from scratch —
+enough overhead to make ``jobs=4`` *slower* than the sequential loop on
+short points.  This module amortises both costs for
+:func:`repro.sim.parallel.pool_map`:
 
 Process-wide pool singleton
     :func:`get_pool` lazily creates one executor and returns the same one

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..errors import SimulationError
-from .parallel import cell_samples_parallel, sweep_samples_parallel
+from . import adaptive
 from .params import SimulationParams
 from .samplers import TECHNIQUES
 from .stats import Summary, summarize
@@ -52,6 +52,17 @@ class Series:
     def __post_init__(self) -> None:
         if len(self.x) != len(self.y):
             raise SimulationError("series x and y lengths differ")
+
+    @classmethod
+    def of(cls, label: str, xs, summaries: Iterable[Summary]) -> "Series":
+        """The curve through the means of per-point *summaries*."""
+        summaries = tuple(summaries)
+        return cls(
+            label=label,
+            x=tuple(xs),
+            y=tuple(s.mean for s in summaries),
+            summaries=summaries,
+        )
 
     def value_at(self, x: float) -> float:
         """The y value at grid point *x*.
@@ -126,7 +137,7 @@ def sweep(
       content-addressed, so ``jobs=``/``cache=`` are rejected here.
     * ``sweep(xs, technique=..., params_of=..., label=...)`` — *params_of*
       maps an x to the cell's :class:`SimulationParams`.  This declarative
-      form routes through the same per-point machinery as
+      form is one :func:`~repro.sim.adaptive.estimate_cells` call, like
       :func:`sweep_mttf`: cells fan out across the persistent pool
       (``jobs=``) and each cell is independently content-addressed in the
       sample cache (``cache=``), so ablation sweeps built on ``sweep``
@@ -144,52 +155,16 @@ def sweep(
                 "technique+params_of form (fn callables cannot be "
                 "fanned out or content-addressed)"
             )
-        summaries = tuple(summarize(fn(x)) for x in xs)
-        return Series(
-            label=label,
-            x=xs,
-            y=tuple(s.mean for s in summaries),
-            summaries=summaries,
-        )
+        return Series.of(label, xs, [summarize(fn(x)) for x in xs])
     if technique is None or params_of is None:
         raise SimulationError("sweep needs fn, or technique and params_of")
-    from .cache import resolve_cache
-
-    store = resolve_cache(cache)
-    cells = [params_of(x) for x in xs]
-
-    def key_for(cell_params: SimulationParams) -> str:
-        return store.key(
-            kind="sampler",
-            technique=technique,
-            params=cell_params,
-            runs=runs if runs is not None else cell_params.runs,
-            base_seed=cell_params.seed,
-        )
-
-    samples: dict[int, np.ndarray] = {}
-    if store is not None:
-        for i, cell_params in enumerate(cells):
-            hit = store.load(key_for(cell_params))
-            if hit is not None:
-                samples[i] = hit
-    missing = [i for i in range(len(cells)) if i not in samples]
-    if missing:
-        vectors = cell_samples_parallel(
-            [(technique, cells[i]) for i in missing], runs=runs, jobs=jobs
-        )
-        for i, vector in zip(missing, vectors):
-            samples[i] = vector
-            if store is not None:
-                store.store(key_for(cells[i]), vector)
-
-    summaries = tuple(summarize(samples[i]) for i in range(len(cells)))
-    return Series(
-        label=label,
-        x=xs,
-        y=tuple(s.mean for s in summaries),
-        summaries=summaries,
+    estimates = adaptive.estimate_cells(
+        [(technique, params_of(x)) for x in xs],
+        runs=runs,
+        jobs=jobs,
+        cache=cache,
     )
+    return Series.of(label, xs, [e.summary for e in estimates])
 
 
 def sweep_mttf(
@@ -205,11 +180,11 @@ def sweep_mttf(
 ) -> dict[str, Series]:
     """The paper's standard experiment: E[T] vs MTTF per technique.
 
-    With ``jobs > 1`` the (technique, MTTF) points are sampled across the
-    persistent process pool
-    (:func:`repro.sim.parallel.sweep_samples_parallel`); every point is
-    independently seeded, so the series are identical to the sequential
-    evaluation.
+    Every (technique, MTTF) point is one cell of one
+    :func:`~repro.sim.adaptive.estimate_cells` call.  With ``jobs > 1``
+    the cells are sampled across the persistent process pool; every point
+    is independently seeded, so the series are identical to the
+    sequential evaluation.
 
     *cache* opts in to the content-addressed sample cache
     (:mod:`repro.sim.cache`): each (technique, MTTF) point is keyed
@@ -219,67 +194,44 @@ def sweep_mttf(
 
     *target_ci* (a :class:`~repro.sim.adaptive.CITarget` or a bare
     relative half-width) and *variance_reduction* (``"antithetic"`` /
-    ``"crn"``) route the sweep through the fused adaptive evaluator
+    ``"crn"``) make the sweep an adaptive grid evaluation
     (:func:`repro.sim.adaptive.evaluate_grid`): cells sample in geometric
     batches until they meet the CI target, under the chosen
-    variance-reduction kernel.  With both left at ``None`` this function
-    is exactly the fixed-budget path below — bit-identical output.
+    variance-reduction kernel.  With both left at ``None`` every point is
+    the fixed-budget vector of
+    :func:`~repro.sim.samplers.sample_technique` — bit-identical output.
     """
+    techniques = tuple(techniques)
+    xs = tuple(float(m) for m in mttfs)
     if target_ci is not None or variance_reduction is not None:
-        from .adaptive import evaluate_grid
-
-        grid = evaluate_grid(
+        cells = adaptive.evaluate_grid(
             params,
-            mttfs,
-            tuple(techniques),
+            xs,
+            techniques,
             target=target_ci,
             variance_reduction=variance_reduction,
             runs=runs,
+            jobs=jobs,
+            cache=cache,
+        ).cells
+    else:
+        # A fixed-budget sweep is not an adaptive grid evaluation: it stays
+        # out of evaluate_grid so whoever accounts adaptive evaluations at
+        # that seam (the ledger's sim.adaptive.* counters) sees only those.
+        keys = [(t, m) for t in techniques for m in xs]
+        estimates = adaptive.estimate_cells(
+            [(t, params.with_mttf(m)) for t, m in keys],
+            runs=runs,
+            jobs=jobs,
             cache=cache,
         )
-        return grid.series()
-    from .cache import resolve_cache
-
-    techniques = list(techniques)
-    store = resolve_cache(cache)
-    points = [(t, float(m)) for t in techniques for m in mttfs]
-    point_runs = runs if runs is not None else params.runs
-
-    def key_for(technique: str, mttf: float) -> str:
-        return store.key(
-            kind="sampler",
-            technique=technique,
-            params=params.with_mttf(mttf),
-            runs=point_runs,
-            base_seed=params.seed,
+        cells = dict(zip(keys, estimates))
+    return {
+        t: Series.of(
+            TECHNIQUE_LABELS.get(t, t), xs, [cells[(t, m)].summary for m in xs]
         )
-
-    samples: dict[tuple[str, float], np.ndarray] = {}
-    if store is not None:
-        for t, m in points:
-            hit = store.load(key_for(t, m))
-            if hit is not None:
-                samples[(t, m)] = hit
-    missing = [p for p in points if p not in samples]
-    if missing:
-        vectors = sweep_samples_parallel(missing, params, runs=runs, jobs=jobs)
-        for point, vector in zip(missing, vectors):
-            samples[point] = vector
-            if store is not None:
-                store.store(key_for(*point), vector)
-
-    out: dict[str, Series] = {}
-    for technique in techniques:
-        summaries = tuple(
-            summarize(samples[(technique, float(m))]) for m in mttfs
-        )
-        out[technique] = Series(
-            label=TECHNIQUE_LABELS.get(technique, technique),
-            x=tuple(float(m) for m in mttfs),
-            y=tuple(s.mean for s in summaries),
-            summaries=summaries,
-        )
-    return out
+        for t in techniques
+    }
 
 
 def crossover(a: Series, b: Series) -> float | None:

@@ -5,8 +5,9 @@ bookkeeping-leak test (``test_obs_plane_leaks``): four mosaic variants
 (task-level replication, a retried volunteer branch racing a reliable one
 into an OR join, a checkpointing solver) on eight crashing volunteer
 hosts with heartbeats, one ``EngineHost``, and every consumer the CLI's
-``--serve-telemetry --flight-record`` wires — observer, flight recorder,
-status tracker, estimators, health rules and a periodic collector.
+``--serve-telemetry --flight-record`` wires
+(:class:`repro.obs.TelemetryPlane`) — observer, flight recorder, status
+tracker, estimators, health rules and a periodic collector.
 """
 
 from __future__ import annotations
@@ -19,22 +20,7 @@ from repro.detection import FailureDetector
 from repro.engine import EngineHost
 from repro.events import EventBus
 from repro.gridspec import build_grid
-from repro.obs import (
-    EstimatorSuite,
-    FlightRecorder,
-    HealthEngine,
-    PeriodicCollector,
-    RunObserver,
-    TimeSeriesStore,
-    Tracer,
-    WorkflowStatusTracker,
-    default_rules,
-    priors_from_grid,
-    prometheus_text,
-    scrape_bus,
-    scrape_detector,
-    scrape_grid,
-)
+from repro.obs import TelemetryPlane, Tracer, prometheus_text
 from repro.wpdl import JoinMode, WorkflowBuilder
 
 VOLUNTEERS = 8
@@ -128,32 +114,19 @@ class ObservedHost:
         self.detector = detector = FailureDetector(
             reactor, bus, heartbeat_timeout=3.0, batch_heartbeats=True
         )
-        clock = reactor.now
         self.tracer = Tracer()
-        self.observer = RunObserver(bus, clock=clock)
-        self.recorder = FlightRecorder(bus)
-        self.tracker = WorkflowStatusTracker(bus)
-        self.store = store = TimeSeriesStore(step=COLLECT_INTERVAL)
-        self.estimators = estimators = EstimatorSuite(
-            bus, clock=clock, priors=priors_from_grid(grid), store=store
-        )
-        self.health = health = HealthEngine(clock=clock, bus=bus)
-        default_rules(health, store=store, estimators=estimators)
-        estimators.health = health
-        self.collector = PeriodicCollector(
-            store=store,
-            registry=self.observer.metrics,
-            reactor=reactor,
+        self.plane = plane = TelemetryPlane(
+            bus,
+            reactor,
+            grid,
+            detector,
+            flight_record=True,
             interval=COLLECT_INTERVAL,
-            scrapers=(
-                lambda reg: scrape_grid(reg, grid),
-                lambda reg: scrape_bus(reg, bus),
-                lambda reg: scrape_detector(reg, detector),
-                lambda reg: estimators.ingest_liveness(detector.liveness_snapshot()),
-            ),
-            estimators=estimators,
-            health=health,
         )
+        self.observer = plane.observer
+        self.recorder = plane.recorder
+        self.tracker = plane.tracker
+        self.store = plane.store
         self.host = EngineHost(
             grid, reactor=reactor, bus=bus, detector=detector, tracer=self.tracer
         )
@@ -175,9 +148,9 @@ class ObservedHost:
                 ADMIT_INTERVAL * i,
                 lambda i=i: submit(specs[i % len(specs)], validate_spec=False),
             )
-        self.collector.start()
+        self.plane.start()
         self.reactor.run_until_complete(lambda: self._finished == target, timeout=1e9)
-        self.collector.stop()
+        self.plane.stop()
         return self.host.results()
 
     # -- readable outputs ----------------------------------------------------

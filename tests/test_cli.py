@@ -366,7 +366,28 @@ class TestCliObservability:
         assert "run statistics:" in out
         assert "attempts/run: mean=" in out
         assert "pool sampler cache:" in out
-        assert "disk sample cache:" in out
+        assert "disk sample cache:   n/a (0 lookups)" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--engine", "--runs", "5"],
+            ["--engine", "--runs", "20", "--target-ci", "0.5", "--min-runs", "5"],
+            ["--runs", "50"],
+            ["--runs", "400", "--target-ci", "0.2", "--min-runs", "50", "--crn"],
+        ],
+    )
+    def test_mc_stats_counts_disk_cache_lookups(
+        self, flags, tmp_path, monkeypatch, capsys
+    ):
+        # Every route consults the cache at the pipeline's one lookup
+        # site, so every route's lookups show in --stats.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["mc", "--technique", "retrying", "--stats", "--cache", *flags]
+        assert main(argv) == 0
+        assert "disk sample cache:   0% (0/1)" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "disk sample cache:   100% (1/1)" in capsys.readouterr().out
 
     def test_mc_stats_sampler_mode_points_at_engine(self, capsys):
         code = main(

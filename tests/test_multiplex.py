@@ -214,15 +214,49 @@ class TestEventScoping:
 
 class TestDeterminism:
     def test_multiplexed_equals_isolated_sequential(self):
-        specs = [
-            single_task_workflow(policy=FailurePolicy.retrying(3))
-            for _ in range(10)
-        ]
-        mux = run_multiplexed(specs, crashing_grid())
-        seq = run_isolated(specs, crashing_grid)
-        assert [result_identity(m) for m in mux] == [
-            result_identity(s) for s in seq
-        ]
+        def chain_grid(seed=11):
+            grid = quiet_grid(seed)
+            # Unlimited slots: instances must not contend for capacity, or
+            # multiplexed completion times would (correctly) diverge.
+            grid.add_host(RELIABLE("u1", slots=None))
+            grid.install("u1", "prep", FixedDurationTask(2.0, result="prepped"))
+            grid.install(
+                "u1",
+                "crunch",
+                CrashingTask(
+                    duration=4.0, crash_at=1.0, crashes=1, result="crunched"
+                ),
+            )
+            grid.install("u1", "publish", FixedDurationTask(1.0, result="done"))
+            return grid
+
+        chain = (
+            WorkflowBuilder("chain")
+            .program("prep", hosts=["u1"])
+            .program("crunch", hosts=["u1"])
+            .program("publish", hosts=["u1"])
+            .activity("prep", implement="prep")
+            .activity(
+                "crunch", implement="crunch", policy=FailurePolicy.retrying(3)
+            )
+            .activity("publish", implement="publish")
+            .sequence("prep", "crunch", "publish")
+            .build()
+        )
+        single = single_task_workflow(policy=FailurePolicy.retrying(3))
+        for spec, crasher, instances, make_grid in (
+            (single, "task", 10, crashing_grid),
+            (chain, "crunch", 100, chain_grid),
+        ):
+            specs = [spec] * instances
+            mux = run_multiplexed(specs, make_grid())
+            seq = run_isolated(specs, make_grid)
+            assert [result_identity(m) for m in mux] == [
+                result_identity(s) for s in seq
+            ]
+            # Every instance pays its own scripted crash and retry, however
+            # many siblings share the runtime.
+            assert all(m.succeeded and m.tries[crasher] == 2 for m in mux)
 
     def test_mixed_specs_multiplexed_equals_isolated(self):
         def make_grid(seed=42):

@@ -27,8 +27,12 @@ from repro.sim import (
     SimulationParams,
     adaptive_samples,
     engine_samples,
+    estimate_cells,
     evaluate_grid,
+    run_engine_once,
     sample_technique,
+    seed_for,
+    summarize,
     sweep,
     sweep_mttf,
 )
@@ -337,6 +341,94 @@ class TestEngineAdaptive:
         )
         assert store.stats()["hits"] == before + 1
         np.testing.assert_array_equal(first, second)
+
+
+#: (source, CI target, variance reduction) — every combination the
+#: pipeline defines (the engine path has no uniforms to mirror or share).
+_LOOSE = CITarget(rel=0.05, min_runs=200, max_runs=3200)
+_ENGINE_LOOSE = CITarget(rel=0.3, min_runs=6, max_runs=24)
+PIPELINE_CASES = [
+    ("sampler", None, None),
+    ("sampler", None, "antithetic"),
+    ("sampler", None, "crn"),
+    ("sampler", _LOOSE, None),
+    ("sampler", _LOOSE, "antithetic"),
+    ("sampler", _LOOSE, "crn"),
+    ("engine", None, None),
+    ("engine", _ENGINE_LOOSE, None),
+]
+
+
+class TestPipelineAdapters:
+    """Every public route is the pipeline: same vector, same summary."""
+
+    TECHNIQUES = ("retrying", "checkpointing")
+    MTTFS = (10.0, 40.0)
+
+    @pytest.mark.parametrize("source,target,mode", PIPELINE_CASES)
+    def test_adapters_return_the_pipelines_estimates(self, source, target, mode):
+        if source == "engine":
+            return self._engine(target)
+        params = dataclasses.replace(BASE, runs=600)
+        keys = [(t, m) for t in self.TECHNIQUES for m in self.MTTFS]
+        cells = [(t, params.with_mttf(m)) for t, m in keys]
+        options = {"target": target, "variance_reduction": mode}
+        pipeline = dict(zip(keys, estimate_cells(cells, **options)))
+        if target is not None:  # the schedule really ran more than a round
+            assert len({e.samples.size for e in pipeline.values()}) > 1
+
+        grid = evaluate_grid(params, self.MTTFS, self.TECHNIQUES, **options)
+        series = sweep_mttf(
+            params,
+            self.MTTFS,
+            self.TECHNIQUES,
+            target_ci=target,
+            variance_reduction=mode,
+        )
+        for (t, m), want in pipeline.items():
+            single = adaptive_samples(t, params.with_mttf(m), **options)
+            for got in (grid.cells[(t, m)], single):
+                np.testing.assert_array_equal(got.samples, want.samples)
+                assert got.summary == want.summary
+                assert got.boundaries == want.boundaries
+                assert got.converged == want.converged
+            assert series[t].summaries[self.MTTFS.index(m)] == want.summary
+        if target is None and mode is None:
+            for t in self.TECHNIQUES:
+                declarative = sweep(
+                    self.MTTFS, technique=t, params_of=params.with_mttf, label=t
+                )
+                for m, summary in zip(self.MTTFS, declarative.summaries):
+                    assert summary == pipeline[(t, m)].summary
+                    # ... and the naive reference: the sampler, called once.
+                    np.testing.assert_array_equal(
+                        pipeline[(t, m)].samples,
+                        sample_technique(t, params.with_mttf(m)),
+                    )
+
+    def _engine(self, target):
+        params = SimulationParams(mttf=20.0, runs=100, seed=11)
+        cells = [(t, params) for t in self.TECHNIQUES]
+        pipeline = estimate_cells(cells, runs=24, target=target, engine=True)
+        for (t, _), want in zip(cells, pipeline):
+            got = engine_samples(t, params, runs=24, target_ci=target)
+            np.testing.assert_array_equal(got, want.samples)
+            confidence = 0.99 if target is None else target.confidence
+            assert summarize(got, confidence=confidence) == want.summary
+            # The naive reference: one fresh engine per run index.  A
+            # CI-targeted vector is a prefix of it.
+            naive = [
+                run_engine_once(t, params, seed=seed_for(params.seed, i))
+                for i in range(want.samples.size)
+            ]
+            assert want.samples.tolist() == naive
+            assert want.samples.size == 24 or want.converged
+
+    def test_engine_cells_reject_variance_reduction(self):
+        with pytest.raises(SimulationError):
+            estimate_cells(
+                [("retrying", BASE)], engine=True, variance_reduction="crn"
+            )
 
 
 class TestDeclarativeSweep:

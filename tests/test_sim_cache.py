@@ -16,9 +16,12 @@ from repro.errors import SimulationError
 from repro.sim import (
     SampleCache,
     SimulationParams,
+    adaptive_samples,
     default_cache_dir,
     engine_samples,
+    evaluate_grid,
     resolve_cache,
+    sample_technique,
     sweep_mttf,
 )
 
@@ -168,6 +171,29 @@ class TestSweepCache:
         # A wider sweep reuses the two cached points and adds one.
         sweep_mttf(params, [10, 50, 90], techniques=("retrying",), cache=cache)
         assert cache.info()["entries"] == 3
+
+
+    @pytest.mark.parametrize("adapter", ["evaluate_grid", "adaptive_samples"])
+    def test_fixed_budget_adapters_share_the_sampler_entry(self, cache, adapter):
+        # A fixed budget with no variance reduction is one cache entry
+        # (kind "sampler") whichever adapter asks: these two used to skip
+        # the cache altogether (0 hits, 0 misses, 0 stores).
+        params = SimulationParams(runs=300)
+        cell_params = params.with_mttf(10.0)
+        sweep_mttf(params, [10.0], techniques=("retrying",), cache=cache)
+        assert cache.stats()["stores"] == 1
+        if adapter == "evaluate_grid":
+            grid = evaluate_grid(params, [10.0], ("retrying",), cache=cache)
+            cell = grid.cells[("retrying", 10.0)]
+        else:
+            cell = adaptive_samples("retrying", cell_params, cache=cache)
+        assert cell.cached
+        assert cache.stats() == {
+            "hits": 1, "misses": 1, "stores": 1, "evictions": 0
+        }
+        assert np.array_equal(
+            cell.samples, sample_technique("retrying", cell_params)
+        )
 
 
 class TestCacheCli:

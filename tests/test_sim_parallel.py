@@ -12,16 +12,14 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import TECHNIQUES
+from repro.sim import TECHNIQUES, CITarget, sample_technique, summarize
 from repro.sim.engine_mc import EngineSampler, engine_samples, run_engine_once
 from repro.sim.params import SimulationParams
 from repro.sim.parallel import (
     SEED_STRIDE,
-    engine_samples_parallel,
     resolve_jobs,
     seed_for,
     shard_bounds,
-    sweep_samples_parallel,
 )
 from repro.sim.runner import sweep_mttf
 
@@ -187,10 +185,13 @@ class TestParallelBitIdentity:
 
     def test_base_seed_override(self):
         a = engine_samples("retrying", FAULTY, runs=3, base_seed=42)
-        b = engine_samples_parallel(
-            "retrying", FAULTY, runs=3, base_seed=42, jobs=2
-        )
+        b = engine_samples("retrying", FAULTY, runs=3, base_seed=42, jobs=2)
         assert np.array_equal(a, b)
+        naive = [
+            run_engine_once("retrying", FAULTY, seed=seed_for(42, i))
+            for i in range(3)
+        ]
+        assert a.tolist() == naive
 
     def test_rejects_zero_runs(self):
         with pytest.raises(SimulationError):
@@ -251,20 +252,39 @@ class TestProfileHelper:
 class TestSweepParallel:
     def test_points_match_sequential_evaluation(self):
         params = SimulationParams(runs=500)
-        points = [("retrying", 10.0), ("retrying", 50.0), ("replication", 10.0)]
-        seq = sweep_samples_parallel(points, params, runs=500, jobs=1)
-        par = sweep_samples_parallel(points, params, runs=500, jobs=2)
-        assert len(seq) == len(par) == 3
-        for a, b in zip(seq, par):
-            assert np.array_equal(a, b)
+        techniques, mttfs = ("retrying", "replication"), [10.0, 50.0]
+        seq = sweep_mttf(params, mttfs, techniques, runs=500, jobs=1)
+        par = sweep_mttf(params, mttfs, techniques, runs=500, jobs=2)
+        for technique in techniques:
+            assert seq[technique].summaries == par[technique].summaries
+            # ... and both are the naive per-point evaluation.
+            naive = tuple(
+                summarize(
+                    sample_technique(technique, params.with_mttf(m), runs=500)
+                )
+                for m in mttfs
+            )
+            assert seq[technique].summaries == naive
 
     def test_sweep_mttf_jobs_is_invisible_in_results(self):
         params = SimulationParams(runs=400)
-        seq = sweep_mttf(params, [10, 50], techniques=("retrying", "replication"))
-        par = sweep_mttf(
-            params, [10, 50], techniques=("retrying", "replication"), jobs=2
-        )
-        for technique in ("retrying", "replication"):
-            assert seq[technique].x == par[technique].x
-            assert seq[technique].y == par[technique].y
-            assert seq[technique].label == par[technique].label
+        target = CITarget(rel=0.02, min_runs=200, max_runs=3200)
+        for options in (
+            {},  # fixed budget
+            {"target_ci": target},  # adaptive, plain batches
+            {"target_ci": target, "variance_reduction": "antithetic"},
+        ):
+            seq = sweep_mttf(
+                params, [10, 50], ("retrying", "replication"), **options
+            )
+            par = sweep_mttf(
+                params, [10, 50], ("retrying", "replication"), jobs=2, **options
+            )
+            for technique in ("retrying", "replication"):
+                assert seq[technique].x == par[technique].x
+                assert seq[technique].y == par[technique].y
+                assert seq[technique].label == par[technique].label
+                assert seq[technique].summaries == par[technique].summaries
+            if options:  # the target is loose enough to be met mid-schedule
+                sizes = {s.n for t in seq.values() for s in t.summaries}
+                assert len(sizes) > 1 and max(sizes) > 200

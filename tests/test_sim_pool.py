@@ -116,10 +116,10 @@ class TestWorkerSamplerCache:
         clear_sampler_cache()
         base = FAULTY.seed
         # First shard populates the cache, second reuses the sampler.
-        _, first, stats = _engine_shard(
+        first, stats = _engine_shard(
             "checkpointing", FAULTY, base, 0, 4, TIMEOUT
         )
-        _, again, _ = _engine_shard(
+        again, _ = _engine_shard(
             "checkpointing", FAULTY, base, 0, 4, TIMEOUT
         )
         assert np.array_equal(first, again)
