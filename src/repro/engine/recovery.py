@@ -85,6 +85,8 @@ class _Slot:
 
     index: int
     option_index: int
+    #: Checkpoint-manager key of this slot's flag (scope, activity, slot).
+    flag_key: str
     tries_used: int = 0
     active_job: str | None = None
     exhausted: bool = False
@@ -194,7 +196,11 @@ class RecoveryCoordinator:
             activity=activity, program=program, strategy=strategy, trace=trace
         )
         run.slots = [
-            _Slot(index=i, option_index=plan.option_index)
+            _Slot(
+                index=i,
+                option_index=plan.option_index,
+                flag_key=f"{self._flag_scope}{activity.name}@slot{i}",
+            )
             for i, plan in enumerate(
                 strategy.plan_slots(activity, program, self._broker)
             )
@@ -216,7 +222,7 @@ class RecoveryCoordinator:
             slot.exhausted = bool(slot_state.get("exhausted", False))
             flag = slot_state.get("flag")
             if flag:
-                self.checkpoints.record(self._flag_key(run, slot), flag)
+                self.checkpoints.record(slot.flag_key, flag)
             # A slot mid-retry when the engine died has budget accounting
             # already done; re-check exhaustion against the policy.
             if run.activity.policy.tries_remaining(slot.tries_used) <= 0:
@@ -234,7 +240,7 @@ class RecoveryCoordinator:
                     "tries": slot.tries_used,
                     "exhausted": slot.exhausted,
                     "option": slot.option_index,
-                    "flag": self.checkpoints.flag_for(self._flag_key(run, slot)),
+                    "flag": self.checkpoints.flag_for(slot.flag_key),
                 }
                 for slot in run.slots
             ]
@@ -270,7 +276,7 @@ class RecoveryCoordinator:
         # name the attempt whose saved state it resumes from.
         if outcome.checkpoint_flag:
             self.checkpoints.record(
-                self._flag_key(run, slot),
+                slot.flag_key,
                 outcome.checkpoint_flag,
                 at=self._reactor.now(),
                 source_span=outcome.span_id,
@@ -333,9 +339,6 @@ class RecoveryCoordinator:
 
     # -- internals ---------------------------------------------------------------------------
 
-    def _flag_key(self, run: ActivityRun, slot: _Slot) -> str:
-        return f"{self._flag_scope}{run.activity.name}@slot{slot.index}"
-
     def _wants(self, topic: str) -> bool:
         """Whether narration on *topic* has an audience
         (:meth:`~repro.events.EventBus.wants`).  Every publish site builds
@@ -355,9 +358,7 @@ class RecoveryCoordinator:
         target: ResolvedOption = self._broker.resolve_index(
             run.activity, run.program, slot.option_index
         )
-        flag = run.strategy.submit_flag(
-            run.activity, self.checkpoints, self._flag_key(run, slot)
-        )
+        flag = run.strategy.submit_flag(run.activity, self.checkpoints, slot.flag_key)
         # Causal chain: the attempt's parent is the recovery decision that
         # spawned it (a retry, or the checkpoint-restart minted just below);
         # the very first attempt of a slot descends from the activity root.
@@ -376,9 +377,7 @@ class RecoveryCoordinator:
                             "activity": run.activity.name,
                             "slot": slot.index,
                             "flag": flag,
-                            "flag_source": self.checkpoints.source_span_of(
-                                self._flag_key(run, slot)
-                            ),
+                            "flag_source": self.checkpoints.source_span_of(slot.flag_key),
                         },
                         restart_ctx,
                     ),
@@ -551,7 +550,7 @@ class RecoveryCoordinator:
                 )
         self._cancel_slots(run)
         for slot in run.slots:
-            self.checkpoints.clear(self._flag_key(run, slot))
+            self.checkpoints.clear(slot.flag_key)
         self._finish(
             run,
             TaskResolution(

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Any
 
 from ..ckpt.store import CheckpointStore
@@ -35,11 +34,12 @@ from ..core.exceptions import UserException
 from ..detection.messages import CheckpointNotice, Done, ExceptionNotice, TaskEnd, TaskStart
 from ..errors import CheckpointError, GridError, UnknownExecutableError
 from ..execution import SubmitRequest
+from ..timerheap import TimerHandle
 from .behaviors import PlanContext, Step, TaskBehavior
 from .host import Host
 from .network import Network
 from .random import RandomStreams
-from .simkernel import EventHandle, SimKernel
+from .simkernel import SimKernel
 
 __all__ = ["GramConfig", "GramService", "JobProcess"]
 
@@ -71,11 +71,18 @@ class JobRecord:
 
 
 class JobProcess:
-    """One attempt executing on a host: schedules the behaviour's steps.
+    """One attempt executing on a host: walks the behaviour's steps.
 
     The process emits messages *from the host*, so they are subject to the
     network's partitions and latency.  Terminal steps clean the process off
     the host; a host crash aborts all pending steps.
+
+    One timer carries the whole timeline: :meth:`begin` schedules the first
+    step and reserves a sequence number for each later one, and every step
+    re-arms that timer for its successor at ``t0 + offset / speed`` with
+    the successor's reserved number — the times, the tie-breaks and the
+    kernel's ``timers_scheduled`` of scheduling every step up front, with
+    at most one entry ever queued (so at most one to cancel).
     """
 
     def __init__(
@@ -91,8 +98,15 @@ class JobProcess:
         self.request = record.request
         self.host = host
         self.behavior = behavior
-        self._handles: list[EventHandle] = []
         self._finished = False
+        #: The one timer, armed for ``_steps[_cursor]``; ``_armed`` is
+        #: ``_step`` as the kernel accepted it, handed back at each re-arm.
+        self._timer: TimerHandle | None = None
+        self._armed: Any = None
+        self._steps: list[Step] = []
+        self._cursor = 0
+        self._t0 = 0.0
+        self._seq0 = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -116,17 +130,40 @@ class JobProcess:
             streams=service.streams,
             checkpoint_state=checkpoint_state,
         )
-        schedule = service.kernel.schedule
-        speed = spec.speed
-        execute = self._execute
-        for step in self.behavior.plan(ctx):
-            self._handles.append(schedule(step.offset / speed, partial(execute, step)))
+        steps = self._steps = self.behavior.plan(ctx)
+        kernel = service.kernel
+        self._t0 = kernel.now()
+        timer = self._timer = kernel.schedule(steps[0].offset / spec.speed, self._step)
+        self._armed = timer.callback
+        # Step i fires with the number it would have been scheduled under.
+        self._seq0 = kernel.reserve(len(steps) - 1) - 1
+
+    def _step(self) -> None:
+        """The timer fired: arm it for the next step, then act this one."""
+        steps = self._steps
+        cursor = self._cursor
+        step = steps[cursor]
+        cursor += 1
+        if cursor < len(steps):
+            self._cursor = cursor
+            self.service.kernel.rearm(
+                self._timer,
+                self._armed,
+                self._t0 + steps[cursor].offset / self.host.spec.speed,
+                self._seq0 + cursor,
+            )
+        self._execute(step)
+
+    def _stop(self) -> None:
+        self._finished = True
+        if self._timer is not None:
+            self._timer.cancel()
+            # _armed refers back to this process through _step.
+            self._timer = self._armed = None
 
     def abort(self) -> None:
         """Silently stop (cancellation): no further messages."""
-        self._finished = True
-        for handle in self._handles:
-            handle.cancel()
+        self._stop()
 
     def host_crashed(self) -> None:
         """Host died under us: stop, and surface the loss per the crash
@@ -144,9 +181,7 @@ class JobProcess:
         """
         if self._finished:
             return
-        self._finished = True
-        for handle in self._handles:
-            handle.cancel()
+        self._stop()
         if self.service.config.crash_detection == "prompt":
             self.service.network.send_system(
                 Done(
@@ -179,8 +214,6 @@ class JobProcess:
     # -- step execution ----------------------------------------------------------
 
     def _execute(self, step: Step) -> None:
-        if self._finished:
-            return
         now = self.service.kernel.now()
         send = self.service.network.send
         hostname = self.host.hostname
@@ -228,9 +261,7 @@ class JobProcess:
             self._terminate(exit_code=0)
 
     def _terminate(self, *, exit_code: int) -> None:
-        self._finished = True
-        for handle in self._handles:
-            handle.cancel()
+        self._stop()
         self.host.job_finished(self.job_id)
         self.service.network.send(
             self.host.hostname,

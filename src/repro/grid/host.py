@@ -17,16 +17,18 @@ lives here, mirroring a real host's filesystem.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from ..detection.messages import Heartbeat
 from ..errors import GridError, UnknownExecutableError
+from ..timerheap import TimerHandle
 from .behaviors import TaskBehavior
 from .network import Network
 from .random import RandomStreams
 from .resource import ResourceSpec
-from .simkernel import EventHandle, PeriodicTask, SimKernel
+from .simkernel import PeriodicTask, SimKernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .gram import JobProcess
@@ -61,13 +63,15 @@ class Host:
         self.state = HostState.UP
         self.software: dict[str, TaskBehavior] = {}
         self._running: dict[str, "JobProcess"] = {}
-        self._queued: list["JobProcess"] = []
+        self._queued: deque["JobProcess"] = deque()
         self._crash_listeners: list[Callable[["Host"], None]] = []
         self._recover_listeners: list[Callable[["Host"], None]] = []
         self._heartbeat_seq = itertools.count()
         self._heartbeat_task: PeriodicTask | None = None
-        self._crash_handle: EventHandle | None = None
+        self._crash_handle: TimerHandle | None = None
         self._heartbeats_enabled = heartbeats_enabled
+        self._ttf_stream = f"host.{spec.hostname}.ttf"
+        self._downtime_stream = f"host.{spec.hostname}.downtime"
         #: Lifetime counters (diagnostics / tests).
         self.crash_count = 0
         self.jobs_started = 0
@@ -157,7 +161,7 @@ class Host:
         while self._queued and self.up and (
             self.spec.slots is None or len(self._running) < self.spec.slots
         ):
-            process = self._queued.pop(0)
+            process = self._queued.popleft()
             self._running[process.job_id] = process
             self.jobs_started += 1
             process.begin()
@@ -166,7 +170,8 @@ class Host:
         process = self._running.pop(job_id, None)
         if process is not None:
             process.abort()
-        self._queued = [p for p in self._queued if p.job_id != job_id]
+        else:
+            self._queued = deque(p for p in self._queued if p.job_id != job_id)
 
     @property
     def running_jobs(self) -> list[str]:
@@ -196,7 +201,7 @@ class Host:
     def _schedule_next_crash(self) -> None:
         if self.spec.reliable:
             return
-        ttf = self.streams.ttf(f"host.{self.hostname}.ttf", self.spec.mttf)
+        ttf = self.streams.ttf(self._ttf_stream, self.spec.mttf)
         self._crash_handle = self.kernel.schedule(ttf, self.crash)
 
     def crash(self, *, schedule_recovery: bool = True) -> None:
@@ -227,7 +232,7 @@ class Host:
             listener(self)
         if schedule_recovery:
             downtime = self.streams.downtime(
-                f"host.{self.hostname}.downtime", self.spec.mean_downtime
+                self._downtime_stream, self.spec.mean_downtime
             )
             self.kernel.schedule(downtime, self.recover)
 

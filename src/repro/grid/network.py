@@ -23,7 +23,9 @@ actually cross the network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..detection.messages import Message
@@ -69,7 +71,8 @@ class Network:
         self.loss_probability = loss_probability
         self._partitioned: set[str] = set()
         self._sink: Callable[[Message], None] | None = None
-        #: Per-host FIFO watermark: earliest permissible next delivery time.
+        #: Per-host FIFO watermark: when the host's latest message is
+        #: scheduled to arrive, the earliest the next one may.
         self._last_delivery: dict[str, float] = {}
         self.stats = NetworkStats()
 
@@ -117,18 +120,26 @@ class Network:
         delay = self.latency
         if self.jitter > 0.0:
             delay += float(self._streams.get("network.jitter").uniform(0, self.jitter))
-        # FIFO per host: never deliver before an earlier message from the
-        # same host (TCP-stream semantics).
-        arrival = self._kernel.now() + delay
-        arrival = max(arrival, self._last_delivery.get(hostname, 0.0))
-        self._last_delivery[hostname] = arrival
-        self._kernel.schedule(arrival - self._kernel.now(), lambda: self._deliver(msg))
+        if delay or self._last_delivery:
+            # FIFO per host: never deliver before an earlier message from
+            # the same host (TCP-stream semantics).  A network that has
+            # never delayed a message has no watermark to respect.
+            now = self._kernel.now()
+            arrival = max(now + delay, self._last_delivery.get(hostname, 0.0))
+            delay = arrival - now
+            # The kernel fires at now + delay, which can round to one ulp
+            # under the watermark: nudge until it does not, and remember
+            # the time actually scheduled.
+            while now + delay < arrival:
+                delay = math.nextafter(delay, math.inf)
+            self._last_delivery[hostname] = now + delay
+        self._kernel.schedule(delay, partial(self._deliver, msg))
 
     def send_system(self, msg: Message) -> None:
         """Deliver a client-local synthesised message immediately (next
         event-loop turn), bypassing partition/loss/latency."""
         self.stats.sent += 1
-        self._kernel.schedule(0.0, lambda: self._deliver(msg))
+        self._kernel.schedule(0.0, partial(self._deliver, msg))
 
     def _deliver(self, msg: Message) -> None:
         if self._sink is None:

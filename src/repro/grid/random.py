@@ -16,6 +16,7 @@ mean, and Bernoulli exception checks.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -77,7 +78,7 @@ class RandomStreams:
         """
         if mttf <= 0:
             raise ValueError(f"mttf must be positive, got {mttf!r}")
-        if np.isinf(mttf):
+        if math.isinf(mttf):
             return float("inf")
         return float(self.get(name).exponential(mttf))
 

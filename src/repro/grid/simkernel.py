@@ -15,11 +15,19 @@ alternating up/down host lifecycles) are built on top of it in
 Hot-path notes (this kernel executes tens of thousands of events per
 engine-level Monte-Carlo point, see ``benchmarks/bench_engine_mc.py``):
 
-* pending events live in the shared :class:`repro.timerheap.TimerHeap`
-  (plain ``[when, seq, callback]`` list entries, lazy cancellation,
-  counter-driven in-place compaction) — the same structure backing the
-  wall-clock :class:`repro.reactor.RealTimeReactor`, so the two reactors
-  cannot drift apart;
+* timers due later live in the shared :class:`repro.timerheap.TimerHeap`
+  (entries that are their own handles, lazy cancellation, counter-driven
+  in-place compaction) — the same structure backing the wall-clock
+  :class:`repro.reactor.RealTimeReactor`, so the two cannot drift apart;
+* most events are not timers but zero-delay hops (a message's delivery
+  turn, a posted callback).  Those join the **same-instant lane**, a FIFO
+  deque: an append and a popleft, not a push to the top of the heap and a
+  pop.  Every lane entry is due *now* and the lane is sorted by ``seq``,
+  so the next event is the lane's head unless the heap's head is also due
+  now with a smaller ``seq`` — the ``(when, seq)`` order of one heap
+  holding both;
+* an owner that fires one timer after another (a job's steps, a periodic
+  task) keeps one entry and re-arms it in place (:meth:`SimKernel.rearm`);
 * the drain loops (:meth:`run`, :meth:`run_until`, :meth:`run_until_done`)
   pop inline instead of delegating to :meth:`step`, and :meth:`schedule`
   pushes inline, so an event costs one Python frame beyond its callback.
@@ -30,37 +38,18 @@ interface so the workflow engine can run unmodified inside the simulation.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from heapq import heappop, heappush
 from typing import Callable
 
-from ..reactor import Reactor, TimerHandle
+from ..reactor import Reactor
 from ..timerheap import CALLBACK as _CALLBACK
 from ..timerheap import FIRED as _FIRED
+from ..timerheap import SEQ as _SEQ
 from ..timerheap import WHEN as _WHEN
-from ..timerheap import TimerHeap
+from ..timerheap import TimerHandle, TimerHeap
 
 __all__ = ["SimKernel", "SimReactor", "PeriodicTask"]
-
-
-class EventHandle:
-    """Cancellation handle for a scheduled simulation event."""
-
-    __slots__ = ("_kernel", "_entry")
-
-    def __init__(self, kernel: "SimKernel", entry: list) -> None:
-        self._kernel = kernel
-        self._entry = entry
-
-    def cancel(self) -> None:
-        self._kernel._timers.cancel(self._entry)
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[_CALLBACK] is None
-
-    @property
-    def when(self) -> float:
-        return self._entry[_WHEN]
 
 
 class SimKernel:
@@ -76,7 +65,13 @@ class SimKernel:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._timers = TimerHeap()
+        self._timers = timers = TimerHeap()
+        #: Entries due at the current instant, in ``seq`` order.
+        self._lane: deque[list] = deque()
+        # How an entry is cancelled where it sits (bound once; no cycle:
+        # the heap does not refer back to the kernel).
+        self._cancel_queued = timers.cancel
+        self._cancel_in_lane = timers.cancel_unqueued
         self._events_processed = 0
 
     # -- clock ---------------------------------------------------------------
@@ -97,7 +92,9 @@ class SimKernel:
 
     def pending(self) -> int:
         """Number of queued, non-cancelled events."""
-        return self._timers.live_count()
+        return self._timers.live_count() + sum(
+            1 for e in self._lane if e[_CALLBACK] is not None
+        )
 
     def stats(self) -> dict[str, int]:
         """Kernel-health counters for the observability scrapers: work done
@@ -110,7 +107,7 @@ class SimKernel:
             "timers_scheduled": timers.scheduled_total,
             "timers_cancelled": timers.cancelled_total,
             "compactions": timers.compactions,
-            "pending": timers.live_count(),
+            "pending": self.pending(),
         }
 
     def reset(self) -> None:
@@ -119,38 +116,98 @@ class SimKernel:
         reproduces a fresh one's FIFO tie-breaking exactly)."""
         self._now = 0.0
         self._timers.clear()
+        self._lane.clear()
         self._events_processed = 0
 
     # -- scheduling ------------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         """Run *callback* ``delay`` virtual seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
         timers = self._timers
-        entry = [self._now + delay, timers.next_seq, callback]
-        timers.next_seq += 1
-        heapq.heappush(timers.heap, entry)
-        return EventHandle(self, entry)
+        seq = timers.next_seq
+        timers.next_seq = seq + 1
+        if delay:
+            entry = TimerHandle(
+                (self._now + delay, seq, callback, self._cancel_queued)
+            )
+            heappush(timers.heap, entry)
+        else:
+            # A fresh seq is the newest issued: the lane stays sorted.
+            entry = TimerHandle((self._now, seq, callback, self._cancel_in_lane))
+            self._lane.append(entry)
+        return entry
 
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
         """Run *callback* at absolute virtual time *when* (>= now)."""
         return self.schedule(when - self._now, callback)
 
+    def reserve(self, count: int) -> int:
+        """Take the next *count* sequence numbers and return the first: one
+        timer re-armed on them (:meth:`rearm`) keeps the tie-breaks, and
+        ``timers_scheduled``, of *count* timers scheduled now."""
+        timers = self._timers
+        first = timers.next_seq
+        timers.next_seq = first + count
+        return first
+
+    def rearm(
+        self,
+        handle: TimerHandle,
+        callback: Callable[[], None],
+        when: float,
+        seq: int | None = None,
+    ) -> None:
+        """Queue a fired timer's entry again, in place, for absolute time
+        *when*.  *callback* is what the handle carried while pending
+        (``handle.callback``), so whatever wrapped it on its way through
+        :meth:`schedule` keeps seeing it run; *seq* is a number from
+        :meth:`reserve`, else the next one, as for a fresh ``schedule``."""
+        if handle[_CALLBACK] is not _FIRED:
+            raise ValueError("only a timer that has fired can be re-armed")
+        now = self._now
+        if when < now:
+            raise ValueError(f"cannot schedule in the past (when={when!r})")
+        timers = self._timers
+        if seq is None:
+            seq = timers.next_seq
+            timers.next_seq = seq + 1
+        lane = self._lane
+        # A reserved seq may be older than the lane's tail: such an entry
+        # goes to the heap even when due now, or the lane is no longer sorted.
+        if when == now and (not lane or lane[-1][_SEQ] < seq):
+            handle[:] = (when, seq, callback, self._cancel_in_lane)
+            lane.append(handle)
+        else:
+            handle[:] = (when, seq, callback, self._cancel_queued)
+            heappush(timers.heap, handle)
+
     # -- execution -------------------------------------------------------------
+    #
+    # One rule picks the next entry in all four loops below: the lane's
+    # head, unless the heap's head is due now with a smaller seq (heap
+    # entries are never due earlier than now, so ``heap[0] < lane[0]``
+    # says exactly that).  The clock only moves when the lane is empty.
 
     def step(self) -> bool:
         """Process the single next event.  Returns ``False`` when idle."""
         timers = self._timers
         heap = timers.heap
-        pop = heapq.heappop
-        while heap:
-            entry = pop(heap)
-            callback = entry[_CALLBACK]
-            if callback is None:
-                timers.note_popped_cancelled()
-                continue
-            self._now = entry[_WHEN]
+        lane = self._lane
+        while lane or heap:
+            if lane and not (heap and heap[0] < lane[0]):
+                entry = lane.popleft()
+                callback = entry[_CALLBACK]
+                if callback is None:
+                    continue
+            else:
+                entry = heappop(heap)
+                callback = entry[_CALLBACK]
+                if callback is None:
+                    timers.note_popped_cancelled()
+                    continue
+                self._now = entry[_WHEN]
             entry[_CALLBACK] = _FIRED
             callback()
             self._events_processed += 1
@@ -166,15 +223,22 @@ class SimKernel:
         """
         timers = self._timers
         heap = timers.heap
-        pop = heapq.heappop
+        lane = self._lane
+        popleft = lane.popleft
         processed = 0
-        while heap:
-            entry = pop(heap)
-            callback = entry[_CALLBACK]
-            if callback is None:
-                timers.note_popped_cancelled()
-                continue
-            self._now = entry[_WHEN]
+        while lane or heap:
+            if lane and not (heap and heap[0] < lane[0]):
+                entry = popleft()
+                callback = entry[_CALLBACK]
+                if callback is None:
+                    continue
+            else:
+                entry = heappop(heap)
+                callback = entry[_CALLBACK]
+                if callback is None:
+                    timers.note_popped_cancelled()
+                    continue
+                self._now = entry[_WHEN]
             entry[_CALLBACK] = _FIRED
             callback()
             processed += 1
@@ -192,21 +256,30 @@ class SimKernel:
         Events scheduled exactly at *when* do fire.  Returns the number of
         events processed.
         """
+        if when < self._now:
+            return 0  # everything queued is due now or later
         timers = self._timers
         heap = timers.heap
-        pop = heapq.heappop
+        lane = self._lane
+        popleft = lane.popleft
         processed = 0
-        while heap:
-            head = heap[0]
-            if head[_CALLBACK] is None:
-                pop(heap)
-                timers.note_popped_cancelled()
-                continue
-            if head[_WHEN] > when:
-                break
-            entry = pop(heap)
-            callback = entry[_CALLBACK]
-            self._now = entry[_WHEN]
+        while lane or heap:
+            if lane and not (heap and heap[0] < lane[0]):
+                entry = popleft()
+                callback = entry[_CALLBACK]
+                if callback is None:
+                    continue
+            else:
+                head = heap[0]
+                if head[_CALLBACK] is None:
+                    heappop(heap)
+                    timers.note_popped_cancelled()
+                    continue
+                if head[_WHEN] > when:
+                    break
+                entry = heappop(heap)
+                callback = entry[_CALLBACK]
+                self._now = entry[_WHEN]
             entry[_CALLBACK] = _FIRED
             callback()
             processed += 1
@@ -222,16 +295,23 @@ class SimKernel:
         *deadline*."""
         timers = self._timers
         heap = timers.heap
-        pop = heapq.heappop
+        lane = self._lane
+        popleft = lane.popleft
         if deadline is None:
             deadline = float("inf")
-        while heap and not is_done() and self._now < deadline:
-            entry = pop(heap)
-            callback = entry[_CALLBACK]
-            if callback is None:
-                timers.note_popped_cancelled()
-                continue
-            self._now = entry[_WHEN]
+        while (lane or heap) and not is_done() and self._now < deadline:
+            if lane and not (heap and heap[0] < lane[0]):
+                entry = popleft()
+                callback = entry[_CALLBACK]
+                if callback is None:
+                    continue
+            else:
+                entry = heappop(heap)
+                callback = entry[_CALLBACK]
+                if callback is None:
+                    timers.note_popped_cancelled()
+                    continue
+                self._now = entry[_WHEN]
             entry[_CALLBACK] = _FIRED
             callback()
             self._events_processed += 1
@@ -261,18 +341,22 @@ class PeriodicTask:
         self._handle = kernel.schedule(
             period if start_delay is None else start_delay, self._tick
         )
+        #: ``_tick`` as the kernel accepted it: what every re-arm hands back.
+        self._armed = self._handle.callback
 
     def _tick(self) -> None:
         if self._stopped:
             return
         self._callback()
         if not self._stopped:
-            self._handle = self._kernel.schedule(self._period, self._tick)
+            kernel = self._kernel
+            kernel.rearm(self._handle, self._armed, kernel.now() + self._period)
 
     def stop(self) -> None:
         """Cancel the task; the callback will not run again."""
         self._stopped = True
         self._handle.cancel()
+        self._armed = None  # a reference back to this task through _tick
 
     @property
     def stopped(self) -> bool:
@@ -293,10 +377,7 @@ class SimReactor(Reactor):
         return self.kernel.now()
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
-        handle = self.kernel.schedule(delay, callback)
-        # Hand out the reactor's TimerHandle type over the same heap entry
-        # so engine code can treat both reactors uniformly.
-        return TimerHandle(self.kernel._timers, handle._entry)
+        return self.kernel.schedule(delay, callback)
 
     def post(self, callback: Callable[[], None]) -> None:
         self.kernel.schedule(0.0, callback)

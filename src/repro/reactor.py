@@ -20,8 +20,9 @@ worker threads can hand results back to the engine thread.
 
 Both reactors store pending timers in the shared
 :class:`~repro.timerheap.TimerHeap` (lazy cancellation, counter-driven
-in-place compaction), so cancel-heavy workloads behave identically in
-simulated and wall-clock time.
+in-place compaction) and hand out its one handle type,
+:class:`~repro.timerheap.TimerHandle`, so cancel-heavy workloads behave
+identically in simulated and wall-clock time.
 """
 
 from __future__ import annotations
@@ -29,50 +30,11 @@ from __future__ import annotations
 import threading
 import time
 from abc import ABC, abstractmethod
-from typing import Callable, ContextManager
+from typing import Callable
 
-from .timerheap import CALLBACK, WHEN, TimerHeap
+from .timerheap import WHEN, TimerHandle, TimerHeap
 
 __all__ = ["Reactor", "RealTimeReactor", "TimerHandle"]
-
-
-class TimerHandle:
-    """Opaque handle for a scheduled timer; supports cancellation.
-
-    Wraps a :class:`~repro.timerheap.TimerHeap` entry.  When the owning
-    reactor is driven from multiple threads it supplies *lock*, which is
-    held around cancellation (cancelling may compact the heap in place).
-    """
-
-    __slots__ = ("_heap", "_entry", "_lock")
-
-    def __init__(
-        self,
-        heap: TimerHeap,
-        entry: list,
-        lock: ContextManager | None = None,
-    ) -> None:
-        self._heap = heap
-        self._entry = entry
-        self._lock = lock
-
-    def cancel(self) -> None:
-        """Prevent the timer's callback from running.  Idempotent; a no-op
-        once the timer has fired."""
-        if self._lock is None:
-            self._heap.cancel(self._entry)
-        else:
-            with self._lock:
-                self._heap.cancel(self._entry)
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[CALLBACK] is None
-
-    @property
-    def when(self) -> float:
-        """Absolute reactor time at which the timer fires."""
-        return self._entry[WHEN]
 
 
 class Reactor(ABC):
@@ -167,9 +129,11 @@ class RealTimeReactor(Reactor):
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay!r}")
         with self._cond:
-            entry = self._timers.push(self.now() + delay, callback)
+            handle = self._timers.push(
+                self.now() + delay, callback, self._cancel_timer
+            )
             self._cond.notify()
-        return TimerHandle(self._timers, entry, lock=self._cond)
+        return handle
 
     def post(self, callback: Callable[[], None]) -> None:
         with self._cond:
@@ -235,6 +199,12 @@ class RealTimeReactor(Reactor):
                 or self._timers.live_count() > 0
                 or self._keepalives > 0
             )
+
+    def _cancel_timer(self, entry: list) -> None:
+        # Worker threads cancel too, and cancelling may compact the heap
+        # in place.
+        with self._cond:
+            self._timers.cancel(entry)
 
     def _pop_due(self) -> Callable[[], None] | None:
         """The callback of the next due live timer, or ``None``."""

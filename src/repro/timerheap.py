@@ -5,9 +5,15 @@ the virtual-time :class:`repro.grid.simkernel.SimKernel` — keep their
 pending timers in the same data structure so the two scheduling paths
 cannot drift apart:
 
-* heap entries are plain ``[when, seq, callback]`` lists, so heap sift
+* an entry is a ``[when, seq, callback, cancel]`` list, so heap sift
   comparisons run entirely in C (list comparison stops at ``seq``, which is
-  unique, and never reaches the callback);
+  unique, and never reaches the callback) — and the entry *is* the handle
+  the caller gets back (:class:`TimerHandle`, a ``list`` subclass built by
+  one C-level call): one object per timer, not an entry plus a wrapper;
+* ``cancel`` cancels the entry where it currently sits:
+  :meth:`TimerHeap.cancel` in the heap (behind the real-time reactor's
+  lock there), :meth:`TimerHeap.cancel_unqueued` in a queue of the
+  owner's own (the simulation kernel's same-instant lane);
 * cancellation is lazy — ``callback`` is replaced by ``None`` and the entry
   is dropped when popped; when cancelled entries pile up the heap is
   compacted in place so pathological cancel-heavy workloads (heartbeat
@@ -23,8 +29,8 @@ Owners that pop entries inline (the simulation kernel's drain loops) must
 call :meth:`TimerHeap.note_popped_cancelled` whenever they pop an entry
 whose callback is ``None``, keeping the cancellation counter honest, and
 must store :data:`FIRED` in the callback slot of every entry they run.
-The kernel also pushes inline (``[when, next_seq, callback]``, then
-``next_seq += 1``): one frame less on every scheduled event.
+The kernel also builds and pushes its entries inline (then ``next_seq +=
+1``): one frame less on every scheduled event.
 """
 
 from __future__ import annotations
@@ -33,17 +39,19 @@ import heapq
 from typing import Any, Callable
 
 __all__ = [
+    "TimerHandle",
     "TimerHeap",
     "WHEN",
     "SEQ",
     "CALLBACK",
+    "CANCEL",
     "FIRED",
     "COMPACT_MIN_CANCELLED",
 ]
 
-# Heap-entry slots: [when, seq, callback]; callback is None once cancelled
-# and FIRED once the entry has been popped to run.
-WHEN, SEQ, CALLBACK = 0, 1, 2
+# Entry slots: [when, seq, callback, cancel]; callback is None once
+# cancelled and FIRED once the entry has been popped to run.
+WHEN, SEQ, CALLBACK, CANCEL = 0, 1, 2, 3
 
 #: Occupies the callback slot of an entry whose timer has run.
 FIRED: Any = object()
@@ -53,8 +61,42 @@ FIRED: Any = object()
 COMPACT_MIN_CANCELLED = 64
 
 
+class TimerHandle(list):
+    """A scheduled timer: the queue entry itself, ``TimerHandle((when,
+    seq, callback, cancel))``, with the caller-facing operations on it."""
+
+    __slots__ = ()
+
+    # Entries are identities, not values (``seq`` is unique per owner).
+    __hash__ = object.__hash__
+
+    def cancel(self) -> None:
+        """Prevent the timer's callback from running.  Idempotent; a no-op
+        once the timer has fired."""
+        self[CANCEL](self)
+
+    @property
+    def cancelled(self) -> bool:
+        return self[CALLBACK] is None
+
+    @property
+    def when(self) -> float:
+        """Absolute owner time at which the timer fires."""
+        return self[WHEN]
+
+    @property
+    def callback(self) -> Any:
+        """What will run, while the timer is pending: the callable its
+        scheduler accepted (a shim around ``schedule`` may have wrapped
+        it), which an owner that re-arms the timer hands back."""
+        return self[CALLBACK]
+
+    def __repr__(self) -> str:
+        return f"<TimerHandle when={self[WHEN]!r} seq={self[SEQ]!r}>"
+
+
 class TimerHeap:
-    """A min-heap of ``[when, seq, callback]`` entries.
+    """A min-heap of :class:`TimerHandle` entries.
 
     Not thread-safe on its own; concurrent owners (the real-time reactor)
     must serialise every call, including :meth:`cancel` — compaction
@@ -90,9 +132,16 @@ class TimerHeap:
 
     # -- scheduling --------------------------------------------------------
 
-    def push(self, when: float, callback: Callable[[], None]) -> list:
-        """Queue *callback* at absolute time *when*; returns the entry."""
-        entry = [when, self.next_seq, callback]
+    def push(
+        self,
+        when: float,
+        callback: Callable[[], None],
+        cancel: Callable[[list], None] | None = None,
+    ) -> TimerHandle:
+        """Queue *callback* at absolute time *when*; returns the entry.
+        An owner driven from several threads passes a *cancel* that holds
+        its lock around :meth:`cancel`."""
+        entry = TimerHandle((when, self.next_seq, callback, cancel or self.cancel))
         self.next_seq += 1
         heapq.heappush(self.heap, entry)
         return entry
@@ -106,6 +155,15 @@ class TimerHeap:
         if callback is not None and callback is not FIRED:
             entry[CALLBACK] = None
             self.note_cancelled()
+
+    def cancel_unqueued(self, entry: list) -> None:
+        """:meth:`cancel` for an entry the owner holds outside the heap:
+        counted as a cancellation, but no pressure to compact a heap it
+        is not in."""
+        callback = entry[CALLBACK]
+        if callback is not None and callback is not FIRED:
+            entry[CALLBACK] = None
+            self.cancelled_total += 1
 
     def note_cancelled(self) -> None:
         """Record one external cancellation (entry already nulled out)."""

@@ -284,10 +284,14 @@ class TestTimerChurn:
         collect(grid)
         job = grid.submit(req())
         # start and the first checkpoint have fired; two checkpoints and
-        # the end are still queued.
+        # the end are still to come, but a job keeps one timer and re-arms
+        # it step by step: only the second checkpoint's is queued.
         grid.kernel.schedule(15.0, lambda: grid.cancel(job))
         grid.run()
-        assert grid.kernel.stats()["timers_cancelled"] == 3
+        stats = grid.kernel.stats()
+        assert stats["timers_cancelled"] == 1
+        # The sequence numbers of all five steps were taken at begin().
+        assert stats["timers_scheduled"] == 5 + 1 + 2  # steps, cancel, 2 deliveries
 
 
 class TestAttemptNumbers:

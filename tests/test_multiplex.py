@@ -30,6 +30,7 @@ from repro.engine import EngineHost, WorkflowEngine
 from repro.errors import EngineError
 from repro.grid import (
     RELIABLE,
+    CheckpointingTask,
     CrashingTask,
     FixedDurationTask,
     GridConfig,
@@ -592,3 +593,62 @@ class TestNothingOutlivesTheVerdict:
         assert host.runtime.bus.stats()["publishes"] == offered
         assert detector.live_attempts == 0
         assert detector.state_of("job-000001") is None
+
+    def test_attempts_leave_nothing_for_the_collector(self):
+        # A job re-arms one timer with a callback bound to the job itself;
+        # unless that reference goes at finish/cancel/crash, every attempt
+        # is a cycle only the collector can free (and an engine-level MC
+        # run stops being collection-free).  With the collector off, what
+        # reference counting did not free is still there to be found.
+        grid = SimulatedGrid(
+            seed=11, config=GridConfig(crash_detection="prompt", heartbeats=True)
+        )
+        hosts = [f"v{i}" for i in range(4)]
+        for name in hosts:
+            grid.add_host(
+                UNRELIABLE(
+                    name, mttf=30.0, mean_downtime=3.0, heartbeat_period=1.0,
+                    slots=None,
+                )
+            )
+        grid.install_everywhere("task", FixedDurationTask(15.0, result="ok"))
+        grid.install_everywhere(
+            "solve",
+            CheckpointingTask(12.0, checkpoints=6, overhead=0.25, recovery_time=0.25),
+        )
+        workflow = (
+            WorkflowBuilder("w")
+            .program("task", hosts=hosts[:3])
+            .program("solve", hosts=hosts)
+            # Replicas: the first to finish cancels its siblings mid-flight.
+            .activity(
+                "a", implement="task", policy=FailurePolicy.replica(max_tries=None)
+            )
+            .activity(
+                "b",
+                implement="solve",
+                policy=FailurePolicy.retrying(
+                    None, resource_selection=ResourceSelection.ROTATE
+                ),
+            )
+            .transition("a", "b")
+            .build()
+        )
+        host = EngineHost(grid, reactor=grid.reactor, heartbeat_timeout=3.0)
+        host.submit_many(workflow, 5)  # plans, routes and caches get built
+        host.wait_all(timeout=1e7)
+        submitted = grid.gram.submitted_count
+        cancelled = grid.kernel.stats()["timers_cancelled"]
+        gc.collect()
+        gc.disable()
+        try:
+            host.submit_many(workflow, 40)
+            results = host.wait_all(timeout=1e7)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert all(r.succeeded for r in results.values())
+        assert grid.gram.submitted_count - submitted >= 200
+        assert sum(h.jobs_killed for h in grid.hosts.values()) > 50  # outages
+        assert grid.kernel.stats()["timers_cancelled"] - cancelled > 50
+        assert unreachable == 0

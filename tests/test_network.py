@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.detection.messages import Done, Heartbeat
+from repro.detection.messages import Done, Heartbeat, TaskEnd
 from repro.grid.network import Network
 from repro.grid.random import RandomStreams
 
@@ -12,6 +12,19 @@ from repro.grid.random import RandomStreams
 @pytest.fixture
 def net(kernel):
     return Network(kernel, RandomStreams(seed=3))
+
+
+class ScriptedJitter:
+    """Stands in for the RNG streams: jitter draws, in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def get(self, _name):
+        return self
+
+    def uniform(self, _low, _high):
+        return self.draws.pop(0)
 
 
 class TestDelivery:
@@ -44,6 +57,44 @@ class TestDelivery:
             net.send("n1", Heartbeat(hostname="n1", seq=i))
         kernel.run()
         assert arrivals == list(range(100))  # TCP-stream ordering
+
+    def test_fifo_survives_rounding_at_the_watermark(self, kernel):
+        # The watermark is an absolute time but the kernel is handed a
+        # delay and adds it back to now: for these four floats that sum
+        # lands one ulp *under* the TaskEnd's arrival, and the Done used to
+        # overtake it — "done-without-taskend", a retry of a task that
+        # succeeded.
+        net = Network(
+            kernel,
+            ScriptedJitter([0.01855413061520897, 0.0]),
+            latency=0.05,
+            jitter=0.02,
+        )
+        arrivals = []
+        net.connect(lambda m: arrivals.append((type(m).__name__, kernel.now())))
+        kernel.schedule(
+            0.029087186189935554,
+            lambda: net.send("n1", TaskEnd(job_id="j", hostname="n1")),
+        )
+        kernel.schedule(
+            0.033886127368333636,
+            lambda: net.send("n1", Done(job_id="j", hostname="n1")),
+        )
+        kernel.run()
+        assert [kind for kind, _at in arrivals] == ["TaskEnd", "Done"]
+        assert arrivals[0][1] == 0.09764131680514453
+        assert arrivals[1][1] >= arrivals[0][1]
+
+    def test_an_undelayed_message_still_waits_behind_a_delayed_one(self, kernel):
+        # A zero jitter draw on a zero-latency network is a same-instant
+        # hop only if nothing from the host is still in flight.
+        net = Network(kernel, ScriptedJitter([0.5, 0.0]), jitter=1.0)
+        arrivals = []
+        net.connect(lambda m: arrivals.append((m.seq, kernel.now())))
+        for seq in range(2):
+            net.send("n1", Heartbeat(hostname="n1", seq=seq))
+        kernel.run()
+        assert arrivals == [(0, 0.5), (1, 0.5)]
 
     def test_fifo_is_per_host_not_global(self, kernel):
         net = Network(kernel, RandomStreams(seed=9), latency=1.0)

@@ -6,7 +6,7 @@ the commit *before* PR 15 touched anything; the bound-instrument /
 lazy-record / flat-ring rewrite had to reproduce all seven of them.
 
 The same PR then fixed the cancelled-attempt leak, which moves two outputs
-and nothing else, so ``GOLDEN`` differs from ``BEFORE`` in two entries:
+and nothing else, so ``GOLDEN`` differs from ``BEFORE`` in these two entries:
 
 * ``spans`` — ``task.attempt`` spans that stayed open for ever (56 of 334
   on seed 20030623, 51 of 393 on 19990803) now end when their node
@@ -16,6 +16,16 @@ and nothing else, so ``GOLDEN`` differs from ``BEFORE`` in two entries:
   > 0 for 20 resp. 17 of 20) and counts those attempts under
   ``attempts["cancelled"]``.  With both keys left out, the snapshot must
   digest to what the parent's did (``TRACKER_OTHERWISE``).
+
+PR 17 gave every job one re-armed timer instead of a timer per step, so a
+job that ends early no longer cancels the steps it never reached: the
+scraped ``sim_timers_cancelled`` reads 50 instead of 60 (45 instead of 85)
+and ``sim_cancelled_timer_ratio`` follows.  That moves ``registry``,
+``prometheus`` and ``store`` — and must move nothing else in them: with
+the three timer-churn gauges (``TIMER_CHURN``) left out, each digests to
+what the parent's did (``WITHOUT_TIMER_CHURN``, recorded on the parent
+commit before any source changed).  ``sim_timers_scheduled`` and
+``sim_events_processed`` stay inside that comparison.
 """
 
 from __future__ import annotations
@@ -51,11 +61,17 @@ BEFORE = {
 GOLDEN = {
     20030623: {
         **BEFORE[20030623],
+        "registry": "8659f17f5085d95fa3471afbdbf261e3f6bc8657e94328456f4231533edfb967",
+        "prometheus": "6e7fb636c8e3753faa86154ca459ed0acd36983ff7f0080d0e10fbc5e03d37f4",
+        "store": "2de0cdc6ff8b48126eed1268aa3bf34d519fce910a7ae36179d0c288192b1889",
         "spans": "950d6502ef42e37cd1c355b6568a6808ca3d352073b365e7889947f0635ab850",
         "tracker": "2ed436b2de63bf8bf47e6b7d6409d6c5ef7710db7f7a49c06e3b746454213f6e",
     },
     19990803: {
         **BEFORE[19990803],
+        "registry": "e7587ec5c4fa12323ec7b2dec1209b3a6129fb034a424b9fabad82648892f7aa",
+        "prometheus": "e27861bf938aeacb605608a5ccffa40f8c2b30de93accc6a00d842278ce15bb1",
+        "store": "baa0b55a193042df42eff65dfc389c2bff308cae94e260049c6f845bf8fe68bd",
         "spans": "a773db07ffb5e714d88851d07600aaca0618c5db2ce8cf726d4c0cf7a6585879",
         "tracker": "a77760a87fe596df5f9dcc7be3767eb6466add7608a9859cf453f4d28be100a6",
     },
@@ -68,6 +84,47 @@ TRACKER_OTHERWISE = {
     20030623: "03f4669b09b1b259d27cb85559dbd8dae184a149f50b62558fb6bac2132c1461",
     19990803: "838969d94a5036bc4248c2996b118e99fc99fec677616f34be1a790764fb29cc",
 }
+
+#: The scraped gauges one-timer-per-job moves, the value the first now
+#: ends at, and the parent's three metric outputs digested without them.
+TIMER_CHURN = (
+    "sim_timers_cancelled",
+    "sim_timer_compactions",
+    "sim_cancelled_timer_ratio",
+)
+TIMERS_CANCELLED = {20030623: 50.0, 19990803: 45.0}
+WITHOUT_TIMER_CHURN = {
+    20030623: {
+        "registry": "77eb78eee1879d562da393c8865c10dc906c1953ebd7d06dfc2b24ca5ca47d25",
+        "prometheus": "cdfe62c26fdb265eabfaad837fe52763b3eb58e74f3770b062a0ae0d4239f559",
+        "store": "311e73c0f78dcce9b1ebe3c1b6520277955a3eef9353266e5226b8c41909caeb",
+    },
+    19990803: {
+        "registry": "c49fb00f78efd98dc0e5e65f92929c14205f85521c0c828c52e4d7498fe490fe",
+        "prometheus": "57ba18cd6a2a39f7a1218cb2f709f627532b0c243d3285b150f362382c3fa91b",
+        "store": "051935a29706c392c203208209ea2ab2ce8243df26bebaedb4ac604a95b0fb2a",
+    },
+}
+
+
+def _without_timer_churn(output):
+    """A metric output (the exposition text, or a family-keyed snapshot)
+    with the ``TIMER_CHURN`` families left out."""
+    if isinstance(output, str):
+        prefixes = tuple(
+            prefix
+            for family in TIMER_CHURN
+            for prefix in (
+                f"# HELP {family} ",
+                f"# TYPE {family} ",
+                f"{family} ",
+                f"{family}{{",
+            )
+        )
+        return "\n".join(
+            line for line in output.split("\n") if not line.startswith(prefixes)
+        )
+    return {name: value for name, value in output.items() if name not in TIMER_CHURN}
 
 
 def _reopened(spans: list) -> list:
@@ -121,3 +178,12 @@ def test_plane_outputs_match_the_golden(seed):
         == CANCELLED[seed]
     )
     assert digest(_without_in_flight(tracker)) == TRACKER_OTHERWISE[seed]
+
+    # The three outputs one-timer-per-job moved differ from the parent's
+    # in the timer-churn gauges alone.
+    (cancelled_series,) = outputs["registry"]["sim_timers_cancelled"]["series"]
+    assert cancelled_series["value"] == TIMERS_CANCELLED[seed]
+    assert {
+        name: digest(_without_timer_churn(outputs[name]))
+        for name in WITHOUT_TIMER_CHURN[seed]
+    } == WITHOUT_TIMER_CHURN[seed]
