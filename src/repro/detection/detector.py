@@ -12,14 +12,18 @@ application notifications (``TaskStart`` / ``TaskEnd`` / ``Exception`` /
 * ``Done`` without ``TaskEnd`` ⇒ ``FAILED`` (task crash failure);
 * host suspected while the attempt is non-terminal ⇒ ``FAILED``.
 
-For every terminal state an :class:`AttemptOutcome` is published on the
-event bus under ``task.done`` / ``task.failed`` / ``task.exception`` — the
-engine's recovery coordinator subscribes to these.
+Control goes by call, narration by bus.  For every terminal state the
+detector first narrates the :class:`AttemptOutcome` on the bus
+(``task.done`` / ``task.failed`` / ``task.exception``: plain topics, the
+``workflow_id`` is on the payload) and then hands that same outcome to the
+``on_verdict`` callback given at :meth:`FailureDetector.track`.  So every
+observer sees a verdict before anything the engine does about it, and
+nothing that steers a run depends on who is listening.
 
 The detector holds *live* attempts only: the verdict is the last thing it
-knows about an attempt, so the attempt is dropped from the table the moment
-its terminal outcome is published.  Anything arriving later for that job is
-an unknown-job message and is ignored; the message record of a run is
+knows about an attempt, so the attempt is dropped from the table before its
+terminal outcome goes out.  Anything arriving later for that job is an
+unknown-job message and is ignored; the message record of a run is
 :meth:`repro.detection.log.MessageLog.tee`, not the detector.
 """
 
@@ -33,7 +37,7 @@ from ..core.states import TaskState, TaskStateMachine
 from ..errors import DetectionError
 from ..events import EventBus
 from ..reactor import Reactor
-from .heartbeat import HOST_SUSPECTED, HeartbeatMonitor
+from .heartbeat import HeartbeatMonitor
 from .messages import (
     CheckpointNotice,
     Done,
@@ -47,7 +51,6 @@ from .messages import (
 __all__ = [
     "FailureDetector",
     "AttemptOutcome",
-    "scoped_topic",
     "TASK_ACTIVE",
     "TASK_DONE",
     "TASK_FAILED",
@@ -59,27 +62,11 @@ TASK_DONE = "task.done"
 TASK_FAILED = "task.failed"
 TASK_EXCEPTION = "task.exception"
 
-_TOPIC_FOR_STATE = {
-    TaskState.ACTIVE: TASK_ACTIVE,
+_TOPIC_FOR_VERDICT = {
     TaskState.DONE: TASK_DONE,
     TaskState.FAILED: TASK_FAILED,
     TaskState.EXCEPTION: TASK_EXCEPTION,
 }
-
-
-def scoped_topic(topic: str, workflow_id: str) -> str:
-    """Per-workflow-instance topic: ``task.done`` scoped to instance
-    ``wf-3`` becomes ``task.done.wf-3``.
-
-    Outcomes of attempts tracked with a ``workflow_id`` are published on
-    the scoped topic *only*: each of N multiplexed engines subscribes to
-    its own exact topics (an O(1) dict-lookup dispatch on the bus) instead
-    of every engine filtering every other engine's events.  Wildcard
-    observers (``task.*``) still see all instances, scoped or not.  An
-    empty *workflow_id* is the single-engine path: the plain topic,
-    unchanged from the paper's one-workflow-per-process setup.
-    """
-    return f"{topic}.{workflow_id}" if workflow_id else topic
 
 
 @dataclass(slots=True)
@@ -117,6 +104,8 @@ class _Attempt:
     activity: str
     hostname: str
     machine: TaskStateMachine
+    #: Who is told the verdict, after it is narrated (``None``: nobody).
+    on_verdict: Callable[[AttemptOutcome], None] | None = None
     workflow_id: str = ""
     trace_id: str = ""
     span_id: str = ""
@@ -129,11 +118,12 @@ class _Attempt:
 
 
 class FailureDetector:
-    """Tracks task attempts and publishes their detected states.
+    """Tracks task attempts, narrates their detected states on the bus and
+    hands each verdict to whoever tracked the attempt.
 
     The detector owns a :class:`HeartbeatMonitor` when constructed with a
-    heartbeat timeout, wiring host suspicion to attempt failure
-    automatically.
+    heartbeat timeout; the monitor tells it of each suspicion by call
+    (after publishing it), which fails the attempts on that host.
     """
 
     def __init__(
@@ -160,8 +150,12 @@ class FailureDetector:
         self._flush_scheduled = False
         self.monitor: HeartbeatMonitor | None = None
         if heartbeat_timeout is not None:
-            self.monitor = HeartbeatMonitor(reactor, bus, timeout=heartbeat_timeout)
-            bus.subscribe(HOST_SUSPECTED, self._on_host_suspected)
+            self.monitor = HeartbeatMonitor(
+                reactor,
+                bus,
+                timeout=heartbeat_timeout,
+                on_suspected=self._on_host_suspected,
+            )
 
     def start(self) -> None:
         if self.monitor is not None:
@@ -199,13 +193,18 @@ class FailureDetector:
         *,
         workflow_id: str = "",
         trace: Any = None,
+        on_verdict: Callable[[AttemptOutcome], None] | None = None,
     ) -> None:
         """Begin tracking a submitted attempt (state ``INACTIVE``).
 
-        *workflow_id* scopes the attempt to one workflow instance of a
-        multiplexed host: its outcomes are published on per-instance topics
-        (:func:`scoped_topic`) and carried on the outcome record, so two
-        instances running the same specification never cross wires.
+        *on_verdict* is called with the attempt's terminal
+        :class:`AttemptOutcome`, exactly once, right after that outcome is
+        narrated on the bus — never for ``task.active``, never once the
+        attempt is forgotten.  It is how the verdict reaches the tracker
+        of the attempt and nobody else.
+
+        *workflow_id* names the attempt's workflow instance on a
+        multiplexed host; every outcome record carries it.
 
         *trace* is the attempt's causal context
         (:class:`repro.obs.tracectx.TraceContext`-shaped, duck-typed to
@@ -220,6 +219,7 @@ class FailureDetector:
             activity=activity,
             hostname=hostname,
             machine=TaskStateMachine(activity),
+            on_verdict=on_verdict,
             workflow_id=workflow_id,
             trace_id=getattr(trace, "trace_id", "") or "",
             span_id=getattr(trace, "span_id", "") or "",
@@ -235,7 +235,8 @@ class FailureDetector:
     def submission_rejected(self, job_id: str, activity: str, hostname: str,
                             reason: str) -> None:
         """Record a submission that never started (host down, unknown
-        executable): INACTIVE -> FAILED."""
+        executable): INACTIVE -> FAILED.  For a job nobody tracked this
+        only narrates: there is no one to hand the verdict to."""
         if job_id not in self._attempts:
             self.track(job_id, activity, hostname)
         attempt = self._attempts[job_id]
@@ -272,7 +273,8 @@ class FailureDetector:
     def _on_task_start(self, attempt: _Attempt, _msg: TaskStart) -> None:
         if attempt.machine.state is TaskState.INACTIVE:
             attempt.machine.transition(TaskState.ACTIVE, at=self._reactor.now())
-            self._publish(attempt, reason="task-start")
+            if self._bus.wants(TASK_ACTIVE):
+                self._bus.publish(TASK_ACTIVE, self._outcome(attempt, "task-start"))
 
     def _on_checkpoint(self, attempt: _Attempt, msg: CheckpointNotice) -> None:
         attempt.checkpoint_flag = msg.flag
@@ -311,11 +313,13 @@ class FailureDetector:
             )
             self._finish(attempt, TaskState.FAILED, reason=reason)
 
-    def _on_host_suspected(self, _topic: str, hostname: str) -> None:
+    def _on_host_suspected(self, hostname: str) -> None:
         # A snapshot of the live attempts: failing one can cancel (forget)
-        # or conclude siblings and start new ones while we walk.
-        for attempt in list(self._attempts.values()):
-            if attempt.hostname == hostname and not attempt.machine.terminal:
+        # or conclude siblings and start new ones while we walk, so each
+        # is failed only if it is still the tracked attempt of its job.
+        live = self._attempts
+        for attempt in list(live.values()):
+            if attempt.hostname == hostname and live.get(attempt.job_id) is attempt:
                 self._ensure_active(attempt)
                 self._finish(attempt, TaskState.FAILED, reason="host-suspected")
 
@@ -330,30 +334,31 @@ class FailureDetector:
         attempt.machine.transition(state, at=self._reactor.now())
         # The verdict is final: stop tracking before anyone reacts to it.
         self._attempts.pop(attempt.job_id, None)
-        self._publish(attempt, reason=reason)
-
-    def _publish(self, attempt: _Attempt, *, reason: str) -> None:
-        state = attempt.machine.state
-        topic = scoped_topic(_TOPIC_FOR_STATE[state], attempt.workflow_id)
+        outcome = self._outcome(attempt, reason)
+        # Narrate, then steer: observers see the verdict before any of the
+        # recovery and navigation it causes.
+        topic = _TOPIC_FOR_VERDICT[state]
         if self._bus.wants(topic):
-            self._bus.publish(
-                topic,
-                AttemptOutcome(
-                    job_id=attempt.job_id,
-                    activity=attempt.activity,
-                    state=state,
-                    hostname=attempt.hostname,
-                    exception=attempt.exception,
-                    checkpoint_flag=attempt.checkpoint_flag,
-                    result=attempt.result,
-                    reason=reason,
-                    at=self._reactor.now(),
-                    workflow_id=attempt.workflow_id,
-                    trace_id=attempt.trace_id,
-                    span_id=attempt.span_id,
-                    parent_id=attempt.parent_id,
-                ),
-            )
+            self._bus.publish(topic, outcome)
+        if attempt.on_verdict is not None:
+            attempt.on_verdict(outcome)
+
+    def _outcome(self, attempt: _Attempt, reason: str) -> AttemptOutcome:
+        return AttemptOutcome(
+            job_id=attempt.job_id,
+            activity=attempt.activity,
+            state=attempt.machine.state,
+            hostname=attempt.hostname,
+            exception=attempt.exception,
+            checkpoint_flag=attempt.checkpoint_flag,
+            result=attempt.result,
+            reason=reason,
+            at=self._reactor.now(),
+            workflow_id=attempt.workflow_id,
+            trace_id=attempt.trace_id,
+            span_id=attempt.span_id,
+            parent_id=attempt.parent_id,
+        )
 
     # -- queries ------------------------------------------------------------------
 

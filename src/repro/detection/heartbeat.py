@@ -8,15 +8,17 @@ host crashes, reboots, and network partitions (which are indistinguishable
 from the client's vantage point, as usual for failure detectors in
 asynchronous systems).
 
-Suspicion is published on the event bus as ``detector.host_suspected`` and
+Suspicion is narrated on the event bus as ``detector.host_suspected`` and
 revoked with ``detector.host_recovered`` if beats resume (e.g. a partition
-healed).  The task-level failure detector combines host suspicion with the
-notification stream to fail tasks running on suspected hosts.
+healed).  The task-level failure detector, which owns the monitor, is told
+of each suspicion by call (``on_suspected``, right after the publish) and
+fails the tasks running on the suspected host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..events import EventBus
 from ..reactor import Reactor, TimerHandle
@@ -60,6 +62,9 @@ class HeartbeatMonitor:
         by the heartbeat-timeout ablation benchmark).
     sweep_interval:
         How often to scan for silent hosts; defaults to ``timeout / 2``.
+    on_suspected:
+        Called with the hostname after each suspicion is published — how
+        the owning detector acts on it.
     """
 
     def __init__(
@@ -69,6 +74,7 @@ class HeartbeatMonitor:
         *,
         timeout: float,
         sweep_interval: float | None = None,
+        on_suspected: Callable[[str], None] | None = None,
     ) -> None:
         if timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout!r}")
@@ -76,6 +82,7 @@ class HeartbeatMonitor:
         self._bus = bus
         self.timeout = timeout
         self.sweep_interval = sweep_interval if sweep_interval else timeout / 2
+        self._on_suspected = on_suspected
         self._hosts: dict[str, HostLiveness] = {}
         self._running = False
         self._sweep_handle: TimerHandle | None = None
@@ -174,13 +181,15 @@ class HeartbeatMonitor:
         if not self._running:
             return
         now = self._reactor.now()
-        # Snapshot: a published suspicion can synchronously trigger recovery
-        # (retry on another host), which registers new hosts mid-sweep.
+        # Snapshot: a suspicion synchronously triggers recovery (retry on
+        # another host), which registers new hosts mid-sweep.
         for record in list(self._hosts.values()):
             if not record.suspected and now - record.last_beat > self.timeout:
                 record.suspected = True
                 record.suspicions += 1
                 self._bus.publish(HOST_SUSPECTED, record.hostname)
+                if self._on_suspected is not None:
+                    self._on_suspected(record.hostname)
         self._schedule_sweep()
 
     # -- queries ----------------------------------------------------------------------

@@ -10,6 +10,13 @@ unrecoverably.  After every task termination the instance is checkpointed
 (when a checkpointer is configured), so a crashed engine resumes "from where
 it left off".
 
+Control reaches the engine by call, never by event: the failure detector
+hands each attempt's verdict to the :class:`RecoveryCoordinator` that
+tracked it, the coordinator resolves the task and calls the engine back
+(``_on_resolution``), and the engine navigates.  The engine subscribes to
+nothing; what it publishes on the bus (``engine.*``) is narration for
+:mod:`repro.obs`, each event after the one that caused it.
+
 The engine is reactor-agnostic: construct it with a
 :class:`~repro.grid.simkernel.SimReactor` and a
 :class:`~repro.grid.simgrid.SimulatedGrid` for virtual-time experiments, or
@@ -34,14 +41,7 @@ from ..ckpt.manager import CheckpointManager
 from ..core.exceptions import ExceptionBinding, ExceptionTable, UserException
 from ..core.policy import FailurePolicy
 from ..core.states import TaskState
-from ..detection.detector import (
-    TASK_DONE,
-    TASK_EXCEPTION,
-    TASK_FAILED,
-    AttemptOutcome,
-    FailureDetector,
-    scoped_topic,
-)
+from ..detection.detector import FailureDetector
 from ..errors import EngineError, SpecificationError
 from ..events import EventBus
 from ..execution import ExecutionService
@@ -226,15 +226,6 @@ class WorkflowEngine:
             workflow_id=workflow_id,
             tracer=self.runtime.tracer,
         )
-        # A scoped engine listens on exact per-instance topics (e.g.
-        # ``task.done.wf-3``) so N multiplexed engines never see — or pay
-        # dispatch cost for — each other's task traffic.
-        self._subscriptions = [
-            self.runtime.bus.subscribe(
-                scoped_topic(topic, workflow_id), self._on_task_event
-            )
-            for topic in (TASK_DONE, TASK_FAILED, TASK_EXCEPTION)
-        ]
 
     # -- construction helpers -----------------------------------------------
 
@@ -332,20 +323,6 @@ class WorkflowEngine:
             self._trace_root = runtime.tracer.root(
                 self.workflow_id or self.workflow.name
             )
-        # _finish unsubscribed us; fresh construction subscribes — match it.
-        for sub in self._subscriptions:
-            runtime.bus.unsubscribe(sub)
-        self._subscriptions = [
-            runtime.bus.subscribe(
-                scoped_topic(topic, self.workflow_id), self._on_task_event
-            )
-            for topic in (TASK_DONE, TASK_FAILED, TASK_EXCEPTION)
-        ]
-
-    # -- event plumbing --------------------------------------------------------------
-
-    def _on_task_event(self, _topic: str, outcome: AttemptOutcome) -> None:
-        self.coordinator.handle_outcome(outcome)
 
     # -- navigation --------------------------------------------------------------------
 
@@ -649,8 +626,6 @@ class WorkflowEngine:
         self._finished = True
         self.instance.status = evaluate_outcome(self.instance)
         self.instance.finished_at = self.runtime.reactor.now()
-        for sub in self._subscriptions:
-            self.runtime.bus.unsubscribe(sub)
         started = self.instance.started_at or 0.0
         self._result = WorkflowResult(
             workflow=self.workflow.name,
@@ -706,8 +681,6 @@ class _LoopRunner:
             # simply never finishes (it is garbage after this).
             for activity in list(child.coordinator.running_activities()):
                 child.coordinator.cancel_activity(activity)
-            for sub in child._subscriptions:
-                child.runtime.bus.unsubscribe(sub)
 
     def _iterate(self) -> None:
         if self._cancelled:

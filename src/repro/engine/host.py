@@ -10,17 +10,23 @@ reactor/kernel, one :class:`~repro.events.EventBus`, one
 :class:`~repro.engine.broker.Broker`, one
 :class:`~repro.ckpt.manager.CheckpointManager`.
 
-Isolation comes from per-instance *event scoping*, not from separate
-infrastructure:
+Isolation comes from who is *called*, not from separate infrastructure
+and not from the bus:
 
 * every instance gets a stable ``workflow_id`` (``wf-1``, ``wf-2``, …,
-  allocated from the runtime's id counter);
-* the detector publishes each attempt outcome on a workflow-scoped topic
-  (``task.done.wf-3``), so an engine's subscriptions are exact-topic O(1)
-  lookups and never see sibling traffic;
+  allocated from the runtime's id counter), carried on every payload its
+  engine, coordinator and attempts publish;
+* a coordinator gives the detector its ``handle_outcome`` with each
+  attempt it tracks, and the detector hands an attempt's verdict to that
+  callback alone — an engine never sees, filters or pays for a sibling's
+  verdicts, and no engine subscribes to anything;
 * execution services key attempt counters by ``(workflow_id, activity)``
   and checkpoint flags are stored under a ``{workflow_id}::`` scope, so
   two concurrent instances of the *same* specification cannot collide.
+
+The shared bus only narrates (plain topics from a closed set), so its
+route cache is bounded by the number of declared topics however many
+instances a host has run.
 
 With deterministic task behaviours and non-contending resources, N
 multiplexed instances produce bit-identical per-instance

@@ -21,9 +21,12 @@ Implements the paper's Figure 1 control flow on the task side:
 
 The coordinator itself is a thin mechanism layer: it owns slots, job
 bookkeeping, timers and resolution callbacks, and delegates every *policy*
-decision to the strategy stack.  It stays engine-passive: the engine feeds
-it detector outcomes and it answers with submissions (side effects on the
-execution service) or a terminal :class:`TaskResolution` callback.
+decision to the strategy stack.  It stays engine-passive: it gives its
+:meth:`~RecoveryCoordinator.handle_outcome` to the detector with every
+attempt it tracks, the detector calls it with that attempt's verdict, and
+it answers with submissions (side effects on the execution service) or a
+terminal :class:`TaskResolution` callback.  What it publishes on the bus is
+narration only; nothing it does depends on who is listening.
 """
 
 from __future__ import annotations
@@ -249,8 +252,9 @@ class RecoveryCoordinator:
     # -- outcome handling ----------------------------------------------------------
 
     def handle_outcome(self, outcome: AttemptOutcome) -> None:
-        """Feed a detector outcome; ignores jobs we do not own (loops run
-        child coordinators) and stale attempts."""
+        """One attempt's verdict, from the detector (the ``on_verdict`` of
+        every attempt this coordinator tracks); ignores jobs we do not own
+        and stale attempts."""
         entry = self._job_index.get(outcome.job_id)
         if entry is None:
             return
@@ -399,12 +403,15 @@ class RecoveryCoordinator:
         job_id = self._service.submit(request)
         slot.active_job = job_id
         self._job_index[job_id] = (run.activity.name, slot.index)
+        # ``self.handle_outcome`` is read off the instance here, so a
+        # wrapper set on it (a tracer's) is what the detector calls.
         self._detector.track(
             job_id,
             run.activity.name,
             target.hostname,
             workflow_id=self.workflow_id,
             trace=slot.attempt_trace,
+            on_verdict=self.handle_outcome,
         )
         timeout = run.activity.policy.attempt_timeout
         if timeout is not None:

@@ -18,9 +18,9 @@ Usage::
     assert trace.count("task.failed") == 2
 
 Attach/detach are idempotent, and the recording survives
-:meth:`WorkflowEngine.reset`: the engine only re-subscribes *its own*
-handlers, so one trace can observe an entire engine-reuse loop (every run
-is recorded; re-attaching between runs is a no-op).
+:meth:`WorkflowEngine.reset`: the engine holds no bus subscription of its
+own, so one trace can observe an entire engine-reuse loop (every run is
+recorded; re-attaching between runs is a no-op).
 """
 
 from __future__ import annotations

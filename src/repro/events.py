@@ -1,43 +1,41 @@
 """A small synchronous publish/subscribe event bus.
 
-Grid-WFS components are wired together with events rather than direct calls:
-the simulated Grid publishes heartbeat and notification messages, the failure
-detection service consumes them and publishes task-state changes, and the
-engine consumes those to drive navigation and recovery.  Keeping the bus
-synchronous and single-threaded (per reactor) preserves determinism inside
-the discrete-event simulation.
+The bus carries *narration*: the failure detector, the heartbeat monitor,
+the recovery coordinators and the engines publish what they see and decide,
+and the telemetry plane (:mod:`repro.obs`) — observers, recorders, trackers,
+estimators — consumes it.  It carries no control: a verdict reaches the
+coordinator that tracked the attempt by a direct call
+(:meth:`repro.detection.detector.FailureDetector.track`'s ``on_verdict``),
+made *after* the verdict is published, so nothing that steers a run
+subscribes here and every observer sees a cause before its effects.
+Keeping the bus synchronous and single-threaded (per reactor) preserves
+determinism inside the discrete-event simulation.
 
-Topics are plain strings.  Subscribers receive the published payload object.
-Hierarchical matching is supported with a ``*`` wildcard, e.g. a
-subscription to ``"task.*"`` receives ``"task.done"`` and ``"task.failed"``.
-``*`` is the *only* metacharacter: ``?`` and ``[`` are ordinary characters,
-so topic names containing them cannot mis-match (earlier versions used
-:mod:`fnmatch` rules, where ``"data.[raw]"`` silently became a character
-class).
+Topics are plain strings; the stack's own are a closed, declared set (the
+README's topic catalogue), and which workflow instance an event belongs to
+is on its payload (``workflow_id``), never in the topic.  Subscribers
+receive the published payload object.  Hierarchical matching is supported
+with a ``*`` wildcard, e.g. a subscription to ``"task.*"`` receives
+``"task.done"`` and ``"task.failed"``.  ``*`` is the *only* metacharacter:
+``?`` and ``[`` are ordinary characters, so topic names containing them
+cannot mis-match (earlier versions used :mod:`fnmatch` rules, where
+``"data.[raw]"`` silently became a character class).
 
-Dispatch is the bus's hot path: a multiplexed engine host pushes every
-task-state change, heartbeat suspicion and engine lifecycle event of N
-concurrent workflows through one bus.  Publishing therefore never scans the
-pattern list per event.  Patterns are classified once at subscription time —
-
-* no ``*``                    → exact-topic dict entry;
-* one trailing ``*``          → pre-split prefix test (``"task.*"`` keeps
-  ``"task."`` and matches with ``str.startswith``);
-* anything else (rare)        → anchored regex, compiled once —
-
-and every published topic's matching handler groups are interned in a
-per-topic **route cache**: the first publish on a topic resolves its route
-(exact dict + matching pattern entries); subsequent publishes are a single
-dict lookup.  Routes hold references to the live handler dicts, so
+Publishing never scans the pattern list per event.  A pattern without a
+``*`` is an exact-topic dict entry, any other is an anchored regex compiled
+once at subscription time, and every published topic's matching handler
+groups are interned in a per-topic **route cache**: the first publish on a
+topic resolves its route (exact dict + matching pattern entries);
+subsequent publishes are a single dict lookup.  With a closed topic set a
+run resolves a handful of routes in all, so how a pattern is matched is
+never on a hot path.  Routes hold references to the live handler dicts, so
 subscriber churn on existing patterns never invalidates them; only the
 appearance or pruning of a pattern/topic does.
 
-Most publications of an unobserved run reach no one (node launches,
-``task.active``, recovery narration: four in five on the benchmark's
-multiplexed workloads), and building their payloads costs more than
-routing them.  Publishers on the per-attempt path therefore ask
-:meth:`EventBus.wants` first and build the payload only when the answer
-is yes::
+Most publications of an unobserved run reach no one, and building their
+payloads costs more than routing them.  Publishers on the per-attempt path
+therefore ask :meth:`EventBus.wants` first and build the payload only when
+the answer is yes::
 
     if bus.wants(topic):
         bus.publish(topic, {...})
@@ -80,40 +78,21 @@ class EventRecord:
     payload: Any
 
 
-def _compile_pattern(pattern: str) -> re.Pattern[str]:
-    """Anchored regex for a ``*``-wildcard pattern; everything else is
-    matched literally (``?``/``[`` included)."""
-    return re.compile(
-        ".*".join(re.escape(part) for part in pattern.split("*")) + r"\Z"
-    )
-
-
 class _PatternEntry:
-    """One wildcard pattern and its live handlers.
+    """One wildcard pattern — an anchored regex in which everything but
+    ``*`` is literal (``?``/``[`` included) — and its live handlers."""
 
-    ``prefix`` is the pre-split fast path: for single-trailing-``*``
-    patterns it holds everything before the star, and matching is a
-    ``startswith`` instead of a regex search.  ``regex`` backs the general
-    case (and :meth:`matches` falls through to it only then).
-    """
-
-    __slots__ = ("pattern", "prefix", "regex", "handlers")
+    __slots__ = ("pattern", "regex", "handlers")
 
     def __init__(self, pattern: str) -> None:
         self.pattern = pattern
-        star = pattern.find("*")
-        if star == len(pattern) - 1:
-            self.prefix: str | None = pattern[:-1]
-            self.regex: re.Pattern[str] | None = None
-        else:
-            self.prefix = None
-            self.regex = _compile_pattern(pattern)
+        self.regex = re.compile(
+            ".*".join(re.escape(part) for part in pattern.split("*")) + r"\Z"
+        )
         self.handlers: dict[int, Handler] = {}
 
     def matches(self, topic: str) -> bool:
-        if self.prefix is not None:
-            return topic.startswith(self.prefix)
-        return self.regex.match(topic) is not None  # type: ignore[union-attr]
+        return self.regex.match(topic) is not None
 
 
 class EventBus:
@@ -158,7 +137,7 @@ class EventBus:
 
         Patterns without a ``*`` are matched exactly; patterns containing
         ``*`` match any substring at each wildcard position.  Classification
-        (exact / prefix / regex) happens here, never per publish.
+        (exact / regex) happens here, never per publish.
         """
         token = self._next_token
         self._next_token += 1
@@ -295,16 +274,7 @@ class EventBus:
         """Dispatch-path counters: publications offered (``publishes``,
         of which ``declined`` were turned away by :meth:`wants` and never
         built), interned topic routes, route builds (full matching
-        passes), and live subscription-group counts.
-
-        ``prefix_patterns`` / ``regex_patterns`` split the pattern
-        entries by matching strategy, and ``prefix_fastpath_share`` is
-        the fraction of live patterns on the ``startswith`` fast path —
-        all derived here, never maintained on the publish path.
-        """
-        prefix_patterns = sum(
-            1 for entry in self._patterns if entry.prefix is not None
-        )
+        passes), and live subscription-group counts."""
         return {
             "publishes": self._seq + self._declined,
             "declined": self._declined,
@@ -312,10 +282,6 @@ class EventBus:
             "route_builds": self.route_builds,
             "exact_topics": len(self._exact),
             "pattern_entries": len(self._patterns),
-            "prefix_patterns": prefix_patterns,
-            "regex_patterns": len(self._patterns) - prefix_patterns,
-            "prefix_fastpath_share": prefix_patterns
-            / max(1, len(self._patterns)),
             "taps": len(self._taps),
         }
 

@@ -458,13 +458,13 @@ class EstimatorSuite:
             return self
         self.detach()
         self._bus = bus
-        # Terminal outcomes only (prefix patterns cover the wf-scoped
-        # variants) — a "task.*" subscription would also pay a handler
-        # call per task.active event, which the estimators never use.
+        # Terminal outcomes only — a "task.*" subscription would also pay
+        # a handler call per task.active event, which the estimators
+        # never use.
         self._subscriptions = [
-            bus.subscribe("task.done*", self._on_task_event),
-            bus.subscribe("task.failed*", self._on_task_event),
-            bus.subscribe("task.exception*", self._on_task_event),
+            bus.subscribe("task.done", self._on_task_event),
+            bus.subscribe("task.failed", self._on_task_event),
+            bus.subscribe("task.exception", self._on_task_event),
             bus.subscribe("detector.host_suspected", self._on_suspected),
             bus.subscribe("detector.host_recovered", self._on_recovered),
         ]

@@ -9,10 +9,15 @@ publishes on its :class:`~repro.events.EventBus` —
 * ``recovery.*`` — the recovery coordinator's strategy dispatch (retries,
   backoff waits, checkpoint restarts, replication wins; plain dicts) —
 
-and turns them into one time-ordered event stream plus nested spans
+and turns them into one causally ordered event stream plus nested spans
 (``workflow.run`` ▸ ``node.run`` ▸ ``task.attempt`` / ``recovery.backoff``)
-and labelled metrics.  :class:`~repro.engine.trace.EngineTrace` is a thin
-query layer over this recording, and every exporter
+and labelled metrics.  Nothing that steers a run listens to the bus (the
+detector hands verdicts to the coordinators by call, after publishing
+them), so the stream is the order things were published in — a verdict,
+then the resolution and the node completion it caused: the order every
+other consumer sees, and exactly the flight recorder's journal filtered
+to these three families.  :class:`~repro.engine.trace.EngineTrace` is a
+thin query layer over this recording, and every exporter
 (:mod:`repro.obs.export`) renders it — the engine has exactly one
 observation path.
 
@@ -24,12 +29,13 @@ module import-cycle-free (``repro.engine`` imports us for ``EngineTrace``).
 An attempt span ends with its terminal ``task.*`` event — or, for an
 attempt the engine cancelled and told the detector to forget (a losing
 replica, a branch that lost an OR join), when its node resolves, labelled
-``outcome="cancelled"``.
+``outcome="cancelled"``.  The attempt that resolved the node has had its
+verdict by then, so whatever a resolving node still holds was cancelled.
 
 The observer survives :meth:`WorkflowEngine.reset`: its subscriptions are
-its own (the engine only re-subscribes *its* handlers), and per-run span
-bookkeeping is cleared when a workflow finishes, so engine-reuse loops
-record every run exactly once.
+its own (the engine has none), and per-run span bookkeeping is cleared
+when a workflow finishes, so engine-reuse loops record every run exactly
+once.
 """
 
 from __future__ import annotations
@@ -236,13 +242,6 @@ class RunObserver:
         self._workflow_spans: dict[str, "Span"] = {}
         self._node_spans: dict[str, dict[str, "Span"]] = {}
         self._attempt_spans: dict[str, dict[str, dict[str, "Span"]]] = {}
-        #: job → attempt span ended as cancelled by its node's resolution.
-        #: A resolution reaches us *before* the terminal ``task.*`` event
-        #: that caused it (the engine publishes from inside its own handler
-        #: for that event), so the attempt that just won is in here too
-        #: until its outcome arrives and claims it — at which point the
-        #: dispatch that did the cancelling is over and the rest can go.
-        self._cancelled: dict[str, "Span"] = {}
         family = self.obs.metrics.family
         self._nodes_launched = family(NODES_LAUNCHED)
         self._node_completions = family(NODE_COMPLETIONS)
@@ -329,7 +328,6 @@ class RunObserver:
         for span in jobs.values():
             span.labels["outcome"] = "cancelled"
             end(span)
-        self._cancelled.update(jobs)
 
     # -- engine lifecycle ----------------------------------------------------
 
@@ -423,14 +421,7 @@ class RunObserver:
             return
         attempts = self._attempt_spans.get(wfid)
         jobs = attempts.get(activity) if attempts is not None else None
-        if outcome:
-            span = jobs.pop(job, None) if jobs is not None else None
-            if span is None and self._cancelled:
-                span = self._cancelled.pop(job, None)
-                if span is not None:
-                    self._cancelled.clear()
-        else:
-            span = None
+        span = jobs.pop(job, None) if outcome and jobs is not None else None
         if span is None:
             # A running attempt — or one whose terminal outcome came before
             # any TaskStart (e.g. instant crash): that one is recorded as a
@@ -549,16 +540,6 @@ BUS_SUBSCRIPTION_GROUPS = _gauge(
 BUS_ROUTE_CACHE_HIT_RATE = _gauge(
     "bus_route_cache_hit_rate", "publishes served without a matching pass"
 )
-BUS_PREFIX_PATTERNS = _gauge(
-    "bus_prefix_patterns", "wildcard patterns on the startswith fast path"
-)
-BUS_REGEX_PATTERNS = _gauge(
-    "bus_regex_patterns", "wildcard patterns requiring a compiled regex"
-)
-BUS_PREFIX_FASTPATH_SHARE = _gauge(
-    "bus_prefix_fastpath_share",
-    "fraction of live patterns matched via startswith",
-)
 
 NETWORK_MESSAGES_SENT = _gauge(
     "network_messages_sent", "messages offered to the network"
@@ -626,9 +607,6 @@ def scrape_bus(registry: "MetricsRegistry", bus: "EventBus") -> None:
         BUS_ROUTE_CACHE_HIT_RATE,
         1.0 - stats["route_builds"] / max(1, stats["publishes"]),
     )
-    _set(registry, BUS_PREFIX_PATTERNS, stats["prefix_patterns"])
-    _set(registry, BUS_REGEX_PATTERNS, stats["regex_patterns"])
-    _set(registry, BUS_PREFIX_FASTPATH_SHARE, stats["prefix_fastpath_share"])
 
 
 def scrape_grid(registry: "MetricsRegistry", grid: "SimulatedGrid") -> None:

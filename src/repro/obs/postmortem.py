@@ -42,7 +42,9 @@ _RECOVERY_TOPICS = (
 
 
 def _base_topic(topic: str) -> str:
-    """``task.done.wf-3`` → ``task.done`` (workflow-scoped republishes)."""
+    """``task.done.wf-3`` → ``task.done``: a journal is outside input, and
+    builds that published ``task.*`` on per-instance topics wrote the
+    instance into the topic as well as into ``workflow_id``."""
     for base in ("task.active",) + _TERMINAL_TASK:
         if topic == base or topic.startswith(base + "."):
             return base

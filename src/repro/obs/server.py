@@ -49,16 +49,12 @@ class WorkflowStatusTracker:
 
     def __init__(self, bus: EventBus | None = None) -> None:
         self._status: dict[str, dict[str, Any]] = {}
-        #: Running attempts: workflow_id → job id → node.  A node's
-        #: resolution cancels whatever it still has here (no terminal
-        #: ``task.*`` event follows for a cancelled job), and an instance's
-        #: entry goes when its workflow finishes.
+        #: Running attempts: workflow_id → job id → node.  A verdict
+        #: reaches us before the resolution it causes, so what a resolving
+        #: node still has here was cancelled (no terminal ``task.*`` event
+        #: follows for a cancelled job); an instance's entry goes when its
+        #: workflow finishes.
         self._running: dict[str, dict[str, str]] = {}
-        #: Jobs counted as cancelled by a resolution.  The resolution
-        #: reaches us *before* the terminal event that caused it, so the
-        #: attempt that just won is in here until its outcome claims it;
-        #: by then the dispatch that did the cancelling is over.
-        self._cancelled: set[str] = set()
         self._bus: EventBus | None = None
         self._subscriptions: list[Subscription] = []
         if bus is not None:
@@ -153,7 +149,6 @@ class WorkflowStatusTracker:
         count = len(jobs)
         attempts["cancelled"] = attempts.get("cancelled", 0) + count
         attempts["in_flight"] -= count
-        self._cancelled.update(jobs)
 
     def _on_task_event(self, topic: str, payload: Any) -> None:
         outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
@@ -174,13 +169,6 @@ class WorkflowStatusTracker:
         attempts[outcome] = attempts.get(outcome, 0) + 1
         if running is not None and running.pop(job, None) is not None:
             attempts["in_flight"] -= 1
-        elif job in self._cancelled:
-            # The attempt whose outcome resolved its node.
-            self._cancelled.clear()
-            if attempts["cancelled"] == 1:
-                del attempts["cancelled"]
-            else:
-                attempts["cancelled"] -= 1
 
     def _on_recovery_event(self, topic: str, payload: Any) -> None:
         if not isinstance(payload, dict):

@@ -26,6 +26,7 @@ from repro.detection.messages import (
     TaskStart,
 )
 from repro.errors import DetectionError
+from repro.events import EventBus
 
 
 @pytest.fixture
@@ -188,6 +189,73 @@ class TestRegistration:
         assert detector.state_of(job) is None
 
 
+class TestVerdictCallback:
+    """Control by call: the tracker of an attempt is handed its verdict,
+    once, after the bus has narrated it."""
+
+    def test_called_once_per_verdict_after_the_narration(self, detector, bus):
+        calls = []
+        bus.subscribe("task.*", lambda topic, outcome: calls.append(("bus", topic)))
+        disk_full = UserException("disk_full")
+        endings = {
+            "j1": [
+                TaskEnd(job_id="j1", hostname="n1"),
+                Done(job_id="j1", hostname="n1"),
+            ],
+            "j2": [Done(job_id="j2", hostname="n1", exit_code=1)],
+            "j3": [ExceptionNotice(job_id="j3", hostname="n1", exception=disk_full)],
+        }
+        for job, ending in endings.items():
+            detector.track(
+                job, "act", "n1", on_verdict=lambda o: calls.append(("call", o))
+            )
+            detector.deliver(TaskStart(job_id=job, hostname="n1"))
+            for msg in ending:
+                detector.deliver(msg)
+            detector.deliver(Done(job_id=job, hostname="n1"))  # late: ignored
+        # task.active is narration only; each verdict is narrated, then
+        # handed over — once, and as the very object that was published.
+        assert [kind for kind, _ in calls] == ["bus", "bus", "call"] * 3
+        assert [what for kind, what in calls if kind == "bus"] == [
+            TASK_ACTIVE,
+            TASK_DONE,
+            TASK_ACTIVE,
+            TASK_FAILED,
+            TASK_ACTIVE,
+            TASK_EXCEPTION,
+        ]
+        handed = [what for kind, what in calls if kind == "call"]
+        narrated = [r.payload for r in bus.history if r.topic != TASK_ACTIVE]
+        assert [o.job_id for o in handed] == ["j1", "j2", "j3"]
+        assert all(a is b for a, b in zip(handed, narrated))
+
+    def test_called_when_nobody_listens(self, reactor):
+        bus = EventBus()
+        detector = FailureDetector(reactor, bus)
+        verdicts = []
+        detector.track("j1", "act", "n1", on_verdict=verdicts.append)
+        detector.deliver(Done(job_id="j1", hostname="n1", exit_code=1))
+        assert [o.state for o in verdicts] == [TaskState.FAILED]
+        assert bus.stats()["declined"] == 1  # offered once, built for the call
+
+    def test_never_called_after_forget(self, detector, bus):
+        verdicts = []
+        detector.track("j1", "act", "n1", on_verdict=verdicts.append)
+        detector.deliver(TaskStart(job_id="j1", hostname="n1"))
+        detector.forget("j1")
+        detector.deliver(Done(job_id="j1", hostname="n1"))
+        assert verdicts == [] and outcomes(bus, TASK_FAILED) == []
+
+    def test_untracked_submission_rejected_only_narrates(self, detector, bus):
+        verdicts = []
+        detector.track("j1", "act", "n1", on_verdict=verdicts.append)
+        detector.submission_rejected("jx", "act", "n1", reason="host-down")
+        assert [o.job_id for o in outcomes(bus, TASK_FAILED)] == ["jx"]
+        assert verdicts == []
+        detector.submission_rejected("j1", "act", "n1", reason="host-down")
+        assert [o.job_id for o in verdicts] == ["j1"]
+
+
 class TestHostSuspicionIntegration:
     def test_suspected_host_fails_its_attempts(self, reactor, kernel, bus):
         detector = FailureDetector(reactor, bus, heartbeat_timeout=5.0)
@@ -216,4 +284,26 @@ class TestHostSuspicionIntegration:
         kernel.run_until(20.0)
         failed = outcomes(bus, TASK_FAILED)
         assert [o.job_id for o in failed] == ["j1"]
+        detector.stop()
+
+    def test_attempt_forgotten_during_the_walk_gets_no_verdict(
+        self, reactor, kernel, bus
+    ):
+        # Failing one attempt can cancel a sibling on the same host (the
+        # coordinator forgets it): the walk must not fail that one too.
+        detector = FailureDetector(reactor, bus, heartbeat_timeout=5.0)
+        detector.start()
+        verdicts = []
+
+        def first_failed(outcome):
+            verdicts.append(outcome.job_id)
+            detector.forget("j2")
+
+        detector.track("j1", "a", "h", on_verdict=first_failed)
+        detector.track(
+            "j2", "b", "h", on_verdict=lambda outcome: verdicts.append(outcome.job_id)
+        )
+        kernel.run_until(20.0)
+        assert verdicts == ["j1"]
+        assert [o.job_id for o in outcomes(bus, TASK_FAILED)] == ["j1"]
         detector.stop()

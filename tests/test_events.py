@@ -200,12 +200,6 @@ class TestRouteCache:
         bus.publish("task.done", None)
         assert bus.stats()["route_builds"] == builds
 
-    def test_single_trailing_star_uses_prefix_not_regex(self):
-        entry = _PatternEntry("task.*")
-        assert entry.prefix == "task." and entry.regex is None
-        generic = _PatternEntry("a.*.b")
-        assert generic.prefix is None and generic.regex is not None
-
 
 class TestPruning:
     """Empty handler groups are pruned on last unsubscribe, so long-lived
@@ -308,7 +302,7 @@ class TestWants:
         assert [r.seq for r in bus.history] == [1]
 
 
-#: Exact, prefix and regex patterns over a small topic alphabet, plus enough
+#: Exact, trailing-star and general patterns over a small topic alphabet, plus enough
 #: distinct topics to overflow the (shrunk) route cache several times.
 _PATTERNS = ("a.x", "a.y", "b.x", "a.*", "b.*", "*", "*.x", "a.*.z", "t.1*")
 _TOPICS = ("a.x", "a.y", "b.x", "b.y", "a.q.z", "c") + tuple(

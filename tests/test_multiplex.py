@@ -1,10 +1,12 @@
 """Multiplexed engine hosting: N concurrent instances, one shared runtime.
 
-Covers :class:`repro.engine.host.EngineHost` and the per-instance event
-scoping it relies on: workflow-scoped task topics, ``(workflow_id,
-activity)`` attempt counters, scoped checkpoint-flag keys, host-managed
-engine-id allocation, batched heartbeat delivery, and the determinism
-contract — multiplexed results bit-identical to isolated sequential runs.
+Covers :class:`repro.engine.host.EngineHost` and the per-instance scoping
+it relies on: verdicts handed back to the coordinator that tracked the
+attempt (the bus only narrates, ``workflow_id`` on every payload),
+``(workflow_id, activity)`` attempt counters, scoped checkpoint-flag keys,
+host-managed engine-id allocation, batched heartbeat delivery, and the
+determinism contract — multiplexed results bit-identical to isolated
+sequential runs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from tests.helpers import (
 )
 from repro.core import FailurePolicy
 from repro.core.policy import ResourceSelection
-from repro.detection.detector import scoped_topic
 from repro.detection.messages import Done, TaskEnd
 from repro.engine import EngineHost, WorkflowEngine
 from repro.errors import EngineError
@@ -39,6 +40,7 @@ from repro.grid import (
     inject_crash,
 )
 from repro.obs import RunObserver, Tracer
+from repro.obs.catalogue import topic_specs
 from repro.wpdl import WorkflowBuilder
 
 
@@ -155,45 +157,80 @@ class TestAttemptScoping:
 
 class TestEventScoping:
     def test_no_cross_instance_event_leakage(self):
-        """100 concurrent instances: every task event must carry the
-        workflow_id of the topic it was published on, and every engine
-        event must be labelled with its instance."""
-        grid = fixed_grid()
+        """100 concurrent crash-and-retry instances: every task event names
+        its instance on the payload (topics are plain), a coordinator is
+        handed its own attempts' verdicts and no sibling's, every consumer
+        — wildcard subscriber and tap alike — sees a verdict before the
+        resolution and completion it caused, and the route cache does not
+        grow with the instance count."""
+        grid = crashing_grid()
         host = EngineHost(grid, reactor=grid.reactor)
         bus = host.runtime.bus
-        bus.enable_history()
-        host.submit_many(single_task_workflow(), 100)
+        subscribed, tapped = [], []
+        bus.subscribe("*", lambda topic, payload: subscribed.append((topic, payload)))
+        bus.add_tap(lambda topic, payload: tapped.append((topic, payload)))
+        spec = single_task_workflow(policy=FailurePolicy.retrying(3))
+        handed = []
+        for wfid in host.submit_many(spec, 100):
+            coordinator = host.engine(wfid).coordinator
+
+            def handle(outcome, wfid=wfid, handle=coordinator.handle_outcome):
+                handed.append((wfid, outcome))
+                handle(outcome)
+
+            # Read off the instance at every submit (a tracer's seam), so
+            # this is what the detector calls.
+            coordinator.handle_outcome = handle
         results = host.wait_all(timeout=1e7)
         assert len(results) == 100
-        task_records = [
-            r for r in bus.history if r.topic.startswith("task.")
-        ]
-        assert task_records, "expected task traffic on the bus"
-        for record in task_records:
-            wfid = record.payload.workflow_id
-            assert wfid, "multiplexed outcomes must be workflow-scoped"
-            assert record.topic.endswith("." + wfid), (
-                f"outcome for {wfid} leaked onto topic {record.topic}"
-            )
-        engine_records = [
-            r for r in bus.history if r.topic.startswith("engine.")
-        ]
-        seen_ids = {r.payload["workflow_id"] for r in engine_records}
-        assert seen_ids == set(results)
+        assert all(r.succeeded and r.tries["task"] == 2 for r in results.values())
 
-    def test_engine_subscribes_to_exact_scoped_topics(self):
-        # Exact-topic subscriptions are the O(1)-dispatch contract: no
-        # multiplexed engine ever pattern-matches sibling traffic.
-        grid = fixed_grid()
-        host = EngineHost(grid, reactor=grid.reactor)
-        engine = host.engine(host.submit(single_task_workflow()))
-        wfid = engine.workflow_id
-        assert {sub.pattern for sub in engine._subscriptions} == {
-            scoped_topic(base, wfid)
-            for base in ("task.done", "task.failed", "task.exception")
-        }
-        assert all("*" not in sub.pattern for sub in engine._subscriptions)
-        host.wait_all(timeout=1e7)
+        declared = {spec.topic for spec in topic_specs()}
+        assert subscribed == tapped
+        verdicts = []
+        last_verdict = {}  # workflow_id -> its latest terminal task event
+        for topic, payload in tapped:
+            assert topic in declared
+            if topic.startswith("task."):
+                assert payload.workflow_id in results
+                if topic != "task.active":
+                    verdicts.append(payload)
+                    last_verdict[payload.workflow_id] = (payload.activity, topic)
+                continue
+            assert payload["workflow_id"] in results
+            if topic == "recovery.retry":
+                cause = (payload["activity"], "task.failed")
+            elif topic == "recovery.resolved":
+                cause = (payload["activity"], "task." + payload["state"])
+            elif topic == "engine.node_completed":
+                cause = (payload["node"], "task." + payload["status"])
+            else:
+                continue
+            assert last_verdict[payload["workflow_id"]] == cause
+        assert len(verdicts) == 200
+        assert [(o.workflow_id, o) for o in verdicts] == handed
+        assert bus.stats()["cached_routes"] <= len(declared)
+
+    def test_nothing_outside_obs_subscribes(self):
+        # Control by call, narration by bus: only the telemetry plane
+        # consumes the bus, so nothing that steers a run can come to depend
+        # on dispatch order or on who else is listening.
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        offenders = [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for path in sorted(root.rglob("*.py"))
+            if path != root / "events.py" and root / "obs" not in path.parents
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("subscribe", "add_tap")
+        ]
+        assert offenders == []
 
     def test_unscoped_single_engine_unchanged(self):
         # The classic path publishes on bare topics with empty workflow_id.

@@ -187,10 +187,10 @@ class TestEstimatorSuite:
     def test_terminal_topics_feed_activity_estimators(self):
         bus = EventBus()
         suite = EstimatorSuite(bus)
-        bus.publish("task.done.wf-1", _Payload("done"))
-        bus.publish("task.failed.wf-1", _Payload("failed", reason="exit-code"))
-        bus.publish("task.exception.wf-1", _Payload("exception"))
-        bus.publish("task.active.wf-1", _Payload("active"))  # non-terminal: ignored
+        bus.publish("task.done", _Payload("done"))
+        bus.publish("task.failed", _Payload("failed", reason="exit-code"))
+        bus.publish("task.exception", _Payload("exception"))
+        bus.publish("task.active", _Payload("active"))  # non-terminal: ignored
         estimator = suite.activities[("wf-1", "task")]
         assert estimator.attempts == 3 and estimator.failures == 2
         assert estimator.failure_probability() == pytest.approx(2 / 3)
@@ -199,12 +199,12 @@ class TestEstimatorSuite:
         bus = EventBus()
         suite = EstimatorSuite(bus)
         bus.publish(
-            "task.failed.wf-1",
+            "task.failed",
             _Payload("failed", reason="exit-code", hostname="h1", at=5.0),
         )
         assert "h1" not in suite.hosts  # a task's own exit is not host MTTF
         bus.publish(
-            "task.failed.wf-1",
+            "task.failed",
             _Payload("failed", reason="host-crashed", hostname="h1", at=9.0),
         )
         assert suite.hosts["h1"].failures == 1
@@ -248,7 +248,7 @@ class TestEstimatorSuite:
         bus = EventBus()
         suite = EstimatorSuite(bus)
         suite.detach()
-        bus.publish("task.done.wf-1", _Payload("done"))
+        bus.publish("task.done", _Payload("done"))
         assert not suite.activities
 
     def test_ingest_liveness_folds_monitor_counters(self):

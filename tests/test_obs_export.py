@@ -224,6 +224,24 @@ class TestMetricCatalogue:
         from repro.obs.catalogue import metric_specs
 
         specs = metric_specs()
-        assert len({spec.name for spec in specs}) == len(specs) >= 41
+        assert len({spec.name for spec in specs}) == len(specs) >= 38
         assert {spec.kind for spec in specs} == {"counter", "gauge", "histogram"}
         assert all(set(spec.optional) <= set(spec.labels) for spec in specs)
+
+    def test_declared_topics_are_unique_and_cover_every_publisher(self):
+        from repro.obs.catalogue import topic_specs
+
+        specs = topic_specs()
+        assert len({spec.topic for spec in specs}) == len(specs)
+        assert {spec.topic.split(".")[0] for spec in specs} == {
+            "task",
+            "detector",
+            "engine",
+            "recovery",
+            "obs",
+        }
+        assert {spec.module for spec in specs} >= {
+            "repro.detection.heartbeat",
+            "repro.engine.host",
+            "repro.obs.health",
+        }

@@ -27,7 +27,6 @@ def test_three_batches_leave_the_bookkeeping_empty():
         assert observer._workflow_spans == {}
         assert observer._node_spans == {}
         assert observer._attempt_spans == {}
-        assert observer._cancelled == {}
         spans = observer.spans
         assert all(span.sim_end is not None for span in spans)
         cancelled.append(
@@ -38,7 +37,7 @@ def test_three_batches_leave_the_bookkeeping_empty():
         assert len(statuses) == batch * BATCH
         assert all(status["attempts"]["in_flight"] == 0 for status in statuses)
         assert all(status["running_nodes"] == [] for status in statuses)
-        assert tracker._running == {} and tracker._cancelled == set()
+        assert tracker._running == {}
         assert (
             sum(status["attempts"].get("cancelled", 0) for status in statuses)
             == cancelled[-1]

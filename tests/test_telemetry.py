@@ -333,6 +333,45 @@ class TestPostmortem:
         assert len(tl.attempts) == 3
         assert all(a.caused_by == "" for a in tl.attempts)
 
+    def test_inspect_reads_a_journal_recorded_with_scoped_topics(
+        self, tmp_path, capsys
+    ):
+        # Builds before PR 18 published an instance's task.* events on
+        # ``task.done.wf-3``; their journals are outside input and must
+        # keep loading, to the same report.
+        from repro.cli import main
+        from repro.grid import GridConfig, SimulatedGrid
+
+        grid = SimulatedGrid(config=GridConfig(heartbeats=False))
+        grid.add_host(RELIABLE("h1", slots=None))
+        grid.install(
+            "h1", "task", CrashingTask(duration=30.0, crash_at=5.0, crashes=1)
+        )
+        host = EngineHost(grid, reactor=grid.reactor, tracer=Tracer())
+        recorder = FlightRecorder(host.runtime.bus)
+        host.submit_many(single_task_workflow(policy=FailurePolicy.retrying(3)), 2)
+        host.wait_all(timeout=1e6)
+        plain, scoped = tmp_path / "plain.jsonl", tmp_path / "scoped.jsonl"
+        recorder.dump(str(plain))
+        lines = []
+        for line in plain.read_text(encoding="utf-8").splitlines():
+            entry = json.loads(line)
+            if entry.get("topic", "").startswith("task."):
+                entry["topic"] += "." + entry["workflow_id"]
+            lines.append(json.dumps(entry))
+        scoped.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert sum(".wf-" in line for line in lines) == 8  # 2 × (2 active + 2 ended)
+
+        reports = []
+        for path in (plain, scoped):
+            assert main(["inspect", str(path), "--json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert {
+            wfid: [a["outcome"] for a in tl["attempts"]]
+            for wfid, tl in reports[1].items()
+        } == {"wf-1": ["failed", "done"], "wf-2": ["failed", "done"]}
+
 
 def _get(url: str):
     with urllib.request.urlopen(url, timeout=10) as response:

@@ -239,4 +239,4 @@ class TestCancelledEvents:
             metrics.value("task_attempts_total", activity="laggard", outcome="cancelled")
             is None
         )
-        assert trace._attempt_spans == {} and trace._cancelled == {}
+        assert trace._attempt_spans == {}
