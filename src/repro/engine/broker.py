@@ -11,6 +11,11 @@ implement both:
   submission time (constraints may be attached per activity via
   :meth:`Broker.set_query`).
 
+An explicit option's target follows from the program alone, so the recovery
+coordinator asks for it once and keeps it in its launch plan; a wildcard
+option is asked for at every submission, and must be: the catalog and the
+queries change while a runtime lives.
+
 The broker also implements retry resource selection: ``SAME`` resubmits to
 the option used by the failed attempt; ``ROTATE`` advances round-robin
 through the option list, skipping the option that just failed when another
@@ -24,11 +29,17 @@ from dataclasses import dataclass
 from ..catalogs.resource import ResourceCatalog, ResourceQuery
 from ..core.policy import ResourceSelection
 from ..errors import BrokerError, NoResourceError
-from ..wpdl.model import Activity, Program
+from ..wpdl.model import Activity, Option, Program
 
-__all__ = ["Broker", "ResolvedOption"]
+__all__ = ["Broker", "ResolvedOption", "is_wildcard"]
 
 WILDCARD = "*"
+
+
+def is_wildcard(option: Option) -> bool:
+    """Whether *option* is directory-brokered: matched against the catalog
+    at submission time, so never resolved ahead of one."""
+    return option.hostname == WILDCARD
 
 
 @dataclass(frozen=True)
@@ -120,7 +131,7 @@ class Broker:
     ) -> ResolvedOption:
         option = program.options[index]
         hostname = option.hostname
-        if hostname == WILDCARD:
+        if is_wildcard(option):
             hostname = self._broker_host(activity, program, index, exclude or set())
         return ResolvedOption(
             hostname=hostname,

@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
+from weakref import WeakKeyDictionary
 
 from ..ckpt.manager import CheckpointManager
-from ..core.exceptions import ExceptionBinding, ExceptionTable, UserException
+from ..core.exceptions import UserException
 from ..core.policy import FailurePolicy
 from ..core.states import TaskState
 from ..detection.detector import FailureDetector
@@ -48,7 +49,7 @@ from ..execution import ExecutionService
 from ..obs.tracectx import TraceContext, Tracer, stamp
 from ..reactor import Reactor
 from ..wpdl.conditions import evaluate_condition
-from ..wpdl.model import Activity, Loop, SubWorkflow, Workflow
+from ..wpdl.model import Activity, Loop, Parameter, Workflow
 from ..wpdl.validator import validate
 from .broker import Broker
 from .checkpoint import EngineCheckpointer, load_checkpoint
@@ -84,6 +85,12 @@ ENGINE_NODE_LAUNCHED = "engine.node_launched"
 ENGINE_NODE_COMPLETED = "engine.node_completed"
 ENGINE_NODE_CANCELLED = "engine.node_cancelled"
 ENGINE_WORKFLOW_FINISHED = "engine.workflow_finished"
+
+_NODE_STATUS = {
+    TaskState.DONE: NodeStatus.DONE,
+    TaskState.FAILED: NodeStatus.FAILED,
+    TaskState.EXCEPTION: NodeStatus.EXCEPTION,
+}
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,11 @@ class EngineRuntime:
     #: of all tracing work beyond one ``is None`` check.
     tracer: Tracer | None = None
     host_managed: bool = False
+    #: Launch plans (:class:`~repro.engine.recovery.LaunchPlan`) of every
+    #: specification run here: compiled form → that specification's table.
+    #: The key is weak, so a specification's plans go when it does, and the
+    #: table goes with the runtime — neither keeps the other alive.
+    launch_plans: WeakKeyDictionary = field(default_factory=WeakKeyDictionary)
     _engine_ids: "itertools.count[int]" = field(
         default_factory=lambda: itertools.count(1)
     )
@@ -196,14 +208,12 @@ class WorkflowEngine:
         self._loop_runners: dict[str, "_LoopRunner"] = {}
         # O(1) termination/deadlock accounting (a full instance scan per
         # task completion would make large workflows quadratic).
-        self._unresolved = sum(
-            1 for inst in self.instance.nodes.values() if not inst.status.terminal
-        )
-        self._running_count = sum(
-            1
-            for inst in self.instance.nodes.values()
-            if inst.status is NodeStatus.RUNNING
-        )
+        self._unresolved = len(self.instance.nodes)
+        self._running_count = 0
+        if instance is not None:  # resumed: count what the checkpoint holds
+            statuses = [inst.status for inst in instance.nodes.values()]
+            self._unresolved = sum(1 for s in statuses if not s.terminal)
+            self._running_count = statuses.count(NodeStatus.RUNNING)
         self._strategy_resolver = strategy_resolver
         # Causal trace bookkeeping: one root per workflow run, one child
         # context per launched node (handed to the coordinator so attempts
@@ -225,6 +235,7 @@ class WorkflowEngine:
             bus=self.runtime.bus,
             workflow_id=workflow_id,
             tracer=self.runtime.tracer,
+            plans=self.runtime.launch_plans.setdefault(workflow.compiled, {}),
         )
 
     # -- construction helpers -----------------------------------------------
@@ -326,7 +337,7 @@ class WorkflowEngine:
 
     # -- navigation --------------------------------------------------------------------
 
-    def _advance(self, changed_targets: "list[str] | None") -> None:
+    def _advance(self, changed_targets: "Iterable[str] | None") -> None:
         """One navigation round.
 
         *changed_targets* are the nodes whose incoming edges just resolved
@@ -335,21 +346,24 @@ class WorkflowEngine:
         """
         if self._finished:
             return
+        compiled = self.instance.compiled.nodes
         skipped = propagate_skips(self.instance, changed_targets)
         self._unresolved -= len(skipped)
+        # Zombie-check candidates: the feeders of every node that stopped
+        # being PENDING in this round.
         zombie_candidates: list[str] | None = (
             None if changed_targets is None else []
         )
         if zombie_candidates is not None:
             for name in skipped:
-                zombie_candidates.extend(self._feeders_of(name))
+                zombie_candidates.extend(compiled[name].feeders)
         # Skipping fires no edges, but it resolves downstream edges dead —
         # readiness only comes from FIRED edges, so the original targets
         # plus nothing new suffice as ready candidates.
         for name in ready_nodes(self.instance, changed_targets):
             self._launch(name)
             if zombie_candidates is not None:
-                zombie_candidates.extend(self._feeders_of(name))
+                zombie_candidates.extend(compiled[name].feeders)
         for name in irrelevant_running_nodes(self.instance, zombie_candidates):
             self._cancel_running(name)
         if self._unresolved == 0:
@@ -358,14 +372,6 @@ class WorkflowEngine:
         if self._running_count == 0 and not self._loop_runners:
             # Nothing running and nothing became ready: navigation is stuck.
             assert_no_deadlock(self.instance)
-
-    def _feeders_of(self, name: str) -> list[str]:
-        """Sources of *name*'s incoming edges (zombie-check candidates when
-        *name* stops being PENDING)."""
-        return [
-            self.instance.spec.transitions[i].source
-            for i in self.instance.incoming_indices(name)
-        ]
 
     def _launch(self, name: str) -> None:
         node_inst = self.instance.node(name)
@@ -390,46 +396,32 @@ class WorkflowEngine:
                     node_ctx,
                 ),
             )
-        spec_node = self.workflow.node(name)
-        if isinstance(spec_node, SubWorkflow):
-            # A sub-workflow is a run-once composite: reuse the loop runner
-            # with a do-while condition that is false after one iteration.
-            spec_node = Loop(
-                name=spec_node.name,
-                body=spec_node.body,
-                condition="0 > 1",
-                max_iterations=1,
-                join=spec_node.join,
-            )
-        if isinstance(spec_node, Loop):
-            runner = _LoopRunner(self, spec_node)
+        compiled = self.instance.compiled.nodes[name]
+        if compiled.loop is not None:
+            runner = _LoopRunner(self, compiled.loop)
             self._loop_runners[name] = runner
             runner.start()
             return
-        assert isinstance(spec_node, Activity)
-        if spec_node.dummy:
+        activity = compiled.node
+        if activity.dummy:
             # Dummy split/join tasks complete instantly, but via the reactor
             # so navigation never recurses unboundedly through long chains.
             self.runtime.reactor.call_soon(
                 lambda: self._complete_node(name, NodeStatus.DONE, result=None)
             )
             return
-        program = self.workflow.program_for(spec_node)
-        restored = node_inst.recovery_state or None
+        # ``program_for`` raises for an ``implement`` naming no program.
+        program = compiled.program or self.workflow.program_for(activity)
         self.coordinator.start_activity(
-            self._bind_inputs(spec_node),
+            self._bind_inputs(activity) if compiled.has_refs else activity,
             program,
-            restored_state=restored,
-            trace=self._node_ctx.get(name),
+            restored_state=node_inst.recovery_state or None,
+            trace=node_ctx,
         )
 
     def _bind_inputs(self, activity: Activity) -> Activity:
         """Resolve value-dependency inputs (``ref=``) against the current
         workflow variables, producing the activity actually submitted."""
-        if not any(p.ref is not None for p in activity.inputs):
-            return activity
-        from ..wpdl.model import Parameter
-
         bound = tuple(
             p
             if p.ref is None
@@ -480,14 +472,9 @@ class WorkflowEngine:
         name = resolution.activity
         if name not in self.instance.nodes:
             return  # a loop child's activity resolved through its own engine
-        status = {
-            TaskState.DONE: NodeStatus.DONE,
-            TaskState.FAILED: NodeStatus.FAILED,
-            TaskState.EXCEPTION: NodeStatus.EXCEPTION,
-        }[resolution.state]
         self._complete_node(
             name,
-            status,
+            _NODE_STATUS[resolution.state],
             result=resolution.result,
             exception=self._translate_exception(name, resolution.exception),
             tries=resolution.tries_used,
@@ -501,16 +488,9 @@ class WorkflowEngine:
         preserved in the exception data for diagnostics."""
         if exception is None:
             return None
-        spec_node = self.workflow.nodes.get(name)
-        rethrows = getattr(spec_node, "rethrows", ())
-        if not rethrows:
+        table = self.instance.compiled.nodes[name].rethrow
+        if table is None:
             return exception
-        table = ExceptionTable(
-            [
-                ExceptionBinding(r.pattern, rethrow_as=r.as_name)
-                for r in rethrows
-            ]
-        )
         binding = table.lookup(exception)
         if binding is None or binding.rethrow_as is None:
             return exception
@@ -567,17 +547,12 @@ class WorkflowEngine:
         self._checkpoint()
         # Every outgoing edge of this node just resolved (fired or dead):
         # its targets are the navigation worklist.
-        targets = [
-            self.instance.spec.transitions[i].target
-            for i in self.instance.outgoing_indices(name)
-        ]
-        self._advance(targets)
+        self._advance(self.instance.compiled.nodes[name].targets)
 
     def _record_outputs(self, name: str, result: Any) -> None:
         variables = self.instance.variables
         variables[name] = result
-        spec_node = self.workflow.nodes.get(name)
-        outputs = getattr(spec_node, "outputs", ())
+        outputs = self.instance.compiled.nodes[name].outputs
         if not outputs:
             return
         if isinstance(result, Mapping):
@@ -710,13 +685,7 @@ class _LoopRunner:
         body = self.loop.body
         merged = dict(body.variables)
         merged.update(self.parent.instance.variables)
-        return Workflow(
-            name=f"{body.name}#{self.iterations}",
-            nodes=body.nodes,
-            transitions=body.transitions,
-            programs=body.programs,
-            variables=merged,
-        )
+        return body.with_variables(f"{body.name}#{self.iterations}", merged)
 
     def _body_finished(self, result: WorkflowResult) -> None:
         if self._cancelled:

@@ -161,6 +161,10 @@ class WorkflowInstance:
 
     def __init__(self, spec: Workflow) -> None:
         self.spec = spec
+        #: The specification's compiled form — adjacency, join flags, launch
+        #: records — shared by every instance of *spec* and never mutated;
+        #: the instance itself holds status only.
+        self.compiled = spec.compiled
         self.nodes: dict[str, NodeInstance] = {
             name: NodeInstance(name=name) for name in spec.nodes
         }
@@ -170,21 +174,13 @@ class WorkflowInstance:
         self.status = WorkflowStatus.RUNNING
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        # Adjacency caches: navigation touches these on every advance, and
-        # rescanning the transition list per query would make large
-        # workflows quadratic.
-        self._incoming: dict[str, list[int]] = {name: [] for name in spec.nodes}
-        self._outgoing: dict[str, list[int]] = {name: [] for name in spec.nodes}
-        for i, t in enumerate(spec.transitions):
-            self._incoming.setdefault(t.target, []).append(i)
-            self._outgoing.setdefault(t.source, []).append(i)
-        # Per-node resolved-edge counters, maintained by set_edge: the
-        # navigator's join checks become O(1) instead of O(indegree),
-        # which matters for wide fan-ins (every branch completion would
-        # otherwise rescan the join's whole edge list).
-        self._fired_in: dict[str, int] = {name: 0 for name in spec.nodes}
-        self._dead_in: dict[str, int] = {name: 0 for name in spec.nodes}
-        self._dead_error_in: dict[str, int] = {name: 0 for name in spec.nodes}
+        #: Per-node resolved-edge counters, maintained by :meth:`set_edge`
+        #: and read by the navigator: incoming edges resolved FIRED, dead
+        #: (benign or erroneous) and DEAD_ERROR so far.  Join checks are
+        #: O(1) instead of O(indegree), which matters for wide fan-ins.
+        self.fired_in: dict[str, int] = dict.fromkeys(spec.nodes, 0)
+        self.dead_in: dict[str, int] = dict.fromkeys(spec.nodes, 0)
+        self.dead_error_in: dict[str, int] = dict.fromkeys(spec.nodes, 0)
 
     # -- node access -----------------------------------------------------------
 
@@ -199,63 +195,46 @@ class WorkflowInstance:
     # -- edge access --------------------------------------------------------------
 
     def incoming_states(self, name: str) -> list[EdgeState]:
-        return [self.edges[i] for i in self._incoming.get(name, ())]
+        return [self.edges[i] for i in self.incoming_indices(name)]
 
     def outgoing_indices(self, name: str) -> list[int]:
-        return list(self._outgoing.get(name, ()))
+        node = self.compiled.nodes.get(name)
+        return list(node.outgoing) if node else []
 
     def incoming_indices(self, name: str) -> list[int]:
-        return list(self._incoming.get(name, ()))
+        node = self.compiled.nodes.get(name)
+        return list(node.incoming) if node else []
 
     def set_edge(self, index: int, state: EdgeState) -> None:
         previous = self.edges[index]
-        if previous.resolved and previous is not state:
-            raise NavigationError(
-                f"edge {index} already resolved to {previous}, "
-                f"cannot set {state}"
-            )
+        if previous is not EdgeState.PENDING:
+            if previous is not state:
+                raise NavigationError(
+                    f"edge {index} already resolved to {previous}, "
+                    f"cannot set {state}"
+                )
+            return
         self.edges[index] = state
-        if previous is EdgeState.PENDING and state is not EdgeState.PENDING:
-            target = self.spec.transitions[index].target
+        if state is not EdgeState.PENDING:
+            target = self.compiled.edge_targets[index]
             if state is EdgeState.FIRED:
-                self._fired_in[target] += 1
+                self.fired_in[target] += 1
             else:
-                self._dead_in[target] += 1
+                self.dead_in[target] += 1
                 if state is EdgeState.DEAD_ERROR:
-                    self._dead_error_in[target] += 1
-
-    # -- O(1) join accounting (used by the navigator) -----------------------
-
-    def indegree(self, name: str) -> int:
-        return len(self._incoming.get(name, ()))
-
-    def fired_in(self, name: str) -> int:
-        """Incoming edges resolved FIRED so far."""
-        return self._fired_in.get(name, 0)
-
-    def dead_in(self, name: str) -> int:
-        """Incoming edges resolved dead (benign or erroneous) so far."""
-        return self._dead_in.get(name, 0)
-
-    def dead_error_in(self, name: str) -> int:
-        """Incoming edges resolved DEAD_ERROR so far."""
-        return self._dead_error_in.get(name, 0)
+                    self.dead_error_in[target] += 1
 
     def _recount_edges(self) -> None:
-        """Rebuild the counters from the edge list (after restore)."""
-        for counters in (self._fired_in, self._dead_in, self._dead_error_in):
+        """Rebuild the counters from the edge list (after restore), by
+        resolving every edge again from PENDING."""
+        states = self.edges
+        self.edges = [EdgeState.PENDING] * len(states)
+        for counters in (self.fired_in, self.dead_in, self.dead_error_in):
             for name in counters:
                 counters[name] = 0
-        for i, state in enumerate(self.edges):
-            if state is EdgeState.PENDING:
-                continue
-            target = self.spec.transitions[i].target
-            if state is EdgeState.FIRED:
-                self._fired_in[target] += 1
-            else:
-                self._dead_in[target] += 1
-                if state is EdgeState.DEAD_ERROR:
-                    self._dead_error_in[target] += 1
+        for index, state in enumerate(states):
+            if state is not EdgeState.PENDING:
+                self.set_edge(index, state)
 
     # -- summary queries ---------------------------------------------------------------
 

@@ -3,6 +3,9 @@
 Pure functions over a :class:`~repro.engine.instance.WorkflowInstance` — no
 submission, no timers — so the semantics are unit-testable in isolation and
 identical whether the engine runs on the simulated Grid or on real threads.
+The graph they walk is the specification's shared compiled form
+(``instance.compiled``); the instance contributes status only, and every
+name handed in must be one of its nodes.
 
 Semantics implemented here (see the module docs of
 :mod:`repro.wpdl.model` for the language-level description):
@@ -25,10 +28,14 @@ Semantics implemented here (see the module docs of
 
 from __future__ import annotations
 
+import fnmatch
+from collections import deque
+from typing import Iterable
+
 from ..core.exceptions import UserException
 from ..errors import NavigationError
 from ..wpdl.conditions import evaluate_condition
-from ..wpdl.model import ConditionKind, JoinMode
+from ..wpdl.model import ConditionKind
 from .instance import EdgeState, NodeStatus, WorkflowInstance, WorkflowStatus
 
 __all__ = [
@@ -45,7 +52,7 @@ __all__ = [
 
 def ready_nodes(
     instance: WorkflowInstance,
-    candidates: "list[str] | None" = None,
+    candidates: "Iterable[str] | None" = None,
 ) -> list[str]:
     """PENDING nodes whose join condition is now satisfied, in spec order.
 
@@ -53,26 +60,25 @@ def ready_nodes(
     of freshly fired edges can become ready); ``None`` scans every node.
     Duplicates in *candidates* are tolerated; output has no duplicates.
     """
-    names = instance.spec.nodes.keys() if candidates is None else candidates
+    compiled = instance.compiled.nodes
+    nodes = instance.nodes
+    fired_in = instance.fired_in
     ready: list[str] = []
     seen: set[str] = set()
-    for name in names:
+    for name in nodes if candidates is None else candidates:
         if name in seen:
             continue
         seen.add(name)
-        if instance.node(name).status is not NodeStatus.PENDING:
+        if nodes[name].status is not NodeStatus.PENDING:
             continue
-        indegree = instance.indegree(name)
-        if indegree == 0:
-            ready.append(name)  # entry node
-            continue
-        join = instance.spec.nodes[name].join
-        if join is JoinMode.AND:
-            if instance.fired_in(name) == indegree:
-                ready.append(name)
-        else:  # OR
-            if instance.fired_in(name) >= 1:
-                ready.append(name)
+        node = compiled[name]
+        # An AND join needs every incoming edge fired (an entry node has
+        # none to wait for), an OR join the first.
+        need = node.indegree
+        if node.or_join and need > 1:
+            need = 1
+        if fired_in[name] >= need:
+            ready.append(name)
     return ready
 
 
@@ -101,7 +107,13 @@ def fire_outgoing_edges(
     Returns the indices of edges that FIRED.  Must be called exactly once
     per node, when it reaches a terminal status.
     """
-    indices = instance.outgoing_indices(name)
+    node = instance.compiled.nodes[name]
+    indices = node.outgoing
+    if status is NodeStatus.DONE and node.plain_success:
+        for i in indices:
+            instance.set_edge(i, EdgeState.FIRED)
+        return list(indices)
+    transitions = instance.spec.transitions
     fired: list[int] = []
 
     if status in (NodeStatus.SKIPPED_OK, NodeStatus.SKIPPED_ERROR):
@@ -116,7 +128,7 @@ def fire_outgoing_edges(
 
     if status is NodeStatus.DONE:
         for i in indices:
-            cond = instance.spec.transitions[i].condition
+            cond = transitions[i].condition
             if cond.kind in (ConditionKind.DONE, ConditionKind.ALWAYS):
                 instance.set_edge(i, EdgeState.FIRED)
                 fired.append(i)
@@ -132,7 +144,7 @@ def fire_outgoing_edges(
 
     if status is NodeStatus.FAILED:
         for i in indices:
-            cond = instance.spec.transitions[i].condition
+            cond = transitions[i].condition
             if cond.kind in (ConditionKind.FAILED, ConditionKind.ALWAYS):
                 instance.set_edge(i, EdgeState.FIRED)
                 fired.append(i)
@@ -148,30 +160,23 @@ def fire_outgoing_edges(
         matching = [
             i
             for i in indices
-            if instance.spec.transitions[i].condition.kind
-            is ConditionKind.EXCEPTION
-            and _pattern_matches(
-                instance.spec.transitions[i].condition.exception, exception.name
-            )
+            if transitions[i].condition.kind is ConditionKind.EXCEPTION
+            and _pattern_matches(transitions[i].condition.exception, exception.name)
         ]
         chosen: set[int] = set()
         if matching:
             best = max(
-                exception_edge_specificity(
-                    instance.spec.transitions[i].condition.exception
-                )
+                exception_edge_specificity(transitions[i].condition.exception)
                 for i in matching
             )
             chosen = {
                 i
                 for i in matching
-                if exception_edge_specificity(
-                    instance.spec.transitions[i].condition.exception
-                )
+                if exception_edge_specificity(transitions[i].condition.exception)
                 == best
             }
         for i in indices:
-            cond = instance.spec.transitions[i].condition
+            cond = transitions[i].condition
             if i in chosen or cond.kind is ConditionKind.ALWAYS:
                 instance.set_edge(i, EdgeState.FIRED)
                 fired.append(i)
@@ -192,8 +197,6 @@ def fire_outgoing_edges(
 
 
 def _pattern_matches(pattern: str, name: str) -> bool:
-    import fnmatch
-
     if any(ch in pattern for ch in "*?["):
         return fnmatch.fnmatchcase(name, pattern)
     return pattern == name
@@ -201,7 +204,7 @@ def _pattern_matches(pattern: str, name: str) -> bool:
 
 def propagate_skips(
     instance: WorkflowInstance,
-    seeds: "list[str] | None" = None,
+    seeds: "Iterable[str] | None" = None,
 ) -> list[str]:
     """Skip every PENDING node that can no longer activate; iterate to a
     fixpoint.  Returns the names of nodes skipped by this call.
@@ -211,36 +214,35 @@ def propagate_skips(
     node enqueues its own edge targets, so the fixpoint is complete either
     way.  ``None`` seeds the frontier with every node.
     """
-    from collections import deque
-
+    compiled = instance.compiled.nodes
+    nodes = instance.nodes
+    dead_in = instance.dead_in
     skipped: list[str] = []
-    frontier = deque(instance.spec.nodes.keys() if seeds is None else seeds)
+    frontier = deque(nodes if seeds is None else seeds)
     queued = set(frontier)
     while frontier:
         name = frontier.popleft()
         queued.discard(name)
-        inst = instance.node(name)
+        # An AND join is unreachable once any incoming edge is dead, an OR
+        # join once all are; entry nodes have none and never skip.
+        dead = dead_in[name]
+        if not dead:
+            continue
+        inst = nodes[name]
         if inst.status is not NodeStatus.PENDING:
             continue
-        indegree = instance.indegree(name)
-        if indegree == 0:
-            continue  # entry nodes never skip
-        join = instance.spec.nodes[name].join
-        if join is JoinMode.AND:
-            unreachable = instance.dead_in(name) >= 1
-        else:
-            unreachable = instance.dead_in(name) == indegree
-        if not unreachable:
+        node = compiled[name]
+        if node.or_join and dead != node.indegree:
             continue
-        erroneous = instance.dead_error_in(name) >= 1
         new_status = (
-            NodeStatus.SKIPPED_ERROR if erroneous else NodeStatus.SKIPPED_OK
+            NodeStatus.SKIPPED_ERROR
+            if instance.dead_error_in[name]
+            else NodeStatus.SKIPPED_OK
         )
         inst.status = new_status
         fire_outgoing_edges(instance, name, new_status)
         skipped.append(name)
-        for i in instance.outgoing_indices(name):
-            target = instance.spec.transitions[i].target
+        for target in node.targets:
             if target not in queued:
                 queued.add(target)
                 frontier.append(target)
@@ -249,7 +251,7 @@ def propagate_skips(
 
 def irrelevant_running_nodes(
     instance: WorkflowInstance,
-    candidates: "list[str] | None" = None,
+    candidates: "Iterable[str] | None" = None,
 ) -> list[str]:
     """RUNNING nodes whose completion can no longer influence navigation.
 
@@ -268,28 +270,27 @@ def irrelevant_running_nodes(
     feeding into a node whose status just changed can newly become
     zombies); ``None`` scans every node.
     """
-    names = (
-        instance.nodes.keys() if candidates is None else candidates
-    )
+    compiled = instance.compiled.nodes
+    nodes = instance.nodes
+    edges = instance.edges
     zombies: list[str] = []
     seen: set[str] = set()
-    for name in names:
+    for name in nodes if candidates is None else candidates:
         if name in seen:
             continue
         seen.add(name)
-        inst = instance.node(name)
-        if inst.status is not NodeStatus.RUNNING:
+        if nodes[name].status is not NodeStatus.RUNNING:
             continue
-        indices = instance.outgoing_indices(name)
-        if not indices:
+        node = compiled[name]
+        if not node.outgoing:
             continue
-        relevant = any(
-            instance.edges[i] is EdgeState.PENDING
-            and instance.node(instance.spec.transitions[i].target).status
-            is NodeStatus.PENDING
-            for i in indices
-        )
-        if not relevant:
+        for i, target in zip(node.outgoing, node.targets):
+            if (
+                edges[i] is EdgeState.PENDING
+                and nodes[target].status is NodeStatus.PENDING
+            ):
+                break
+        else:
             zombies.append(name)
     return zombies
 
@@ -303,7 +304,7 @@ def cancel_node(instance: WorkflowInstance, name: str) -> None:
             f"cannot cancel node {name!r} in status {inst.status}"
         )
     inst.status = NodeStatus.CANCELLED
-    for i in instance.outgoing_indices(name):
+    for i in instance.compiled.nodes[name].outgoing:
         if instance.edges[i] is EdgeState.PENDING:
             instance.set_edge(i, EdgeState.DEAD_OK)
 
@@ -315,7 +316,7 @@ def evaluate_outcome(instance: WorkflowInstance) -> WorkflowStatus:
     """
     if not instance.terminal():
         return WorkflowStatus.RUNNING
-    exits = instance.spec.exit_nodes()
+    exits = instance.compiled.exits
     if not exits:  # validated workflows always have exits; defensive
         return WorkflowStatus.FAILED
     ok = all(

@@ -45,13 +45,14 @@ from ..execution import ExecutionService, SubmitRequest
 from ..obs.tracectx import TraceContext, Tracer, stamp
 from ..reactor import Reactor, TimerHandle
 from ..wpdl.model import Activity, Program
-from .broker import Broker, ResolvedOption
+from .broker import Broker, ResolvedOption, is_wildcard
 from .strategies import RecoveryStrategy, resolve_strategy
 
 __all__ = [
     "TaskResolution",
     "RecoveryCoordinator",
     "ActivityRun",
+    "LaunchPlan",
     "RECOVERY_RETRY",
     "RECOVERY_EXHAUSTED",
     "RECOVERY_CHECKPOINT_RESTART",
@@ -82,7 +83,26 @@ class TaskResolution:
     tries_used: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
+class LaunchPlan:
+    """What starting an activity needs from its (program, policy) pair and
+    the runtime, derived once and shared by every activity, instance and
+    attempt with that pair.  The plan pins ``program`` and ``policy``: they
+    are its table key by identity."""
+
+    program: Program
+    policy: FailurePolicy
+    strategy: RecoveryStrategy
+    #: Resource option each slot starts on (``plan_slots``, asked once).
+    slot_options: tuple[int, ...]
+    attempt_timeout: float | None
+    #: Literal options resolved so far, by option index.  A ``hostname='*'``
+    #: option never enters: the broker matches it against the catalog and
+    #: the activity's query at every submission.
+    targets: dict[int, ResolvedOption] = field(default_factory=dict)
+
+
+@dataclass(slots=True)
 class _Slot:
     """One retry loop: a resource option position for the activity."""
 
@@ -107,13 +127,13 @@ class _Slot:
     next_parent: TraceContext | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ActivityRun:
     """Coordinator state for one in-flight activity."""
 
     activity: Activity
     program: Program
-    strategy: RecoveryStrategy
+    plan: LaunchPlan
     slots: list[_Slot] = field(default_factory=list)
     resolved: bool = False
     #: Causal root of this activity's attempt tree (the engine passes its
@@ -131,8 +151,12 @@ class RecoveryCoordinator:
     *strategy_resolver* maps each activity's declarative policy to the
     strategy stack that executes it; the default is
     :func:`~repro.engine.strategies.resolve_strategy` over the default
-    registry.  Strategies are resolved once per activity start and are
-    stateless, so a resolver may cache or share instances freely.
+    registry.  Strategies are stateless and resolved once per (program,
+    policy) pair: the stack, the slots it plans and each literal resource
+    option's target are kept in a :class:`LaunchPlan`.  *plans* is the table
+    to keep them in — the engine passes the one its runtime holds for the
+    specification, so every instance on the runtime shares it; a
+    coordinator built without one keeps its own.
     """
 
     def __init__(
@@ -148,6 +172,7 @@ class RecoveryCoordinator:
         bus: EventBus | None = None,
         workflow_id: str = "",
         tracer: Tracer | None = None,
+        plans: dict[tuple, LaunchPlan] | None = None,
     ) -> None:
         self._service = service
         self._detector = detector
@@ -168,6 +193,7 @@ class RecoveryCoordinator:
         #: Causal-context allocator (``None`` keeps every trace site to a
         #: single ``is None`` check — the uninstrumented hot path).
         self._tracer = tracer
+        self._plans = plans if plans is not None else {}
         self._runs: dict[str, ActivityRun] = {}
         self._job_index: dict[str, tuple[str, int]] = {}  # job_id -> (activity, slot)
 
@@ -194,20 +220,18 @@ class RecoveryCoordinator:
             raise RecoveryError(f"activity {activity.name!r} is already running")
         if trace is None and self._tracer is not None:
             trace = self._tracer.root(self.workflow_id or activity.name)
-        strategy = self._resolve_strategy(activity.policy)
+        plan = self._plan(activity, program)
+        flag_prefix = f"{self._flag_scope}{activity.name}@slot"
         run = ActivityRun(
-            activity=activity, program=program, strategy=strategy, trace=trace
+            activity,
+            program,
+            plan,
+            [
+                _Slot(i, option, f"{flag_prefix}{i}")
+                for i, option in enumerate(plan.slot_options)
+            ],
+            trace=trace,
         )
-        run.slots = [
-            _Slot(
-                index=i,
-                option_index=plan.option_index,
-                flag_key=f"{self._flag_scope}{activity.name}@slot{i}",
-            )
-            for i, plan in enumerate(
-                strategy.plan_slots(activity, program, self._broker)
-            )
-        ]
         if restored_state:
             self._restore_slots(run, restored_state)
         self._runs[activity.name] = run
@@ -217,6 +241,29 @@ class RecoveryCoordinator:
         if all(slot.exhausted for slot in run.slots):
             # Restored an activity whose budget was already spent.
             self._resolve_failed(run)
+
+    def _plan(self, activity: Activity, program: Program) -> LaunchPlan:
+        """The launch plan of *activity*'s (program, policy) pair under
+        this coordinator's resolver, made on first use.  Keyed by identity
+        (a document's equal policies are one object, and a plan keeps its
+        pair alive), so the engine's per-launch rebuilt activity finds the
+        plan of the activity it was rebuilt from."""
+        policy = activity.policy
+        key = (id(program), id(policy), self._resolve_strategy)
+        plan = self._plans.get(key)
+        if plan is None:
+            strategy = self._resolve_strategy(policy)
+            plan = self._plans[key] = LaunchPlan(
+                program,
+                policy,
+                strategy,
+                tuple(
+                    slot.option_index
+                    for slot in strategy.plan_slots(activity, program, self._broker)
+                ),
+                policy.attempt_timeout,
+            )
+        return plan
 
     def _restore_slots(self, run: ActivityRun, state: dict[str, Any]) -> None:
         saved = state.get("slots", [])
@@ -359,10 +406,17 @@ class RecoveryCoordinator:
 
     def _submit(self, run: ActivityRun, slot: _Slot) -> None:
         slot.retry_timer = None
-        target: ResolvedOption = self._broker.resolve_index(
-            run.activity, run.program, slot.option_index
-        )
-        flag = run.strategy.submit_flag(run.activity, self.checkpoints, slot.flag_key)
+        plan = run.plan
+        target = plan.targets.get(slot.option_index)
+        if target is None:
+            # ``resolve_index`` is read off the broker here (a tracer's
+            # wrapper is what runs) and raises for an index out of range.
+            target = self._broker.resolve_index(
+                run.activity, run.program, slot.option_index
+            )
+            if not is_wildcard(run.program.options[slot.option_index]):
+                plan.targets[slot.option_index] = target
+        flag = plan.strategy.submit_flag(run.activity, self.checkpoints, slot.flag_key)
         # Causal chain: the attempt's parent is the recovery decision that
         # spawned it (a retry, or the checkpoint-restart minted just below);
         # the very first attempt of a slot descends from the activity root.
@@ -413,7 +467,7 @@ class RecoveryCoordinator:
             trace=slot.attempt_trace,
             on_verdict=self.handle_outcome,
         )
-        timeout = run.activity.policy.attempt_timeout
+        timeout = plan.attempt_timeout
         if timeout is not None:
             slot.timeout_timer = self._reactor.call_later(
                 timeout, lambda: self._attempt_timed_out(run, slot, job_id)
@@ -425,7 +479,7 @@ class RecoveryCoordinator:
         slot: _Slot,
         exception: UserException | None = None,
     ) -> None:
-        decision = run.strategy.next_attempt(
+        decision = run.plan.strategy.next_attempt(
             run.activity,
             run.program,
             self._broker,

@@ -21,8 +21,9 @@ composition instead of branching:
 
 Strategies are *stateless*: all per-activity mutable state (try counts,
 active jobs, timers) stays in the coordinator's slots, so one strategy
-instance is shared by every run of an activity and strategy objects can be
-resolved once per policy.
+instance is shared by every run of an activity — and the coordinator does
+resolve a policy, and ask :meth:`~RecoveryStrategy.plan_slots`, once per
+(program, policy) pair and runtime, not per activity start.
 
 :func:`resolve_strategy` maps a declarative
 :class:`~repro.core.policy.FailurePolicy` to a strategy composition through
@@ -82,8 +83,10 @@ class RecoveryStrategy(ABC):
     The coordinator owns all mutable state; strategies are consulted at
     three points of an activity's life:
 
-    * :meth:`plan_slots` — activity start: how many parallel retry loops,
-      and on which resource options;
+    * :meth:`plan_slots` — how many parallel retry loops, and on which
+      resource options.  Asked once per (program, policy) pair, with the
+      first activity that starts under it: the answer may depend on the
+      program and the policy, on nothing else of the activity;
     * :meth:`next_attempt` — after a detected crash of one slot: retry
       (where, after how long) or give up;
     * :meth:`submit_flag` — at each submission: which checkpoint flag, if

@@ -27,8 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Union
+from functools import cached_property
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Union
 
+from ..core.exceptions import ExceptionBinding, ExceptionTable
 from ..core.policy import DEFAULT_POLICY, FailurePolicy
 from ..errors import SpecificationError
 
@@ -45,6 +48,8 @@ __all__ = [
     "Loop",
     "SubWorkflow",
     "Node",
+    "CompiledNode",
+    "CompiledWorkflow",
     "Workflow",
 ]
 
@@ -209,11 +214,11 @@ class TransitionCondition:
 
     @staticmethod
     def done() -> "TransitionCondition":
-        return TransitionCondition(ConditionKind.DONE)
+        return _DONE
 
     @staticmethod
     def failed() -> "TransitionCondition":
-        return TransitionCondition(ConditionKind.FAILED)
+        return _FAILED
 
     @staticmethod
     def on_exception(pattern: str) -> "TransitionCondition":
@@ -225,7 +230,14 @@ class TransitionCondition:
 
     @staticmethod
     def always() -> "TransitionCondition":
-        return TransitionCondition(ConditionKind.ALWAYS)
+        return _ALWAYS
+
+
+#: The conditions without attributes of their own are three immutable
+#: values, shared by every transition of every specification that uses them.
+_DONE = TransitionCondition(ConditionKind.DONE)
+_FAILED = TransitionCondition(ConditionKind.FAILED)
+_ALWAYS = TransitionCondition(ConditionKind.ALWAYS)
 
 
 @dataclass(frozen=True)
@@ -334,6 +346,118 @@ class SubWorkflow:
 Node = Union[Activity, Loop, SubWorkflow]
 
 
+class CompiledNode(NamedTuple):
+    """What navigating to, launching and completing one node needs, derived
+    once per specification.  Edge fields are indices into
+    ``Workflow.transitions``, in specification order."""
+
+    incoming: tuple[int, ...]
+    outgoing: tuple[int, ...]
+    #: Source of each incoming edge / target of each outgoing edge.
+    feeders: tuple[str, ...]
+    targets: tuple[str, ...]
+    indegree: int
+    or_join: bool
+    #: Every outgoing edge is ``DONE`` or ``ALWAYS``: plain success fires
+    #: them all, no condition to look at.
+    plain_success: bool
+    node: Node
+    #: What a composite runs: the loop itself, or the run-once loop a
+    #: sub-workflow stands for.  ``None`` for activities.
+    loop: Loop | None
+    #: The activity's program; ``None`` for dummies, composites, and an
+    #: ``implement`` naming no program (``program_for`` raises at launch).
+    program: Program | None
+    #: Some input is a value dependency, so launching has to bind it.
+    has_refs: bool
+    outputs: tuple[str, ...]
+    #: The activity's ``<Rethrow>`` translations, ``None`` without any.
+    rethrow: ExceptionTable | None
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledWorkflow:
+    """Everything that follows from a :class:`Workflow`'s nodes, transitions
+    and programs alone — the one derivation of the graph.  Shared by every
+    instance, validation pass and loop iteration of the specification;
+    nothing here is per run, and nothing here may be mutated."""
+
+    #: Per-node records, in specification order.
+    nodes: Mapping[str, CompiledNode]
+    #: Target node of each transition.
+    edge_targets: tuple[str, ...]
+    entries: tuple[str, ...]
+    exits: tuple[str, ...]
+
+
+_PLAIN_SUCCESS = (ConditionKind.DONE, ConditionKind.ALWAYS)
+
+
+def _compile(workflow: "Workflow") -> CompiledWorkflow:
+    transitions = workflow.transitions
+    sources = [t.source for t in transitions]
+    targets = [t.target for t in transitions]
+    incoming: dict[str, list[int]] = {name: [] for name in workflow.nodes}
+    outgoing: dict[str, list[int]] = {name: [] for name in workflow.nodes}
+    try:
+        for i, source in enumerate(sources):
+            outgoing[source].append(i)
+            incoming[targets[i]].append(i)
+    except KeyError as exc:
+        raise SpecificationError(
+            f"workflow {workflow.name!r}: transition {sources[i]!r} -> "
+            f"{targets[i]!r} references unknown node {exc.args[0]!r}"
+        ) from None
+    conditional = {
+        t.source for t in transitions if t.condition.kind not in _PLAIN_SUCCESS
+    }
+    programs = workflow.programs
+    nodes: dict[str, CompiledNode] = {}
+    for name, node in workflow.nodes.items():
+        ins, outs = incoming[name], outgoing[name]
+        loop = program = rethrow = None
+        has_refs, outputs = False, ()
+        if isinstance(node, Activity):
+            outputs = node.outputs
+            if node.implement is not None:
+                program = programs.get(node.implement)
+            if node.inputs:
+                has_refs = any(p.ref is not None for p in node.inputs)
+            if node.rethrows:
+                rethrow = ExceptionTable(
+                    [
+                        ExceptionBinding(r.pattern, rethrow_as=r.as_name)
+                        for r in node.rethrows
+                    ]
+                )
+        elif isinstance(node, SubWorkflow):
+            # A run-once composite: a do-while whose condition is false.
+            loop = Loop(node.name, node.body, "0 > 1", 1, node.join)
+        else:
+            loop = node
+        nodes[name] = CompiledNode(
+            tuple(ins),
+            tuple(outs),
+            tuple(map(sources.__getitem__, ins)),
+            tuple(map(targets.__getitem__, outs)),
+            len(ins),
+            node.join is JoinMode.OR,
+            name not in conditional,
+            node,
+            loop,
+            program,
+            has_refs,
+            outputs,
+            rethrow,
+        )
+    return CompiledWorkflow(
+        nodes=MappingProxyType(nodes),
+        edge_targets=tuple(targets),
+        entries=tuple([n for n, ins in incoming.items() if not ins]),
+        exits=tuple([n for n, outs in outgoing.items() if not outs]),
+    )
+
+
 @dataclass(frozen=True)
 class Workflow:
     """A complete workflow process definition.
@@ -346,6 +470,11 @@ class Workflow:
     Construction performs only local checks; run
     :func:`repro.wpdl.validator.validate` (done automatically by the
     builder and parser) for whole-graph validation.
+
+    **Immutability contract.**  ``nodes``, ``transitions`` and ``programs``
+    must not be mutated once the workflow is constructed: the graph is
+    compiled once, on first use (:attr:`compiled`), and every instance,
+    validation pass and loop iteration then reads that one derivation.
     """
 
     name: str
@@ -363,6 +492,29 @@ class Workflow:
                     f"node key {name!r} does not match node name {node.name!r}"
                 )
 
+    # -- the compiled form ---------------------------------------------------
+
+    @cached_property
+    def compiled(self) -> CompiledWorkflow:
+        """The graph compiled once (see the immutability contract).  Cached
+        on the instance, outside its fields: ``==``, ``repr`` and the
+        serializer never see it.  Raises :class:`SpecificationError` for a
+        transition whose endpoint is not a node."""
+        return _compile(self)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Copies and pickles carry the specification, not what follows from it.
+        state = dict(self.__dict__)
+        state.pop("compiled", None)
+        return state
+
+    def with_variables(self, name: str, variables: dict[str, Any]) -> "Workflow":
+        """The same graph under another name and initial variables (one
+        loop iteration's body), sharing this workflow's compiled form."""
+        clone = Workflow(name, self.nodes, self.transitions, self.programs, variables)
+        clone.__dict__["compiled"] = self.compiled
+        return clone
+
     # -- graph queries ------------------------------------------------------
 
     def node(self, name: str) -> Node:
@@ -374,21 +526,21 @@ class Workflow:
             ) from None
 
     def incoming(self, name: str) -> list[Transition]:
-        return [t for t in self.transitions if t.target == name]
+        node = self.compiled.nodes.get(name)
+        return [self.transitions[i] for i in node.incoming] if node else []
 
     def outgoing(self, name: str) -> list[Transition]:
-        return [t for t in self.transitions if t.source == name]
+        node = self.compiled.nodes.get(name)
+        return [self.transitions[i] for i in node.outgoing] if node else []
 
     def entry_nodes(self) -> list[str]:
         """Nodes with no incoming transitions (workflow starts here)."""
-        targets = {t.target for t in self.transitions}
-        return [n for n in self.nodes if n not in targets]
+        return list(self.compiled.entries)
 
     def exit_nodes(self) -> list[str]:
         """Nodes with no outgoing transitions (workflow outcome depends on
         these reaching completion)."""
-        sources = {t.source for t in self.transitions}
-        return [n for n in self.nodes if n not in sources]
+        return list(self.compiled.exits)
 
     def activities(self) -> list[Activity]:
         return [n for n in self.nodes.values() if isinstance(n, Activity)]

@@ -66,6 +66,22 @@ from .validator import validate
 
 __all__ = ["parse_wpdl", "parse_wpdl_file"]
 
+#: The activity attributes a :class:`FailurePolicy` is parsed from.
+_POLICY_ATTRIBUTES = (
+    "max_tries",
+    "interval",
+    "policy",
+    "resource_selection",
+    "restart_from_checkpoint",
+    "retry_on_exception",
+    "timeout",
+    "backoff",
+    "max_interval",
+)
+
+#: One document's parsed policies, by their raw attribute strings.
+_PolicyMemo = dict[tuple, FailurePolicy]
+
 _TYPE_PARSERS = {
     "str": str,
     "int": int,
@@ -83,7 +99,7 @@ def parse_wpdl(text: str, *, validate_graph: bool = True) -> Workflow:
         raise ParseError(f"not well-formed XML: {exc}") from exc
     if root.tag != "Workflow":
         raise ParseError(f"root element must be <Workflow>, got <{root.tag}>")
-    workflow = _parse_workflow_element(root)
+    workflow = _parse_workflow_element(root, {})
     if validate_graph:
         validate(workflow)
     return workflow
@@ -98,7 +114,10 @@ def parse_wpdl_file(path: str | Path, *, validate_graph: bool = True) -> Workflo
     return parse_wpdl(text, validate_graph=validate_graph)
 
 
-def _parse_workflow_element(elem: ET.Element) -> Workflow:
+def _parse_workflow_element(elem: ET.Element, policies: _PolicyMemo) -> Workflow:
+    """*policies* interns the document's equal policies (bodies included):
+    activities that declare the same handling share one object, which is
+    what lets the engine keep one launch plan per (program, policy)."""
     name = elem.get("name", "")
     if not name:
         raise ParseError("<Workflow> requires a name attribute")
@@ -117,13 +136,13 @@ def _parse_workflow_element(elem: ET.Element) -> Workflow:
                     var.get("value", ""), var.get("type", "str")
                 )
         elif child.tag == "Activity":
-            activity = _parse_activity(child)
+            activity = _parse_activity(child, policies)
             _add_unique(nodes, activity, "activity")
         elif child.tag == "Loop":
-            loop = _parse_loop(child)
+            loop = _parse_loop(child, policies)
             _add_unique(nodes, loop, "loop")
         elif child.tag == "SubWorkflow":
-            sub = _parse_subworkflow(child)
+            sub = _parse_subworkflow(child, policies)
             _add_unique(nodes, sub, "subworkflow")
         elif child.tag == "Transition":
             transitions.append(_parse_transition(child))
@@ -153,7 +172,7 @@ def _add_unique(nodes: dict[str, Any], node: Any, kind: str) -> None:
     nodes[node.name] = node
 
 
-def _parse_activity(elem: ET.Element) -> Activity:
+def _parse_activity(elem: ET.Element, policies: _PolicyMemo) -> Activity:
     name = elem.get("name", "")
     if not name:
         raise ParseError("<Activity> requires a name attribute")
@@ -187,7 +206,12 @@ def _parse_activity(elem: ET.Element) -> Activity:
                 f"unexpected element <{child.tag}> in activity {name!r}"
             )
     try:
-        policy = _parse_policy(elem, name)
+        # A policy that fails to parse is not kept, so the error names the
+        # activity it was found on however many share its attributes.
+        key = tuple([elem.get(attribute) for attribute in _POLICY_ATTRIBUTES])
+        policy = policies.get(key)
+        if policy is None:
+            policy = policies[key] = _parse_policy(elem, name)
         return Activity(
             name=name,
             implement=implement,
@@ -306,7 +330,7 @@ def _parse_join(elem: ET.Element, name: str) -> JoinMode:
         ) from None
 
 
-def _parse_loop(elem: ET.Element) -> Loop:
+def _parse_loop(elem: ET.Element, policies: _PolicyMemo) -> Loop:
     name = elem.get("name", "")
     if not name:
         raise ParseError("<Loop> requires a name attribute")
@@ -326,7 +350,7 @@ def _parse_loop(elem: ET.Element) -> Loop:
     body_name = body_elem.get("name", f"{name}_body")
     # A <Body> is structurally a <Workflow>; reuse the workflow parser.
     body_elem = _clone_as_workflow(body_elem, body_name)
-    body = _parse_workflow_element(body_elem)
+    body = _parse_workflow_element(body_elem, policies)
     try:
         return Loop(
             name=name,
@@ -345,7 +369,7 @@ def _clone_as_workflow(elem: ET.Element, name: str) -> ET.Element:
     return clone
 
 
-def _parse_subworkflow(elem: ET.Element) -> SubWorkflow:
+def _parse_subworkflow(elem: ET.Element, policies: _PolicyMemo) -> SubWorkflow:
     name = elem.get("name", "")
     if not name:
         raise ParseError("<SubWorkflow> requires a name attribute")
@@ -353,7 +377,7 @@ def _parse_subworkflow(elem: ET.Element) -> SubWorkflow:
     if len(bodies) != 1:
         raise ParseError(f"subworkflow {name!r} requires exactly one <Body>")
     body_elem = _clone_as_workflow(bodies[0], bodies[0].get("name", f"{name}_body"))
-    body = _parse_workflow_element(body_elem)
+    body = _parse_workflow_element(body_elem, policies)
     try:
         return SubWorkflow(name=name, body=body, join=_parse_join(elem, name))
     except SpecificationError as exc:

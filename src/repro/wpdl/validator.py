@@ -126,6 +126,8 @@ def validation_problems(workflow: Workflow, *, _path: str = "") -> list[str]:
     ):
         return problems  # skip graph analyses on a broken edge list
 
+    # Every endpoint is a node: the compiled form (the one derivation of
+    # the graph, which the engine will navigate by) can be asked for.
     cycle = _find_cycle(workflow)
     if cycle is not None:
         problems.append(
@@ -195,9 +197,7 @@ def _find_cycle(workflow: Workflow) -> list[str] | None:
     with colouring; recursion-free so deep graphs cannot blow the stack)."""
     WHITE, GREY, BLACK = 0, 1, 2
     colour = {name: WHITE for name in workflow.nodes}
-    succ = {name: [] for name in workflow.nodes}
-    for t in workflow.transitions:
-        succ[t.source].append(t.target)
+    compiled = workflow.compiled.nodes
     parent: dict[str, str] = {}
 
     for root in workflow.nodes:
@@ -207,9 +207,10 @@ def _find_cycle(workflow: Workflow) -> list[str] | None:
         colour[root] = GREY
         while stack:
             node, idx = stack[-1]
-            if idx < len(succ[node]):
+            targets = compiled[node].targets
+            if idx < len(targets):
                 stack[-1] = (node, idx + 1)
-                child = succ[node][idx]
+                child = targets[idx]
                 if colour[child] == GREY:
                     # Reconstruct the cycle from the grey path.
                     cycle = [child, node]
@@ -230,14 +231,12 @@ def _find_cycle(workflow: Workflow) -> list[str] | None:
 
 
 def _reachable(workflow: Workflow, entries: list[str]) -> set[str]:
-    succ: dict[str, list[str]] = {name: [] for name in workflow.nodes}
-    for t in workflow.transitions:
-        succ[t.source].append(t.target)
+    compiled = workflow.compiled.nodes
     seen = set(entries)
     queue = deque(entries)
     while queue:
         node = queue.popleft()
-        for child in succ[node]:
+        for child in compiled[node].targets:
             if child not in seen:
                 seen.add(child)
                 queue.append(child)

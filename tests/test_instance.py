@@ -12,8 +12,9 @@ from repro.engine.instance import (
     WorkflowInstance,
     WorkflowStatus,
 )
-from repro.errors import NavigationError
-from repro.wpdl import WorkflowBuilder
+from repro.errors import NavigationError, SpecificationError
+from repro.wpdl import WorkflowBuilder, validation_problems
+from repro.wpdl.model import Activity, Transition, Workflow
 
 
 @pytest.fixture
@@ -75,6 +76,30 @@ class TestBasics:
     def test_running_nodes(self, instance):
         instance.node("b").status = NodeStatus.RUNNING
         assert instance.running_nodes() == ["b"]
+
+
+class TestDanglingTransition:
+    """With validation off, an edge into a node that does not exist used
+    to be tolerated by ``__init__`` and then escape as a bare ``KeyError``
+    from the counters; compiling the spec is where every endpoint is looked
+    at, and it answers in the library's own hierarchy."""
+
+    def spec(self, source="a", target="ghost"):
+        return Workflow("w", {"a": Activity("a")}, (Transition(source, target),))
+
+    @pytest.mark.parametrize("edge", [("a", "ghost"), ("ghost", "a")])
+    def test_raises_specification_error_naming_the_transition(self, edge):
+        with pytest.raises(SpecificationError, match="'ghost'") as caught:
+            WorkflowInstance(self.spec(*edge)).set_edge(0, EdgeState.FIRED)
+        assert all(repr(end) in str(caught.value) for end in edge)
+        assert not isinstance(caught.value, KeyError)
+
+    def test_validator_still_reports_it_in_its_own_words(self):
+        # It collects its messages first and asks for the compiled form
+        # only past its "broken edge list" early return.
+        assert validation_problems(self.spec()) == [
+            "w: transition references unknown target 'ghost'"
+        ]
 
 
 class TestSnapshotRestore:

@@ -12,6 +12,7 @@ sequential runs.
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,8 @@ from repro.core import FailurePolicy
 from repro.core.policy import ResourceSelection
 from repro.detection.messages import Done, TaskEnd
 from repro.engine import EngineHost, WorkflowEngine
+from repro.engine.broker import Broker
+from repro.engine.instance import WorkflowInstance
 from repro.errors import EngineError
 from repro.grid import (
     RELIABLE,
@@ -41,7 +44,7 @@ from repro.grid import (
 )
 from repro.obs import RunObserver, Tracer
 from repro.obs.catalogue import topic_specs
-from repro.wpdl import WorkflowBuilder
+from repro.wpdl import WorkflowBuilder, parse_wpdl
 
 
 def quiet_grid(seed=42):
@@ -630,6 +633,122 @@ class TestNothingOutlivesTheVerdict:
         assert host.runtime.bus.stats()["publishes"] == offered
         assert detector.live_attempts == 0
         assert detector.state_of("job-000001") is None
+
+    # -- launch plans: weak towards the spec, weak towards the runtime -----
+
+    CHAIN = """
+    <Workflow name='chain-{n}'>
+      <Activity name='a' max_tries='3'><Implement>task</Implement></Activity>
+      <Activity name='b' max_tries='3'><Implement>task</Implement></Activity>
+      <Activity name='c' policy='replica'><Implement>both</Implement></Activity>
+      <Transition from='a' to='b'/>
+      <Transition from='b' to='c'/>
+      <Program name='task'><Option hostname='h1'/></Program>
+      <Program name='both'><Option hostname='h1'/><Option hostname='h2'/></Program>
+    </Workflow>
+    """
+
+    def _two_host_grid(self):
+        grid = quiet_grid()
+        for name in ("h1", "h2"):
+            grid.add_host(RELIABLE(name, slots=None))
+        grid.install_everywhere("task", FixedDurationTask(2.0, result="ok"))
+        grid.install_everywhere("both", FixedDurationTask(2.0, result="ok"))
+        return grid
+
+    def test_plans_go_when_their_specification_goes(self):
+        grid = self._two_host_grid()
+        host = EngineHost(grid, reactor=grid.reactor)
+        plans = host.runtime.launch_plans
+        sizes = [len(plans)]
+        for _batch in range(3):
+            # Freshly parsed every time: new spec objects, new policies.
+            specs = [parse_wpdl(self.CHAIN.format(n=n)) for n in range(4)]
+            for spec in specs:
+                host.submit_many(spec, 5)
+            results = host.wait_all(timeout=1e6)
+            assert all(r.succeeded for r in results.values())
+            assert len(plans) == 4  # one table per live specification ...
+            assert sum(len(table) for table in plans.values()) == 8  # of 2 plans
+            # The host keeps every engine it ever ran, for diagnostics;
+            # retire the batch by hand, the way a long-lived deployment
+            # would, and drop our own references.  An engine and its
+            # coordinator refer to each other, so it takes the collector
+            # to free them — and with them the last holders of the specs.
+            host._engines.clear()
+            host._results.clear()
+            host._order.clear()
+            del specs, spec, results
+            gc.collect()
+            sizes.append(len(plans))
+        assert sizes == [0, 0, 0, 0]
+        assert gc.collect() == 0
+
+    def test_spec_compiled_form_and_plans_are_free_of_cycles(self, reactor, bus):
+        # Without engines in the picture reference counting alone must do:
+        # the collector is off, and finds nothing when asked afterwards.
+        from repro.detection.detector import FailureDetector
+        from repro.engine.recovery import RecoveryCoordinator
+        from tests.test_recovery import FakeService
+
+        table = weakref.WeakKeyDictionary()
+        gc.collect()
+        gc.disable()
+        try:
+            spec = parse_wpdl(self.CHAIN.format(n=0))
+            WorkflowInstance(spec)
+            coordinator = RecoveryCoordinator(
+                FakeService(),
+                FailureDetector(reactor, bus),
+                Broker(),
+                reactor,
+                on_resolution=[].append,
+                plans=table.setdefault(spec.compiled, {}),
+            )
+            for node in spec.compiled.nodes.values():
+                coordinator.start_activity(node.node, node.program)
+            assert len(table[spec.compiled]) == 2
+            # The coordinator stays (it and the detector refer to each other
+            # through the attempts in flight); it holds plans, not the spec.
+            del spec, node
+            assert len(table) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_specification_outlives_twenty_runtimes_unchanged(self):
+        spec = parse_wpdl(self.CHAIN.format(n=0))
+
+        def reachable_from_spec():
+            seen, stack = set(), [spec]
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen or isinstance(obj, type):
+                    continue
+                seen.add(id(obj))
+                stack.extend(gc.get_referents(obj))
+            return len(seen)
+
+        def run_on_a_new_host():
+            grid = self._two_host_grid()
+            host = EngineHost(grid, reactor=grid.reactor)
+            host.submit_many(spec, 3)
+            assert all(r.succeeded for r in host.wait_all(timeout=1e6).values())
+            assert len(host.runtime.launch_plans) == 1
+
+        run_on_a_new_host()  # compiles the spec
+        gc.collect()
+        before = reachable_from_spec()
+        assert weakref.getweakrefcount(spec.compiled) == 0
+        for _ in range(20):
+            run_on_a_new_host()
+        # Hosts, grids and engines are cyclic garbage of their own making;
+        # once collected, every runtime's plan table and its weak key on
+        # the compiled form are gone, and the spec is as it was.
+        gc.collect()
+        assert weakref.getweakrefcount(spec.compiled) == 0
+        assert reachable_from_spec() == before
+        assert gc.collect() == 0
 
     def test_attempts_leave_nothing_for_the_collector(self):
         # A job re-arms one timer with a callback bound to the job itself;
