@@ -1,13 +1,14 @@
-"""Combined failure-handling techniques — strategy compositions end to end.
+"""Combined failure-handling techniques — policy combinations end to end.
 
-Not a paper figure: a systems benchmark for the composable strategy layer
-(``repro.engine.strategies``).  Two compositions run through both
-evaluation paths:
+Not a paper figure: a systems benchmark for techniques combined by policy
+attribute (``repro.engine.strategies`` reads the decisions off the
+policy).  Two combinations run through both evaluation paths:
 
 * ``replication_checkpointing`` — replicas that each retry from the last
-  announced checkpoint (``replicate(checkpoint_restart(retry))``);
+  announced checkpoint (``FailurePolicy.replica(max_tries=None)``);
 * ``backoff_retry`` — retrying with exponentially growing resubmission
-  delays (``checkpoint_restart(backoff_retry)``, a no-op checkpoint layer).
+  delays (``FailurePolicy.backoff_retrying``; the task never checkpoints,
+  so the flag hand-back has nothing to hand back).
 
 For each MTTF point the vectorised sampler produces E[T] with the paper's
 sample count, and an engine-level overlay (the full Grid-WFS stack per

@@ -12,29 +12,28 @@ activity:
   framework then restarts it from the saved state when retrying
   (Section 4.3).
 
-A :class:`FailurePolicy` value captures the per-activity configuration; the
-recovery coordinator resolves it to a composition of
-:class:`~repro.engine.strategies.RecoveryStrategy` objects.  Policies are
-plain immutable data so workflow specifications stay declarative and
-serializable.
+A :class:`FailurePolicy` value captures the per-activity configuration, and
+its flat fields are the only representation of it: the recovery coordinator's
+:class:`~repro.engine.strategies.RecoveryStrategy` reads its three decisions
+(how many slots, whether and when a crashed slot retries, which checkpoint
+flag a submission carries) straight off them.  Policies are plain immutable
+data so workflow specifications stay declarative and serializable.
 
 The paper's central claim is that the techniques *combine* freely
 (Section 6: replicas may each be retried; retried attempts restart from
-checkpoints).  The policy layer therefore exposes a small algebra: a
-``FailurePolicy`` decomposes into per-technique views
-(:class:`RetryConfig`, :class:`ReplicationConfig`, :class:`CheckpointConfig`
-via :attr:`FailurePolicy.retry` etc.), is rebuilt from them with
-:meth:`FailurePolicy.compose`, and is extended one technique at a time with
-the ``with_*`` combinators.  Retrying additionally supports exponential
-backoff (``interval * backoff_factor**(n-1)``, capped at ``max_interval``)
-— a standard Grid middleware refinement the paper's fixed ``interval``
-subsumes as the ``backoff_factor == 1`` case.
+checkpoints).  They combine by attribute: set ``replication`` and
+``max_tries`` on one policy and each replica retries; the three named
+constructors cover Figures 2 and 3 and :func:`dataclasses.replace` every
+other combination.  Retrying additionally supports exponential backoff
+(``interval * backoff_factor**(n-1)``, capped at ``max_interval``) — a
+standard Grid middleware refinement the paper's fixed ``interval`` subsumes
+as the ``backoff_factor == 1`` case; :meth:`FailurePolicy.retry_delay` is
+the one place that wait is computed.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import PolicyError
@@ -42,9 +41,6 @@ from ..errors import PolicyError
 __all__ = [
     "ResourceSelection",
     "ReplicationMode",
-    "RetryConfig",
-    "ReplicationConfig",
-    "CheckpointConfig",
     "FailurePolicy",
     "DEFAULT_POLICY",
 ]
@@ -77,72 +73,6 @@ class ReplicationMode(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-# ---------------------------------------------------------------------------
-# Per-technique configuration views (the policy algebra's atoms)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryConfig:
-    """The retrying dimension of a policy: budget, pacing, placement."""
-
-    max_tries: int | None = 1
-    interval: float = 0.0
-    backoff_factor: float = 1.0
-    max_interval: float | None = None
-    resource_selection: ResourceSelection = ResourceSelection.SAME
-
-    @property
-    def enabled(self) -> bool:
-        return self.max_tries is None or self.max_tries > 1
-
-    @property
-    def uses_backoff(self) -> bool:
-        return self.backoff_factor > 1.0
-
-    def delay_for(self, retry_number: int) -> float:
-        """Wait before the *retry_number*-th retry (1-based).
-
-        ``interval * backoff_factor**(retry_number - 1)``, capped at
-        ``max_interval`` when one is set.  With ``backoff_factor == 1``
-        this is the paper's fixed ``interval``.
-        """
-        if retry_number < 1:
-            raise PolicyError(
-                f"retry_number must be >= 1, got {retry_number}"
-            )
-        delay = self.interval * self.backoff_factor ** (retry_number - 1)
-        if self.max_interval is not None:
-            delay = min(delay, self.max_interval)
-        return delay
-
-    def total_delay(self, retries: int) -> float:
-        """Cumulative backoff wait across the first *retries* retries."""
-        return math.fsum(self.delay_for(n) for n in range(1, retries + 1))
-
-
-@dataclass(frozen=True)
-class ReplicationConfig:
-    """The replication dimension of a policy."""
-
-    mode: ReplicationMode = ReplicationMode.NONE
-
-    @property
-    def enabled(self) -> bool:
-        return self.mode is ReplicationMode.REPLICA
-
-
-@dataclass(frozen=True)
-class CheckpointConfig:
-    """The checkpoint-restart dimension of a policy."""
-
-    restart_from_checkpoint: bool = True
-
-    @property
-    def enabled(self) -> bool:
-        return self.restart_from_checkpoint
 
 
 @dataclass(frozen=True)
@@ -277,85 +207,6 @@ class FailurePolicy:
             resource_selection=resource_selection,
         )
 
-    @staticmethod
-    def compose(
-        retry: RetryConfig | None = None,
-        replication: ReplicationConfig | None = None,
-        checkpoint: CheckpointConfig | None = None,
-        *,
-        retry_on_exception: bool = False,
-        attempt_timeout: float | None = None,
-    ) -> "FailurePolicy":
-        """Build a policy from per-technique configs (the algebra's join).
-
-        Omitted dimensions take their defaults, so
-        ``compose(retry=RetryConfig(max_tries=None))`` is plain retrying
-        and ``compose(retry=..., replication=ReplicationConfig(REPLICA))``
-        is the Section 6 combination.
-        """
-        retry = retry if retry is not None else RetryConfig()
-        replication = replication if replication is not None else ReplicationConfig()
-        checkpoint = checkpoint if checkpoint is not None else CheckpointConfig()
-        return FailurePolicy(
-            max_tries=retry.max_tries,
-            interval=retry.interval,
-            replication=replication.mode,
-            resource_selection=retry.resource_selection,
-            restart_from_checkpoint=checkpoint.restart_from_checkpoint,
-            retry_on_exception=retry_on_exception,
-            attempt_timeout=attempt_timeout,
-            backoff_factor=retry.backoff_factor,
-            max_interval=retry.max_interval,
-        )
-
-    # -- per-technique views --------------------------------------------------
-
-    @property
-    def retry(self) -> RetryConfig:
-        """The retrying dimension of this policy."""
-        return RetryConfig(
-            max_tries=self.max_tries,
-            interval=self.interval,
-            backoff_factor=self.backoff_factor,
-            max_interval=self.max_interval,
-            resource_selection=self.resource_selection,
-        )
-
-    @property
-    def replication_config(self) -> ReplicationConfig:
-        """The replication dimension of this policy."""
-        return ReplicationConfig(mode=self.replication)
-
-    @property
-    def checkpoint(self) -> CheckpointConfig:
-        """The checkpoint-restart dimension of this policy."""
-        return CheckpointConfig(
-            restart_from_checkpoint=self.restart_from_checkpoint
-        )
-
-    # -- combinators -----------------------------------------------------------
-
-    def with_retry(self, retry: RetryConfig) -> "FailurePolicy":
-        """Replace the retrying dimension, keeping everything else."""
-        return replace(
-            self,
-            max_tries=retry.max_tries,
-            interval=retry.interval,
-            backoff_factor=retry.backoff_factor,
-            max_interval=retry.max_interval,
-            resource_selection=retry.resource_selection,
-        )
-
-    def with_replication(
-        self, mode: ReplicationMode = ReplicationMode.REPLICA
-    ) -> "FailurePolicy":
-        """Replace the replication dimension, keeping everything else."""
-        return replace(self, replication=mode)
-
-    def with_checkpointing(self, enabled: bool = True) -> "FailurePolicy":
-        """Replace the checkpoint-restart dimension, keeping everything else."""
-        return replace(self, restart_from_checkpoint=enabled)
-
     # -- queries --------------------------------------------------------------
 
     @property
@@ -382,12 +233,26 @@ class FailurePolicy:
         return max(0, self.max_tries - tries_used)
 
     def retry_delay(self, retry_number: int) -> float:
-        """Wait before the *retry_number*-th retry of a slot (1-based)."""
-        return self.retry.delay_for(retry_number)
+        """Wait before the *retry_number*-th retry of a slot (1-based).
+
+        ``interval * backoff_factor**(retry_number - 1)``, capped at
+        ``max_interval`` when one is set.  With ``backoff_factor == 1``
+        this is the paper's fixed ``interval``.  The engine's strategy and
+        the ``backoff_retry`` sampler both wait exactly this long.
+        """
+        if retry_number < 1:
+            raise PolicyError(
+                f"retry_number must be >= 1, got {retry_number}"
+            )
+        delay = self.interval * self.backoff_factor ** (retry_number - 1)
+        if self.max_interval is not None:
+            delay = min(delay, self.max_interval)
+        return delay
 
     def techniques(self) -> tuple[str, ...]:
-        """Names of the task-level techniques this policy activates, in
-        strategy-composition order (used in logs and ``describe``)."""
+        """Names of the task-level techniques this policy activates,
+        outermost first (replicas fan out, each restarts from its
+        checkpoint, each retries)."""
         names: list[str] = []
         if self.replicated:
             names.append("replication")

@@ -1,5 +1,6 @@
 """The Grid-WFS workflow engine: instance tree, navigator, broker,
-two-level recovery coordination via composable strategies, engine
+two-level recovery coordination (task-level decisions read off each
+activity's ``FailurePolicy`` by a ``RecoveryStrategy``), engine
 checkpointing, and executors."""
 
 from .broker import Broker, ResolvedOption
@@ -22,15 +23,9 @@ from .navigator import (
 )
 from .recovery import RecoveryCoordinator, TaskResolution
 from .strategies import (
-    DEFAULT_REGISTRY,
-    CheckpointRestartStrategy,
-    ExponentialBackoffRetryStrategy,
     RecoveryStrategy,
-    ReplicateStrategy,
     RetryDecision,
-    RetryStrategy,
     SlotPlan,
-    StrategyRegistry,
     resolve_strategy,
 )
 from .trace import EngineTrace, TraceEvent
@@ -56,15 +51,9 @@ __all__ = [
     "ready_nodes",
     "RecoveryCoordinator",
     "TaskResolution",
-    "DEFAULT_REGISTRY",
-    "CheckpointRestartStrategy",
-    "ExponentialBackoffRetryStrategy",
     "RecoveryStrategy",
-    "ReplicateStrategy",
     "RetryDecision",
-    "RetryStrategy",
     "SlotPlan",
-    "StrategyRegistry",
     "resolve_strategy",
     "EngineTrace",
     "TraceEvent",

@@ -132,7 +132,14 @@ def load_checkpoint(path: str | Path) -> tuple[Workflow, WorkflowInstance]:
         raise CheckpointError(
             f"checkpoint {path} contains corrupt instance state: {exc}"
         ) from exc
-    instance = WorkflowInstance.restore(spec, state)
+    try:
+        instance = WorkflowInstance.restore(spec, state)
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        # Well-formed JSON of the wrong shape: a missing key, a list where
+        # a mapping belongs, a status no enum has.
+        raise CheckpointError(
+            f"checkpoint {path} contains malformed instance state: {exc!r}"
+        ) from exc
     for node in instance.nodes.values():
         if node.status is NodeStatus.RUNNING:
             node.status = NodeStatus.PENDING

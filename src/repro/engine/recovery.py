@@ -3,12 +3,11 @@
 Implements the paper's Figure 1 control flow on the task side:
 
 * **task-level masking**: after a detected task crash failure, the
-  activity's :class:`~repro.core.policy.FailurePolicy` is resolved to a
-  composition of :class:`~repro.engine.strategies.RecoveryStrategy`
-  objects (retry / backoff-retry, wrapped by checkpoint-restart, wrapped
-  by replication) and the strategy decides structure and retries: how many
-  parallel slots to open, whether and where a crashed slot tries again,
-  and which checkpoint flag each attempt restarts from;
+  :class:`~repro.engine.strategies.RecoveryStrategy` of the activity's
+  :class:`~repro.core.policy.FailurePolicy` decides structure and retries
+  from the policy's attributes: how many parallel slots to open, whether,
+  where and when a crashed slot tries again, and which checkpoint flag
+  each attempt restarts from;
 * **fail to mask**: when every slot has exhausted its tries, the failure
   escapes the task level and is reported upward as an unmasked FAILED
   resolution — the workflow-level structure (alternative tasks, OR joins)
@@ -21,7 +20,7 @@ Implements the paper's Figure 1 control flow on the task side:
 
 The coordinator itself is a thin mechanism layer: it owns slots, job
 bookkeeping, timers and resolution callbacks, and delegates every *policy*
-decision to the strategy stack.  It stays engine-passive: it gives its
+decision to the strategy.  It stays engine-passive: it gives its
 :meth:`~RecoveryCoordinator.handle_outcome` to the detector with every
 attempt it tracks, the detector calls it with that attempt's verdict, and
 it answers with submissions (side effects on the execution service) or a
@@ -149,14 +148,16 @@ class RecoveryCoordinator:
     """Drives task-level failure handling for every running activity.
 
     *strategy_resolver* maps each activity's declarative policy to the
-    strategy stack that executes it; the default is
-    :func:`~repro.engine.strategies.resolve_strategy` over the default
-    registry.  Strategies are stateless and resolved once per (program,
-    policy) pair: the stack, the slots it plans and each literal resource
-    option's target are kept in a :class:`LaunchPlan`.  *plans* is the table
-    to keep them in — the engine passes the one its runtime holds for the
-    specification, so every instance on the runtime shares it; a
-    coordinator built without one keeps its own.
+    strategy that executes it; the default is
+    :func:`~repro.engine.strategies.resolve_strategy`, and a resolver
+    returning a :class:`~repro.engine.strategies.RecoveryStrategy` subclass
+    is how a deployment substitutes its own technique.  Strategies are
+    stateless and resolved once per (program, policy) pair: the strategy,
+    the slots it plans and each literal resource option's target are kept
+    in a :class:`LaunchPlan`.  *plans* is the table to keep them in — the
+    engine passes the one its runtime holds for the specification, so every
+    instance on the runtime shares it; a coordinator built without one
+    keeps its own.
     """
 
     def __init__(

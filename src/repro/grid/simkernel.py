@@ -58,7 +58,8 @@ class SimKernel:
     >>> k = SimKernel()
     >>> fired = []
     >>> _ = k.schedule(5.0, lambda: fired.append(k.now()))
-    >>> k.run()
+    >>> k.run()  # the number of events it fired
+    1
     >>> fired
     [5.0]
     """

@@ -3,17 +3,16 @@
 One subsystem, three layers:
 
 * :mod:`repro.obs.metrics` — label-keyed counters / gauges / histograms
-  with no-op defaults when disabled and snapshot/merge for cross-process
-  Monte-Carlo aggregation;
+  with snapshot/merge for cross-process Monte-Carlo aggregation;
 * :mod:`repro.obs.spans` — nested spans stamped on both the simulation
   clock and the wall clock, recorded into a bounded ring;
 * :mod:`repro.obs.export` — JSON-lines, Prometheus text exposition, and
   Chrome ``trace_event`` renderings of one recording;
 
 plus :mod:`repro.obs.observer`, the bus subscriber that turns engine /
-detector / recovery events into the recording, and
-:class:`~repro.obs.core.Observability`, the bundle the CLI threads through
-a run.
+detector / recovery events into the recording (it owns the run's registry
+and span recorder).  Off means absent: an unobserved run holds no
+registry, no recorder and no observer, not disabled ones.
 
 The live telemetry plane builds on those:
 :mod:`repro.obs.tracectx` (causal trace/span ids stamped through every
@@ -24,7 +23,6 @@ endpoint behind ``--serve-telemetry``), and :mod:`repro.obs.plane` (the
 one assembly that attaches all of them to a runtime).
 """
 
-from .core import NULL_OBS, Observability
 from .dashboard import TopClient, render_frame, run_top
 from .estimators import (
     DRIFT_MTTF,
@@ -109,8 +107,6 @@ __all__ = [
     "MetricSpec",
     "MetricsError",
     "MetricsRegistry",
-    "NULL_OBS",
-    "Observability",
     "PageHinkley",
     "PeriodicCollector",
     "RecordedEvent",

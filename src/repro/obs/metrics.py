@@ -25,10 +25,8 @@ in the same bound family and the same series table.
 
 Design constraints, in order:
 
-* **cheap when off** — a disabled registry returns shared no-op
-  instruments without touching its tables, so instrumented hot paths pay
-  one method call and an ``enabled`` check (the ``bench_engine_mc``
-  sequential path asserts the total stays under 2%);
+* **absent when off** — an uninstrumented run holds no registry at all
+  (``metrics=None``), so its hot paths pay one ``is None`` check;
 * **mergeable** — Monte-Carlo shards run in pool workers; each worker
   snapshots its local registry (:meth:`MetricsRegistry.snapshot`, a plain
   JSON-able dict) and the parent folds the snapshots back in
@@ -161,46 +159,6 @@ class Histogram:
         return float("inf")
 
 
-class _NullCounter:
-    __slots__ = ()
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-    bounds: tuple[float, ...] = ()
-    counts: list[int] = []
-    sum = 0.0
-    count = 0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return float("nan")
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
@@ -290,25 +248,6 @@ class BoundFamily:
         return child
 
 
-class _NullFamily:
-    """What a disabled registry binds every spec of one kind to."""
-
-    __slots__ = ("_instrument",)
-
-    def __init__(self, instrument: Any) -> None:
-        self._instrument = instrument
-
-    def labels(self, *values: Any):
-        return self._instrument
-
-
-_NULL_FAMILIES = {
-    "counter": _NullFamily(_NULL_COUNTER),
-    "gauge": _NullFamily(_NULL_GAUGE),
-    "histogram": _NullFamily(_NULL_HISTOGRAM),
-}
-
-
 class _TimerContext:
     """Context manager observing elapsed clock time into a histogram."""
 
@@ -328,15 +267,9 @@ class _TimerContext:
 
 
 class MetricsRegistry:
-    """Process-local table of labelled instruments.
+    """Process-local table of labelled instruments."""
 
-    A registry constructed with ``enabled=False`` hands out shared no-op
-    instruments and records nothing — the cheap default an uninstrumented
-    run pays for having observability compiled in.
-    """
-
-    def __init__(self, *, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         #: Bumped by :meth:`clear` and :meth:`merge` — whatever replaces or
         #: overwrites instruments behind their holders' backs.  Between
         #: two reads of the same generation, families and their series
@@ -357,13 +290,11 @@ class MetricsRegistry:
 
     # -- instrument lookup ---------------------------------------------------
 
-    def family(self, spec: MetricSpec) -> BoundFamily | _NullFamily:
-        """The bound family of *spec* in this registry (the shared no-op
-        one when disabled).  Binding registers nothing: a family appears
-        in :meth:`families` when its first series does, so export order
-        is first-use order however early a holder binds."""
-        if not self.enabled:
-            return _NULL_FAMILIES[spec.kind]
+    def family(self, spec: MetricSpec) -> BoundFamily:
+        """The bound family of *spec* in this registry.  Binding registers
+        nothing: a family appears in :meth:`families` when its first
+        series does, so export order is first-use order however early a
+        holder binds."""
         key = (spec.name, spec.labels, spec.optional)
         bound = self._bound.get(key)
         if bound is None:
@@ -429,13 +360,9 @@ class MetricsRegistry:
         return bound.labels(*labels.values())
 
     def counter(self, name: str, *, help: str = "", **labels: Any) -> Counter:
-        if not self.enabled:
-            return _NULL_COUNTER
         return self._keyword(name, "counter", help, None, labels)
 
     def gauge(self, name: str, *, help: str = "", **labels: Any) -> Gauge:
-        if not self.enabled:
-            return _NULL_GAUGE
         return self._keyword(name, "gauge", help, None, labels)
 
     def histogram(
@@ -446,8 +373,6 @@ class MetricsRegistry:
         buckets: tuple[float, ...] | None = None,
         **labels: Any,
     ) -> Histogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM
         return self._keyword(name, "histogram", help, buckets, labels)
 
     def timer(
@@ -519,8 +444,6 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` from another registry (typically a pool
         worker) into this one: counters and histograms add, gauges take
         the snapshot's value."""
-        if not self.enabled:
-            return
         self._moved()
         for name, family_snap in snapshot.items():
             kind = family_snap["kind"]

@@ -45,14 +45,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..events import EventBus, Subscription
-from .core import Observability
-from .metrics import ATTEMPT_BUCKETS, MetricSpec
+from .metrics import ATTEMPT_BUCKETS, MetricSpec, MetricsRegistry
+from .spans import Span, SpanRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.engine import WorkflowEngine
     from ..grid.simgrid import SimulatedGrid
-    from .metrics import MetricsRegistry
-    from .spans import Span
 
 __all__ = [
     "RecordedEvent",
@@ -221,13 +219,12 @@ class RunObserver:
         self,
         bus: EventBus | None = None,
         *,
-        obs: Observability | None = None,
         clock: Any = None,
         max_events: int = 100_000,
     ) -> None:
-        self.obs = obs if obs is not None else Observability()
-        if clock is not None:
-            self.obs.bind_clock(clock)
+        self.metrics = MetricsRegistry()
+        #: Spans are stamped on *clock* (a reactor's virtual ``now``).
+        self._recorder = SpanRecorder(clock=clock)
         #: One record per observed event (see :func:`_expand`), turned into
         #: a :class:`RecordedEvent` only when :attr:`events` is read.
         self._events: deque[tuple] = deque(maxlen=max_events)
@@ -239,10 +236,10 @@ class RunObserver:
         # workflow finishes.  Open attempts are kept per node
         # (workflow_id → node → job → span) so that a node's resolution
         # can end the attempts it cancelled.
-        self._workflow_spans: dict[str, "Span"] = {}
-        self._node_spans: dict[str, dict[str, "Span"]] = {}
-        self._attempt_spans: dict[str, dict[str, dict[str, "Span"]]] = {}
-        family = self.obs.metrics.family
+        self._workflow_spans: dict[str, Span] = {}
+        self._node_spans: dict[str, dict[str, Span]] = {}
+        self._attempt_spans: dict[str, dict[str, dict[str, Span]]] = {}
+        family = self.metrics.family
         self._nodes_launched = family(NODES_LAUNCHED)
         self._node_completions = family(NODE_COMPLETIONS)
         self._task_tries = family(TASK_TRIES)
@@ -261,13 +258,9 @@ class RunObserver:
     # -- wiring --------------------------------------------------------------
 
     @classmethod
-    def attach(
-        cls, engine: "WorkflowEngine", obs: Observability | None = None
-    ) -> "RunObserver":
+    def attach(cls, engine: "WorkflowEngine") -> "RunObserver":
         """Observe an engine's runtime bus on its reactor's clock."""
-        return cls(
-            engine.runtime.bus, obs=obs, clock=engine.runtime.reactor.now
-        )
+        return cls(engine.runtime.bus, clock=engine.runtime.reactor.now)
 
     def attach_bus(self, bus: EventBus) -> "RunObserver":
         """Subscribe to *bus*.  Idempotent: re-attaching to the bus we are
@@ -304,12 +297,8 @@ class RunObserver:
         return [_expand(record) for record in self._events]
 
     @property
-    def spans(self) -> list["Span"]:
-        return self.obs.spans.spans
-
-    @property
-    def metrics(self) -> "MetricsRegistry":
-        return self.obs.metrics
+    def spans(self) -> list[Span]:
+        return self._recorder.spans
 
     def _record(self, topic: str, payload: Any) -> dict[str, Any]:
         """Snapshot one dict-shaped event into the ring (a shallow copy
@@ -321,10 +310,10 @@ class RunObserver:
         self._events.append((topic, payload))
         return _NO_FIELDS
 
-    def _cancel_attempts(self, jobs: dict[str, "Span"]) -> None:
+    def _cancel_attempts(self, jobs: dict[str, Span]) -> None:
         """End the attempts a resolved node left running: their jobs were
         cancelled and forgotten, so no terminal ``task.*`` event follows."""
-        end = self.obs.spans.end
+        end = self._recorder.end
         for span in jobs.values():
             span.labels["outcome"] = "cancelled"
             end(span)
@@ -334,7 +323,7 @@ class RunObserver:
     def _on_engine_event(self, topic: str, payload: Any) -> None:
         detail = self._record(topic, payload)
         wfid = detail.get("workflow_id", "") or ""
-        spans = self.obs.spans
+        spans = self._recorder
         if topic == "engine.node_launched":
             node = detail.get("node")
             workflow = detail.get("workflow", "")
@@ -435,7 +424,7 @@ class RunObserver:
                 labels["parent_id"] = parent_id
             nodes = self._node_spans.get(wfid)
             node_span = nodes.get(activity) if nodes is not None else None
-            span = self.obs.spans.open(
+            span = self._recorder.open(
                 "task.attempt",
                 labels,
                 node_span.id if node_span is not None else None,
@@ -450,7 +439,7 @@ class RunObserver:
         span.labels["outcome"] = outcome
         if reason:
             span.labels["reason"] = reason
-        self.obs.spans.end(span)
+        self._recorder.end(span)
         self._task_attempts.labels(activity, outcome, wfid).inc()
         self._task_attempt_seconds.labels(activity).observe(span.sim_duration)
 
@@ -469,7 +458,7 @@ class RunObserver:
         # under its node, carrying the causal ids — the chrome_trace
         # exporter draws flow arrows from these to the attempts they
         # spawned.
-        spans = self.obs.spans
+        spans = self._recorder
         labels = {"activity": activity}
         if wfid:
             labels["workflow_id"] = wfid

@@ -23,9 +23,6 @@ styles:
   event-driven spans whose open/close arrive as bus callbacks (many task
   attempts are in flight at once, so lexical nesting cannot express
   them) — the caller passes ``parent=`` explicitly.
-
-A recorder constructed with ``enabled=False`` records nothing and hands
-out a shared dummy span, keeping disabled-path overhead to one check.
 """
 
 from __future__ import annotations
@@ -66,9 +63,6 @@ class Span:
         return 0.0 if self.wall_end is None else self.wall_end - self.wall_start
 
 
-_DUMMY = Span(id=-1, name="", sim_start=0.0, wall_start=0.0)
-
-
 class _SpanContext:
     """Context manager wrapping one recorder-stack span."""
 
@@ -78,7 +72,6 @@ class _SpanContext:
         self._recorder = recorder
         self._name = name
         self._labels = labels
-        self._span = _DUMMY
 
     def __enter__(self) -> Span:
         self._span = self._recorder._begin_stacked(self._name, self._labels)
@@ -92,9 +85,8 @@ class SpanRecorder:
     """Bounded recorder of :class:`Span` objects over a virtual clock.
 
     *clock* supplies simulation time; it may be bound late
-    (:meth:`bind_clock`) because the reactor often does not exist yet when
-    the observability object is created (the CLI builds obs before the
-    grid).  An unbound recorder stamps ``sim=0.0``.
+    (:meth:`bind_clock`) because the reactor may not exist yet when the
+    recorder is created.  An unbound recorder stamps ``sim=0.0``.
     """
 
     def __init__(
@@ -102,9 +94,7 @@ class SpanRecorder:
         *,
         clock: Callable[[], float] | None = None,
         capacity: int = 65536,
-        enabled: bool = True,
     ) -> None:
-        self.enabled = enabled
         self.clock = clock
         self._ring: deque[Span] = deque(maxlen=capacity)
         self._stack: list[Span] = []
@@ -132,8 +122,6 @@ class SpanRecorder:
         """:meth:`begin` for a caller that has its labels in a dict already:
         the span takes ownership of *labels* (no copy), so the caller must
         not reuse the dict."""
-        if not self.enabled:
-            return _DUMMY
         span = Span(
             next(self._ids),
             name,
@@ -147,7 +135,7 @@ class SpanRecorder:
 
     def end(self, span: Span) -> Span:
         """Close *span* at the current sim/wall time (idempotent)."""
-        if span is _DUMMY or span.sim_end is not None:
+        if span.sim_end is not None:
             return span
         span.sim_end = self._now()
         span.wall_end = time.perf_counter()
@@ -169,8 +157,6 @@ class SpanRecorder:
         """Record an interval whose bounds are already known (e.g. a
         scheduled backoff wait: the delay is decided upfront, so the span
         can be closed at creation with a *future* sim end)."""
-        if not self.enabled:
-            return _DUMMY
         wall = time.perf_counter()
         span = Span(
             id=next(self._ids),
@@ -196,13 +182,10 @@ class SpanRecorder:
         parent = self._stack[-1].id if self._stack else None
         # The context object keeps its labels and may be entered again.
         span = self.open(name, dict(labels), parent)
-        if span is not _DUMMY:
-            self._stack.append(span)
+        self._stack.append(span)
         return span
 
     def _end_stacked(self, span: Span) -> None:
-        if span is _DUMMY:
-            return
         self.end(span)
         if self._stack and self._stack[-1] is span:
             self._stack.pop()

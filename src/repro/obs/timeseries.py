@@ -12,8 +12,6 @@ snapshots rather than the whole run.
 
 Design mirrors the registry on purpose:
 
-* **cheap when off** — a store constructed with ``enabled=False`` hands
-  out shared no-op series and records nothing;
 * **mergeable** — :meth:`TimeSeriesStore.snapshot` /
   :meth:`TimeSeriesStore.merge` fold bucket-aligned points across
   processes the way registry snapshots fold counters;
@@ -326,38 +324,6 @@ class HistogramSeries:
         return 0 if delta is None else delta[1]
 
 
-class _NullSeries:
-    """Shared do-nothing series a disabled store hands out."""
-
-    __slots__ = ()
-    name = ""
-    labels: LabelItems = ()
-    kind = "gauge"
-    step = 1.0
-    capacity = 0
-
-    def __len__(self) -> int:
-        return 0
-
-    def observe(self, t: float, value: float = 1.0) -> None:
-        pass
-
-    def points(self, since=None, until=None):
-        return []
-
-    def latest(self):
-        return None
-
-    def mean(self, since=None):
-        return None
-
-    def rate(self, since=None):
-        return None
-
-
-_NULL_SERIES = _NullSeries()
-
-
 class _Feed:
     """The rings one registry family feeds, in the family's own series
     order (which only ever grows); each ring holds its instrument."""
@@ -373,9 +339,7 @@ class TimeSeriesStore:
     """Label-keyed table of bounded series rings.
 
     ``step`` and ``capacity`` are store-wide defaults; individual series
-    may override both.  A store constructed with ``enabled=False``
-    returns the shared no-op series and records nothing — the disabled
-    telemetry path stays allocation-free.
+    may override both.
 
     :meth:`collect` costs one comparison per registry series whose value
     held still and one :meth:`Series.observe` per series whose value
@@ -390,11 +354,9 @@ class TimeSeriesStore:
     def __init__(
         self,
         *,
-        enabled: bool = True,
         step: float = 1.0,
         capacity: int = 512,
     ) -> None:
-        self.enabled = enabled
         self.step = step
         self.capacity = capacity
         #: name → label key → ring, families and rings in first-seen order.
@@ -426,9 +388,7 @@ class TimeSeriesStore:
         step: float | None = None,
         capacity: int | None = None,
         **labels: Any,
-    ) -> Series | _NullSeries:
-        if not self.enabled:
-            return _NULL_SERIES
+    ) -> Series:
         return self._series_for(name, _label_key(labels), kind, step, capacity)
 
     def _series_for(
@@ -465,9 +425,7 @@ class TimeSeriesStore:
         step: float | None = None,
         capacity: int | None = None,
         **labels: Any,
-    ) -> HistogramSeries | None:
-        if not self.enabled:
-            return None
+    ) -> HistogramSeries:
         return self._histogram_for(name, _label_key(labels), bounds, step, capacity)
 
     def _histogram_for(
@@ -511,8 +469,6 @@ class TimeSeriesStore:
         is left alone (the tick goes in the log, see the class
         docstring); NaN never equals itself and so is sampled every tick.
         """
-        if not self.enabled:
-            return
         with self._lock:
             source = (registry, registry.generation)
             if source != self._source:
@@ -690,8 +646,6 @@ class TimeSeriesStore:
         """Fold another store's :meth:`snapshot` into this one: points
         align by bucket time (counts/sums add, min/max widen, the later
         snapshot's *last* wins)."""
-        if not self.enabled:
-            return
         with self._lock:
             for name, records in snapshot.items():
                 for record in records:

@@ -664,7 +664,7 @@ def estimate_cells(
     store = resolve_cache(cache)
     # CRN cursors carry across batches, so CRN rounds stay in process.
     jobs = 1 if mode == "crn" else resolve_jobs(jobs)
-    collect = metrics is not None and metrics.enabled
+    collect = metrics is not None
 
     estimates: list[CellEstimate | None] = [None] * len(plans)
     #: Still-sampling cell → the chunks drawn so far, in draw order.

@@ -27,8 +27,9 @@ The cache key is the SHA-256 over that tuple, and each entry is one
 ``<key>.npy`` file under the cache root.  Because the key covers every
 input, invalidation is automatic: change anything and the key changes;
 bump :data:`SAMPLERS_VERSION` and *every* old entry goes stale at once
-(``repro cache clear`` reclaims the disk).  Entries are written atomically
-(temp file + rename), so a crashed run never leaves a truncated vector.
+(``repro cache clear`` reclaims the disk).  Entries and the usage counters
+are replaced whole (temp file + rename), so a crashed run never leaves a
+truncated vector and a concurrent reader never sees a torn one.
 
 The cache is **opt-in**: callers pass ``cache=True`` (the default
 location: ``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro/mc``, else
@@ -43,6 +44,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -72,6 +74,18 @@ def _canonical_params(params: SimulationParams) -> str:
     including non-finite MTTF (serialised as ``Infinity``).
     """
     return json.dumps(dataclasses.asdict(params), sort_keys=True)
+
+
+def _replace_file(path: Path, write: Callable[[BinaryIO], None]) -> None:
+    """Make *path* hold what *write* produces, all of it or none of it: a
+    per-process temp file renamed over the target."""
+    tmp = path.with_suffix(f".tmp{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class SampleCache:
@@ -142,13 +156,15 @@ class SampleCache:
     def _bump(self, field: str) -> None:
         """Best-effort increment of one persistent counter.  Statistics
         must never break sampling: any I/O failure is swallowed, and a
-        racing writer merely loses a count (the entries themselves are
-        written atomically; this file is advisory)."""
+        racing writer merely loses a count — never the lifetime totals,
+        because the file is replaced whole and a reader under ``--jobs N``
+        cannot read a half-written one as zeros and write those back."""
         try:
             stats = self.stats()
             stats[field] += 1
             self.root.mkdir(parents=True, exist_ok=True)
-            self._stats_path().write_text(json.dumps(stats, sort_keys=True))
+            text = json.dumps(stats, sort_keys=True).encode()
+            _replace_file(self._stats_path(), lambda fh: fh.write(text))
         except OSError:  # pragma: no cover - advisory only
             pass
 
@@ -157,9 +173,9 @@ class SampleCache:
     def load(self, key: str) -> np.ndarray | None:
         """The cached vector for *key*, or None on a miss.
 
-        A corrupt entry (truncated or unreadable) counts as a miss and is
-        evicted, so a damaged cache degrades to re-sampling, never to an
-        error or a wrong result.
+        A corrupt entry (truncated, empty or unreadable) counts as a miss
+        and is evicted, so a damaged cache degrades to re-sampling, never
+        to an error or a wrong result.
         """
         path = self.path_for(key)
         try:
@@ -167,7 +183,7 @@ class SampleCache:
         except FileNotFoundError:
             self._bump("misses")
             return None
-        except (OSError, ValueError):
+        except (OSError, ValueError, EOFError):  # EOFError: a zero-byte file
             path.unlink(missing_ok=True)
             self._bump("evictions")
             self._bump("misses")
@@ -179,13 +195,8 @@ class SampleCache:
         """Persist *samples* under *key* atomically; returns the path."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
-        tmp = path.with_suffix(f".tmp{os.getpid()}")
-        try:
-            with open(tmp, "wb") as fh:
-                np.save(fh, np.ascontiguousarray(samples), allow_pickle=False)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        data = np.ascontiguousarray(samples)
+        _replace_file(path, lambda fh: np.save(fh, data, allow_pickle=False))
         self._bump("stores")
         return path
 

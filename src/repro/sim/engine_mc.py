@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.policy import FailurePolicy
 from ..engine.engine import WorkflowEngine
 from ..errors import SimulationError
 from ..grid.behaviors import CheckpointingTask, FixedDurationTask, TaskBehavior
@@ -33,7 +32,7 @@ from ..wpdl.model import Workflow
 from .adaptive import CITarget, estimate_cells
 from .parallel import DEFAULT_RUN_TIMEOUT
 from .params import SimulationParams
-from .samplers import EXTENDED_TECHNIQUES
+from .samplers import EXTENDED_TECHNIQUES, technique_policy
 
 __all__ = [
     "run_engine_once",
@@ -69,11 +68,12 @@ def build_technique_workflow(
 ) -> Workflow:
     """Single-activity workflow encoding *technique* in WPDL terms.
 
-    The policy feeds :func:`~repro.engine.strategies.resolve_strategy`, so
-    each technique exercises its strategy composition end to end
-    (``replication_checkpointing`` runs
-    ``replicate(checkpoint_restart(retry))``, ``backoff_retry`` runs the
-    exponential-backoff loop, …).
+    The activity carries :func:`~repro.sim.samplers.technique_policy`, and
+    the engine's decisions are read off its attributes
+    (``replication_checkpointing`` fans out over the hosts and every
+    replica retries from its own checkpoint; ``backoff_retry`` waits
+    ``policy.retry_delay(n)`` — the number the sampler adds — before the
+    *n*-th resubmission, …).
     """
     if technique not in EXTENDED_TECHNIQUES:
         raise SimulationError(
@@ -81,21 +81,12 @@ def build_technique_workflow(
             f"expected one of {EXTENDED_TECHNIQUES}"
         )
     hosts = [f"{_HOST_PREFIX}{i}" for i in range(_host_count(technique, params))]
-    if technique.startswith("replication"):
-        policy = FailurePolicy.replica(max_tries=None)
-    elif technique == "backoff_retry":
-        policy = FailurePolicy.backoff_retrying(
-            None,
-            interval=params.retry_interval,
-            backoff_factor=params.backoff_factor,
-            max_interval=params.max_retry_interval,
-        )
-    else:
-        policy = FailurePolicy.retrying(None)
     return (
         WorkflowBuilder(f"eval-{technique}")
         .program("task", hosts=hosts)
-        .activity("task", implement="task", policy=policy)
+        .activity(
+            "task", implement="task", policy=technique_policy(technique, params)
+        )
         .build()
     )
 
@@ -262,7 +253,7 @@ def engine_samples(
     and freshly computed vectors are interchangeable bit for bit.
 
     *metrics* is an optional :class:`~repro.obs.metrics.MetricsRegistry`;
-    when given (and enabled) it accumulates per-run attempt/completion
+    when given it accumulates per-run attempt/completion
     histograms, pool sampler-cache counters (merged back from worker
     processes) and disk-cache hit/miss counters.  ``None`` — the default —
     records nothing and adds no measurable overhead.

@@ -23,8 +23,8 @@ models of :mod:`repro.sim.analytical`, so Figures 8–9's validation holds):
   ``retry_interval * backoff_factor**(n-1)`` (capped at
   ``max_retry_interval``) before starting.  Failures are memoryless, so
   the wait never changes an attempt's success probability — it is pure
-  additive idle time, mirroring the engine's
-  :class:`~repro.engine.strategies.ExponentialBackoffRetryStrategy`.
+  additive idle time, read off the very policy the engine retries under
+  (:func:`technique_policy`).
 
 Every sampler returns the full vector of per-run completion times so
 callers can compute any statistic (the figures use the mean).
@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from ..core.policy import RetryConfig
+from ..core.policy import FailurePolicy
 from ..errors import SimulationError
 from .params import SimulationParams
 
@@ -50,6 +50,7 @@ __all__ = [
     "sample_replication",
     "sample_replication_checkpointing",
     "sample_technique",
+    "technique_policy",
     "TECHNIQUES",
     "EXTENDED_TECHNIQUES",
     "SAMPLERS_VERSION",
@@ -74,6 +75,24 @@ TECHNIQUES = (
 EXTENDED_TECHNIQUES = TECHNIQUES + ("backoff_retry",)
 
 _MAX_ROUNDS = 10_000_000  # runaway guard for pathological λF
+
+
+def technique_policy(technique: str, params: SimulationParams) -> FailurePolicy:
+    """The task-level policy that encodes *technique* in WPDL terms: what
+    :func:`~repro.sim.engine_mc.build_technique_workflow` hands the engine,
+    and where :func:`sample_backoff_retry` reads its waits — one schedule
+    for both by construction.  Checkpointing needs no attribute (a task
+    announces itself, Section 4.3), so it shares retrying's policy."""
+    if technique.startswith("replication"):
+        return FailurePolicy.replica(max_tries=None)
+    if technique == "backoff_retry":
+        return FailurePolicy.backoff_retrying(
+            None,
+            interval=params.retry_interval,
+            backoff_factor=params.backoff_factor,
+            max_interval=params.max_retry_interval,
+        )
+    return FailurePolicy.retrying(None)
 
 
 def _downtime_draws(
@@ -145,9 +164,9 @@ def sample_backoff_retry(
     exponential backoff between resubmissions.
 
     Identical to :func:`sample_retry` except that the *n*-th resubmission
-    adds the deterministic wait :meth:`RetryConfig.delay_for` — the same
-    formula the engine's backoff strategy uses, so engine-vs-sampler
-    agreement tests exercise one shared schedule.
+    adds the deterministic wait :meth:`FailurePolicy.retry_delay` of the
+    technique's own policy — the number the engine waits, not a second
+    formula that agrees with it.
     """
     runs = params.runs if runs is None else runs
     rng = rng if rng is not None else _rng(params, 5)
@@ -155,12 +174,7 @@ def sample_backoff_retry(
     lam = params.failure_rate
     if lam == 0.0:
         return np.full(runs, F)
-    schedule = RetryConfig(
-        max_tries=None,
-        interval=params.retry_interval,
-        backoff_factor=params.backoff_factor,
-        max_interval=params.max_retry_interval,
-    )
+    policy = technique_policy("backoff_retry", params)
     total = np.zeros(runs)
     alive = np.arange(runs)
     mttf = 1.0 / lam
@@ -179,7 +193,7 @@ def sample_backoff_retry(
             lost = ttf[~succeeded]
             down = _downtime_draws(params, rng, failed.size)
             # Every run failing in round n waits the same n-th retry delay.
-            total[failed] += lost + down + schedule.delay_for(rounds)
+            total[failed] += lost + down + policy.retry_delay(rounds)
         alive = failed
     return total
 

@@ -25,13 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from ..core.policy import (
-    DEFAULT_POLICY,
-    CheckpointConfig,
-    FailurePolicy,
-    ReplicationConfig,
-    RetryConfig,
-)
+from ..core.policy import DEFAULT_POLICY, FailurePolicy
 from ..errors import SpecificationError
 from .model import (
     Activity,
@@ -108,39 +102,6 @@ class WorkflowBuilder:
     def dummy(self, name: str, *, join: JoinMode = JoinMode.AND) -> "WorkflowBuilder":
         """A no-op task (Figure 5's dummy split/join)."""
         return self.activity(name, implement=None, join=join)
-
-    def resilient_activity(
-        self,
-        name: str,
-        *,
-        implement: str,
-        retry: RetryConfig | None = None,
-        replication: ReplicationConfig | None = None,
-        checkpoint: CheckpointConfig | None = None,
-        retry_on_exception: bool = False,
-        attempt_timeout: float | None = None,
-        join: JoinMode = JoinMode.AND,
-    ) -> "WorkflowBuilder":
-        """An activity whose policy combines masking techniques explicitly.
-
-        Thin sugar over :meth:`FailurePolicy.compose`::
-
-            builder.resilient_activity(
-                "render",
-                implement="render",
-                retry=RetryConfig(max_tries=None, interval=1.0,
-                                  backoff_factor=2.0, max_interval=8.0),
-                replication=ReplicationConfig(mode=ReplicationMode.REPLICA),
-            )
-        """
-        policy = FailurePolicy.compose(
-            retry=retry,
-            replication=replication,
-            checkpoint=checkpoint,
-            retry_on_exception=retry_on_exception,
-            attempt_timeout=attempt_timeout,
-        )
-        return self.activity(name, implement=implement, policy=policy, join=join)
 
     def loop(
         self,

@@ -171,6 +171,15 @@ class TestCli:
         assert ckpt.exists()
         assert main(["resume", str(ckpt), "--grid", str(grid_file)]) == 0
 
+    def test_resume_from_damaged_state_is_an_error_not_a_traceback(
+        self, grid_file, tmp_path, capsys
+    ):
+        from tests.test_engine_resume import damaged_checkpoint
+
+        ckpt = damaged_checkpoint(tmp_path, "unknown-status")
+        assert main(["resume", str(ckpt), "--grid", str(grid_file)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_spec_error_exit_code(self, tmp_path, grid_file, capsys):
         missing = tmp_path / "nope.xml"
         assert main(["run", str(missing), "--grid", str(grid_file)]) == 2

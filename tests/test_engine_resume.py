@@ -4,6 +4,9 @@ and resumes navigation from the saved state."""
 
 from __future__ import annotations
 
+import json
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from tests.helpers import single_task_workflow
@@ -44,6 +47,32 @@ def fresh_grid():
     grid.add_host(RELIABLE("h1"))
     grid.install("h1", "step", FixedDurationTask(10.0, result="ok"))
     return grid
+
+
+#: Well-formed JSON of the wrong shape, by what is wrong with it
+#: (``x.pop(key) and state``: drop the key, hand the state back).
+DAMAGED_STATES = {
+    "no-status": lambda state: state.pop("status") and state,
+    "a-list": lambda state: [state],
+    "unknown-status": lambda state: {**state, "status": "paused"},
+    "nameless-node": lambda state: state["nodes"]["a"].pop("name") and state,
+}
+
+
+def damaged_checkpoint(tmp_path, damage):
+    """A real checkpoint of the chain whose ``<InstanceState>`` JSON went
+    through ``DAMAGED_STATES[damage]``; the XML around it stays valid."""
+    path = tmp_path / "engine.ckpt"
+    grid = fresh_grid()
+    engine = WorkflowEngine(
+        chain_workflow(), grid, reactor=grid.reactor, checkpointer=Checkpointer(path)
+    )
+    assert engine.run(timeout=1e6).succeeded
+    root = ET.fromstring(path.read_text())
+    holder = root.find("InstanceState")
+    holder.text = json.dumps(DAMAGED_STATES[damage](json.loads(holder.text)))
+    path.write_text(ET.tostring(root, encoding="unicode"))
+    return path
 
 
 class TestCheckpointCadence:
@@ -167,6 +196,12 @@ class TestCheckpointFileFormat:
         path = tmp_path / "bad.ckpt"
         path.write_text("<EngineCheckpoint><Specification/></EngineCheckpoint>")
         with pytest.raises(CheckpointError, match="incomplete"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_STATES))
+    def test_damaged_instance_state_is_a_checkpoint_error(self, tmp_path, damage):
+        path = damaged_checkpoint(tmp_path, damage)
+        with pytest.raises(CheckpointError, match="malformed instance state"):
             load_checkpoint(path)
 
     def test_remove_is_idempotent(self, tmp_path):

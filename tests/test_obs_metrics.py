@@ -114,16 +114,6 @@ class TestRegistry:
         assert h.count == 1
         assert h.sum == pytest.approx(7.5)
 
-    def test_disabled_registry_is_inert(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.counter("c").inc()
-        reg.gauge("g").set(5)
-        reg.histogram("h").observe(1.0)
-        with reg.timer("t", lambda: 0.0):
-            pass
-        assert reg.snapshot() == {}
-        assert reg.value("c") is None
-
     def test_clear_drops_everything(self):
         reg = MetricsRegistry()
         reg.counter("c").inc()
@@ -169,13 +159,6 @@ class TestSnapshotMerge:
         b.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
         with pytest.raises(MetricsError, match="mismatch"):
             b.merge(snap)
-
-    def test_merge_into_disabled_is_noop(self):
-        src = MetricsRegistry()
-        src.counter("c").inc()
-        dst = MetricsRegistry(enabled=False)
-        dst.merge(src.snapshot())
-        assert dst.snapshot() == {}
 
     @given(
         # Integer-valued floats keep summation exact under regrouping, so
@@ -353,18 +336,6 @@ class TestBoundFamilies:
             {"k": "a"},
             {"k": "a", "workflow_id": "wf-1"},
         ]
-
-    def test_disabled_registry_binds_to_the_null_instruments(self):
-        registry = MetricsRegistry(enabled=False)
-        for spec in _SPECS:
-            family = registry.family(spec)
-            instrument = family.labels(*["x"] * len(spec.labels))
-            assert instrument is _by_keyword(
-                registry, spec, dict.fromkeys(spec.labels, "x")
-            )
-            _touch(instrument, spec.kind)
-        assert registry.snapshot() == {}
-        assert not registry._bound and not registry._by_keyword
 
     def test_wrong_arity_and_kind_are_refused(self):
         registry = MetricsRegistry()

@@ -3,7 +3,7 @@ open/close, the bounded ring and the disabled path."""
 
 from __future__ import annotations
 
-from repro.obs import Span, SpanRecorder
+from repro.obs import SpanRecorder
 
 
 class FakeClock:
@@ -108,15 +108,3 @@ class TestRingAndQueries:
         assert rec.spans == []
         with rec.span("fresh") as fresh:
             assert fresh.parent is None
-
-
-class TestDisabled:
-    def test_disabled_recorder_records_nothing(self):
-        rec = SpanRecorder(enabled=False)
-        span = rec.begin("a")
-        rec.end(span)
-        rec.interval("b", 0.0, 1.0)
-        with rec.span("c"):
-            pass
-        assert rec.spans == []
-        assert isinstance(span, Span)  # dummy is still a usable Span

@@ -200,18 +200,6 @@ class TestTimeSeriesStore:
         assert rows[0].startswith("s,host=h1,0,")
         assert store.to_csv(name="absent").strip() == header
 
-    def test_disabled_store_is_inert(self):
-        store = TimeSeriesStore(enabled=False)
-        series = store.series("s", host="h1")
-        series.observe(0.0, 1.0)
-        assert len(series) == 0 and series.points() == []
-        assert store.histogram_series("h", (1.0,)) is None
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        store.collect(registry, now=0.0)
-        store.merge({"s": [{"labels": {}, "points": []}]})
-        assert store.names() == []
-
 
 class _Recorder:
     """Stub estimators/health recording the collector's call order."""

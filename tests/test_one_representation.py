@@ -1,0 +1,102 @@
+"""A failure policy has one representation, and "off" means absent.
+
+PR 20 deleted the four-class strategy stack with its registry, the
+per-technique config algebra over ``FailurePolicy`` and every disabled
+mode of ``repro.obs``.  One walk over ``src/repro`` keeps them deleted, and
+keeps the retry wait in one place.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+from pathlib import Path
+
+import repro
+from repro.core.policy import FailurePolicy
+from repro.engine import strategies
+
+SRC = Path(repro.__file__).parent
+
+#: Names nothing under ``src/repro`` may define, import, call or mention as
+#: an attribute or keyword any more.
+GONE = {
+    "RetryStrategy",
+    "ExponentialBackoffRetryStrategy",
+    "CheckpointRestartStrategy",
+    "ReplicateStrategy",
+    "StrategyRegistry",
+    "DEFAULT_REGISTRY",
+    "RetryConfig",
+    "ReplicationConfig",
+    "CheckpointConfig",
+    "compose",
+    "with_retry",
+    "with_replication",
+    "with_checkpointing",
+    "replication_config",
+    "delay_for",
+    "resilient_activity",
+    "Observability",
+    "NULL_OBS",
+}
+
+
+def identifiers(path: Path) -> set[str]:
+    """Every name *path* defines, binds, reads, imports or passes by
+    keyword, plus its parameter names as ``arg:<name>``."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.keyword) and node.arg:
+            found.add(node.arg)
+        elif isinstance(node, ast.arg):
+            found.add(f"arg:{node.arg}")
+    return found
+
+
+def test_the_deleted_surface_stays_deleted():
+    for path in sorted(SRC.rglob("*.py")):
+        names = identifiers(path)
+        where = path.relative_to(SRC)
+        assert not names & GONE, (where, sorted(names & GONE))
+        if where.parts[0] == "obs":
+            # Off means absent: no disabled mode, no null objects.
+            assert "arg:enabled" not in names, where
+            nulls = sorted(n for n in names if n.upper().startswith("_NULL"))
+            assert not nulls, (where, nulls)
+    assert not (SRC / "obs" / "core.py").exists()
+    # ``args.checkpoint`` is the CLI's flag, so these three are checked
+    # where they lived: as views on the policy.
+    for view in ("retry", "replication_config", "checkpoint"):
+        assert not hasattr(FailurePolicy, view), view
+    # One substitution seam (``strategy_resolver=``), so no ``registry=``.
+    assert list(inspect.signature(strategies.resolve_strategy).parameters) == [
+        "policy"
+    ]
+    assert len(inspect.getsource(strategies).splitlines()) <= 120
+
+
+def test_the_retry_wait_is_computed_in_one_place():
+    """``backoff_factor`` is read for arithmetic by ``retry_delay`` alone;
+    everything else that touches it describes, validates or (de)serialises
+    the attribute."""
+    multiplies = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(
+                node.op, (ast.Mult, ast.Pow)
+            ):
+                if any(
+                    isinstance(n, ast.Attribute) and n.attr == "backoff_factor"
+                    for n in ast.walk(node)
+                ):
+                    multiplies.append(str(path.relative_to(SRC)))
+    assert set(multiplies) == {"core/policy.py"}, multiplies

@@ -97,6 +97,26 @@ class TestStorage:
         assert cache.load(key) is None
         assert not cache.path_for(key).exists()
 
+    def test_zero_byte_entry_is_a_corrupt_entry(self, cache):
+        key = _key(cache)
+        cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
+        cache.path_for(key).write_bytes(b"")  # a writer died before its first byte
+        assert cache.load(key) is None
+        assert not cache.path_for(key).exists()
+        assert cache.stats() == {"hits": 0, "misses": 1, "stores": 0, "evictions": 1}
+
+    def test_counters_are_replaced_whole_never_rewritten_in_place(self, cache):
+        # A reader racing a bump must find the old file or the new one: a
+        # file truncated for rewriting reads as zeros, and the reader's own
+        # bump would write those back over the lifetime totals.
+        cache.store(_key(cache), np.arange(3.0))
+        stats_file = cache.root / "stats.json"
+        before = stats_file.stat().st_ino
+        assert cache.load(_key(cache)) is not None
+        assert stats_file.stat().st_ino != before  # a new file, renamed in
+        assert cache.stats()["stores"] == 1 and cache.stats()["hits"] == 1
+        assert sorted(p.suffix for p in cache.root.iterdir()) == [".json", ".npy"]
+
     def test_info_and_clear(self, cache):
         assert cache.info()["entries"] == 0
         cache.store(_key(cache), np.arange(3.0))

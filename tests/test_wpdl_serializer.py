@@ -124,23 +124,11 @@ class TestOutputShape:
 
 
 class TestCombinedPolicyRoundTrip:
-    """Combined-technique policies survive serialize → parse unchanged —
-    the strategy layer's acceptance path (policies reach the engine
-    exactly as a WPDL file declares them)."""
+    """Combined-technique policies survive serialize → parse unchanged:
+    policies reach the engine exactly as a WPDL file declares them."""
 
     def combined_workflow(self):
-        from repro.core.policy import (
-            CheckpointConfig,
-            ReplicationConfig,
-            ReplicationMode,
-            RetryConfig,
-        )
-
-        replication_checkpointing = FailurePolicy.compose(
-            retry=RetryConfig(max_tries=None, interval=1.0),
-            replication=ReplicationConfig(mode=ReplicationMode.REPLICA),
-            checkpoint=CheckpointConfig(restart_from_checkpoint=True),
-        )
+        replication_checkpointing = FailurePolicy.replica(None, interval=1.0)
         backoff = FailurePolicy.backoff_retrying(
             None, interval=1.0, backoff_factor=2.0, max_interval=8.0
         )
@@ -157,17 +145,16 @@ class TestCombinedPolicyRoundTrip:
         wf = self.combined_workflow()
         reparsed = parse_wpdl(serialize_wpdl(wf))
         assert reparsed == wf
-        # ...and the reparsed policies still resolve to the same strategy
-        # compositions the original would execute under.
-        from repro.engine.strategies import resolve_strategy
-
-        assert (
-            resolve_strategy(reparsed.node("replicated").policy).describe()
-            == "replicate(checkpoint_restart(retry))"
+        # ...and the reparsed policies still name the technique
+        # combinations the original would execute under.
+        assert reparsed.node("replicated").policy.techniques() == (
+            "replication",
+            "checkpointing",
+            "retrying",
         )
-        assert (
-            resolve_strategy(reparsed.node("paced").policy).describe()
-            == "checkpoint_restart(backoff_retry)"
+        assert reparsed.node("paced").policy.techniques() == (
+            "checkpointing",
+            "backoff_retry",
         )
 
     def test_backoff_attributes_emitted_only_when_set(self):
