@@ -2,7 +2,8 @@
 
 :class:`EngineTrace` is the query layer over :class:`repro.obs.observer.
 RunObserver` — the single recording path for engine lifecycle events,
-detector attempt outcomes and recovery-strategy dispatch.  It adds the
+detector attempt outcomes and recovery-strategy dispatch, itself a view of
+the bus's event log (:mod:`repro.obs.log`).  It adds the
 trace-shaped helpers (counting topics, per-node views, attempt lists, a
 rendered timeline) that tests and debugging sessions want, on top of the
 observer's events, spans and metrics.  Useful for debugging recovery
@@ -41,7 +42,7 @@ class EngineTrace(RunObserver):
 
     def count(self, topic: str) -> int:
         """Number of recorded events with exactly this topic."""
-        return sum(1 for record in self._events if record[0] == topic)
+        return sum(1 for record in self._observed() if record[3] == topic)
 
     def for_node(self, name: str) -> list[TraceEvent]:
         """All events concerning one node/activity."""

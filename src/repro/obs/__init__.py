@@ -9,10 +9,10 @@ One subsystem, three layers:
 * :mod:`repro.obs.export` — JSON-lines, Prometheus text exposition, and
   Chrome ``trace_event`` renderings of one recording;
 
-plus :mod:`repro.obs.observer`, the bus subscriber that turns engine /
-detector / recovery events into the recording (it owns the run's registry
-and span recorder).  Off means absent: an unobserved run holds no
-registry, no recorder and no observer, not disabled ones.
+plus :mod:`repro.obs.log`, the one log a bus is tapped by (everything else
+is a view of it or a fold over it), and :mod:`repro.obs.observer`, which
+turns its engine / detector / recovery events into the recording.  Off
+means absent: an unobserved run holds no registry, recorder or observer.
 
 The live telemetry plane builds on those:
 :mod:`repro.obs.tracectx` (causal trace/span ids stamped through every
@@ -42,6 +42,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
+from .log import EventLog
 from .health import (
     ALERT_FIRED,
     ALERT_RESOLVED,
@@ -96,6 +97,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DRIFT_MTTF",
     "EstimatorSuite",
+    "EventLog",
     "Ewma",
     "FlightRecorder",
     "Gauge",

@@ -80,10 +80,8 @@ def render() -> str:
     """The metric table."""
     rows = ["| metric | kind | labels | help |", "|---|---|---|---|"]
     for spec in metric_specs():
-        labels = ", ".join(
-            f"{name}?" if name in spec.optional else name for name in spec.labels
-        )
-        rows.append(f"| `{spec.name}` | {spec.kind} | {labels or '—'} | {spec.help} |")
+        labels = ", ".join(spec.labels) or "—"
+        rows.append(f"| `{spec.name}` | {spec.kind} | {labels} | {spec.help} |")
     return "\n".join(rows)
 
 

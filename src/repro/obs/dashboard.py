@@ -209,7 +209,7 @@ def render_frame(
             )
             for activity in noisy[:10]:
                 lines.append(
-                    f"  {activity.get('workflow_id', ''):>8s} "
+                    f"  {str(activity.get('workflow', ''))[:16]:>16s} "
                     f"{str(activity.get('activity', '')):16s} "
                     f"p(fail)={activity.get('failure_probability', 0.0):.2f} "
                     f"[{activity.get('wilson_low', 0.0):.2f}, "

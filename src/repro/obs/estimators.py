@@ -2,9 +2,9 @@
 
 The resource catalog states *priors*: each host's declared MTTF and mean
 downtime (:class:`~repro.catalogs.resource.ResourceSpec`).  This module
-estimates the *posteriors* online from the bus event stream and raises
-``obs.drift.*`` events when the two disagree — the signal ROADMAP item
-5's adaptive strategy switches techniques on.
+estimates the *posteriors* online from the bus's event log and raises
+``obs.drift.*`` events when the two disagree — the signal an adaptive
+strategy would switch techniques on.
 
 Per host (:class:`HostEstimator`):
 
@@ -19,14 +19,16 @@ Per host (:class:`HostEstimator`):
   *normalised by the catalog MTTF* — under the catalog the normalised
   gaps average 1.0, so the detector is scale-free across hosts.
 
-Per (workflow, activity) (:class:`ActivityEstimator`): attempt counts
-and the attempt failure probability with a Wilson score interval, so a
-noisy 3-attempt estimate is visibly wide while a 300-attempt one is not.
+Per (workflow, activity) (:class:`ActivityEstimator`) — the workflow
+*specification*'s name, not an instance's id: the paper's failure model is
+per task and per resource, and an estimate pooled over every instance of a
+specification has a sample size worth an interval — attempt counts and the
+attempt failure probability with a Wilson score interval, so a noisy
+3-attempt estimate is visibly wide while a 300-attempt one is not.
 
-:class:`EstimatorSuite` wires both to a bus, optionally records the raw
-signals into a :class:`~repro.obs.timeseries.TimeSeriesStore`, and
-exports current values as registry gauges for ``/metrics`` and the
-``repro top`` estimator table.
+:class:`EstimatorSuite` folds both from a bus's event log, and exports
+current values as registry gauges for ``/metrics`` and the ``repro top``
+estimator table.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from .log import LogConsumer, LogRecord
 from .metrics import MetricSpec
 from .observer import ATTEMPT_OUTCOME
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..events import EventBus, Subscription
+    from ..events import EventBus
     from .metrics import MetricsRegistry
     from .timeseries import TimeSeriesStore
 
@@ -60,10 +63,13 @@ DRIFT_MTTF = "obs.drift.mttf"
 #: a task's own nonzero exit, which says nothing about the host's MTTF).
 _HOST_FAILURE_REASONS = ("host-crashed", "host-suspected")
 
+#: The topics an attempt's verdict arrives on.
+_VERDICTS = frozenset(("task.done", "task.failed", "task.exception"))
+
 # -- exported gauges (declared once; see EstimatorSuite.export) ---------------
 
 _PER_HOST = ("host",)
-_PER_ACTIVITY = ("workflow_id", "activity")
+_PER_ACTIVITY = ("workflow", "activity")
 
 HOST_MTTF_OBSERVED = MetricSpec(
     "obs_host_mttf_observed",
@@ -325,45 +331,23 @@ class HostEstimator:
 
 
 class ActivityEstimator:
-    """Attempt failure probability for one (workflow, activity) pair.
+    """Attempt failure probability for one (workflow, activity) pair,
+    pooled over every instance of the workflow specification."""
 
-    Counts move through :meth:`record` only: it is what invalidates the
-    cached Wilson bounds and tells the owning suite there is something
-    new to export.
-    """
+    __slots__ = ("workflow", "activity", "attempts", "failures", "_wilson")
 
-    __slots__ = (
-        "workflow_id",
-        "activity",
-        "attempts",
-        "failures",
-        "duration",
-        "_wilson",
-        "_dirty",
-        "_gauges",
-    )
-
-    def __init__(
-        self, workflow_id: str, activity: str, *, alpha: float = 0.3
-    ) -> None:
-        self.workflow_id = workflow_id
+    def __init__(self, workflow: str, activity: str) -> None:
+        self.workflow = workflow
         self.activity = activity
         self.attempts = 0
         self.failures = 0
-        self.duration = Ewma(alpha)
         self._wilson: tuple[float, float] | None = None
-        #: The owning suite's set of estimators awaiting export, and the
-        #: four gauges this one exports to (both set by the suite).
-        self._dirty: set["ActivityEstimator"] | None = None
-        self._gauges: tuple[Any, Any, Any, Any] | None = None
 
     def record(self, outcome: str) -> None:
         self.attempts += 1
         if outcome != "done":
             self.failures += 1
         self._wilson = None
-        if self._dirty is not None:
-            self._dirty.add(self)
 
     def failure_probability(self) -> float:
         return self.failures / max(1, self.attempts)
@@ -379,7 +363,7 @@ class ActivityEstimator:
     def snapshot(self) -> dict[str, Any]:
         low, high = self.wilson()
         return {
-            "workflow_id": self.workflow_id,
+            "workflow": self.workflow,
             "activity": self.activity,
             "attempts": self.attempts,
             "failures": self.failures,
@@ -403,21 +387,19 @@ def priors_from_grid(grid: Any) -> dict[str, tuple[float, float]]:
     return priors
 
 
-class EstimatorSuite:
-    """Bus subscriber maintaining every estimator and emitting drift.
+class EstimatorSuite(LogConsumer):
+    """Every estimator of one bus, folded from its event log.
 
-    Subscribes to the terminal task outcomes and the heartbeat monitor's
-    suspicion topics.  When a host's drift detector latches, publishes
-    one :data:`DRIFT_MTTF` event with observed-vs-prior detail, and a
-    *health* engine (optional) is re-evaluated on the spot so drift
-    alerts don't wait for the next collector tick.
-
-    The per-event path does integer/EWMA bookkeeping only; all store
-    writes happen on the collector cadence, which calls :meth:`export`
-    and samples the resulting gauges into the *store* (kept as an
-    attribute so dashboards can reach the series).  Nothing is
-    subscribed until :meth:`attach_bus` runs, so a run without
-    estimators pays zero dispatch cost.
+    The fold reads the terminal task outcomes and the heartbeat monitor's
+    suspicion topics (and ``engine.node_launched`` /
+    ``engine.workflow_finished``, which say which specification an instance
+    id belongs to).  When a host's drift detector latches it publishes one
+    :data:`DRIFT_MTTF` event with observed-vs-prior detail and re-evaluates
+    the *health* engine (optional) at the failure's own time.  All of it
+    happens when the log is folded — at the collector's tick or before a
+    read — so a drift is published, and its alert fired, no later than one
+    collector interval after the failure that tripped it.  The collector
+    then calls :meth:`export` and samples the gauges into the store.
     """
 
     def __init__(
@@ -438,94 +420,78 @@ class EstimatorSuite:
         self.ph_threshold = ph_threshold
         self.store = store
         self.health = health
-        self.hosts: dict[str, HostEstimator] = {}
-        self.activities: dict[tuple[str, str], ActivityEstimator] = {}
+        self._hosts: dict[str, HostEstimator] = {}
+        self._activities: dict[tuple[str, str], ActivityEstimator] = {}
         self.drift_events = 0
-        #: Activity estimators created or recorded since their last export,
-        #: and the (registry, generation) their bound gauges belong to.
-        self._dirty: set[ActivityEstimator] = set()
-        self._exported_to: tuple[Any, int] | None = None
+        #: workflow_id → specification name, while the instance runs.
+        self._workflows: dict[str, str] = {}
         self._clock = clock
-        self._bus: "EventBus | None" = None
-        self._subscriptions: list["Subscription"] = []
         if bus is not None:
             self.attach_bus(bus)
 
-    # -- wiring --------------------------------------------------------------
+    # -- state (reading it folds first) --------------------------------------
 
-    def attach_bus(self, bus: "EventBus") -> "EstimatorSuite":
-        if self._bus is bus and self._subscriptions:
-            return self
-        self.detach()
-        self._bus = bus
-        # Terminal outcomes only — a "task.*" subscription would also pay
-        # a handler call per task.active event, which the estimators
-        # never use.
-        self._subscriptions = [
-            bus.subscribe("task.done", self._on_task_event),
-            bus.subscribe("task.failed", self._on_task_event),
-            bus.subscribe("task.exception", self._on_task_event),
-            bus.subscribe("detector.host_suspected", self._on_suspected),
-            bus.subscribe("detector.host_recovered", self._on_recovered),
-        ]
-        return self
+    @property
+    def hosts(self) -> dict[str, HostEstimator]:
+        self.sync()
+        return self._hosts
 
-    def detach(self) -> None:
-        if self._bus is not None:
-            for sub in self._subscriptions:
-                self._bus.unsubscribe(sub)
-        self._subscriptions.clear()
-
-    def _now(self) -> float:
-        return self._clock() if self._clock is not None else 0.0
+    @property
+    def activities(self) -> dict[tuple[str, str], ActivityEstimator]:
+        """Activity estimators by ``(workflow, activity)``."""
+        self.sync()
+        return self._activities
 
     def host(self, hostname: str) -> HostEstimator:
-        estimator = self.hosts.get(hostname)
+        estimator = self._hosts.get(hostname)
         if estimator is None:
-            prior_mttf, prior_downtime = self.priors.get(
-                hostname, (math.inf, 0.0)
-            )
-            estimator = self.hosts[hostname] = HostEstimator(
+            prior_mttf, prior_downtime = self.priors.get(hostname, (math.inf, 0.0))
+            estimator = self._hosts[hostname] = HostEstimator(
                 hostname,
                 prior_mttf=prior_mttf,
                 prior_downtime=prior_downtime,
                 alpha=self.alpha,
-                detector=PageHinkley(
-                    delta=self.ph_delta, threshold=self.ph_threshold
-                ),
+                detector=PageHinkley(delta=self.ph_delta, threshold=self.ph_threshold),
             )
         return estimator
 
-    def activity(self, workflow_id: str, activity: str) -> ActivityEstimator:
-        key = (workflow_id, activity)
-        estimator = self.activities.get(key)
+    def activity(self, workflow: str, activity: str) -> ActivityEstimator:
+        key = (workflow, activity)
+        estimator = self._activities.get(key)
         if estimator is None:
-            estimator = self.activities[key] = ActivityEstimator(
-                workflow_id, activity, alpha=self.alpha
-            )
-            estimator._dirty = self._dirty
-            self._dirty.add(estimator)
+            estimator = self._activities[key] = ActivityEstimator(workflow, activity)
         return estimator
 
-    # -- event handlers ------------------------------------------------------
+    # -- the fold ------------------------------------------------------------
 
-    def _on_task_event(self, topic: str, payload: Any) -> None:
-        outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
-        if not outcome:  # unknown state, or still running
-            return
-        wfid = getattr(payload, "workflow_id", "") or ""
-        name = getattr(payload, "activity", "") or ""
-        self.activity(wfid, name).record(outcome)
-        if outcome == "failed" and getattr(payload, "reason", "") in (
-            _HOST_FAILURE_REASONS
-        ):
-            hostname = str(getattr(payload, "hostname", "") or "")
-            if hostname:
-                self.record_host_failure(hostname, self._at(payload))
-
-    def _at(self, payload: Any) -> float:
-        at = getattr(payload, "at", None)
-        return float(at) if at is not None else self._now()
+    def _fold(self, records: list[LogRecord]) -> None:
+        workflows = self._workflows
+        for _seq, sim, _wall, topic, payload in records:
+            if topic in _VERDICTS:
+                outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+                if not outcome:  # unknown state, or still running
+                    continue
+                workflow = workflows.get(getattr(payload, "workflow_id", "") or "", "")
+                name = getattr(payload, "activity", "") or ""
+                self.activity(workflow, name).record(outcome)
+                if outcome == "failed" and getattr(payload, "reason", "") in (
+                    _HOST_FAILURE_REASONS
+                ):
+                    hostname = str(getattr(payload, "hostname", "") or "")
+                    if hostname:
+                        at = getattr(payload, "at", None)
+                        self.record_host_failure(
+                            hostname, float(at) if at is not None else sim
+                        )
+            elif topic == "detector.host_suspected":
+                self.host(str(payload)).record_suspected(sim)
+            elif topic == "detector.host_recovered":
+                self.host(str(payload)).record_recovered(sim)
+            elif topic == "engine.node_launched" and isinstance(payload, dict):
+                wfid = payload.get("workflow_id") or ""
+                workflows[wfid] = payload.get("workflow", "")
+            elif topic == "engine.workflow_finished" and isinstance(payload, dict):
+                workflows.pop(payload.get("workflow_id") or "", None)
 
     def record_host_failure(self, hostname: str, at: float) -> None:
         """One host failure observation (deduplicating replica co-crashes:
@@ -549,17 +515,10 @@ class EstimatorSuite:
                         "after_events": estimator.detector.drift_at,
                     },
                 )
-            # Alert promptly on the latch; routine failures leave rule
-            # evaluation to the collector cadence (it walks every rule's
-            # value callable — too heavy for the per-failure path).
+            # Alert on the latch; routine failures leave rule evaluation
+            # to the collector cadence.
             if self.health is not None:
                 self.health.evaluate(at)
-
-    def _on_suspected(self, _topic: str, hostname: Any) -> None:
-        self.host(str(hostname)).record_suspected(self._now())
-
-    def _on_recovered(self, _topic: str, hostname: Any) -> None:
-        self.host(str(hostname)).record_recovered(self._now())
 
     def ingest_liveness(self, liveness: list[dict[str, Any]]) -> None:
         """Fold the heartbeat monitor's per-host beat/suspicion counters
@@ -572,9 +531,7 @@ class EstimatorSuite:
     # -- reads ---------------------------------------------------------------
 
     def drifted_hosts(self) -> list[str]:
-        return sorted(
-            h.hostname for h in self.hosts.values() if h.detector.drifted
-        )
+        return sorted(h.hostname for h in self.hosts.values() if h.detector.drifted)
 
     def max_failure_probability(self) -> float:
         """Largest Wilson lower bound across activity estimators — the
@@ -586,20 +543,19 @@ class EstimatorSuite:
         )
 
     def snapshot(self) -> dict[str, Any]:
-        return {
-            "hosts": [
-                self.hosts[h].snapshot() for h in sorted(self.hosts)
-            ],
-            "activities": [
-                self.activities[k].snapshot()
-                for k in sorted(self.activities)
-            ],
-            "drift_events": self.drift_events,
-        }
+        with self._synced():
+            return {
+                "hosts": [self._hosts[h].snapshot() for h in sorted(self._hosts)],
+                "activities": [
+                    self._activities[k].snapshot() for k in sorted(self._activities)
+                ],
+                "drift_events": self.drift_events,
+            }
 
     def export(self, registry: "MetricsRegistry") -> None:
         """Current estimator values as registry gauges (picked up by the
-        collector into the store and served on ``/metrics``)."""
+        collector into the store and served on ``/metrics``).  A full walk
+        in key order: a few dozen estimators, whatever the load."""
         family = registry.family
         mttf_observed = family(HOST_MTTF_OBSERVED)
         mttf_prior = family(HOST_MTTF_PRIOR)
@@ -607,54 +563,31 @@ class EstimatorSuite:
         heartbeat_loss_rate = family(HOST_HEARTBEAT_LOSS_RATE)
         drift = family(HOST_DRIFT)
         failures_total = family(HOST_FAILURES_TOTAL)
-        for hostname in sorted(self.hosts):
-            estimator = self.hosts[hostname]
+        hosts = self.hosts
+        for hostname in sorted(hosts):
+            estimator = hosts[hostname]
             if estimator.mttf.value is not None:
                 mttf_observed.labels(hostname).set(estimator.mttf.value)
             if math.isfinite(estimator.prior_mttf):
                 mttf_prior.labels(hostname).set(estimator.prior_mttf)
             if estimator.downtime.value is not None:
                 downtime_observed.labels(hostname).set(estimator.downtime.value)
-            heartbeat_loss_rate.labels(hostname).set(
-                estimator.heartbeat_loss_rate()
-            )
+            heartbeat_loss_rate.labels(hostname).set(estimator.heartbeat_loss_rate())
             drift.labels(hostname).set(1.0 if estimator.detector.drifted else 0.0)
             # Monotone total: the store's per-window slope of this gauge
             # is the host failure rate.
             failures_total.labels(hostname).set(estimator.failures)
-        # Activity gauges change only through record(), so only the
-        # estimators recorded since the last export are walked — in key
-        # order, which registers families and series exactly as a walk
-        # over all of them would.  A different registry, or one whose
-        # instruments were replaced or overwritten (clear/merge), gets
-        # everything again through fresh handles.
-        source = (registry, registry.generation)
-        if source != self._exported_to:
-            self._exported_to = source
-            for estimator in self.activities.values():
-                estimator._gauges = None
-            self._dirty.update(self.activities.values())
-        if not self._dirty:
+        activities = self._activities
+        if not activities:
             return
         probability = family(ATTEMPT_FAILURE_PROBABILITY)
         wilson_low = family(ATTEMPT_FAILURE_WILSON_LOW)
         wilson_high = family(ATTEMPT_FAILURE_WILSON_HIGH)
         attempts_total = family(ATTEMPTS_TOTAL)
-        for estimator in sorted(
-            self._dirty, key=lambda e: (e.workflow_id, e.activity)
-        ):
-            gauges = estimator._gauges
-            if gauges is None:
-                labels = (estimator.workflow_id, estimator.activity)
-                gauges = estimator._gauges = (
-                    probability.labels(*labels),
-                    wilson_low.labels(*labels),
-                    wilson_high.labels(*labels),
-                    attempts_total.labels(*labels),
-                )
+        for key in sorted(activities):
+            estimator = activities[key]
             low, high = estimator.wilson()
-            gauges[0].set(estimator.failure_probability())
-            gauges[1].set(low)
-            gauges[2].set(high)
-            gauges[3].set(estimator.attempts)
-        self._dirty.clear()
+            probability.labels(*key).set(estimator.failure_probability())
+            wilson_low.labels(*key).set(low)
+            wilson_high.labels(*key).set(high)
+            attempts_total.labels(*key).set(estimator.attempts)

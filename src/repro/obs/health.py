@@ -17,9 +17,10 @@ uses).  ``drift`` rules are edge- rather than level-triggered: the engine
 subscribes to ``obs.drift.*`` and a matching event latches the rule's
 breach until :meth:`HealthEngine.reset_drift`.
 
-Evaluation runs on the collector cadence (and immediately after host
-failures via the estimator suite), entirely on the reactor thread; the
-HTTP server only reads the JSON-safe snapshots.
+Evaluation runs on the collector cadence (and when a fold of the estimator
+suite latches a drift detector), entirely on the reactor thread; the HTTP
+server only reads the JSON-safe snapshots.  The ``obs.drift.*`` latch is
+the plane's one routed subscription: the rest reads the bus's event log.
 """
 
 from __future__ import annotations
@@ -164,8 +165,8 @@ class HealthEngine:
     # -- drift latch ---------------------------------------------------------
 
     def _on_drift(self, topic: str, payload: Any) -> None:
-        detail = dict(payload) if isinstance(payload, dict) else {"payload": payload}
-        detail["topic"] = topic
+        fields = payload if isinstance(payload, dict) else {"payload": payload}
+        detail = {**fields, "topic": topic}
         for rule in self._rules:
             if rule.kind == "drift":
                 state = self._states[rule.name]

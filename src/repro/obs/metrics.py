@@ -43,8 +43,9 @@ implicit ``+Inf`` overflow; exporters cumulate on the way out, so
 from __future__ import annotations
 
 import bisect
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, ContextManager, Iterator, Mapping
 
 from ..errors import GridWFSError
 
@@ -161,6 +162,9 @@ class Histogram:
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
+#: :meth:`MetricsRegistry.synced` of a registry nothing is folded into.
+_CURRENT = nullcontext()
+
 
 class _Family:
     """All series of one metric name: kind, help text, bucket layout."""
@@ -186,11 +190,12 @@ class MetricSpec:
     """Declaration of one metric family: what all of its series share.
 
     ``labels`` are the label *names*, in the order
-    :meth:`BoundFamily.labels` takes their values.  A label also listed in
-    ``optional`` is left off a series whose value for it is empty — how
-    ``workflow_id`` stays off the series of a classic single-instance run.
-    Declared at module level by the code that emits the family, which is
-    also what the README's metric catalogue is generated from.
+    :meth:`BoundFamily.labels` takes their values — names the workflow
+    *specification* knows (workflow, activity, host, outcome, status),
+    never an instance id, so the number of series does not grow with the
+    number of runs.  Declared at module level by the code that emits the
+    family, which is also what the README's metric catalogue is generated
+    from.
     """
 
     name: str
@@ -198,16 +203,10 @@ class MetricSpec:
     help: str = ""
     labels: tuple[str, ...] = ()
     buckets: tuple[float, ...] | None = None
-    optional: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise MetricsError(f"metric {self.name!r}: unknown kind {self.kind!r}")
-        if not set(self.optional) <= set(self.labels):
-            raise MetricsError(
-                f"metric {self.name!r}: optional labels {self.optional!r} "
-                f"are not among {self.labels!r}"
-            )
 
 
 class BoundFamily:
@@ -225,11 +224,10 @@ class BoundFamily:
     def __init__(self, registry: "MetricsRegistry", spec: MetricSpec) -> None:
         self.spec = spec
         self._registry = registry
-        #: ``(name, position, optional)`` per label, by name: the order a
-        #: series key lists its labels in (:func:`_label_key`).
+        #: ``(name, position)`` per label, by name: the order a series key
+        #: lists its labels in (:func:`_label_key`).
         self._sorted = sorted(
-            (name, position, name in spec.optional)
-            for position, name in enumerate(spec.labels)
+            (name, position) for position, name in enumerate(spec.labels)
         )
         #: Label values (all ``str``) -> instrument.  A lookup by values
         #: that are not strings misses here and resolves by their text,
@@ -274,13 +272,12 @@ class MetricsRegistry:
         #: overwrites instruments behind their holders' backs.  Between
         #: two reads of the same generation, families and their series
         #: only grow (in registration order), and a value changes only
-        #: through the instrument itself; holders of bound instruments
-        #: (the time-series store, the estimator export) re-resolve when
-        #: it moves.
+        #: through the instrument itself; the time-series store, which
+        #: holds bound instruments, re-resolves when it moves.
         self.generation = 0
         self._families: dict[str, _Family] = {}
-        #: One bound family per declared (name, label names, optional
-        #: labels) ever asked for; holders keep theirs across a clear().
+        #: One bound family per declared (name, label names) ever asked
+        #: for; holders keep theirs across a clear().
         self._bound: dict[tuple, BoundFamily] = {}
         #: The keyword form's bound families, per (name, label names as
         #: passed).  Nobody holds one and each exists only while its
@@ -295,7 +292,7 @@ class MetricsRegistry:
         nothing: a family appears in :meth:`families` when its first
         series does, so export order is first-use order however early a
         holder binds."""
-        key = (spec.name, spec.labels, spec.optional)
+        key = (spec.name, spec.labels)
         bound = self._bound.get(key)
         if bound is None:
             bound = self._bound[key] = BoundFamily(self, spec)
@@ -323,13 +320,7 @@ class MetricsRegistry:
         elif family.kind != spec.kind:
             raise _kind_mismatch(spec.name, family.kind, spec.kind)
         # What _label_key would make of these labels, without the sort.
-        key = tuple(
-            [
-                (name, texts[position])
-                for name, position, optional in bound._sorted
-                if texts[position] or not optional
-            ]
-        )
+        key = tuple([(name, texts[position]) for name, position in bound._sorted])
         instrument = family.series.get(key)
         if instrument is None:
             if spec.kind == "histogram":
@@ -392,23 +383,34 @@ class MetricsRegistry:
 
     # -- iteration / queries -------------------------------------------------
 
+    def synced(self) -> ContextManager[Any]:
+        """``with registry.synced():`` brackets one read (or batch of
+        writes) of the table.  A no-op for a registry written directly; a
+        :class:`~repro.obs.observer.RunObserver` replaces it on the one it
+        folds its event log into: what was published since is taken in
+        first, and no other thread folds inside the block.  The accessors
+        below read through it."""
+        return _CURRENT
+
     def families(self) -> Iterator[_Family]:
         """Families in registration order (export order)."""
-        return iter(self._families.values())
+        with self.synced():
+            return iter(self._families.values())
+
+    def _series(self, name: str, labels: Mapping[str, Any]):
+        with self.synced():
+            family = self._families.get(name)
+            if family is None:
+                return None
+            return family.series.get(_label_key(labels))
 
     def value(self, name: str, **labels: Any) -> float | None:
         """Current value of one counter/gauge series, or None if absent."""
-        family = self._families.get(name)
-        if family is None:
-            return None
-        instrument = family.series.get(_label_key(labels))
+        instrument = self._series(name, labels)
         return None if instrument is None else instrument.value
 
     def get_histogram(self, name: str, **labels: Any) -> Histogram | None:
-        family = self._families.get(name)
-        if family is None:
-            return None
-        instrument = family.series.get(_label_key(labels))
+        instrument = self._series(name, labels)
         return instrument if isinstance(instrument, Histogram) else None
 
     # -- snapshots (cross-process aggregation) -------------------------------
@@ -421,7 +423,7 @@ class MetricsRegistry:
         exporter's ``metrics`` record.
         """
         out: dict = {}
-        for family in self._families.values():
+        for family in self.families():
             series = []
             for key, instrument in family.series.items():
                 record: dict[str, Any] = {"labels": dict(key)}

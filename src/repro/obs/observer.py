@@ -1,7 +1,7 @@
-"""Bus-driven run observation: events → spans + metrics, one recording path.
+"""Run observation: the bus's event log → events, spans and metrics.
 
-:class:`RunObserver` subscribes to the three topic families the stack
-publishes on its :class:`~repro.events.EventBus` —
+:class:`RunObserver` reads the three topic families the stack publishes on
+its :class:`~repro.events.EventBus` —
 
 * ``engine.*``   — node/workflow lifecycle (plain-dict payloads);
 * ``task.*``     — the failure detector's per-attempt state changes
@@ -9,42 +9,46 @@ publishes on its :class:`~repro.events.EventBus` —
 * ``recovery.*`` — the recovery coordinator's strategy dispatch (retries,
   backoff waits, checkpoint restarts, replication wins; plain dicts) —
 
-and turns them into one causally ordered event stream plus nested spans
-(``workflow.run`` ▸ ``node.run`` ▸ ``task.attempt`` / ``recovery.backoff``)
-and labelled metrics.  Nothing that steers a run listens to the bus (the
-detector hands verdicts to the coordinators by call, after publishing
-them), so the stream is the order things were published in — a verdict,
-then the resolution and the node completion it caused: the order every
-other consumer sees, and exactly the flight recorder's journal filtered
-to these three families.  :class:`~repro.engine.trace.EngineTrace` is a
-thin query layer over this recording, and every exporter
-(:mod:`repro.obs.export`) renders it — the engine has exactly one
-observation path.
+out of the bus's :class:`~repro.obs.log.EventLog`.  Nothing here runs
+inside a publish: :attr:`RunObserver.events` is a view of the log's
+records, and the nested spans (``workflow.run`` ▸ ``node.run`` ▸
+``task.attempt`` / ``recovery.backoff``) and labelled metrics are a *fold*
+over the records appended since the last one, run at the collector's tick
+and before any read.  Span ids, parents and stamps are properties of log
+order and of the clocks read at append, so when the fold runs shows
+nowhere; and log order is publish order — a verdict, then the resolution
+and the node completion it caused — because nothing that steers a run
+listens to the bus.  :class:`~repro.engine.trace.EngineTrace` is a thin
+query layer over this recording, and every exporter
+(:mod:`repro.obs.export`) renders it: one observation path.
 
-Topic names are matched as string literals on purpose: the engine
-documents its bus payloads as plain dicts precisely so subscribers need no
-engine imports, and depending only on the published contract keeps this
+A series is named by what the *specification* names — workflow, activity,
+outcome, status, host — never by a workflow instance: the failure model is
+per task and per resource, and a schema keyed by instance grows with load.
+Per-instance detail is in the spans (``workflow_id`` label), the journal
+and the status tracker.  ``task.*`` and ``recovery.*`` payloads carry the
+instance id only; the observer learns ``workflow_id → workflow`` from
+``engine.node_launched`` and forgets it at ``engine.workflow_finished``.
+
+Topic names are matched as string literals on purpose: payloads are plain
+dicts precisely so consumers need no engine imports, which keeps this
 module import-cycle-free (``repro.engine`` imports us for ``EngineTrace``).
 
 An attempt span ends with its terminal ``task.*`` event — or, for an
 attempt the engine cancelled and told the detector to forget (a losing
 replica, a branch that lost an OR join), when its node resolves, labelled
-``outcome="cancelled"``.  The attempt that resolved the node has had its
-verdict by then, so whatever a resolving node still holds was cancelled.
-
-The observer survives :meth:`WorkflowEngine.reset`: its subscriptions are
-its own (the engine has none), and per-run span bookkeeping is cleared
-when a workflow finishes, so engine-reuse loops record every run exactly
-once.
+``outcome="cancelled"``.  The observer survives
+:meth:`WorkflowEngine.reset`: it is attached to the bus, not to the engine,
+and per-run bookkeeping is cleared when a workflow finishes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..events import EventBus, Subscription
+from ..events import EventBus
+from .log import LogConsumer, LogRecord, expand
 from .metrics import ATTEMPT_BUCKETS, MetricSpec, MetricsRegistry
 from .spans import Span, SpanRecorder
 
@@ -77,36 +81,26 @@ class RecordedEvent:
         return f"{self.at:10.3f}  {self.topic:24s} {parts}"
 
 
-def _expand(record: tuple) -> RecordedEvent:
-    """One ring record → the :class:`RecordedEvent` readers see.
-
-    Runs when :attr:`RunObserver.events` is read, never in a bus handler.
-    A record is ``(topic, payload snapshot)`` — dict payloads flatten into
-    the detail with ``at`` lifted out — or, for an ``AttemptOutcome``, the
-    topic followed by the fields the detail is made of (the outcome itself
-    is not kept: it may carry a task's whole result).
-    """
-    if len(record) == 2:
-        topic, payload = record
-        detail = (
-            dict(payload) if isinstance(payload, dict) else {"payload": payload}
-        )
-        if topic.startswith("task."):
-            at = 0.0
-        else:
-            at = float(detail.pop("at", 0.0) or 0.0)
-        return RecordedEvent(at=at, topic=topic, detail=detail)
-    topic, job, activity, host, reason, exception, at, *ids = record
-    detail = {
-        "job": job,
-        "activity": activity,
-        "host": host,
-        "reason": reason,
-        "exception": exception,
-    }
-    for key, value in zip(("workflow_id", "span_id", "parent_id"), ids):
-        if value:
-            detail[key] = value
+def _recorded(record: LogRecord) -> RecordedEvent:
+    """The :class:`RecordedEvent` readers see for one log record: its
+    journal entry (:func:`~repro.obs.log.expand`) with ``at`` lifted out —
+    and, for an ``AttemptOutcome``, the detector's field names shortened
+    (``job``, ``host``) and the five attempt fields always present."""
+    detail = expand(record)
+    del detail["seq"]
+    topic = detail.pop("topic")
+    at = float(detail.pop("at", 0.0) or 0.0)
+    if hasattr(record[4], "job_id"):
+        entry, detail = detail, {
+            "job": detail.get("job_id", ""),
+            "activity": detail.get("activity", ""),
+            "host": detail.get("hostname", ""),
+            "reason": detail.get("reason", ""),
+            "exception": detail.get("exception"),
+        }
+        for key in ("workflow_id", "span_id", "parent_id"):
+            if key in entry:
+                detail[key] = entry[key]
     return RecordedEvent(at=at, topic=topic, detail=detail)
 
 
@@ -115,21 +109,17 @@ def _expand(record: tuple) -> RecordedEvent:
 # Declared once, here; RunObserver binds them to its registry at
 # construction and resolves a series per event with one dict lookup.
 
-_PER_WORKFLOW = ("workflow_id",)
-
 NODES_LAUNCHED = MetricSpec(
     "engine_nodes_launched_total",
     "counter",
     "nodes entering RUNNING",
-    ("workflow", "workflow_id"),
-    optional=_PER_WORKFLOW,
+    ("workflow",),
 )
 NODE_COMPLETIONS = MetricSpec(
     "engine_node_completions_total",
     "counter",
     "terminal node resolutions by status",
-    ("status", "workflow_id"),
-    optional=_PER_WORKFLOW,
+    ("status", "workflow"),
 )
 TASK_TRIES = MetricSpec(
     "task_tries",
@@ -142,15 +132,13 @@ WORKFLOW_RUNS = MetricSpec(
     "engine_workflow_runs_total",
     "counter",
     "workflow terminations by status",
-    ("status", "workflow_id"),
-    optional=_PER_WORKFLOW,
+    ("status", "workflow"),
 )
 TASK_ATTEMPTS = MetricSpec(
     "task_attempts_total",
     "counter",
     "terminal detector outcomes per attempt",
-    ("activity", "outcome", "workflow_id"),
-    optional=_PER_WORKFLOW,
+    ("activity", "outcome", "workflow"),
 )
 TASK_ATTEMPT_SECONDS = MetricSpec(
     "task_attempt_sim_seconds",
@@ -162,8 +150,7 @@ RECOVERY_RETRIES = MetricSpec(
     "recovery_retries_total",
     "counter",
     "resubmissions scheduled after detected crashes",
-    ("activity", "workflow_id"),
-    optional=_PER_WORKFLOW,
+    ("activity", "workflow"),
 )
 RECOVERY_RETRY_DELAY = MetricSpec(
     "recovery_retry_delay_seconds",
@@ -208,37 +195,40 @@ ATTEMPT_OUTCOME = {
     "exception": "exception",
 }
 
-#: What the handlers read fields from when a payload is not a dict.
+#: What a fold reads fields from when a payload is not a dict.
 _NO_FIELDS: dict[str, Any] = {}
 
+#: The topic families the observer reads, as ``str.startswith`` takes them.
+OBSERVED = ("engine.", "task.", "recovery.")
 
-class RunObserver:
-    """Records engine/detector/recovery bus traffic into one stream."""
 
-    def __init__(
-        self,
-        bus: EventBus | None = None,
-        *,
-        clock: Any = None,
-        max_events: int = 100_000,
-    ) -> None:
+class _Run:
+    """One running workflow instance: its specification's name, its open
+    ``workflow.run`` span, each running node's open ``node.run`` span and
+    open attempts by job (a node's resolution ends the ones it cancelled)."""
+
+    __slots__ = ("workflow", "span", "nodes", "attempts")
+
+    def __init__(self) -> None:
+        self.workflow = ""
+        self.span: Span | None = None
+        self.nodes: dict[str, Span] = {}
+        self.attempts: dict[str, dict[str, Span]] = {}
+
+
+class RunObserver(LogConsumer):
+    """Turns engine/detector/recovery bus traffic into one recording."""
+
+    def __init__(self, bus: EventBus | None = None, *, clock: Any = None) -> None:
+        #: A reactor's virtual ``now``; the bus's log stamps events on it.
+        self._clock = clock
+        #: Read through ``synced()``, which takes in what was published.
         self.metrics = MetricsRegistry()
-        #: Spans are stamped on *clock* (a reactor's virtual ``now``).
-        self._recorder = SpanRecorder(clock=clock)
-        #: One record per observed event (see :func:`_expand`), turned into
-        #: a :class:`RecordedEvent` only when :attr:`events` is read.
-        self._events: deque[tuple] = deque(maxlen=max_events)
-        self._bus: EventBus | None = None
-        self._subscriptions: list[Subscription] = []
-        # Per-run span bookkeeping, keyed by workflow_id ("" for a classic
-        # single-instance run) so N multiplexed instances never share or
-        # clobber each other's spans; an instance's entries go when its
-        # workflow finishes.  Open attempts are kept per node
-        # (workflow_id → node → job → span) so that a node's resolution
-        # can end the attempts it cancelled.
-        self._workflow_spans: dict[str, Span] = {}
-        self._node_spans: dict[str, dict[str, Span]] = {}
-        self._attempt_spans: dict[str, dict[str, dict[str, Span]]] = {}
+        self.metrics.synced = self._synced  # type: ignore[method-assign]
+        self._recorder = SpanRecorder()
+        #: Running instances by workflow_id ("" for a classic single-
+        #: instance run); an entry goes when its workflow finishes.
+        self._runs: dict[str, _Run] = {}
         family = self.metrics.family
         self._nodes_launched = family(NODES_LAUNCHED)
         self._node_completions = family(NODE_COMPLETIONS)
@@ -255,241 +245,178 @@ class RunObserver:
         if bus is not None:
             self.attach_bus(bus)
 
-    # -- wiring --------------------------------------------------------------
-
     @classmethod
     def attach(cls, engine: "WorkflowEngine") -> "RunObserver":
         """Observe an engine's runtime bus on its reactor's clock."""
         return cls(engine.runtime.bus, clock=engine.runtime.reactor.now)
 
-    def attach_bus(self, bus: EventBus) -> "RunObserver":
-        """Subscribe to *bus*.  Idempotent: re-attaching to the bus we are
-        already subscribed to is a no-op, so callers may safely re-attach
-        after :meth:`WorkflowEngine.reset` without double-recording."""
-        if self._bus is bus and self._subscriptions:
-            return self
-        if self._subscriptions:
-            self.detach()
-        self._bus = bus
-        self._subscriptions = [
-            bus.subscribe("engine.*", self._on_engine_event),
-            bus.subscribe("task.*", self._on_task_event),
-            bus.subscribe("recovery.*", self._on_recovery_event),
-        ]
-        return self
-
-    def detach(self) -> None:
-        """Stop recording (idempotent; the recording remains readable)."""
-        if self._bus is not None:
-            for sub in self._subscriptions:
-                self._bus.unsubscribe(sub)
-        self._subscriptions.clear()
-
-    @property
-    def attached(self) -> bool:
-        return bool(self._subscriptions)
-
     # -- recorded state ------------------------------------------------------
+
+    def _observed(self) -> list[LogRecord]:
+        """The log's records of the observed families, oldest first."""
+        return [r for r in self._records() if r[3].startswith(OBSERVED)]
 
     @property
     def events(self) -> list[RecordedEvent]:
-        """The observed events, oldest first (bounded ring)."""
-        return [_expand(record) for record in self._events]
+        """The observed events, oldest first (what the log still holds)."""
+        return [_recorded(record) for record in self._observed()]
 
     @property
     def spans(self) -> list[Span]:
-        return self._recorder.spans
+        with self._synced():
+            return self._recorder.spans
 
-    def _record(self, topic: str, payload: Any) -> dict[str, Any]:
-        """Snapshot one dict-shaped event into the ring (a shallow copy
-        guards against post-publish mutation) and return the mapping the
-        handler reads its fields from."""
-        if isinstance(payload, dict):
-            self._events.append((topic, dict(payload)))
-            return payload
-        self._events.append((topic, payload))
-        return _NO_FIELDS
+    # -- the fold ------------------------------------------------------------
 
-    def _cancel_attempts(self, jobs: dict[str, Span]) -> None:
-        """End the attempts a resolved node left running: their jobs were
-        cancelled and forgotten, so no terminal ``task.*`` event follows."""
-        end = self._recorder.end
-        for span in jobs.values():
-            span.labels["outcome"] = "cancelled"
-            end(span)
-
-    # -- engine lifecycle ----------------------------------------------------
-
-    def _on_engine_event(self, topic: str, payload: Any) -> None:
-        detail = self._record(topic, payload)
-        wfid = detail.get("workflow_id", "") or ""
-        spans = self._recorder
-        if topic == "engine.node_launched":
-            node = detail.get("node")
-            workflow = detail.get("workflow", "")
-            workflow_span = self._workflow_spans.get(wfid)
-            if workflow_span is None:
-                labels = {"workflow": workflow}
-                if wfid:
-                    labels["workflow_id"] = wfid
-                workflow_span = spans.open("workflow.run", labels)
-                self._workflow_spans[wfid] = workflow_span
-            self._nodes_launched.labels(workflow, wfid).inc()
-            labels = {"node": node, "workflow": workflow}
-            if wfid:
-                labels["workflow_id"] = wfid
-            nodes = self._node_spans.get(wfid)
-            if nodes is None:
-                nodes = self._node_spans[wfid] = {}
-            nodes[node] = spans.open("node.run", labels, workflow_span.id)
-        elif topic in ("engine.node_completed", "engine.node_cancelled"):
-            node = detail.get("node")
-            status = detail.get("status", "cancelled")
-            attempts = self._attempt_spans.get(wfid)
-            if attempts is not None:
-                jobs = attempts.pop(node, None)
-                if jobs:
-                    self._cancel_attempts(jobs)
-            nodes = self._node_spans.get(wfid)
-            span = nodes.pop(node, None) if nodes is not None else None
-            if span is not None:
-                span.labels["status"] = status
-                spans.end(span)
-            self._node_completions.labels(status, wfid).inc()
-            tries = detail.get("tries")
-            if tries:
-                self._task_tries.labels(node).observe(float(tries))
-        elif topic == "engine.workflow_finished":
-            status = detail.get("status", "")
-            self._workflow_runs.labels(status, wfid).inc()
-            # Engine reuse starts this instance's next run with fresh
-            # bookkeeping; sibling instances' spans are untouched.
-            attempts = self._attempt_spans.pop(wfid, None)
-            if attempts:
-                for jobs in attempts.values():
-                    self._cancel_attempts(jobs)
-            self._node_spans.pop(wfid, None)
-            workflow_span = self._workflow_spans.pop(wfid, None)
-            if workflow_span is not None:
-                workflow_span.labels["status"] = status
-                spans.end(workflow_span)
-
-    # -- detector attempts ---------------------------------------------------
-
-    def _on_task_event(self, topic: str, payload: Any) -> None:
-        # AttemptOutcome, duck-typed via the published contract.
-        job = getattr(payload, "job_id", None)
-        if job is None:  # pragma: no cover - defensive
-            self._events.append((topic, payload))
-            return
-        activity = payload.activity
-        host = payload.hostname
-        reason = payload.reason
-        exception = payload.exception
-        wfid = getattr(payload, "workflow_id", "") or ""
-        # Causal ids stamped by the tracer (repro.obs.tracectx), carried as
-        # span labels so exporters can draw the decision → attempt chain.
-        span_id = getattr(payload, "span_id", "") or ""
-        parent_id = getattr(payload, "parent_id", "") or ""
-        self._events.append(
-            (
-                topic,
-                job,
-                activity,
-                host,
-                reason,
-                exception.name if exception else None,
-                payload.at,
-                wfid,
-                span_id,
-                parent_id,
-            )
-        )
-        outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
-        if outcome is None:
-            return
-        attempts = self._attempt_spans.get(wfid)
-        jobs = attempts.get(activity) if attempts is not None else None
-        span = jobs.pop(job, None) if outcome and jobs is not None else None
-        if span is None:
-            # A running attempt — or one whose terminal outcome came before
-            # any TaskStart (e.g. instant crash): that one is recorded as a
-            # zero-duration attempt so the trace still shows it.
-            labels = {"activity": activity, "job": job, "host": host}
-            if wfid:
-                labels["workflow_id"] = wfid
-            if span_id:
-                labels["span_id"] = span_id
-            if parent_id:
-                labels["parent_id"] = parent_id
-            nodes = self._node_spans.get(wfid)
-            node_span = nodes.get(activity) if nodes is not None else None
-            span = self._recorder.open(
-                "task.attempt",
-                labels,
-                node_span.id if node_span is not None else None,
-            )
-        if not outcome:
-            if jobs is None:
-                if attempts is None:
-                    attempts = self._attempt_spans[wfid] = {}
-                jobs = attempts[activity] = {}
-            jobs[job] = span
-            return
-        span.labels["outcome"] = outcome
-        if reason:
-            span.labels["reason"] = reason
-        self._recorder.end(span)
-        self._task_attempts.labels(activity, outcome, wfid).inc()
-        self._task_attempt_seconds.labels(activity).observe(span.sim_duration)
-
-    # -- recovery dispatch ---------------------------------------------------
-
-    def _on_recovery_event(self, topic: str, payload: Any) -> None:
-        detail = self._record(topic, payload)
-        activity = detail.get("activity", "")
-        wfid = detail.get("workflow_id", "") or ""
-        if topic == "recovery.resolved":
-            self._tries_per_resolution.labels(
-                activity, detail.get("state", "")
-            ).observe(float(detail.get("tries", 0) or 0))
-            return
-        # Every other recovery decision leaves a zero-duration marker span
-        # under its node, carrying the causal ids — the chrome_trace
-        # exporter draws flow arrows from these to the attempts they
-        # spawned.
-        spans = self._recorder
-        labels = {"activity": activity}
-        if wfid:
-            labels["workflow_id"] = wfid
-        for key in ("span_id", "parent_id"):
-            value = detail.get(key)
-            if value:
-                labels[key] = value
-        nodes = self._node_spans.get(wfid)
-        node_span = nodes.get(activity) if nodes is not None else None
-        parent = node_span.id if node_span is not None else None
-        spans.end(spans.open(topic, labels, parent))
-        if topic == "recovery.retry":
-            delay = float(detail.get("delay", 0.0) or 0.0)
-            self._retries.labels(activity, wfid).inc()
-            self._retry_delay.labels(activity).observe(delay)
-            if delay > 0:
-                at = float(detail.get("at", 0.0) or 0.0)
-                spans.interval(
-                    "recovery.backoff",
-                    at,
-                    at + delay,
-                    parent=parent,
-                    activity=activity,
-                    slot=detail.get("slot", 0),
+    def _fold(self, records: list[LogRecord]) -> None:
+        """Spans and metrics of *records*, in log order — one loop, no
+        call per record beyond the instruments': it runs over every event
+        published, just not inside the publish."""
+        open_span = self._recorder.record
+        runs = self._runs
+        for _seq, sim, wall, topic, payload in records:
+            if topic.startswith("task."):  # an AttemptOutcome, duck-typed
+                job = getattr(payload, "job_id", None)
+                outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+                if job is None or outcome is None:
+                    continue
+                activity = payload.activity
+                wfid = getattr(payload, "workflow_id", "") or ""
+                run = runs.get(wfid)
+                jobs = run.attempts.get(activity) if run is not None else None
+                span = jobs.pop(job, None) if outcome and jobs is not None else None
+                if span is None:
+                    # A running attempt — or one whose terminal outcome came
+                    # before any TaskStart (an instant crash): a zero-duration
+                    # attempt, so the trace still shows it.  The tracer's ids
+                    # ride as labels; exporters draw decision → attempt.
+                    host = payload.hostname
+                    labels = {"activity": activity, "job": job, "host": host}
+                    if wfid:
+                        labels["workflow_id"] = wfid
+                    for key in ("span_id", "parent_id"):
+                        value = getattr(payload, key, "")
+                        if value:
+                            labels[key] = value
+                    node_span = run.nodes.get(activity) if run is not None else None
+                    parent = node_span.id if node_span is not None else None
+                    span = open_span("task.attempt", labels, parent, sim, wall)
+                if not outcome:
+                    if jobs is None:
+                        if run is None:
+                            run = runs[wfid] = _Run()
+                        jobs = run.attempts[activity] = {}
+                    jobs[job] = span
+                    continue
+                span.labels["outcome"] = outcome
+                if payload.reason:
+                    span.labels["reason"] = payload.reason
+                span.sim_end, span.wall_end = sim, wall
+                workflow = run.workflow if run is not None else ""
+                self._task_attempts.labels(activity, outcome, workflow).inc()
+                self._task_attempt_seconds.labels(activity).observe(
+                    sim - span.sim_start
                 )
-        elif topic == "recovery.checkpoint_restart":
-            self._checkpoint_restarts.labels(activity).inc()
-        elif topic == "recovery.replication_win":
-            self._replication_wins.labels(activity, detail.get("host", "")).inc()
-        elif topic == "recovery.exhausted":
-            self._slots_exhausted.labels(activity).inc()
+                continue
+            engine = topic.startswith("engine.")
+            if not engine and not topic.startswith("recovery."):
+                continue
+            detail = payload if isinstance(payload, dict) else _NO_FIELDS
+            wfid = detail.get("workflow_id", "") or ""
+            if engine:
+                workflow = detail.get("workflow", "")
+                node = detail.get("node")
+                if topic == "engine.node_launched":
+                    run = runs.get(wfid)
+                    if run is None:
+                        run = runs[wfid] = _Run()
+                    run.workflow = workflow
+                    if run.span is None:
+                        labels = {"workflow": workflow}
+                        if wfid:
+                            labels["workflow_id"] = wfid
+                        run.span = open_span("workflow.run", labels, None, sim, wall)
+                    self._nodes_launched.labels(workflow).inc()
+                    labels = {"node": node, "workflow": workflow}
+                    if wfid:
+                        labels["workflow_id"] = wfid
+                    run.nodes[node] = open_span(
+                        "node.run", labels, run.span.id, sim, wall
+                    )
+                elif topic in ("engine.node_completed", "engine.node_cancelled"):
+                    status = detail.get("status", "cancelled")
+                    run = runs.get(wfid)
+                    if run is not None:
+                        _cancel_attempts(run.attempts.pop(node, None), sim, wall)
+                        span = run.nodes.pop(node, None)
+                        if span is not None:
+                            span.labels["status"] = status
+                            span.sim_end, span.wall_end = sim, wall
+                    self._node_completions.labels(status, workflow).inc()
+                    tries = detail.get("tries")
+                    if tries:
+                        self._task_tries.labels(node).observe(float(tries))
+                elif topic == "engine.workflow_finished":
+                    status = detail.get("status", "")
+                    self._workflow_runs.labels(status, workflow).inc()
+                    # Engine reuse starts this instance's next run with
+                    # fresh bookkeeping; sibling instances are untouched.
+                    run = runs.pop(wfid, None)
+                    if run is not None:
+                        for jobs in run.attempts.values():
+                            _cancel_attempts(jobs, sim, wall)
+                        if run.span is not None:
+                            run.span.labels["status"] = status
+                            run.span.sim_end, run.span.wall_end = sim, wall
+                continue
+            # recovery.*
+            activity = detail.get("activity", "")
+            if topic == "recovery.resolved":
+                self._tries_per_resolution.labels(
+                    activity, detail.get("state", "")
+                ).observe(float(detail.get("tries", 0) or 0))
+                continue
+            # Every other recovery decision leaves a zero-duration marker
+            # span under its node, carrying the causal ids: chrome_trace
+            # draws flow arrows from these to the attempts they spawned.
+            labels = {"activity": activity}
+            if wfid:
+                labels["workflow_id"] = wfid
+            for key in ("span_id", "parent_id"):
+                value = detail.get(key)
+                if value:
+                    labels[key] = value
+            run = runs.get(wfid)
+            node_span = run.nodes.get(activity) if run is not None else None
+            parent = node_span.id if node_span is not None else None
+            marker = open_span(topic, labels, parent, sim, wall)
+            marker.sim_end, marker.wall_end = sim, wall
+            if topic == "recovery.retry":
+                delay = float(detail.get("delay", 0.0) or 0.0)
+                workflow = run.workflow if run is not None else ""
+                self._retries.labels(activity, workflow).inc()
+                self._retry_delay.labels(activity).observe(delay)
+                if delay > 0:
+                    # The wait is decided upfront, so its span is closed at
+                    # creation with a *future* sim end.
+                    at = float(detail.get("at", 0.0) or 0.0)
+                    labels = {"activity": activity, "slot": detail.get("slot", 0)}
+                    backoff = open_span("recovery.backoff", labels, parent, at, wall)
+                    backoff.sim_end, backoff.wall_end = at + delay, wall
+            elif topic == "recovery.checkpoint_restart":
+                self._checkpoint_restarts.labels(activity).inc()
+            elif topic == "recovery.replication_win":
+                self._replication_wins.labels(activity, detail.get("host", "")).inc()
+            elif topic == "recovery.exhausted":
+                self._slots_exhausted.labels(activity).inc()
+
+
+def _cancel_attempts(jobs: dict[str, Span] | None, sim: float, wall: float) -> None:
+    """End the attempts a resolved node left running: their jobs were
+    cancelled and forgotten, so no terminal ``task.*`` event follows."""
+    for span in (jobs or {}).values():
+        span.labels["outcome"] = "cancelled"
+        span.sim_end, span.wall_end = sim, wall
 
 
 # -- end-of-run scrapers ------------------------------------------------------

@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING
 
 from .estimators import EstimatorSuite, priors_from_grid
 from .health import HealthEngine, default_rules
+from .log import EventLog
 from .observer import RunObserver, scrape_bus, scrape_detector, scrape_grid
 from .recorder import FlightRecorder
 from .server import WorkflowStatusTracker
@@ -27,12 +28,12 @@ __all__ = ["TelemetryPlane"]
 class TelemetryPlane:
     """Every :mod:`repro.obs` consumer of one runtime.
 
-    Construction subscribes to *bus* in a fixed order — observer, flight
-    recorder, status tracker, estimators, health engine — which is part
-    of the plane's observable behaviour: the estimators and the health
-    engine publish (``obs.drift.mttf``, ``obs.alert.*``) from inside
-    their handlers, so a consumer subscribed before them journals a cause
-    before its effect and one subscribed after does not.
+    Every consumer but the health engine reads *bus* through its one
+    :class:`~repro.obs.log.EventLog` — one append per publish — and is
+    brought up to date by a fold, at each collector tick and before any
+    read, in attachment order: observer, status tracker, estimators.  What
+    the estimators and the health engine publish from inside a fold
+    (``obs.drift.mttf``, ``obs.alert.*``) is appended to the same log.
 
     Each part is optional and ``None`` when off:
 
@@ -63,6 +64,7 @@ class TelemetryPlane:
     ) -> None:
         self._sources = (grid, bus, detector)
         clock = reactor.now
+        self._log = EventLog.on(bus, clock=clock)
         self.observer = RunObserver(bus, clock=clock) if observe else None
         self.recorder = None
         if flight_record:
@@ -79,8 +81,7 @@ class TelemetryPlane:
         )
         self.health = health = HealthEngine(clock=clock, bus=bus)
         default_rules(health, store=store, estimators=estimators)
-        # Drift latches re-evaluate the rules immediately, not on the
-        # next collector tick.
+        # A drift latch re-evaluates the rules in the fold that finds it.
         estimators.health = health
         self.collector = PeriodicCollector(
             store=store,
@@ -115,7 +116,9 @@ class TelemetryPlane:
             self.collector.start()
 
     def stop(self) -> None:
-        """Stop the collector's ticks; every consumer stays attached and
-        readable, and :meth:`start` resumes."""
+        """Stop the collector's ticks and fold the run's tail (another
+        thread's reads then see it whole); every consumer stays attached
+        and readable, and :meth:`start` resumes."""
         if self.collector is not None:
             self.collector.stop()
+        self._log.fold()

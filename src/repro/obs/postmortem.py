@@ -41,16 +41,6 @@ _RECOVERY_TOPICS = (
 )
 
 
-def _base_topic(topic: str) -> str:
-    """``task.done.wf-3`` → ``task.done``: a journal is outside input, and
-    builds that published ``task.*`` on per-instance topics wrote the
-    instance into the topic as well as into ``workflow_id``."""
-    for base in ("task.active",) + _TERMINAL_TASK:
-        if topic == base or topic.startswith(base + "."):
-            return base
-    return topic
-
-
 @dataclass
 class AttemptRecord:
     """One submission attempt: birth, host, and detector verdict."""
@@ -167,7 +157,7 @@ def build_timelines(
 
     attempts_by_job: dict[str, AttemptRecord] = {}
     for entry in entries:
-        topic = _base_topic(str(entry.get("topic", "")))
+        topic = str(entry.get("topic", ""))
         if topic == "engine.node_launched":
             register_span(entry, f"launch:{entry.get('node', '?')}")
         elif topic in ("engine.node_completed", "engine.node_cancelled"):

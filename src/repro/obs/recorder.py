@@ -2,29 +2,27 @@
 
 A failure-handling framework is judged in the moments *after* something
 went wrong — and by then the interesting events have already happened.
-:class:`FlightRecorder` taps the whole :class:`~repro.events.EventBus`
-(:meth:`~repro.events.EventBus.add_tap`) and journals every publish into a
-bounded in-memory ring, optionally spilling each entry to a JSON-lines file
-as it arrives so a crash loses nothing.  ``repro inspect`` (:mod:`repro.obs.postmortem`)
-rebuilds a causally-linked per-workflow timeline from either source.
+:class:`FlightRecorder` is the journal view of the bus's
+:class:`~repro.obs.log.EventLog`: every publish made while it is attached,
+bounded in memory by the log's ring and its own *capacity*, optionally
+spilled to a JSON-lines file **as each event is appended** so a crash loses
+nothing.  ``repro inspect`` (:mod:`repro.obs.postmortem`) rebuilds a
+causally-linked per-workflow timeline from either source.
 
-Entries are plain JSON-safe dicts built from the published payload
-contract — dict payloads are copied shallowly,
-:class:`~repro.detection.detector.AttemptOutcome`-shaped payloads are
-read duck-typed, anything else degrades to ``repr``.  The recorder never
-imports engine types and never raises out of its subscription: a broken
-payload becomes a journal entry complaining about itself rather than a
-crashed run.
+Entries are the plain JSON-safe dicts :func:`~repro.obs.log.expand` builds
+from the published payload contract.  The recorder never imports engine
+types and never raises into a publish: a broken payload becomes a journal
+entry complaining about itself rather than a crashed run.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from typing import IO, Any
 
 from ..events import EventBus
+from .log import LogConsumer, LogRecord, expand
 
 __all__ = ["FlightRecorder", "JOURNAL_VERSION"]
 
@@ -32,71 +30,16 @@ __all__ = ["FlightRecorder", "JOURNAL_VERSION"]
 #: refuse recordings from an incompatible future layout.
 JOURNAL_VERSION = 1
 
-#: AttemptOutcome attributes copied into a journal entry when present.
-_OUTCOME_FIELDS = (
-    "job_id",
-    "activity",
-    "hostname",
-    "reason",
-    "at",
-    "workflow_id",
-    "trace_id",
-    "span_id",
-    "parent_id",
-)
 
+class FlightRecorder(LogConsumer):
+    """The journal of every bus publish, optionally spilling to disk.
 
-def _json_safe(value: Any) -> Any:
-    """Coerce one payload value to something ``json.dumps`` accepts."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    name = getattr(value, "name", None)
-    if isinstance(name, str):  # UserException and friends
-        return name
-    return repr(value)
-
-
-def _expand(record: tuple[int, str, Any]) -> dict[str, Any]:
-    """One raw ring record → the JSON-safe journal entry.
-
-    Runs at read time (``entries`` / ``dump``) or in the spill writer —
-    never on the spill-less recording hot path, which only snapshots the
-    payload.  Dict payloads flatten into the entry, AttemptOutcome-shaped
-    payloads are read duck-typed, anything else degrades to ``repr``.
-    """
-    seq, topic, payload = record
-    entry: dict[str, Any] = {"seq": seq, "topic": topic}
-    try:
-        if isinstance(payload, dict):
-            for key, value in payload.items():
-                entry[str(key)] = _json_safe(value)
-        elif hasattr(payload, "job_id"):
-            for field_name in _OUTCOME_FIELDS:
-                value = getattr(payload, field_name, None)
-                if value not in (None, ""):
-                    entry[field_name] = _json_safe(value)
-            exception = getattr(payload, "exception", None)
-            if exception is not None:
-                entry["exception"] = _json_safe(exception)
-        elif payload is not None:
-            entry["payload"] = _json_safe(payload)
-    except Exception as exc:  # a broken payload journals its own complaint
-        entry["recorder_error"] = repr(exc)
-    return entry
-
-
-class FlightRecorder:
-    """Journals every bus publish into a ring, optionally spilling to disk.
-
-    *capacity* bounds the in-memory ring (oldest entries are overwritten;
-    :meth:`stats` counts the overwrites).  *spill_path* streams every
-    entry to a JSON-lines file as it is recorded, so the on-disk journal
-    is complete even when the ring has wrapped — and even if the process
-    dies mid-run, modulo OS buffering.
+    *capacity* bounds the journal in memory (oldest entries are
+    overwritten; :meth:`stats` counts the overwrites): it sizes the bus's
+    log if the recorder creates it, and windows one somebody else did.
+    *spill_path* streams every entry to a JSON-lines file as it is
+    recorded, so the on-disk journal is complete even when the ring has
+    wrapped — and even if the process dies mid-run, modulo OS buffering.
     """
 
     def __init__(
@@ -108,45 +51,36 @@ class FlightRecorder:
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self._ring: deque[tuple[int, str, Any]] = deque(maxlen=capacity)
-        self._seq = 0
-        self._overwritten = 0
+        self._capacity = capacity
+        #: Events recorded by attachments that have ended.
+        self._recorded = 0
         self._spilled = 0
         self.spill_path = spill_path
         self._spill: IO[str] | None = None
         if spill_path is not None:
             self._spill = open(spill_path, "w", encoding="utf-8")
-            self._spill.write(
-                json.dumps({"journal_version": JOURNAL_VERSION}) + "\n"
-            )
-        self._bus: EventBus | None = None
-        self._attached = False
+            self._spill.write(json.dumps({"journal_version": JOURNAL_VERSION}) + "\n")
         if bus is not None:
             self.attach_bus(bus)
 
     # -- wiring --------------------------------------------------------------
 
     def attach_bus(self, bus: EventBus) -> "FlightRecorder":
-        """Record everything *bus* publishes.  Idempotent per bus.
-
-        The recorder registers as a bus *tap* (:meth:`EventBus.add_tap`)
-        rather than a ``"*"`` subscription: a tap sees every publish in
-        publish order without adding a group to every topic's dispatch
-        route — what keeps recorder-enabled runs inside the overhead gate.
-        """
-        if self._bus is bus and self._attached:
-            return self
-        self.detach()
-        self._bus = bus
-        bus.add_tap(self._on_event)
-        self._attached = True
+        """Record everything *bus* publishes.  Idempotent per bus."""
+        was = self._log
+        super().attach_bus(bus)
+        if self._log is not was and self._spill is not None:
+            self._log.spills.append(self._write)
         return self
 
     def detach(self) -> None:
         """Stop recording (idempotent; the journal stays readable)."""
-        if self._bus is not None and self._attached:
-            self._bus.remove_tap(self._on_event)
-        self._attached = False
+        log = self._log
+        super().detach()  # folds, and a fold may publish: count after it
+        if log is not None:
+            self._recorded += log.seq - self._since
+            if self._write in log.spills:
+                log.spills.remove(self._write)
 
     def close(self) -> None:
         """Detach and flush/close the spill file, if any."""
@@ -163,63 +97,52 @@ class FlightRecorder:
 
     # -- recording -----------------------------------------------------------
 
-    def _on_event(self, topic: str, payload: Any) -> None:
-        # The per-publish hot path: snapshot the payload (a shallow dict
-        # copy guards against post-publish mutation) and append; the
-        # JSON-safe entry is built lazily by :func:`_expand` at read time.
-        # The spill writer pays the expansion per event by design — a
-        # complete on-disk journal is its whole point.
-        if type(payload) is dict:
-            payload = dict(payload)
-        ring = self._ring
-        if len(ring) == ring.maxlen:
-            self._overwritten += 1
-        record = (self._seq, topic, payload)
-        self._seq += 1
-        ring.append(record)
-        if self._spill is not None:
-            try:
-                self._spill.write(json.dumps(_expand(record)) + "\n")
-            except Exception as exc:  # never crash the publishing hot path
-                self._spill.write(
-                    json.dumps(
-                        {
-                            "seq": record[0],
-                            "topic": topic,
-                            "recorder_error": repr(exc),
-                        }
-                    )
-                    + "\n"
-                )
-            self._spilled += 1
+    def _write(self, record: LogRecord) -> None:
+        """One record's spill line, written at append, not at the next
+        fold: a complete on-disk journal is worth the expansion per event."""
+        try:
+            line = json.dumps(expand(record))
+        except Exception as exc:  # never crash the publishing hot path
+            line = json.dumps(
+                {"seq": record[0], "topic": record[3], "recorder_error": repr(exc)}
+            )
+        self._spill.write(line + "\n")  # type: ignore[union-attr]
+        self._spilled += 1
 
     # -- reading -------------------------------------------------------------
+
+    def _journal(self) -> list[LogRecord]:
+        return self._records()[-self._capacity :]
 
     @property
     def entries(self) -> list[dict[str, Any]]:
         """The journal as JSON-safe entries, oldest first (what the ring
         still holds)."""
-        return [_expand(record) for record in self._ring]
+        return [expand(record) for record in self._journal()]
 
     def stats(self) -> dict[str, int]:
+        log = self._log
+        recorded = self._recorded + (log.seq - self._since if log is not None else 0)
+        retained = len(self._journal())
         return {
-            "recorded": self._seq,
-            "retained": len(self._ring),
-            "overwritten": self._overwritten,
+            "recorded": recorded,
+            "retained": retained,
+            "overwritten": recorded - retained,
             "spilled": self._spilled,
         }
 
     def dump(self, path: str) -> int:
-        """Write the ring to *path* as JSON lines, atomically.
+        """Write the journal to *path* as JSON lines, atomically.
 
         The file appears complete or not at all (``.tmp`` + rename), and
         carries the same version header as a spill file.  Returns the
         number of entries written.
         """
+        entries = self.entries
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"journal_version": JOURNAL_VERSION}) + "\n")
-            for record in self._ring:
-                fh.write(json.dumps(_expand(record)) + "\n")
+            for entry in entries:
+                fh.write(json.dumps(entry) + "\n")
         os.replace(tmp, path)
-        return len(self._ring)
+        return len(entries)

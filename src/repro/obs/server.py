@@ -21,12 +21,11 @@ paths are JSON 404s and non-GET/HEAD methods JSON 405s (with ``Allow``),
 both with ``application/json`` Content-Type — probing scrapers and load
 balancers see consistent behaviour.
 
-Status is maintained by :class:`WorkflowStatusTracker`, a bus subscriber
-— not by poking engine internals from the server thread.  All mutation
-happens on the reactor thread inside the tracker's handlers; the HTTP
-thread only reads JSON-safe scalars out of per-instance dicts and copies
-their two containers (``attempts``, ``running_nodes``) whole, which the
-GIL makes safe without locks — so the handlers update both in place.
+Status is maintained by :class:`WorkflowStatusTracker`, a fold over the
+bus's event log — not by poking engine internals from the server thread.
+All mutation happens on the reactor thread, inside a fold; a read from the
+HTTP thread folds nothing and copies the state the last fold left, under
+the lock a fold holds, so it never sees a status half-updated.
 """
 
 from __future__ import annotations
@@ -36,49 +35,30 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 
-from ..events import EventBus, Subscription
+from ..events import EventBus
 from .export import _finite, prometheus_text
+from .log import LogConsumer, LogRecord
 from .metrics import MetricsRegistry
 from .observer import ATTEMPT_OUTCOME
 
 __all__ = ["WorkflowStatusTracker", "TelemetryServer"]
 
 
-class WorkflowStatusTracker:
-    """Bus subscriber keeping a JSON-safe live status per workflow instance."""
+class WorkflowStatusTracker(LogConsumer):
+    """Keeps a JSON-safe live status per workflow instance, folded from
+    the bus's ``engine.*``, ``task.*`` and ``recovery.*`` events."""
 
     def __init__(self, bus: EventBus | None = None) -> None:
         self._status: dict[str, dict[str, Any]] = {}
-        #: Running attempts: workflow_id → job id → node.  A verdict
-        #: reaches us before the resolution it causes, so what a resolving
-        #: node still has here was cancelled (no terminal ``task.*`` event
-        #: follows for a cancelled job); an instance's entry goes when its
-        #: workflow finishes.
+        #: Running attempts: workflow_id → job id → node.  A verdict comes
+        #: before the resolution it causes, so what a resolving node still
+        #: has here was cancelled (no terminal ``task.*`` event follows);
+        #: an instance's entry goes when its workflow finishes.
         self._running: dict[str, dict[str, str]] = {}
-        self._bus: EventBus | None = None
-        self._subscriptions: list[Subscription] = []
         if bus is not None:
             self.attach_bus(bus)
 
-    def attach_bus(self, bus: EventBus) -> "WorkflowStatusTracker":
-        if self._bus is bus and self._subscriptions:
-            return self
-        self.detach()
-        self._bus = bus
-        self._subscriptions = [
-            bus.subscribe("engine.*", self._on_engine_event),
-            bus.subscribe("task.*", self._on_task_event),
-            bus.subscribe("recovery.*", self._on_recovery_event),
-        ]
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None:
-            for sub in self._subscriptions:
-                self._bus.unsubscribe(sub)
-        self._subscriptions.clear()
-
-    # -- event handlers (reactor thread) -------------------------------------
+    # -- the fold (reactor thread) -------------------------------------------
 
     def _entry(self, wfid: str) -> dict[str, Any]:
         entry = self._status.get(wfid)
@@ -97,9 +77,43 @@ class WorkflowStatusTracker:
             }
         return entry
 
-    def _on_engine_event(self, topic: str, payload: Any) -> None:
-        if not isinstance(payload, dict):
-            return
+    def _fold(self, records: list[LogRecord]) -> None:
+        status = self._status
+        for _seq, _sim, _wall, topic, payload in records:
+            if topic.startswith("task."):
+                outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+                if outcome is None:
+                    continue
+                wfid = str(getattr(payload, "workflow_id", "") or "")
+                job = getattr(payload, "job_id", "")
+                entry = status.get(wfid) or self._entry(wfid)
+                attempts = entry["attempts"]
+                running = self._running.get(wfid)
+                if not outcome:
+                    if running is None:
+                        running = self._running[wfid] = {}
+                    running[job] = payload.activity
+                    attempts["total"] += 1
+                    attempts["in_flight"] += 1
+                    continue
+                attempts[outcome] = attempts.get(outcome, 0) + 1
+                if running is not None and running.pop(job, None) is not None:
+                    attempts["in_flight"] -= 1
+            elif not isinstance(payload, dict):
+                continue
+            elif topic.startswith("engine."):
+                self._fold_engine(topic, payload)
+            elif topic.startswith("recovery."):
+                wfid = str(payload.get("workflow_id", "") or "")
+                entry = status.get(wfid) or self._entry(wfid)
+                entry["last_recovery"] = {
+                    "action": topic,
+                    "activity": str(payload.get("activity", "")),
+                    "at": float(payload.get("at") or 0.0),
+                    "span_id": str(payload.get("span_id") or ""),
+                }
+
+    def _fold_engine(self, topic: str, payload: dict[str, Any]) -> None:
         wfid = str(payload.get("workflow_id", "") or "")
         entry = self._status.get(wfid) or self._entry(wfid)
         workflow = payload.get("workflow")
@@ -150,68 +164,25 @@ class WorkflowStatusTracker:
         attempts["cancelled"] = attempts.get("cancelled", 0) + count
         attempts["in_flight"] -= count
 
-    def _on_task_event(self, topic: str, payload: Any) -> None:
-        outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
-        if outcome is None:
-            return
-        wfid = str(getattr(payload, "workflow_id", "") or "")
-        job = getattr(payload, "job_id", "")
-        entry = self._status.get(wfid) or self._entry(wfid)
-        attempts = entry["attempts"]
-        running = self._running.get(wfid)
-        if not outcome:
-            if running is None:
-                running = self._running[wfid] = {}
-            running[job] = payload.activity
-            attempts["total"] += 1
-            attempts["in_flight"] += 1
-            return
-        attempts[outcome] = attempts.get(outcome, 0) + 1
-        if running is not None and running.pop(job, None) is not None:
-            attempts["in_flight"] -= 1
-
-    def _on_recovery_event(self, topic: str, payload: Any) -> None:
-        if not isinstance(payload, dict):
-            return
-        wfid = str(payload.get("workflow_id", "") or "")
-        entry = self._status.get(wfid) or self._entry(wfid)
-        # The fields as published; :meth:`status_of` renders them.
-        entry["last_recovery"] = (
-            topic,
-            payload.get("activity", ""),
-            payload.get("at", 0.0),
-            payload.get("span_id", ""),
-        )
-
     # -- reads (any thread) --------------------------------------------------
 
     def workflow_ids(self) -> list[str]:
-        return sorted(self._status)
+        with self._synced():
+            return sorted(self._status)
 
     def status_of(self, workflow_id: str) -> dict[str, Any] | None:
-        entry = self._status.get(workflow_id)
-        if entry is None:
-            return None
-        copy = dict(entry)
-        copy["attempts"] = dict(entry["attempts"])
-        copy["running_nodes"] = list(entry["running_nodes"])
-        if entry["last_recovery"] is not None:
-            action, activity, at, span_id = entry["last_recovery"]
-            copy["last_recovery"] = {
-                "action": action,
-                "activity": str(activity),
-                "at": float(at or 0.0),
-                "span_id": str(span_id or ""),
-            }
-        return copy
+        with self._synced():
+            entry = self._status.get(workflow_id)
+            if entry is None:
+                return None
+            copy = dict(entry)
+            copy["attempts"] = dict(entry["attempts"])
+            copy["running_nodes"] = list(entry["running_nodes"])
+            return copy
 
     def snapshot(self) -> list[dict[str, Any]]:
-        statuses = []
-        for wfid in self.workflow_ids():
-            status = self.status_of(wfid)
-            if status is not None:
-                statuses.append(status)
-        return statuses
+        with self._synced():
+            return [self.status_of(wfid) for wfid in sorted(self._status)]
 
 
 class TelemetryServer:
@@ -291,7 +262,9 @@ class TelemetryServer:
     def render_metrics(self) -> str:
         if self.registry is None:
             return ""
-        return prometheus_text(self.registry)
+        # Held still for the whole walk: this is not the reactor's thread.
+        with self.registry.synced():
+            return prometheus_text(self.registry)
 
     def render_health(self) -> dict[str, Any]:
         health: dict[str, Any] = {"status": "ok"}

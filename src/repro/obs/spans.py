@@ -84,9 +84,8 @@ class _SpanContext:
 class SpanRecorder:
     """Bounded recorder of :class:`Span` objects over a virtual clock.
 
-    *clock* supplies simulation time; it may be bound late
-    (:meth:`bind_clock`) because the reactor may not exist yet when the
-    recorder is created.  An unbound recorder stamps ``sim=0.0``.
+    *clock* supplies simulation time; a recorder without one stamps
+    ``sim=0.0``, and one fed from an event log reads none (:meth:`record`).
     """
 
     def __init__(
@@ -99,10 +98,6 @@ class SpanRecorder:
         self._ring: deque[Span] = deque(maxlen=capacity)
         self._stack: list[Span] = []
         self._ids = itertools.count(1)
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Late-bind the simulation clock (e.g. ``reactor.now``)."""
-        self.clock = clock
 
     def _now(self) -> float:
         clock = self.clock
@@ -122,14 +117,19 @@ class SpanRecorder:
         """:meth:`begin` for a caller that has its labels in a dict already:
         the span takes ownership of *labels* (no copy), so the caller must
         not reuse the dict."""
-        span = Span(
-            next(self._ids),
-            name,
-            self._now(),
-            time.perf_counter(),
-            labels,
-            parent,
-        )
+        return self.record(name, labels, parent, self._now(), time.perf_counter())
+
+    def record(
+        self,
+        name: str,
+        labels: dict[str, Any],
+        parent: int | None,
+        sim: float,
+        wall: float,
+    ) -> Span:
+        """:meth:`open` at stamps taken earlier (the span owns *labels*);
+        whoever ends it writes ``sim_end`` / ``wall_end`` the same way."""
+        span = Span(next(self._ids), name, sim, wall, labels, parent)
         self._ring.append(span)
         return span
 

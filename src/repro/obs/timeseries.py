@@ -417,34 +417,14 @@ class TimeSeriesStore:
                 table[key] = series
         return series
 
-    def histogram_series(
-        self,
-        name: str,
-        bounds: tuple[float, ...],
-        *,
-        step: float | None = None,
-        capacity: int | None = None,
-        **labels: Any,
-    ) -> HistogramSeries:
-        return self._histogram_for(name, _label_key(labels), bounds, step, capacity)
-
     def _histogram_for(
-        self,
-        name: str,
-        key: LabelItems,
-        bounds: tuple[float, ...],
-        step: float | None = None,
-        capacity: int | None = None,
+        self, name: str, key: LabelItems, bounds: tuple[float, ...]
     ) -> HistogramSeries:
         table = self._histograms.get(name)
         series = table.get(key) if table is not None else None
         if series is None:
             series = HistogramSeries(
-                name,
-                bounds,
-                labels=key,
-                step=step if step is not None else self.step,
-                capacity=capacity if capacity is not None else self.capacity,
+                name, bounds, labels=key, step=self.step, capacity=self.capacity
             )
             with self._lock:
                 if table is None:
@@ -739,12 +719,14 @@ class TimeSeriesStore:
 class PeriodicCollector:
     """Recurring reactor timer feeding the store from the live registry.
 
-    Each tick runs the registered *scrapers* (callables taking the
-    registry — the CLI passes closures over :func:`scrape_bus`,
-    :func:`scrape_kernel`, :func:`scrape_detector`), lets the estimator
-    suite export its gauges, samples every registry family into the
-    store, and finally evaluates the health rules — one cadence for the
-    whole statistical plane, in dependency order.
+    Each tick folds the bus's event log (through the registry and the
+    estimators, which read it — the tick is the plane's cadence), runs the
+    registered *scrapers* (callables taking the registry — the CLI passes
+    closures over :func:`scrape_bus`, :func:`scrape_kernel`,
+    :func:`scrape_detector`), lets the estimator suite export its gauges,
+    samples every registry family into the store, and finally evaluates
+    the health rules — one cadence for the whole statistical plane, in
+    dependency order.
     """
 
     def __init__(
@@ -794,11 +776,16 @@ class PeriodicCollector:
     def tick(self, now: float | None = None) -> None:
         """One collection pass (callable directly for tests/benchmarks)."""
         at = self._reactor.now() if now is None else now
-        for scraper in self.scrapers:
-            scraper(self.registry)
-        if self.estimators is not None:
-            self.estimators.export(self.registry)
-        self.store.collect(self.registry, at)
+        # Folded before anything is scraped, and held for the writes
+        # below: another thread reads the registry between two ticks.
+        with self.registry.synced():
+            if self.estimators is not None:
+                self.estimators.sync()
+            for scraper in self.scrapers:
+                scraper(self.registry)
+            if self.estimators is not None:
+                self.estimators.export(self.registry)
+            self.store.collect(self.registry, at)
         if self.health is not None:
             self.health.evaluate(at)
         self.ticks += 1

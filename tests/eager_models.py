@@ -16,6 +16,10 @@ hold what replaced them to exact equivalence (the ``EagerStore`` /
   every navigation step walks ``spec.transitions[i]`` and
   ``spec.nodes[name]`` by name.
 
+* :func:`fold_eagerly` — the cadence the telemetry plane had before PR 21
+  put one log under it: every consumer up to date after *every* publish,
+  not after the next collector tick.
+
 ``reserve`` / ``rearm`` exist on the reference kernel too — as plain heap
 pushes — so one program can run on both kernels.
 """
@@ -33,6 +37,7 @@ from repro.engine.navigator import exception_edge_specificity
 from repro.errors import CheckpointError, NavigationError
 from repro.grid.behaviors import PlanContext
 from repro.grid.gram import JobProcess
+from repro.obs import EventLog
 from repro.wpdl.conditions import evaluate_condition
 from repro.wpdl.model import ConditionKind, JoinMode
 
@@ -493,3 +498,20 @@ class EagerNavigator:
         stuck = [n for n, i in instance.nodes.items() if not i.status.terminal]
         if stuck:
             raise NavigationError(f"navigation deadlock: nodes {stuck} are pending")
+
+
+def fold_eagerly(bus) -> EventLog:
+    """Fold *bus*'s event log after every publish — what per-event
+    subscriptions amounted to.  Shadows ``publish`` on the instance (every
+    publisher looks it up there), so it holds whatever taps come and go;
+    returns the log, which the caller keeps alive."""
+    log = EventLog.on(bus)
+    publish = bus.publish
+
+    def publish_and_fold(topic, payload=None):
+        delivered = publish(topic, payload)
+        log.fold()
+        return delivered
+
+    bus.publish = publish_and_fold
+    return log

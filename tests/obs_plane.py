@@ -107,9 +107,9 @@ def faulty_gridspec(seed: int) -> dict:
 class ObservedHost:
     """One ``EngineHost`` on a crashing grid, every obs consumer attached."""
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, *, bus: EventBus | None = None) -> None:
         self.grid = grid = build_grid(faulty_gridspec(seed))
-        self.bus = bus = EventBus()
+        self.bus = bus = bus if bus is not None else EventBus()
         self.reactor = reactor = grid.reactor
         self.detector = detector = FailureDetector(
             reactor, bus, heartbeat_timeout=3.0, batch_heartbeats=True

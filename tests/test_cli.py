@@ -326,7 +326,7 @@ class TestCliObservability:
         assert "metrics written" in out and "trace written" in out
         text = prom.read_text()
         assert "engine_nodes_launched_total" in text
-        assert 'engine_workflow_runs_total{status="done"} 1.0' in text
+        assert 'engine_workflow_runs_total{status="done",workflow="cliwf"} 1.0' in text
         payload = json.loads(trace.read_text())
         names = {e["name"] for e in payload["traceEvents"]}
         assert {"workflow.run", "node.run", "task.attempt"} <= names

@@ -235,6 +235,38 @@ class TestEventScoping:
         ]
         assert offenders == []
 
+    def test_the_plane_reads_the_bus_through_one_tap(self):
+        # Pay once per event: inside ``repro.obs`` one tap (the event
+        # log's) appends every publish, taking one snapshot of its payload,
+        # and everything else is a view of the log or a fold over it.  The
+        # health engine's drift latch is the one routed subscription left
+        # — it has to hear what a fold publishes, when it publishes it.
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        calls: dict[str, list[str]] = {"subscribe": [], "add_tap": [], "dict(payload)": []}
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "events.py":
+                continue
+            where = str(path.relative_to(root))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Attribute) and node.func.attr in calls:
+                    calls[node.func.attr].append(where)
+                elif where.startswith("obs/") and ast.unparse(node) == "dict(payload)":
+                    calls["dict(payload)"].append(where)
+        assert calls == {
+            "subscribe": ["obs/health.py"],
+            "add_tap": ["obs/log.py"],
+            "dict(payload)": ["obs/log.py"],
+        }
+        source = (root / "obs" / "health.py").read_text(encoding="utf-8")
+        assert 'bus.subscribe("obs.drift.*", self._on_drift)' in source
+
     def test_unscoped_single_engine_unchanged(self):
         # The classic path publishes on bare topics with empty workflow_id.
         grid = fixed_grid()
@@ -408,13 +440,27 @@ class TestObserverDimension:
         observer = RunObserver(host.runtime.bus, clock=grid.reactor.now)
         host.submit_many(single_task_workflow(), 2)
         host.wait_all(timeout=1e7)
-        for wfid in ("wf-1", "wf-2"):
-            counter = observer.metrics.counter(
-                "engine_workflow_runs_total",
-                status="done",
-                workflow_id=wfid,
+        # A series is named by the specification: two instances of one
+        # workflow are one series, and no series carries an instance id ...
+        registry = observer.metrics
+        assert (
+            registry.value("engine_workflow_runs_total", status="done", workflow="single")
+            == 2
+        )
+        assert (
+            registry.value(
+                "task_attempts_total", activity="task", outcome="done", workflow="single"
             )
-            assert counter.value == 1
+            == 2
+        )
+        assert not any(
+            "workflow_id" in dict(key)
+            for family in registry.families()
+            for key in family.series
+        )
+        # ... the instances are told apart where detail is bounded by a ring.
+        runs = [s for s in observer.spans if s.name == "workflow.run"]
+        assert [s.labels["workflow_id"] for s in runs] == ["wf-1", "wf-2"]
 
     def test_unscoped_run_has_no_workflow_id_label(self):
         grid = fixed_grid()

@@ -1,11 +1,12 @@
 """Estimator tests: the EWMA and Wilson primitives, the Page–Hinkley
 drift detector with its golden detection bounds (a 3× MTTF shift fires
 within 200 events; 10k stationary events stay silent), and the
-EstimatorSuite wired to a live bus — terminal-outcome subscriptions,
-host-failure attribution and dedup, drift event publication with prompt
-health re-evaluation, liveness ingestion, and gauge export — which walks
-only the estimators recorded since the last export and must leave the
-registry as a walk over all of them would."""
+EstimatorSuite folding a live bus's log — terminal outcomes pooled per
+(workflow specification, activity), host-failure attribution and dedup,
+drift event publication with health re-evaluation on the latch and no
+later than one collector interval after the failure, liveness ingestion,
+and gauge export, which leaves the registry as a fresh walk over every
+estimator would."""
 
 from __future__ import annotations
 
@@ -15,15 +16,18 @@ import random
 import pytest
 
 from repro.events import EventBus
-from repro.grid import UNRELIABLE, GridConfig, SimulatedGrid
+from repro.grid import UNRELIABLE, GridConfig, SimReactor, SimulatedGrid
 from repro.obs import (
     DRIFT_MTTF,
     ActivityEstimator,
     EstimatorSuite,
+    EventLog,
     Ewma,
     HostEstimator,
     MetricsRegistry,
     PageHinkley,
+    PeriodicCollector,
+    TimeSeriesStore,
     priors_from_grid,
     prometheus_text,
     wilson_interval,
@@ -140,6 +144,53 @@ class TestDriftGolden:
         assert estimator.detector.n == 0
         assert estimator.failures == 1000
 
+    INTERVAL = 5.0
+
+    def plane(self, mean, count):
+        """A host failing every ``Exp(mean)`` seconds on a live bus, the
+        estimators folded by a collector ticking every five.  Returns the
+        ``obs.drift.mttf`` publications as ``(published at, payload)``."""
+        reactor = SimReactor()
+        bus = EventBus()
+        log = EventLog.on(bus, clock=reactor.now)
+        suite = EstimatorSuite(bus, priors={"h1": (self.PRIOR_MTTF, 0.0)})
+        collector = PeriodicCollector(
+            store=TimeSeriesStore(step=self.INTERVAL),
+            registry=MetricsRegistry(),
+            reactor=reactor,
+            interval=self.INTERVAL,
+            estimators=suite,
+        )
+        rng, at = random.Random(42), 0.0
+        for i in range(count):
+            at += rng.expovariate(1.0 / mean)
+            outcome = _Payload(
+                "failed", reason="host-crashed", hostname="h1", at=at
+            )
+            reactor.call_later(at, lambda o=outcome: bus.publish("task.failed", o))
+        collector.start()
+        reactor.run_until_idle(timeout=at + self.INTERVAL)
+        collector.stop()
+        assert suite.hosts["h1"].failures == count
+        return [
+            (sim, payload)
+            for _seq, sim, _wall, topic, payload in log.records()
+            if topic == DRIFT_MTTF
+        ]
+
+    def test_a_live_drift_is_published_within_one_collector_interval(self):
+        # The same shifted trace as above, through the bus: the latch is
+        # found by the fold at the next tick, so the event is published no
+        # later than one interval after the failure that tripped it — and
+        # says when that was.
+        ((published, drift),) = self.plane(self.PRIOR_MTTF / 3.0, 200)
+        assert drift["after_events"] <= 200 and drift["direction"] == "down"
+        assert drift["at"] < published <= drift["at"] + self.INTERVAL
+        assert published % self.INTERVAL == 0.0  # at a tick
+
+    def test_a_live_stationary_trace_publishes_nothing(self):
+        assert self.plane(self.PRIOR_MTTF, 2_000) == []
+
 
 class TestHostEstimator:
     def test_downtime_from_suspected_recovered_spans(self):
@@ -187,13 +238,30 @@ class TestEstimatorSuite:
     def test_terminal_topics_feed_activity_estimators(self):
         bus = EventBus()
         suite = EstimatorSuite(bus)
+        # The instance says which specification it runs when it launches …
+        for wfid in ("wf-1", "wf-2"):
+            bus.publish(
+                "engine.node_launched",
+                {"workflow": "mosaic", "workflow_id": wfid, "node": "task"},
+            )
         bus.publish("task.done", _Payload("done"))
         bus.publish("task.failed", _Payload("failed", reason="exit-code"))
-        bus.publish("task.exception", _Payload("exception"))
+        bus.publish("task.exception", _Payload("exception", workflow_id="wf-2"))
         bus.publish("task.active", _Payload("active"))  # non-terminal: ignored
-        estimator = suite.activities[("wf-1", "task")]
+        # … and its attempts count towards that specification's estimate,
+        # pooled with every other instance's.
+        (estimator,) = suite.activities.values()
+        assert suite.activities == {("mosaic", "task"): estimator}
         assert estimator.attempts == 3 and estimator.failures == 2
         assert estimator.failure_probability() == pytest.approx(2 / 3)
+        # A finished instance is forgotten: nothing is kept per instance.
+        for wfid in ("wf-1", "wf-2"):
+            bus.publish(
+                "engine.workflow_finished",
+                {"workflow": "mosaic", "workflow_id": wfid, "status": "done"},
+            )
+        suite.sync()
+        assert suite._workflows == {}
 
     def test_host_failures_only_from_host_reasons(self):
         bus = EventBus()
@@ -282,7 +350,7 @@ class TestEstimatorSuite:
         assert registry.value("obs_host_mttf_observed", host="h1") == 30.0
         assert registry.value("obs_host_mttf_prior", host="h1") == 100.0
         assert registry.value("obs_host_drift", host="h1") == 0.0
-        labels = {"workflow_id": "wf-1", "activity": "task"}
+        labels = {"workflow": "wf-1", "activity": "task"}
         assert registry.value("obs_attempts_total", **labels) == 2.0
         assert registry.value(
             "obs_attempt_failure_probability", **labels
@@ -297,12 +365,12 @@ class TestEstimatorSuite:
 
 
 def export_every_activity(suite: EstimatorSuite, registry: MetricsRegistry) -> None:
-    """What ``export`` did before it tracked what changed: every activity
-    estimator, in key order, through a fresh gauge lookup, every time."""
+    """The reference: every activity estimator, in key order, through a
+    fresh keyword gauge lookup and a fresh Wilson interval, every time."""
     for key in sorted(suite.activities):
         estimator = suite.activities[key]
         low, high = wilson_interval(estimator.failures, estimator.attempts)
-        labels = {"workflow_id": key[0], "activity": key[1]}
+        labels = {"workflow": key[0], "activity": key[1]}
         registry.gauge(
             "obs_attempt_failure_probability",
             help="attempt failures / attempts",
@@ -325,35 +393,10 @@ def export_every_activity(suite: EstimatorSuite, registry: MetricsRegistry) -> N
         ).set(estimator.attempts)
 
 
-class _CountingFamily:
-    def __init__(self, registry, bound):
-        self._registry = registry
-        self._bound = bound
-
-    def labels(self, *values):
-        self._registry.lookups += 1
-        return self._bound.labels(*values)
-
-
-class _CountingRegistry(MetricsRegistry):
-    """Counts every instrument lookup, hit or miss: ``labels()`` on a
-    bound family it handed out and the keyword form alike."""
-
-    def __init__(self):
-        super().__init__()
-        self.lookups = 0
-
-    def family(self, spec):
-        return _CountingFamily(self, super().family(spec))
-
-    def gauge(self, name, **kw):
-        self.lookups += 1
-        return super().gauge(name, **kw)
-
-
 class TestExportOfWhatChanged:
-    """No host estimators here, so ``export`` is the activity walk alone
-    and ``export_every_activity`` is its whole reference."""
+    """What ``export`` leaves in a registry as the estimators change.  No
+    host estimators here, so ``export`` is the activity walk alone and
+    ``export_every_activity`` is its whole reference."""
 
     def test_ticks_match_a_full_walk_in_values_and_order(self):
         suite = EstimatorSuite()
@@ -372,21 +415,6 @@ class TestExportOfWhatChanged:
             assert registry.snapshot() == reference.snapshot(), tick
             assert prometheus_text(registry) == prometheus_text(reference), tick
 
-    def test_clean_estimators_cost_nothing(self):
-        suite = EstimatorSuite()
-        for i in range(50):
-            suite.activity(f"wf-{i:02d}", "task").record("done")
-        registry = _CountingRegistry()
-        suite.export(registry)
-        assert registry.lookups == 4 * 50
-        suite.activity("wf-07", "task").record("failed")
-        suite.export(registry)
-        suite.export(registry)
-        assert registry.lookups == 4 * 50  # bound handles, one dirty estimator
-        labels = {"workflow_id": "wf-07", "activity": "task"}
-        assert registry.value("obs_attempts_total", **labels) == 2.0
-        assert registry.value("obs_attempt_failure_probability", **labels) == 0.5
-
     def test_estimator_created_but_never_recorded_is_exported(self):
         suite = EstimatorSuite()
         suite.activity("wf-1", "idle")
@@ -394,7 +422,7 @@ class TestExportOfWhatChanged:
         suite.export(registry)
         export_every_activity(suite, reference)
         assert registry.snapshot() == reference.snapshot()
-        labels = {"workflow_id": "wf-1", "activity": "idle"}
+        labels = {"workflow": "wf-1", "activity": "idle"}
         assert registry.value("obs_attempts_total", **labels) == 0.0
         assert registry.value("obs_attempt_failure_wilson_high", **labels) == 1.0
 
@@ -432,10 +460,10 @@ class TestExportOfWhatChanged:
         registry, reference = MetricsRegistry(), MetricsRegistry()
         suite.export(registry)
         stray = MetricsRegistry()
-        stray.gauge("obs_attempts_total", workflow_id="wf-1", activity="task").set(99)
+        stray.gauge("obs_attempts_total", workflow="wf-1", activity="task").set(99)
         registry.merge(stray.snapshot())
         assert registry.value(
-            "obs_attempts_total", workflow_id="wf-1", activity="task"
+            "obs_attempts_total", workflow="wf-1", activity="task"
         ) == 99.0
         suite.export(registry)  # nothing recorded since the last export
         export_every_activity(suite, reference)

@@ -1,12 +1,16 @@
 """Health-rule engine tests: the ok → pending → firing → ok state
 machine with sim-time hysteresis, alert edges on the bus, the
-edge-triggered drift latch, JSON-safe snapshots, and the default rule
-set the CLI installs."""
+edge-triggered drift latch, JSON-safe snapshots, the default rule set the
+CLI installs — and what its ``attempt-failure-probability`` rule means now
+that the estimate behind it is pooled per workflow specification."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.detection.detector import AttemptOutcome, TaskState
 from repro.events import EventBus
 from repro.obs import (
     ALERT_FIRED,
@@ -203,3 +207,88 @@ class TestDefaultRules:
         (transition,) = engine.evaluate(1.0)
         assert transition["rule"] == "attempt-failure-probability"
         assert transition["value"] > 0.5
+
+
+class TestTheAlertMeansWhatItSays:
+    """``attempt-failure-probability`` promises "some activity's attempt
+    failure probability is reliably high".  With one estimator per
+    workflow *instance* its largest sample was a handful of attempts and
+    it fired whenever one unlucky instance went four-for-four (Wilson
+    lower bound 0.51); pooled per (workflow specification, activity) it
+    keys on a rate with a real *n*."""
+
+    ATTEMPT_SECONDS = 12.0
+    TICK = 5.0
+
+    def run(self, rates, seed):
+        """One instance of ``mosaic`` admitted per second, its ``solve``
+        retried until it succeeds; instance *i* fails an attempt with
+        probability ``rates(i)``.  The default rules are evaluated every
+        five seconds.  Returns the alert history and the most consecutive
+        failures any one instance opened with."""
+        rng = random.Random(seed)
+        schedule, worst_start = [], 0
+        for i, rate in enumerate(rates):
+            wfid, at = f"wf-{i}", float(i)
+            named = {"workflow": "mosaic", "workflow_id": wfid}
+            schedule.append((at, "engine.node_launched", {**named, "node": "solve", "at": at}))
+            failures = 0
+            while rng.random() < rate:
+                failures += 1
+                at += self.ATTEMPT_SECONDS
+                schedule.append((at, "task.failed", (wfid, f"j{i}.{failures}", "nonzero-exit(1)")))
+            at += self.ATTEMPT_SECONDS
+            schedule.append((at, "task.done", (wfid, f"j{i}.done", "done-with-taskend")))
+            schedule.append((at, "engine.workflow_finished", {**named, "status": "done", "at": at}))
+            worst_start = max(worst_start, failures)
+        schedule.sort(key=lambda event: event[0])
+
+        bus = EventBus()
+        suite = EstimatorSuite(bus)
+        engine = HealthEngine(bus=bus)
+        default_rules(engine, estimators=suite)
+        tick = self.TICK
+        for at, topic, payload in schedule:
+            while tick <= at:
+                engine.evaluate(tick)
+                tick += self.TICK
+            if topic.startswith("task."):
+                wfid, job, reason = payload
+                state = TaskState.DONE if topic == "task.done" else TaskState.FAILED
+                payload = AttemptOutcome(
+                    job, "solve", state, hostname="h1", reason=reason, at=at, workflow_id=wfid
+                )
+            bus.publish(topic, payload)
+        for _ in range(4):  # long enough for a pending edge to land
+            engine.evaluate(tick)
+            tick += self.TICK
+        return engine.alerts()["history"], worst_start, suite
+
+    def test_a_third_of_attempts_failing_never_fires(self):
+        history, worst_start, suite = self.run([0.3] * 100, seed=7)
+        # Some instance did open four-for-four, and held it for two ticks —
+        # what used to fire the alert …
+        assert worst_start >= 4
+        # … and is now 4 of ~140 attempts at an unremarkable rate.
+        assert history == []
+        (estimator,) = suite.activities.values()
+        assert estimator.attempts > 120
+        assert 0.2 < estimator.failure_probability() < 0.4
+        assert suite.max_failure_probability() < 0.4
+
+    def test_most_attempts_failing_fires_once_and_resolves_once(self):
+        # A bad stretch (p = 0.7 for 100 instances), then the cause is
+        # fixed and 300 instances run clean.
+        history, _worst, suite = self.run([0.7] * 100 + [0.0] * 300, seed=7)
+        assert [(e["event"], e["rule"]) for e in history] == [
+            ("fired", "attempt-failure-probability"),
+            ("resolved", "attempt-failure-probability"),
+        ]
+        fired, resolved = history
+        assert 0.5 < fired["value"] < 0.7  # a lower bound on a rate near 0.7
+        # It fired once the bound had held for ``sustain`` seconds, not at
+        # the first unlucky streak, and resolved once the pooled rate had
+        # come down for as long.
+        assert fired["at"] >= 10.0
+        assert resolved["at"] - fired["at"] > 100.0
+        assert suite.max_failure_probability() < 0.5

@@ -195,27 +195,19 @@ class TestSnapshotMerge:
 
 _SPECS = (
     MetricSpec("c1", "counter", "one label", ("k",)),
-    MetricSpec(
-        "c2", "counter", "per workflow", ("k", "workflow_id"),
-        optional=("workflow_id",),
-    ),
+    MetricSpec("c2", "counter", "per workflow", ("k", "workflow")),
     MetricSpec("g0", "gauge", "no labels"),
     MetricSpec("h1", "histogram", "timed", ("k",), buckets=(1.0, 2.0)),
 )
 
 #: 1, 1.0 and True are equal and hash alike, "1" is their text twice over,
-#: and "" is what makes an optional label drop out.
+#: and "" is a label value like any other.
 _label_values = st.sampled_from(["a", "b", "", "1", "1.0", "True", 1, 1.0, True, None])
 
 
 def _keyword_labels(spec: MetricSpec, values) -> dict:
-    """What a call site passes by keyword for these values: an optional
-    label with nothing in it is left out (``**wl`` in the old handlers)."""
-    return {
-        name: value
-        for name, value in zip(spec.labels, values)
-        if name not in spec.optional or str(value)
-    }
+    """What a call site passes by keyword for these values."""
+    return dict(zip(spec.labels, values))
 
 
 def _by_keyword(registry, spec: MetricSpec, labels: dict, *, reverse=False):
@@ -325,16 +317,20 @@ class TestBoundFamilies:
         assert true is registry.counter("c1", k=True) and true is not one
         assert family.labels(1.0) is float_one  # and again, after the table filled
 
-    def test_optional_label_is_left_off_only_when_empty(self):
+    def test_an_empty_label_value_stays_on_the_series(self):
+        # No label is optional: a series always carries every declared
+        # label, so one family has one key shape.
         registry = MetricsRegistry()
         family = registry.family(_SPECS[1])
-        assert family.labels("a", "") is registry.counter("c2", k="a")
-        assert family.labels("a", "wf-1") is registry.counter(
-            "c2", k="a", workflow_id="wf-1"
+        assert family.labels("a", "") is registry.counter("c2", k="a", workflow="")
+        assert family.labels("a", "") is not registry.counter("c2", k="a")
+        assert family.labels("a", "mosaic") is registry.counter(
+            "c2", k="a", workflow="mosaic"
         )
         assert [s["labels"] for s in registry.snapshot()["c2"]["series"]] == [
+            {"k": "a", "workflow": ""},
             {"k": "a"},
-            {"k": "a", "workflow_id": "wf-1"},
+            {"k": "a", "workflow": "mosaic"},
         ]
 
     def test_wrong_arity_and_kind_are_refused(self):
@@ -402,5 +398,5 @@ class TestBoundFamilies:
     def test_malformed_declarations_are_refused(self):
         with pytest.raises(MetricsError, match="unknown kind"):
             MetricSpec("x", "summary")
-        with pytest.raises(MetricsError, match="optional labels"):
-            MetricSpec("x", "counter", "", ("a",), optional=("b",))
+        with pytest.raises(TypeError):  # no label is optional any more
+            MetricSpec("x", "counter", "", ("a",), optional=("a",))

@@ -2,7 +2,7 @@
 
 A 20-instance faulty batch (see :mod:`tests.obs_plane`) runs on two seeds
 with the whole plane attached, and each of its seven readable outputs must
-digest to ``GOLDEN``.  The pins have moved three times, each time tied to
+digest to ``GOLDEN``.  The pins have moved four times, each time tied to
 the commit before by digests recorded there before any source changed:
 
 * PR 15 rewrote the observed path (bound instruments, lazy records, flat
@@ -14,38 +14,40 @@ the commit before by digests recorded there before any source changed:
 * PR 17 gave every job one re-armed timer, so the scraped
   ``sim_timers_cancelled`` reads 50 instead of 60 (45 instead of 85);
 * PR 18 handed verdicts to the coordinator by call instead of through the
-  bus.  An observer used to hear ``recovery.resolved`` and
-  ``engine.node_completed`` *before* the ``task.done`` that caused them
-  (the engine's own subscription ran first and published from inside it);
-  now the detector narrates, then steers, and every consumer sees the one
-  order the flight recorder always saw.  That re-orders what the
-  subscribers write and takes the ``.wf-N`` suffix off the ``task.*``
-  topics — and must change nothing else.  ``PARENT`` holds the parent's
-  outputs digested in a form neither can move (``_views``), and this
-  commit's outputs must digest to the same:
+  bus: every consumer sees the one order the flight recorder always saw,
+  and the observer's ring is, in order, the journal filtered to the
+  observer's three topic families;
+* PR 21 put one log under the plane — one append per publish, everything
+  else a view of the log or a fold over it, run at the collector's tick —
+  and named every series by the workflow *specification* instead of the
+  instance.  ``events``, ``spans`` and ``tracker`` did not move: span ids,
+  parents and stamps are properties of log order and of the clocks read at
+  append.  ``registry``, ``prometheus`` and ``store`` are re-pinned, tied
+  to the parent by projection (``_views``; ``PARENT`` holds the parent's
+  outputs digested in that form, and this commit's must digest the same):
 
-  - ``recorder``: the journal, suffix stripped — equal entry for entry;
-  - ``events``: the observer's ring, suffix stripped, as a multiset — and
-    on this commit it is, in order, the journal filtered to the observer's
-    three topic families, which makes the two rings one;
-  - ``spans``: a multiset of (name, sim_start, sim_end, labels) — ids and
-    parents are allocation order;
-  - ``tracker``: keys sorted (``attempts["cancelled"]`` used to be
-    inserted before the outcome that won, now after);
-  - ``registry``, ``prometheus``, ``store``: families, series and lines
-    sorted, without the four route gauges that count what was deleted
-    (``bus_cached_routes`` 41 → 14 and 33 → 14, ``bus_route_builds`` 61 →
-    14 and 69 → 14, ``bus_subscription_groups`` 25 → 10 and 13 → 10,
-    ``bus_route_cache_hit_rate`` follows) and the three fast-path gauges
-    that went with the fast path.
+  - every counter series of the parent, summed over ``workflow_id`` within
+    its workflow's name, is the new series value for value — in the
+    registry, and tick by tick in the store — and ``obs_attempts_total``
+    likewise;
+  - every family without an instance label is equal series for series and
+    line for line;
+  - the three Wilson gauges are estimates of something else now (a
+    specification's pooled rate, not one instance's) and have no parent;
+  - the scraped ``bus_*`` gauges move with the subscriptions that went
+    (``bus_subscription_groups`` 10 → 2) and are pinned by value
+    (``BUS_GAUGES``), as PR 18 did with its route gauges.
 
-  On seed 20030623 the span stream did not move at all.
+  ``recorder`` is the parent's journal entry for entry once ``obs.alert.*``
+  is left out of both: with estimates pooled per specification the
+  ``attempt-failure-probability`` rule keys on a rate with a real sample
+  size, and on seed 19990803 it now fires once (t = 30, Wilson lower bound
+  0.72) where no single instance's four-for-four ever sustained.
 """
 
 from __future__ import annotations
 
 import json
-import re
 
 import pytest
 
@@ -56,44 +58,44 @@ INSTANCES = 20
 
 GOLDEN = {
     20030623: {
-        "registry": "4494eb34010d0aa16ecc2092c262cb4e6b1c0fb00c5472f7ff0f940813deca45",
-        "prometheus": "1a0655515c8b0bdc47d08f12c399289f63a9936a400840423578064797aec7ed",
-        "store": "388b9d4efd196830cdcfb933e9612a799649c7461cc989e596cd1b5ddced96f3",
+        "registry": "4c7eacf53331ca1de36d76c7cbf419e15eac87583a230a7780ba44605b9fa21f",
+        "prometheus": "9bbf1bf5d0a03578ade391070dc997f18815e0d123eb6f9a4242b254d732ef5c",
+        "store": "c97c47d4b5f67b4e86bd9e9cab298c668ac1a951d768d394a9a0a44866de4074",
         "events": "bde842cc542c1eb175a4a59146ac16d5f477c7a11eb0b7dff338547bc04b07f1",
         "spans": "950d6502ef42e37cd1c355b6568a6808ca3d352073b365e7889947f0635ab850",
         "recorder": "4ad9992466c529f36a2d6c0c6d15b4a154e3eb6ef1760fb30527e10dd0402652",
         "tracker": "aee482e9a73875d024b66efd76c49a11b33bb5e6fe515656bdc225918eaed2cb",
     },
     19990803: {
-        "registry": "2428d6aae8e7baeb3bae60bff07c1efadc9806b90b1f523921a0616c603440d5",
-        "prometheus": "13dbfa4c4a2dac6571546f77fd830b8e6a5cfbda180c331a114454504f37bec0",
-        "store": "66bbf37033c3044091e11b7c9e9eedf603a121feb3640c319c6bfebdd5c8a0e0",
+        "registry": "34e94ff49ffe239ca4f16ab26549d8d63859b0067b62ed871afb89fd651fb9dc",
+        "prometheus": "70db57570a915eb51cca54db9f5ca63108c9168b2e0ce19d237cdad1d6a3da5e",
+        "store": "64b9de899d67691ae2bb1cb09f3856678eb5cdaef7c63ecc2964bb474eee823d",
         "events": "55562ac0d63cafe57b9583d2e4600bfef796cbed1b980c4e59e1f31a789d51ff",
         "spans": "c5ae24b7e988471c226030b60ad7ea796806e4c71e7df2013f3f8a05c26d33aa",
-        "recorder": "3d3ad34047d344f8f75bf2f38bb169b34f9024e7e0f55f2859d47c47ad6148d7",
+        "recorder": "a0279477d86dcb78d169afee751a428e51be1be76f61366b66007d3ffcc9fc1f",
         "tracker": "11bc8525533831ab84e0bf58556646e192218bc0b250fad608aaff73eedcd229",
     },
 }
 
-#: ``_views`` of the outputs of PR 18's parent commit, recorded there.
+#: ``_views`` of the outputs of PR 21's parent commit, recorded there.
 PARENT = {
     20030623: {
-        "recorder": "4ad9992466c529f36a2d6c0c6d15b4a154e3eb6ef1760fb30527e10dd0402652",
-        "events": "dcbe0a955d48bd5ec210fabaaf87e7561fe120a2fd85cfbb96085eab3ffd358a",
-        "spans": "cb856f0d6978f362cc65b1124bf0fd98f21b2676c216daab5113a39e96141458",
-        "tracker": "155c7225403af51be52caa1278f11e3d89df6ecc336a7f6085175a2bcea39d06",
-        "registry": "273a9305eb6f9ca821b924fb1603ec6f11f55483a4b72647880e3c26f53323ce",
-        "prometheus": "61b6b1676b6970d8568842eb3eaf0e8863518574f3dd2e66d4bc4e4ec4d55d64",
-        "store": "7a9ea694306cc5951273231ba98f536c83f3e124e48b28b3d5b7ffa4250aba81",
+        "recorder": "ff2e3b216f2157077ac2e715ef93e6e2b7c289e8b00949711b4b7288cc16b5ea",
+        "events": "bde842cc542c1eb175a4a59146ac16d5f477c7a11eb0b7dff338547bc04b07f1",
+        "spans": "950d6502ef42e37cd1c355b6568a6808ca3d352073b365e7889947f0635ab850",
+        "tracker": "aee482e9a73875d024b66efd76c49a11b33bb5e6fe515656bdc225918eaed2cb",
+        "registry": "1850dae09ec1be5e5a20a25cef4278a4a0e99ca81fb3d5a9abfcfdc07bd390b8",
+        "prometheus": "ad5963f5ecf36f2b34ea7a319924d185a2a7cb45424e84dcaefb27edf3ffe0fa",
+        "store": "5841830b23033fdafac4ee8ba4205cef7825a505ffa3d97c01cc3a9fd6bcdd0b",
     },
     19990803: {
-        "recorder": "3d3ad34047d344f8f75bf2f38bb169b34f9024e7e0f55f2859d47c47ad6148d7",
-        "events": "618aa842b81818cb8aac810a16e653792b2a704e2d609da8e12438af2249043f",
-        "spans": "c36ef1a790d9f5a68e992601b7ca84a53b320e4e18d7dc311f0369122f6883c3",
-        "tracker": "5ff61535ef52c7144e4a316aae1622808f6abce60a880beba3284ea2369493bd",
-        "registry": "c85cd08963ffad1a70a91313b644c3241647130e72cadd5067e91e82fdccd225",
-        "prometheus": "457401f528309a242cebd31197aa9619486fea64b8ad6a2a55ea8f78adb808f0",
-        "store": "035c1b2573f611d4520a6bd89e9329f67798b96d290126cb6f1f97bf7deb4257",
+        "recorder": "ce99f53bdd13ed55f98baa65f83b6e16fe1870e67b7eb8ea7a0ec73ec7be88e3",
+        "events": "55562ac0d63cafe57b9583d2e4600bfef796cbed1b980c4e59e1f31a789d51ff",
+        "spans": "c5ae24b7e988471c226030b60ad7ea796806e4c71e7df2013f3f8a05c26d33aa",
+        "tracker": "11bc8525533831ab84e0bf58556646e192218bc0b250fad608aaff73eedcd229",
+        "registry": "df62891844f46414d76d85b7d8acabb44bf27687211c98f9625d4a636e60397a",
+        "prometheus": "df672c59eacaa21783ef04f95df7dabaf9d8b993d623cd42090c564d9d72efd2",
+        "store": "5c364be3558cd790891149f15eed879d6140d544febf27dfa1e5afae2ac0da41",
     },
 }
 
@@ -102,86 +104,116 @@ PARENT = {
 CANCELLED = {20030623: 56, 19990803: 51}
 TIMERS_CANCELLED = {20030623: 50.0, 19990803: 45.0}
 
-#: Where the scraped gauges that count routes and subscription groups now
-#: end, and everything ``_unordered`` leaves out: those, the hit rate that
-#: follows them, and the three deleted families the parent still emitted.
-ROUTE_GAUGES = {
-    "bus_cached_routes": 14.0,
-    "bus_route_builds": 14.0,
-    "bus_subscription_groups": 10.0,
+#: Where the scraped bus gauges end: one routed subscription left in the
+#: plane (the health engine's drift latch) beside the test's own, every
+#: published topic routed once, and the alert that now fires on the second
+#: seed counted among the publications (the parent read 607 and 699).
+BUS_GAUGES = {
+    20030623: {
+        "bus_publishes": 607.0,
+        "bus_cached_routes": 14.0,
+        "bus_route_builds": 14.0,
+        "bus_subscription_groups": 2.0,
+    },
+    19990803: {
+        "bus_publishes": 700.0,
+        "bus_cached_routes": 15.0,
+        "bus_route_builds": 15.0,
+        "bus_subscription_groups": 2.0,
+    },
 }
-DELETED_GAUGES = (
-    "bus_prefix_patterns",
-    "bus_regex_patterns",
-    "bus_prefix_fastpath_share",
+_BUS_FAMILIES = (*BUS_GAUGES[20030623], "bus_route_cache_hit_rate")
+
+#: Families whose series named an instance at the parent and sum, over the
+#: instances of a specification, to the series that replaced them …
+_SUMMED = (
+    "engine_nodes_launched_total",
+    "engine_node_completions_total",
+    "engine_workflow_runs_total",
+    "task_attempts_total",
+    "recovery_retries_total",
+    "obs_attempts_total",
 )
-LEFT_OUT = (*ROUTE_GAUGES, "bus_route_cache_hit_rate", *DELETED_GAUGES)
+#: … and the ones that do not: a pooled rate is not a sum of rates.
+_POOLED = (
+    "obs_attempt_failure_probability",
+    "obs_attempt_failure_wilson_low",
+    "obs_attempt_failure_wilson_high",
+)
 
-#: The topic families :class:`RunObserver` subscribes to.
+#: The topic families :class:`RunObserver` reads.
 OBSERVED = ("engine.", "task.", "recovery.")
-
-#: The per-instance topic suffix of the parent's ``task.*`` publications.
-_SCOPE = re.compile(r"\.wf-\d+$")
 
 
 def _text(value) -> str:
     return json.dumps(value, default=str)
 
 
-def _unordered(output):
-    """A metric output (the exposition text, or a family-keyed snapshot)
-    with families, series and lines sorted and the moved and deleted
-    gauges left out."""
-    if isinstance(output, str):
-        prefixes = tuple(
-            prefix
-            for family in LEFT_OUT
-            for prefix in (
-                f"# HELP {family} ",
-                f"# TYPE {family} ",
-                f"{family} ",
-                f"{family}{{",
-            )
-        )
-        return "\n".join(
-            sorted(ln for ln in output.split("\n") if not ln.startswith(prefixes))
-        )
-    out = {}
-    for name in sorted(output):
-        if name in LEFT_OUT:
-            continue
-        family = output[name]
-        if isinstance(family, dict):  # registry: family → {…, series}
-            out[name] = {**family, "series": sorted(family["series"], key=_text)}
-        else:  # store: family → series
-            out[name] = sorted(family, key=_text)
-    return out
+def _spec_labels(labels: dict, names: dict[str, str]) -> str:
+    """A series' labels with the instance replaced by its specification."""
+    labels = dict(labels)
+    wfid = labels.pop("workflow_id", None)
+    if wfid is not None:
+        labels["workflow"] = names[wfid]
+    return _text(sorted(labels.items()))
 
 
 def _views(outputs) -> dict[str, str]:
-    """Each output digested in a form that neither the order consumers
-    hear events in nor the topic suffix can move.  Stripping the suffix is
-    a no-op on this commit's outputs; it is what makes the parent's
-    comparable (run this on a checkout of the parent to get ``PARENT``)."""
-    recorder = [
-        {**entry, "topic": _SCOPE.sub("", entry["topic"])}
+    """Each output digested in a form that renaming series from instance
+    to specification cannot move (run this on a checkout of the parent to
+    get ``PARENT``): instance-labelled series summed within their
+    workflow's name, everything else as it is, order-free."""
+    names = {s["workflow_id"]: s["workflow"] for s in outputs["tracker"]}
+    left_out = (*_BUS_FAMILIES, *_POOLED)
+
+    registry = {}
+    for name, family in outputs["registry"].items():
+        if name in left_out:
+            continue
+        if name not in _SUMMED:
+            registry[name] = sorted(_text(series) for series in family["series"])
+            continue
+        sums: dict[str, float] = {}
+        for series in family["series"]:
+            key = _spec_labels(series["labels"], names)
+            sums[key] = sums.get(key, 0.0) + series["value"]
+        registry[name] = sorted(sums.items())
+
+    store = {}
+    for name, rings in outputs["store"].items():
+        if name in left_out:
+            continue
+        if name not in _SUMMED:
+            store[name] = sorted(_text(ring) for ring in rings)
+            continue
+        ticks: dict[str, dict[float, float]] = {}
+        for ring in rings:
+            sampled = ticks.setdefault(_spec_labels(ring["labels"], names), {})
+            for point in ring["points"]:
+                sampled[point["t"]] = sampled.get(point["t"], 0.0) + point["last"]
+        store[name] = sorted((key, sorted(at.items())) for key, at in ticks.items())
+
+    renamed = tuple(
+        prefix
+        for family in (*left_out, *_SUMMED)
+        for prefix in (f"# HELP {family} ", f"# TYPE {family} ", f"{family}{{", f"{family} ")
+    )
+    prometheus = sorted(
+        line for line in outputs["prometheus"].split("\n") if not line.startswith(renamed)
+    )
+    journal = [
+        {key: value for key, value in entry.items() if key != "seq"}
         for entry in outputs["recorder"]
-    ]
-    events = [
-        [at, _SCOPE.sub("", topic), detail] for at, topic, detail in outputs["events"]
-    ]
-    spans = [
-        [name, sim_start, sim_end, labels]
-        for _id, name, sim_start, sim_end, _parent, labels in outputs["spans"]
+        if not entry["topic"].startswith("obs.alert.")
     ]
     return {
-        "recorder": digest(recorder),
-        "events": digest(sorted(events, key=_text)),
-        "spans": digest(sorted(spans, key=_text)),
-        "tracker": digest(json.dumps(outputs["tracker"], sort_keys=True)),
-        "registry": digest(_unordered(outputs["registry"])),
-        "prometheus": digest(_unordered(outputs["prometheus"])),
-        "store": digest(_unordered(outputs["store"])),
+        "recorder": digest(journal),
+        "events": digest(outputs["events"]),
+        "spans": digest(outputs["spans"]),
+        "tracker": digest(outputs["tracker"]),
+        "registry": digest(sorted(registry.items())),
+        "prometheus": digest(prometheus),
+        "store": digest(sorted(store.items())),
     }
 
 
@@ -200,17 +232,22 @@ def test_plane_outputs_match_the_golden(seed):
     journal = [entry["topic"] for entry in outputs["recorder"]]
     assert set(journal) <= {spec.topic for spec in topic_specs()}
 
-    # Calling the coordinator instead of publishing to it moved these
-    # outputs in order and topic suffix alone …
+    # One log under the plane and specification-named series moved these
+    # outputs in the names of series alone …
     assert _views(outputs) == PARENT[seed]
-    # … and left the observer's ring and the journal telling one story.
+    # … no series names an instance any more …
+    assert not any(
+        "workflow_id" in series["labels"]
+        for family in registry.values()
+        for series in family["series"]
+    )
+    # … and the observer's events and the journal still tell one story.
     assert [topic for _at, topic, _detail in outputs["events"]] == [
         topic for topic in journal if topic.startswith(OBSERVED)
     ]
     assert {
-        name: registry[name]["series"][0]["value"] for name in ROUTE_GAUGES
-    } == ROUTE_GAUGES
-    assert not set(DELETED_GAUGES) & set(registry)
+        name: registry[name]["series"][0]["value"] for name in BUS_GAUGES[seed]
+    } == BUS_GAUGES[seed]
 
     # Cancelled attempts still end with their node and are still counted.
     spans = outputs["spans"]

@@ -64,7 +64,7 @@ class TestExplicitSpans:
         assert rec.begin("a").sim_start == 0.0
         clock = FakeClock()
         clock.now = 3.0
-        rec.bind_clock(clock)
+        rec.clock = clock
         assert rec.begin("b").sim_start == 3.0
 
 

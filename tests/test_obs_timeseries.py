@@ -208,6 +208,9 @@ class _Recorder:
         self.log = log
         self.tag = tag
 
+    def sync(self):
+        self.log.append("fold")
+
     def export(self, registry):
         self.log.append(self.tag)
 
@@ -232,7 +235,7 @@ class TestPeriodicCollector:
         )
         registry.gauge("g").set(1.0)
         collector.tick(now=7.0)
-        assert log == ["scrape", "export", ("health", 7.0)]
+        assert log == ["fold", "scrape", "export", ("health", 7.0)]
         assert collector.ticks == 1
         # The registry sample landed in the store at the tick time.
         (point,) = store.get("g").points()

@@ -2,19 +2,24 @@
 
 PR 20 deleted the four-class strategy stack with its registry, the
 per-technique config algebra over ``FailurePolicy`` and every disabled
-mode of ``repro.obs``.  One walk over ``src/repro`` keeps them deleted, and
-keeps the retry wait in one place.
+mode of ``repro.obs``; PR 21 took what only existed to survive five
+thousand mostly idle per-instance series (optional labels, the
+estimators' export-what-changed machinery) and a few names nothing
+called.  One walk over ``src/repro`` keeps them deleted, and keeps the
+retry wait in one place.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import repro
 from repro.core.policy import FailurePolicy
 from repro.engine import strategies
+from repro.obs import MetricSpec, RunObserver
 
 SRC = Path(repro.__file__).parent
 
@@ -39,6 +44,13 @@ GONE = {
     "resilient_activity",
     "Observability",
     "NULL_OBS",
+    # PR 21
+    "histogram_series",
+    "bind_clock",
+    "_base_topic",
+    "_exported_to",
+    "_dirty",
+    "_gauges",
 }
 
 
@@ -82,6 +94,11 @@ def test_the_deleted_surface_stays_deleted():
         "policy"
     ]
     assert len(inspect.getsource(strategies).splitlines()) <= 120
+    # No label is optional and the observer's window is the log's: two
+    # settings nobody set (``max_events`` is still the sim kernel's guard,
+    # so these two are checked where they lived).
+    assert "optional" not in {f.name for f in dataclasses.fields(MetricSpec)}
+    assert list(inspect.signature(RunObserver).parameters) == ["bus", "clock"]
 
 
 def test_the_retry_wait_is_computed_in_one_place():

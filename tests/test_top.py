@@ -183,6 +183,9 @@ class TestTopClientLive:
                 "engine.node_launched",
                 {"workflow": "w", "workflow_id": "wf-1", "node": "task"},
             )
+            # No collector ticks here: fold on the publishing thread, the
+            # server's thread only reads what a fold left.
+            tracker.sync()
             client = TopClient(f"http://127.0.0.1:{port}")
             frame = client.frame()
             assert frame["rates"] == {}  # first poll has no baseline

@@ -156,10 +156,15 @@ class TestSpans:
     def test_metrics_recorded(self, traced_fig4):
         metrics = traced_fig4.metrics
         assert (
-            metrics.value("task_attempts_total", activity="FU", outcome="failed")
+            metrics.value(
+                "task_attempts_total", activity="FU", outcome="failed", workflow="fig4"
+            )
             == 2
         )
-        assert metrics.value("engine_workflow_runs_total", status="done") == 1
+        assert (
+            metrics.value("engine_workflow_runs_total", status="done", workflow="fig4")
+            == 1
+        )
         hist = metrics.get_histogram("task_attempt_sim_seconds", activity="SR")
         assert hist is not None and hist.count == 1
 
@@ -234,9 +239,19 @@ class TestCancelledEvents:
         assert attempts["laggard"].sim_end == 10.0
         # A cancelled attempt is not a detector outcome: no metric series.
         metrics = trace.metrics
-        assert metrics.value("task_attempts_total", activity="quick", outcome="done") == 1
         assert (
-            metrics.value("task_attempts_total", activity="laggard", outcome="cancelled")
+            metrics.value(
+                "task_attempts_total", activity="quick", outcome="done", workflow="race"
+            )
+            == 1
+        )
+        assert (
+            metrics.value(
+                "task_attempts_total",
+                activity="laggard",
+                outcome="cancelled",
+                workflow="race",
+            )
             is None
         )
-        assert trace._attempt_spans == {}
+        assert trace._runs == {}
