@@ -55,7 +55,6 @@ from .errors import (
     ParseError,
     SpecificationError,
     ValidationError,
-    WorkflowFailedError,
 )
 from .execution import ExecutionService, SubmitRequest
 from .grid import (
@@ -110,7 +109,6 @@ __all__ = [
     "ParseError",
     "SpecificationError",
     "ValidationError",
-    "WorkflowFailedError",
     # execution interface
     "ExecutionService",
     "SubmitRequest",

@@ -19,13 +19,11 @@ __all__ = [
     "ParseError",
     "EngineError",
     "NavigationError",
-    "WorkflowFailedError",
     "CheckpointError",
     "BrokerError",
     "NoResourceError",
     "GridError",
     "SubmissionError",
-    "HostDownError",
     "UnknownExecutableError",
     "DetectionError",
     "RecoveryError",
@@ -74,20 +72,6 @@ class NavigationError(EngineError):
     """The navigator reached an inconsistent instance-tree state."""
 
 
-class WorkflowFailedError(EngineError):
-    """The workflow terminated unsuccessfully.
-
-    Raised (or recorded as the terminal status) when a task fails, every
-    configured recovery avenue is exhausted, and no alternative control flow
-    can complete the workflow.
-    """
-
-    def __init__(self, message: str, *, failed_tasks: tuple[str, ...] = ()):
-        super().__init__(message)
-        #: Names of the activities whose failure caused workflow failure.
-        self.failed_tasks = failed_tasks
-
-
 class CheckpointError(EngineError):
     """Saving or restoring an engine checkpoint failed."""
 
@@ -111,10 +95,6 @@ class GridError(GridWFSError):
 
 class SubmissionError(GridError):
     """A GRAM-style job submission was rejected."""
-
-
-class HostDownError(SubmissionError):
-    """The target host is down at submission time."""
 
 
 class UnknownExecutableError(SubmissionError):

@@ -50,7 +50,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable
 
-__all__ = ["EventBus", "Subscription", "EventRecord"]
+__all__ = ["EventBus", "Subscription"]
 
 Handler = Callable[[str, Any], None]
 
@@ -67,15 +67,6 @@ class Subscription:
     pattern: str
     handler: Handler
     token: int
-
-
-@dataclass(frozen=True, slots=True)
-class EventRecord:
-    """One published event, as retained by :meth:`EventBus.enable_history`."""
-
-    seq: int
-    topic: str
-    payload: Any
 
 
 class _PatternEntry:
@@ -113,7 +104,6 @@ class EventBus:
         #: topic → handler-dict groups that match it, resolved lazily.
         self._routes: dict[str, tuple[dict[int, Handler], ...]] = {}
         self._next_token = 0
-        self._history: list[EventRecord] | None = None
         #: Publications dispatched, and publications :meth:`wants` turned
         #: away before they were built.
         self._seq = 0
@@ -223,14 +213,14 @@ class EventBus:
 
     def wants(self, topic: str) -> bool:
         """Whether a publication on *topic* would reach anyone right now:
-        history is on, a tap is attached, or a live handler is routed.
+        a tap is attached, or a live handler is routed.
 
         Ask once per publication about to be offered: ``False`` counts it
         as declined, and the caller skips building the payload (and the
         :meth:`publish` call).  Resolves and caches the topic's route
         exactly as :meth:`publish` would have.
         """
-        if self._taps or self._history is not None:
+        if self._taps:
             return True
         route = self._routes.get(topic)
         if route is None:
@@ -243,12 +233,6 @@ class EventBus:
 
     def publish(self, topic: str, payload: Any = None) -> int:
         """Publish *payload* on *topic*; returns number of handlers invoked."""
-        if self._history is not None:
-            self._history.append(
-                EventRecord(
-                    seq=self._seq + self._declined, topic=topic, payload=payload
-                )
-            )
         self._seq += 1
         taps = self._taps
         if taps:
@@ -284,17 +268,3 @@ class EventBus:
             "pattern_entries": len(self._patterns),
             "taps": len(self._taps),
         }
-
-    def enable_history(self) -> None:
-        """Start retaining every published event (for tests/diagnostics)."""
-        if self._history is None:
-            self._history = []
-
-    @property
-    def history(self) -> list[EventRecord]:
-        """Events recorded since :meth:`enable_history`; empty if disabled."""
-        return list(self._history or [])
-
-    def clear_history(self) -> None:
-        if self._history is not None:
-            self._history.clear()

@@ -173,14 +173,6 @@ class Host:
         else:
             self._queued = deque(p for p in self._queued if p.job_id != job_id)
 
-    @property
-    def running_jobs(self) -> list[str]:
-        return sorted(self._running)
-
-    @property
-    def queued_jobs(self) -> list[str]:
-        return [p.job_id for p in self._queued]
-
     # -- listeners ---------------------------------------------------------------
 
     def on_crash(self, listener: Callable[["Host"], None]) -> None:

@@ -4,8 +4,8 @@ One subsystem, three layers:
 
 * :mod:`repro.obs.metrics` — label-keyed counters / gauges / histograms
   with snapshot/merge for cross-process Monte-Carlo aggregation;
-* :mod:`repro.obs.spans` — nested spans stamped on both the simulation
-  clock and the wall clock, recorded into a bounded ring;
+* :mod:`repro.obs.spans` — parent-linked spans stamped on both the
+  simulation clock and the wall clock, recorded into a bounded ring;
 * :mod:`repro.obs.export` — JSON-lines, Prometheus text exposition, and
   Chrome ``trace_event`` renderings of one recording;
 

@@ -25,6 +25,7 @@ the plane's one routed subscription: the rest reads the bus's event log.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,6 +43,10 @@ __all__ = [
 
 ALERT_FIRED = "obs.alert.fired"
 ALERT_RESOLVED = "obs.alert.resolved"
+
+#: Fired/resolved edges ``/alerts`` keeps; a rule that flaps for ever on a
+#: long-lived host pushes the oldest out, like every other record here.
+_HISTORY = 256
 
 _OPS: dict[str, Callable[[float, float], bool]] = {
     ">": lambda v, t: v > t,
@@ -134,7 +139,7 @@ class HealthEngine:
         self._drift_sub: "Subscription | None" = None
         self._rules: list[HealthRule] = []
         self._states: dict[str, _RuleState] = {}
-        self._history: list[dict[str, Any]] = []
+        self._history: deque[dict[str, Any]] = deque(maxlen=_HISTORY)
         if bus is not None:
             self.attach_bus(bus)
 
@@ -380,13 +385,17 @@ def default_rules(
             )
         )
     if store is not None:
+
+        def publish_rate() -> float | None:
+            # Looked up, never created: no ring yet is no value, no breach.
+            ring = store.get("bus_publishes")
+            return ring.rate() if ring is not None else None
+
         engine.add_rule(
             HealthRule(
                 "event-flow-stalled",
                 kind="rate_of_change",
-                value=lambda: store.series(
-                    "bus_publishes", kind="counter"
-                ).rate(),
+                value=publish_rate,
                 op="<=",
                 threshold=0.0,
                 for_seconds=3 * sustain,

@@ -1,4 +1,4 @@
-"""Label-keyed metrics: counters, gauges, histograms and timers.
+"""Label-keyed metrics: counters, gauges and histograms.
 
 The registry is the quantitative half of :mod:`repro.obs` (spans are the
 temporal half).  Instruments are keyed by ``(family name, sorted labels)``
@@ -45,7 +45,7 @@ from __future__ import annotations
 import bisect
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, ContextManager, Iterator, Mapping
+from typing import Any, ContextManager, Iterator, Mapping
 
 from ..errors import GridWFSError
 
@@ -214,9 +214,9 @@ class BoundFamily:
     the tuple of label values.
 
     Handed out by :meth:`MetricsRegistry.family` and good for the
-    registry's lifetime: :meth:`MetricsRegistry.clear` and
-    :meth:`~MetricsRegistry.merge` empty the table in place, so a holder
-    never resolves to an instrument the registry has dropped.
+    registry's lifetime: :meth:`MetricsRegistry.clear` empties the table
+    in place, so a holder never resolves to an instrument the registry has
+    dropped.
     """
 
     __slots__ = ("spec", "_registry", "_children", "_sorted")
@@ -246,35 +246,10 @@ class BoundFamily:
         return child
 
 
-class _TimerContext:
-    """Context manager observing elapsed clock time into a histogram."""
-
-    __slots__ = ("_histogram", "_clock", "_start")
-
-    def __init__(self, histogram, clock: Callable[[], float]) -> None:
-        self._histogram = histogram
-        self._clock = clock
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        self._start = self._clock()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._histogram.observe(self._clock() - self._start)
-
-
 class MetricsRegistry:
     """Process-local table of labelled instruments."""
 
     def __init__(self) -> None:
-        #: Bumped by :meth:`clear` and :meth:`merge` — whatever replaces or
-        #: overwrites instruments behind their holders' backs.  Between
-        #: two reads of the same generation, families and their series
-        #: only grow (in registration order), and a value changes only
-        #: through the instrument itself; the time-series store, which
-        #: holds bound instruments, re-resolves when it moves.
-        self.generation = 0
         self._families: dict[str, _Family] = {}
         #: One bound family per declared (name, label names) ever asked
         #: for; holders keep theirs across a clear().
@@ -366,21 +341,6 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._keyword(name, "histogram", help, buckets, labels)
 
-    def timer(
-        self,
-        name: str,
-        clock: Callable[[], float],
-        *,
-        help: str = "",
-        buckets: tuple[float, ...] | None = None,
-        **labels: Any,
-    ) -> _TimerContext:
-        """``with registry.timer("phase_seconds", clock):`` — observes the
-        elapsed *clock* time (sim or wall, caller's choice) on exit."""
-        return _TimerContext(
-            self.histogram(name, help=help, buckets=buckets, **labels), clock
-        )
-
     # -- iteration / queries -------------------------------------------------
 
     def synced(self) -> ContextManager[Any]:
@@ -446,7 +406,6 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` from another registry (typically a pool
         worker) into this one: counters and histograms add, gauges take
         the snapshot's value."""
-        self._moved()
         for name, family_snap in snapshot.items():
             kind = family_snap["kind"]
             buckets = family_snap.get("buckets")
@@ -478,14 +437,9 @@ class MetricsRegistry:
                     hist.count += record["count"]
 
     def clear(self) -> None:
-        """Drop every family and series."""
-        self._moved()
+        """Drop every family and series (and what the bound families
+        resolved: their holders keep them across a clear)."""
+        for bound in self._bound.values():
+            bound._children.clear()
         self._families.clear()
         self._by_keyword.clear()
-
-    def _moved(self) -> None:
-        """Instruments are about to be replaced or overwritten: bump
-        :attr:`generation` and forget what the bound families resolved."""
-        self.generation += 1
-        for bound in (*self._bound.values(), *self._by_keyword.values()):
-            bound._children.clear()

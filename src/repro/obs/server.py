@@ -36,7 +36,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 
 from ..events import EventBus
-from .export import _finite, prometheus_text
+from .export import prometheus_text
 from .log import LogConsumer, LogRecord
 from .metrics import MetricsRegistry
 from .observer import ATTEMPT_OUTCOME
@@ -315,32 +315,7 @@ class TelemetryServer:
     def render_timeseries(self, name: str) -> dict[str, Any] | None:
         """Every labelled ring of one series family (value series and
         histogram tracks both), or None when the family is unknown."""
-        if self.store is None:
-            return None
-        series = [
-            {
-                "labels": dict(s.labels),
-                "kind": s.kind,
-                "step": s.step,
-                "points": s.points(),
-            }
-            for s in self.store.matching(name)
-        ]
-        histograms = [
-            {
-                "labels": dict(h.labels),
-                "bounds": list(h.bounds),
-                "step": h.step,
-                "p50": _finite(h.quantile(0.5)),
-                "p95": _finite(h.quantile(0.95)),
-                "p99": _finite(h.quantile(0.99)),
-                "observations": h.observations(),
-            }
-            for h in self.store.matching_histograms(name)
-        ]
-        if not series and not histograms:
-            return None
-        return {"name": name, "series": series, "histograms": histograms}
+        return self.store.family(name) if self.store is not None else None
 
 
 _ROUTES = [

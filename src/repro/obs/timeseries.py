@@ -4,42 +4,30 @@ The :class:`~repro.obs.metrics.MetricsRegistry` answers "what is the
 value *now*"; this module answers "what has it been doing".  A
 :class:`TimeSeriesStore` holds one :class:`Series` ring per (name,
 labels) pair, downsampled into fixed-step buckets on the **simulation
-clock**, with per-series retention (``capacity`` buckets — the oldest
+clock**, with bounded retention (``capacity`` buckets — the oldest
 bucket falls off when a newer one arrives).  Histograms are tracked as
 :class:`HistogramSeries`: periodic snapshots of the cumulative bucket
 counts, so windowed quantiles come from count *deltas* between two
 snapshots rather than the whole run.
 
-Design mirrors the registry on purpose:
-
-* **mergeable** — :meth:`TimeSeriesStore.snapshot` /
-  :meth:`TimeSeriesStore.merge` fold bucket-aligned points across
-  processes the way registry snapshots fold counters;
-* **export-agnostic** — :meth:`dump_jsonl` / :meth:`to_csv` are pure
-  renderings of the rings.
-
 Feeding happens on a cadence: :class:`PeriodicCollector` re-runs the
 end-of-run scrapers against the live registry and samples every registry
-family into the store on a recurring reactor timer, so ``/timeseries``
+series into the store on a recurring reactor timer, so ``/timeseries``
 and the drift/health layers see the same numbers ``/metrics`` serves.
-A tick does work only for the series whose value moved since the last
-one (see :class:`TimeSeriesStore`); the rest catch up when read.
+A tick costs one :meth:`Series.observe` per series, whatever moved: the
+schema is bounded by the specification (DESIGN.md §12), so series × ticks
+is a known quantity, and the ring is the only copy of a sampled number.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 import threading
 from array import array
-from contextlib import contextmanager
-from itertools import islice
-from math import copysign
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .export import atomic_write_text
+from .export import _finite
 from .metrics import LabelItems, _label_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,38 +50,20 @@ _STRIDE = 6
 #: One point as the bytes ``array.frombytes`` appends in a single copy.
 _pack_point = struct.Struct(f"{_STRIDE}d").pack
 
-#: ``Series._synced`` of a ring no registry instrument feeds: it is never
-#: behind the store's tick count.
-_UNFED = math.inf
-
-#: The tick log is not trimmed below this many entries.
-_MIN_TICK_LOG = 64
-
 
 class Series:
     """One metric's history: fixed-step buckets in a bounded ring.
 
-    ``kind`` shapes the window queries:
+    ``kind`` says what was sampled — a ``"gauge"`` level or a monotone
+    ``"counter"`` total; :meth:`rate` is the slope of the one and the
+    growth of the other, read off the *last* values at the two ends of
+    the window.
 
-    * ``"gauge"``   — sampled level; :meth:`rate` is the slope;
-    * ``"counter"`` — sampled monotone total; :meth:`rate` is the delta
-      of *last* values over the window span;
-    * ``"event"``   — each observation is one occurrence; :meth:`rate`
-      is occurrences per second.
+    A ring takes no lock of its own: the thread that writes it may read
+    it directly, any other reads through the :class:`TimeSeriesStore`.
     """
 
-    __slots__ = (
-        "name",
-        "labels",
-        "kind",
-        "step",
-        "capacity",
-        "_points",
-        "_store",
-        "_instrument",
-        "_held",
-        "_synced",
-    )
+    __slots__ = ("name", "labels", "kind", "step", "capacity", "_points")
 
     def __init__(
         self,
@@ -108,7 +78,7 @@ class Series:
             raise ValueError(f"step must be positive, got {step!r}")
         if capacity < 2:
             raise ValueError(f"capacity must be >= 2, got {capacity!r}")
-        if kind not in ("gauge", "counter", "event"):
+        if kind not in ("gauge", "counter"):
             raise ValueError(f"unknown series kind {kind!r}")
         self.name = name
         self.labels = labels
@@ -116,41 +86,14 @@ class Series:
         self.step = step
         self.capacity = capacity
         self._points = array("d")
-        #: The store this ring belongs to, if any.  While a registry
-        #: instrument feeds the ring (:meth:`TimeSeriesStore.collect`),
-        #: ``_instrument`` is that instrument, ``_held`` the value last
-        #: sampled and ``_synced`` how many of the store's ticks the ring
-        #: reflects; the ticks in between sampled ``_held`` again and are
-        #: replayed on the next read or write.  Read through the methods
-        #: below, never ``_points``.
-        self._store: "TimeSeriesStore | None" = None
-        self._instrument: Any = None
-        self._held = math.nan
-        self._synced: float = _UNFED
-
-    @contextmanager
-    def _reading(self) -> Iterator[array]:
-        """The ring, caught up with its store's ticks, for the length of
-        one read (under the store's lock: a read may write)."""
-        store = self._store
-        if store is None:
-            yield self._points
-            return
-        with store._lock:
-            store._replay(self)
-            yield self._points
 
     def __len__(self) -> int:
-        with self._reading() as points:
-            return len(points) // _STRIDE
+        return len(self._points) // _STRIDE
 
-    def observe(self, t: float, value: float = 1.0) -> None:
+    def observe(self, t: float, value: float) -> None:
         """Record *value* at simulation time *t* (downsampled into the
         ``t // step`` bucket; out-of-order samples fold into the newest
         bucket rather than being dropped)."""
-        store = self._store
-        if store is not None and self._synced < store._tick_count:
-            store._replay(self)
         bucket = math.floor(t / self.step) * self.step
         points = self._points
         size = len(points)
@@ -175,50 +118,40 @@ class Series:
         self, since: float | None = None, until: float | None = None
     ) -> list[dict[str, float]]:
         """JSON-safe points in ``[since, until]`` (whole ring by default)."""
-        with self._reading() as points:
-            return [
-                {
-                    "t": points[p],
-                    "count": int(points[p + _N]),
-                    "sum": points[p + _SUM],
-                    "min": points[p + _MIN],
-                    "max": points[p + _MAX],
-                    "last": points[p + _LAST],
-                }
-                for p in _window(points, since, until)
-            ]
-
-    def latest(self) -> float | None:
-        """Most recent observed value, or None on an empty ring."""
-        with self._reading() as points:
-            return points[-1] if points else None
-
-    def mean(self, since: float | None = None) -> float | None:
-        """Mean of the raw observations in the window."""
-        with self._reading() as points:
-            window = _window(points, since, None)
-            total = sum(points[p + _N] for p in window)
-            if not total:
-                return None
-            return sum(points[p + _SUM] for p in window) / total
+        points = self._points
+        return [
+            {
+                "t": points[p],
+                "count": int(points[p + _N]),
+                "sum": points[p + _SUM],
+                "min": points[p + _MIN],
+                "max": points[p + _MAX],
+                "last": points[p + _LAST],
+            }
+            for p in _window(points, since, until)
+        ]
 
     def rate(self, since: float | None = None) -> float | None:
-        """Per-second rate over the window (see class docstring for how
-        each kind derives it); None when the window can't support one."""
-        with self._reading() as points:
-            window = _window(points, since, None)
-            if not window:
-                return None
-            first, last = window[0], window[-1]
-            if self.kind == "event":
-                span = points[last] - points[first] + self.step
-                return sum(points[p + _N] for p in window) / span
-            if len(window) < 2:
-                return None
-            span = points[last] - points[first]
-            if span <= 0:
-                return None
-            return (points[last + _LAST] - points[first + _LAST]) / span
+        """Per-second rate over the window (see the class docstring);
+        None when the window can't support one."""
+        points = self._points
+        window = _window(points, since, None)
+        if len(window) < 2:
+            return None
+        first, last = window[0], window[-1]
+        span = points[last] - points[first]
+        if span <= 0:
+            return None
+        return (points[last + _LAST] - points[first + _LAST]) / span
+
+    def render(self) -> dict[str, Any]:
+        """The ring as JSON-able data (one entry of a store snapshot)."""
+        return {
+            "labels": dict(self.labels),
+            "kind": self.kind,
+            "step": self.step,
+            "points": self.points(),
+        }
 
 
 def _window(
@@ -240,17 +173,10 @@ class HistogramSeries:
     :meth:`quantile` differences the first and last snapshot of a window
     and reads the bucket-resolution quantile off the *delta* counts —
     "p95 over the last 60 virtual seconds", not since process start.
+    Like a :class:`Series`, a track takes no lock of its own.
     """
 
-    __slots__ = (
-        "name",
-        "labels",
-        "bounds",
-        "step",
-        "capacity",
-        "_samples",
-        "_instrument",
-    )
+    __slots__ = ("name", "labels", "bounds", "step", "capacity", "_samples")
 
     def __init__(
         self,
@@ -267,9 +193,6 @@ class HistogramSeries:
         self.step = step
         self.capacity = capacity
         self._samples: list[tuple[float, tuple[int, ...], int, float]] = []
-        #: The registry histogram :meth:`TimeSeriesStore.collect` samples
-        #: into this track, while one does.
-        self._instrument: Any = None
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -323,32 +246,27 @@ class HistogramSeries:
         delta = self._delta(since)
         return 0 if delta is None else delta[1]
 
-
-class _Feed:
-    """The rings one registry family feeds, in the family's own series
-    order (which only ever grows); each ring holds its instrument."""
-
-    __slots__ = ("family", "series")
-
-    def __init__(self, family: Any) -> None:
-        self.family = family
-        self.series: list[Any] = []
+    def render(self) -> dict[str, Any]:
+        """The track's whole-ring quantiles as JSON-able data."""
+        return {
+            "labels": dict(self.labels),
+            "bounds": list(self.bounds),
+            "step": self.step,
+            "p50": _finite(self.quantile(0.5)),
+            "p95": _finite(self.quantile(0.95)),
+            "p99": _finite(self.quantile(0.99)),
+            "observations": self.observations(),
+        }
 
 
 class TimeSeriesStore:
-    """Label-keyed table of bounded series rings.
+    """Label-keyed table of bounded series rings, all of one ``step`` and
+    ``capacity``.
 
-    ``step`` and ``capacity`` are store-wide defaults; individual series
-    may override both.
-
-    :meth:`collect` costs one comparison per registry series whose value
-    held still and one :meth:`Series.observe` per series whose value
-    moved.  The store logs each tick's time instead; a ring that sat
-    ticks out replays them, with the value it held, when it is next read
-    or written — every accessor here and every :class:`Series` read
-    method does so, under one lock that also serialises them against
-    :meth:`collect`, so what any reader sees is what sampling every
-    series on every tick would have built.
+    One lock serialises every method here: :meth:`collect` runs on the
+    reactor's thread, :meth:`names`, :meth:`family` and :meth:`snapshot`
+    on whichever thread serves a request, and what a reader gets is a
+    rendering made while no tick was writing.  No read creates a ring.
     """
 
     def __init__(
@@ -362,358 +280,92 @@ class TimeSeriesStore:
         #: name → label key → ring, families and rings in first-seen order.
         self._series: dict[str, dict[LabelItems, Series]] = {}
         self._histograms: dict[str, dict[LabelItems, HistogramSeries]] = {}
-        self._lock = threading.RLock()
-        #: ``(registry, registry.generation)`` the feeds were bound under,
-        #: and one feed per registry family in registration order.
-        self._source: tuple[Any, int] | None = None
-        self._feeds: list[_Feed] = []
-        #: The tick log: non-decreasing times of recent collect() calls.
-        #: ``_tick_count`` ticks were ever logged, the first ``_tick_base``
-        #: of them already trimmed off; the log is next trimmed when it
-        #: grows past ``_tick_limit``.  ``_shapes`` are the (step,
-        #: capacity) pairs of fed rings, which decide what can be trimmed.
-        self._tick_times: list[float] = []
-        self._tick_base = 0
-        self._tick_count = 0
-        self._tick_limit = _MIN_TICK_LOG
-        self._shapes: set[tuple[float, int]] = set()
+        self._lock = threading.Lock()
 
-    # -- series lookup -------------------------------------------------------
+    # -- writes --------------------------------------------------------------
 
-    def series(
-        self,
-        name: str,
-        *,
-        kind: str = "gauge",
-        step: float | None = None,
-        capacity: int | None = None,
-        **labels: Any,
-    ) -> Series:
-        return self._series_for(name, _label_key(labels), kind, step, capacity)
-
-    def _series_for(
-        self,
-        name: str,
-        key: LabelItems,
-        kind: str,
-        step: float | None = None,
-        capacity: int | None = None,
-    ) -> Series:
+    def _series_for(self, name: str, key: LabelItems, kind: str) -> Series:
         table = self._series.get(name)
-        series = table.get(key) if table is not None else None
+        if table is None:
+            table = self._series[name] = {}
+        series = table.get(key)
         if series is None:
-            series = Series(
-                name,
-                labels=key,
-                kind=kind,
-                step=step if step is not None else self.step,
-                capacity=capacity if capacity is not None else self.capacity,
+            series = table[key] = Series(
+                name, labels=key, kind=kind, step=self.step, capacity=self.capacity
             )
-            series._store = self
-            # Readers on other threads iterate the tables under the lock.
-            with self._lock:
-                if table is None:
-                    table = self._series[name] = {}
-                table[key] = series
         return series
 
     def _histogram_for(
         self, name: str, key: LabelItems, bounds: tuple[float, ...]
     ) -> HistogramSeries:
         table = self._histograms.get(name)
-        series = table.get(key) if table is not None else None
-        if series is None:
-            series = HistogramSeries(
+        if table is None:
+            table = self._histograms[name] = {}
+        track = table.get(key)
+        if track is None:
+            track = table[key] = HistogramSeries(
                 name, bounds, labels=key, step=self.step, capacity=self.capacity
             )
-            with self._lock:
-                if table is None:
-                    table = self._histograms[name] = {}
-                table[key] = series
-        return series
+        return track
 
     def observe(
-        self, name: str, t: float, value: float = 1.0, *, kind: str = "gauge",
+        self, name: str, t: float, value: float, *, kind: str = "gauge",
         **labels: Any,
     ) -> None:
-        self.series(name, kind=kind, **labels).observe(t, value)
-
-    # -- registry sampling ---------------------------------------------------
+        """One observation of ``name{labels}``, its ring created on first
+        use (what :meth:`collect` does per registry series)."""
+        with self._lock:
+            self._series_for(name, _label_key(labels), kind).observe(t, value)
 
     def collect(self, registry: "MetricsRegistry", now: float) -> None:
-        """Sample every registry family into the store at time *now*:
+        """Sample every registry series into the store at time *now*:
         counters and gauges land in value series, histograms in
-        cumulative-count snapshots.
-
-        A value series whose instrument still reads what it last sampled
-        is left alone (the tick goes in the log, see the class
-        docstring); NaN never equals itself and so is sampled every tick.
-        """
+        cumulative-count snapshots."""
         with self._lock:
-            source = (registry, registry.generation)
-            if source != self._source:
-                # Another registry, or this one cleared or merged into:
-                # the old instruments feed nothing from here on.
-                self._settle(release=True)
-                self._source = source
-            times = self._tick_times
-            if times and now < times[-1]:
-                # Replay and trimming rely on an ordered log.
-                self._settle(release=False)
-            feeds = self._feeds
-            after = self._tick_count + 1
-            for index, family in enumerate(registry.families()):
-                if index == len(feeds):
-                    feeds.append(_Feed(family))
-                feed = feeds[index]
-                fed = feed.series
-                if len(family.series) > len(fed):
-                    self._bind(feed)
+            for family in registry.families():
+                name = family.name
                 if family.kind == "histogram":
-                    for track in fed:
-                        hist = track._instrument
+                    for key, hist in family.series.items():
+                        track = self._histogram_for(name, key, hist.bounds)
                         track.sample(now, hist.counts, hist.count, hist.sum)
-                    continue
-                for series in fed:
-                    value = series._instrument.value
-                    held = series._held
-                    if value == held and (
-                        value or copysign(1.0, value) == copysign(1.0, held)
-                    ):
-                        continue
-                    # observe() first replays the ticks the ring sat out.
-                    series.observe(now, value)
-                    series._held = value
-                    series._synced = after
-            times.append(now)
-            self._tick_count = after
-            if len(times) > self._tick_limit:
-                self._trim_ticks()
+                else:
+                    kind = "counter" if family.kind == "counter" else "gauge"
+                    for key, instrument in family.series.items():
+                        self._series_for(name, key, kind).observe(
+                            now, instrument.value
+                        )
 
-    def _bind(self, feed: _Feed) -> None:
-        """Pair the family's series that appeared since the last tick
-        with their rings (creating those the store has not seen)."""
-        family = feed.family
-        fed = feed.series
-        fresh = islice(family.series.items(), len(fed), None)
-        if family.kind == "histogram":
-            for key, hist in fresh:
-                track = self._histogram_for(family.name, key, hist.bounds)
-                track._instrument = hist
-                fed.append(track)
-            return
-        kind = "counter" if family.kind == "counter" else "gauge"
-        for key, instrument in fresh:
-            # An unfed ring holds NaN: sampled on this tick whatever it reads.
-            series = self._series_for(family.name, key, kind)
-            series._instrument = instrument
-            self._shapes.add((series.step, series.capacity))
-            fed.append(series)
-
-    def _replay(self, series: Series) -> None:
-        """Bring a fed ring up to date: one ``observe(t, held)`` per tick
-        it sat out, oldest first (nothing to do for any other ring)."""
-        with self._lock:
-            if series._synced >= self._tick_count:
-                return
-            start = series._synced - self._tick_base
-            series._synced = self._tick_count  # observe() checks it
-            times = self._tick_times
-            held = series._held
-            observe = series.observe
-            if start < 0:
-                # -start of its ticks are off the log; none was later
-                # than times[0].  If even that one folds into the ring's
-                # newest bucket they all did, and any time that folds
-                # stands in for theirs.  Otherwise the log still spans
-                # capacity + 1 newer buckets (_trim_ticks), which push
-                # out whatever the trimmed ticks would have built.
-                points = series._points
-                first = times[0]
-                step = series.step
-                if points and math.floor(first / step) * step <= points[-_STRIDE]:
-                    for _ in range(-start):
-                        observe(first, held)
-                start = 0
-            for t in islice(times, start, None):
-                observe(t, held)
-
-    def _trim_ticks(self) -> None:
-        """Drop the ticks no ring can need: all but the newest that, for
-        every fed ring's (step, capacity), span capacity + 1 buckets —
-        a ring further behind than that keeps none of the older ones."""
-        times = self._tick_times
-        keep = len(times)
-        for step, capacity in self._shapes:
-            index, buckets, newest = len(times), 0, None
-            while index and buckets <= capacity:
-                index -= 1
-                bucket = math.floor(times[index] / step)
-                if bucket != newest:
-                    newest = bucket
-                    buckets += 1
-            keep = min(keep, index)
-        del times[:keep]
-        self._tick_base += keep
-        self._tick_limit = max(_MIN_TICK_LOG, 2 * len(times))
-
-    def _settle(self, *, release: bool) -> None:
-        """Replay every fed ring up to the last tick and empty the log;
-        with *release*, the instruments also stop feeding them."""
-        for feed in self._feeds:
-            if feed.family.kind == "histogram":
-                if release:
-                    for track in feed.series:
-                        track._instrument = None
-                continue
-            for series in feed.series:
-                self._replay(series)
-                if release:
-                    series._instrument = None
-                    series._held = math.nan
-                    series._synced = _UNFED
-        if release:
-            self._feeds = []
-            self._shapes.clear()
-        del self._tick_times[:]
-        self._tick_base = self._tick_count
-
-    # -- queries -------------------------------------------------------------
+    # -- reads ---------------------------------------------------------------
 
     def names(self) -> list[str]:
         with self._lock:
             return sorted(self._series.keys() | self._histograms.keys())
 
     def get(self, name: str, **labels: Any) -> Series | None:
+        """The ring of ``name{labels}`` if the store holds one — for the
+        thread that ticks; another thread reads :meth:`family`."""
         table = self._series.get(name)
         return table.get(_label_key(labels)) if table is not None else None
 
-    def all_series(self) -> Iterator[Series]:
-        """Every value series, family by family."""
+    def family(self, name: str) -> dict[str, Any] | None:
+        """Every labelled ring of one family name, value series and
+        histogram tracks both, or None when the store holds neither."""
         with self._lock:
-            return iter(
-                [s for table in self._series.values() for s in table.values()]
-            )
-
-    def matching(self, name: str) -> list[Series]:
-        """Every labelled series of one family name."""
-        with self._lock:
-            return list(self._series.get(name, {}).values())
-
-    def matching_histograms(self, name: str) -> list[HistogramSeries]:
-        with self._lock:
-            return list(self._histograms.get(name, {}).values())
-
-    # -- snapshots (cross-process aggregation) -------------------------------
+            series = [s.render() for s in self._series.get(name, {}).values()]
+            histograms = [
+                h.render() for h in self._histograms.get(name, {}).values()
+            ]
+        if not series and not histograms:
+            return None
+        return {"name": name, "series": series, "histograms": histograms}
 
     def snapshot(self) -> dict:
-        """JSON-able dump of every series ring (the merge wire format)."""
+        """JSON-able dump of every value series ring."""
         with self._lock:
             return {
-                name: [
-                    {
-                        "labels": dict(series.labels),
-                        "kind": series.kind,
-                        "step": series.step,
-                        "points": series.points(),
-                    }
-                    for series in table.values()
-                ]
+                name: [series.render() for series in table.values()]
                 for name, table in self._series.items()
             }
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold another store's :meth:`snapshot` into this one: points
-        align by bucket time (counts/sums add, min/max widen, the later
-        snapshot's *last* wins)."""
-        with self._lock:
-            for name, records in snapshot.items():
-                for record in records:
-                    series = self.series(
-                        name, kind=record.get("kind", "gauge"), **record["labels"]
-                    )
-                    self._replay(series)
-                    points = series._points
-                    size = len(points)
-                    by_bucket = {points[p]: p for p in range(0, size, _STRIDE)}
-                    for point in record["points"]:
-                        mine = by_bucket.get(point["t"])
-                        if mine is None:
-                            points.extend(
-                                (
-                                    point["t"],
-                                    point["count"],
-                                    point["sum"],
-                                    point["min"],
-                                    point["max"],
-                                    point["last"],
-                                )
-                            )
-                        else:
-                            points[mine + _N] += point["count"]
-                            points[mine + _SUM] += point["sum"]
-                            points[mine + _MIN] = min(
-                                points[mine + _MIN], point["min"]
-                            )
-                            points[mine + _MAX] = max(
-                                points[mine + _MAX], point["max"]
-                            )
-                            points[mine + _LAST] = point["last"]
-                    if len(points) > size:
-                        # Stable by bucket time, as sorting the points
-                        # themselves would be.
-                        order = sorted(
-                            range(0, len(points), _STRIDE), key=points.__getitem__
-                        )
-                        order = order[-series.capacity :]
-                        series._points = array(
-                            "d", [x for p in order for x in points[p : p + _STRIDE]]
-                        )
-
-    # -- exports -------------------------------------------------------------
-
-    def _sorted_series(self) -> Iterator[tuple[str, Series]]:
-        """``(name, series)`` by name, then by label key."""
-        for name in sorted(self._series):
-            table = self._series[name]
-            for key in sorted(table):
-                yield name, table[key]
-
-    def dump_jsonl(self, path: str | Path) -> int:
-        """One JSON line per series ring; returns the line count."""
-        lines = []
-        with self._lock:
-            for name, series in self._sorted_series():
-                lines.append(
-                    json.dumps(
-                        {
-                            "series": name,
-                            "labels": dict(series.labels),
-                            "kind": series.kind,
-                            "step": series.step,
-                            "points": series.points(),
-                        },
-                        sort_keys=True,
-                    )
-                )
-        atomic_write_text(path, "".join(line + "\n" for line in lines))
-        return len(lines)
-
-    def to_csv(self, name: str | None = None) -> str:
-        """Flat CSV of the rings (one row per point), optionally filtered
-        to one family name."""
-        rows = ["series,labels,t,count,sum,min,max,last"]
-        with self._lock:
-            for family, series in self._sorted_series():
-                if name is not None and family != name:
-                    continue
-                label_text = ";".join(f"{k}={v}" for k, v in series.labels)
-                for p in series.points():
-                    rows.append(
-                        f"{family},{label_text},{p['t']:g},{p['count']:g},"
-                        f"{p['sum']:g},{p['min']:g},{p['max']:g},{p['last']:g}"
-                    )
-        return "\n".join(rows) + "\n"
 
 
 class PeriodicCollector:

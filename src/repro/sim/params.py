@@ -125,25 +125,6 @@ class SimulationParams:
     def with_runs(self, runs: int) -> "SimulationParams":
         return replace(self, runs=runs)
 
-    def with_checkpoints(self, checkpoints: int) -> "SimulationParams":
-        return replace(self, checkpoints=checkpoints)
-
-    def with_replicas(self, replicas: int) -> "SimulationParams":
-        return replace(self, replicas=replicas)
-
-    def with_backoff(
-        self,
-        retry_interval: float,
-        backoff_factor: float = 2.0,
-        max_retry_interval: float | None = None,
-    ) -> "SimulationParams":
-        return replace(
-            self,
-            retry_interval=retry_interval,
-            backoff_factor=backoff_factor,
-            max_retry_interval=max_retry_interval,
-        )
-
 
 #: Figures 10–12 configuration: F=30, K=20, C=R=0.5, N=3, D=0.
 PAPER_BASELINE = SimulationParams()

@@ -21,8 +21,11 @@ def reactor(kernel: SimKernel) -> SimReactor:
 
 @pytest.fixture
 def bus() -> EventBus:
+    """A tapped bus: ``bus.published`` lists every ``(topic, payload)``
+    in publish order."""
     bus = EventBus()
-    bus.enable_history()
+    bus.published = published = []
+    bus.add_tap(lambda topic, payload: published.append((topic, payload)))
     return bus
 
 

@@ -35,7 +35,7 @@ def detector(reactor, bus):
 
 
 def outcomes(bus, topic):
-    return [r.payload for r in bus.history if r.topic == topic]
+    return [payload for at, payload in bus.published if at == topic]
 
 
 def track(detector, job="j1", activity="act", host="n1"):
@@ -225,7 +225,7 @@ class TestVerdictCallback:
             TASK_EXCEPTION,
         ]
         handed = [what for kind, what in calls if kind == "call"]
-        narrated = [r.payload for r in bus.history if r.topic != TASK_ACTIVE]
+        narrated = [payload for topic, payload in bus.published if topic != TASK_ACTIVE]
         assert [o.job_id for o in handed] == ["j1", "j2", "j3"]
         assert all(a is b for a, b in zip(handed, narrated))
 

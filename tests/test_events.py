@@ -254,35 +254,6 @@ class TestRecursivePublish:
         assert seen == [2]
 
 
-class TestHistory:
-    def test_history_disabled_by_default(self):
-        bus = EventBus()
-        bus.publish("x", 1)
-        assert bus.history == []
-
-    def test_history_records_topic_payload_and_sequence(self):
-        bus = EventBus()
-        bus.enable_history()
-        bus.publish("a", 1)
-        bus.publish("b", 2)
-        assert [(r.topic, r.payload) for r in bus.history] == [("a", 1), ("b", 2)]
-        assert bus.history[0].seq < bus.history[1].seq
-
-    def test_clear_history(self):
-        bus = EventBus()
-        bus.enable_history()
-        bus.publish("a", 1)
-        bus.clear_history()
-        assert bus.history == []
-
-    def test_enable_history_twice_keeps_records(self):
-        bus = EventBus()
-        bus.enable_history()
-        bus.publish("a", 1)
-        bus.enable_history()
-        assert len(bus.history) == 1
-
-
 class TestWants:
     def test_nobody_listening_declines_and_still_counts_as_offered(self):
         bus = EventBus()
@@ -292,14 +263,6 @@ class TestWants:
         stats = bus.stats()
         assert stats["declined"] == 2
         assert stats["publishes"] == 3
-
-    def test_history_sequence_numbers_count_declined_publications(self):
-        bus = EventBus()
-        assert not bus.wants("x")
-        bus.enable_history()
-        assert bus.wants("x")
-        bus.publish("x", 1)
-        assert [r.seq for r in bus.history] == [1]
 
 
 #: Exact, trailing-star and general patterns over a small topic alphabet, plus enough
@@ -313,7 +276,7 @@ _TOPICS = ("a.x", "a.y", "b.x", "b.y", "a.q.z", "c") + tuple(
 class BusChurn(RuleBasedStateMachine):
     """``wants`` and ``publish`` must agree whatever the subscription set
     has been through: ``wants(t)`` is true exactly when ``publish(t, …)``
-    would reach a handler, a tap or the history."""
+    would reach a handler or a tap."""
 
     subscriptions = Bundle("subscriptions")
 
@@ -368,22 +331,16 @@ class BusChurn(RuleBasedStateMachine):
         self.taps.remove(tap)
         self.bus.remove_tap(tap)
 
-    @rule()
-    def enable_history(self):
-        self.bus.enable_history()
-
     @rule(topic=st.sampled_from(_TOPICS))
     def offer(self, topic):
         wanted = self.bus.wants(topic)
         if not wanted:
             self.declined += 1
         # Publish regardless, to see what the answer should have been.
-        recorded = len(self.bus.history)
         self.calls = 0
         delivered = self.bus.publish(topic, None)
         self.dispatched += 1
-        reached = self.calls > 0 or len(self.bus.history) > recorded
-        assert wanted == reached
+        assert wanted == (self.calls > 0)
         assert delivered == self.calls - len(self.taps)
 
     @invariant()

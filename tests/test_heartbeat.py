@@ -20,11 +20,11 @@ def monitor(reactor, bus):
 
 
 def suspected_events(bus):
-    return [r.payload for r in bus.history if r.topic == HOST_SUSPECTED]
+    return [payload for topic, payload in bus.published if topic == HOST_SUSPECTED]
 
 
 def recovered_events(bus):
-    return [r.payload for r in bus.history if r.topic == HOST_RECOVERED]
+    return [payload for topic, payload in bus.published if topic == HOST_RECOVERED]
 
 
 class TestSuspicion:

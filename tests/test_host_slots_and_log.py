@@ -166,12 +166,12 @@ class TestMessageLog:
         ):
             log.record(msg)
         bus = EventBus()
-        bus.enable_history()
+        done = []
+        bus.subscribe(TASK_DONE, lambda _topic, outcome: done.append(outcome))
         detector = FailureDetector(reactor, bus)
         detector.track("j1", "act", "n1")
         count = MessageLog.replay(log.path, detector.deliver)
         assert count == 3
-        done = [r.payload for r in bus.history if r.topic == TASK_DONE]
         assert done and done[0].state is TaskState.DONE and done[0].result == 42
 
     def test_corrupt_line_raises_with_line_number(self, tmp_path):

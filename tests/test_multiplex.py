@@ -273,16 +273,12 @@ class TestEventScoping:
         engine = WorkflowEngine(
             single_task_workflow(), grid, reactor=grid.reactor
         )
-        engine.runtime.bus.enable_history()
+        done = []
+        engine.runtime.bus.subscribe("task.done", lambda _t, o: done.append(o))
         result = engine.run(timeout=1e7)
         assert result.succeeded
-        done = [
-            r
-            for r in engine.runtime.bus.history
-            if r.topic == "task.done"
-        ]
         assert len(done) == 1
-        assert done[0].payload.workflow_id == ""
+        assert done[0].workflow_id == ""
 
 
 class TestDeterminism:

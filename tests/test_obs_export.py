@@ -80,11 +80,15 @@ class TestPrometheusText:
 
 def recorded_spans() -> list:
     rec = SpanRecorder()
-    node = rec.interval("node.run", 0.0, 30.0, node="FU")
-    rec.interval(
-        "task.attempt", 0.0, 10.0, parent=node.id, node="FU", outcome="failed"
-    )
-    rec.interval("mc.shard", 5.0, 25.0, technique="retrying")
+
+    def interval(name, sim_start, sim_end, parent=None, **labels):
+        span = rec.record(name, labels, parent, sim_start, 0.0)
+        span.sim_end, span.wall_end = sim_end, 0.0
+        return span
+
+    node = interval("node.run", 0.0, 30.0, node="FU")
+    interval("task.attempt", 0.0, 10.0, node.id, node="FU", outcome="failed")
+    interval("mc.shard", 5.0, 25.0, technique="retrying")
     return rec.spans
 
 
@@ -125,7 +129,7 @@ class TestChromeTrace:
 
     def test_open_span_renders_zero_duration(self):
         rec = SpanRecorder()
-        rec.begin("workflow.run")
+        rec.record("workflow.run", {}, None, 0.0, 0.0)
         [event] = [
             e for e in chrome_trace(rec.spans)["traceEvents"] if e["ph"] == "X"
         ]

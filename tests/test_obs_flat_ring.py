@@ -3,23 +3,23 @@
 :class:`ListRing` is the ring :class:`~repro.obs.timeseries.Series` used
 to be — a list of six-element lists, evicting from the front — kept here
 as the reference.  Random interleavings of observations (out of order,
-NaN, both zeros), reads through every window query, merges and — at store
-level — runs of collector ticks that let rings lag behind a trimmed tick
-log must leave both rendering the same JSON.  Capacities are 2–6, so the
-ring is full and evicting in most examples.
+NaN, both zeros, both infinities), reads through every window query and —
+at store level — collector ticks (several per bucket, runs of them with
+nothing written in between, one that goes back in time), registry resets
+and merges between ticks and direct observations must leave both
+rendering the same JSON.  Capacities are 2–8, so the ring is full and
+evicting in most examples.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, Series, TimeSeriesStore
-from repro.obs import timeseries
 
 T, N, SUM, MIN, MAX, LAST = range(6)
 
@@ -27,13 +27,12 @@ T, N, SUM, MIN, MAX, LAST = range(6)
 class ListRing:
     """Reference ring: the list-of-lists implementation, as it was."""
 
-    def __init__(self, *, kind: str, step: float, capacity: int) -> None:
-        self.kind = kind
+    def __init__(self, *, step: float, capacity: int) -> None:
         self.step = step
         self.capacity = capacity
         self.ring: list[list[float]] = []
 
-    def observe(self, t: float, value: float = 1.0) -> None:
+    def observe(self, t: float, value: float) -> None:
         bucket = math.floor(t / self.step) * self.step
         ring = self.ring
         if ring and bucket <= ring[-1][T]:
@@ -71,46 +70,14 @@ class ListRing:
             for p in self._window(since, until)
         ]
 
-    def latest(self):
-        return self.ring[-1][LAST] if self.ring else None
-
-    def mean(self, since=None):
-        window = self._window(since, None)
-        total = sum(p[N] for p in window)
-        return sum(p[SUM] for p in window) / total if total else None
-
     def rate(self, since=None):
         window = self._window(since, None)
-        if not window:
-            return None
-        if self.kind == "event":
-            span = window[-1][T] - window[0][T] + self.step
-            return sum(p[N] for p in window) / span
         if len(window) < 2:
             return None
         span = window[-1][T] - window[0][T]
         if span <= 0:
             return None
         return (window[-1][LAST] - window[0][LAST]) / span
-
-    def merge(self, points: list[dict]) -> None:
-        ring = self.ring
-        by_bucket = {p[T]: p for p in ring}
-        for point in points:
-            mine = by_bucket.get(point["t"])
-            if mine is None:
-                ring.append(
-                    [point[k] for k in ("t", "count", "sum", "min", "max", "last")]
-                )
-            else:
-                mine[N] += point["count"]
-                mine[SUM] += point["sum"]
-                mine[MIN] = min(mine[MIN], point["min"])
-                mine[MAX] = max(mine[MAX], point["max"])
-                mine[LAST] = point["last"]
-        ring.sort(key=lambda p: p[T])
-        if len(ring) > self.capacity:
-            del ring[: len(ring) - self.capacity]
 
 
 def same(value) -> str:
@@ -126,25 +93,18 @@ values = st.one_of(
 )
 times = st.floats(0.0, 40.0)
 sinces = st.one_of(st.none(), st.floats(0.0, 40.0))
-READS = ("points", "window", "latest", "mean", "rate", "len")
+READS = ("points", "window", "rate", "len")
 
 series_ops = st.one_of(
     st.tuples(st.just("observe"), times, values),
     st.tuples(st.just("observe"), times, values),
     st.tuples(st.just("read"), st.sampled_from(READS), sinces),
-    st.tuples(
-        st.just("merge"), st.lists(st.tuples(times, values), min_size=1, max_size=4)
-    ),
 )
 
 
 def read(ring, how: str, since):
     if how == "window":
         return ring.points(since, None if since is None else since + 9.0)
-    if how == "latest":
-        return ring.latest()
-    if how == "mean":
-        return ring.mean(since)
     if how == "rate":
         return ring.rate(since)
     if how == "len":
@@ -157,105 +117,107 @@ def read(ring, how: str, since):
     st.lists(series_ops, max_size=60),
     st.integers(2, 6),
     st.sampled_from([1.0, 2.5]),
-    st.sampled_from(["gauge", "counter", "event"]),
 )
-def test_flat_ring_equals_the_list_ring(ops, capacity, step, kind):
-    store = TimeSeriesStore(step=step, capacity=capacity)
-    flat = store.series("s", kind=kind)
-    assert isinstance(flat, Series)
-    listed = ListRing(kind=kind, step=step, capacity=capacity)
+def test_flat_ring_equals_the_list_ring(ops, capacity, step):
+    flat = Series("s", step=step, capacity=capacity)
+    listed = ListRing(step=step, capacity=capacity)
     for op in ops:
         if op[0] == "observe":
             flat.observe(op[1], op[2])
             listed.observe(op[1], op[2])
-        elif op[0] == "read":
-            assert same(read(flat, op[1], op[2])) == same(read(listed, op[1], op[2]))
         else:
-            donor = TimeSeriesStore(step=step, capacity=capacity)
-            for t, value in op[1]:
-                donor.observe("s", t, value, kind=kind)
-            snapshot = donor.snapshot()
-            store.merge(snapshot)
-            listed.merge(snapshot["s"][0]["points"])
+            assert same(read(flat, op[1], op[2])) == same(read(listed, op[1], op[2]))
     assert same(flat.points()) == same(listed.points())
     assert all(type(p["count"]) is int for p in flat.points())
     assert len(flat) <= capacity
 
 
+#: Against step 1.0 (or 2.5): several ticks per bucket, one, and gaps.
+advances = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5, 7.0])
+gauges = st.integers(0, 3)
+
 store_ops = st.one_of(
-    st.tuples(st.just("set"), st.integers(0, 3), values),
-    st.tuples(st.just("inc"), st.integers(0, 3), st.sampled_from([0.0, 1.0, 0.5])),
-    # Runs of ticks with nothing written in between let rings lag, and a
-    # log allowed to trim from 4 entries makes them lag behind the log.
-    st.tuples(
-        st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]), st.integers(1, 25)
-    ),
-    st.tuples(
-        st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]), st.integers(1, 25)
-    ),
-    st.tuples(st.just("read"), st.integers(0, 3)),
-    st.tuples(st.just("merge"), st.integers(0, 3), times, values),
+    st.tuples(st.just("set"), gauges, values),
+    st.tuples(st.just("inc"), gauges, st.sampled_from([0.0, 1.0, 0.5])),
+    # Runs of ticks with nothing written in between: the same value again.
+    st.tuples(st.just("tick"), advances, st.integers(1, 25)),
+    st.tuples(st.just("tick"), advances, st.integers(1, 25)),
+    st.tuples(st.just("tick_back"), st.floats(0.0, 5.0)),
+    st.tuples(st.just("read"), gauges, sinces),
+    # The registry replaced or overwritten behind the store's back.
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("merge"), gauges, values),
+    # A direct write to a ring the collector feeds (or will).
+    st.tuples(st.just("observe"), gauges, st.floats(0.0, 80.0), values),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(store_ops, max_size=40), st.integers(2, 6), st.sampled_from([1.0, 2.5]))
-def test_lazily_fed_flat_rings_equal_eagerly_fed_list_rings(ops, capacity, step):
+@given(st.lists(store_ops, max_size=40), st.integers(2, 8), st.sampled_from([1.0, 2.5]))
+def test_collected_flat_rings_equal_list_rings_observed_every_tick(ops, capacity, step):
     registry = MetricsRegistry()
     store = TimeSeriesStore(step=step, capacity=capacity)
     reference: dict[int, ListRing] = {}
     now = 0.0
-    with mock.patch.object(timeseries, "_MIN_TICK_LOG", 4):
-        store._tick_limit = 4
-        for op in ops:
-            if op[0] == "set":
-                registry.gauge("g", i=op[1]).set(op[2])
-            elif op[0] == "inc":
-                registry.gauge("g", i=op[1]).inc(op[2])
-            elif op[0] == "tick":
-                for _ in range(op[2]):
-                    now += op[1]
-                    store.collect(registry, now)
-                    # The reference samples every series on every tick.
-                    for family in registry.families():
-                        for key, instrument in family.series.items():
-                            ring = reference.setdefault(
-                                int(dict(key)["i"]),
-                                ListRing(kind="gauge", step=step, capacity=capacity),
-                            )
-                            ring.observe(now, instrument.value)
-            elif op[0] == "read":
-                series = store.get("g", i=op[1])
-                if series is not None:
-                    assert same(series.points()) == same(reference[op[1]].points())
-            else:
-                donor = TimeSeriesStore(step=step, capacity=capacity)
-                donor.observe("g", op[2], op[3], i=op[1])
-                snapshot = donor.snapshot()
-                store.merge(snapshot)
-                reference.setdefault(
-                    op[1], ListRing(kind="gauge", step=step, capacity=capacity)
-                ).merge(snapshot["g"][0]["points"])
+
+    def ring(i: int) -> ListRing:
+        return reference.setdefault(i, ListRing(step=step, capacity=capacity))
+
+    def tick() -> None:
+        store.collect(registry, now)
+        for family in registry.families():
+            for key, instrument in family.series.items():
+                ring(int(dict(key)["i"])).observe(now, instrument.value)
+
+    for op in ops:
+        if op[0] == "set":
+            registry.gauge("g", i=op[1]).set(op[2])
+        elif op[0] == "inc":
+            registry.gauge("g", i=op[1]).inc(op[2])
+        elif op[0] == "tick":
+            for _ in range(op[2]):
+                now += op[1]
+                tick()
+        elif op[0] == "tick_back":
+            now = max(0.0, now - op[1])
+            tick()
+        elif op[0] == "read":
+            series = store.get("g", i=op[1])
+            assert (series is None) == (op[1] not in reference)
+            if series is not None:
+                listed = reference[op[1]]
+                assert same(series.points()) == same(listed.points())
+                assert same(series.rate(op[2])) == same(listed.rate(op[2]))
+        elif op[0] == "clear":
+            registry.clear()
+        elif op[0] == "merge":
+            other = MetricsRegistry()
+            other.gauge("g", i=op[1]).set(op[2])
+            registry.merge(other.snapshot())
+        else:
+            store.observe("g", op[2], op[3], i=op[1])
+            ring(op[1]).observe(op[2], op[3])
     rendered = {
         int(record["labels"]["i"]): record["points"]
         for record in store.snapshot().get("g", [])
     }
     assert same(rendered) == same({i: r.points() for i, r in reference.items()})
+    assert store.names() == (["g"] if reference else [])
 
 
 def test_a_full_ring_evicts_one_bucket_per_new_bucket():
     series = Series("s", step=1.0, capacity=8)
-    listed = ListRing(kind="gauge", step=1.0, capacity=8)
+    listed = ListRing(step=1.0, capacity=8)
     for t in range(100):
         series.observe(float(t), float(t))
         listed.observe(float(t), float(t))
         assert len(series) == min(t + 1, 8)
         assert len(series._points) == 6 * len(series)  # nothing kept past capacity
         assert series.points() == listed.points()
-        assert series.latest() == float(t)
+        assert series.points()[-1]["last"] == float(t)
 
 
-def test_an_int_observed_reads_back_as_a_float(tmp_path):
+def test_an_int_observed_reads_back_as_a_float():
     """The one rendering difference from the list ring, which kept a value
     as the object it was given: a ring of doubles prints the ``int`` 3 as
     ``3.0`` (and an ``int`` step's bucket times likewise).  Nothing in
@@ -263,7 +225,7 @@ def test_an_int_observed_reads_back_as_a_float(tmp_path):
     caller of ``store.observe`` can."""
     store = TimeSeriesStore(step=5, capacity=4)
     store.observe("queue_depth", 12, 3)
-    listed = ListRing(kind="gauge", step=5, capacity=4)
+    listed = ListRing(step=5, capacity=4)
     listed.observe(12, 3)
     assert listed.points() == store.get("queue_depth").points()  # 3 == 3.0
     assert json.dumps(listed.points()[0]) == (
@@ -272,5 +234,4 @@ def test_an_int_observed_reads_back_as_a_float(tmp_path):
     assert json.dumps(store.get("queue_depth").points()[0]) == (
         '{"t": 10.0, "count": 1, "sum": 3.0, "min": 3.0, "max": 3.0, "last": 3.0}'
     )
-    assert store.dump_jsonl(tmp_path / "series.jsonl") == 1
-    assert '"last": 3.0' in (tmp_path / "series.jsonl").read_text()
+    assert '"last": 3.0' in json.dumps(store.snapshot())

@@ -139,6 +139,32 @@ class TestThresholdRules:
         (transition,) = engine.evaluate(16.0)
         assert transition["transition"] == "resolved"
 
+    def test_a_flapping_rule_cannot_grow_the_alert_history(self):
+        from repro.obs import health
+
+        dial = _Dial()
+        engine = HealthEngine()
+        engine.add_rule(HealthRule("hot", value=dial.read, op=">", threshold=5.0))
+        flaps = health._HISTORY  # two edges each: twice what the ring holds
+        for i in range(flaps):
+            dial.value = 9.0
+            engine.evaluate(2.0 * i)
+            dial.value = 0.0
+            engine.evaluate(2.0 * i + 1.0)
+        dial.value = 9.0
+        engine.evaluate(2.0 * flaps)
+        history = engine.alerts()["history"]
+        assert len(history) == health._HISTORY
+        # The newest edges, in order; state and counts are not the ring's.
+        assert [(e["event"], e["at"]) for e in history[-3:]] == [
+            ("fired", 2.0 * flaps - 2.0),
+            ("resolved", 2.0 * flaps - 1.0),
+            ("fired", 2.0 * flaps),
+        ]
+        (firing,) = engine.firing()
+        assert firing["rule"] == "hot" and firing["fired_at"] == 2.0 * flaps
+        assert engine.snapshot()["rules"][0]["fired_count"] == flaps + 1
+
     def test_none_value_is_not_a_breach(self):
         engine = HealthEngine()
         engine.add_rule(HealthRule("r", value=lambda: None, op=">", threshold=0))
@@ -196,6 +222,9 @@ class TestDefaultRules:
         # All quiet on a fresh plane.
         assert engine.evaluate(0.0) == []
         assert engine.snapshot()["status"] == "ok"
+        # A rule's read is a lookup: the ring appears when a tick samples
+        # the family, not when somebody asks about it.
+        assert store.names() == [] and store.snapshot() == {}
 
     def test_attempt_failure_rule_reads_the_estimators(self):
         engine = HealthEngine()

@@ -21,7 +21,7 @@ import time
 import urllib.request
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FailurePolicy
@@ -346,6 +346,12 @@ _ops = st.one_of(
 class TestCadenceIsNotObservable:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_ops, min_size=5, max_size=80))
+    # A drift latched per event evaluates the health rules before any tick:
+    # the event-flow rule's read of ``bus_publishes`` used to create the ring.
+    @example(
+        [("run",), ("advance", 0.0), ("detach", "observer"), ("detach", "tracker"),
+         ("crashes", 0, 0)]
+    )
     def test_any_interleaving_reads_the_same_folded_per_event_and_on_demand(self, ops):
         eager, lazy, small = Rig(eager=True), Rig(eager=False), Rig(eager=False, capacity=5)
         for op in ops:

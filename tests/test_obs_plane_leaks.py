@@ -58,11 +58,14 @@ def test_three_batches_leave_the_bookkeeping_empty():
         sizes.append(
             (
                 series,
-                sum(1 for _ in plane.store.all_series()),
+                sum(len(rings) for rings in plane.store.snapshot().values()),
                 len(plane.plane.estimators.activities),
             )
         )
         assert plane.plane.estimators._workflows == {}
+        # The store holds the registry's families and nothing else: no
+        # ring a read created, none a tick missed.
+        assert set(plane.store.names()) == {f.name for f in registry.families()}
     # The batches did cancel attempts, each of them.
     assert cancelled[0] > 0 and cancelled[0] < cancelled[1] < cancelled[2]
     # The schema is what the four specifications and the nine hosts name,

@@ -1,11 +1,9 @@
 """Time-series store tests: fixed-step downsampling, ring retention,
 per-kind rate queries, windowed histogram quantiles, registry sampling,
-snapshot/merge folding, the JSONL/CSV dumps, the disabled no-op path,
 and the PeriodicCollector cadence + tick ordering."""
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -33,7 +31,6 @@ class TestSeries:
         assert first["min"] == 4.0 and first["max"] == 8.0
         assert first["last"] == 8.0
         assert second["count"] == 1 and second["last"] == 2.0
-        assert series.latest() == 2.0
 
     def test_out_of_order_sample_folds_into_newest_bucket(self):
         series = Series("s", step=10.0)
@@ -59,8 +56,6 @@ class TestSeries:
             3.0,
             4.0,
         ]
-        assert series.mean(since=4.0) == pytest.approx(4.5)
-        assert series.mean() == pytest.approx(2.5)
 
     def test_gauge_rate_is_the_slope(self):
         series = Series("s", kind="gauge", step=1.0)
@@ -75,17 +70,9 @@ class TestSeries:
         assert series.rate() == pytest.approx(6.0)
         assert series.rate(since=10.0) is None  # one-point window
 
-    def test_event_rate_is_occurrences_per_second(self):
-        series = Series("s", kind="event", step=2.0)
-        for t in (0.0, 1.0, 2.0, 3.0):
-            series.observe(t)
-        # Two buckets (0, 2) spanning 4 seconds including the open step.
-        assert series.rate() == pytest.approx(4 / 4.0)
-
     def test_empty_series_answers_none(self):
         series = Series("s")
-        assert series.latest() is None
-        assert series.mean() is None
+        assert series.points() == []
         assert series.rate() is None
 
     def test_constructor_validation(self):
@@ -138,13 +125,14 @@ class TestHistogramSeries:
 class TestTimeSeriesStore:
     def test_series_is_memoised_per_label_set(self):
         store = TimeSeriesStore()
-        a = store.series("s", host="h1")
-        b = store.series("s", host="h1")
-        c = store.series("s", host="h2")
-        assert a is b and a is not c
+        store.observe("s", 0.0, 1.0, host="h1")
+        a = store.get("s", host="h1")
+        store.observe("s", 1.0, 2.0, host="h1")
+        store.observe("s", 1.0, 3.0, host="h2")
+        assert store.get("s", host="h1") is a and len(a) == 2
+        assert store.get("s", host="h2") is not a
         assert store.names() == ["s"]
-        assert len(store.matching("s")) == 2
-        assert store.get("s", host="h1") is a
+        assert len(store.family("s")["series"]) == 2
 
     def test_collect_samples_registry_families(self):
         registry = MetricsRegistry()
@@ -163,42 +151,10 @@ class TestTimeSeriesStore:
         assert counter.kind == "counter"
         assert [p["last"] for p in counter.points()] == [3.0, 5.0]
         assert counter.rate() == pytest.approx(0.2)
-        assert store.get("pool_workers").latest() == 4.0
-        (track,) = store.matching_histograms("attempt_seconds")
-        assert track.quantile(0.5) == 1.0
+        assert store.get("pool_workers").points()[-1]["last"] == 4.0
+        (track,) = store.family("attempt_seconds")["histograms"]
+        assert track["p50"] == 1.0 and track["observations"] == 2
         assert "attempt_seconds" in store.names()
-
-    def test_snapshot_merge_folds_bucket_aligned_points(self):
-        a = TimeSeriesStore(step=1.0)
-        b = TimeSeriesStore(step=1.0)
-        a.observe("s", 0.0, 2.0, host="h1")
-        b.observe("s", 0.0, 6.0, host="h1")
-        b.observe("s", 1.0, 1.0, host="h1")
-        a.merge(b.snapshot())
-        points = a.get("s", host="h1").points()
-        assert [p["t"] for p in points] == [0.0, 1.0]
-        merged = points[0]
-        assert merged["count"] == 2 and merged["sum"] == 8.0
-        assert merged["min"] == 2.0 and merged["max"] == 6.0
-        assert merged["last"] == 6.0  # the merged snapshot's last wins
-
-    def test_dump_jsonl_and_csv(self, tmp_path):
-        store = TimeSeriesStore(step=1.0)
-        store.observe("s", 0.0, 2.0, host="h1")
-        store.observe("s", 1.0, 3.0, host="h1")
-        path = tmp_path / "series.jsonl"
-        assert store.dump_jsonl(path) == 1
-        (line,) = path.read_text().splitlines()
-        record = json.loads(line)
-        assert record["series"] == "s"
-        assert record["labels"] == {"host": "h1"}
-        assert len(record["points"]) == 2
-
-        csv = store.to_csv()
-        header, *rows = csv.strip().splitlines()
-        assert header.startswith("series,labels,t,")
-        assert rows[0].startswith("s,host=h1,0,")
-        assert store.to_csv(name="absent").strip() == header
 
 
 class _Recorder:

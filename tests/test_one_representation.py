@@ -5,8 +5,10 @@ per-technique config algebra over ``FailurePolicy`` and every disabled
 mode of ``repro.obs``; PR 21 took what only existed to survive five
 thousand mostly idle per-instance series (optional labels, the
 estimators' export-what-changed machinery) and a few names nothing
-called.  One walk over ``src/repro`` keeps them deleted, and keeps the
-retry wait in one place.
+called; PR 22 took the time-series store's lazy sampling path, bus
+history and the span / timer / export surface only tests reached.  One
+walk over ``src/repro`` keeps them deleted, and keeps the retry wait in
+one place.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import repro
 from repro.core.policy import FailurePolicy
 from repro.engine import strategies
-from repro.obs import MetricSpec, RunObserver
+from repro.obs import MetricSpec, RunObserver, SpanRecorder, TimeSeriesStore
 
 SRC = Path(repro.__file__).parent
 
@@ -51,6 +53,28 @@ GONE = {
     "_exported_to",
     "_dirty",
     "_gauges",
+    # PR 22: the store's sample-only-what-moved path, the recording
+    # surface only tests called, and ROADMAP's unreferenced names.
+    "_replay",
+    "_trim_ticks",
+    "_settle",
+    "_tick_times",
+    "_held",
+    "_Feed",
+    "dump_jsonl",
+    "enable_history",
+    "clear_history",
+    "EventRecord",
+    "_SpanContext",
+    "_begin_stacked",
+    "_TimerContext",
+    "with_backoff",
+    "with_replicas",
+    "with_checkpoints",
+    "WorkflowFailedError",
+    "HostDownError",
+    "running_jobs",
+    "queued_jobs",
 }
 
 
@@ -99,6 +123,10 @@ def test_the_deleted_surface_stays_deleted():
     # so these two are checked where they lived).
     assert "optional" not in {f.name for f in dataclasses.fields(MetricSpec)}
     assert list(inspect.signature(RunObserver).parameters) == ["bus", "clock"]
+    # Stamps come off the log record and the ring's size is a constant;
+    # every ring of a store has the store's step and capacity.
+    assert list(inspect.signature(SpanRecorder).parameters) == []
+    assert not hasattr(TimeSeriesStore, "series")
 
 
 def test_the_retry_wait_is_computed_in_one_place():

@@ -532,12 +532,13 @@ class TestTelemetryServer:
             server.stop()
 
     def test_timeseries_reads_while_a_batch_ticks(self):
-        """A read of the store can write (a ring that sat ticks out
-        catches up when read), so the HTTP thread's reads and the
-        collector's ticks take turns.  Hammer one family while 50
+        """The HTTP thread's reads and the collector's ticks take turns
+        under the store's one lock, value series and histogram tracks
+        alike.  Hammer a counter family and a histogram family while 50
         staggered instances run: every response must parse, every ring
-        must be in time order with whole points, and the store must end
-        up exactly as the same run leaves it with nobody reading."""
+        must be in time order with whole points, every track must read
+        whole, and the store must end up exactly as the same run leaves
+        it with nobody reading."""
         import sys
         import threading
         import time
@@ -587,12 +588,15 @@ class TestTelemetryServer:
         grid, store, collector, host = batch()
         server = TelemetryServer(store=store)
         port = server.start()
-        url = f"http://127.0.0.1:{port}/timeseries/obs_attempts_total"
+        urls = [
+            f"http://127.0.0.1:{port}/timeseries/{family}"
+            for family in ("obs_attempts_total", "task_attempt_sim_seconds")
+        ]
         failures: list[str] = []
         responses = [0]
         stop = threading.Event()
 
-        def hammer():
+        def hammer(url):
             while not stop.is_set():
                 try:
                     _status, text = _get(url)
@@ -607,12 +611,18 @@ class TestTelemetryServer:
                 responses[0] += 1
                 if text is None:
                     continue
-                for ring in json.loads(text)["series"]:
+                payload = json.loads(text)
+                for ring in payload["series"]:
                     times = [p["t"] for p in ring["points"]]
                     if times != sorted(set(times)) or not times:
                         failures.append(f"ring out of order: {times}")
                     if any(p["count"] < 1 for p in ring["points"]):
                         failures.append(f"torn point in {ring}")
+                for track in payload["histograms"]:
+                    # Every attempt took 3 s: a track read whole says so.
+                    seen = (track["p50"], track["p95"], track["p99"])
+                    if seen != (5.0, 5.0, 5.0) or track["observations"] < 1:
+                        failures.append(f"torn track {track}")
 
         def let_readers_in():
             # At least one more response before the next tick, so reads
@@ -623,7 +633,10 @@ class TestTelemetryServer:
                 assert time.monotonic() < deadline, "reader made no progress"
                 time.sleep(0.0005)
 
-        readers = [threading.Thread(target=hammer, daemon=True) for _ in range(4)]
+        readers = [
+            threading.Thread(target=hammer, args=(url,), daemon=True)
+            for url in urls * 2
+        ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -637,10 +650,13 @@ class TestTelemetryServer:
             assert not failures, failures[:3]
             assert responses[0] >= collector.ticks
             # One ring for the one (workflow, activity), whatever the load.
-            (attempts,) = store.matching("obs_attempts_total")
-            assert attempts.latest() == instances
+            (attempts,) = store.family("obs_attempts_total")["series"]
+            assert attempts["points"][-1]["last"] == instances
             assert store.snapshot() == quiet_store.snapshot()
-            assert store.to_csv() == quiet_store.to_csv()
+            for family in store.names():
+                assert store.family(family) == quiet_store.family(family)
+            (track,) = store.family("task_attempt_sim_seconds")["histograms"]
+            assert track["observations"] == instances
         finally:
             stop.set()
             sys.setswitchinterval(interval)
