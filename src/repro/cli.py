@@ -250,19 +250,27 @@ def _export_observation(args: argparse.Namespace, plane) -> None:
         atomic_write_text(args.metrics, prometheus_text(observer.metrics))
         print(f"metrics written to {args.metrics}")
     if args.trace:
+        # Events and spans are views of the log: a run longer than its ring
+        # exports the newest part, and says so.
+        held, published = plane.window()
+        wrapped, header = "", None
+        if held < published:
+            wrapped = f" (log wrapped: newest {held} of {published} events)"
+            header = {"log_wrapped": {"held": held, "published": published}}
         if str(args.trace).endswith(".jsonl"):
             count = write_jsonl(
                 args.trace,
                 events=observer.events,
                 spans=observer.spans,
                 metrics=observer.metrics,
+                header=header,
             )
-            print(f"trace written to {args.trace} ({count} JSON lines)")
+            print(f"trace written to {args.trace} ({count} JSON lines){wrapped}")
         else:
             count = write_chrome_trace(args.trace, observer.spans)
             print(
                 f"trace written to {args.trace} "
-                f"({count} events; open in chrome://tracing or Perfetto)"
+                f"({count} events; open in chrome://tracing or Perfetto){wrapped}"
             )
 
 

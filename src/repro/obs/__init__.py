@@ -5,7 +5,7 @@ One subsystem, three layers:
 * :mod:`repro.obs.metrics` — label-keyed counters / gauges / histograms
   with snapshot/merge for cross-process Monte-Carlo aggregation;
 * :mod:`repro.obs.spans` — parent-linked spans stamped on both the
-  simulation clock and the wall clock, recorded into a bounded ring;
+  simulation clock and the wall clock, rendered from the log when read;
 * :mod:`repro.obs.export` — JSON-lines, Prometheus text exposition, and
   Chrome ``trace_event`` renderings of one recording;
 
@@ -78,7 +78,7 @@ from .postmortem import (
 )
 from .recorder import FlightRecorder
 from .server import TelemetryServer, WorkflowStatusTracker
-from .spans import Span, SpanRecorder
+from .spans import Span
 from .timeseries import (
     HistogramSeries,
     PeriodicCollector,
@@ -115,7 +115,6 @@ __all__ = [
     "RunObserver",
     "Series",
     "Span",
-    "SpanRecorder",
     "TelemetryPlane",
     "TelemetryServer",
     "TimeSeriesStore",

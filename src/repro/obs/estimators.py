@@ -36,9 +36,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from .log import LogConsumer, LogRecord
 from .metrics import MetricSpec
-from .observer import ATTEMPT_OUTCOME
+from .observer import FoldedConsumer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events import EventBus
@@ -58,13 +57,6 @@ __all__ = [
 
 #: Bus topic for catalog-drift events (payloads are plain dicts).
 DRIFT_MTTF = "obs.drift.mttf"
-
-#: Failure-detector reasons that count as a *host* failure (as opposed to
-#: a task's own nonzero exit, which says nothing about the host's MTTF).
-_HOST_FAILURE_REASONS = ("host-crashed", "host-suspected")
-
-#: The topics an attempt's verdict arrives on.
-_VERDICTS = frozenset(("task.done", "task.failed", "task.exception"))
 
 # -- exported gauges (declared once; see EstimatorSuite.export) ---------------
 
@@ -387,13 +379,13 @@ def priors_from_grid(grid: Any) -> dict[str, tuple[float, float]]:
     return priors
 
 
-class EstimatorSuite(LogConsumer):
+class EstimatorSuite(FoldedConsumer):
     """Every estimator of one bus, folded from its event log.
 
-    The fold reads the terminal task outcomes and the heartbeat monitor's
-    suspicion topics (and ``engine.node_launched`` /
-    ``engine.workflow_finished``, which say which specification an instance
-    id belongs to).  When a host's drift detector latches it publishes one
+    The fold (:class:`~repro.obs.observer.Fold`) feeds it the terminal task
+    outcomes, under the name of the specification their instance runs, and
+    the heartbeat monitor's suspicion topics.  When a host's drift detector
+    latches it publishes one
     :data:`DRIFT_MTTF` event with observed-vs-prior detail and re-evaluates
     the *health* engine (optional) at the failure's own time.  All of it
     happens when the log is folded — at the collector's tick or before a
@@ -401,6 +393,8 @@ class EstimatorSuite(LogConsumer):
     collector interval after the failure that tripped it.  The collector
     then calls :meth:`export` and samples the gauges into the store.
     """
+
+    _slot = "estimators"
 
     def __init__(
         self,
@@ -423,8 +417,6 @@ class EstimatorSuite(LogConsumer):
         self._hosts: dict[str, HostEstimator] = {}
         self._activities: dict[tuple[str, str], ActivityEstimator] = {}
         self.drift_events = 0
-        #: workflow_id → specification name, while the instance runs.
-        self._workflows: dict[str, str] = {}
         self._clock = clock
         if bus is not None:
             self.attach_bus(bus)
@@ -462,36 +454,7 @@ class EstimatorSuite(LogConsumer):
             estimator = self._activities[key] = ActivityEstimator(workflow, activity)
         return estimator
 
-    # -- the fold ------------------------------------------------------------
-
-    def _fold(self, records: list[LogRecord]) -> None:
-        workflows = self._workflows
-        for _seq, sim, _wall, topic, payload in records:
-            if topic in _VERDICTS:
-                outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
-                if not outcome:  # unknown state, or still running
-                    continue
-                workflow = workflows.get(getattr(payload, "workflow_id", "") or "", "")
-                name = getattr(payload, "activity", "") or ""
-                self.activity(workflow, name).record(outcome)
-                if outcome == "failed" and getattr(payload, "reason", "") in (
-                    _HOST_FAILURE_REASONS
-                ):
-                    hostname = str(getattr(payload, "hostname", "") or "")
-                    if hostname:
-                        at = getattr(payload, "at", None)
-                        self.record_host_failure(
-                            hostname, float(at) if at is not None else sim
-                        )
-            elif topic == "detector.host_suspected":
-                self.host(str(payload)).record_suspected(sim)
-            elif topic == "detector.host_recovered":
-                self.host(str(payload)).record_recovered(sim)
-            elif topic == "engine.node_launched" and isinstance(payload, dict):
-                wfid = payload.get("workflow_id") or ""
-                workflows[wfid] = payload.get("workflow", "")
-            elif topic == "engine.workflow_finished" and isinstance(payload, dict):
-                workflows.pop(payload.get("workflow_id") or "", None)
+    # -- what the fold feeds ---------------------------------------------------
 
     def record_host_failure(self, hostname: str, at: float) -> None:
         """One host failure observation (deduplicating replica co-crashes:

@@ -73,9 +73,14 @@ def jsonl_lines(
     events: Iterable[Any] = (),
     spans: Iterable["Span"] = (),
     metrics: "MetricsRegistry | None" = None,
+    header: dict[str, Any] | None = None,
 ) -> Iterator[str]:
     """One JSON document per record: every event, then every span, then a
-    single trailing metrics snapshot (when a registry is given)."""
+    single trailing metrics snapshot (when a registry is given) — after one
+    ``{"kind": "header", ...}`` line when the export has something to say
+    about itself (*header*: that the log it was rendered from wrapped)."""
+    if header:
+        yield json.dumps({"kind": "header", **header}, sort_keys=True)
     for event in events:
         yield json.dumps(
             {
@@ -116,10 +121,11 @@ def write_jsonl(
     events: Iterable[Any] = (),
     spans: Iterable["Span"] = (),
     metrics: "MetricsRegistry | None" = None,
+    header: dict[str, Any] | None = None,
 ) -> int:
     """Write the JSON-lines export to *path* atomically; returns the line
     count."""
-    lines = list(jsonl_lines(events=events, spans=spans, metrics=metrics))
+    lines = list(jsonl_lines(events=events, spans=spans, metrics=metrics, header=header))
     atomic_write_text(path, "".join(line + "\n" for line in lines))
     return len(lines)
 

@@ -6,9 +6,10 @@ the simulation clock and ``time.perf_counter`` read at the publish, the
 topic, and one snapshot of the payload (a dict is copied shallowly,
 anything else kept by reference).  Everything the plane knows is derived
 from the records later (DESIGN.md §12): *views* (journal, event list,
-trace queries) render the retained records on demand (:func:`expand`);
-*folds* (metrics and spans, tracker status, estimator counts) are computed
-by each consumer's ``_fold`` from the records not folded yet, in log order.
+spans, trace queries) render the retained records on demand
+(:func:`expand`); what is *sampled* (metrics, tracker status, estimator
+counts) is folded from the records not folded yet, in log order, by one
+pass per slice (:class:`~repro.obs.observer.Fold`).
 
 :meth:`EventLog.fold` runs the folds: the collector calls it at the start
 of every tick, every read accessor of a consumer before it answers, and
@@ -132,6 +133,8 @@ class EventLog:
         self._owner = get_ident()
         self._folding = False
         self._consumers: list["LogConsumer"] = []
+        #: What a fold runs over each slice of records, in joining order.
+        self.folds: list[Callable[[list[LogRecord]], None]] = []
 
     @classmethod
     def on(
@@ -168,9 +171,9 @@ class EventLog:
             self.fold()
 
     def fold(self) -> None:
-        """Run every consumer's fold over the records appended since the
-        last one, then retain them.  A no-op with nothing waiting, inside
-        a running fold, and on any thread but the appending one."""
+        """Run :attr:`folds` over the records appended since the last
+        time, then retain them.  A no-op with nothing waiting, inside a
+        running fold, and on any thread but the appending one."""
         if not self._pending or self._folding or get_ident() != self._owner:
             return
         with self.lock:
@@ -179,8 +182,8 @@ class EventLog:
                 # A fold may publish; what it appends is folded here too.
                 while self._pending:
                     records, self._pending = self._pending, []
-                    for consumer in self._consumers:
-                        consumer._fold(records)
+                    for fold in self.folds:
+                        fold(records)
                     self._ring.extend(records)
             finally:
                 self._folding = False
@@ -196,9 +199,9 @@ class EventLog:
 
 class LogConsumer:
     """Base of everything that reads a bus through its :class:`EventLog`:
-    a subclass overrides :meth:`_fold` to compute its state from records
-    and reads it back inside ``with self._synced():``; one that renders
-    records reads :meth:`_records`."""
+    one that renders records reads :meth:`_records`; one whose state is
+    folded (:class:`~repro.obs.observer.FoldedConsumer`) reads it back
+    inside ``with self._synced():``."""
 
     _bus: EventBus | None = None
     _log: EventLog | None = None
@@ -251,9 +254,6 @@ class LogConsumer:
         waits is folded first, and no other thread folds inside it."""
         self.sync()
         return self._log.lock if self._log is not None else _DETACHED
-
-    def _fold(self, records: list[LogRecord]) -> None:
-        """Take *records* (those since the last call) into the state."""
 
     def _records(self) -> list[LogRecord]:
         """The retained records of this consumer's attachments."""

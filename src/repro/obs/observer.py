@@ -10,24 +10,27 @@ its :class:`~repro.events.EventBus` —
   backoff waits, checkpoint restarts, replication wins; plain dicts) —
 
 out of the bus's :class:`~repro.obs.log.EventLog`.  Nothing here runs
-inside a publish: :attr:`RunObserver.events` is a view of the log's
-records, and the nested spans (``workflow.run`` ▸ ``node.run`` ▸
-``task.attempt`` / ``recovery.backoff``) and labelled metrics are a *fold*
-over the records appended since the last one, run at the collector's tick
-and before any read.  Span ids, parents and stamps are properties of log
-order and of the clocks read at append, so when the fold runs shows
-nowhere; and log order is publish order — a verdict, then the resolution
-and the node completion it caused — because nothing that steers a run
-listens to the bus.  :class:`~repro.engine.trace.EngineTrace` is a thin
-query layer over this recording, and every exporter
-(:mod:`repro.obs.export`) renders it: one observation path.
+inside a publish, and a record is decoded in two places only.  What is
+*sampled* — the labelled metrics here, the status tracker's per-instance
+status, the estimators' counts — is folded by :class:`Fold`: one pass per
+slice of the log, at the collector's tick and before any read, off one
+table of running instances.  What is *rendered* — :attr:`RunObserver.events`
+and the nested spans (``workflow.run`` ▸ ``node.run`` ▸ ``task.attempt`` /
+``recovery.backoff``, :func:`spans_of`) — is a view of the records the log
+still holds, built when read.  Span ids, parents and stamps are properties
+of log order and of the clocks read at append; and log order is publish
+order — a verdict, then the resolution and the node completion it caused —
+because nothing that steers a run listens to the bus.
+:class:`~repro.engine.trace.EngineTrace` is a thin query layer over this
+recording, and every exporter (:mod:`repro.obs.export`) renders it: one
+observation path.
 
 A series is named by what the *specification* names — workflow, activity,
 outcome, status, host — never by a workflow instance: the failure model is
 per task and per resource, and a schema keyed by instance grows with load.
 Per-instance detail is in the spans (``workflow_id`` label), the journal
 and the status tracker.  ``task.*`` and ``recovery.*`` payloads carry the
-instance id only; the observer learns ``workflow_id → workflow`` from
+instance id only; the fold learns ``workflow_id → workflow`` from
 ``engine.node_launched`` and forgets it at ``engine.workflow_finished``.
 
 Topic names are matched as string literals on purpose: payloads are plain
@@ -39,18 +42,19 @@ attempt the engine cancelled and told the detector to forget (a losing
 replica, a branch that lost an OR join), when its node resolves, labelled
 ``outcome="cancelled"``.  The observer survives
 :meth:`WorkflowEngine.reset`: it is attached to the bus, not to the engine,
-and per-run bookkeeping is cleared when a workflow finishes.
+and the fold's entry for an instance goes when its workflow finishes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..events import EventBus
 from .log import LogConsumer, LogRecord, expand
 from .metrics import ATTEMPT_BUCKETS, MetricSpec, MetricsRegistry
-from .spans import Span, SpanRecorder
+from .spans import Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.engine import WorkflowEngine
@@ -186,8 +190,7 @@ TRIES_PER_RESOLUTION = MetricSpec(
 
 #: ``AttemptOutcome.state`` → the attempt's outcome label ("" while it is
 #: still running).  The detector's ``TaskState`` is a ``str`` enum, so its
-#: members find their plain-string keys here without an import.  Shared by
-#: every consumer of ``task.*`` events (tracker, estimators).
+#: members find their plain-string keys here without an import.
 ATTEMPT_OUTCOME = {
     "active": "",
     "done": "done",
@@ -195,29 +198,258 @@ ATTEMPT_OUTCOME = {
     "exception": "exception",
 }
 
-#: What a fold reads fields from when a payload is not a dict.
-_NO_FIELDS: dict[str, Any] = {}
+#: Failure-detector reasons that count as a *host* failure (as opposed to
+#: a task's own nonzero exit, which says nothing about the host's MTTF).
+_HOST_FAILURE_REASONS = ("host-crashed", "host-suspected")
 
 #: The topic families the observer reads, as ``str.startswith`` takes them.
 OBSERVED = ("engine.", "task.", "recovery.")
 
 
-class _Run:
-    """One running workflow instance: its specification's name, its open
-    ``workflow.run`` span, each running node's open ``node.run`` span and
-    open attempts by job (a node's resolution ends the ones it cancelled)."""
+class _Instance:
+    """One running workflow instance as a fold keeps it: its
+    specification's name, the status dict the tracker serves for it (None
+    in a fold without a tracker) and its open attempts, activity → job →
+    ``sim_start`` (a node's resolution ends the ones it cancelled)."""
 
-    __slots__ = ("workflow", "span", "nodes", "attempts")
+    __slots__ = ("workflow", "status", "attempts")
 
-    def __init__(self) -> None:
-        self.workflow = ""
-        self.span: Span | None = None
-        self.nodes: dict[str, Span] = {}
-        self.attempts: dict[str, dict[str, Span]] = {}
+    def __init__(self, workflow, status, attempts) -> None:
+        self.workflow: str = workflow
+        self.status: dict[str, Any] | None = status
+        self.attempts: dict[str, dict[str, float]] = attempts
 
 
-class RunObserver(LogConsumer):
+class Fold:
+    """One pass over a slice of the log for everything that is sampled:
+    the observer's metric families, the tracker's status and the
+    estimators' counts, for whichever of the three has joined.  A record is
+    decoded once — one topic dispatch, one payload read, one look into
+    :attr:`instances`, the table of running instances by ``workflow_id``
+    ("" for a classic single-instance run), where an entry is made by the
+    instance's first launch or attempt and goes when its workflow finishes.
+    Nothing here is rendered: spans are a view (:func:`spans_of`)."""
+
+    __slots__ = ("observer", "tracker", "estimators", "instances")
+
+    def __init__(self, instances: dict[str, _Instance]) -> None:
+        self.observer: RunObserver | None = None
+        self.tracker: Any = None
+        self.estimators: Any = None
+        self.instances = instances
+
+    def __call__(self, records: list[LogRecord]) -> None:
+        observer, tracker, suite = self.observer, self.tracker, self.estimators
+        instances = self.instances
+        # With a tracker every entry carries its status (FoldedConsumer
+        # lets one join while the table is empty only).
+        tracked = tracker is not None
+        status_of = tracker._entry if tracked else None
+        status: Any = None
+        for _seq, sim, _wall, topic, payload in records:
+            if topic.startswith("task."):  # an AttemptOutcome, duck-typed
+                outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+                if outcome is None:
+                    continue
+                job = getattr(payload, "job_id", "")
+                activity = payload.activity
+                wfid = getattr(payload, "workflow_id", "") or ""
+                entry = instances.get(wfid)
+                if not outcome:  # the attempt starts
+                    if entry is None:
+                        status = status_of(wfid) if tracked else None
+                        entry = instances[wfid] = _Instance("", status, {})
+                    jobs = entry.attempts.get(activity)
+                    if jobs is None:
+                        jobs = entry.attempts[activity] = {}
+                    jobs[job] = sim
+                    if tracked:
+                        attempts = entry.status["attempts"]
+                        attempts["total"] += 1
+                        attempts["in_flight"] += 1
+                    continue
+                # A terminal outcome — maybe of an attempt nobody saw start
+                # (an instant crash): zero seconds, and not in flight.
+                workflow, started = "", None
+                if entry is not None:
+                    workflow = entry.workflow
+                    jobs = entry.attempts.get(activity)
+                    if jobs is not None:
+                        started = jobs.pop(job, None)
+                if observer is not None:
+                    observer._task_attempts.labels(activity, outcome, workflow).inc()
+                    observer._task_attempt_seconds.labels(activity).observe(
+                        0.0 if started is None else sim - started
+                    )
+                if tracked:
+                    status = entry.status if entry is not None else status_of(wfid)
+                    attempts = status["attempts"]
+                    attempts[outcome] = attempts.get(outcome, 0) + 1
+                    if started is not None:
+                        attempts["in_flight"] -= 1
+                if suite is not None:
+                    suite.activity(workflow, activity).record(outcome)
+                    if outcome == "failed" and payload.reason in _HOST_FAILURE_REASONS:
+                        hostname = str(payload.hostname or "")
+                        if hostname:
+                            at = getattr(payload, "at", None)
+                            suite.record_host_failure(
+                                hostname, float(at) if at is not None else sim
+                            )
+                continue
+            engine = topic.startswith("engine.")
+            if not engine and not topic.startswith("recovery."):
+                if suite is not None and topic.startswith("detector.host_"):
+                    if topic == "detector.host_suspected":
+                        suite.host(str(payload)).record_suspected(sim)
+                    elif topic == "detector.host_recovered":
+                        suite.host(str(payload)).record_recovered(sim)
+                continue
+            if not isinstance(payload, dict):
+                continue
+            wfid = payload.get("workflow_id", "") or ""
+            entry = instances.get(wfid)
+            if tracked:
+                status = entry.status if entry is not None else status_of(wfid)
+            if not engine:
+                activity = payload.get("activity", "")
+                if tracked:
+                    status["last_recovery"] = {
+                        "action": topic,
+                        "activity": str(activity),
+                        "at": float(payload.get("at") or 0.0),
+                        "span_id": str(payload.get("span_id") or ""),
+                    }
+                if observer is None:
+                    pass
+                elif topic == "recovery.resolved":
+                    observer._tries_per_resolution.labels(
+                        activity, payload.get("state", "")
+                    ).observe(float(payload.get("tries", 0) or 0))
+                elif topic == "recovery.retry":
+                    workflow = entry.workflow if entry is not None else ""
+                    observer._retries.labels(activity, workflow).inc()
+                    observer._retry_delay.labels(activity).observe(
+                        float(payload.get("delay", 0.0) or 0.0)
+                    )
+                elif topic == "recovery.checkpoint_restart":
+                    observer._checkpoint_restarts.labels(activity).inc()
+                elif topic == "recovery.replication_win":
+                    observer._replication_wins.labels(
+                        activity, payload.get("host", "")
+                    ).inc()
+                elif topic == "recovery.exhausted":
+                    observer._slots_exhausted.labels(activity).inc()
+                continue
+            workflow = payload.get("workflow", "")
+            node = payload.get("node")
+            if tracked:
+                if workflow:
+                    status["workflow"] = str(workflow)
+                if not status["trace_id"]:
+                    trace = payload.get("trace_id")
+                    if trace:
+                        status["trace_id"] = str(trace)
+            if topic == "engine.node_launched":
+                if entry is None:
+                    entry = instances[wfid] = _Instance(workflow, status, {})
+                entry.workflow = workflow
+                if observer is not None:
+                    observer._nodes_launched.labels(workflow).inc()
+                if tracked:
+                    if status["phase"] != "running":  # admitted, or run again
+                        status["phase"] = "running"
+                        tracker._finished.pop(wfid, None)
+                    status["nodes_launched"] += 1
+                    status["running_nodes"][str(node)] = None
+            elif topic in ("engine.node_completed", "engine.node_cancelled"):
+                # What the node left running was cancelled and forgotten:
+                # no terminal ``task.*`` event follows.
+                cancelled = len(entry.attempts.pop(node, ())) if entry is not None else 0
+                if observer is not None:
+                    observer._node_completions.labels(
+                        payload.get("status", "cancelled"), workflow
+                    ).inc()
+                    tries = payload.get("tries")
+                    if tries:
+                        observer._task_tries.labels(node).observe(float(tries))
+                if tracked:
+                    status["nodes_completed"] += 1
+                    status["running_nodes"].pop(str(node), None)
+                    if cancelled:
+                        tracker._cancelled(status, cancelled)
+            elif topic == "engine.workflow_finished":
+                # Engine reuse starts this instance's next run with fresh
+                # bookkeeping; sibling instances are untouched.
+                instances.pop(wfid, None)
+                if observer is not None:
+                    observer._workflow_runs.labels(
+                        payload.get("status", ""), workflow
+                    ).inc()
+                if tracked:
+                    cancelled = 0
+                    if entry is not None:
+                        cancelled = sum(map(len, entry.attempts.values()))
+                    tracker._finish(wfid, status, payload, cancelled)
+            elif topic == "engine.workflow_admitted" and tracked:
+                if status["nodes_launched"] == 0 and status["phase"] == "running":
+                    status["phase"] = "admitted"
+
+
+class FoldedConsumer(LogConsumer):
+    """A consumer whose state a :class:`Fold` computes.  It reads as if it
+    folded alone — what it knows of an instance is what was published while
+    it was attached — and shares a pass, and the table, with the consumers
+    of the other kinds for which that is the same thing: those that joined
+    while the table was empty.  Leaving a shared fold it takes its copy of
+    the table along, and folds on with it, alone, when attached again."""
+
+    #: The attribute of :class:`Fold` this kind of consumer fills.
+    _slot = ""
+    _folded_by: Fold | None = None
+    #: The consumer's table while it is detached.
+    _instances: dict[str, _Instance] | None = None
+
+    def attach_bus(self, bus: EventBus):
+        was = self._log
+        super().attach_bus(bus)
+        log = self._log
+        if log is not was:
+            mine, self._instances = self._instances, None
+            for fold in () if mine else log.folds:
+                if getattr(fold, self._slot) is None and not fold.instances:
+                    break
+            else:
+                fold = Fold(mine or {})
+                log.folds.append(fold)
+            setattr(fold, self._slot, self)
+            self._folded_by = fold
+        return self
+
+    def detach(self) -> None:
+        log, fold = self._log, self._folded_by
+        super().detach()  # folds up to here
+        if fold is not None:
+            self._folded_by = None
+            setattr(fold, self._slot, None)
+            if fold.observer is fold.tracker is fold.estimators is None:
+                log.folds.remove(fold)
+                self._instances = fold.instances
+            else:
+                self._instances = {
+                    wfid: _Instance(
+                        entry.workflow,
+                        entry.status,  # read by a fold with a tracker only
+                        {activity: dict(jobs) for activity, jobs in entry.attempts.items()},
+                    )
+                    for wfid, entry in fold.instances.items()
+                }
+
+
+class RunObserver(FoldedConsumer):
     """Turns engine/detector/recovery bus traffic into one recording."""
+
+    _slot = "observer"
 
     def __init__(self, bus: EventBus | None = None, *, clock: Any = None) -> None:
         #: A reactor's virtual ``now``; the bus's log stamps events on it.
@@ -225,10 +457,6 @@ class RunObserver(LogConsumer):
         #: Read through ``synced()``, which takes in what was published.
         self.metrics = MetricsRegistry()
         self.metrics.synced = self._synced  # type: ignore[method-assign]
-        self._recorder = SpanRecorder()
-        #: Running instances by workflow_id ("" for a classic single-
-        #: instance run); an entry goes when its workflow finishes.
-        self._runs: dict[str, _Run] = {}
         family = self.metrics.family
         self._nodes_launched = family(NODES_LAUNCHED)
         self._node_completions = family(NODE_COMPLETIONS)
@@ -250,7 +478,7 @@ class RunObserver(LogConsumer):
         """Observe an engine's runtime bus on its reactor's clock."""
         return cls(engine.runtime.bus, clock=engine.runtime.reactor.now)
 
-    # -- recorded state ------------------------------------------------------
+    # -- views of the log ----------------------------------------------------
 
     def _observed(self) -> list[LogRecord]:
         """The log's records of the observed families, oldest first."""
@@ -263,152 +491,142 @@ class RunObserver(LogConsumer):
 
     @property
     def spans(self) -> list[Span]:
-        with self._synced():
-            return self._recorder.spans
+        """The spans of what the log still holds, built by this read."""
+        return spans_of(self._records())
 
-    # -- the fold ------------------------------------------------------------
 
-    def _fold(self, records: list[LogRecord]) -> None:
-        """Spans and metrics of *records*, in log order — one loop, no
-        call per record beyond the instruments': it runs over every event
-        published, just not inside the publish."""
-        open_span = self._recorder.record
-        runs = self._runs
-        for _seq, sim, wall, topic, payload in records:
-            if topic.startswith("task."):  # an AttemptOutcome, duck-typed
-                job = getattr(payload, "job_id", None)
-                outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
-                if job is None or outcome is None:
-                    continue
-                activity = payload.activity
-                wfid = getattr(payload, "workflow_id", "") or ""
-                run = runs.get(wfid)
-                jobs = run.attempts.get(activity) if run is not None else None
-                span = jobs.pop(job, None) if outcome and jobs is not None else None
-                if span is None:
-                    # A running attempt — or one whose terminal outcome came
-                    # before any TaskStart (an instant crash): a zero-duration
-                    # attempt, so the trace still shows it.  The tracer's ids
-                    # ride as labels; exporters draw decision → attempt.
-                    host = payload.hostname
-                    labels = {"activity": activity, "job": job, "host": host}
-                    if wfid:
-                        labels["workflow_id"] = wfid
-                    for key in ("span_id", "parent_id"):
-                        value = getattr(payload, key, "")
-                        if value:
-                            labels[key] = value
-                    node_span = run.nodes.get(activity) if run is not None else None
-                    parent = node_span.id if node_span is not None else None
-                    span = open_span("task.attempt", labels, parent, sim, wall)
-                if not outcome:
-                    if jobs is None:
-                        if run is None:
-                            run = runs[wfid] = _Run()
-                        jobs = run.attempts[activity] = {}
-                    jobs[job] = span
-                    continue
-                span.labels["outcome"] = outcome
-                if payload.reason:
-                    span.labels["reason"] = payload.reason
-                span.sim_end, span.wall_end = sim, wall
-                workflow = run.workflow if run is not None else ""
-                self._task_attempts.labels(activity, outcome, workflow).inc()
-                self._task_attempt_seconds.labels(activity).observe(
-                    sim - span.sim_start
-                )
+class _Open:
+    """The open spans of one instance while :func:`spans_of` runs: its
+    ``workflow.run``, each running node's ``node.run``, and the running
+    attempts' by activity and job."""
+
+    __slots__ = ("span", "nodes", "attempts")
+
+    def __init__(self) -> None:
+        self.span: Span | None = None
+        self.nodes: dict[str, Span] = {}
+        self.attempts: dict[str, dict[str, Span]] = {}
+
+
+def spans_of(records: list[LogRecord]) -> list[Span]:
+    """The nested spans of *records* (``workflow.run`` ▸ ``node.run`` ▸
+    ``task.attempt`` / ``recovery.*``), oldest first, ids and parents
+    numbered in log order from 1 — so consistent within one call, and the
+    same from call to call until the log's ring wraps.  Then the window's
+    first spans are clipped: an interval that began on a record no longer
+    held starts at the first record that mentions it, without a parent.
+    The second (and last) place that decodes the three topic families;
+    :class:`Fold` is the one that runs per published event."""
+    spans: list[Span] = []
+    ids = itertools.count(1)
+
+    def open_span(name, labels, parent, sim, wall) -> Span:
+        span = Span(next(ids), name, sim, wall, labels, parent)
+        spans.append(span)
+        return span
+
+    runs: dict[str, _Open] = {}
+    for _seq, sim, wall, topic, payload in records:
+        if topic.startswith("task."):  # an AttemptOutcome, duck-typed
+            job = getattr(payload, "job_id", None)
+            outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+            if job is None or outcome is None:
                 continue
-            engine = topic.startswith("engine.")
-            if not engine and not topic.startswith("recovery."):
-                continue
-            detail = payload if isinstance(payload, dict) else _NO_FIELDS
-            wfid = detail.get("workflow_id", "") or ""
-            if engine:
-                workflow = detail.get("workflow", "")
-                node = detail.get("node")
-                if topic == "engine.node_launched":
-                    run = runs.get(wfid)
-                    if run is None:
-                        run = runs[wfid] = _Run()
-                    run.workflow = workflow
-                    if run.span is None:
-                        labels = {"workflow": workflow}
-                        if wfid:
-                            labels["workflow_id"] = wfid
-                        run.span = open_span("workflow.run", labels, None, sim, wall)
-                    self._nodes_launched.labels(workflow).inc()
-                    labels = {"node": node, "workflow": workflow}
-                    if wfid:
-                        labels["workflow_id"] = wfid
-                    run.nodes[node] = open_span(
-                        "node.run", labels, run.span.id, sim, wall
-                    )
-                elif topic in ("engine.node_completed", "engine.node_cancelled"):
-                    status = detail.get("status", "cancelled")
-                    run = runs.get(wfid)
-                    if run is not None:
-                        _cancel_attempts(run.attempts.pop(node, None), sim, wall)
-                        span = run.nodes.pop(node, None)
-                        if span is not None:
-                            span.labels["status"] = status
-                            span.sim_end, span.wall_end = sim, wall
-                    self._node_completions.labels(status, workflow).inc()
-                    tries = detail.get("tries")
-                    if tries:
-                        self._task_tries.labels(node).observe(float(tries))
-                elif topic == "engine.workflow_finished":
-                    status = detail.get("status", "")
-                    self._workflow_runs.labels(status, workflow).inc()
-                    # Engine reuse starts this instance's next run with
-                    # fresh bookkeeping; sibling instances are untouched.
-                    run = runs.pop(wfid, None)
-                    if run is not None:
-                        for jobs in run.attempts.values():
-                            _cancel_attempts(jobs, sim, wall)
-                        if run.span is not None:
-                            run.span.labels["status"] = status
-                            run.span.sim_end, run.span.wall_end = sim, wall
-                continue
-            # recovery.*
-            activity = detail.get("activity", "")
-            if topic == "recovery.resolved":
-                self._tries_per_resolution.labels(
-                    activity, detail.get("state", "")
-                ).observe(float(detail.get("tries", 0) or 0))
-                continue
-            # Every other recovery decision leaves a zero-duration marker
-            # span under its node, carrying the causal ids: chrome_trace
-            # draws flow arrows from these to the attempts they spawned.
-            labels = {"activity": activity}
-            if wfid:
-                labels["workflow_id"] = wfid
-            for key in ("span_id", "parent_id"):
-                value = detail.get(key)
-                if value:
-                    labels[key] = value
+            activity = payload.activity
+            wfid = getattr(payload, "workflow_id", "") or ""
             run = runs.get(wfid)
-            node_span = run.nodes.get(activity) if run is not None else None
-            parent = node_span.id if node_span is not None else None
-            marker = open_span(topic, labels, parent, sim, wall)
-            marker.sim_end, marker.wall_end = sim, wall
-            if topic == "recovery.retry":
-                delay = float(detail.get("delay", 0.0) or 0.0)
-                workflow = run.workflow if run is not None else ""
-                self._retries.labels(activity, workflow).inc()
-                self._retry_delay.labels(activity).observe(delay)
-                if delay > 0:
-                    # The wait is decided upfront, so its span is closed at
-                    # creation with a *future* sim end.
-                    at = float(detail.get("at", 0.0) or 0.0)
-                    labels = {"activity": activity, "slot": detail.get("slot", 0)}
-                    backoff = open_span("recovery.backoff", labels, parent, at, wall)
-                    backoff.sim_end, backoff.wall_end = at + delay, wall
-            elif topic == "recovery.checkpoint_restart":
-                self._checkpoint_restarts.labels(activity).inc()
-            elif topic == "recovery.replication_win":
-                self._replication_wins.labels(activity, detail.get("host", "")).inc()
-            elif topic == "recovery.exhausted":
-                self._slots_exhausted.labels(activity).inc()
+            jobs = run.attempts.get(activity) if run is not None else None
+            span = jobs.pop(job, None) if outcome and jobs is not None else None
+            if span is None:
+                # A running attempt — or one whose terminal outcome came
+                # before any TaskStart (an instant crash): a zero-duration
+                # attempt, so the trace still shows it.  The tracer's ids
+                # ride as labels; exporters draw decision → attempt.
+                labels = {"activity": activity, "job": job, "host": payload.hostname}
+                if wfid:
+                    labels["workflow_id"] = wfid
+                for key in ("span_id", "parent_id"):
+                    value = getattr(payload, key, "")
+                    if value:
+                        labels[key] = value
+                node_span = run.nodes.get(activity) if run is not None else None
+                parent = node_span.id if node_span is not None else None
+                span = open_span("task.attempt", labels, parent, sim, wall)
+            if not outcome:
+                if jobs is None:
+                    if run is None:
+                        run = runs[wfid] = _Open()
+                    jobs = run.attempts[activity] = {}
+                jobs[job] = span
+                continue
+            span.labels["outcome"] = outcome
+            if payload.reason:
+                span.labels["reason"] = payload.reason
+            span.sim_end, span.wall_end = sim, wall
+            continue
+        engine = topic.startswith("engine.")
+        if not (engine or topic.startswith("recovery.")) or not isinstance(payload, dict):
+            continue
+        wfid = payload.get("workflow_id", "") or ""
+        run = runs.get(wfid)
+        if engine:
+            node = payload.get("node")
+            if topic == "engine.node_launched":
+                workflow = payload.get("workflow", "")
+                if run is None:
+                    run = runs[wfid] = _Open()
+                if run.span is None:
+                    labels = {"workflow": workflow}
+                    if wfid:
+                        labels["workflow_id"] = wfid
+                    run.span = open_span("workflow.run", labels, None, sim, wall)
+                labels = {"node": node, "workflow": workflow}
+                if wfid:
+                    labels["workflow_id"] = wfid
+                run.nodes[node] = open_span("node.run", labels, run.span.id, sim, wall)
+            elif topic in ("engine.node_completed", "engine.node_cancelled"):
+                if run is not None:
+                    _cancel_attempts(run.attempts.pop(node, None), sim, wall)
+                    span = run.nodes.pop(node, None)
+                    if span is not None:
+                        span.labels["status"] = payload.get("status", "cancelled")
+                        span.sim_end, span.wall_end = sim, wall
+            elif topic == "engine.workflow_finished":
+                run = runs.pop(wfid, None)
+                if run is not None:
+                    for jobs in run.attempts.values():
+                        _cancel_attempts(jobs, sim, wall)
+                    if run.span is not None:
+                        run.span.labels["status"] = payload.get("status", "")
+                        run.span.sim_end, run.span.wall_end = sim, wall
+            continue
+        if topic == "recovery.resolved":
+            continue
+        # Every other recovery decision leaves a zero-duration marker span
+        # under its node, carrying the causal ids: chrome_trace draws flow
+        # arrows from these to the attempts they spawned.
+        activity = payload.get("activity", "")
+        labels = {"activity": activity}
+        if wfid:
+            labels["workflow_id"] = wfid
+        for key in ("span_id", "parent_id"):
+            value = payload.get(key)
+            if value:
+                labels[key] = value
+        node_span = run.nodes.get(activity) if run is not None else None
+        parent = node_span.id if node_span is not None else None
+        marker = open_span(topic, labels, parent, sim, wall)
+        marker.sim_end, marker.wall_end = sim, wall
+        if topic == "recovery.retry":
+            delay = float(payload.get("delay", 0.0) or 0.0)
+            if delay > 0:
+                # The wait is decided upfront, so its span is closed at
+                # creation with a *future* sim end.
+                at = float(payload.get("at", 0.0) or 0.0)
+                labels = {"activity": activity, "slot": payload.get("slot", 0)}
+                backoff = open_span("recovery.backoff", labels, parent, at, wall)
+                backoff.sim_end, backoff.wall_end = at + delay, wall
+    return spans
 
 
 def _cancel_attempts(jobs: dict[str, Span] | None, sim: float, wall: float) -> None:

@@ -109,6 +109,13 @@ class TelemetryPlane:
         scrape_bus(registry, bus)
         scrape_detector(registry, detector)
 
+    def window(self) -> tuple[int, int]:
+        """``(held, published)``: the records the bus's log holds once
+        folded — what events, spans and the journal are rendered from — of
+        those appended so far."""
+        log = self._log
+        return min(log.seq, log.capacity), log.seq
+
     def start(self) -> None:
         """Start the collector's ticks (no-op without the statistical
         layer)."""

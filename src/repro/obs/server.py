@@ -12,7 +12,8 @@ thread, while the reactor drives workflows on the main thread:
 * ``GET /alerts``           — firing alerts and the fired/resolved history;
 * ``GET /timeseries``       — series names held by the store;
 * ``GET /timeseries/<name>``— every labelled ring of one series family;
-* ``GET /workflows``        — JSON status of every admitted instance;
+* ``GET /workflows``        — JSON status of the running instances and the
+  newest finished ones;
 * ``GET /workflows/<id>``   — one instance in full: phase, in-flight
   nodes, attempt/verdict counts, last recovery action, causal trace id.
 
@@ -21,7 +22,7 @@ paths are JSON 404s and non-GET/HEAD methods JSON 405s (with ``Allow``),
 both with ``application/json`` Content-Type — probing scrapers and load
 balancers see consistent behaviour.
 
-Status is maintained by :class:`WorkflowStatusTracker`, a fold over the
+Status is maintained by :class:`WorkflowStatusTracker`, folded from the
 bus's event log — not by poking engine internals from the server thread.
 All mutation happens on the reactor thread, inside a fold; a read from the
 HTTP thread folds nothing and copies the state the last fold left, under
@@ -37,28 +38,33 @@ from typing import Any, Callable
 
 from ..events import EventBus
 from .export import prometheus_text
-from .log import LogConsumer, LogRecord
 from .metrics import MetricsRegistry
-from .observer import ATTEMPT_OUTCOME
+from .observer import FoldedConsumer
 
 __all__ = ["WorkflowStatusTracker", "TelemetryServer"]
 
 
-class WorkflowStatusTracker(LogConsumer):
-    """Keeps a JSON-safe live status per workflow instance, folded from
-    the bus's ``engine.*``, ``task.*`` and ``recovery.*`` events."""
+#: Finished instances a tracker keeps a status for; the one that finished
+#: longest ago goes when a newer one arrives (running ones always stay).
+_FINISHED = 1024
+
+
+class WorkflowStatusTracker(FoldedConsumer):
+    """Keeps a JSON-safe live status per workflow instance — the running
+    ones and the newest finished — folded from the bus's ``engine.*``,
+    ``task.*`` and ``recovery.*`` events (:class:`~repro.obs.observer.Fold`
+    reads the records; the methods below are what it does to a status)."""
+
+    _slot = "tracker"
 
     def __init__(self, bus: EventBus | None = None) -> None:
         self._status: dict[str, dict[str, Any]] = {}
-        #: Running attempts: workflow_id → job id → node.  A verdict comes
-        #: before the resolution it causes, so what a resolving node still
-        #: has here was cancelled (no terminal ``task.*`` event follows);
-        #: an instance's entry goes when its workflow finishes.
-        self._running: dict[str, dict[str, str]] = {}
+        #: The finished instances' ids, oldest finish first.
+        self._finished: dict[str, None] = {}
         if bus is not None:
             self.attach_bus(bus)
 
-    # -- the fold (reactor thread) -------------------------------------------
+    # -- the fold's side (reactor thread) ------------------------------------
 
     def _entry(self, wfid: str) -> dict[str, Any]:
         entry = self._status.get(wfid)
@@ -70,99 +76,35 @@ class WorkflowStatusTracker(LogConsumer):
                 "trace_id": "",
                 "nodes_launched": 0,
                 "nodes_completed": 0,
-                "running_nodes": [],
+                "running_nodes": {},
                 "attempts": {"total": 0, "in_flight": 0},
                 "last_recovery": None,
                 "finished_at": None,
             }
         return entry
 
-    def _fold(self, records: list[LogRecord]) -> None:
-        status = self._status
-        for _seq, _sim, _wall, topic, payload in records:
-            if topic.startswith("task."):
-                outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
-                if outcome is None:
-                    continue
-                wfid = str(getattr(payload, "workflow_id", "") or "")
-                job = getattr(payload, "job_id", "")
-                entry = status.get(wfid) or self._entry(wfid)
-                attempts = entry["attempts"]
-                running = self._running.get(wfid)
-                if not outcome:
-                    if running is None:
-                        running = self._running[wfid] = {}
-                    running[job] = payload.activity
-                    attempts["total"] += 1
-                    attempts["in_flight"] += 1
-                    continue
-                attempts[outcome] = attempts.get(outcome, 0) + 1
-                if running is not None and running.pop(job, None) is not None:
-                    attempts["in_flight"] -= 1
-            elif not isinstance(payload, dict):
-                continue
-            elif topic.startswith("engine."):
-                self._fold_engine(topic, payload)
-            elif topic.startswith("recovery."):
-                wfid = str(payload.get("workflow_id", "") or "")
-                entry = status.get(wfid) or self._entry(wfid)
-                entry["last_recovery"] = {
-                    "action": topic,
-                    "activity": str(payload.get("activity", "")),
-                    "at": float(payload.get("at") or 0.0),
-                    "span_id": str(payload.get("span_id") or ""),
-                }
-
-    def _fold_engine(self, topic: str, payload: dict[str, Any]) -> None:
-        wfid = str(payload.get("workflow_id", "") or "")
-        entry = self._status.get(wfid) or self._entry(wfid)
-        workflow = payload.get("workflow")
-        if workflow:
-            entry["workflow"] = str(workflow)
-        if not entry["trace_id"]:
-            trace = payload.get("trace_id")
-            if trace:
-                entry["trace_id"] = str(trace)
-        node = payload.get("node")
-        if topic == "engine.workflow_admitted":
-            if entry["nodes_launched"] == 0 and entry["phase"] == "running":
-                entry["phase"] = "admitted"
-        elif topic == "engine.node_launched":
-            entry["phase"] = "running"
-            entry["nodes_launched"] += 1
-            entry["running_nodes"].append(str(node))
-        elif topic in ("engine.node_completed", "engine.node_cancelled"):
-            entry["nodes_completed"] += 1
-            name = str(node)
-            nodes = entry["running_nodes"]
-            while name in nodes:
-                nodes.remove(name)
-            running = self._running.get(wfid)
-            if running:
-                self._cancel(
-                    entry, running, [job for job, at in running.items() if at == node]
-                )
-        elif topic == "engine.workflow_finished":
-            entry["phase"] = str(payload.get("status", "done"))
-            at = payload.get("at")
-            entry["finished_at"] = float(at) if at is not None else None
-            entry["running_nodes"] = []
-            running = self._running.pop(wfid, None)
-            if running:
-                self._cancel(entry, running, list(running))
-
-    def _cancel(
-        self, entry: dict[str, Any], running: dict[str, str], jobs: list[str]
-    ) -> None:
+    @staticmethod
+    def _cancelled(entry: dict[str, Any], count: int) -> None:
         """Count the attempts a resolved node left running as cancelled."""
-        if not jobs:
-            return
-        for job in jobs:
-            del running[job]
         attempts = entry["attempts"]
-        count = len(jobs)
         attempts["cancelled"] = attempts.get("cancelled", 0) + count
         attempts["in_flight"] -= count
+
+    def _finish(
+        self, wfid: str, entry: dict[str, Any], payload: dict[str, Any], cancelled: int
+    ) -> None:
+        entry["phase"] = str(payload.get("status", "done"))
+        at = payload.get("at")
+        entry["finished_at"] = float(at) if at is not None else None
+        entry["running_nodes"] = {}
+        if cancelled:
+            self._cancelled(entry, cancelled)
+        finished = self._finished
+        finished.pop(wfid, None)
+        finished[wfid] = None
+        if len(finished) > _FINISHED:
+            oldest = next(iter(finished))
+            del finished[oldest], self._status[oldest]
 
     # -- reads (any thread) --------------------------------------------------
 

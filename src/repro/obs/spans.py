@@ -12,26 +12,19 @@ clocks:
 * ``wall_start`` / ``wall_end`` — ``time.perf_counter`` at publish time,
   for profiling the *simulator itself*.
 
-Spans are built by a fold over the bus's event log
-(:class:`~repro.obs.observer.RunObserver`), which reads both stamps off the
-log record: :meth:`SpanRecorder.record` opens a span at given stamps and
-whoever learns of its end writes ``sim_end`` / ``wall_end``.  Many task
-attempts are in flight at once, so a span names its parent explicitly.
-The recorder is a bounded ring (old spans fall off the back), so a long
-campaign cannot grow memory without bound.
+Spans are a view of the bus's event log: :func:`repro.obs.observer.
+spans_of` builds them from the records the log still holds when
+:attr:`RunObserver.spans` is read — both stamps come off the record — and
+nothing keeps them afterwards.  Many task attempts are in flight at once,
+so a span names its parent explicitly.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["Span", "SpanRecorder"]
-
-#: Spans a recorder keeps; the oldest falls off when a newer one arrives.
-_CAPACITY = 65536
+__all__ = ["Span"]
 
 
 @dataclass(slots=True)
@@ -60,29 +53,3 @@ class Span:
     def wall_duration(self) -> float:
         return 0.0 if self.wall_end is None else self.wall_end - self.wall_start
 
-
-class SpanRecorder:
-    """Bounded ring of :class:`Span` objects, ids in recording order."""
-
-    def __init__(self) -> None:
-        self._ring: deque[Span] = deque(maxlen=_CAPACITY)
-        self._ids = itertools.count(1)
-
-    def record(
-        self,
-        name: str,
-        labels: dict[str, Any],
-        parent: int | None,
-        sim: float,
-        wall: float,
-    ) -> Span:
-        """Open a span at the given stamps.  The span takes ownership of
-        *labels* (no copy), so the caller must not reuse the dict."""
-        span = Span(next(self._ids), name, sim, wall, labels, parent)
-        self._ring.append(span)
-        return span
-
-    @property
-    def spans(self) -> list[Span]:
-        """Recorded spans, oldest first (bounded by the ring capacity)."""
-        return list(self._ring)

@@ -16,6 +16,10 @@ hold what replaced them to exact equivalence (the ``EagerStore`` /
   every navigation step walks ``spec.transitions[i]`` and
   ``spec.nodes[name]`` by name.
 
+* :class:`EagerSpanFold` and :class:`EagerTracker` — the observer's and the
+  status tracker's own folds, which PR 23 replaced with one pass off one
+  per-instance table and a span view built when read;
+
 * :func:`fold_eagerly` — the cadence the telemetry plane had before PR 21
   put one log under it: every consumer up to date after *every* publish,
   not after the next collector tick.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import fnmatch
 import heapq
+import itertools
 from collections import deque
 from functools import partial
 from typing import Any, Callable
@@ -37,7 +42,7 @@ from repro.engine.navigator import exception_edge_specificity
 from repro.errors import CheckpointError, NavigationError
 from repro.grid.behaviors import PlanContext
 from repro.grid.gram import JobProcess
-from repro.obs import EventLog
+from repro.obs import EventLog, MetricsRegistry, Span, observer
 from repro.wpdl.conditions import evaluate_condition
 from repro.wpdl.model import ConditionKind, JoinMode
 
@@ -498,6 +503,332 @@ class EagerNavigator:
         stuck = [n for n, i in instance.nodes.items() if not i.status.terminal]
         if stuck:
             raise NavigationError(f"navigation deadlock: nodes {stuck} are pending")
+
+# -- the telemetry plane's per-consumer folds (before PR 23) -------------------
+#
+# Each consumer decoded every record for itself and kept its own table of
+# running instances; the observer built every span as it went, into a ring.
+# PR 23 folds what is sampled in one pass off one table and renders spans
+# when read; these are the parent's loops, fed a consumer's own records
+# (``consumer._records()``) after the fact — a fold is a function of the
+# records alone, so when it runs does not matter.
+
+_ATTEMPT_OUTCOME = {"active": "", "done": "done", "failed": "failed", "exception": "exception"}
+_NO_FIELDS: dict = {}
+
+
+class _EagerRun:
+    __slots__ = ("workflow", "span", "nodes", "attempts")
+
+    def __init__(self) -> None:
+        self.workflow = ""
+        self.span = None
+        self.nodes = {}
+        self.attempts = {}
+
+
+class EagerSpanFold:
+    """``RunObserver._fold`` as it was: spans and metrics in one loop, a
+    ``Span`` built (and kept, in a ring of 65 536) per interval."""
+
+    def __init__(self, records=()) -> None:
+        self.metrics = MetricsRegistry()
+        self._ring = deque(maxlen=65536)
+        self._ids = itertools.count(1)
+        self._runs = {}
+        family = self.metrics.family
+        self._nodes_launched = family(observer.NODES_LAUNCHED)
+        self._node_completions = family(observer.NODE_COMPLETIONS)
+        self._task_tries = family(observer.TASK_TRIES)
+        self._workflow_runs = family(observer.WORKFLOW_RUNS)
+        self._task_attempts = family(observer.TASK_ATTEMPTS)
+        self._task_attempt_seconds = family(observer.TASK_ATTEMPT_SECONDS)
+        self._retries = family(observer.RECOVERY_RETRIES)
+        self._retry_delay = family(observer.RECOVERY_RETRY_DELAY)
+        self._checkpoint_restarts = family(observer.CHECKPOINT_RESTARTS)
+        self._replication_wins = family(observer.REPLICATION_WINS)
+        self._slots_exhausted = family(observer.SLOTS_EXHAUSTED)
+        self._tries_per_resolution = family(observer.TRIES_PER_RESOLUTION)
+        self.fold(records)
+
+    @property
+    def spans(self) -> list:
+        return list(self._ring)
+
+    def _record(self, name, labels, parent, sim, wall) -> Span:
+        span = Span(next(self._ids), name, sim, wall, labels, parent)
+        self._ring.append(span)
+        return span
+
+    def fold(self, records) -> None:
+        open_span = self._record
+        runs = self._runs
+        for _seq, sim, wall, topic, payload in records:
+            if topic.startswith("task."):  # an AttemptOutcome, duck-typed
+                job = getattr(payload, "job_id", None)
+                outcome = _ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+                if job is None or outcome is None:
+                    continue
+                activity = payload.activity
+                wfid = getattr(payload, "workflow_id", "") or ""
+                run = runs.get(wfid)
+                jobs = run.attempts.get(activity) if run is not None else None
+                span = jobs.pop(job, None) if outcome and jobs is not None else None
+                if span is None:
+                    # A running attempt — or one whose terminal outcome came
+                    # before any TaskStart (an instant crash): a zero-duration
+                    # attempt, so the trace still shows it.  The tracer's ids
+                    # ride as labels; exporters draw decision → attempt.
+                    host = payload.hostname
+                    labels = {"activity": activity, "job": job, "host": host}
+                    if wfid:
+                        labels["workflow_id"] = wfid
+                    for key in ("span_id", "parent_id"):
+                        value = getattr(payload, key, "")
+                        if value:
+                            labels[key] = value
+                    node_span = run.nodes.get(activity) if run is not None else None
+                    parent = node_span.id if node_span is not None else None
+                    span = open_span("task.attempt", labels, parent, sim, wall)
+                if not outcome:
+                    if jobs is None:
+                        if run is None:
+                            run = runs[wfid] = _EagerRun()
+                        jobs = run.attempts[activity] = {}
+                    jobs[job] = span
+                    continue
+                span.labels["outcome"] = outcome
+                if payload.reason:
+                    span.labels["reason"] = payload.reason
+                span.sim_end, span.wall_end = sim, wall
+                workflow = run.workflow if run is not None else ""
+                self._task_attempts.labels(activity, outcome, workflow).inc()
+                self._task_attempt_seconds.labels(activity).observe(
+                    sim - span.sim_start
+                )
+                continue
+            engine = topic.startswith("engine.")
+            if not engine and not topic.startswith("recovery."):
+                continue
+            detail = payload if isinstance(payload, dict) else _NO_FIELDS
+            wfid = detail.get("workflow_id", "") or ""
+            if engine:
+                workflow = detail.get("workflow", "")
+                node = detail.get("node")
+                if topic == "engine.node_launched":
+                    run = runs.get(wfid)
+                    if run is None:
+                        run = runs[wfid] = _EagerRun()
+                    run.workflow = workflow
+                    if run.span is None:
+                        labels = {"workflow": workflow}
+                        if wfid:
+                            labels["workflow_id"] = wfid
+                        run.span = open_span("workflow.run", labels, None, sim, wall)
+                    self._nodes_launched.labels(workflow).inc()
+                    labels = {"node": node, "workflow": workflow}
+                    if wfid:
+                        labels["workflow_id"] = wfid
+                    run.nodes[node] = open_span(
+                        "node.run", labels, run.span.id, sim, wall
+                    )
+                elif topic in ("engine.node_completed", "engine.node_cancelled"):
+                    status = detail.get("status", "cancelled")
+                    run = runs.get(wfid)
+                    if run is not None:
+                        _cancel_attempts(run.attempts.pop(node, None), sim, wall)
+                        span = run.nodes.pop(node, None)
+                        if span is not None:
+                            span.labels["status"] = status
+                            span.sim_end, span.wall_end = sim, wall
+                    self._node_completions.labels(status, workflow).inc()
+                    tries = detail.get("tries")
+                    if tries:
+                        self._task_tries.labels(node).observe(float(tries))
+                elif topic == "engine.workflow_finished":
+                    status = detail.get("status", "")
+                    self._workflow_runs.labels(status, workflow).inc()
+                    # Engine reuse starts this instance's next run with
+                    # fresh bookkeeping; sibling instances are untouched.
+                    run = runs.pop(wfid, None)
+                    if run is not None:
+                        for jobs in run.attempts.values():
+                            _cancel_attempts(jobs, sim, wall)
+                        if run.span is not None:
+                            run.span.labels["status"] = status
+                            run.span.sim_end, run.span.wall_end = sim, wall
+                continue
+            # recovery.*
+            activity = detail.get("activity", "")
+            if topic == "recovery.resolved":
+                self._tries_per_resolution.labels(
+                    activity, detail.get("state", "")
+                ).observe(float(detail.get("tries", 0) or 0))
+                continue
+            # Every other recovery decision leaves a zero-duration marker
+            # span under its node, carrying the causal ids: chrome_trace
+            # draws flow arrows from these to the attempts they spawned.
+            labels = {"activity": activity}
+            if wfid:
+                labels["workflow_id"] = wfid
+            for key in ("span_id", "parent_id"):
+                value = detail.get(key)
+                if value:
+                    labels[key] = value
+            run = runs.get(wfid)
+            node_span = run.nodes.get(activity) if run is not None else None
+            parent = node_span.id if node_span is not None else None
+            marker = open_span(topic, labels, parent, sim, wall)
+            marker.sim_end, marker.wall_end = sim, wall
+            if topic == "recovery.retry":
+                delay = float(detail.get("delay", 0.0) or 0.0)
+                workflow = run.workflow if run is not None else ""
+                self._retries.labels(activity, workflow).inc()
+                self._retry_delay.labels(activity).observe(delay)
+                if delay > 0:
+                    # The wait is decided upfront, so its span is closed at
+                    # creation with a *future* sim end.
+                    at = float(detail.get("at", 0.0) or 0.0)
+                    labels = {"activity": activity, "slot": detail.get("slot", 0)}
+                    backoff = open_span("recovery.backoff", labels, parent, at, wall)
+                    backoff.sim_end, backoff.wall_end = at + delay, wall
+            elif topic == "recovery.checkpoint_restart":
+                self._checkpoint_restarts.labels(activity).inc()
+            elif topic == "recovery.replication_win":
+                self._replication_wins.labels(activity, detail.get("host", "")).inc()
+            elif topic == "recovery.exhausted":
+                self._slots_exhausted.labels(activity).inc()
+
+
+def _cancel_attempts(jobs, sim, wall) -> None:
+    """End the attempts a resolved node left running: their jobs were
+    cancelled and forgotten, so no terminal ``task.*`` event follows."""
+    for span in (jobs or {}).values():
+        span.labels["outcome"] = "cancelled"
+        span.sim_end, span.wall_end = sim, wall
+
+
+class EagerTracker:
+    """``WorkflowStatusTracker`` as it folded: its own ``startswith``
+    ladder, its own job → node table per instance (scanned per node
+    completion), a status per instance ever admitted."""
+
+    def __init__(self, records=()) -> None:
+        self._status = {}
+        self._running = {}
+        self.fold(records)
+
+    def _entry(self, wfid):
+        entry = self._status.get(wfid)
+        if entry is None:
+            entry = self._status[wfid] = {
+                "workflow_id": wfid,
+                "workflow": "",
+                "phase": "running",
+                "trace_id": "",
+                "nodes_launched": 0,
+                "nodes_completed": 0,
+                "running_nodes": [],
+                "attempts": {"total": 0, "in_flight": 0},
+                "last_recovery": None,
+                "finished_at": None,
+            }
+        return entry
+
+    def fold(self, records) -> None:
+        status = self._status
+        for _seq, _sim, _wall, topic, payload in records:
+            if topic.startswith("task."):
+                outcome = _ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+                if outcome is None:
+                    continue
+                wfid = str(getattr(payload, "workflow_id", "") or "")
+                job = getattr(payload, "job_id", "")
+                entry = status.get(wfid) or self._entry(wfid)
+                attempts = entry["attempts"]
+                running = self._running.get(wfid)
+                if not outcome:
+                    if running is None:
+                        running = self._running[wfid] = {}
+                    running[job] = payload.activity
+                    attempts["total"] += 1
+                    attempts["in_flight"] += 1
+                    continue
+                attempts[outcome] = attempts.get(outcome, 0) + 1
+                if running is not None and running.pop(job, None) is not None:
+                    attempts["in_flight"] -= 1
+            elif not isinstance(payload, dict):
+                continue
+            elif topic.startswith("engine."):
+                self._fold_engine(topic, payload)
+            elif topic.startswith("recovery."):
+                wfid = str(payload.get("workflow_id", "") or "")
+                entry = status.get(wfid) or self._entry(wfid)
+                entry["last_recovery"] = {
+                    "action": topic,
+                    "activity": str(payload.get("activity", "")),
+                    "at": float(payload.get("at") or 0.0),
+                    "span_id": str(payload.get("span_id") or ""),
+                }
+
+    def _fold_engine(self, topic, payload) -> None:
+        wfid = str(payload.get("workflow_id", "") or "")
+        entry = self._status.get(wfid) or self._entry(wfid)
+        workflow = payload.get("workflow")
+        if workflow:
+            entry["workflow"] = str(workflow)
+        if not entry["trace_id"]:
+            trace = payload.get("trace_id")
+            if trace:
+                entry["trace_id"] = str(trace)
+        node = payload.get("node")
+        if topic == "engine.workflow_admitted":
+            if entry["nodes_launched"] == 0 and entry["phase"] == "running":
+                entry["phase"] = "admitted"
+        elif topic == "engine.node_launched":
+            entry["phase"] = "running"
+            entry["nodes_launched"] += 1
+            entry["running_nodes"].append(str(node))
+        elif topic in ("engine.node_completed", "engine.node_cancelled"):
+            entry["nodes_completed"] += 1
+            name = str(node)
+            nodes = entry["running_nodes"]
+            while name in nodes:
+                nodes.remove(name)
+            running = self._running.get(wfid)
+            if running:
+                self._cancel(
+                    entry, running, [job for job, at in running.items() if at == node]
+                )
+        elif topic == "engine.workflow_finished":
+            entry["phase"] = str(payload.get("status", "done"))
+            at = payload.get("at")
+            entry["finished_at"] = float(at) if at is not None else None
+            entry["running_nodes"] = []
+            running = self._running.pop(wfid, None)
+            if running:
+                self._cancel(entry, running, list(running))
+
+    def _cancel(self, entry, running, jobs) -> None:
+        """Count the attempts a resolved node left running as cancelled."""
+        if not jobs:
+            return
+        for job in jobs:
+            del running[job]
+        attempts = entry["attempts"]
+        count = len(jobs)
+        attempts["cancelled"] = attempts.get("cancelled", 0) + count
+        attempts["in_flight"] -= count
+
+    def snapshot(self) -> list:
+        return [
+            {
+                **entry,
+                "attempts": dict(entry["attempts"]),
+                "running_nodes": list(entry["running_nodes"]),
+            }
+            for _wfid, entry in sorted(self._status.items())
+        ]
 
 
 def fold_eagerly(bus) -> EventLog:

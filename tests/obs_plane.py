@@ -105,9 +105,12 @@ def faulty_gridspec(seed: int) -> dict:
 
 
 class ObservedHost:
-    """One ``EngineHost`` on a crashing grid, every obs consumer attached."""
+    """One ``EngineHost`` on a crashing grid, every obs consumer attached
+    (none with ``observed=False``: the same batch, bare)."""
 
-    def __init__(self, seed: int, *, bus: EventBus | None = None) -> None:
+    def __init__(
+        self, seed: int, *, bus: EventBus | None = None, observed: bool = True
+    ) -> None:
         self.grid = grid = build_grid(faulty_gridspec(seed))
         self.bus = bus = bus if bus is not None else EventBus()
         self.reactor = reactor = grid.reactor
@@ -120,8 +123,9 @@ class ObservedHost:
             reactor,
             grid,
             detector,
-            flight_record=True,
-            interval=COLLECT_INTERVAL,
+            observe=observed,
+            flight_record=observed,
+            interval=COLLECT_INTERVAL if observed else None,
         )
         self.observer = plane.observer
         self.recorder = plane.recorder

@@ -346,6 +346,42 @@ class TestCliObservability:
         kinds = {r["kind"] for r in records}
         assert {"event", "span", "metrics"} <= kinds
 
+    def test_a_truncated_export_says_so(
+        self, workflow_file, grid_file, tmp_path, capsys, monkeypatch
+    ):
+        """Events and spans are views of the bus's log: a run that outgrew
+        the ring exports the newest part, and both the CLI line and the
+        JSON-lines header say how much; an unwrapped run's do not."""
+        from repro.obs import EventLog
+
+        def run(suffix):
+            trace = tmp_path / f"run.{suffix}"
+            args = ["run", str(workflow_file), "--grid", str(grid_file)]
+            assert main([*args, "--trace", str(trace)]) == 0
+            return capsys.readouterr().out, trace.read_text()
+
+        out, text = run("jsonl")
+        assert "log wrapped" not in out
+        assert json.loads(text.splitlines()[0])["kind"] == "event"
+        whole = len(text.splitlines())
+
+        on = EventLog.on.__func__
+        monkeypatch.setattr(
+            EventLog,
+            "on",
+            classmethod(lambda cls, bus, *, clock=None, capacity=None: on(
+                cls, bus, clock=clock, capacity=4
+            )),
+        )
+        out, text = run("jsonl")
+        header, *records = [json.loads(line) for line in text.splitlines()]
+        published = header["log_wrapped"]["published"]
+        assert header == {"kind": "header", "log_wrapped": {"held": 4, "published": published}}
+        assert published > 4 and len(records) < whole
+        assert f"(log wrapped: newest 4 of {published} events)" in out
+        out, _ = run("json")
+        assert f"Perfetto) (log wrapped: newest 4 of {published} events)" in out
+
     def test_run_without_flags_writes_nothing(
         self, workflow_file, grid_file, tmp_path, capsys
     ):

@@ -261,7 +261,7 @@ class TestEstimatorSuite:
                 {"workflow": "mosaic", "workflow_id": wfid, "status": "done"},
             )
         suite.sync()
-        assert suite._workflows == {}
+        assert suite._folded_by.instances == {}
 
     def test_host_failures_only_from_host_reasons(self):
         bus = EventBus()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.obs import (
     MetricsRegistry,
     RecordedEvent,
-    SpanRecorder,
+    Span,
     chrome_trace,
     jsonl_lines,
     prometheus_text,
@@ -79,17 +79,17 @@ class TestPrometheusText:
 
 
 def recorded_spans() -> list:
-    rec = SpanRecorder()
+    spans = []
 
     def interval(name, sim_start, sim_end, parent=None, **labels):
-        span = rec.record(name, labels, parent, sim_start, 0.0)
-        span.sim_end, span.wall_end = sim_end, 0.0
+        span = Span(len(spans) + 1, name, sim_start, 0.0, labels, parent, sim_end, 0.0)
+        spans.append(span)
         return span
 
     node = interval("node.run", 0.0, 30.0, node="FU")
     interval("task.attempt", 0.0, 10.0, node.id, node="FU", outcome="failed")
     interval("mc.shard", 5.0, 25.0, technique="retrying")
-    return rec.spans
+    return spans
 
 
 CHROME_GOLDEN = {
@@ -128,10 +128,10 @@ class TestChromeTrace:
         assert chrome_trace(recorded_spans()) == CHROME_GOLDEN
 
     def test_open_span_renders_zero_duration(self):
-        rec = SpanRecorder()
-        rec.record("workflow.run", {}, None, 0.0, 0.0)
         [event] = [
-            e for e in chrome_trace(rec.spans)["traceEvents"] if e["ph"] == "X"
+            e
+            for e in chrome_trace([Span(1, "workflow.run", 0.0, 0.0)])["traceEvents"]
+            if e["ph"] == "X"
         ]
         assert event["dur"] == 0.0
 

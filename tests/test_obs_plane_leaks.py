@@ -9,15 +9,20 @@ and a phantom ``in_flight`` attempt behind for ever.  And until PR 21 five
 observer families and the estimators' gauges were keyed by
 ``workflow_id``, so every batch of 100 added some 2.6k registry series,
 as many store rings and four hundred estimators that nothing ever read
-again.
+again.  Since PR 23 the one thing left per instance — the tracker's status
+— is kept for the running instances and the newest finished ones only,
+and a span exists only while somebody reads it.
 """
 
 from __future__ import annotations
 
 import ast
+import gc
 from pathlib import Path
+from unittest import mock
 
 import repro
+from repro.obs import EventLog, Span, server
 from tests.obs_plane import ObservedHost
 
 BATCH = 100
@@ -27,6 +32,10 @@ def test_three_batches_leave_the_bookkeeping_empty():
     plane = ObservedHost(seed=20030623)
     observer, tracker = plane.observer, plane.tracker
     registry = observer.metrics
+    # One fold, one table of running instances, for all three consumers.
+    (fold,) = EventLog.on(plane.bus).folds
+    assert (fold.observer, fold.tracker) == (observer, tracker)
+    assert fold.estimators is plane.plane.estimators
     cancelled, sizes = [], []
     for batch in range(1, 4):
         results = plane.run_batch(BATCH)
@@ -34,7 +43,7 @@ def test_three_batches_leave_the_bookkeeping_empty():
         assert all(result.succeeded for result in results.values())
 
         spans = observer.spans  # a read: the batch's tail is folded
-        assert observer._runs == {}
+        assert fold.instances == {}
         assert all(span.sim_end is not None for span in spans)
         cancelled.append(
             sum(1 for span in spans if span.labels.get("outcome") == "cancelled")
@@ -44,7 +53,6 @@ def test_three_batches_leave_the_bookkeeping_empty():
         assert len(statuses) == batch * BATCH
         assert all(status["attempts"]["in_flight"] == 0 for status in statuses)
         assert all(status["running_nodes"] == [] for status in statuses)
-        assert tracker._running == {}
         assert (
             sum(status["attempts"].get("cancelled", 0) for status in statuses)
             == cancelled[-1]
@@ -62,7 +70,6 @@ def test_three_batches_leave_the_bookkeeping_empty():
                 len(plane.plane.estimators.activities),
             )
         )
-        assert plane.plane.estimators._workflows == {}
         # The store holds the registry's families and nothing else: no
         # ring a read created, none a tick missed.
         assert set(plane.store.names()) == {f.name for f in registry.families()}
@@ -91,6 +98,65 @@ def test_three_batches_leave_the_bookkeeping_empty():
             for label, value in key:
                 assert label != "workflow_id"
                 assert value in known.get(label, {value}), (family.name, label, value)
+
+
+def test_twenty_batches_keep_a_bounded_number_of_statuses():
+    """The tracker serves the running instances and the newest finished
+    ones; ``/workflows/<id>`` of an older one is the 404 of an unknown."""
+    kept = 25
+    with mock.patch.object(server, "_FINISHED", kept):
+        plane = ObservedHost(seed=19990803)
+        tracker = plane.tracker
+        (fold,) = EventLog.on(plane.bus).folds
+        for batch in range(1, 21):
+            results = plane.run_batch(10)
+            assert len(results) == batch * 10
+            ids = tracker.workflow_ids()
+            assert len(ids) == min(kept, batch * 10)
+            assert fold.instances == {}
+            # The newest finished, in whichever order they finished.
+            finished = [
+                entry["workflow_id"]
+                for entry in plane.recorder.entries
+                if entry["topic"] == "engine.workflow_finished"
+            ]
+            assert sorted(finished[-kept:]) == ids
+        assert tracker.status_of("wf-1") is None
+        assert tracker.status_of("wf-200")["phase"] == "done"
+        assert len(tracker._finished) == len(tracker._status) == kept
+
+
+def test_no_span_exists_until_spans_are_read():
+    plane = ObservedHost(seed=20030623)
+    plane.run_batch(20)
+    plane.observer.metrics.snapshot()  # folded, sampled — nothing rendered
+    gc.collect()
+    assert not any(isinstance(obj, Span) for obj in gc.get_objects())
+    spans = plane.observer.spans
+    assert len(spans) > 300
+    del spans
+    gc.collect()
+    assert not any(isinstance(obj, Span) for obj in gc.get_objects())
+
+
+def test_the_plane_keeps_under_two_objects_per_event():
+    """GC-tracked objects a batch leaves behind, over what the same batch
+    leaves with nothing attached, per published event: the log's record
+    and, for a third of them, the detector's outcome (PR 15's census;
+    2.0 with a ``Span`` and its ring slot per interval)."""
+
+    def retained(observed: bool) -> tuple[int, int]:
+        plane = ObservedHost(seed=20030623, observed=observed)
+        plane.run_batch(20)
+        gc.collect()
+        before, published = len(gc.get_objects()), plane.bus.stats()["publishes"]
+        plane.run_batch(100)
+        gc.collect()
+        return len(gc.get_objects()) - before, plane.bus.stats()["publishes"] - published
+
+    (kept, events), (bare, _) = retained(True), retained(False)
+    assert events > 3000
+    assert 1.0 <= (kept - bare) / events <= 1.8, (kept, bare, events)
 
 
 def test_no_declared_family_is_labelled_by_instance():

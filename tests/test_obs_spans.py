@@ -1,18 +1,18 @@
-"""Tests for the span recorder: stamps taken by the caller, explicit
-parents, ids in recording order and the bounded ring."""
+"""Tests for spans: stamps taken off the log record, explicit parents, ids
+in log order — and nothing kept: a span exists from the read that built
+it, over the records the log still holds."""
 
 from __future__ import annotations
 
-from unittest import mock
-
-from repro.obs import SpanRecorder, spans
+from repro.detection.detector import AttemptOutcome, TaskState
+from repro.events import EventBus
+from repro.obs import EventLog, RunObserver, Span
 
 
 class TestExplicitSpans:
     def test_record_opens_a_span_at_the_given_stamps(self):
-        rec = SpanRecorder()
         labels = {"node": "FU"}
-        span = rec.record("node.run", labels, None, 12.0, 0.25)
+        span = Span(1, "node.run", 12.0, 0.25, labels)
         assert (span.sim_start, span.wall_start) == (12.0, 0.25)
         assert span.labels is labels  # owned, not copied
         assert span.open and span.sim_duration == 0.0
@@ -22,19 +22,38 @@ class TestExplicitSpans:
         assert (span.sim_duration, span.wall_duration) == (30.0, 0.5)
 
     def test_explicit_parent_links(self):
-        rec = SpanRecorder()
-        outer = rec.record("workflow.run", {}, None, 0.0, 0.0)
-        inner = rec.record("node.run", {}, outer.id, 0.0, 0.0)
-        assert inner.parent == outer.id
+        bus = EventBus()
+        observer = RunObserver(bus)
+        launched = {"workflow": "w", "workflow_id": "wf-1", "node": "a"}
+        bus.publish("engine.node_launched", launched)
+        bus.publish("task.active", AttemptOutcome("j1", "a", TaskState.ACTIVE, workflow_id="wf-1"))
+        outer, inner, attempt = observer.spans
+        assert (outer.name, inner.name, attempt.name) == (
+            "workflow.run", "node.run", "task.attempt"
+        )
         assert outer.parent is None
-        assert [s.id for s in rec.spans] == [1, 2]
+        assert inner.parent == outer.id and attempt.parent == inner.id
+        assert [s.id for s in observer.spans] == [1, 2, 3]
 
 
-class TestRingAndQueries:
-    def test_ring_capacity_drops_oldest(self):
-        with mock.patch.object(spans, "_CAPACITY", 3):
-            rec = SpanRecorder()
+class TestTheViewIsTheLogsWindow:
+    def test_spans_are_of_what_the_log_still_holds(self):
+        bus = EventBus()
+        log = EventLog.on(bus, capacity=3)  # kept: the table holds it weakly
+        observer = RunObserver(bus)
+        assert observer._log is log
         for i in range(5):
-            rec.record(f"s{i}", {}, None, float(i), 0.0)
-        assert [s.name for s in rec.spans] == ["s2", "s3", "s4"]
-        assert [s.id for s in rec.spans] == [3, 4, 5]
+            bus.publish(
+                "engine.node_launched",
+                {"workflow": "w", "workflow_id": f"wf-{i}", "node": "a", "at": float(i)},
+            )
+        # Two spans per launch, of the three launches still held, numbered
+        # from 1 by this read — and by the next one.
+        for _read in range(2):
+            spans = observer.spans
+            assert [s.labels["workflow_id"] for s in spans[::2]] == ["wf-2", "wf-3", "wf-4"]
+            assert [s.id for s in spans] == [1, 2, 3, 4, 5, 6]
+        # A window's first spans may be clipped: the node's end is held,
+        # its launch is not, so the attempt's end finds no parent.
+        bus.publish("task.done", AttemptOutcome("j", "a", TaskState.DONE, workflow_id="wf-0"))
+        assert observer.spans[-1].parent is None

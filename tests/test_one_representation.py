@@ -6,9 +6,11 @@ mode of ``repro.obs``; PR 21 took what only existed to survive five
 thousand mostly idle per-instance series (optional labels, the
 estimators' export-what-changed machinery) and a few names nothing
 called; PR 22 took the time-series store's lazy sampling path, bus
-history and the span / timer / export surface only tests reached.  One
-walk over ``src/repro`` keeps them deleted, and keeps the retry wait in
-one place.
+history and the span / timer / export surface only tests reached; PR 23
+took the observer's, the tracker's and the estimators' own folds (one pass
+off one per-instance table now) and the span ring.  One walk over
+``src/repro`` keeps them deleted, and keeps the retry wait — and the
+decoding of a log record — in one place.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from pathlib import Path
 import repro
 from repro.core.policy import FailurePolicy
 from repro.engine import strategies
-from repro.obs import MetricSpec, RunObserver, SpanRecorder, TimeSeriesStore
+from repro.obs import (
+    EstimatorSuite,
+    MetricSpec,
+    RunObserver,
+    TimeSeriesStore,
+    WorkflowStatusTracker,
+    spans,
+)
 
 SRC = Path(repro.__file__).parent
 
@@ -75,6 +84,14 @@ GONE = {
     "HostDownError",
     "running_jobs",
     "queued_jobs",
+    # PR 23: a fold per consumer, each with its own table of instances,
+    # and a ring of spans nobody sampled.
+    "SpanRecorder",
+    "_fold_engine",
+    "_cancel",
+    "_workflows",
+    "_Run",
+    "_VERDICTS",
 }
 
 
@@ -123,10 +140,56 @@ def test_the_deleted_surface_stays_deleted():
     # so these two are checked where they lived).
     assert "optional" not in {f.name for f in dataclasses.fields(MetricSpec)}
     assert list(inspect.signature(RunObserver).parameters) == ["bus", "clock"]
-    # Stamps come off the log record and the ring's size is a constant;
-    # every ring of a store has the store's step and capacity.
-    assert list(inspect.signature(SpanRecorder).parameters) == []
+    # Every ring of a store has the store's step and capacity; spans have
+    # no ring (what is rendered is what the log holds).
     assert not hasattr(TimeSeriesStore, "series")
+    assert not hasattr(spans, "_CAPACITY")
+    # No consumer folds for itself, or keeps instances for itself
+    # (``_running`` is still the collector's and a host's, so it is checked
+    # where it lived).
+    for consumer in (RunObserver(), WorkflowStatusTracker(), EstimatorSuite()):
+        kept = {*vars(consumer), *dir(type(consumer))}
+        assert not kept & {"_fold", "_runs", "_running", "_recorder"}, consumer
+
+
+#: The topic families a fold decodes.
+FAMILIES = ("engine.", "task.", "recovery.")
+
+
+def test_a_log_record_is_decoded_in_two_places():
+    """One function under ``repro.obs`` matches ``engine.*`` / ``task.*`` /
+    ``recovery.*`` topics in a loop over log records for what is sampled
+    (``Fold.__call__``), and one for what is rendered (``spans_of``, its
+    documented second); nothing else loops over records and reads topics."""
+    decoders = []
+    for path in sorted((SRC / "obs").glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loops = [
+                loop
+                for loop in ast.walk(function)
+                if isinstance(loop, ast.For)
+                and isinstance(loop.iter, ast.Name)
+                and loop.iter.id == "records"
+            ]
+            if any(
+                isinstance(constant, ast.Constant)
+                and isinstance(constant.value, str)
+                and constant.value.startswith(FAMILIES)
+                for loop in loops
+                for constant in ast.walk(loop)
+            ):
+                decoders.append((path.name, function.name))
+    assert sorted(decoders) == [("observer.py", "__call__"), ("observer.py", "spans_of")]
+    # And the other two consumers' modules name no topic of those families.
+    for name in ("server.py", "estimators.py"):
+        constants = {
+            node.value
+            for node in ast.walk(ast.parse((SRC / "obs" / name).read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert not [c for c in constants if c.startswith(FAMILIES) and " " not in c], name
 
 
 def test_the_retry_wait_is_computed_in_one_place():

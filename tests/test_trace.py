@@ -254,4 +254,4 @@ class TestCancelledEvents:
             )
             is None
         )
-        assert trace._runs == {}
+        assert trace._folded_by.instances == {}
