@@ -77,9 +77,6 @@ class TaskStateMachine:
     def __init__(self, name: str) -> None:
         self.name = name
         self.state = TaskState.INACTIVE
-        #: (from, to, timestamp) trail for diagnostics; timestamps are filled
-        #: in by the caller via :meth:`transition`'s ``at`` argument.
-        self.trail: list[tuple[TaskState, TaskState, float | None]] = []
 
     @property
     def terminal(self) -> bool:
@@ -89,18 +86,11 @@ class TaskStateMachine:
     def can_transition(self, to: TaskState) -> bool:
         return (self.state, to) in LEGAL_TRANSITIONS
 
-    def transition(self, to: TaskState, *, at: float | None = None) -> None:
+    def transition(self, to: TaskState) -> None:
         """Move to state *to*; raises :class:`DetectionError` if illegal."""
         if not self.can_transition(to):
             raise DetectionError(
                 f"task {self.name!r}: illegal transition "
                 f"{self.state.value} -> {to.value}"
             )
-        self.trail.append((self.state, to, at))
-        self.state = to
-
-    def force(self, to: TaskState, *, at: float | None = None) -> None:
-        """Transition without legality checking (used when restoring an
-        engine checkpoint, where the recorded state is authoritative)."""
-        self.trail.append((self.state, to, at))
         self.state = to

@@ -272,7 +272,7 @@ class FailureDetector:
 
     def _on_task_start(self, attempt: _Attempt, _msg: TaskStart) -> None:
         if attempt.machine.state is TaskState.INACTIVE:
-            attempt.machine.transition(TaskState.ACTIVE, at=self._reactor.now())
+            attempt.machine.transition(TaskState.ACTIVE)
             if self._bus.wants(TASK_ACTIVE):
                 self._bus.publish(TASK_ACTIVE, self._outcome(attempt, "task-start"))
 
@@ -328,10 +328,10 @@ class FailureDetector:
         crashes immediately).  Promote to ACTIVE so the terminal transition
         is legal."""
         if attempt.machine.state is TaskState.INACTIVE:
-            attempt.machine.transition(TaskState.ACTIVE, at=self._reactor.now())
+            attempt.machine.transition(TaskState.ACTIVE)
 
     def _finish(self, attempt: _Attempt, state: TaskState, *, reason: str) -> None:
-        attempt.machine.transition(state, at=self._reactor.now())
+        attempt.machine.transition(state)
         # The verdict is final: stop tracking before anyone reacts to it.
         self._attempts.pop(attempt.job_id, None)
         outcome = self._outcome(attempt, reason)

@@ -201,9 +201,6 @@ class HeartbeatMonitor:
     def liveness(self, hostname: str) -> HostLiveness | None:
         return self._hosts.get(hostname)
 
-    def suspected_hosts(self) -> list[str]:
-        return sorted(h.hostname for h in self._hosts.values() if h.suspected)
-
     def snapshot(self) -> list[dict]:
         """JSON-safe per-host liveness counters — the heartbeat-loss feed
         the estimator suite ingests on the collector cadence."""

@@ -28,7 +28,7 @@ from .strategies import (
     SlotPlan,
     resolve_strategy,
 )
-from .trace import EngineTrace, TraceEvent
+from .trace import EngineTrace
 
 __all__ = [
     "Broker",
@@ -56,5 +56,4 @@ __all__ = [
     "SlotPlan",
     "resolve_strategy",
     "EngineTrace",
-    "TraceEvent",
 ]

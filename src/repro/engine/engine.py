@@ -350,7 +350,8 @@ class WorkflowEngine:
         skipped = propagate_skips(self.instance, changed_targets)
         self._unresolved -= len(skipped)
         # Zombie-check candidates: the feeders of every node that stopped
-        # being PENDING in this round.
+        # being PENDING in this round, and every node it launched (one whose
+        # targets all left PENDING already is a zombie from birth).
         zombie_candidates: list[str] | None = (
             None if changed_targets is None else []
         )
@@ -364,6 +365,7 @@ class WorkflowEngine:
             self._launch(name)
             if zombie_candidates is not None:
                 zombie_candidates.extend(compiled[name].feeders)
+                zombie_candidates.append(name)
         for name in irrelevant_running_nodes(self.instance, zombie_candidates):
             self._cancel_running(name)
         if self._unresolved == 0:

@@ -267,8 +267,8 @@ def irrelevant_running_nodes(
     targets are already resolved.
 
     *candidates* restricts the scan (incremental navigation: only nodes
-    feeding into a node whose status just changed can newly become
-    zombies); ``None`` scans every node.
+    feeding into a node whose status just changed, and nodes just
+    launched, can newly become zombies); ``None`` scans every node.
     """
     compiled = instance.compiled.nodes
     nodes = instance.nodes

@@ -18,10 +18,10 @@ Usage::
     print(trace.render())
     assert trace.count("task.failed") == 2
 
-Attach/detach are idempotent, and the recording survives
+A trace is attached for the life of its bus (attaching it again is a
+no-op, another bus is refused), and the recording survives
 :meth:`WorkflowEngine.reset`: the engine holds no bus subscription of its
-own, so one trace can observe an entire engine-reuse loop (every run is
-recorded; re-attaching between runs is a no-op).
+own, so one trace observes an entire engine-reuse loop, every run of it.
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ from __future__ import annotations
 from ..detection.detector import TASK_DONE, TASK_EXCEPTION, TASK_FAILED
 from ..obs.observer import RecordedEvent, RunObserver
 
-__all__ = ["TraceEvent", "EngineTrace"]
-
-#: Historical alias: trace events are the observer's recorded events.
-TraceEvent = RecordedEvent
+__all__ = ["EngineTrace"]
 
 
 class EngineTrace(RunObserver):
@@ -44,7 +41,7 @@ class EngineTrace(RunObserver):
         """Number of recorded events with exactly this topic."""
         return sum(1 for record in self._observed() if record[3] == topic)
 
-    def for_node(self, name: str) -> list[TraceEvent]:
+    def for_node(self, name: str) -> list[RecordedEvent]:
         """All events concerning one node/activity."""
         return [
             e
@@ -52,7 +49,7 @@ class EngineTrace(RunObserver):
             if e.detail.get("node") == name or e.detail.get("activity") == name
         ]
 
-    def attempts(self, activity: str) -> list[TraceEvent]:
+    def attempts(self, activity: str) -> list[RecordedEvent]:
         """Terminal detector outcomes for one activity, in order."""
         terminal = {TASK_DONE, TASK_FAILED, TASK_EXCEPTION}
         return [

@@ -140,10 +140,6 @@ class SimKernel:
             self._lane.append(entry)
         return entry
 
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
-        """Run *callback* at absolute virtual time *when* (>= now)."""
-        return self.schedule(when - self._now, callback)
-
     def reserve(self, count: int) -> int:
         """Take the next *count* sequence numbers and return the first: one
         timer re-armed on them (:meth:`rearm`) keeps the tie-breaks, and

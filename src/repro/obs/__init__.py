@@ -42,7 +42,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .log import EventLog
+from .log import AttachError, EventLog
 from .health import (
     ALERT_FIRED,
     ALERT_RESOLVED,
@@ -92,6 +92,7 @@ __all__ = [
     "ALERT_RESOLVED",
     "ATTEMPT_BUCKETS",
     "ActivityEstimator",
+    "AttachError",
     "BoundFamily",
     "Counter",
     "DEFAULT_BUCKETS",

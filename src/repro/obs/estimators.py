@@ -36,8 +36,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from .log import LogConsumer
 from .metrics import MetricSpec
-from .observer import FoldedConsumer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events import EventBus
@@ -379,10 +379,10 @@ def priors_from_grid(grid: Any) -> dict[str, tuple[float, float]]:
     return priors
 
 
-class EstimatorSuite(FoldedConsumer):
+class EstimatorSuite(LogConsumer):
     """Every estimator of one bus, folded from its event log.
 
-    The fold (:class:`~repro.obs.observer.Fold`) feeds it the terminal task
+    The fold (:class:`~repro.obs.log.Fold`) feeds it the terminal task
     outcomes, under the name of the specification their instance runs, and
     the heartbeat monitor's suspicion topics.  When a host's drift detector
     latches it publishes one
@@ -492,9 +492,6 @@ class EstimatorSuite(FoldedConsumer):
             estimator.suspicions = int(record.get("suspicions", 0))
 
     # -- reads ---------------------------------------------------------------
-
-    def drifted_hosts(self) -> list[str]:
-        return sorted(h.hostname for h in self.hosts.values() if h.detector.drifted)
 
     def max_failure_probability(self) -> float:
         """Largest Wilson lower bound across activity estimators — the

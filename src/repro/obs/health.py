@@ -29,7 +29,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..events import EventBus, Subscription
+    from ..events import EventBus
     from .estimators import EstimatorSuite
     from .timeseries import TimeSeriesStore
 
@@ -135,24 +135,14 @@ class HealthEngine:
         bus: "EventBus | None" = None,
     ) -> None:
         self._clock = clock
-        self._bus: "EventBus | None" = None
-        self._drift_sub: "Subscription | None" = None
+        #: Where alert edges are published; its drift events latch for the
+        #: bus's life.
+        self._bus = bus
         self._rules: list[HealthRule] = []
         self._states: dict[str, _RuleState] = {}
         self._history: deque[dict[str, Any]] = deque(maxlen=_HISTORY)
         if bus is not None:
-            self.attach_bus(bus)
-
-    def attach_bus(self, bus: "EventBus") -> "HealthEngine":
-        self.detach()
-        self._bus = bus
-        self._drift_sub = bus.subscribe("obs.drift.*", self._on_drift)
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None and self._drift_sub is not None:
-            self._bus.unsubscribe(self._drift_sub)
-        self._drift_sub = None
+            bus.subscribe("obs.drift.*", self._on_drift)
 
     # -- rule registration ---------------------------------------------------
 

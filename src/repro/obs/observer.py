@@ -12,15 +12,16 @@ its :class:`~repro.events.EventBus` —
 out of the bus's :class:`~repro.obs.log.EventLog`.  Nothing here runs
 inside a publish, and a record is decoded in two places only.  What is
 *sampled* — the labelled metrics here, the status tracker's per-instance
-status, the estimators' counts — is folded by :class:`Fold`: one pass per
-slice of the log, at the collector's tick and before any read, off one
-table of running instances.  What is *rendered* — :attr:`RunObserver.events`
-and the nested spans (``workflow.run`` ▸ ``node.run`` ▸ ``task.attempt`` /
-``recovery.backoff``, :func:`spans_of`) — is a view of the records the log
-still holds, built when read.  Span ids, parents and stamps are properties
-of log order and of the clocks read at append; and log order is publish
-order — a verdict, then the resolution and the node completion it caused —
-because nothing that steers a run listens to the bus.
+status, the estimators' counts — is folded by the log's one
+:class:`~repro.obs.log.Fold`: one pass per slice of the log, at the
+collector's tick and before any read, off one table of running instances.
+What is *rendered* — :attr:`RunObserver.events` and the nested spans
+(``workflow.run`` ▸ ``node.run`` ▸ ``task.attempt`` / ``recovery.backoff``,
+:func:`spans_of`) — is a view of the records the log still holds, built
+when read.  Span ids, parents and stamps are properties of log order and
+of the clocks read at append; and log order is publish order — a verdict,
+then the resolution and the node completion it caused — because nothing
+that steers a run listens to the bus.
 :class:`~repro.engine.trace.EngineTrace` is a thin query layer over this
 recording, and every exporter (:mod:`repro.obs.export`) renders it: one
 observation path.
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..events import EventBus
-from .log import LogConsumer, LogRecord, expand
+from .log import ATTEMPT_OUTCOME, LogConsumer, LogRecord, expand
 from .metrics import ATTEMPT_BUCKETS, MetricSpec, MetricsRegistry
 from .spans import Span
 
@@ -85,7 +86,7 @@ class RecordedEvent:
         return f"{self.at:10.3f}  {self.topic:24s} {parts}"
 
 
-def _recorded(record: LogRecord) -> RecordedEvent:
+def _event(record: LogRecord) -> RecordedEvent:
     """The :class:`RecordedEvent` readers see for one log record: its
     journal entry (:func:`~repro.obs.log.expand`) with ``at`` lifted out —
     and, for an ``AttemptOutcome``, the detector's field names shortened
@@ -188,265 +189,11 @@ TRIES_PER_RESOLUTION = MetricSpec(
     buckets=ATTEMPT_BUCKETS,
 )
 
-#: ``AttemptOutcome.state`` → the attempt's outcome label ("" while it is
-#: still running).  The detector's ``TaskState`` is a ``str`` enum, so its
-#: members find their plain-string keys here without an import.
-ATTEMPT_OUTCOME = {
-    "active": "",
-    "done": "done",
-    "failed": "failed",
-    "exception": "exception",
-}
-
-#: Failure-detector reasons that count as a *host* failure (as opposed to
-#: a task's own nonzero exit, which says nothing about the host's MTTF).
-_HOST_FAILURE_REASONS = ("host-crashed", "host-suspected")
-
 #: The topic families the observer reads, as ``str.startswith`` takes them.
 OBSERVED = ("engine.", "task.", "recovery.")
 
 
-class _Instance:
-    """One running workflow instance as a fold keeps it: its
-    specification's name, the status dict the tracker serves for it (None
-    in a fold without a tracker) and its open attempts, activity → job →
-    ``sim_start`` (a node's resolution ends the ones it cancelled)."""
-
-    __slots__ = ("workflow", "status", "attempts")
-
-    def __init__(self, workflow, status, attempts) -> None:
-        self.workflow: str = workflow
-        self.status: dict[str, Any] | None = status
-        self.attempts: dict[str, dict[str, float]] = attempts
-
-
-class Fold:
-    """One pass over a slice of the log for everything that is sampled:
-    the observer's metric families, the tracker's status and the
-    estimators' counts, for whichever of the three has joined.  A record is
-    decoded once — one topic dispatch, one payload read, one look into
-    :attr:`instances`, the table of running instances by ``workflow_id``
-    ("" for a classic single-instance run), where an entry is made by the
-    instance's first launch or attempt and goes when its workflow finishes.
-    Nothing here is rendered: spans are a view (:func:`spans_of`)."""
-
-    __slots__ = ("observer", "tracker", "estimators", "instances")
-
-    def __init__(self, instances: dict[str, _Instance]) -> None:
-        self.observer: RunObserver | None = None
-        self.tracker: Any = None
-        self.estimators: Any = None
-        self.instances = instances
-
-    def __call__(self, records: list[LogRecord]) -> None:
-        observer, tracker, suite = self.observer, self.tracker, self.estimators
-        instances = self.instances
-        # With a tracker every entry carries its status (FoldedConsumer
-        # lets one join while the table is empty only).
-        tracked = tracker is not None
-        status_of = tracker._entry if tracked else None
-        status: Any = None
-        for _seq, sim, _wall, topic, payload in records:
-            if topic.startswith("task."):  # an AttemptOutcome, duck-typed
-                outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
-                if outcome is None:
-                    continue
-                job = getattr(payload, "job_id", "")
-                activity = payload.activity
-                wfid = getattr(payload, "workflow_id", "") or ""
-                entry = instances.get(wfid)
-                if not outcome:  # the attempt starts
-                    if entry is None:
-                        status = status_of(wfid) if tracked else None
-                        entry = instances[wfid] = _Instance("", status, {})
-                    jobs = entry.attempts.get(activity)
-                    if jobs is None:
-                        jobs = entry.attempts[activity] = {}
-                    jobs[job] = sim
-                    if tracked:
-                        attempts = entry.status["attempts"]
-                        attempts["total"] += 1
-                        attempts["in_flight"] += 1
-                    continue
-                # A terminal outcome — maybe of an attempt nobody saw start
-                # (an instant crash): zero seconds, and not in flight.
-                workflow, started = "", None
-                if entry is not None:
-                    workflow = entry.workflow
-                    jobs = entry.attempts.get(activity)
-                    if jobs is not None:
-                        started = jobs.pop(job, None)
-                if observer is not None:
-                    observer._task_attempts.labels(activity, outcome, workflow).inc()
-                    observer._task_attempt_seconds.labels(activity).observe(
-                        0.0 if started is None else sim - started
-                    )
-                if tracked:
-                    status = entry.status if entry is not None else status_of(wfid)
-                    attempts = status["attempts"]
-                    attempts[outcome] = attempts.get(outcome, 0) + 1
-                    if started is not None:
-                        attempts["in_flight"] -= 1
-                if suite is not None:
-                    suite.activity(workflow, activity).record(outcome)
-                    if outcome == "failed" and payload.reason in _HOST_FAILURE_REASONS:
-                        hostname = str(payload.hostname or "")
-                        if hostname:
-                            at = getattr(payload, "at", None)
-                            suite.record_host_failure(
-                                hostname, float(at) if at is not None else sim
-                            )
-                continue
-            engine = topic.startswith("engine.")
-            if not engine and not topic.startswith("recovery."):
-                if suite is not None and topic.startswith("detector.host_"):
-                    if topic == "detector.host_suspected":
-                        suite.host(str(payload)).record_suspected(sim)
-                    elif topic == "detector.host_recovered":
-                        suite.host(str(payload)).record_recovered(sim)
-                continue
-            if not isinstance(payload, dict):
-                continue
-            wfid = payload.get("workflow_id", "") or ""
-            entry = instances.get(wfid)
-            if tracked:
-                status = entry.status if entry is not None else status_of(wfid)
-            if not engine:
-                activity = payload.get("activity", "")
-                if tracked:
-                    status["last_recovery"] = {
-                        "action": topic,
-                        "activity": str(activity),
-                        "at": float(payload.get("at") or 0.0),
-                        "span_id": str(payload.get("span_id") or ""),
-                    }
-                if observer is None:
-                    pass
-                elif topic == "recovery.resolved":
-                    observer._tries_per_resolution.labels(
-                        activity, payload.get("state", "")
-                    ).observe(float(payload.get("tries", 0) or 0))
-                elif topic == "recovery.retry":
-                    workflow = entry.workflow if entry is not None else ""
-                    observer._retries.labels(activity, workflow).inc()
-                    observer._retry_delay.labels(activity).observe(
-                        float(payload.get("delay", 0.0) or 0.0)
-                    )
-                elif topic == "recovery.checkpoint_restart":
-                    observer._checkpoint_restarts.labels(activity).inc()
-                elif topic == "recovery.replication_win":
-                    observer._replication_wins.labels(
-                        activity, payload.get("host", "")
-                    ).inc()
-                elif topic == "recovery.exhausted":
-                    observer._slots_exhausted.labels(activity).inc()
-                continue
-            workflow = payload.get("workflow", "")
-            node = payload.get("node")
-            if tracked:
-                if workflow:
-                    status["workflow"] = str(workflow)
-                if not status["trace_id"]:
-                    trace = payload.get("trace_id")
-                    if trace:
-                        status["trace_id"] = str(trace)
-            if topic == "engine.node_launched":
-                if entry is None:
-                    entry = instances[wfid] = _Instance(workflow, status, {})
-                entry.workflow = workflow
-                if observer is not None:
-                    observer._nodes_launched.labels(workflow).inc()
-                if tracked:
-                    if status["phase"] != "running":  # admitted, or run again
-                        status["phase"] = "running"
-                        tracker._finished.pop(wfid, None)
-                    status["nodes_launched"] += 1
-                    status["running_nodes"][str(node)] = None
-            elif topic in ("engine.node_completed", "engine.node_cancelled"):
-                # What the node left running was cancelled and forgotten:
-                # no terminal ``task.*`` event follows.
-                cancelled = len(entry.attempts.pop(node, ())) if entry is not None else 0
-                if observer is not None:
-                    observer._node_completions.labels(
-                        payload.get("status", "cancelled"), workflow
-                    ).inc()
-                    tries = payload.get("tries")
-                    if tries:
-                        observer._task_tries.labels(node).observe(float(tries))
-                if tracked:
-                    status["nodes_completed"] += 1
-                    status["running_nodes"].pop(str(node), None)
-                    if cancelled:
-                        tracker._cancelled(status, cancelled)
-            elif topic == "engine.workflow_finished":
-                # Engine reuse starts this instance's next run with fresh
-                # bookkeeping; sibling instances are untouched.
-                instances.pop(wfid, None)
-                if observer is not None:
-                    observer._workflow_runs.labels(
-                        payload.get("status", ""), workflow
-                    ).inc()
-                if tracked:
-                    cancelled = 0
-                    if entry is not None:
-                        cancelled = sum(map(len, entry.attempts.values()))
-                    tracker._finish(wfid, status, payload, cancelled)
-            elif topic == "engine.workflow_admitted" and tracked:
-                if status["nodes_launched"] == 0 and status["phase"] == "running":
-                    status["phase"] = "admitted"
-
-
-class FoldedConsumer(LogConsumer):
-    """A consumer whose state a :class:`Fold` computes.  It reads as if it
-    folded alone — what it knows of an instance is what was published while
-    it was attached — and shares a pass, and the table, with the consumers
-    of the other kinds for which that is the same thing: those that joined
-    while the table was empty.  Leaving a shared fold it takes its copy of
-    the table along, and folds on with it, alone, when attached again."""
-
-    #: The attribute of :class:`Fold` this kind of consumer fills.
-    _slot = ""
-    _folded_by: Fold | None = None
-    #: The consumer's table while it is detached.
-    _instances: dict[str, _Instance] | None = None
-
-    def attach_bus(self, bus: EventBus):
-        was = self._log
-        super().attach_bus(bus)
-        log = self._log
-        if log is not was:
-            mine, self._instances = self._instances, None
-            for fold in () if mine else log.folds:
-                if getattr(fold, self._slot) is None and not fold.instances:
-                    break
-            else:
-                fold = Fold(mine or {})
-                log.folds.append(fold)
-            setattr(fold, self._slot, self)
-            self._folded_by = fold
-        return self
-
-    def detach(self) -> None:
-        log, fold = self._log, self._folded_by
-        super().detach()  # folds up to here
-        if fold is not None:
-            self._folded_by = None
-            setattr(fold, self._slot, None)
-            if fold.observer is fold.tracker is fold.estimators is None:
-                log.folds.remove(fold)
-                self._instances = fold.instances
-            else:
-                self._instances = {
-                    wfid: _Instance(
-                        entry.workflow,
-                        entry.status,  # read by a fold with a tracker only
-                        {activity: dict(jobs) for activity, jobs in entry.attempts.items()},
-                    )
-                    for wfid, entry in fold.instances.items()
-                }
-
-
-class RunObserver(FoldedConsumer):
+class RunObserver(LogConsumer):
     """Turns engine/detector/recovery bus traffic into one recording."""
 
     _slot = "observer"
@@ -487,7 +234,7 @@ class RunObserver(FoldedConsumer):
     @property
     def events(self) -> list[RecordedEvent]:
         """The observed events, oldest first (what the log still holds)."""
-        return [_recorded(record) for record in self._observed()]
+        return [_event(record) for record in self._observed()]
 
     @property
     def spans(self) -> list[Span]:
@@ -516,7 +263,7 @@ def spans_of(records: list[LogRecord]) -> list[Span]:
     first spans are clipped: an interval that began on a record no longer
     held starts at the first record that mentions it, without a parent.
     The second (and last) place that decodes the three topic families;
-    :class:`Fold` is the one that runs per published event."""
+    :class:`~repro.obs.log.Fold` is the one that runs per published event."""
     spans: list[Span] = []
     ids = itertools.count(1)
 

@@ -29,11 +29,13 @@ class TelemetryPlane:
     """Every :mod:`repro.obs` consumer of one runtime.
 
     Every consumer but the health engine reads *bus* through its one
-    :class:`~repro.obs.log.EventLog` — one append per publish — and is
-    brought up to date by a fold, at each collector tick and before any
-    read, in attachment order: observer, status tracker, estimators.  What
-    the estimators and the health engine publish from inside a fold
-    (``obs.drift.mttf``, ``obs.alert.*``) is appended to the same log.
+    :class:`~repro.obs.log.EventLog` — one append per publish — and those
+    that are sampled (observer, status tracker, estimators) are brought up
+    to date by the log's one fold, at each collector tick and before any
+    read.  All of them attach here, before the first publish, for the
+    bus's life.  What the estimators and the health engine publish from
+    inside a fold (``obs.drift.mttf``, ``obs.alert.*``) is appended to the
+    same log.
 
     Each part is optional and ``None`` when off:
 

@@ -3,11 +3,11 @@
 A failure-handling framework is judged in the moments *after* something
 went wrong — and by then the interesting events have already happened.
 :class:`FlightRecorder` is the journal view of the bus's
-:class:`~repro.obs.log.EventLog`: every publish made while it is attached,
-bounded in memory by the log's ring and its own *capacity*, optionally
-spilled to a JSON-lines file **as each event is appended** so a crash loses
-nothing.  ``repro inspect`` (:mod:`repro.obs.postmortem`) rebuilds a
-causally-linked per-workflow timeline from either source.
+:class:`~repro.obs.log.EventLog`: every publish made since it was attached,
+bounded in memory by the log's ring, optionally spilled to a JSON-lines
+file **as each event is appended** so a crash loses nothing.  ``repro
+inspect`` (:mod:`repro.obs.postmortem`) rebuilds a causally-linked
+per-workflow timeline from either source.
 
 Entries are the plain JSON-safe dicts :func:`~repro.obs.log.expand` builds
 from the published payload contract.  The recorder never imports engine
@@ -32,60 +32,30 @@ JOURNAL_VERSION = 1
 
 
 class FlightRecorder(LogConsumer):
-    """The journal of every bus publish, optionally spilling to disk.
+    """The journal of every publish on *bus*, optionally spilling to disk.
 
-    *capacity* bounds the journal in memory (oldest entries are
-    overwritten; :meth:`stats` counts the overwrites): it sizes the bus's
-    log if the recorder creates it, and windows one somebody else did.
-    *spill_path* streams every entry to a JSON-lines file as it is
-    recorded, so the on-disk journal is complete even when the ring has
-    wrapped — and even if the process dies mid-run, modulo OS buffering.
+    In memory the journal is what the bus's log still holds (oldest entries
+    are overwritten; :meth:`stats` counts the overwrites).  *spill_path*
+    streams every entry to a JSON-lines file as it is appended, so the
+    on-disk journal is complete even when the ring has wrapped — and even
+    if the process dies mid-run, modulo OS buffering.
     """
 
-    def __init__(
-        self,
-        bus: EventBus | None = None,
-        *,
-        capacity: int = 65_536,
-        spill_path: str | None = None,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._capacity = capacity
-        #: Events recorded by attachments that have ended.
-        self._recorded = 0
+    def __init__(self, bus: EventBus, *, spill_path: str | None = None) -> None:
         self._spilled = 0
         self.spill_path = spill_path
         self._spill: IO[str] | None = None
+        self.attach_bus(bus)
         if spill_path is not None:
             self._spill = open(spill_path, "w", encoding="utf-8")
             self._spill.write(json.dumps({"journal_version": JOURNAL_VERSION}) + "\n")
-        if bus is not None:
-            self.attach_bus(bus)
-
-    # -- wiring --------------------------------------------------------------
-
-    def attach_bus(self, bus: EventBus) -> "FlightRecorder":
-        """Record everything *bus* publishes.  Idempotent per bus."""
-        was = self._log
-        super().attach_bus(bus)
-        if self._log is not was and self._spill is not None:
-            self._log.spills.append(self._write)
-        return self
-
-    def detach(self) -> None:
-        """Stop recording (idempotent; the journal stays readable)."""
-        log = self._log
-        super().detach()  # folds, and a fold may publish: count after it
-        if log is not None:
-            self._recorded += log.seq - self._since
-            if self._write in log.spills:
-                log.spills.remove(self._write)
+            self._log.spills.append(self._write)  # type: ignore[union-attr]
 
     def close(self) -> None:
-        """Detach and flush/close the spill file, if any."""
-        self.detach()
+        """Stop spilling and close the spill file, if any (the journal
+        stays readable: it is a view of the log)."""
         if self._spill is not None:
+            self._log.spills.remove(self._write)  # type: ignore[union-attr]
             self._spill.close()
             self._spill = None
 
@@ -111,19 +81,15 @@ class FlightRecorder(LogConsumer):
 
     # -- reading -------------------------------------------------------------
 
-    def _journal(self) -> list[LogRecord]:
-        return self._records()[-self._capacity :]
-
     @property
     def entries(self) -> list[dict[str, Any]]:
-        """The journal as JSON-safe entries, oldest first (what the ring
+        """The journal as JSON-safe entries, oldest first (what the log
         still holds)."""
-        return [expand(record) for record in self._journal()]
+        return [expand(record) for record in self._records()]
 
     def stats(self) -> dict[str, int]:
-        log = self._log
-        recorded = self._recorded + (log.seq - self._since if log is not None else 0)
-        retained = len(self._journal())
+        recorded = self._log.seq - self._since  # type: ignore[union-attr]
+        retained = len(self._records())
         return {
             "recorded": recorded,
             "retained": retained,

@@ -38,8 +38,8 @@ from typing import Any, Callable
 
 from ..events import EventBus
 from .export import prometheus_text
+from .log import LogConsumer
 from .metrics import MetricsRegistry
-from .observer import FoldedConsumer
 
 __all__ = ["WorkflowStatusTracker", "TelemetryServer"]
 
@@ -49,10 +49,10 @@ __all__ = ["WorkflowStatusTracker", "TelemetryServer"]
 _FINISHED = 1024
 
 
-class WorkflowStatusTracker(FoldedConsumer):
+class WorkflowStatusTracker(LogConsumer):
     """Keeps a JSON-safe live status per workflow instance — the running
     ones and the newest finished — folded from the bus's ``engine.*``,
-    ``task.*`` and ``recovery.*`` events (:class:`~repro.obs.observer.Fold`
+    ``task.*`` and ``recovery.*`` events (:class:`~repro.obs.log.Fold`
     reads the records; the methods below are what it does to a status)."""
 
     _slot = "tracker"

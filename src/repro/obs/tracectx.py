@@ -91,10 +91,6 @@ class Tracer:
     def spans_allocated(self) -> int:
         return self._next_span
 
-    @property
-    def traces_opened(self) -> int:
-        return self._next_trace
-
 
 def stamp(detail: dict[str, Any], ctx: TraceContext | None) -> dict[str, Any]:
     """Write *ctx* into a bus payload dict (no-op when tracing is off).

@@ -162,14 +162,15 @@ def navigate(make_instance, nav, spec, picks, stop_after=None):
             instance.node(name).status = NodeStatus.RUNNING
             if zombie_candidates is not None:
                 zombie_candidates += feeders[name]
+                zombie_candidates.append(name)
         zombies = nav.irrelevant_running_nodes(instance, zombie_candidates)
         for name in zombies:
             nav.cancel_node(instance, name)
-        # The incremental round launches exactly what a full scan would.
-        # (Not so for zombies, in either model: a node launched when no
-        # target of its own is PENDING any more is not among the feeders
-        # the round looks at — recorded in the trace, not asserted.)
+        # The incremental round launches and reaps exactly what a full scan
+        # would — a node launched when no target of its own is PENDING any
+        # more included.
         assert nav.ready_nodes(instance) == []
+        assert nav.irrelevant_running_nodes(instance) == []
         trace.append(
             (skipped, ready, zombies, nav.irrelevant_running_nodes(instance)),
         )

@@ -211,6 +211,37 @@ class TestFigure5Redundancy:
         result = run_workflow(fig5_workflow(), quiet_grid)
         assert result.status is WorkflowStatus.FAILED
 
+    def test_a_node_ready_after_its_join_fired_is_cancelled_at_launch(self, quiet_grid):
+        """``D`` becomes ready (t=20) after its OR-join successor ``J``
+        already fired on ``A`` (t=10): nothing ``D`` does can matter, so it
+        is cancelled as it launches and the run ends when ``J`` does."""
+        two_reliable_hosts(quiet_grid)
+        for host, program, duration in (
+            ("u1", "a", 10.0), ("u1", "j", 50.0), ("r1", "b", 20.0), ("r1", "d", 100.0)
+        ):
+            quiet_grid.install(host, program, FixedDurationTask(duration))
+        wf = (
+            WorkflowBuilder("late")
+            .program("a", hosts=["u1"])
+            .program("j", hosts=["u1"])
+            .program("b", hosts=["r1"])
+            .program("d", hosts=["r1"])
+            .dummy("split")
+            .activity("A", implement="a")
+            .activity("B", implement="b")
+            .activity("D", implement="d")
+            .activity("J", implement="j", join=JoinMode.OR)
+            .fan_out("split", "A", "B")
+            .transition("A", "J")
+            .transition("B", "D")
+            .transition("D", "J")
+            .build()
+        )
+        result = run_workflow(wf, quiet_grid)
+        assert result.succeeded
+        assert result.completion_time == pytest.approx(60.0)
+        assert result.node_statuses["D"] is NodeStatus.CANCELLED
+
 
 class TestFigure6ExceptionHandling:
     def test_exception_routes_to_alternative(self, quiet_grid):

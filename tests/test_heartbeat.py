@@ -67,7 +67,7 @@ class TestSuspicion:
         kernel.run_until(12.0)
         assert monitor.is_suspected("dead")
         assert not monitor.is_suspected("alive")
-        assert monitor.suspected_hosts() == ["dead"]
+        assert [r["host"] for r in monitor.snapshot() if r["suspected"]] == ["dead"]
 
 
 class TestRecovery:

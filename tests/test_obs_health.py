@@ -198,14 +198,6 @@ class TestDriftRules:
         (transition,) = engine.evaluate(51.0)
         assert transition["transition"] == "resolved"
 
-    def test_detach_stops_latching(self):
-        bus = EventBus()
-        engine = HealthEngine(bus=bus)
-        engine.add_rule(HealthRule("catalog-drift", kind="drift"))
-        engine.detach()
-        bus.publish("obs.drift.mttf", {"host": "h1"})
-        assert engine.evaluate(0.0) == []
-
 
 class TestDefaultRules:
     def test_installs_the_cli_rule_set(self):

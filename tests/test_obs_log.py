@@ -6,7 +6,7 @@ records wait as the log's ring holds.  The reference is the cadence it had
 before (``tests.eager_models.fold_eagerly``: every consumer up to date
 after every publish); the two must render the same bytes through every
 readable output, on the plane golden's batch and on random interleavings
-of publishes, ticks, reads, detaches and engine resets.  A ring of a few
+of publishes, ticks, reads and engine resets.  A ring of a few
 records (fold-before-overwrite on most appends) must compute what a ring
 of 65 536 does — and show less of it: events, spans and the journal are
 views of what the ring still holds.  A thread that is not the publishing
@@ -16,8 +16,12 @@ one must never fold — only see what the last fold left, whole.
 loops, as they were before one pass off one per-instance table replaced
 them (``EagerSpanFold``, ``EagerTracker``), run over each consumer's own
 records after the fact.  Spans, registry and status must equal theirs on
-the golden batch and on every interleaving — consumers detached and
-attached again mid-run included: each reads as if it had folded alone.
+the golden batch and on every interleaving.
+
+A consumer is attached for the life of its bus: the log has one fold, and
+what would make a consumer read differently from one attached from the
+start — another bus, a second consumer of its kind, a join onto running
+instances — is refused.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from hypothesis import strategies as st
 
 from repro.core import FailurePolicy
 from repro.detection.detector import AttemptOutcome, TaskState
-from repro.engine import EngineHost, WorkflowEngine
+from repro.engine import EngineHost, EngineTrace, WorkflowEngine
+from repro.errors import GridWFSError
 from repro.events import EventBus
 from repro.grid import (
     RELIABLE,
@@ -46,6 +51,7 @@ from repro.grid import (
     SimulatedGrid,
 )
 from repro.obs import (
+    AttachError,
     EstimatorSuite,
     EventLog,
     FlightRecorder,
@@ -57,9 +63,11 @@ from repro.obs import (
     Tracer,
     WorkflowStatusTracker,
     default_rules,
+    priors_from_grid,
     prometheus_text,
     scrape_bus,
 )
+from repro.obs.log import Fold
 from tests.eager_models import EagerSpanFold, EagerTracker, fold_eagerly
 from tests.helpers import single_task_workflow
 from tests.obs_plane import ObservedHost
@@ -83,7 +91,7 @@ def _spans(spans) -> list[list]:
 
 def assert_folds_like_the_parent(observer, tracker) -> None:
     """*observer* and *tracker* (on an unwrapped log) read what the parent's
-    per-consumer folds make of the records each of them was attached for."""
+    per-consumer folds make of the records published since they attached."""
     model = EagerSpanFold(observer._records())
 
     def stamped(spans):
@@ -227,12 +235,6 @@ class Rig:
             estimators=estimators,
             health=health,
         )
-        self.consumers = {
-            "observer": self.observer,
-            "recorder": self.recorder,
-            "tracker": self.tracker,
-            "estimators": self.estimators,
-        }
         self.reads = {
             "events": lambda: self.observer.events,
             "spans": lambda: self.observer.spans,
@@ -244,7 +246,9 @@ class Rig:
             "journal": lambda: self.recorder.entries,
             "stats": lambda: self.recorder.stats(),
             "estimators": lambda: self.estimators.snapshot(),
-            "drifted": lambda: self.estimators.drifted_hosts(),
+            "drifted": lambda: [
+                host for host, e in self.estimators.hosts.items() if e.detector.drifted
+            ],
         }
 
     # -- ops -----------------------------------------------------------------
@@ -262,10 +266,6 @@ class Rig:
             (self.collector.start if op[1] else self.collector.stop)()
         elif kind == "read":
             self.reads[op[1]]()
-        elif kind == "detach":
-            self.consumers[op[1]].detach()
-        elif kind == "attach":
-            self.consumers[op[1]].attach_bus(self.bus)
         elif kind == "crashes":
             # A host crashing every half second: enough to latch its drift
             # detector and to make an activity's failure rate alarming.
@@ -359,7 +359,6 @@ _events = st.tuples(
     st.integers(0, len(HOSTS) - 1),
     st.integers(0, 5),
 )
-_consumers = st.sampled_from(["observer", "recorder", "tracker", "estimators"])
 _ops = st.one_of(
     _events,
     _events,
@@ -375,8 +374,6 @@ _ops = st.one_of(
              "estimators", "drifted"]
         ),
     ),
-    st.tuples(st.just("detach"), _consumers),
-    st.tuples(st.just("attach"), _consumers),
     st.just(("run",)),
     st.tuples(
         st.just("crashes"),
@@ -391,10 +388,7 @@ class TestCadenceIsNotObservable:
     @given(st.lists(_ops, min_size=5, max_size=80))
     # A drift latched per event evaluates the health rules before any tick:
     # the event-flow rule's read of ``bus_publishes`` used to create the ring.
-    @example(
-        [("run",), ("advance", 0.0), ("detach", "observer"), ("detach", "tracker"),
-         ("crashes", 0, 0)]
-    )
+    @example([("run",), ("advance", 0.0), ("crashes", 0, 0)])
     def test_any_interleaving_reads_the_same_folded_per_event_and_on_demand(self, ops):
         eager, lazy, small = Rig(eager=True), Rig(eager=False), Rig(eager=False, capacity=5)
         for op in ops:
@@ -421,7 +415,7 @@ class TestCadenceIsNotObservable:
                 rig.apply(("publish", "failed", 0, 0, i % len(JOBS), 0, 0))
         assert eager.estimators.drift_events == 1
         assert lazy.estimators.drift_events == 0  # nobody looked yet
-        assert lazy.estimators.drifted_hosts() == ["h1"]  # a read folds
+        assert lazy.estimators.hosts["h1"].detector.drifted  # a read folds
         assert lazy.estimators.drift_events == 1
         drifts = [
             [e for e in rig.recorder.entries if e["topic"] == "obs.drift.mttf"]
@@ -626,8 +620,8 @@ def _fold_calls(width: int) -> int:
     bus = EventBus()
     tracker = WorkflowStatusTracker(bus)
     consumers = RunObserver(bus), tracker, EstimatorSuite(bus)
-    log = EventLog.on(bus)
-    assert [(f.observer, f.tracker, f.estimators) for f in log.folds] == [consumers]
+    fold = EventLog.on(bus).sampled
+    assert (fold.observer, fold.tracker, fold.estimators) == consumers
     names = [_Name(f"n{i}") for i in range(width)]
     base = {"workflow": "wide", "workflow_id": "wf-1"}
 
@@ -647,6 +641,7 @@ def _fold_calls(width: int) -> int:
         )
         bus.publish("engine.node_completed", {**base, "node": name, "status": "done", "tries": 1})
     bus.publish("engine.workflow_finished", {**base, "status": "done"})
+    log = EventLog.on(bus)
     profile = cProfile.Profile()
     profile.enable()
     log.fold()
@@ -671,8 +666,8 @@ def test_a_node_of_a_wide_layer_folds_for_what_one_of_a_narrow_layer_does():
 
 
 def test_every_consumer_reads_through_the_one_tap():
-    """What a consumer reads is what the bus's one tap appended: attached
-    consumers add no routed subscription and no second tap."""
+    """What a consumer reads is what the bus's one tap appended: consumers
+    add no routed subscription and no second tap."""
     grid = SimulatedGrid(config=GridConfig(heartbeats=False))
     grid.add_host(RELIABLE("h1"))
     grid.install("h1", "task", FixedDurationTask(3.0))
@@ -689,6 +684,91 @@ def test_every_consumer_reads_through_the_one_tap():
     assert stats["exact_topics"] + stats["pattern_entries"] == 0
     WorkflowEngine(single_task_workflow(), grid, reactor=grid.reactor, bus=bus).run()
     assert consumers[1].stats()["recorded"] == bus.stats()["publishes"] > 0
-    for consumer in consumers:
-        consumer.detach()
-    assert bus.stats()["taps"] == before["taps"]
+    assert bus.stats()["taps"] == before["taps"] + 1
+
+
+# -- one lifecycle ------------------------------------------------------------
+
+
+def _launched(wfid: str) -> dict:
+    return {"workflow": "w", "workflow_id": wfid, "node": "a", "at": 0.0}
+
+
+class TestAttachedForTheLifeOfItsBus:
+    def test_again_is_a_no_op_and_another_bus_is_refused(self):
+        bus, other = EventBus(), EventBus()
+        consumers = [
+            RunObserver(bus),
+            FlightRecorder(bus),
+            WorkflowStatusTracker(bus),
+            EstimatorSuite(bus),
+        ]
+        for consumer in consumers:
+            assert consumer.attach_bus(bus) is consumer
+            with pytest.raises(AttachError, match="another bus"):
+                consumer.attach_bus(other)
+        assert issubclass(AttachError, GridWFSError)
+        assert (bus.stats()["taps"], other.stats()["taps"]) == (1, 0)
+        bus.publish("engine.node_launched", _launched("wf-1"))
+        other.publish("engine.node_launched", _launched("wf-2"))
+        observer, recorder, tracker, _suite = consumers
+        assert [e["workflow_id"] for e in recorder.entries] == ["wf-1"]
+        assert [s["workflow_id"] for s in tracker.snapshot()] == ["wf-1"]
+        assert observer.metrics.value("engine_nodes_launched_total", workflow="w") == 1
+
+    @pytest.mark.parametrize(
+        "kind", [RunObserver, EngineTrace, WorkflowStatusTracker, EstimatorSuite]
+    )
+    def test_a_second_consumer_of_a_kind_is_refused(self, kind):
+        bus = EventBus()
+        first = kind(bus)
+        with pytest.raises(AttachError, match="already folds"):
+            kind(bus)
+        assert getattr(EventLog.on(bus).sampled, first._slot) is first
+        # A view keeps no state of its own: two journals read the same log.
+        assert FlightRecorder(bus).entries == FlightRecorder(bus).entries == []
+
+    def test_a_join_onto_running_instances_is_refused(self):
+        bus = EventBus()
+        observer = RunObserver(bus)
+        bus.publish("engine.node_launched", _launched("wf-1"))
+        # The tracker would serve wf-1 without its launch, and the
+        # estimators would pool attempts whose start they never saw.
+        for kind in (WorkflowStatusTracker, EstimatorSuite):
+            with pytest.raises(AttachError, match=r"holds 1 running instance"):
+                kind(bus)
+        fold = EventLog.on(bus).sampled
+        assert fold.tracker is fold.estimators is None
+        bus.publish("engine.workflow_finished", {**_launched("wf-1"), "status": "done"})
+        tracker = WorkflowStatusTracker(bus)  # nothing running: reads from here on
+        bus.publish("engine.node_launched", _launched("wf-2"))
+        assert [s["workflow_id"] for s in tracker.snapshot()] == ["wf-2"]
+        assert observer.metrics.value("engine_nodes_launched_total", workflow="w") == 2
+
+
+@pytest.mark.parametrize("wiring", ["plane", "public names"])
+def test_one_fold_per_log_and_an_empty_table_after_a_batch(wiring):
+    """``TelemetryPlane`` and the ledger's ``_Plane`` (every consumer by its
+    public name, in its order) both attach before the first publish: one
+    fold serves all three folded kinds, and a batch leaves its table empty."""
+    if wiring == "plane":
+        plane = ObservedHost(SEEDS[0])
+        joined = plane.observer, plane.tracker, plane.plane.estimators
+    else:
+        plane = ObservedHost(SEEDS[0], observed=False)
+        bus, clock = plane.bus, plane.reactor.now
+        observer = RunObserver(bus, clock=clock)
+        FlightRecorder(bus)
+        tracker = WorkflowStatusTracker(bus)
+        priors = priors_from_grid(plane.grid)
+        estimators = EstimatorSuite(bus, clock=clock, priors=priors)
+        HealthEngine(clock=clock, bus=bus)
+        joined = observer, tracker, estimators
+    log = EventLog.on(plane.bus)
+    (fold,) = [value for value in vars(log).values() if isinstance(value, Fold)]
+    for _batch in range(2):
+        results = plane.run_batch(20)
+        assert all(result.succeeded for result in results.values())
+        assert (fold.observer, fold.tracker, fold.estimators) == joined
+        assert fold.instances == {} and log.sampled is fold
+    assert plane.bus.stats()["taps"] == 1

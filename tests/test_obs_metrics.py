@@ -36,7 +36,7 @@ class TestInstruments:
         g = Gauge()
         g.set(10)
         g.inc(2)
-        g.dec(5)
+        g.inc(-5)
         assert g.value == 7.0
 
     def test_histogram_bucketing(self):

@@ -33,7 +33,7 @@ def test_three_batches_leave_the_bookkeeping_empty():
     observer, tracker = plane.observer, plane.tracker
     registry = observer.metrics
     # One fold, one table of running instances, for all three consumers.
-    (fold,) = EventLog.on(plane.bus).folds
+    fold = EventLog.on(plane.bus).sampled
     assert (fold.observer, fold.tracker) == (observer, tracker)
     assert fold.estimators is plane.plane.estimators
     cancelled, sizes = [], []
@@ -107,7 +107,7 @@ def test_twenty_batches_keep_a_bounded_number_of_statuses():
     with mock.patch.object(server, "_FINISHED", kept):
         plane = ObservedHost(seed=19990803)
         tracker = plane.tracker
-        (fold,) = EventLog.on(plane.bus).folds
+        fold = EventLog.on(plane.bus).sampled
         for batch in range(1, 21):
             results = plane.run_batch(10)
             assert len(results) == batch * 10

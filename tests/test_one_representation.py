@@ -8,9 +8,11 @@ estimators' export-what-changed machinery) and a few names nothing
 called; PR 22 took the time-series store's lazy sampling path, bus
 history and the span / timer / export surface only tests reached; PR 23
 took the observer's, the tracker's and the estimators' own folds (one pass
-off one per-instance table now) and the span ring.  One walk over
-``src/repro`` keeps them deleted, and keeps the retry wait — and the
-decoding of a log record — in one place.
+off one per-instance table now) and the span ring.  A consumer is now
+attached for the life of its bus, so detaching, re-attaching, private folds
+and the recorder's own window went, with a few recordings nothing read.
+One walk over ``src/repro`` keeps them deleted, and keeps the retry wait —
+and the decoding of a log record — in one place.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from repro.core.policy import FailurePolicy
 from repro.engine import strategies
 from repro.obs import (
     EstimatorSuite,
+    FlightRecorder,
+    HealthEngine,
     MetricSpec,
     RunObserver,
     TimeSeriesStore,
@@ -92,6 +96,27 @@ GONE = {
     "_workflows",
     "_Run",
     "_VERDICTS",
+    # One lifecycle: a consumer is attached for the life of its bus (one
+    # fold per log, one retention rule), and recordings nobody read.
+    "detach",
+    "attached",
+    "_kept",
+    "_consumers",
+    "folds",
+    "FoldedConsumer",
+    "_folded_by",
+    "_instances",
+    "_recorded",
+    "_journal",
+    "_drift_sub",
+    "trail",
+    "force",
+    "traces_opened",
+    "drifted_hosts",
+    "suspected_hosts",
+    "schedule_at",
+    "dec",
+    "TraceEvent",
 }
 
 
@@ -150,6 +175,10 @@ def test_the_deleted_surface_stays_deleted():
     for consumer in (RunObserver(), WorkflowStatusTracker(), EstimatorSuite()):
         kept = {*vars(consumer), *dir(type(consumer))}
         assert not kept & {"_fold", "_runs", "_running", "_recorder"}, consumer
+    # The journal's window is the log's, and the drift latch is subscribed
+    # once, when the health engine is built.
+    assert list(inspect.signature(FlightRecorder).parameters) == ["bus", "spill_path"]
+    assert not hasattr(HealthEngine, "attach_bus")
 
 
 #: The topic families a fold decodes.
@@ -159,8 +188,9 @@ FAMILIES = ("engine.", "task.", "recovery.")
 def test_a_log_record_is_decoded_in_two_places():
     """One function under ``repro.obs`` matches ``engine.*`` / ``task.*`` /
     ``recovery.*`` topics in a loop over log records for what is sampled
-    (``Fold.__call__``), and one for what is rendered (``spans_of``, its
-    documented second); nothing else loops over records and reads topics."""
+    (``log.Fold.__call__``), and one for what is rendered (``spans_of``,
+    its documented second); nothing else loops over records and reads
+    topics."""
     decoders = []
     for path in sorted((SRC / "obs").glob("*.py")):
         for function in ast.walk(ast.parse(path.read_text())):
@@ -181,7 +211,7 @@ def test_a_log_record_is_decoded_in_two_places():
                 for constant in ast.walk(loop)
             ):
                 decoders.append((path.name, function.name))
-    assert sorted(decoders) == [("observer.py", "__call__"), ("observer.py", "spans_of")]
+    assert sorted(decoders) == [("log.py", "__call__"), ("observer.py", "spans_of")]
     # And the other two consumers' modules name no topic of those families.
     for name in ("server.py", "estimators.py"):
         constants = {

@@ -36,12 +36,6 @@ class TestScheduling:
         with pytest.raises(ValueError):
             kernel.schedule(-0.1, lambda: None)
 
-    def test_schedule_at_absolute_time(self, kernel):
-        fired = []
-        kernel.schedule(2.0, lambda: kernel.schedule_at(7.0, lambda: fired.append(kernel.now())))
-        kernel.run()
-        assert fired == [7.0]
-
     def test_nested_scheduling_during_event(self, kernel):
         fired = []
         kernel.schedule(1.0, lambda: kernel.schedule(1.0, lambda: fired.append(kernel.now())))

@@ -72,20 +72,6 @@ class TestMachine:
         for target in ALL_STATES:
             assert not m.can_transition(target)
 
-    def test_trail_records_history_with_timestamps(self):
-        m = TaskStateMachine("t")
-        m.transition(TaskState.ACTIVE, at=1.0)
-        m.transition(TaskState.FAILED, at=2.5)
-        assert m.trail == [
-            (TaskState.INACTIVE, TaskState.ACTIVE, 1.0),
-            (TaskState.ACTIVE, TaskState.FAILED, 2.5),
-        ]
-
-    def test_force_bypasses_legality(self):
-        m = TaskStateMachine("t")
-        m.force(TaskState.DONE)
-        assert m.state is TaskState.DONE
-
     def test_state_enum_string_form(self):
         assert str(TaskState.ACTIVE) == "active"
         assert TaskState("failed") is TaskState.FAILED

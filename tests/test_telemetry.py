@@ -24,6 +24,7 @@ from repro.grid import (
     inject_crash,
 )
 from repro.obs import (
+    EventLog,
     FlightRecorder,
     MetricsRegistry,
     RunObserver,
@@ -98,7 +99,6 @@ class TestTracer:
         assert grandchild.parent_id == "s2"
         assert child.trace_id == grandchild.trace_id == root.trace_id
         assert tracer.spans_allocated == 3
-        assert tracer.traces_opened == 1
 
     def test_two_tracers_produce_identical_sequences(self):
         a, b = Tracer(), Tracer()
@@ -210,21 +210,26 @@ class TestCausalPropagation:
 class TestFlightRecorder:
     def test_ring_bounds_and_stats(self):
         bus = EventBus()
-        recorder = FlightRecorder(bus, capacity=5)
+        log = EventLog.on(bus, capacity=5)  # the journal is what it holds
+        recorder = FlightRecorder(bus)
+        assert recorder._log is log
         for i in range(8):
             bus.publish("t.x", {"i": i})
         stats = recorder.stats()
-        assert stats["recorded"] == 8
-        assert stats["retained"] == 5
-        assert stats["overwritten"] == 3
+        assert stats == {"recorded": 8, "retained": 5, "overwritten": 3, "spilled": 0}
         assert [e["i"] for e in recorder.entries] == [3, 4, 5, 6, 7]
-        recorder.detach()
-        bus.publish("t.x", {"i": 99})
-        assert recorder.stats()["recorded"] == 8
 
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+    def test_close_stops_the_spill_not_the_journal(self, tmp_path):
+        spill = tmp_path / "spill.jsonl"
+        bus = EventBus()
+        with FlightRecorder(bus, spill_path=str(spill)) as recorder:
+            bus.publish("t.x", {"i": 0})
+        bus.publish("t.x", {"i": 1})
+        assert [e["i"] for e in load_recording(str(spill))] == [0]
+        assert [e["i"] for e in recorder.entries] == [0, 1]
+        assert recorder.stats() == {
+            "recorded": 2, "retained": 2, "overwritten": 0, "spilled": 1
+        }
 
     def test_spill_and_dump_round_trip(self, tmp_path):
         spill = tmp_path / "spill.jsonl"

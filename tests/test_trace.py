@@ -13,7 +13,9 @@ from repro.engine.engine import (
     ENGINE_WORKFLOW_FINISHED,
 )
 from repro.engine.trace import EngineTrace
+from repro.events import EventBus
 from repro.grid import CrashingTask, FixedDurationTask
+from repro.obs import AttachError
 from repro.wpdl import JoinMode, WorkflowBuilder
 
 
@@ -63,7 +65,7 @@ class TestRecording:
         times = [float(line.split()[0]) for line in lines]
         assert times == sorted(times)
 
-    def test_detach_stops_recording(self, quiet_grid):
+    def test_another_bus_is_refused(self, quiet_grid):
         quiet_grid.add_host(
             __import__("repro.grid", fromlist=["RELIABLE"]).RELIABLE("h1")
         )
@@ -76,9 +78,10 @@ class TestRecording:
         )
         engine = WorkflowEngine(wf, quiet_grid, reactor=quiet_grid.reactor)
         trace = EngineTrace.attach(engine)
-        trace.detach()
+        with pytest.raises(AttachError):
+            trace.attach_bus(EventBus())
         engine.run()
-        assert trace.events == []
+        assert trace.count(ENGINE_WORKFLOW_FINISHED) == 1
 
 
 class TestAcrossReset:
@@ -120,23 +123,6 @@ class TestAcrossReset:
         engine.run()
         assert trace.count(ENGINE_NODE_LAUNCHED) == 2
         assert trace.count(ENGINE_WORKFLOW_FINISHED) == 2
-
-    def test_detach_is_idempotent(self, quiet_grid):
-        engine = self._engine(quiet_grid)
-        trace = EngineTrace.attach(engine)
-        trace.detach()
-        trace.detach()
-        engine.run()
-        assert trace.events == []
-        assert not trace.attached
-
-    def test_detach_then_reattach_resumes_recording(self, quiet_grid):
-        engine = self._engine(quiet_grid)
-        trace = EngineTrace.attach(engine)
-        trace.detach()
-        trace.attach_bus(engine.runtime.bus)
-        engine.run()
-        assert trace.count(ENGINE_WORKFLOW_FINISHED) == 1
 
 
 class TestSpans:
@@ -254,4 +240,4 @@ class TestCancelledEvents:
             )
             is None
         )
-        assert trace._folded_by.instances == {}
+        assert trace._log.sampled.instances == {}
