@@ -8,9 +8,10 @@ DJ = 0.  Three strategies compared as p sweeps 0..1:
 * masking by checkpointing — also diverges, more slowly;
 * exception handling with an alternative task — bounded (156 at p = 1).
 
-This benchmark computes all three closed forms, overlays the Monte-Carlo
-samplers, and additionally *runs the real engine* on the Figure-6 DAG per
-strategy to confirm the full stack reproduces the model.
+All three are techniques of the one sampling pipeline: the closed forms
+come from ``expected_time``, the Monte-Carlo curves from ``sweep`` and the
+overlay of *real engine* runs (the Figure-6 DAG, or FU alone under a
+retry-on-exception policy) from one ``estimate_cells(engine=True)`` call.
 """
 
 from __future__ import annotations
@@ -19,141 +20,111 @@ import math
 
 import numpy as np
 
-from _common import PAPER_RUNS, emit, emit_csv, once
+from _common import PAPER_RUNS, emit, emit_csv, once, overlay_jobs
 
-from repro.core import FailurePolicy
-from repro.engine import WorkflowEngine
-from repro.grid import (
-    RELIABLE,
-    ExceptionProneTask,
-    FixedDurationTask,
-    GridConfig,
-    SimulatedGrid,
-)
 from repro.sim import (
+    CITarget,
     Series,
+    SimulationParams,
     ascii_chart,
-    expected_alternative,
-    expected_checkpointing,
-    expected_retrying,
+    estimate_cells,
+    expected_time,
     format_table,
-    sample_alternative,
-    sample_exception_checkpointing,
-    sample_exception_retrying,
+    sweep,
 )
-from repro.wpdl import JoinMode, WorkflowBuilder
 
 P_SWEEP = tuple(round(p, 2) for p in np.arange(0.0, 1.01, 0.1))
 ENGINE_PS = (0.3, 0.7, 1.0)
-ENGINE_RUNS = 400
+#: The overlay stops a cell once its 99% CI half-width is within 5% of its
+#: mean (the agreement band below is 8%), and spends at most 1 200 runs.
+ENGINE_TARGET = CITarget(rel=0.05, min_runs=200, max_runs=1200)
+
+#: Figure 13's strategies and their legend labels.
+STRATEGIES = {
+    "exception_retrying": "retrying",
+    "exception_checkpointing": "checkpointing",
+    "alternative_task": "alternative",
+}
+
+
+def figure13(p: float, runs: int = PAPER_RUNS) -> SimulationParams:
+    """Section 8.2's cell at exception probability *p*: FU = 30 with five
+    checks, SR = 150 (the default), checkpoints that cost nothing."""
+    return SimulationParams(
+        checkpoints=5,
+        checkpoint_overhead=0.0,
+        recovery_time=0.0,
+        exception_probability=p,
+        runs=runs,
+    )
 
 
 def generate(runs: int = PAPER_RUNS):
     """Closed forms plus Monte-Carlo means over the p sweep."""
     curves = {}
-    curves["retrying (analytical)"] = [expected_retrying(p) for p in P_SWEEP]
-    curves["checkpointing (analytical)"] = [
-        expected_checkpointing(p) for p in P_SWEEP
-    ]
-    curves["alternative (analytical)"] = [
-        expected_alternative(p) for p in P_SWEEP
-    ]
-    curves["retrying (MC)"] = [
-        sample_exception_retrying(p, runs).mean() if p < 1.0 else math.inf
-        for p in P_SWEEP
-    ]
-    curves["checkpointing (MC)"] = [
-        sample_exception_checkpointing(p, runs).mean() if p < 1.0 else math.inf
-        for p in P_SWEEP
-    ]
-    curves["alternative (MC)"] = [
-        sample_alternative(p, runs).mean() for p in P_SWEEP
-    ]
-    return {
-        label: Series(label=label, x=P_SWEEP, y=tuple(values))
-        for label, values in curves.items()
-    }
-
-
-def figure6_workflow(strategy: str):
-    """The Figure-6 DAG configured for one of the three strategies."""
-    if strategy == "alternative":
-        fu_policy = FailurePolicy()
-    else:
-        fu_policy = FailurePolicy(max_tries=None, retry_on_exception=True)
-    builder = (
-        WorkflowBuilder(f"fig13-{strategy}")
-        .program("fast", hosts=["u1"])
-        .program("slow", hosts=["r1"])
-        .activity("FU", implement="fast", policy=fu_policy)
-        .activity("SR", implement="slow")
-        .dummy("DJ", join=JoinMode.OR)
-        .transition("FU", "DJ")
-        .transition("SR", "DJ")
-    )
-    if strategy == "alternative":
-        builder.on_exception("FU", "disk_full", "SR")
-    else:
-        # Masking configurations never consult SR; give its branch a dead
-        # guard edge so the DAG stays connected but SR never launches.
-        builder.when("FU", "0 > 1", "SR")
-    return builder.build()
-
-
-def engine_point(strategy: str, p: float, runs: int = ENGINE_RUNS) -> float:
-    """Mean completion time of real engine runs of the Figure-6 DAG."""
-    workflow = figure6_workflow(strategy)
-    fast = ExceptionProneTask(
-        duration=30.0,
-        checks=5,
-        probability=p,
-        checkpointable=(strategy == "checkpointing"),
-    )
-    times = np.empty(runs)
-    for i in range(runs):
-        grid = SimulatedGrid(
-            seed=1000 + 13 * i, config=GridConfig(heartbeats=False)
+    for technique, label in STRATEGIES.items():
+        curves[f"{label} (analytical)"] = Series(
+            label=f"{label} (analytical)",
+            x=P_SWEEP,
+            y=tuple(expected_time(figure13(p), technique) for p in P_SWEEP),
         )
-        grid.add_host(RELIABLE("u1"))
-        grid.add_host(RELIABLE("r1"))
-        grid.install("u1", "fast", fast)
-        grid.install("r1", "slow", FixedDurationTask(150.0))
-        result = WorkflowEngine(
-            workflow, grid, reactor=grid.reactor, validate_spec=False
-        ).run(timeout=1e9)
-        assert result.succeeded
-        times[i] = result.completion_time
-    return float(times.mean())
+    for technique, label in STRATEGIES.items():
+        # A masking cell at p = 1 never completes: the pipeline refuses it.
+        xs = P_SWEEP if technique == "alternative_task" else P_SWEEP[:-1]
+        mc = sweep(
+            xs,
+            technique=technique,
+            params_of=lambda p: figure13(p, runs),
+            label=f"{label} (MC)",
+        )
+        tail = (math.inf,) * (len(P_SWEEP) - len(xs))
+        curves[mc.label] = Series(label=mc.label, x=P_SWEEP, y=mc.y + tail)
+    return curves
+
+
+def engine_overlay():
+    """The closed form of every ``(p, technique)`` point, and the engine's
+    estimate of each point it finishes in reasonable time: masking points
+    whose closed form is infinite or above 5 000 are left out."""
+    expected = {
+        (p, technique): expected_time(figure13(p), technique)
+        for p in ENGINE_PS
+        for technique in STRATEGIES
+    }
+    keys = [key for key, value in expected.items() if value <= 5000]
+    estimates = estimate_cells(
+        [(technique, figure13(p)) for p, technique in keys],
+        target=ENGINE_TARGET,
+        engine=True,
+        jobs=overlay_jobs(),
+    )
+    return expected, dict(zip(keys, estimates))
 
 
 def test_fig13_exception_handling(benchmark):
     curves = once(benchmark, generate)
-    analytical = [
-        curves["retrying (analytical)"],
-        curves["checkpointing (analytical)"],
-        curves["alternative (analytical)"],
-    ]
+    analytical = [curves[f"{label} (analytical)"] for label in STRATEGIES.values()]
 
-    engine_rows = ["engine-level Figure-6 DAG runs "
-                   f"({ENGINE_RUNS} runs/point, expected in parentheses):"]
-    engine_checks = []
+    expected, overlay = engine_overlay()
+    engine_rows = [
+        "engine-level runs, Figure-6 DAG or FU alone "
+        "(runs, mean ± 99% CI half-width, closed form in parentheses):"
+    ]
     for p in ENGINE_PS:
         cells = []
-        for strategy, expected_fn in (
-            ("retrying", expected_retrying),
-            ("checkpointing", expected_checkpointing),
-            ("alternative", expected_alternative),
-        ):
-            expected = expected_fn(p)
-            if math.isinf(expected):
-                cells.append(f"{strategy}=never")
-                continue
-            if strategy != "alternative" and expected > 5000:
-                cells.append(f"{strategy}=skipped(E~{expected:.0f})")
-                continue
-            measured = engine_point(strategy, p)
-            cells.append(f"{strategy}={measured:.1f} (~{expected:.1f})")
-            engine_checks.append((measured, expected))
+        for technique, label in STRATEGIES.items():
+            model = expected[(p, technique)]
+            cell = overlay.get((p, technique))
+            if cell is not None:
+                s = cell.summary
+                cells.append(
+                    f"{label}[{s.n}]={s.mean:.1f}±{s.ci_halfwidth:.1f} "
+                    f"(~{model:.1f})"
+                )
+            elif math.isinf(model):
+                cells.append(f"{label}=never")
+            else:
+                cells.append(f"{label}=skipped(E~{model:.0f})")
         engine_rows.append(f"  p={p}: " + "  ".join(cells))
 
     report = (
@@ -183,12 +154,14 @@ def test_fig13_exception_handling(benchmark):
     assert max(alt.y) < 160.0
     assert rt.value_at(0.8) > 500.0
     # (3) MC agrees with the closed forms wherever finite.
-    for kind in ("retrying", "checkpointing", "alternative"):
-        ana = curves[f"{kind} (analytical)"]
-        mc = curves[f"{kind} (MC)"]
+    for label in STRATEGIES.values():
+        ana = curves[f"{label} (analytical)"]
+        mc = curves[f"{label} (MC)"]
         for a, m in zip(ana.y, mc.y):
             if math.isfinite(a):
                 assert abs(m - a) / max(a, 1.0) < 0.03
     # (4) the real engine matches the model at every checked point.
-    for measured, expected in engine_checks:
-        assert abs(measured - expected) / expected < 0.08
+    assert len(overlay) == 7
+    for (p, technique), cell in overlay.items():
+        model = expected[(p, technique)]
+        assert abs(cell.summary.mean - model) / model < 0.08, (p, technique)

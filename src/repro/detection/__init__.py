@@ -16,7 +16,6 @@ from .detector import (
     FailureDetector,
 )
 from .heartbeat import HOST_RECOVERED, HOST_SUSPECTED, HeartbeatMonitor, HostLiveness
-from .log import MessageLog
 from .messages import (
     CheckpointNotice,
     Done,
@@ -43,7 +42,6 @@ __all__ = [
     "HOST_SUSPECTED",
     "HeartbeatMonitor",
     "HostLiveness",
-    "MessageLog",
     "CheckpointNotice",
     "Done",
     "ExceptionNotice",

@@ -23,8 +23,10 @@ nothing that steers a run depends on who is listening.
 The detector holds *live* attempts only: the verdict is the last thing it
 knows about an attempt, so the attempt is dropped from the table before its
 terminal outcome goes out.  Anything arriving later for that job is an
-unknown-job message and is ignored; the message record of a run is
-:meth:`repro.detection.log.MessageLog.tee`, not the detector.
+unknown-job message and is ignored.  The detector keeps no record of what
+it was delivered: the journal (:class:`repro.obs.FlightRecorder`) records
+every verdict it narrates, and a caller who wants the messages themselves
+wraps :meth:`FailureDetector.deliver`.
 """
 
 from __future__ import annotations

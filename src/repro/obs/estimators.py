@@ -386,8 +386,9 @@ class EstimatorSuite(LogConsumer):
     outcomes, under the name of the specification their instance runs, and
     the heartbeat monitor's suspicion topics.  When a host's drift detector
     latches it publishes one
-    :data:`DRIFT_MTTF` event with observed-vs-prior detail and re-evaluates
-    the *health* engine (optional) at the failure's own time.  All of it
+    :data:`DRIFT_MTTF` event with observed-vs-prior detail, and latches and
+    re-evaluates the *health* engine (optional) by call, at the failure's
+    own time.  All of it
     happens when the log is folded — at the collector's tick or before a
     read — so a drift is published, and its alert fired, no later than one
     collector interval after the failure that tripped it.  The collector
@@ -465,22 +466,21 @@ class EstimatorSuite(LogConsumer):
         fired = estimator.record_failure(at)
         if fired:
             self.drift_events += 1
+            drift = {
+                "host": hostname,
+                "at": at,
+                "observed_mttf": estimator.mttf.value,
+                "prior_mttf": estimator.prior_mttf,
+                "direction": estimator.detector.direction,
+                "statistic": estimator.detector.statistic(),
+                "after_events": estimator.detector.drift_at,
+            }
             if self._bus is not None:
-                self._bus.publish(
-                    DRIFT_MTTF,
-                    {
-                        "host": hostname,
-                        "at": at,
-                        "observed_mttf": estimator.mttf.value,
-                        "prior_mttf": estimator.prior_mttf,
-                        "direction": estimator.detector.direction,
-                        "statistic": estimator.detector.statistic(),
-                        "after_events": estimator.detector.drift_at,
-                    },
-                )
-            # Alert on the latch; routine failures leave rule evaluation
-            # to the collector cadence.
+                self._bus.publish(DRIFT_MTTF, drift)
+            # Latch and alert by call; routine failures leave rule
+            # evaluation to the collector cadence.
             if self.health is not None:
+                self.health.latch_drift(DRIFT_MTTF, drift)
                 self.health.evaluate(at)
 
     def ingest_liveness(self, liveness: list[dict[str, Any]]) -> None:

@@ -13,14 +13,15 @@ two sim-time hysteresis knobs:
 The per-rule state machine is ``ok → pending → firing → ok``; edges into
 and out of ``firing`` publish ``obs.alert.fired`` / ``obs.alert.resolved``
 bus events (the same narrate-don't-poke convention the recovery layer
-uses).  ``drift`` rules are edge- rather than level-triggered: the engine
-subscribes to ``obs.drift.*`` and a matching event latches the rule's
-breach until :meth:`HealthEngine.reset_drift`.
+uses).  ``drift`` rules are edge- rather than level-triggered: the
+estimator suite that finds a drift calls :meth:`HealthEngine.latch_drift`,
+which latches the rule's breach until :meth:`HealthEngine.reset_drift`;
+the ``obs.drift.*`` event it publishes beside the call is narration.
 
 Evaluation runs on the collector cadence (and when a fold of the estimator
 suite latches a drift detector), entirely on the reactor thread; the HTTP
-server only reads the JSON-safe snapshots.  The ``obs.drift.*`` latch is
-the plane's one routed subscription: the rest reads the bus's event log.
+server only reads the JSON-safe snapshots.  Nothing here subscribes to the
+bus: the engine only publishes on it.
 """
 
 from __future__ import annotations
@@ -135,14 +136,11 @@ class HealthEngine:
         bus: "EventBus | None" = None,
     ) -> None:
         self._clock = clock
-        #: Where alert edges are published; its drift events latch for the
-        #: bus's life.
+        #: Where alert edges are published.
         self._bus = bus
         self._rules: list[HealthRule] = []
         self._states: dict[str, _RuleState] = {}
         self._history: deque[dict[str, Any]] = deque(maxlen=_HISTORY)
-        if bus is not None:
-            bus.subscribe("obs.drift.*", self._on_drift)
 
     # -- rule registration ---------------------------------------------------
 
@@ -159,8 +157,9 @@ class HealthEngine:
 
     # -- drift latch ---------------------------------------------------------
 
-    def _on_drift(self, topic: str, payload: Any) -> None:
-        fields = payload if isinstance(payload, dict) else {"payload": payload}
+    def latch_drift(self, topic: str, fields: dict[str, Any]) -> None:
+        """Latch every drift rule's breach, with *fields* (what the drift
+        event on *topic* carries) as its detail."""
         detail = {**fields, "topic": topic}
         for rule in self._rules:
             if rule.kind == "drift":

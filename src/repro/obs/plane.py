@@ -28,12 +28,13 @@ __all__ = ["TelemetryPlane"]
 class TelemetryPlane:
     """Every :mod:`repro.obs` consumer of one runtime.
 
-    Every consumer but the health engine reads *bus* through its one
+    Every consumer that reads *bus* reads it through its one
     :class:`~repro.obs.log.EventLog` — one append per publish — and those
     that are sampled (observer, status tracker, estimators) are brought up
     to date by the log's one fold, at each collector tick and before any
     read.  All of them attach here, before the first publish, for the
-    bus's life.  What the estimators and the health engine publish from
+    bus's life.  The health engine reads nothing from the bus: the
+    estimators latch its drift rules by call.  What the two publish from
     inside a fold (``obs.drift.mttf``, ``obs.alert.*``) is appended to the
     same log.
 
@@ -83,7 +84,7 @@ class TelemetryPlane:
         )
         self.health = health = HealthEngine(clock=clock, bus=bus)
         default_rules(health, store=store, estimators=estimators)
-        # A drift latch re-evaluates the rules in the fold that finds it.
+        # The fold that finds a drift latches it and re-evaluates the rules.
         estimators.health = health
         self.collector = PeriodicCollector(
             store=store,

@@ -1,6 +1,7 @@
-"""Evaluation simulator: analytical models, vectorised Monte-Carlo samplers,
-the Figure-13 exception model, engine-level cross-validation, and sweep /
-reporting utilities."""
+"""Evaluation simulator: analytical models, vectorised Monte-Carlo samplers
+and engine-level cross-validation for every technique — task-level
+(Figures 8–12) and Figure 13's workflow-level strategies — through one
+sampling pipeline, plus sweep / reporting utilities."""
 
 from .adaptive import (
     AntitheticGenerator,
@@ -42,16 +43,6 @@ from .pool import (
     shutdown_pool,
     worker_sampler,
 )
-from .exceptions_model import (
-    EXCEPTION_STRATEGIES,
-    ExceptionExperiment,
-    expected_alternative,
-    expected_checkpointing,
-    expected_retrying,
-    sample_alternative,
-)
-from .exceptions_model import sample_checkpointing as sample_exception_checkpointing
-from .exceptions_model import sample_retrying as sample_exception_retrying
 from .params import (
     PAPER_BASELINE,
     PAPER_DOWNTIMES,
@@ -115,14 +106,6 @@ __all__ = [
     "shutdown_pool",
     "worker_sampler",
     "SAMPLERS_VERSION",
-    "EXCEPTION_STRATEGIES",
-    "ExceptionExperiment",
-    "expected_alternative",
-    "expected_checkpointing",
-    "expected_retrying",
-    "sample_alternative",
-    "sample_exception_checkpointing",
-    "sample_exception_retrying",
     "PAPER_BASELINE",
     "PAPER_DOWNTIMES",
     "PAPER_MTTF_SWEEP",

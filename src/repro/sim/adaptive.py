@@ -71,7 +71,12 @@ from .parallel import (
     shard_bounds,
 )
 from .params import SimulationParams
-from .samplers import EXTENDED_TECHNIQUES, TECHNIQUES, sample_technique
+from .samplers import (
+    _EXCEPTION_TECHNIQUES,
+    TECHNIQUES,
+    _check_cell,
+    sample_technique,
+)
 from .stats import Summary, summarize, z_value
 
 __all__ = [
@@ -101,6 +106,9 @@ _SALTS = {
     "replication": 3,
     "replication_checkpointing": 4,
     "backoff_retry": 5,
+    "exception_retrying": 6,
+    "exception_checkpointing": 7,
+    "alternative_task": 8,
 }
 
 #: Spawn-key tail marking the CRN uniform pool's stream (prime, far from
@@ -608,6 +616,10 @@ def estimate_cells(
     virtual-time budget), its RNG streams, its batch schedule — *runs*
     (default ``params.runs``) in one batch, or under *target* geometric
     batches from ``min_runs`` to ``max_runs`` — and its cache key.
+    Refused here, before anything is drawn: an unknown technique, a
+    Figure-13 cell with a finite MTTF (its model has no host failures), a
+    Figure-13 masking cell at p = 1 (it never completes), and variance
+    reduction of Figure 13's strategies.
 
     **Execute.**  Cells found in *cache* whose stored vector satisfies the
     plan are served without drawing.  The rest advance in rounds: round
@@ -642,10 +654,12 @@ def estimate_cells(
         )
     plans: list[_CellPlan] = []
     for technique, params in cells:
-        if technique not in EXTENDED_TECHNIQUES:
+        _check_cell(technique, params)
+        if mode is not None and technique in _EXCEPTION_TECHNIQUES:
             raise SimulationError(
-                f"unknown technique {technique!r}; "
-                f"expected one of {EXTENDED_TECHNIQUES}"
+                "variance reduction (--antithetic/--crn) cannot mirror "
+                f"{technique!r}: Figure 13's samplers draw i.i.d. only (the "
+                "retry sampler's multinomial has no inverse-CDF form)"
             )
         budget = params.runs if runs is None else runs
         if tgt is None and budget < 1:

@@ -28,6 +28,18 @@ later experiments:
 
 No closed form is used for replication (the min of N dependent-on-nothing
 retry processes); the Monte-Carlo samplers cover it.
+
+Figure 13's strategies (FU's K checks, one every a, each failing with
+probability p; ``q = (1−p)^K`` is the chance that an attempt passes them
+all, and ``L = Σᵢ i·a·(1−p)^{i−1}·p`` the time an attempt spends before its
+first failed check, zero when none fails)::
+
+    exception_retrying       E[T] = L/q + F
+    exception_checkpointing  E[T] = (F + (K−1)·p·R)/(1−p) + K·C
+    alternative_task         E[T] = L + (1−q)·SR + q·F
+
+Both masking strategies diverge as p → 1 (retrying faster); the handler is
+bounded by a + SR, which it reaches at p = 1 (156 in the paper).
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ import math
 
 from ..errors import SimulationError
 from .params import SimulationParams
+from .samplers import _EXCEPTION_TECHNIQUES, _without_host_failures
 
 __all__ = [
     "retry_expected_time",
@@ -88,8 +101,29 @@ def checkpoint_expected_time(
     return checkpoints * per_segment
 
 
+def _exception_expected_time(params: SimulationParams, technique: str) -> float:
+    """E[T] of one of Figure 13's strategies (see the module docstring)."""
+    _without_host_failures(technique, params)
+    p, K, a = params.exception_probability, params.checkpoints, params.segment_length
+    F = params.failure_free_time
+    q = (1.0 - p) ** K
+    lost = sum(i * a * (1.0 - p) ** (i - 1) * p for i in range(1, K + 1))
+    if technique == "alternative_task":
+        return lost + (1.0 - q) * params.alternative_time + q * F
+    if technique == "exception_retrying":
+        # q underflows to 0 before p reaches 1: it never completes either.
+        return math.inf if q == 0.0 else lost / q + F
+    if p == 1.0:
+        return math.inf
+    resumes = (K - 1) * p * params.recovery_time
+    return (F + resumes) / (1.0 - p) + K * params.checkpoint_overhead
+
+
 def expected_time(params: SimulationParams, technique: str) -> float:
-    """Analytical E[T] for *technique* ('retrying' or 'checkpointing')."""
+    """Analytical E[T] for *technique*: 'retrying', 'checkpointing' or one
+    of Figure 13's three."""
+    if technique in _EXCEPTION_TECHNIQUES:
+        return _exception_expected_time(params, technique)
     if technique == "retrying":
         return retry_expected_time(
             params.failure_free_time,

@@ -16,6 +16,13 @@ EXPERIMENTS.md:
   about task structure), whereas Duda's model folds that exposure into a
   per-failure C charge — a sub-percent difference at the paper's C/a
   ratio, covered by the tolerance bands in the validation tests.
+
+Figure 13's strategies run the same way: the masking ones as the
+single-activity workflow under their retry-on-exception policy, the
+alternative task as the Figure-6 DAG (FU on one host, SR on another, an OR
+join behind them), with FU an
+:class:`~repro.grid.behaviors.ExceptionProneTask` on a host that never
+fails.
 """
 
 from __future__ import annotations
@@ -24,15 +31,20 @@ import numpy as np
 
 from ..engine.engine import WorkflowEngine
 from ..errors import SimulationError
-from ..grid.behaviors import CheckpointingTask, FixedDurationTask, TaskBehavior
+from ..grid.behaviors import (
+    CheckpointingTask,
+    ExceptionProneTask,
+    FixedDurationTask,
+    TaskBehavior,
+)
 from ..grid.resource import ResourceSpec
 from ..grid.simgrid import GridConfig, SimulatedGrid
 from ..wpdl.builder import WorkflowBuilder
-from ..wpdl.model import Workflow
+from ..wpdl.model import JoinMode, Workflow
 from .adaptive import CITarget, estimate_cells
 from .parallel import DEFAULT_RUN_TIMEOUT
 from .params import SimulationParams
-from .samplers import EXTENDED_TECHNIQUES, technique_policy
+from .samplers import _EXCEPTION_TECHNIQUES, _check_cell, technique_policy
 
 __all__ = [
     "run_engine_once",
@@ -44,49 +56,74 @@ __all__ = [
 _HOST_PREFIX = "node"
 
 
-def _behavior(technique: str, params: SimulationParams) -> TaskBehavior:
-    if technique in ("retrying", "replication", "backoff_retry"):
-        return FixedDurationTask(params.failure_free_time)
+def _installs(
+    technique: str, params: SimulationParams
+) -> list[tuple[str, str, TaskBehavior]]:
+    """``(host, program, behaviour)`` for every host of *technique*'s
+    grid: one per replica, or FU's and SR's for the alternative task."""
+    F = params.failure_free_time
     if technique in ("checkpointing", "replication_checkpointing"):
-        return CheckpointingTask(
-            duration=params.failure_free_time,
+        behavior: TaskBehavior = CheckpointingTask(
+            duration=F,
             checkpoints=params.checkpoints,
             overhead=params.checkpoint_overhead,
             recovery_time=params.recovery_time,
         )
-    raise SimulationError(
-        f"unknown technique {technique!r}; expected one of {EXTENDED_TECHNIQUES}"
-    )
-
-
-def _host_count(technique: str, params: SimulationParams) -> int:
-    return params.replicas if technique.startswith("replication") else 1
+    elif technique in _EXCEPTION_TECHNIQUES:
+        behavior = ExceptionProneTask(
+            duration=F,
+            checks=params.checkpoints,
+            probability=params.exception_probability,
+            checkpointable=technique == "exception_checkpointing",
+            overhead=params.checkpoint_overhead,
+            recovery_time=params.recovery_time,
+        )
+    else:
+        behavior = FixedDurationTask(F)
+    if technique == "alternative_task":
+        return [
+            (f"{_HOST_PREFIX}0", "fast", behavior),
+            (f"{_HOST_PREFIX}1", "slow", FixedDurationTask(params.alternative_time)),
+        ]
+    replicas = params.replicas if technique.startswith("replication") else 1
+    return [(f"{_HOST_PREFIX}{i}", "task", behavior) for i in range(replicas)]
 
 
 def build_technique_workflow(
     technique: str, params: SimulationParams
 ) -> Workflow:
-    """Single-activity workflow encoding *technique* in WPDL terms.
+    """The workflow encoding *technique* in WPDL terms.
 
-    The activity carries :func:`~repro.sim.samplers.technique_policy`, and
-    the engine's decisions are read off its attributes
-    (``replication_checkpointing`` fans out over the hosts and every
-    replica retries from its own checkpoint; ``backoff_retry`` waits
-    ``policy.retry_delay(n)`` — the number the sampler adds — before the
-    *n*-th resubmission, …).
+    A single activity carrying
+    :func:`~repro.sim.samplers.technique_policy`, whose attributes the
+    engine's decisions are read off (``replication_checkpointing`` fans
+    out over the hosts and every replica retries from its own checkpoint;
+    ``backoff_retry`` waits ``policy.retry_delay(n)`` — the number the
+    sampler adds — before the *n*-th resubmission, …).  For
+    ``alternative_task`` it is the Figure-6 DAG: FU's ``disk_full``
+    exception hands over to SR, and whichever finishes fires the OR join.
     """
-    if technique not in EXTENDED_TECHNIQUES:
-        raise SimulationError(
-            f"unknown technique {technique!r}; "
-            f"expected one of {EXTENDED_TECHNIQUES}"
+    _check_cell(technique, params)
+    hosts = [host for host, _, _ in _installs(technique, params)]
+    policy = technique_policy(technique, params)
+    if technique == "alternative_task":
+        fast, slow = hosts
+        return (
+            WorkflowBuilder(f"eval-{technique}")
+            .program("fast", hosts=[fast])
+            .program("slow", hosts=[slow])
+            .activity("FU", implement="fast", policy=policy)
+            .activity("SR", implement="slow")
+            .dummy("DJ", join=JoinMode.OR)
+            .transition("FU", "DJ")
+            .on_exception("FU", "disk_full", "SR")
+            .transition("SR", "DJ")
+            .build()
         )
-    hosts = [f"{_HOST_PREFIX}{i}" for i in range(_host_count(technique, params))]
     return (
         WorkflowBuilder(f"eval-{technique}")
         .program("task", hosts=hosts)
-        .activity(
-            "task", implement="task", policy=technique_policy(technique, params)
-        )
+        .activity("task", implement="task", policy=policy)
         .build()
     )
 
@@ -94,22 +131,21 @@ def build_technique_workflow(
 def _build_grid(
     technique: str, params: SimulationParams, seed: int
 ) -> SimulatedGrid:
-    """The technique's simulated Grid: one host per replica, each with the
-    cell's MTTF and mean downtime and the task installed; crashes are
-    observed promptly and heartbeats are off (see the module docstring)."""
+    """The technique's simulated Grid: its hosts (:func:`_installs`), each
+    with the cell's MTTF and mean downtime and its program installed;
+    crashes are observed promptly and heartbeats are off (see the module
+    docstring)."""
     grid = SimulatedGrid(
         seed=seed,
         config=GridConfig(crash_detection="prompt", heartbeats=False),
     )
-    behavior = _behavior(technique, params)
-    for i in range(_host_count(technique, params)):
-        spec = ResourceSpec(
-            hostname=f"{_HOST_PREFIX}{i}",
-            mttf=params.mttf,
-            mean_downtime=params.downtime,
+    for hostname, program, behavior in _installs(technique, params):
+        grid.add_host(
+            ResourceSpec(
+                hostname=hostname, mttf=params.mttf, mean_downtime=params.downtime
+            )
         )
-        grid.add_host(spec)
-        grid.install(spec.hostname, "task", behavior)
+        grid.install(hostname, program, behavior)
     return grid
 
 

@@ -11,6 +11,8 @@ C     average checkpoint overhead (constant)
 a     uninterrupted execution time between checkpoints, a = F/K
 R     recovery time to restore a checkpointed state
 N     number of replicas
+p     probability that one of FU's K checks raises its exception (Fig. 13)
+SR    duration of the alternative task that handles it (Fig. 13)
 ====  =======================================================================
 
 The paper's headline configuration (Figures 10–12) is ``F=30, K=20, C=R=0.5,
@@ -18,6 +20,12 @@ N=3`` with MTTF swept over [10, 100] and D over {0, F, 5F, 10F} —
 :data:`PAPER_BASELINE` captures it.  Checkpoint latency L is deliberately
 not modelled, following the paper ("by assuming that a task is halted
 during checkpointing we do not consider this parameter").
+
+Figure 13 (Section 8.2) reads the same fields for its Fast_Unreliable_Task:
+FU is F, its checks are K (one every a), each failing with probability p,
+and a passed check's checkpoint costs C and a resume from it R — the paper
+sets both to 0.  Its model has no host failures, so its cells keep
+``mttf=inf``.
 """
 
 from __future__ import annotations
@@ -60,6 +68,11 @@ class SimulationParams:
     backoff_factor: float = 2.0
     #: Cap on the grown retry wait (``None`` leaves it unbounded).
     max_retry_interval: float | None = 8.0
+    #: Probability p that one of FU's checks raises its user-defined
+    #: exception (Figure 13's techniques only).
+    exception_probability: float = 0.0
+    #: Duration SR of Figure 6's alternative task (paper: 150).
+    alternative_time: float = 150.0
     #: Monte-Carlo sample count (the paper found 100 000 sufficient).
     runs: int = 100_000
     seed: int = 20030623
@@ -98,6 +111,15 @@ class SimulationParams:
             raise SimulationError(
                 "max_retry_interval must be positive or None, "
                 f"got {self.max_retry_interval!r}"
+            )
+        if not 0.0 <= self.exception_probability <= 1.0:
+            raise SimulationError(
+                "exception_probability must be in [0, 1], "
+                f"got {self.exception_probability!r}"
+            )
+        if self.alternative_time <= 0:
+            raise SimulationError(
+                f"alternative_time must be positive, got {self.alternative_time!r}"
             )
         if self.runs < 1:
             raise SimulationError(f"runs must be >= 1, got {self.runs!r}")

@@ -26,11 +26,23 @@ models of :mod:`repro.sim.analytical`, so Figures 8–9's validation holds):
   additive idle time, read off the very policy the engine retries under
   (:func:`technique_policy`).
 
+Figure 13's workflow-level strategies (Section 8.2) are techniques too.
+FU runs F in K segments of a, each ending in a check that raises its
+user-defined exception with probability p; there are no host failures.
+
+* **Exception retrying** — FU masks the exception like a crash and
+  restarts from scratch until every check passes.
+* **Exception checkpointing** — FU checkpoints (cost C) after every passed
+  check and resumes from the last one (cost R) after an exception.
+* **Alternative task** — the handler of Figure 6: the first exception
+  abandons FU and SR runs instead.
+
 Every sampler returns the full vector of per-run completion times so
 callers can compute any statistic (the figures use the mean).
 
 :data:`TECHNIQUES` stays the paper's four (Figure 10 sweeps depend on it);
-:data:`EXTENDED_TECHNIQUES` appends ``backoff_retry``.
+:data:`EXTENDED_TECHNIQUES` appends ``backoff_retry``.  Neither lists
+Figure 13's three, which :func:`sample_technique` accepts by name.
 """
 
 from __future__ import annotations
@@ -74,6 +86,13 @@ TECHNIQUES = (
 #: The paper's four plus this repo's backoff-retry extension.
 EXTENDED_TECHNIQUES = TECHNIQUES + ("backoff_retry",)
 
+#: Figure 13's strategies, in its legend's order.
+_EXCEPTION_TECHNIQUES = (
+    "exception_retrying",
+    "exception_checkpointing",
+    "alternative_task",
+)
+
 _MAX_ROUNDS = 10_000_000  # runaway guard for pathological λF
 
 
@@ -82,7 +101,13 @@ def technique_policy(technique: str, params: SimulationParams) -> FailurePolicy:
     :func:`~repro.sim.engine_mc.build_technique_workflow` hands the engine,
     and where :func:`sample_backoff_retry` reads its waits — one schedule
     for both by construction.  Checkpointing needs no attribute (a task
-    announces itself, Section 4.3), so it shares retrying's policy."""
+    announces itself, Section 4.3), so it shares retrying's policy.
+    Figure 13's masking strategies retry FU's exception as if it were a
+    crash; the alternative task leaves it to the workflow level."""
+    if technique.startswith("exception_"):
+        return FailurePolicy(max_tries=None, retry_on_exception=True)
+    if technique == "alternative_task":
+        return FailurePolicy()
     if technique.startswith("replication"):
         return FailurePolicy.replica(max_tries=None)
     if technique == "backoff_retry":
@@ -274,13 +299,121 @@ def sample_replication_checkpointing(
     return flat.reshape(runs, N).min(axis=1)
 
 
+def _exception_retrying(
+    params: SimulationParams,
+    *,
+    rng: np.random.Generator | None = None,
+    runs: int | None = None,
+) -> np.ndarray:
+    """Per-run completion times when FU restarts from scratch.
+
+    Exact in O(runs × K) for any p < 1: the failed attempts before the
+    first success are geometric with success ``q = (1−p)^K``, and given
+    their count, where each one failed is categorical, so the time they
+    lose is one multinomial draw over the check positions.  (A loop over
+    attempts is O(1/q) and intractable beyond p ≈ 0.8.)
+    """
+    runs = params.runs if runs is None else runs
+    rng = rng if rng is not None else _rng(params, 6)
+    p, K = params.exception_probability, params.checkpoints
+    F = params.failure_free_time
+    if p == 0.0:
+        return np.full(runs, F)
+    q = (1.0 - p) ** K
+    if q == 0.0:
+        raise SimulationError(
+            f"p={p} underflows the success probability; the run would "
+            "effectively never complete"
+        )
+    failures = rng.geometric(q, size=runs) - 1
+    # Where a failed attempt fails: check i with P ∝ (1−p)^{i−1}·p.
+    odds = (1.0 - p) ** np.arange(K) * p
+    counts = rng.multinomial(failures, odds / odds.sum())
+    return params.segment_length * (counts @ np.arange(1, K + 1)) + F
+
+
+def _exception_checkpointing(
+    params: SimulationParams,
+    *,
+    rng: np.random.Generator | None = None,
+    runs: int | None = None,
+) -> np.ndarray:
+    """Per-run completion times when FU resumes from its last checkpoint.
+
+    Each segment is tried until its check passes (geometric, success
+    1−p), each try costing a; every passed check writes a checkpoint (C),
+    and every retry of segments 2..K resumes from one (R) — exactly what
+    :class:`~repro.grid.behaviors.ExceptionProneTask` charges.
+    """
+    runs = params.runs if runs is None else runs
+    rng = rng if rng is not None else _rng(params, 7)
+    p, K = params.exception_probability, params.checkpoints
+    C = params.checkpoint_overhead
+    if p == 0.0:
+        return np.full(runs, params.failure_free_time + K * C)
+    tries = rng.geometric(1.0 - p, size=(runs, K))
+    resumes = (tries[:, 1:] - 1).sum(axis=1)
+    return (
+        tries.sum(axis=1) * params.segment_length
+        + K * C
+        + resumes * params.recovery_time
+    )
+
+
+def _alternative_task(
+    params: SimulationParams,
+    *,
+    rng: np.random.Generator | None = None,
+    runs: int | None = None,
+) -> np.ndarray:
+    """Per-run completion times with Figure 6's exception handler: FU's
+    first failed check (check i at i·a) hands over to SR."""
+    runs = params.runs if runs is None else runs
+    rng = rng if rng is not None else _rng(params, 8)
+    fails = rng.random((runs, params.checkpoints)) < params.exception_probability
+    first = np.where(fails.any(axis=1), fails.argmax(axis=1) + 1, 0)
+    return np.where(
+        first == 0,
+        params.failure_free_time,
+        first * params.segment_length + params.alternative_time,
+    )
+
+
 _SAMPLERS = {
     "retrying": sample_retry,
     "checkpointing": sample_checkpointing,
     "replication": sample_replication,
     "replication_checkpointing": sample_replication_checkpointing,
     "backoff_retry": sample_backoff_retry,
+    "exception_retrying": _exception_retrying,
+    "exception_checkpointing": _exception_checkpointing,
+    "alternative_task": _alternative_task,
 }
+
+
+def _without_host_failures(technique: str, params: SimulationParams) -> None:
+    """Refuse a Figure-13 cell on failing hosts: its model has none."""
+    if technique in _EXCEPTION_TECHNIQUES and params.failure_rate:
+        raise SimulationError(
+            f"{technique!r} models no host failures: its cells need "
+            f"mttf=inf, got {params.mttf!r}"
+        )
+
+
+def _check_cell(technique: str, params: SimulationParams) -> None:
+    """Refuse what no sampler or engine run can complete: an unknown
+    technique, a Figure-13 cell with host failures, and a masking strategy
+    at p = 1 (every attempt raises)."""
+    if technique not in _SAMPLERS:
+        raise SimulationError(
+            f"unknown technique {technique!r}; "
+            f"expected one of {tuple(_SAMPLERS)}"
+        )
+    _without_host_failures(technique, params)
+    if technique.startswith("exception_") and params.exception_probability == 1.0:
+        raise SimulationError(
+            f"{technique!r} never completes at exception_probability=1"
+        )
 
 
 def sample_technique(
@@ -290,12 +423,7 @@ def sample_technique(
     rng: np.random.Generator | None = None,
     runs: int | None = None,
 ) -> np.ndarray:
-    """Dispatch by technique name (see :data:`EXTENDED_TECHNIQUES`)."""
-    try:
-        sampler = _SAMPLERS[technique]
-    except KeyError:
-        raise SimulationError(
-            f"unknown technique {technique!r}; "
-            f"expected one of {EXTENDED_TECHNIQUES}"
-        ) from None
-    return sampler(params, rng=rng, runs=runs)
+    """Dispatch by technique name (:data:`EXTENDED_TECHNIQUES` and
+    Figure 13's three)."""
+    _check_cell(technique, params)
+    return _SAMPLERS[technique](params, rng=rng, runs=runs)

@@ -95,22 +95,6 @@ def fig5_workflow():
     )
 
 
-def fig6_workflow(*, fu_policy: FailurePolicy = FailurePolicy()):
-    """The user-defined exception handling DAG of the paper's Figure 6."""
-    return (
-        WorkflowBuilder("fig6")
-        .program("fast", hosts=["u1"])
-        .program("slow", hosts=["r1"])
-        .activity("FU", implement="fast", policy=fu_policy)
-        .activity("SR", implement="slow")
-        .dummy("DJ", join=JoinMode.OR)
-        .transition("FU", "DJ")
-        .on_exception("FU", "disk_full", "SR")
-        .transition("SR", "DJ")
-        .build()
-    )
-
-
 def two_reliable_hosts(grid: SimulatedGrid) -> SimulatedGrid:
     grid.add_host(RELIABLE("u1"))
     grid.add_host(RELIABLE("r1"))

@@ -12,7 +12,6 @@ import pytest
 from tests.helpers import (
     fig4_workflow,
     fig5_workflow,
-    fig6_workflow,
     run_workflow,
     single_task_workflow,
     two_reliable_hosts,
@@ -29,6 +28,7 @@ from repro.grid import (
     Step,
     inject_crash,
 )
+from repro.sim import SimulationParams, build_technique_workflow
 from repro.wpdl import JoinMode, Parameter, WorkflowBuilder
 
 
@@ -244,40 +244,42 @@ class TestFigure5Redundancy:
 
 
 class TestFigure6ExceptionHandling:
+    """The Figure-6 DAG ``repro.sim`` runs for Figure 13's alternative-task
+    cells: FU on ``node0``, SR (150) on ``node1``."""
+
+    @staticmethod
+    def run(grid, fast):
+        grid.add_host(RELIABLE("node0"))
+        grid.add_host(RELIABLE("node1"))
+        grid.install("node0", "fast", fast)
+        grid.install("node1", "slow", FixedDurationTask(150.0))
+        workflow = build_technique_workflow("alternative_task", SimulationParams())
+        return run_workflow(workflow, grid)
+
     def test_exception_routes_to_alternative(self, quiet_grid):
-        two_reliable_hosts(quiet_grid)
-        quiet_grid.install(
-            "u1", "fast", ExceptionProneTask(duration=30.0, checks=5, probability=1.0)
+        result = self.run(
+            quiet_grid, ExceptionProneTask(duration=30.0, checks=5, probability=1.0)
         )
-        quiet_grid.install("r1", "slow", FixedDurationTask(150.0))
-        result = run_workflow(fig6_workflow(), quiet_grid)
         assert result.succeeded
         assert result.node_statuses["FU"] is NodeStatus.EXCEPTION
         # Exception at first check (t=6) + SR (150) = 156 (the paper's p=1).
         assert result.completion_time == pytest.approx(156.0)
 
     def test_no_exception_fast_path(self, quiet_grid):
-        two_reliable_hosts(quiet_grid)
-        quiet_grid.install(
-            "u1", "fast", ExceptionProneTask(duration=30.0, checks=5, probability=0.0)
+        result = self.run(
+            quiet_grid, ExceptionProneTask(duration=30.0, checks=5, probability=0.0)
         )
-        quiet_grid.install("r1", "slow", FixedDurationTask(150.0))
-        result = run_workflow(fig6_workflow(), quiet_grid)
         assert result.succeeded
         assert result.completion_time == pytest.approx(30.0)
         assert result.node_statuses["SR"] is NodeStatus.SKIPPED_OK
 
     def test_unmatched_exception_name_fails_workflow(self, quiet_grid):
-        two_reliable_hosts(quiet_grid)
-        quiet_grid.install(
-            "u1",
-            "fast",
+        result = self.run(
+            quiet_grid,
             ExceptionProneTask(
                 duration=30.0, checks=5, probability=1.0, exception_name="oom"
             ),
         )
-        quiet_grid.install("r1", "slow", FixedDurationTask(150.0))
-        result = run_workflow(fig6_workflow(), quiet_grid)
         # Handler is bound to disk_full only; an oom exception is unhandled.
         assert result.status is WorkflowStatus.FAILED
 

@@ -1,5 +1,5 @@
 """Tests for host execution slots (jobmanager queueing) and the
-detection-service message log (record/replay)."""
+detection-service message wire format (encode/decode)."""
 
 from __future__ import annotations
 
@@ -9,22 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.exceptions import UserException
-from repro.core.states import TaskState
-from repro.detection.detector import TASK_DONE, FailureDetector
-from repro.detection.log import MessageLog
 from repro.detection.messages import (
     CheckpointNotice,
     Done,
-    ExceptionNotice,
-    Heartbeat,
     TaskEnd,
     TaskStart,
     decode,
     encode,
 )
-from repro.errors import DetectionError
-from repro.events import EventBus
 from repro.execution import SubmitRequest
 from repro.grid import FixedDurationTask, GridConfig, ResourceSpec, SimulatedGrid
 
@@ -95,103 +87,6 @@ class TestSlots:
     def test_invalid_slots_rejected(self):
         with pytest.raises(ValueError):
             ResourceSpec(hostname="h", slots=0)
-
-
-MESSAGES = [
-    Heartbeat(sent_at=1.0, hostname="n1", seq=3),
-    TaskStart(sent_at=2.0, job_id="j1", hostname="n1"),
-    CheckpointNotice(sent_at=3.0, job_id="j1", hostname="n1", flag="k", progress=0.5),
-    ExceptionNotice(
-        sent_at=4.0, job_id="j1", hostname="n1",
-        exception=UserException("disk_full", "x", data={"gb": 1}),
-    ),
-    TaskEnd(sent_at=5.0, job_id="j1", hostname="n1", result=[1, 2]),
-    Done(sent_at=6.0, job_id="j1", hostname="n1", exit_code=137, host_crashed=True),
-]
-
-
-class TestMessageLog:
-    def test_record_and_read_roundtrip(self, tmp_path):
-        log = MessageLog(tmp_path / "msgs.jsonl")
-        for msg in MESSAGES:
-            log.record(msg)
-        assert log.recorded == len(MESSAGES)
-        assert list(MessageLog.read(log.path)) == MESSAGES
-
-    def test_tee_records_while_forwarding(self, tmp_path):
-        log = MessageLog(tmp_path / "msgs.jsonl")
-        forwarded = []
-        sink = log.tee(forwarded.append)
-        for msg in MESSAGES[:3]:
-            sink(msg)
-        assert forwarded == MESSAGES[:3]
-        assert list(MessageLog.read(log.path)) == MESSAGES[:3]
-
-    def test_tee_records_before_delivery_so_failing_sink_loses_nothing(
-        self, tmp_path
-    ):
-        # The tee contract: record first, deliver second.  A downstream
-        # sink that blows up mid-stream must still leave a log covering
-        # every message it was offered — including the fatal one — so a
-        # replay can reproduce the crash.
-        log = MessageLog(tmp_path / "msgs.jsonl")
-        seen = []
-
-        def failing_sink(msg):
-            if len(seen) == 2:
-                raise RuntimeError("downstream detector exploded")
-            seen.append(msg)
-
-        sink = log.tee(failing_sink)
-        sink(MESSAGES[0])
-        sink(MESSAGES[1])
-        with pytest.raises(RuntimeError, match="exploded"):
-            sink(MESSAGES[2])
-        # The sink saw two messages, but all three were offered — and all
-        # three are on disk, in offer order.
-        assert seen == MESSAGES[:2]
-        assert list(MessageLog.read(log.path)) == MESSAGES[:3]
-        assert log.recorded == 3
-
-    def test_replay_into_fresh_detector_reproduces_verdict(
-        self, tmp_path, reactor, kernel
-    ):
-        # Record a full successful attempt, replay it into a new detector:
-        # the detector reaches the same DONE verdict from the log alone.
-        log = MessageLog(tmp_path / "incident.jsonl")
-        for msg in (
-            TaskStart(job_id="j1", hostname="n1"),
-            TaskEnd(job_id="j1", hostname="n1", result=42),
-            Done(job_id="j1", hostname="n1"),
-        ):
-            log.record(msg)
-        bus = EventBus()
-        done = []
-        bus.subscribe(TASK_DONE, lambda _topic, outcome: done.append(outcome))
-        detector = FailureDetector(reactor, bus)
-        detector.track("j1", "act", "n1")
-        count = MessageLog.replay(log.path, detector.deliver)
-        assert count == 3
-        assert done and done[0].state is TaskState.DONE and done[0].result == 42
-
-    def test_corrupt_line_raises_with_line_number(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "done", "job_id": "j"}\n{broken\n')
-        with pytest.raises(DetectionError, match="line 2"):
-            list(MessageLog.read(path))
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(DetectionError, match="cannot read"):
-            list(MessageLog.read(tmp_path / "nope.jsonl"))
-
-    def test_end_to_end_grid_recording(self, tmp_path):
-        grid = slotted_grid(None)
-        log = MessageLog(tmp_path / "run.jsonl")
-        collected = []
-        grid.connect(log.tee(collected.append))
-        submit_n(grid, 2)
-        grid.run()
-        assert list(MessageLog.read(log.path)) == collected
 
 
 class TestWireFormatProperty:

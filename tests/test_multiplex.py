@@ -216,8 +216,9 @@ class TestEventScoping:
 
     def test_nothing_outside_obs_subscribes(self):
         # Control by call, narration by bus: only the telemetry plane
-        # consumes the bus, so nothing that steers a run can come to depend
-        # on dispatch order or on who else is listening.
+        # consumes the bus, and only through its log's tap, so nothing that
+        # steers a run — nor any alert — can come to depend on dispatch
+        # order or on who else is listening.
         import ast
         from pathlib import Path
 
@@ -227,20 +228,23 @@ class TestEventScoping:
         offenders = [
             f"{path.relative_to(root)}:{node.lineno}"
             for path in sorted(root.rglob("*.py"))
-            if path != root / "events.py" and root / "obs" not in path.parents
+            if path != root / "events.py"
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("subscribe", "add_tap")
+            and (
+                node.func.attr == "subscribe"
+                or (node.func.attr == "add_tap" and root / "obs" not in path.parents)
+            )
         ]
         assert offenders == []
 
     def test_the_plane_reads_the_bus_through_one_tap(self):
         # Pay once per event: inside ``repro.obs`` one tap (the event
         # log's) appends every publish, taking one snapshot of its payload,
-        # and everything else is a view of the log or a fold over it.  The
-        # health engine's drift latch is the one routed subscription left
-        # — it has to hear what a fold publishes, when it publishes it.
+        # and everything else is a view of the log or a fold over it.  No
+        # routed subscription is left: the fold that finds a drift latches
+        # the health engine's rule by call.
         import ast
         from pathlib import Path
 
@@ -260,12 +264,12 @@ class TestEventScoping:
                 elif where.startswith("obs/") and ast.unparse(node) == "dict(payload)":
                     calls["dict(payload)"].append(where)
         assert calls == {
-            "subscribe": ["obs/health.py"],
+            "subscribe": [],
             "add_tap": ["obs/log.py"],
             "dict(payload)": ["obs/log.py"],
         }
-        source = (root / "obs" / "health.py").read_text(encoding="utf-8")
-        assert 'bus.subscribe("obs.drift.*", self._on_drift)' in source
+        source = (root / "obs" / "estimators.py").read_text(encoding="utf-8")
+        assert "self.health.latch_drift(DRIFT_MTTF, drift)" in source
 
     def test_unscoped_single_engine_unchanged(self):
         # The classic path publishes on bare topics with empty workflow_id.

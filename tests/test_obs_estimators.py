@@ -229,6 +229,10 @@ class _Payload:
 class _HealthSpy:
     def __init__(self):
         self.evaluated_at: list[float] = []
+        self.latched: list[tuple[str, dict]] = []
+
+    def latch_drift(self, topic, fields):
+        self.latched.append((topic, fields))
 
     def evaluate(self, at):
         self.evaluated_at.append(at)
@@ -305,7 +309,9 @@ class TestEstimatorSuite:
         assert topic == DRIFT_MTTF
         assert payload["host"] == "h1" and payload["prior_mttf"] == 100.0
         assert payload["direction"] == "down"
-        # Health re-evaluated exactly once — on the latch, not per failure.
+        # Health latched by call, with what was published, and re-evaluated
+        # exactly once — on the latch, not per failure.
+        assert health.latched == [(topic, payload)]
         assert health.evaluated_at == [fired_at]
         # Later failures don't re-publish a latched detector.
         suite.record_host_failure("h1", at + 10.0)

@@ -179,14 +179,16 @@ class TestThresholdRules:
 
 
 class TestDriftRules:
-    def test_bus_drift_event_latches_until_reset(self):
+    def test_a_drift_latches_until_reset(self):
         bus = EventBus()
         engine = HealthEngine(bus=bus)
         engine.add_rule(HealthRule("catalog-drift", kind="drift"))
         assert engine.evaluate(0.0) == []
-        bus.publish(
-            "obs.drift.mttf", {"host": "h1", "observed_mttf": 3.0}
-        )
+        # A drift on the bus is narration: the engine does not listen.
+        bus.publish("obs.drift.mttf", {"host": "h0", "observed_mttf": 1.0})
+        assert engine.evaluate(0.5) == []
+        assert bus.stats()["pattern_entries"] == bus.stats()["exact_topics"] == 0
+        engine.latch_drift("obs.drift.mttf", {"host": "h1", "observed_mttf": 3.0})
         (transition,) = engine.evaluate(1.0)
         assert transition["transition"] == "fired"
         assert transition["drift"]["host"] == "h1"

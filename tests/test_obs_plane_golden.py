@@ -2,7 +2,7 @@
 
 A 20-instance faulty batch (see :mod:`tests.obs_plane`) runs on two seeds
 with the whole plane attached, and each of its seven readable outputs must
-digest to ``GOLDEN``.  The pins have moved four times, each time tied to
+digest to ``GOLDEN``.  The pins have moved five times, each time tied to
 the commit before by digests recorded there before any source changed:
 
 * PR 15 rewrote the observed path (bound instruments, lazy records, flat
@@ -42,7 +42,14 @@ the commit before by digests recorded there before any source changed:
   is left out of both: with estimates pooled per specification the
   ``attempt-failure-probability`` rule keys on a rate with a real sample
   size, and on seed 19990803 it now fires once (t = 30, Wilson lower bound
-  0.72) where no single instance's four-for-four ever sustained.
+  0.72) where no single instance's four-for-four ever sustained;
+* later, the estimators latched the health engine's drift rules by call
+  instead of through an ``obs.drift.*`` subscription.  ``registry``,
+  ``prometheus`` and ``store`` moved by one number: the scraped
+  ``bus_subscription_groups`` reads 1 instead of 2 (the test's own
+  subscription is the one left), and the parent's three outputs with that
+  gauge set to 1 digest to the new pins.  ``_views``, which leaves the bus
+  gauges out, still digests to ``PARENT``.
 """
 
 from __future__ import annotations
@@ -58,18 +65,18 @@ INSTANCES = 20
 
 GOLDEN = {
     20030623: {
-        "registry": "4c7eacf53331ca1de36d76c7cbf419e15eac87583a230a7780ba44605b9fa21f",
-        "prometheus": "9bbf1bf5d0a03578ade391070dc997f18815e0d123eb6f9a4242b254d732ef5c",
-        "store": "c97c47d4b5f67b4e86bd9e9cab298c668ac1a951d768d394a9a0a44866de4074",
+        "registry": "087b2a4de24a9c90da5d8304080ebb9630959125204d81e60d31321a26326f44",
+        "prometheus": "6140db1278c6b8ba06aeb15351861b1a07a6c284d64eb644eaf0ce315d4657fe",
+        "store": "992561ca887adbc6dd3e477eaf4ae574949d43e304cfe4552d5cf16a36374e49",
         "events": "bde842cc542c1eb175a4a59146ac16d5f477c7a11eb0b7dff338547bc04b07f1",
         "spans": "950d6502ef42e37cd1c355b6568a6808ca3d352073b365e7889947f0635ab850",
         "recorder": "4ad9992466c529f36a2d6c0c6d15b4a154e3eb6ef1760fb30527e10dd0402652",
         "tracker": "aee482e9a73875d024b66efd76c49a11b33bb5e6fe515656bdc225918eaed2cb",
     },
     19990803: {
-        "registry": "34e94ff49ffe239ca4f16ab26549d8d63859b0067b62ed871afb89fd651fb9dc",
-        "prometheus": "70db57570a915eb51cca54db9f5ca63108c9168b2e0ce19d237cdad1d6a3da5e",
-        "store": "64b9de899d67691ae2bb1cb09f3856678eb5cdaef7c63ecc2964bb474eee823d",
+        "registry": "181660307cdbbbef1fb2c52885ad23624b8c562f5771d58a00b789d236dd565d",
+        "prometheus": "290fdaaab43f17a7b952abb3c1c60b02e9761d8cd9bcc86f1bbab3f85a8b73b6",
+        "store": "ebe47c20c779af9ff5b788959769628a3ee55d188731d39c83c6f62a00f04af6",
         "events": "55562ac0d63cafe57b9583d2e4600bfef796cbed1b980c4e59e1f31a789d51ff",
         "spans": "c5ae24b7e988471c226030b60ad7ea796806e4c71e7df2013f3f8a05c26d33aa",
         "recorder": "a0279477d86dcb78d169afee751a428e51be1be76f61366b66007d3ffcc9fc1f",
@@ -104,22 +111,21 @@ PARENT = {
 CANCELLED = {20030623: 56, 19990803: 51}
 TIMERS_CANCELLED = {20030623: 50.0, 19990803: 45.0}
 
-#: Where the scraped bus gauges end: one routed subscription left in the
-#: plane (the health engine's drift latch) beside the test's own, every
-#: published topic routed once, and the alert that now fires on the second
-#: seed counted among the publications (the parent read 607 and 699).
+#: Where the scraped bus gauges end: no routed subscription left in the
+#: plane, only the test's own, every published topic routed once, and the
+#: alert that fires on the second seed counted among the publications.
 BUS_GAUGES = {
     20030623: {
         "bus_publishes": 607.0,
         "bus_cached_routes": 14.0,
         "bus_route_builds": 14.0,
-        "bus_subscription_groups": 2.0,
+        "bus_subscription_groups": 1.0,
     },
     19990803: {
         "bus_publishes": 700.0,
         "bus_cached_routes": 15.0,
         "bus_route_builds": 15.0,
-        "bus_subscription_groups": 2.0,
+        "bus_subscription_groups": 1.0,
     },
 }
 _BUS_FAMILIES = (*BUS_GAUGES[20030623], "bus_route_cache_hit_rate")

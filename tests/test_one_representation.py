@@ -11,6 +11,8 @@ took the observer's, the tracker's and the estimators' own folds (one pass
 off one per-instance table now) and the span ring.  A consumer is now
 attached for the life of its bus, so detaching, re-attaching, private folds
 and the recorder's own window went, with a few recordings nothing read.
+Figure 13's strategies are techniques of the one sampling pipeline, so its
+parallel stack went.
 One walk over ``src/repro`` keeps them deleted, and keeps the retry wait —
 and the decoding of a log record — in one place.
 """
@@ -117,6 +119,20 @@ GONE = {
     "schedule_at",
     "dec",
     "TraceEvent",
+    # Figure 13 is cells of the one sampling pipeline: its own parameter
+    # object, its (p, exp) functions and their aliases went; the health
+    # engine's drift latch is a call, and the detector's message log went.
+    "ExceptionExperiment",
+    "EXCEPTION_STRATEGIES",
+    "expected_retrying",
+    "expected_checkpointing",
+    "expected_alternative",
+    "sample_retrying",
+    "sample_alternative",
+    "sample_exception_retrying",
+    "sample_exception_checkpointing",
+    "MessageLog",
+    "_on_drift",
 }
 
 
@@ -175,10 +191,13 @@ def test_the_deleted_surface_stays_deleted():
     for consumer in (RunObserver(), WorkflowStatusTracker(), EstimatorSuite()):
         kept = {*vars(consumer), *dir(type(consumer))}
         assert not kept & {"_fold", "_runs", "_running", "_recorder"}, consumer
-    # The journal's window is the log's, and the drift latch is subscribed
-    # once, when the health engine is built.
+    # The journal's window is the log's, and the health engine never
+    # attaches to a bus: it publishes alerts on the one it is given.
     assert list(inspect.signature(FlightRecorder).parameters) == ["bus", "spill_path"]
     assert not hasattr(HealthEngine, "attach_bus")
+    assert list(inspect.signature(HealthEngine).parameters) == ["clock", "bus"]
+    assert not (SRC / "sim" / "exceptions_model.py").exists()
+    assert not (SRC / "detection" / "log.py").exists()
 
 
 #: The topic families a fold decodes.

@@ -4,6 +4,7 @@ clock, same counters — and fewer heap operations, counted exactly."""
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import repro.grid.gram
 import repro.grid.simgrid
 import repro.grid.simkernel
-from repro.detection import FailureDetector, MessageLog
+from repro.detection import FailureDetector, encode
 from repro.engine import EngineHost
 from repro.events import EventBus
 from repro.execution import SubmitRequest
@@ -248,22 +249,23 @@ class TestLaneHandles:
 # -- (b) a faulty batch under eager and re-armed scheduling ----------------------
 
 
-def _faulty_batch_log(seed: int, path) -> str:
+def _faulty_batch_log(seed: int) -> str:
     """100 mosaic instances (replication, a retried branch racing a
     reliable one into an OR join, a checkpointing solver) on eight
-    crashing hosts with heartbeats; returns the message log's text, each
-    line prefixed with its delivery time."""
+    crashing hosts with heartbeats; returns every message the detector was
+    delivered, one encoded line each, prefixed with its delivery time."""
     grid = build_grid(faulty_gridspec(seed))
     bus = EventBus()
     detector = FailureDetector(
         grid.reactor, bus, heartbeat_timeout=3.0, batch_heartbeats=True
     )
-    log = MessageLog(path)
-    deliver = log.tee(detector.deliver)
+    deliver = detector.deliver
     arrivals = []
+    lines = []
 
     def timed(msg) -> None:
         arrivals.append(grid.kernel.now())
+        lines.append(json.dumps(encode(msg), sort_keys=True))
         deliver(msg)
 
     detector.deliver = timed  # the engine host connects the grid to this
@@ -282,20 +284,17 @@ def _faulty_batch_log(seed: int, path) -> str:
     hosts = grid.hosts.values()
     assert sum(h.crash_count for h in hosts) >= 10
     assert sum(h.jobs_killed for h in hosts) >= 50
-    lines = path.read_text().splitlines()
     assert len(lines) == len(arrivals) > 3000
     assert any('"kind": "checkpoint"' in line for line in lines)
     return "\n".join(f"{at!r} {line}" for at, line in zip(arrivals, lines))
 
 
 @pytest.mark.parametrize("seed", [20030623, 19990803])
-def test_faulty_batch_messages_match_the_eager_pure_heap_model(
-    seed, tmp_path, monkeypatch
-):
-    rearmed = _faulty_batch_log(seed, tmp_path / "rearmed.jsonl")
+def test_faulty_batch_messages_match_the_eager_pure_heap_model(seed, monkeypatch):
+    rearmed = _faulty_batch_log(seed)
     monkeypatch.setattr(repro.grid.simgrid, "SimKernel", HeapKernel)
     monkeypatch.setattr(repro.grid.gram, "JobProcess", EagerJobProcess)
-    eager = _faulty_batch_log(seed, tmp_path / "eager.jsonl")
+    eager = _faulty_batch_log(seed)
     assert rearmed == eager
 
 
