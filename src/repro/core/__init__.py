@@ -1,6 +1,6 @@
 """The paper's primary contribution: the flexible failure handling framework.
 
-Task states and their machine, task-level failure policies (retrying,
+Task states and their legal transitions, task-level failure policies (retrying,
 replication, checkpoint restart), user-defined exceptions with handler
 bindings, and the two-level recovery coordinator that escalates unmasked
 task failures to the workflow level.
@@ -13,7 +13,7 @@ from .policy import (
     ReplicationMode,
     ResourceSelection,
 )
-from .states import LEGAL_TRANSITIONS, TERMINAL_STATES, TaskState, TaskStateMachine
+from .states import LEGAL_TRANSITIONS, TERMINAL_STATES, TaskState
 
 __all__ = [
     "ExceptionBinding",
@@ -26,5 +26,4 @@ __all__ = [
     "LEGAL_TRANSITIONS",
     "TERMINAL_STATES",
     "TaskState",
-    "TaskStateMachine",
 ]

@@ -1,4 +1,4 @@
-"""Task state machine of the generic failure detection service.
+"""Task states of the generic failure detection service.
 
 The paper (Section 3, citing [18]) interprets heartbeat and event
 notification messages to determine the state of each submitted task:
@@ -14,18 +14,16 @@ detection rule is:
 * an **Exception** notification moves the task to ``EXCEPTION`` (a
   task-specific, user-defined failure to be handled at the workflow level).
 
-This module defines the state enum, the legal transition relation and a
-small :class:`TaskStateMachine` that enforces it.  The failure detector
-(:mod:`repro.detection.detector`) drives one machine per task attempt.
+This module defines the state enum and the legal transition relation.  The
+failure detector (:mod:`repro.detection.detector`) keeps one state per task
+attempt and checks every move against :data:`LEGAL_TRANSITIONS`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from ..errors import DetectionError
-
-__all__ = ["TaskState", "TaskStateMachine", "TERMINAL_STATES", "LEGAL_TRANSITIONS"]
+__all__ = ["TaskState", "TERMINAL_STATES", "LEGAL_TRANSITIONS"]
 
 
 class TaskState(str, Enum):
@@ -63,34 +61,3 @@ LEGAL_TRANSITIONS: frozenset[tuple[TaskState, TaskState]] = frozenset(
     }
 )
 
-
-class TaskStateMachine:
-    """Enforces the legal task-state transition relation for one attempt.
-
-    >>> m = TaskStateMachine("summation")
-    >>> m.transition(TaskState.ACTIVE)
-    >>> m.transition(TaskState.DONE)
-    >>> m.terminal
-    True
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.state = TaskState.INACTIVE
-
-    @property
-    def terminal(self) -> bool:
-        """True once the attempt reached done/failed/exception."""
-        return self.state in TERMINAL_STATES
-
-    def can_transition(self, to: TaskState) -> bool:
-        return (self.state, to) in LEGAL_TRANSITIONS
-
-    def transition(self, to: TaskState) -> None:
-        """Move to state *to*; raises :class:`DetectionError` if illegal."""
-        if not self.can_transition(to):
-            raise DetectionError(
-                f"task {self.name!r}: illegal transition "
-                f"{self.state.value} -> {to.value}"
-            )
-        self.state = to

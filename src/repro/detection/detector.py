@@ -3,14 +3,20 @@
 Combines the two input streams of the generic failure detection service —
 substrate signals (``Done``, host suspicion from the heartbeat monitor) and
 application notifications (``TaskStart`` / ``TaskEnd`` / ``Exception`` /
-``Checkpoint``) — into the task state machine of
-:mod:`repro.core.states`, applying the paper's determination rules:
+``Checkpoint``) — into each attempt's :class:`~repro.core.states.TaskState`,
+applying the paper's determination rules:
 
 * ``TaskStart`` ⇒ ``ACTIVE``;
 * ``Exception`` ⇒ ``EXCEPTION`` (a user-defined, task-specific failure);
 * ``Done`` after ``TaskEnd`` ⇒ ``DONE`` (success);
 * ``Done`` without ``TaskEnd`` ⇒ ``FAILED`` (task crash failure);
 * host suspected while the attempt is non-terminal ⇒ ``FAILED``.
+
+An attempt holds its state directly; every move is checked against
+:data:`~repro.core.states.LEGAL_TRANSITIONS` and an illegal one raises
+:class:`~repro.errors.DetectionError`.  A terminal signal that arrives
+before ``TaskStart`` (a task that crashes at once) first promotes the
+attempt to ``ACTIVE``, without narration.
 
 Control goes by call, narration by bus.  For every terminal state the
 detector first narrates the :class:`AttemptOutcome` on the bus
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..core.exceptions import UserException
-from ..core.states import TaskState, TaskStateMachine
+from ..core.states import LEGAL_TRANSITIONS, TaskState
 from ..errors import DetectionError
 from ..events import EventBus
 from ..reactor import Reactor
@@ -105,7 +111,7 @@ class _Attempt:
     job_id: str
     activity: str
     hostname: str
-    machine: TaskStateMachine
+    state: TaskState = TaskState.INACTIVE
     #: Who is told the verdict, after it is narrated (``None``: nobody).
     on_verdict: Callable[[AttemptOutcome], None] | None = None
     workflow_id: str = ""
@@ -216,17 +222,13 @@ class FailureDetector:
         """
         if job_id in self._attempts:
             raise DetectionError(f"job {job_id!r} is already tracked")
-        self._attempts[job_id] = _Attempt(
-            job_id=job_id,
-            activity=activity,
-            hostname=hostname,
-            machine=TaskStateMachine(activity),
-            on_verdict=on_verdict,
-            workflow_id=workflow_id,
-            trace_id=getattr(trace, "trace_id", "") or "",
-            span_id=getattr(trace, "span_id", "") or "",
-            parent_id=getattr(trace, "parent_id", "") or "",
+        attempt = self._attempts[job_id] = _Attempt(
+            job_id, activity, hostname, on_verdict=on_verdict, workflow_id=workflow_id
         )
+        if trace is not None:
+            attempt.trace_id = getattr(trace, "trace_id", "") or ""
+            attempt.span_id = getattr(trace, "span_id", "") or ""
+            attempt.parent_id = getattr(trace, "parent_id", "") or ""
         if self.monitor is not None:
             self.monitor.watch(hostname)
 
@@ -273,8 +275,8 @@ class FailureDetector:
                 self.monitor.observe(msg)  # type: ignore[arg-type]
 
     def _on_task_start(self, attempt: _Attempt, _msg: TaskStart) -> None:
-        if attempt.machine.state is TaskState.INACTIVE:
-            attempt.machine.transition(TaskState.ACTIVE)
+        if attempt.state is TaskState.INACTIVE:
+            attempt.state = TaskState.ACTIVE
             if self._bus.wants(TASK_ACTIVE):
                 self._bus.publish(TASK_ACTIVE, self._outcome(attempt, "task-start"))
 
@@ -288,7 +290,8 @@ class FailureDetector:
 
     def _on_exception(self, attempt: _Attempt, msg: ExceptionNotice) -> None:
         attempt.exception = msg.exception
-        self._ensure_active(attempt)
+        if attempt.state is TaskState.INACTIVE:
+            attempt.state = TaskState.ACTIVE
         self._finish(attempt, TaskState.EXCEPTION, reason="exception-notice")
 
     def _flush_beats(self) -> None:
@@ -302,7 +305,8 @@ class FailureDetector:
     # -- determination rules ---------------------------------------------------
 
     def _on_done(self, attempt: _Attempt, msg: Done) -> None:
-        self._ensure_active(attempt)
+        if attempt.state is TaskState.INACTIVE:
+            attempt.state = TaskState.ACTIVE
         if attempt.saw_task_end and msg.exit_code == 0 and not msg.host_crashed:
             self._finish(attempt, TaskState.DONE, reason="done-with-taskend")
         else:
@@ -322,18 +326,17 @@ class FailureDetector:
         live = self._attempts
         for attempt in list(live.values()):
             if attempt.hostname == hostname and live.get(attempt.job_id) is attempt:
-                self._ensure_active(attempt)
+                if attempt.state is TaskState.INACTIVE:
+                    attempt.state = TaskState.ACTIVE
                 self._finish(attempt, TaskState.FAILED, reason="host-suspected")
 
-    def _ensure_active(self, attempt: _Attempt) -> None:
-        """Some terminal signals can arrive before TaskStart (a task that
-        crashes immediately).  Promote to ACTIVE so the terminal transition
-        is legal."""
-        if attempt.machine.state is TaskState.INACTIVE:
-            attempt.machine.transition(TaskState.ACTIVE)
-
     def _finish(self, attempt: _Attempt, state: TaskState, *, reason: str) -> None:
-        attempt.machine.transition(state)
+        if (attempt.state, state) not in LEGAL_TRANSITIONS:
+            raise DetectionError(
+                f"task {attempt.activity!r}: illegal transition "
+                f"{attempt.state.value} -> {state.value}"
+            )
+        attempt.state = state
         # The verdict is final: stop tracking before anyone reacts to it.
         self._attempts.pop(attempt.job_id, None)
         outcome = self._outcome(attempt, reason)
@@ -349,7 +352,7 @@ class FailureDetector:
         return AttemptOutcome(
             job_id=attempt.job_id,
             activity=attempt.activity,
-            state=attempt.machine.state,
+            state=attempt.state,
             hostname=attempt.hostname,
             exception=attempt.exception,
             checkpoint_flag=attempt.checkpoint_flag,
@@ -368,7 +371,7 @@ class FailureDetector:
         """State of a live attempt; ``None`` once it has its verdict (or
         was never tracked)."""
         attempt = self._attempts.get(job_id)
-        return attempt.machine.state if attempt else None
+        return attempt.state if attempt else None
 
     def checkpoint_flag(self, job_id: str) -> str | None:
         """Last checkpoint flag a live attempt reported."""

@@ -99,6 +99,15 @@ class LaunchPlan:
     #: option never enters: the broker matches it against the catalog and
     #: the activity's query at every submission.
     targets: dict[int, ResolvedOption] = field(default_factory=dict)
+    #: The last request submitted to each literal option, by (activity
+    #: name, option index), with the activity it was built for.  The next
+    #: submission of that activity object, from the same instance with the
+    #: same checkpoint flag, resubmits it — a retry, and the same slot in
+    #: the next run of a reset engine.  A rebuilt activity (inputs bound
+    #: per launch) never matches.
+    requests: dict[tuple[str, int], tuple[Activity, SubmitRequest]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass(slots=True)
@@ -408,16 +417,16 @@ class RecoveryCoordinator:
     def _submit(self, run: ActivityRun, slot: _Slot) -> None:
         slot.retry_timer = None
         plan = run.plan
-        target = plan.targets.get(slot.option_index)
+        activity = run.activity
+        option_index = slot.option_index
+        target = plan.targets.get(option_index)
         if target is None:
             # ``resolve_index`` is read off the broker here (a tracer's
             # wrapper is what runs) and raises for an index out of range.
-            target = self._broker.resolve_index(
-                run.activity, run.program, slot.option_index
-            )
-            if not is_wildcard(run.program.options[slot.option_index]):
-                plan.targets[slot.option_index] = target
-        flag = plan.strategy.submit_flag(run.activity, self.checkpoints, slot.flag_key)
+            target = self._broker.resolve_index(activity, run.program, option_index)
+            if not is_wildcard(run.program.options[option_index]):
+                plan.targets[option_index] = target
+        flag = plan.strategy.submit_flag(activity, self.checkpoints, slot.flag_key)
         # Causal chain: the attempt's parent is the recovery decision that
         # spawned it (a retry, or the checkpoint-restart minted just below);
         # the very first attempt of a slot descends from the activity root.
@@ -433,7 +442,7 @@ class RecoveryCoordinator:
                     RECOVERY_CHECKPOINT_RESTART,
                     stamp(
                         {
-                            "activity": run.activity.name,
+                            "activity": activity.name,
                             "slot": slot.index,
                             "flag": flag,
                             "flag_source": self.checkpoints.source_span_of(slot.flag_key),
@@ -443,26 +452,38 @@ class RecoveryCoordinator:
                 )
         if self._tracer is not None and parent is not None:
             slot.attempt_trace = self._tracer.child(parent)
-        request = SubmitRequest(
-            activity=run.activity.name,
-            executable=target.executable,
-            hostname=target.hostname,
-            service=target.service,
-            directory=target.directory,
-            arguments={p.name: p.value for p in run.activity.inputs},
-            checkpoint_flag=flag,
-            workflow_id=self.workflow_id,
-        )
+        key = (activity.name, option_index)
+        cached = plan.requests.get(key)
+        if (
+            cached is not None
+            and cached[0] is activity
+            and cached[1].checkpoint_flag == flag
+            and cached[1].workflow_id == self.workflow_id
+        ):
+            request = cached[1]
+        else:
+            request = SubmitRequest(
+                activity=activity.name,
+                executable=target.executable,
+                hostname=target.hostname,
+                service=target.service,
+                directory=target.directory,
+                arguments={p.name: p.value for p in activity.inputs},
+                checkpoint_flag=flag,
+                workflow_id=self.workflow_id,
+            )
+            if option_index in plan.targets:  # a wildcard's target varies
+                plan.requests[key] = (activity, request)
         slot.tries_used += 1
         slot.last_host = target.hostname
         job_id = self._service.submit(request)
         slot.active_job = job_id
-        self._job_index[job_id] = (run.activity.name, slot.index)
+        self._job_index[job_id] = (activity.name, slot.index)
         # ``self.handle_outcome`` is read off the instance here, so a
         # wrapper set on it (a tracer's) is what the detector calls.
         self._detector.track(
             job_id,
-            run.activity.name,
+            activity.name,
             target.hostname,
             workflow_id=self.workflow_id,
             trace=slot.attempt_trace,

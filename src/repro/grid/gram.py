@@ -16,11 +16,11 @@ Crash observability is configurable (``GramConfig.crash_detection``):
   when the heartbeat monitor times out.  This is the realistic path and is
   exercised by the detector tests and the heartbeat ablation benchmark.
 
-The service's job table holds *live* submissions only: a job (its
-:class:`JobProcess` and the :class:`JobRecord` it carries) is dropped the
-moment it finishes or is cancelled — the record is updated first, so a
-caller that kept it still reads the final status — and
-:attr:`GramService.submitted_count` is a plain counter.
+The service's job table holds *live* submissions only: a job's
+:class:`JobProcess` — which is also its record: ``status``, ``attempt`` and
+``request`` live on it — is dropped the moment it finishes or is cancelled.
+Its status is updated first, so a caller that kept the process still reads
+the final one; :attr:`GramService.submitted_count` is a plain counter.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Any
 from ..ckpt.store import CheckpointStore
 from ..core.exceptions import UserException
 from ..detection.messages import CheckpointNotice, Done, ExceptionNotice, TaskEnd, TaskStart
-from ..errors import CheckpointError, GridError, UnknownExecutableError
+from ..errors import CheckpointError, GridError
 from ..execution import SubmitRequest
 from ..timerheap import TimerHandle
 from .behaviors import PlanContext, Step, TaskBehavior
@@ -59,19 +59,12 @@ class GramConfig:
             )
 
 
-@dataclass
-class JobRecord:
-    """Service-side record of one submission, queryable while the job is
-    live (:meth:`GramService.job`)."""
-
-    job_id: str
-    request: SubmitRequest
-    attempt: int
-    status: str = "submitted"  # submitted|queued|running|finished|cancelled
-
-
 class JobProcess:
     """One attempt executing on a host: walks the behaviour's steps.
+
+    The process is the job's service-side record too: ``status`` (queued —
+    for the host or a slot —, running, finished or cancelled), the 1-based
+    ``attempt`` of its activity and the ``request`` it was submitted with.
 
     The process emits messages *from the host*, so they are subject to the
     network's partitions and latency.  Terminal steps clean the process off
@@ -88,15 +81,19 @@ class JobProcess:
     def __init__(
         self,
         service: "GramService",
-        record: JobRecord,
+        job_id: str,
+        request: SubmitRequest,
+        attempt: int,
         host: Host,
         behavior: TaskBehavior,
     ) -> None:
         self.service = service
-        self.record = record
-        self.job_id = record.job_id
-        self.request = record.request
+        self.job_id = job_id
+        self.request = request
+        self.attempt = attempt
+        self.status = "queued"
         self.host = host
+        self.hostname = host.hostname
         self.behavior = behavior
         self._finished = False
         #: The one timer, armed for ``_steps[_cursor]``; ``_armed`` is
@@ -112,7 +109,7 @@ class JobProcess:
 
     def begin(self) -> None:
         """Plan the behaviour and schedule its steps (host is UP)."""
-        self.record.status = "running"
+        self.status = "running"
         service = self.service
         request = self.request
         spec = self.host.spec
@@ -126,7 +123,7 @@ class JobProcess:
             activity=request.activity,
             job_id=self.job_id,
             host=spec,
-            attempt=self.record.attempt,
+            attempt=self.attempt,
             streams=service.streams,
             checkpoint_state=checkpoint_state,
         )
@@ -139,20 +136,29 @@ class JobProcess:
         self._seq0 = kernel.reserve(len(steps) - 1) - 1
 
     def _step(self) -> None:
-        """The timer fired: arm it for the next step, then act this one."""
+        """The timer fired: arm it for the next step, then act this one.
+        ``start``, the first step of every attempt, is sent from here."""
         steps = self._steps
         cursor = self._cursor
         step = steps[cursor]
         cursor += 1
+        kernel = self.service.kernel
         if cursor < len(steps):
             self._cursor = cursor
-            self.service.kernel.rearm(
+            kernel.rearm(
                 self._timer,
                 self._armed,
                 self._t0 + steps[cursor].offset / self.host.spec.speed,
                 self._seq0 + cursor,
             )
-        self._execute(step)
+        if step.action == "start":
+            hostname = self.hostname
+            self.service.network.send(
+                hostname,
+                TaskStart(sent_at=kernel.now(), job_id=self.job_id, hostname=hostname),
+            )
+        else:
+            self._execute(step, kernel.now())
 
     def _stop(self) -> None:
         self._finished = True
@@ -182,30 +188,31 @@ class JobProcess:
         if self._finished:
             return
         self._stop()
-        if self.service.config.crash_detection == "prompt":
-            self.service.network.send_system(
+        service = self.service
+        if service.config.crash_detection == "prompt":
+            service.network.send_system(
                 Done(
-                    sent_at=self.service.kernel.now(),
+                    sent_at=service.kernel.now(),
                     job_id=self.job_id,
-                    hostname=self.host.hostname,
+                    hostname=self.hostname,
                     exit_code=137,
                     host_crashed=True,
                 )
             )
         else:
             self.host.on_recover(self._report_orphan)
-        self.service._job_finished(self)
+        service._job_finished(self)
 
     def _report_orphan(self, host: Host) -> None:
         """The restarted job manager reports the job the crash orphaned —
         once: the listener leaves with the report."""
         host.off_recover(self._report_orphan)
         self.service.network.send(
-            host.hostname,
+            self.hostname,
             Done(
                 sent_at=self.service.kernel.now(),
                 job_id=self.job_id,
-                hostname=host.hostname,
+                hostname=self.hostname,
                 exit_code=137,
                 host_crashed=True,
             ),
@@ -213,13 +220,11 @@ class JobProcess:
 
     # -- step execution ----------------------------------------------------------
 
-    def _execute(self, step: Step) -> None:
-        now = self.service.kernel.now()
+    def _execute(self, step: Step, now: float) -> None:
+        """Act a step after ``start``; *now* is the time it fired."""
         send = self.service.network.send
-        hostname = self.host.hostname
-        if step.action == "start":
-            send(hostname, TaskStart(sent_at=now, job_id=self.job_id, hostname=hostname))
-        elif step.action == "checkpoint":
+        hostname = self.hostname
+        if step.action == "checkpoint":
             flag = f"{self.request.activity}#{self.job_id}@{step.offset:g}"
             self.service.store.save(flag, dict(step.payload.get("state", {})))
             send(
@@ -245,9 +250,9 @@ class JobProcess:
                     exception=exc,
                 ),
             )
-            self._terminate(exit_code=1)
+            self._terminate(1, now)
         elif step.action == "crash":
-            self._terminate(exit_code=139)
+            self._terminate(139, now)
         elif step.action == "end":
             send(
                 hostname,
@@ -258,17 +263,17 @@ class JobProcess:
                     result=step.payload.get("result"),
                 ),
             )
-            self._terminate(exit_code=0)
+            self._terminate(0, now)
 
-    def _terminate(self, *, exit_code: int) -> None:
+    def _terminate(self, exit_code: int, now: float) -> None:
         self._stop()
         self.host.job_finished(self.job_id)
         self.service.network.send(
-            self.host.hostname,
+            self.hostname,
             Done(
-                sent_at=self.service.kernel.now(),
+                sent_at=now,
                 job_id=self.job_id,
-                hostname=self.host.hostname,
+                hostname=self.hostname,
                 exit_code=exit_code,
             ),
         )
@@ -329,22 +334,18 @@ class GramService:
         attempt_key = (request.workflow_id, request.activity)
         attempt = self._attempt_counters.get(attempt_key, 0) + 1
         self._attempt_counters[attempt_key] = attempt
-        try:
-            behavior = host.resolve(request.executable)
-        except UnknownExecutableError:
-            self._reject(job_id, request, exit_code=127)
+        behavior = host.software.get(request.executable)
+        if behavior is None:
+            self._reject(job_id, request, exit_code=127)  # not installed
             return job_id
         if not host.up and not request.queue_when_down:
             self._reject(job_id, request, exit_code=75)  # EX_TEMPFAIL
             return job_id
-        record = JobRecord(job_id=job_id, request=request, attempt=attempt)
-        process = JobProcess(self, record, host, behavior)
+        process = JobProcess(self, job_id, request, attempt, host, behavior)
         self._processes[job_id] = process
         if host.up:
-            record.status = "running"
             host.start_job(process)
         else:
-            record.status = "queued"
             host.queue_job(process)
         return job_id
 
@@ -367,7 +368,7 @@ class GramService:
         process = self._processes.pop(job_id, None)
         if process is None:
             return
-        process.record.status = "cancelled"
+        process.status = "cancelled"
         process.host.cancel_job(job_id)
         process.abort()
 
@@ -375,24 +376,14 @@ class GramService:
 
     def _job_finished(self, process: JobProcess) -> None:
         """*process* ran to its end or died with its host: let go of it."""
-        process.record.status = "finished"
+        process.status = "finished"
         self._processes.pop(process.job_id, None)
 
     # -- queries ---------------------------------------------------------------------
 
-    def job(self, job_id: str) -> JobRecord | None:
-        """The record of a live job; ``None`` once it finished or was
-        cancelled (or was rejected at submission)."""
-        process = self._processes.get(job_id)
-        return process.record if process is not None else None
-
-    def jobs_for_activity(self, activity: str) -> list[JobRecord]:
-        """Records of *activity*'s live jobs."""
-        return [
-            p.record
-            for p in self._processes.values()
-            if p.request.activity == activity
-        ]
+    def jobs_for_activity(self, activity: str) -> list[JobProcess]:
+        """*activity*'s live jobs."""
+        return [p for p in self._processes.values() if p.request.activity == activity]
 
     @property
     def live_jobs(self) -> int:

@@ -60,7 +60,11 @@ class Host:
         self.network = network
         self.streams = streams
         self.spec = spec
+        self.hostname = spec.hostname
+        #: ``state`` and ``up`` are written together, at the four places
+        #: the state changes (here, ``reset``, ``crash``, ``recover``).
         self.state = HostState.UP
+        self.up = True
         self.software: dict[str, TaskBehavior] = {}
         self._running: dict[str, "JobProcess"] = {}
         self._queued: deque["JobProcess"] = deque()
@@ -90,6 +94,7 @@ class Host:
         handles are dropped, not cancelled.
         """
         self.state = HostState.UP
+        self.up = True
         self._running.clear()
         self._queued.clear()
         self._crash_listeners.clear()
@@ -103,16 +108,6 @@ class Host:
         if self._heartbeats_enabled:
             self._start_heartbeats()
         self._schedule_next_crash()
-
-    # -- identity --------------------------------------------------------------
-
-    @property
-    def hostname(self) -> str:
-        return self.spec.hostname
-
-    @property
-    def up(self) -> bool:
-        return self.state is HostState.UP
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Host {self.hostname} {self.state} jobs={len(self._running)}>"
@@ -208,6 +203,7 @@ class Host:
         if not self.up:
             return
         self.state = HostState.DOWN
+        self.up = False
         self.crash_count += 1
         if self._heartbeat_task is not None:
             self._heartbeat_task.stop()
@@ -233,6 +229,7 @@ class Host:
         if self.up:
             return
         self.state = HostState.UP
+        self.up = True
         if self._heartbeats_enabled:
             self._start_heartbeats()
         self._schedule_next_crash()

@@ -13,7 +13,8 @@ alternating up/down host lifecycles) are built on top of it in
 :mod:`repro.grid.host` and friends.
 
 Hot-path notes (this kernel executes tens of thousands of events per
-engine-level Monte-Carlo point, see ``benchmarks/bench_engine_mc.py``):
+engine-level Monte-Carlo point — the ledger's ``mc_engine`` workload,
+``benchmarks/ledger/run.py --workload mc_engine``):
 
 * timers due later live in the shared :class:`repro.timerheap.TimerHeap`
   (entries that are their own handles, lazy cancellation, counter-driven
@@ -288,26 +289,33 @@ class SimKernel:
         self, is_done: Callable[[], bool], deadline: float | None = None
     ) -> None:
         """Run events one at a time until ``is_done()`` holds (it is asked
-        before every pop), the queue drains, or the clock has reached
-        *deadline*."""
+        before every pop), the queue drains, or the next event is due after
+        *deadline*.  Events due exactly at *deadline* fire; one due later
+        stays queued and the clock stops at *deadline*, as in
+        :meth:`run_until`."""
         timers = self._timers
         heap = timers.heap
         lane = self._lane
         popleft = lane.popleft
         if deadline is None:
             deadline = float("inf")
-        while (lane or heap) and not is_done() and self._now < deadline:
+        while (lane or heap) and not is_done():
             if lane and not (heap and heap[0] < lane[0]):
                 entry = popleft()
                 callback = entry[_CALLBACK]
                 if callback is None:
                     continue
             else:
-                entry = heappop(heap)
-                callback = entry[_CALLBACK]
-                if callback is None:
+                head = heap[0]
+                if head[_CALLBACK] is None:
+                    heappop(heap)
                     timers.note_popped_cancelled()
                     continue
+                if head[_WHEN] > deadline:
+                    self._now = max(self._now, deadline)
+                    return
+                entry = heappop(heap)
+                callback = entry[_CALLBACK]
                 self._now = entry[_WHEN]
             entry[_CALLBACK] = _FIRED
             callback()

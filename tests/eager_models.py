@@ -24,6 +24,10 @@ hold what replaced them to exact equivalence (the ``EagerStore`` /
   put one log under it: every consumer up to date after *every* publish,
   not after the next collector tick.
 
+* :class:`EagerStateMachine` and :func:`reference_verdict` — the object
+  per attempt that enforced the transition relation before the detector
+  kept a bare state, and the paper's determination rules walked on it.
+
 ``reserve`` / ``rearm`` exist on the reference kernel too — as plain heap
 pushes — so one program can run on both kernels.
 """
@@ -38,8 +42,10 @@ from functools import partial
 from typing import Any, Callable
 
 from repro.engine.instance import EdgeState, NodeInstance, NodeStatus, WorkflowStatus
+from repro.core.states import LEGAL_TRANSITIONS, TaskState
+from repro.detection.messages import TaskStart
 from repro.engine.navigator import exception_edge_specificity
-from repro.errors import CheckpointError, NavigationError
+from repro.errors import CheckpointError, DetectionError, NavigationError
 from repro.grid.behaviors import PlanContext
 from repro.grid.gram import JobProcess
 from repro.obs import EventLog, MetricsRegistry, Span, observer
@@ -164,8 +170,13 @@ class HeapKernel:
     def run_until_done(self, is_done, deadline: float | None = None) -> None:
         if deadline is None:
             deadline = float("inf")
-        while self.pending() and not is_done() and self._now < deadline:
-            self.step()
+        while not is_done():
+            entry = self._pop_live(deadline)
+            if entry is None:
+                if self._heap:  # the next event is due after the deadline
+                    self._now = max(self._now, deadline)
+                return
+            self._fire(entry)
 
 
 class EagerJobProcess(JobProcess):
@@ -176,7 +187,7 @@ class EagerJobProcess(JobProcess):
     _handles: tuple = ()
 
     def begin(self) -> None:
-        self.record.status = "running"
+        self.status = "running"
         service = self.service
         request = self.request
         spec = self.host.spec
@@ -190,15 +201,25 @@ class EagerJobProcess(JobProcess):
             activity=request.activity,
             job_id=self.job_id,
             host=spec,
-            attempt=self.record.attempt,
+            attempt=self.attempt,
             streams=service.streams,
             checkpoint_state=checkpoint_state,
         )
         schedule = service.kernel.schedule
         self._handles = [
-            schedule(step.offset / spec.speed, partial(self._execute, step))
+            schedule(step.offset / spec.speed, partial(self._act, step))
             for step in self.behavior.plan(ctx)
         ]
+
+    def _act(self, step) -> None:
+        now = self.service.kernel.now()
+        if step.action == "start":
+            self.service.network.send(
+                self.hostname,
+                TaskStart(sent_at=now, job_id=self.job_id, hostname=self.hostname),
+            )
+        else:
+            self._execute(step, now)
 
     def _stop(self) -> None:
         self._finished = True
@@ -846,3 +867,76 @@ def fold_eagerly(bus) -> EventLog:
 
     bus.publish = publish_and_fold
     return log
+
+
+# -- one state machine per attempt (before the detector kept a state) ---------
+
+
+class EagerStateMachine:
+    """Enforces :data:`LEGAL_TRANSITIONS` for one attempt."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.state = TaskState.INACTIVE
+
+    def transition(self, to: TaskState) -> None:
+        if (self.state, to) not in LEGAL_TRANSITIONS:
+            raise DetectionError(
+                f"task {self.name!r}: illegal transition "
+                f"{self.state.value} -> {to.value}"
+            )
+        self.state = to
+
+
+def reference_verdict(events) -> tuple[list[str], tuple | None]:
+    """The paper's determination rules for one job's *events*, in order,
+    walked on an :class:`EagerStateMachine`.
+
+    An event is ``("start",)``, ``("checkpoint", flag)``, ``("end",
+    result)``, ``("exception", exc)``, ``("done", exit_code,
+    host_crashed)`` or ``("suspect",)`` (its host suspected).  Returns the
+    topics narrated and the verdict — ``(state, reason, checkpoint_flag,
+    result, exception)`` — or ``None`` while the attempt is live.  After
+    the verdict every event is ignored (the attempt is no longer tracked).
+    """
+    machine = EagerStateMachine("t")
+    topics: list[str] = []
+    saw_end = False
+    result = exception = flag = None
+
+    def finish(state: TaskState, reason: str) -> tuple:
+        # A terminal signal may beat TaskStart: promote first, silently.
+        if machine.state is TaskState.INACTIVE:
+            machine.transition(TaskState.ACTIVE)
+        machine.transition(state)
+        topics.append(f"task.{state.value}")
+        return (state, reason, flag, result, exception)
+
+    for event in events:
+        kind = event[0]
+        if kind == "start":
+            if machine.state is TaskState.INACTIVE:
+                machine.transition(TaskState.ACTIVE)
+                topics.append("task.active")
+        elif kind == "checkpoint":
+            flag = event[1]
+        elif kind == "end":
+            saw_end, result = True, event[1]
+        elif kind == "exception":
+            exception = event[1]
+            return topics, finish(TaskState.EXCEPTION, "exception-notice")
+        elif kind == "done":
+            _, exit_code, crashed = event
+            if saw_end and exit_code == 0 and not crashed:
+                return topics, finish(TaskState.DONE, "done-with-taskend")
+            reason = (
+                "host-crashed"
+                if crashed
+                else "done-without-taskend"
+                if not saw_end
+                else f"nonzero-exit({exit_code})"
+            )
+            return topics, finish(TaskState.FAILED, reason)
+        elif kind == "suspect":
+            return topics, finish(TaskState.FAILED, "host-suspected")
+    return topics, None

@@ -90,6 +90,19 @@ class TestSingleTask:
         with pytest.raises(EngineError, match="did not terminate"):
             engine.run(timeout=10.0)
 
+    def test_timeout_stops_the_clock_at_the_deadline(self, quiet_grid):
+        # Nothing but the task's own steps is queued: its end, due at 50 s,
+        # must not fire under a 10 s timeout.
+        quiet_grid.add_host(RELIABLE("h1"))
+        quiet_grid.install("h1", "task", FixedDurationTask(50.0))
+        engine = WorkflowEngine(
+            single_task_workflow(), quiet_grid, reactor=quiet_grid.reactor
+        )
+        with pytest.raises(EngineError, match="did not terminate"):
+            engine.run(timeout=10.0)
+        assert quiet_grid.kernel.now() == 10.0
+        assert quiet_grid.gram.live_jobs == 1
+
 
 class TestFigure3Replication:
     def build(self, policy=None):

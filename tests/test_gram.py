@@ -68,12 +68,13 @@ class TestHappyPath:
     def test_job_record_status_transitions(self, grid):
         grid.install("n1", "task", FixedDurationTask(10.0))
         job = grid.submit(req())
-        record = grid.gram.job(job)
-        assert record.status == "running"
+        [process] = grid.gram.jobs_for_activity("act")
+        assert process.job_id == job and process.attempt == 1
+        assert process.status == "running"
         grid.run()
-        # The table holds live jobs only; the record kept the final status.
-        assert record.status == "finished"
-        assert grid.gram.job(job) is None
+        # The table holds live jobs only; the process kept the final status.
+        assert process.status == "finished"
+        assert grid.gram.jobs_for_activity("act") == []
         assert grid.gram.live_jobs == 0
         assert grid.gram.submitted_count == 1
 
@@ -170,7 +171,8 @@ class TestHostCrashInteraction:
         host = grid.host("n1")
         host.crash(schedule_recovery=False)
         job = grid.submit(req(queue_when_down=True))
-        assert grid.gram.job(job).status == "queued"
+        [process] = grid.gram.jobs_for_activity("act")
+        assert process.job_id == job and process.status == "queued"
         grid.kernel.schedule(5.0, host.recover)
         grid.run()
         starts = [m for m in seen if isinstance(m, TaskStart)]
@@ -239,12 +241,12 @@ class TestCancel:
         seen = collect(grid)
         grid.install("n1", "task", FixedDurationTask(10.0))
         job = grid.submit(req())
-        record = grid.gram.job(job)
+        [process] = grid.gram.jobs_for_activity("act")
         grid.kernel.schedule(5.0, lambda: grid.cancel(job))
         grid.run()
         assert [type(m).__name__ for m in seen] == ["TaskStart"]
-        assert record.status == "cancelled"
-        assert grid.gram.job(job) is None
+        assert process.status == "cancelled"
+        assert grid.gram.jobs_for_activity("act") == []
 
     def test_cancel_unknown_job_is_noop(self, grid):
         grid.cancel("ghost")  # no error

@@ -602,13 +602,12 @@ class TestNothingOutlivesTheVerdict:
     """The detector and GRAM hold live attempts only: a long-lived host
     running batch after batch must not accumulate per-attempt state."""
 
-    #: Types of which one instance exists per submitted attempt.
+    #: Types of which one instance exists per submitted attempt.  A
+    #: ``SubmitRequest`` is not one of them: a launch plan keeps the last
+    #: one per (activity, option) for a retry to resubmit.
     PER_ATTEMPT = {
         "_Attempt",
-        "TaskStateMachine",
         "JobProcess",
-        "JobRecord",
-        "SubmitRequest",
         "PlanContext",
         "AttemptOutcome",
     }
@@ -617,7 +616,8 @@ class TestNothingOutlivesTheVerdict:
         gc.collect()
         objects = gc.get_objects()
         per_attempt = sum(1 for o in objects if type(o).__name__ in self.PER_ATTEMPT)
-        return len(objects), per_attempt
+        requests = sum(1 for o in objects if type(o).__name__ == "SubmitRequest")
+        return len(objects), per_attempt, requests
 
     def test_three_batches_on_one_host(self):
         grid = SimulatedGrid(
@@ -664,11 +664,15 @@ class TestNothingOutlivesTheVerdict:
         assert tables == [(0, 0)] * 3
         assert submitted == tries
         # No per-attempt object survives its batch ...
-        assert [per_attempt for _total, per_attempt in censuses] == [0, 0, 0, 0]
+        assert [per_attempt for _total, per_attempt, _ in censuses] == [0, 0, 0, 0]
+        # ... and the requests kept for reuse are one per (activity, option)
+        # (counted over what the process held before the first batch).
+        requests = [count - censuses[0][2] for _total, _per_attempt, count in censuses]
+        assert max(requests) <= 2 * len(hosts), requests
         # ... so what a batch leaves behind is per-instance state (engines,
         # results), the same for every batch however many attempts it took
         # — give or take the hosts' own timers at the moment of the census.
-        totals = [total for total, _per_attempt in censuses]
+        totals = [total for total, _per_attempt, _ in censuses]
         assert totals[3] - totals[2] <= 1.05 * (totals[2] - totals[1])
 
         # A straggler for a job that already has its verdict is an

@@ -27,6 +27,7 @@ from pathlib import Path
 import repro
 from repro.core.policy import FailurePolicy
 from repro.engine import strategies
+from repro.grid.gram import GramService
 from repro.obs import (
     EstimatorSuite,
     FlightRecorder,
@@ -133,6 +134,11 @@ GONE = {
     "sample_exception_checkpointing",
     "MessageLog",
     "_on_drift",
+    # An attempt builds only what varies: the detector keeps each attempt's
+    # state (no machine object), and a GRAM job's process is its record.
+    "TaskStateMachine",
+    "_ensure_active",
+    "JobRecord",
 }
 
 
@@ -171,6 +177,8 @@ def test_the_deleted_surface_stays_deleted():
     # where they lived: as views on the policy.
     for view in ("retry", "replication_config", "checkpoint"):
         assert not hasattr(FailurePolicy, view), view
+    # ``job`` is too common a name for GONE: checked where it lived.
+    assert not hasattr(GramService, "job")
     # One substitution seam (``strategy_resolver=``), so no ``registry=``.
     assert list(inspect.signature(strategies.resolve_strategy).parameters) == [
         "policy"

@@ -1,20 +1,17 @@
 """Property-based tests (hypothesis) on core data structures and invariants.
 
 Covers the properties DESIGN.md commits to: WPDL parse∘serialize identity,
-navigator invariants over random DAGs, task state machine legality, sampler
+navigator invariants over random DAGs, the detector's verdicts, sampler
 monotonicity/dominance, and condition-evaluator safety.
 """
 
 from __future__ import annotations
 
-
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.exceptions import ExceptionBinding, ExceptionTable
+from repro.core.exceptions import ExceptionBinding, ExceptionTable, UserException
 from repro.core.policy import FailurePolicy
-from repro.core.states import LEGAL_TRANSITIONS, TaskState, TaskStateMachine
 from repro.engine.instance import NodeStatus, WorkflowInstance, WorkflowStatus
 from repro.engine.navigator import (
     evaluate_outcome,
@@ -22,13 +19,15 @@ from repro.engine.navigator import (
     propagate_skips,
     ready_nodes,
 )
-from repro.errors import DetectionError, SpecificationError
+from repro.errors import SpecificationError
 from repro.sim.analytical import checkpoint_expected_time, retry_expected_time
 from repro.sim.params import SimulationParams
 from repro.sim.samplers import sample_checkpointing, sample_retry
 from repro.wpdl import parse_wpdl, serialize_wpdl
 from repro.wpdl.conditions import compile_condition
 from repro.wpdl.model import Activity, JoinMode, Option, Program, Transition, Workflow
+from tests.eager_models import reference_verdict
+from tests.test_states import DONE_VARIANTS, drive
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -205,17 +204,27 @@ class TestNavigatorProperties:
 
 
 class TestStateMachineProperties:
-    @given(st.lists(st.sampled_from(list(TaskState)), max_size=6))
-    def test_machine_accepts_exactly_the_legal_relation(self, path):
-        machine = TaskStateMachine("t")
-        for target in path:
-            legal = (machine.state, target) in LEGAL_TRANSITIONS
-            if legal:
-                machine.transition(target)
-            else:
-                with pytest.raises(DetectionError):
-                    machine.transition(target)
-                break
+    @given(
+        st.lists(
+            st.sampled_from(
+                [
+                    ("start",),
+                    ("checkpoint", "f1"),
+                    ("checkpoint", "f2"),
+                    ("end", 1),
+                    ("exception", UserException("disk_full")),
+                    *DONE_VARIANTS,
+                    ("suspect",),
+                ]
+            ),
+            max_size=8,
+        )
+    )
+    def test_machine_accepts_exactly_the_legal_relation(self, events):
+        # Any sequence, repeats and all: the detector's narration and
+        # verdict are the reference's, which walks LEGAL_TRANSITIONS.
+        topics, verdict, _ = drive(events)
+        assert (topics, verdict) == reference_verdict(events)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ class Cancel:
 
 @dataclass
 class Drive:
-    how: str  # run | run_until | step | run_until_done | reset
+    how: str  # run | run_until | step | run_until_done | deadline | reset
     arg: float = 0.0
 
 
@@ -97,6 +97,7 @@ _drives = st.one_of(
     st.builds(Drive, st.just("run_until"), st.floats(0.0, 4.0)),
     st.builds(Drive, st.just("step"), st.integers(1, 5).map(float)),
     st.builds(Drive, st.just("run_until_done"), st.integers(1, 6).map(float)),
+    st.builds(Drive, st.just("deadline"), st.floats(0.0, 4.0)),
     st.builds(Drive, st.just("reset")),
 )
 _programs = st.lists(st.one_of(_actions(_body), _drives), min_size=1, max_size=8)
@@ -158,6 +159,8 @@ def _execute(kernel, program) -> list:
         elif item.how == "run_until_done":
             target = kernel.events_processed + int(item.arg)
             kernel.run_until_done(lambda: kernel.events_processed >= target)
+        elif item.how == "deadline":
+            kernel.run_until_done(lambda: False, kernel.now() + item.arg)
         else:
             kernel.reset()
             handles.clear()

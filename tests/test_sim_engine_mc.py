@@ -4,16 +4,18 @@ correctness evidence in this reproduction)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.cache import SampleCache
 from repro.sim.engine_mc import (
     build_technique_workflow,
     engine_samples,
     run_engine_once,
 )
 from repro.sim.params import SimulationParams
-from repro.sim.samplers import sample_technique
+from repro.sim.samplers import EXTENDED_TECHNIQUES, sample_technique
 from repro.sim.stats import relative_error, summarize
 from repro.wpdl.parser import parse_wpdl
 from repro.wpdl.serializer import serialize_wpdl
@@ -77,6 +79,32 @@ class TestSingleRuns:
         a = run_engine_once("retrying", params, seed=7)
         b = run_engine_once("retrying", params, seed=7)
         assert a == b
+
+
+class TestExecutionModesAgree:
+    """Rebuilding the grid and engine per run, one sampler rewound in place
+    across runs (which keeps its launch plans and submitted requests), and
+    the sample cache, cold then warm, give one vector bit for bit.  Pooled
+    against sequential is ``tests/test_sim_parallel.py``."""
+
+    @pytest.mark.parametrize("technique", EXTENDED_TECHNIQUES)
+    def test_naive_reused_and_cached_are_bit_identical(self, technique, tmp_path):
+        params = SimulationParams(mttf=10.0)
+        runs = 25
+        naive = np.array(
+            [
+                run_engine_once(technique, params, seed=params.seed + 7919 * i)
+                for i in range(runs)
+            ]
+        )
+        reused = engine_samples(technique, params, runs=runs)
+        cache = SampleCache(tmp_path)
+        cold = engine_samples(technique, params, runs=runs, cache=cache)
+        warm = engine_samples(technique, params, runs=runs, cache=cache)
+        assert np.array_equal(naive, reused)
+        assert np.array_equal(reused, cold) and np.array_equal(cold, warm)
+        # Crashes happened, so reuse crossed retries, not just first tries.
+        assert len(set(naive.tolist())) > 1
 
 
 class TestCrossValidation:

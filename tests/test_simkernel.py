@@ -328,3 +328,19 @@ class TestSimReactor:
         reactor.call_later(1.0, reschedule)
         assert reactor.run_until_complete(lambda: False, timeout=5.0) is False
         assert kernel.now() <= 6.0
+
+    def test_run_until_complete_fires_nothing_due_after_the_timeout(self, kernel, reactor):
+        fired = []
+        reactor.call_later(50.0, lambda: fired.append(kernel.now()))
+        assert reactor.run_until_complete(lambda: bool(fired), timeout=10.0) is False
+        # As ``run_until(10)`` would: nothing fired, the clock at the deadline.
+        assert fired == [] and kernel.now() == 10.0
+        assert kernel.pending() == 1
+        assert reactor.run_until_complete(lambda: bool(fired), timeout=40.0) is True
+        assert fired == [50.0]
+
+    def test_run_until_complete_fires_what_is_due_at_the_deadline(self, kernel, reactor):
+        fired = []
+        reactor.call_later(10.0, lambda: fired.append(kernel.now()))
+        assert reactor.run_until_complete(lambda: bool(fired), timeout=10.0) is True
+        assert fired == [10.0]
