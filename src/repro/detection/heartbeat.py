@@ -118,20 +118,7 @@ class HeartbeatMonitor:
 
     def observe(self, beat: Heartbeat) -> None:
         """Feed one heartbeat into the monitor."""
-        now = self._reactor.now()
-        record = self._hosts.get(beat.hostname)
-        if record is None:
-            self._hosts[beat.hostname] = HostLiveness(
-                hostname=beat.hostname, last_beat=now, last_seq=beat.seq, beats=1
-            )
-            return
-        record.last_beat = now
-        record.last_seq = beat.seq
-        record.beats += 1
-        if record.suspected:
-            record.suspected = False
-            self.false_suspicions += 1
-            self._bus.publish(HOST_RECOVERED, beat.hostname)
+        self.observe_batch([beat])
 
     def observe_batch(self, beats: list[Heartbeat]) -> None:
         """Feed many heartbeats observed in the same reactor turn at once.

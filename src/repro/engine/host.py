@@ -24,9 +24,8 @@ and not from the bus:
   and checkpoint flags are stored under a ``{workflow_id}::`` scope, so
   two concurrent instances of the *same* specification cannot collide.
 
-The shared bus only narrates (plain topics from a closed set), so its
-route cache is bounded by the number of declared topics however many
-instances a host has run.
+The shared bus only narrates, on plain topics from a closed set, so
+nothing on it grows with the number of instances a host has run.
 
 With deterministic task behaviours and non-contending resources, N
 multiplexed instances produce bit-identical per-instance

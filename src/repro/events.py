@@ -13,170 +13,57 @@ determinism inside the discrete-event simulation.
 
 Topics are plain strings; the stack's own are a closed, declared set (the
 README's topic catalogue), and which workflow instance an event belongs to
-is on its payload (``workflow_id``), never in the topic.  Subscribers
-receive the published payload object.  Hierarchical matching is supported
-with a ``*`` wildcard, e.g. a subscription to ``"task.*"`` receives
-``"task.done"`` and ``"task.failed"``.  ``*`` is the *only* metacharacter:
-``?`` and ``[`` are ordinary characters, so topic names containing them
-cannot mis-match (earlier versions used :mod:`fnmatch` rules, where
-``"data.[raw]"`` silently became a character class).
-
-Publishing never scans the pattern list per event.  A pattern without a
-``*`` is an exact-topic dict entry, any other is an anchored regex compiled
-once at subscription time, and every published topic's matching handler
-groups are interned in a per-topic **route cache**: the first publish on a
-topic resolves its route (exact dict + matching pattern entries);
-subsequent publishes are a single dict lookup.  With a closed topic set a
-run resolves a handful of routes in all, so how a pattern is matched is
-never on a hot path.  Routes hold references to the live handler dicts, so
-subscriber churn on existing patterns never invalidates them; only the
-appearance or pruning of a pattern/topic does.
+is on its payload (``workflow_id``), never in the topic.  A subscription
+names one exact topic; there are no patterns.  A consumer that wants every
+publication — the telemetry plane's log, a test — adds a **tap** and
+filters what it reads itself.
 
 Most publications of an unobserved run reach no one, and building their
-payloads costs more than routing them.  Publishers on the per-attempt path
-therefore ask :meth:`EventBus.wants` first and build the payload only when
-the answer is yes::
+payloads costs more than publishing them, so publishers on the per-attempt
+path ask first (a declined publication still counts as offered)::
 
     if bus.wants(topic):
         bus.publish(topic, {...})
-
-A declined publication is still counted as offered (``stats()``:
-``publishes`` = dispatched + ``declined``).
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from typing import Any, Callable
 
-__all__ = ["EventBus", "Subscription"]
+__all__ = ["EventBus"]
 
 Handler = Callable[[str, Any], None]
 
-#: Route-cache safety valve: a pathological workload publishing unbounded
-#: distinct topics (e.g. ids in topic names without ever re-publishing)
-#: drops the cache rather than growing it forever.
-_MAX_CACHED_ROUTES = 65536
-
-
-@dataclass(frozen=True, slots=True)
-class Subscription:
-    """Handle returned by :meth:`EventBus.subscribe`, used to unsubscribe."""
-
-    pattern: str
-    handler: Handler
-    token: int
-
-
-class _PatternEntry:
-    """One wildcard pattern — an anchored regex in which everything but
-    ``*`` is literal (``?``/``[`` included) — and its live handlers."""
-
-    __slots__ = ("pattern", "regex", "handlers")
-
-    def __init__(self, pattern: str) -> None:
-        self.pattern = pattern
-        self.regex = re.compile(
-            ".*".join(re.escape(part) for part in pattern.split("*")) + r"\Z"
-        )
-        self.handlers: dict[int, Handler] = {}
-
-    def matches(self, topic: str) -> bool:
-        return self.regex.match(topic) is not None
-
 
 class EventBus:
-    """Synchronous topic-based pub/sub with wildcard patterns.
+    """Synchronous pub/sub on exact topics, plus taps that see everything.
 
-    Publishing invokes matching handlers immediately, in subscription order
-    (exact subscriptions before pattern subscriptions, patterns in first-
-    subscription order).  Handlers may themselves publish; recursive
-    publishes are delivered depth-first.  Handlers may unsubscribe
-    themselves (or others) during delivery: delivery iterates over a
-    snapshot of the handler list.
+    Publishing calls every tap, then the topic's handlers, immediately and
+    in the order they were added.  Handlers may themselves publish;
+    recursive publishes are delivered depth-first.  A handler added during
+    a delivery does not see the publication in flight.
     """
 
     def __init__(self) -> None:
-        self._exact: dict[str, dict[int, Handler]] = {}
-        self._patterns: list[_PatternEntry] = []
-        self._pattern_index: dict[str, _PatternEntry] = {}
-        #: topic → handler-dict groups that match it, resolved lazily.
-        self._routes: dict[str, tuple[dict[int, Handler], ...]] = {}
-        self._next_token = 0
+        #: topic → its handlers; a topic is here only once subscribed to.
+        self._handlers: dict[str, tuple[Handler, ...]] = {}
         #: Publications dispatched, and publications :meth:`wants` turned
         #: away before they were built.
         self._seq = 0
         self._declined = 0
-        #: Every-event observers (flight recorders) invoked on each publish
-        #: *before* routed dispatch — in publish order, ahead of any
-        #: recursive publishes a handler triggers.  A tuple so the empty
-        #: common case costs one truthiness check on the hot path; taps
-        #: bypass route resolution entirely (a ``"*"`` subscription would
-        #: put one more group into every topic's route).
+        #: Every-event observers, called in publish order ahead of any
+        #: recursive publish a handler makes.  A tuple, so the empty common
+        #: case costs one truthiness check.
         self._taps: tuple[Handler, ...] = ()
-        #: Number of route resolutions (full matching passes).  A healthy
-        #: steady state publishes many times per build; tests and the bus
-        #: micro-benchmark assert on it.
-        self.route_builds = 0
 
-    # -- subscription ------------------------------------------------------
-
-    def subscribe(self, pattern: str, handler: Handler) -> Subscription:
-        """Register *handler* for topics matching *pattern*.
-
-        Patterns without a ``*`` are matched exactly; patterns containing
-        ``*`` match any substring at each wildcard position.  Classification
-        (exact / regex) happens here, never per publish.
-        """
-        token = self._next_token
-        self._next_token += 1
-        if "*" in pattern:
-            entry = self._pattern_index.get(pattern)
-            if entry is None:
-                entry = _PatternEntry(pattern)
-                self._patterns.append(entry)
-                self._pattern_index[pattern] = entry
-                # A new pattern may match already-routed topics.
-                self._routes.clear()
-            entry.handlers[token] = handler
-        else:
-            handlers = self._exact.get(pattern)
-            if handlers is None:
-                self._exact[pattern] = {token: handler}
-                # Only the identical topic can be affected.
-                self._routes.pop(pattern, None)
-            else:
-                handlers[token] = handler
-        return Subscription(pattern=pattern, handler=handler, token=token)
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        """Remove a previously registered subscription.  Idempotent.
-
-        Pattern/topic groups whose last handler leaves are pruned, so
-        long-lived buses with subscriber churn (a multiplexed host running
-        thousands of workflow instances) never accumulate dead entries.
-        """
-        if "*" in sub.pattern:
-            entry = self._pattern_index.get(sub.pattern)
-            if entry is None:
-                return
-            entry.handlers.pop(sub.token, None)
-            if not entry.handlers:
-                del self._pattern_index[sub.pattern]
-                self._patterns.remove(entry)
-                # Cached routes reference the dead entry's handler dict; a
-                # later re-subscribe would create a fresh dict the stale
-                # routes don't know about.
-                self._routes.clear()
-        else:
-            handlers = self._exact.get(sub.pattern)
-            if handlers is None:
-                return
-            handlers.pop(sub.token, None)
-            if not handlers:
-                del self._exact[sub.pattern]
-                self._routes.pop(sub.pattern, None)
+    def subscribe(self, topic: str, handler: Handler) -> None:
+        """Register *handler* for publications on exactly *topic*."""
+        if "*" in topic:
+            raise ValueError(
+                f"subscribe({topic!r}): topics are exact, not patterns; "
+                "use add_tap to see every publication"
+            )
+        self._handlers[topic] = (*self._handlers.get(topic, ()), handler)
 
     def add_tap(self, handler: Handler) -> None:
         """Register *handler* to observe every publish (see ``_taps``).
@@ -192,42 +79,13 @@ class EventBus:
         """
         self._taps = tuple(t for t in self._taps if t != handler)
 
-    # -- publication -------------------------------------------------------
-
-    def _build_route(self, topic: str) -> tuple[dict[int, Handler], ...]:
-        """Resolve the handler groups matching *topic* (the slow path, run
-        once per distinct topic per subscription-set change)."""
-        self.route_builds += 1
-        groups: list[dict[int, Handler]] = []
-        exact = self._exact.get(topic)
-        if exact is not None:
-            groups.append(exact)
-        for entry in self._patterns:
-            if entry.matches(topic):
-                groups.append(entry.handlers)
-        if len(self._routes) >= _MAX_CACHED_ROUTES:
-            self._routes.clear()
-        route = tuple(groups)
-        self._routes[topic] = route
-        return route
-
     def wants(self, topic: str) -> bool:
-        """Whether a publication on *topic* would reach anyone right now:
-        a tap is attached, or a live handler is routed.
-
+        """Whether a publication on *topic* would reach a tap or a handler.
         Ask once per publication about to be offered: ``False`` counts it
-        as declined, and the caller skips building the payload (and the
-        :meth:`publish` call).  Resolves and caches the topic's route
-        exactly as :meth:`publish` would have.
-        """
-        if self._taps:
+        as declined, and the caller builds no payload and skips
+        :meth:`publish`."""
+        if self._taps or topic in self._handlers:
             return True
-        route = self._routes.get(topic)
-        if route is None:
-            route = self._build_route(topic)
-        for handlers in route:
-            if handlers:
-                return True
         self._declined += 1
         return False
 
@@ -238,33 +96,25 @@ class EventBus:
         if taps:
             for tap in taps:
                 tap(topic, payload)
-        route = self._routes.get(topic)
-        if route is None:
-            route = self._build_route(topic)
-        delivered = 0
-        for handlers in route:
-            # A group may be empty between its last unsubscribe and the
-            # prune/invalidation (exact dicts are pruned eagerly; pattern
-            # dicts referenced by this route may have just drained).
-            if handlers:
-                for handler in list(handlers.values()):
-                    handler(topic, payload)
-                    delivered += 1
-        return delivered
+        handlers = self._handlers.get(topic)
+        if handlers is None:
+            return 0
+        for handler in handlers:
+            handler(topic, payload)
+        return len(handlers)
 
-    # -- diagnostics -------------------------------------------------------
-
-    def stats(self) -> dict[str, int | float]:
-        """Dispatch-path counters: publications offered (``publishes``,
-        of which ``declined`` were turned away by :meth:`wants` and never
-        built), interned topic routes, route builds (full matching
-        passes), and live subscription-group counts."""
+    def stats(self) -> dict[str, int]:
+        """Publications offered (``publishes``, of which ``declined`` were
+        turned away by :meth:`wants` and never built), taps, and topics
+        with a handler."""
+        topics = len(self._handlers)
         return {
             "publishes": self._seq + self._declined,
             "declined": self._declined,
-            "cached_routes": len(self._routes),
-            "route_builds": self.route_builds,
-            "exact_topics": len(self._exact),
-            "pattern_entries": len(self._patterns),
             "taps": len(self._taps),
+            "topics": topics,
+            # The frozen ledger still reads these two; ROADMAP item 1
+            # deletes them.
+            "route_builds": 0,
+            "cached_routes": topics,
         }

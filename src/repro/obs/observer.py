@@ -409,18 +409,7 @@ SIM_CANCELLED_TIMER_RATIO = _gauge(
 )
 
 BUS_PUBLISHES = _gauge("bus_publishes", "events published on the bus")
-BUS_CACHED_ROUTES = _gauge(
-    "bus_cached_routes", "interned topic → subscriber routes"
-)
-BUS_ROUTE_BUILDS = _gauge(
-    "bus_route_builds", "full matching passes (route-cache misses)"
-)
-BUS_SUBSCRIPTION_GROUPS = _gauge(
-    "bus_subscription_groups", "live exact-topic groups plus pattern entries"
-)
-BUS_ROUTE_CACHE_HIT_RATE = _gauge(
-    "bus_route_cache_hit_rate", "publishes served without a matching pass"
-)
+BUS_SUBSCRIPTION_GROUPS = _gauge("bus_subscription_groups", "topics with a subscriber")
 
 NETWORK_MESSAGES_SENT = _gauge(
     "network_messages_sent", "messages offered to the network"
@@ -468,26 +457,11 @@ def scrape_kernel(registry: "MetricsRegistry", kernel: Any) -> None:
 
 
 def scrape_bus(registry: "MetricsRegistry", bus: "EventBus") -> None:
-    """Record the event bus's dispatch-path counters.
-
-    ``bus_route_cache_hit_rate`` is the fraction of publishes served from
-    an interned route (1 − route builds / publishes) — the dispatch-cost
-    figure the multiplexed-host benchmarks watch.
-    """
+    """Record the event bus's counters: publications offered and topics
+    with a subscriber."""
     stats = bus.stats()
     _set(registry, BUS_PUBLISHES, stats["publishes"])
-    _set(registry, BUS_CACHED_ROUTES, stats["cached_routes"])
-    _set(registry, BUS_ROUTE_BUILDS, stats["route_builds"])
-    _set(
-        registry,
-        BUS_SUBSCRIPTION_GROUPS,
-        stats["exact_topics"] + stats["pattern_entries"],
-    )
-    _set(
-        registry,
-        BUS_ROUTE_CACHE_HIT_RATE,
-        1.0 - stats["route_builds"] / max(1, stats["publishes"]),
-    )
+    _set(registry, BUS_SUBSCRIPTION_GROUPS, stats["topics"])
 
 
 def scrape_grid(registry: "MetricsRegistry", grid: "SimulatedGrid") -> None:

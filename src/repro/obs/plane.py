@@ -104,8 +104,8 @@ class TelemetryPlane:
     def scrape(self, registry) -> None:
         """Pull the plain-int levels the runtime keeps for itself into
         *registry*: the grid's (hosts, and the kernel block — events
-        processed, timer-heap compactions), the bus's (route-cache hit
-        rates) and the detector's.  The collector does this every tick;
+        processed, timer-heap compactions), the bus's (publications,
+        subscribed topics) and the detector's.  The collector does this every tick;
         an exporter does it once at the end of a run."""
         grid, bus, detector = self._sources
         scrape_grid(registry, grid)

@@ -32,7 +32,7 @@ from repro.errors import ParseError
 from repro.grid import GridConfig, SimulatedGrid
 from repro.sim import EngineSampler, SimulationParams
 from repro.sim.samplers import EXTENDED_TECHNIQUES
-from repro.workloads import diamond_ladder, layered_dag
+from repro.workloads import chain, diamond_ladder, fork_join, layered_dag
 from repro.wpdl import (
     JoinMode,
     TransitionCondition,
@@ -427,12 +427,9 @@ class TestParserInterning:
 # ---------------------------------------------------------------------------
 
 
-def _calls_per_task(size: int) -> float:
+def _calls_per_task(spec, setup) -> float:
     """Python-level calls (cProfile ``total_calls``) per task of one
-    fault-free ``layered_dag`` run, from XML text to result."""
-    spec, setup = layered_dag(
-        size, size, hosts=4, seed=20030623, policy=FailurePolicy.retrying(3)
-    )
+    fault-free run of *spec*, from XML text to result."""
     text = serialize_wpdl(spec)
 
     def run():
@@ -461,11 +458,31 @@ class TestFlatPerTaskCost:
     #: reintroduced anywhere between the XML and the result fails here
     #: instead of in a benchmark.
     CEILING = 250.0
+    #: The same for a chain (pure sequential navigation: 222.7 / 221.4 /
+    #: 221.1 at 100 / 400 / 1 600 nodes) and a fork-join (one ready set
+    #: 1 600 wide: 224.8 / 224.2 / 224.1), plus 5%.
+    SHAPE_CEILINGS = {"chain": 233.8, "fork_join": 236.0}
 
     def test_calls_per_task_flat_from_10x10_to_80x80(self):
-        costs = {size: _calls_per_task(size) for size in (10, 40, 80)}
+        policy = FailurePolicy.retrying(3)
+        costs = {
+            size: _calls_per_task(
+                *layered_dag(size, size, hosts=4, seed=20030623, policy=policy)
+            )
+            for size in (10, 40, 80)
+        }
         assert max(costs.values()) <= 1.03 * min(costs.values()), costs
         assert max(costs.values()) <= self.CEILING, costs
+
+    @pytest.mark.parametrize("shape", sorted(SHAPE_CEILINGS))
+    def test_calls_per_task_flat_to_1600_nodes(self, shape):
+        build = {"chain": chain, "fork_join": fork_join}[shape]
+        costs = {
+            n: _calls_per_task(*build(n, policy=FailurePolicy.retrying(3)))
+            for n in (100, 400, 1600)
+        }
+        assert max(costs.values()) <= 1.03 * min(costs.values()), costs
+        assert max(costs.values()) <= self.SHAPE_CEILINGS[shape], costs
 
 
 # ---------------------------------------------------------------------------

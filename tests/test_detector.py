@@ -198,7 +198,12 @@ class TestVerdictCallback:
 
     def test_called_once_per_verdict_after_the_narration(self, detector, bus):
         calls = []
-        bus.subscribe("task.*", lambda topic, outcome: calls.append(("bus", topic)))
+
+        def narrated(topic, _outcome):
+            if topic.startswith("task."):
+                calls.append(("bus", topic))
+
+        bus.add_tap(narrated)
         disk_full = UserException("disk_full")
         endings = {
             "j1": [

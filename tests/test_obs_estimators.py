@@ -292,7 +292,12 @@ class TestEstimatorSuite:
     def test_drift_latch_publishes_and_reevaluates_health_promptly(self):
         bus = EventBus()
         drift_events = []
-        bus.subscribe("obs.drift.*", lambda t, p: drift_events.append((t, p)))
+
+        def drift(topic, payload):
+            if topic.startswith("obs.drift."):
+                drift_events.append((topic, payload))
+
+        bus.add_tap(drift)
         health = _HealthSpy()
         suite = EstimatorSuite(
             bus, priors={"h1": (100.0, 0.0)}, health=health

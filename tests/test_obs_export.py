@@ -228,7 +228,7 @@ class TestMetricCatalogue:
         from repro.obs.catalogue import metric_specs
 
         specs = metric_specs()
-        assert len({spec.name for spec in specs}) == len(specs) >= 38
+        assert len({spec.name for spec in specs}) == len(specs) >= 35
         assert {spec.kind for spec in specs} == {"counter", "gauge", "histogram"}
         # A series is named by the specification, never by an instance.
         assert not any("workflow_id" in spec.labels for spec in specs)

@@ -12,7 +12,8 @@ off one per-instance table now) and the span ring.  A consumer is now
 attached for the life of its bus, so detaching, re-attaching, private folds
 and the recorder's own window went, with a few recordings nothing read.
 Figure 13's strategies are techniques of the one sampling pipeline, so its
-parallel stack went.
+parallel stack went.  The bus routes exact topics, so its wildcard
+patterns, route cache and subscription handles went.
 One walk over ``src/repro`` keeps them deleted, and keeps the retry wait —
 and the decoding of a log record — in one place.
 """
@@ -139,6 +140,16 @@ GONE = {
     "TaskStateMachine",
     "_ensure_active",
     "JobRecord",
+    # The bus routes exact topics: wildcard patterns, the route cache,
+    # subscription handles and the gauges that watched the cache went.
+    "Subscription",
+    "unsubscribe",
+    "_PatternEntry",
+    "_MAX_CACHED_ROUTES",
+    "_build_route",
+    "BUS_CACHED_ROUTES",
+    "BUS_ROUTE_BUILDS",
+    "BUS_ROUTE_CACHE_HIT_RATE",
 }
 
 
