@@ -42,11 +42,14 @@ TaskFunction = Callable[..., Any]
 
 
 class _LocalJob:
-    __slots__ = ("job_id", "request", "cancelled")
+    __slots__ = ("job_id", "request", "checkpoint_flag", "cancelled")
 
-    def __init__(self, job_id: str, request: SubmitRequest) -> None:
+    def __init__(
+        self, job_id: str, request: SubmitRequest, checkpoint_flag: str | None
+    ) -> None:
         self.job_id = job_id
         self.request = request
+        self.checkpoint_flag = checkpoint_flag
         self.cancelled = False
 
 
@@ -83,9 +86,15 @@ class LocalExecutor(ExecutionService):
     def connect(self, sink: Callable[[Message], None]) -> None:
         self._sink = sink
 
-    def submit(self, request: SubmitRequest) -> str:
+    def submit(
+        self,
+        request: SubmitRequest,
+        *,
+        checkpoint_flag: str | None = None,
+        workflow_id: str = "",
+    ) -> str:
         job_id = f"local-{next(self._seq):06d}"
-        job = _LocalJob(job_id, request)
+        job = _LocalJob(job_id, request, checkpoint_flag)
         with self._lock:
             self._jobs[job_id] = job
         fn = self._registry.get(request.executable)
@@ -126,7 +135,7 @@ class LocalExecutor(ExecutionService):
             request.hostname,
             send=lambda msg: self._emit(job, msg),
             clock=self._reactor.now,
-            checkpoint_flag=request.checkpoint_flag,
+            checkpoint_flag=job.checkpoint_flag,
         )
         # Expose cooperative-cancellation polling to the task body.
         ctx.cancelled = lambda: job.cancelled  # type: ignore[attr-defined]

@@ -99,12 +99,13 @@ class LaunchPlan:
     #: option never enters: the broker matches it against the catalog and
     #: the activity's query at every submission.
     targets: dict[int, ResolvedOption] = field(default_factory=dict)
-    #: The last request submitted to each literal option, by (activity
-    #: name, option index), with the activity it was built for.  The next
-    #: submission of that activity object, from the same instance with the
-    #: same checkpoint flag, resubmits it — a retry, and the same slot in
-    #: the next run of a reset engine.  A rebuilt activity (inputs bound
-    #: per launch) never matches.
+    #: The request each literal option runs, by (activity name, option
+    #: index), with the activity it was built for.  Every submission of
+    #: that activity object resubmits it — a retry, every instance of the
+    #: specification, and the same slot in the next run of a reset engine:
+    #: the checkpoint flag and the instance go with the submission, not
+    #: the request.  A rebuilt activity (inputs bound per launch) never
+    #: matches.
     requests: dict[tuple[str, int], tuple[Activity, SubmitRequest]] = field(
         default_factory=dict
     )
@@ -454,12 +455,7 @@ class RecoveryCoordinator:
             slot.attempt_trace = self._tracer.child(parent)
         key = (activity.name, option_index)
         cached = plan.requests.get(key)
-        if (
-            cached is not None
-            and cached[0] is activity
-            and cached[1].checkpoint_flag == flag
-            and cached[1].workflow_id == self.workflow_id
-        ):
+        if cached is not None and cached[0] is activity:
             request = cached[1]
         else:
             request = SubmitRequest(
@@ -469,14 +465,14 @@ class RecoveryCoordinator:
                 service=target.service,
                 directory=target.directory,
                 arguments={p.name: p.value for p in activity.inputs},
-                checkpoint_flag=flag,
-                workflow_id=self.workflow_id,
             )
             if option_index in plan.targets:  # a wildcard's target varies
                 plan.requests[key] = (activity, request)
         slot.tries_used += 1
         slot.last_host = target.hostname
-        job_id = self._service.submit(request)
+        job_id = self._service.submit(
+            request, checkpoint_flag=flag, workflow_id=self.workflow_id
+        )
         slot.active_job = job_id
         self._job_index[job_id] = (activity.name, slot.index)
         # ``self.handle_outcome`` is read off the instance here, so a

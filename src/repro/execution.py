@@ -29,12 +29,19 @@ __all__ = ["SubmitRequest", "ExecutionService"]
 
 @dataclass(frozen=True)
 class SubmitRequest:
-    """One task-attempt submission (the GRAM job request analogue).
+    """What to run for one activity (the GRAM job request analogue).
+
+    A request names the *job*, not the attempt: it is fixed by the
+    activity's WPDL ``<Option>`` and ``<Input>`` bindings, so every attempt
+    of that activity on that option — retries, and every instance of the
+    specification — may submit the same object.  What varies per attempt
+    (the checkpoint flag to restart from, the owning instance) is passed
+    to :meth:`ExecutionService.submit` alongside it.
 
     Attributes
     ----------
     activity:
-        Workflow activity name this attempt executes (for bookkeeping).
+        Workflow activity name this job executes (for bookkeeping).
     executable:
         Logical executable name; resolved against the host's installed
         software (simulation) or the software catalog (local execution).
@@ -43,21 +50,12 @@ class SubmitRequest:
         element (``hostname= service= executableDir=``).
     arguments:
         Task arguments (the WPDL ``<Input>`` bindings).
-    checkpoint_flag:
-        Checkpoint flag from a previous attempt; non-None requests a
-        restart from saved state rather than from the beginning.
     queue_when_down:
         When True and the target host is down, hold the request in the
         host's queue and start it upon recovery (batch-queue semantics,
         and the behaviour the paper's downtime model assumes: after a
         failure the task "is up again" after downtime D).  When False a
         submission to a down host is rejected immediately.
-    workflow_id:
-        Owning workflow instance in a multiplexed run ("" otherwise).
-        Execution services must treat ``(workflow_id, activity)`` — not
-        the bare activity name — as the attempt-sequence identity, so two
-        concurrent instances of the same specification keep independent
-        attempt counters.
     """
 
     activity: str
@@ -66,17 +64,31 @@ class SubmitRequest:
     service: str = "jobmanager"
     directory: str = ""
     arguments: dict[str, Any] = field(default_factory=dict)
-    checkpoint_flag: str | None = None
     queue_when_down: bool = True
-    workflow_id: str = ""
 
 
 class ExecutionService(ABC):
     """Submit/cancel interface plus the asynchronous message channel."""
 
     @abstractmethod
-    def submit(self, request: SubmitRequest) -> str:
-        """Submit an attempt; returns the service-assigned job id.
+    def submit(
+        self,
+        request: SubmitRequest,
+        *,
+        checkpoint_flag: str | None = None,
+        workflow_id: str = "",
+    ) -> str:
+        """Submit one attempt of *request*; returns the service-assigned
+        job id.
+
+        *checkpoint_flag* is the flag a previous attempt reported; non-None
+        asks for a restart from that saved state rather than from the
+        beginning.  *workflow_id* is the owning workflow instance in a
+        multiplexed run ("" otherwise): services must treat
+        ``(workflow_id, request.activity)`` — not the bare activity name —
+        as the attempt-sequence identity, so two concurrent instances of
+        the same specification keep independent attempt counters while
+        submitting the same request.
 
         Submission itself never raises for runtime conditions (host down
         with ``queue_when_down=False``, unknown executable): those surface

@@ -36,7 +36,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..core.exceptions import UserException
 from .random import RandomStreams
@@ -81,9 +81,13 @@ class Step:
             raise ValueError(f"unknown step action: {self.action!r}")
 
 
-@dataclass(frozen=True)
-class PlanContext:
-    """Everything a behaviour may condition its plan on."""
+class PlanContext(NamedTuple):
+    """Everything a behaviour may condition its plan on.
+
+    A ``NamedTuple`` rather than a dataclass, like
+    :class:`repro.obs.tracectx.TraceContext`: one is minted per attempt,
+    and GRAM builds it with a single ``tuple.__new__``.
+    """
 
     activity: str
     job_id: str

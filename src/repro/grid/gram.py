@@ -17,8 +17,9 @@ Crash observability is configurable (``GramConfig.crash_detection``):
   exercised by the detector tests and the heartbeat ablation benchmark.
 
 The service's job table holds *live* submissions only: a job's
-:class:`JobProcess` — which is also its record: ``status``, ``attempt`` and
-``request`` live on it — is dropped the moment it finishes or is cancelled.
+:class:`JobProcess` — which is also its record: ``status``, ``attempt``,
+``request`` and ``checkpoint_flag`` live on it — is dropped the moment it
+finishes or is cancelled.
 Its status is updated first, so a caller that kept the process still reads
 the final one; :attr:`GramService.submitted_count` is a plain counter.
 """
@@ -43,6 +44,10 @@ from .simkernel import SimKernel
 
 __all__ = ["GramConfig", "GramService", "JobProcess"]
 
+#: Mints a :class:`PlanContext` without its generated ``__new__`` (which
+#: re-binds defaults per call): one per attempt.
+_tuple_new = tuple.__new__
+
 
 @dataclass(frozen=True)
 class GramConfig:
@@ -64,7 +69,9 @@ class JobProcess:
 
     The process is the job's service-side record too: ``status`` (queued —
     for the host or a slot —, running, finished or cancelled), the 1-based
-    ``attempt`` of its activity and the ``request`` it was submitted with.
+    ``attempt`` of its activity, the ``request`` it was submitted with
+    (shared with the activity's other attempts) and the attempt's own
+    ``checkpoint_flag``.
 
     The process emits messages *from the host*, so they are subject to the
     network's partitions and latency.  Terminal steps clean the process off
@@ -86,11 +93,13 @@ class JobProcess:
         attempt: int,
         host: Host,
         behavior: TaskBehavior,
+        checkpoint_flag: str | None,
     ) -> None:
         self.service = service
         self.job_id = job_id
         self.request = request
         self.attempt = attempt
+        self.checkpoint_flag = checkpoint_flag
         self.status = "queued"
         self.host = host
         self.hostname = host.hostname
@@ -111,21 +120,24 @@ class JobProcess:
         """Plan the behaviour and schedule its steps (host is UP)."""
         self.status = "running"
         service = self.service
-        request = self.request
         spec = self.host.spec
         checkpoint_state: dict[str, Any] | None = None
-        if request.checkpoint_flag:
+        flag = self.checkpoint_flag
+        if flag:
             try:
-                checkpoint_state = service.store.load(request.checkpoint_flag)
+                checkpoint_state = service.store.load(flag)
             except CheckpointError:
                 checkpoint_state = None  # lost checkpoint: cold start
-        ctx = PlanContext(
-            activity=request.activity,
-            job_id=self.job_id,
-            host=spec,
-            attempt=self.attempt,
-            streams=service.streams,
-            checkpoint_state=checkpoint_state,
+        ctx = _tuple_new(
+            PlanContext,
+            (
+                self.request.activity,
+                self.job_id,
+                spec,
+                self.attempt,
+                service.streams,
+                checkpoint_state,
+            ),
         )
         steps = self._steps = self.behavior.plan(ctx)
         kernel = service.kernel
@@ -319,8 +331,15 @@ class GramService:
 
     # -- submission -----------------------------------------------------------
 
-    def submit(self, request: SubmitRequest) -> str:
-        """Submit an attempt; failures surface asynchronously as messages.
+    def submit(
+        self,
+        request: SubmitRequest,
+        *,
+        checkpoint_flag: str | None = None,
+        workflow_id: str = "",
+    ) -> str:
+        """Submit an attempt of *request*; failures surface asynchronously
+        as messages (see :meth:`repro.execution.ExecutionService.submit`).
 
         An unknown *hostname* is a configuration error and raises; a down
         host or missing executable behaves like the corresponding GRAM
@@ -331,7 +350,7 @@ class GramService:
             raise GridError(f"unknown host: {request.hostname!r}")
         job_id = f"job-{next(self._seq):06d}"
         self.submitted_count += 1
-        attempt_key = (request.workflow_id, request.activity)
+        attempt_key = (workflow_id, request.activity)
         attempt = self._attempt_counters.get(attempt_key, 0) + 1
         self._attempt_counters[attempt_key] = attempt
         behavior = host.software.get(request.executable)
@@ -341,7 +360,9 @@ class GramService:
         if not host.up and not request.queue_when_down:
             self._reject(job_id, request, exit_code=75)  # EX_TEMPFAIL
             return job_id
-        process = JobProcess(self, job_id, request, attempt, host, behavior)
+        process = JobProcess(
+            self, job_id, request, attempt, host, behavior, checkpoint_flag
+        )
         self._processes[job_id] = process
         if host.up:
             host.start_job(process)

@@ -152,8 +152,16 @@ class SimulatedGrid(ExecutionService):
 
     # -- ExecutionService ----------------------------------------------------------
 
-    def submit(self, request: SubmitRequest) -> str:
-        return self.gram.submit(request)
+    def submit(
+        self,
+        request: SubmitRequest,
+        *,
+        checkpoint_flag: str | None = None,
+        workflow_id: str = "",
+    ) -> str:
+        return self.gram.submit(
+            request, checkpoint_flag=checkpoint_flag, workflow_id=workflow_id
+        )
 
     def cancel(self, job_id: str) -> None:
         self.gram.cancel(job_id)

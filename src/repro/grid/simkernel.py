@@ -377,6 +377,8 @@ class SimReactor(Reactor):
 
     def __init__(self, kernel: SimKernel | None = None) -> None:
         self.kernel = kernel if kernel is not None else SimKernel()
+        # The kernel's own method, so a clock read is one frame.
+        self.now = self.kernel.now
 
     def now(self) -> float:
         return self.kernel.now()

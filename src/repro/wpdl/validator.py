@@ -6,14 +6,15 @@ validated recursively):
 * structural sanity — nonempty graph, transitions reference existing nodes,
   activities implement existing programs, node names unique per level;
 * acyclicity — the control-flow graph is a DAG (iteration must use
-  :class:`~repro.wpdl.model.Loop`, not back-edges);
+  :class:`~repro.wpdl.model.Loop`, not back-edges).  This is also what
+  makes every node reachable: following predecessors from any node of a
+  DAG ends at a node without any, an entry node, so no orphaned island
+  can exist once no cycle does;
 * policy consistency — ``policy='replica'`` needs at least two resource
   options; retry rotation needs a program to rotate within; exponential
   backoff needs a base interval to grow from and a cap no smaller than it;
 * condition well-formedness — every EXPR/loop condition compiles in the
   safe expression subset;
-* reachability — every node is reachable from an entry node (no orphaned
-  islands silently skipped at runtime);
 * value dependencies — every ``ref`` parameter names a node or a declared
   variable.
 
@@ -23,8 +24,6 @@ pass.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from ..core.policy import ReplicationMode
 from ..errors import SpecificationError, ValidationError
@@ -134,18 +133,6 @@ def validation_problems(workflow: Workflow, *, _path: str = "") -> list[str]:
             f"{prefix}: control flow contains a cycle: {' -> '.join(cycle)} "
             "(use a Loop node for iteration)"
         )
-        return problems
-
-    entries = workflow.entry_nodes()
-    if not entries:
-        problems.append(f"{prefix}: no entry node (every node has predecessors)")
-    else:
-        unreachable = node_names - _reachable(workflow, entries)
-        for name in sorted(unreachable):
-            problems.append(
-                f"{prefix}: node {name!r} is unreachable from any entry node"
-            )
-
     return problems
 
 
@@ -229,15 +216,3 @@ def _find_cycle(workflow: Workflow) -> list[str] | None:
                 stack.pop()
     return None
 
-
-def _reachable(workflow: Workflow, entries: list[str]) -> set[str]:
-    compiled = workflow.compiled.nodes
-    seen = set(entries)
-    queue = deque(entries)
-    while queue:
-        node = queue.popleft()
-        for child in compiled[node].targets:
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-    return seen

@@ -189,16 +189,15 @@ class EagerJobProcess(JobProcess):
     def begin(self) -> None:
         self.status = "running"
         service = self.service
-        request = self.request
         spec = self.host.spec
         checkpoint_state: dict[str, Any] | None = None
-        if request.checkpoint_flag:
+        if self.checkpoint_flag:
             try:
-                checkpoint_state = service.store.load(request.checkpoint_flag)
+                checkpoint_state = service.store.load(self.checkpoint_flag)
             except CheckpointError:
                 checkpoint_state = None
         ctx = PlanContext(
-            activity=request.activity,
+            activity=self.request.activity,
             job_id=self.job_id,
             host=spec,
             attempt=self.attempt,

@@ -214,11 +214,15 @@ class TestCheckpointFlow:
             CheckpointingTask(duration=10.0, checkpoints=2, overhead=0.0,
                               recovery_time=1.0),
         )
-        grid.submit(req())
+        request = req()
+        grid.submit(request)
         grid.run()
         flag = [m for m in seen if isinstance(m, CheckpointNotice)][0].flag
         seen.clear()
-        grid.submit(req(checkpoint_flag=flag))
+        # The same request: the flag is the submission's, not the request's.
+        grid.submit(request, checkpoint_flag=flag)
+        [process] = grid.gram.jobs_for_activity("act")
+        assert process.request is request and process.checkpoint_flag == flag
         grid.run()
         end = [m for m in seen if isinstance(m, TaskEnd)][0]
         # Resume: R(1.0) + one remaining segment (5.0).
@@ -230,7 +234,7 @@ class TestCheckpointFlow:
         grid.install(
             "n1", "task", CheckpointingTask(duration=10.0, checkpoints=2, overhead=0.0)
         )
-        grid.submit(req(checkpoint_flag="nonexistent"))
+        grid.submit(req(), checkpoint_flag="nonexistent")
         grid.run()
         end = [m for m in seen if isinstance(m, TaskEnd)][0]
         assert end.sent_at == pytest.approx(10.0)
@@ -306,3 +310,19 @@ class TestAttemptNumbers:
         # Third attempt succeeds (crashes=2).
         ends = [m for m in seen if isinstance(m, TaskEnd)]
         assert len(ends) == 1
+
+    def test_instances_sharing_a_request_number_attempts_independently(self, grid):
+        grid.install("n1", "task", CrashingTask(duration=10.0, crash_at=1.0, crashes=1))
+        seen = collect(grid)
+        request = req()
+        attempts = []
+        for workflow_id in ("wf-1", "wf-2", "wf-1", "wf-2", ""):
+            job = grid.submit(request, workflow_id=workflow_id)
+            [process] = grid.gram.jobs_for_activity("act")
+            assert process.job_id == job and process.request is request
+            attempts.append(process.attempt)
+            grid.run()
+        assert attempts == [1, 1, 2, 2, 1]
+        # Each instance crashed on its own first attempt only.
+        exits = [m.exit_code for m in seen if isinstance(m, Done)]
+        assert exits == [139, 139, 0, 0, 139]

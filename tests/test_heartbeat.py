@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.detection.heartbeat import (
     HOST_RECOVERED,
@@ -10,6 +12,8 @@ from repro.detection.heartbeat import (
     HeartbeatMonitor,
 )
 from repro.detection.messages import Heartbeat
+from repro.events import EventBus
+from repro.grid.simkernel import SimKernel, SimReactor
 
 
 @pytest.fixture
@@ -100,3 +104,59 @@ class TestLifecycle:
     def test_default_sweep_interval_is_half_timeout(self, reactor, bus):
         m = HeartbeatMonitor(reactor, bus, timeout=8.0)
         assert m.sweep_interval == 4.0
+
+
+@st.composite
+def beat_scenarios(draw):
+    """Hosts seen before the batches (some of them then suspected), and
+    batches of beats over 2-5 hosts, some never seen before."""
+    hosts = [f"h{i}" for i in range(draw(st.integers(2, 5)))]
+    known = draw(st.lists(st.sampled_from(hosts), unique=True))
+    silent = draw(st.lists(st.sampled_from(known), unique=True)) if known else []
+    beat = st.builds(Heartbeat, hostname=st.sampled_from(hosts), seq=st.integers(0, 9))
+    batches = draw(st.lists(st.lists(beat, max_size=12), min_size=1, max_size=4))
+    return known, silent, batches
+
+
+class TestBatchIsBeatByBeat:
+    """``observe_batch`` leaves what feeding the same beats one at a time
+    leaves: the records, ``false_suspicions`` and the recovery narration,
+    in order."""
+
+    @staticmethod
+    def _feed(known, silent, batches, batched):
+        kernel = SimKernel()
+        bus = EventBus()
+        recovered = []
+        bus.subscribe(HOST_RECOVERED, lambda _topic, host: recovered.append(host))
+        monitor = HeartbeatMonitor(
+            SimReactor(kernel), bus, timeout=5.0, sweep_interval=1.0
+        )
+        monitor.start()
+        monitor.observe_batch([Heartbeat(hostname=h, seq=0) for h in known])
+        kernel.run_until(4.0)
+        # Everything known beats again but *silent*, which the t=6 sweep
+        # suspects.
+        monitor.observe_batch(
+            [Heartbeat(hostname=h, seq=1) for h in known if h not in silent]
+        )
+        kernel.run_until(7.0)
+        assert {h for h in known if monitor.is_suspected(h)} == set(silent)
+        for turn, beats in enumerate(batches):
+            kernel.run_until(7.0 + turn / 4)
+            if batched:
+                monitor.observe_batch(beats)
+            else:
+                for beat in beats:
+                    monitor.observe(beat)
+        names = {*known, *(beat.hostname for beats in batches for beat in beats)}
+        records = {h: monitor.liveness(h) for h in sorted(names)}
+        return records, monitor.false_suspicions, recovered
+
+    @seed(20030623)
+    @given(beat_scenarios())
+    @settings(max_examples=300, deadline=None)
+    def test_same_records_counts_and_publications(self, scenario):
+        batched = self._feed(*scenario, batched=True)
+        assert batched == self._feed(*scenario, batched=False)
+

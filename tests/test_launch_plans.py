@@ -8,7 +8,9 @@ side of that: a ``hostname='*'`` option is matched against the catalog and
 the activity's query at every submission, plans are per strategy resolver,
 the engine's per-launch rebuilt activity finds the plan of the activity it
 came from and still submits its freshly bound arguments, and a bad option
-index is still the broker's error.  (Lifetime — weak towards the
+index is still the broker's error.  And what a plan *does* share: one
+``SubmitRequest`` per (activity, literal option), whatever the instance or
+the attempt.  (Lifetime — weak towards the
 specification and towards the runtime — is in
 ``tests/test_multiplex.py::TestNothingOutlivesTheVerdict``.)
 """
@@ -24,7 +26,13 @@ from repro.engine.broker import Broker
 from repro.engine.recovery import RecoveryCoordinator
 from repro.engine.strategies import RecoveryStrategy, SlotPlan, resolve_strategy
 from repro.errors import BrokerError
-from repro.grid import RELIABLE, FixedDurationTask, GridConfig, SimulatedGrid
+from repro.grid import (
+    RELIABLE,
+    CrashingTask,
+    FixedDurationTask,
+    GridConfig,
+    SimulatedGrid,
+)
 from repro.wpdl import WorkflowBuilder
 from repro.wpdl.model import Activity, Option, Parameter, Program
 
@@ -44,9 +52,9 @@ def make_grid():
     submitted = []
     submit = grid.submit
 
-    def recording(request):
+    def recording(request, **kwargs):
         submitted.append(request)
-        return submit(request)
+        return submit(request, **kwargs)
 
     grid.submit = recording
     return grid, catalog, submitted
@@ -222,3 +230,48 @@ class TestReboundActivityHitsItsPlan:
         uses = [r for r in submitted if r.activity == "use"]
         assert len(uses) == 4 and all(r.arguments == {"k": 7} for r in uses)
         assert all(r.hostname == "h2" for r in uses)
+
+
+class TestOneRequestPerActivityAndOption:
+    def test_every_instance_and_attempt_submits_the_same_object(self):
+        grid, _catalog, _submitted = make_grid()
+        grid.install_everywhere("flaky", CrashingTask(2.0, crash_at=1.0, result="ok"))
+        calls = []
+        submit = grid.submit
+
+        def recording(request, **kwargs):
+            calls.append((request, kwargs))
+            return submit(request, **kwargs)
+
+        grid.submit = recording
+        spec = (
+            WorkflowBuilder("shared")
+            .program("flaky", hosts=["h1"])
+            .program("task", hosts=["h2", "h3"])
+            .activity("a", implement="flaky", policy=FailurePolicy.retrying(3))
+            .activity("b", implement="task", policy=FailurePolicy.replica())
+            .transition("a", "b")
+            .build()
+        )
+        host = EngineHost(grid, reactor=grid.reactor)
+        host.submit_many(spec, 100)
+        results = host.wait_all(timeout=1e6)
+        assert len(results) == 100 and all(r.succeeded for r in results.values())
+        # Every instance: ``a`` crashes once and is retried, ``b`` runs on
+        # both replicas -- 400 submissions of three request objects.
+        assert len(calls) == 400
+        requests = {}
+        for request, _kwargs in calls:
+            requests.setdefault((request.activity, request.hostname), set()).add(
+                id(request)
+            )
+        assert {pair: len(ids) for pair, ids in requests.items()} == {
+            ("a", "h1"): 1,
+            ("b", "h2"): 1,
+            ("b", "h3"): 1,
+        }
+        # What varies goes with the submission: each instance's attempts
+        # were numbered apart (one crash each), under its own id.
+        assert len({kwargs["workflow_id"] for _request, kwargs in calls}) == 100
+        assert all(sum(r.tries.values()) == 4 for r in results.values())
+

@@ -599,8 +599,8 @@ class TestNothingOutlivesTheVerdict:
     running batch after batch must not accumulate per-attempt state."""
 
     #: Types of which one instance exists per submitted attempt.  A
-    #: ``SubmitRequest`` is not one of them: a launch plan keeps the last
-    #: one per (activity, option) for a retry to resubmit.
+    #: ``SubmitRequest`` is not one of them: a launch plan keeps one per
+    #: (activity, option), which every instance and retry resubmits.
     PER_ATTEMPT = {
         "_Attempt",
         "JobProcess",

@@ -28,6 +28,7 @@ from pathlib import Path
 import repro
 from repro.core.policy import FailurePolicy
 from repro.engine import strategies
+from repro.execution import SubmitRequest
 from repro.grid.gram import GramService
 from repro.obs import (
     EstimatorSuite,
@@ -150,6 +151,8 @@ GONE = {
     "BUS_CACHED_ROUTES",
     "BUS_ROUTE_BUILDS",
     "BUS_ROUTE_CACHE_HIT_RATE",
+    # Acyclic means reachable: the validator's second walk could never fire.
+    "_reachable",
 }
 
 
@@ -217,6 +220,11 @@ def test_the_deleted_surface_stays_deleted():
     assert list(inspect.signature(HealthEngine).parameters) == ["clock", "bus"]
     assert not (SRC / "sim" / "exceptions_model.py").exists()
     assert not (SRC / "detection" / "log.py").exists()
+    # A request names the job; the attempt's flag and instance go with the
+    # submission (``checkpoint_flag`` is still the detector's, so these are
+    # checked where they lived).
+    fields = {f.name for f in dataclasses.fields(SubmitRequest)}
+    assert not fields & {"checkpoint_flag", "workflow_id"}, fields
 
 
 #: The topic families a fold decodes.

@@ -26,11 +26,16 @@ from repro.wpdl.model import Activity, Option, Program
 class FakeService(ExecutionService):
     def __init__(self):
         self.submissions: list[SubmitRequest] = []
+        #: The ``checkpoint_flag`` each submission was given, in order.
+        self.flags: list[str | None] = []
         self.cancelled: list[str] = []
         self._seq = itertools.count(1)
 
-    def submit(self, request: SubmitRequest) -> str:
+    def submit(
+        self, request: SubmitRequest, *, checkpoint_flag=None, workflow_id=""
+    ) -> str:
         self.submissions.append(request)
+        self.flags.append(checkpoint_flag)
         return f"fake-{next(self._seq)}"
 
     def cancel(self, job_id: str) -> None:
@@ -162,10 +167,10 @@ class TestCheckpointFlags:
     def test_flag_recorded_and_sent_back_on_retry(self, setup, kernel):
         service, _, coord, _ = setup
         coord.start_activity(activity(FailurePolicy.retrying(3)), program("h1"))
-        assert service.submissions[0].checkpoint_flag is None
+        assert service.flags[0] is None
         coord.handle_outcome(outcome("fake-1", TaskState.FAILED, flag="ck-7"))
         kernel.run()
-        assert service.submissions[1].checkpoint_flag == "ck-7"
+        assert service.flags[1] == "ck-7"
 
     def test_flag_not_sent_when_restart_disabled(self, setup, kernel):
         service, _, coord, _ = setup
@@ -173,7 +178,7 @@ class TestCheckpointFlags:
         coord.start_activity(activity(policy), program("h1"))
         coord.handle_outcome(outcome("fake-1", TaskState.FAILED, flag="ck-7"))
         kernel.run()
-        assert service.submissions[1].checkpoint_flag is None
+        assert service.flags[1] is None
 
     def test_flags_cleared_on_success(self, setup, kernel):
         service, _, coord, _ = setup
@@ -297,7 +302,7 @@ class TestSnapshotRestore:
             restored_state={"slots": [{"tries": 2, "option": 0, "flag": "ck-9"}]},
         )
         assert len(service.submissions) == 1
-        assert service.submissions[0].checkpoint_flag == "ck-9"
+        assert service.flags[0] == "ck-9"
         coord.handle_outcome(outcome("fake-1", TaskState.FAILED))
         kernel.run()
         # 3 tries total consumed (2 before restart + 1 after): escalate.

@@ -309,11 +309,16 @@ class TestSubmitFlags:
 class FakeService(ExecutionService):
     def __init__(self):
         self.submissions: list[SubmitRequest] = []
+        #: The ``checkpoint_flag`` each submission was given, in order.
+        self.flags: list[str | None] = []
         self.cancelled: list[str] = []
         self._seq = itertools.count(1)
 
-    def submit(self, request: SubmitRequest) -> str:
+    def submit(
+        self, request: SubmitRequest, *, checkpoint_flag=None, workflow_id=""
+    ) -> str:
         self.submissions.append(request)
+        self.flags.append(checkpoint_flag)
         return f"fake-{next(self._seq)}"
 
     def cancel(self, job_id: str) -> None:
@@ -428,11 +433,11 @@ class TestCoordinatorIntegration:
         coord.handle_outcome(outcome("fake-1", TaskState.FAILED, flag="flag-2"))
         kernel.run()
         assert len(service.submissions) == 3
-        assert service.submissions[2].checkpoint_flag == "flag-2"
+        assert service.flags[2] == "flag-2"
         # The sibling replica never sees replica 0's checkpoint.
         coord.handle_outcome(outcome("fake-2", TaskState.FAILED))
         kernel.run()
         assert len(service.submissions) == 4
-        assert service.submissions[3].checkpoint_flag is None
+        assert service.flags[3] is None
         coord.handle_outcome(outcome("fake-3", TaskState.DONE))
         assert resolutions[0].state is TaskState.DONE

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.core.policy import FailurePolicy
 from repro.errors import ValidationError
@@ -68,7 +72,7 @@ class TestStructure:
         msgs = problems_of(wf)
         assert any("cycle" in p for p in msgs)
 
-    def test_unreachable_node_flagged(self):
+    def test_island_beside_an_entry_is_reported_as_its_cycle(self):
         wf = Workflow(
             name="w",
             nodes={n: Activity(name=n) for n in ("a", "b", "island1", "island2")},
@@ -78,20 +82,54 @@ class TestStructure:
                 Transition("island2", "island1"),
             ),
         )
-        # The island is a cycle: cycle reported first (and analysis stops).
-        assert any("cycle" in p for p in problems_of(wf))
+        # A node no entry reaches sits on, or below, a cycle.
+        [problem] = problems_of(wf)
+        assert "cycle: island1 -> island2 -> island1" in problem
 
-    def test_orphan_island_unreachable(self):
-        # a->b reachable; c is its own entry so it is fine; but d fed only
-        # by c is reachable too.  Make a genuinely unreachable node by
-        # giving it an incoming edge from inside a closed pair... simplest:
-        # all nodes have predecessors -> no entry at all.
+    def test_graph_without_entry_is_reported_as_its_cycle(self):
         wf = Workflow(
             name="w",
             nodes={n: Activity(name=n) for n in ("a", "b")},
             transitions=(Transition("a", "b"), Transition("b", "a")),
         )
-        assert any("cycle" in p for p in problems_of(wf))
+        [problem] = problems_of(wf)
+        assert "cycle: a -> b -> a" in problem
+
+
+@st.composite
+def acyclic_graphs(draw):
+    """A DAG over 1-12 nodes whose names are shuffled against the edge
+    direction (edges run from lower to higher rank, names are random)."""
+    size = draw(st.integers(1, 12))
+    names = draw(st.permutations([f"n{i}" for i in range(size)]))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Workflow(
+        name="dag",
+        nodes={name: Activity(name=name) for name in sorted(names)},
+        transitions=tuple(Transition(names[i], names[j]) for i, j in edges),
+    )
+
+
+class TestAcyclicMeansReachable:
+    """Why the validator has no reachability check: once no cycle is
+    found, a breadth-first walk from the entry nodes reaches every node."""
+
+    @seed(20030623)
+    @given(acyclic_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_entries_reach_every_node_of_a_dag(self, wf):
+        assert problems_of(wf) == []
+        compiled = wf.compiled
+        assert compiled.entries
+        seen = set(compiled.entries)
+        queue = deque(compiled.entries)
+        while queue:
+            for child in compiled.nodes[queue.popleft()].targets:
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child)
+        assert seen == set(wf.nodes)
 
 
 class TestPolicies:
