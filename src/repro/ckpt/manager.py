@@ -14,14 +14,14 @@ deliberately independent of the storage substrate — flags are opaque.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["CheckpointManager", "CheckpointRecord"]
 
 
-@dataclass
-class CheckpointRecord:
-    """Latest known checkpoint for one activity."""
+class CheckpointRecord(NamedTuple):
+    """Latest known checkpoint for one activity: a ``NamedTuple``, replaced
+    (never edited) by the next :meth:`CheckpointManager.record`."""
 
     activity: str
     flag: str
@@ -33,6 +33,9 @@ class CheckpointRecord:
     #: submission republishes it, so a post-mortem timeline can tie the
     #: restarted attempt to the attempt whose checkpoint it resumed from.
     source_span: str = ""
+
+
+_tuple_new = tuple.__new__
 
 
 class CheckpointManager:
@@ -51,12 +54,8 @@ class CheckpointManager:
         source_span: str = "",
     ) -> None:
         """Store the newest flag for *activity* (marks it checkpoint-enabled)."""
-        self._records[activity] = CheckpointRecord(
-            activity=activity,
-            flag=flag,
-            progress=progress,
-            recorded_at=at,
-            source_span=source_span,
+        self._records[activity] = _tuple_new(
+            CheckpointRecord, (activity, flag, progress, at, source_span)
         )
 
     def is_checkpoint_enabled(self, activity: str) -> bool:

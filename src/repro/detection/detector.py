@@ -38,7 +38,7 @@ wraps :meth:`FailureDetector.deliver`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..core.exceptions import UserException
 from ..core.states import LEGAL_TRANSITIONS, TaskState
@@ -77,9 +77,13 @@ _TOPIC_FOR_VERDICT = {
 }
 
 
-@dataclass(slots=True)
-class AttemptOutcome:
-    """Published record of one attempt's state change / terminal outcome."""
+class AttemptOutcome(NamedTuple):
+    """Published record of one attempt's state change / terminal outcome.
+
+    A ``NamedTuple``: the detector mints one per narration or verdict with
+    a single ``tuple.__new__``, and whoever holds it — the coordinator it is
+    handed to, the log ring that narrated it — holds a value nobody can
+    alter."""
 
     job_id: str
     activity: str
@@ -87,8 +91,10 @@ class AttemptOutcome:
     hostname: str = ""
     #: Present when ``state is EXCEPTION``.
     exception: UserException | None = None
-    #: Last checkpoint flag seen before the attempt ended, if any.
+    #: Last checkpoint flag seen before the attempt ended, if any, and the
+    #: progress its notification reported.
     checkpoint_flag: str | None = None
+    checkpoint_progress: float = 0.0
     #: TaskEnd result payload, when the attempt succeeded.
     result: Any = None
     #: Why the detector failed the attempt ("done-without-taskend",
@@ -104,6 +110,9 @@ class AttemptOutcome:
     trace_id: str = ""
     span_id: str = ""
     parent_id: str = ""
+
+
+_tuple_new = tuple.__new__
 
 
 @dataclass(slots=True)
@@ -349,20 +358,24 @@ class FailureDetector:
             attempt.on_verdict(outcome)
 
     def _outcome(self, attempt: _Attempt, reason: str) -> AttemptOutcome:
-        return AttemptOutcome(
-            job_id=attempt.job_id,
-            activity=attempt.activity,
-            state=attempt.state,
-            hostname=attempt.hostname,
-            exception=attempt.exception,
-            checkpoint_flag=attempt.checkpoint_flag,
-            result=attempt.result,
-            reason=reason,
-            at=self._reactor.now(),
-            workflow_id=attempt.workflow_id,
-            trace_id=attempt.trace_id,
-            span_id=attempt.span_id,
-            parent_id=attempt.parent_id,
+        return _tuple_new(
+            AttemptOutcome,
+            (
+                attempt.job_id,
+                attempt.activity,
+                attempt.state,
+                attempt.hostname,
+                attempt.exception,
+                attempt.checkpoint_flag,
+                attempt.checkpoint_progress,
+                attempt.result,
+                reason,
+                self._reactor.now(),
+                attempt.workflow_id,
+                attempt.trace_id,
+                attempt.span_id,
+                attempt.parent_id,
+            ),
         )
 
     # -- queries ------------------------------------------------------------------

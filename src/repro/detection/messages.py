@@ -13,15 +13,22 @@ the workflow client:
   plus the substrate-level ``Done`` signal that the job's process
   terminated (the GRAM job state change).
 
-Messages are immutable dataclasses with a stable dict wire format
-(:func:`encode` / :func:`decode`) so they can cross a real network or be
+Messages are ``NamedTuple`` records: each is built once, by its sender, and
+never changed, and a tuple is the cheapest immutable record Python builds —
+the simulated job runner mints them with one ``tuple.__new__`` per message.
+The wire format is a stable dict (:func:`encode` / :func:`decode`), the one
+the earlier dataclass messages had, so they can cross a real network or be
 logged and replayed; inside the simulation they are passed as objects.
+:data:`Message` is the union of the six types.  A subclass of one is
+handled as that type; since tuples compare by value, compare ``type(m)``
+too when the type matters.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, ClassVar
+import copy
+from dataclasses import asdict, is_dataclass
+from typing import Any, NamedTuple, Union
 
 from ..core.exceptions import UserException
 from ..errors import DetectionError
@@ -38,68 +45,85 @@ __all__ = [
     "decode",
 ]
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True)
-class Message:
-    """Base class for all detection-service messages."""
+# Every message's first field is ``sent_at``: the send time (reactor /
+# simulation seconds at the origin).  ``kind`` is the wire-format
+# discriminator, a class attribute.
 
-    #: Wire-format discriminator; overridden per subclass.
-    kind: ClassVar[str] = "message"
 
-    #: Send time (reactor/simulation seconds at the origin).
+class _HeartbeatFields(NamedTuple):
     sent_at: float = 0.0
-
-
-@dataclass(frozen=True)
-class Heartbeat(Message):
-    """Periodic liveness beacon from a host's generic server."""
-
-    kind: ClassVar[str] = "heartbeat"
     hostname: str = ""
     seq: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.hostname:
+
+class Heartbeat(_HeartbeatFields):
+    """Periodic liveness beacon from a host's generic server."""
+
+    __slots__ = ()
+    kind = "heartbeat"
+
+    def __new__(cls, sent_at: float = 0.0, hostname: str = "", seq: int = 0):
+        if not hostname:
             raise DetectionError("heartbeat requires a hostname")
+        return _tuple_new(cls, (sent_at, hostname, seq))
 
 
-@dataclass(frozen=True)
-class TaskStart(Message):
+class TaskStart(NamedTuple):
     """The application entered its main body (task-side API call)."""
 
-    kind: ClassVar[str] = "task_start"
+    sent_at: float = 0.0
     job_id: str = ""
     hostname: str = ""
 
+    kind = "task_start"
 
-@dataclass(frozen=True)
-class TaskEnd(Message):
+
+class TaskEnd(NamedTuple):
     """The application reached its logical end.
 
     Per the paper's detection rule, only a ``Done`` *preceded by* this
     notification counts as success.
     """
 
-    kind: ClassVar[str] = "task_end"
+    sent_at: float = 0.0
     job_id: str = ""
     hostname: str = ""
     #: Optional task result payload (kept small; large data goes through
     #: the data catalog, not the notification channel).
     result: Any = None
 
+    kind = "task_end"
 
-@dataclass(frozen=True)
-class ExceptionNotice(Message):
-    """A user-defined exception raised inside the task (Section 2.3)."""
 
-    kind: ClassVar[str] = "exception"
+class _ExceptionNoticeFields(NamedTuple):
+    sent_at: float = 0.0
     job_id: str = ""
     hostname: str = ""
-    exception: UserException = field(default_factory=lambda: UserException("unknown"))
+    exception: UserException | None = None
 
 
-@dataclass(frozen=True)
-class CheckpointNotice(Message):
+class ExceptionNotice(_ExceptionNoticeFields):
+    """A user-defined exception raised inside the task (Section 2.3).
+    Without one, each notice gets its own ``UserException("unknown")``."""
+
+    __slots__ = ()
+    kind = "exception"
+
+    def __new__(
+        cls,
+        sent_at: float = 0.0,
+        job_id: str = "",
+        hostname: str = "",
+        exception: UserException | None = None,
+    ):
+        if exception is None:
+            exception = UserException("unknown")
+        return _tuple_new(cls, (sent_at, job_id, hostname, exception))
+
+
+class CheckpointNotice(NamedTuple):
     """The task saved a checkpoint; the flag rides piggybacked (Section 4.3).
 
     ``flag`` is opaque to the framework: it is whatever the checkpoint
@@ -108,15 +132,16 @@ class CheckpointNotice(Message):
     reporting.
     """
 
-    kind: ClassVar[str] = "checkpoint"
+    sent_at: float = 0.0
     job_id: str = ""
     hostname: str = ""
     flag: str = ""
     progress: float = 0.0
 
+    kind = "checkpoint"
 
-@dataclass(frozen=True)
-class Done(Message):
+
+class Done(NamedTuple):
     """Substrate-level signal: the job's process is gone.
 
     Emitted by the execution service when the process exits — normally or
@@ -126,22 +151,42 @@ class Done(Message):
     requires a prior ``TaskEnd``.
     """
 
-    kind: ClassVar[str] = "done"
+    sent_at: float = 0.0
     job_id: str = ""
     hostname: str = ""
     exit_code: int = 0
     host_crashed: bool = False
 
+    kind = "done"
 
-_KINDS: dict[str, type[Message]] = {
+
+#: Any detection-service message.
+Message = Union[Heartbeat, TaskStart, TaskEnd, ExceptionNotice, CheckpointNotice, Done]
+
+_KINDS: dict[str, type] = {
     cls.kind: cls
     for cls in (Heartbeat, TaskStart, TaskEnd, ExceptionNotice, CheckpointNotice, Done)
 }
 
 
+def _plain(value: Any) -> Any:
+    """A field value as :func:`dataclasses.asdict` renders it: a dataclass
+    becomes a dict, a container is rebuilt around its rendered items, and
+    anything else is deep-copied."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return asdict(value)
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return type(value)(*map(_plain, value))
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    if isinstance(value, dict):
+        return type(value)((_plain(k), _plain(v)) for k, v in value.items())
+    return copy.deepcopy(value)
+
+
 def encode(msg: Message) -> dict[str, Any]:
     """Serialise a message to its dict wire format."""
-    payload = asdict(msg)
+    payload = {name: _plain(value) for name, value in zip(msg._fields, msg)}
     if isinstance(msg, ExceptionNotice):
         payload["exception"] = {
             "name": msg.exception.name,

@@ -31,7 +31,7 @@ narration only; nothing it does depends on who is listening.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..ckpt.manager import CheckpointManager
 from ..core.exceptions import UserException
@@ -70,9 +70,9 @@ RECOVERY_REPLICATION_WIN = "recovery.replication_win"
 RECOVERY_RESOLVED = "recovery.resolved"
 
 
-@dataclass(frozen=True)
-class TaskResolution:
-    """Terminal verdict for one activity, after task-level recovery."""
+class TaskResolution(NamedTuple):
+    """Terminal verdict for one activity, after task-level recovery: a
+    ``NamedTuple``, minted with one ``tuple.__new__`` per resolution."""
 
     activity: str
     state: TaskState  # DONE, FAILED or EXCEPTION
@@ -80,6 +80,9 @@ class TaskResolution:
     exception: UserException | None = None
     #: Total attempts consumed across all slots.
     tries_used: int = 0
+
+
+_tuple_new = tuple.__new__
 
 
 @dataclass(slots=True)
@@ -283,7 +286,9 @@ class RecoveryCoordinator:
             slot.exhausted = bool(slot_state.get("exhausted", False))
             flag = slot_state.get("flag")
             if flag:
-                self.checkpoints.record(slot.flag_key, flag)
+                self.checkpoints.record(
+                    slot.flag_key, flag, progress=float(slot_state.get("progress", 0.0))
+                )
             # A slot mid-retry when the engine died has budget accounting
             # already done; re-check exhaustion against the policy.
             if run.activity.policy.tries_remaining(slot.tries_used) <= 0:
@@ -302,6 +307,7 @@ class RecoveryCoordinator:
                     "exhausted": slot.exhausted,
                     "option": slot.option_index,
                     "flag": self.checkpoints.flag_for(slot.flag_key),
+                    "progress": self.checkpoints.progress_of(slot.flag_key),
                 }
                 for slot in run.slots
             ]
@@ -340,6 +346,7 @@ class RecoveryCoordinator:
             self.checkpoints.record(
                 slot.flag_key,
                 outcome.checkpoint_flag,
+                progress=outcome.checkpoint_progress,
                 at=self._reactor.now(),
                 source_span=outcome.span_id,
             )
@@ -559,11 +566,15 @@ class RecoveryCoordinator:
                 self._cancel_slots(run)
                 self._finish(
                     run,
-                    TaskResolution(
-                        activity=run.activity.name,
-                        state=TaskState.EXCEPTION,
-                        exception=exception,
-                        tries_used=run.total_tries,
+                    _tuple_new(
+                        TaskResolution,
+                        (
+                            run.activity.name,
+                            TaskState.EXCEPTION,
+                            None,
+                            exception,
+                            run.total_tries,
+                        ),
                     ),
                 )
             else:
@@ -632,11 +643,15 @@ class RecoveryCoordinator:
             self.checkpoints.clear(slot.flag_key)
         self._finish(
             run,
-            TaskResolution(
-                activity=run.activity.name,
-                state=TaskState.DONE,
-                result=outcome.result,
-                tries_used=run.total_tries,
+            _tuple_new(
+                TaskResolution,
+                (
+                    run.activity.name,
+                    TaskState.DONE,
+                    outcome.result,
+                    None,
+                    run.total_tries,
+                ),
             ),
         )
 
@@ -645,11 +660,15 @@ class RecoveryCoordinator:
         self._cancel_slots(run)
         self._finish(
             run,
-            TaskResolution(
-                activity=run.activity.name,
-                state=TaskState.EXCEPTION,
-                exception=outcome.exception,
-                tries_used=run.total_tries,
+            _tuple_new(
+                TaskResolution,
+                (
+                    run.activity.name,
+                    TaskState.EXCEPTION,
+                    None,
+                    outcome.exception,
+                    run.total_tries,
+                ),
             ),
         )
 
@@ -658,10 +677,9 @@ class RecoveryCoordinator:
         self._cancel_slots(run)
         self._finish(
             run,
-            TaskResolution(
-                activity=run.activity.name,
-                state=TaskState.FAILED,
-                tries_used=run.total_tries,
+            _tuple_new(
+                TaskResolution,
+                (run.activity.name, TaskState.FAILED, None, None, run.total_tries),
             ),
         )
 

@@ -35,6 +35,7 @@ default resolver:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..ckpt.manager import CheckpointManager
 from ..core.policy import FailurePolicy
@@ -51,13 +52,15 @@ class SlotPlan:
     option_index: int
 
 
-@dataclass(frozen=True)
-class RetryDecision:
+class RetryDecision(NamedTuple):
     """Verdict for a crashed slot: try again on *option_index* after
     *delay* seconds.  ``None`` in its place means the budget is spent."""
 
     option_index: int
     delay: float = 0.0
+
+
+_tuple_new = tuple.__new__
 
 
 class RecoveryStrategy:
@@ -100,7 +103,7 @@ class RecoveryStrategy:
             tries_used=tries_used,
             selection=policy.resource_selection,
         )
-        return RetryDecision(option_index=option, delay=policy.retry_delay(tries_used))
+        return _tuple_new(RetryDecision, (option, policy.retry_delay(tries_used)))
 
     def submit_flag(
         self, activity: Activity, checkpoints: CheckpointManager, key: str

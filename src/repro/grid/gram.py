@@ -44,8 +44,9 @@ from .simkernel import SimKernel
 
 __all__ = ["GramConfig", "GramService", "JobProcess"]
 
-#: Mints a :class:`PlanContext` without its generated ``__new__`` (which
-#: re-binds defaults per call): one per attempt.
+#: Mints the per-attempt tuples — the :class:`PlanContext` and every
+#: message — positionally, without their generated ``__new__`` (a Python
+#: frame that re-binds defaults per call).
 _tuple_new = tuple.__new__
 
 
@@ -167,7 +168,7 @@ class JobProcess:
             hostname = self.hostname
             self.service.network.send(
                 hostname,
-                TaskStart(sent_at=kernel.now(), job_id=self.job_id, hostname=hostname),
+                _tuple_new(TaskStart, (kernel.now(), self.job_id, hostname)),
             )
         else:
             self._execute(step, kernel.now())
@@ -203,12 +204,8 @@ class JobProcess:
         service = self.service
         if service.config.crash_detection == "prompt":
             service.network.send_system(
-                Done(
-                    sent_at=service.kernel.now(),
-                    job_id=self.job_id,
-                    hostname=self.hostname,
-                    exit_code=137,
-                    host_crashed=True,
+                _tuple_new(
+                    Done, (service.kernel.now(), self.job_id, self.hostname, 137, True)
                 )
             )
         else:
@@ -221,12 +218,8 @@ class JobProcess:
         host.off_recover(self._report_orphan)
         self.service.network.send(
             self.hostname,
-            Done(
-                sent_at=self.service.kernel.now(),
-                job_id=self.job_id,
-                hostname=self.hostname,
-                exit_code=137,
-                host_crashed=True,
+            _tuple_new(
+                Done, (self.service.kernel.now(), self.job_id, self.hostname, 137, True)
             ),
         )
 
@@ -241,12 +234,15 @@ class JobProcess:
             self.service.store.save(flag, dict(step.payload.get("state", {})))
             send(
                 hostname,
-                CheckpointNotice(
-                    sent_at=now,
-                    job_id=self.job_id,
-                    hostname=hostname,
-                    flag=flag,
-                    progress=float(step.payload.get("progress", 0.0)),
+                _tuple_new(
+                    CheckpointNotice,
+                    (
+                        now,
+                        self.job_id,
+                        hostname,
+                        flag,
+                        float(step.payload.get("progress", 0.0)),
+                    ),
                 ),
             )
         elif step.action == "exception":
@@ -255,12 +251,7 @@ class JobProcess:
                 exc = UserException("unknown")
             send(
                 hostname,
-                ExceptionNotice(
-                    sent_at=now,
-                    job_id=self.job_id,
-                    hostname=hostname,
-                    exception=exc,
-                ),
+                _tuple_new(ExceptionNotice, (now, self.job_id, hostname, exc)),
             )
             self._terminate(1, now)
         elif step.action == "crash":
@@ -268,11 +259,8 @@ class JobProcess:
         elif step.action == "end":
             send(
                 hostname,
-                TaskEnd(
-                    sent_at=now,
-                    job_id=self.job_id,
-                    hostname=hostname,
-                    result=step.payload.get("result"),
+                _tuple_new(
+                    TaskEnd, (now, self.job_id, hostname, step.payload.get("result"))
                 ),
             )
             self._terminate(0, now)
@@ -282,12 +270,7 @@ class JobProcess:
         self.host.job_finished(self.job_id)
         self.service.network.send(
             self.hostname,
-            Done(
-                sent_at=now,
-                job_id=self.job_id,
-                hostname=self.hostname,
-                exit_code=exit_code,
-            ),
+            _tuple_new(Done, (now, self.job_id, self.hostname, exit_code, False)),
         )
         self.service._job_finished(self)
 
@@ -373,11 +356,8 @@ class GramService:
     def _reject(self, job_id: str, request: SubmitRequest, *, exit_code: int) -> None:
         """Asynchronous submission failure: Done without TaskStart/TaskEnd."""
         self.network.send_system(
-            Done(
-                sent_at=self.kernel.now(),
-                job_id=job_id,
-                hostname=request.hostname,
-                exit_code=exit_code,
+            _tuple_new(
+                Done, (self.kernel.now(), job_id, request.hostname, exit_code, False)
             )
         )
 

@@ -2,10 +2,30 @@
 
 from __future__ import annotations
 
+from repro.ckpt.manager import CheckpointRecord
 from repro.core import FailurePolicy
+from repro.detection import messages
+from repro.detection.detector import AttemptOutcome
 from repro.engine import WorkflowEngine
+from repro.engine.recovery import TaskResolution
+from repro.engine.strategies import RetryDecision
 from repro.grid import RELIABLE, FixedDurationTask, SimulatedGrid
 from repro.wpdl import JoinMode, WorkflowBuilder
+
+#: The immutable records an attempt produces, the six messages first: each
+#: is built once and never changed, so each is a tuple.
+RECORD_TYPES = (
+    messages.Heartbeat,
+    messages.TaskStart,
+    messages.TaskEnd,
+    messages.ExceptionNotice,
+    messages.CheckpointNotice,
+    messages.Done,
+    AttemptOutcome,
+    TaskResolution,
+    RetryDecision,
+    CheckpointRecord,
+)
 
 
 def single_task_workflow(

@@ -22,11 +22,13 @@ from repro.engine.checkpoint import EngineCheckpointer as Checkpointer
 from repro.errors import CheckpointError
 from repro.grid import (
     RELIABLE,
+    CheckpointingTask,
     CrashingTask,
     FixedDurationTask,
     GridConfig,
     SimulatedGrid,
 )
+from repro.grid.failures import inject_crash
 from repro.wpdl import WorkflowBuilder
 
 
@@ -158,6 +160,40 @@ class TestResume:
         # Fresh grid counts attempts from 1 again, but the *budget* carries:
         # only 3 total tries ever happen (1 before + 2 after the restart).
         assert result.tries["task"] == 3
+
+    def test_a_checkpoints_progress_reaches_the_engine_checkpoint(self, tmp_path):
+        # Six segments of 5 s plus 0.5 s per checkpoint: the 3rd is written
+        # at t=16.5 and the 4th would be at 22; the host crashes at 17.
+        path = tmp_path / "engine.ckpt"
+        grid = SimulatedGrid(config=GridConfig(heartbeats=False))
+        grid.add_host(RELIABLE("h1"))
+        grid.install(
+            "h1", "task", CheckpointingTask(duration=30.0, checkpoints=6, overhead=0.5)
+        )
+        inject_crash(grid.kernel, grid.host("h1"), at=17.0, duration=0.0)
+        engine = WorkflowEngine(
+            single_task_workflow(policy=FailurePolicy.retrying(None)),
+            grid,
+            reactor=grid.reactor,
+            checkpointer=EngineCheckpointer(path),
+        )
+        engine.start()
+        grid.kernel.run_until(18.0)  # crashed after 3 of 6, retrying...
+        engine._checkpoint()  # ...and the engine dies right after recording it
+        assert engine.runtime.checkpoints.progress_of("task@slot0") == 0.5
+        state = json.loads(ET.fromstring(path.read_text()).find("InstanceState").text)
+        [slot] = state["nodes"]["task"]["recovery_state"]["slots"]
+        assert slot["progress"] == 0.5
+        # A resumed engine reads it back with the flag at its first launch.
+        grid2 = SimulatedGrid(config=GridConfig(heartbeats=False))
+        grid2.add_host(RELIABLE("h1"))
+        grid2.install(
+            "h1", "task", CheckpointingTask(duration=30.0, checkpoints=6, overhead=0.5)
+        )
+        resumed = WorkflowEngine.resume(str(path), grid2, reactor=grid2.reactor)
+        resumed.start()
+        grid2.kernel.run_until(0.1)
+        assert resumed.runtime.checkpoints.progress_of("task@slot0") == 0.5
 
     def test_resume_after_success_is_terminal_noop(self, tmp_path):
         path = tmp_path / "engine.ckpt"

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import repro
 from repro.core.policy import FailurePolicy
+from repro.detection import messages
 from repro.engine import strategies
 from repro.execution import SubmitRequest
 from repro.grid.gram import GramService
@@ -40,6 +41,7 @@ from repro.obs import (
     WorkflowStatusTracker,
     spans,
 )
+from tests.helpers import RECORD_TYPES
 
 SRC = Path(repro.__file__).parent
 
@@ -225,6 +227,16 @@ def test_the_deleted_surface_stays_deleted():
     # checked where they lived).
     fields = {f.name for f in dataclasses.fields(SubmitRequest)}
     assert not fields & {"checkpoint_flag", "workflow_id"}, fields
+
+
+def test_a_record_on_the_attempt_path_is_a_tuple():
+    """Each is a ``NamedTuple`` (a plain subclass of one for the two
+    messages that check or default a field), never a dataclass, and the
+    message union names the six message types."""
+    for record in RECORD_TYPES:
+        assert issubclass(record, tuple) and hasattr(record, "_fields"), record
+        assert not dataclasses.is_dataclass(record), record
+    assert set(messages.Message.__args__) == set(RECORD_TYPES[:6])
 
 
 #: The topic families a fold decodes.
