@@ -17,7 +17,7 @@ from repro.sim import (
     checkpoint_expected_time,
     format_table,
     optimal_checkpoint_count,
-    sample_checkpointing,
+    sample_technique,
 )
 
 K_SWEEP = (1, 2, 4, 8, 12, 16, 20, 30, 45, 60, 90, 120)
@@ -32,7 +32,7 @@ def generate():
         means = []
         for k in K_SWEEP:
             params = SimulationParams(mttf=mttf, checkpoints=k, runs=RUNS)
-            means.append(float(sample_checkpointing(params).mean()))
+            means.append(float(sample_technique("checkpointing", params).mean()))
         series.append(
             Series(
                 label=f"MTTF={mttf:g}",

@@ -39,9 +39,8 @@ from _common import (
 from repro.sim import (
     PAPER_BASELINE,
     PAPER_MTTF_SWEEP,
-    engine_samples,
+    estimate_cells,
     format_table,
-    summarize,
     sweep_mttf,
 )
 
@@ -62,18 +61,21 @@ def generate():
     sampler_samples = PAPER_RUNS * len(COMBINED) * len(PAPER_MTTF_SWEEP)
 
     jobs = overlay_jobs()
-    overlay = []
+    keys = [(m, t) for m in ENGINE_OVERLAY_MTTFS for t in COMBINED]
     start = time.perf_counter()
-    for mttf in ENGINE_OVERLAY_MTTFS:
-        params = PAPER_BASELINE.with_mttf(mttf)
-        row = {"mttf": mttf}
-        for technique in COMBINED:
-            row[technique] = summarize(
-                engine_samples(technique, params, runs=OVERLAY_RUNS, jobs=jobs)
-            ).mean
-        overlay.append(row)
+    estimates = estimate_cells(
+        [(t, PAPER_BASELINE.with_mttf(m)) for m, t in keys],
+        runs=OVERLAY_RUNS,
+        engine=True,
+        jobs=jobs,
+    )
     engine_s = time.perf_counter() - start
-    engine_samples_total = OVERLAY_RUNS * len(COMBINED) * len(ENGINE_OVERLAY_MTTFS)
+    means = {key: e.summary.mean for key, e in zip(keys, estimates)}
+    overlay = [
+        {"mttf": m, **{t: means[(m, t)] for t in COMBINED}}
+        for m in ENGINE_OVERLAY_MTTFS
+    ]
+    engine_samples_total = OVERLAY_RUNS * len(keys)
 
     return {
         "series": series,

@@ -16,7 +16,7 @@ from repro.sim import (
     ascii_chart,
     format_table,
     retry_expected_time,
-    sample_retry,
+    sample_technique,
     summarize,
 )
 
@@ -27,7 +27,7 @@ def generate(runs: int = PAPER_RUNS):
     summaries = []
     for mttf in PAPER_MTTF_SWEEP:
         params = SimulationParams(mttf=float(mttf), runs=runs)
-        summary = summarize(sample_retry(params))
+        summary = summarize(sample_technique("retrying", params))
         summaries.append(summary)
         simulated.append(summary.mean)
         analytical.append(retry_expected_time(30.0, 1.0 / mttf))

@@ -16,7 +16,7 @@ from repro.sim import (
     ascii_chart,
     checkpoint_expected_time,
     format_table,
-    sample_checkpointing,
+    sample_technique,
     summarize,
 )
 
@@ -29,7 +29,7 @@ def generate(runs: int = PAPER_RUNS):
     summaries = []
     for mttf in MTTF_SWEEP:
         params = SimulationParams(mttf=mttf, runs=runs)
-        summary = summarize(sample_checkpointing(params))
+        summary = summarize(sample_technique("checkpointing", params))
         summaries.append(summary)
         simulated.append(summary.mean)
         analytical.append(

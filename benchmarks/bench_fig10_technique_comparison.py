@@ -27,9 +27,8 @@ from repro.sim import (
     TECHNIQUES,
     ascii_chart,
     crossover,
-    engine_samples,
+    estimate_cells,
     format_table,
-    summarize,
     sweep_mttf,
 )
 
@@ -41,19 +40,18 @@ def generate():
 
 
 def engine_overlay():
-    jobs = overlay_jobs()
-    rows = []
-    for mttf in ENGINE_OVERLAY_MTTFS:
-        params = PAPER_BASELINE.with_mttf(mttf)
-        row = {"mttf": mttf}
-        for technique in TECHNIQUES:
-            row[technique] = summarize(
-                engine_samples(
-                    technique, params, runs=ENGINE_OVERLAY_RUNS, jobs=jobs
-                )
-            ).mean
-        rows.append(row)
-    return rows
+    keys = [(m, t) for m in ENGINE_OVERLAY_MTTFS for t in TECHNIQUES]
+    estimates = estimate_cells(
+        [(t, PAPER_BASELINE.with_mttf(m)) for m, t in keys],
+        runs=ENGINE_OVERLAY_RUNS,
+        engine=True,
+        jobs=overlay_jobs(),
+    )
+    means = {key: e.summary.mean for key, e in zip(keys, estimates)}
+    return [
+        {"mttf": m, **{t: means[(m, t)] for t in TECHNIQUES}}
+        for m in ENGINE_OVERLAY_MTTFS
+    ]
 
 
 def test_fig10_technique_comparison(benchmark):

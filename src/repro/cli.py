@@ -508,24 +508,29 @@ def _mc_variance_reduction(args: argparse.Namespace) -> str | None:
 
 
 def _mc_ci_target(args: argparse.Namespace):
-    """Build the :class:`CITarget` for ``--target-ci`` (None when unset).
+    """Build the :class:`CITarget` for ``--target-ci`` (None when unset) —
+    the one place a bare number becomes a CI target.
 
-    ``--runs`` doubles as the adaptive budget ceiling; ``--min-runs`` /
-    ``--max-runs`` override the derived bounds.
+    The ceiling is ``--max-runs``, else ``--runs``; the floor is
+    ``--min-runs``, else ``min(1000, ceiling)``.  A floor above the
+    ceiling is a usage error, never a silently raised ceiling.
     """
     if args.target_ci is None:
         return None
+    from .errors import SimulationError
     from .sim import CITarget
 
+    max_runs = args.max_runs if args.max_runs is not None else args.runs
     min_runs = args.min_runs
     if min_runs is None:
-        min_runs = max(2, min(1_000, args.runs))
-    max_runs = args.max_runs if args.max_runs is not None else args.runs
-    return CITarget(
-        rel=args.target_ci,
-        min_runs=min_runs,
-        max_runs=max(max_runs, min_runs),
-    )
+        min_runs = max(2, min(1_000, max_runs))
+    elif min_runs > max_runs:
+        ceiling = "--max-runs" if args.max_runs is not None else "--runs"
+        raise SimulationError(
+            f"--min-runs ({min_runs}) exceeds the adaptive ceiling "
+            f"{ceiling} ({max_runs})"
+        )
+    return CITarget(rel=args.target_ci, min_runs=min_runs, max_runs=max_runs)
 
 
 def cmd_top(args: argparse.Namespace) -> int:
@@ -602,7 +607,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     else:
         mode = "engine-level" if args.engine else "standalone sampler"
         budget = (
-            f"target_ci={args.target_ci:g} (≤{args.runs} runs)"
+            f"target_ci={args.target_ci:g} (≤{target.max_runs} runs)"
             if target is not None
             else f"runs={args.runs}"
         )
@@ -697,7 +702,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         mode = "fixed budget"
         if target is not None:
-            mode = f"target_ci={args.target_ci:g} (≤{args.runs} runs/point)"
+            mode = (
+                f"target_ci={args.target_ci:g} "
+                f"(≤{target.max_runs} runs/point)"
+            )
         if variance_reduction is not None:
             mode += f", {variance_reduction}"
         print(
@@ -1071,7 +1079,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="adaptive floor: never stop before this many runs "
-            "(default: min(1000, --runs))",
+            "(default: min(1000, the ceiling); above the ceiling is an "
+            "error)",
         )
         p.add_argument(
             "--max-runs",

@@ -61,9 +61,10 @@ class EngineHost:
 
     Parameters mirror :class:`~repro.engine.engine.WorkflowEngine`'s
     runtime-building path; the host builds the shared runtime once and
-    every submitted instance rides on it.  ``batch_heartbeats`` defaults
-    on: with N instances the heartbeat fan-in is the dominant liveness
-    cost, and batching coalesces it to one monitor pass per reactor turn.
+    every submitted instance rides on it.  A detector the host builds
+    batches heartbeats: with N instances the heartbeat fan-in is the
+    dominant liveness cost, and batching coalesces it to one monitor pass
+    per reactor turn.  Pass ``detector=`` to choose otherwise.
     """
 
     def __init__(
@@ -77,7 +78,6 @@ class EngineHost:
         heartbeat_timeout: float | None = None,
         strategy_resolver: Callable[[FailurePolicy], RecoveryStrategy]
         | None = None,
-        batch_heartbeats: bool = True,
         tracer: Tracer | None = None,
     ) -> None:
         bus = bus if bus is not None else EventBus()
@@ -86,7 +86,7 @@ class EngineHost:
                 reactor,
                 bus,
                 heartbeat_timeout=heartbeat_timeout,
-                batch_heartbeats=batch_heartbeats,
+                batch_heartbeats=True,
             )
         service.connect(detector.deliver)
         self.runtime = EngineRuntime(

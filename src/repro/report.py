@@ -12,19 +12,14 @@ as:
   alternative task starts where the failed task ended);
 * :func:`run_report` — both, plus the workflow verdict.
 
-Used by the CLI's ``--report`` flag and handy in notebooks/tests.
+Used by the CLI's ``--report`` flag.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
-
 from .engine.instance import NodeStatus, WorkflowInstance
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .obs.spans import Span
-
-__all__ = ["node_table", "gantt", "run_report", "span_tree"]
+__all__ = ["node_table", "gantt", "run_report"]
 
 _STATUS_GLYPH = {
     NodeStatus.DONE: "#",
@@ -107,44 +102,6 @@ def gantt(instance: WorkflowInstance, *, width: int = 64) -> str:
         f"{glyph}={status.value}" for status, glyph in _STATUS_GLYPH.items()
     )
     lines.append(legend)
-    return "\n".join(lines)
-
-
-def span_tree(spans: Iterable["Span"]) -> str:
-    """The observer's span recording as an indented tree.
-
-    One line per span — sim-time interval, name, labels — with children
-    nested under their parents (``workflow.run`` ▸ ``node.run`` ▸
-    ``task.attempt`` / ``recovery.backoff``).  The textual counterpart of
-    the Chrome trace export, for terminals and test assertions.
-    """
-    spans = list(spans)
-    if not spans:
-        return "(no spans recorded)"
-    by_parent: dict[int | None, list["Span"]] = {}
-    ids = {span.id for span in spans}
-    for span in spans:
-        # A parent evicted from the ring renders its children at top level.
-        parent = span.parent if span.parent in ids else None
-        by_parent.setdefault(parent, []).append(span)
-    lines: list[str] = []
-
-    def emit(parent: int | None, depth: int) -> None:
-        for span in sorted(
-            by_parent.get(parent, []), key=lambda s: (s.sim_start, s.id)
-        ):
-            end = "..." if span.sim_end is None else f"{span.sim_end:.3f}"
-            labels = " ".join(
-                f"{k}={v}" for k, v in sorted(span.labels.items())
-            )
-            indent = "  " * depth
-            lines.append(
-                f"{indent}[{span.sim_start:.3f} -> {end}] {span.name}"
-                + (f"  {labels}" if labels else "")
-            )
-            emit(span.id, depth + 1)
-
-    emit(None, 0)
     return "\n".join(lines)
 
 

@@ -10,7 +10,6 @@ from .adaptive import (
     CRNGenerator,
     GridEvaluation,
     UniformPool,
-    adaptive_samples,
     estimate_cells,
     evaluate_grid,
 )
@@ -25,7 +24,6 @@ from .analytical import (
 from .engine_mc import (
     EngineSampler,
     build_technique_workflow,
-    engine_samples,
     run_engine_once,
 )
 from .cache import SampleCache, default_cache_dir, resolve_cache
@@ -37,7 +35,6 @@ from .parallel import (
 )
 from .pool import (
     get_pool,
-    persistent_pool,
     pool_size,
     sampler_cache_info,
     shutdown_pool,
@@ -63,11 +60,6 @@ from .samplers import (
     EXTENDED_TECHNIQUES,
     SAMPLERS_VERSION,
     TECHNIQUES,
-    sample_backoff_retry,
-    sample_checkpointing,
-    sample_replication,
-    sample_replication_checkpointing,
-    sample_retry,
     sample_technique,
 )
 from .stats import Summary, relative_error, summarize, z_value
@@ -79,7 +71,6 @@ __all__ = [
     "CRNGenerator",
     "GridEvaluation",
     "UniformPool",
-    "adaptive_samples",
     "estimate_cells",
     "evaluate_grid",
     "checkpoint_expected_time",
@@ -90,7 +81,6 @@ __all__ = [
     "young_interval",
     "EngineSampler",
     "build_technique_workflow",
-    "engine_samples",
     "run_engine_once",
     "SEED_STRIDE",
     "resolve_jobs",
@@ -100,7 +90,6 @@ __all__ = [
     "default_cache_dir",
     "resolve_cache",
     "get_pool",
-    "persistent_pool",
     "pool_size",
     "sampler_cache_info",
     "shutdown_pool",
@@ -120,11 +109,6 @@ __all__ = [
     "to_csv",
     "TECHNIQUES",
     "EXTENDED_TECHNIQUES",
-    "sample_backoff_retry",
-    "sample_checkpointing",
-    "sample_replication",
-    "sample_replication_checkpointing",
-    "sample_retry",
     "sample_technique",
     "Summary",
     "relative_error",

@@ -5,10 +5,9 @@ Every estimate in :mod:`repro.sim` is one call of :func:`estimate_cells`
 key), **execute** (one round loop holding the only cache lookup/store
 site and the only pool fan-out), **summarise** (one
 :class:`CellEstimate` per cell).  :func:`evaluate_grid`,
-:func:`adaptive_samples`, :func:`~repro.sim.runner.sweep_mttf`,
-:func:`~repro.sim.runner.sweep` and
-:func:`~repro.sim.engine_mc.engine_samples` only build the cell list and
-reshape the result.
+:func:`~repro.sim.runner.sweep_mttf` and :func:`~repro.sim.runner.sweep`
+only build the cell list and reshape the result; one cell is
+``estimate_cells([(technique, params)], ...)[0]``.
 
 The paper's standard experiment (E[T] vs MTTF per technique, Figures
 10–12) spends an identical fixed run budget on every (technique, MTTF,
@@ -87,7 +86,6 @@ __all__ = [
     "CRNGenerator",
     "UniformPool",
     "VR_MODES",
-    "adaptive_samples",
     "estimate_cells",
     "evaluate_grid",
     "pair_means",
@@ -172,20 +170,6 @@ class CITarget:
         if self.growth <= 1.0:
             raise SimulationError(f"growth must be > 1, got {self.growth!r}")
         z_value(self.confidence)  # validate eagerly
-
-    @classmethod
-    def of(cls, value: "CITarget | float | None") -> "CITarget | None":
-        """Normalise a ``target_ci=`` argument: ``None`` stays ``None``, a
-        bare number is a relative half-width target with the default
-        bounds, a :class:`CITarget` passes through."""
-        if value is None or isinstance(value, CITarget):
-            return value
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return cls(rel=float(value))
-        raise SimulationError(
-            f"target_ci must be a CITarget, a number or None, "
-            f"got {type(value).__name__}"
-        )
 
     def threshold(self, mean: float) -> float:
         """The half-width this estimate must reach, given its mean."""
@@ -595,7 +579,7 @@ def estimate_cells(
     cells,
     *,
     runs: int | None = None,
-    target: "CITarget | float | None" = None,
+    target: CITarget | None = None,
     variance_reduction: str | None = None,
     engine: bool = False,
     base_seed: int | None = None,
@@ -606,9 +590,8 @@ def estimate_cells(
 ) -> list[CellEstimate]:
     """Estimate E[T] for every ``(technique, params)`` cell — the one
     sampling pipeline behind :func:`~repro.sim.runner.sweep_mttf`,
-    :func:`~repro.sim.runner.sweep`, :func:`evaluate_grid`,
-    :func:`adaptive_samples`, :func:`~repro.sim.engine_mc.engine_samples`
-    and ``repro mc``.
+    :func:`~repro.sim.runner.sweep`, :func:`evaluate_grid` and
+    ``repro mc``.
 
     **Plan.**  Each cell gets a :class:`_CellPlan`: the draw source (the
     vectorised sampler, or with *engine* the full Grid-WFS stack per run,
@@ -616,7 +599,8 @@ def estimate_cells(
     virtual-time budget), its RNG streams, its batch schedule — *runs*
     (default ``params.runs``) in one batch, or under *target* geometric
     batches from ``min_runs`` to ``max_runs`` — and its cache key.
-    Refused here, before anything is drawn: an unknown technique, a
+    Refused here, before anything is drawn: a *target* that is not a
+    :class:`CITarget` (a bare number has no bounds), an unknown technique, a
     Figure-13 cell with a finite MTTF (its model has no host failures), a
     Figure-13 masking cell at p = 1 (it never completes), and variance
     reduction of Figure 13's strategies.
@@ -645,7 +629,10 @@ def estimate_cells(
     histograms and sampler-cache counters into it.
     """
     mode = resolve_variance_reduction(variance_reduction)
-    tgt = CITarget.of(target)
+    if target is not None and not isinstance(target, CITarget):
+        raise SimulationError(
+            f"target must be a CITarget or None, got {type(target).__name__}"
+        )
     if engine and mode is not None:
         raise SimulationError(
             "variance reduction (--antithetic/--crn) applies to the "
@@ -662,7 +649,7 @@ def estimate_cells(
                 "retry sampler's multinomial has no inverse-CDF form)"
             )
         budget = params.runs if runs is None else runs
-        if tgt is None and budget < 1:
+        if target is None and budget < 1:
             raise SimulationError(f"runs must be >= 1, got {budget!r}")
         seed = params.seed if base_seed is None else base_seed
         plans.append(
@@ -670,7 +657,7 @@ def estimate_cells(
                 technique,
                 params,
                 budget,
-                tgt,
+                target,
                 mode,
                 (seed, timeout) if engine else None,
             )
@@ -699,8 +686,8 @@ def estimate_cells(
                 ).inc()
             if hit is not None and (
                 hit.size == plan.runs
-                if tgt is None
-                else hit.size >= tgt.min_runs
+                if target is None
+                else hit.size >= target.min_runs
             ):
                 estimates[i] = plan.estimate(hit, cached=True)
         if estimates[i] is not None:
@@ -738,34 +725,6 @@ def estimate_cells(
     return estimates
 
 
-def adaptive_samples(
-    technique: str,
-    params: SimulationParams,
-    *,
-    target: "CITarget | float | None" = None,
-    variance_reduction: str | None = None,
-    runs: int | None = None,
-    cache=None,
-) -> CellEstimate:
-    """Adaptively sample one (technique, params) cell.
-
-    With both *target* and *variance_reduction* unset this is the plain
-    fixed-budget sampler (bit-identical to
-    :func:`~repro.sim.samplers.sample_technique`).  Otherwise draws
-    geometric batches under the VR mode until the :class:`CITarget` is
-    met (or ``max_runs`` spent); with a *target* the *runs* argument is
-    ignored in favour of the target's bounds.
-    """
-    [estimate] = estimate_cells(
-        [(technique, params)],
-        target=target,
-        variance_reduction=variance_reduction,
-        runs=runs,
-        cache=cache,
-    )
-    return estimate
-
-
 @dataclass(frozen=True, eq=False)
 class GridEvaluation:
     """Result of one fused (technique × MTTF) grid evaluation."""
@@ -796,7 +755,7 @@ def evaluate_grid(
     mttfs,
     techniques=TECHNIQUES,
     *,
-    target: "CITarget | float | None" = None,
+    target: CITarget | None = None,
     variance_reduction: str | None = None,
     runs: int | None = None,
     jobs: int | None = None,

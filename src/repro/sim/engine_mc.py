@@ -23,11 +23,13 @@ alternative task as the Figure-6 DAG (FU on one host, SR on another, an OR
 join behind them), with FU an
 :class:`~repro.grid.behaviors.ExceptionProneTask` on a host that never
 fails.
+
+A vector of engine runs is an engine cell of the sampling pipeline,
+``estimate_cells(cells, engine=True)``
+(:func:`repro.sim.adaptive.estimate_cells`), drawn by :class:`EngineSampler`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..engine.engine import WorkflowEngine
 from ..errors import SimulationError
@@ -41,14 +43,12 @@ from ..grid.resource import ResourceSpec
 from ..grid.simgrid import GridConfig, SimulatedGrid
 from ..wpdl.builder import WorkflowBuilder
 from ..wpdl.model import JoinMode, Workflow
-from .adaptive import CITarget, estimate_cells
 from .parallel import DEFAULT_RUN_TIMEOUT
 from .params import SimulationParams
 from .samplers import _EXCEPTION_TECHNIQUES, _check_cell, technique_policy
 
 __all__ = [
     "run_engine_once",
-    "engine_samples",
     "build_technique_workflow",
     "EngineSampler",
 ]
@@ -238,8 +238,10 @@ def run_engine_once(
 
     Builds the full stack from scratch — fine for single runs and as the
     reference for :class:`EngineSampler`'s reuse path; repeated sampling
-    should go through :func:`engine_samples` (or an :class:`EngineSampler`
-    directly), which amortises construction across runs.
+    should go through ``estimate_cells(..., engine=True)``
+    (:func:`repro.sim.adaptive.estimate_cells`) or an
+    :class:`EngineSampler` directly, which amortise construction across
+    runs.
     """
     workflow = build_technique_workflow(technique, params)
     grid = _build_grid(technique, params, seed)
@@ -252,71 +254,3 @@ def run_engine_once(
             f"engine run for {technique!r} failed: {result.node_statuses}"
         )
     return result.completion_time
-
-
-def engine_samples(
-    technique: str,
-    params: SimulationParams,
-    *,
-    runs: int = 500,
-    base_seed: int | None = None,
-    jobs: int | None = None,
-    timeout: float = DEFAULT_RUN_TIMEOUT,
-    cache=None,
-    metrics=None,
-    target_ci=None,
-) -> np.ndarray:
-    """Completion times from *runs* independent engine executions — one
-    engine cell of the sampling pipeline
-    (:func:`repro.sim.adaptive.estimate_cells`, which documents pool,
-    cache and stopping rule), returned as the bare vector.
-
-    Hundreds of runs give means within a few percent of the 100k-run
-    samplers — enough for the cross-validation tests and figure overlays
-    without burning minutes per point.
-
-    Run *i* is seeded ``base_seed + 7919*i``; with ``jobs > 1`` the runs
-    fan out over the persistent process pool in contiguous index shards
-    and the result is **bit-identical** to the sequential loop
-    (``jobs=None``/``1``).  ``jobs=0`` (or any negative value) uses every
-    available core — see :mod:`repro.sim.parallel`.
-
-    *cache* opts in to the content-addressed sample cache
-    (:mod:`repro.sim.cache`): ``True`` for the default location, a
-    :class:`~repro.sim.cache.SampleCache` for an explicit one.  A hit
-    returns the stored vector without running anything; a miss computes,
-    stores and returns it.  Keys cover every sampling input, so cached
-    and freshly computed vectors are interchangeable bit for bit.
-
-    *metrics* is an optional :class:`~repro.obs.metrics.MetricsRegistry`;
-    when given it accumulates per-run attempt/completion
-    histograms, pool sampler-cache counters (merged back from worker
-    processes) and disk-cache hit/miss counters.  ``None`` — the default —
-    records nothing and adds no measurable overhead.
-
-    *target_ci* switches to CI-targeted adaptive sampling: a
-    :class:`~repro.sim.adaptive.CITarget` is used as-is; a bare number is
-    a relative half-width target with *runs* as the budget ceiling
-    (keeping engine call sites cheap to write).  Runs stay seeded per
-    index, so the adaptive vector is an exact prefix of the fixed-budget
-    vector — the agreement oracle sees the same runs, just fewer of them.
-    """
-    if target_ci is not None and not isinstance(target_ci, CITarget):
-        min_runs = max(2, min(100, runs))
-        target_ci = CITarget(
-            rel=float(target_ci),
-            min_runs=min_runs,
-            max_runs=max(runs, min_runs),
-        )
-    [estimate] = estimate_cells(
-        [(technique, params)],
-        runs=runs,
-        target=target_ci,
-        engine=True,
-        base_seed=base_seed,
-        timeout=timeout,
-        jobs=jobs,
-        cache=cache,
-        metrics=metrics,
-    )
-    return estimate.samples

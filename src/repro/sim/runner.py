@@ -11,13 +11,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from ..errors import SimulationError
 from . import adaptive
 from .params import SimulationParams
 from .samplers import TECHNIQUES
-from .stats import Summary, summarize
+# ``summarize`` is unused here but stays bound: the performance ledger
+# (benchmarks/ledger) wraps ``runner.summarize`` as a traced seam.
+from .stats import Summary, summarize  # noqa: F401
 
 __all__ = [
     "Series",
@@ -118,11 +118,10 @@ def to_csv(x_label: str, series: Sequence[Series]) -> str:
 
 def sweep(
     xs: Sequence[float],
-    fn: Callable[[float], np.ndarray] | None = None,
     *,
+    technique: str,
+    params_of: Callable[[float], SimulationParams],
     label: str,
-    technique: str | None = None,
-    params_of: Callable[[float], SimulationParams] | None = None,
     runs: int | None = None,
     jobs: int | None = None,
     cache=None,
@@ -130,34 +129,13 @@ def sweep(
     """Generic sweep over any x axis; the series carries sample means plus
     summaries.
 
-    Two spellings:
-
-    * ``sweep(xs, fn, label=...)`` — *fn* maps an x to a sample vector,
-      evaluated in process.  Arbitrary callables can't be fanned out or
-      content-addressed, so ``jobs=``/``cache=`` are rejected here.
-    * ``sweep(xs, technique=..., params_of=..., label=...)`` — *params_of*
-      maps an x to the cell's :class:`SimulationParams`.  This declarative
-      form is one :func:`~repro.sim.adaptive.estimate_cells` call, like
-      :func:`sweep_mttf`: cells fan out across the persistent pool
-      (``jobs=``) and each cell is independently content-addressed in the
-      sample cache (``cache=``), so ablation sweeps built on ``sweep``
-      get pool + cache for free.
+    *params_of* maps an x to the cell's :class:`SimulationParams`.  Like
+    :func:`sweep_mttf` this is one
+    :func:`~repro.sim.adaptive.estimate_cells` call: cells fan out across
+    the persistent pool (``jobs=``) and each cell is independently
+    content-addressed in the sample cache (``cache=``).
     """
     xs = tuple(float(x) for x in xs)
-    if fn is not None:
-        if technique is not None or params_of is not None:
-            raise SimulationError(
-                "sweep takes either fn or technique+params_of, not both"
-            )
-        if jobs is not None or cache is not None or runs is not None:
-            raise SimulationError(
-                "runs=/jobs=/cache= require the declarative "
-                "technique+params_of form (fn callables cannot be "
-                "fanned out or content-addressed)"
-            )
-        return Series.of(label, xs, [summarize(fn(x)) for x in xs])
-    if technique is None or params_of is None:
-        raise SimulationError("sweep needs fn, or technique and params_of")
     estimates = adaptive.estimate_cells(
         [(technique, params_of(x)) for x in xs],
         runs=runs,
@@ -192,12 +170,11 @@ def sweep_mttf(
     whose inputs changed — an unchanged figure regenerates from disk
     without drawing a single sample.
 
-    *target_ci* (a :class:`~repro.sim.adaptive.CITarget` or a bare
-    relative half-width) and *variance_reduction* (``"antithetic"`` /
-    ``"crn"``) make the sweep an adaptive grid evaluation
-    (:func:`repro.sim.adaptive.evaluate_grid`): cells sample in geometric
-    batches until they meet the CI target, under the chosen
-    variance-reduction kernel.  With both left at ``None`` every point is
+    *target_ci* (a :class:`~repro.sim.adaptive.CITarget`) and
+    *variance_reduction* (``"antithetic"`` / ``"crn"``) make the sweep an
+    adaptive grid evaluation (:func:`repro.sim.adaptive.evaluate_grid`):
+    cells sample in geometric batches until they meet the CI target, under
+    the chosen variance-reduction kernel.  With both left at ``None`` every point is
     the fixed-budget vector of
     :func:`~repro.sim.samplers.sample_technique` — bit-identical output.
     """

@@ -37,8 +37,9 @@ user-defined exception with probability p; there are no host failures.
 * **Alternative task** — the handler of Figure 6: the first exception
   abandons FU and SR runs instead.
 
-Every sampler returns the full vector of per-run completion times so
-callers can compute any statistic (the figures use the mean).
+:func:`sample_technique` is the one entry point: it returns the full
+vector of per-run completion times so callers can compute any statistic
+(the figures use the mean).
 
 :data:`TECHNIQUES` stays the paper's four (Figure 10 sweeps depend on it);
 :data:`EXTENDED_TECHNIQUES` appends ``backoff_retry``.  Neither lists
@@ -56,11 +57,6 @@ from ..errors import SimulationError
 from .params import SimulationParams
 
 __all__ = [
-    "sample_retry",
-    "sample_backoff_retry",
-    "sample_checkpointing",
-    "sample_replication",
-    "sample_replication_checkpointing",
     "sample_technique",
     "technique_policy",
     "TECHNIQUES",
@@ -99,7 +95,7 @@ _MAX_ROUNDS = 10_000_000  # runaway guard for pathological λF
 def technique_policy(technique: str, params: SimulationParams) -> FailurePolicy:
     """The task-level policy that encodes *technique* in WPDL terms: what
     :func:`~repro.sim.engine_mc.build_technique_workflow` hands the engine,
-    and where :func:`sample_backoff_retry` reads its waits — one schedule
+    and where the ``backoff_retry`` sampler reads its waits — one schedule
     for both by construction.  Checkpointing needs no attribute (a task
     announces itself, Section 4.3), so it shares retrying's policy.
     Figure 13's masking strategies retry FU's exception as if it were a
@@ -144,7 +140,7 @@ def _rng(params: SimulationParams, salt: int) -> np.random.Generator:
     )
 
 
-def sample_retry(
+def _retry(
     params: SimulationParams,
     *,
     rng: np.random.Generator | None = None,
@@ -179,7 +175,7 @@ def sample_retry(
     return total
 
 
-def sample_backoff_retry(
+def _backoff_retry(
     params: SimulationParams,
     *,
     rng: np.random.Generator | None = None,
@@ -188,7 +184,7 @@ def sample_backoff_retry(
     """Per-run completion times under restart-from-scratch recovery with
     exponential backoff between resubmissions.
 
-    Identical to :func:`sample_retry` except that the *n*-th resubmission
+    Identical to ``retrying``'s sampler except that the *n*-th resubmission
     adds the deterministic wait :meth:`FailurePolicy.retry_delay` of the
     technique's own policy — the number the engine waits, not a second
     formula that agrees with it.
@@ -223,7 +219,7 @@ def sample_backoff_retry(
     return total
 
 
-def sample_checkpointing(
+def _checkpointing(
     params: SimulationParams,
     *,
     rng: np.random.Generator | None = None,
@@ -271,7 +267,7 @@ def sample_checkpointing(
     return total
 
 
-def sample_replication(
+def _replication(
     params: SimulationParams,
     *,
     rng: np.random.Generator | None = None,
@@ -281,11 +277,11 @@ def sample_replication(
     runs = params.runs if runs is None else runs
     rng = rng if rng is not None else _rng(params, 3)
     N = params.replicas
-    flat = sample_retry(params, rng=rng, runs=runs * N)
+    flat = _retry(params, rng=rng, runs=runs * N)
     return flat.reshape(runs, N).min(axis=1)
 
 
-def sample_replication_checkpointing(
+def _replication_checkpointing(
     params: SimulationParams,
     *,
     rng: np.random.Generator | None = None,
@@ -295,7 +291,7 @@ def sample_replication_checkpointing(
     runs = params.runs if runs is None else runs
     rng = rng if rng is not None else _rng(params, 4)
     N = params.replicas
-    flat = sample_checkpointing(params, rng=rng, runs=runs * N)
+    flat = _checkpointing(params, rng=rng, runs=runs * N)
     return flat.reshape(runs, N).min(axis=1)
 
 
@@ -380,11 +376,11 @@ def _alternative_task(
 
 
 _SAMPLERS = {
-    "retrying": sample_retry,
-    "checkpointing": sample_checkpointing,
-    "replication": sample_replication,
-    "replication_checkpointing": sample_replication_checkpointing,
-    "backoff_retry": sample_backoff_retry,
+    "retrying": _retry,
+    "checkpointing": _checkpointing,
+    "replication": _replication,
+    "replication_checkpointing": _replication_checkpointing,
+    "backoff_retry": _backoff_retry,
     "exception_retrying": _exception_retrying,
     "exception_checkpointing": _exception_checkpointing,
     "alternative_task": _alternative_task,

@@ -244,6 +244,51 @@ class TestCliMc:
         ]
 
 
+class TestCliAdaptiveBounds:
+    """``--target-ci`` never draws past the ceiling the user set:
+    ``--max-runs``, else ``--runs``.  A floor above it is a usage error."""
+
+    #: One cell per command, with a target no budget here can meet.
+    CELL = {
+        "mc": ["mc", "--technique", "retrying", "--mttf", "20"],
+        "sweep": ["sweep", "--technique", "retrying", "--mttfs", "20"],
+    }
+    TARGET = ["--target-ci", "0.0001"]
+
+    @pytest.mark.parametrize(
+        "flags,limit",
+        [
+            (["--runs", "5000", "--max-runs", "100"], 100),
+            (["--runs", "300"], 300),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["mc", "sweep"])
+    def test_never_draws_past_the_ceiling(self, capsys, command, flags, limit):
+        argv = self.CELL[command] + self.TARGET + flags + ["--json"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        if command == "mc":
+            runs = [row["runs"] for row in out]
+        else:
+            runs = out["retrying"]["n"]
+        assert runs == [limit]
+
+    @pytest.mark.parametrize(
+        "flags,ceiling",
+        [
+            (["--runs", "2000", "--min-runs", "5000"], "--runs"),
+            (["--min-runs", "500", "--max-runs", "100"], "--max-runs"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["mc", "sweep"])
+    def test_floor_above_ceiling_is_a_usage_error(
+        self, capsys, command, flags, ceiling
+    ):
+        assert main(self.CELL[command] + self.TARGET + flags) == 2
+        err = capsys.readouterr().err
+        assert "--min-runs" in err and ceiling in err
+
+
 class TestCliMcTechniqueAliases:
     """Combined-technique spellings resolve through ``_mc_techniques``."""
 

@@ -12,6 +12,7 @@ sequential runs.
 from __future__ import annotations
 
 import gc
+import inspect
 import weakref
 
 import pytest
@@ -27,11 +28,13 @@ from tests.helpers import (
 )
 from repro.core import FailurePolicy
 from repro.core.policy import ResourceSelection
+from repro.detection.detector import FailureDetector
 from repro.detection.messages import Done, TaskEnd
 from repro.engine import EngineHost, WorkflowEngine
 from repro.engine.broker import Broker
 from repro.engine.instance import WorkflowInstance
 from repro.errors import EngineError
+from repro.events import EventBus
 from repro.grid import (
     RELIABLE,
     CheckpointingTask,
@@ -522,11 +525,17 @@ class TestBatchedHeartbeats:
             )
             .build()
         )
+        bus = EventBus()
         host = EngineHost(
             grid,
             reactor=grid.reactor,
-            heartbeat_timeout=5.0,
-            batch_heartbeats=batch,
+            bus=bus,
+            detector=FailureDetector(
+                grid.reactor,
+                bus,
+                heartbeat_timeout=5.0,
+                batch_heartbeats=batch,
+            ),
         )
         host.submit(wf)
         results = host.wait_all(timeout=1e6)
@@ -538,6 +547,11 @@ class TestBatchedHeartbeats:
         assert result_identity(batched) == result_identity(unbatched)
         assert batched.succeeded
         assert batched.tries["work"] == 2
+
+    def test_host_has_no_batching_knob(self):
+        # A detector the host builds always batches; the choice is made by
+        # passing one's own detector=.
+        assert "batch_heartbeats" not in inspect.signature(EngineHost).parameters
 
 
 class TestDemandDrivenPublication:
@@ -733,7 +747,6 @@ class TestNothingOutlivesTheVerdict:
     def test_spec_compiled_form_and_plans_are_free_of_cycles(self, reactor, bus):
         # Without engines in the picture reference counting alone must do:
         # the collector is off, and finds nothing when asked afterwards.
-        from repro.detection.detector import FailureDetector
         from repro.engine.recovery import RecoveryCoordinator
         from tests.test_recovery import FakeService
 

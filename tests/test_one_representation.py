@@ -155,6 +155,19 @@ GONE = {
     "BUS_ROUTE_CACHE_HIT_RATE",
     # Acyclic means reachable: the validator's second walk could never fire.
     "_reachable",
+    # One way to ask for an estimate: sample_technique for one vector,
+    # estimate_cells for everything else; the single-cell adapters, the
+    # per-technique sampler names and the pool's context manager went, and
+    # so did a span renderer nothing called.
+    "adaptive_samples",
+    "engine_samples",
+    "persistent_pool",
+    "sample_retry",
+    "sample_backoff_retry",
+    "sample_checkpointing",
+    "sample_replication",
+    "sample_replication_checkpointing",
+    "span_tree",
 }
 
 

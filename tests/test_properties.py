@@ -22,7 +22,7 @@ from repro.engine.navigator import (
 from repro.errors import SpecificationError
 from repro.sim.analytical import checkpoint_expected_time, retry_expected_time
 from repro.sim.params import SimulationParams
-from repro.sim.samplers import sample_checkpointing, sample_retry
+from repro.sim.samplers import sample_technique
 from repro.wpdl import parse_wpdl, serialize_wpdl
 from repro.wpdl.conditions import compile_condition
 from repro.wpdl.model import Activity, JoinMode, Option, Program, Transition, Workflow
@@ -267,8 +267,8 @@ class TestSamplerProperties:
             return
         p_lo = SimulationParams(mttf=lo, runs=8000)
         p_hi = SimulationParams(mttf=hi, runs=8000)
-        mean_lo = sample_retry(p_lo).mean()
-        mean_hi = sample_retry(p_hi).mean()
+        mean_lo = sample_technique("retrying", p_lo).mean()
+        mean_hi = sample_technique("retrying", p_hi).mean()
         ana_lo = retry_expected_time(30.0, 1 / lo)
         ana_hi = retry_expected_time(30.0, 1 / hi)
         assert ana_hi <= ana_lo
@@ -282,8 +282,8 @@ class TestSamplerProperties:
         # attempts on average, so smaller MTTFs are astronomically slow by
         # *physics*, not by implementation (λF = 15 means ~3M attempts).
         params = SimulationParams(mttf=mttf, runs=2000)
-        assert sample_retry(params).min() >= 30.0 - 1e-9
-        assert sample_checkpointing(params).min() >= 40.0 - 1e-9
+        assert sample_technique("retrying", params).min() >= 30.0 - 1e-9
+        assert sample_technique("checkpointing", params).min() >= 40.0 - 1e-9
 
     @given(st.floats(2.0, 100.0), st.integers(1, 60))
     @settings(max_examples=20, deadline=None)
@@ -293,7 +293,7 @@ class TestSamplerProperties:
         # slow to sample and heavy-tailed beyond any fixed MC tolerance.
         assume(30.0 / (mttf * k) <= 2.0)
         params = SimulationParams(mttf=mttf, checkpoints=k, runs=30_000)
-        sim = sample_checkpointing(params).mean()
+        sim = sample_technique("checkpointing", params).mean()
         ana = checkpoint_expected_time(
             30.0, 1 / mttf, checkpoint_overhead=0.5, recovery_time=0.5,
             checkpoints=k,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -25,8 +26,6 @@ from repro.sim import (
     CITarget,
     SampleCache,
     SimulationParams,
-    adaptive_samples,
-    engine_samples,
     estimate_cells,
     evaluate_grid,
     run_engine_once,
@@ -100,7 +99,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("technique", EXTENDED_TECHNIQUES)
     def test_disabled_adaptive_path_is_the_plain_sampler(self, technique):
-        cell = adaptive_samples(technique, BASE)
+        [cell] = estimate_cells([(technique, BASE)])
         assert _digest(cell.samples) == GOLDEN[("base", technique)]
         assert cell.converged
         assert cell.boundaries == (4000,)
@@ -118,13 +117,17 @@ class TestBitIdentity:
 
 
 class TestCITarget:
-    def test_of_normalises(self):
-        assert CITarget.of(None) is None
-        t = CITarget.of(0.05)
-        assert t.rel == 0.05 and t.abs is None
-        assert CITarget.of(t) is t
-        with pytest.raises(SimulationError):
-            CITarget.of("0.05")
+    def test_only_a_citarget_is_a_target(self):
+        # A bare number has no bounds: the CLI turns one into a target
+        # (with --runs/--min-runs/--max-runs), the library takes none.
+        assert not hasattr(CITarget, "of")
+        for target in (0.05, "0.05"):
+            with pytest.raises(SimulationError, match="CITarget"):
+                estimate_cells([("retrying", BASE)], target=target)
+            with pytest.raises(SimulationError, match="CITarget"):
+                evaluate_grid(BASE, [20.0], ["retrying"], target=target)
+            with pytest.raises(SimulationError, match="CITarget"):
+                sweep_mttf(BASE, [20.0], ["retrying"], target_ci=target)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -151,17 +154,17 @@ class TestCITarget:
 
     def test_stopping_respects_bounds_and_target(self):
         loose = CITarget(rel=0.9, min_runs=500, max_runs=32000)
-        cell = adaptive_samples("retrying", BASE, target=loose)
+        [cell] = estimate_cells([("retrying", BASE)], target=loose)
         assert cell.samples.size == 500  # stops at the floor, never below
         assert cell.converged
 
         tight = CITarget(rel=1e-7, min_runs=500, max_runs=2000)
-        cell = adaptive_samples("retrying", BASE, target=tight)
+        [cell] = estimate_cells([("retrying", BASE)], target=tight)
         assert cell.samples.size == 2000  # the ceiling, never beyond
         assert not cell.converged
 
         mid = CITarget(rel=0.05, min_runs=500, max_runs=64000)
-        cell = adaptive_samples("retrying", BASE, target=mid)
+        [cell] = estimate_cells([("retrying", BASE)], target=mid)
         assert 500 <= cell.samples.size <= 64000
         assert cell.converged
         assert cell.summary.rel_halfwidth <= 0.05
@@ -207,16 +210,16 @@ class TestVarianceReductionKernels:
         )
 
     def test_antithetic_summary_preserves_mean_and_reports_ess(self):
-        cell = adaptive_samples(
-            "checkpointing", BASE, variance_reduction="antithetic"
+        [cell] = estimate_cells(
+            [("checkpointing", BASE)], variance_reduction="antithetic"
         )
         assert cell.summary.mean == pytest.approx(float(cell.samples.mean()))
         assert cell.summary.ess > 0
         assert cell.summary.ci_halfwidth > 0
 
     def test_crn_is_deterministic(self):
-        a = adaptive_samples("retrying", BASE, variance_reduction="crn")
-        b = adaptive_samples("retrying", BASE, variance_reduction="crn")
+        [a] = estimate_cells([("retrying", BASE)], variance_reduction="crn")
+        [b] = estimate_cells([("retrying", BASE)], variance_reduction="crn")
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_crn_correlates_mttf_points(self):
@@ -242,7 +245,7 @@ class TestVarianceReductionKernels:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(SimulationError):
-            adaptive_samples("retrying", BASE, variance_reduction="qmc")
+            estimate_cells([("retrying", BASE)], variance_reduction="qmc")
 
 
 @settings(max_examples=8, deadline=None)
@@ -256,7 +259,7 @@ def test_variance_reduced_estimators_are_unbiased(seed, technique, mode):
     mean within their own confidence interval (5x slack keeps the 8-example
     hypothesis run deterministic-in-practice)."""
     params = SimulationParams(mttf=20.0, runs=8000, seed=seed)
-    cell = adaptive_samples(technique, params, variance_reduction=mode)
+    [cell] = estimate_cells([(technique, params)], variance_reduction=mode)
     truth = expected_time(params, technique)
     assert abs(cell.summary.mean - truth) <= 5.0 * cell.summary.ci_halfwidth
 
@@ -265,14 +268,12 @@ class TestAdaptiveCache:
     def test_budget_independent_hit(self, tmp_path):
         store = SampleCache(tmp_path)
         small = CITarget(rel=0.05, min_runs=500, max_runs=8000)
-        first = adaptive_samples(
-            "retrying", BASE, target=small, cache=store
-        )
+        [first] = estimate_cells([("retrying", BASE)], target=small, cache=store)
         assert first.converged and not first.cached
         # A *larger* budget must still hit: the cell already satisfies the
         # CI target, so max_runs plays no part in the key.
         big = CITarget(rel=0.05, min_runs=500, max_runs=512_000)
-        second = adaptive_samples("retrying", BASE, target=big, cache=store)
+        [second] = estimate_cells([("retrying", BASE)], target=big, cache=store)
         assert second.cached
         np.testing.assert_array_equal(first.samples, second.samples)
         assert second.summary.ci_halfwidth == first.summary.ci_halfwidth
@@ -280,30 +281,27 @@ class TestAdaptiveCache:
     def test_exhausted_cell_reused_only_within_budget(self, tmp_path):
         store = SampleCache(tmp_path)
         impossible = CITarget(rel=1e-7, min_runs=500, max_runs=2000)
-        first = adaptive_samples(
-            "retrying", BASE, target=impossible, cache=store
+        [first] = estimate_cells(
+            [("retrying", BASE)], target=impossible, cache=store
         )
         assert not first.converged and first.samples.size == 2000
         # Same budget: the stored vector already spent it — hit.
-        again = adaptive_samples(
-            "retrying", BASE, target=impossible, cache=store
+        [again] = estimate_cells(
+            [("retrying", BASE)], target=impossible, cache=store
         )
         assert again.cached and again.samples.size == 2000
         # A larger budget can refine further — the stale vector must NOT
         # be served.
         more = CITarget(rel=1e-7, min_runs=500, max_runs=8000)
-        refined = adaptive_samples(
-            "retrying", BASE, target=more, cache=store
-        )
+        [refined] = estimate_cells([("retrying", BASE)], target=more, cache=store)
         assert not refined.cached and refined.samples.size == 8000
 
     def test_modes_never_share_entries(self, tmp_path):
         store = SampleCache(tmp_path)
         target = CITarget(rel=0.5, min_runs=500, max_runs=2000)
-        plain = adaptive_samples("retrying", BASE, target=target, cache=store)
-        crn = adaptive_samples(
-            "retrying",
-            BASE,
+        [plain] = estimate_cells([("retrying", BASE)], target=target, cache=store)
+        [crn] = estimate_cells(
+            [("retrying", BASE)],
             target=target,
             variance_reduction="crn",
             cache=store,
@@ -315,32 +313,78 @@ class TestAdaptiveCache:
 class TestEngineAdaptive:
     def test_adaptive_vector_is_prefix_of_fixed(self):
         params = SimulationParams(mttf=20.0, runs=100, seed=11)
-        fixed = engine_samples("retrying", params, runs=40)
+        [fixed] = estimate_cells([("retrying", params)], runs=40, engine=True)
         loose = CITarget(rel=0.9, min_runs=10, max_runs=40)
-        adaptive = engine_samples("retrying", params, runs=40, target_ci=loose)
-        assert adaptive.size == 10
-        np.testing.assert_array_equal(adaptive, fixed[:10])
-
-    def test_bare_float_target_uses_runs_as_ceiling(self):
-        params = SimulationParams(mttf=20.0, runs=100, seed=11)
-        samples = engine_samples(
-            "retrying", params, runs=24, target_ci=1e-9
-        )
-        assert samples.size == 24  # budget exhausted, never exceeded
+        [adaptive] = estimate_cells([("retrying", params)], target=loose, engine=True)
+        assert adaptive.samples.size == 10
+        np.testing.assert_array_equal(adaptive.samples, fixed.samples[:10])
 
     def test_engine_adaptive_cache_hit(self, tmp_path):
         store = SampleCache(tmp_path)
         params = SimulationParams(mttf=20.0, runs=100, seed=11)
         loose = CITarget(rel=0.9, min_runs=10, max_runs=40)
-        first = engine_samples(
-            "retrying", params, runs=40, target_ci=loose, cache=store
-        )
+        cells = [("retrying", params)]
+        [first] = estimate_cells(cells, target=loose, engine=True, cache=store)
         before = store.stats()["hits"]
-        second = engine_samples(
-            "retrying", params, runs=40, target_ci=loose, cache=store
-        )
+        [second] = estimate_cells(cells, target=loose, engine=True, cache=store)
         assert store.stats()["hits"] == before + 1
-        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first.samples, second.samples)
+
+
+#: SHA-256 of ``samples.tobytes()`` recorded from the single-cell adapters
+#: this pipeline replaced (``engine_samples`` / ``adaptive_samples``), at
+#: ``SimulationParams(mttf=20, runs=100, seed=11)``: a 24-run engine cell
+#: and a CI-targeted one under the rule those adapters applied to a bare
+#: 0.3 (floor ``min(100, runs)``, ceiling ``runs`` = 200).
+ENGINE_PINS = {
+    "retrying": (
+        "dcda2679c1a0e50902c2263c3346cf6c44050aafa07ef221a1709c181695afea",
+        "9d586b5a51b53114901f08f7272956df8c9987100ae678df71b801848609990b",
+    ),
+    "checkpointing": (
+        "410d2a8482510bc848d034a49acbbbeb0b3c510d7701b52c7893fd49ed82185b",
+        "526137c6e9b01efbb4f6538c4135c6592affa1a1532ea2aa78515d6b32068e67",
+    ),
+    "replication": (
+        "325aa9a5ee2fc748166b10e8c5ddcde7b65b1a4318fadae06c783d3b59b332ce",
+        "17b28d473ef97e7ebf44d644dc3f4f291f3c92f1634594436eaef7573ab7fa09",
+    ),
+    "replication_checkpointing": (
+        "b124dabbbeefdfbe0e394292923d6323a0ef49d53eba14443cc5c9f5fa5dffba",
+        "56d7fa461f7bce502d8dda9050c2b83f9378c4f0b3785ed6f6d4f6d975f6fbbf",
+    ),
+    "backoff_retry": (
+        "1a21b6ad9b7468d84d9d30eaec77fab39448755d6f4757f48881b840ac23a20e",
+        "4474b6dc42451b1c526e5aa3d2225862f07720f205fa397951541403392d0813",
+    ),
+}
+#: ``adaptive_samples("retrying", BASE, target=CITarget(rel=0.05))``.
+ADAPTIVE_PIN = "b8366c72cb2a2758aae521d4fecc77d5c05265d5da880d33331cd589b4e2f47e"
+
+
+def _sha256(samples: np.ndarray) -> str:
+    return hashlib.sha256(samples.tobytes()).hexdigest()
+
+
+class TestOneCellPins:
+    """One cell asked of the pipeline is the vector the removed
+    single-cell adapters returned, bit for bit."""
+
+    @pytest.mark.parametrize("technique", EXTENDED_TECHNIQUES)
+    def test_engine_cells(self, technique):
+        params = SimulationParams(mttf=20.0, runs=100, seed=11)
+        cells = [(technique, params)]
+        [fixed] = estimate_cells(cells, runs=24, engine=True)
+        target = CITarget(rel=0.3, min_runs=100, max_runs=200)
+        [targeted] = estimate_cells(cells, target=target, engine=True)
+        assert targeted.samples.size == 100
+        got = (_sha256(fixed.samples), _sha256(targeted.samples))
+        assert got == ENGINE_PINS[technique]
+
+    def test_adaptive_cell(self):
+        [cell] = estimate_cells([("retrying", BASE)], target=CITarget(rel=0.05))
+        assert cell.converged
+        assert _sha256(cell.samples) == ADAPTIVE_PIN
 
 
 #: (source, CI target, variance reduction) — every combination the
@@ -386,7 +430,7 @@ class TestPipelineAdapters:
             variance_reduction=mode,
         )
         for (t, m), want in pipeline.items():
-            single = adaptive_samples(t, params.with_mttf(m), **options)
+            [single] = estimate_cells([(t, params.with_mttf(m))], **options)
             for got in (grid.cells[(t, m)], single):
                 np.testing.assert_array_equal(got.samples, want.samples)
                 assert got.summary == want.summary
@@ -411,10 +455,12 @@ class TestPipelineAdapters:
         cells = [(t, params) for t in self.TECHNIQUES]
         pipeline = estimate_cells(cells, runs=24, target=target, engine=True)
         for (t, _), want in zip(cells, pipeline):
-            got = engine_samples(t, params, runs=24, target_ci=target)
-            np.testing.assert_array_equal(got, want.samples)
+            [single] = estimate_cells(
+                [(t, params)], runs=24, target=target, engine=True
+            )
+            np.testing.assert_array_equal(single.samples, want.samples)
             confidence = 0.99 if target is None else target.confidence
-            assert summarize(got, confidence=confidence) == want.summary
+            assert summarize(single.samples, confidence=confidence) == want.summary
             # The naive reference: one fresh engine per run index.  A
             # CI-targeted vector is a prefix of it.
             naive = [
@@ -485,13 +531,13 @@ class TestDeclarativeSweep:
         assert first.y == second.y
 
     def test_argument_validation(self):
-        with pytest.raises(SimulationError):
-            sweep([1.0], lambda x: np.ones(3), label="x", technique="retrying")
-        with pytest.raises(SimulationError):
-            sweep([1.0], lambda x: np.ones(3), label="x", jobs=2)
-        with pytest.raises(SimulationError):
+        # One spelling: a technique and its params_of, no sample callable.
+        assert "fn" not in inspect.signature(sweep).parameters
+        with pytest.raises(TypeError):
+            sweep([1.0], lambda x: np.ones(3), label="x")
+        with pytest.raises(TypeError):
             sweep([1.0], label="x")
-        with pytest.raises(SimulationError):
+        with pytest.raises(TypeError):
             sweep([1.0], label="x", technique="retrying")
 
 

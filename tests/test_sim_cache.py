@@ -16,9 +16,8 @@ from repro.errors import SimulationError
 from repro.sim import (
     SampleCache,
     SimulationParams,
-    adaptive_samples,
     default_cache_dir,
-    engine_samples,
+    estimate_cells,
     evaluate_grid,
     resolve_cache,
     sample_technique,
@@ -26,6 +25,7 @@ from repro.sim import (
 )
 
 FAULTY = SimulationParams(mttf=15.0, downtime=30.0)
+CELL = [("retrying", FAULTY)]
 
 
 @pytest.fixture
@@ -141,29 +141,29 @@ class TestStorage:
 
 class TestEngineSamplesCache:
     def test_hit_is_bit_identical_to_uncached(self, cache):
-        uncached = engine_samples("retrying", FAULTY, runs=5)
-        cold = engine_samples("retrying", FAULTY, runs=5, cache=cache)
-        warm = engine_samples("retrying", FAULTY, runs=5, cache=cache)
-        assert np.array_equal(uncached, cold)
-        assert np.array_equal(uncached, warm)
+        [uncached] = estimate_cells(CELL, runs=5, engine=True)
+        [cold] = estimate_cells(CELL, runs=5, engine=True, cache=cache)
+        [warm] = estimate_cells(CELL, runs=5, engine=True, cache=cache)
+        assert np.array_equal(uncached.samples, cold.samples)
+        assert np.array_equal(uncached.samples, warm.samples)
+        assert warm.cached and not cold.cached
         assert cache.info()["entries"] == 1
 
     def test_warm_call_reads_the_store_not_the_engine(self, cache):
-        engine_samples("retrying", FAULTY, runs=4, cache=cache)
+        estimate_cells(CELL, runs=4, engine=True, cache=cache)
         # Overwrite the lone entry: if the second call recomputed instead
         # of loading, the sentinel would not come back.
         [path] = list(cache._entries())
         sentinel = np.full(4, -1.0)
         key = path.stem
         cache.store(key, sentinel)
-        assert np.array_equal(
-            engine_samples("retrying", FAULTY, runs=4, cache=cache), sentinel
-        )
+        [warm] = estimate_cells(CELL, runs=4, engine=True, cache=cache)
+        assert np.array_equal(warm.samples, sentinel)
 
     def test_run_count_keys_separately(self, cache):
-        a = engine_samples("retrying", FAULTY, runs=4, cache=cache)
-        b = engine_samples("retrying", FAULTY, runs=6, cache=cache)
-        assert a.size == 4 and b.size == 6
+        [a] = estimate_cells(CELL, runs=4, engine=True, cache=cache)
+        [b] = estimate_cells(CELL, runs=6, engine=True, cache=cache)
+        assert a.samples.size == 4 and b.samples.size == 6
         assert cache.info()["entries"] == 2
 
 
@@ -193,7 +193,7 @@ class TestSweepCache:
         assert cache.info()["entries"] == 3
 
 
-    @pytest.mark.parametrize("adapter", ["evaluate_grid", "adaptive_samples"])
+    @pytest.mark.parametrize("adapter", ["evaluate_grid", "estimate_cells"])
     def test_fixed_budget_adapters_share_the_sampler_entry(self, cache, adapter):
         # A fixed budget with no variance reduction is one cache entry
         # (kind "sampler") whichever adapter asks: these two used to skip
@@ -206,7 +206,7 @@ class TestSweepCache:
             grid = evaluate_grid(params, [10.0], ("retrying",), cache=cache)
             cell = grid.cells[("retrying", 10.0)]
         else:
-            cell = adaptive_samples("retrying", cell_params, cache=cache)
+            [cell] = estimate_cells([("retrying", cell_params)], cache=cache)
         assert cell.cached
         assert cache.stats() == {
             "hits": 1, "misses": 1, "stores": 1, "evictions": 0

@@ -8,12 +8,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.adaptive import estimate_cells
 from repro.sim.cache import SampleCache
-from repro.sim.engine_mc import (
-    build_technique_workflow,
-    engine_samples,
-    run_engine_once,
-)
+from repro.sim.engine_mc import build_technique_workflow, run_engine_once
 from repro.sim.params import SimulationParams
 from repro.sim.samplers import EXTENDED_TECHNIQUES, sample_technique
 from repro.sim.stats import relative_error, summarize
@@ -97,12 +94,15 @@ class TestExecutionModesAgree:
                 for i in range(runs)
             ]
         )
-        reused = engine_samples(technique, params, runs=runs)
+        cells = [(technique, params)]
+        [reused] = estimate_cells(cells, runs=runs, engine=True)
         cache = SampleCache(tmp_path)
-        cold = engine_samples(technique, params, runs=runs, cache=cache)
-        warm = engine_samples(technique, params, runs=runs, cache=cache)
-        assert np.array_equal(naive, reused)
-        assert np.array_equal(reused, cold) and np.array_equal(cold, warm)
+        [cold] = estimate_cells(cells, runs=runs, engine=True, cache=cache)
+        [warm] = estimate_cells(cells, runs=runs, engine=True, cache=cache)
+        assert warm.cached
+        assert np.array_equal(naive, reused.samples)
+        assert np.array_equal(reused.samples, cold.samples)
+        assert np.array_equal(cold.samples, warm.samples)
         # Crashes happened, so reuse crossed retries, not just first tries.
         assert len(set(naive.tolist())) > 1
 
@@ -127,17 +127,15 @@ class TestCrossValidation:
     )
     def test_engine_matches_sampler(self, technique, tol):
         params = SimulationParams(mttf=20.0, runs=60_000)
-        engine_mean = summarize(
-            engine_samples(technique, params, runs=400)
-        ).mean
+        [engine] = estimate_cells([(technique, params)], runs=400, engine=True)
+        engine_mean = engine.summary.mean
         sampler_mean = summarize(sample_technique(technique, params)).mean
         assert relative_error(engine_mean, sampler_mean) < tol
 
     def test_engine_with_downtime(self):
         params = SimulationParams(mttf=20.0, downtime=30.0, runs=60_000)
-        engine_mean = summarize(
-            engine_samples("checkpointing", params, runs=300)
-        ).mean
+        [engine] = estimate_cells([("checkpointing", params)], runs=300, engine=True)
+        engine_mean = engine.summary.mean
         sampler_mean = summarize(
             sample_technique("checkpointing", params)
         ).mean

@@ -12,8 +12,14 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import TECHNIQUES, CITarget, sample_technique, summarize
-from repro.sim.engine_mc import EngineSampler, engine_samples, run_engine_once
+from repro.sim import (
+    TECHNIQUES,
+    CITarget,
+    estimate_cells,
+    sample_technique,
+    summarize,
+)
+from repro.sim.engine_mc import EngineSampler, run_engine_once
 from repro.sim.params import SimulationParams
 from repro.sim.parallel import (
     SEED_STRIDE,
@@ -168,34 +174,37 @@ class TestEngineSampler:
 
 class TestParallelBitIdentity:
     def test_jobs4_matches_jobs1_for_every_technique(self):
-        for technique in TECHNIQUES:
-            seq = engine_samples(technique, FAULTY, runs=8, jobs=1)
-            par = engine_samples(technique, FAULTY, runs=8, jobs=4)
-            assert np.array_equal(seq, par), technique
+        cells = [(technique, FAULTY) for technique in TECHNIQUES]
+        seq = estimate_cells(cells, runs=8, jobs=1, engine=True)
+        par = estimate_cells(cells, runs=8, jobs=4, engine=True)
+        for technique, a, b in zip(TECHNIQUES, seq, par):
+            assert np.array_equal(a.samples, b.samples), technique
 
     def test_matches_naive_per_run_loop(self):
-        seq = engine_samples("replication", FAULTY, runs=6, jobs=1)
+        cells = [("replication", FAULTY)]
+        [seq] = estimate_cells(cells, runs=6, jobs=1, engine=True)
         naive = [
             run_engine_once(
                 "replication", FAULTY, seed=seed_for(FAULTY.seed, i)
             )
             for i in range(6)
         ]
-        assert seq.tolist() == naive
+        assert seq.samples.tolist() == naive
 
     def test_base_seed_override(self):
-        a = engine_samples("retrying", FAULTY, runs=3, base_seed=42)
-        b = engine_samples("retrying", FAULTY, runs=3, base_seed=42, jobs=2)
-        assert np.array_equal(a, b)
+        cells = [("retrying", FAULTY)]
+        [a] = estimate_cells(cells, runs=3, base_seed=42, engine=True)
+        [b] = estimate_cells(cells, runs=3, base_seed=42, jobs=2, engine=True)
+        assert np.array_equal(a.samples, b.samples)
         naive = [
             run_engine_once("retrying", FAULTY, seed=seed_for(42, i))
             for i in range(3)
         ]
-        assert a.tolist() == naive
+        assert a.samples.tolist() == naive
 
     def test_rejects_zero_runs(self):
         with pytest.raises(SimulationError):
-            engine_samples("retrying", FAULTY, runs=0)
+            estimate_cells([("retrying", FAULTY)], runs=0, engine=True)
 
 
 class TestWorkerFailureContext:
@@ -203,7 +212,13 @@ class TestWorkerFailureContext:
     # so every run fails; the error must carry replay context.
     def test_sequential_error_carries_replay_context(self):
         with pytest.raises(SimulationError) as info:
-            engine_samples("checkpointing", FAULTY, runs=2, jobs=1, timeout=1.0)
+            estimate_cells(
+                [("checkpointing", FAULTY)],
+                runs=2,
+                engine=True,
+                timeout=1.0,
+                jobs=1,
+            )
         msg = str(info.value)
         assert "technique='checkpointing'" in msg
         assert "run_index=0" in msg
@@ -211,7 +226,13 @@ class TestWorkerFailureContext:
 
     def test_parallel_error_survives_process_boundary(self):
         with pytest.raises(SimulationError) as info:
-            engine_samples("checkpointing", FAULTY, runs=4, jobs=2, timeout=1.0)
+            estimate_cells(
+                [("checkpointing", FAULTY)],
+                runs=4,
+                engine=True,
+                timeout=1.0,
+                jobs=2,
+            )
         msg = str(info.value)
         assert "technique='checkpointing'" in msg
         assert "run_index=" in msg and "seed=" in msg

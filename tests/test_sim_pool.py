@@ -10,12 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim import SimulationParams, engine_samples
+from repro.sim import SimulationParams, estimate_cells
 from repro.sim.parallel import _engine_shard, seed_for
 from repro.sim.pool import (
     clear_sampler_cache,
     get_pool,
-    persistent_pool,
     pool_size,
     sampler_cache_info,
     shutdown_pool,
@@ -74,24 +73,6 @@ class TestPoolSingleton:
         assert get_pool(2) is pool
 
 
-class TestPersistentPoolContext:
-    @pytest.fixture(autouse=True)
-    def _isolate(self, fresh_pool):
-        pass
-
-    def test_yields_the_shared_pool_and_leaves_it_running(self):
-        with persistent_pool(2) as pool:
-            assert pool is get_pool(2)
-        # Persistence is the point: the pool outlives the with block.
-        assert pool_size() == 2
-        assert get_pool(2) is pool
-
-    def test_shutdown_on_exit_tears_down(self):
-        with persistent_pool(1, shutdown_on_exit=True) as pool:
-            assert pool.submit(len, "abc").result() == 3
-        assert pool_size() == 0
-
-
 class TestWorkerSamplerCache:
     def test_same_configuration_hits_the_cache(self):
         clear_sampler_cache()
@@ -130,9 +111,9 @@ class TestWorkerSamplerCache:
 
     def test_in_process_sequential_path_uses_the_cache(self):
         clear_sampler_cache()
-        engine_samples("retrying", FAULTY, runs=3, jobs=1)
+        estimate_cells([("retrying", FAULTY)], runs=3, jobs=1, engine=True)
         misses_after_first = sampler_cache_info()["misses"]
-        engine_samples("retrying", FAULTY, runs=3, jobs=1)
+        estimate_cells([("retrying", FAULTY)], runs=3, jobs=1, engine=True)
         info = sampler_cache_info()
         assert info["misses"] == misses_after_first  # no new world built
         assert info["hits"] >= 1
@@ -140,16 +121,17 @@ class TestWorkerSamplerCache:
 
 class TestPooledBitIdentity:
     def test_warm_pool_matches_sequential(self):
-        seq = engine_samples("checkpointing", FAULTY, runs=8, jobs=1)
-        first = engine_samples("checkpointing", FAULTY, runs=8, jobs=2)
+        cells = [("checkpointing", FAULTY)]
+        [seq] = estimate_cells(cells, runs=8, jobs=1, engine=True)
+        [first] = estimate_cells(cells, runs=8, jobs=2, engine=True)
         # Second pooled call hits warm workers with cached samplers.
-        second = engine_samples("checkpointing", FAULTY, runs=8, jobs=2)
-        assert np.array_equal(seq, first)
-        assert np.array_equal(seq, second)
+        [second] = estimate_cells(cells, runs=8, jobs=2, engine=True)
+        assert np.array_equal(seq.samples, first.samples)
+        assert np.array_equal(seq.samples, second.samples)
 
     def test_pool_shared_across_configurations(self):
         pool_before = get_pool(2)
-        a = engine_samples("retrying", FAULTY, runs=4, jobs=2)
-        b = engine_samples("replication", FAULTY, runs=4, jobs=2)
+        [a] = estimate_cells([("retrying", FAULTY)], runs=4, jobs=2, engine=True)
+        [b] = estimate_cells([("replication", FAULTY)], runs=4, jobs=2, engine=True)
         assert get_pool(2) is pool_before
-        assert not np.array_equal(a, b)
+        assert not np.array_equal(a.samples, b.samples)

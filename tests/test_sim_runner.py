@@ -55,8 +55,11 @@ class TestSweep:
     def test_sweep_collects_means_and_summaries(self):
         series = sweep(
             [1.0, 2.0, 3.0],
-            lambda x: np.full(100, x * 10.0),
+            technique="retrying",
+            # No failures: every run takes exactly F.
+            params_of=lambda x: SimulationParams(failure_free_time=x * 10.0),
             label="tens",
+            runs=100,
         )
         assert series.y == (10.0, 20.0, 30.0)
         assert all(isinstance(s, Summary) for s in series.summaries)

@@ -9,14 +9,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.analytical import checkpoint_expected_time, retry_expected_time
 from repro.sim.params import SimulationParams
-from repro.sim.samplers import (
-    TECHNIQUES,
-    sample_checkpointing,
-    sample_replication,
-    sample_replication_checkpointing,
-    sample_retry,
-    sample_technique,
-)
+from repro.sim.samplers import TECHNIQUES, sample_technique
 from repro.sim.stats import relative_error, summarize
 
 RUNS = 60_000  # enough for sub-percent agreement, fast enough for CI
@@ -26,32 +19,37 @@ class TestRetrySampler:
     @pytest.mark.parametrize("mttf", [10.0, 18.0, 30.0, 100.0])
     def test_matches_analytical_model_figure8(self, mttf):
         params = SimulationParams(mttf=mttf, runs=RUNS)
-        sim = summarize(sample_retry(params))
+        sim = summarize(sample_technique("retrying", params))
         ana = retry_expected_time(30.0, 1.0 / mttf)
         assert relative_error(sim.mean, ana) < 0.02
 
     def test_no_failures_is_deterministic(self):
         params = SimulationParams(runs=100)  # mttf = inf
-        samples = sample_retry(params)
+        samples = sample_technique("retrying", params)
         assert np.all(samples == 30.0)
 
     def test_downtime_included(self):
         params = SimulationParams(mttf=20.0, downtime=30.0, runs=RUNS)
-        sim = summarize(sample_retry(params))
+        sim = summarize(sample_technique("retrying", params))
         ana = retry_expected_time(30.0, 0.05, downtime=30.0)
         assert relative_error(sim.mean, ana) < 0.03
 
     def test_samples_bounded_below_by_f(self):
         params = SimulationParams(mttf=15.0, runs=5000)
-        assert sample_retry(params).min() >= 30.0
+        assert sample_technique("retrying", params).min() >= 30.0
 
     def test_reproducible_given_seed(self):
         params = SimulationParams(mttf=20.0, runs=1000, seed=99)
-        assert np.array_equal(sample_retry(params), sample_retry(params))
+        a = sample_technique("retrying", params)
+        assert np.array_equal(a, sample_technique("retrying", params))
 
     def test_different_seeds_differ(self):
-        a = sample_retry(SimulationParams(mttf=20.0, runs=1000, seed=1))
-        b = sample_retry(SimulationParams(mttf=20.0, runs=1000, seed=2))
+        a = sample_technique(
+            "retrying", SimulationParams(mttf=20.0, runs=1000, seed=1)
+        )
+        b = sample_technique(
+            "retrying", SimulationParams(mttf=20.0, runs=1000, seed=2)
+        )
         assert not np.array_equal(a, b)
 
 
@@ -59,7 +57,7 @@ class TestCheckpointSampler:
     @pytest.mark.parametrize("mttf", [2.0, 10.0, 40.0, 100.0])
     def test_matches_analytical_model_figure9(self, mttf):
         params = SimulationParams(mttf=mttf, runs=RUNS)
-        sim = summarize(sample_checkpointing(params))
+        sim = summarize(sample_technique("checkpointing", params))
         ana = checkpoint_expected_time(
             30.0,
             1.0 / mttf,
@@ -71,12 +69,12 @@ class TestCheckpointSampler:
 
     def test_no_failures_cost_is_f_plus_kc(self):
         params = SimulationParams(runs=100)
-        samples = sample_checkpointing(params)
+        samples = sample_technique("checkpointing", params)
         assert np.all(samples == pytest.approx(40.0))  # 30 + 20*0.5
 
     def test_downtime_included(self):
         params = SimulationParams(mttf=20.0, downtime=150.0, runs=RUNS)
-        sim = summarize(sample_checkpointing(params))
+        sim = summarize(sample_technique("checkpointing", params))
         ana = checkpoint_expected_time(
             30.0, 0.05, checkpoint_overhead=0.5, recovery_time=0.5,
             checkpoints=20, downtime=150.0,
@@ -86,33 +84,35 @@ class TestCheckpointSampler:
 
     def test_samples_bounded_below_by_failure_free_cost(self):
         params = SimulationParams(mttf=10.0, runs=5000)
-        assert sample_checkpointing(params).min() >= 40.0 - 1e-9
+        assert sample_technique("checkpointing", params).min() >= 40.0 - 1e-9
 
 
 class TestReplicationSamplers:
     def test_replication_is_min_of_n(self):
         params = SimulationParams(mttf=20.0, runs=20_000, replicas=3)
-        single = summarize(sample_retry(params)).mean
-        replicated = summarize(sample_replication(params)).mean
+        single = summarize(sample_technique("retrying", params)).mean
+        replicated = summarize(sample_technique("replication", params)).mean
         assert replicated < single
 
     def test_more_replicas_never_slower(self):
         means = []
         for n in (1, 2, 4, 8):
             params = SimulationParams(mttf=15.0, runs=20_000, replicas=n)
-            means.append(summarize(sample_replication(params)).mean)
+            samples = sample_technique("replication", params)
+            means.append(summarize(samples).mean)
         assert means == sorted(means, reverse=True)
 
     def test_single_replica_equals_retry_distribution(self):
         params = SimulationParams(mttf=20.0, runs=30_000, replicas=1)
-        a = summarize(sample_replication(params)).mean
-        b = summarize(sample_retry(params)).mean
+        a = summarize(sample_technique("replication", params)).mean
+        b = summarize(sample_technique("retrying", params)).mean
         assert relative_error(a, b) < 0.05
 
     def test_replication_checkpointing_combination(self):
         params = SimulationParams(mttf=10.0, runs=20_000)
-        combo = summarize(sample_replication_checkpointing(params)).mean
-        ckpt_only = summarize(sample_checkpointing(params)).mean
+        samples = sample_technique("replication_checkpointing", params)
+        combo = summarize(samples).mean
+        ckpt_only = summarize(sample_technique("checkpointing", params)).mean
         assert combo < ckpt_only
 
 
@@ -147,7 +147,7 @@ class TestDowntimeDistribution:
             mttf=20.0, downtime=100.0, downtime_distribution="fixed",
             runs=20_000,
         )
-        samples = sample_retry(params)
+        samples = sample_technique("retrying", params)
         failed_runs = samples[samples > 30.0 + 1e-9]
         # Any run with at least one failure paid at least one full fixed D.
         assert failed_runs.min() >= 100.0
@@ -158,9 +158,9 @@ class TestDowntimeDistribution:
             mttf=20.0, downtime=150.0, downtime_distribution="fixed",
             runs=60_000,
         )
-        for sampler in (sample_retry, sample_checkpointing):
-            e = summarize(sampler(exp_params))
-            f = summarize(sampler(fixed_params))
+        for technique in ("retrying", "checkpointing"):
+            e = summarize(sample_technique(technique, exp_params))
+            f = summarize(sample_technique(technique, fixed_params))
             assert abs(e.mean - f.mean) <= 2 * (e.ci_halfwidth + f.ci_halfwidth)
 
     def test_replication_prefers_spread(self):
@@ -170,8 +170,8 @@ class TestDowntimeDistribution:
             runs=40_000,
         )
         assert (
-            sample_replication(fixed_params).mean()
-            > sample_replication(exp_params).mean()
+            sample_technique("replication", fixed_params).mean()
+            > sample_technique("replication", exp_params).mean()
         )
 
 

@@ -33,7 +33,7 @@ from repro.engine.strategies import (
 )
 from repro.execution import ExecutionService, SubmitRequest
 from repro.sim.params import SimulationParams
-from repro.sim.samplers import sample_backoff_retry, sample_retry, technique_policy
+from repro.sim.samplers import sample_technique, technique_policy
 from repro.wpdl.model import Activity, Option, Program
 
 INTERVAL = 3.0
@@ -402,9 +402,11 @@ class TestCoordinatorIntegration:
         # The sampler: on one random stream, backoff retrying differs from
         # plain retrying by a run's waits alone, so the distinct differences
         # are the schedule's running totals.
-        waited = sample_backoff_retry(
-            params, rng=np.random.default_rng(3)
-        ) - sample_retry(params, rng=np.random.default_rng(3))
+        backoff = sample_technique(
+            "backoff_retry", params, rng=np.random.default_rng(3)
+        )
+        plain = sample_technique("retrying", params, rng=np.random.default_rng(3))
+        waited = backoff - plain
         totals = np.unique(waited.round(6))
         assert totals[0] == 0.0 and len(totals) > 5
         assert np.diff(totals)[:5] == pytest.approx(delays)
