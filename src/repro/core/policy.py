@@ -33,6 +33,7 @@ the one place that wait is computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -239,14 +240,32 @@ class FailurePolicy:
         ``max_interval`` when one is set.  With ``backoff_factor == 1``
         this is the paper's fixed ``interval``.  The engine's strategy and
         the ``backoff_retry`` sampler both wait exactly this long.
+
+        A capped wait saturates before the power is taken, which overflows
+        a float from ``2.0 ** 1024`` on: it is ``max_interval`` for every
+        retry past the cap, however many (for any cap below ``1e307``
+        times the interval).
         """
         if retry_number < 1:
             raise PolicyError(
                 f"retry_number must be >= 1, got {retry_number}"
             )
-        delay = self.interval * self.backoff_factor ** (retry_number - 1)
-        if self.max_interval is not None:
-            delay = min(delay, self.max_interval)
+        if self.interval == 0.0:
+            return 0.0  # nothing to grow: the power could only overflow
+        exponent = retry_number - 1
+        cap = self.max_interval
+        if (
+            cap is not None
+            and self.backoff_factor > 1.0
+            # Past the cap by a factor e, far beyond any rounding of the
+            # power, so ``min`` below would return the cap as well.
+            and exponent * math.log(self.backoff_factor)
+            > math.log(cap) - math.log(self.interval) + 1.0
+        ):
+            return cap
+        delay = self.interval * self.backoff_factor**exponent
+        if cap is not None:
+            delay = min(delay, cap)
         return delay
 
     def techniques(self) -> tuple[str, ...]:

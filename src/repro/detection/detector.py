@@ -115,23 +115,44 @@ class AttemptOutcome(NamedTuple):
 _tuple_new = tuple.__new__
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class _Attempt:
     job_id: str
     activity: str
     hostname: str
-    state: TaskState = TaskState.INACTIVE
+    state: TaskState
     #: Who is told the verdict, after it is narrated (``None``: nobody).
-    on_verdict: Callable[[AttemptOutcome], None] | None = None
-    workflow_id: str = ""
-    trace_id: str = ""
-    span_id: str = ""
-    parent_id: str = ""
-    saw_task_end: bool = False
-    result: Any = None
-    checkpoint_flag: str | None = None
-    checkpoint_progress: float = 0.0
-    exception: UserException | None = None
+    on_verdict: Callable[[AttemptOutcome], None] | None
+    workflow_id: str
+    trace_id: str
+    span_id: str
+    parent_id: str
+    saw_task_end: bool
+    result: Any
+    checkpoint_flag: str | None
+    checkpoint_progress: float
+    exception: UserException | None
+
+    def __init__(
+        self,
+        job_id: str,
+        activity: str,
+        hostname: str,
+        on_verdict: Callable[[AttemptOutcome], None] | None,
+        workflow_id: str,
+    ) -> None:
+        self.job_id = job_id
+        self.activity = activity
+        self.hostname = hostname
+        self.state = TaskState.INACTIVE
+        self.on_verdict = on_verdict
+        self.workflow_id = workflow_id
+        self.trace_id = self.span_id = self.parent_id = ""
+        self.saw_task_end = False
+        self.result = None
+        self.checkpoint_flag = None
+        self.checkpoint_progress = 0.0
+        self.exception = None
 
 
 class FailureDetector:
@@ -232,7 +253,7 @@ class FailureDetector:
         if job_id in self._attempts:
             raise DetectionError(f"job {job_id!r} is already tracked")
         attempt = self._attempts[job_id] = _Attempt(
-            job_id, activity, hostname, on_verdict=on_verdict, workflow_id=workflow_id
+            job_id, activity, hostname, on_verdict, workflow_id
         )
         if trace is not None:
             attempt.trace_id = getattr(trace, "trace_id", "") or ""

@@ -31,6 +31,7 @@ from dataclasses import asdict, is_dataclass
 from typing import Any, NamedTuple, Union
 
 from ..core.exceptions import UserException
+from ..core.records import FrozenRecord
 from ..errors import DetectionError
 
 __all__ = [
@@ -170,11 +171,14 @@ _KINDS: dict[str, type] = {
 
 
 def _plain(value: Any) -> Any:
-    """A field value as :func:`dataclasses.asdict` renders it: a dataclass
+    """A field value as :func:`dataclasses.asdict` renders it: a dataclass,
+    or a record that was one (:class:`~repro.core.records.FrozenRecord`),
     becomes a dict, a container is rebuilt around its rendered items, and
     anything else is deep-copied."""
     if is_dataclass(value) and not isinstance(value, type):
         return asdict(value)
+    if isinstance(value, FrozenRecord):
+        return {name: _plain(item) for name, item in zip(value._fields, value)}
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         return type(value)(*map(_plain, value))
     if isinstance(value, (list, tuple)):

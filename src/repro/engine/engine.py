@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 from weakref import WeakKeyDictionary
 
 from ..ckpt.manager import CheckpointManager
 from ..core.exceptions import UserException
 from ..core.policy import FailurePolicy
+from ..core.records import FrozenRecord
 from ..core.states import TaskState
 from ..detection.detector import FailureDetector
 from ..errors import EngineError, SpecificationError
@@ -93,10 +94,7 @@ _NODE_STATUS = {
 }
 
 
-@dataclass(frozen=True)
-class WorkflowResult:
-    """Final report of one workflow execution."""
-
+class _WorkflowResultFields(NamedTuple):
     workflow: str
     status: WorkflowStatus
     #: Final workflow variables (inputs + every activity's recorded output).
@@ -109,9 +107,20 @@ class WorkflowResult:
     #: Total submission attempts per activity (recovery effort).
     tries: dict[str, int]
 
+
+class WorkflowResult(FrozenRecord, _WorkflowResultFields):
+    """Final report of one workflow execution: a ``NamedTuple`` the engine
+    mints with one ``tuple.__new__``, equal, hashed and ``repr``-ed as the
+    frozen dataclass it was (:class:`~repro.core.records.FrozenRecord`)."""
+
+    __slots__ = ()
+
     @property
     def succeeded(self) -> bool:
         return self.status is WorkflowStatus.DONE
+
+
+_tuple_new = tuple.__new__
 
 
 @dataclass
@@ -430,16 +439,7 @@ class WorkflowEngine:
             else Parameter(name=p.name, value=self.instance.variables.get(p.ref))
             for p in activity.inputs
         )
-        return Activity(
-            name=activity.name,
-            implement=activity.implement,
-            policy=activity.policy,
-            join=activity.join,
-            inputs=bound,
-            outputs=activity.outputs,
-            rethrows=activity.rethrows,
-            description=activity.description,
-        )
+        return activity._replace(inputs=bound)
 
     def _cancel_running(self, name: str) -> None:
         runner = self._loop_runners.pop(name, None)
@@ -604,20 +604,22 @@ class WorkflowEngine:
         self.instance.status = evaluate_outcome(self.instance)
         self.instance.finished_at = self.runtime.reactor.now()
         started = self.instance.started_at or 0.0
-        self._result = WorkflowResult(
-            workflow=self.workflow.name,
-            status=self.instance.status,
-            variables=dict(self.instance.variables),
-            completion_time=self.instance.finished_at - started,
-            node_statuses={
-                name: inst.status for name, inst in self.instance.nodes.items()
-            },
-            failed_tasks=self.instance.failed_tasks(),
-            tries={
-                name: inst.tries_used
-                for name, inst in self.instance.nodes.items()
-                if inst.tries_used
-            },
+        nodes = self.instance.nodes
+        self._result = _tuple_new(
+            WorkflowResult,
+            (
+                self.workflow.name,
+                self.instance.status,
+                dict(self.instance.variables),
+                self.instance.finished_at - started,
+                {name: inst.status for name, inst in nodes.items()},
+                self.instance.failed_tasks(),
+                {
+                    name: inst.tries_used
+                    for name, inst in nodes.items()
+                    if inst.tries_used
+                },
+            ),
         )
         bus = self.runtime.bus
         if bus.wants(ENGINE_WORKFLOW_FINISHED):

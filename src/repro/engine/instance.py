@@ -23,9 +23,10 @@ benign/erroneous distinction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from ..core.exceptions import UserException
 from ..errors import NavigationError
@@ -91,25 +92,53 @@ class WorkflowStatus(str, Enum):
         return self.value
 
 
-@dataclass
+#: A node's recovery state until the engine restores one: one empty
+#: mapping for every node, not a dict per node.
+_NO_RECOVERY_STATE: Mapping[str, Any] = MappingProxyType({})
+
+
+@dataclass(slots=True, init=False)
 class NodeInstance:
-    """Runtime state of one node."""
+    """Runtime state of one node.  Built once per node of every instance,
+    by a hand-written constructor: no generated ``__init__`` runs."""
 
     name: str
-    status: NodeStatus = NodeStatus.PENDING
+    status: NodeStatus
     #: Submission attempts started so far (per replica slot; see
     #: :mod:`repro.engine.recovery` — this is the sum over slots, kept for
     #: reporting; authoritative per-slot counters live in recovery state).
-    tries_used: int = 0
-    result: Any = None
-    exception: UserException | None = None
-    started_at: float | None = None
-    finished_at: float | None = None
+    tries_used: int
+    result: Any
+    exception: UserException | None
+    started_at: float | None
+    finished_at: float | None
     #: Loop nodes: completed iterations.
-    iterations: int = 0
+    iterations: int
     #: Serialisable recovery-coordinator state (per-slot tries and
     #: checkpoint flags), owned by :class:`repro.engine.recovery`.
-    recovery_state: dict[str, Any] = field(default_factory=dict)
+    recovery_state: Mapping[str, Any]
+
+    def __init__(
+        self,
+        name: str,
+        status: NodeStatus = NodeStatus.PENDING,
+        tries_used: int = 0,
+        result: Any = None,
+        exception: UserException | None = None,
+        started_at: float | None = None,
+        finished_at: float | None = None,
+        iterations: int = 0,
+        recovery_state: Mapping[str, Any] = _NO_RECOVERY_STATE,
+    ) -> None:
+        self.name = name
+        self.status = status
+        self.tries_used = tries_used
+        self.result = result
+        self.exception = exception
+        self.started_at = started_at
+        self.finished_at = finished_at
+        self.iterations = iterations
+        self.recovery_state = recovery_state
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -166,7 +195,7 @@ class WorkflowInstance:
         #: the instance itself holds status only.
         self.compiled = spec.compiled
         self.nodes: dict[str, NodeInstance] = {
-            name: NodeInstance(name=name) for name in spec.nodes
+            name: NodeInstance(name) for name in spec.nodes
         }
         #: Edge states, indexed parallel to ``spec.transitions``.
         self.edges: list[EdgeState] = [EdgeState.PENDING] * len(spec.transitions)

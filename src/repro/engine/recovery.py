@@ -114,7 +114,7 @@ class LaunchPlan:
     )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class _Slot:
     """One retry loop: a resource option position for the activity."""
 
@@ -122,35 +122,63 @@ class _Slot:
     option_index: int
     #: Checkpoint-manager key of this slot's flag (scope, activity, slot).
     flag_key: str
-    tries_used: int = 0
-    active_job: str | None = None
-    exhausted: bool = False
-    retry_timer: TimerHandle | None = None
+    tries_used: int
+    active_job: str | None
+    exhausted: bool
+    retry_timer: TimerHandle | None
     #: Performance-failure watchdog for the in-flight attempt.
-    timeout_timer: TimerHandle | None = None
+    timeout_timer: TimerHandle | None
     #: Host the in-flight (or last) attempt ran on — carried into the
     #: ``recovery.retry``/``recovery.exhausted`` narration so the drift
     #: estimators can attribute recovery churn per host.
-    last_host: str = ""
+    last_host: str
     #: Causal context of the in-flight (or last) attempt on this slot.
-    attempt_trace: TraceContext | None = None
+    attempt_trace: TraceContext | None
     #: Context of the recovery decision that will parent the next attempt
     #: (``None`` → the activity root parents it).
-    next_parent: TraceContext | None = None
+    next_parent: TraceContext | None
+
+    def __init__(self, index: int, option_index: int, flag_key: str) -> None:
+        self.index = index
+        self.option_index = option_index
+        self.flag_key = flag_key
+        self.tries_used = 0
+        self.active_job = None
+        self.exhausted = False
+        self.retry_timer = None
+        self.timeout_timer = None
+        self.last_host = ""
+        self.attempt_trace = None
+        self.next_parent = None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class ActivityRun:
     """Coordinator state for one in-flight activity."""
 
     activity: Activity
     program: Program
     plan: LaunchPlan
-    slots: list[_Slot] = field(default_factory=list)
-    resolved: bool = False
+    slots: list[_Slot]
+    resolved: bool
     #: Causal root of this activity's attempt tree (the engine passes its
     #: node-launch context; ``None`` when tracing is off).
-    trace: TraceContext | None = None
+    trace: TraceContext | None
+
+    def __init__(
+        self,
+        activity: Activity,
+        program: Program,
+        plan: LaunchPlan,
+        slots: list[_Slot],
+        trace: TraceContext | None = None,
+    ) -> None:
+        self.activity = activity
+        self.program = program
+        self.plan = plan
+        self.slots = slots
+        self.resolved = False
+        self.trace = trace
 
     @property
     def total_tries(self) -> int:
@@ -244,7 +272,7 @@ class RecoveryCoordinator:
                 _Slot(i, option, f"{flag_prefix}{i}")
                 for i, option in enumerate(plan.slot_options)
             ],
-            trace=trace,
+            trace,
         )
         if restored_state:
             self._restore_slots(run, restored_state)
@@ -465,13 +493,17 @@ class RecoveryCoordinator:
         if cached is not None and cached[0] is activity:
             request = cached[1]
         else:
-            request = SubmitRequest(
-                activity=activity.name,
-                executable=target.executable,
-                hostname=target.hostname,
-                service=target.service,
-                directory=target.directory,
-                arguments={p.name: p.value for p in activity.inputs},
+            request = _tuple_new(
+                SubmitRequest,
+                (
+                    activity.name,
+                    target.executable,
+                    target.hostname,
+                    target.service,
+                    target.directory,
+                    {p.name: p.value for p in activity.inputs},
+                    True,
+                ),
             )
             if option_index in plan.targets:  # a wildcard's target varies
                 plan.requests[key] = (activity, request)

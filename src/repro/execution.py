@@ -19,16 +19,26 @@ to the sink registered with :meth:`ExecutionService.connect` (normally
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
+from .core.records import FrozenRecord
 from .detection.messages import Message
 
 __all__ = ["SubmitRequest", "ExecutionService"]
 
 
-@dataclass(frozen=True)
-class SubmitRequest:
+class _SubmitRequestFields(NamedTuple):
+    # The defaults are ``SubmitRequest.__new__``'s.
+    activity: str
+    executable: str
+    hostname: str
+    service: str
+    directory: str
+    arguments: dict[str, Any]
+    queue_when_down: bool
+
+
+class SubmitRequest(FrozenRecord, _SubmitRequestFields):
     """What to run for one activity (the GRAM job request analogue).
 
     A request names the *job*, not the attempt: it is fixed by the
@@ -37,6 +47,11 @@ class SubmitRequest:
     specification — may submit the same object.  What varies per attempt
     (the checkpoint flag to restart from, the owning instance) is passed
     to :meth:`ExecutionService.submit` alongside it.
+
+    A ``NamedTuple`` with the equality of the frozen dataclass it was
+    (:class:`~repro.core.records.FrozenRecord`): the recovery coordinator
+    mints one with a single ``tuple.__new__``; built directly, each gets
+    its own empty ``arguments`` dict.
 
     Attributes
     ----------
@@ -58,13 +73,32 @@ class SubmitRequest:
         submission to a down host is rejected immediately.
     """
 
-    activity: str
-    executable: str
-    hostname: str
-    service: str = "jobmanager"
-    directory: str = ""
-    arguments: dict[str, Any] = field(default_factory=dict)
-    queue_when_down: bool = True
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        activity: str,
+        executable: str,
+        hostname: str,
+        service: str = "jobmanager",
+        directory: str = "",
+        arguments: dict[str, Any] | None = None,
+        queue_when_down: bool = True,
+    ):
+        if arguments is None:
+            arguments = {}
+        return tuple.__new__(
+            cls,
+            (
+                activity,
+                executable,
+                hostname,
+                service,
+                directory,
+                arguments,
+                queue_when_down,
+            ),
+        )
 
 
 class ExecutionService(ABC):

@@ -42,6 +42,7 @@ from time import perf_counter
 from typing import Any, Callable, ContextManager
 from weakref import WeakKeyDictionary, ref
 
+from ..core.records import FrozenRecord
 from ..errors import GridWFSError
 from ..events import EventBus
 
@@ -69,7 +70,7 @@ def _json_safe(value: Any) -> Any:
     """Coerce one payload value to something ``json.dumps`` accepts."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)) and not isinstance(value, FrozenRecord):
         return [_json_safe(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}

@@ -197,7 +197,15 @@ class EngineSampler:
             )
         else:
             self.engine.reset()
-        result = self.engine.run(timeout=self.timeout)
+        try:
+            result = self.engine.run(timeout=self.timeout)
+        except BaseException:
+            # A run cut off mid-flight leaves its jobs and attempts live,
+            # and a process keeps its samplers cached (``worker_sampler``):
+            # rewind now rather than at the next run.
+            grid.reset(seed=seed)
+            self.engine.reset()
+            raise
         self.events_processed += grid.kernel.events_processed
         if not result.succeeded:
             raise SimulationError(

@@ -16,7 +16,13 @@ woven into the structure itself:
   as additional WPDL features).
 
 Everything here is immutable declarative data; runtime state lives in
-:mod:`repro.engine.instance`.
+:mod:`repro.engine.instance`.  What a specification has one of per node
+or per edge — :class:`Activity`, :class:`Transition`,
+:class:`TransitionCondition` and the compiled :class:`CompiledNode` — is a
+``NamedTuple`` that the parser and the compiler mint with one
+``tuple.__new__``; constructing one directly still runs its checks, and
+the first three keep the equality, hash and ``repr`` of the frozen
+dataclasses they were (:class:`~repro.core.records.FrozenRecord`).
 
 Transition-condition semantics (how edges fire given the source's terminal
 status) are documented on :class:`TransitionCondition` and implemented by
@@ -33,6 +39,7 @@ from typing import Any, Mapping, NamedTuple, Union
 
 from ..core.exceptions import ExceptionBinding, ExceptionTable
 from ..core.policy import DEFAULT_POLICY, FailurePolicy
+from ..core.records import FrozenRecord
 from ..errors import SpecificationError
 
 __all__ = [
@@ -52,6 +59,8 @@ __all__ = [
     "CompiledWorkflow",
     "Workflow",
 ]
+
+_tuple_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -187,30 +196,42 @@ class ConditionKind(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TransitionCondition:
-    """The firing condition attached to a transition."""
+# The fields of each record; its defaults are its ``__new__``'s.
 
-    kind: ConditionKind = ConditionKind.DONE
+
+class _TransitionConditionFields(NamedTuple):
+    kind: ConditionKind
     #: Exception name or glob pattern (``EXCEPTION`` kind only).
-    exception: str = ""
+    exception: str
     #: Boolean expression source (``EXPR`` kind only); evaluated by
     #: :mod:`repro.wpdl.conditions` over the workflow variables.
-    expr: str = ""
+    expr: str
 
-    def __post_init__(self) -> None:
-        if self.kind is ConditionKind.EXCEPTION and not self.exception:
+
+class TransitionCondition(FrozenRecord, _TransitionConditionFields):
+    """The firing condition attached to a transition."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: ConditionKind = ConditionKind.DONE,
+        exception: str = "",
+        expr: str = "",
+    ):
+        if kind is ConditionKind.EXCEPTION and not exception:
             raise SpecificationError(
                 "exception transition requires an exception name/pattern"
             )
-        if self.kind is ConditionKind.EXPR and not self.expr:
+        if kind is ConditionKind.EXPR and not expr:
             raise SpecificationError("expr transition requires an expression")
-        if self.kind is not ConditionKind.EXCEPTION and self.exception:
+        if kind is not ConditionKind.EXCEPTION and exception:
             raise SpecificationError(
                 "exception pattern only valid on exception transitions"
             )
-        if self.kind is not ConditionKind.EXPR and self.expr:
+        if kind is not ConditionKind.EXPR and expr:
             raise SpecificationError("expr only valid on expr transitions")
+        return _tuple_new(cls, (kind, exception, expr))
 
     @staticmethod
     def done() -> "TransitionCondition":
@@ -240,25 +261,41 @@ _FAILED = TransitionCondition(ConditionKind.FAILED)
 _ALWAYS = TransitionCondition(ConditionKind.ALWAYS)
 
 
-@dataclass(frozen=True)
-class Transition:
-    """A directed control-flow edge between two nodes."""
-
+class _TransitionFields(NamedTuple):
     source: str
     target: str
-    condition: TransitionCondition = field(default_factory=TransitionCondition.done)
+    condition: TransitionCondition
 
-    def __post_init__(self) -> None:
-        if not self.source or not self.target:
+
+class Transition(FrozenRecord, _TransitionFields):
+    """A directed control-flow edge between two nodes."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: str, target: str, condition: TransitionCondition = _DONE):
+        if not source or not target:
             raise SpecificationError("transition requires source and target")
-        if self.source == self.target:
+        if source == target:
             raise SpecificationError(
-                f"self-transition on {self.source!r} (use a Loop for iteration)"
+                f"self-transition on {source!r} (use a Loop for iteration)"
             )
+        return _tuple_new(cls, (source, target, condition))
 
 
-@dataclass(frozen=True)
-class Activity:
+class _ActivityFields(NamedTuple):
+    name: str
+    implement: str | None
+    policy: FailurePolicy
+    join: JoinMode
+    inputs: tuple[Parameter, ...]
+    outputs: tuple[str, ...]
+    #: Exception translations applied before workflow-level routing.
+    rethrows: tuple[Rethrow, ...]
+    #: Free-form description (documentation only).
+    description: str
+
+
+class Activity(FrozenRecord, _ActivityFields):
     """A workflow task (WPDL ``<Activity>``).
 
     ``implement`` names the :class:`Program` executing this activity; a
@@ -271,20 +308,25 @@ class Activity:
     data bindings used by value dependencies and expression conditions.
     """
 
-    name: str
-    implement: str | None = None
-    policy: FailurePolicy = DEFAULT_POLICY
-    join: JoinMode = JoinMode.AND
-    inputs: tuple[Parameter, ...] = ()
-    outputs: tuple[str, ...] = ()
-    #: Exception translations applied before workflow-level routing.
-    rethrows: tuple[Rethrow, ...] = ()
-    #: Free-form description (documentation only).
-    description: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(
+        cls,
+        name: str,
+        implement: str | None = None,
+        policy: FailurePolicy = DEFAULT_POLICY,
+        join: JoinMode = JoinMode.AND,
+        inputs: tuple[Parameter, ...] = (),
+        outputs: tuple[str, ...] = (),
+        rethrows: tuple[Rethrow, ...] = (),
+        description: str = "",
+    ):
+        if not name:
             raise SpecificationError("activity requires a name")
+        return _tuple_new(
+            cls,
+            (name, implement, policy, join, inputs, outputs, rethrows, description),
+        )
 
     @property
     def dummy(self) -> bool:
@@ -394,23 +436,24 @@ _PLAIN_SUCCESS = (ConditionKind.DONE, ConditionKind.ALWAYS)
 
 
 def _compile(workflow: "Workflow") -> CompiledWorkflow:
-    transitions = workflow.transitions
-    sources = [t.source for t in transitions]
-    targets = [t.target for t in transitions]
     incoming: dict[str, list[int]] = {name: [] for name in workflow.nodes}
     outgoing: dict[str, list[int]] = {name: [] for name in workflow.nodes}
-    try:
-        for i, source in enumerate(sources):
+    sources: list[str] = []
+    targets: list[str] = []
+    conditional: set[str] = set()
+    for i, (source, target, condition) in enumerate(workflow.transitions):
+        sources.append(source)
+        targets.append(target)
+        try:
             outgoing[source].append(i)
-            incoming[targets[i]].append(i)
-    except KeyError as exc:
-        raise SpecificationError(
-            f"workflow {workflow.name!r}: transition {sources[i]!r} -> "
-            f"{targets[i]!r} references unknown node {exc.args[0]!r}"
-        ) from None
-    conditional = {
-        t.source for t in transitions if t.condition.kind not in _PLAIN_SUCCESS
-    }
+            incoming[target].append(i)
+        except KeyError as exc:
+            raise SpecificationError(
+                f"workflow {workflow.name!r}: transition {source!r} -> "
+                f"{target!r} references unknown node {exc.args[0]!r}"
+            ) from None
+        if condition.kind not in _PLAIN_SUCCESS:
+            conditional.add(source)
     programs = workflow.programs
     nodes: dict[str, CompiledNode] = {}
     for name, node in workflow.nodes.items():
@@ -435,20 +478,23 @@ def _compile(workflow: "Workflow") -> CompiledWorkflow:
             loop = Loop(node.name, node.body, "0 > 1", 1, node.join)
         else:
             loop = node
-        nodes[name] = CompiledNode(
-            tuple(ins),
-            tuple(outs),
-            tuple(map(sources.__getitem__, ins)),
-            tuple(map(targets.__getitem__, outs)),
-            len(ins),
-            node.join is JoinMode.OR,
-            name not in conditional,
-            node,
-            loop,
-            program,
-            has_refs,
-            outputs,
-            rethrow,
+        nodes[name] = _tuple_new(
+            CompiledNode,
+            (
+                tuple(ins),
+                tuple(outs),
+                tuple(map(sources.__getitem__, ins)),
+                tuple(map(targets.__getitem__, outs)),
+                len(ins),
+                node.join is JoinMode.OR,
+                name not in conditional,
+                node,
+                loop,
+                program,
+                has_refs,
+                outputs,
+                rethrow,
+            ),
         )
     return CompiledWorkflow(
         nodes=MappingProxyType(nodes),

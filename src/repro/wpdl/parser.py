@@ -50,6 +50,9 @@ from typing import Any
 from ..core.policy import FailurePolicy, ReplicationMode, ResourceSelection
 from ..errors import ParseError, PolicyError, SpecificationError
 from .model import (
+    _ALWAYS,
+    _DONE,
+    _FAILED,
     Activity,
     JoinMode,
     Loop,
@@ -81,6 +84,13 @@ _POLICY_ATTRIBUTES = (
 
 #: One document's parsed policies, by their raw attribute strings.
 _PolicyMemo = dict[tuple, FailurePolicy]
+
+#: ``join=`` values (a missing attribute reads ``and``).
+_JOIN_MODES = {mode.value: mode for mode in JoinMode}
+
+#: Activities and transitions are minted: the parser has made every check
+#: their constructors make by the time it builds one.
+_tuple_new = tuple.__new__
 
 _TYPE_PARSERS = {
     "str": str,
@@ -208,22 +218,26 @@ def _parse_activity(elem: ET.Element, policies: _PolicyMemo) -> Activity:
     try:
         # A policy that fails to parse is not kept, so the error names the
         # activity it was found on however many share its attributes.
-        key = tuple([elem.get(attribute) for attribute in _POLICY_ATTRIBUTES])
+        key = tuple(map(elem.get, _POLICY_ATTRIBUTES))
         policy = policies.get(key)
         if policy is None:
             policy = policies[key] = _parse_policy(elem, name)
-        return Activity(
-            name=name,
-            implement=implement,
-            policy=policy,
-            join=_parse_join(elem, name),
-            inputs=tuple(inputs),
-            outputs=tuple(outputs),
-            rethrows=tuple(rethrows),
-            description=description,
-        )
+        join = _parse_join(elem, name)
     except (SpecificationError, PolicyError) as exc:
         raise ParseError(f"activity {name!r}: {exc}") from exc
+    return _tuple_new(
+        Activity,
+        (
+            name,
+            implement,
+            policy,
+            join,
+            tuple(inputs),
+            tuple(outputs),
+            tuple(rethrows),
+            description,
+        ),
+    )
 
 
 def _parse_input(elem: ET.Element, *, activity: str) -> Parameter:
@@ -322,12 +336,12 @@ def _parse_policy(elem: ET.Element, name: str) -> FailurePolicy:
 
 def _parse_join(elem: ET.Element, name: str) -> JoinMode:
     join_attr = elem.get("join", "and")
-    try:
-        return JoinMode(join_attr)
-    except ValueError:
+    join = _JOIN_MODES.get(join_attr)
+    if join is None:
         raise ParseError(
             f"node {name!r}: join must be 'and' or 'or', got {join_attr!r}"
-        ) from None
+        )
+    return join
 
 
 def _parse_loop(elem: ET.Element, policies: _PolicyMemo) -> Loop:
@@ -401,11 +415,11 @@ def _parse_transition(elem: ET.Element) -> Transition:
                 )
             condition = TransitionCondition.when(expr)
         elif on is None or on == "done":
-            condition = TransitionCondition.done()
+            condition = _DONE
         elif on == "failed":
-            condition = TransitionCondition.failed()
+            condition = _FAILED
         elif on == "always":
-            condition = TransitionCondition.always()
+            condition = _ALWAYS
         elif on == "exception":
             if not exception:
                 raise ParseError(
@@ -417,9 +431,11 @@ def _parse_transition(elem: ET.Element) -> Transition:
             raise ParseError(
                 f"transition {source!r}->{target!r}: unknown on={on!r}"
             )
-        return Transition(source=source, target=target, condition=condition)
     except SpecificationError as exc:
         raise ParseError(str(exc)) from exc
+    if source == target:
+        raise ParseError(f"self-transition on {source!r} (use a Loop for iteration)")
+    return _tuple_new(Transition, (source, target, condition))
 
 
 def _parse_program(elem: ET.Element) -> Program:

@@ -28,7 +28,15 @@ from __future__ import annotations
 from ..core.policy import ReplicationMode
 from ..errors import SpecificationError, ValidationError
 from .conditions import compile_condition
-from .model import Activity, ConditionKind, Loop, SubWorkflow, Workflow
+from .model import (
+    Activity,
+    CompiledWorkflow,
+    ConditionKind,
+    Loop,
+    SubWorkflow,
+    Transition,
+    Workflow,
+)
 
 __all__ = ["validate", "validation_problems"]
 
@@ -56,44 +64,46 @@ def validation_problems(workflow: Workflow, *, _path: str = "") -> list[str]:
         problems.append(f"{prefix}: workflow has no nodes")
         return problems
 
-    node_names = set(workflow.nodes)
+    nodes = workflow.nodes
 
     # -- transitions ---------------------------------------------------------
-    seen_edges: set[tuple[str, str, str, str]] = set()
-    for t in workflow.transitions:
-        if t.source not in node_names:
+    # A condition's exception and expr exclude each other, so an edge's
+    # fields are its duplicate key (source, target, kind, exception or expr).
+    seen_edges: set[Transition] = set()
+    broken = False  # some endpoint is not a node
+    for edge in workflow.transitions:
+        source, target, condition = edge
+        if source not in nodes:
             problems.append(
-                f"{prefix}: transition references unknown source {t.source!r}"
+                f"{prefix}: transition references unknown source {source!r}"
             )
-        if t.target not in node_names:
+            broken = True
+        if target not in nodes:
             problems.append(
-                f"{prefix}: transition references unknown target {t.target!r}"
+                f"{prefix}: transition references unknown target {target!r}"
             )
-        key = (t.source, t.target, t.condition.kind.value,
-               t.condition.exception or t.condition.expr)
-        if key in seen_edges:
+            broken = True
+        if edge in seen_edges:
             problems.append(
-                f"{prefix}: duplicate transition {t.source!r} -> {t.target!r} "
-                f"({t.condition.kind.value})"
+                f"{prefix}: duplicate transition {source!r} -> {target!r} "
+                f"({condition.kind.value})"
             )
-        seen_edges.add(key)
-        if t.condition.kind is ConditionKind.EXPR:
+        seen_edges.add(edge)
+        if condition.kind is ConditionKind.EXPR:
             try:
-                compile_condition(t.condition.expr)
+                compile_condition(condition.expr)
             except SpecificationError as exc:
                 problems.append(f"{prefix}: {exc}")
 
     # -- nodes ------------------------------------------------------------------
     declared_outputs: set[str] = set(workflow.variables)
-    for node in workflow.nodes.values():
+    declared_outputs.update(nodes)
+    with_inputs: list[Activity] = []
+    for node in nodes.values():
         if isinstance(node, Activity):
-            declared_outputs.add(node.name)
             declared_outputs.update(node.outputs)
-        else:
-            declared_outputs.add(node.name)
-
-    for node in workflow.nodes.values():
-        if isinstance(node, Activity):
+            if node.inputs:
+                with_inputs.append(node)
             problems.extend(_check_activity(workflow, node, prefix))
         elif isinstance(node, Loop):
             try:
@@ -109,26 +119,22 @@ def validation_problems(workflow: Workflow, *, _path: str = "") -> list[str]:
             )
 
     # -- value dependencies ---------------------------------------------------------
-    for node in workflow.nodes.values():
-        if isinstance(node, Activity):
-            for param in node.inputs:
-                if param.ref is not None and param.ref not in declared_outputs:
-                    problems.append(
-                        f"{prefix}: activity {node.name!r} input "
-                        f"{param.name!r} references unknown output {param.ref!r}"
-                    )
+    for node in with_inputs:
+        for param in node.inputs:
+            if param.ref is not None and param.ref not in declared_outputs:
+                problems.append(
+                    f"{prefix}: activity {node.name!r} input "
+                    f"{param.name!r} references unknown output {param.ref!r}"
+                )
 
     # -- graph shape -----------------------------------------------------------------
-    if any(
-        t.source not in node_names or t.target not in node_names
-        for t in workflow.transitions
-    ):
+    if broken:
         return problems  # skip graph analyses on a broken edge list
 
     # Every endpoint is a node: the compiled form (the one derivation of
     # the graph, which the engine will navigate by) can be asked for.
-    cycle = _find_cycle(workflow)
-    if cycle is not None:
+    if not _acyclic(workflow.compiled):
+        cycle = _find_cycle(workflow)
         problems.append(
             f"{prefix}: control flow contains a cycle: {' -> '.join(cycle)} "
             "(use a Loop node for iteration)"
@@ -179,9 +185,26 @@ def _check_activity(workflow: Workflow, activity: Activity, prefix: str) -> list
     return problems
 
 
+def _acyclic(compiled: CompiledWorkflow) -> bool:
+    """Whether the graph is a DAG (Kahn's algorithm: every node's incoming
+    edges can be removed in some order)."""
+    nodes = compiled.nodes
+    waiting = {name: node.indegree for name, node in nodes.items()}
+    ready = list(compiled.entries)
+    removed = 0
+    while ready:
+        removed += 1
+        for target in nodes[ready.pop()].targets:
+            waiting[target] -= 1
+            if not waiting[target]:
+                ready.append(target)
+    return removed == len(nodes)
+
+
 def _find_cycle(workflow: Workflow) -> list[str] | None:
     """Return one cycle as a node list, or None when acyclic (iterative DFS
-    with colouring; recursion-free so deep graphs cannot blow the stack)."""
+    with colouring; recursion-free so deep graphs cannot blow the stack).
+    Run only to name the cycle :func:`_acyclic` found."""
     WHITE, GREY, BLACK = 0, 1, 2
     colour = {name: WHITE for name in workflow.nodes}
     compiled = workflow.compiled.nodes

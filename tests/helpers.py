@@ -5,12 +5,16 @@ from __future__ import annotations
 from repro.ckpt.manager import CheckpointRecord
 from repro.core import FailurePolicy
 from repro.detection import messages
-from repro.detection.detector import AttemptOutcome
+from repro.detection.detector import AttemptOutcome, _Attempt
 from repro.engine import WorkflowEngine
-from repro.engine.recovery import TaskResolution
+from repro.engine.engine import WorkflowResult
+from repro.engine.instance import NodeInstance
+from repro.engine.recovery import ActivityRun, TaskResolution, _Slot
 from repro.engine.strategies import RetryDecision
+from repro.execution import SubmitRequest
 from repro.grid import RELIABLE, FixedDurationTask, SimulatedGrid
 from repro.wpdl import JoinMode, WorkflowBuilder
+from repro.wpdl.model import Activity, CompiledNode, Transition, TransitionCondition
 
 #: The immutable records an attempt produces, the six messages first: each
 #: is built once and never changed, so each is a tuple.
@@ -26,6 +30,25 @@ RECORD_TYPES = (
     RetryDecision,
     CheckpointRecord,
 )
+
+#: What a specification has one of per node or per edge, and what its run
+#: submits and reports: tuples too, minted by the parser, the compiler, the
+#: recovery coordinator and the engine.
+SPEC_RECORD_TYPES = (
+    Activity,
+    Transition,
+    TransitionCondition,
+    CompiledNode,
+    SubmitRequest,
+    WorkflowResult,
+)
+
+#: Mutable state a run builds once per node or per attempt, with a
+#: hand-written constructor.
+STATE_TYPES = (NodeInstance, ActivityRun, _Slot, _Attempt)
+
+#: None of these runs code that ``dataclasses`` or ``NamedTuple`` generate.
+MINTED_TYPES = RECORD_TYPES + SPEC_RECORD_TYPES + STATE_TYPES
 
 
 def single_task_workflow(

@@ -43,7 +43,7 @@ from repro.wpdl import (
 )
 from repro.wpdl.model import CompiledNode, Loop, Program
 from tests.eager_models import EagerNavigator, EagerWorkflowInstance
-from tests.helpers import RECORD_TYPES
+from tests.helpers import MINTED_TYPES
 
 # ---------------------------------------------------------------------------
 # Generated specifications
@@ -364,14 +364,14 @@ class TestParserInterning:
             built["policy"] += 1
             return FailurePolicy(*args, **kwargs)
 
-        validate_condition = TransitionCondition.__post_init__
+        new_condition = TransitionCondition.__new__
 
-        def counting_condition(self):
+        def counting_condition(cls, *args, **kwargs):
             built["condition"] += 1
-            validate_condition(self)
+            return new_condition(cls, *args, **kwargs)
 
         monkeypatch.setattr(parser_module, "FailurePolicy", counting_policy)
-        monkeypatch.setattr(TransitionCondition, "__post_init__", counting_condition)
+        monkeypatch.setattr(TransitionCondition, "__new__", counting_condition)
         parsed = parse_wpdl(text)
         assert built["policy"] <= 2 and built["condition"] <= 1, built
         assert parsed == spec
@@ -463,17 +463,17 @@ def _calls_per_task(spec, setup) -> float:
 
 
 class TestFlatPerTaskCost:
-    #: Calls per task on CPython 3.11 (241.3 / 236.9 / 236.1 at 10x10 /
+    #: Calls per task on CPython 3.11 (216.1 / 211.4 / 210.6 at 10x10 /
     #: 40x40 / 80x80), plus 5%.  Every call counts, generated ``__init__``
-    #: methods included (:func:`_total_calls`), so a record minted with
-    #: ``tuple.__new__`` instead (one C call for one frame) leaves it flat.
-    #: A per-node scan of the graph reintroduced anywhere between the XML
-    #: and the result fails here instead of in a benchmark.
-    CEILING = 253.3
-    #: The same for a chain (pure sequential navigation: 230.8 / 229.5 /
-    #: 229.1 at 100 / 400 / 1 600 nodes) and a fork-join (one ready set
-    #: 1 600 wide: 232.8 / 232.2 / 232.1), plus 5%.
-    SHAPE_CEILINGS = {"chain": 242.4, "fork_join": 244.4}
+    #: methods included (:func:`_total_calls`), so a record built by one
+    #: again instead of minted shows here.  A per-node scan of the graph
+    #: reintroduced anywhere between the XML and the result fails here
+    #: instead of in a benchmark.
+    CEILING = 226.9
+    #: The same for a chain (pure sequential navigation: 209.8 / 208.5 /
+    #: 208.1 at 100 / 400 / 1 600 nodes) and a fork-join (one ready set
+    #: 1 600 wide: 207.9 / 207.2 / 207.1), plus 5%.
+    SHAPE_CEILINGS = {"chain": 220.3, "fork_join": 218.3}
 
     def test_calls_per_task_flat_from_10x10_to_80x80(self):
         policy = FailurePolicy.retrying(3)
@@ -543,40 +543,74 @@ class TestFlatPerAttemptCost:
         assert cost <= self.CEILINGS[technique], cost
 
 
-def _generated_frames(technique: str) -> Counter:
+def _generated_frames(run) -> Counter:
     """Frames of code that ``dataclasses`` and ``NamedTuple`` generate
-    (``co_filename == "<string>"``: an ``__init__``, a ``__new__``), by
-    the class that owns them, over 20 ``EngineSampler.run`` calls at MTTF
-    10, after a warm-up run."""
-    sampler = EngineSampler(technique, SimulationParams(mttf=10.0))
-    sampler.run(1)
+    (``co_filename == "<string>"``: an ``__init__``, a ``__new__``) and of
+    ``__post_init__`` methods, by the class that owns them, while *run*
+    runs."""
     owners: Counter = Counter()
 
     def hook(frame, event, _arg):
-        if event == "call" and frame.f_code.co_filename == "<string>":
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_filename == "<string>" or code.co_name == "__post_init__":
             local = frame.f_locals
             owner = local.get("self", local.get("_cls"))
             owners[owner if isinstance(owner, type) else type(owner)] += 1
 
     sys.setprofile(hook)
     try:
-        for seed in range(2, 22):
-            sampler.run(seed)
+        run()
     finally:
         sys.setprofile(None)
     return owners
 
 
+def _minted(owners: Counter) -> dict:
+    return {owner: n for owner, n in owners.items() if owner in MINTED_TYPES}
+
+
 class TestRecordsAreMintedNotInitialised:
     """A record on the attempt path — a message, a verdict, a resolution,
-    a retry decision, a checkpoint record — is a tuple its producer mints
-    with one ``tuple.__new__``: none of them runs a generated ``__init__``
-    or ``__new__``, whatever the technique."""
+    a retry decision, a checkpoint record, a request — is a tuple its
+    producer mints with one ``tuple.__new__``, and so are the parsed
+    activities, transitions and conditions, the compiled nodes and the
+    result; per-node and per-attempt state has a hand-written constructor.
+    None of them runs a generated ``__init__``, ``__new__`` or a
+    ``__post_init__``, whatever the technique."""
 
     @pytest.mark.parametrize("technique", EXTENDED_TECHNIQUES)
     def test_no_record_runs_generated_code(self, technique):
-        owners = _generated_frames(technique)
+        """Over 20 ``EngineSampler.run`` calls at MTTF 10, after a warm-up
+        run."""
+        sampler = EngineSampler(technique, SimulationParams(mttf=10.0))
+        sampler.run(1)
+        owners = _generated_frames(lambda: [sampler.run(s) for s in range(2, 22)])
         assert owners, "the hook saw no generated frame at all"
-        assert not {
-            owner: n for owner, n in owners.items() if owner in RECORD_TYPES
-        }, owners
+        assert not _minted(owners), owners
+
+    def test_a_parsed_dag_runs_no_generated_code(self):
+        """From WPDL text to result: parse, validate, compile, instance,
+        every attempt, the result (a 10x10 layered DAG)."""
+        spec, setup = layered_dag(
+            10, 10, hosts=4, seed=20030623, policy=FailurePolicy.retrying(3)
+        )
+        text = serialize_wpdl(spec)
+        results = []
+
+        def run():
+            parsed = parse_wpdl(text)
+            grid = setup(
+                SimulatedGrid(
+                    seed=1,
+                    config=GridConfig(crash_detection="prompt", heartbeats=True),
+                )
+            )
+            engine = WorkflowEngine(parsed, grid, reactor=grid.reactor)
+            results.append(engine.run(timeout=1e9))
+
+        owners = _generated_frames(run)
+        assert results[0].succeeded and len(results[0].node_statuses) == 102
+        assert owners, "the hook saw no generated frame at all"
+        assert not _minted(owners), owners

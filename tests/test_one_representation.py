@@ -41,7 +41,7 @@ from repro.obs import (
     WorkflowStatusTracker,
     spans,
 )
-from tests.helpers import RECORD_TYPES
+from tests.helpers import RECORD_TYPES, SPEC_RECORD_TYPES, STATE_TYPES
 
 SRC = Path(repro.__file__).parent
 
@@ -238,18 +238,24 @@ def test_the_deleted_surface_stays_deleted():
     # A request names the job; the attempt's flag and instance go with the
     # submission (``checkpoint_flag`` is still the detector's, so these are
     # checked where they lived).
-    fields = {f.name for f in dataclasses.fields(SubmitRequest)}
+    fields = set(SubmitRequest._fields)
     assert not fields & {"checkpoint_flag", "workflow_id"}, fields
 
 
 def test_a_record_on_the_attempt_path_is_a_tuple():
-    """Each is a ``NamedTuple`` (a plain subclass of one for the two
-    messages that check or default a field), never a dataclass, and the
-    message union names the six message types."""
-    for record in RECORD_TYPES:
+    """Each is a ``NamedTuple`` (a plain subclass of one for the records
+    that check or default a field), never a dataclass, and the message
+    union names the six message types.  So are the specification's
+    per-node and per-edge records, the request and the result; the
+    per-node and per-attempt state is slotted, with a hand-written
+    constructor."""
+    for record in RECORD_TYPES + SPEC_RECORD_TYPES:
         assert issubclass(record, tuple) and hasattr(record, "_fields"), record
         assert not dataclasses.is_dataclass(record), record
     assert set(messages.Message.__args__) == set(RECORD_TYPES[:6])
+    for state in STATE_TYPES:
+        assert "__slots__" in vars(state), state
+        assert state.__init__.__code__.co_filename != "<string>", state
 
 
 #: The topic families a fold decodes.
