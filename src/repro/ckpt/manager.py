@@ -80,10 +80,6 @@ class CheckpointManager:
         restart)."""
         self._records.pop(activity, None)
 
-    def reset(self) -> None:
-        """Forget every record — engine reuse across simulation runs."""
-        self._records.clear()
-
     def clear_prefix(self, prefix: str) -> int:
         """Forget every record whose key starts with *prefix*.
 

@@ -174,18 +174,12 @@ class FailureDetector:
     ) -> None:
         self._reactor = reactor
         self._bus = bus
-        self._attempts: dict[str, _Attempt] = {}
-        #: Heartbeat messages consumed (GRAM liveness traffic volume) —
-        #: scraped by :func:`repro.obs.observer.scrape_detector`.
-        self.heartbeats_observed = 0
         #: With ``batch_heartbeats`` on, beats are buffered and flushed to
         #: the monitor once per reactor turn: hosts beating on a shared
         #: period all land at the same instant, so a multiplexed run pays
         #: one liveness pass per tick instead of one per host.  Off by
         #: default — the single-engine path keeps synchronous observation.
         self.batch_heartbeats = batch_heartbeats
-        self._pending_beats: list[Heartbeat] = []
-        self._flush_scheduled = False
         self.monitor: HeartbeatMonitor | None = None
         if heartbeat_timeout is not None:
             self.monitor = HeartbeatMonitor(
@@ -194,6 +188,7 @@ class FailureDetector:
                 timeout=heartbeat_timeout,
                 on_suspected=self._on_host_suspected,
             )
+        self.reset()
 
     def start(self) -> None:
         if self.monitor is not None:
@@ -208,9 +203,11 @@ class FailureDetector:
         returning the detector to its just-constructed state — the
         engine-reuse path (:meth:`repro.engine.engine.WorkflowEngine.reset`)
         rewinds one detector instead of building one per run."""
-        self._attempts.clear()
+        self._attempts: dict[str, _Attempt] = {}
+        #: Heartbeat messages consumed (GRAM liveness traffic volume) —
+        #: scraped by :func:`repro.obs.observer.scrape_detector`.
         self.heartbeats_observed = 0
-        self._pending_beats.clear()
+        self._pending_beats: list[Heartbeat] = []
         self._flush_scheduled = False
         if self.monitor is not None:
             self.monitor.reset()

@@ -67,6 +67,9 @@ class HeartbeatMonitor:
         the owning detector acts on it.
     """
 
+    #: The pending sweep, while sweeping (nothing to cancel before then).
+    _sweep_handle: TimerHandle | None = None
+
     def __init__(
         self,
         reactor: Reactor,
@@ -83,12 +86,7 @@ class HeartbeatMonitor:
         self.timeout = timeout
         self.sweep_interval = sweep_interval if sweep_interval else timeout / 2
         self._on_suspected = on_suspected
-        self._hosts: dict[str, HostLiveness] = {}
-        self._running = False
-        self._sweep_handle: TimerHandle | None = None
-        #: False suspicions observed so far: suspected hosts that later
-        #: resumed beating with a continuing sequence number.
-        self.false_suspicions = 0
+        self.reset()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -108,7 +106,9 @@ class HeartbeatMonitor:
         """Stop sweeping and forget all liveness records — back to the
         just-constructed state, for engine reuse across simulation runs."""
         self.stop()
-        self._hosts.clear()
+        self._hosts: dict[str, HostLiveness] = {}
+        #: False suspicions observed so far: suspected hosts that later
+        #: resumed beating with a continuing sequence number.
         self.false_suspicions = 0
 
     def _schedule_sweep(self) -> None:

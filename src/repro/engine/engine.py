@@ -33,7 +33,6 @@ is not persisted); completed loops are persisted like any other node.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 from weakref import WeakKeyDictionary
@@ -125,13 +124,7 @@ _tuple_new = tuple.__new__
 
 @dataclass
 class EngineRuntime:
-    """Shared infrastructure for an engine and its loop children.
-
-    A runtime owned by an :class:`~repro.engine.host.EngineHost` is marked
-    ``host_managed``: the host hands out engine/workflow ids from this
-    runtime's counter, so an individual engine's :meth:`WorkflowEngine.reset`
-    must not rewind it (two instances would otherwise mint the same id).
-    """
+    """Shared infrastructure for an engine and its loop children."""
 
     reactor: Reactor
     bus: EventBus
@@ -144,25 +137,11 @@ class EngineRuntime:
     #: :mod:`repro.obs.tracectx`).  ``None`` keeps the publish paths free
     #: of all tracing work beyond one ``is None`` check.
     tracer: Tracer | None = None
-    host_managed: bool = False
     #: Launch plans (:class:`~repro.engine.recovery.LaunchPlan`) of every
     #: specification run here: compiled form → that specification's table.
     #: The key is weak, so a specification's plans go when it does, and the
     #: table goes with the runtime — neither keeps the other alive.
     launch_plans: WeakKeyDictionary = field(default_factory=WeakKeyDictionary)
-    _engine_ids: "itertools.count[int]" = field(
-        default_factory=lambda: itertools.count(1)
-    )
-
-    def next_engine_id(self) -> int:
-        """Allocate the next engine/workflow-instance id."""
-        return next(self._engine_ids)
-
-    def reset_engine_ids(self) -> None:
-        """Rewind the id counter — refused for host-managed runtimes, whose
-        id space must stay unique across every engine the host ever ran."""
-        if not self.host_managed:
-            self._engine_ids = itertools.count(1)
 
 
 class WorkflowEngine:
@@ -209,30 +188,9 @@ class WorkflowEngine:
                 broker=broker if broker is not None else Broker(),
                 tracer=tracer,
             )
-        self.instance = instance if instance is not None else WorkflowInstance(workflow)
         self.checkpointer = checkpointer
         self._on_finished = on_finished
-        self._finished = False
-        self._result: WorkflowResult | None = None
-        self._loop_runners: dict[str, "_LoopRunner"] = {}
-        # O(1) termination/deadlock accounting (a full instance scan per
-        # task completion would make large workflows quadratic).
-        self._unresolved = len(self.instance.nodes)
-        self._running_count = 0
-        if instance is not None:  # resumed: count what the checkpoint holds
-            statuses = [inst.status for inst in instance.nodes.values()]
-            self._unresolved = sum(1 for s in statuses if not s.terminal)
-            self._running_count = statuses.count(NodeStatus.RUNNING)
         self._strategy_resolver = strategy_resolver
-        # Causal trace bookkeeping: one root per workflow run, one child
-        # context per launched node (handed to the coordinator so attempts
-        # chain off it).  All None/empty when the runtime has no tracer.
-        self._trace_root: TraceContext | None = None
-        self._node_ctx: dict[str, TraceContext] = {}
-        if self.runtime.tracer is not None:
-            self._trace_root = self.runtime.tracer.root(
-                workflow_id or workflow.name
-            )
         self.coordinator = RecoveryCoordinator(
             self.runtime.service,
             self.runtime.detector,
@@ -245,6 +203,36 @@ class WorkflowEngine:
             workflow_id=workflow_id,
             tracer=self.runtime.tracer,
             plans=self.runtime.launch_plans.setdefault(workflow.compiled, {}),
+        )
+        self._begin(instance)
+
+    def _begin(self, instance: WorkflowInstance | None) -> None:
+        """Set up a run on *instance* (resumed from a checkpoint) or, for
+        ``None``, on a fresh instance of the workflow: the one definition
+        of an engine's run state, shared by construction and :meth:`reset`."""
+        # O(1) termination/deadlock accounting (a full instance scan per
+        # task completion would make large workflows quadratic).
+        if instance is None:
+            instance = WorkflowInstance(self.workflow)
+            self._unresolved = len(instance.nodes)
+            self._running_count = 0
+        else:  # resumed: count what the checkpoint holds
+            statuses = [inst.status for inst in instance.nodes.values()]
+            self._unresolved = sum(1 for s in statuses if not s.terminal)
+            self._running_count = statuses.count(NodeStatus.RUNNING)
+        self.instance = instance
+        self._finished = False
+        self._result: WorkflowResult | None = None
+        self._loop_runners: dict[str, "_LoopRunner"] = {}
+        # Causal trace bookkeeping: one root per workflow run, one child
+        # context per launched node (handed to the coordinator so attempts
+        # chain off it).  All None/empty when the runtime has no tracer.
+        self._node_ctx: dict[str, TraceContext] = {}
+        tracer = self.runtime.tracer
+        self._trace_root: TraceContext | None = (
+            None
+            if tracer is None
+            else tracer.root(self.workflow_id or self.workflow.name)
         )
 
     # -- construction helpers -----------------------------------------------
@@ -312,9 +300,9 @@ class WorkflowEngine:
         (mirroring :meth:`repro.grid.simgrid.SimulatedGrid.reset`).
 
         Everything transient — the instance tree, coordinator bookkeeping,
-        detector attempts, loop runners, termination state — is rebuilt
-        exactly as a newly constructed engine over the same workflow and
-        runtime would build it, so a reset engine produces bit-identical
+        detector attempts, loop runners, termination state — is rebuilt by
+        the code that builds it for a newly constructed engine over the same
+        workflow and runtime, so a reset engine produces bit-identical
         executions.  This is the Monte-Carlo fast path: repeated sampling
         rewinds one engine per configuration instead of constructing one
         per run (:class:`repro.sim.engine_mc.EngineSampler`).
@@ -331,18 +319,7 @@ class WorkflowEngine:
         self.coordinator.reset()
         runtime.detector.reset()
         runtime.service.connect(runtime.detector.deliver)
-        runtime.reset_engine_ids()
-        self.instance = WorkflowInstance(self.workflow)
-        self._finished = False
-        self._result = None
-        self._loop_runners = {}
-        self._unresolved = len(self.instance.nodes)
-        self._running_count = 0
-        self._node_ctx = {}
-        if runtime.tracer is not None:
-            self._trace_root = runtime.tracer.root(
-                self.workflow_id or self.workflow.name
-            )
+        self._begin(None)
 
     # -- navigation --------------------------------------------------------------------
 

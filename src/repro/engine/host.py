@@ -14,7 +14,7 @@ Isolation comes from who is *called*, not from separate infrastructure
 and not from the bus:
 
 * every instance gets a stable ``workflow_id`` (``wf-1``, ``wf-2``, …,
-  allocated from the runtime's id counter), carried on every payload its
+  allocated from the host's id counter), carried on every payload its
   engine, coordinator and attempts publish;
 * a coordinator gives the detector its ``handle_outcome`` with each
   attempt it tracks, and the detector hands an attempt's verdict to that
@@ -35,6 +35,7 @@ multiplexed instances produce bit-identical per-instance
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable
 
 from ..core.policy import FailurePolicy
@@ -96,8 +97,10 @@ class EngineHost:
             detector=detector,
             broker=broker if broker is not None else Broker(),
             tracer=tracer,
-            host_managed=True,
         )
+        #: The instance-id space: only :meth:`submit` draws from it, and no
+        #: engine reset rewinds it.
+        self._ids = itertools.count(1)
         self._strategy_resolver = strategy_resolver
         self._engines: dict[str, WorkflowEngine] = {}
         self._results: dict[str, WorkflowResult] = {}
@@ -119,11 +122,7 @@ class EngineHost:
         the reactor runs; call :meth:`wait_all` (or pump the reactor
         yourself) to drive it to completion.
         """
-        wfid = (
-            workflow_id
-            if workflow_id is not None
-            else f"wf-{self.runtime.next_engine_id()}"
-        )
+        wfid = workflow_id if workflow_id is not None else f"wf-{next(self._ids)}"
         if not wfid:
             raise EngineError("workflow_id must be non-empty")
         if wfid in self._engines:

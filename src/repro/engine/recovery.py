@@ -417,12 +417,10 @@ class RecoveryCoordinator:
                     slot.timeout_timer = None
         self._runs.clear()
         self._job_index.clear()
-        if self._flag_scope:
-            # The CheckpointManager is shared with sibling instances: only
-            # this coordinator's scoped records may be dropped.
-            self.checkpoints.clear_prefix(self._flag_scope)
-        else:
-            self.checkpoints.reset()
+        # The CheckpointManager is shared with sibling instances: only this
+        # coordinator's scoped records may be dropped (an unscoped
+        # coordinator's scope, "", prefixes every key).
+        self.checkpoints.clear_prefix(self._flag_scope)
 
     # -- cancellation -------------------------------------------------------------------
 

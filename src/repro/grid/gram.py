@@ -293,6 +293,11 @@ class GramService:
         self.streams = streams
         self.store = store
         self.config = config or GramConfig()
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget all submissions and restart job-id numbering, as if
+        freshly constructed over the same hosts/network/store."""
         #: Live submissions only: dropped on finish or cancel.
         self._processes: dict[str, JobProcess] = {}
         #: Submissions ever accepted (rejected ones included).
@@ -302,14 +307,6 @@ class GramService:
         # (a deterministic crash-on-attempt-1 behaviour would otherwise
         # crash in one instance and spuriously succeed in its sibling).
         self._attempt_counters: dict[tuple[str, str], int] = {}
-        self._seq = itertools.count(1)
-
-    def reset(self) -> None:
-        """Forget all submissions and restart job-id numbering, as if
-        freshly constructed over the same hosts/network/store."""
-        self._processes.clear()
-        self.submitted_count = 0
-        self._attempt_counters.clear()
         self._seq = itertools.count(1)
 
     # -- submission -----------------------------------------------------------

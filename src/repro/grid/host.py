@@ -61,11 +61,25 @@ class Host:
         self.streams = streams
         self.spec = spec
         self.hostname = spec.hostname
-        #: ``state`` and ``up`` are written together, at the four places
-        #: the state changes (here, ``reset``, ``crash``, ``recover``).
+        self.software: dict[str, TaskBehavior] = {}
+        self._heartbeats_enabled = heartbeats_enabled
+        self._ttf_stream = f"host.{spec.hostname}.ttf"
+        self._downtime_stream = f"host.{spec.hostname}.downtime"
+        self.reset()
+
+    def reset(self) -> None:
+        """Come up as at construction (installed software kept): heartbeats
+        start, then the first crash is drawn, so a grid reset reproduces a
+        freshly built grid's event sequence and RNG draws bit-for-bit.
+
+        The kernel and streams are assumed to have been reset already.
+        Stale event handles are dropped; cancelling one would be a no-op
+        anyway, as a kernel reset disowns every queued entry.
+        """
+        #: ``state`` and ``up`` are written together, at the three places
+        #: the state changes (here, ``crash``, ``recover``).
         self.state = HostState.UP
         self.up = True
-        self.software: dict[str, TaskBehavior] = {}
         self._running: dict[str, "JobProcess"] = {}
         self._queued: deque["JobProcess"] = deque()
         self._crash_listeners: list[Callable[["Host"], None]] = []
@@ -73,35 +87,7 @@ class Host:
         self._heartbeat_seq = itertools.count()
         self._heartbeat_task: PeriodicTask | None = None
         self._crash_handle: TimerHandle | None = None
-        self._heartbeats_enabled = heartbeats_enabled
-        self._ttf_stream = f"host.{spec.hostname}.ttf"
-        self._downtime_stream = f"host.{spec.hostname}.downtime"
         #: Lifetime counters (diagnostics / tests).
-        self.crash_count = 0
-        self.jobs_started = 0
-        self.jobs_killed = 0
-        if heartbeats_enabled:
-            self._start_heartbeats()
-        self._schedule_next_crash()
-
-    def reset(self) -> None:
-        """Return to the just-constructed state (installed software kept).
-
-        Must mirror ``__init__`` exactly — including the heartbeat-then-
-        crash scheduling order — so that a grid reset reproduces a freshly
-        built grid's event sequence and RNG draws bit-for-bit.  The kernel
-        and streams are assumed to have been reset already; stale event
-        handles are dropped, not cancelled.
-        """
-        self.state = HostState.UP
-        self.up = True
-        self._running.clear()
-        self._queued.clear()
-        self._crash_listeners.clear()
-        self._recover_listeners.clear()
-        self._heartbeat_seq = itertools.count()
-        self._heartbeat_task = None
-        self._crash_handle = None
         self.crash_count = 0
         self.jobs_started = 0
         self.jobs_killed = 0

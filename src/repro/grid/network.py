@@ -69,12 +69,7 @@ class Network:
         self.latency = latency
         self.jitter = jitter
         self.loss_probability = loss_probability
-        self._partitioned: set[str] = set()
-        self._sink: Callable[[Message], None] | None = None
-        #: Per-host FIFO watermark: when the host's latest message is
-        #: scheduled to arrive, the earliest the next one may.
-        self._last_delivery: dict[str, float] = {}
-        self.stats = NetworkStats()
+        self.reset()
 
     # -- wiring ----------------------------------------------------------------
 
@@ -85,9 +80,11 @@ class Network:
     def reset(self) -> None:
         """Forget all transient state (sink, partitions, FIFO watermarks,
         stats), as if freshly constructed with the same latency model."""
-        self._partitioned.clear()
-        self._sink = None
-        self._last_delivery.clear()
+        self._partitioned: set[str] = set()
+        self._sink: Callable[[Message], None] | None = None
+        #: Per-host FIFO watermark: when the host's latest message is
+        #: scheduled to arrive, the earliest the next one may.
+        self._last_delivery: dict[str, float] = {}
         self.stats = NetworkStats()
 
     # -- partitions --------------------------------------------------------------

@@ -89,10 +89,12 @@ class SimulatedGrid(ExecutionService):
 
         Hosts (and their installed software) survive; everything transient
         — the event queue, RNG streams, in-flight jobs, checkpoints,
-        network wiring — is rebuilt exactly as a newly constructed
+        network wiring — is rebuilt by the ``reset`` that construction
+        itself runs, layer by layer, as a newly constructed
         ``SimulatedGrid(seed=...)`` with the same hosts added in the same
         order would build it, so a reset grid produces bit-identical
-        simulations.  This is the Monte-Carlo fast path: per-run setup
+        simulations.  Timer handles from before the reset are disowned:
+        cancelling one is a no-op.  This is the Monte-Carlo fast path: per-run setup
         drops from "construct the world" to "reseed and rewind"
         (:class:`repro.sim.engine_mc.EngineSampler`).
         """

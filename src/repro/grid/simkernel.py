@@ -29,9 +29,10 @@ engine-level Monte-Carlo point — the ledger's ``mc_engine`` workload,
   holding both;
 * an owner that fires one timer after another (a job's steps, a periodic
   task) keeps one entry and re-arms it in place (:meth:`SimKernel.rearm`);
-* the drain loops (:meth:`run`, :meth:`run_until`, :meth:`run_until_done`)
-  pop inline instead of delegating to :meth:`step`, and :meth:`schedule`
-  pushes inline, so an event costs one Python frame beyond its callback.
+* one drain loop (:meth:`run_until_done`) pops inline, and :meth:`step`,
+  :meth:`run` and :meth:`run_until` are a predicate or a deadline on it;
+  :meth:`schedule` pushes inline, so an event costs one Python frame
+  beyond its callback.
 
 :class:`SimReactor` adapts the kernel to the :class:`repro.reactor.Reactor`
 interface so the workflow engine can run unmodified inside the simulation.
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Callable
 
 from ..reactor import Reactor
@@ -51,6 +53,10 @@ from ..timerheap import WHEN as _WHEN
 from ..timerheap import TimerHandle, TimerHeap
 
 __all__ = ["SimKernel", "SimReactor", "PeriodicTask"]
+
+#: A completion predicate that never holds (``bool()`` is ``False``), asked
+#: without a Python frame.
+_never = bool
 
 
 class SimKernel:
@@ -66,7 +72,6 @@ class SimKernel:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
         self._timers = timers = TimerHeap()
         #: Entries due at the current instant, in ``seq`` order.
         self._lane: deque[list] = deque()
@@ -74,7 +79,7 @@ class SimKernel:
         # the heap does not refer back to the kernel).
         self._cancel_queued = timers.cancel
         self._cancel_in_lane = timers.cancel_unqueued
-        self._events_processed = 0
+        self.reset()
 
     # -- clock ---------------------------------------------------------------
 
@@ -113,12 +118,19 @@ class SimKernel:
         }
 
     def reset(self) -> None:
-        """Return to the pristine just-constructed state: clock at zero,
-        empty queue, sequence counter restarted (so a reused kernel
-        reproduces a fresh one's FIFO tie-breaking exactly)."""
-        self._now = 0.0
+        """Return to the just-constructed state: clock at zero, empty
+        queue, sequence counter restarted (so a reused kernel reproduces a
+        fresh one's FIFO tie-breaking exactly).
+
+        Every entry still queued is marked fired first, so a handle from
+        before the reset is disowned: its ``cancel()`` is a no-op, whoever
+        holds it, and counts nothing against the next run."""
+        lane = self._lane
+        for entry in chain(self._timers.heap, lane):
+            entry[_CALLBACK] = _FIRED
         self._timers.clear()
-        self._lane.clear()
+        lane.clear()
+        self._now = 0.0
         self._events_processed = 0
 
     # -- scheduling ------------------------------------------------------------
@@ -183,34 +195,17 @@ class SimKernel:
 
     # -- execution -------------------------------------------------------------
     #
-    # One rule picks the next entry in all four loops below: the lane's
-    # head, unless the heap's head is due now with a smaller seq (heap
-    # entries are never due earlier than now, so ``heap[0] < lane[0]``
-    # says exactly that).  The clock only moves when the lane is empty.
+    # One loop, :meth:`run_until_done`, pops events; the others are a
+    # predicate or a deadline on it.  It picks the lane's head, unless the
+    # heap's head is due now with a smaller seq (heap entries are never due
+    # earlier than now, so ``heap[0] < lane[0]`` says exactly that).  The
+    # clock only moves when the lane is empty.
 
     def step(self) -> bool:
         """Process the single next event.  Returns ``False`` when idle."""
-        timers = self._timers
-        heap = timers.heap
-        lane = self._lane
-        while lane or heap:
-            if lane and not (heap and heap[0] < lane[0]):
-                entry = lane.popleft()
-                callback = entry[_CALLBACK]
-                if callback is None:
-                    continue
-            else:
-                entry = heappop(heap)
-                callback = entry[_CALLBACK]
-                if callback is None:
-                    timers.note_popped_cancelled()
-                    continue
-                self._now = entry[_WHEN]
-            entry[_CALLBACK] = _FIRED
-            callback()
-            self._events_processed += 1
-            return True
-        return False
+        target = self._events_processed + 1
+        self.run_until_done(lambda: self._events_processed >= target)
+        return self._events_processed >= target
 
     def run(self, *, max_events: int | None = None) -> int:
         """Run until the event queue drains.
@@ -219,34 +214,18 @@ class SimKernel:
         that never stop); when exceeded a ``RuntimeError`` is raised.
         Returns the number of events processed by this call.
         """
-        timers = self._timers
-        heap = timers.heap
-        lane = self._lane
-        popleft = lane.popleft
-        processed = 0
-        while lane or heap:
-            if lane and not (heap and heap[0] < lane[0]):
-                entry = popleft()
-                callback = entry[_CALLBACK]
-                if callback is None:
-                    continue
-            else:
-                entry = heappop(heap)
-                callback = entry[_CALLBACK]
-                if callback is None:
-                    timers.note_popped_cancelled()
-                    continue
-                self._now = entry[_WHEN]
-            entry[_CALLBACK] = _FIRED
-            callback()
-            processed += 1
-            self._events_processed += 1
-            if max_events is not None and processed > max_events:
+        start = self._events_processed
+        if max_events is None:
+            self.run_until_done(_never)
+        else:
+            limit = start + max_events
+            self.run_until_done(lambda: self._events_processed > limit)
+            if self._events_processed > limit:
                 raise RuntimeError(
                     f"simulation exceeded max_events={max_events} "
                     f"(virtual time {self._now:.3f})"
                 )
-        return processed
+        return self._events_processed - start
 
     def run_until(self, when: float) -> int:
         """Run events with timestamps ``<= when``; advance the clock to *when*.
@@ -256,34 +235,10 @@ class SimKernel:
         """
         if when < self._now:
             return 0  # everything queued is due now or later
-        timers = self._timers
-        heap = timers.heap
-        lane = self._lane
-        popleft = lane.popleft
-        processed = 0
-        while lane or heap:
-            if lane and not (heap and heap[0] < lane[0]):
-                entry = popleft()
-                callback = entry[_CALLBACK]
-                if callback is None:
-                    continue
-            else:
-                head = heap[0]
-                if head[_CALLBACK] is None:
-                    heappop(heap)
-                    timers.note_popped_cancelled()
-                    continue
-                if head[_WHEN] > when:
-                    break
-                entry = heappop(heap)
-                callback = entry[_CALLBACK]
-                self._now = entry[_WHEN]
-            entry[_CALLBACK] = _FIRED
-            callback()
-            processed += 1
-            self._events_processed += 1
+        start = self._events_processed
+        self.run_until_done(_never, when)
         self._now = max(self._now, when)
-        return processed
+        return self._events_processed - start
 
     def run_until_done(
         self, is_done: Callable[[], bool], deadline: float | None = None
@@ -403,6 +358,3 @@ class SimReactor(Reactor):
             is_done, None if timeout is None else kernel.now() + timeout
         )
         return bool(is_done())
-
-    def _has_work(self) -> bool:
-        return self.kernel.pending() > 0

@@ -65,6 +65,7 @@ class Reactor(ABC):
         """Schedule *callback* at the current time (after pending events)."""
         return self.call_later(0.0, callback)
 
+    @abstractmethod
     def run_until_complete(
         self,
         is_done: Callable[[], bool],
@@ -74,27 +75,7 @@ class Reactor(ABC):
         value.  Stops early when the reactor goes idle or *timeout* reactor
         seconds elapse (background periodic work — heartbeats, host failure
         processes — can keep a reactor busy forever, so completion is the
-        caller's predicate, not queue emptiness).
-
-        The default implementation pumps in bounded slices; subclasses with
-        a steppable core override this with an exact loop.
-        """
-        deadline = None if timeout is None else self.now() + timeout
-        while not is_done():
-            if deadline is not None and self.now() >= deadline:
-                break
-            slice_timeout = 0.05
-            if deadline is not None:
-                slice_timeout = min(slice_timeout, max(0.0, deadline - self.now()))
-            self.run_until_idle(timeout=slice_timeout)
-            if not self._has_work() and not is_done():
-                break  # idle without completion: give up rather than spin
-        return is_done()
-
-    def _has_work(self) -> bool:
-        """Whether timers/callbacks/keepalives remain (subclass hook for
-        :meth:`run_until_complete`'s idle detection)."""
-        return True
+        caller's predicate, not queue emptiness)."""
 
 
 class RealTimeReactor(Reactor):
@@ -172,6 +153,25 @@ class RealTimeReactor(Reactor):
                 self._cond.wait(timeout=wait)
             if deadline is not None and self.now() >= deadline:
                 return
+
+    def run_until_complete(
+        self,
+        is_done: Callable[[], bool],
+        timeout: float | None = None,
+    ) -> bool:
+        # Pumped in bounded slices: a worker thread's post can complete the
+        # predicate at any moment.
+        deadline = None if timeout is None else self.now() + timeout
+        while not is_done():
+            if deadline is not None and self.now() >= deadline:
+                break
+            slice_timeout = 0.05
+            if deadline is not None:
+                slice_timeout = min(slice_timeout, max(0.0, deadline - self.now()))
+            self.run_until_idle(timeout=slice_timeout)
+            if not self._has_work() and not is_done():
+                break  # idle without completion: give up rather than spin
+        return is_done()
 
     # -- real-time extras --------------------------------------------------
 

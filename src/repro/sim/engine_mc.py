@@ -177,9 +177,7 @@ class EngineSampler:
         self.events_processed = 0
         #: Optional :class:`repro.obs.metrics.MetricsRegistry`; when set,
         #: each run records its attempt count and completion time (labelled
-        #: by technique).  ``None`` keeps the hot path untouched — the
-        #: engine Monte-Carlo benchmark asserts the instrumented-but-
-        #: disabled path stays within 2% of this one.
+        #: by technique).  ``None`` costs a run one ``is None`` check.
         self.metrics = None
         #: The reused engine, once :meth:`run` has built it (diagnostics).
         self.engine: WorkflowEngine | None = None

@@ -22,10 +22,10 @@ cannot drift apart:
   :data:`FIRED` first, so cancelling a timer that already ran is a no-op:
   it is neither counted nor allowed to trigger a compaction of a heap
   that holds no cancelled entry (and the entry lets go of its callback);
-* compaction rebuilds the list *in place* (``heap[:] = ...``) because drain
-  loops hold a local reference to it.
+* compaction rebuilds the list *in place* (``heap[:] = ...``) because the
+  kernel's drain loop holds a local reference to it.
 
-Owners that pop entries inline (the simulation kernel's drain loops) must
+Owners that pop entries inline (the simulation kernel's drain loop) must
 call :meth:`TimerHeap.note_popped_cancelled` whenever they pop an entry
 whose callback is ``None``, keeping the cancellation counter honest, and
 must store :data:`FIRED` in the callback slot of every entry they run.
@@ -112,20 +112,11 @@ class TimerHeap:
     )
 
     def __init__(self) -> None:
-        #: The underlying heap list.  Owners may read it directly for hot
-        #: drain loops; apart from the kernel's inline push, mutation goes
+        #: The underlying heap list.  Owners may read it directly for a hot
+        #: drain loop; apart from the kernel's inline push, mutation goes
         #: through the methods below.
         self.heap: list[list] = []
-        #: Sequence number the next pushed entry takes (FIFO tie-break).
-        self.next_seq = 0
-        self._cancelled = 0
-        #: Monotonic observability counters: compaction passes performed
-        #: and total cancellations ever recorded.  Unlike ``_cancelled``
-        #: (live pending-cancel count, reset by compaction) these survive
-        #: :meth:`compact` — :meth:`clear` rewinds them with everything
-        #: else so reused kernels replay identically.
-        self.compactions = 0
-        self.cancelled_total = 0
+        self.clear()
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -181,8 +172,8 @@ class TimerHeap:
             self._cancelled -= 1
 
     def compact(self) -> None:
-        """Drop cancelled entries and re-heapify, in place (drain loops
-        hold a local reference to the heap list, so its identity must be
+        """Drop cancelled entries and re-heapify, in place (a drain loop
+        holds a local reference to the heap list, so its identity must be
         preserved)."""
         self.heap[:] = [e for e in self.heap if e[CALLBACK] is not None]
         heapq.heapify(self.heap)
@@ -228,7 +219,12 @@ class TimerHeap:
         """Forget every entry and restart the sequence counter (so a reused
         heap reproduces a fresh one's FIFO tie-breaking exactly)."""
         self.heap.clear()
+        #: Sequence number the next pushed entry takes (FIFO tie-break).
         self.next_seq = 0
         self._cancelled = 0
+        #: Monotonic observability counters: compaction passes performed
+        #: and total cancellations ever recorded.  Unlike ``_cancelled``
+        #: (live pending-cancel count, reset by compaction) these survive
+        #: :meth:`compact`; only :meth:`clear` rewinds them.
         self.compactions = 0
         self.cancelled_total = 0

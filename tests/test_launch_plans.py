@@ -17,6 +17,8 @@ specification and towards the runtime — is in
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.catalogs import ResourceCatalog, ResourceQuery
@@ -152,6 +154,9 @@ class TestWildcardsAreNeverCached:
 
 
 class TestPlansArePerResolver:
+    def setup_method(self):
+        self.ids = itertools.count(1)
+
     def run(self, runtime_owner, spec, grid, resolver):
         engine = WorkflowEngine(
             spec,
@@ -159,7 +164,7 @@ class TestPlansArePerResolver:
             reactor=grid.reactor,
             runtime=runtime_owner.runtime,
             strategy_resolver=resolver,
-            workflow_id=f"wf-{runtime_owner.runtime.next_engine_id()}",
+            workflow_id=f"wf-{next(self.ids)}",
         )
         assert engine.run(timeout=1e6).succeeded
         return engine

@@ -487,18 +487,6 @@ class TestEngineIdAllocation:
         assert second != first
         assert second == "wf-2"
 
-    def test_standalone_reset_rewinds_ids(self):
-        grid = fixed_grid()
-        engine = WorkflowEngine(
-            single_task_workflow(), grid, reactor=grid.reactor
-        )
-        engine.run(timeout=1e7)
-        before = engine.runtime.next_engine_id()
-        grid.reset(seed=42)
-        engine.reset()
-        assert engine.runtime.next_engine_id() == 1
-        assert before >= 1
-
 
 class TestBatchedHeartbeats:
     def _run(self, *, batch: bool):

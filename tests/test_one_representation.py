@@ -13,7 +13,10 @@ attached for the life of its bus, so detaching, re-attaching, private folds
 and the recorder's own window went, with a few recordings nothing read.
 Figure 13's strategies are techniques of the one sampling pipeline, so its
 parallel stack went.  The bus routes exact topics, so its wildcard
-patterns, route cache and subscription handles went.
+patterns, route cache and subscription handles went.  Instance ids are
+the engine host's, so the runtime's id space and its host-managed switch
+went, with two ways to pump a simulated reactor and a checkpoint
+manager's second way to forget everything.
 One walk over ``src/repro`` keeps them deleted, and keeps the retry wait —
 and the decoding of a log record — in one place.
 """
@@ -26,11 +29,13 @@ import inspect
 from pathlib import Path
 
 import repro
+from repro.ckpt.manager import CheckpointManager
 from repro.core.policy import FailurePolicy
 from repro.detection import messages
 from repro.engine import strategies
 from repro.execution import SubmitRequest
 from repro.grid.gram import GramService
+from repro.grid.simkernel import SimReactor
 from repro.obs import (
     EstimatorSuite,
     FlightRecorder,
@@ -41,6 +46,7 @@ from repro.obs import (
     WorkflowStatusTracker,
     spans,
 )
+from repro.reactor import Reactor
 from tests.helpers import RECORD_TYPES, SPEC_RECORD_TYPES, STATE_TYPES
 
 SRC = Path(repro.__file__).parent
@@ -168,6 +174,10 @@ GONE = {
     "sample_replication",
     "sample_replication_checkpointing",
     "span_tree",
+    "next_engine_id",
+    "reset_engine_ids",
+    "host_managed",
+    "_engine_ids",
 }
 
 
@@ -240,6 +250,12 @@ def test_the_deleted_surface_stays_deleted():
     # checked where they lived).
     fields = set(SubmitRequest._fields)
     assert not fields & {"checkpoint_flag", "workflow_id"}, fields
+    # The simulated reactor drains through the kernel's one loop, and an
+    # unscoped coordinator clears the empty prefix (``_has_work`` is still
+    # the real-time reactor's, ``reset`` everyone's).
+    assert not hasattr(SimReactor, "_has_work")
+    assert not hasattr(Reactor, "_has_work")
+    assert not hasattr(CheckpointManager, "reset")
 
 
 def test_a_record_on_the_attempt_path_is_a_tuple():
