@@ -31,7 +31,8 @@ narration only; nothing it does depends on who is listening.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple
 
 from ..ckpt.manager import CheckpointManager
 from ..core.exceptions import UserException
@@ -84,6 +85,9 @@ class TaskResolution(NamedTuple):
 
 _tuple_new = tuple.__new__
 
+#: The arguments of every request of an activity without inputs.
+_NO_ARGUMENTS: Mapping[str, Any] = MappingProxyType({})
+
 
 @dataclass(slots=True)
 class LaunchPlan:
@@ -102,16 +106,15 @@ class LaunchPlan:
     #: option never enters: the broker matches it against the catalog and
     #: the activity's query at every submission.
     targets: dict[int, ResolvedOption] = field(default_factory=dict)
-    #: The request each literal option runs, by (activity name, option
-    #: index), with the activity it was built for.  Every submission of
-    #: that activity object resubmits it — a retry, every instance of the
-    #: specification, and the same slot in the next run of a reset engine:
-    #: the checkpoint flag and the instance go with the submission, not
-    #: the request.  A rebuilt activity (inputs bound per launch) never
-    #: matches.
-    requests: dict[tuple[str, int], tuple[Activity, SubmitRequest]] = field(
-        default_factory=dict
-    )
+    #: The request each literal option runs, by option index and then
+    #: activity name: every submission of that activity on that option
+    #: resubmits it — a retry, every instance of the specification, and the
+    #: same slot in the next run of a reset engine: the checkpoint flag and
+    #: the instance go with the submission, not the request.  Only an
+    #: activity without inputs enters (its request is a function of its
+    #: name and the option); one with inputs, which the engine may rebuild
+    #: per launch to bind them, builds its request per submission.
+    requests: dict[int, dict[str, SubmitRequest]] = field(default_factory=dict)
 
 
 @dataclass(slots=True, init=False)
@@ -460,6 +463,7 @@ class RecoveryCoordinator:
             target = self._broker.resolve_index(activity, run.program, option_index)
             if not is_wildcard(run.program.options[option_index]):
                 plan.targets[option_index] = target
+                plan.requests[option_index] = {}
         flag = plan.strategy.submit_flag(activity, self.checkpoints, slot.flag_key)
         # Causal chain: the attempt's parent is the recovery decision that
         # spawned it (a retry, or the checkpoint-restart minted just below);
@@ -486,11 +490,12 @@ class RecoveryCoordinator:
                 )
         if self._tracer is not None and parent is not None:
             slot.attempt_trace = self._tracer.child(parent)
-        key = (activity.name, option_index)
-        cached = plan.requests.get(key)
-        if cached is not None and cached[0] is activity:
-            request = cached[1]
-        else:
+        inputs = activity.inputs
+        # Shared only on a literal option (a wildcard's target varies) and
+        # by an activity without inputs (inputs may be bound per launch).
+        requests = None if inputs else plan.requests.get(option_index)
+        request = None if requests is None else requests.get(activity.name)
+        if request is None:
             request = _tuple_new(
                 SubmitRequest,
                 (
@@ -499,12 +504,12 @@ class RecoveryCoordinator:
                     target.hostname,
                     target.service,
                     target.directory,
-                    {p.name: p.value for p in activity.inputs},
+                    {p.name: p.value for p in inputs} if inputs else _NO_ARGUMENTS,
                     True,
                 ),
             )
-            if option_index in plan.targets:  # a wildcard's target varies
-                plan.requests[key] = (activity, request)
+            if requests is not None:
+                requests[activity.name] = request
         slot.tries_used += 1
         slot.last_host = target.hostname
         job_id = self._service.submit(

@@ -19,7 +19,7 @@ to the sink registered with :meth:`ExecutionService.connect` (normally
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .core.records import FrozenRecord
 from .detection.messages import Message
@@ -34,7 +34,7 @@ class _SubmitRequestFields(NamedTuple):
     hostname: str
     service: str
     directory: str
-    arguments: dict[str, Any]
+    arguments: Mapping[str, Any]
     queue_when_down: bool
 
 
@@ -50,8 +50,9 @@ class SubmitRequest(FrozenRecord, _SubmitRequestFields):
 
     A ``NamedTuple`` with the equality of the frozen dataclass it was
     (:class:`~repro.core.records.FrozenRecord`): the recovery coordinator
-    mints one with a single ``tuple.__new__``; built directly, each gets
-    its own empty ``arguments`` dict.
+    mints one with a single ``tuple.__new__`` (every request of an activity
+    without inputs shares one read-only empty ``arguments``); built
+    directly, each gets its own empty ``arguments`` dict.
 
     Attributes
     ----------

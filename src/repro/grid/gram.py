@@ -302,11 +302,11 @@ class GramService:
         self._processes: dict[str, JobProcess] = {}
         #: Submissions ever accepted (rejected ones included).
         self.submitted_count = 0
-        # Keyed by (workflow_id, activity): concurrent workflow instances
+        # By workflow id, then activity: concurrent workflow instances
         # running the same specification must not share attempt sequences
         # (a deterministic crash-on-attempt-1 behaviour would otherwise
         # crash in one instance and spuriously succeed in its sibling).
-        self._attempt_counters: dict[tuple[str, str], int] = {}
+        self._attempt_counters: dict[str, dict[str, int]] = {}
         self._seq = itertools.count(1)
 
     # -- submission -----------------------------------------------------------
@@ -330,9 +330,11 @@ class GramService:
             raise GridError(f"unknown host: {request.hostname!r}")
         job_id = f"job-{next(self._seq):06d}"
         self.submitted_count += 1
-        attempt_key = (workflow_id, request.activity)
-        attempt = self._attempt_counters.get(attempt_key, 0) + 1
-        self._attempt_counters[attempt_key] = attempt
+        try:
+            counters = self._attempt_counters[workflow_id]
+        except KeyError:
+            counters = self._attempt_counters[workflow_id] = {}
+        attempt = counters[request.activity] = counters.get(request.activity, 0) + 1
         behavior = host.software.get(request.executable)
         if behavior is None:
             self._reject(job_id, request, exit_code=127)  # not installed

@@ -3,56 +3,29 @@
 Parses workflow process definitions in the paper's XML Workflow Process
 Definition Language into the :mod:`repro.wpdl.model` AST, then validates.
 The element vocabulary follows the paper's fragments (Figures 2–3) and its
-Section 7 feature list:
-
-.. code-block:: xml
-
-    <Workflow name='example'>
-      <Variables>
-        <Variable name='threshold' value='0.5' type='float'/>
-      </Variables>
-      <Activity name='summation' max_tries='3' interval='10'>
-        <Input name='x' value='42' type='int'/>
-        <Input name='y' ref='previous_task'/>
-        <Output>total</Output>
-        <Implement>sum</Implement>
-      </Activity>
-      <Activity name='merge' policy='replica' join='or'/>
-      <Loop name='refine' condition='residual &gt; 0.01' max_iterations='10'>
-        <Body name='refine_body'>
-          <!-- nested Activities / Transitions / Programs -->
-        </Body>
-      </Loop>
-      <Transition from='summation' to='merge'/>
-      <Transition from='summation' to='cleanup' on='failed'/>
-      <Transition from='fast' to='slow' on='exception' exception='disk_full'/>
-      <Transition from='check' to='big' condition='total &gt; 100'/>
-      <Program name='sum'>
-        <Option hostname='bolas.isi.edu' service='jobmanager'
-                executableDir='/XML/EXAMPLE/' executable='sum'/>
-      </Program>
-    </Workflow>
-
+Section 7 feature list; :data:`repro.wpdl.schema.WPDL_DTD` writes it out.
 Retrying is ``max_tries`` / ``interval`` on the activity (``max_tries`` may
 be ``'unlimited'``); ``backoff`` / ``max_interval`` grow the inter-try wait
 geometrically; replication is ``policy='replica'``; a missing
 ``<Implement>`` makes the activity a dummy task.  Techniques combine
 freely: ``policy='replica' restart_from_checkpoint='true' max_tries='3'``
 is replication whose replicas each retry from their checkpoints.
+
+No element tree is built: the records are minted from expat's events as
+the document is read (DESIGN.md §11), and every message and the order in
+which faults are met are those of reading the whole tree first.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Any
+from xml.parsers import expat
 
 from ..core.policy import FailurePolicy, ReplicationMode, ResourceSelection
 from ..errors import ParseError, PolicyError, SpecificationError
 from .model import (
-    _ALWAYS,
     _DONE,
-    _FAILED,
     Activity,
     JoinMode,
     Loop,
@@ -65,29 +38,21 @@ from .model import (
     TransitionCondition,
     Workflow,
 )
+from .schema import ELEMENTS
 from .validator import validate
 
 __all__ = ["parse_wpdl", "parse_wpdl_file"]
 
 #: The activity attributes a :class:`FailurePolicy` is parsed from.
-_POLICY_ATTRIBUTES = (
-    "max_tries",
-    "interval",
-    "policy",
-    "resource_selection",
-    "restart_from_checkpoint",
-    "retry_on_exception",
-    "timeout",
-    "backoff",
-    "max_interval",
-)
-
-#: One document's parsed policies, by their raw attribute strings.
-_PolicyMemo = dict[tuple, FailurePolicy]
-
-#: ``join=`` values (a missing attribute reads ``and``).
-_JOIN_MODES = {mode.value: mode for mode in JoinMode}
-
+_POLICY_ATTRIBUTES = tuple(sorted(ELEMENTS["Activity"][0] - {"name", "join"}))
+#: The members of the enum-valued attributes, by value.
+_CHOICES = {
+    "join": {mode.value: mode for mode in JoinMode},
+    "policy": {mode.value: mode for mode in ReplicationMode},
+    "resource_selection": {way.value: way for way in ResourceSelection},
+}
+#: The elements whose text is read: what comes before their first child.
+_TEXT_ELEMENTS = frozenset({"Implement", "Output", "Description"})
 #: Activities and transitions are minted: the parser has made every check
 #: their constructors make by the time it builds one.
 _tuple_new = tuple.__new__
@@ -100,19 +65,20 @@ _TYPE_PARSERS = {
     "none": lambda s: None,
 }
 
+_Attrs = dict[str, str]
+
 
 def parse_wpdl(text: str, *, validate_graph: bool = True) -> Workflow:
     """Parse an XML WPDL document string into a validated workflow."""
+    reader = _Reader()
     try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise ParseError(f"not well-formed XML: {exc}") from exc
-    if root.tag != "Workflow":
-        raise ParseError(f"root element must be <Workflow>, got <{root.tag}>")
-    workflow = _parse_workflow_element(root, {})
+        _run(reader.parser, text)
+    except ParseError:
+        _fault_met_first(text, reader.composites)
+        raise
     if validate_graph:
-        validate(workflow)
-    return workflow
+        validate(reader.workflow)
+    return reader.workflow
 
 
 def parse_wpdl_file(path: str | Path, *, validate_graph: bool = True) -> Workflow:
@@ -124,341 +90,377 @@ def parse_wpdl_file(path: str | Path, *, validate_graph: bool = True) -> Workflo
     return parse_wpdl(text, validate_graph=validate_graph)
 
 
-def _parse_workflow_element(elem: ET.Element, policies: _PolicyMemo) -> Workflow:
-    """*policies* interns the document's equal policies (bodies included):
+def _xml_parser() -> Any:
+    """Expat reading as ``xml.etree`` does: namespaced names as ``uri}local``,
+    and an entity nothing declares (legal beside an external DTD) is an error."""
+    parser = expat.ParserCreate(None, "}")
+    parser.buffer_text = True
+
+    def undefined(name: str, is_parameter_entity: bool) -> None:
+        if not is_parameter_entity:
+            raise ParseError(
+                f"not well-formed XML: undefined entity {f'&{name};'[:100]}: "
+                f"line {parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}"
+            )
+
+    parser.SkippedEntityHandler = undefined
+    return parser
+
+
+def _run(parser: Any, text: str) -> None:
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise ParseError(f"not well-formed XML: {exc}") from exc
+    finally:  # the handlers refer back to the parser: leave no cycle to collect
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = parser.SkippedEntityHandler = None
+
+
+def _fault_met_first(text: str, open_composites: list[_Composite]) -> None:
+    """Raise what reading the whole tree first meets before the fault the
+    events met: an XML fault, then an open loop's or sub-workflow's second
+    ``<Body>`` (outermost first: it counts bodies before reading one)."""
+    bodies = {composite.where: 0 for composite in open_composites}
+    parser = _xml_parser()
+    open_at: list[int] = []
+
+    def start(tag: str, _attrs: _Attrs) -> None:
+        if tag == "Body" and open_at and open_at[-1] in bodies:
+            bodies[open_at[-1]] += 1
+        open_at.append(parser.CurrentByteIndex)
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = lambda _tag: open_at.pop()
+    _run(parser, text)
+    for composite in open_composites:
+        if bodies[composite.where] > 1:
+            raise ParseError(f"{composite.label} requires exactly one <Body>")
+
+
+def _tag(name: str) -> str:
+    """*name* as a message shows it: ``{uri}local`` when namespaced."""
+    return "{" + name if "}" in name else name
+
+
+class _Frame:
+    """A ``<Workflow>`` or ``<Body>`` being read."""
+
+    __slots__ = ("name", "nodes", "transitions", "programs", "variables")
+
+    def __init__(self, name: str) -> None:
+        self.name, self.nodes, self.transitions = name, {}, []
+        self.programs, self.variables = {}, {}
+
+    def workflow(self) -> Workflow:
+        nodes, programs, variables = self.nodes, self.programs, self.variables
+        return Workflow(self.name, nodes, tuple(self.transitions), programs, variables)
+
+
+class _Composite:
+    """A ``<Loop>`` or ``<SubWorkflow>`` being read; *where*, the byte offset
+    of its start tag, finds it again in a second reading."""
+
+    __slots__ = ("tag", "label", "name", "attrs", "where", "body")
+
+    def __init__(self, tag: str, name: str, attrs: _Attrs, where: int) -> None:
+        self.tag, self.label = tag, f"{tag.lower()} {name!r}"
+        self.name, self.attrs, self.where = name, attrs, where
+        self.body: Workflow | None = None
+
+
+class _Reader:
+    """Mints one document's records from its expat events.  A start goes
+    to ``open``, the reader of the children of the element it is in, an end
+    to :meth:`close`; in an element whose content is not read only ``depth``
+    moves.  *policies* interns the document's equal policies (bodies too):
     activities that declare the same handling share one object, which is
     what lets the engine keep one launch plan per (program, policy)."""
-    name = elem.get("name", "")
-    if not name:
-        raise ParseError("<Workflow> requires a name attribute")
-    nodes: dict[str, Any] = {}
-    transitions: list[Transition] = []
-    programs: dict[str, Program] = {}
-    variables: dict[str, Any] = {}
 
-    for child in elem:
-        if child.tag == "Variables":
-            for var in child.findall("Variable"):
-                vname = var.get("name", "")
-                if not vname:
-                    raise ParseError("<Variable> requires a name attribute")
-                variables[vname] = _typed_value(
-                    var.get("value", ""), var.get("type", "str")
-                )
-        elif child.tag == "Activity":
-            activity = _parse_activity(child, policies)
-            _add_unique(nodes, activity, "activity")
-        elif child.tag == "Loop":
-            loop = _parse_loop(child, policies)
-            _add_unique(nodes, loop, "loop")
-        elif child.tag == "SubWorkflow":
-            sub = _parse_subworkflow(child, policies)
-            _add_unique(nodes, sub, "subworkflow")
-        elif child.tag == "Transition":
-            transitions.append(_parse_transition(child))
-        elif child.tag == "Program":
-            program = _parse_program(child)
-            if program.name in programs:
-                raise ParseError(f"duplicate program {program.name!r}")
-            programs[program.name] = program
+    def __init__(self) -> None:
+        self.parser = parser = _xml_parser()
+        parser.StartElementHandler = self.start
+        parser.EndElementHandler = self.end
+        #: What ``collect`` gathers: a text element's data up to its first child.
+        self.text: list[str] = []
+        self.collect = self.text.append
+        self.policies: dict[tuple, FailurePolicy] = {}
+        self.open = _Reader._root
+        self.depth = 0
+        self.frames: list[_Frame] = []
+        self.composites: list[_Composite] = []
+
+    def start(self, tag: str, attrs: _Attrs) -> None:
+        if self.depth:
+            self.depth += 1
         else:
-            raise ParseError(f"unexpected element <{child.tag}> in <Workflow>")
+            self.open(self, tag, attrs)
 
-    try:
-        return Workflow(
-            name=name,
-            nodes=nodes,
-            transitions=tuple(transitions),
-            programs=programs,
-            variables=variables,
-        )
-    except SpecificationError as exc:
-        raise ParseError(str(exc)) from exc
+    def end(self, tag: str) -> None:
+        if self.depth:
+            self.depth -= 1
+        else:
+            self.close(tag)
 
+    def _root(self, tag: str, attrs: _Attrs) -> None:
+        if tag != "Workflow":
+            raise ParseError(f"root element must be <Workflow>, got <{_tag(tag)}>")
+        self._frame(attrs.get("name", ""))
 
-def _add_unique(nodes: dict[str, Any], node: Any, kind: str) -> None:
-    if node.name in nodes:
-        raise ParseError(f"duplicate {kind} {node.name!r}")
-    nodes[node.name] = node
+    def _frame(self, name: str) -> None:
+        if not name:
+            raise ParseError("<Workflow> requires a name attribute")
+        self.frame = _Frame(name)
+        self.frames.append(self.frame)
+        self.open = _Reader._in_workflow
 
-
-def _parse_activity(elem: ET.Element, policies: _PolicyMemo) -> Activity:
-    name = elem.get("name", "")
-    if not name:
-        raise ParseError("<Activity> requires a name attribute")
-    implement: str | None = None
-    inputs: list[Parameter] = []
-    outputs: list[str] = []
-    rethrows: list[Rethrow] = []
-    description = ""
-    for child in elem:
-        if child.tag == "Implement":
-            implement = (child.text or "").strip() or None
-        elif child.tag == "Input":
-            inputs.append(_parse_input(child, activity=name))
-        elif child.tag == "Output":
-            out = (child.text or "").strip()
-            if not out:
-                raise ParseError(f"activity {name!r}: empty <Output>")
-            outputs.append(out)
-        elif child.tag == "Rethrow":
-            pattern = child.get("on", "")
-            as_name = child.get("as", "")
-            if not pattern or not as_name:
+    def _in_workflow(self, tag: str, attrs: _Attrs) -> None:
+        if tag == "Transition":
+            try:
+                source, target = attrs["from"], attrs["to"]
+            except KeyError:
+                source = target = ""
+            if not source or not target:
+                raise ParseError("<Transition> requires from and to attributes")
+            condition = _DONE
+            if "on" in attrs or "condition" in attrs:
+                condition = _condition(attrs, source, target)
+            if source == target:
                 raise ParseError(
-                    f"activity {name!r}: <Rethrow> requires on and as"
+                    f"self-transition on {source!r} (use a Loop for iteration)"
                 )
-            rethrows.append(Rethrow(pattern=pattern, as_name=as_name))
-        elif child.tag == "Description":
-            description = (child.text or "").strip()
+            edge = _tuple_new(Transition, (source, target, condition))
+            self.frame.transitions.append(edge)
+            self.depth = 1
+        elif tag == "Activity":
+            self.name = attrs.get("name", "")
+            if not self.name:
+                raise ParseError("<Activity> requires a name attribute")
+            self.attrs, self.implement, self.description = attrs, None, ""
+            self.inputs = self.outputs = self.rethrows = ()
+            self.open = _Reader._in_activity
+        elif tag == "Variables":
+            self.open = _Reader._in_variables
+        elif tag == "Loop" or tag == "SubWorkflow":
+            name = attrs.get("name", "")
+            if not name:
+                raise ParseError(f"<{tag}> requires a name attribute")
+            if tag == "Loop":
+                if not attrs.get("condition", ""):
+                    raise ParseError(f"loop {name!r} requires a condition attribute")
+                try:
+                    int(attrs.get("max_iterations", "1000"))
+                except ValueError:
+                    raise ParseError(
+                        f"loop {name!r}: max_iterations must be an integer"
+                    ) from None
+            where = self.parser.CurrentByteIndex
+            self.composites.append(_Composite(tag, name, attrs, where))
+            self.open = _Reader._in_composite
+        elif tag == "Program":
+            self.program = attrs.get("name", "")
+            if not self.program:
+                raise ParseError("<Program> requires a name attribute")
+            self.options: tuple[Option, ...] = ()
+            self.open = _Reader._in_program
         else:
-            raise ParseError(
-                f"unexpected element <{child.tag}> in activity {name!r}"
-            )
-    try:
-        # A policy that fails to parse is not kept, so the error names the
-        # activity it was found on however many share its attributes.
-        key = tuple(map(elem.get, _POLICY_ATTRIBUTES))
-        policy = policies.get(key)
-        if policy is None:
-            policy = policies[key] = _parse_policy(elem, name)
-        join = _parse_join(elem, name)
-    except (SpecificationError, PolicyError) as exc:
-        raise ParseError(f"activity {name!r}: {exc}") from exc
-    return _tuple_new(
-        Activity,
-        (
-            name,
-            implement,
-            policy,
-            join,
-            tuple(inputs),
-            tuple(outputs),
-            tuple(rethrows),
-            description,
-        ),
-    )
+            raise ParseError(f"unexpected element <{_tag(tag)}> in <Workflow>")
 
+    def _in_variables(self, tag: str, attrs: _Attrs) -> None:
+        if tag == "Variable":
+            vname = attrs.get("name", "")
+            if not vname:
+                raise ParseError("<Variable> requires a name attribute")
+            value = _typed_value(attrs.get("value", ""), attrs.get("type", "str"))
+            self.frame.variables[vname] = value
+        self.depth = 1
 
-def _parse_input(elem: ET.Element, *, activity: str) -> Parameter:
-    pname = elem.get("name", "")
-    if not pname:
-        raise ParseError(f"activity {activity!r}: <Input> requires a name")
-    ref = elem.get("ref")
-    if ref is not None:
-        if elem.get("value") is not None:
-            raise ParseError(
-                f"activity {activity!r} input {pname!r}: "
-                "value and ref are mutually exclusive"
-            )
-        return Parameter(name=pname, ref=ref)
-    return Parameter(
-        name=pname,
-        value=_typed_value(elem.get("value", ""), elem.get("type", "str")),
-    )
+    def _in_activity(self, tag: str, attrs: _Attrs) -> None:
+        if tag in _TEXT_ELEMENTS:
+            del self.text[:]
+            self.parser.CharacterDataHandler = self.collect
+            self.open = _Reader._in_text
+            return
+        where = f"activity {self.name!r}"
+        if tag == "Input":
+            pname, ref = attrs.get("name", ""), attrs.get("ref")
+            if not pname:
+                raise ParseError(f"{where}: <Input> requires a name")
+            if ref is None:
+                value = _typed_value(attrs.get("value", ""), attrs.get("type", "str"))
+                self.inputs += (Parameter(name=pname, value=value),)
+            elif attrs.get("value") is not None:
+                raise ParseError(
+                    f"{where} input {pname!r}: value and ref are mutually exclusive"
+                )
+            else:
+                self.inputs += (Parameter(name=pname, ref=ref),)
+        elif tag == "Rethrow":
+            pattern, as_name = attrs.get("on", ""), attrs.get("as", "")
+            if not pattern or not as_name:
+                raise ParseError(f"{where}: <Rethrow> requires on and as")
+            self.rethrows += (Rethrow(pattern=pattern, as_name=as_name),)
+        else:
+            raise ParseError(f"unexpected element <{_tag(tag)}> in {where}")
+        self.depth = 1
 
+    def _in_text(self, _tag: str, _attrs: _Attrs) -> None:
+        # A text element's text is what comes before its first child.
+        self.parser.CharacterDataHandler = None
+        self.depth = 1
 
-def _parse_policy(elem: ET.Element, name: str) -> FailurePolicy:
-    raw_tries = elem.get("max_tries", "1")
-    max_tries: int | None
-    if raw_tries in {"unlimited", "*"}:
-        max_tries = None
-    else:
+    def _in_composite(self, tag: str, attrs: _Attrs) -> None:
+        composite = self.composites[-1]
+        if tag != "Body":
+            self.depth = 1
+        elif composite.body is not None:
+            raise ParseError(f"{composite.label} requires exactly one <Body>")
+        else:
+            self._frame(attrs.get("name", f"{composite.name}_body"))
+
+    def _in_program(self, tag: str, attrs: _Attrs) -> None:
+        where = f"program {self.program!r}"
+        if tag != "Option":
+            raise ParseError(f"unexpected element <{_tag(tag)}> in {where}")
+        hostname = attrs.get("hostname", "")
+        if not hostname:
+            raise ParseError(f"{where}: <Option> requires a hostname")
+        service = attrs.get("service", "jobmanager")
+        directory = attrs.get("executableDir", "")
+        executable = attrs.get("executable", "")
+        self.options += (Option(hostname, service, directory, executable),)
+        self.depth = 1
+
+    def close(self, tag: str) -> None:
+        """End an element that was read (not skipped)."""
+        if tag in _TEXT_ELEMENTS:
+            self.parser.CharacterDataHandler = None
+            text = "".join(self.text).strip()
+            if tag == "Implement":
+                self.implement = text or None
+            elif tag == "Description":
+                self.description = text
+            elif not text:
+                raise ParseError(f"activity {self.name!r}: empty <Output>")
+            else:
+                self.outputs += (text,)
+            self.open = _Reader._in_activity
+        elif tag == "Workflow" or tag == "Body":
+            frame = self.frames.pop()
+            try:
+                workflow = frame.workflow()
+            except SpecificationError as exc:
+                raise ParseError(str(exc)) from exc
+            if self.frames:
+                self.frame = self.frames[-1]
+                self.composites[-1].body = workflow
+                self.open = _Reader._in_composite
+            self.workflow = workflow
+        elif tag == "Program":
+            try:
+                program = Program(name=self.program, options=self.options)
+            except SpecificationError as exc:
+                raise ParseError(str(exc)) from exc
+            if program.name in self.frame.programs:
+                raise ParseError(f"duplicate program {program.name!r}")
+            self.frame.programs[program.name] = program
+            self.open = _Reader._in_workflow
+        elif tag == "Variables":
+            self.open = _Reader._in_workflow
+        else:  # an activity, a loop or a sub-workflow
+            node = self._activity() if tag == "Activity" else self._composite()
+            if node.name in self.frame.nodes:
+                raise ParseError(f"duplicate {tag.lower()} {node.name!r}")
+            self.frame.nodes[node.name] = node
+            self.open = _Reader._in_workflow
+
+    def _activity(self) -> Activity:
+        name, attrs = self.name, self.attrs
         try:
-            max_tries = int(raw_tries)
-        except ValueError:
-            raise ParseError(
-                f"activity {name!r}: max_tries must be an integer or "
-                f"'unlimited', got {raw_tries!r}"
-            ) from None
-    try:
-        interval = float(elem.get("interval", "0"))
-    except ValueError:
-        raise ParseError(
-            f"activity {name!r}: interval must be a number"
-        ) from None
-    policy_attr = elem.get("policy", "none")
-    try:
-        replication = ReplicationMode(policy_attr)
-    except ValueError:
-        raise ParseError(
-            f"activity {name!r}: policy must be 'none' or 'replica', "
-            f"got {policy_attr!r}"
-        ) from None
-    selection_attr = elem.get("resource_selection", "same")
-    try:
-        selection = ResourceSelection(selection_attr)
-    except ValueError:
-        raise ParseError(
-            f"activity {name!r}: resource_selection must be 'same' or "
-            f"'rotate', got {selection_attr!r}"
-        ) from None
-    restart = elem.get("restart_from_checkpoint", "true").lower() != "false"
-    retry_exc = elem.get("retry_on_exception", "false").lower() == "true"
-    raw_timeout = elem.get("timeout")
-    if raw_timeout is None:
-        attempt_timeout = None
-    else:
+            # A policy that fails to parse is not kept, so the error names
+            # the activity it was found on however many share its attributes.
+            key = tuple(map(attrs.get, _POLICY_ATTRIBUTES))
+            policy = self.policies.get(key)
+            if policy is None:
+                policy = self.policies[key] = _parse_policy(attrs, name)
+            join = JoinMode.AND
+            if "join" in attrs:
+                join = _choice(attrs, "join", "and", f"node {name!r}")
+        except (SpecificationError, PolicyError) as exc:
+            raise ParseError(f"activity {name!r}: {exc}") from exc
+        fields = (name, self.implement, policy, join, self.inputs, self.outputs)
+        return _tuple_new(Activity, (*fields, self.rethrows, self.description))
+
+    def _composite(self) -> Loop | SubWorkflow:
+        composite = self.composites.pop()
+        name, attrs, body = composite.name, composite.attrs, composite.body
+        if body is None:
+            raise ParseError(f"{composite.label} requires exactly one <Body>")
         try:
-            attempt_timeout = float(raw_timeout)
-        except ValueError:
-            raise ParseError(
-                f"activity {name!r}: timeout must be a number"
-            ) from None
+            join = _choice(attrs, "join", "and", f"node {name!r}")
+            if composite.tag == "SubWorkflow":
+                return SubWorkflow(name=name, body=body, join=join)
+            iterations = int(attrs.get("max_iterations", "1000"))
+            return Loop(name, body, attrs["condition"], iterations, join)
+        except SpecificationError as exc:
+            raise ParseError(f"{composite.label}: {exc}") from exc
+
+
+def _parse_policy(attrs: _Attrs, name: str) -> FailurePolicy:
+    """The policy's fields are read, and checked, in the attributes' order."""
+    raw_tries = attrs.get("max_tries", "1")
     try:
-        backoff_factor = float(elem.get("backoff", "1"))
+        max_tries = None if raw_tries in {"unlimited", "*"} else int(raw_tries)
     except ValueError:
         raise ParseError(
-            f"activity {name!r}: backoff must be a number"
+            f"activity {name!r}: max_tries must be an integer or "
+            f"'unlimited', got {raw_tries!r}"
         ) from None
-    raw_max_interval = elem.get("max_interval")
-    if raw_max_interval is None:
-        max_interval = None
-    else:
-        try:
-            max_interval = float(raw_max_interval)
-        except ValueError:
-            raise ParseError(
-                f"activity {name!r}: max_interval must be a number"
-            ) from None
-    return FailurePolicy(
-        max_tries=max_tries,
-        interval=interval,
-        replication=replication,
-        resource_selection=selection,
-        restart_from_checkpoint=restart,
-        retry_on_exception=retry_exc,
-        attempt_timeout=attempt_timeout,
-        backoff_factor=backoff_factor,
-        max_interval=max_interval,
-    )
+    interval = _number(attrs, "interval", "0", name)
+    replication = _choice(attrs, "policy", "none", f"activity {name!r}")
+    selection = _choice(attrs, "resource_selection", "same", f"activity {name!r}")
+    restart = attrs.get("restart_from_checkpoint", "true").lower() != "false"
+    retry = attrs.get("retry_on_exception", "false").lower() == "true"
+    timeout = _number(attrs, "timeout", None, name)
+    backoff = _number(attrs, "backoff", "1", name)
+    ceiling = _number(attrs, "max_interval", None, name)
+    fields = (max_tries, interval, replication, selection, restart, retry)
+    return FailurePolicy(*fields, timeout, backoff, ceiling)
 
 
-def _parse_join(elem: ET.Element, name: str) -> JoinMode:
-    join_attr = elem.get("join", "and")
-    join = _JOIN_MODES.get(join_attr)
-    if join is None:
-        raise ParseError(
-            f"node {name!r}: join must be 'and' or 'or', got {join_attr!r}"
-        )
-    return join
-
-
-def _parse_loop(elem: ET.Element, policies: _PolicyMemo) -> Loop:
-    name = elem.get("name", "")
-    if not name:
-        raise ParseError("<Loop> requires a name attribute")
-    condition = elem.get("condition", "")
-    if not condition:
-        raise ParseError(f"loop {name!r} requires a condition attribute")
+def _number(attrs: _Attrs, key: str, default: str | None, name: str) -> Any:
+    raw = attrs.get(key, default)
     try:
-        max_iterations = int(elem.get("max_iterations", "1000"))
+        return None if raw is None else float(raw)
     except ValueError:
-        raise ParseError(
-            f"loop {name!r}: max_iterations must be an integer"
-        ) from None
-    bodies = elem.findall("Body")
-    if len(bodies) != 1:
-        raise ParseError(f"loop {name!r} requires exactly one <Body>")
-    body_elem = bodies[0]
-    body_name = body_elem.get("name", f"{name}_body")
-    # A <Body> is structurally a <Workflow>; reuse the workflow parser.
-    body_elem = _clone_as_workflow(body_elem, body_name)
-    body = _parse_workflow_element(body_elem, policies)
-    try:
-        return Loop(
-            name=name,
-            body=body,
-            condition=condition,
-            max_iterations=max_iterations,
-            join=_parse_join(elem, name),
-        )
-    except SpecificationError as exc:
-        raise ParseError(f"loop {name!r}: {exc}") from exc
+        raise ParseError(f"activity {name!r}: {key} must be a number") from None
 
 
-def _clone_as_workflow(elem: ET.Element, name: str) -> ET.Element:
-    clone = ET.Element("Workflow", {"name": name})
-    clone.extend(list(elem))
-    return clone
+def _choice(attrs: _Attrs, key: str, default: str, where: str) -> Any:
+    members = _CHOICES[key]
+    raw = attrs.get(key, default)
+    if raw not in members:
+        allowed = " or ".join(map(repr, members))
+        raise ParseError(f"{where}: {key} must be {allowed}, got {raw!r}")
+    return members[raw]
 
 
-def _parse_subworkflow(elem: ET.Element, policies: _PolicyMemo) -> SubWorkflow:
-    name = elem.get("name", "")
-    if not name:
-        raise ParseError("<SubWorkflow> requires a name attribute")
-    bodies = elem.findall("Body")
-    if len(bodies) != 1:
-        raise ParseError(f"subworkflow {name!r} requires exactly one <Body>")
-    body_elem = _clone_as_workflow(bodies[0], bodies[0].get("name", f"{name}_body"))
-    body = _parse_workflow_element(body_elem, policies)
-    try:
-        return SubWorkflow(name=name, body=body, join=_parse_join(elem, name))
-    except SpecificationError as exc:
-        raise ParseError(f"subworkflow {name!r}: {exc}") from exc
-
-
-def _parse_transition(elem: ET.Element) -> Transition:
-    source = elem.get("from", "")
-    target = elem.get("to", "")
-    if not source or not target:
-        raise ParseError("<Transition> requires from and to attributes")
-    on = elem.get("on")
-    expr = elem.get("condition")
-    exception = elem.get("exception")
+def _condition(attrs: _Attrs, source: str, target: str) -> TransitionCondition:
+    on, expr = attrs.get("on"), attrs.get("condition")
+    edge = f"transition {source!r}->{target!r}"
     try:
         if expr is not None:
             if on is not None:
-                raise ParseError(
-                    f"transition {source!r}->{target!r}: "
-                    "'on' and 'condition' are mutually exclusive"
-                )
-            condition = TransitionCondition.when(expr)
-        elif on is None or on == "done":
-            condition = _DONE
-        elif on == "failed":
-            condition = _FAILED
-        elif on == "always":
-            condition = _ALWAYS
-        elif on == "exception":
-            if not exception:
-                raise ParseError(
-                    f"transition {source!r}->{target!r}: on='exception' "
-                    "requires an exception attribute"
-                )
-            condition = TransitionCondition.on_exception(exception)
-        else:
-            raise ParseError(
-                f"transition {source!r}->{target!r}: unknown on={on!r}"
-            )
-    except SpecificationError as exc:
-        raise ParseError(str(exc)) from exc
-    if source == target:
-        raise ParseError(f"self-transition on {source!r} (use a Loop for iteration)")
-    return _tuple_new(Transition, (source, target, condition))
-
-
-def _parse_program(elem: ET.Element) -> Program:
-    name = elem.get("name", "")
-    if not name:
-        raise ParseError("<Program> requires a name attribute")
-    options: list[Option] = []
-    for child in elem:
-        if child.tag != "Option":
-            raise ParseError(f"unexpected element <{child.tag}> in program {name!r}")
-        hostname = child.get("hostname", "")
-        if not hostname:
-            raise ParseError(f"program {name!r}: <Option> requires a hostname")
-        options.append(
-            Option(
-                hostname=hostname,
-                service=child.get("service", "jobmanager"),
-                executable_dir=child.get("executableDir", ""),
-                executable=child.get("executable", ""),
-            )
-        )
-    try:
-        return Program(name=name, options=tuple(options))
+                raise ParseError(f"{edge}: 'on' and 'condition' are mutually exclusive")
+            return TransitionCondition.when(expr)
+        if on in {"done", "failed", "always"}:
+            return getattr(TransitionCondition, on)()  # the shared condition
+        if on != "exception":
+            raise ParseError(f"{edge}: unknown on={on!r}")
+        exception = attrs.get("exception")
+        if not exception:
+            raise ParseError(f"{edge}: on='exception' requires an exception attribute")
+        return TransitionCondition.on_exception(exception)
     except SpecificationError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -466,10 +468,8 @@ def _parse_program(elem: ET.Element) -> Program:
 def _typed_value(raw: str, type_name: str) -> Any:
     parser = _TYPE_PARSERS.get(type_name)
     if parser is None:
-        raise ParseError(
-            f"unknown value type {type_name!r} "
-            f"(expected one of {sorted(_TYPE_PARSERS)})"
-        )
+        expected = f"(expected one of {sorted(_TYPE_PARSERS)})"
+        raise ParseError(f"unknown value type {type_name!r} {expected}")
     try:
         return parser(raw)
     except ValueError as exc:

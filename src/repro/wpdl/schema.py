@@ -60,7 +60,7 @@ WPDL_DTD = """\
     condition      CDATA #REQUIRED
     max_iterations CDATA "1000"
     join           (and|or) "and">
-<!ELEMENT Body (Variables?, (Activity | Loop | Transition | Program)*)>
+<!ELEMENT Body (Variables?, (Activity | Loop | SubWorkflow | Transition | Program)*)>
 <!ATTLIST Body name CDATA #IMPLIED>
 
 <!ELEMENT SubWorkflow (Body)>

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from typing import Any
-from xml.dom import minidom
+from xml.sax.saxutils import escape
 
 from ..core.policy import ReplicationMode, ResourceSelection
 from ..errors import SpecificationError
@@ -37,10 +37,34 @@ __all__ = ["serialize_wpdl", "workflow_to_element"]
 def serialize_wpdl(workflow: Workflow, *, pretty: bool = True) -> str:
     """Render *workflow* as an XML WPDL document string."""
     elem = workflow_to_element(workflow)
-    raw = ET.tostring(elem, encoding="unicode")
     if not pretty:
-        return raw
-    return minidom.parseString(raw).toprettyxml(indent="  ")
+        return ET.tostring(elem, encoding="unicode")
+    lines = ['<?xml version="1.0" ?>']
+    _pretty(elem, "", lines)
+    return "\n".join(lines) + "\n"
+
+
+#: What pretty text escapes besides ``&``, ``<`` and ``>``: quotes, as
+#: ``xml.dom.minidom`` wrote them, and in an attribute value the whitespace
+#: a parser would read back as spaces, as ``ET.tostring`` writes it.
+_TEXT = {'"': "&quot;"}
+_ATTRIBUTE = {**_TEXT, "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+
+
+def _pretty(elem: ET.Element, indent: str, lines: list[str]) -> None:
+    """Append *elem*, indented two spaces a level; an element with text
+    and no children takes one line."""
+    attrs = "".join(f' {k}="{escape(v, _ATTRIBUTE)}"' for k, v in elem.items())
+    if len(elem):
+        lines.append(f"{indent}<{elem.tag}{attrs}>")
+        for child in elem:
+            _pretty(child, indent + "  ", lines)
+        lines.append(f"{indent}</{elem.tag}>")
+    elif elem.text:
+        text = escape(elem.text, _TEXT)
+        lines.append(f"{indent}<{elem.tag}{attrs}>{text}</{elem.tag}>")
+    else:
+        lines.append(f"{indent}<{elem.tag}{attrs}/>")
 
 
 def workflow_to_element(workflow: Workflow, *, tag: str = "Workflow") -> ET.Element:

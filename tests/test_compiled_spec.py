@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import cProfile
+import gc
 import pickle
 import sys
 from collections import Counter
@@ -495,6 +496,62 @@ class TestFlatPerTaskCost:
         }
         assert max(costs.values()) <= 1.03 * min(costs.values()), costs
         assert max(costs.values()) <= self.SHAPE_CEILINGS[shape], costs
+
+
+# ---------------------------------------------------------------------------
+# What the collector sees: a specification is read without a tree, and a
+# wide run keeps nothing it cannot reuse
+# ---------------------------------------------------------------------------
+
+
+def _dag_60x60():
+    return layered_dag(60, 60, hosts=4, seed=20030623, policy=FailurePolicy.retrying(3))
+
+
+class TestWhatTheCollectorSees:
+    """CPython collects the youngest generation after 700 more tracked
+    objects are alive than were, the middle one after 11 young collections
+    and the oldest after 11 middle ones: objects kept alive, or alive at
+    once, decide how often a run stops to collect (DESIGN.md §11)."""
+
+    #: Young collections while the 60x60 document (3 602 activities, 7 638
+    #: transitions) is parsed, from a fresh count: 17 on CPython 3.11, plus
+    #: 5% rounded up.  76 when an element tree was built first and walked.
+    PARSE_YOUNG_COLLECTIONS = 18
+    #: Tracked objects a 60x60 run creates that are still alive after it,
+    #: with its engine and grid held, per task: 1.007 (the launch plan's
+    #: request) on CPython 3.11, plus 5%.  4.0 when the plan kept a key,
+    #: an (activity, request) pair and the request per activity and GRAM a
+    #: (workflow id, activity) key.
+    SURVIVORS_PER_TASK = 1.06
+
+    def test_parsing_the_60x60_document_runs_few_young_collections(self):
+        text = serialize_wpdl(_dag_60x60()[0])
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        parse_wpdl(text, validate_graph=False)
+        young = gc.get_stats()[0]["collections"] - before
+        assert young <= self.PARSE_YOUNG_COLLECTIONS, young
+
+    def test_a_60x60_run_keeps_about_one_object_per_task(self):
+        spec, setup = _dag_60x60()
+        grid = setup(
+            SimulatedGrid(
+                seed=1, config=GridConfig(crash_detection="prompt", heartbeats=True)
+            )
+        )
+        engine = WorkflowEngine(spec, grid, reactor=grid.reactor)
+        gc.collect()
+        gc.disable()  # a collection would untrack some of what is counted
+        try:
+            before = len(gc.get_objects())
+            result = engine.run(timeout=1e9)
+            kept = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert result.succeeded
+        per_task = kept / len(spec.nodes)
+        assert per_task <= self.SURVIVORS_PER_TASK, per_task
 
 
 # ---------------------------------------------------------------------------

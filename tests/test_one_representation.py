@@ -178,6 +178,9 @@ GONE = {
     "reset_engine_ids",
     "host_managed",
     "_engine_ids",
+    # A specification is read without a tree: a <Body> is a nested frame
+    # of the event reader, not a tree cloned into a <Workflow>.
+    "_clone_as_workflow",
 }
 
 

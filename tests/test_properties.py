@@ -36,6 +36,9 @@ from tests.test_states import DONE_VARIANTS, drive
 names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8
 )
+#: Attribute text: markup characters, and the whitespace a parser reads
+#: back as spaces unless it is written as character references.
+values = st.text(alphabet="ab_ &<>\"'\n\r\t", max_size=8)
 
 
 @st.composite
@@ -93,6 +96,7 @@ def workflows(draw):
         nodes=nodes,
         transitions=tuple(edges),
         programs={"prog": Program("prog", (Option(hostname="h1"),))},
+        variables=draw(st.dictionaries(names, values, max_size=3)),
     )
 
 

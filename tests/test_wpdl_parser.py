@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from repro.core.policy import ReplicationMode
+from repro.core.policy import FailurePolicy, ReplicationMode
 from repro.errors import ParseError, ValidationError
+from repro.workloads import chain, diamond_ladder, fork_join, layered_dag
+from repro.wpdl import serialize_wpdl
 from repro.wpdl.model import ConditionKind, JoinMode
 from repro.wpdl.parser import parse_wpdl, parse_wpdl_file
 
@@ -326,3 +331,471 @@ class TestTimeoutAttribute:
             parse_wpdl(
                 "<Workflow name='w'><Activity name='t' timeout='0'/></Workflow>"
             )
+
+
+# ---------------------------------------------------------------------------
+# Parity with the tree-walking parser this one replaced
+# ---------------------------------------------------------------------------
+
+_W = "<Workflow name='w'>{}</Workflow>"
+_A = "<Workflow name='w'><Activity name='t' {}/></Workflow>"
+_EXTERNAL_DTD = "<!DOCTYPE Workflow SYSTEM 'wpdl.dtd'>\n"
+
+#: Every ``raise ParseError`` site with the exact message the parser gave
+#: when it built an ``xml.etree`` tree first (recorded from that parser).
+#: That parser read the whole document before it looked at an element, so
+#: of two faults an XML fault anywhere came first; and it counted a loop's
+#: ``<Body>`` children before it read the first, so a second body came
+#: before any fault inside the first.  The last block pins that order.
+MESSAGES = {
+    # -- XML (line and column as expat reports them) -------------------------
+    "mismatched_tag": (
+        "<Workflow name='w'><Activity name='a'></Workflow>",
+        "not well-formed XML: mismatched tag: line 1, column 40",
+    ),
+    "not_xml": (
+        "this is not xml",
+        "not well-formed XML: syntax error: line 1, column 0",
+    ),
+    "empty_text": ("", "not well-formed XML: no element found: line 1, column 0"),
+    "unclosed_token": (
+        "<Workflow",
+        "not well-formed XML: unclosed token: line 1, column 0",
+    ),
+    "junk_after_root": (
+        "<Workflow name='w'/><Workflow name='v'/>",
+        "not well-formed XML: junk after document element: line 1, column 20",
+    ),
+    "unbound_prefix": (
+        "<p:Workflow name='w'/>",
+        "not well-formed XML: unbound prefix: line 1, column 0",
+    ),
+    "undefined_entity": (
+        _W.format("<Activity name='&nowhere;'/>"),
+        "not well-formed XML: undefined entity: line 1, column 19",
+    ),
+    "undefined_entity_with_external_dtd": (
+        _EXTERNAL_DTD
+        + "<Workflow name='w'>\n"
+        + "  <Activity name='a'><Implement>&nowhere;</Implement></Activity>\n"
+        + "</Workflow>",
+        "not well-formed XML: undefined entity &nowhere;: line 3, column 32",
+    ),
+    # -- the document and its workflows -------------------------------------
+    "wrong_root": (
+        "<Pipeline name='w'/>",
+        "root element must be <Workflow>, got <Pipeline>",
+    ),
+    "wrong_root_namespaced": (
+        "<Workflow xmlns='urn:wpdl' name='w'/>",
+        "root element must be <Workflow>, got <{urn:wpdl}Workflow>",
+    ),
+    "workflow_without_name": ("<Workflow/>", "<Workflow> requires a name attribute"),
+    "workflow_empty_name": (
+        "<Workflow name=''/>",
+        "<Workflow> requires a name attribute",
+    ),
+    "body_empty_name": (
+        _W.format("<Loop name='l' condition='x'><Body name=''/></Loop>"),
+        "<Workflow> requires a name attribute",
+    ),
+    "unexpected_in_workflow": (
+        _W.format("<Task name='t'/>"),
+        "unexpected element <Task> in <Workflow>",
+    ),
+    "unexpected_in_workflow_namespaced": (
+        "<Workflow name='w' xmlns:x='urn:x'><x:Task/></Workflow>",
+        "unexpected element <{urn:x}Task> in <Workflow>",
+    ),
+    "unexpected_in_body": (
+        _W.format("<Loop name='l' condition='x'><Body><Task/></Body></Loop>"),
+        "unexpected element <Task> in <Workflow>",
+    ),
+    "unexpected_in_nested_body": (
+        _W.format(
+            "<SubWorkflow name='s'><Body><Loop name='l' condition='x'>"
+            "<Body><Activity name='a'/><Gizmo/></Body></Loop></Body></SubWorkflow>"
+        ),
+        "unexpected element <Gizmo> in <Workflow>",
+    ),
+    "duplicate_activity": (
+        _W.format("<Activity name='t'/><Activity name='t'/>"),
+        "duplicate activity 't'",
+    ),
+    "duplicate_loop": (
+        _W.format("<Activity name='l'/><Loop name='l' condition='x'><Body/></Loop>"),
+        "duplicate loop 'l'",
+    ),
+    "duplicate_subworkflow": (
+        _W.format("<Activity name='s'/><SubWorkflow name='s'><Body/></SubWorkflow>"),
+        "duplicate subworkflow 's'",
+    ),
+    "duplicate_program": (
+        _W.format(
+            "<Program name='p'><Option hostname='h'/></Program>"
+            "<Program name='p'><Option hostname='h'/></Program>"
+        ),
+        "duplicate program 'p'",
+    ),
+    # -- variables and typed values ------------------------------------------
+    "variable_without_name": (
+        _W.format("<Variables><Variable value='1'/></Variables>"),
+        "<Variable> requires a name attribute",
+    ),
+    "variable_unknown_type": (
+        _W.format(
+            "<Variables><Variable name='x' value='1' type='decimal'/></Variables>"
+        ),
+        "unknown value type 'decimal' "
+        "(expected one of ['bool', 'float', 'int', 'none', 'str'])",
+    ),
+    "variable_bad_int": (
+        _W.format("<Variables><Variable name='x' value='one' type='int'/></Variables>"),
+        "cannot parse 'one' as int: invalid literal for int() with base 10: 'one'",
+    ),
+    "variable_bad_float": (
+        _W.format(
+            "<Variables><Variable name='x' value='half' type='float'/></Variables>"
+        ),
+        "cannot parse 'half' as float: could not convert string to float: 'half'",
+    ),
+    # -- activities ----------------------------------------------------------
+    "activity_without_name": (
+        _W.format("<Activity/>"),
+        "<Activity> requires a name attribute",
+    ),
+    "unexpected_in_activity": (
+        _W.format("<Activity name='t'><Option hostname='h'/></Activity>"),
+        "unexpected element <Option> in activity 't'",
+    ),
+    "empty_output": (
+        _W.format("<Activity name='t'><Output>  </Output></Activity>"),
+        "activity 't': empty <Output>",
+    ),
+    "output_text_after_a_child": (
+        _W.format("<Activity name='t'><Output><b/>total</Output></Activity>"),
+        "activity 't': empty <Output>",
+    ),
+    "rethrow_without_as": (
+        _W.format("<Activity name='t'><Rethrow on='E*'/></Activity>"),
+        "activity 't': <Rethrow> requires on and as",
+    ),
+    "rethrow_without_on": (
+        _W.format("<Activity name='t'><Rethrow as='disk_full'/></Activity>"),
+        "activity 't': <Rethrow> requires on and as",
+    ),
+    "input_without_name": (
+        _W.format("<Activity name='t'><Input value='1'/></Activity>"),
+        "activity 't': <Input> requires a name",
+    ),
+    "input_value_and_ref": (
+        _W.format("<Activity name='t'><Input name='x' ref='r' value='1'/></Activity>"),
+        "activity 't' input 'x': value and ref are mutually exclusive",
+    ),
+    "input_unknown_type": (
+        _W.format(
+            "<Activity name='t'><Input name='x' value='1' type='cx'/></Activity>"
+        ),
+        "unknown value type 'cx' "
+        "(expected one of ['bool', 'float', 'int', 'none', 'str'])",
+    ),
+    # -- an activity's policy and join (checked at its end) ------------------
+    "bad_max_tries": (
+        _A.format("max_tries='lots'"),
+        "activity 't': activity 't': max_tries must be an integer or "
+        "'unlimited', got 'lots'",
+    ),
+    "zero_max_tries": (
+        _A.format("max_tries='0'"),
+        "activity 't': max_tries must be >= 1 (the first attempt) or None, got 0",
+    ),
+    "bad_interval": (
+        _A.format("interval='soon'"),
+        "activity 't': activity 't': interval must be a number",
+    ),
+    "negative_interval": (
+        _A.format("interval='-1'"),
+        "activity 't': interval must be >= 0, got -1.0",
+    ),
+    "bad_policy": (
+        _A.format("policy='clone'"),
+        "activity 't': activity 't': policy must be 'none' or 'replica', "
+        "got 'clone'",
+    ),
+    "bad_resource_selection": (
+        _A.format("resource_selection='random'"),
+        "activity 't': activity 't': resource_selection must be 'same' or "
+        "'rotate', got 'random'",
+    ),
+    "bad_timeout": (
+        _A.format("timeout='soon'"),
+        "activity 't': activity 't': timeout must be a number",
+    ),
+    "zero_timeout": (
+        _A.format("timeout='0'"),
+        "activity 't': attempt_timeout must be positive or None, got 0.0",
+    ),
+    "bad_backoff": (
+        _A.format("backoff='fast'"),
+        "activity 't': activity 't': backoff must be a number",
+    ),
+    "small_backoff": (
+        _A.format("backoff='0.5'"),
+        "activity 't': backoff_factor must be >= 1.0, got 0.5",
+    ),
+    "bad_max_interval": (
+        _A.format("max_interval='soon'"),
+        "activity 't': activity 't': max_interval must be a number",
+    ),
+    "zero_max_interval": (
+        _A.format("max_interval='0'"),
+        "activity 't': max_interval must be positive or None, got 0.0",
+    ),
+    "bad_join": (
+        _A.format("join='xor'"),
+        "activity 't': node 't': join must be 'and' or 'or', got 'xor'",
+    ),
+    # -- loops and sub-workflows ---------------------------------------------
+    "loop_without_name": (
+        _W.format("<Loop condition='x'><Body/></Loop>"),
+        "<Loop> requires a name attribute",
+    ),
+    "loop_without_condition": (
+        _W.format("<Loop name='l'><Body/></Loop>"),
+        "loop 'l' requires a condition attribute",
+    ),
+    "loop_bad_max_iterations": (
+        _W.format("<Loop name='l' condition='x' max_iterations='many'><Body/></Loop>"),
+        "loop 'l': max_iterations must be an integer",
+    ),
+    "loop_zero_max_iterations": (
+        _W.format("<Loop name='l' condition='x' max_iterations='0'><Body/></Loop>"),
+        "loop 'l': loop 'l': max_iterations must be >= 1",
+    ),
+    "loop_without_body": (
+        _W.format("<Loop name='l' condition='x'><Activity name='a'/></Loop>"),
+        "loop 'l' requires exactly one <Body>",
+    ),
+    "loop_two_bodies": (
+        _W.format("<Loop name='l' condition='x'><Body/><Body/></Loop>"),
+        "loop 'l' requires exactly one <Body>",
+    ),
+    "loop_bad_join": (
+        _W.format("<Loop name='l' condition='x' join='xor'><Body/></Loop>"),
+        "loop 'l': node 'l': join must be 'and' or 'or', got 'xor'",
+    ),
+    "subworkflow_without_name": (
+        _W.format("<SubWorkflow><Body/></SubWorkflow>"),
+        "<SubWorkflow> requires a name attribute",
+    ),
+    "subworkflow_without_body": (
+        _W.format("<SubWorkflow name='s'/>"),
+        "subworkflow 's' requires exactly one <Body>",
+    ),
+    "subworkflow_bad_join": (
+        _W.format("<SubWorkflow name='s' join='xor'><Body/></SubWorkflow>"),
+        "subworkflow 's': node 's': join must be 'and' or 'or', got 'xor'",
+    ),
+    # -- transitions ---------------------------------------------------------
+    "transition_without_to": (
+        _W.format("<Transition from='a'/>"),
+        "<Transition> requires from and to attributes",
+    ),
+    "transition_on_and_condition": (
+        _W.format("<Transition from='a' to='b' on='failed' condition='x'/>"),
+        "transition 'a'->'b': 'on' and 'condition' are mutually exclusive",
+    ),
+    "transition_empty_condition": (
+        _W.format("<Transition from='a' to='b' condition=''/>"),
+        "expr transition requires an expression",
+    ),
+    "transition_exception_without_name": (
+        _W.format("<Transition from='a' to='b' on='exception'/>"),
+        "transition 'a'->'b': on='exception' requires an exception attribute",
+    ),
+    "transition_unknown_on": (
+        _W.format("<Transition from='a' to='b' on='sometimes'/>"),
+        "transition 'a'->'b': unknown on='sometimes'",
+    ),
+    "self_transition": (
+        _W.format("<Transition from='a' to='a'/>"),
+        "self-transition on 'a' (use a Loop for iteration)",
+    ),
+    # -- programs ------------------------------------------------------------
+    "program_without_name": (
+        _W.format("<Program><Option hostname='h'/></Program>"),
+        "<Program> requires a name attribute",
+    ),
+    "unexpected_in_program": (
+        _W.format("<Program name='p'><Host name='h'/></Program>"),
+        "unexpected element <Host> in program 'p'",
+    ),
+    "option_without_hostname": (
+        _W.format("<Program name='p'><Option/></Program>"),
+        "program 'p': <Option> requires a hostname",
+    ),
+    "program_without_options": (
+        _W.format("<Program name='p'/>"),
+        "program 'p' has no options",
+    ),
+    # -- two faults in one document: the one the tree parser met first -------
+    "unexpected_element_then_mismatched_tag": (
+        _W.format("<Task/><Activity name='a'>"),
+        "not well-formed XML: mismatched tag: line 1, column 47",
+    ),
+    "unexpected_element_then_undefined_entity": (
+        _EXTERNAL_DTD
+        + "<Workflow name='w'><Task/>"
+        + "<Activity name='a'><Implement>&nowhere;</Implement></Activity></Workflow>",
+        "not well-formed XML: undefined entity &nowhere;: line 2, column 56",
+    ),
+    "wrong_root_then_mismatched_tag": (
+        "<Pipeline><a></b></Pipeline>",
+        "not well-formed XML: mismatched tag: line 1, column 15",
+    ),
+    "fault_in_the_first_of_two_bodies": (
+        _W.format("<Loop name='l' condition='x'><Body><Gizmo/></Body><Body/></Loop>"),
+        "loop 'l' requires exactly one <Body>",
+    ),
+    "fault_in_a_body_of_two_nested_in_two": (
+        _W.format(
+            "<SubWorkflow name='s'><Body><Loop name='l' condition='x'>"
+            "<Body><Activity/></Body><Body/></Loop></Body><Body/></SubWorkflow>"
+        ),
+        "subworkflow 's' requires exactly one <Body>",
+    ),
+    "fault_in_the_only_body_of_a_loop_whose_parent_has_two": (
+        _W.format(
+            "<Loop name='o' condition='x'><Body><Loop name='l' condition='x'>"
+            "<Body><Gizmo/></Body></Loop></Body><Body/></Loop>"
+        ),
+        "loop 'o' requires exactly one <Body>",
+    ),
+    "activity_child_before_policy": (
+        _W.format("<Activity name='t' max_tries='lots'><Gizmo/></Activity>"),
+        "unexpected element <Gizmo> in activity 't'",
+    ),
+    "output_before_duplicate_name": (
+        _W.format("<Activity name='t'/><Activity name='t'><Output/></Activity>"),
+        "activity 't': empty <Output>",
+    ),
+    "loop_attributes_before_body_count": (
+        _W.format("<Loop name='l'><Body/><Body/></Loop>"),
+        "loop 'l' requires a condition attribute",
+    ),
+}
+
+
+class TestEveryMessagePinned:
+    @pytest.mark.parametrize("case", sorted(MESSAGES))
+    def test_message(self, case):
+        text, message = MESSAGES[case]
+        with pytest.raises(ParseError) as raised:
+            parse_wpdl(text)
+        assert str(raised.value) == message
+
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "missing.xml"
+        with pytest.raises(ParseError) as raised:
+            parse_wpdl_file(path)
+        assert str(raised.value) == (
+            f"cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+        )
+
+
+#: Markup that is not an element: a declared encoding (the text is already
+#: decoded, so it is ignored), a DTD with an entity and a defaulted
+#: attribute, comments, processing instructions, CDATA and references.
+MARKUP = """<?xml version='1.0' encoding='iso-8859-1'?>
+<!DOCTYPE Workflow [
+  <!ENTITY prog 'sum'>
+  <!ATTLIST Activity max_tries CDATA '2'>
+]>
+<!-- a comment before the root -->
+<Workflow name='w'>
+  <?editor fold='yes'?>
+  <Activity name='t'>
+    <Implement>s<!-- c -->u<?pi x?>m</Implement>
+    <Output><![CDATA[a<b]]></Output>
+    <Description>&prog; &amp; &#65;&#x42;</Description>
+  </Activity>
+  <Program name='&prog;'><Option hostname='h&#233;'/></Program>
+</Workflow>
+"""
+
+
+#: SHA-256 of ``repr`` of the workflow the tree parser read from
+#: ``examples/specs/mosaic.xml``.
+MOSAIC_REPR_SHA256 = "575a8a5f3d0be411ed1e07170f2ee563ecdfd751450a909a6803e445ebbb31c6"
+
+
+#: Children the tree parser never looked into, and a loop's children
+#: other than its body.
+CLUTTER = (
+    "<Variables><Note/><Variable name='v' value='1' type='int'><Task/></Variable>"
+    "</Variables>"
+    "<Transition from='summation' to='end'><Task/></Transition>"
+    "<Activity name='end'/>"
+    "<Loop name='l' condition='v &lt; 1'>"
+    "<Note/><Body><Activity name='b'/></Body><Task/>"
+    "</Loop>"
+)
+
+
+class TestWhatTheTreeParserRead:
+    def test_markup_that_is_not_an_element(self):
+        wf = parse_wpdl(MARKUP)
+        act = wf.node("t")
+        assert (act.implement, act.outputs, act.description) == (
+            "sum",
+            ("a<b",),
+            "sum & AB",
+        )
+        assert act.policy.max_tries == 2
+        assert wf.programs["sum"].options[0].hostname == "hé"
+
+    def test_text_is_what_comes_before_the_first_child(self):
+        wf = parse_wpdl(
+            _W.format(
+                "<Activity name='t'><Implement>a<b/>c</Implement>"
+                "<Output> x <b>y</b> z </Output>"
+                "<Description><b/>gone</Description></Activity>"
+            ),
+            validate_graph=False,
+        )
+        act = wf.node("t")
+        assert (act.implement, act.outputs, act.description) == ("a", ("x",), "")
+
+    def test_elements_it_never_looked_at_are_ignored(self):
+        bare = parse_wpdl(FIGURE2)
+        text = FIGURE2.replace("'int'/>", "'int'><Gizmo><Task/></Gizmo></Input>")
+        text = text.replace("executable='sum'/>", "executable='sum'><Task/></Option>")
+        cluttered = parse_wpdl(text.replace("</Workflow>", CLUTTER + "</Workflow>"))
+        assert cluttered.node("summation") == bare.node("summation")
+        assert cluttered.programs == bare.programs
+        assert cluttered.variables == {"v": 1}
+        assert cluttered.node("l").body.name == "l_body"
+        assert list(cluttered.node("l").body.nodes) == ["b"]
+
+    def test_a_file(self, tmp_path):
+        path = tmp_path / "wf.xml"
+        path.write_text(FIGURE2)
+        assert parse_wpdl_file(path) == parse_wpdl(FIGURE2)
+
+    def test_the_mosaic_example(self):
+        path = Path(__file__).resolve().parents[1] / "examples/specs/mosaic.xml"
+        digest = hashlib.sha256(repr(parse_wpdl_file(path)).encode()).hexdigest()
+        assert digest == MOSAIC_REPR_SHA256
+
+    @pytest.mark.parametrize("family", ["chain", "fork_join", "layered_dag", "diamond"])
+    @pytest.mark.parametrize("pretty", [True, False])
+    def test_every_workload_family_round_trips(self, family, pretty):
+        policy = FailurePolicy.retrying(3, interval=2.0)
+        spec, _setup = {
+            "chain": lambda: chain(12, policy=policy),
+            "fork_join": lambda: fork_join(12, policy=policy),
+            "layered_dag": lambda: layered_dag(5, 6, seed=7, policy=policy),
+            "diamond": lambda: diamond_ladder(4, policy=policy),
+        }[family]()
+        text = serialize_wpdl(spec, pretty=pretty)
+        assert parse_wpdl(text) == spec

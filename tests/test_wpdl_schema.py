@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.errors import ParseError
@@ -66,3 +68,17 @@ class TestDTD:
         for _attrs, children in ELEMENTS.values():
             for child in children:
                 assert child in ELEMENTS
+
+    def test_dtd_declares_what_the_element_table_lists(self):
+        # Each <!ELEMENT> names exactly the children, and each <!ATTLIST>
+        # exactly the attributes, that ELEMENTS lists for its element.
+        models = dict(re.findall(r"<!ELEMENT (\w+) ([^>]*)>", WPDL_DTD))
+        attlists = dict(re.findall(r"<!ATTLIST (\w+)([^>]*)>", WPDL_DTD))
+        declaration = r'(\w+)\s+(?:CDATA|\([^)]*\))\s+(?:#\w+|"[^"]*")'
+        assert set(models) == set(ELEMENTS)
+        assert set(attlists) <= set(ELEMENTS)
+        for element, (attributes, children) in ELEMENTS.items():
+            named = set(re.findall(r"\w+", models[element])) - {"EMPTY", "PCDATA"}
+            assert named == children, element
+            declared = set(re.findall(declaration, attlists.get(element, "")))
+            assert declared == attributes, element

@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+from xml.dom import minidom
+
 import pytest
 
 from repro.core.policy import FailurePolicy, ResourceSelection
 from repro.errors import SpecificationError
+from repro.workloads import chain, diamond_ladder, fork_join, layered_dag
 from repro.wpdl import (
+    Activity,
     JoinMode,
     Option,
     Parameter,
+    Workflow,
     WorkflowBuilder,
     parse_wpdl,
+    parse_wpdl_file,
     serialize_wpdl,
 )
 from repro.wpdl.serializer import workflow_to_element
+
+MOSAIC = Path(__file__).resolve().parents[1] / "examples" / "specs" / "mosaic.xml"
 
 
 def rich_workflow():
@@ -185,4 +194,57 @@ class TestTimeoutRoundTrip:
         )
         text = serialize_wpdl(wf)
         assert 'timeout="45.0"' in text.replace("'", '"')
+        assert parse_wpdl(text) == wf
+
+
+class TestPrettyText:
+    """The pretty text is written straight from the element tree.  What
+    ``xml.dom.minidom`` made of the compact text stays the oracle wherever
+    it did not corrupt it: it wrote ``\\n``, ``\\r`` and ``\\t`` raw inside
+    attribute values, where a parser reads each back as a space."""
+
+    @staticmethod
+    def minidom_text(wf):
+        compact = serialize_wpdl(wf, pretty=False)
+        return minidom.parseString(compact).toprettyxml(indent="  ")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            rich_workflow,
+            TestCombinedPolicyRoundTrip().combined_workflow,
+            lambda: chain(12, policy=FailurePolicy.retrying(3))[0],
+            lambda: fork_join(6)[0],
+            lambda: layered_dag(5, 6, seed=7, policy=FailurePolicy.retrying(2))[0],
+            lambda: diamond_ladder(3)[0],
+            lambda: parse_wpdl_file(MOSAIC),
+        ],
+        ids=["rich", "combined", "chain", "fork_join", "layered", "diamond", "mosaic"],
+    )
+    def test_byte_identical_to_minidom(self, make):
+        wf = make()
+        assert serialize_wpdl(wf) == self.minidom_text(wf)
+
+    def test_markup_in_values_is_escaped_as_minidom_did(self):
+        wf = (
+            WorkflowBuilder("w")
+            .variable("quote", '"a" & <b>')
+            .activity("t", implement='p<&>"', description='say "hi" & <go>')
+            .program('p<&>"', hosts=["h"])
+            .build()
+        )
+        assert serialize_wpdl(wf) == self.minidom_text(wf)
+        assert parse_wpdl(serialize_wpdl(wf)) == wf
+
+    def test_whitespace_in_attribute_values_survives(self):
+        wf = Workflow(
+            name="w",
+            nodes={"a": Activity(name="a")},
+            variables={"msg": "line1\nline2\tx", "cr": "a\rb", "pad": "  two  "},
+        )
+        text = serialize_wpdl(wf)
+        assert 'value="line1&#10;line2&#09;x"' in text
+        assert 'value="a&#13;b"' in text
+        assert parse_wpdl(text).variables == wf.variables
+        assert parse_wpdl(serialize_wpdl(wf, pretty=False)) == wf
         assert parse_wpdl(text) == wf
