@@ -1,8 +1,8 @@
 """Combined failure-handling techniques — policy combinations end to end.
 
 Not a paper figure: a systems benchmark for techniques combined by policy
-attribute (``repro.engine.strategies`` reads the decisions off the
-policy).  Two combinations run through both evaluation paths:
+attribute (the recovery coordinator, ``repro.engine.recovery``, reads
+its decisions off the policy).  Two combinations run through both evaluation paths:
 
 * ``replication_checkpointing`` — replicas that each retry from the last
   announced checkpoint (``FailurePolicy.replica(max_tries=None)``);
@@ -14,8 +14,8 @@ For each MTTF point the vectorised sampler produces E[T] with the paper's
 sample count, and an engine-level overlay (the full Grid-WFS stack per
 sample, fanned out via :mod:`repro.sim.parallel`) must agree — the same
 acceptance bar the cross-validation tests apply.  Throughput of both paths
-is recorded so regressions in the strategy dispatch show up in review
-diffs.  Results land in ``results/BENCH_combined_techniques.json``.
+is recorded so regressions in recovery show up in review diffs.  Results
+land in ``results/BENCH_combined_techniques.json``.
 
 ``REPRO_BENCH_MC_RUNS`` scales the engine-overlay sample count down for CI
 smoke runs; the sampler always uses the full paper count (it is cheap).

@@ -13,11 +13,12 @@ activity:
   (Section 4.3).
 
 A :class:`FailurePolicy` value captures the per-activity configuration, and
-its flat fields are the only representation of it: the recovery coordinator's
-:class:`~repro.engine.strategies.RecoveryStrategy` reads its three decisions
-(how many slots, whether and when a crashed slot retries, which checkpoint
-flag a submission carries) straight off them.  Policies are plain immutable
-data so workflow specifications stay declarative and serializable.
+its flat fields are the only representation of it: the
+:class:`~repro.engine.recovery.RecoveryCoordinator` reads its three
+decisions (how many slots, whether, where and when a crashed slot retries,
+whether a submission carries the slot's checkpoint flag) straight off them.
+Policies are plain immutable data so workflow specifications stay
+declarative and serializable.
 
 The paper's central claim is that the techniques *combine* freely
 (Section 6: replicas may each be retried; retried attempts restart from
@@ -238,8 +239,8 @@ class FailurePolicy:
 
         ``interval * backoff_factor**(retry_number - 1)``, capped at
         ``max_interval`` when one is set.  With ``backoff_factor == 1``
-        this is the paper's fixed ``interval``.  The engine's strategy and
-        the ``backoff_retry`` sampler both wait exactly this long.
+        this is the paper's fixed ``interval``.  The recovery coordinator
+        and the ``backoff_retry`` sampler both wait exactly this long.
 
         A capped wait saturates before the power is taken, which overflows
         a float from ``2.0 ** 1024`` on: it is ``max_interval`` for every

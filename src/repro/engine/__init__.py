@@ -1,7 +1,6 @@
 """The Grid-WFS workflow engine: instance tree, navigator, broker,
 two-level recovery coordination (task-level decisions read off each
-activity's ``FailurePolicy`` by a ``RecoveryStrategy``), engine
-checkpointing, and executors."""
+activity's ``FailurePolicy``), engine checkpointing, and executors."""
 
 from .broker import Broker, ResolvedOption
 from .checkpoint import EngineCheckpointer, load_checkpoint
@@ -22,12 +21,6 @@ from .navigator import (
     ready_nodes,
 )
 from .recovery import RecoveryCoordinator, TaskResolution
-from .strategies import (
-    RecoveryStrategy,
-    RetryDecision,
-    SlotPlan,
-    resolve_strategy,
-)
 from .trace import EngineTrace
 
 __all__ = [
@@ -51,9 +44,5 @@ __all__ = [
     "ready_nodes",
     "RecoveryCoordinator",
     "TaskResolution",
-    "RecoveryStrategy",
-    "RetryDecision",
-    "SlotPlan",
-    "resolve_strategy",
     "EngineTrace",
 ]

@@ -14,16 +14,19 @@ implement both:
 An explicit option's target follows from the program alone, so the recovery
 coordinator asks for it once and keeps it in its launch plan; a wildcard
 option is asked for at every submission, and must be: the catalog and the
-queries change while a runtime lives.
+queries change while a runtime lives.  A wildcard is asked with the hosts to
+keep away from (a replica's siblings'), and lands on one of them only when
+no other host matches.
 
-The broker also implements retry resource selection: ``SAME`` resubmits to
-the option used by the failed attempt; ``ROTATE`` advances round-robin
-through the option list, skipping the option that just failed when another
-exists.
+The broker also implements retry resource selection, as the recovery
+coordinator passes it from the activity's policy: ``SAME`` resubmits to the
+option used by the failed attempt; ``ROTATE`` advances round-robin through
+the option list, skipping the option that just failed when another exists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..catalogs.resource import ResourceCatalog, ResourceQuery
@@ -69,28 +72,32 @@ class Broker:
 
     # -- resolution -------------------------------------------------------------
 
-    def resolve_all(self, activity: Activity, program: Program) -> list[ResolvedOption]:
-        """All options resolved (replication submits to each).
-
-        Wildcard options are resolved with previously chosen hosts excluded
-        so replicas land on distinct resources where possible.
-        """
-        resolved: list[ResolvedOption] = []
-        chosen: set[str] = set()
-        for idx in range(len(program.options)):
-            target = self._resolve(activity, program, idx, exclude=chosen)
-            chosen.add(target.hostname)
-            resolved.append(target)
-        return resolved
-
     def resolve_index(
-        self, activity: Activity, program: Program, index: int
+        self,
+        activity: Activity,
+        program: Program,
+        index: int,
+        *,
+        exclude: Iterable[str],
     ) -> ResolvedOption:
+        """Target of option *index*.  A wildcard option avoids the hosts in
+        *exclude* (a replica's siblings', read only for a wildcard) while
+        another host matches."""
         if not 0 <= index < len(program.options):
             raise BrokerError(
                 f"option index {index} out of range for program {program.name!r}"
             )
-        return self._resolve(activity, program, index)
+        option = program.options[index]
+        hostname = option.hostname
+        if is_wildcard(option):
+            hostname = self._broker_host(activity, program, index, exclude)
+        return ResolvedOption(
+            hostname=hostname,
+            service=option.service,
+            directory=option.executable_dir,
+            executable=program.executable_on(option),
+            option_index=index,
+        )
 
     def retry_index(
         self,
@@ -99,16 +106,10 @@ class Broker:
         *,
         failed_index: int,
         tries_used: int,
-        selection: ResourceSelection | None = None,
+        selection: ResourceSelection,
     ) -> int:
-        """Option index for the next try after a failure on *failed_index*.
-
-        *selection* is normally passed explicitly by the recovery strategy
-        (so the broker stays policy-agnostic); it defaults to the
-        activity's declared ``resource_selection`` for direct callers.
-        """
-        if selection is None:
-            selection = activity.policy.resource_selection
+        """Option index for the next try after a failure on *failed_index*,
+        chosen as *selection* says."""
         count = len(program.options)
         if selection is ResourceSelection.SAME or count == 1:
             return failed_index
@@ -121,28 +122,8 @@ class Broker:
 
     # -- internals -----------------------------------------------------------------
 
-    def _resolve(
-        self,
-        activity: Activity,
-        program: Program,
-        index: int,
-        *,
-        exclude: set[str] | None = None,
-    ) -> ResolvedOption:
-        option = program.options[index]
-        hostname = option.hostname
-        if is_wildcard(option):
-            hostname = self._broker_host(activity, program, index, exclude or set())
-        return ResolvedOption(
-            hostname=hostname,
-            service=option.service,
-            directory=option.executable_dir,
-            executable=program.executable_on(option),
-            option_index=index,
-        )
-
     def _broker_host(
-        self, activity: Activity, program: Program, index: int, exclude: set[str]
+        self, activity: Activity, program: Program, index: int, exclude: Iterable[str]
     ) -> str:
         if self.catalog is None:
             raise BrokerError(

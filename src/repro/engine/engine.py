@@ -39,7 +39,6 @@ from weakref import WeakKeyDictionary
 
 from ..ckpt.manager import CheckpointManager
 from ..core.exceptions import UserException
-from ..core.policy import FailurePolicy
 from ..core.records import FrozenRecord
 from ..core.states import TaskState
 from ..detection.detector import FailureDetector
@@ -64,7 +63,6 @@ from .navigator import (
     ready_nodes,
 )
 from .recovery import RecoveryCoordinator, TaskResolution
-from .strategies import RecoveryStrategy
 
 __all__ = [
     "WorkflowResult",
@@ -162,7 +160,6 @@ class WorkflowEngine:
         runtime: EngineRuntime | None = None,
         on_finished: Callable[[WorkflowResult], None] | None = None,
         validate_spec: bool = True,
-        strategy_resolver: Callable[[FailurePolicy], RecoveryStrategy] | None = None,
         workflow_id: str = "",
         tracer: Tracer | None = None,
     ) -> None:
@@ -190,7 +187,6 @@ class WorkflowEngine:
             )
         self.checkpointer = checkpointer
         self._on_finished = on_finished
-        self._strategy_resolver = strategy_resolver
         self.coordinator = RecoveryCoordinator(
             self.runtime.service,
             self.runtime.detector,
@@ -198,7 +194,6 @@ class WorkflowEngine:
             self.runtime.reactor,
             on_resolution=self._on_resolution,
             checkpoints=self.runtime.checkpoints,
-            strategy_resolver=strategy_resolver,
             bus=self.runtime.bus,
             workflow_id=workflow_id,
             tracer=self.runtime.tracer,
@@ -655,7 +650,6 @@ class _LoopRunner:
             runtime=self.parent.runtime,
             on_finished=self._body_finished,
             validate_spec=False,
-            strategy_resolver=self.parent._strategy_resolver,
             workflow_id=self.parent.workflow_id,
         )
         self._child.start()

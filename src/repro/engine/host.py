@@ -36,9 +36,8 @@ multiplexed instances produce bit-identical per-instance
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
+from typing import Iterable
 
-from ..core.policy import FailurePolicy
 from ..detection.detector import FailureDetector
 from ..errors import EngineError
 from ..events import EventBus
@@ -48,7 +47,6 @@ from ..reactor import Reactor
 from ..wpdl.model import Workflow
 from .broker import Broker
 from .engine import EngineRuntime, WorkflowEngine, WorkflowResult
-from .strategies import RecoveryStrategy
 
 __all__ = ["EngineHost", "ENGINE_WORKFLOW_ADMITTED"]
 
@@ -77,8 +75,6 @@ class EngineHost:
         broker: Broker | None = None,
         detector: FailureDetector | None = None,
         heartbeat_timeout: float | None = None,
-        strategy_resolver: Callable[[FailurePolicy], RecoveryStrategy]
-        | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         bus = bus if bus is not None else EventBus()
@@ -101,7 +97,6 @@ class EngineHost:
         #: The instance-id space: only :meth:`submit` draws from it, and no
         #: engine reset rewinds it.
         self._ids = itertools.count(1)
-        self._strategy_resolver = strategy_resolver
         self._engines: dict[str, WorkflowEngine] = {}
         self._results: dict[str, WorkflowResult] = {}
         self._order: list[str] = []
@@ -137,7 +132,6 @@ class EngineHost:
                 _wfid, result
             ),
             validate_spec=validate_spec,
-            strategy_resolver=self._strategy_resolver,
         )
         self._engines[wfid] = engine
         self._order.append(wfid)

@@ -2,12 +2,21 @@
 
 Implements the paper's Figure 1 control flow on the task side:
 
-* **task-level masking**: after a detected task crash failure, the
-  :class:`~repro.engine.strategies.RecoveryStrategy` of the activity's
-  :class:`~repro.core.policy.FailurePolicy` decides structure and retries
-  from the policy's attributes: how many parallel slots to open, whether,
-  where and when a crashed slot tries again, and which checkpoint flag
-  each attempt restarts from;
+* **task-level masking**: three decisions are read straight off the
+  activity's :class:`~repro.core.policy.FailurePolicy`, i.e. its WPDL
+  attributes:
+
+  - the slots to open (Figure 3, ``resolve_strategy``, once per pair): one
+    per resource option when the policy is ``replicated``, else one;
+  - whether, where and when a crashed slot tries again (Figure 2, per
+    slot): while ``tries_remaining`` is positive, on the option the
+    broker's ``retry_index`` picks for ``resource_selection``, after
+    ``retry_delay`` seconds;
+  - whether a submission carries the slot's last checkpoint flag
+    (Section 4.3): iff ``restart_from_checkpoint``.
+
+  A slot on a ``hostname='*'`` option is placed by the broker away from
+  the hosts its sibling slots hold, while another host matches;
 * **fail to mask**: when every slot has exhausted its tries, the failure
   escapes the task level and is reported upward as an unmasked FAILED
   resolution — the workflow-level structure (alternative tasks, OR joins)
@@ -18,9 +27,9 @@ Implements the paper's Figure 1 control flow on the task side:
   immediately to the workflow level (Figure 1's "User-defined exception"
   arrow bypassing the task-level box).
 
-The coordinator itself is a thin mechanism layer: it owns slots, job
-bookkeeping, timers and resolution callbacks, and delegates every *policy*
-decision to the strategy.  It stays engine-passive: it gives its
+Try counts, live jobs and timers live in the coordinator's slots; a
+decision is read off the policy when it is due and not kept.  The
+coordinator stays engine-passive: it gives its
 :meth:`~RecoveryCoordinator.handle_outcome` to the detector with every
 attempt it tracks, the detector calls it with that attempt's verdict, and
 it answers with submissions (side effects on the execution service) or a
@@ -32,21 +41,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from ..ckpt.manager import CheckpointManager
 from ..core.exceptions import UserException
 from ..core.policy import FailurePolicy
 from ..core.states import TaskState
 from ..detection.detector import AttemptOutcome, FailureDetector
-from ..errors import RecoveryError
+from ..errors import CheckpointError, RecoveryError
 from ..events import EventBus
 from ..execution import ExecutionService, SubmitRequest
 from ..obs.tracectx import TraceContext, Tracer, stamp
 from ..reactor import Reactor, TimerHandle
 from ..wpdl.model import Activity, Program
 from .broker import Broker, ResolvedOption, is_wildcard
-from .strategies import RecoveryStrategy, resolve_strategy
+from .strategies import resolve_strategy
 
 __all__ = [
     "TaskResolution",
@@ -60,7 +69,7 @@ __all__ = [
     "RECOVERY_RESOLVED",
 ]
 
-#: Bus topics narrating strategy dispatch (payloads are plain dicts, like
+#: Bus topics narrating recovery decisions (payloads are plain dicts, like
 #: the ``engine.*`` topics, so observers need no recovery imports).  Only
 #: published when the coordinator is constructed with a bus, and only
 #: built when that bus has someone to deliver them to.
@@ -98,10 +107,9 @@ class LaunchPlan:
 
     program: Program
     policy: FailurePolicy
-    strategy: RecoveryStrategy
-    #: Resource option each slot starts on (``plan_slots``, asked once).
+    #: Resource option each slot starts on: every option of a replicated
+    #: policy, else the first.
     slot_options: tuple[int, ...]
-    attempt_timeout: float | None
     #: Literal options resolved so far, by option index.  A ``hostname='*'``
     #: option never enters: the broker matches it against the catalog and
     #: the activity's query at every submission.
@@ -160,7 +168,6 @@ class ActivityRun:
     """Coordinator state for one in-flight activity."""
 
     activity: Activity
-    program: Program
     plan: LaunchPlan
     slots: list[_Slot]
     resolved: bool
@@ -171,13 +178,11 @@ class ActivityRun:
     def __init__(
         self,
         activity: Activity,
-        program: Program,
         plan: LaunchPlan,
         slots: list[_Slot],
         trace: TraceContext | None = None,
     ) -> None:
         self.activity = activity
-        self.program = program
         self.plan = plan
         self.slots = slots
         self.resolved = False
@@ -191,17 +196,13 @@ class ActivityRun:
 class RecoveryCoordinator:
     """Drives task-level failure handling for every running activity.
 
-    *strategy_resolver* maps each activity's declarative policy to the
-    strategy that executes it; the default is
-    :func:`~repro.engine.strategies.resolve_strategy`, and a resolver
-    returning a :class:`~repro.engine.strategies.RecoveryStrategy` subclass
-    is how a deployment substitutes its own technique.  Strategies are
-    stateless and resolved once per (program, policy) pair: the strategy,
-    the slots it plans and each literal resource option's target are kept
-    in a :class:`LaunchPlan`.  *plans* is the table to keep them in — the
-    engine passes the one its runtime holds for the specification, so every
-    instance on the runtime shares it; a coordinator built without one
-    keeps its own.
+    Each activity is handled as its :class:`~repro.core.policy.FailurePolicy`
+    declares.  What a (program, policy) pair fixes — the slots' options,
+    each literal resource option's target and request — is derived once
+    and kept in a :class:`LaunchPlan`.  *plans* is the table to keep them
+    in — the engine passes the one its runtime holds for the
+    specification, so every instance on the runtime shares it; a
+    coordinator built without one keeps its own.
     """
 
     def __init__(
@@ -213,7 +214,6 @@ class RecoveryCoordinator:
         *,
         on_resolution: Callable[[TaskResolution], None],
         checkpoints: CheckpointManager | None = None,
-        strategy_resolver: Callable[[FailurePolicy], RecoveryStrategy] | None = None,
         bus: EventBus | None = None,
         workflow_id: str = "",
         tracer: Tracer | None = None,
@@ -226,9 +226,6 @@ class RecoveryCoordinator:
         self._bus = bus
         self._on_resolution = on_resolution
         self.checkpoints = checkpoints or CheckpointManager()
-        self._resolve_strategy = (
-            strategy_resolver if strategy_resolver is not None else resolve_strategy
-        )
         #: Owning workflow instance in a multiplexed host ("" otherwise).
         #: Scopes checkpoint-flag keys, submissions and detector tracking,
         #: so instances sharing a runtime (and its CheckpointManager /
@@ -269,7 +266,6 @@ class RecoveryCoordinator:
         flag_prefix = f"{self._flag_scope}{activity.name}@slot"
         run = ActivityRun(
             activity,
-            program,
             plan,
             [
                 _Slot(i, option, f"{flag_prefix}{i}")
@@ -279,40 +275,68 @@ class RecoveryCoordinator:
         )
         if restored_state:
             self._restore_slots(run, restored_state)
-        self._runs[activity.name] = run
+        # Every target before the first submission: a broker error leaves
+        # nothing submitted.  A ``*`` slot is matched away from the hosts
+        # the slots before it chose.
+        launches, chosen = [], []
         for slot in run.slots:
             if not slot.exhausted:
-                self._submit(run, slot)
-        if all(slot.exhausted for slot in run.slots):
+                target = self._target(run, slot.option_index, chosen)
+                chosen.append(target.hostname)
+                launches.append((slot, target))
+        self._runs[activity.name] = run
+        for slot, target in launches:
+            self._submit(run, slot, target)
+        if not launches:
             # Restored an activity whose budget was already spent.
             self._resolve_failed(run)
 
     def _plan(self, activity: Activity, program: Program) -> LaunchPlan:
-        """The launch plan of *activity*'s (program, policy) pair under
-        this coordinator's resolver, made on first use.  Keyed by identity
-        (a document's equal policies are one object, and a plan keeps its
-        pair alive), so the engine's per-launch rebuilt activity finds the
-        plan of the activity it was rebuilt from."""
+        """The launch plan of *activity*'s (program, policy) pair, made on
+        first use.  Keyed by identity (a document's equal policies are one
+        object, and a plan keeps its pair alive), so the engine's per-launch
+        rebuilt activity finds the plan of the activity it was rebuilt
+        from."""
         policy = activity.policy
-        key = (id(program), id(policy), self._resolve_strategy)
+        key = (id(program), id(policy))
         plan = self._plans.get(key)
         if plan is None:
-            strategy = self._resolve_strategy(policy)
             plan = self._plans[key] = LaunchPlan(
-                program,
-                policy,
-                strategy,
-                tuple(
-                    slot.option_index
-                    for slot in strategy.plan_slots(activity, program, self._broker)
-                ),
-                policy.attempt_timeout,
+                program, policy, resolve_strategy(policy, program)
             )
         return plan
 
+    def _target(
+        self, run: ActivityRun, option_index: int, exclude: Iterable[str]
+    ) -> ResolvedOption:
+        """Target of *option_index*, kept in the plan for a literal option;
+        a ``*`` one is matched again per submission, away from *exclude*
+        (read only then)."""
+        target = run.plan.targets.get(option_index)
+        if target is not None:
+            return target
+        program = run.plan.program
+        # ``resolve_index`` is read off the broker here (a tracer's wrapper
+        # is what runs) and raises for an index out of range.
+        target = self._broker.resolve_index(
+            run.activity, program, option_index, exclude=exclude
+        )
+        if not is_wildcard(program.options[option_index]):
+            run.plan.targets[option_index] = target
+            run.plan.requests[option_index] = {}
+        return target
+
     def _restore_slots(self, run: ActivityRun, state: dict[str, Any]) -> None:
         saved = state.get("slots", [])
+        program = run.plan.program
         for slot, slot_state in zip(run.slots, saved):
+            option = int(slot_state.get("option", slot.option_index))
+            if not 0 <= option < len(program.options):
+                raise CheckpointError(
+                    f"activity {run.activity.name!r}: restored option index "
+                    f"{option} out of range for program {program.name!r}"
+                )
+            slot.option_index = option
             slot.tries_used = int(slot_state.get("tries", 0))
             slot.exhausted = bool(slot_state.get("exhausted", False))
             flag = slot_state.get("flag")
@@ -451,20 +475,15 @@ class RecoveryCoordinator:
             detail["workflow_id"] = self.workflow_id
         self._bus.publish(topic, detail)  # type: ignore[union-attr]
 
-    def _submit(self, run: ActivityRun, slot: _Slot) -> None:
+    def _submit(self, run: ActivityRun, slot: _Slot, target: ResolvedOption) -> None:
         slot.retry_timer = None
         plan = run.plan
         activity = run.activity
-        option_index = slot.option_index
-        target = plan.targets.get(option_index)
-        if target is None:
-            # ``resolve_index`` is read off the broker here (a tracer's
-            # wrapper is what runs) and raises for an index out of range.
-            target = self._broker.resolve_index(activity, run.program, option_index)
-            if not is_wildcard(run.program.options[option_index]):
-                plan.targets[option_index] = target
-                plan.requests[option_index] = {}
-        flag = plan.strategy.submit_flag(activity, self.checkpoints, slot.flag_key)
+        flag = (
+            self.checkpoints.flag_for(slot.flag_key)
+            if plan.policy.restart_from_checkpoint
+            else None
+        )
         # Causal chain: the attempt's parent is the recovery decision that
         # spawned it (a retry, or the checkpoint-restart minted just below);
         # the very first attempt of a slot descends from the activity root.
@@ -493,7 +512,7 @@ class RecoveryCoordinator:
         inputs = activity.inputs
         # Shared only on a literal option (a wildcard's target varies) and
         # by an activity without inputs (inputs may be bound per launch).
-        requests = None if inputs else plan.requests.get(option_index)
+        requests = None if inputs else plan.requests.get(slot.option_index)
         request = None if requests is None else requests.get(activity.name)
         if request is None:
             request = _tuple_new(
@@ -527,7 +546,7 @@ class RecoveryCoordinator:
             trace=slot.attempt_trace,
             on_verdict=self.handle_outcome,
         )
-        timeout = plan.attempt_timeout
+        timeout = plan.policy.attempt_timeout
         if timeout is not None:
             slot.timeout_timer = self._reactor.call_later(
                 timeout, lambda: self._attempt_timed_out(run, slot, job_id)
@@ -539,15 +558,17 @@ class RecoveryCoordinator:
         slot: _Slot,
         exception: UserException | None = None,
     ) -> None:
-        decision = run.plan.strategy.next_attempt(
-            run.activity,
-            run.program,
-            self._broker,
-            failed_option=slot.option_index,
-            tries_used=slot.tries_used,
-        )
-        if decision is not None:
-            slot.option_index = decision.option_index
+        policy = run.plan.policy
+        tries = slot.tries_used
+        if policy.tries_remaining(tries) > 0:
+            option = slot.option_index = self._broker.retry_index(
+                run.activity,
+                run.plan.program,
+                failed_index=slot.option_index,
+                tries_used=tries,
+                selection=policy.resource_selection,
+            )
+            delay = policy.retry_delay(tries)
             decision_ctx = None
             if self._tracer is not None and slot.attempt_trace is not None:
                 # The decision descends from the failed attempt; the next
@@ -561,17 +582,17 @@ class RecoveryCoordinator:
                         {
                             "activity": run.activity.name,
                             "slot": slot.index,
-                            "option": decision.option_index,
-                            "delay": decision.delay,
-                            "tries": slot.tries_used,
+                            "option": option,
+                            "delay": delay,
+                            "tries": tries,
                             "host": slot.last_host,
                         },
                         decision_ctx,
                     ),
                 )
-            if decision.delay > 0:
+            if delay > 0:
                 slot.retry_timer = self._reactor.call_later(
-                    decision.delay, lambda: self._retry_fire(run, slot)
+                    delay, lambda: self._retry_fire(run, slot)
                 )
             else:
                 self._retry_fire(run, slot)
@@ -618,7 +639,9 @@ class RecoveryCoordinator:
     def _retry_fire(self, run: ActivityRun, slot: _Slot) -> None:
         if run.resolved or slot.exhausted:
             return
-        self._submit(run, slot)
+        # A ``*`` retry avoids the hosts of its siblings' live attempts.
+        held = (s.last_host for s in run.slots if s.active_job is not None)
+        self._submit(run, slot, self._target(run, slot.option_index, held))
 
     def _attempt_timed_out(self, run: ActivityRun, slot: _Slot, job_id: str) -> None:
         """Performance failure (Section 1's linear-solver deadline): the

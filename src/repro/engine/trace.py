@@ -2,7 +2,7 @@
 
 :class:`EngineTrace` is the query layer over :class:`repro.obs.observer.
 RunObserver` — the single recording path for engine lifecycle events,
-detector attempt outcomes and recovery-strategy dispatch, itself a view of
+detector attempt outcomes and recovery decisions, itself a view of
 the bus's event log (:mod:`repro.obs.log`).  It adds the
 trace-shaped helpers (counting topics, per-node views, attempt lists, a
 rendered timeline) that tests and debugging sessions want, on top of the

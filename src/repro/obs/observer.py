@@ -6,7 +6,7 @@ its :class:`~repro.events.EventBus` —
 * ``engine.*``   — node/workflow lifecycle (plain-dict payloads);
 * ``task.*``     — the failure detector's per-attempt state changes
   (:class:`~repro.detection.detector.AttemptOutcome` payloads);
-* ``recovery.*`` — the recovery coordinator's strategy dispatch (retries,
+* ``recovery.*`` — the recovery coordinator's decisions (retries,
   backoff waits, checkpoint restarts, replication wins; plain dicts) —
 
 out of the bus's :class:`~repro.obs.log.EventLog`.  Nothing here runs

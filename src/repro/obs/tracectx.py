@@ -2,8 +2,8 @@
 
 The paper's central loop — detect a failure, consult the declared policy,
 recover — leaves a causal chain behind at runtime: a task attempt crashes,
-the detector publishes a verdict, the recovery coordinator dispatches a
-strategy decision (retry / checkpoint restart / replica win), and that
+the detector publishes a verdict, the recovery coordinator makes a
+decision (retry / checkpoint restart / replica win), and that
 decision spawns the next attempt.  Without identifiers the chain is only
 implicit in event ordering; with them, any consumer (the flight recorder's
 post-mortem timeline, the Chrome-trace flow arrows, the ``repro inspect``

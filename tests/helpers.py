@@ -10,7 +10,6 @@ from repro.engine import WorkflowEngine
 from repro.engine.engine import WorkflowResult
 from repro.engine.instance import NodeInstance
 from repro.engine.recovery import ActivityRun, TaskResolution, _Slot
-from repro.engine.strategies import RetryDecision
 from repro.execution import SubmitRequest
 from repro.grid import RELIABLE, FixedDurationTask, SimulatedGrid
 from repro.wpdl import JoinMode, WorkflowBuilder
@@ -27,7 +26,6 @@ RECORD_TYPES = (
     messages.Done,
     AttemptOutcome,
     TaskResolution,
-    RetryDecision,
     CheckpointRecord,
 )
 

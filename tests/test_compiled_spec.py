@@ -584,11 +584,11 @@ class TestFlatPerAttemptCost:
     #: a clock read or a property called again per attempt anywhere
     #: between submission and verdict fails here.
     CEILINGS = {
-        "retrying": 124.3,  # 118.4
-        "checkpointing": 239.4,  # 228.0
-        "replication": 120.5,  # 114.8
-        "replication_checkpointing": 210.8,  # 200.8
-        "backoff_retry": 148.2,  # 141.1
+        "retrying": 123.9,  # 118.0
+        "checkpointing": 237.8,  # 226.4
+        "replication": 120.2,  # 114.5
+        "replication_checkpointing": 210.1,  # 200.1
+        "backoff_retry": 148.2,  # 142.8, +3.8%: a ceiling is never raised
     }
 
     def test_ceilings_cover_every_technique(self):
@@ -630,7 +630,7 @@ def _minted(owners: Counter) -> dict:
 
 class TestRecordsAreMintedNotInitialised:
     """A record on the attempt path — a message, a verdict, a resolution,
-    a retry decision, a checkpoint record, a request — is a tuple its
+    a checkpoint record, a request — is a tuple its
     producer mints with one ``tuple.__new__``, and so are the parsed
     activities, transitions and conditions, the compiled nodes and the
     result; per-node and per-attempt state has a hand-written constructor.

@@ -11,6 +11,7 @@ import pytest
 
 from tests.helpers import single_task_workflow
 from repro.core import FailurePolicy
+from repro.core.policy import ResourceSelection
 from repro.engine import (
     EngineCheckpointer,
     NodeStatus,
@@ -194,6 +195,83 @@ class TestResume:
         resumed.start()
         grid2.kernel.run_until(0.1)
         assert resumed.runtime.checkpoints.progress_of("task@slot0") == 0.5
+
+    def test_resume_keeps_a_rotated_slots_option(self, tmp_path):
+        # ``a`` crashes once on h1 and rotates to h2; ``b``'s completion at
+        # t=5 checkpoints the engine while that second try runs.
+        path = tmp_path / "engine.ckpt"
+        rotate = FailurePolicy.retrying(5, resource_selection=ResourceSelection.ROTATE)
+        spec = (
+            WorkflowBuilder("rotated")
+            .program("rot", hosts=["h1", "h2", "h3"])
+            .program("short", hosts=["h1"])
+            .activity("a", implement="rot", policy=rotate)
+            .activity("b", implement="short")
+            .build()
+        )
+
+        def grid_and_submissions():
+            grid = SimulatedGrid(config=GridConfig(heartbeats=False))
+            for name in ("h1", "h2", "h3"):
+                grid.add_host(RELIABLE(name, slots=None))
+            grid.install_everywhere(
+                "rot", CrashingTask(duration=10.0, crash_at=1.0, crashes=1)
+            )
+            grid.install("h1", "short", FixedDurationTask(5.0, result="ok"))
+            submitted = []
+            submit = grid.submit
+
+            def recording(request, **kwargs):
+                submitted.append(request.hostname)
+                return submit(request, **kwargs)
+
+            grid.submit = recording
+            return grid, submitted
+
+        grid1, submitted1 = grid_and_submissions()
+        engine1 = WorkflowEngine(
+            spec, grid1, reactor=grid1.reactor, checkpointer=EngineCheckpointer(path)
+        )
+        engine1.start()
+        grid1.kernel.run_until(6.0)
+        assert submitted1 == ["h1", "h1", "h2"]  # a, b, then a again
+        state = json.loads(ET.fromstring(path.read_text()).find("InstanceState").text)
+        [slot] = state["nodes"]["a"]["recovery_state"]["slots"]
+        assert slot["option"] == 1 and slot["tries"] == 2
+
+        grid2, submitted2 = grid_and_submissions()
+        resumed = WorkflowEngine.resume(str(path), grid2, reactor=grid2.reactor)
+        assert resumed.run(timeout=1e6).succeeded
+        assert submitted2[0] == "h2"
+
+    def test_a_restored_option_out_of_range_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "engine.ckpt"
+        wf = single_task_workflow(policy=FailurePolicy.retrying(3))
+        grid1 = SimulatedGrid(config=GridConfig(heartbeats=False))
+        grid1.add_host(RELIABLE("h1"))
+        grid1.install(
+            "h1", "task", CrashingTask(duration=30.0, crash_at=5.0, crashes=None)
+        )
+        engine1 = WorkflowEngine(
+            wf, grid1, reactor=grid1.reactor, checkpointer=EngineCheckpointer(path)
+        )
+        engine1.start()
+        grid1.kernel.run_until(7.0)
+        engine1._checkpoint()
+        root = ET.fromstring(path.read_text())
+        holder = root.find("InstanceState")
+        state = json.loads(holder.text)
+        state["nodes"]["task"]["recovery_state"]["slots"][0]["option"] = 4
+        holder.text = json.dumps(state)
+        path.write_text(ET.tostring(root, encoding="unicode"))
+
+        grid2 = SimulatedGrid(config=GridConfig(heartbeats=False))
+        grid2.add_host(RELIABLE("h1"))
+        grid2.install("h1", "task", FixedDurationTask(1.0, result="ok"))
+        resumed = WorkflowEngine.resume(str(path), grid2, reactor=grid2.reactor)
+        with pytest.raises(CheckpointError, match="'task'.*option index 4"):
+            resumed.run(timeout=1e6)
+        assert grid2.gram.submitted_count == 0
 
     def test_resume_after_success_is_terminal_noop(self, tmp_path):
         path = tmp_path / "engine.ckpt"

@@ -1,32 +1,27 @@
 """One launch plan per (program, policy) on the runtime — and what a plan
 must *not* hold.
 
-A plan keeps the resolved strategy, the slots it planned, each
-literal ``<Option>``'s target and the attempt timeout, so starting an
-activity or an attempt re-derives none of them.  These tests pin the other
-side of that: a ``hostname='*'`` option is matched against the catalog and
-the activity's query at every submission, plans are per strategy resolver,
-the engine's per-launch rebuilt activity finds the plan of the activity it
-came from and still submits its freshly bound arguments, and a bad option
-index is still the broker's error.  And what a plan *does* share: one
-``SubmitRequest`` per (activity, literal option), whatever the instance or
-the attempt.  (Lifetime — weak towards the
+A plan keeps the options its slots start on and each literal
+``<Option>``'s target, so starting an activity or an attempt re-derives
+neither.  These tests pin the other side of that: a ``hostname='*'`` option
+is matched against the catalog and the activity's query at every
+submission — away from the hosts a replica's siblings hold — and the
+engine's per-launch rebuilt activity finds the plan of the activity it came
+from and still submits its freshly bound arguments.  And what a plan *does*
+share: one ``SubmitRequest`` per (activity, literal option), whatever the
+instance or the attempt.  (Lifetime — weak towards the
 specification and towards the runtime — is in
 ``tests/test_multiplex.py::TestNothingOutlivesTheVerdict``.)
 """
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro.catalogs import ResourceCatalog, ResourceQuery
 from repro.core import FailurePolicy
-from repro.engine import EngineHost, WorkflowEngine
+from repro.engine import EngineHost
 from repro.engine.broker import Broker
-from repro.engine.recovery import RecoveryCoordinator
-from repro.engine.strategies import RecoveryStrategy, SlotPlan, resolve_strategy
 from repro.errors import BrokerError
 from repro.grid import (
     RELIABLE,
@@ -36,7 +31,7 @@ from repro.grid import (
     SimulatedGrid,
 )
 from repro.wpdl import WorkflowBuilder
-from repro.wpdl.model import Activity, Option, Parameter, Program
+from repro.wpdl.model import Parameter
 
 HOSTS = ("h1", "h2", "h3")
 
@@ -116,13 +111,13 @@ class TestWildcardsAreNeverCached:
     def test_literal_option_is_resolved_once_for_n_instances(self, monkeypatch):
         grid, _catalog, submitted = make_grid()
         calls = []
-        resolve = Broker._resolve
+        resolve = Broker.resolve_index
 
         def counting(self, activity, program, index, **kwargs):
             calls.append(index)
             return resolve(self, activity, program, index, **kwargs)
 
-        monkeypatch.setattr(Broker, "_resolve", counting)
+        monkeypatch.setattr(Broker, "resolve_index", counting)
         host = EngineHost(grid, reactor=grid.reactor)
         host.submit_many(one_task("h2"), 25)
         results = host.wait_all(timeout=1e6)
@@ -131,83 +126,44 @@ class TestWildcardsAreNeverCached:
         assert calls == [0]
         assert len(plans_of(host.runtime)) == 1
 
-    def test_bad_option_index_is_still_the_brokers_error(self, reactor, bus):
-        from repro.detection.detector import FailureDetector
-        from tests.test_recovery import FakeService
 
-        class Lost(RecoveryStrategy):
-            def plan_slots(self, activity, program, broker):
-                return [SlotPlan(option_index=5)]
+class TestDirectoryBrokeredReplicas:
+    """A replica's ``*`` option is matched away from the hosts its sibling
+    slots hold: at start, the hosts earlier slots chose; at a retry, the
+    hosts of siblings with a live attempt.  Every slot's target is found
+    before the first submission, so a broker error submits nothing."""
 
-        coordinator = RecoveryCoordinator(
-            FakeService(),
-            FailureDetector(reactor, bus),
-            Broker(),
-            reactor,
-            on_resolution=lambda resolution: None,
-            strategy_resolver=Lost,
-        )
-        program = Program("p", (Option("h1"),))
-        for name in ("first", "second"):  # planned once, refused every time
-            with pytest.raises(BrokerError, match="out of range"):
-                coordinator.start_activity(Activity(name, implement="p"), program)
+    def run(self, grid, catalog, *hosts, policy):
+        host = EngineHost(grid, reactor=grid.reactor, broker=Broker(catalog))
+        host.submit(one_task(*hosts, policy=policy))
+        assert all(r.succeeded for r in host.wait_all(timeout=1e6).values())
 
+    def test_two_wildcards_land_on_distinct_hosts(self):
+        grid, catalog, submitted = make_grid()
+        self.run(grid, catalog, "*", "*", policy=FailurePolicy.replica())
+        assert [r.hostname for r in submitted] == ["h1", "h2"]
 
-class TestPlansArePerResolver:
-    def setup_method(self):
-        self.ids = itertools.count(1)
+    def test_a_wildcard_avoids_its_literal_sibling(self):
+        grid, catalog, submitted = make_grid()
+        self.run(grid, catalog, "h1", "*", policy=FailurePolicy.replica())
+        assert [r.hostname for r in submitted] == ["h1", "h2"]
 
-    def run(self, runtime_owner, spec, grid, resolver):
-        engine = WorkflowEngine(
-            spec,
-            grid,
-            reactor=grid.reactor,
-            runtime=runtime_owner.runtime,
-            strategy_resolver=resolver,
-            workflow_id=f"wf-{next(self.ids)}",
-        )
-        assert engine.run(timeout=1e6).succeeded
-        return engine
+    def test_a_retry_avoids_the_host_of_a_live_sibling(self):
+        grid, catalog, submitted = make_grid()
+        grid.install("h1", "task", FixedDurationTask(30.0, result="ok"))
+        # GRAM numbers the activity's attempts: h1 runs the first, h2 the second.
+        grid.install("h2", "task", CrashingTask(2.0, 1.0, crashes=2, result="ok"))
+        self.run(grid, catalog, "*", "*", policy=FailurePolicy.replica(max_tries=2))
+        # Slot 1 crashes on h2 while slot 0 runs on h1: h2 again, not h1.
+        assert [r.hostname for r in submitted] == ["h1", "h2", "h2"]
 
-    def test_two_resolvers_on_one_runtime_get_their_own_strategies(self):
-        grid, _catalog, _submitted = make_grid()
-        host = EngineHost(grid, reactor=grid.reactor)
-        spec = one_task("h1", policy=FailurePolicy.retrying(3))
-        asked = {"plain": 0, "marked": 0}
-
-        class Marked(RecoveryStrategy):
-            pass
-
-        def plain(policy):
-            asked["plain"] += 1
-            return resolve_strategy(policy)
-
-        def marked(policy):
-            asked["marked"] += 1
-            return Marked(policy)
-
-        for _ in range(3):
-            self.run(host, spec, grid, plain)
-            self.run(host, spec, grid, marked)
-        assert asked == {"plain": 1, "marked": 1}
-        kinds = sorted(type(p.strategy).__name__ for p in plans_of(host.runtime))
-        assert kinds == ["Marked", "RecoveryStrategy"]
-
-    def test_a_subclass_still_substitutes_its_technique(self):
-        grid, _catalog, _submitted = make_grid()
-        host = EngineHost(grid, reactor=grid.reactor)
-        spec = one_task("h1", policy=FailurePolicy.retrying(3))
-        used = []
-
-        class Audited(RecoveryStrategy):
-            def plan_slots(self, activity, program, broker):
-                used.append(activity.name)
-                return super().plan_slots(activity, program, broker)
-
-        self.run(host, spec, grid, None)  # the default plan comes first
-        self.run(host, spec, grid, Audited)
-        assert used == ["a"]
-        assert len(plans_of(host.runtime)) == 2
+    def test_a_broker_error_leaves_nothing_submitted(self):
+        grid, _catalog, submitted = make_grid()
+        host = EngineHost(grid, reactor=grid.reactor)  # no catalog
+        host.submit(one_task("h1", "*", policy=FailurePolicy.replica()))
+        with pytest.raises(BrokerError, match="no resource catalog"):
+            host.wait_all(timeout=1e6)
+        assert grid.gram.submitted_count == 0 and submitted == []
 
 
 class TestReboundActivityHitsItsPlan:

@@ -21,7 +21,6 @@ from repro.detection.messages import (
     encode,
 )
 from repro.engine.recovery import TaskResolution
-from repro.engine.strategies import RetryDecision
 from repro.errors import DetectionError
 
 ALL_MESSAGES = [
@@ -94,7 +93,6 @@ def records() -> list:
         *ALL_MESSAGES,
         AttemptOutcome("j1", "act", TaskState.DONE),
         TaskResolution("act", TaskState.DONE),
-        RetryDecision(option_index=0, delay=1.0),
         CheckpointRecord(activity="act", flag="k1"),
     ]
 

@@ -16,7 +16,10 @@ parallel stack went.  The bus routes exact topics, so its wildcard
 patterns, route cache and subscription handles went.  Instance ids are
 the engine host's, so the runtime's id space and its host-managed switch
 went, with two ways to pump a simulated reactor and a checkpoint
-manager's second way to forget everything.
+manager's second way to forget everything.  Recovery reads the policy, so
+the strategy object that restated it, the resolver seam that swapped it and
+the per-crash decision record went, with the broker's resolve-everything
+call only its planning used.
 One walk over ``src/repro`` keeps them deleted, and keeps the retry wait —
 and the decoding of a log record — in one place.
 """
@@ -32,7 +35,6 @@ import repro
 from repro.ckpt.manager import CheckpointManager
 from repro.core.policy import FailurePolicy
 from repro.detection import messages
-from repro.engine import strategies
 from repro.execution import SubmitRequest
 from repro.grid.gram import GramService
 from repro.grid.simkernel import SimReactor
@@ -181,6 +183,14 @@ GONE = {
     # A specification is read without a tree: a <Body> is a nested frame
     # of the event reader, not a tree cloned into a <Workflow>.
     "_clone_as_workflow",
+    # Recovery reads its three decisions off the policy.
+    "RecoveryStrategy",
+    "SlotPlan",
+    "RetryDecision",
+    "strategy_resolver",
+    "resolve_all",
+    "_strategy_resolver",
+    "_resolve_strategy",
 }
 
 
@@ -221,11 +231,15 @@ def test_the_deleted_surface_stays_deleted():
         assert not hasattr(FailurePolicy, view), view
     # ``job`` is too common a name for GONE: checked where it lived.
     assert not hasattr(GramService, "job")
-    # One substitution seam (``strategy_resolver=``), so no ``registry=``.
-    assert list(inspect.signature(strategies.resolve_strategy).parameters) == [
-        "policy"
+    # No layer restates the policy between it and the coordinator: the
+    # strategies module is one function, the slots a policy opens.
+    tree = ast.parse((SRC / "engine" / "strategies.py").read_text())
+    defined = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
     ]
-    assert len(inspect.getsource(strategies).splitlines()) <= 120
+    assert defined == ["resolve_strategy"]
     # No label is optional and the observer's window is the log's: two
     # settings nobody set (``max_events`` is still the sim kernel's guard,
     # so these two are checked where they lived).

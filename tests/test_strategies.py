@@ -1,37 +1,34 @@
 """Task-level decisions are read straight off the policy.
 
-One exhaustive decision table holds :class:`RecoveryStrategy` to the paper's
-rules, written out here independently of the code: Figure 3's fan-out
-(``plan_slots``), Figure 2's retry loop (``next_attempt``) and Section 4.3's
-checkpoint-flag hand-back (``submit_flag``) — including *which* broker and
-checkpoint-manager calls each decision makes.  The named cases below it are
-the paper's own examples; the coordinator-level tests drive the strategy
-through a :class:`RecoveryCoordinator` on a ``SimKernel``, a custom
-``strategy_resolver`` included, and hold the engine and the ``backoff_retry``
-sampler to one retry schedule.
+One exhaustive decision table holds the :class:`RecoveryCoordinator` to the
+paper's rules, written out here independently of the code: Figure 3's
+fan-out (which options the first submissions go to), Figure 2's retry loop
+(where, and after how long, a crashed slot tries again, and when it gives
+up) and Section 4.3's checkpoint-flag hand-back (which flag each
+resubmission carries) — including how often the broker is asked to place a
+retry.  Everything is observed from outside: the submissions a fake
+execution service receives and the simulated clock between them.  The named
+cases below it are the paper's own examples, and the last tests hold the
+engine and the ``backoff_retry`` sampler to one retry schedule.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from repro.ckpt.manager import CheckpointManager
 from repro.core.policy import FailurePolicy, ReplicationMode, ResourceSelection
 from repro.core.states import TaskState
 from repro.detection.detector import AttemptOutcome, FailureDetector
 from repro.engine.broker import Broker
 from repro.engine.recovery import RecoveryCoordinator
-from repro.engine.strategies import (
-    RecoveryStrategy,
-    RetryDecision,
-    SlotPlan,
-    resolve_strategy,
-)
+from repro.events import EventBus
 from repro.execution import ExecutionService, SubmitRequest
+from repro.grid import SimKernel, SimReactor
 from repro.sim.params import SimulationParams
 from repro.sim.samplers import sample_technique, technique_policy
 from repro.wpdl.model import Activity, Option, Program
@@ -46,264 +43,6 @@ def program(*hosts):
 
 def activity(policy, name="act"):
     return Activity(name=name, implement="p", policy=policy)
-
-
-def decide(policy, hosts, *, failed_option, tries_used):
-    return resolve_strategy(policy).next_attempt(
-        activity(policy),
-        program(*hosts),
-        Broker(),
-        failed_option=failed_option,
-        tries_used=tries_used,
-    )
-
-
-class CountingBroker(Broker):
-    """Counts the two calls a strategy may make on its broker."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = {"resolve_all": 0, "retry_index": 0}
-
-    def resolve_all(self, activity, program):
-        self.calls["resolve_all"] += 1
-        return super().resolve_all(activity, program)
-
-    def retry_index(self, activity, program, **kwargs):
-        self.calls["retry_index"] += 1
-        return super().retry_index(activity, program, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# The decision table
-# ---------------------------------------------------------------------------
-
-
-def expected_slots(policy, n_options):
-    """Figure 3: ``policy='replica'`` submits to every resource option at
-    once; anything else runs one loop, on the first option."""
-    return list(range(n_options)) if policy.replicated else [0]
-
-
-def expected_attempt(policy, n_options, failed_option, tries_used):
-    """Figure 2: after a crash, give up once ``max_tries`` starts are used;
-    otherwise resubmit — to the same option, or rotating round-robin by try
-    number past the one that just failed — after ``interval`` seconds,
-    multiplied by ``backoff_factor`` per earlier retry of the slot and never
-    more than ``max_interval``."""
-    if policy.max_tries is not None and tries_used >= policy.max_tries:
-        return None
-    option = failed_option
-    if policy.resource_selection is ResourceSelection.ROTATE and n_options > 1:
-        option = tries_used % n_options
-        if option == failed_option:
-            option = (option + 1) % n_options
-    delay = policy.interval
-    for _ in range(tries_used - 1):
-        delay *= policy.backoff_factor
-    if policy.max_interval is not None and delay > policy.max_interval:
-        delay = policy.max_interval
-    return RetryDecision(option_index=option, delay=delay)
-
-
-def policies(max_tries, replicated):
-    for restart, factor, cap, selection in itertools.product(
-        (True, False), (1.0, 2.0), (None, CAP), ResourceSelection
-    ):
-        yield FailurePolicy(
-            max_tries=max_tries,
-            interval=INTERVAL,
-            replication=ReplicationMode.REPLICA if replicated else ReplicationMode.NONE,
-            resource_selection=selection,
-            restart_from_checkpoint=restart,
-            backoff_factor=factor,
-            max_interval=cap,
-        )
-
-
-@pytest.mark.parametrize("hosts", [("h1",), ("h1", "h2", "h3")], ids=["1opt", "3opt"])
-@pytest.mark.parametrize("replicated", [False, True], ids=["single", "replica"])
-@pytest.mark.parametrize("max_tries", [1, 3, None])
-def test_decision_table(max_tries, replicated, hosts):
-    n = len(hosts)
-    for policy in policies(max_tries, replicated):
-        strategy = resolve_strategy(policy)
-        assert type(strategy) is RecoveryStrategy and strategy.policy is policy
-        act, prog, broker = activity(policy), program(*hosts), CountingBroker()
-
-        plans = strategy.plan_slots(act, prog, broker)
-        assert plans == [SlotPlan(i) for i in expected_slots(policy, n)], policy
-        assert broker.calls == {"resolve_all": int(replicated), "retry_index": 0}
-
-        asked = 0
-        for failed, used in itertools.product(range(n), range(1, 6)):
-            decision = strategy.next_attempt(
-                act, prog, broker, failed_option=failed, tries_used=used
-            )
-            expected = expected_attempt(policy, n, failed, used)
-            assert decision == expected, (policy, failed, used)
-            asked += expected is not None
-        # The broker places a retry; it is not asked about a spent budget.
-        assert broker.calls == {"resolve_all": int(replicated), "retry_index": asked}
-
-        # Section 4.3: a slot's own last flag rides on its next submission.
-        checkpoints = CheckpointManager()
-        checkpoints.record("act@slot1", "flag-7")
-        offered = "flag-7" if policy.restart_from_checkpoint else None
-        assert strategy.submit_flag(act, checkpoints, "act@slot1") == offered, policy
-        assert strategy.submit_flag(act, checkpoints, "act@slot0") is None
-
-
-# ---------------------------------------------------------------------------
-# The paper's examples, by name
-# ---------------------------------------------------------------------------
-
-
-def offers(policy, checkpoints, key):
-    return resolve_strategy(policy).submit_flag(activity(policy), checkpoints, key)
-
-
-class TestResolution:
-    def test_plain_policy_resolves_to_checkpointed_retry(self):
-        # restart_from_checkpoint defaults on, per the paper.
-        policy = FailurePolicy.retrying(3)
-        checkpoints = CheckpointManager()
-        checkpoints.record("act@slot0", "flag-3")
-        assert offers(policy, checkpoints, "act@slot0") == "flag-3"
-        assert decide(policy, ("h1",), failed_option=0, tries_used=2) is not None
-        assert decide(policy, ("h1",), failed_option=0, tries_used=3) is None
-
-    def test_checkpointing_disabled_leaves_bare_retry(self):
-        policy = replace(FailurePolicy.retrying(3), restart_from_checkpoint=False)
-        checkpoints = CheckpointManager()
-        checkpoints.record("act@slot0", "flag-3")
-        assert offers(policy, checkpoints, "act@slot0") is None
-        assert decide(policy, ("h1",), failed_option=0, tries_used=2) is not None
-
-    def test_replica_policy_composes_all_three(self):
-        policy = FailurePolicy.replica(max_tries=None)
-        strategy = resolve_strategy(policy)
-        plans = strategy.plan_slots(activity(policy), program("h1", "h2"), Broker())
-        assert [p.option_index for p in plans] == [0, 1]
-        checkpoints = CheckpointManager()
-        checkpoints.record("act@slot1", "flag-7")
-        assert offers(policy, checkpoints, "act@slot1") == "flag-7"
-        assert decide(policy, ("h1", "h2"), failed_option=1, tries_used=99) == (
-            RetryDecision(option_index=1, delay=0.0)
-        )
-
-    def test_full_stack_composition(self):
-        # Every technique at once, by attribute: replicas that each retry
-        # with backoff from their own checkpoint.
-        policy = FailurePolicy(
-            max_tries=None,
-            interval=1.0,
-            replication=ReplicationMode.REPLICA,
-            backoff_factor=2.0,
-        )
-        assert policy.techniques() == ("replication", "checkpointing", "backoff_retry")
-        plans = resolve_strategy(policy).plan_slots(
-            activity(policy), program("h1", "h2", "h3"), Broker()
-        )
-        assert len(plans) == 3
-        assert decide(policy, ("h1", "h2", "h3"), failed_option=2, tries_used=3) == (
-            RetryDecision(option_index=2, delay=4.0)
-        )
-
-    def test_composition_mirrors_policy_techniques(self):
-        # techniques() names exactly what the strategy will do.
-        for replicated, max_tries in itertools.product((False, True), (1, 3, None)):
-            for policy in policies(max_tries, replicated):
-                strategy = resolve_strategy(policy)
-                names = policy.techniques()
-                act, prog = activity(policy), program("h1", "h2")
-                checkpoints = CheckpointManager()
-                checkpoints.record("k", "flag")
-                assert ("replication" in names) == (
-                    len(strategy.plan_slots(act, prog, Broker())) == 2
-                )
-                assert ("checkpointing" in names) == (
-                    strategy.submit_flag(act, checkpoints, "k") == "flag"
-                )
-                retries = decide(policy, ("h1", "h2"), failed_option=0, tries_used=1)
-                assert bool({"retrying", "backoff_retry"} & set(names)) == (
-                    retries is not None
-                )
-
-
-class TestRetryDecisions:
-    def test_budget_exhaustion_returns_none(self):
-        policy = FailurePolicy.retrying(2)
-        assert decide(policy, ("h1",), failed_option=0, tries_used=2) is None
-
-    def test_same_selection_stays_on_failed_option(self):
-        policy = FailurePolicy.retrying(5, interval=3.0)
-        decision = decide(policy, ("h1", "h2"), failed_option=0, tries_used=1)
-        assert decision == RetryDecision(option_index=0, delay=3.0)
-
-    def test_rotate_selection_moves_off_failed_option(self):
-        policy = FailurePolicy.retrying(5, resource_selection=ResourceSelection.ROTATE)
-        decision = decide(policy, ("h1", "h2", "h3"), failed_option=1, tries_used=1)
-        assert decision.option_index != 1
-
-    def test_backoff_delays_grow_geometrically(self):
-        policy = FailurePolicy.backoff_retrying(
-            None, interval=1.0, backoff_factor=2.0, max_interval=8.0
-        )
-        delays = [
-            decide(policy, ("h1",), failed_option=0, tries_used=n).delay
-            for n in range(1, 7)
-        ]
-        assert delays == [1.0, 2.0, 4.0, 8.0, 8.0, 8.0]  # capped at 8
-
-    def test_fixed_interval_is_capped_like_any_other_wait(self):
-        # ``max_interval`` bounds every wait, not only a growing one.
-        policy = FailurePolicy(max_tries=None, interval=10, max_interval=2)
-        assert decide(policy, ("h1",), failed_option=0, tries_used=1).delay == 2
-
-
-class TestSlotPlanning:
-    def test_retry_plans_single_slot(self):
-        policy = FailurePolicy.retrying(3)
-        plans = resolve_strategy(policy).plan_slots(
-            activity(policy), program("h1", "h2"), Broker()
-        )
-        assert plans == [SlotPlan(option_index=0)]
-
-    def test_replicate_plans_one_slot_per_option(self):
-        policy = FailurePolicy.replica()
-        plans = resolve_strategy(policy).plan_slots(
-            activity(policy), program("h1", "h2", "h3"), Broker()
-        )
-        assert [p.option_index for p in plans] == [0, 1, 2]
-
-
-class TestSubmitFlags:
-    def test_bare_retry_never_offers_flag(self):
-        checkpoints = CheckpointManager()
-        checkpoints.record("act@slot0", "flag-3")
-        policy = FailurePolicy(restart_from_checkpoint=False)
-        assert offers(policy, checkpoints, "act@slot0") is None
-
-    def test_checkpoint_restart_offers_recorded_flag(self):
-        checkpoints = CheckpointManager()
-        checkpoints.record("act@slot0", "flag-3")
-        assert offers(FailurePolicy(), checkpoints, "act@slot0") == "flag-3"
-
-    def test_checkpoint_restart_without_record_falls_through(self):
-        assert offers(FailurePolicy(), CheckpointManager(), "act@slot0") is None
-
-    def test_replicate_delegates_flags_per_slot(self):
-        checkpoints = CheckpointManager()
-        checkpoints.record("act@slot1", "flag-7")
-        policy = FailurePolicy.replica()
-        assert offers(policy, checkpoints, "act@slot0") is None
-        assert offers(policy, checkpoints, "act@slot1") == "flag-7"
-
-
-# ---------------------------------------------------------------------------
-# Coordinator integration
-# ---------------------------------------------------------------------------
 
 
 class FakeService(ExecutionService):
@@ -328,6 +67,18 @@ class FakeService(ExecutionService):
         pass
 
 
+class CountingBroker(Broker):
+    """Counts how often the coordinator asks where a retry goes."""
+
+    def __init__(self):
+        super().__init__()
+        self.retries_placed = 0
+
+    def retry_index(self, activity, program, **kwargs):
+        self.retries_placed += 1
+        return super().retry_index(activity, program, **kwargs)
+
+
 def outcome(job_id, state, *, flag=None, result=None):
     return AttemptOutcome(
         job_id=job_id,
@@ -339,9 +90,310 @@ def outcome(job_id, state, *, flag=None, result=None):
     )
 
 
+class Resubmission(NamedTuple):
+    """What a crash led to: the option, the flag and the simulated wait of
+    the slot's next submission."""
+
+    option: int
+    flag: str | None
+    wait: float
+
+
+class Activation:
+    """One activity under a :class:`RecoveryCoordinator` on a ``SimKernel``,
+    driven by hand: the test plays the detector, handing the coordinator
+    one verdict at a time, and reads what it submitted."""
+
+    def __init__(self, policy, *hosts):
+        self.kernel = SimKernel()
+        reactor = SimReactor(self.kernel)
+        self.hosts = hosts
+        self.service = FakeService()
+        self.broker = CountingBroker()
+        self.resolutions = []
+        self.coordinator = RecoveryCoordinator(
+            self.service,
+            FailureDetector(reactor, EventBus()),
+            self.broker,
+            reactor,
+            on_resolution=self.resolutions.append,
+        )
+        self.coordinator.start_activity(activity(policy), program(*hosts))
+        #: Each slot's live job, in slot order (the first submissions).
+        self.live = [f"fake-{n}" for n in range(1, len(self.service.submissions) + 1)]
+
+    def option(self, submission: int) -> int:
+        return self.hosts.index(self.service.submissions[submission].hostname)
+
+    @property
+    def first_options(self) -> list[int]:
+        return [self.option(n) for n in range(len(self.live))]
+
+    def crash(self, slot: int = 0, *, flag=None) -> Resubmission | None:
+        """Crash *slot*'s live attempt (having reported *flag*), let the
+        simulated clock run out, and say what was resubmitted."""
+        submitted = len(self.service.submissions)
+        before = self.kernel.now()
+        self.coordinator.handle_outcome(
+            outcome(self.live[slot], TaskState.FAILED, flag=flag)
+        )
+        self.kernel.run()
+        assert len(self.service.submissions) - submitted <= 1
+        if len(self.service.submissions) == submitted:
+            return None
+        self.live[slot] = f"fake-{submitted + 1}"
+        return Resubmission(
+            self.option(submitted),
+            self.service.flags[submitted],
+            self.kernel.now() - before,
+        )
+
+    def succeed(self, slot: int = 0):
+        self.coordinator.handle_outcome(
+            outcome(self.live[slot], TaskState.DONE, result="ok")
+        )
+        [resolution] = self.resolutions
+        return resolution
+
+
+# ---------------------------------------------------------------------------
+# The decision table
+# ---------------------------------------------------------------------------
+
+
+def expected_slots(policy, n_options):
+    """Figure 3: ``policy='replica'`` submits to every resource option at
+    once; anything else runs one loop, on the first option."""
+    return list(range(n_options)) if policy.replicated else [0]
+
+
+def expected_attempt(policy, n_options, failed_option, tries_used):
+    """Figure 2: after a crash, give up once ``max_tries`` starts are used;
+    otherwise resubmit — to the same option, or rotating round-robin by try
+    number past the one that just failed — after ``interval`` seconds,
+    multiplied by ``backoff_factor`` per earlier retry of the slot and never
+    more than ``max_interval``.  ``(option, wait)``, or ``None`` for giving
+    up."""
+    if policy.max_tries is not None and tries_used >= policy.max_tries:
+        return None
+    option = failed_option
+    if policy.resource_selection is ResourceSelection.ROTATE and n_options > 1:
+        option = tries_used % n_options
+        if option == failed_option:
+            option = (option + 1) % n_options
+    delay = policy.interval
+    for _ in range(tries_used - 1):
+        delay *= policy.backoff_factor
+    if policy.max_interval is not None and delay > policy.max_interval:
+        delay = policy.max_interval
+    return option, delay
+
+
+def policies(max_tries, replicated):
+    for restart, factor, cap, selection in itertools.product(
+        (True, False), (1.0, 2.0), (None, CAP), ResourceSelection
+    ):
+        yield FailurePolicy(
+            max_tries=max_tries,
+            interval=INTERVAL,
+            replication=ReplicationMode.REPLICA if replicated else ReplicationMode.NONE,
+            resource_selection=selection,
+            restart_from_checkpoint=restart,
+            backoff_factor=factor,
+            max_interval=cap,
+        )
+
+
+#: Rounds of crashes the table plays on an unlimited budget.
+ROUNDS = 5
+
+
+@pytest.mark.parametrize("hosts", [("h1",), ("h1", "h2", "h3")], ids=["1opt", "3opt"])
+@pytest.mark.parametrize("replicated", [False, True], ids=["single", "replica"])
+@pytest.mark.parametrize("max_tries", [1, 3, None])
+def test_decision_table(max_tries, replicated, hosts):
+    n = len(hosts)
+    for policy in policies(max_tries, replicated):
+        run = Activation(policy, *hosts)
+        slots = expected_slots(policy, n)
+        assert run.first_options == slots, policy
+        assert run.service.flags == [None] * len(slots), policy
+
+        options, tries = list(slots), [1] * len(slots)
+        spent: set[int] = set()
+        placed = 0
+        for crash in range(ROUNDS * len(slots)):
+            slot = crash % len(slots)
+            if slot in spent:
+                continue
+            flag = f"flag-{crash}"  # every failed attempt reported one
+            expected = expected_attempt(policy, n, options[slot], tries[slot])
+            got = run.crash(slot, flag=flag)
+            where = (policy, slot, tries[slot])
+            if expected is None:
+                assert got is None, where
+                spent.add(slot)
+                continue
+            placed += 1
+            assert (got.option, got.wait) == expected, where
+            # Section 4.3: the slot's own last flag rides on its retry.
+            assert got.flag == (flag if policy.restart_from_checkpoint else None), where
+            options[slot] = got.option
+            tries[slot] += 1
+        # The broker places each retry; it is not asked about a spent budget.
+        assert run.broker.retries_placed == placed, policy
+        if len(spent) == len(slots):
+            [resolution] = run.resolutions
+            assert resolution.state is TaskState.FAILED, policy
+            assert resolution.tries_used == sum(tries) == max_tries * len(slots)
+        else:
+            assert max_tries is None and not spent and not run.resolutions
+            assert run.succeed().tries_used == sum(tries) == (ROUNDS + 1) * len(slots)
+
+
+# ---------------------------------------------------------------------------
+# The paper's examples, by name
+# ---------------------------------------------------------------------------
+
+
+def offered(policy, hosts=("h1",), slot=0):
+    """The flag slot *slot*'s retry carries after its attempt reported
+    ``flag-3`` (``None``: none; ``False``: no retry at all)."""
+    got = Activation(policy, *hosts).crash(slot, flag="flag-3")
+    return False if got is None else got.flag
+
+
+def waits(policy, crashes, hosts=("h1",)):
+    run = Activation(policy, *hosts)
+    return [run.crash().wait for _ in range(crashes)]
+
+
+class TestResolution:
+    def test_plain_policy_resolves_to_checkpointed_retry(self):
+        # restart_from_checkpoint defaults on, per the paper.
+        policy = FailurePolicy.retrying(3)
+        assert offered(policy) == "flag-3"
+        run = Activation(policy, "h1")
+        assert run.crash() is not None and run.crash() is not None
+        assert run.crash() is None
+        assert run.resolutions[0].state is TaskState.FAILED
+
+    def test_checkpointing_disabled_leaves_bare_retry(self):
+        policy = replace(FailurePolicy.retrying(3), restart_from_checkpoint=False)
+        assert offered(policy) is None
+
+    def test_replica_policy_composes_all_three(self):
+        policy = FailurePolicy.replica(max_tries=None)
+        run = Activation(policy, "h1", "h2")
+        assert run.first_options == [0, 1]
+        got = run.crash(1, flag="flag-7")
+        assert (got.option, got.flag, got.wait) == (1, "flag-7", 0.0)
+        for _ in range(97):
+            run.crash(1)
+        got = run.crash(1)  # its 99th crash: retried still, at once, in place
+        assert (got.option, got.wait) == (1, 0.0)
+
+    def test_full_stack_composition(self):
+        # Every technique at once, by attribute: replicas that each retry
+        # with backoff from their own checkpoint.
+        policy = FailurePolicy(
+            max_tries=None,
+            interval=1.0,
+            replication=ReplicationMode.REPLICA,
+            backoff_factor=2.0,
+        )
+        assert policy.techniques() == ("replication", "checkpointing", "backoff_retry")
+        run = Activation(policy, "h1", "h2", "h3")
+        assert run.first_options == [0, 1, 2]
+        assert [run.crash(2, flag="f").wait for _ in range(3)] == [1.0, 2.0, 4.0]
+        assert run.service.flags[-1] == "f"
+
+    def test_composition_mirrors_policy_techniques(self):
+        # techniques() names exactly what the coordinator will do.
+        for replicated, max_tries in itertools.product((False, True), (1, 3, None)):
+            for policy in policies(max_tries, replicated):
+                names = policy.techniques()
+                assert ("replication" in names) == (
+                    len(Activation(policy, "h1", "h2").live) == 2
+                )
+                got = Activation(policy, "h1", "h2").crash(flag="flag")
+                assert bool({"retrying", "backoff_retry"} & set(names)) == (
+                    got is not None
+                )
+                if got is not None:
+                    assert ("checkpointing" in names) == (got.flag == "flag")
+
+
+class TestRetryDecisions:
+    def test_budget_exhaustion_returns_none(self):
+        run = Activation(FailurePolicy.retrying(2), "h1")
+        assert run.crash() is not None
+        assert run.crash() is None
+        assert run.resolutions[0].tries_used == 2
+
+    def test_same_selection_stays_on_failed_option(self):
+        policy = FailurePolicy.retrying(5, interval=3.0)
+        got = Activation(policy, "h1", "h2").crash()
+        assert (got.option, got.wait) == (0, 3.0)
+
+    def test_rotate_selection_moves_off_failed_option(self):
+        policy = FailurePolicy.retrying(5, resource_selection=ResourceSelection.ROTATE)
+        run = Activation(policy, "h1", "h2", "h3")
+        previous = 0
+        for _ in range(4):
+            option = run.crash().option
+            assert option != previous
+            previous = option
+
+    def test_backoff_delays_grow_geometrically(self):
+        policy = FailurePolicy.backoff_retrying(
+            None, interval=1.0, backoff_factor=2.0, max_interval=8.0
+        )
+        assert waits(policy, 6) == [1.0, 2.0, 4.0, 8.0, 8.0, 8.0]  # capped at 8
+
+    def test_fixed_interval_is_capped_like_any_other_wait(self):
+        # ``max_interval`` bounds every wait, not only a growing one.
+        policy = FailurePolicy(max_tries=None, interval=10, max_interval=2)
+        assert waits(policy, 1) == [2]
+
+
+class TestSlotPlanning:
+    def test_retry_plans_single_slot(self):
+        run = Activation(FailurePolicy.retrying(3), "h1", "h2")
+        assert run.first_options == [0]
+
+    def test_replicate_plans_one_slot_per_option(self):
+        run = Activation(FailurePolicy.replica(), "h1", "h2", "h3")
+        assert run.first_options == [0, 1, 2]
+
+
+class TestSubmitFlags:
+    def test_bare_retry_never_offers_flag(self):
+        policy = FailurePolicy(max_tries=2, restart_from_checkpoint=False)
+        assert offered(policy) is None
+
+    def test_checkpoint_restart_offers_recorded_flag(self):
+        assert offered(FailurePolicy(max_tries=2)) == "flag-3"
+
+    def test_checkpoint_restart_without_record_falls_through(self):
+        got = Activation(FailurePolicy(max_tries=2), "h1").crash()
+        assert got.flag is None
+
+    def test_replicate_delegates_flags_per_slot(self):
+        run = Activation(FailurePolicy.replica(max_tries=2), "h1", "h2")
+        assert run.crash(1, flag="flag-7").flag == "flag-7"
+        # Slot 0 never sees slot 1's checkpoint.
+        assert run.crash(0).flag is None
+
+
+# ---------------------------------------------------------------------------
+# Coordinator integration
+# ---------------------------------------------------------------------------
+
+
 @pytest.fixture
 def harness(reactor, bus):
-    def build(strategy_resolver=None):
+    def build():
         service = FakeService()
         resolutions = []
         coordinator = RecoveryCoordinator(
@@ -350,7 +402,6 @@ def harness(reactor, bus):
             Broker(),
             reactor,
             on_resolution=resolutions.append,
-            strategy_resolver=strategy_resolver,
         )
         return service, coordinator, resolutions
 
@@ -410,19 +461,6 @@ class TestCoordinatorIntegration:
         totals = np.unique(waited.round(6))
         assert totals[0] == 0.0 and len(totals) > 5
         assert np.diff(totals)[:5] == pytest.approx(delays)
-
-    def test_custom_resolver_overrides_composition(self, harness):
-        class SingleShot(RecoveryStrategy):
-            def next_attempt(self, *args, **kwargs):
-                return None  # never retry, whatever the policy says
-
-        service, coord, resolutions = harness(SingleShot)
-        coord.start_activity(
-            activity(FailurePolicy.retrying(5)), program("h1")
-        )
-        coord.handle_outcome(outcome("fake-1", TaskState.FAILED))
-        assert len(service.submissions) == 1
-        assert resolutions[0].state is TaskState.FAILED
 
     def test_replicated_retry_from_checkpoint_resubmits_with_flag(
         self, harness, kernel
