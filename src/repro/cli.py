@@ -9,30 +9,34 @@ declarative simulated Grid:
     $ python -m repro.cli validate workflow.xml
     $ python -m repro.cli run workflow.xml --grid grid.json \\
           --checkpoint engine.ckpt.xml
-    $ python -m repro.cli run workflow.xml --grid grid.json --instances 100
-    $ python -m repro.cli serve-batch specs/ --grid grid.json --instances 10
+    $ python -m repro.cli run specs/*.xml --grid grid.json --instances 10
     $ python -m repro.cli resume engine.ckpt.xml --grid grid.json
-    $ python -m repro.cli lint workflow.xml
     $ python -m repro.cli mc --technique all --mttf 20 --runs 2000 \\
           --engine --jobs 4
+    $ python -m repro.cli mc --mttf 10,20,50,100 --target-ci 0.02 --crn
     $ python -m repro.cli mc --mttf 20 \\
           --technique replication+checkpointing,retry+backoff
     $ python -m repro.cli mc --mttf 20 --runs 100000 --cache
     $ python -m repro.cli cache info
     $ python -m repro.cli cache clear
 
-``mc`` estimates expected completion times by Monte-Carlo — either with
-the vectorised standalone samplers (default) or by running the full
-engine stack per sample (``--engine``), fanned out over ``--jobs`` worker
-processes with deterministic seed sharding (results are independent of
-the worker count; see :mod:`repro.sim.parallel`).  ``--cache`` opts in to
-the content-addressed sample cache (:mod:`repro.sim.cache`): repeated
-estimates with unchanged inputs load from disk instead of re-sampling,
-and ``cache info`` / ``cache clear`` manage the store.
+One command per job: ``validate`` checks a specification's vocabulary
+(the parser drops a misspelled attribute) and its graph; ``run`` takes one
+or more specifications, and anything beyond one instance of one file runs
+concurrently on one shared :class:`~repro.engine.host.EngineHost`.  ``mc``
+estimates expected completion times by Monte-Carlo — with the vectorised
+standalone samplers (default) or the full engine stack per sample
+(``--engine``), over ``--jobs`` worker processes with deterministic seed
+sharding (see :mod:`repro.sim.parallel`).  Its ``--mttf`` is a
+comma-separated grid whose technique × MTTF cells are one
+:func:`~repro.sim.estimate_cells` call; two or more points also report
+where the curves cross, and ``--csv`` writes :func:`~repro.sim.to_csv`.
+``--cache`` opts in to the content-addressed sample cache
+(:mod:`repro.sim.cache`), which ``cache info`` / ``cache clear`` manage.
 
-Observability (:mod:`repro.obs`): ``run``/``serve-batch``/``resume``
-accept ``--metrics out.prom`` (Prometheus text exposition of the run's
-counters and histograms) and ``--trace out.json`` (Chrome ``trace_event``
+Observability (:mod:`repro.obs`): ``run``/``resume`` accept ``--metrics
+out.prom`` (Prometheus text exposition of the run's counters and
+histograms) and ``--trace out.json`` (Chrome ``trace_event``
 JSON — loadable in chrome://tracing or Perfetto; a ``.jsonl`` suffix
 writes the raw JSON-lines event/span/metrics stream instead).  ``mc
 --stats`` prints per-technique attempt histograms and pool/disk cache hit
@@ -54,7 +58,7 @@ recovery decisions, checkpoint restarts) from it:
 
 .. code-block:: console
 
-    $ python -m repro.cli serve-batch specs/ --grid grid.json \\
+    $ python -m repro.cli run specs/*.xml --grid grid.json \\
           --instances 10 --serve-telemetry 9100 --pace 0.01 \\
           --flight-record journal.jsonl
     $ python -m repro.cli top 127.0.0.1:9100        # live dashboard
@@ -70,6 +74,7 @@ import argparse
 import contextlib
 import sys
 import time
+from pathlib import Path
 from typing import Sequence
 
 from .engine.checkpoint import EngineCheckpointer
@@ -97,7 +102,10 @@ def _print_result(result: WorkflowResult) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     workflow = parse_wpdl_file(args.workflow, validate_graph=False)
-    problems = validation_problems(workflow)
+    # The parser drops what the vocabulary does not know, so a misspelled
+    # policy attribute is only seen in the text.
+    problems = check_vocabulary(Path(args.workflow).read_text())
+    problems += validation_problems(workflow)
     if problems:
         print(f"workflow {workflow.name!r} is INVALID:")
         for problem in problems:
@@ -108,19 +116,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"{len(workflow.nodes)} nodes, {len(workflow.transitions)} transitions, "
         f"{len(workflow.programs)} programs"
     )
-    return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    problems = check_vocabulary(Path(args.workflow).read_text())
-    if problems:
-        print("vocabulary problems:")
-        for problem in problems:
-            print(f"  - {problem}")
-        return 2
-    print("vocabulary clean")
     return 0
 
 
@@ -211,29 +206,24 @@ def _telemetry(args: argparse.Namespace, runtime, grid):
 _PACE_MAX_SLEEP = 0.25
 
 
-def _drive_paced(reactor, is_done, pace: float, timeout: float | None) -> bool:
-    """Advance the simulation at *pace* wall seconds per virtual second.
+def _drive(args: argparse.Namespace, reactor, is_done) -> bool:
+    """Pump *reactor* until ``is_done()`` holds or ``--timeout`` virtual
+    seconds pass; returns whether it holds.  The reactor asks before every
+    event; under ``--pace`` the predicate first sleeps the virtual time
+    since it was last asked, scaled to wall seconds, so a live run can be
+    scraped."""
+    if args.pace > 0:
+        done, last = is_done, reactor.now()
 
-    The default reactor loop finishes a whole run in milliseconds of wall
-    time — nothing for a live scraper to watch.  Pacing steps the kernel
-    one event at a time and sleeps the scaled virtual gap in between, so
-    ``/metrics`` and ``/workflows`` can be curled mid-run.
-    """
-    kernel = getattr(reactor, "kernel", None)
-    if kernel is None:
-        raise GridWFSError("--pace needs a simulated grid (a sim kernel)")
-    deadline = None if timeout is None else kernel.now() + timeout
-    last = kernel.now()
-    while not is_done():
-        if deadline is not None and kernel.now() >= deadline:
-            return False
-        if not kernel.step():
-            return is_done()
-        now = kernel.now()
-        if now > last:
-            time.sleep(min((now - last) * pace, _PACE_MAX_SLEEP))
-            last = now
-    return True
+        def is_done() -> bool:
+            nonlocal last
+            now = reactor.now()
+            if now > last:
+                time.sleep(min((now - last) * args.pace, _PACE_MAX_SLEEP))
+                last = now
+            return done()
+
+    return reactor.run_until_complete(is_done, timeout=args.timeout)
 
 
 def _export_observation(args: argparse.Namespace, plane) -> None:
@@ -275,23 +265,20 @@ def _export_observation(args: argparse.Namespace, plane) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    workflow = parse_wpdl_file(args.workflow)
+    workflows = [parse_wpdl_file(path) for path in args.workflow]
     grid = load_gridspec(args.grid)
-    if args.instances > 1:
+    if len(workflows) > 1 or args.instances > 1:
         if args.checkpoint:
             raise GridWFSError(
                 "--checkpoint is per-instance state and is not supported "
-                "with --instances > 1"
+                "with more than one instance"
             )
-        return _run_multiplexed(args, grid, [workflow] * args.instances)
-    checkpointer = (
-        EngineCheckpointer(args.checkpoint) if args.checkpoint else None
-    )
+        return _run_multiplexed(args, grid, workflows)
     engine = WorkflowEngine(
-        workflow,
+        workflows[0],
         grid,
         reactor=grid.reactor,
-        checkpointer=checkpointer,
+        checkpointer=EngineCheckpointer(args.checkpoint) if args.checkpoint else None,
         heartbeat_timeout=args.heartbeat_timeout,
         tracer=_make_tracer(args),
     )
@@ -299,25 +286,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run_single(args: argparse.Namespace, grid, engine: WorkflowEngine) -> int:
-    """Shared ``run``/``resume`` body: telemetry rig, (paced) drive,
-    report, export, teardown."""
+    """Shared ``run``/``resume`` body: telemetry rig, drive, report,
+    export, teardown."""
     with _telemetry(args, engine.runtime, grid) as plane:
-        if args.pace > 0:
-            engine.start()
-            done = _drive_paced(
-                engine.runtime.reactor,
-                lambda: engine.finished,
-                args.pace,
-                args.timeout,
+        engine.start()
+        done = _drive(args, engine.runtime.reactor, lambda: engine.finished)
+        result = engine.result
+        if not done or result is None:
+            raise GridWFSError(
+                f"workflow {engine.workflow.name!r} did not terminate "
+                f"(timeout={args.timeout}, node statuses: "
+                f"{engine.instance.status_counts()})"
             )
-            result = engine.result
-            if not done or result is None:
-                raise GridWFSError(
-                    f"workflow {engine.workflow.name!r} did not terminate "
-                    f"(timeout={args.timeout})"
-                )
-        else:
-            result = engine.run(timeout=args.timeout)
         if args.report:
             print(run_report(engine.instance))
         else:
@@ -328,8 +308,8 @@ def _run_single(args: argparse.Namespace, grid, engine: WorkflowEngine) -> int:
 
 
 def _run_multiplexed(args: argparse.Namespace, grid, workflows) -> int:
-    """Run many workflow instances concurrently on one shared runtime
-    (``run --instances N`` and ``serve-batch``)."""
+    """``--instances`` copies of every specification, run concurrently on
+    one shared runtime."""
     from .engine.host import EngineHost
 
     host = EngineHost(
@@ -339,59 +319,37 @@ def _run_multiplexed(args: argparse.Namespace, grid, workflows) -> int:
         tracer=_make_tracer(args),
     )
     with _telemetry(args, host.runtime, grid) as plane:
-        seen_specs: set[int] = set()
-        for workflow in workflows:
-            first = id(workflow) not in seen_specs
-            seen_specs.add(id(workflow))
-            host.submit(workflow, validate_spec=first)
-        if args.pace > 0:
-            done = _drive_paced(
-                host.runtime.reactor,
-                lambda: not host.pending,
-                args.pace,
-                args.timeout,
+        ids = host.submit_many([wf for wf in workflows for _ in range(args.instances)])
+        # Asked before every event: look at one unfinished engine, not all.
+        unfinished = [host.engine(wfid) for wfid in reversed(ids)]
+
+        def all_finished() -> bool:
+            while unfinished and unfinished[-1].finished:
+                unfinished.pop()
+            return not unfinished
+
+        if not _drive(args, host.runtime.reactor, all_finished):
+            raise GridWFSError(
+                f"{len(host.pending)} of {len(ids)} instances did not "
+                f"terminate (timeout={args.timeout}, pending: "
+                f"{host.pending[:10]})"
             )
-            if not done:
-                raise GridWFSError(
-                    f"{len(host.pending)} instance(s) did not terminate "
-                    f"(timeout={args.timeout}, pending: {host.pending[:10]})"
-                )
-            results = host.results()
-        else:
-            results = host.wait_all(timeout=args.timeout)
-        succeeded = sum(1 for r in results.values() if r.succeeded)
+        results = host.results()
         for wfid, result in results.items():
-            print(
-                f"{wfid:8s} {result.workflow!r}: {result.status} "
-                f"(completion time: {result.completion_time:.3f} virtual seconds)"
-            )
+            if args.report:
+                print(f"== {wfid} ==")
+                print(run_report(host.engine(wfid).instance))
+            else:
+                print(
+                    f"{wfid:8s} {result.workflow!r}: {result.status} "
+                    f"(completion time: {result.completion_time:.3f} "
+                    "virtual seconds)"
+                )
+        succeeded = sum(1 for r in results.values() if r.succeeded)
         print(f"{succeeded}/{len(results)} instance(s) succeeded")
         if plane.observer is not None:
             _export_observation(args, plane)
     return 0 if succeeded == len(results) else 1
-
-
-def cmd_serve_batch(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    directory = Path(args.directory)
-    if not directory.is_dir():
-        raise GridWFSError(f"{directory} is not a directory")
-    spec_paths = sorted(directory.glob(args.pattern))
-    if not spec_paths:
-        raise GridWFSError(
-            f"no specifications matching {args.pattern!r} in {directory}"
-        )
-    workflows = []
-    for path in spec_paths:
-        for _ in range(args.instances):
-            workflows.append(parse_wpdl_file(str(path)))
-    grid = load_gridspec(args.grid)
-    print(
-        f"serving {len(spec_paths)} specification(s) × {args.instances} "
-        f"instance(s) = {len(workflows)} concurrent workflow(s)"
-    )
-    return _run_multiplexed(args, grid, workflows)
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
@@ -497,14 +455,8 @@ def _mc_variance_reduction(args: argparse.Namespace) -> str | None:
     from .errors import SimulationError
 
     if args.antithetic and args.crn:
-        raise SimulationError(
-            "--antithetic and --crn are mutually exclusive"
-        )
-    if args.antithetic:
-        return "antithetic"
-    if args.crn:
-        return "crn"
-    return None
+        raise SimulationError("--antithetic and --crn are mutually exclusive")
+    return "antithetic" if args.antithetic else "crn" if args.crn else None
 
 
 def _mc_ci_target(args: argparse.Namespace):
@@ -551,16 +503,34 @@ def cmd_top(args: argparse.Namespace) -> int:
     )
 
 
+def _mttf_grid(value: str) -> list[float]:
+    """``--mttf``: one MTTF or a comma-separated grid of them."""
+    try:
+        return [float(x) for x in value.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {value!r}"
+        ) from None
+
+
 def cmd_mc(args: argparse.Namespace) -> int:
     import json
 
-    from .sim import SampleCache, SimulationParams, estimate_cells
+    from .sim import (
+        TECHNIQUE_LABELS,
+        SampleCache,
+        Series,
+        SimulationParams,
+        crossover,
+        estimate_cells,
+        to_csv,
+    )
 
     techniques = _mc_techniques(args.technique)
     variance_reduction = _mc_variance_reduction(args)
     target = _mc_ci_target(args)
+    mttfs = args.mttf
     params = SimulationParams(
-        mttf=args.mttf,
         downtime=args.downtime,
         retry_interval=args.retry_interval,
         backoff_factor=args.backoff,
@@ -574,8 +544,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
         registry = MetricsRegistry()
     adaptive = target is not None or variance_reduction is not None
+    keys = [(t, mttf) for t in techniques for mttf in mttfs]
     estimates = estimate_cells(
-        [(technique, params) for technique in techniques],
+        [(t, params.with_mttf(mttf)) for t, mttf in keys],
         runs=args.runs,
         target=target,
         variance_reduction=variance_reduction,
@@ -584,9 +555,22 @@ def cmd_mc(args: argparse.Namespace) -> int:
         cache=SampleCache() if args.cache else None,
         metrics=registry,
     )
+    cells = dict(zip(keys, estimates))
+    series = {
+        t: Series.of(
+            TECHNIQUE_LABELS.get(t, t),
+            mttfs,
+            [cells[(t, mttf)].summary for mttf in mttfs],
+        )
+        for t in techniques
+    }
+    if args.csv:
+        print(to_csv("mttf", list(series.values())))
+        return 0
     rows = [
         {
-            "technique": cell.technique,
+            "technique": technique,
+            "mttf": mttf,
             "mode": "engine" if args.engine else "sampler",
             "runs": cell.summary.n,
             "mean": cell.summary.mean,
@@ -597,130 +581,51 @@ def cmd_mc(args: argparse.Namespace) -> int:
             "p50": cell.summary.p50,
             "p95": cell.summary.p95,
         }
-        for cell in estimates
+        for (technique, mttf), cell in cells.items()
     ]
     if args.json:
         payload = rows
         if registry is not None:
             payload = {"rows": rows, "metrics": registry.snapshot()}
         print(json.dumps(payload, indent=2))
-    else:
-        mode = "engine-level" if args.engine else "standalone sampler"
-        budget = (
-            f"target_ci={args.target_ci:g} (≤{target.max_runs} runs)"
-            if target is not None
-            else f"runs={args.runs}"
-        )
-        if variance_reduction is not None:
-            budget += f", {variance_reduction}"
+        return 0
+    mode = "engine-level" if args.engine else "standalone sampler"
+    budget = (
+        f"target_ci={args.target_ci:g} (≤{target.max_runs} runs)"
+        if target is not None
+        else f"runs={args.runs}"
+    )
+    if variance_reduction is not None:
+        budget += f", {variance_reduction}"
+    print(
+        f"E[T] via {mode} Monte-Carlo "
+        f"(F={params.failure_free_time:g}, "
+        f"MTTF={','.join(f'{mttf:g}' for mttf in mttfs)}, "
+        f"D={params.downtime:g}, {budget}, "
+        f"jobs={'auto' if args.jobs is None else args.jobs})"
+    )
+    for row in rows:
+        detail = f"(p50={row['p50']:.2f}, p95={row['p95']:.2f}"
+        if adaptive:
+            detail += f", n={row['runs']}"
+            if row["ess"] > row["runs"]:
+                detail += f", eff.n={row['ess']:.0f}"
+            if not row["converged"]:
+                detail += ", budget exhausted"
+        detail += ")"
+        point = f"MTTF={row['mttf']:<6g} " if len(mttfs) > 1 else ""
         print(
-            f"E[T] via {mode} Monte-Carlo "
-            f"(F={params.failure_free_time:g}, MTTF={params.mttf:g}, "
-            f"D={params.downtime:g}, {budget}, "
-            f"jobs={'auto' if args.jobs is None else args.jobs})"
+            f"  {row['technique']:28s} {point}"
+            f"{row['mean']:10.3f} ± {row['ci99_halfwidth']:.3f}  "
+            f"{detail}"
         )
-        for row in rows:
-            detail = f"(p50={row['p50']:.2f}, p95={row['p95']:.2f}"
-            if adaptive:
-                detail += f", n={row['runs']}"
-                if row["ess"] > row["runs"]:
-                    detail += f", eff.n={row['ess']:.0f}"
-                if not row["converged"]:
-                    detail += ", budget exhausted"
-            detail += ")"
-            print(
-                f"  {row['technique']:28s} "
-                f"{row['mean']:10.3f} ± {row['ci99_halfwidth']:.3f}  "
-                f"{detail}"
-            )
-        if registry is not None:
-            _print_mc_stats(registry, techniques, engine_mode=args.engine)
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    import json
-
-    from .errors import SimulationError
-    from .sim import (
-        PAPER_MTTF_SWEEP,
-        SampleCache,
-        SimulationParams,
-        crossover,
-        format_table,
-        sweep_mttf,
-        to_csv,
-    )
-
-    techniques = _mc_techniques(args.technique)
-    variance_reduction = _mc_variance_reduction(args)
-    target = _mc_ci_target(args)
-    if args.mttfs:
-        try:
-            mttfs = [float(x) for x in args.mttfs.split(",") if x.strip()]
-        except ValueError:
-            raise SimulationError(
-                f"--mttfs must be a comma-separated list of numbers, "
-                f"got {args.mttfs!r}"
-            ) from None
-        if not mttfs:
-            raise SimulationError("--mttfs resolved to an empty grid")
-    else:
-        mttfs = list(PAPER_MTTF_SWEEP)
-    params = SimulationParams(
-        downtime=args.downtime,
-        runs=args.runs,
-        seed=args.seed,
-    )
-    series = sweep_mttf(
-        params,
-        mttfs,
-        techniques,
-        runs=args.runs,
-        jobs=args.jobs,
-        cache=SampleCache() if args.cache else None,
-        target_ci=target,
-        variance_reduction=variance_reduction,
-    )
-    ordered = [series[t] for t in techniques]
-    if args.json:
-        payload = {
-            t: {
-                "x": list(series[t].x),
-                "mean": list(series[t].y),
-                "ci99_halfwidth": [
-                    s.ci_halfwidth for s in series[t].summaries
-                ],
-                "n": [s.n for s in series[t].summaries],
-                "ess": [s.ess for s in series[t].summaries],
-            }
-            for t in techniques
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.csv:
-        print(to_csv("mttf", ordered))
-    else:
-        mode = "fixed budget"
-        if target is not None:
-            mode = (
-                f"target_ci={args.target_ci:g} "
-                f"(≤{target.max_runs} runs/point)"
-            )
-        if variance_reduction is not None:
-            mode += f", {variance_reduction}"
-        print(
-            f"E[T] vs MTTF (D={params.downtime:g}, seed={params.seed}, "
-            f"{mode})"
-        )
-        print(format_table("MTTF", ordered))
-        if target is not None or variance_reduction is not None:
-            drawn = sum(s.n for t in techniques for s in series[t].summaries)
-            print(f"samples used: {drawn}")
-        for i, a in enumerate(techniques):
-            for b in techniques[i + 1 :]:
-                x = crossover(series[a], series[b])
-                if x is not None:
-                    print(f"crossover: {a} drops below {b} at MTTF ≈ {x:.2f}")
+    for i, a in enumerate(techniques):
+        for b in techniques[i + 1 :]:
+            x = crossover(series[a], series[b])
+            if x is not None:
+                print(f"crossover: {a} drops below {b} at MTTF ≈ {x:.2f}")
+    if registry is not None:
+        _print_mc_stats(registry, techniques, engine_mode=args.engine)
     return 0
 
 
@@ -788,19 +693,19 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
     cache = SampleCache()
     if args.action == "info":
-        info = cache.info()
-        print(f"cache root:       {info['root']}")
-        print(f"entries:          {info['entries']}")
-        print(f"bytes:            {info['bytes']}")
-        print(f"samplers version: {info['samplers_version']}")
-        print(f"hits:             {info['hits']}")
-        print(f"misses:           {info['misses']}")
-        print(f"stores:           {info['stores']}")
-        print(f"evictions:        {info['evictions']}")
+        for key, value in cache.info().items():
+            label = "cache root" if key == "root" else key.replace("_", " ")
+            print(f"{label + ':':18s}{value}")
     else:
         removed = cache.clear()
         print(f"removed {removed} cached sample vector(s) from {cache.root}")
     return 0
+
+
+def _positive_int(value: str) -> int:
+    if not value.isdigit() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -809,13 +714,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_validate = sub.add_parser("validate", help="validate an XML WPDL file")
+    p_validate = sub.add_parser("validate", help="lint and validate a WPDL file")
     p_validate.add_argument("workflow")
     p_validate.set_defaults(fn=cmd_validate)
-
-    p_lint = sub.add_parser("lint", help="check WPDL element/attribute vocabulary")
-    p_lint.add_argument("workflow")
-    p_lint.set_defaults(fn=cmd_lint)
 
     def add_run_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--grid", required=True, help="gridspec JSON file")
@@ -893,8 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
             "flight recorder); read it back with 'inspect'",
         )
 
-    p_run = sub.add_parser("run", help="execute a workflow on a simulated grid")
-    p_run.add_argument("workflow")
+    p_run = sub.add_parser("run", help="execute workflows on a simulated grid")
+    p_run.add_argument("workflow", nargs="+")
     add_run_options(p_run)
     p_run.add_argument(
         "--checkpoint",
@@ -903,32 +804,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--instances",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="run N concurrent instances of the workflow on one shared "
+        help="run N concurrent instances of each workflow on one shared "
         "runtime (multiplexed engine; incompatible with --checkpoint)",
     )
     p_run.set_defaults(fn=cmd_run)
-
-    p_batch = sub.add_parser(
-        "serve-batch",
-        help="run every specification in a directory concurrently on one "
-        "shared runtime",
-    )
-    p_batch.add_argument("directory")
-    add_run_options(p_batch)
-    p_batch.add_argument(
-        "--pattern",
-        default="*.xml",
-        help="glob selecting specification files (default: *.xml)",
-    )
-    p_batch.add_argument(
-        "--instances",
-        type=int,
-        default=1,
-        help="instances to run per specification (default: 1)",
-    )
-    p_batch.set_defaults(fn=cmd_serve_batch)
 
     p_resume = sub.add_parser(
         "resume", help="resume a workflow from an engine checkpoint"
@@ -1011,7 +892,13 @@ def build_parser() -> argparse.ArgumentParser:
         "'+'-combined alias such as 'replication+checkpointing' or "
         "'retry+backoff', or a comma-separated list (default: all)",
     )
-    p_mc.add_argument("--mttf", type=float, default=20.0, help="mean time to failure")
+    p_mc.add_argument(
+        "--mttf",
+        type=_mttf_grid,
+        default="20",
+        help="mean time to failure, or a comma-separated grid of them "
+        "(default: 20)",
+    )
     p_mc.add_argument("--downtime", type=float, default=0.0, help="mean downtime D")
     p_mc.add_argument(
         "--retry-interval",
@@ -1056,7 +943,9 @@ def build_parser() -> argparse.ArgumentParser:
         "($REPRO_CACHE_DIR, else ~/.cache/repro/mc); keys cover every "
         "sampling input, so hits are bit-identical to recomputation",
     )
-    p_mc.add_argument("--json", action="store_true", help="machine-readable output")
+    output = p_mc.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="machine-readable output")
+    output.add_argument("--csv", action="store_true", help="CSV: one row per MTTF")
     p_mc.add_argument(
         "--stats",
         action="store_true",
@@ -1064,96 +953,44 @@ def build_parser() -> argparse.ArgumentParser:
         "histograms (with --engine) and pool/disk cache hit rates",
     )
 
-    def add_adaptive_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--target-ci",
-            type=float,
-            default=None,
-            metavar="REL",
-            help="stop sampling once the 99%% CI half-width is within REL "
-            "of the mean (adaptive geometric batches; --runs becomes the "
-            "budget ceiling)",
-        )
-        p.add_argument(
-            "--min-runs",
-            type=int,
-            default=None,
-            help="adaptive floor: never stop before this many runs "
-            "(default: min(1000, the ceiling); above the ceiling is an "
-            "error)",
-        )
-        p.add_argument(
-            "--max-runs",
-            type=int,
-            default=None,
-            help="adaptive ceiling: never draw more than this many runs "
-            "(default: --runs)",
-        )
-        p.add_argument(
-            "--antithetic",
-            action="store_true",
-            help="antithetic variance reduction: mirror every uniform "
-            "draw (u, 1-u) through the inverse CDF; unbiased, with a "
-            "pair-aware CI and an effective-sample-size report",
-        )
-        p.add_argument(
-            "--crn",
-            action="store_true",
-            help="common random numbers: all MTTF points of a technique "
-            "replay one uniform pool, so curve differences and "
-            "crossovers are estimated on positively correlated noise",
-        )
-
-    add_adaptive_options(p_mc)
+    p_mc.add_argument(
+        "--target-ci",
+        type=float,
+        default=None,
+        metavar="REL",
+        help="stop sampling once the 99%% CI half-width is within REL of "
+        "the mean (adaptive geometric batches; --runs becomes the budget "
+        "ceiling)",
+    )
+    p_mc.add_argument(
+        "--min-runs",
+        type=int,
+        default=None,
+        help="adaptive floor: never stop before this many runs (default: "
+        "min(1000, the ceiling); above the ceiling is an error)",
+    )
+    p_mc.add_argument(
+        "--max-runs",
+        type=int,
+        default=None,
+        help="adaptive ceiling: never draw more than this many runs "
+        "(default: --runs)",
+    )
+    p_mc.add_argument(
+        "--antithetic",
+        action="store_true",
+        help="antithetic variance reduction: mirror every uniform draw "
+        "(u, 1-u) through the inverse CDF; unbiased, with a pair-aware CI "
+        "and an effective-sample-size report",
+    )
+    p_mc.add_argument(
+        "--crn",
+        action="store_true",
+        help="common random numbers: all MTTF points of a technique replay "
+        "one uniform pool, so curve differences and crossovers are "
+        "estimated on positively correlated noise",
+    )
     p_mc.set_defaults(fn=cmd_mc)
-
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="E[T] vs MTTF sweep per technique (the paper's Figures 10-12)",
-    )
-    p_sweep.add_argument(
-        "--technique",
-        default="all",
-        help="failure-handling technique(s), as for mc (default: all)",
-    )
-    p_sweep.add_argument(
-        "--mttfs",
-        default=None,
-        help="comma-separated MTTF grid (default: the paper's 10..100)",
-    )
-    p_sweep.add_argument(
-        "--downtime", type=float, default=0.0, help="mean downtime D"
-    )
-    p_sweep.add_argument(
-        "--runs",
-        type=int,
-        default=10_000,
-        help="Monte-Carlo runs per (technique, MTTF) point",
-    )
-    p_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (0 = all cores; --crn rounds stay in "
-        "process; results are identical for any value)",
-    )
-    p_sweep.add_argument(
-        "--seed", type=int, default=20030623, help="root RNG seed"
-    )
-    p_sweep.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="reuse/store sample vectors in the content-addressed cache",
-    )
-    p_sweep.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    p_sweep.add_argument(
-        "--csv", action="store_true", help="CSV output (x, mean, ci columns)"
-    )
-    add_adaptive_options(p_sweep)
-    p_sweep.set_defaults(fn=cmd_sweep)
 
     p_cache = sub.add_parser(
         "cache", help="inspect or clear the Monte-Carlo sample cache"

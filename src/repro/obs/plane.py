@@ -1,6 +1,6 @@
 """The telemetry plane of one runtime, wired once.
 
-``repro run/serve-batch --metrics/--trace/--flight-record/
+``repro run/resume --metrics/--trace/--flight-record/
 --serve-telemetry`` and the plane tests (``tests/obs_plane.py``) attach
 the same consumers to a runtime's bus in the same order; this module is
 that wiring, so there is one place that knows it.

@@ -72,6 +72,7 @@ from .parallel import (
 from .params import SimulationParams
 from .samplers import (
     _EXCEPTION_TECHNIQUES,
+    _SALTS,
     TECHNIQUES,
     _check_cell,
     sample_technique,
@@ -94,20 +95,6 @@ __all__ = [
 
 #: Accepted ``variance_reduction=`` spellings.
 VR_MODES = (None, "antithetic", "crn")
-
-#: Technique → RNG salt, matching the single-shot streams hardcoded in
-#: :mod:`repro.sim.samplers` (``spawn_key=(salt,)``); adaptive batches use
-#: ``spawn_key=(salt, batch_index)`` and therefore never collide.
-_SALTS = {
-    "retrying": 1,
-    "checkpointing": 2,
-    "replication": 3,
-    "replication_checkpointing": 4,
-    "backoff_retry": 5,
-    "exception_retrying": 6,
-    "exception_checkpointing": 7,
-    "alternative_task": 8,
-}
 
 #: Spawn-key tail marking the CRN uniform pool's stream (prime, far from
 #: any batch index a realistic schedule reaches).

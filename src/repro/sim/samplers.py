@@ -89,6 +89,21 @@ _EXCEPTION_TECHNIQUES = (
     "alternative_task",
 )
 
+#: Technique → RNG salt.  A sampler's own stream is
+#: ``spawn_key=(salt,)`` (picked by :func:`sample_technique`); the adaptive
+#: pipeline's batches use ``spawn_key=(salt, batch_index)`` and therefore
+#: never collide with it.
+_SALTS = {
+    "retrying": 1,
+    "checkpointing": 2,
+    "replication": 3,
+    "replication_checkpointing": 4,
+    "backoff_retry": 5,
+    "exception_retrying": 6,
+    "exception_checkpointing": 7,
+    "alternative_task": 8,
+}
+
 _MAX_ROUNDS = 10_000_000  # runaway guard for pathological λF
 
 
@@ -143,12 +158,11 @@ def _rng(params: SimulationParams, salt: int) -> np.random.Generator:
 def _retry(
     params: SimulationParams,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     runs: int | None = None,
 ) -> np.ndarray:
     """Per-run completion times under restart-from-scratch recovery."""
     runs = params.runs if runs is None else runs
-    rng = rng if rng is not None else _rng(params, 1)
     F = params.failure_free_time
     lam = params.failure_rate
     if lam == 0.0:
@@ -178,7 +192,7 @@ def _retry(
 def _backoff_retry(
     params: SimulationParams,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     runs: int | None = None,
 ) -> np.ndarray:
     """Per-run completion times under restart-from-scratch recovery with
@@ -190,7 +204,6 @@ def _backoff_retry(
     formula that agrees with it.
     """
     runs = params.runs if runs is None else runs
-    rng = rng if rng is not None else _rng(params, 5)
     F = params.failure_free_time
     lam = params.failure_rate
     if lam == 0.0:
@@ -222,7 +235,7 @@ def _backoff_retry(
 def _checkpointing(
     params: SimulationParams,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     runs: int | None = None,
 ) -> np.ndarray:
     """Per-run completion times under K-checkpoint recovery.
@@ -234,7 +247,6 @@ def _checkpointing(
     each segment contributes a + C on top.
     """
     runs = params.runs if runs is None else runs
-    rng = rng if rng is not None else _rng(params, 2)
     F = params.failure_free_time
     K = params.checkpoints
     C = params.checkpoint_overhead
@@ -270,12 +282,11 @@ def _checkpointing(
 def _replication(
     params: SimulationParams,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     runs: int | None = None,
 ) -> np.ndarray:
     """Min-of-N independent retry processes (each on its own machine)."""
     runs = params.runs if runs is None else runs
-    rng = rng if rng is not None else _rng(params, 3)
     N = params.replicas
     flat = _retry(params, rng=rng, runs=runs * N)
     return flat.reshape(runs, N).min(axis=1)
@@ -284,12 +295,11 @@ def _replication(
 def _replication_checkpointing(
     params: SimulationParams,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     runs: int | None = None,
 ) -> np.ndarray:
     """Min-of-N independent checkpointing processes."""
     runs = params.runs if runs is None else runs
-    rng = rng if rng is not None else _rng(params, 4)
     N = params.replicas
     flat = _checkpointing(params, rng=rng, runs=runs * N)
     return flat.reshape(runs, N).min(axis=1)
@@ -298,7 +308,7 @@ def _replication_checkpointing(
 def _exception_retrying(
     params: SimulationParams,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     runs: int | None = None,
 ) -> np.ndarray:
     """Per-run completion times when FU restarts from scratch.
@@ -310,7 +320,6 @@ def _exception_retrying(
     attempts is O(1/q) and intractable beyond p ≈ 0.8.)
     """
     runs = params.runs if runs is None else runs
-    rng = rng if rng is not None else _rng(params, 6)
     p, K = params.exception_probability, params.checkpoints
     F = params.failure_free_time
     if p == 0.0:
@@ -331,7 +340,7 @@ def _exception_retrying(
 def _exception_checkpointing(
     params: SimulationParams,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     runs: int | None = None,
 ) -> np.ndarray:
     """Per-run completion times when FU resumes from its last checkpoint.
@@ -342,7 +351,6 @@ def _exception_checkpointing(
     :class:`~repro.grid.behaviors.ExceptionProneTask` charges.
     """
     runs = params.runs if runs is None else runs
-    rng = rng if rng is not None else _rng(params, 7)
     p, K = params.exception_probability, params.checkpoints
     C = params.checkpoint_overhead
     if p == 0.0:
@@ -359,13 +367,12 @@ def _exception_checkpointing(
 def _alternative_task(
     params: SimulationParams,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     runs: int | None = None,
 ) -> np.ndarray:
     """Per-run completion times with Figure 6's exception handler: FU's
     first failed check (check i at i·a) hands over to SR."""
     runs = params.runs if runs is None else runs
-    rng = rng if rng is not None else _rng(params, 8)
     fails = rng.random((runs, params.checkpoints)) < params.exception_probability
     first = np.where(fails.any(axis=1), fails.argmax(axis=1) + 1, 0)
     return np.where(
@@ -422,4 +429,6 @@ def sample_technique(
     """Dispatch by technique name (:data:`EXTENDED_TECHNIQUES` and
     Figure 13's three)."""
     _check_cell(technique, params)
+    if rng is None:
+        rng = _rng(params, _SALTS[technique])
     return _SAMPLERS[technique](params, rng=rng, runs=runs)

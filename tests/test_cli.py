@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.cli import main
 from repro.errors import GridError
 from repro.gridspec import behavior_from_spec, build_grid, load_gridspec
 from repro.grid.behaviors import CheckpointingTask, FixedDurationTask
+from repro.sim import CITarget
 
 WORKFLOW_XML = """
 <Workflow name='cliwf'>
@@ -130,10 +133,12 @@ class TestCli:
         assert "ghost" in capsys.readouterr().out
 
     def test_lint_clean_and_dirty(self, workflow_file, tmp_path, capsys):
-        assert main(["lint", str(workflow_file)]) == 0
+        # ``validate`` lints: an attribute outside the vocabulary is a problem.
+        assert main(["validate", str(workflow_file)]) == 0
         dirty = tmp_path / "dirty.xml"
         dirty.write_text("<Workflow name='w'><Activity name='a' speed='9'/></Workflow>")
-        assert main(["lint", str(dirty)]) == 2
+        assert main(["validate", str(dirty)]) == 2
+        assert "unknown attribute 'speed'" in capsys.readouterr().out
 
     def test_run_success(self, workflow_file, grid_file, capsys):
         code = main(["run", str(workflow_file), "--grid", str(grid_file)])
@@ -155,21 +160,18 @@ class TestCli:
         self, workflow_file, grid_file, tmp_path, capsys
     ):
         ckpt = tmp_path / "engine.ckpt"
-        assert (
-            main(
-                [
-                    "run",
-                    str(workflow_file),
-                    "--grid",
-                    str(grid_file),
-                    "--checkpoint",
-                    str(ckpt),
-                ]
-            )
-            == 0
-        )
+        argv = ["run", str(workflow_file), "--grid", str(grid_file)]
+        assert main([*argv, "--checkpoint", str(ckpt)]) == 0
         assert ckpt.exists()
+        ran = capsys.readouterr().out
         assert main(["resume", str(ckpt), "--grid", str(grid_file)]) == 0
+        resumed = capsys.readouterr().out
+        # A finished instance resumes finished: same statuses and tries, on
+        # a fresh grid whose clock starts at zero.
+        assert "completion time: 30.000" in ran
+        assert "completion time: 0.000" in resumed
+        drop = re.compile(r"^completion time: .*$", re.M)
+        assert drop.sub("", resumed) == drop.sub("", ran)
 
     def test_resume_from_damaged_state_is_an_error_not_a_traceback(
         self, grid_file, tmp_path, capsys
@@ -248,10 +250,10 @@ class TestCliAdaptiveBounds:
     """``--target-ci`` never draws past the ceiling the user set:
     ``--max-runs``, else ``--runs``.  A floor above it is a usage error."""
 
-    #: One cell per command, with a target no budget here can meet.
+    #: One MTTF and a two-point grid, with a target no budget here can meet.
     CELL = {
         "mc": ["mc", "--technique", "retrying", "--mttf", "20"],
-        "sweep": ["sweep", "--technique", "retrying", "--mttfs", "20"],
+        "mc-grid": ["mc", "--technique", "retrying", "--mttf", "20,30"],
     }
     TARGET = ["--target-ci", "0.0001"]
 
@@ -262,16 +264,12 @@ class TestCliAdaptiveBounds:
             (["--runs", "300"], 300),
         ],
     )
-    @pytest.mark.parametrize("command", ["mc", "sweep"])
+    @pytest.mark.parametrize("command", ["mc", "mc-grid"])
     def test_never_draws_past_the_ceiling(self, capsys, command, flags, limit):
         argv = self.CELL[command] + self.TARGET + flags + ["--json"]
         assert main(argv) == 0
-        out = json.loads(capsys.readouterr().out)
-        if command == "mc":
-            runs = [row["runs"] for row in out]
-        else:
-            runs = out["retrying"]["n"]
-        assert runs == [limit]
+        runs = [row["runs"] for row in json.loads(capsys.readouterr().out)]
+        assert runs == [limit] * len(self.CELL[command][-1].split(","))
 
     @pytest.mark.parametrize(
         "flags,ceiling",
@@ -280,7 +278,7 @@ class TestCliAdaptiveBounds:
             (["--min-runs", "500", "--max-runs", "100"], "--max-runs"),
         ],
     )
-    @pytest.mark.parametrize("command", ["mc", "sweep"])
+    @pytest.mark.parametrize("command", ["mc", "mc-grid"])
     def test_floor_above_ceiling_is_a_usage_error(
         self, capsys, command, flags, ceiling
     ):
@@ -508,3 +506,136 @@ class TestCliObservability:
         [attempts] = families["mc_attempts"]["series"]
         assert attempts["count"] == 4
         assert sum(attempts["counts"]) == attempts["count"]
+
+
+SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
+
+
+class TestOneCommandPerJob:
+    """The CLI's jobs, each driven through its one command: many
+    specifications per ``run``, pacing, the journal round trip, and the
+    MTTF grid of ``mc`` held to the library."""
+
+    def test_two_specifications_run_multiplexed(self, tmp_path, grid_file, capsys):
+        specs = tmp_path / "specs"
+        specs.mkdir()
+        (specs / "a.xml").write_text(WORKFLOW_XML)
+        (specs / "b.xml").write_text(WORKFLOW_XML.replace("cliwf", "other"))
+        argv = ["run", str(specs / "a.xml"), str(specs / "b.xml")]
+        assert main([*argv, "--grid", str(grid_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        done = "done (completion time: 30.000 virtual seconds)"
+        assert f"wf-1     'cliwf': {done}" in lines
+        assert f"wf-2     'other': {done}" in lines
+        assert lines[-1] == "2/2 instance(s) succeeded"
+
+    @pytest.mark.parametrize("instances", ["1", "2"])
+    def test_pacing_changes_nothing_but_the_wall_clock(
+        self, workflow_file, grid_file, capsys, monkeypatch, instances
+    ):
+        argv = ["run", str(workflow_file), "--grid", str(grid_file)]
+        argv += ["--instances", instances]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        slept = []
+        monkeypatch.setattr("repro.cli.time.sleep", slept.append)
+        assert main([*argv, "--pace", "1e-4"]) == 0
+        assert capsys.readouterr().out == plain
+        # The 30 virtual seconds the run lasts, scaled to wall seconds.
+        assert sum(slept) == pytest.approx(30 * 1e-4)
+
+    def test_flight_record_reads_back_with_causal_arrows(self, tmp_path, capsys):
+        journal = tmp_path / "journal.jsonl"
+        argv = ["run", str(SPECS / "mosaic.xml")]
+        argv += ["--grid", str(SPECS / "volunteer_grid.json"), "--instances", "2"]
+        assert main([*argv, "--flight-record", str(journal)]) == 0
+        assert "flight recording written to" in capsys.readouterr().out
+        assert main(["inspect", str(journal)]) == 0
+        out = capsys.readouterr().out
+        assert "wf-1" in out and "wf-2" in out
+        assert "⇐" in out
+
+    @pytest.mark.parametrize(
+        "flags,kwargs",
+        [
+            ([], {}),
+            (
+                ["--target-ci", "0.05", "--crn"],
+                {
+                    "target_ci": CITarget(rel=0.05, min_runs=1000, max_runs=2000),
+                    "variance_reduction": "crn",
+                },
+            ),
+        ],
+    )
+    def test_mc_grid_csv_is_the_library_sweep(self, capsys, flags, kwargs):
+        from repro.sim import SimulationParams, sweep_mttf, to_csv
+
+        techniques = ["retrying", "replication"]
+        params = SimulationParams(runs=2000)
+        series = sweep_mttf(params, [10.0, 20.0], techniques, runs=2000, **kwargs)
+        argv = ["mc", "--technique", ",".join(techniques), "--mttf", "10,20"]
+        assert main([*argv, "--runs", "2000", *flags, "--csv"]) == 0
+        expected = to_csv("mttf", [series[t] for t in techniques])
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_mc_json_rows_are_the_pipeline_summaries(self, capsys):
+        from repro.sim import SimulationParams, estimate_cells
+
+        argv = ["mc", "--technique", "retrying,checkpointing", "--mttf", "10,20"]
+        assert main([*argv, "--runs", "300", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        keys = [(t, m) for t in ("retrying", "checkpointing") for m in (10.0, 20.0)]
+        cells = estimate_cells(
+            [(t, SimulationParams(mttf=m, runs=300)) for t, m in keys], runs=300
+        )
+        assert [(r["technique"], r["mttf"]) for r in rows] == keys
+        for row, cell in zip(rows, cells, strict=True):
+            summary = cell.summary
+            assert row["runs"] == summary.n
+            assert row["mean"] == summary.mean
+            assert row["ci99_halfwidth"] == summary.ci_halfwidth
+            assert row["rel_ci"] == summary.rel_halfwidth
+            assert row["ess"] == summary.ess
+            assert (row["p50"], row["p95"]) == (summary.p50, summary.p95)
+            assert row["converged"] is cell.converged
+
+
+class TestCliFixes:
+    """Three faults of the parent CLI, each pinned by the input that showed
+    it."""
+
+    def test_validate_refuses_misspelled_policy_attributes(self, tmp_path, capsys):
+        path = tmp_path / "typo.xml"
+        path.write_text(
+            "<Workflow name='w'>"
+            "<Activity name='a' max_trys='3' polcy='replica'>"
+            "<Implement>p</Implement></Activity>"
+            "<Program name='p'><Option hostname='n1'/></Program>"
+            "</Workflow>"
+        )
+        assert main(["validate", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "is valid" not in out
+        assert "unknown attribute 'max_trys'" in out
+        assert "unknown attribute 'polcy'" in out
+
+    def test_report_covers_every_instance(self, capsys):
+        argv = ["run", str(SPECS / "mosaic.xml")]
+        argv += ["--grid", str(SPECS / "volunteer_grid.json")]
+        assert main([*argv, "--instances", "2", "--report"]) == 0
+        out = capsys.readouterr().out
+        legend = "#=done  x=failed"
+        assert out.count(legend) == 2
+        first, second = out.index(legend), out.rindex(legend)
+        assert out.index("wf-1") < first < out.index("wf-2") < second
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_a_non_positive_instance_count_is_a_usage_error(
+        self, workflow_file, grid_file, capsys, count
+    ):
+        argv = ["run", str(workflow_file), "--grid", str(grid_file)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--instances", count])
+        assert exc.value.code == 2
+        assert "--instances" in capsys.readouterr().err

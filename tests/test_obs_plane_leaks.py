@@ -1,7 +1,7 @@
 """Nothing per finished workflow stays in the plane's bookkeeping — and
 nothing per workflow *instance* is in its schema.
 
-A long-lived ``serve-batch`` host runs batch after batch under one
+A long-lived multi-instance ``run`` host runs batch after batch under one
 observer and one status tracker.  Attempts the engine cancels (losing
 replicas, the branch that lost an OR join) get no terminal ``task.*``
 event; before PR 15 each left an open span, an ``_attempt_spans`` entry

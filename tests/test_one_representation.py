@@ -26,12 +26,14 @@ and the decoding of a log record — in one place.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import dataclasses
 import inspect
 from pathlib import Path
 
 import repro
+from repro.cli import build_parser
 from repro.ckpt.manager import CheckpointManager
 from repro.core.policy import FailurePolicy
 from repro.detection import messages
@@ -191,6 +193,13 @@ GONE = {
     "resolve_all",
     "_strategy_resolver",
     "_resolve_strategy",
+    # One CLI command per job: ``validate`` lints, ``run`` takes many
+    # specifications, ``mc`` takes an MTTF grid, and one loop drives a run.
+    "cmd_lint",
+    "cmd_serve_batch",
+    "cmd_sweep",
+    "_drive_paced",
+    "add_adaptive_options",
 }
 
 
@@ -348,3 +357,42 @@ def test_the_retry_wait_is_computed_in_one_place():
                 ):
                     multiplies.append(str(path.relative_to(SRC)))
     assert set(multiplies) == {"core/policy.py"}, multiplies
+
+
+def test_the_cli_has_one_command_per_job():
+    """``lint``, ``serve-batch`` and ``sweep`` were second commands for
+    ``validate``, ``run`` and ``mc``'s jobs."""
+    [commands] = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert list(commands.choices) == [
+        "validate",
+        "run",
+        "resume",
+        "inspect",
+        "top",
+        "mc",
+        "cache",
+    ]
+
+
+def test_a_sampler_stream_is_salted_in_one_place():
+    """The technique → salt table lives beside the samplers, and only
+    ``sample_technique`` picks a sampler's default stream from it."""
+    salted = []
+    for path in sorted((SRC / "sim").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_SALTS" for t in node.targets
+            ):
+                salted.append((path.name, "_SALTS"))
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_rng"
+            ):
+                salted.append((path.name, "_rng"))
+    assert salted == [("samplers.py", "_SALTS"), ("samplers.py", "_rng")], salted

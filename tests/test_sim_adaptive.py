@@ -72,7 +72,15 @@ GOLDEN = {
     ("no_downtime_fixed_dist", "replication"): "5e9a37d0344128ff",
     ("no_downtime_fixed_dist", "replication_checkpointing"): "079bb9715af9d8b2",
     ("no_downtime_fixed_dist", "backoff_retry"): "7cd000fcefc1e20e",
+    # Figure 13's three, captured while each sampler still picked its own
+    # default stream (before the salt table moved beside them).
+    ("figure13", "exception_retrying"): "72ac11db44862d80",
+    ("figure13", "exception_checkpointing"): "519901248d27c821",
+    ("figure13", "alternative_task"): "d58514e19b953251",
 }
+
+#: Figure 13's cells: no host failures, one exception probability.
+FIGURE13 = SimulationParams(exception_probability=0.05, runs=4000, seed=7)
 
 CONFIGS = {
     "base": BASE,
@@ -96,6 +104,16 @@ class TestBitIdentity:
     def test_samplers_match_pre_adaptive_golden(self, config, technique):
         samples = sample_technique(technique, CONFIGS[config])
         assert _digest(samples) == GOLDEN[(config, technique)]
+
+    @pytest.mark.parametrize(
+        "technique",
+        ["exception_retrying", "exception_checkpointing", "alternative_task"],
+    )
+    def test_figure13_samplers_match_golden(self, technique):
+        samples = sample_technique(technique, FIGURE13)
+        assert _digest(samples) == GOLDEN[("figure13", technique)]
+        [cell] = estimate_cells([(technique, FIGURE13)])
+        assert _digest(cell.samples) == GOLDEN[("figure13", technique)]
 
     @pytest.mark.parametrize("technique", EXTENDED_TECHNIQUES)
     def test_disabled_adaptive_path_is_the_plain_sampler(self, technique):
@@ -598,16 +616,16 @@ class TestCLIFlags:
         assert row["runs"] == 20
         assert not row["converged"]  # engine path must not fake convergence
 
-    def test_sweep_subcommand_csv(self, capsys):
+    def test_mc_grid_csv(self, capsys):
         from repro.cli import main
 
         assert (
             main(
                 [
-                    "sweep",
+                    "mc",
                     "--technique",
                     "retrying",
-                    "--mttfs",
+                    "--mttf",
                     "10,20",
                     "--runs",
                     "2000",
