@@ -41,7 +41,6 @@ from .core import (
 )
 from .engine import (
     EngineCheckpointer,
-    EngineTrace,
     LocalExecutor,
     NodeStatus,
     WorkflowEngine,
@@ -96,7 +95,6 @@ __all__ = [
     "UserException",
     # engine
     "EngineCheckpointer",
-    "EngineTrace",
     "LocalExecutor",
     "NodeStatus",
     "WorkflowEngine",

@@ -64,10 +64,6 @@ class ResourceCatalog:
             raise CatalogError(f"duplicate resource: {spec.hostname!r}")
         self._specs[spec.hostname] = spec
 
-    def deregister(self, hostname: str) -> None:
-        """Retire a resource (the paper's 'old ones are retired')."""
-        self._specs.pop(hostname, None)
-
     def __len__(self) -> int:
         return len(self._specs)
 

@@ -58,9 +58,6 @@ class CheckpointManager:
             CheckpointRecord, (activity, flag, progress, at, source_span)
         )
 
-    def is_checkpoint_enabled(self, activity: str) -> bool:
-        return activity in self._records
-
     def flag_for(self, activity: str) -> str | None:
         """Flag to send back on a retry, or None for a from-scratch start."""
         record = self._records.get(activity)

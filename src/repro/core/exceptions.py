@@ -112,7 +112,3 @@ class ExceptionTable:
         if not matches:
             return None
         return max(matches, key=lambda b: b.specificity())
-
-    def handled_names(self) -> list[str]:
-        """All exact (non-pattern) names this table handles."""
-        return [b.pattern for b in self._bindings if not b.is_pattern]

@@ -216,10 +216,6 @@ class FailurePolicy:
         return self.max_tries is None or self.max_tries > 1
 
     @property
-    def unlimited_retries(self) -> bool:
-        return self.max_tries is None
-
-    @property
     def replicated(self) -> bool:
         return self.replication is ReplicationMode.REPLICA
 

@@ -21,7 +21,6 @@ from .navigator import (
     ready_nodes,
 )
 from .recovery import RecoveryCoordinator, TaskResolution
-from .trace import EngineTrace
 
 __all__ = [
     "Broker",
@@ -44,5 +43,4 @@ __all__ = [
     "ready_nodes",
     "RecoveryCoordinator",
     "TaskResolution",
-    "EngineTrace",
 ]

@@ -82,7 +82,6 @@ class Host:
         self.up = True
         self._running: dict[str, "JobProcess"] = {}
         self._queued: deque["JobProcess"] = deque()
-        self._crash_listeners: list[Callable[["Host"], None]] = []
         self._recover_listeners: list[Callable[["Host"], None]] = []
         self._heartbeat_seq = itertools.count()
         self._heartbeat_task: PeriodicTask | None = None
@@ -156,9 +155,6 @@ class Host:
 
     # -- listeners ---------------------------------------------------------------
 
-    def on_crash(self, listener: Callable[["Host"], None]) -> None:
-        self._crash_listeners.append(listener)
-
     def on_recover(self, listener: Callable[["Host"], None]) -> None:
         self._recover_listeners.append(listener)
 
@@ -202,8 +198,6 @@ class Host:
         self.jobs_killed += len(victims)
         for process in victims:
             process.host_crashed()
-        for listener in list(self._crash_listeners):
-            listener(self)
         if schedule_recovery:
             downtime = self.streams.downtime(
                 self._downtime_stream, self.spec.mean_downtime

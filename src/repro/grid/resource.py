@@ -90,22 +90,6 @@ class ResourceSpec:
         """λ = 1/MTTF (0 for reliable hosts)."""
         return 0.0 if self.reliable else 1.0 / self.mttf
 
-    def with_reliability(self, mttf: float, mean_downtime: float = 0.0) -> "ResourceSpec":
-        """Copy of this spec with different failure parameters — handy for
-        MTTF sweeps."""
-        return ResourceSpec(
-            hostname=self.hostname,
-            service=self.service,
-            speed=self.speed,
-            disk_gb=self.disk_gb,
-            memory_gb=self.memory_gb,
-            mttf=mttf,
-            mean_downtime=mean_downtime,
-            heartbeat_period=self.heartbeat_period,
-            slots=self.slots,
-            tags=self.tags,
-        )
-
 
 def RELIABLE(hostname: str, **kwargs) -> ResourceSpec:
     """A host that never crashes (e.g. a well-run Condor pool node)."""

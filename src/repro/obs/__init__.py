@@ -10,15 +10,16 @@ One subsystem, three layers:
   Chrome ``trace_event`` renderings of one recording;
 
 plus :mod:`repro.obs.log`, the one log a bus is tapped by (everything else
-is a view of it or a fold over it), and :mod:`repro.obs.observer`, which
-turns its engine / detector / recovery events into the recording.  Off
-means absent: an unobserved run holds no registry, recorder or observer.
+is a view of it or a fold over it; every view reads a record as its
+journal entry, ``log.expand``), and :mod:`repro.obs.observer`, which turns
+its engine / detector / recovery events into the recording.  Off means
+absent: an unobserved run holds no registry, recorder or observer.
 
 The live telemetry plane builds on those:
 :mod:`repro.obs.tracectx` (causal trace/span ids stamped through every
 bus payload), :mod:`repro.obs.recorder` (the flight recorder journaling
-every event), :mod:`repro.obs.postmortem` (``repro inspect`` timeline
-reconstruction), :mod:`repro.obs.server` (the HTTP scrape/status
+every event), :mod:`repro.obs.postmortem` (``repro inspect``: the spans of a journal
+read back, grouped by instance), :mod:`repro.obs.server` (the HTTP scrape/status
 endpoint behind ``--serve-telemetry``), and :mod:`repro.obs.plane` (the
 one assembly that attaches all of them to a runtime).
 """
@@ -62,7 +63,6 @@ from .metrics import (
     MetricsRegistry,
 )
 from .observer import (
-    RecordedEvent,
     RunObserver,
     scrape_bus,
     scrape_detector,
@@ -112,7 +112,6 @@ __all__ = [
     "MetricsRegistry",
     "PageHinkley",
     "PeriodicCollector",
-    "RecordedEvent",
     "RunObserver",
     "Series",
     "Span",

@@ -3,7 +3,8 @@
 Three renderings of one recording:
 
 * :func:`jsonl_lines` / :func:`write_jsonl` — newline-delimited JSON, one
-  record per line (``{"kind": "event" | "span" | "metrics", ...}``).
+  record per line (``{"kind": "event" | "span" | "metrics", ...}``; an
+  event line is its journal entry).
   Greppable, streamable, and the replay-friendly machine format;
 * :func:`prometheus_text` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` / cumulative ``_bucket{le=...}`` histograms),
@@ -70,28 +71,23 @@ def _finite(value: float) -> float | str:
 
 def jsonl_lines(
     *,
-    events: Iterable[Any] = (),
+    events: Iterable[dict[str, Any]] = (),
     spans: Iterable["Span"] = (),
     metrics: "MetricsRegistry | None" = None,
     header: dict[str, Any] | None = None,
 ) -> Iterator[str]:
-    """One JSON document per record: every event, then every span, then a
+    """One JSON document per record: every event (its journal entry,
+    ``{"kind": "event", "seq": …, "topic": …, …}``), then every span, then a
     single trailing metrics snapshot (when a registry is given) — after one
     ``{"kind": "header", ...}`` line when the export has something to say
     about itself (*header*: that the log it was rendered from wrapped)."""
     if header:
         yield json.dumps({"kind": "header", **header}, sort_keys=True)
-    for event in events:
-        yield json.dumps(
-            {
-                "kind": "event",
-                "at": _finite(event.at),
-                "topic": event.topic,
-                "detail": event.detail,
-            },
-            sort_keys=True,
-            default=_json_default,
-        )
+    for entry in events:
+        line = {"kind": "event", **entry}
+        if isinstance(line.get("at"), float):
+            line["at"] = _finite(line["at"])
+        yield json.dumps(line, sort_keys=True, default=_json_default)
     for span in spans:
         yield json.dumps(
             {
@@ -118,7 +114,7 @@ def jsonl_lines(
 def write_jsonl(
     path: str | Path,
     *,
-    events: Iterable[Any] = (),
+    events: Iterable[dict[str, Any]] = (),
     spans: Iterable["Span"] = (),
     metrics: "MetricsRegistry | None" = None,
     header: dict[str, Any] | None = None,

@@ -108,7 +108,8 @@ def expand(record: LogRecord) -> dict[str, Any]:
     return entry
 
 
-#: ``AttemptOutcome.state`` → the attempt's outcome label ("" while it is
+#: ``AttemptOutcome.state`` — the ``<state>`` of the ``task.<state>`` topic
+#: it is published on — → the attempt's outcome label ("" while it is
 #: still running).  The detector's ``TaskState`` is a ``str`` enum, so its
 #: members find their plain-string keys here without an import.
 ATTEMPT_OUTCOME = {

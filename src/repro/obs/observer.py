@@ -10,21 +10,21 @@ its :class:`~repro.events.EventBus` —
   backoff waits, checkpoint restarts, replication wins; plain dicts) —
 
 out of the bus's :class:`~repro.obs.log.EventLog`.  Nothing here runs
-inside a publish, and a record is decoded in two places only.  What is
-*sampled* — the labelled metrics here, the status tracker's per-instance
-status, the estimators' counts — is folded by the log's one
-:class:`~repro.obs.log.Fold`: one pass per slice of the log, at the
-collector's tick and before any read, off one table of running instances.
-What is *rendered* — :attr:`RunObserver.events` and the nested spans
-(``workflow.run`` ▸ ``node.run`` ▸ ``task.attempt`` / ``recovery.backoff``,
-:func:`spans_of`) — is a view of the records the log still holds, built
-when read.  Span ids, parents and stamps are properties of log order and
-of the clocks read at append; and log order is publish order — a verdict,
-then the resolution and the node completion it caused — because nothing
-that steers a run listens to the bus.
-:class:`~repro.engine.trace.EngineTrace` is a thin query layer over this
-recording, and every exporter (:mod:`repro.obs.export`) renders it: one
-observation path.
+inside a publish.  What is *sampled* — the labelled metrics here, the
+status tracker's per-instance status, the estimators' counts — is folded
+by the log's one :class:`~repro.obs.log.Fold`: one pass per slice of the
+log, at the collector's tick and before any read, off one table of running
+instances.  What is *rendered* is a view of the records the log still
+holds, built when read, and every view reads a record as its journal entry
+(:func:`~repro.obs.log.expand`): :attr:`RunObserver.events` *is* the
+journal of the three families, and the nested spans (``workflow.run`` ▸
+``node.run`` ▸ ``task.attempt`` / ``recovery.backoff``) are
+:func:`spans_of` those entries — over a live log, or over a journal read
+back from disk (``repro inspect``).  Span ids, parents and stamps are
+properties of log order and of the clocks read at append; and log order
+is publish order — a verdict, then the resolution and the node completion
+it caused — because nothing that steers a run listens to the bus.  Every
+exporter (:mod:`repro.obs.export`) renders this one recording.
 
 A series is named by what the *specification* names — workflow, activity,
 outcome, status, host — never by a workflow instance: the failure model is
@@ -35,8 +35,7 @@ instance id only; the fold learns ``workflow_id → workflow`` from
 ``engine.node_launched`` and forgets it at ``engine.workflow_finished``.
 
 Topic names are matched as string literals on purpose: payloads are plain
-dicts precisely so consumers need no engine imports, which keeps this
-module import-cycle-free (``repro.engine`` imports us for ``EngineTrace``).
+dicts precisely so consumers need no engine imports.
 
 An attempt span ends with its terminal ``task.*`` event — or, for an
 attempt the engine cancelled and told the detector to forget (a losing
@@ -49,8 +48,7 @@ and the fold's entry for an instance goes when its workflow finishes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..events import EventBus
 from .log import ATTEMPT_OUTCOME, LogConsumer, LogRecord, expand
@@ -62,51 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..grid.simgrid import SimulatedGrid
 
 __all__ = [
-    "RecordedEvent",
     "RunObserver",
     "scrape_grid",
     "scrape_kernel",
     "scrape_bus",
     "scrape_detector",
 ]
-
-
-@dataclass(frozen=True)
-class RecordedEvent:
-    """One observed bus event: time, topic, and a flat detail dict."""
-
-    at: float
-    topic: str
-    detail: dict[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        parts = " ".join(
-            f"{k}={v}" for k, v in self.detail.items() if v is not None
-        )
-        return f"{self.at:10.3f}  {self.topic:24s} {parts}"
-
-
-def _event(record: LogRecord) -> RecordedEvent:
-    """The :class:`RecordedEvent` readers see for one log record: its
-    journal entry (:func:`~repro.obs.log.expand`) with ``at`` lifted out —
-    and, for an ``AttemptOutcome``, the detector's field names shortened
-    (``job``, ``host``) and the five attempt fields always present."""
-    detail = expand(record)
-    del detail["seq"]
-    topic = detail.pop("topic")
-    at = float(detail.pop("at", 0.0) or 0.0)
-    if hasattr(record[4], "job_id"):
-        entry, detail = detail, {
-            "job": detail.get("job_id", ""),
-            "activity": detail.get("activity", ""),
-            "host": detail.get("hostname", ""),
-            "reason": detail.get("reason", ""),
-            "exception": detail.get("exception"),
-        }
-        for key in ("workflow_id", "span_id", "parent_id"):
-            if key in entry:
-                detail[key] = entry[key]
-    return RecordedEvent(at=at, topic=topic, detail=detail)
 
 
 # -- metric families ----------------------------------------------------------
@@ -227,14 +186,11 @@ class RunObserver(LogConsumer):
 
     # -- views of the log ----------------------------------------------------
 
-    def _observed(self) -> list[LogRecord]:
-        """The log's records of the observed families, oldest first."""
-        return [r for r in self._records() if r[3].startswith(OBSERVED)]
-
     @property
-    def events(self) -> list[RecordedEvent]:
-        """The observed events, oldest first (what the log still holds)."""
-        return [_event(record) for record in self._observed()]
+    def events(self) -> list[dict[str, Any]]:
+        """The journal entries (:func:`expand`) of the observed families,
+        oldest first (what the log still holds)."""
+        return [expand(r) for r in self._records() if r[3].startswith(OBSERVED)]
 
     @property
     def spans(self) -> list[Span]:
@@ -255,15 +211,18 @@ class _Open:
         self.attempts: dict[str, dict[str, Span]] = {}
 
 
-def spans_of(records: list[LogRecord]) -> list[Span]:
+def spans_of(records: Iterable[LogRecord]) -> list[Span]:
     """The nested spans of *records* (``workflow.run`` ▸ ``node.run`` ▸
     ``task.attempt`` / ``recovery.*``), oldest first, ids and parents
     numbered in log order from 1 — so consistent within one call, and the
     same from call to call until the log's ring wraps.  Then the window's
     first spans are clipped: an interval that began on a record no longer
     held starts at the first record that mentions it, without a parent.
-    The second (and last) place that decodes the three topic families;
-    :class:`~repro.obs.log.Fold` is the one that runs per published event."""
+
+    Every record is read as its journal entry (:func:`expand`), so a live
+    log and a journal replayed as records — ``(seq, entry["at"], 0.0,
+    topic, entry)`` — decode alike: the one decoder of what is rendered,
+    where :class:`~repro.obs.log.Fold` is the one that runs per event."""
     spans: list[Span] = []
     ids = itertools.count(1)
 
@@ -273,15 +232,19 @@ def spans_of(records: list[LogRecord]) -> list[Span]:
         return span
 
     runs: dict[str, _Open] = {}
-    for _seq, sim, wall, topic, payload in records:
-        if topic.startswith("task."):  # an AttemptOutcome, duck-typed
-            job = getattr(payload, "job_id", None)
-            outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+    for record in records:
+        _seq, sim, wall, topic, _payload = record
+        if not topic.startswith(OBSERVED):
+            continue
+        entry = expand(record)
+        wfid = entry.get("workflow_id") or ""
+        run = runs.get(wfid)
+        if topic.startswith("task."):
+            job = entry.get("job_id")
+            outcome = ATTEMPT_OUTCOME.get(topic[5:])  # ``task.<state>``
             if job is None or outcome is None:
                 continue
-            activity = payload.activity
-            wfid = getattr(payload, "workflow_id", "") or ""
-            run = runs.get(wfid)
+            activity = entry.get("activity", "")
             jobs = run.attempts.get(activity) if run is not None else None
             span = jobs.pop(job, None) if outcome and jobs is not None else None
             if span is None:
@@ -289,13 +252,16 @@ def spans_of(records: list[LogRecord]) -> list[Span]:
                 # before any TaskStart (an instant crash): a zero-duration
                 # attempt, so the trace still shows it.  The tracer's ids
                 # ride as labels; exporters draw decision → attempt.
-                labels = {"activity": activity, "job": job, "host": payload.hostname}
+                labels = {
+                    "activity": activity,
+                    "job": job,
+                    "host": entry.get("hostname", ""),
+                }
                 if wfid:
                     labels["workflow_id"] = wfid
                 for key in ("span_id", "parent_id"):
-                    value = getattr(payload, key, "")
-                    if value:
-                        labels[key] = value
+                    if entry.get(key):
+                        labels[key] = entry[key]
                 node_span = run.nodes.get(activity) if run is not None else None
                 parent = node_span.id if node_span is not None else None
                 span = open_span("task.attempt", labels, parent, sim, wall)
@@ -307,19 +273,14 @@ def spans_of(records: list[LogRecord]) -> list[Span]:
                 jobs[job] = span
                 continue
             span.labels["outcome"] = outcome
-            if payload.reason:
-                span.labels["reason"] = payload.reason
+            if entry.get("reason"):
+                span.labels["reason"] = entry["reason"]
             span.sim_end, span.wall_end = sim, wall
             continue
-        engine = topic.startswith("engine.")
-        if not (engine or topic.startswith("recovery.")) or not isinstance(payload, dict):
-            continue
-        wfid = payload.get("workflow_id", "") or ""
-        run = runs.get(wfid)
-        if engine:
-            node = payload.get("node")
+        if topic.startswith("engine."):
+            node = entry.get("node")
             if topic == "engine.node_launched":
-                workflow = payload.get("workflow", "")
+                workflow = entry.get("workflow", "")
                 if run is None:
                     run = runs[wfid] = _Open()
                 if run.span is None:
@@ -336,7 +297,7 @@ def spans_of(records: list[LogRecord]) -> list[Span]:
                     _cancel_attempts(run.attempts.pop(node, None), sim, wall)
                     span = run.nodes.pop(node, None)
                     if span is not None:
-                        span.labels["status"] = payload.get("status", "cancelled")
+                        span.labels["status"] = entry.get("status", "cancelled")
                         span.sim_end, span.wall_end = sim, wall
             elif topic == "engine.workflow_finished":
                 run = runs.pop(wfid, None)
@@ -344,7 +305,7 @@ def spans_of(records: list[LogRecord]) -> list[Span]:
                     for jobs in run.attempts.values():
                         _cancel_attempts(jobs, sim, wall)
                     if run.span is not None:
-                        run.span.labels["status"] = payload.get("status", "")
+                        run.span.labels["status"] = entry.get("status", "")
                         run.span.sim_end, run.span.wall_end = sim, wall
             continue
         if topic == "recovery.resolved":
@@ -352,25 +313,24 @@ def spans_of(records: list[LogRecord]) -> list[Span]:
         # Every other recovery decision leaves a zero-duration marker span
         # under its node, carrying the causal ids: chrome_trace draws flow
         # arrows from these to the attempts they spawned.
-        activity = payload.get("activity", "")
+        activity = entry.get("activity", "")
         labels = {"activity": activity}
         if wfid:
             labels["workflow_id"] = wfid
         for key in ("span_id", "parent_id"):
-            value = payload.get(key)
-            if value:
-                labels[key] = value
+            if entry.get(key):
+                labels[key] = entry[key]
         node_span = run.nodes.get(activity) if run is not None else None
         parent = node_span.id if node_span is not None else None
         marker = open_span(topic, labels, parent, sim, wall)
         marker.sim_end, marker.wall_end = sim, wall
         if topic == "recovery.retry":
-            delay = float(payload.get("delay", 0.0) or 0.0)
+            delay = float(entry.get("delay", 0.0) or 0.0)
             if delay > 0:
                 # The wait is decided upfront, so its span is closed at
                 # creation with a *future* sim end.
-                at = float(payload.get("at", 0.0) or 0.0)
-                labels = {"activity": activity, "slot": payload.get("slot", 0)}
+                at = float(entry.get("at", 0.0) or 0.0)
+                labels = {"activity": activity, "slot": entry.get("slot", 0)}
                 backoff = open_span("recovery.backoff", labels, parent, at, wall)
                 backoff.sim_end, backoff.wall_end = at + delay, wall
     return spans

@@ -9,8 +9,13 @@ trace/span ids stamped by :mod:`repro.obs.tracectx`.  The output answers
 the operator's question after a masked failure: *which decision caused
 this attempt, and which verdict caused that decision?*
 
-Everything here works on plain dicts; recordings without trace ids (an
-untraced run) still produce the ledger, just without causal arrows.
+The attempt ledger is the ``task.attempt`` spans of the journal
+(:func:`~repro.obs.observer.spans_of`, the decoder behind every rendered
+view), so ``inspect`` and a live trace tell one story: an attempt the
+engine cancelled (a losing replica, a branch that lost an OR join) ends
+``cancelled`` when its node resolves, and only an attempt of an unfinished
+workflow is ``in-flight``.  Recordings without trace ids (an untraced run)
+still produce the ledger, just without causal arrows.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from .observer import spans_of
 from .recorder import JOURNAL_VERSION
 
 __all__ = [
@@ -31,13 +37,23 @@ __all__ = [
     "render_report",
 ]
 
-_TERMINAL_TASK = ("task.done", "task.failed", "task.exception")
 _RECOVERY_TOPICS = (
     "recovery.retry",
     "recovery.checkpoint_restart",
     "recovery.replication_win",
     "recovery.exhausted",
     "recovery.resolved",
+)
+#: Entry keys a decision's detail leaves out: its identity and its place.
+_DECISION_KEYS = (
+    "seq",
+    "topic",
+    "activity",
+    "at",
+    "workflow_id",
+    "trace_id",
+    "span_id",
+    "parent_id",
 )
 
 
@@ -133,11 +149,19 @@ def load_recording(path: str) -> list[dict[str, Any]]:
 def build_timelines(
     entries: Iterable[dict[str, Any]],
 ) -> dict[str, WorkflowTimeline]:
-    """Group journal entries into per-workflow causally-linked timelines."""
+    """Group journal entries into per-workflow causally-linked timelines.
+
+    The attempts are the ``task.attempt`` spans of the journal replayed as
+    log records (:func:`~repro.obs.observer.spans_of`, the decoder every
+    rendered view shares), so an attempt its node's resolution cancelled
+    ends there, ``cancelled``.  Node statuses, decisions and the span ids
+    the causal arrows resolve against are read off the entries by topic."""
     timelines: dict[str, WorkflowTimeline] = {}
     # span_id → short description of the event that carried it, for
-    # resolving each entry's parent_id into a readable causal arrow.
+    # resolving each parent_id into a readable causal arrow.
     span_events: dict[str, str] = {}
+    started: set[str] = set()  # jobs with a TaskStart in the journal
+    exceptions: dict[str, str] = {}
 
     def timeline(entry: dict[str, Any]) -> WorkflowTimeline:
         wfid = str(entry.get("workflow_id", "") or "")
@@ -150,98 +174,70 @@ def build_timelines(
             tl.trace_id = str(entry["trace_id"])
         return tl
 
-    def register_span(entry: dict[str, Any], description: str) -> None:
-        span = entry.get("span_id")
+    def register_span(span: Any, description: str) -> None:
         if span:
             span_events[str(span)] = f"{description}[{span}]"
 
-    attempts_by_job: dict[str, AttemptRecord] = {}
+    records = []
     for entry in entries:
         topic = str(entry.get("topic", ""))
+        records.append(
+            (entry.get("seq", 0), float(entry.get("at", 0.0) or 0.0), 0.0, topic, entry)
+        )
         if topic == "engine.node_launched":
-            register_span(entry, f"launch:{entry.get('node', '?')}")
+            register_span(entry.get("span_id"), f"launch:{entry.get('node', '?')}")
         elif topic in ("engine.node_completed", "engine.node_cancelled"):
-            tl = timeline(entry)
-            node = str(entry.get("node", "?"))
-            tl.nodes[node] = str(entry.get("status", "cancelled"))
+            status = str(entry.get("status", "cancelled"))
+            timeline(entry).nodes[str(entry.get("node", "?"))] = status
         elif topic == "engine.workflow_finished":
             tl = timeline(entry)
             tl.status = str(entry.get("status", ""))
             at = entry.get("at")
             tl.finished_at = float(at) if at is not None else None
-        elif topic == "task.active":
-            tl = timeline(entry)
-            job = str(entry.get("job_id", entry.get("job", "?")))
-            record = AttemptRecord(
-                job=job,
-                activity=str(entry.get("activity", "")),
-                host=str(entry.get("hostname", entry.get("host", ""))),
-                started_at=float(entry["at"]) if "at" in entry else None,
-                outcome="in-flight",
-                span_id=str(entry.get("span_id", "") or ""),
-                parent_id=str(entry.get("parent_id", "") or ""),
-            )
-            attempts_by_job[job] = record
-            tl.attempts.append(record)
-            register_span(entry, f"attempt:{job}")
-        elif topic in _TERMINAL_TASK:
-            tl = timeline(entry)
-            job = str(entry.get("job_id", entry.get("job", "?")))
-            record = attempts_by_job.get(job)
-            if record is None:  # terminal with no recorded start
-                record = AttemptRecord(
-                    job=job,
-                    activity=str(entry.get("activity", "")),
-                    host=str(entry.get("hostname", entry.get("host", ""))),
-                    span_id=str(entry.get("span_id", "") or ""),
-                    parent_id=str(entry.get("parent_id", "") or ""),
-                )
-                attempts_by_job[job] = record
-                tl.attempts.append(record)
-                register_span(entry, f"attempt:{job}")
-            record.outcome = topic.rsplit(".", 1)[1]
-            record.reason = str(entry.get("reason", "") or "")
-            record.exception = str(entry.get("exception", "") or "")
-            if "at" in entry:
-                record.ended_at = float(entry["at"])
+        elif topic.startswith("task."):
+            timeline(entry)
+            if topic == "task.active":
+                started.add(entry.get("job_id", ""))
+            elif entry.get("exception"):
+                exceptions[entry.get("job_id", "")] = str(entry["exception"])
         elif topic in _RECOVERY_TOPICS:
-            tl = timeline(entry)
             decision = DecisionRecord(
                 topic=topic,
                 activity=str(entry.get("activity", "")),
                 at=float(entry.get("at", 0.0) or 0.0),
                 span_id=str(entry.get("span_id", "") or ""),
                 parent_id=str(entry.get("parent_id", "") or ""),
-                detail={
-                    k: v
-                    for k, v in entry.items()
-                    if k
-                    not in (
-                        "seq",
-                        "topic",
-                        "activity",
-                        "at",
-                        "workflow_id",
-                        "trace_id",
-                        "span_id",
-                        "parent_id",
-                    )
-                },
+                detail={k: v for k, v in entry.items() if k not in _DECISION_KEYS},
             )
-            tl.decisions.append(decision)
-            register_span(entry, topic)
+            timeline(entry).decisions.append(decision)
+            register_span(decision.span_id, topic)
 
-    # Second pass: resolve causal arrows now every span is registered.
+    for span in spans_of(records):
+        if span.name != "task.attempt":
+            continue
+        labels = span.labels
+        job = labels["job"]
+        attempt = AttemptRecord(
+            job=job,
+            activity=labels["activity"],
+            host=labels["host"],
+            started_at=span.sim_start if job in started else None,
+            ended_at=span.sim_end,
+            outcome=labels.get("outcome", "in-flight"),
+            reason=labels.get("reason", ""),
+            exception=exceptions.get(job, ""),
+            span_id=str(labels.get("span_id", "")),
+            parent_id=str(labels.get("parent_id", "")),
+        )
+        timelines[labels.get("workflow_id", "")].attempts.append(attempt)
+        register_span(attempt.span_id, f"attempt:{job}")
+
+    # Resolve causal arrows now every span is registered.
     for tl in timelines.values():
-        for attempt in tl.attempts:
-            if attempt.parent_id:
-                attempt.caused_by = span_events.get(
-                    attempt.parent_id, f"[{attempt.parent_id}]"
-                )
-        for decision in tl.decisions:
-            if decision.parent_id:
-                decision.caused_by = span_events.get(
-                    decision.parent_id, f"[{decision.parent_id}]"
+        for record in (*tl.attempts, *tl.decisions):
+            if record.parent_id:
+                record.caused_by = span_events.get(
+                    record.parent_id, f"[{record.parent_id}]"
                 )
     return timelines
 

@@ -49,6 +49,8 @@ Figure 13's three, which :func:`sample_technique` accepts by name.
 from __future__ import annotations
 
 import math
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -160,13 +162,22 @@ def _retry(
     *,
     rng: np.random.Generator,
     runs: int | None = None,
+    technique: str = "retrying",
 ) -> np.ndarray:
-    """Per-run completion times under restart-from-scratch recovery."""
+    """Per-run completion times under restart-from-scratch recovery.
+
+    The *n*-th resubmission adds the deterministic wait
+    :meth:`FailurePolicy.retry_delay` of *technique*'s own policy — the
+    number the engine waits, not a second formula that agrees with it.
+    It is 0 for plain retrying (no interval), exponential backoff for
+    ``backoff_retry``.
+    """
     runs = params.runs if runs is None else runs
     F = params.failure_free_time
     lam = params.failure_rate
     if lam == 0.0:
         return np.full(runs, F)
+    policy = technique_policy(technique, params)
     total = np.zeros(runs)
     alive = np.arange(runs)
     mttf = 1.0 / lam
@@ -182,52 +193,11 @@ def _retry(
         total[alive[succeeded]] += F
         failed = alive[~succeeded]
         if failed.size:
-            lost = ttf[~succeeded]
-            down = _downtime_draws(params, rng, failed.size)
-            total[failed] += lost + down
-        alive = failed
-    return total
-
-
-def _backoff_retry(
-    params: SimulationParams,
-    *,
-    rng: np.random.Generator,
-    runs: int | None = None,
-) -> np.ndarray:
-    """Per-run completion times under restart-from-scratch recovery with
-    exponential backoff between resubmissions.
-
-    Identical to ``retrying``'s sampler except that the *n*-th resubmission
-    adds the deterministic wait :meth:`FailurePolicy.retry_delay` of the
-    technique's own policy — the number the engine waits, not a second
-    formula that agrees with it.
-    """
-    runs = params.runs if runs is None else runs
-    F = params.failure_free_time
-    lam = params.failure_rate
-    if lam == 0.0:
-        return np.full(runs, F)
-    policy = technique_policy("backoff_retry", params)
-    total = np.zeros(runs)
-    alive = np.arange(runs)
-    mttf = 1.0 / lam
-    rounds = 0
-    while alive.size:
-        rounds += 1
-        if rounds > _MAX_ROUNDS:  # pragma: no cover - parameter sanity guard
-            raise SimulationError(
-                f"backoff retry sampling did not converge (λF = {lam * F:.3f})"
-            )
-        ttf = rng.exponential(mttf, size=alive.size)
-        succeeded = ttf >= F
-        total[alive[succeeded]] += F
-        failed = alive[~succeeded]
-        if failed.size:
-            lost = ttf[~succeeded]
-            down = _downtime_draws(params, rng, failed.size)
+            lost = ttf[~succeeded]  # a copy: summed into in place
+            lost += _downtime_draws(params, rng, failed.size)
             # Every run failing in round n waits the same n-th retry delay.
-            total[failed] += lost + down + policy.retry_delay(rounds)
+            lost += policy.retry_delay(rounds)
+            total[failed] += lost
         alive = failed
     return total
 
@@ -279,29 +249,18 @@ def _checkpointing(
     return total
 
 
-def _replication(
+def _min_of_replicas(
+    sampler: Callable[..., np.ndarray],
     params: SimulationParams,
     *,
     rng: np.random.Generator,
     runs: int | None = None,
 ) -> np.ndarray:
-    """Min-of-N independent retry processes (each on its own machine)."""
+    """Min-of-N independent *sampler* processes (each on its own machine):
+    replication over retrying or over checkpointing."""
     runs = params.runs if runs is None else runs
     N = params.replicas
-    flat = _retry(params, rng=rng, runs=runs * N)
-    return flat.reshape(runs, N).min(axis=1)
-
-
-def _replication_checkpointing(
-    params: SimulationParams,
-    *,
-    rng: np.random.Generator,
-    runs: int | None = None,
-) -> np.ndarray:
-    """Min-of-N independent checkpointing processes."""
-    runs = params.runs if runs is None else runs
-    N = params.replicas
-    flat = _checkpointing(params, rng=rng, runs=runs * N)
+    flat = sampler(params, rng=rng, runs=runs * N)
     return flat.reshape(runs, N).min(axis=1)
 
 
@@ -385,9 +344,9 @@ def _alternative_task(
 _SAMPLERS = {
     "retrying": _retry,
     "checkpointing": _checkpointing,
-    "replication": _replication,
-    "replication_checkpointing": _replication_checkpointing,
-    "backoff_retry": _backoff_retry,
+    "replication": partial(_min_of_replicas, _retry),
+    "replication_checkpointing": partial(_min_of_replicas, _checkpointing),
+    "backoff_retry": partial(_retry, technique="backoff_retry"),
     "exception_retrying": _exception_retrying,
     "exception_checkpointing": _exception_checkpointing,
     "alternative_task": _alternative_task,

@@ -41,14 +41,6 @@ class Summary:
             return math.inf
         return self.ci_halfwidth / abs(self.mean)
 
-    @property
-    def ci_low(self) -> float:
-        return self.mean - self.ci_halfwidth
-
-    @property
-    def ci_high(self) -> float:
-        return self.mean + self.ci_halfwidth
-
     def contains(self, value: float, *, slack: float = 1.0) -> bool:
         """Whether *value* lies within the (optionally widened) interval."""
         return (

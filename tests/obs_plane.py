@@ -166,7 +166,7 @@ class ObservedHost:
             "registry": registry.snapshot(),
             "prometheus": prometheus_text(registry),
             "store": self.store.snapshot(),
-            "events": [[e.at, e.topic, e.detail] for e in self.observer.events],
+            "events": self.observer.events,
             "spans": [
                 [s.id, s.name, s.sim_start, s.sim_end, s.parent, s.labels]
                 for s in self.observer.spans

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.catalogs import (
@@ -135,11 +133,6 @@ class TestResourceCatalog:
         with pytest.raises(CatalogError):
             catalog.get("nope")
 
-    def test_deregister_retires_resource(self, catalog):
-        catalog.deregister("volunteer1")
-        assert "volunteer1" not in catalog
-        assert len(catalog) == 2
-
     def test_match_attribute_constraints(self, catalog):
         matches = catalog.match(ResourceQuery(min_disk_gb=200))
         assert [m.hostname for m in matches] == ["condor1"]
@@ -177,13 +170,6 @@ class TestResourceSpec:
     def test_failure_rate(self):
         assert UNRELIABLE("h", mttf=20.0).failure_rate == pytest.approx(0.05)
         assert RELIABLE("h").failure_rate == 0.0
-
-    def test_with_reliability_copy(self):
-        spec = RELIABLE("h", speed=2.0)
-        varied = spec.with_reliability(50.0, 10.0)
-        assert varied.mttf == 50.0 and varied.mean_downtime == 10.0
-        assert varied.speed == 2.0 and varied.hostname == "h"
-        assert math.isinf(spec.mttf)  # original untouched
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -96,9 +96,8 @@ class TestFileStore:
 class TestManager:
     def test_record_marks_checkpoint_enabled(self):
         mgr = CheckpointManager()
-        assert not mgr.is_checkpoint_enabled("act")
+        assert mgr.flag_for("act") is None
         mgr.record("act", "flag-1", progress=0.25, at=3.0)
-        assert mgr.is_checkpoint_enabled("act")
         assert mgr.flag_for("act") == "flag-1"
         assert mgr.progress_of("act") == 0.25
 

@@ -555,6 +555,31 @@ class TestOneCommandPerJob:
         assert "wf-1" in out and "wf-2" in out
         assert "⇐" in out
 
+    def test_inspect_leaves_no_attempt_of_a_finished_workflow_in_flight(
+        self, tmp_path, capsys
+    ):
+        """A losing replica or OR-join branch is cancelled with its node:
+        ``inspect`` ends it there, as the trace's spans do."""
+        journal = tmp_path / "journal.jsonl"
+        argv = ["run", str(SPECS / "mosaic.xml")]
+        argv += ["--grid", str(SPECS / "volunteer_grid.json"), "--instances", "10"]
+        assert main([*argv, "--flight-record", str(journal)]) == 0
+        capsys.readouterr()
+        assert main(["inspect", str(journal), "--json"]) == 0
+        timelines = json.loads(capsys.readouterr().out)
+        assert {tl["status"] for tl in timelines.values()} == {"done"}
+        attempts = [(wfid, a) for wfid, tl in timelines.items() for a in tl["attempts"]]
+        outcomes = {a["outcome"] for _wfid, a in attempts}
+        assert outcomes <= {"done", "failed", "exception", "cancelled"}
+        resolved = {}
+        for line in journal.read_text().splitlines()[1:]:
+            entry = json.loads(line)
+            if entry["topic"] in ("engine.node_completed", "engine.node_cancelled"):
+                resolved[entry["workflow_id"], entry["node"]] = entry["at"]
+        cancelled = [(w, a) for w, a in attempts if a["outcome"] == "cancelled"]
+        assert cancelled
+        assert all(a["ended_at"] == resolved[w, a["activity"]] for w, a in cancelled)
+
     @pytest.mark.parametrize(
         "flags,kwargs",
         [

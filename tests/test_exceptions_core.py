@@ -98,11 +98,3 @@ class TestTable:
         assert len(table) == 2
         assert [b.pattern for b in table] == ["a", "b*"]
 
-    def test_handled_names_excludes_patterns(self):
-        table = ExceptionTable(
-            [
-                ExceptionBinding("disk_full", handler="h"),
-                ExceptionBinding("net_*", handler="h"),
-            ]
-        )
-        assert table.handled_names() == ["disk_full"]

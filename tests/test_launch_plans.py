@@ -86,8 +86,12 @@ class TestWildcardsAreNeverCached:
         assert run_one() == "h1"  # same plan, same catalog, same answer
         broker.set_query("a", ResourceQuery(exclude_hosts=frozenset({"h1"})))
         assert run_one() == "h2"
-        catalog.deregister("h2")
-        assert run_one() == "h3"
+        # A resource registered after the plan was made, ranked above h2.
+        newcomer = RELIABLE("h0", slots=None, speed=2.5)
+        grid.add_host(newcomer)
+        grid.install("h0", "task", FixedDurationTask(2.0, result="ok"))
+        catalog.register(newcomer)
+        assert run_one() == "h0"
         broker.set_query("a", ResourceQuery())
         assert run_one() == "h1"
         [plan] = plans_of(host.runtime)

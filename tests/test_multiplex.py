@@ -579,9 +579,11 @@ class TestDemandDrivenPublication:
         late, _, late_results, late_stats = self._run(50)
         _, _, bare_results, bare_stats = self._run(None)
         assert 0 < cut < len(early)
-        # Same topics, payloads and trace/span/parent ids from then on.
-        assert late == early[cut:]
-        assert any(event.detail.get("parent_id") for event in late)
+        # Same topics, payloads and trace/span/parent ids from then on, in
+        # a log that began at the cut: every position shifted by one offset.
+        offset = early[cut]["seq"] - late[0]["seq"]
+        assert late == [{**e, "seq": e["seq"] - offset} for e in early[cut:]]
+        assert any(event.get("parent_id") for event in late)
         identities = [result_identity(r) for r in bare_results]
         assert [result_identity(r) for r in early_results] == identities
         assert [result_identity(r) for r in late_results] == identities

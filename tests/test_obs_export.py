@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.obs import (
     MetricsRegistry,
-    RecordedEvent,
     Span,
     chrome_trace,
     jsonl_lines,
@@ -145,8 +144,7 @@ class TestChromeTrace:
 
 class TestJsonLines:
     def test_record_kinds_and_order(self):
-        events = [RecordedEvent(at=1.0, topic="engine.node_launched",
-                                detail={"node": "FU"})]
+        events = [{"seq": 0, "topic": "engine.node_launched", "node": "FU", "at": 1.0}]
         lines = list(
             jsonl_lines(
                 events=events, spans=recorded_spans(), metrics=small_registry()
@@ -156,7 +154,8 @@ class TestJsonLines:
         assert [r["kind"] for r in records] == [
             "event", "span", "span", "span", "metrics",
         ]
-        assert records[0]["topic"] == "engine.node_launched"
+        # An event line is its journal entry, flat.
+        assert records[0] == {"kind": "event", **events[0]}
         assert records[1]["name"] == "node.run"
         assert records[1]["sim_end"] == 30.0
         assert "jobs_total" in records[-1]["families"]
@@ -170,7 +169,7 @@ class TestJsonLines:
             json.loads(line)  # every line is standalone JSON
 
     def test_non_finite_sim_times_stay_valid_json(self):
-        events = [RecordedEvent(at=float("inf"), topic="t", detail={})]
+        events = [{"seq": 0, "topic": "t", "at": float("inf")}]
         [line] = jsonl_lines(events=events)
         assert json.loads(line)["at"] == "inf"
 

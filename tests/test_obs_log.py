@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 from repro.core import FailurePolicy
 from repro.detection.detector import AttemptOutcome, TaskState
-from repro.engine import EngineHost, EngineTrace, WorkflowEngine
+from repro.engine import EngineHost, WorkflowEngine
 from repro.errors import GridWFSError
 from repro.events import EventBus
 from repro.grid import (
@@ -85,6 +85,12 @@ def _journal(entries) -> list[str]:
     )
 
 
+def _in_order(entries) -> list[dict]:
+    """The observer's events without their positions in the log (see
+    :func:`_journal`), in their order."""
+    return [{k: v for k, v in entry.items() if k != "seq"} for entry in entries]
+
+
 def _spans(spans) -> list[list]:
     return [[s.id, s.name, s.sim_start, s.sim_end, s.parent, s.labels] for s in spans]
 
@@ -125,7 +131,8 @@ def test_golden_batch_reads_the_same_folded_per_event_and_per_tick(seed):
         outputs.append(plane.outputs())
         assert_folds_like_the_parent(plane.observer, plane.tracker)
     eagerly, at_ticks = outputs
-    for name in ("events", "spans", "tracker", "registry", "prometheus", "store"):
+    assert _in_order(at_ticks["events"]) == _in_order(eagerly["events"])
+    for name in ("spans", "tracker", "registry", "prometheus", "store"):
         assert at_ticks[name] == eagerly[name], name
     assert _journal(at_ticks["recorder"]) == _journal(eagerly["recorder"])
 
@@ -331,7 +338,7 @@ class Rig:
 
     def outputs(self) -> dict[str, object]:
         return {
-            "events": [[e.at, e.topic, e.detail] for e in self.observer.events],
+            "events": _in_order(self.observer.events),
             "spans": _spans(self.observer.spans),
             "tracker": self.tracker.snapshot(),
             "registry": self.observer.metrics.snapshot(),
@@ -717,7 +724,7 @@ class TestAttachedForTheLifeOfItsBus:
         assert observer.metrics.value("engine_nodes_launched_total", workflow="w") == 1
 
     @pytest.mark.parametrize(
-        "kind", [RunObserver, EngineTrace, WorkflowStatusTracker, EstimatorSuite]
+        "kind", [RunObserver, WorkflowStatusTracker, EstimatorSuite]
     )
     def test_a_second_consumer_of_a_kind_is_refused(self, kind):
         bus = EventBus()

@@ -56,7 +56,15 @@ the commit before by digests recorded there before any source changed:
   ``bus_route_cache_hit_rate`` gauges, and ``bus_subscription_groups``
   (still 1) is described as "topics with a subscriber"; the parent's three
   outputs with those gauges dropped and that help text digest to the new
-  pins, and ``_views`` still digests to ``PARENT``.
+  pins, and ``_views`` still digests to ``PARENT``;
+* then every view came to read a record as its journal entry.
+  ``events`` is re-pinned: the observer's events *are* the journal's
+  entries of its three topic families.  The parent rendered the same
+  entries as ``[at, topic, detail]``, with ``at`` lifted out and an
+  attempt's fields renamed (``job_id`` → ``job``, ``hostname`` → ``host``,
+  ``exception`` always present, ``trace_id`` left out); ``_parent_events``
+  is that projection, and ``_views`` digests it to ``PARENT``'s pin.  The
+  other six digests did not move.
 """
 
 from __future__ import annotations
@@ -65,7 +73,9 @@ import json
 
 import pytest
 
+from repro.obs import build_timelines
 from repro.obs.catalogue import metric_specs, topic_specs
+from repro.obs.observer import spans_of
 from tests.obs_plane import ObservedHost, digest
 
 INSTANCES = 20
@@ -75,7 +85,7 @@ GOLDEN = {
         "registry": "4888f2ab846569f5f9a102d68c2c1f83e7a2a4b68aafefd61ce45330954bbacb",
         "prometheus": "4246e9c65fe049e25472fdb6b312177242aa4a5a001489a16fd9c435c69cbcc1",
         "store": "f29fe7c9b5358ad7d5c0f18e9f7509e0deeed839106fbecb5b9e5a19be68f7b1",
-        "events": "bde842cc542c1eb175a4a59146ac16d5f477c7a11eb0b7dff338547bc04b07f1",
+        "events": "904cb1169d892a4443bf33f8bd47763dc43e36c883715b57da3a69aa3da92217",
         "spans": "950d6502ef42e37cd1c355b6568a6808ca3d352073b365e7889947f0635ab850",
         "recorder": "4ad9992466c529f36a2d6c0c6d15b4a154e3eb6ef1760fb30527e10dd0402652",
         "tracker": "aee482e9a73875d024b66efd76c49a11b33bb5e6fe515656bdc225918eaed2cb",
@@ -84,7 +94,7 @@ GOLDEN = {
         "registry": "cc0187fb1f050a3699defcf6d0acdf62994e5cc4019e6d99b6e0692eaa42cec7",
         "prometheus": "25cef356803c6d017592fba0f0f4eef3b1745778a7509ed92b9b10edf52d1d0c",
         "store": "da37aea8466a16df7e3a266ac8be9c78e813eb30a5e7626bded379b3b06a6a57",
-        "events": "55562ac0d63cafe57b9583d2e4600bfef796cbed1b980c4e59e1f31a789d51ff",
+        "events": "7daec6b758e5555933be13d909dac21438d5efc8b4252476a6f99044db2d6d77",
         "spans": "c5ae24b7e988471c226030b60ad7ea796806e4c71e7df2013f3f8a05c26d33aa",
         "recorder": "a0279477d86dcb78d169afee751a428e51be1be76f61366b66007d3ffcc9fc1f",
         "tracker": "11bc8525533831ab84e0bf58556646e192218bc0b250fad608aaff73eedcd229",
@@ -154,6 +164,11 @@ _POOLED = (
 OBSERVED = ("engine.", "task.", "recovery.")
 
 
+def _rows(spans) -> list:
+    """What the ``spans`` golden digests of each span."""
+    return [[s.id, s.name, s.sim_start, s.sim_end, s.parent, s.labels] for s in spans]
+
+
 def _text(value) -> str:
     return json.dumps(value, default=str)
 
@@ -165,6 +180,29 @@ def _spec_labels(labels: dict, names: dict[str, str]) -> str:
     if wfid is not None:
         labels["workflow"] = names[wfid]
     return _text(sorted(labels.items()))
+
+
+def _parent_events(entries) -> list:
+    """The observer's events as the parent rendered them: ``[at, topic,
+    detail]``, and an attempt's detail in the detector's short names."""
+    events = []
+    for entry in entries:
+        detail = {k: v for k, v in entry.items() if k not in ("seq", "topic")}
+        at = float(detail.pop("at", 0.0) or 0.0)
+        if entry["topic"].startswith("task."):
+            short = {
+                "job": detail.get("job_id", ""),
+                "activity": detail.get("activity", ""),
+                "host": detail.get("hostname", ""),
+                "reason": detail.get("reason", ""),
+                "exception": detail.get("exception"),
+            }
+            for key in ("workflow_id", "span_id", "parent_id"):
+                if key in detail:
+                    short[key] = detail[key]
+            detail = short
+        events.append([at, entry["topic"], detail])
+    return events
 
 
 def _views(outputs) -> dict[str, str]:
@@ -217,7 +255,7 @@ def _views(outputs) -> dict[str, str]:
     ]
     return {
         "recorder": digest(journal),
-        "events": digest(outputs["events"]),
+        "events": digest(_parent_events(outputs["events"])),
         "spans": digest(outputs["spans"]),
         "tracker": digest(outputs["tracker"]),
         "registry": digest(sorted(registry.items())),
@@ -250,9 +288,9 @@ def test_plane_outputs_match_the_golden(seed):
         for family in registry.values()
         for series in family["series"]
     )
-    # … and the observer's events and the journal still tell one story.
-    assert [topic for _at, topic, _detail in outputs["events"]] == [
-        topic for topic in journal if topic.startswith(OBSERVED)
+    # … and the observer's events are the journal's entries of its families.
+    assert outputs["events"] == [
+        entry for entry in outputs["recorder"] if entry["topic"].startswith(OBSERVED)
     ]
     assert {
         name: registry[name]["series"][0]["value"] for name in BUS_GAUGES[seed]
@@ -273,3 +311,42 @@ def test_plane_outputs_match_the_golden(seed):
     # One timer per job still cancels what it did.
     (cancelled_series,) = registry["sim_timers_cancelled"]["series"]
     assert cancelled_series["value"] == TIMERS_CANCELLED[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_spans_of_the_journal_are_the_live_spans(seed):
+    """The journal replayed as log records — the entry's ``at`` for the
+    simulation clock, no wall clock — decodes to the spans the live log
+    does, ids, parents and labels alike."""
+    plane = ObservedHost(seed)
+    plane.run_batch(INSTANCES)
+    replayed = [
+        (entry["seq"], float(entry.get("at", 0.0) or 0.0), 0.0, entry["topic"], entry)
+        for entry in plane.recorder.entries
+    ]
+    assert _rows(spans_of(replayed)) == _rows(plane.observer.spans)
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_inspect_ends_cancelled_attempts_with_their_node(seed):
+    """``repro inspect`` reads the attempts the spans read: none is left
+    in flight under a finished workflow, and the ones the engine cancelled
+    end, ``cancelled``, when their node resolves."""
+    plane = ObservedHost(seed)
+    plane.run_batch(INSTANCES)
+    entries = plane.recorder.entries
+    timelines = build_timelines(entries)
+    assert len(timelines) == INSTANCES
+    assert all(tl.status == "done" for tl in timelines.values())
+    attempts = [(tl, a) for tl in timelines.values() for a in tl.attempts]
+    assert not [a for _tl, a in attempts if a.outcome == "in-flight"]
+    cancelled = [(tl, a) for tl, a in attempts if a.outcome == "cancelled"]
+    assert len(cancelled) == CANCELLED[seed]
+    resolved = {
+        (entry["workflow_id"], entry["node"]): entry["at"]
+        for entry in entries
+        if entry["topic"] in ("engine.node_completed", "engine.node_cancelled")
+    }
+    assert all(
+        a.ended_at == resolved[tl.workflow_id, a.activity] for tl, a in cancelled
+    )

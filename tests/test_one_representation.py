@@ -19,7 +19,9 @@ went, with two ways to pump a simulated reactor and a checkpoint
 manager's second way to forget everything.  Recovery reads the policy, so
 the strategy object that restated it, the resolver seam that swapped it and
 the per-crash decision record went, with the broker's resolve-everything
-call only its planning used.
+call only its planning used.  Every rendered view reads a record as its
+journal entry, so the observer's second event shape and the trace layer
+over it went, with accessors only tests called.
 One walk over ``src/repro`` keeps them deleted, and keeps the retry wait —
 and the decoding of a log record — in one place.
 """
@@ -200,6 +202,20 @@ GONE = {
     "cmd_sweep",
     "_drive_paced",
     "add_adaptive_options",
+    # One reading of what happened: every view decodes the journal entry,
+    # so the observer's second event shape and the trace layer over it went.
+    "RecordedEvent",
+    "EngineTrace",
+    "for_node",
+    # Accessors only tests called.
+    "with_reliability",
+    "handled_names",
+    "deregister",
+    "ci_low",
+    "ci_high",
+    "on_crash",
+    "unlimited_retries",
+    "is_checkpoint_enabled",
 }
 
 

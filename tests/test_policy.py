@@ -40,7 +40,7 @@ class TestConstruction:
 
     def test_unlimited_retries(self):
         policy = FailurePolicy.retrying(None)
-        assert policy.unlimited_retries
+        assert policy.max_tries is None
         assert policy.retries_enabled
         assert policy.tries_remaining(10**9) == math.inf
 

@@ -151,7 +151,7 @@ class TestStats:
         assert s.mean == pytest.approx(3.0)
         assert s.p50 == pytest.approx(3.0)
         assert s.n == 500
-        assert s.ci_low < 3.0 < s.ci_high
+        assert s.mean - s.ci_halfwidth < 3.0 < s.mean + s.ci_halfwidth
 
     def test_confidence_levels(self):
         samples = np.random.default_rng(1).normal(10, 1, size=1000)

@@ -1,4 +1,5 @@
-"""Tests for structured execution traces (EngineTrace)."""
+"""Tests for a run's recording: a :class:`RunObserver` on an engine's bus,
+its events (journal entries), spans and metrics."""
 
 from __future__ import annotations
 
@@ -12,11 +13,14 @@ from repro.engine.engine import (
     ENGINE_NODE_LAUNCHED,
     ENGINE_WORKFLOW_FINISHED,
 )
-from repro.engine.trace import EngineTrace
 from repro.events import EventBus
 from repro.grid import CrashingTask, FixedDurationTask
-from repro.obs import AttachError
+from repro.obs import AttachError, RunObserver
 from repro.wpdl import JoinMode, WorkflowBuilder
+
+
+def count(observer: RunObserver, topic: str) -> int:
+    return sum(1 for entry in observer.events if entry["topic"] == topic)
 
 
 @pytest.fixture
@@ -27,26 +31,34 @@ def traced_fig4(quiet_grid):
     )
     quiet_grid.install("r1", "slow", FixedDurationTask(150.0))
     engine = WorkflowEngine(fig4_workflow(), quiet_grid, reactor=quiet_grid.reactor)
-    trace = EngineTrace.attach(engine)
+    trace = RunObserver.attach(engine)
     engine.run(timeout=1e7)
     return trace
 
 
 class TestRecording:
     def test_launch_and_completion_events_per_node(self, traced_fig4):
-        assert traced_fig4.count(ENGINE_NODE_LAUNCHED) == 3  # FU, SR, Join
-        assert traced_fig4.count(ENGINE_NODE_COMPLETED) == 3
-        assert traced_fig4.count(ENGINE_WORKFLOW_FINISHED) == 1
+        assert count(traced_fig4, ENGINE_NODE_LAUNCHED) == 3  # FU, SR, Join
+        assert count(traced_fig4, ENGINE_NODE_COMPLETED) == 3
+        assert count(traced_fig4, ENGINE_WORKFLOW_FINISHED) == 1
 
     def test_detector_attempts_recorded(self, traced_fig4):
-        attempts = traced_fig4.attempts("FU")
+        attempts = [
+            e
+            for e in traced_fig4.events
+            if e["topic"] in ("task.done", "task.failed", "task.exception")
+            and e["activity"] == "FU"
+        ]
         assert len(attempts) == 2  # two crash tries
-        assert all(e.topic == "task.failed" for e in attempts)
-        assert attempts[0].detail["reason"] == "done-without-taskend"
+        assert all(e["topic"] == "task.failed" for e in attempts)
+        assert attempts[0]["reason"] == "done-without-taskend"
 
     def test_for_node_merges_engine_and_detector_views(self, traced_fig4):
-        events = traced_fig4.for_node("FU")
-        topics = {e.topic for e in events}
+        topics = {
+            e["topic"]
+            for e in traced_fig4.events
+            if e.get("node") == "FU" or e.get("activity") == "FU"
+        }
         assert ENGINE_NODE_LAUNCHED in topics
         assert ENGINE_NODE_COMPLETED in topics
         assert "task.failed" in topics
@@ -55,15 +67,10 @@ class TestRecording:
         completed = [
             e
             for e in traced_fig4.events
-            if e.topic == ENGINE_NODE_COMPLETED and e.detail["node"] == "FU"
+            if e["topic"] == ENGINE_NODE_COMPLETED and e["node"] == "FU"
         ]
-        assert completed[0].detail["status"] == "failed"
-        assert completed[0].detail["tries"] == 2
-
-    def test_render_is_time_ordered(self, traced_fig4):
-        lines = traced_fig4.render().splitlines()
-        times = [float(line.split()[0]) for line in lines]
-        assert times == sorted(times)
+        assert completed[0]["status"] == "failed"
+        assert completed[0]["tries"] == 2
 
     def test_another_bus_is_refused(self, quiet_grid):
         quiet_grid.add_host(
@@ -77,11 +84,11 @@ class TestRecording:
             .build()
         )
         engine = WorkflowEngine(wf, quiet_grid, reactor=quiet_grid.reactor)
-        trace = EngineTrace.attach(engine)
+        trace = RunObserver.attach(engine)
         with pytest.raises(AttachError):
             trace.attach_bus(EventBus())
         engine.run()
-        assert trace.count(ENGINE_WORKFLOW_FINISHED) == 1
+        assert count(trace, ENGINE_WORKFLOW_FINISHED) == 1
 
 
 class TestAcrossReset:
@@ -102,18 +109,18 @@ class TestAcrossReset:
 
     def test_trace_survives_engine_reset(self, quiet_grid):
         engine = self._engine(quiet_grid)
-        trace = EngineTrace.attach(engine)
+        trace = RunObserver.attach(engine)
         engine.run()
-        first = trace.count(ENGINE_WORKFLOW_FINISHED)
+        first = count(trace, ENGINE_WORKFLOW_FINISHED)
         quiet_grid.reset(seed=1)
         engine.reset()
         engine.run()
         assert first == 1
-        assert trace.count(ENGINE_WORKFLOW_FINISHED) == 2
+        assert count(trace, ENGINE_WORKFLOW_FINISHED) == 2
 
     def test_reattach_after_reset_does_not_double_record(self, quiet_grid):
         engine = self._engine(quiet_grid)
-        trace = EngineTrace.attach(engine)
+        trace = RunObserver.attach(engine)
         engine.run()
         quiet_grid.reset(seed=1)
         engine.reset()
@@ -121,8 +128,8 @@ class TestAcrossReset:
         # subscription recording every event twice.
         trace.attach_bus(engine.runtime.bus)
         engine.run()
-        assert trace.count(ENGINE_NODE_LAUNCHED) == 2
-        assert trace.count(ENGINE_WORKFLOW_FINISHED) == 2
+        assert count(trace, ENGINE_NODE_LAUNCHED) == 2
+        assert count(trace, ENGINE_WORKFLOW_FINISHED) == 2
 
 
 class TestSpans:
@@ -157,12 +164,12 @@ class TestSpans:
     def test_recovery_events_recorded(self, traced_fig4):
         # FU crashes twice; the retry strategy schedules one resubmission
         # before the slot exhausts.
-        assert traced_fig4.count("recovery.retry") == 1
-        assert traced_fig4.count("recovery.exhausted") == 1
+        assert count(traced_fig4, "recovery.retry") == 1
+        assert count(traced_fig4, "recovery.exhausted") == 1
         resolved = [
-            e for e in traced_fig4.events if e.topic == "recovery.resolved"
+            e for e in traced_fig4.events if e["topic"] == "recovery.resolved"
         ]
-        states = {e.detail["activity"]: e.detail["state"] for e in resolved}
+        states = {e["activity"]: e["state"] for e in resolved}
         assert states["FU"] == "failed"
         assert states["SR"] == "done"
 
@@ -184,12 +191,12 @@ class TestCancelledEvents:
             .build()
         )
         engine = WorkflowEngine(wf, quiet_grid, reactor=quiet_grid.reactor)
-        trace = EngineTrace.attach(engine)
+        trace = RunObserver.attach(engine)
         engine.run()
         cancelled = [
-            e for e in trace.events if e.topic == ENGINE_NODE_CANCELLED
+            e for e in trace.events if e["topic"] == ENGINE_NODE_CANCELLED
         ]
-        assert [e.detail["node"] for e in cancelled] == ["laggard"]
+        assert [e["node"] for e in cancelled] == ["laggard"]
 
     def test_cancelled_attempt_ends_with_its_node(self, quiet_grid):
         """The laggard's job is cancelled and forgotten: no terminal
@@ -212,7 +219,7 @@ class TestCancelledEvents:
             .build()
         )
         engine = WorkflowEngine(wf, quiet_grid, reactor=quiet_grid.reactor)
-        trace = EngineTrace.attach(engine)
+        trace = RunObserver.attach(engine)
         engine.run()
         attempts = {
             s.labels["activity"]: s for s in trace.spans if s.name == "task.attempt"
