@@ -1,14 +1,12 @@
 """Table 1 systems registry and single-strategy emulation presets."""
 
-from .presets import PRESETS, SystemPreset, adaptive_best, adaptive_choice, preset_for
+from .presets import PRESETS, SystemPreset, adaptive_choice
 from .systems import TABLE1, BaselineSystem, SystemClass, table1_rows
 
 __all__ = [
     "PRESETS",
     "SystemPreset",
-    "adaptive_best",
     "adaptive_choice",
-    "preset_for",
     "TABLE1",
     "BaselineSystem",
     "SystemClass",

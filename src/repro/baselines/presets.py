@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SimulationError
 from ..sim.params import SimulationParams
 from ..sim.samplers import TECHNIQUES, sample_technique
 from .systems import TABLE1, BaselineSystem
@@ -24,8 +23,6 @@ from .systems import TABLE1, BaselineSystem
 __all__ = [
     "SystemPreset",
     "PRESETS",
-    "preset_for",
-    "adaptive_best",
     "adaptive_choice",
 ]
 
@@ -59,16 +56,6 @@ def _build_presets() -> dict[str, SystemPreset]:
 PRESETS: dict[str, SystemPreset] = _build_presets()
 
 
-def preset_for(system_name: str) -> SystemPreset:
-    try:
-        return PRESETS[system_name]
-    except KeyError:
-        raise SimulationError(
-            f"no single-technique preset for {system_name!r} "
-            f"(available: {sorted(PRESETS)})"
-        ) from None
-
-
 def adaptive_choice(
     params: SimulationParams, *, runs: int | None = None
 ) -> tuple[str, float]:
@@ -82,10 +69,3 @@ def adaptive_choice(
         if mean < best_mean:
             best_technique, best_mean = technique, mean
     return best_technique, best_mean
-
-
-def adaptive_best(
-    params: SimulationParams, *, runs: int | None = None
-) -> float:
-    """Expected completion time of the adaptive (Grid-WFS) policy."""
-    return adaptive_choice(params, runs=runs)[1]

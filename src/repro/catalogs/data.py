@@ -65,17 +65,6 @@ class DataCatalog:
             replicas = [r for r in replicas if r.complete]
         return list(replicas)
 
-    def locate(self, logical_name: str, *, prefer_host: str | None = None) -> DataReplica:
-        """Pick a complete replica, preferring *prefer_host* when available."""
-        replicas = self.replicas_of(logical_name)
-        if not replicas:
-            raise CatalogError(f"no complete replica of {logical_name!r}")
-        if prefer_host is not None:
-            for replica in replicas:
-                if replica.hostname == prefer_host:
-                    return replica
-        return replicas[0]
-
     def partial_replicas(self) -> list[DataReplica]:
         """All incomplete replicas (candidates for failure cleanup)."""
         return [
@@ -84,6 +73,3 @@ class DataCatalog:
             for r in replicas
             if not r.complete
         ]
-
-    def logical_names(self) -> list[str]:
-        return sorted(self._replicas)

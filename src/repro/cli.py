@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -503,11 +504,23 @@ def cmd_top(args: argparse.Namespace) -> int:
     )
 
 
+def _number(value: str) -> float:
+    """A float flag's value: any number, ``inf`` included, but not NaN,
+    which is refused at the flag that gave it."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if math.isnan(number):
+        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
+    return number
+
+
 def _mttf_grid(value: str) -> list[float]:
     """``--mttf``: one MTTF or a comma-separated grid of them."""
     try:
-        return [float(x) for x in value.split(",")]
-    except ValueError:
+        return [_number(x) for x in value.split(",")]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {value!r}"
         ) from None
@@ -722,13 +735,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", required=True, help="gridspec JSON file")
         p.add_argument(
             "--timeout",
-            type=float,
+            type=_number,
             default=None,
             help="virtual-seconds budget (default: unlimited)",
         )
         p.add_argument(
             "--heartbeat-timeout",
-            type=float,
+            type=_number,
             default=None,
             help="enable heartbeat-based crash suspicion with this timeout",
         )
@@ -762,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--telemetry-interval",
-            type=float,
+            type=_number,
             default=5.0,
             metavar="SECS",
             help="virtual-seconds cadence of the statistical collector: "
@@ -771,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--telemetry-linger",
-            type=float,
+            type=_number,
             default=0.0,
             metavar="SECS",
             help="keep the telemetry server up SECS wall seconds after the "
@@ -779,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--pace",
-            type=float,
+            type=_number,
             default=0.0,
             metavar="FACTOR",
             help="slow the simulation to FACTOR wall seconds per virtual "
@@ -846,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_top.add_argument(
         "--interval",
-        type=float,
+        type=_number,
         default=1.0,
         metavar="SECS",
         help="wall seconds between redraws (default: 1)",
@@ -873,7 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_top.add_argument(
         "--retry-for",
-        type=float,
+        type=_number,
         default=20.0,
         metavar="SECS",
         help="keep retrying connection errors for SECS before giving up "
@@ -899,22 +912,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="mean time to failure, or a comma-separated grid of them "
         "(default: 20)",
     )
-    p_mc.add_argument("--downtime", type=float, default=0.0, help="mean downtime D")
+    p_mc.add_argument("--downtime", type=_number, default=0.0, help="mean downtime D")
     p_mc.add_argument(
         "--retry-interval",
-        type=float,
+        type=_number,
         default=1.0,
         help="base wait before a backoff_retry resubmission",
     )
     p_mc.add_argument(
         "--backoff",
-        type=float,
+        type=_number,
         default=2.0,
         help="multiplier applied to the backoff_retry wait per retry",
     )
     p_mc.add_argument(
         "--max-interval",
-        type=float,
+        type=_number,
         default=8.0,
         help="cap on the grown backoff_retry wait (0 = uncapped)",
     )
@@ -955,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc.add_argument(
         "--target-ci",
-        type=float,
+        type=_number,
         default=None,
         metavar="REL",
         help="stop sampling once the 99%% CI half-width is within REL of "

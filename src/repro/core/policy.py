@@ -144,9 +144,9 @@ class FailurePolicy:
                 f"max_tries must be >= 1 (the first attempt) or None, "
                 f"got {self.max_tries}"
             )
-        if self.interval < 0:
+        if not self.interval >= 0:
             raise PolicyError(f"interval must be >= 0, got {self.interval}")
-        if self.attempt_timeout is not None and self.attempt_timeout <= 0:
+        if self.attempt_timeout is not None and not self.attempt_timeout > 0:
             raise PolicyError(
                 f"attempt_timeout must be positive or None, "
                 f"got {self.attempt_timeout}"
@@ -157,11 +157,11 @@ class FailurePolicy:
             raise PolicyError(
                 f"invalid resource selection: {self.resource_selection!r}"
             )
-        if self.backoff_factor < 1.0:
+        if not self.backoff_factor >= 1.0:
             raise PolicyError(
                 f"backoff_factor must be >= 1.0, got {self.backoff_factor}"
             )
-        if self.max_interval is not None and self.max_interval <= 0:
+        if self.max_interval is not None and not self.max_interval > 0:
             raise PolicyError(
                 f"max_interval must be positive or None, got {self.max_interval}"
             )

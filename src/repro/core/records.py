@@ -11,9 +11,8 @@ and :class:`~repro.wpdl.model.TransitionCondition`,
 :class:`~repro.engine.engine.WorkflowResult`) list :class:`FrozenRecord`
 first among their bases and keep the dataclass contract: equal only to a
 record of the very same class with equal fields, hashed over their fields
-(the same value a frozen dataclass hashes to), and not ordered.  Anything
-that renders a value (``repro.detection.messages.encode``, the log's JSON
-views) renders one as it rendered the dataclass.
+(the same value a frozen dataclass hashes to), and not ordered.  The log's
+JSON views render one as they rendered the dataclass.
 
 >>> from typing import NamedTuple
 >>> class _PointFields(NamedTuple):

@@ -24,8 +24,6 @@ from .messages import (
     Message,
     TaskEnd,
     TaskStart,
-    decode,
-    encode,
 )
 
 __all__ = [
@@ -49,6 +47,4 @@ __all__ = [
     "Message",
     "TaskEnd",
     "TaskStart",
-    "decode",
-    "encode",
 ]

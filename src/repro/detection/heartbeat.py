@@ -176,10 +176,6 @@ class HeartbeatMonitor:
 
     # -- queries ----------------------------------------------------------------------
 
-    def is_suspected(self, hostname: str) -> bool:
-        record = self._hosts.get(hostname)
-        return bool(record and record.suspected)
-
     def liveness(self, hostname: str) -> HostLiveness | None:
         return self._hosts.get(hostname)
 

@@ -223,17 +223,6 @@ class WorkflowInstance:
 
     # -- edge access --------------------------------------------------------------
 
-    def incoming_states(self, name: str) -> list[EdgeState]:
-        return [self.edges[i] for i in self.incoming_indices(name)]
-
-    def outgoing_indices(self, name: str) -> list[int]:
-        node = self.compiled.nodes.get(name)
-        return list(node.outgoing) if node else []
-
-    def incoming_indices(self, name: str) -> list[int]:
-        node = self.compiled.nodes.get(name)
-        return list(node.incoming) if node else []
-
     def set_edge(self, index: int, state: EdgeState) -> None:
         previous = self.edges[index]
         if previous is not EdgeState.PENDING:

@@ -20,7 +20,7 @@ from .failures import FailureEvent, FailureScript, inject_crash, inject_partitio
 from .gram import GramConfig, GramService
 from .host import Host, HostState
 from .network import Network
-from .random import DEFAULT_SEED, RandomStreams, exponential_rate
+from .random import DEFAULT_SEED, RandomStreams
 from .resource import RELIABLE, UNRELIABLE, ResourceSpec
 from .simgrid import GridConfig, SimulatedGrid
 from .simkernel import PeriodicTask, SimKernel, SimReactor
@@ -45,7 +45,6 @@ __all__ = [
     "Network",
     "DEFAULT_SEED",
     "RandomStreams",
-    "exponential_rate",
     "RELIABLE",
     "UNRELIABLE",
     "ResourceSpec",

@@ -32,7 +32,6 @@ The behaviours here cover the paper's evaluation workloads:
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -75,7 +74,7 @@ class Step:
     payload: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.offset < 0:
+        if not self.offset >= 0:
             raise ValueError(f"step offset must be >= 0, got {self.offset!r}")
         if self.action not in {"start", "checkpoint", "exception", "crash", "end"}:
             raise ValueError(f"unknown step action: {self.action!r}")
@@ -133,7 +132,7 @@ class FixedDurationTask(TaskBehavior):
     result: Any = None
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
+        if not self.duration >= 0:
             raise ValueError(f"duration must be >= 0, got {self.duration!r}")
 
     def plan(self, ctx: PlanContext) -> list[Step]:
@@ -170,13 +169,13 @@ class CheckpointingTask(TaskBehavior):
     result: Any = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration!r}")
-        if self.checkpoints < 1:
+        if not self.checkpoints >= 1:
             raise ValueError(
                 f"checkpoints must be >= 1, got {self.checkpoints!r}"
             )
-        if self.overhead < 0 or self.recovery_time < 0:
+        if not (self.overhead >= 0 and self.recovery_time >= 0):
             raise ValueError("overhead and recovery_time must be >= 0")
 
     @property
@@ -246,9 +245,9 @@ class ExceptionProneTask(TaskBehavior):
     result: Any = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration!r}")
-        if self.checks < 1:
+        if not self.checks >= 1:
             raise ValueError(f"checks must be >= 1, got {self.checks!r}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(
@@ -344,7 +343,7 @@ class FlakyTask(TaskBehavior):
     result: Any = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration!r}")
         if not 0.0 <= self.crash_probability <= 1.0:
             raise ValueError(
@@ -360,10 +359,3 @@ class FlakyTask(TaskBehavior):
         return self._validated(
             [Step(0.0, "start"), Step(self.duration, "end", {"result": self.result})]
         )
-
-
-# Guard against NaN sneaking into plans through arithmetic on parameters.
-def _finite(value: float, name: str) -> float:  # pragma: no cover - helper
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value

@@ -97,9 +97,6 @@ class Network:
         """Restore connectivity for *hostname*."""
         self._partitioned.discard(hostname)
 
-    def is_partitioned(self, hostname: str) -> bool:
-        return hostname in self._partitioned
-
     # -- sending ------------------------------------------------------------------
 
     def send(self, hostname: str, msg: Message) -> None:

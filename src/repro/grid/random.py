@@ -21,7 +21,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["RandomStreams", "exponential_rate", "DEFAULT_SEED"]
+__all__ = ["RandomStreams", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20030623  # HPDC'03 conference date — arbitrary but memorable
 
@@ -105,14 +105,3 @@ class RandomStreams:
         if p == 1.0:
             return True
         return bool(self.get(name).random() < p)
-
-    def spawn(self, suffix: str) -> "RandomStreams":
-        """Derive an independent child factory (e.g. one per replica run)."""
-        return RandomStreams(seed=(self.seed * 1_000_003 + _key_to_int(suffix)) % 2**63)
-
-
-def exponential_rate(mttf: float) -> float:
-    """Failure rate λ = 1/MTTF, with λ = 0 for an infinite MTTF."""
-    if mttf <= 0:
-        raise ValueError(f"mttf must be positive, got {mttf!r}")
-    return 0.0 if np.isinf(mttf) else 1.0 / mttf

@@ -65,19 +65,19 @@ class ResourceSpec:
     def __post_init__(self) -> None:
         if not self.hostname:
             raise ValueError("hostname must be non-empty")
-        if self.speed <= 0:
+        if not self.speed > 0:
             raise ValueError(f"speed must be positive, got {self.speed!r}")
-        if self.mttf <= 0:
+        if not self.mttf > 0:
             raise ValueError(f"mttf must be positive, got {self.mttf!r}")
-        if self.mean_downtime < 0:
+        if not self.mean_downtime >= 0:
             raise ValueError(
                 f"mean_downtime must be >= 0, got {self.mean_downtime!r}"
             )
-        if self.heartbeat_period <= 0:
+        if not self.heartbeat_period > 0:
             raise ValueError(
                 f"heartbeat_period must be positive, got {self.heartbeat_period!r}"
             )
-        if self.slots is not None and self.slots < 1:
+        if self.slots is not None and not self.slots >= 1:
             raise ValueError(f"slots must be >= 1 or None, got {self.slots!r}")
 
     @property

@@ -18,7 +18,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..ckpt.store import CheckpointStore, MemoryCheckpointStore
 from ..detection.messages import Message
@@ -128,9 +128,6 @@ class SimulatedGrid(ExecutionService):
         )
         self.hosts[spec.hostname] = host
         return host
-
-    def add_hosts(self, specs: Iterable[ResourceSpec]) -> list[Host]:
-        return [self.add_host(spec) for spec in specs]
 
     def install(self, hostname: str, executable: str, behavior: TaskBehavior) -> None:
         """Install *behavior* as *executable* on one host."""

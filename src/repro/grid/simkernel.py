@@ -137,7 +137,7 @@ class SimKernel:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         """Run *callback* ``delay`` virtual seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
         timers = self._timers
         seq = timers.next_seq
@@ -177,7 +177,7 @@ class SimKernel:
         if handle[_CALLBACK] is not _FIRED:
             raise ValueError("only a timer that has fired can be re-armed")
         now = self._now
-        if when < now:
+        if not when >= now:
             raise ValueError(f"cannot schedule in the past (when={when!r})")
         timers = self._timers
         if seq is None:
@@ -292,7 +292,7 @@ class PeriodicTask:
         *,
         start_delay: float | None = None,
     ) -> None:
-        if period <= 0:
+        if not period > 0:
             raise ValueError(f"period must be positive, got {period!r}")
         self._kernel = kernel
         self._period = period
@@ -317,10 +317,6 @@ class PeriodicTask:
         self._stopped = True
         self._handle.cancel()
         self._armed = None  # a reference back to this task through _tick
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
 
 
 class SimReactor(Reactor):

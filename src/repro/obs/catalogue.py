@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from ..detection import detector, heartbeat
 from ..engine import engine, host, recovery
+from ..sim import adaptive, engine_mc, parallel
 from . import estimators, health, observer
 from .metrics import MetricSpec
 
@@ -36,7 +37,7 @@ def metric_specs() -> list[MetricSpec]:
     """Declared families, in declaration order, module by module."""
     return [
         value
-        for module in (observer, estimators)
+        for module in (observer, estimators, engine_mc, parallel, adaptive)
         for value in vars(module).values()
         if isinstance(value, MetricSpec)
     ]

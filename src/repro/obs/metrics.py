@@ -2,17 +2,11 @@
 
 The registry is the quantitative half of :mod:`repro.obs` (spans are the
 temporal half).  Instruments are keyed by ``(family name, sorted labels)``
-so one call site can fan out per technique / task / host without
-pre-declaring series::
-
-    registry = MetricsRegistry()
-    registry.counter("recovery_retries_total", activity="FU").inc()
-    registry.histogram("task_attempt_sim_seconds", technique="retrying").observe(31.4)
-
-A call site that fires per event declares its family once, as a
-module-level :class:`MetricSpec`, and resolves instruments through the
-registry's bound family — one ``dict.get`` on the tuple of label values;
-the label key is built only the first time a label set is seen::
+so one call site can fan out per technique / task / host.  There is one
+way to make an instrument: the code that emits a family declares it once,
+as a module-level :class:`MetricSpec`, and resolves instruments through
+the registry's bound family — one ``dict.get`` on the tuple of label
+values; the label key is built only the first time a label set is seen::
 
     RETRIES = MetricSpec(
         "recovery_retries_total", "counter", "resubmissions", ("activity",)
@@ -20,8 +14,8 @@ the label key is built only the first time a label set is seen::
     retries = registry.family(RETRIES)      # once per registry
     retries.labels("FU").inc()              # per event
 
-The keyword form above is the same lookup reached by keyword: both land
-in the same bound family and the same series table.
+Every declaration is a row of the README's metric catalogue
+(:mod:`repro.obs.catalogue`).
 
 Design constraints, in order:
 
@@ -251,11 +245,6 @@ class MetricsRegistry:
         #: One bound family per declared (name, label names) ever asked
         #: for; holders keep theirs across a clear().
         self._bound: dict[tuple, BoundFamily] = {}
-        #: The keyword form's bound families, per (name, label names as
-        #: passed).  Nobody holds one and each exists only while its
-        #: family does — kind, help and buckets are the family's, so
-        #: :meth:`clear` drops them with the families.
-        self._by_keyword: dict[tuple[str, tuple[str, ...]], BoundFamily] = {}
 
     # -- instrument lookup ---------------------------------------------------
 
@@ -302,41 +291,6 @@ class MetricsRegistry:
             family.series[key] = instrument
         bound._children[texts] = instrument
         return instrument
-
-    def _keyword(
-        self,
-        name: str,
-        kind: str,
-        help: str,
-        buckets: tuple[float, ...] | None,
-        labels: Mapping[str, Any],
-    ):
-        family = self._families.get(name)
-        if family is not None and family.kind != kind:
-            raise _kind_mismatch(name, family.kind, kind)
-        names = tuple(labels)
-        bound = self._by_keyword.get((name, names))
-        if bound is None:
-            bound = self._by_keyword[name, names] = BoundFamily(
-                self, MetricSpec(name, kind, help, names, buckets)
-            )
-        return bound.labels(*labels.values())
-
-    def counter(self, name: str, *, help: str = "", **labels: Any) -> Counter:
-        return self._keyword(name, "counter", help, None, labels)
-
-    def gauge(self, name: str, *, help: str = "", **labels: Any) -> Gauge:
-        return self._keyword(name, "gauge", help, None, labels)
-
-    def histogram(
-        self,
-        name: str,
-        *,
-        help: str = "",
-        buckets: tuple[float, ...] | None = None,
-        **labels: Any,
-    ) -> Histogram:
-        return self._keyword(name, "histogram", help, buckets, labels)
 
     # -- iteration / queries -------------------------------------------------
 
@@ -404,34 +358,26 @@ class MetricsRegistry:
         worker) into this one: counters and histograms add, gauges take
         the snapshot's value."""
         for name, family_snap in snapshot.items():
-            kind = family_snap["kind"]
+            kind, text = family_snap["kind"], family_snap["help"]
             buckets = family_snap.get("buckets")
             buckets = tuple(buckets) if buckets else None
             for record in family_snap["series"]:
                 labels = record["labels"]
+                spec = MetricSpec(name, kind, text, tuple(labels), buckets)
+                instrument = self.family(spec).labels(*labels.values())
                 if kind == "counter":
-                    self.counter(name, help=family_snap["help"], **labels).inc(
-                        record["value"]
-                    )
+                    instrument.inc(record["value"])
                 elif kind == "gauge":
-                    self.gauge(name, help=family_snap["help"], **labels).set(
-                        record["value"]
-                    )
+                    instrument.set(record["value"])
                 else:
-                    hist = self.histogram(
-                        name,
-                        help=family_snap["help"],
-                        buckets=buckets,
-                        **labels,
-                    )
-                    if len(hist.counts) != len(record["counts"]):
+                    if len(instrument.counts) != len(record["counts"]):
                         raise MetricsError(
                             f"histogram {name!r} bucket layout mismatch on merge"
                         )
                     for i, n in enumerate(record["counts"]):
-                        hist.counts[i] += n
-                    hist.sum += record["sum"]
-                    hist.count += record["count"]
+                        instrument.counts[i] += n
+                    instrument.sum += record["sum"]
+                    instrument.count += record["count"]
 
     def clear(self) -> None:
         """Drop every family and series (and what the bound families
@@ -439,4 +385,3 @@ class MetricsRegistry:
         for bound in self._bound.values():
             bound._children.clear()
         self._families.clear()
-        self._by_keyword.clear()

@@ -18,7 +18,6 @@ entry complaining about itself rather than a crashed run.
 from __future__ import annotations
 
 import json
-import os
 from typing import IO, Any
 
 from ..events import EventBus
@@ -96,19 +95,3 @@ class FlightRecorder(LogConsumer):
             "overwritten": recorded - retained,
             "spilled": self._spilled,
         }
-
-    def dump(self, path: str) -> int:
-        """Write the journal to *path* as JSON lines, atomically.
-
-        The file appears complete or not at all (``.tmp`` + rename), and
-        carries the same version header as a spill file.  Returns the
-        number of entries written.
-        """
-        entries = self.entries
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"journal_version": JOURNAL_VERSION}) + "\n")
-            for entry in entries:
-                fh.write(json.dumps(entry) + "\n")
-        os.replace(tmp, path)
-        return len(entries)

@@ -107,7 +107,7 @@ class RealTimeReactor(Reactor):
         return time.monotonic() - self._origin
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"delay must be >= 0, got {delay!r}")
         with self._cond:
             handle = self._timers.push(

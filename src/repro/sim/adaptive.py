@@ -61,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SimulationError
+from ..obs.metrics import MetricSpec
 from .cache import SampleCache, resolve_cache
 from .parallel import (
     DEFAULT_RUN_TIMEOUT,
@@ -92,6 +93,19 @@ __all__ = [
     "pair_means",
     "resolve_variance_reduction",
 ]
+
+MC_DISK_CACHE_HITS = MetricSpec(
+    "mc_disk_cache_hits_total",
+    "counter",
+    "sample-vector lookups in the on-disk cache",
+    ("technique",),
+)
+MC_DISK_CACHE_MISSES = MetricSpec(
+    "mc_disk_cache_misses_total",
+    "counter",
+    "sample-vector lookups in the on-disk cache",
+    ("technique",),
+)
 
 #: Accepted ``variance_reduction=`` spellings.
 VR_MODES = (None, "antithetic", "crn")
@@ -664,13 +678,9 @@ def estimate_cells(
         if store is not None:
             hit = store.load(keys[i])
             if metrics is not None:
-                metrics.counter(
-                    "mc_disk_cache_hits_total"
-                    if hit is not None
-                    else "mc_disk_cache_misses_total",
-                    help="sample-vector lookups in the on-disk cache",
-                    technique=plan.technique,
-                ).inc()
+                metrics.family(
+                    MC_DISK_CACHE_MISSES if hit is None else MC_DISK_CACHE_HITS
+                ).labels(plan.technique).inc()
             if hit is not None and (
                 hit.size == plan.runs
                 if target is None

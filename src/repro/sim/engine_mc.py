@@ -41,6 +41,7 @@ from ..grid.behaviors import (
 )
 from ..grid.resource import ResourceSpec
 from ..grid.simgrid import GridConfig, SimulatedGrid
+from ..obs.metrics import ATTEMPT_BUCKETS, MetricSpec
 from ..wpdl.builder import WorkflowBuilder
 from ..wpdl.model import JoinMode, Workflow
 from .parallel import DEFAULT_RUN_TIMEOUT
@@ -54,6 +55,26 @@ __all__ = [
 ]
 
 _HOST_PREFIX = "node"
+
+MC_RUNS = MetricSpec(
+    "mc_runs_total",
+    "counter",
+    "engine-level Monte-Carlo runs executed",
+    ("technique",),
+)
+MC_ATTEMPTS = MetricSpec(
+    "mc_attempts",
+    "histogram",
+    "submission attempts consumed per run",
+    ("technique",),
+    ATTEMPT_BUCKETS,
+)
+MC_COMPLETION = MetricSpec(
+    "mc_completion_sim_seconds",
+    "histogram",
+    "virtual completion time per run",
+    ("technique",),
+)
 
 
 def _installs(
@@ -212,24 +233,14 @@ class EngineSampler:
             )
         metrics = self.metrics
         if metrics is not None:
-            from ..obs.metrics import ATTEMPT_BUCKETS
-
-            metrics.counter(
-                "mc_runs_total",
-                help="engine-level Monte-Carlo runs executed",
-                technique=self.technique,
-            ).inc()
-            metrics.histogram(
-                "mc_attempts",
-                help="submission attempts consumed per run",
-                buckets=ATTEMPT_BUCKETS,
-                technique=self.technique,
-            ).observe(float(sum(result.tries.values())))
-            metrics.histogram(
-                "mc_completion_sim_seconds",
-                help="virtual completion time per run",
-                technique=self.technique,
-            ).observe(result.completion_time)
+            technique = self.technique
+            metrics.family(MC_RUNS).labels(technique).inc()
+            metrics.family(MC_ATTEMPTS).labels(technique).observe(
+                float(sum(result.tries.values()))
+            )
+            metrics.family(MC_COMPLETION).labels(technique).observe(
+                result.completion_time
+            )
         return result.completion_time
 
 

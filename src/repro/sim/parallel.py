@@ -58,6 +58,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from ..errors import SimulationError
+from ..obs.metrics import MetricSpec
 from .params import SimulationParams
 from .pool import get_pool, sampler_cache_info, shutdown_pool, worker_sampler
 
@@ -76,6 +77,23 @@ SEED_STRIDE = 7919
 
 #: Default virtual-time budget for one engine run.
 DEFAULT_RUN_TIMEOUT = 10_000_000.0
+
+MC_POOL_SAMPLER_CACHE_HITS = MetricSpec(
+    "mc_pool_sampler_cache_hits_total",
+    "counter",
+    "shards served by an already-built worker sampler",
+)
+MC_POOL_SAMPLER_CACHE_MISSES = MetricSpec(
+    "mc_pool_sampler_cache_misses_total",
+    "counter",
+    "shards that had to build the sampler world",
+)
+MC_SHARD_WALL = MetricSpec(
+    "mc_shard_wall_seconds",
+    "histogram",
+    "wall-clock duration of one contiguous run shard",
+    ("technique",),
+)
 
 
 def seed_for(base_seed: int, index: int) -> int:
@@ -187,14 +205,12 @@ def _engine_shard(
     sampler = worker_sampler(technique, params, timeout)
     if registry is not None:
         cache_after = sampler_cache_info()
-        registry.counter(
-            "mc_pool_sampler_cache_hits_total",
-            help="shards served by an already-built worker sampler",
-        ).inc(cache_after["hits"] - cache_before["hits"])
-        registry.counter(
-            "mc_pool_sampler_cache_misses_total",
-            help="shards that had to build the sampler world",
-        ).inc(cache_after["misses"] - cache_before["misses"])
+        registry.family(MC_POOL_SAMPLER_CACHE_HITS).labels().inc(
+            cache_after["hits"] - cache_before["hits"]
+        )
+        registry.family(MC_POOL_SAMPLER_CACHE_MISSES).labels().inc(
+            cache_after["misses"] - cache_before["misses"]
+        )
     previous_metrics = sampler.metrics
     sampler.metrics = registry
     out = np.empty(stop - start)
@@ -215,11 +231,9 @@ def _engine_shard(
         sampler.metrics = previous_metrics
     if registry is None:
         return out, None
-    registry.histogram(
-        "mc_shard_wall_seconds",
-        help="wall-clock duration of one contiguous run shard",
-        technique=technique,
-    ).observe(time.perf_counter() - wall_start)
+    registry.family(MC_SHARD_WALL).labels(technique).observe(
+        time.perf_counter() - wall_start
+    )
     return out, registry.snapshot()
 
 

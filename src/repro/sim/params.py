@@ -78,36 +78,36 @@ class SimulationParams:
     seed: int = 20030623
 
     def __post_init__(self) -> None:
-        if self.failure_free_time <= 0:
+        if not self.failure_free_time > 0:
             raise SimulationError(
                 f"failure_free_time must be positive, got {self.failure_free_time!r}"
             )
-        if self.mttf <= 0:
+        if not self.mttf > 0:
             raise SimulationError(f"mttf must be positive, got {self.mttf!r}")
-        if self.downtime < 0:
+        if not self.downtime >= 0:
             raise SimulationError(f"downtime must be >= 0, got {self.downtime!r}")
         if self.downtime_distribution not in ("exponential", "fixed"):
             raise SimulationError(
                 "downtime_distribution must be 'exponential' or 'fixed', "
                 f"got {self.downtime_distribution!r}"
             )
-        if self.checkpoint_overhead < 0 or self.recovery_time < 0:
+        if not (self.checkpoint_overhead >= 0 and self.recovery_time >= 0):
             raise SimulationError("C and R must be >= 0")
-        if self.checkpoints < 1:
+        if not self.checkpoints >= 1:
             raise SimulationError(
                 f"checkpoints must be >= 1, got {self.checkpoints!r}"
             )
-        if self.replicas < 1:
+        if not self.replicas >= 1:
             raise SimulationError(f"replicas must be >= 1, got {self.replicas!r}")
-        if self.retry_interval < 0:
+        if not self.retry_interval >= 0:
             raise SimulationError(
                 f"retry_interval must be >= 0, got {self.retry_interval!r}"
             )
-        if self.backoff_factor < 1.0:
+        if not self.backoff_factor >= 1.0:
             raise SimulationError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
             )
-        if self.max_retry_interval is not None and self.max_retry_interval <= 0:
+        if self.max_retry_interval is not None and not self.max_retry_interval > 0:
             raise SimulationError(
                 "max_retry_interval must be positive or None, "
                 f"got {self.max_retry_interval!r}"
@@ -117,11 +117,11 @@ class SimulationParams:
                 "exception_probability must be in [0, 1], "
                 f"got {self.exception_probability!r}"
             )
-        if self.alternative_time <= 0:
+        if not self.alternative_time > 0:
             raise SimulationError(
                 f"alternative_time must be positive, got {self.alternative_time!r}"
             )
-        if self.runs < 1:
+        if not self.runs >= 1:
             raise SimulationError(f"runs must be >= 1, got {self.runs!r}")
 
     # -- derived quantities -----------------------------------------------------

@@ -594,9 +594,6 @@ class Workflow:
     def loops(self) -> list[Loop]:
         return [n for n in self.nodes.values() if isinstance(n, Loop)]
 
-    def subworkflows(self) -> list["SubWorkflow"]:
-        return [n for n in self.nodes.values() if isinstance(n, SubWorkflow)]
-
     def program_for(self, activity: Activity) -> Program | None:
         """The program implementing *activity* (None for dummies)."""
         if activity.implement is None:

@@ -12,6 +12,7 @@ from repro.engine.instance import NodeInstance
 from repro.engine.recovery import ActivityRun, TaskResolution, _Slot
 from repro.execution import SubmitRequest
 from repro.grid import RELIABLE, FixedDurationTask, SimulatedGrid
+from repro.obs import MetricSpec
 from repro.wpdl import JoinMode, WorkflowBuilder
 from repro.wpdl.model import Activity, CompiledNode, Transition, TransitionCondition
 
@@ -144,3 +145,11 @@ def two_reliable_hosts(grid: SimulatedGrid) -> SimulatedGrid:
 
 def install_fixed(grid: SimulatedGrid, host: str, name: str, duration: float, result=None):
     grid.install(host, name, FixedDurationTask(duration, result=result))
+
+
+def bound_series(registry, kind: str, name: str, *, help="", buckets=None, **labels):
+    """The *kind* instrument of *name* with *labels* in *registry*, bound
+    through a declaration made on the spot, as a module-level
+    :class:`~repro.obs.MetricSpec` would be."""
+    spec = MetricSpec(name, kind, help, tuple(labels), buckets)
+    return registry.family(spec).labels(*labels.values())

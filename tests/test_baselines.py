@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines import (
     PRESETS,
     TABLE1,
-    adaptive_best,
     adaptive_choice,
-    preset_for,
     table1_rows,
 )
-from repro.errors import SimulationError
 from repro.sim.params import SimulationParams
 
 
@@ -68,13 +63,9 @@ class TestPresets:
             "Condor-G",
         }
 
-    def test_preset_for_unknown_raises(self):
-        with pytest.raises(SimulationError):
-            preset_for("PVM")
-
     def test_preset_sampling_works(self):
         params = SimulationParams(mttf=20.0, runs=2000)
-        samples = preset_for("Condor-G").sample(params)
+        samples = PRESETS["Condor-G"].sample(params)
         assert samples.shape == (2000,)
         assert samples.min() >= 30.0
 
@@ -82,7 +73,7 @@ class TestPresets:
 class TestAdaptivePolicy:
     def test_adaptive_never_worse_than_any_preset(self):
         params = SimulationParams(mttf=15.0, runs=20_000)
-        best = adaptive_best(params)
+        _, best = adaptive_choice(params)
         for preset in PRESETS.values():
             assert best <= preset.sample(params).mean() * 1.03  # MC slack
 

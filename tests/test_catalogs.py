@@ -87,14 +87,6 @@ class TestDataCatalog:
         assert catalog.replicas_of("partial.dat") == []
         assert len(catalog.replicas_of("partial.dat", complete_only=False)) == 1
 
-    def test_locate_prefers_host(self, catalog):
-        assert catalog.locate("input.dat", prefer_host="h2").hostname == "h2"
-        assert catalog.locate("input.dat").hostname == "h1"
-
-    def test_locate_missing_raises(self, catalog):
-        with pytest.raises(CatalogError):
-            catalog.locate("partial.dat")
-
     def test_partial_replicas_for_cleanup(self, catalog):
         partials = catalog.partial_replicas()
         assert [p.logical_name for p in partials] == ["partial.dat"]
@@ -103,9 +95,6 @@ class TestDataCatalog:
         assert catalog.retract("partial.dat", "h1", "/tmp/partial.dat")
         assert catalog.partial_replicas() == []
         assert not catalog.retract("partial.dat", "h1", "/tmp/partial.dat")
-
-    def test_logical_names(self, catalog):
-        assert catalog.logical_names() == ["input.dat", "partial.dat"]
 
     def test_replica_validation(self):
         with pytest.raises(CatalogError):

@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.errors import GridError
+from repro.core.policy import FailurePolicy
+from repro.errors import GridError, ParseError, PolicyError, SimulationError
 from repro.gridspec import behavior_from_spec, build_grid, load_gridspec
+from repro.grid import ResourceSpec, SimKernel
 from repro.grid.behaviors import CheckpointingTask, FixedDurationTask
-from repro.sim import CITarget
+from repro.reactor import RealTimeReactor
+from repro.sim import CITarget, SimulationParams
+from repro.wpdl.parser import parse_wpdl
 
 WORKFLOW_XML = """
 <Workflow name='cliwf'>
@@ -116,6 +123,139 @@ class TestGridspec:
         path.write_text("[1, 2]")
         with pytest.raises(GridError, match="JSON object"):
             load_gridspec(path)
+
+
+def _misspelt(where: str) -> dict:
+    """``GRIDSPEC`` with one key it does not define, at *where*."""
+    spec = json.loads(json.dumps(GRIDSPEC))
+    if where == "top level":
+        spec["hots"] = []
+    elif where == "config":
+        spec["config"]["crash_detecton"] = "heartbeat"
+    elif where == "host":
+        spec["hosts"] = [{"hostname": "n1", "mtff": 20}]
+    elif where == "software entry":
+        spec["software"][0]["hostnme"] = "n1"
+    else:
+        spec["software"][0]["behavior"]["overhed"] = 2.0
+    return spec
+
+
+class TestOutsideInputIsChecked:
+    """A misspelt gridspec key and a NaN are refused where they enter:
+    neither builds a grid, a policy or a parameter set that then behaves
+    as if the input had said something else."""
+
+    @pytest.mark.parametrize(
+        "where, key, named",
+        [
+            ("top level", "hots", "gridspec"),
+            ("config", "crash_detecton", "grid config"),
+            ("host", "mtff", "host 'n1'"),
+            ("software entry", "hostnme", "software entry 'sum'"),
+            ("behavior", "overhed", "behavior type 'fixed'"),
+        ],
+    )
+    def test_a_gridspec_key_it_does_not_define_is_an_error(
+        self, where, key, named
+    ):
+        with pytest.raises(GridError) as info:
+            build_grid(_misspelt(where))
+        assert str(info.value) == f"{named}: unknown key {key!r}"
+
+    def test_a_misspelt_mttf_is_not_a_reliable_host(
+        self, workflow_file, tmp_path, capsys
+    ):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(_misspelt("host")))
+        code = main(["run", str(workflow_file), "--grid", str(grid_file)])
+        assert code == 2
+        assert "unknown key 'mtff'" in capsys.readouterr().err
+
+    def test_nan_is_refused_at_every_numeric_input(self):
+        nan = math.nan
+        params = (
+            "failure_free_time",
+            "mttf",
+            "downtime",
+            "checkpoint_overhead",
+            "recovery_time",
+            "checkpoints",
+            "replicas",
+            "retry_interval",
+            "backoff_factor",
+            "max_retry_interval",
+            "exception_probability",
+            "alternative_time",
+            "runs",
+        )
+        for field in params:
+            with pytest.raises(SimulationError):
+                SimulationParams(**{field: nan})
+        for field in ("speed", "mttf", "mean_downtime", "heartbeat_period", "slots"):
+            with pytest.raises(ValueError, match="nan"):
+                ResourceSpec(hostname="h", **{field: nan})
+        for field in ("interval", "backoff_factor", "max_interval", "attempt_timeout"):
+            with pytest.raises(PolicyError, match="nan"):
+                FailurePolicy(**{field: nan})
+        behaviors = (
+            {"type": "fixed", "duration": nan},
+            {
+                "type": "checkpointing",
+                "duration": 1.0,
+                "checkpoints": 2,
+                "overhead": nan,
+            },
+            {"type": "exception_prone", "duration": nan, "checks": 2, "probability": 1},
+            {"type": "flaky", "duration": nan, "crash_probability": 0.5},
+        )
+        for spec in behaviors:
+            with pytest.raises(GridError, match="invalid behavior spec"):
+                behavior_from_spec(spec)
+        kernel = SimKernel()
+        with pytest.raises(ValueError, match="nan"):
+            kernel.schedule(nan, lambda: None)
+        fired = kernel.schedule(1.0, lambda: None)
+        kernel.run()
+        with pytest.raises(ValueError, match="nan"):
+            kernel.rearm(fired, lambda: None, nan)
+        with pytest.raises(ValueError, match="nan"):
+            RealTimeReactor().call_later(nan, lambda: None)
+
+    def test_nan_in_a_specification_or_a_gridspec_is_refused(self, tmp_path):
+        for attribute in ('interval="nan"', 'timeout="nan"', 'backoff="nan"'):
+            text = WORKFLOW_XML.replace("'3'", f"'3' {attribute}")
+            with pytest.raises(ParseError, match="nan"):
+                parse_wpdl(text)
+        # Python's json reads NaN; the gridspec must not build a host of it.
+        path = tmp_path / "grid.json"
+        path.write_text('{"hosts": [{"hostname": "n1", "mttf": NaN}]}')
+        with pytest.raises(GridError, match="nan"):
+            load_gridspec(path)
+
+    def test_infinity_stays_a_valid_mttf(self):
+        assert SimulationParams(mttf=math.inf).failure_rate == 0.0
+        assert ResourceSpec(hostname="h", mttf=math.inf).reliable
+        build_grid({"hosts": [{"hostname": "n1", "mttf": math.inf}]})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "--technique", "retrying", "--mttf", "nan", "--runs", "100"],
+            ["mc", "--technique", "checkpointing", "--downtime", "nan"],
+            ["mc", "--technique", "retrying", "--mttf", "20,nan"],
+        ],
+        ids=["mttf", "downtime", "grid"],
+    )
+    def test_nan_on_the_command_line_exits_2_at_once(self, argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "nan" in done.stderr
 
 
 class TestCli:

@@ -20,11 +20,13 @@ from repro.engine import (
     load_checkpoint,
 )
 from repro.engine.checkpoint import EngineCheckpointer as Checkpointer
+from repro.engine.instance import WorkflowInstance
 from repro.errors import CheckpointError
 from repro.grid import (
     RELIABLE,
     CheckpointingTask,
     CrashingTask,
+    ExceptionProneTask,
     FixedDurationTask,
     GridConfig,
     SimulatedGrid,
@@ -323,3 +325,105 @@ class TestCheckpointFileFormat:
         ckpt.remove()
         ckpt.remove()
         assert not ckpt.exists()
+
+
+class _Reads(dict):
+    """One level of a checkpoint that remembers which of its keys were
+    read."""
+
+    def __init__(self, data) -> None:
+        super().__init__(data)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _unread(spec, state, coordinator) -> set[tuple[str, str]]:
+    """``(level, key)`` for every key *state* holds that ``restore`` (the
+    instance and its nodes) or ``_restore_slots`` (each activity's slots)
+    does not read."""
+    levels: list[tuple[str, _Reads]] = []
+
+    def level(name: str, data: dict) -> _Reads:
+        levels.append((name, _Reads(data)))
+        return levels[-1][1]
+
+    recovery = []
+    nodes = {}
+    for name, node in state["nodes"].items():
+        node = dict(node)
+        if node["exception"] is not None:
+            node["exception"] = level("exception", node["exception"])
+        slots = [level("slot", s) for s in node["recovery_state"].get("slots", ())]
+        if slots:
+            recovery.append((name, level("recovery_state", {"slots": slots})))
+        nodes[name] = level("node", node)
+    WorkflowInstance.restore(spec, level("instance", {**state, "nodes": nodes}))
+    for name, recovery_state in recovery:
+        coordinator._restore_slots(coordinator._runs[name], recovery_state)
+    return {(name, key) for name, data in levels for key in data.keys() - data.read}
+
+
+class TestCheckpointSchema:
+    def test_every_written_key_is_read_back(self, tmp_path):
+        """Every key ``WorkflowInstance.snapshot``, ``NodeInstance.snapshot``
+        and ``RecoveryCoordinator.snapshot_activity`` write is read by
+        ``restore`` / ``_restore_slots``: a field saved but never restored
+        is state a resume silently loses."""
+        path = tmp_path / "engine.ckpt"
+        spec = (
+            WorkflowBuilder("schema")
+            .program("solve", hosts=["h1"])
+            .program("probe", hosts=["h2"])
+            .variable("x", 1)
+            .activity("solve", implement="solve", policy=FailurePolicy.retrying(5))
+            .activity("probe", implement="probe")
+            .dummy("handled")
+            .on_exception("probe", "disk_full", "handled")
+            .build()
+        )
+
+        def grid():
+            grid = SimulatedGrid(config=GridConfig(heartbeats=False))
+            grid.add_host(RELIABLE("h1"))
+            grid.add_host(RELIABLE("h2"))
+            grid.install("h1", "solve", CheckpointingTask(duration=30.0, checkpoints=6))
+            grid.install(
+                "h2", "probe", ExceptionProneTask(duration=2.0, checks=1, probability=1)
+            )
+            return grid
+
+        grid1 = grid()
+        inject_crash(grid1.kernel, grid1.host("h1"), at=17.0, duration=0.0)
+        engine = WorkflowEngine(
+            spec, grid1, reactor=grid1.reactor, checkpointer=EngineCheckpointer(path)
+        )
+        engine.start()
+        grid1.kernel.run_until(18.0)  # probe failed on its exception; solve
+        engine._checkpoint()  # retries from its third checkpoint
+        state = json.loads(ET.fromstring(path.read_text()).find("InstanceState").text)
+        # Every optional part of the schema is there to be read.
+        assert state["nodes"]["probe"]["exception"]["name"] == "disk_full"
+        [slot] = state["nodes"]["solve"]["recovery_state"]["slots"]
+        assert slot["flag"] and slot["progress"] == 0.5
+
+        grid2 = grid()
+        resumed = WorkflowEngine.resume(str(path), grid2, reactor=grid2.reactor)
+        resumed.start()
+        grid2.kernel.run_until(0.1)  # solve is relaunched with its slot
+        assert _unread(spec, state, resumed.coordinator) == set()
+        # And a key written but not read is found, at any level.
+        state["nodes"]["probe"]["planted"] = 1
+        state["nodes"]["probe"]["exception"]["planted"] = 1
+        slot["planted"] = 1
+        assert _unread(spec, state, resumed.coordinator) == {
+            ("node", "planted"),
+            ("exception", "planted"),
+            ("slot", "planted"),
+        }

@@ -1,22 +1,12 @@
-"""Tests for host execution slots (jobmanager queueing) and the
-detection-service message wire format (encode/decode)."""
+"""Tests for host execution slots (jobmanager queueing)."""
 
 from __future__ import annotations
 
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.detection.messages import (
-    CheckpointNotice,
-    Done,
-    TaskEnd,
-    TaskStart,
-    decode,
-    encode,
-)
+from repro.detection.messages import TaskEnd
 from repro.execution import SubmitRequest
 from repro.grid import FixedDurationTask, GridConfig, ResourceSpec, SimulatedGrid
 
@@ -87,24 +77,3 @@ class TestSlots:
     def test_invalid_slots_rejected(self):
         with pytest.raises(ValueError):
             ResourceSpec(hostname="h", slots=0)
-
-
-class TestWireFormatProperty:
-    @given(
-        st.sampled_from(["task_start", "task_end", "checkpoint", "done"]),
-        st.text(min_size=1, max_size=12),
-        st.floats(0, 1e6, allow_nan=False),
-    )
-    @settings(max_examples=80)
-    def test_encode_decode_identity(self, kind, job_id, sent_at):
-        if kind == "task_start":
-            msg = TaskStart(sent_at=sent_at, job_id=job_id, hostname="h")
-        elif kind == "task_end":
-            msg = TaskEnd(sent_at=sent_at, job_id=job_id, hostname="h", result=None)
-        elif kind == "checkpoint":
-            msg = CheckpointNotice(
-                sent_at=sent_at, job_id=job_id, hostname="h", flag="f"
-            )
-        else:
-            msg = Done(sent_at=sent_at, job_id=job_id, hostname="h", exit_code=1)
-        assert decode(encode(msg)) == msg

@@ -46,9 +46,10 @@ class TestBasics:
             instance.node("ghost")
 
     def test_edge_queries(self, instance):
-        assert instance.outgoing_indices("a") == [0, 1]
-        assert instance.incoming_indices("b") == [0]
-        assert instance.incoming_states("c") == [EdgeState.PENDING]
+        nodes = instance.compiled.nodes
+        assert nodes["a"].outgoing == (0, 1)
+        assert nodes["b"].incoming == (0,) and nodes["c"].incoming == (1,)
+        assert instance.edges[1] is EdgeState.PENDING
 
     def test_set_edge_once(self, instance):
         instance.set_edge(0, EdgeState.FIRED)

@@ -1,8 +1,6 @@
-"""Unit tests for detection-service message types and wire format."""
+"""Unit tests for detection-service message types."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import pytest
 
@@ -17,8 +15,6 @@ from repro.detection.messages import (
     Heartbeat,
     TaskEnd,
     TaskStart,
-    decode,
-    encode,
 )
 from repro.engine.recovery import TaskResolution
 from repro.errors import DetectionError
@@ -37,53 +33,6 @@ ALL_MESSAGES = [
     Done(sent_at=6.0, job_id="j1", hostname="n1", exit_code=137, host_crashed=True),
 ]
 
-#: ``encode`` of each ``ALL_MESSAGES`` entry, as the dataclass messages
-#: (``dataclasses.asdict`` plus ``kind``) wrote it: the wire format.
-WIRE = [
-    {"sent_at": 1.0, "hostname": "n1", "seq": 7, "kind": "heartbeat"},
-    {"sent_at": 2.0, "job_id": "j1", "hostname": "n1", "kind": "task_start"},
-    {
-        "sent_at": 3.0,
-        "job_id": "j1",
-        "hostname": "n1",
-        "result": {"sum": 42},
-        "kind": "task_end",
-    },
-    {
-        "sent_at": 4.0,
-        "job_id": "j1",
-        "hostname": "n1",
-        "exception": {
-            "name": "disk_full",
-            "message": "no space",
-            "data": {"free_gb": 0.1},
-        },
-        "kind": "exception",
-    },
-    {
-        "sent_at": 5.0,
-        "job_id": "j1",
-        "hostname": "n1",
-        "flag": "k1",
-        "progress": 0.5,
-        "kind": "checkpoint",
-    },
-    {
-        "sent_at": 6.0,
-        "job_id": "j1",
-        "hostname": "n1",
-        "exit_code": 137,
-        "host_crashed": True,
-        "kind": "done",
-    },
-]
-
-
-@dataclass
-class Point:
-    x: int
-    y: list
-
 
 def records() -> list:
     """One record of each immutable type on the attempt path (built per
@@ -97,52 +46,7 @@ def records() -> list:
     ]
 
 
-class TestWireFormat:
-    @pytest.mark.parametrize("msg", ALL_MESSAGES, ids=lambda m: m.kind)
-    def test_encode_decode_roundtrip(self, msg):
-        back = decode(encode(msg))
-        # Tuples compare by value: the type must come back too.
-        assert back == msg and type(back) is type(msg)
-
-    @pytest.mark.parametrize(
-        "msg, wire", zip(ALL_MESSAGES, WIRE), ids=[m.kind for m in ALL_MESSAGES]
-    )
-    def test_encode_is_the_dataclass_wire_format(self, msg, wire):
-        payload = encode(msg)
-        assert payload == wire
-        assert list(payload) == list(wire)
-
-    def test_a_dataclass_in_a_result_is_rendered_as_asdict_did(self):
-        msg = TaskEnd(
-            sent_at=3.0,
-            job_id="j1",
-            hostname="n1",
-            result={"p": Point(1, [Point(2, [])]), "t": (Point(3, []), 4)},
-        )
-        assert encode(msg) == {
-            "sent_at": 3.0,
-            "job_id": "j1",
-            "hostname": "n1",
-            "result": {
-                "p": {"x": 1, "y": [{"x": 2, "y": []}]},
-                "t": ({"x": 3, "y": []}, 4),
-            },
-            "kind": "task_end",
-        }
-
-    def test_encode_includes_kind_discriminator(self):
-        payload = encode(Done(job_id="j"))
-        assert payload["kind"] == "done"
-
-    def test_decode_unknown_kind_rejected(self):
-        with pytest.raises(DetectionError, match="unknown message kind"):
-            decode({"kind": "bogus"})
-
-    def test_exception_payload_structure(self):
-        payload = encode(ALL_MESSAGES[3])
-        assert payload["exception"]["name"] == "disk_full"
-        assert payload["exception"]["data"] == {"free_gb": 0.1}
-
+class TestRecords:
     def test_messages_are_frozen(self):
         # And every other record on the attempt path.
         for record in records():

@@ -269,7 +269,7 @@ class TestCancellation:
         assert irrelevant_running_nodes(inst) == ["slow"]
         cancel_node(inst, "slow")
         assert inst.node("slow").status is NodeStatus.CANCELLED
-        assert inst.incoming_states("j")[1] is EdgeState.DEAD_OK
+        assert inst.edges[inst.compiled.nodes["j"].incoming[1]] is EdgeState.DEAD_OK
 
     def test_running_node_feeding_pending_target_is_relevant(self):
         wf = WorkflowBuilder("w").dummy("a").dummy("b").transition("a", "b").build()

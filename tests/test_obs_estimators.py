@@ -32,6 +32,7 @@ from repro.obs import (
     prometheus_text,
     wilson_interval,
 )
+from tests.helpers import bound_series
 
 
 class TestEwma:
@@ -370,27 +371,36 @@ class TestEstimatorSuite:
 
 def export_every_activity(suite: EstimatorSuite, registry: MetricsRegistry) -> None:
     """The reference: every activity estimator, in key order, through a
-    fresh keyword gauge lookup and a fresh Wilson interval, every time."""
+    gauge bound through a fresh declaration and a fresh Wilson interval,
+    every time."""
     for key in sorted(suite.activities):
         estimator = suite.activities[key]
         low, high = wilson_interval(estimator.failures, estimator.attempts)
         labels = {"workflow": key[0], "activity": key[1]}
-        registry.gauge(
+        bound_series(
+            registry,
+            "gauge",
             "obs_attempt_failure_probability",
             help="attempt failures / attempts",
             **labels,
         ).set(estimator.failure_probability())
-        registry.gauge(
+        bound_series(
+            registry,
+            "gauge",
             "obs_attempt_failure_wilson_low",
             help="Wilson 95% lower bound on the failure probability",
             **labels,
         ).set(low)
-        registry.gauge(
+        bound_series(
+            registry,
+            "gauge",
             "obs_attempt_failure_wilson_high",
             help="Wilson 95% upper bound on the failure probability",
             **labels,
         ).set(high)
-        registry.gauge(
+        bound_series(
+            registry,
+            "gauge",
             "obs_attempts_total",
             help="terminal attempt outcomes observed",
             **labels,
@@ -464,7 +474,9 @@ class TestExportOfWhatChanged:
         registry, reference = MetricsRegistry(), MetricsRegistry()
         suite.export(registry)
         stray = MetricsRegistry()
-        stray.gauge("obs_attempts_total", workflow="wf-1", activity="task").set(99)
+        bound_series(
+            stray, "gauge", "obs_attempts_total", workflow="wf-1", activity="task"
+        ).set(99)
         registry.merge(stray.snapshot())
         assert registry.value(
             "obs_attempts_total", workflow="wf-1", activity="task"

@@ -19,14 +19,19 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from tests.helpers import bound_series
 
 
 def small_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
-    reg.counter("jobs_total", help="jobs submitted", technique="retrying").inc()
-    reg.counter("jobs_total", technique="checkpointing").inc(2)
-    reg.gauge("pool_workers", help="live workers").set(4)
-    hist = reg.histogram(
+    bound_series(
+        reg, "counter", "jobs_total", help="jobs submitted", technique="retrying"
+    ).inc()
+    bound_series(reg, "counter", "jobs_total", technique="checkpointing").inc(2)
+    bound_series(reg, "gauge", "pool_workers", help="live workers").set(4)
+    hist = bound_series(
+        reg,
+        "histogram",
         "attempt_seconds",
         help="per-attempt sim seconds",
         buckets=(1.0, 10.0),
@@ -67,13 +72,13 @@ class TestPrometheusText:
 
     def test_dotted_names_and_label_escaping(self):
         reg = MetricsRegistry()
-        reg.counter("sim.events", path='a"b\\c').inc()
+        bound_series(reg, "counter", "sim.events", path='a"b\\c').inc()
         text = prometheus_text(reg)
         assert 'sim_events{path="a\\"b\\\\c"} 1.0' in text
 
     def test_infinite_gauge_value(self):
         reg = MetricsRegistry()
-        reg.gauge("mttf").set(float("inf"))
+        bound_series(reg, "gauge", "mttf").set(float("inf"))
         assert "mttf +Inf" in prometheus_text(reg)
 
 
@@ -191,7 +196,7 @@ class TestHistogramSumProperty:
     @settings(max_examples=120)
     def test_bucket_counts_sum_to_count(self, bounds, values):
         reg = MetricsRegistry()
-        hist = reg.histogram("h", buckets=bounds, technique="t")
+        hist = bound_series(reg, "histogram", "h", buckets=bounds, technique="t")
         for v in values:
             hist.observe(v)
         # Registry invariant: non-cumulative buckets partition the

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, Series, TimeSeriesStore
+from tests.helpers import bound_series
 
 T, N, SUM, MIN, MAX, LAST = range(6)
 
@@ -171,9 +172,9 @@ def test_collected_flat_rings_equal_list_rings_observed_every_tick(ops, capacity
 
     for op in ops:
         if op[0] == "set":
-            registry.gauge("g", i=op[1]).set(op[2])
+            bound_series(registry, "gauge", "g", i=op[1]).set(op[2])
         elif op[0] == "inc":
-            registry.gauge("g", i=op[1]).inc(op[2])
+            bound_series(registry, "gauge", "g", i=op[1]).inc(op[2])
         elif op[0] == "tick":
             for _ in range(op[2]):
                 now += op[1]
@@ -192,7 +193,7 @@ def test_collected_flat_rings_equal_list_rings_observed_every_tick(ops, capacity
             registry.clear()
         elif op[0] == "merge":
             other = MetricsRegistry()
-            other.gauge("g", i=op[1]).set(op[2])
+            bound_series(other, "gauge", "g", i=op[1]).set(op[2])
             registry.merge(other.snapshot())
         else:
             store.observe("g", op[2], op[3], i=op[1])

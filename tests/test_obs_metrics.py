@@ -3,12 +3,14 @@ registry keying, disabled no-ops and cross-process snapshot/merge."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.obs import (
     ATTEMPT_BUCKETS,
     DEFAULT_BUCKETS,
@@ -19,6 +21,8 @@ from repro.obs import (
     MetricSpec,
     MetricsRegistry,
 )
+from repro.obs.catalogue import metric_specs
+from tests.obs_plane import ObservedHost
 
 
 class TestInstruments:
@@ -77,37 +81,52 @@ class TestInstruments:
         Histogram(ATTEMPT_BUCKETS)
 
 
+def counter(name: str, *labels: str) -> MetricSpec:
+    return MetricSpec(name, "counter", "", labels)
+
+
+def gauge(name: str, *labels: str) -> MetricSpec:
+    return MetricSpec(name, "gauge", "", labels)
+
+
+def histogram(name: str, buckets, *labels: str) -> MetricSpec:
+    return MetricSpec(name, "histogram", "", labels, buckets)
+
+
+JOBS = counter("jobs_total", "technique")
+
+
 class TestRegistry:
     def test_same_labels_same_instrument(self):
         reg = MetricsRegistry()
-        a = reg.counter("jobs_total", technique="retrying")
-        b = reg.counter("jobs_total", technique="retrying")
+        a = reg.family(JOBS).labels("retrying")
+        b = reg.family(counter("jobs_total", "technique")).labels("retrying")
         assert a is b
-        reg.counter("jobs_total", technique="checkpointing").inc()
+        reg.family(JOBS).labels("checkpointing").inc()
         assert reg.value("jobs_total", technique="retrying") == 0.0
         assert reg.value("jobs_total", technique="checkpointing") == 1.0
 
     def test_label_order_is_irrelevant(self):
         reg = MetricsRegistry()
-        reg.counter("c", a="1", b="2").inc()
-        assert reg.counter("c", b="2", a="1").value == 1.0
+        reg.family(counter("c", "a", "b")).labels("1", "2").inc()
+        assert reg.family(counter("c", "b", "a")).labels("2", "1").value == 1.0
 
     def test_kind_mismatch_raises(self):
         reg = MetricsRegistry()
-        reg.counter("c").inc()
+        reg.family(counter("c")).labels().inc()
         with pytest.raises(MetricsError, match="is a counter"):
-            reg.gauge("c")
+            reg.family(gauge("c"))
 
     def test_value_absent_series(self):
         reg = MetricsRegistry()
         assert reg.value("nope") is None
-        reg.counter("c", x="1")
+        reg.family(counter("c", "x")).labels("1")
         assert reg.value("c", x="2") is None
         assert reg.get_histogram("nope") is None
 
     def test_clear_drops_everything(self):
         reg = MetricsRegistry()
-        reg.counter("c").inc()
+        reg.family(counter("c")).labels().inc()
         reg.clear()
         assert reg.snapshot() == {}
 
@@ -115,9 +134,9 @@ class TestRegistry:
 class TestSnapshotMerge:
     def test_roundtrip_counters_gauges_histograms(self):
         src = MetricsRegistry()
-        src.counter("c", help="count", k="v").inc(3)
-        src.gauge("g").set(4)
-        src.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
+        src.family(MetricSpec("c", "counter", "count", ("k",))).labels("v").inc(3)
+        src.family(gauge("g")).labels().set(4)
+        src.family(histogram("h", (1.0, 2.0))).labels().observe(1.5)
         dst = MetricsRegistry()
         dst.merge(src.snapshot())
         assert dst.snapshot() == src.snapshot()
@@ -125,8 +144,8 @@ class TestSnapshotMerge:
     def test_merge_adds_counters_and_histograms(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         for reg, n in ((a, 2), (b, 5)):
-            reg.counter("c").inc(n)
-            h = reg.histogram("h", buckets=(10.0,))
+            reg.family(counter("c")).labels().inc(n)
+            h = reg.family(histogram("h", (10.0,))).labels()
             h.observe(float(n))
             h.observe(100.0)
         a.merge(b.snapshot())
@@ -138,16 +157,16 @@ class TestSnapshotMerge:
 
     def test_merge_gauge_takes_snapshot_value(self):
         a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("g").set(1)
-        b.gauge("g").set(9)
+        a.family(gauge("g")).labels().set(1)
+        b.family(gauge("g")).labels().set(9)
         a.merge(b.snapshot())
         assert a.value("g") == 9.0
 
     def test_merge_bucket_mismatch_raises(self):
         a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", buckets=(1.0,)).observe(0.5)
+        a.family(histogram("h", (1.0,))).labels().observe(0.5)
         snap = a.snapshot()
-        b.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
+        b.family(histogram("h", (1.0, 2.0))).labels().observe(0.5)
         with pytest.raises(MetricsError, match="mismatch"):
             b.merge(snap)
 
@@ -176,13 +195,13 @@ class TestSnapshotMerge:
             (right, values[split:]),
         ):
             for v in chunk:
-                reg.histogram("h", buckets=(1.0, 100.0)).observe(v)
-                reg.counter("n").inc()
+                reg.family(histogram("h", (1.0, 100.0))).labels().observe(v)
+                reg.family(counter("n")).labels().inc()
         left.merge(right.snapshot())
         assert left.snapshot() == whole.snapshot()
 
 
-# -- bound families ≡ keyword lookups ------------------------------------------
+# -- every binding of a declaration reaches one instrument ----------------------
 
 _SPECS = (
     MetricSpec("c1", "counter", "one label", ("k",)),
@@ -196,18 +215,14 @@ _SPECS = (
 _label_values = st.sampled_from(["a", "b", "", "1", "1.0", "True", 1, 1.0, True, None])
 
 
-def _keyword_labels(spec: MetricSpec, values) -> dict:
-    """What a call site passes by keyword for these values."""
-    return dict(zip(spec.labels, values))
-
-
-def _by_keyword(registry, spec: MetricSpec, labels: dict, *, reverse=False):
+def _rebound(registry, spec: MetricSpec, values, *, reverse=False):
+    """The instrument reached through a declaration made anew — the same
+    one, or with its label names (and values) listed the other way round."""
+    labels, values = spec.labels, tuple(values)
     if reverse:
-        labels = dict(reversed(list(labels.items())))
-    lookup = getattr(registry, spec.kind)
-    if spec.kind == "histogram":
-        return lookup(spec.name, help=spec.help, buckets=spec.buckets, **labels)
-    return lookup(spec.name, help=spec.help, **labels)
+        labels, values = labels[::-1], values[::-1]
+    again = MetricSpec(spec.name, spec.kind, spec.help, labels, spec.buckets)
+    return registry.family(again).labels(*values)
 
 
 def _touch(instrument, kind: str) -> None:
@@ -218,7 +233,7 @@ def _touch(instrument, kind: str) -> None:
 
 
 _lookups = st.tuples(
-    st.sampled_from(["bound", "keyword", "reversed"]),
+    st.sampled_from(["bound", "rebound", "reversed"]),
     st.integers(0, len(_SPECS) - 1),
     st.lists(_label_values, min_size=2, max_size=2),
 )
@@ -234,7 +249,7 @@ _bound_ops = st.one_of(
 class TestBoundFamilies:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_bound_ops, max_size=30))
-    def test_bound_child_is_the_keyword_instrument_in_first_use_order(self, ops):
+    def test_every_binding_is_one_instrument_in_first_use_order(self, ops):
         registry = MetricsRegistry()
         bound = [registry.family(spec) for spec in _SPECS]  # bound up front
         assert registry.snapshot() == {}  # ...which registers nothing
@@ -256,18 +271,17 @@ class TestBoundFamilies:
                 how, index, pair = op
                 spec = _SPECS[index]
                 values = tuple(pair[: len(spec.labels)])
-            labels = _keyword_labels(spec, values)
             if how == "bound":
                 instrument = bound[_SPECS.index(spec)].labels(*values)
             else:
-                instrument = _by_keyword(
-                    registry, spec, labels, reverse=how == "reversed"
+                instrument = _rebound(
+                    registry, spec, values, reverse=how == "reversed"
                 )
             # Whichever way it was reached, it is the one object.
             assert instrument is bound[_SPECS.index(spec)].labels(*values)
-            assert instrument is _by_keyword(registry, spec, labels)
+            assert instrument is _rebound(registry, spec, values, reverse=True)
             assert instrument is registry.family(spec).labels(*values)
-            key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+            key = tuple(sorted((k, str(v)) for k, v in zip(spec.labels, values)))
             series = model.setdefault(spec.name, {})
             if op[0] == "merge":
                 # A gauge takes the merged value; the others add it.
@@ -291,7 +305,7 @@ class TestBoundFamilies:
             for family in registry.families()
             for instrument in family.series.values()
         }
-        for family in (*registry._bound.values(), *registry._by_keyword.values()):
+        for family in registry._bound.values():
             assert all(id(child) in live for child in family._children.values())
 
     def test_values_that_are_equal_but_print_differently_stay_apart(self):
@@ -303,21 +317,24 @@ class TestBoundFamilies:
             family.labels(True),
             family.labels("1"),
         )
-        assert one is text and one is registry.counter("c1", k=1)
-        assert float_one is registry.counter("c1", k="1.0") and float_one is not one
-        assert true is registry.counter("c1", k=True) and true is not one
+        assert one is text
+        assert float_one is family.labels("1.0") and float_one is not one
+        assert true is family.labels("True") and true is not one
         assert family.labels(1.0) is float_one  # and again, after the table filled
+        assert [s["labels"] for s in registry.snapshot()["c1"]["series"]] == [
+            {"k": "1"},
+            {"k": "1.0"},
+            {"k": "True"},
+        ]
 
     def test_an_empty_label_value_stays_on_the_series(self):
         # No label is optional: a series always carries every declared
         # label, so one family has one key shape.
         registry = MetricsRegistry()
         family = registry.family(_SPECS[1])
-        assert family.labels("a", "") is registry.counter("c2", k="a", workflow="")
-        assert family.labels("a", "") is not registry.counter("c2", k="a")
-        assert family.labels("a", "mosaic") is registry.counter(
-            "c2", k="a", workflow="mosaic"
-        )
+        by_k = registry.family(counter("c2", "k"))
+        assert family.labels("a", "") is not by_k.labels("a")
+        assert family.labels("a", "") is not family.labels("a", "mosaic")
         assert [s["labels"] for s in registry.snapshot()["c2"]["series"]] == [
             {"k": "a", "workflow": ""},
             {"k": "a"},
@@ -330,7 +347,7 @@ class TestBoundFamilies:
             registry.family(_SPECS[0]).labels("a", "b")
         registry.family(_SPECS[0]).labels("a")
         with pytest.raises(MetricsError, match="is a counter"):
-            registry.gauge("c1", k="a")
+            registry.family(gauge("c1", "j")).labels("a")
         with pytest.raises(MetricsError, match="is a counter"):
             registry.family(MetricSpec("c1", "gauge", "", ("k",)))
 
@@ -342,48 +359,42 @@ class TestBoundFamilies:
         registry.clear()
         after = family.labels("a")
         assert after is not before and after.value == 0.0
-        assert after is registry.counter("c1", k="a")
+        assert after is registry.family(_SPECS[0]).labels("a")
+        assert registry.value("c1", k="a") == 0.0
 
     def test_a_cleared_name_can_come_back_as_another_kind(self):
+        # Under another declaration: a bound family holds its spec across
+        # a clear, so the same name and label names keep their kind.
         registry = MetricsRegistry()
-        registry.counter("x", k="a").inc()
+        registry.family(counter("x", "k")).labels("a").inc()
         registry.clear()
-        registry.gauge("x", k="a").set(3.0)
+        registry.family(gauge("x", "j")).labels("a").set(3.0)
         assert registry.snapshot()["x"]["kind"] == "gauge"
         registry.clear()
         other = MetricsRegistry()
-        other.histogram("x", buckets=(1.0, 2.0), k="a").observe(1.5)
+        other.family(histogram("x", (1.0, 2.0), "i")).labels("a").observe(1.5)
         registry.merge(other.snapshot())
         assert registry.snapshot()["x"] == other.snapshot()["x"]
 
     def test_a_cleared_histogram_takes_the_next_callers_buckets_and_help(self):
         registry = MetricsRegistry()
-        registry.histogram("h", help="old", buckets=(1.0, 2.0), k="a")
+        old = MetricSpec("h", "histogram", "old", ("k",), (1.0, 2.0))
+        new = MetricSpec("h", "histogram", "new", ("j",), (5.0,))
+        registry.family(old).labels("a")
         # While the family lives, the first declaration wins...
-        assert registry.histogram("h", help="new", buckets=(5.0,), k="b").bounds == (
-            1.0,
-            2.0,
-        )
+        assert registry.family(new).labels("b").bounds == (1.0, 2.0)
         registry.clear()
         # ...and once it is gone, nothing of it is left to win.
-        assert registry.histogram("h", help="new", buckets=(5.0,), k="a").bounds == (
-            5.0,
-        )
+        assert registry.family(new).labels("a").bounds == (5.0,)
         family = registry.snapshot()["h"]
         assert family["help"] == "new" and family["buckets"] == [5.0]
 
-    def test_a_refused_keyword_lookup_leaves_nothing_behind(self):
-        registry = MetricsRegistry()
-        registry.gauge("x", a="1")
-        with pytest.raises(MetricsError, match="is a gauge"):
-            registry.counter("x", b="2")
-        assert registry.gauge("x", b="2") is registry.gauge("x", b=2)
-
     def test_unhashable_label_values_resolve_by_their_text(self):
         registry = MetricsRegistry()
-        by_list = registry.counter("c1", k=[1, 2])
-        assert by_list is registry.counter("c1", k="[1, 2]")
-        assert by_list is registry.family(_SPECS[0]).labels([1, 2])
+        family = registry.family(_SPECS[0])
+        by_list = family.labels([1, 2])
+        assert by_list is family.labels("[1, 2]")
+        assert by_list is registry.family(counter("c1", "k")).labels([1, 2])
         assert registry.snapshot()["c1"]["series"][0]["labels"] == {"k": "[1, 2]"}
 
     def test_malformed_declarations_are_refused(self):
@@ -391,3 +402,21 @@ class TestBoundFamilies:
             MetricSpec("x", "summary")
         with pytest.raises(TypeError):  # no label is optional any more
             MetricSpec("x", "counter", "", ("a",), optional=("a",))
+
+
+def test_every_emitted_family_is_declared(tmp_path, monkeypatch, capsys):
+    """A registry holds only families some module declares, so the README's
+    catalogue lists everything a run can emit: here a tiny cached engine
+    ``mc --stats`` run twice (misses, then hits) and one observed batch."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    argv = ["mc", "--engine", "--stats", "--cache", "--json", "--jobs", "1"]
+    argv += ["--technique", "retrying", "--mttf", "20", "--runs", "4"]
+    emitted = set()
+    for _ in range(2):
+        assert main(argv) == 0
+        emitted |= set(json.loads(capsys.readouterr().out)["metrics"])
+    assert {"mc_disk_cache_misses_total", "mc_disk_cache_hits_total"} <= emitted
+    plane = ObservedHost(20030623)
+    plane.run_batch(10)
+    emitted |= {family.name for family in plane.observer.metrics.families()}
+    assert sorted(emitted - {spec.name for spec in metric_specs()}) == []

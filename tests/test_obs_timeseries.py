@@ -16,6 +16,7 @@ from repro.obs import (
     Series,
     TimeSeriesStore,
 )
+from tests.helpers import bound_series
 
 
 class TestSeries:
@@ -136,15 +137,17 @@ class TestTimeSeriesStore:
 
     def test_collect_samples_registry_families(self):
         registry = MetricsRegistry()
-        registry.counter("jobs_total", technique="retrying").inc(3)
-        registry.gauge("pool_workers").set(4.0)
-        hist = registry.histogram("attempt_seconds", buckets=(1.0, 10.0))
+        bound_series(registry, "counter", "jobs_total", technique="retrying").inc(3)
+        bound_series(registry, "gauge", "pool_workers").set(4.0)
+        hist = bound_series(
+            registry, "histogram", "attempt_seconds", buckets=(1.0, 10.0)
+        )
         hist.observe(0.5)
         hist.observe(5.0)
 
         store = TimeSeriesStore(step=5.0)
         store.collect(registry, now=0.0)
-        registry.counter("jobs_total", technique="retrying").inc(2)
+        bound_series(registry, "counter", "jobs_total", technique="retrying").inc(2)
         store.collect(registry, now=10.0)
 
         counter = store.get("jobs_total", technique="retrying")
@@ -189,7 +192,7 @@ class TestPeriodicCollector:
             estimators=_Recorder(log, "export"),
             health=_Recorder(log, "health"),
         )
-        registry.gauge("g").set(1.0)
+        bound_series(registry, "gauge", "g").set(1.0)
         collector.tick(now=7.0)
         assert log == ["fold", "scrape", "export", ("health", 7.0)]
         assert collector.ticks == 1
@@ -199,7 +202,7 @@ class TestPeriodicCollector:
 
     def test_recurring_timer_fires_on_the_reactor_cadence(self):
         registry = MetricsRegistry()
-        registry.gauge("g").set(2.0)
+        bound_series(registry, "gauge", "g").set(2.0)
         reactor = SimReactor()
         store = TimeSeriesStore(step=5.0)
         collector = PeriodicCollector(

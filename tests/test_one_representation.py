@@ -21,7 +21,11 @@ the strategy object that restated it, the resolver seam that swapped it and
 the per-crash decision record went, with the broker's resolve-everything
 call only its planning used.  Every rendered view reads a record as its
 journal entry, so the observer's second event shape and the trace layer
-over it went, with accessors only tests called.
+over it went, with accessors only tests called.  Nothing exists only for
+its tests: the message wire format, the second profiler, the registry's
+keyword-made instruments and the accessors only tests called went, and a
+census fails on a public name only tests read unless ``ONLY_TESTS`` says
+why it stays.
 One walk over ``src/repro`` keeps them deleted, and keeps the retry wait —
 and the decoding of a log record — in one place.
 """
@@ -31,7 +35,9 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import importlib
 import inspect
+import re
 from pathlib import Path
 
 import repro
@@ -216,6 +222,65 @@ GONE = {
     "on_crash",
     "unlimited_retries",
     "is_checkpoint_enabled",
+    # Nothing exists only for its tests: the message wire format, the second
+    # profiler, the registry's keyword-made instruments and accessors only
+    # tests called (``encode``, ``decode``, ``kind`` and ``_KINDS`` are
+    # common names: checked where they lived).
+    "_plain",
+    "profile_engine_mc",
+    "dump",
+    "counter",
+    "gauge",
+    "histogram",
+    "_keyword",
+    "_by_keyword",
+    "locate",
+    "logical_names",
+    "preset_for",
+    "adaptive_best",
+    "spawn",
+    "exponential_rate",
+    "subworkflows",
+    "add_hosts",
+    "is_partitioned",
+    "is_suspected",
+    "stopped",
+    "incoming_states",
+    "outgoing_indices",
+    "incoming_indices",
+}
+
+#: Public names under ``src/repro`` that nothing but tests reaches, kept on
+#: purpose: qualified name -> why it stays.
+ONLY_TESTS = {
+    "SoftwareCatalog": "Figure 7's software catalogue (computation -> programs)",
+    "SoftwareCatalog.implementations_of": "Figure 7: a computation's programs",
+    "SoftwareCatalog.locations_of": "Figure 7: the hosts a program is installed on",
+    "SoftwareCatalog.computations": "Figure 7: the computations catalogued",
+    "CheckpointStore.delete": "the store contract's garbage collection",
+    "MemoryCheckpointStore.delete": "the store contract's garbage collection",
+    "FileCheckpointStore": "the on-disk store for wall-clock (LocalExecutor) runs",
+    "FileCheckpointStore.delete": "the store contract's garbage collection",
+    "TaskContext.task_checkpoint": "task-side API, globus_FDS equivalent (DESIGN.md)",
+    "TaskContext.raise_exception": "task-side API, globus_FDS equivalent (DESIGN.md)",
+    "TaskContext.resuming": "task-side API: a task learns it restarts from a flag",
+    "FailureDetector.submission_rejected": "a seam the frozen ledger's trace names",
+    "Broker.set_query": "per-activity matchmaking for a '*' option (DESIGN.md)",
+    "FailureScript": "scripted faults: the base of scripted workloads",
+    "inject_partition": "scripted faults: a timed network partition",
+    "HealthEngine.reset_drift": "the way a latched drift alert resolves",
+    "young_checkpoint_count": "Young's interval as K, the analytical cross-check",
+    "run_engine_once": "the replay a failed pool run's message points to",
+    "pool_size": "the pool singleton's width, which a resize must change",
+    "clear_sampler_cache": "without it tests would reach into pool._SAMPLERS",
+    "fork_join": "a workload family the WPDL round-trip tests sweep",
+    "diamond_ladder": "a workload family the WPDL round-trip tests sweep",
+    "WorkflowBuilder.subworkflow": "builder form of WPDL's <SubWorkflow>",
+    "WorkflowBuilder.always": "builder form of an ALWAYS transition",
+    "WorkflowBuilder.redundant": "builder form of a '*' replicated activity",
+    "TransitionCondition.always": "the ALWAYS condition's constructor",
+    "Workflow.entry_nodes": "the graph's entries (DESIGN.md section 11)",
+    "Workflow.exit_nodes": "the graph's exits (DESIGN.md section 11)",
 }
 
 
@@ -287,6 +352,10 @@ def test_the_deleted_surface_stays_deleted():
     assert list(inspect.signature(HealthEngine).parameters) == ["clock", "bus"]
     assert not (SRC / "sim" / "exceptions_model.py").exists()
     assert not (SRC / "detection" / "log.py").exists()
+    # Messages are passed as objects: no wire format, no discriminator.
+    assert not {"encode", "decode", "_KINDS"} & set(vars(messages))
+    assert not [m for m in messages.Message.__args__ if hasattr(m, "kind")]
+    assert not (SRC / "sim" / "profile.py").exists()
     # A request names the job; the attempt's flag and instance go with the
     # submission (``checkpoint_flag`` is still the detector's, so these are
     # checked where they lived).
@@ -298,6 +367,79 @@ def test_the_deleted_surface_stays_deleted():
     assert not hasattr(SimReactor, "_has_work")
     assert not hasattr(Reactor, "_has_work")
     assert not hasattr(CheckpointManager, "reset")
+
+
+def _definitions(path: Path):
+    """``(qualified name, node)`` of every public function, class and
+    method *path* defines."""
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.name.startswith("_"):
+                    yield prefix + node.name, node
+                if isinstance(node, ast.ClassDef):
+                    yield from walk(node.body, f"{prefix}{node.name}.")
+
+    return walk(ast.parse(path.read_text()).body, "")
+
+
+def _overrides_a_foreign_base(path: Path, qualname: str) -> bool:
+    """Whether *qualname* is a method a base class outside ``repro``
+    defines (``do_GET``, ``log_message``): a protocol the base calls."""
+    owner, _, name = qualname.rpartition(".")
+    if not owner:
+        return False
+    module = ".".join(("repro", *path.relative_to(SRC).with_suffix("").parts))
+    cls = importlib.import_module(module.removesuffix(".__init__"))
+    for part in owner.split("."):
+        cls = getattr(cls, part)
+    return any(
+        name in vars(base)
+        for base in cls.__mro__[1:]
+        if not base.__module__.startswith("repro")
+    )
+
+
+def test_nothing_exists_only_for_its_tests():
+    """Every public function, class and method under ``src/repro`` is
+    read somewhere other than its own definition — in ``src/repro``,
+    ``benchmarks/``, ``examples/`` or the README — or is in
+    ``ONLY_TESTS`` with the reason it stays."""
+    root = SRC.parents[1]
+    files = [
+        *SRC.rglob("*.py"),
+        *(root / "benchmarks").rglob("*.py"),
+        *(root / "examples").rglob("*.py"),
+    ]
+    defined = [
+        (path, qualname, node)
+        for path in sorted(SRC.rglob("*.py"))
+        for qualname, node in _definitions(path)
+    ]
+    spans: dict[tuple[Path, str], list[tuple[int, int]]] = {}
+    for path, _, node in defined:
+        spans.setdefault((path, node.name), []).append((node.lineno, node.end_lineno))
+    read: set[str] = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            own = spans.get((path, name), ())
+            if not any(start <= node.lineno <= end for start, end in own):
+                read.add(name)
+    unread = {
+        qualname
+        for path, qualname, node in defined
+        if node.name not in read and not _overrides_a_foreign_base(path, qualname)
+    }
+    assert sorted(unread - set(ONLY_TESTS)) == []
+    # And the table names only what the census finds.
+    assert sorted(set(ONLY_TESTS) - unread) == []
 
 
 def test_a_record_on_the_attempt_path_is_a_tuple():

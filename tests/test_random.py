@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.grid.random import DEFAULT_SEED, RandomStreams, exponential_rate
+from repro.grid.random import DEFAULT_SEED, RandomStreams
 
 
 class TestStreams:
@@ -34,17 +34,12 @@ class TestStreams:
         without_other = s2.get("target").random(10)
         assert np.array_equal(with_other, without_other)
 
+    def test_default_seed_constant(self):
+        assert DEFAULT_SEED == 20030623
+
     def test_different_seeds_differ(self):
         a = RandomStreams(seed=1).get("x").random(20)
         b = RandomStreams(seed=2).get("x").random(20)
-        assert not np.allclose(a, b)
-
-    def test_spawn_derives_independent_factory(self):
-        parent = RandomStreams(seed=5)
-        child = parent.spawn("replica-1")
-        assert child.seed != parent.seed
-        a = parent.get("x").random(10)
-        b = child.get("x").random(10)
         assert not np.allclose(a, b)
 
 
@@ -91,18 +86,3 @@ class TestDistributions:
     def test_bernoulli_invalid_p(self):
         with pytest.raises(ValueError):
             RandomStreams().bernoulli("b", 1.5)
-
-
-class TestExponentialRate:
-    def test_reciprocal(self):
-        assert exponential_rate(20.0) == pytest.approx(0.05)
-
-    def test_infinite_mttf_rate_zero(self):
-        assert exponential_rate(math.inf) == 0.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            exponential_rate(-1.0)
-
-    def test_default_seed_constant(self):
-        assert DEFAULT_SEED == 20030623

@@ -238,38 +238,6 @@ class TestWorkerFailureContext:
         assert "run_index=" in msg and "seed=" in msg
 
 
-class TestProfileHelper:
-    def test_profiles_the_sampler_loop(self, monkeypatch):
-        import io
-
-        from repro.sim import profile
-        from repro.sim.profile import profile_engine_mc
-
-        per_run = []
-
-        class Counted(profile.EngineSampler):
-            def run(self, seed):
-                before = self.events_processed
-                try:
-                    return super().run(seed)
-                finally:
-                    per_run.append(self.events_processed - before)
-
-        monkeypatch.setattr(profile, "EngineSampler", Counted)
-        out = io.StringIO()
-        stats = profile_engine_mc(
-            "retrying", FAULTY, runs=5, sort="tottime", limit=5, stream=out
-        )
-        # Which rows make the printed top five is decided by the clock, and
-        # which frames the drain loop is made of by the kernel; that the
-        # profiled runs processed kernel events is decided by neither.
-        assert "function calls" in out.getvalue()
-        warmup, *profiled = per_run
-        assert len(profiled) == 5 and all(events > 0 for events in profiled)
-        # Every event is at least one profiled call (its callback).
-        assert stats.total_calls >= sum(profiled)
-
-
 class TestSweepParallel:
     def test_points_match_sequential_evaluation(self):
         params = SimulationParams(runs=500)

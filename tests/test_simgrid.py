@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.detection.messages import Done, TaskEnd
+from repro.detection.messages import Done, Heartbeat, TaskEnd
 from repro.errors import GridError
 from repro.execution import SubmitRequest
 from repro.grid import (
@@ -36,14 +36,10 @@ class TestConstruction:
         with pytest.raises(GridError):
             SimulatedGrid().host("nope")
 
-    def test_add_hosts_bulk(self):
-        grid = SimulatedGrid()
-        hosts = grid.add_hosts([RELIABLE("a"), RELIABLE("b")])
-        assert len(hosts) == 2 and set(grid.hosts) == {"a", "b"}
-
     def test_install_everywhere(self):
         grid = SimulatedGrid()
-        grid.add_hosts([RELIABLE("a"), RELIABLE("b")])
+        grid.add_host(RELIABLE("a"))
+        grid.add_host(RELIABLE("b"))
         grid.install_everywhere("t", FixedDurationTask(1.0))
         assert grid.host("a").resolve("t") is grid.host("b").resolve("t")
 
@@ -106,10 +102,13 @@ class TestFailureInjection:
         grid = SimulatedGrid(config=GridConfig(heartbeats=False))
         grid.add_host(RELIABLE("n1"))
         inject_partition(grid.kernel, grid.network, "n1", at=2.0, duration=4.0)
+        stats = grid.network.stats
         grid.kernel.run_until(3.0)
-        assert grid.network.is_partitioned("n1")
+        grid.network.send("n1", Heartbeat(hostname="n1"))
+        assert stats.dropped_partition == 1
         grid.kernel.run_until(7.0)
-        assert not grid.network.is_partitioned("n1")
+        grid.network.send("n1", Heartbeat(hostname="n1"))
+        assert stats.dropped_partition == 1
 
     def test_failure_script_fires_in_order(self):
         grid = SimulatedGrid(config=GridConfig(heartbeats=False))

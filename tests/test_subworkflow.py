@@ -80,10 +80,6 @@ class TestModel:
         )
         assert any("unknown program" in p for p in validation_problems(wf))
 
-    def test_listing_helper(self):
-        wf = WorkflowBuilder("o").subworkflow("s", inner_pipeline()).build()
-        assert [s.name for s in wf.subworkflows()] == ["s"]
-
 
 class TestEngine:
     def test_runs_body_once_and_merges_outputs(self):
