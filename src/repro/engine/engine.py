@@ -45,7 +45,7 @@ from ..detection.detector import FailureDetector
 from ..errors import EngineError, SpecificationError
 from ..events import EventBus
 from ..execution import ExecutionService
-from ..obs.tracectx import TraceContext, Tracer, stamp
+from ..obs.tracectx import UNTRACED, TraceContext, Tracer
 from ..reactor import Reactor
 from ..wpdl.conditions import evaluate_condition
 from ..wpdl.model import Activity, Loop, Parameter, Workflow
@@ -72,17 +72,88 @@ __all__ = [
     "ENGINE_NODE_COMPLETED",
     "ENGINE_NODE_CANCELLED",
     "ENGINE_WORKFLOW_FINISHED",
+    "NodeLaunched",
+    "NodeCompleted",
+    "NodeCancelled",
+    "WorkflowFinished",
+    "PAYLOADS",
 ]
 
-#: Bus topics for engine lifecycle events (payloads are plain dicts so
-#: subscribers — the trace recorder, UIs, tests — need no engine imports).
-#: Each publish site asks ``bus.wants(topic)`` before building its payload;
-#: trace contexts are minted outside that guard, so causal ids never depend
-#: on who is listening.
+#: Bus topics for engine lifecycle events.  Each carries its own minted
+#: ``NamedTuple`` (declared below it, listed in :data:`PAYLOADS`): one
+#: ``tuple.__new__`` per publish, nothing a consumer can alter, and the
+#: fields the journal entry (:func:`repro.obs.log.expand`) is made of, in
+#: its order.  The trace ids are the node's (the run's for
+#: ``workflow_finished``), ``None`` when the runtime has no tracer.  Each
+#: publish site asks ``bus.wants(topic)`` before minting its payload; trace
+#: contexts are minted outside that guard, so causal ids never depend on
+#: who is listening.
 ENGINE_NODE_LAUNCHED = "engine.node_launched"
 ENGINE_NODE_COMPLETED = "engine.node_completed"
 ENGINE_NODE_CANCELLED = "engine.node_cancelled"
 ENGINE_WORKFLOW_FINISHED = "engine.workflow_finished"
+
+
+class NodeLaunched(NamedTuple):
+    """A node entered RUNNING at ``at``."""
+
+    workflow: str
+    workflow_id: str
+    node: str
+    at: float
+    trace_id: str | None = None
+    span_id: str | None = None
+    parent_id: str | None = None
+
+
+class NodeCompleted(NamedTuple):
+    """A node resolved: its ``status``, the attempts it took and the name
+    of the exception it ended with, if any."""
+
+    workflow: str
+    workflow_id: str
+    node: str
+    status: str
+    tries: int
+    exception: str | None
+    at: float
+    trace_id: str | None = None
+    span_id: str | None = None
+    parent_id: str | None = None
+
+
+class NodeCancelled(NamedTuple):
+    """A running node was cancelled: its completion could no longer
+    influence navigation (the losing branch of an OR join)."""
+
+    workflow: str
+    workflow_id: str
+    node: str
+    at: float
+    trace_id: str | None = None
+    span_id: str | None = None
+    parent_id: str | None = None
+
+
+class WorkflowFinished(NamedTuple):
+    """The instance ended with ``status``; the ids are the run's root."""
+
+    workflow: str
+    workflow_id: str
+    status: str
+    at: float
+    trace_id: str | None = None
+    span_id: str | None = None
+    parent_id: str | None = None
+
+
+#: What each topic above carries.
+PAYLOADS = {
+    ENGINE_NODE_LAUNCHED: NodeLaunched,
+    ENGINE_NODE_COMPLETED: NodeCompleted,
+    ENGINE_NODE_CANCELLED: NodeCancelled,
+    ENGINE_WORKFLOW_FINISHED: WorkflowFinished,
+}
 
 _NODE_STATUS = {
     TaskState.DONE: NodeStatus.DONE,
@@ -131,7 +202,7 @@ class EngineRuntime:
     broker: Broker
     checkpoints: CheckpointManager = field(default_factory=CheckpointManager)
     #: Opt-in causal tracing: when set, every engine sharing this runtime
-    #: stamps trace/span ids onto its bus payloads (see
+    #: carries trace/span ids in its bus payloads (see
     #: :mod:`repro.obs.tracectx`).  ``None`` keeps the publish paths free
     #: of all tracing work beyond one ``is None`` check.
     tracer: Tracer | None = None
@@ -369,14 +440,15 @@ class WorkflowEngine:
         if bus.wants(ENGINE_NODE_LAUNCHED):
             bus.publish(
                 ENGINE_NODE_LAUNCHED,
-                stamp(
-                    {
-                        "workflow": self.workflow.name,
-                        "workflow_id": self.workflow_id,
-                        "node": name,
-                        "at": node_inst.started_at,
-                    },
-                    node_ctx,
+                _tuple_new(
+                    NodeLaunched,
+                    (
+                        self.workflow.name,
+                        self.workflow_id,
+                        name,
+                        node_inst.started_at,
+                        *(node_ctx or UNTRACED),
+                    ),
                 ),
             )
         compiled = self.instance.compiled.nodes[name]
@@ -429,14 +501,15 @@ class WorkflowEngine:
         if bus.wants(ENGINE_NODE_CANCELLED):
             bus.publish(
                 ENGINE_NODE_CANCELLED,
-                stamp(
-                    {
-                        "workflow": self.workflow.name,
-                        "workflow_id": self.workflow_id,
-                        "node": name,
-                        "at": node_inst.finished_at,
-                    },
-                    node_ctx,
+                _tuple_new(
+                    NodeCancelled,
+                    (
+                        self.workflow.name,
+                        self.workflow_id,
+                        name,
+                        node_inst.finished_at,
+                        *(node_ctx or UNTRACED),
+                    ),
                 ),
             )
 
@@ -504,17 +577,18 @@ class WorkflowEngine:
         if bus.wants(ENGINE_NODE_COMPLETED):
             bus.publish(
                 ENGINE_NODE_COMPLETED,
-                stamp(
-                    {
-                        "workflow": self.workflow.name,
-                        "workflow_id": self.workflow_id,
-                        "node": name,
-                        "status": status.value,
-                        "tries": tries,
-                        "exception": exception.name if exception else None,
-                        "at": node_inst.finished_at,
-                    },
-                    node_ctx,
+                _tuple_new(
+                    NodeCompleted,
+                    (
+                        self.workflow.name,
+                        self.workflow_id,
+                        name,
+                        status.value,
+                        tries,
+                        exception.name if exception else None,
+                        node_inst.finished_at,
+                        *(node_ctx or UNTRACED),
+                    ),
                 ),
             )
         fire_outgoing_edges(self.instance, name, status, exception)
@@ -597,14 +671,15 @@ class WorkflowEngine:
         if bus.wants(ENGINE_WORKFLOW_FINISHED):
             bus.publish(
                 ENGINE_WORKFLOW_FINISHED,
-                stamp(
-                    {
-                        "workflow": self.workflow.name,
-                        "workflow_id": self.workflow_id,
-                        "status": self.instance.status.value,
-                        "at": self.instance.finished_at,
-                    },
-                    self._trace_root,
+                _tuple_new(
+                    WorkflowFinished,
+                    (
+                        self.workflow.name,
+                        self.workflow_id,
+                        self.instance.status.value,
+                        self.instance.finished_at,
+                        *(self._trace_root or UNTRACED),
+                    ),
                 ),
             )
         if self._on_finished is not None:

@@ -36,7 +36,7 @@ multiplexed instances produce bit-identical per-instance
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ..detection.detector import FailureDetector
 from ..errors import EngineError
@@ -48,11 +48,26 @@ from ..wpdl.model import Workflow
 from .broker import Broker
 from .engine import EngineRuntime, WorkflowEngine, WorkflowResult
 
-__all__ = ["EngineHost", "ENGINE_WORKFLOW_ADMITTED"]
+__all__ = ["EngineHost", "ENGINE_WORKFLOW_ADMITTED", "WorkflowAdmitted", "PAYLOADS"]
 
 #: Published once per :meth:`EngineHost.submit`, before the instance's
-#: first node launches (payload: ``workflow``, ``workflow_id``, ``at``).
+#: first node launches.
 ENGINE_WORKFLOW_ADMITTED = "engine.workflow_admitted"
+
+
+class WorkflowAdmitted(NamedTuple):
+    """An instance of ``workflow`` was admitted as ``workflow_id`` at
+    ``at`` (minted like the engine's own payloads)."""
+
+    workflow: str
+    workflow_id: str
+    at: float
+
+
+#: What the topic above carries.
+PAYLOADS = {ENGINE_WORKFLOW_ADMITTED: WorkflowAdmitted}
+
+_tuple_new = tuple.__new__
 
 
 class EngineHost:
@@ -142,11 +157,10 @@ class EngineHost:
         if bus.wants(ENGINE_WORKFLOW_ADMITTED):
             bus.publish(
                 ENGINE_WORKFLOW_ADMITTED,
-                {
-                    "workflow": workflow.name,
-                    "workflow_id": wfid,
-                    "at": self.runtime.reactor.now(),
-                },
+                _tuple_new(
+                    WorkflowAdmitted,
+                    (workflow.name, wfid, self.runtime.reactor.now()),
+                ),
             )
         engine.start()
         return wfid

@@ -51,7 +51,7 @@ from ..detection.detector import AttemptOutcome, FailureDetector
 from ..errors import CheckpointError, RecoveryError
 from ..events import EventBus
 from ..execution import ExecutionService, SubmitRequest
-from ..obs.tracectx import TraceContext, Tracer, stamp
+from ..obs.tracectx import UNTRACED, TraceContext, Tracer
 from ..reactor import Reactor, TimerHandle
 from ..wpdl.model import Activity, Program
 from .broker import Broker, ResolvedOption, is_wildcard
@@ -67,17 +67,107 @@ __all__ = [
     "RECOVERY_CHECKPOINT_RESTART",
     "RECOVERY_REPLICATION_WIN",
     "RECOVERY_RESOLVED",
+    "RecoveryRetry",
+    "RecoveryExhausted",
+    "RecoveryCheckpointRestart",
+    "RecoveryReplicationWin",
+    "RecoveryResolved",
+    "PAYLOADS",
 ]
 
-#: Bus topics narrating recovery decisions (payloads are plain dicts, like
-#: the ``engine.*`` topics, so observers need no recovery imports).  Only
-#: published when the coordinator is constructed with a bus, and only
-#: built when that bus has someone to deliver them to.
+#: Bus topics narrating recovery decisions.  Only published when the
+#: coordinator is constructed with a bus, and only minted when that bus has
+#: someone to deliver them to.  Each carries its own ``NamedTuple``
+#: (declared below, listed in :data:`PAYLOADS`), minted like the engine's:
+#: the decision's fields, then the decision's trace ids (``None`` untraced),
+#: the clock and the instance (``None`` for an unscoped coordinator) —
+#: which is also the order of their journal entries' keys.
 RECOVERY_RETRY = "recovery.retry"
 RECOVERY_EXHAUSTED = "recovery.exhausted"
 RECOVERY_CHECKPOINT_RESTART = "recovery.checkpoint_restart"
 RECOVERY_REPLICATION_WIN = "recovery.replication_win"
 RECOVERY_RESOLVED = "recovery.resolved"
+
+
+class RecoveryRetry(NamedTuple):
+    """A crashed slot tries again on ``option`` after ``delay`` seconds."""
+
+    activity: str
+    slot: int
+    option: int
+    delay: float
+    tries: int
+    host: str | None
+    trace_id: str | None = None
+    span_id: str | None = None
+    parent_id: str | None = None
+    at: float = 0.0
+    workflow_id: str | None = None
+
+
+class RecoveryExhausted(NamedTuple):
+    """A slot has used every try its policy gives it."""
+
+    activity: str
+    slot: int
+    tries: int
+    host: str | None
+    trace_id: str | None = None
+    span_id: str | None = None
+    parent_id: str | None = None
+    at: float = 0.0
+    workflow_id: str | None = None
+
+
+class RecoveryCheckpointRestart(NamedTuple):
+    """A submission resumes from ``flag``, saved by the attempt
+    ``flag_source`` names."""
+
+    activity: str
+    slot: int
+    flag: str
+    flag_source: str | None
+    trace_id: str | None = None
+    span_id: str | None = None
+    parent_id: str | None = None
+    at: float = 0.0
+    workflow_id: str | None = None
+
+
+class RecoveryReplicationWin(NamedTuple):
+    """The replica on ``host`` finished first of ``slots``."""
+
+    activity: str
+    host: str
+    slots: int
+    trace_id: str | None = None
+    span_id: str | None = None
+    parent_id: str | None = None
+    at: float = 0.0
+    workflow_id: str | None = None
+
+
+class RecoveryResolved(NamedTuple):
+    """The activity resolved ``state`` after ``tries`` attempts."""
+
+    activity: str
+    state: str
+    tries: int
+    trace_id: str | None = None
+    span_id: str | None = None
+    parent_id: str | None = None
+    at: float = 0.0
+    workflow_id: str | None = None
+
+
+#: What each topic above carries.
+PAYLOADS = {
+    RECOVERY_RETRY: RecoveryRetry,
+    RECOVERY_EXHAUSTED: RecoveryExhausted,
+    RECOVERY_CHECKPOINT_RESTART: RecoveryCheckpointRestart,
+    RECOVERY_REPLICATION_WIN: RecoveryReplicationWin,
+    RECOVERY_RESOLVED: RecoveryResolved,
+}
 
 
 class TaskResolution(NamedTuple):
@@ -463,17 +553,27 @@ class RecoveryCoordinator:
 
     def _wants(self, topic: str) -> bool:
         """Whether narration on *topic* has an audience
-        (:meth:`~repro.events.EventBus.wants`).  Every publish site builds
-        its detail dict inside this guard and mints its trace context
-        outside it, so span ids do not depend on who is listening."""
+        (:meth:`~repro.events.EventBus.wants`).  Every publish site mints
+        its payload inside this guard and its trace context outside it, so
+        span ids do not depend on who is listening."""
         return self._bus is not None and self._bus.wants(topic)
 
-    def _publish(self, topic: str, detail: dict[str, Any]) -> None:
-        """Complete and publish *detail*; call only after :meth:`_wants`."""
-        detail["at"] = self._reactor.now()
-        if self.workflow_id:
-            detail["workflow_id"] = self.workflow_id
-        self._bus.publish(topic, detail)  # type: ignore[union-attr]
+    def _publish(self, topic: str, ctx: TraceContext | None, *fields: Any) -> None:
+        """Mint *topic*'s payload — *fields*, then *ctx*'s ids, the clock and
+        the instance — with one ``tuple.__new__`` and publish it; call only
+        after :meth:`_wants`."""
+        self._bus.publish(  # type: ignore[union-attr]
+            topic,
+            _tuple_new(
+                PAYLOADS[topic],
+                (
+                    *fields,
+                    *(ctx or UNTRACED),
+                    self._reactor.now(),
+                    self.workflow_id or None,
+                ),
+            ),
+        )
 
     def _submit(self, run: ActivityRun, slot: _Slot, target: ResolvedOption) -> None:
         slot.retry_timer = None
@@ -497,15 +597,11 @@ class RecoveryCoordinator:
             if self._wants(RECOVERY_CHECKPOINT_RESTART):
                 self._publish(
                     RECOVERY_CHECKPOINT_RESTART,
-                    stamp(
-                        {
-                            "activity": activity.name,
-                            "slot": slot.index,
-                            "flag": flag,
-                            "flag_source": self.checkpoints.source_span_of(slot.flag_key),
-                        },
-                        restart_ctx,
-                    ),
+                    restart_ctx,
+                    activity.name,
+                    slot.index,
+                    flag,
+                    self.checkpoints.source_span_of(slot.flag_key),
                 )
         if self._tracer is not None and parent is not None:
             slot.attempt_trace = self._tracer.child(parent)
@@ -578,17 +674,13 @@ class RecoveryCoordinator:
             if self._wants(RECOVERY_RETRY):
                 self._publish(
                     RECOVERY_RETRY,
-                    stamp(
-                        {
-                            "activity": run.activity.name,
-                            "slot": slot.index,
-                            "option": option,
-                            "delay": delay,
-                            "tries": tries,
-                            "host": slot.last_host,
-                        },
-                        decision_ctx,
-                    ),
+                    decision_ctx,
+                    run.activity.name,
+                    slot.index,
+                    option,
+                    delay,
+                    tries,
+                    slot.last_host,
                 )
             if delay > 0:
                 slot.retry_timer = self._reactor.call_later(
@@ -604,15 +696,11 @@ class RecoveryCoordinator:
         if self._wants(RECOVERY_EXHAUSTED):
             self._publish(
                 RECOVERY_EXHAUSTED,
-                stamp(
-                    {
-                        "activity": run.activity.name,
-                        "slot": slot.index,
-                        "tries": slot.tries_used,
-                        "host": slot.last_host,
-                    },
-                    exhausted_ctx,
-                ),
+                exhausted_ctx,
+                run.activity.name,
+                slot.index,
+                slot.tries_used,
+                slot.last_host,
             )
         if all(s.exhausted for s in run.slots):
             if exception is not None:
@@ -687,14 +775,10 @@ class RecoveryCoordinator:
             if self._wants(RECOVERY_REPLICATION_WIN):
                 self._publish(
                     RECOVERY_REPLICATION_WIN,
-                    stamp(
-                        {
-                            "activity": run.activity.name,
-                            "host": outcome.hostname,
-                            "slots": len(run.slots),
-                        },
-                        win_ctx,
-                    ),
+                    win_ctx,
+                    run.activity.name,
+                    outcome.hostname,
+                    len(run.slots),
                 )
         self._cancel_slots(run)
         for slot in run.slots:
@@ -749,14 +833,10 @@ class RecoveryCoordinator:
         if self._wants(RECOVERY_RESOLVED):
             self._publish(
                 RECOVERY_RESOLVED,
-                stamp(
-                    {
-                        "activity": resolution.activity,
-                        "state": resolution.state.value,
-                        "tries": resolution.tries_used,
-                    },
-                    resolved_ctx,
-                ),
+                resolved_ctx,
+                resolution.activity,
+                resolution.state.value,
+                resolution.tries_used,
             )
         self._on_resolution(resolution)
 

@@ -20,10 +20,16 @@ filters what it reads itself.
 
 Most publications of an unobserved run reach no one, and building their
 payloads costs more than publishing them, so publishers on the per-attempt
-path ask first (a declined publication still counts as offered)::
+path ask first (a declined publication still counts as offered), and then
+mint the payload type declared beside the topic with one ``tuple.__new__``
+— the one object the publish builds, which the telemetry plane keeps as
+given::
 
-    if bus.wants(topic):
-        bus.publish(topic, {...})
+    if bus.wants(ENGINE_NODE_LAUNCHED):
+        bus.publish(
+            ENGINE_NODE_LAUNCHED,
+            tuple.__new__(NodeLaunched, (workflow, workflow_id, node, at, *ids)),
+        )
 """
 
 from __future__ import annotations

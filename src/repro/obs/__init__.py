@@ -16,8 +16,8 @@ its engine / detector / recovery events into the recording.  Off means
 absent: an unobserved run holds no registry, recorder or observer.
 
 The live telemetry plane builds on those:
-:mod:`repro.obs.tracectx` (causal trace/span ids stamped through every
-bus payload), :mod:`repro.obs.recorder` (the flight recorder journaling
+:mod:`repro.obs.tracectx` (causal trace/span ids carried in every
+narration payload), :mod:`repro.obs.recorder` (the flight recorder journaling
 every event), :mod:`repro.obs.postmortem` (``repro inspect``: the spans of a journal
 read back, grouped by instance), :mod:`repro.obs.server` (the HTTP scrape/status
 endpoint behind ``--serve-telemetry``), and :mod:`repro.obs.plane` (the
@@ -85,7 +85,7 @@ from .timeseries import (
     Series,
     TimeSeriesStore,
 )
-from .tracectx import TraceContext, Tracer, stamp
+from .tracectx import TraceContext, Tracer
 
 __all__ = [
     "ALERT_FIRED",
@@ -138,7 +138,6 @@ __all__ = [
     "scrape_detector",
     "scrape_grid",
     "scrape_kernel",
-    "stamp",
     "wilson_interval",
     "write_chrome_trace",
     "write_jsonl",

@@ -52,17 +52,26 @@ class TopicSpec(NamedTuple):
 
 
 #: Publishing module, the prefix its topic constants share, and what their
-#: publications carry (dict payloads name their instance under
-#: ``workflow_id``; an ``AttemptOutcome`` has it as a field).
+#: publications carry: a type, a description, or ``None`` where the module
+#: declares a type per topic (its ``PAYLOADS``).  Every ``task.*``,
+#: ``engine.*`` and ``recovery.*`` payload names its instance under
+#: ``workflow_id``.
 _TOPIC_SOURCES = (
-    (detector, "TASK_", "`AttemptOutcome`"),
+    (detector, "TASK_", detector.AttemptOutcome),
     (heartbeat, "HOST_", "`str` (hostname)"),
-    (host, "ENGINE_", "`dict`"),
-    (engine, "ENGINE_", "`dict`"),
-    (recovery, "RECOVERY_", "`dict`"),
+    (host, "ENGINE_", None),
+    (engine, "ENGINE_", None),
+    (recovery, "RECOVERY_", None),
     (estimators, "DRIFT_", "`dict`"),
     (health, "ALERT_", "`dict`"),
 )
+
+
+def _payload(declared: type | str) -> str:
+    """The payload column: a ``NamedTuple`` by its name and fields."""
+    if isinstance(declared, str):
+        return declared
+    return f"`{declared.__name__}` ({', '.join(declared._fields)})"
 
 
 def topic_specs() -> list[TopicSpec]:
@@ -70,7 +79,11 @@ def topic_specs() -> list[TopicSpec]:
     the whole namespace: nothing under ``src/repro`` publishes on a topic
     that is not one of these constants."""
     return [
-        TopicSpec(value, module.__name__, payload)
+        TopicSpec(
+            value,
+            module.__name__,
+            _payload(module.PAYLOADS[value] if payload is None else payload),
+        )
         for module, prefix, payload in _TOPIC_SOURCES
         for name, value in vars(module).items()
         if name.startswith(prefix) and isinstance(value, str)

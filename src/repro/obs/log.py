@@ -4,14 +4,16 @@ event, and nothing else.
 An :class:`EventLog` is its bus's single tap.  A publish costs one append
 of one record — ``(seq, sim, wall, topic, payload)``: a sequence number,
 the simulation clock and ``time.perf_counter`` read at the publish, the
-topic, and one snapshot of the payload (a dict is copied shallowly,
-anything else kept by reference).  Everything the plane knows is derived
+topic, and the payload — kept as given, since what the stack publishes is
+immutable (a minted ``NamedTuple`` per topic, a hostname); only a plain
+dict, which only a foreign publisher or an ``obs.*`` topic brings, is
+copied shallowly.  Everything the plane knows is derived
 from the records later (DESIGN.md §12): *views* (journal, event list,
 spans, trace queries) render the retained records on demand
 (:func:`expand`); what is *sampled* (metrics, tracker status, estimator
 counts) is folded from the records not folded yet, in log order, by the
-log's one :class:`Fold` — one pass per slice, off one table of running
-instances.
+log's one :class:`Fold` — one pass per slice, one topic lookup per record,
+off one table of running instances.
 
 :meth:`EventLog.fold` runs it: the collector calls it at the start
 of every tick, every read accessor of a consumer before it answers, and
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import nullcontext
+from functools import cache
 from itertools import islice
 from threading import RLock, get_ident
 from time import perf_counter
@@ -80,12 +83,18 @@ def _json_safe(value: Any) -> Any:
     return repr(value)
 
 
+#: Fields a minted payload leaves out of its journal entry when ``None``:
+#: an untraced publish's ids, an unscoped coordinator's instance.
+_ABSENT_WHEN_NONE = ("trace_id", "span_id", "parent_id", "workflow_id")
+
+
 def expand(record: LogRecord) -> dict[str, Any]:
     """One record → the flat JSON-safe entry every view is made of, when
     a view is read (or in the spill writer), never in the append.  Dict
     payloads flatten into the entry, AttemptOutcome-shaped payloads are
-    read duck-typed, anything else degrades to ``repr`` — and a payload
-    that breaks on the way becomes an entry complaining about itself
+    read duck-typed, a topic's own minted payload renders its fields in
+    order, anything else degrades to ``repr`` — and a payload that breaks
+    on the way becomes an entry complaining about itself
     (``recorder_error``) instead of an exception."""
     seq, _sim, _wall, topic, payload = record
     entry: dict[str, Any] = {"seq": seq, "topic": topic}
@@ -102,7 +111,13 @@ def expand(record: LogRecord) -> dict[str, Any]:
             if exception is not None:
                 entry["exception"] = _json_safe(exception)
         elif payload is not None:
-            entry["payload"] = _json_safe(payload)
+            kind = _kinds().get(topic)
+            if kind is not None and kind[0] >= _ADMITTED and type(payload) is kind[1]:
+                for key, value in zip(payload._fields, payload):
+                    if value is not None or key not in _ABSENT_WHEN_NONE:
+                        entry[key] = _json_safe(value)
+            else:
+                entry["payload"] = _json_safe(payload)
     except Exception as exc:  # a broken payload journals its own complaint
         entry["recorder_error"] = repr(exc)
     return entry
@@ -123,6 +138,61 @@ ATTEMPT_OUTCOME = {
 #: a task's own nonzero exit, which says nothing about the host's MTTF).
 _HOST_FAILURE_REASONS = ("host-crashed", "host-suspected")
 
+#: What :class:`Fold` does with a record, by its topic (:func:`_kinds`):
+#: an attempt's outcome, a host's liveness, the engine's narration, and —
+#: from ``_RESOLVED`` on — a recovery decision.
+(
+    _ATTEMPT,
+    _SUSPECTED,
+    _RECOVERED,
+    _ADMITTED,
+    _LAUNCHED,
+    _COMPLETED,
+    _CANCELLED,
+    _FINISHED,
+    _RESOLVED,
+    _RETRY,
+    _RESTART,
+    _WIN,
+    _EXHAUSTED,
+) = range(13)
+
+
+@cache
+def _kinds() -> dict[str, tuple[int, type, str]]:
+    """Every topic the fold reads → its kind, the payload type its
+    publisher declares for it, and (for ``task.*``) the attempt's outcome
+    label.  Built on first use, from the publishers' own declarations:
+    they import :mod:`repro.obs` themselves."""
+    from ..detection import detector, heartbeat
+    from ..engine import engine, host, recovery
+
+    attempt = detector.AttemptOutcome
+    kinds = {
+        detector.TASK_ACTIVE: (_ATTEMPT, attempt, ""),
+        detector.TASK_DONE: (_ATTEMPT, attempt, "done"),
+        detector.TASK_FAILED: (_ATTEMPT, attempt, "failed"),
+        detector.TASK_EXCEPTION: (_ATTEMPT, attempt, "exception"),
+        heartbeat.HOST_SUSPECTED: (_SUSPECTED, str, ""),
+        heartbeat.HOST_RECOVERED: (_RECOVERED, str, ""),
+    }
+    narrated = {
+        host.ENGINE_WORKFLOW_ADMITTED: _ADMITTED,
+        engine.ENGINE_NODE_LAUNCHED: _LAUNCHED,
+        engine.ENGINE_NODE_COMPLETED: _COMPLETED,
+        engine.ENGINE_NODE_CANCELLED: _CANCELLED,
+        engine.ENGINE_WORKFLOW_FINISHED: _FINISHED,
+        recovery.RECOVERY_RESOLVED: _RESOLVED,
+        recovery.RECOVERY_RETRY: _RETRY,
+        recovery.RECOVERY_CHECKPOINT_RESTART: _RESTART,
+        recovery.RECOVERY_REPLICATION_WIN: _WIN,
+        recovery.RECOVERY_EXHAUSTED: _EXHAUSTED,
+    }
+    payloads = {**host.PAYLOADS, **engine.PAYLOADS, **recovery.PAYLOADS}
+    for topic, kind in narrated.items():
+        kinds[topic] = (kind, payloads[topic], "")
+    return kinds
+
 
 class _Instance:
     """One running workflow instance as a fold keeps it: its
@@ -142,39 +212,47 @@ class Fold:
     """One pass over a slice of the log for everything that is sampled:
     the observer's metric families, the tracker's status and the
     estimators' counts, for whichever of the three has joined.  A record is
-    decoded once — one topic dispatch, one payload read, one look into
-    :attr:`instances`, the table of running instances by ``workflow_id``
-    ("" for a classic single-instance run), where an entry is made by the
-    instance's first launch or attempt and goes when its workflow finishes.
-    One per :class:`EventLog`, created with it.  Nothing here is rendered:
-    spans are a view (:func:`~repro.obs.observer.spans_of`)."""
+    decoded once — one lookup of its topic in :attr:`kinds`, then its
+    payload's fields read off the type its publisher declared (a payload of
+    any other type is skipped: its journal entry still shows it), one look
+    into :attr:`instances`, the table of running instances by
+    ``workflow_id`` ("" for a classic single-instance run), where an entry
+    is made by the instance's first launch or attempt and goes when its
+    workflow finishes.  One per :class:`EventLog`, created with it.
+    Nothing here is rendered: spans are a view
+    (:func:`~repro.obs.observer.spans_of`)."""
 
-    __slots__ = ("observer", "tracker", "estimators", "instances")
+    __slots__ = ("observer", "tracker", "estimators", "instances", "kinds")
 
     def __init__(self) -> None:
         self.observer: Any = None
         self.tracker: Any = None
         self.estimators: Any = None
         self.instances: dict[str, _Instance] = {}
+        self.kinds = _kinds()
 
     def __call__(self, records: list[LogRecord]) -> None:
         observer, tracker, suite = self.observer, self.tracker, self.estimators
         if observer is tracker is suite is None:
             return  # nothing joined: the table stays empty, open to a join
         instances = self.instances
+        kinds = self.kinds
         # With a tracker every entry carries its status (a consumer joins
         # while the table is empty only).
         tracked = tracker is not None
         status_of = tracker._entry if tracked else None
         status: Any = None
         for _seq, sim, _wall, topic, payload in records:
-            if topic.startswith("task."):  # an AttemptOutcome, duck-typed
-                outcome = ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
-                if outcome is None:
-                    continue
-                job = getattr(payload, "job_id", "")
+            kind = kinds.get(topic)
+            if kind is None:
+                continue
+            code, declared, outcome = kind
+            if type(payload) is not declared:
+                continue
+            if code == _ATTEMPT:
+                job = payload.job_id
                 activity = payload.activity
-                wfid = getattr(payload, "workflow_id", "") or ""
+                wfid = payload.workflow_id
                 entry = instances.get(wfid)
                 if not outcome:  # the attempt starts
                     if entry is None:
@@ -211,67 +289,60 @@ class Fold:
                 if suite is not None:
                     suite.activity(workflow, activity).record(outcome)
                     if outcome == "failed" and payload.reason in _HOST_FAILURE_REASONS:
-                        hostname = str(payload.hostname or "")
+                        hostname = payload.hostname
                         if hostname:
-                            at = getattr(payload, "at", None)
-                            suite.record_host_failure(
-                                hostname, float(at) if at is not None else sim
-                            )
+                            suite.record_host_failure(hostname, float(payload.at))
                 continue
-            engine = topic.startswith("engine.")
-            if not engine and not topic.startswith("recovery."):
-                if suite is not None and topic.startswith("detector.host_"):
-                    if topic == "detector.host_suspected":
-                        suite.host(str(payload)).record_suspected(sim)
-                    elif topic == "detector.host_recovered":
-                        suite.host(str(payload)).record_recovered(sim)
-                continue
-            if not isinstance(payload, dict):
-                continue
-            wfid = payload.get("workflow_id", "") or ""
-            entry = instances.get(wfid)
-            if tracked:
-                status = entry.status if entry is not None else status_of(wfid)
-            if not engine:
-                activity = payload.get("activity", "")
+            if code >= _RESOLVED:  # a recovery decision
+                wfid = payload.workflow_id or ""
+                entry = instances.get(wfid)
+                activity = payload.activity
                 if tracked:
-                    status["last_recovery"] = {
-                        "action": topic,
-                        "activity": str(activity),
-                        "at": float(payload.get("at") or 0.0),
-                        "span_id": str(payload.get("span_id") or ""),
-                    }
+                    status = entry.status if entry is not None else status_of(wfid)
+                    status["last_recovery"] = (topic, payload)
                 if observer is None:
                     pass
-                elif topic == "recovery.resolved":
+                elif code == _RESOLVED:
                     observer._tries_per_resolution.labels(
-                        activity, payload.get("state", "")
-                    ).observe(float(payload.get("tries", 0) or 0))
-                elif topic == "recovery.retry":
+                        activity, payload.state
+                    ).observe(float(payload.tries or 0))
+                elif code == _RETRY:
                     workflow = entry.workflow if entry is not None else ""
                     observer._retries.labels(activity, workflow).inc()
                     observer._retry_delay.labels(activity).observe(
-                        float(payload.get("delay", 0.0) or 0.0)
+                        float(payload.delay or 0.0)
                     )
-                elif topic == "recovery.checkpoint_restart":
+                elif code == _RESTART:
                     observer._checkpoint_restarts.labels(activity).inc()
-                elif topic == "recovery.replication_win":
-                    observer._replication_wins.labels(
-                        activity, payload.get("host", "")
-                    ).inc()
-                elif topic == "recovery.exhausted":
+                elif code == _WIN:
+                    observer._replication_wins.labels(activity, payload.host).inc()
+                else:
                     observer._slots_exhausted.labels(activity).inc()
                 continue
-            workflow = payload.get("workflow", "")
-            node = payload.get("node")
+            if code < _ADMITTED:  # a host's liveness
+                if suite is not None:
+                    if code == _SUSPECTED:
+                        suite.host(payload).record_suspected(sim)
+                    else:
+                        suite.host(payload).record_recovered(sim)
+                continue
+            # The engine's narration.
+            wfid = payload.workflow_id
+            entry = instances.get(wfid)
+            workflow = payload.workflow
             if tracked:
+                status = entry.status if entry is not None else status_of(wfid)
                 if workflow:
-                    status["workflow"] = str(workflow)
+                    status["workflow"] = workflow
+                if code == _ADMITTED:
+                    if status["nodes_launched"] == 0 and status["phase"] == "running":
+                        status["phase"] = "admitted"
+                    continue
                 if not status["trace_id"]:
-                    trace = payload.get("trace_id")
+                    trace = payload.trace_id
                     if trace:
-                        status["trace_id"] = str(trace)
-            if topic == "engine.node_launched":
+                        status["trace_id"] = trace
+            if code == _LAUNCHED:
                 if entry is None:
                     entry = instances[wfid] = _Instance(workflow, status, {})
                 entry.workflow = workflow
@@ -282,39 +353,37 @@ class Fold:
                         status["phase"] = "running"
                         tracker._finished.pop(wfid, None)
                     status["nodes_launched"] += 1
-                    status["running_nodes"][str(node)] = None
-            elif topic in ("engine.node_completed", "engine.node_cancelled"):
+                    status["running_nodes"][payload.node] = None
+            elif code == _COMPLETED or code == _CANCELLED:
                 # What the node left running was cancelled and forgotten:
                 # no terminal ``task.*`` event follows.
+                node = payload.node
                 cancelled = len(entry.attempts.pop(node, ())) if entry is not None else 0
                 if observer is not None:
-                    observer._node_completions.labels(
-                        payload.get("status", "cancelled"), workflow
-                    ).inc()
-                    tries = payload.get("tries")
-                    if tries:
-                        observer._task_tries.labels(node).observe(float(tries))
+                    completions = observer._node_completions
+                    if code == _CANCELLED:
+                        completions.labels("cancelled", workflow).inc()
+                    else:
+                        completions.labels(payload.status, workflow).inc()
+                        tries = payload.tries
+                        if tries:
+                            observer._task_tries.labels(node).observe(float(tries))
                 if tracked:
                     status["nodes_completed"] += 1
-                    status["running_nodes"].pop(str(node), None)
+                    status["running_nodes"].pop(node, None)
                     if cancelled:
                         tracker._cancelled(status, cancelled)
-            elif topic == "engine.workflow_finished":
+            elif code == _FINISHED:
                 # Engine reuse starts this instance's next run with fresh
                 # bookkeeping; sibling instances are untouched.
                 instances.pop(wfid, None)
                 if observer is not None:
-                    observer._workflow_runs.labels(
-                        payload.get("status", ""), workflow
-                    ).inc()
+                    observer._workflow_runs.labels(payload.status, workflow).inc()
                 if tracked:
                     cancelled = 0
                     if entry is not None:
                         cancelled = sum(map(len, entry.attempts.values()))
                     tracker._finish(wfid, status, payload, cancelled)
-            elif topic == "engine.workflow_admitted" and tracked:
-                if status["nodes_launched"] == 0 and status["phase"] == "running":
-                    status["phase"] = "admitted"
 
 
 def _no_clock() -> float:
@@ -378,7 +447,7 @@ class EventLog:
 
     def _append(self, topic: str, payload: Any) -> None:
         """The bus's tap: everything the plane does inside a publish."""
-        if type(payload) is dict:
+        if type(payload) is dict:  # a foreign publisher's, or an ``obs.*`` topic's
             payload = dict(payload)  # guards against post-publish mutation
         record = (self.seq, self._clock(), perf_counter(), topic, payload)
         self.seq += 1

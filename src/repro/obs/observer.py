@@ -3,11 +3,11 @@
 :class:`RunObserver` reads the three topic families the stack publishes on
 its :class:`~repro.events.EventBus` —
 
-* ``engine.*``   — node/workflow lifecycle (plain-dict payloads);
+* ``engine.*``   — node/workflow lifecycle;
 * ``task.*``     — the failure detector's per-attempt state changes
   (:class:`~repro.detection.detector.AttemptOutcome` payloads);
 * ``recovery.*`` — the recovery coordinator's decisions (retries,
-  backoff waits, checkpoint restarts, replication wins; plain dicts) —
+  backoff waits, checkpoint restarts, replication wins) —
 
 out of the bus's :class:`~repro.obs.log.EventLog`.  Nothing here runs
 inside a publish.  What is *sampled* — the labelled metrics here, the
@@ -34,8 +34,11 @@ and the status tracker.  ``task.*`` and ``recovery.*`` payloads carry the
 instance id only; the fold learns ``workflow_id → workflow`` from
 ``engine.node_launched`` and forgets it at ``engine.workflow_finished``.
 
-Topic names are matched as string literals on purpose: payloads are plain
-dicts precisely so consumers need no engine imports.
+Every topic carries a payload type its publisher declares (``engine.*``
+and ``recovery.*`` a minted ``NamedTuple`` each).  The fold reads those
+fields after one lookup of the topic; :func:`spans_of` matches topic names
+as string literals and reads journal entries, so it imports no publisher
+and decodes a journal read back from disk as it does a live log.
 
 An attempt span ends with its terminal ``task.*`` event — or, for an
 attempt the engine cancelled and told the detector to forget (a losing

@@ -50,10 +50,13 @@ _FINISHED = 1024
 
 
 class WorkflowStatusTracker(LogConsumer):
-    """Keeps a JSON-safe live status per workflow instance — the running
-    ones and the newest finished — folded from the bus's ``engine.*``,
-    ``task.*`` and ``recovery.*`` events (:class:`~repro.obs.log.Fold`
-    reads the records; the methods below are what it does to a status)."""
+    """Keeps a live status per workflow instance — the running ones and
+    the newest finished — folded from the bus's ``engine.*``, ``task.*``
+    and ``recovery.*`` events (:class:`~repro.obs.log.Fold` reads the
+    records; the methods below are what it does to a status).  A status is
+    JSON-safe as read: the last recovery decision is kept as the
+    ``(topic, payload)`` it was published as and rendered by
+    :meth:`status_of`."""
 
     _slot = "tracker"
 
@@ -91,11 +94,11 @@ class WorkflowStatusTracker(LogConsumer):
         attempts["in_flight"] -= count
 
     def _finish(
-        self, wfid: str, entry: dict[str, Any], payload: dict[str, Any], cancelled: int
+        self, wfid: str, entry: dict[str, Any], payload: Any, cancelled: int
     ) -> None:
-        entry["phase"] = str(payload.get("status", "done"))
-        at = payload.get("at")
-        entry["finished_at"] = float(at) if at is not None else None
+        """*payload* (an ``engine.workflow_finished`` one) ended the run."""
+        entry["phase"] = payload.status
+        entry["finished_at"] = float(payload.at)
         entry["running_nodes"] = {}
         if cancelled:
             self._cancelled(entry, cancelled)
@@ -120,6 +123,15 @@ class WorkflowStatusTracker(LogConsumer):
             copy = dict(entry)
             copy["attempts"] = dict(entry["attempts"])
             copy["running_nodes"] = list(entry["running_nodes"])
+            recovery = entry["last_recovery"]
+            if recovery is not None:  # the (topic, payload) the fold kept
+                action, payload = recovery
+                copy["last_recovery"] = {
+                    "action": action,
+                    "activity": payload.activity,
+                    "at": float(payload.at),
+                    "span_id": payload.span_id or "",
+                }
             return copy
 
     def snapshot(self) -> list[dict[str, Any]]:

@@ -20,15 +20,16 @@ ids make recordings diffable too.
 
 Tracing is opt-in per runtime (``EngineRuntime.tracer``): an
 uninstrumented engine carries ``tracer=None`` and pays one ``is None``
-check per publish site, nothing more (what the enabled plane costs is
-the ledger's ``obs.overhead_ratio`` row, ``benchmarks/ledger``).
+check per publish site, nothing more — its payloads' id fields are
+``None`` (what the enabled plane costs is the ledger's
+``obs.overhead_ratio`` row, ``benchmarks/ledger``).
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
-__all__ = ["TraceContext", "Tracer", "stamp"]
+__all__ = ["TraceContext", "Tracer", "UNTRACED"]
 
 
 class TraceContext(NamedTuple):
@@ -48,6 +49,11 @@ class TraceContext(NamedTuple):
     span_id: str
     parent_id: str | None = None
 
+
+#: The ``(trace_id, span_id, parent_id)`` a payload carries when tracing is
+#: off: a publish site mints ``(*fields, *(ctx or UNTRACED))``, and the
+#: journal entry leaves all three out.
+UNTRACED: tuple[None, None, None] = (None, None, None)
 
 #: Bypasses the generated ``TraceContext.__new__`` (which re-binds
 #: defaults per call) on the minting hot path.
@@ -90,19 +96,3 @@ class Tracer:
     @property
     def spans_allocated(self) -> int:
         return self._next_span
-
-
-def stamp(detail: dict[str, Any], ctx: TraceContext | None) -> dict[str, Any]:
-    """Write *ctx* into a bus payload dict (no-op when tracing is off).
-
-    The three keys are the published contract: observers read
-    ``trace_id`` / ``span_id`` / ``parent_id`` back out of plain dicts
-    without importing this module.
-    """
-    if ctx is not None:
-        trace_id, span_id, parent_id = ctx
-        detail["trace_id"] = trace_id
-        detail["span_id"] = span_id
-        if parent_id is not None:
-            detail["parent_id"] = parent_id
-    return detail

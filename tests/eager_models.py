@@ -49,6 +49,7 @@ from repro.errors import CheckpointError, DetectionError, NavigationError
 from repro.grid.behaviors import PlanContext
 from repro.grid.gram import JobProcess
 from repro.obs import EventLog, MetricsRegistry, Span, observer
+from repro.obs.log import expand
 from repro.wpdl.conditions import evaluate_condition
 from repro.wpdl.model import ConditionKind, JoinMode
 
@@ -531,10 +532,11 @@ class EagerNavigator:
 # PR 23 folds what is sampled in one pass off one table and renders spans
 # when read; these are the parent's loops, fed a consumer's own records
 # (``consumer._records()``) after the fact — a fold is a function of the
-# records alone, so when it runs does not matter.
+# records alone, so when it runs does not matter.  They read each record as
+# its journal entry (``expand``), never the payload the plane's fold reads,
+# so the two share no decoding; an attempt's outcome is its topic's.
 
 _ATTEMPT_OUTCOME = {"active": "", "done": "done", "failed": "failed", "exception": "exception"}
-_NO_FIELDS: dict = {}
 
 
 class _EagerRun:
@@ -583,14 +585,16 @@ class EagerSpanFold:
     def fold(self, records) -> None:
         open_span = self._record
         runs = self._runs
-        for _seq, sim, wall, topic, payload in records:
-            if topic.startswith("task."):  # an AttemptOutcome, duck-typed
-                job = getattr(payload, "job_id", None)
-                outcome = _ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+        for record in records:
+            _seq, sim, wall, topic, _payload = record
+            if topic.startswith("task."):
+                entry = expand(record)
+                job = entry.get("job_id")
+                outcome = _ATTEMPT_OUTCOME.get(topic[5:])
                 if job is None or outcome is None:
                     continue
-                activity = payload.activity
-                wfid = getattr(payload, "workflow_id", "") or ""
+                activity = entry.get("activity", "")
+                wfid = entry.get("workflow_id", "")
                 run = runs.get(wfid)
                 jobs = run.attempts.get(activity) if run is not None else None
                 span = jobs.pop(job, None) if outcome and jobs is not None else None
@@ -599,12 +603,12 @@ class EagerSpanFold:
                     # before any TaskStart (an instant crash): a zero-duration
                     # attempt, so the trace still shows it.  The tracer's ids
                     # ride as labels; exporters draw decision → attempt.
-                    host = payload.hostname
+                    host = entry.get("hostname", "")
                     labels = {"activity": activity, "job": job, "host": host}
                     if wfid:
                         labels["workflow_id"] = wfid
                     for key in ("span_id", "parent_id"):
-                        value = getattr(payload, key, "")
+                        value = entry.get(key)
                         if value:
                             labels[key] = value
                     node_span = run.nodes.get(activity) if run is not None else None
@@ -618,8 +622,8 @@ class EagerSpanFold:
                     jobs[job] = span
                     continue
                 span.labels["outcome"] = outcome
-                if payload.reason:
-                    span.labels["reason"] = payload.reason
+                if entry.get("reason"):
+                    span.labels["reason"] = entry["reason"]
                 span.sim_end, span.wall_end = sim, wall
                 workflow = run.workflow if run is not None else ""
                 self._task_attempts.labels(activity, outcome, workflow).inc()
@@ -630,7 +634,7 @@ class EagerSpanFold:
             engine = topic.startswith("engine.")
             if not engine and not topic.startswith("recovery."):
                 continue
-            detail = payload if isinstance(payload, dict) else _NO_FIELDS
+            detail = expand(record)
             wfid = detail.get("workflow_id", "") or ""
             if engine:
                 workflow = detail.get("workflow", "")
@@ -757,28 +761,30 @@ class EagerTracker:
 
     def fold(self, records) -> None:
         status = self._status
-        for _seq, _sim, _wall, topic, payload in records:
+        for record in records:
+            topic = record[3]
+            if not topic.startswith(("task.", "engine.", "recovery.")):
+                continue
+            payload = expand(record)
             if topic.startswith("task."):
-                outcome = _ATTEMPT_OUTCOME.get(getattr(payload, "state", None))
+                outcome = _ATTEMPT_OUTCOME.get(topic[5:])
                 if outcome is None:
                     continue
-                wfid = str(getattr(payload, "workflow_id", "") or "")
-                job = getattr(payload, "job_id", "")
+                wfid = str(payload.get("workflow_id", "") or "")
+                job = payload.get("job_id", "")
                 entry = status.get(wfid) or self._entry(wfid)
                 attempts = entry["attempts"]
                 running = self._running.get(wfid)
                 if not outcome:
                     if running is None:
                         running = self._running[wfid] = {}
-                    running[job] = payload.activity
+                    running[job] = payload.get("activity")
                     attempts["total"] += 1
                     attempts["in_flight"] += 1
                     continue
                 attempts[outcome] = attempts.get(outcome, 0) + 1
                 if running is not None and running.pop(job, None) is not None:
                     attempts["in_flight"] -= 1
-            elif not isinstance(payload, dict):
-                continue
             elif topic.startswith("engine."):
                 self._fold_engine(topic, payload)
             elif topic.startswith("recovery."):

@@ -45,6 +45,7 @@ from repro.wpdl import (
 from repro.wpdl.model import CompiledNode, Loop, Program
 from tests.eager_models import EagerNavigator, EagerWorkflowInstance
 from tests.helpers import MINTED_TYPES
+from tests.obs_plane import ObservedHost
 
 # ---------------------------------------------------------------------------
 # Generated specifications
@@ -591,6 +592,15 @@ class TestFlatPerAttemptCost:
         "backoff_retry": 148.2,  # 142.8, +3.8%: a ceiling is never raised
     }
 
+    #: Calls of one observed 20-instance batch (:mod:`tests.obs_plane`),
+    #: plus 5%.  While narration was published as dicts, stamped with trace
+    #: ids, copied by the log and decoded by a ``startswith`` ladder, the
+    #: batch made 69 352 and 74 416.
+    OBSERVED_CEILINGS = {
+        20030623: 68_855,  # 65 576
+        19990803: 73_782,  # 70 269
+    }
+
     def test_ceilings_cover_every_technique(self):
         assert set(self.CEILINGS) == set(EXTENDED_TECHNIQUES)
 
@@ -598,6 +608,19 @@ class TestFlatPerAttemptCost:
     def test_calls_per_attempt_under_the_ceiling(self, technique):
         cost = _calls_per_attempt(technique)
         assert cost <= self.CEILINGS[technique], cost
+
+    @pytest.mark.parametrize("seed", sorted(OBSERVED_CEILINGS))
+    def test_calls_per_observed_batch_under_the_ceiling(self, seed):
+        """Every publish of the batch with the whole plane attached, and
+        every fold of it, after a warm-up batch on another host."""
+        ObservedHost(seed).run_batch(20)
+        plane = ObservedHost(seed)
+        profile = cProfile.Profile()
+        profile.enable()
+        plane.run_batch(20)
+        profile.disable()
+        calls = _total_calls(profile)
+        assert calls <= self.OBSERVED_CEILINGS[seed], calls
 
 
 def _generated_frames(run) -> Counter:

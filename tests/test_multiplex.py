@@ -200,16 +200,16 @@ class TestEventScoping:
                     verdicts.append(payload)
                     last_verdict[payload.workflow_id] = (payload.activity, topic)
                 continue
-            assert payload["workflow_id"] in results
+            assert payload.workflow_id in results
             if topic == "recovery.retry":
-                cause = (payload["activity"], "task.failed")
+                cause = (payload.activity, "task.failed")
             elif topic == "recovery.resolved":
-                cause = (payload["activity"], "task." + payload["state"])
+                cause = (payload.activity, "task." + payload.state)
             elif topic == "engine.node_completed":
-                cause = (payload["node"], "task." + payload["status"])
+                cause = (payload.node, "task." + payload.status)
             else:
                 continue
-            assert last_verdict[payload["workflow_id"]] == cause
+            assert last_verdict[payload.workflow_id] == cause
         assert len(verdicts) == 200
         assert [(o.workflow_id, o) for o in verdicts] == handed
 

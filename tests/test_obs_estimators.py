@@ -15,6 +15,8 @@ import random
 
 import pytest
 
+from repro.detection.detector import AttemptOutcome, TaskState
+from repro.engine.engine import NodeLaunched, WorkflowFinished
 from repro.events import EventBus
 from repro.grid import UNRELIABLE, GridConfig, SimReactor, SimulatedGrid
 from repro.obs import (
@@ -165,7 +167,7 @@ class TestDriftGolden:
         rng, at = random.Random(42), 0.0
         for i in range(count):
             at += rng.expovariate(1.0 / mean)
-            outcome = _Payload(
+            outcome = _outcome(
                 "failed", reason="host-crashed", hostname="h1", at=at
             )
             reactor.call_later(at, lambda o=outcome: bus.publish("task.failed", o))
@@ -215,16 +217,17 @@ class TestHostEstimator:
         assert snap["drifted"] is False
 
 
-class _Payload:
-    """Duck-typed stand-in for the engine's AttemptOutcome payloads."""
-
-    def __init__(self, state, **kw):
-        self.state = state
-        self.workflow_id = kw.get("workflow_id", "wf-1")
-        self.activity = kw.get("activity", "task")
-        self.reason = kw.get("reason", "")
-        self.hostname = kw.get("hostname", "")
-        self.at = kw.get("at", 0.0)
+def _outcome(state, **kw) -> AttemptOutcome:
+    """An attempt's outcome as the detector publishes it."""
+    return AttemptOutcome(
+        "job",
+        kw.get("activity", "task"),
+        TaskState(state),
+        hostname=kw.get("hostname", ""),
+        reason=kw.get("reason", ""),
+        at=kw.get("at", 0.0),
+        workflow_id=kw.get("workflow_id", "wf-1"),
+    )
 
 
 class _HealthSpy:
@@ -246,13 +249,12 @@ class TestEstimatorSuite:
         # The instance says which specification it runs when it launches …
         for wfid in ("wf-1", "wf-2"):
             bus.publish(
-                "engine.node_launched",
-                {"workflow": "mosaic", "workflow_id": wfid, "node": "task"},
+                "engine.node_launched", NodeLaunched("mosaic", wfid, "task", 0.0)
             )
-        bus.publish("task.done", _Payload("done"))
-        bus.publish("task.failed", _Payload("failed", reason="exit-code"))
-        bus.publish("task.exception", _Payload("exception", workflow_id="wf-2"))
-        bus.publish("task.active", _Payload("active"))  # non-terminal: ignored
+        bus.publish("task.done", _outcome("done"))
+        bus.publish("task.failed", _outcome("failed", reason="exit-code"))
+        bus.publish("task.exception", _outcome("exception", workflow_id="wf-2"))
+        bus.publish("task.active", _outcome("active"))  # non-terminal: ignored
         # … and its attempts count towards that specification's estimate,
         # pooled with every other instance's.
         (estimator,) = suite.activities.values()
@@ -263,7 +265,7 @@ class TestEstimatorSuite:
         for wfid in ("wf-1", "wf-2"):
             bus.publish(
                 "engine.workflow_finished",
-                {"workflow": "mosaic", "workflow_id": wfid, "status": "done"},
+                WorkflowFinished("mosaic", wfid, "done", 0.0),
             )
         suite.sync()
         assert suite._log.sampled.instances == {}
@@ -273,12 +275,12 @@ class TestEstimatorSuite:
         suite = EstimatorSuite(bus)
         bus.publish(
             "task.failed",
-            _Payload("failed", reason="exit-code", hostname="h1", at=5.0),
+            _outcome("failed", reason="exit-code", hostname="h1", at=5.0),
         )
         assert "h1" not in suite.hosts  # a task's own exit is not host MTTF
         bus.publish(
             "task.failed",
-            _Payload("failed", reason="host-crashed", hostname="h1", at=9.0),
+            _outcome("failed", reason="host-crashed", hostname="h1", at=9.0),
         )
         assert suite.hosts["h1"].failures == 1
 

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.detection.detector import AttemptOutcome, TaskState
+from repro.engine.engine import NodeLaunched, WorkflowFinished
 from repro.events import EventBus
 from repro.obs import (
     ALERT_FIRED,
@@ -258,8 +259,8 @@ class TestTheAlertMeansWhatItSays:
         schedule, worst_start = [], 0
         for i, rate in enumerate(rates):
             wfid, at = f"wf-{i}", float(i)
-            named = {"workflow": "mosaic", "workflow_id": wfid}
-            schedule.append((at, "engine.node_launched", {**named, "node": "solve", "at": at}))
+            launched = NodeLaunched("mosaic", wfid, "solve", at)
+            schedule.append((at, "engine.node_launched", launched))
             failures = 0
             while rng.random() < rate:
                 failures += 1
@@ -267,7 +268,8 @@ class TestTheAlertMeansWhatItSays:
                 schedule.append((at, "task.failed", (wfid, f"j{i}.{failures}", "nonzero-exit(1)")))
             at += self.ATTEMPT_SECONDS
             schedule.append((at, "task.done", (wfid, f"j{i}.done", "done-with-taskend")))
-            schedule.append((at, "engine.workflow_finished", {**named, "status": "done", "at": at}))
+            finished = WorkflowFinished("mosaic", wfid, "done", at)
+            schedule.append((at, "engine.workflow_finished", finished))
             worst_start = max(worst_start, failures)
         schedule.sort(key=lambda event: event[0])
 

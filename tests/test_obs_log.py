@@ -41,6 +41,18 @@ from hypothesis import strategies as st
 from repro.core import FailurePolicy
 from repro.detection.detector import AttemptOutcome, TaskState
 from repro.engine import EngineHost, WorkflowEngine
+from repro.engine.engine import (
+    NodeCancelled,
+    NodeCompleted,
+    NodeLaunched,
+    WorkflowFinished,
+)
+from repro.engine.host import WorkflowAdmitted
+from repro.engine.recovery import (
+    RecoveryReplicationWin,
+    RecoveryResolved,
+    RecoveryRetry,
+)
 from repro.errors import GridWFSError
 from repro.events import EventBus
 from repro.grid import (
@@ -293,8 +305,7 @@ class Rig:
         job = f"{JOBS[job]}@{node}"  # a job belongs to one activity
         running = self.launched.setdefault(wfid, set())
         at = self.grid.reactor.now()
-        engine = {"workflow": name, "workflow_id": wfid, "at": at}
-        recovery = {"activity": node, "workflow_id": wfid, "at": at, "span_id": f"s{number}"}
+        span = f"s{number}"
         if what in ("active", "done", "failed", "exception"):
             state = TaskState(what)
             reason = ("host-crashed", "nonzero-exit(1)")[number % 2] if what == "failed" else ""
@@ -303,34 +314,50 @@ class Rig:
             )
             self.bus.publish(f"task.{what}", payload)
         elif what == "admitted":
-            self.bus.publish("engine.workflow_admitted", engine)
+            admitted = WorkflowAdmitted(name, wfid, at)
+            self.bus.publish("engine.workflow_admitted", admitted)
         elif what == "launched":
             if node not in running:
                 running.add(node)
-                self.bus.publish("engine.node_launched", {**engine, "node": node})
+                launched = NodeLaunched(name, wfid, node, at)
+                self.bus.publish("engine.node_launched", launched)
         elif what == "completed":
             running.discard(node)
             status = ("done", "failed")[number % 2]
             self.bus.publish(
                 "engine.node_completed",
-                {**engine, "node": node, "status": status, "tries": number},
+                NodeCompleted(name, wfid, node, status, number, None, at),
             )
         elif what == "cancelled":
             running.discard(node)
-            self.bus.publish("engine.node_cancelled", {**engine, "node": node})
+            cancelled = NodeCancelled(name, wfid, node, at)
+            self.bus.publish("engine.node_cancelled", cancelled)
         elif what == "finished":
             running.clear()
-            self.bus.publish("engine.workflow_finished", {**engine, "status": "done"})
+            finished = WorkflowFinished(name, wfid, "done", at)
+            self.bus.publish("engine.workflow_finished", finished)
         elif what == "retry":
             self.bus.publish(
-                "recovery.retry", {**recovery, "delay": float(number % 3), "slot": 0}
+                "recovery.retry",
+                RecoveryRetry(
+                    node, 0, 0, float(number % 3), number, host,
+                    span_id=span, at=at, workflow_id=wfid,
+                ),
             )
         elif what == "resolved":
             self.bus.publish(
-                "recovery.resolved", {**recovery, "state": "done", "tries": number}
+                "recovery.resolved",
+                RecoveryResolved(
+                    node, "done", number, span_id=span, at=at, workflow_id=wfid
+                ),
             )
         elif what == "win":
-            self.bus.publish("recovery.replication_win", {**recovery, "host": host})
+            self.bus.publish(
+                "recovery.replication_win",
+                RecoveryReplicationWin(
+                    node, host, 2, span_id=span, at=at, workflow_id=wfid
+                ),
+            )
         elif what in ("suspected", "recovered"):
             self.bus.publish(f"detector.host_{what}", host)
 
@@ -449,7 +476,7 @@ class TestOnlyThePublishingThreadFolds:
         )
         suite = EstimatorSuite(bus)
         log = EventLog.on(bus)
-        launched = {"workflow": "w", "workflow_id": "wf-1", "node": "a", "at": 0.0}
+        launched = NodeLaunched("w", "wf-1", "a", 0.0)
 
         def read():
             return (
@@ -478,7 +505,7 @@ class TestOnlyThePublishingThreadFolds:
         here = read()
         assert len(log._pending) == 0 and here[2] == ["workflow.run", "node.run", "task.attempt"]
         assert read_elsewhere() == here
-        bus.publish("engine.node_launched", {**launched, "node": "b"})
+        bus.publish("engine.node_launched", launched._replace(node="b"))
         assert read_elsewhere() == here
         assert read() != here
 
@@ -630,24 +657,27 @@ def _fold_calls(width: int) -> int:
     fold = EventLog.on(bus).sampled
     assert (fold.observer, fold.tracker, fold.estimators) == consumers
     names = [_Name(f"n{i}") for i in range(width)]
-    base = {"workflow": "wide", "workflow_id": "wf-1"}
 
     def attempt(job, name, state):
         return AttemptOutcome(job, name, state, workflow_id="wf-1")
 
-    bus.publish("engine.workflow_admitted", base)
+    bus.publish("engine.workflow_admitted", WorkflowAdmitted("wide", "wf-1", 0.0))
     for i, name in enumerate(names):
-        bus.publish("engine.node_launched", {**base, "node": name})
+        bus.publish("engine.node_launched", NodeLaunched("wide", "wf-1", name, 0.0))
         bus.publish("task.active", attempt(f"win-{i}", name, TaskState.ACTIVE))
         bus.publish("task.active", attempt(f"lose-{i}", name, TaskState.ACTIVE))
     for i, name in enumerate(names):
         bus.publish("task.done", attempt(f"win-{i}", name, TaskState.DONE))
         bus.publish(
-            "recovery.resolved",
-            {"activity": name, "workflow_id": "wf-1", "state": "done", "tries": 1},
+            "recovery.resolved", RecoveryResolved(name, "done", 1, workflow_id="wf-1")
         )
-        bus.publish("engine.node_completed", {**base, "node": name, "status": "done", "tries": 1})
-    bus.publish("engine.workflow_finished", {**base, "status": "done"})
+        bus.publish(
+            "engine.node_completed",
+            NodeCompleted("wide", "wf-1", name, "done", 1, None, 0.0),
+        )
+    bus.publish(
+        "engine.workflow_finished", WorkflowFinished("wide", "wf-1", "done", 0.0)
+    )
     log = EventLog.on(bus)
     profile = cProfile.Profile()
     profile.enable()
@@ -697,8 +727,8 @@ def test_every_consumer_reads_through_the_one_tap():
 # -- one lifecycle ------------------------------------------------------------
 
 
-def _launched(wfid: str) -> dict:
-    return {"workflow": "w", "workflow_id": wfid, "node": "a", "at": 0.0}
+def _launched(wfid: str) -> NodeLaunched:
+    return NodeLaunched("w", wfid, "a", 0.0)
 
 
 class TestAttachedForTheLifeOfItsBus:
@@ -746,7 +776,9 @@ class TestAttachedForTheLifeOfItsBus:
                 kind(bus)
         fold = EventLog.on(bus).sampled
         assert fold.tracker is fold.estimators is None
-        bus.publish("engine.workflow_finished", {**_launched("wf-1"), "status": "done"})
+        bus.publish(
+            "engine.workflow_finished", WorkflowFinished("w", "wf-1", "done", 0.0)
+        )
         tracker = WorkflowStatusTracker(bus)  # nothing running: reads from here on
         bus.publish("engine.node_launched", _launched("wf-2"))
         assert [s["workflow_id"] for s in tracker.snapshot()] == ["wf-2"]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -139,24 +140,38 @@ def test_no_span_exists_until_spans_are_read():
     assert not any(isinstance(obj, Span) for obj in gc.get_objects())
 
 
-def test_the_plane_keeps_under_two_objects_per_event():
-    """GC-tracked objects a batch leaves behind, over what the same batch
-    leaves with nothing attached, per published event: the log's record
-    and, for a third of them, the detector's outcome (PR 15's census;
-    2.0 with a ``Span`` and its ring slot per interval)."""
+def test_the_plane_keeps_a_record_and_its_payload_per_event():
+    """GC-tracked objects and bytes a batch leaves behind, over what the
+    same batch leaves with nothing attached, per published event.  The
+    objects are the log's record and, for every event published as a tuple
+    — the detector's outcome, the engine's and the coordinator's minted
+    narration — that tuple: 2.08 per event.  While narration was published
+    as a dict, the ring kept an untracked copy instead (1.44 objects, but
+    548 bytes per event where the tuples keep 439).  A ``Span`` and its
+    ring slot per interval would add 0.6 objects."""
 
-    def retained(observed: bool) -> tuple[int, int]:
+    def retained(observed: bool) -> tuple[int, int, int]:
         plane = ObservedHost(seed=20030623, observed=observed)
         plane.run_batch(20)
         gc.collect()
         before, published = len(gc.get_objects()), plane.bus.stats()["publishes"]
-        plane.run_batch(100)
-        gc.collect()
-        return len(gc.get_objects()) - before, plane.bus.stats()["publishes"] - published
+        tracemalloc.start()
+        try:
+            plane.run_batch(100)
+            gc.collect()
+            kept_bytes = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return (
+            len(gc.get_objects()) - before,
+            kept_bytes,
+            plane.bus.stats()["publishes"] - published,
+        )
 
-    (kept, events), (bare, _) = retained(True), retained(False)
+    (kept, kept_bytes, events), (bare, bare_bytes, _) = retained(True), retained(False)
     assert events > 3000
-    assert 1.0 <= (kept - bare) / events <= 1.8, (kept, bare, events)
+    assert 1.0 <= (kept - bare) / events <= 2.15, (kept, bare, events)
+    assert (kept_bytes - bare_bytes) / events <= 480, (kept_bytes, bare_bytes, events)
 
 
 def test_no_declared_family_is_labelled_by_instance():

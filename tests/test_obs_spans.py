@@ -5,6 +5,7 @@ it, over the records the log still holds."""
 from __future__ import annotations
 
 from repro.detection.detector import AttemptOutcome, TaskState
+from repro.engine.engine import NodeLaunched
 from repro.events import EventBus
 from repro.obs import EventLog, RunObserver, Span
 
@@ -24,8 +25,7 @@ class TestExplicitSpans:
     def test_explicit_parent_links(self):
         bus = EventBus()
         observer = RunObserver(bus)
-        launched = {"workflow": "w", "workflow_id": "wf-1", "node": "a"}
-        bus.publish("engine.node_launched", launched)
+        bus.publish("engine.node_launched", NodeLaunched("w", "wf-1", "a", 0.0))
         bus.publish("task.active", AttemptOutcome("j1", "a", TaskState.ACTIVE, workflow_id="wf-1"))
         outer, inner, attempt = observer.spans
         assert (outer.name, inner.name, attempt.name) == (
@@ -43,10 +43,8 @@ class TestTheViewIsTheLogsWindow:
         observer = RunObserver(bus)
         assert observer._log is log
         for i in range(5):
-            bus.publish(
-                "engine.node_launched",
-                {"workflow": "w", "workflow_id": f"wf-{i}", "node": "a", "at": float(i)},
-            )
+            launched = NodeLaunched("w", f"wf-{i}", "a", float(i))
+            bus.publish("engine.node_launched", launched)
         # Two spans per launch, of the three launches still held, numbered
         # from 1 by this read — and by the next one.
         for _read in range(2):

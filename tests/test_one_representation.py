@@ -463,11 +463,12 @@ FAMILIES = ("engine.", "task.", "recovery.")
 
 
 def test_a_log_record_is_decoded_in_two_places():
-    """One function under ``repro.obs`` matches ``engine.*`` / ``task.*`` /
-    ``recovery.*`` topics in a loop over log records for what is sampled
-    (``log.Fold.__call__``), and one for what is rendered (``spans_of``,
-    its documented second); nothing else loops over records and reads
-    topics."""
+    """One function under ``repro.obs`` decodes ``engine.*`` / ``task.*`` /
+    ``recovery.*`` records for what is sampled — ``log.Fold.__call__``, by
+    one lookup of each record's topic in a table built from the
+    publishers' declared topics and payload types — and one for what is
+    rendered (``spans_of``, its documented second), by matching topic
+    literals; nothing else loops over records and reads topics."""
     decoders = []
     for path in sorted((SRC / "obs").glob("*.py")):
         for function in ast.walk(ast.parse(path.read_text())):
@@ -488,9 +489,23 @@ def test_a_log_record_is_decoded_in_two_places():
                 for constant in ast.walk(loop)
             ):
                 decoders.append((path.name, function.name))
+                continue
+            # A loop over records that looks its topic up in the table.
+            if any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "get"
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "kinds"
+                and [a.id for a in call.args if isinstance(a, ast.Name)] == ["topic"]
+                for loop in loops
+                for call in ast.walk(loop)
+            ):
+                decoders.append((path.name, function.name))
     assert sorted(decoders) == [("log.py", "__call__"), ("observer.py", "spans_of")]
-    # And the other two consumers' modules name no topic of those families.
-    for name in ("server.py", "estimators.py"):
+    # And the other consumers' modules — the fold's too — name no topic of
+    # those families: the table reads the publishers' constants.
+    for name in ("server.py", "estimators.py", "log.py"):
         constants = {
             node.value
             for node in ast.walk(ast.parse((SRC / "obs" / name).read_text()))

@@ -15,6 +15,13 @@ import pytest
 from tests.helpers import bound_series, single_task_workflow
 from repro.core import FailurePolicy
 from repro.engine import EngineHost, WorkflowEngine
+from repro.engine.engine import (
+    ENGINE_NODE_LAUNCHED,
+    NodeCompleted,
+    NodeLaunched,
+    WorkflowFinished,
+)
+from repro.engine.host import WorkflowAdmitted
 from repro.events import EventBus
 from repro.grid import (
     RELIABLE,
@@ -40,8 +47,9 @@ from repro.obs import (
     render_report,
     scrape_bus,
     scrape_kernel,
-    stamp,
 )
+from repro.obs.log import expand
+from repro.obs.tracectx import UNTRACED
 
 
 def crashy_run(bus: EventBus, *, crashes: int = 2, tracer: Tracer | None = None):
@@ -62,24 +70,12 @@ def crashy_run(bus: EventBus, *, crashes: int = 2, tracer: Tracer | None = None)
 
 
 def collect_ids(events):
-    """topic → list of (trace_id, span_id, parent_id) triples, duck-typed
-    over dict and AttemptOutcome payloads."""
-    triples = []
-    for topic, payload in events:
-        if isinstance(payload, dict):
-            ids = (
-                payload.get("trace_id", ""),
-                payload.get("span_id", ""),
-                payload.get("parent_id", ""),
-            )
-        else:
-            ids = (
-                getattr(payload, "trace_id", ""),
-                getattr(payload, "span_id", ""),
-                getattr(payload, "parent_id", ""),
-            )
-        triples.append((topic, *ids))
-    return triples
+    """topic → list of (trace_id, span_id, parent_id) triples ("" where a
+    payload carries none): every payload on these topics has the fields."""
+    return [
+        (topic, payload.trace_id or "", payload.span_id or "", payload.parent_id or "")
+        for topic, payload in events
+    ]
 
 
 class TestTracer:
@@ -106,19 +102,29 @@ class TestTracer:
         seq_b = [b.child(b.root("x")) for _ in range(5)]
         assert seq_a == seq_b
 
-    def test_stamp_writes_ids_and_noop_when_off(self):
-        detail: dict = {"k": 1}
-        assert stamp(detail, None) == {"k": 1}
+    def test_payload_ids_render_and_are_left_out_when_off(self):
+        def entry(ctx):
+            payload = NodeLaunched("w", "", "a", 1.0, *(ctx or UNTRACED))
+            return expand((0, 1.0, 0.0, ENGINE_NODE_LAUNCHED, payload))
+
+        untraced = {
+            "seq": 0,
+            "topic": ENGINE_NODE_LAUNCHED,
+            "workflow": "w",
+            "workflow_id": "",
+            "node": "a",
+            "at": 1.0,
+        }
+        assert entry(None) == untraced
         ctx = TraceContext(trace_id="t#1", span_id="s2", parent_id="s1")
-        stamped = stamp({"k": 1}, ctx)
-        assert stamped == {
-            "k": 1,
+        assert entry(ctx) == {
+            **untraced,
             "trace_id": "t#1",
             "span_id": "s2",
             "parent_id": "s1",
         }
         root = TraceContext(trace_id="t#1", span_id="s1")
-        assert "parent_id" not in stamp({}, root)
+        assert "parent_id" not in entry(root)
 
 
 class TestCausalPropagation:
@@ -203,8 +209,8 @@ class TestCausalPropagation:
             for t, p in events
             if t.startswith("task.active")
         )
-        assert restarts[0]["flag_source"] == first_attempt_span
-        assert restarts[0]["span_id"]  # the restart is itself a hop
+        assert restarts[0].flag_source == first_attempt_span
+        assert restarts[0].span_id  # the restart is itself a hop
 
 
 class TestFlightRecorder:
@@ -517,14 +523,10 @@ class TestTelemetryServer:
             scraper.start()
             for i in range(300):
                 wfid = f"wf-{i}"
-                bus.publish(
-                    "engine.workflow_admitted",
-                    {"workflow": "w", "workflow_id": wfid},
-                )
-                bus.publish(
-                    "engine.node_launched",
-                    {"workflow": "w", "workflow_id": wfid, "node": "task"},
-                )
+                admitted = WorkflowAdmitted("w", wfid, 0.0)
+                bus.publish("engine.workflow_admitted", admitted)
+                launched = NodeLaunched("w", wfid, "task", 0.0)
+                bus.publish("engine.node_launched", launched)
             stop.set()
             scraper.join(timeout=10)
             assert not failures, failures
@@ -667,26 +669,16 @@ class TestTelemetryServer:
     def test_tracker_live_phases(self):
         bus = EventBus()
         tracker = WorkflowStatusTracker(bus)
-        bus.publish(
-            "engine.node_launched",
-            {"workflow": "w", "workflow_id": "wf-1", "node": "task", "at": 0.0},
-        )
+        bus.publish("engine.node_launched", NodeLaunched("w", "wf-1", "task", 0.0))
         (entry,) = tracker.snapshot()
         assert entry["phase"] == "running"
         assert entry["running_nodes"] == ["task"]
         bus.publish(
             "engine.node_completed",
-            {
-                "workflow": "w",
-                "workflow_id": "wf-1",
-                "node": "task",
-                "status": "done",
-                "at": 3.0,
-            },
+            NodeCompleted("w", "wf-1", "task", "done", 1, None, 3.0),
         )
         bus.publish(
-            "engine.workflow_finished",
-            {"workflow": "w", "workflow_id": "wf-1", "status": "done", "at": 3.0},
+            "engine.workflow_finished", WorkflowFinished("w", "wf-1", "done", 3.0)
         )
         (entry,) = tracker.snapshot()
         assert entry["phase"] == "done"

@@ -8,6 +8,7 @@ import io
 import json
 
 from repro.cli import main
+from repro.engine.engine import NodeLaunched
 from repro.events import EventBus
 from repro.obs import (
     EstimatorSuite,
@@ -179,10 +180,7 @@ class TestTopClientLive:
         )
         port = server.start()
         try:
-            bus.publish(
-                "engine.node_launched",
-                {"workflow": "w", "workflow_id": "wf-1", "node": "task"},
-            )
+            bus.publish("engine.node_launched", NodeLaunched("w", "wf-1", "task", 0.0))
             # No collector ticks here: fold on the publishing thread, the
             # server's thread only reads what a fold left.
             tracker.sync()
