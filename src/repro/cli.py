@@ -39,8 +39,8 @@ out.prom`` (Prometheus text exposition of the run's counters and
 histograms) and ``--trace out.json`` (Chrome ``trace_event``
 JSON — loadable in chrome://tracing or Perfetto; a ``.jsonl`` suffix
 writes the raw JSON-lines event/span/metrics stream instead).  ``mc
---stats`` prints per-technique attempt histograms and pool/disk cache hit
-rates next to the completion-time estimates.
+--stats`` prints per-technique attempt histograms and the disk cache's hit
+rate next to the completion-time estimates.
 
 The live telemetry plane rides on the same flags: ``--serve-telemetry
 PORT`` stands up an HTTP server exposing ``/metrics`` (scrape-able
@@ -102,9 +102,10 @@ def _print_result(result: WorkflowResult) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    workflow = parse_wpdl_file(args.workflow, validate_graph=False)
-    # The parser drops what the vocabulary does not know, so a misspelled
-    # policy attribute is only seen in the text.
+    workflow = parse_wpdl_file(
+        args.workflow, validate_graph=False, check_attributes=False
+    )
+    # Unknown attributes are listed below with every other problem, not raised.
     problems = check_vocabulary(Path(args.workflow).read_text())
     problems += validation_problems(workflow)
     if problems:
@@ -642,8 +643,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rate(hits: float | None, misses: float | None) -> str:
-    hits, misses = hits or 0.0, misses or 0.0
+def _rate(hits: float, misses: float) -> str:
     total = hits + misses
     if not total:
         return "n/a (0 lookups)"
@@ -651,8 +651,8 @@ def _rate(hits: float | None, misses: float | None) -> str:
 
 
 def _print_mc_stats(registry, techniques, *, engine_mode: bool) -> None:
-    """Render ``mc --stats``: per-technique attempt histograms plus pool
-    and disk cache hit rates, from the merged metrics registry."""
+    """Render ``mc --stats``: per-technique attempt histograms plus the
+    disk cache's hit rate, from the merged metrics registry."""
     print()
     print("run statistics:")
     if not engine_mode:
@@ -676,13 +676,6 @@ def _print_mc_stats(registry, techniques, *, engine_mode: bool) -> None:
             if n
         ]
         print(f"  {'':28s} histogram {' '.join(parts)}")
-    print(
-        "  pool sampler cache:  "
-        + _rate(
-            registry.value("mc_pool_sampler_cache_hits_total"),
-            registry.value("mc_pool_sampler_cache_misses_total"),
-        )
-    )
 
     def across_techniques(name: str) -> float:
         return sum(
@@ -963,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="collect and print run statistics: per-technique attempt "
-        "histograms (with --engine) and pool/disk cache hit rates",
+        "histograms (with --engine) and the disk cache's hit rate",
     )
 
     p_mc.add_argument(

@@ -15,8 +15,12 @@ and out of ``firing`` publish ``obs.alert.fired`` / ``obs.alert.resolved``
 bus events (the same narrate-don't-poke convention the recovery layer
 uses).  ``drift`` rules are edge- rather than level-triggered: the
 estimator suite that finds a drift calls :meth:`HealthEngine.latch_drift`,
-which latches the rule's breach until :meth:`HealthEngine.reset_drift`;
-the ``obs.drift.*`` event it publishes beside the call is narration.
+which latches the rule's breach for the life of the engine; the
+``obs.drift.*`` event it publishes beside the call is narration.  The
+``catalog-drift`` alert thereby mirrors its detector
+(:class:`~repro.obs.estimators.PageHinkley`), whose ``drifted`` latch is
+permanent too: once a host has drifted from its catalog MTTF, the alert
+keeps firing.
 
 Evaluation runs on the collector cadence (and when a fold of the estimator
 suite latches a drift detector), entirely on the reactor thread; the HTTP
@@ -166,12 +170,6 @@ class HealthEngine:
                 state = self._states[rule.name]
                 state.drift_latch = True
                 state.drift_detail = detail
-
-    def reset_drift(self, rule_name: str) -> None:
-        state = self._states.get(rule_name)
-        if state is not None:
-            state.drift_latch = False
-            state.drift_detail = None
 
     # -- evaluation ----------------------------------------------------------
 

@@ -33,13 +33,6 @@ from .parallel import (
     seed_for,
     shard_bounds,
 )
-from .pool import (
-    get_pool,
-    pool_size,
-    sampler_cache_info,
-    shutdown_pool,
-    worker_sampler,
-)
 from .params import (
     PAPER_BASELINE,
     PAPER_DOWNTIMES,
@@ -89,11 +82,6 @@ __all__ = [
     "SampleCache",
     "default_cache_dir",
     "resolve_cache",
-    "get_pool",
-    "pool_size",
-    "sampler_cache_info",
-    "shutdown_pool",
-    "worker_sampler",
     "SAMPLERS_VERSION",
     "PAPER_BASELINE",
     "PAPER_DOWNTIMES",

@@ -3,7 +3,7 @@
 Every estimate in :mod:`repro.sim` is one call of :func:`estimate_cells`
 — **plan** (per cell: draw source, RNG streams, batch schedule, cache
 key), **execute** (one round loop holding the only cache lookup/store
-site and the only pool fan-out), **summarise** (one
+site and the only executor fan-out), **summarise** (one
 :class:`CellEstimate` per cell).  :func:`evaluate_grid`,
 :func:`~repro.sim.runner.sweep_mttf` and :func:`~repro.sim.runner.sweep`
 only build the cell list and reshape the result; one cell is
@@ -66,6 +66,7 @@ from .cache import SampleCache, resolve_cache
 from .parallel import (
     DEFAULT_RUN_TIMEOUT,
     _engine_shard,
+    estimate_executor,
     pool_map,
     resolve_jobs,
     shard_bounds,
@@ -617,7 +618,10 @@ def estimate_cells(
     cells of a technique replay one :class:`UniformPool` through cursors
     that carry across batches, so CRN rounds stay in process whatever
     *jobs* says.  A cell leaves the loop when its target is met or its
-    budget spent, and is stored in *cache* at that moment.
+    budget spent, and is stored in *cache* at that moment.  Rounds share
+    one executor, no wider than a round, opened if ``jobs > 1`` and a cell
+    is pending (:func:`~repro.sim.parallel.estimate_executor`); it and
+    every sampler the call built are gone when the call returns or raises.
 
     **Summarise.**  Each cell is reported as a :class:`CellEstimate`
     with the variance-reduction-aware :class:`Summary`; estimates come
@@ -627,7 +631,7 @@ def estimate_cells(
     vector is exactly :func:`~repro.sim.samplers.sample_technique`'s.
     *metrics* is an optional :class:`~repro.obs.metrics.MetricsRegistry`:
     it counts cache lookups, and engine shards merge their per-run
-    histograms and sampler-cache counters into it.
+    histograms and wall-clock durations into it.
     """
     mode = resolve_variance_reduction(variance_reduction)
     if target is not None and not isinstance(target, CITarget):
@@ -696,29 +700,32 @@ def estimate_cells(
                 pools[shared] = _crn_pool(plan.params, plan.technique)
             crn[i] = CRNGenerator(pools[shared])
 
-    batch = 0
-    while pending:
-        tasks: list[tuple] = []
-        owners: list[int] = []
-        for i, chunks in pending.items():
-            drawn = sum(chunk.size for chunk in chunks)
-            cell_tasks = plans[i].tasks(batch, drawn, jobs, collect, crn.get(i))
-            tasks += cell_tasks
-            owners += [i] * len(cell_tasks)
-        for i, (chunk, snapshot) in zip(owners, pool_map(tasks, jobs)):
-            pending[i].append(chunk)
-            if snapshot is not None:
-                metrics.merge(snapshot)
-        for i, chunks in list(pending.items()):
-            samples = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            estimates[i] = plans[i].estimate(samples)
-            if estimates[i] is None:
-                pending[i] = [samples]
-                continue
-            del pending[i]
-            if store is not None:
-                store.store(keys[i], samples)
-        batch += 1
+    # A round has one task per sampler cell, up to *jobs* per engine cell.
+    width = sum(1 if plans[i].engine is None else jobs for i in pending)
+    with estimate_executor(min(jobs, width)) as executor:
+        batch = 0
+        while pending:
+            tasks: list[tuple] = []
+            owners: list[int] = []
+            for i, chunks in pending.items():
+                drawn = sum(chunk.size for chunk in chunks)
+                cell_tasks = plans[i].tasks(batch, drawn, jobs, collect, crn.get(i))
+                tasks += cell_tasks
+                owners += [i] * len(cell_tasks)
+            for i, (chunk, snapshot) in zip(owners, pool_map(tasks, executor)):
+                pending[i].append(chunk)
+                if snapshot is not None:
+                    metrics.merge(snapshot)
+            for i, chunks in list(pending.items()):
+                samples = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+                estimates[i] = plans[i].estimate(samples)
+                if estimates[i] is None:
+                    pending[i] = [samples]
+                    continue
+                del pending[i]
+                if store is not None:
+                    store.store(keys[i], samples)
+            batch += 1
     return estimates
 
 

@@ -220,8 +220,9 @@ class EngineSampler:
             result = self.engine.run(timeout=self.timeout)
         except BaseException:
             # A run cut off mid-flight leaves its jobs and attempts live,
-            # and a process keeps its samplers cached (``worker_sampler``):
-            # rewind now rather than at the next run.
+            # and a caller may run this sampler again after the error (a
+            # benchmark loop keeps one per configuration): rewind now
+            # rather than at the next run.
             grid.reset(seed=seed)
             self.engine.reset()
             raise

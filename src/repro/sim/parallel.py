@@ -3,9 +3,8 @@
 The paper's evaluation rests on Monte-Carlo estimation of expected
 completion times (100 000 runs per point), and the engine-level overlay
 re-runs the *full* Grid-WFS stack per sample.  This module fans that work
-out across a persistent :class:`concurrent.futures.ProcessPoolExecutor`
-(:mod:`repro.sim.pool`) while keeping results **bit-identical** to the
-sequential loop:
+out across a :class:`concurrent.futures.ProcessPoolExecutor` while keeping
+results **bit-identical** to the sequential loop:
 
 Seed sharding
     Run *i* always uses seed ``base_seed + SEED_STRIDE * i`` — a fixed
@@ -17,22 +16,20 @@ Seed sharding
     concatenation equals the sequential result exactly, for any worker
     count.
 
+One executor per estimate
+    :func:`estimate_executor` scopes all execution state to one
+    :func:`~repro.sim.adaptive.estimate_cells` call: the executor its
+    rounds share, and each process's table of
+    :class:`~repro.sim.engine_mc.EngineSampler` objects by configuration,
+    so a shard of a configuration already met rewinds its world instead of
+    building it.  Nothing outlives the call, and a whole technique × MTTF
+    grid is one call, so one start-up serves it all.
+
 One pool map
     :func:`pool_map` is the only place work crosses the process boundary:
-    the sampling pipeline (:func:`repro.sim.adaptive.estimate_cells`)
-    hands it one round's draw tasks — engine index shards and
-    vectorised-sampler cells alike — and gets the results back in task
-    order, accepted in completion order
-    (:func:`concurrent.futures.as_completed`) so one slow task never
-    serialises collection of the others.
-
-Amortised startup
-    The executor is a process-wide singleton shared by every call
-    (:func:`repro.sim.pool.get_pool`), so fork/import costs are paid once
-    per process; workers cache their :class:`EngineSampler` per
-    ``(technique, params, timeout)`` (:func:`repro.sim.pool.worker_sampler`),
-    so the workflow/grid/behavior world is built once per configuration,
-    not once per shard.
+    the sampling pipeline hands it one round's draw tasks — engine index
+    shards and vectorised-sampler cells alike — and gets the results back
+    in task order.
 
 Worker-side failures
     Engine runs can fail (e.g. a virtual-time budget is exceeded).  Raw
@@ -42,8 +39,8 @@ Worker-side failures
     replay the failing run locally with
     :func:`repro.sim.engine_mc.run_engine_once`.
 
-Single-worker calls (``jobs=1``, the default) bypass the pool entirely and
-run every task in process, so the sequential path has zero multiprocessing
+Single-worker calls (``jobs=1``, the default) open no executor and run
+every task in process, so the sequential path has zero multiprocessing
 overhead.
 """
 
@@ -51,16 +48,19 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable, Sequence
-from concurrent.futures import as_completed
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..obs.metrics import MetricSpec
 from .params import SimulationParams
-from .pool import get_pool, sampler_cache_info, shutdown_pool, worker_sampler
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .engine_mc import EngineSampler
 
 __all__ = [
     "SEED_STRIDE",
@@ -68,6 +68,7 @@ __all__ = [
     "seed_for",
     "shard_bounds",
     "resolve_jobs",
+    "estimate_executor",
     "pool_map",
 ]
 
@@ -78,16 +79,6 @@ SEED_STRIDE = 7919
 #: Default virtual-time budget for one engine run.
 DEFAULT_RUN_TIMEOUT = 10_000_000.0
 
-MC_POOL_SAMPLER_CACHE_HITS = MetricSpec(
-    "mc_pool_sampler_cache_hits_total",
-    "counter",
-    "shards served by an already-built worker sampler",
-)
-MC_POOL_SAMPLER_CACHE_MISSES = MetricSpec(
-    "mc_pool_sampler_cache_misses_total",
-    "counter",
-    "shards that had to build the sampler world",
-)
 MC_SHARD_WALL = MetricSpec(
     "mc_shard_wall_seconds",
     "histogram",
@@ -168,6 +159,36 @@ def resolve_jobs(jobs: int | None) -> int:
 
 # -- engine-level sampling ----------------------------------------------------
 
+#: This process's samplers for the estimate it is running, keyed
+#: ``(technique, params.with_runs(1), timeout)`` — a sampler ignores
+#: ``params.runs`` (run counts arrive per call), so configurations that
+#: differ only in budget share one.  Empty when a worker starts and when
+#: :func:`estimate_executor` exits.
+_ENGINE_SAMPLERS: dict[tuple, EngineSampler] = {}
+
+
+def _clear_samplers() -> None:
+    """Empty this process's sampler table (a worker's initializer: a
+    forked worker would otherwise start with its parent's table)."""
+    _ENGINE_SAMPLERS.clear()
+
+
+@contextmanager
+def estimate_executor(jobs: int) -> Iterator[ProcessPoolExecutor | None]:
+    """The executor one estimate's rounds share: a fresh
+    ``ProcessPoolExecutor(jobs)`` when ``jobs > 1``, else ``None`` (draw
+    in process).  On exit, normal or not, its workers are shut down and
+    this process's sampler table is empty, so the next estimate starts
+    from nothing."""
+    try:
+        if jobs <= 1:
+            yield None
+        else:
+            with ProcessPoolExecutor(jobs, initializer=_clear_samplers) as executor:
+                yield executor
+    finally:
+        _ENGINE_SAMPLERS.clear()
+
 
 def _engine_shard(
     technique: str,
@@ -182,53 +203,49 @@ def _engine_shard(
 
     Module-level (picklable) and usable in process: the sequential path
     calls it directly so ``jobs=1`` and ``jobs=N`` execute the same code.
-    The sampler comes from the per-process cache, so consecutive shards of
-    one configuration skip world construction entirely.
+    The sampler comes from this process's table of the estimate's
+    samplers, so later shards of one configuration skip world
+    construction.
 
     With *collect_stats* the second element is a
     :meth:`repro.obs.metrics.MetricsRegistry.snapshot` covering this
     shard: per-run attempt/completion histograms (recorded by the
-    sampler), the shard's sampler-cache hit or miss, and its wall-clock
-    duration.  Snapshots are plain dicts, so they cross the process
-    boundary without pickling any registry machinery; the parent folds
-    them together with :meth:`MetricsRegistry.merge`.  Stats collection
-    never perturbs the simulation's draw sequence, so sample vectors stay
-    bit-identical either way.
+    sampler) and its wall-clock duration.  Snapshots are plain dicts, so
+    they cross the process boundary without pickling any registry
+    machinery; the parent folds them together with
+    :meth:`MetricsRegistry.merge`.  Stats collection never perturbs the
+    simulation's draw sequence, so sample vectors stay bit-identical
+    either way.
     """
     registry = None
     if collect_stats:
         from ..obs.metrics import MetricsRegistry
 
         wall_start = time.perf_counter()
-        cache_before = sampler_cache_info()
         registry = MetricsRegistry()
-    sampler = worker_sampler(technique, params, timeout)
-    if registry is not None:
-        cache_after = sampler_cache_info()
-        registry.family(MC_POOL_SAMPLER_CACHE_HITS).labels().inc(
-            cache_after["hits"] - cache_before["hits"]
-        )
-        registry.family(MC_POOL_SAMPLER_CACHE_MISSES).labels().inc(
-            cache_after["misses"] - cache_before["misses"]
-        )
-    previous_metrics = sampler.metrics
+    key = (technique, params.with_runs(1), timeout)
+    sampler = _ENGINE_SAMPLERS.get(key)
+    if sampler is None:
+        from .engine_mc import EngineSampler
+
+        sampler = EngineSampler(technique, params, timeout=timeout)
+        _ENGINE_SAMPLERS[key] = sampler
+    # Every shard of one estimate collects alike, and the table goes with
+    # the estimate, so the sampler may keep this shard's registry.
     sampler.metrics = registry
     out = np.empty(stop - start)
-    try:
-        for index in range(start, stop):
-            seed = seed_for(base_seed, index)
-            try:
-                out[index - start] = sampler.run(seed)
-            except Exception as exc:
-                # Wrap with replay context: chained causes do not survive
-                # the executor's pickling, but the message does.
-                raise SimulationError(
-                    f"engine-level Monte-Carlo run failed: "
-                    f"technique={technique!r} run_index={index} seed={seed} "
-                    f"({type(exc).__name__}: {exc})"
-                ) from exc
-    finally:
-        sampler.metrics = previous_metrics
+    for index in range(start, stop):
+        seed = seed_for(base_seed, index)
+        try:
+            out[index - start] = sampler.run(seed)
+        except Exception as exc:
+            # Wrap with replay context: chained causes do not survive
+            # the executor's pickling, but the message does.
+            raise SimulationError(
+                f"engine-level Monte-Carlo run failed: "
+                f"technique={technique!r} run_index={index} seed={seed} "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
     if registry is None:
         return out, None
     registry.family(MC_SHARD_WALL).labels(technique).observe(
@@ -237,37 +254,23 @@ def _engine_shard(
     return out, registry.snapshot()
 
 
-def pool_map(tasks: Sequence[tuple[Callable, tuple]], jobs: int) -> list:
+def _call(task: tuple[Callable, tuple]):
+    fn, args = task
+    return fn(*args)
+
+
+def pool_map(
+    tasks: Sequence[tuple[Callable, tuple]], executor: ProcessPoolExecutor | None
+) -> list:
     """``fn(*args)`` for every ``(fn, args)`` task, results in task order,
-    on at most *jobs* workers of the persistent pool.
+    on *executor*'s workers (:func:`estimate_executor`).
 
     Tasks must be module-level callables with picklable arguments whose
     results do not depend on placement — every caller's are seeded by
     their arguments alone, so the list equals the sequential evaluation
-    exactly.  ``jobs <= 1`` (or a single task) runs in process.
-
-    A worker killed hard (OOM, signal) breaks the executor for all later
-    submissions; since the pool is a long-lived singleton, one automatic
-    replace-and-retry keeps a single casualty from poisoning every
-    subsequent call.
+    exactly.  Without an executor, or for a single task, they run in
+    process.
     """
-    jobs = min(jobs, len(tasks))
-    if jobs <= 1:
-        return [fn(*args) for fn, args in tasks]
-
-    def submit_all(pool) -> list:
-        futures = {
-            pool.submit(fn, *args): i for i, (fn, args) in enumerate(tasks)
-        }
-        results: list = [None] * len(tasks)
-        # Completion-order collection: a slow task delays only itself,
-        # never its finished neighbours.
-        for future in as_completed(futures):
-            results[futures[future]] = future.result()
-        return results
-
-    try:
-        return submit_all(get_pool(jobs))
-    except BrokenProcessPool:
-        shutdown_pool()
-        return submit_all(get_pool(jobs))
+    if executor is None or len(tasks) <= 1:
+        return [_call(task) for task in tasks]
+    return list(executor.map(_call, tasks))

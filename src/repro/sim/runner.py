@@ -132,7 +132,7 @@ def sweep(
     *params_of* maps an x to the cell's :class:`SimulationParams`.  Like
     :func:`sweep_mttf` this is one
     :func:`~repro.sim.adaptive.estimate_cells` call: cells fan out across
-    the persistent pool (``jobs=``) and each cell is independently
+    the call's worker processes (``jobs=``) and each cell is independently
     content-addressed in the sample cache (``cache=``).
     """
     xs = tuple(float(x) for x in xs)
@@ -160,7 +160,7 @@ def sweep_mttf(
 
     Every (technique, MTTF) point is one cell of one
     :func:`~repro.sim.adaptive.estimate_cells` call.  With ``jobs > 1``
-    the cells are sampled across the persistent process pool; every point
+    the cells are sampled across the call's worker processes; every point
     is independently seeded, so the series are identical to the
     sequential evaluation.
 

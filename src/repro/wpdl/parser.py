@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import Any
-from xml.parsers import expat
 
 from ..core.policy import FailurePolicy, ReplicationMode, ResourceSelection
 from ..errors import ParseError, PolicyError, SpecificationError
@@ -38,13 +37,16 @@ from .model import (
     TransitionCondition,
     Workflow,
 )
-from .schema import ELEMENTS
+from .schema import ELEMENTS, _lint, _run, _tag, _xml_parser
 from .validator import validate
 
 __all__ = ["parse_wpdl", "parse_wpdl_file"]
 
 #: The activity attributes a :class:`FailurePolicy` is parsed from.
 _POLICY_ATTRIBUTES = tuple(sorted(ELEMENTS["Activity"][0] - {"name", "join"}))
+#: Each element's attributes (an unknown element has none).
+_ATTRIBUTES = {tag: attributes for tag, (attributes, _) in ELEMENTS.items()}
+_NONE: frozenset[str] = frozenset()
 #: The members of the enum-valued attributes, by value.
 _CHOICES = {
     "join": {mode.value: mode for mode in JoinMode},
@@ -68,53 +70,42 @@ _TYPE_PARSERS = {
 _Attrs = dict[str, str]
 
 
-def parse_wpdl(text: str, *, validate_graph: bool = True) -> Workflow:
-    """Parse an XML WPDL document string into a validated workflow."""
+def parse_wpdl(
+    text: str, *, validate_graph: bool = True, check_attributes: bool = True
+) -> Workflow:
+    """Parse an XML WPDL document string into a validated workflow.
+
+    An attribute outside the vocabulary is refused, with one error listing
+    every such attribute by its path (``Workflow/Activity: unknown attribute
+    'max_trys'``), unless *check_attributes* is false — ``repro validate``
+    lists them itself, beside the graph's problems.
+    """
     reader = _Reader()
     try:
         _run(reader.parser, text)
     except ParseError:
         _fault_met_first(text, reader.composites)
         raise
+    if check_attributes and reader.unknown_attribute:
+        unknown = _lint(text, elements=False)
+        if unknown:
+            raise ParseError("; ".join(unknown))
     if validate_graph:
         validate(reader.workflow)
     return reader.workflow
 
 
-def parse_wpdl_file(path: str | Path, *, validate_graph: bool = True) -> Workflow:
+def parse_wpdl_file(
+    path: str | Path, *, validate_graph: bool = True, check_attributes: bool = True
+) -> Workflow:
     """Parse a WPDL file (the engine's command-line entry point uses this)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_wpdl(text, validate_graph=validate_graph)
-
-
-def _xml_parser() -> Any:
-    """Expat reading as ``xml.etree`` does: namespaced names as ``uri}local``,
-    and an entity nothing declares (legal beside an external DTD) is an error."""
-    parser = expat.ParserCreate(None, "}")
-    parser.buffer_text = True
-
-    def undefined(name: str, is_parameter_entity: bool) -> None:
-        if not is_parameter_entity:
-            raise ParseError(
-                f"not well-formed XML: undefined entity {f'&{name};'[:100]}: "
-                f"line {parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}"
-            )
-
-    parser.SkippedEntityHandler = undefined
-    return parser
-
-
-def _run(parser: Any, text: str) -> None:
-    try:
-        parser.Parse(text, True)
-    except expat.ExpatError as exc:
-        raise ParseError(f"not well-formed XML: {exc}") from exc
-    finally:  # the handlers refer back to the parser: leave no cycle to collect
-        parser.StartElementHandler = parser.EndElementHandler = None
-        parser.CharacterDataHandler = parser.SkippedEntityHandler = None
+    return parse_wpdl(
+        text, validate_graph=validate_graph, check_attributes=check_attributes
+    )
 
 
 def _fault_met_first(text: str, open_composites: list[_Composite]) -> None:
@@ -136,11 +127,6 @@ def _fault_met_first(text: str, open_composites: list[_Composite]) -> None:
     for composite in open_composites:
         if bodies[composite.where] > 1:
             raise ParseError(f"{composite.label} requires exactly one <Body>")
-
-
-def _tag(name: str) -> str:
-    """*name* as a message shows it: ``{uri}local`` when namespaced."""
-    return "{" + name if "}" in name else name
 
 
 class _Frame:
@@ -189,11 +175,15 @@ class _Reader:
         self.depth = 0
         self.frames: list[_Frame] = []
         self.composites: list[_Composite] = []
+        self.unknown_attribute = False
 
     def start(self, tag: str, attrs: _Attrs) -> None:
         if self.depth:
             self.depth += 1
         else:
+            # Only flagged here: the lint decides what is unknown where.
+            if not _ATTRIBUTES.get(tag, _NONE).issuperset(attrs):
+                self.unknown_attribute = True
             self.open(self, tag, attrs)
 
     def end(self, tag: str) -> None:

@@ -5,11 +5,15 @@ our equivalent: the normative element/attribute vocabulary, both as a DTD
 string (:data:`WPDL_DTD`, for documentation and external validators) and as
 Python tables used by :func:`check_vocabulary` for a quick structural lint
 that produces friendlier messages than the parser's first-error behaviour.
+The lint and :func:`~repro.wpdl.parser.parse_wpdl` read a document with the
+same expat setup (:func:`_xml_parser`), so they agree on what it says; the
+parser refuses the lint's unknown attributes.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
+from typing import Any
+from xml.parsers import expat
 
 from ..errors import ParseError
 
@@ -150,31 +154,75 @@ def check_vocabulary(text: str) -> list[str]:
     list means the vocabulary is clean — the document may still fail
     semantic validation.
     """
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise ParseError(f"not well-formed XML: {exc}") from exc
+    return _lint(text, elements=True)
+
+
+def _lint(text: str, *, elements: bool) -> list[str]:
+    """The vocabulary's problems in document order; with *elements* false,
+    only the unknown attributes.  An element in the wrong place is
+    reported, and nothing inside it is checked."""
     problems: list[str] = []
-    if root.tag != "Workflow":
-        problems.append(f"root element must be <Workflow>, got <{root.tag}>")
-        return problems
-    _walk(root, problems, path=root.tag)
+    #: ``(tag, path)`` of each open element; ``None`` when it is not checked.
+    open_at: list[tuple[str, str] | None] = []
+
+    def start(name: str, attrs: dict[str, str]) -> None:
+        tag, checked = _tag(name), None
+        if not open_at:
+            if tag == "Workflow":
+                checked = (tag, tag)
+            elif elements:
+                problems.append(f"root element must be <Workflow>, got <{tag}>")
+        elif open_at[-1] is not None:
+            parent, path = open_at[-1]
+            if tag in ELEMENTS[parent][1]:
+                checked = (tag, f"{path}/{tag}")
+            elif elements:
+                problems.append(
+                    f"{path}: element <{tag}> not allowed inside <{parent}>"
+                )
+        if checked is not None:
+            known, path = ELEMENTS[tag][0], checked[1]
+            problems.extend(
+                f"{path}: unknown attribute {_tag(attr)!r}"
+                for attr in attrs
+                if attr not in known
+            )
+        open_at.append(checked)
+
+    parser = _xml_parser()
+    parser.StartElementHandler = start
+    parser.EndElementHandler = lambda _name: open_at.pop()
+    _run(parser, text)
     return problems
 
 
-def _walk(elem: ET.Element, problems: list[str], *, path: str) -> None:
-    spec = ELEMENTS.get(elem.tag)
-    if spec is None:
-        problems.append(f"{path}: unknown element <{elem.tag}>")
-        return
-    allowed_attrs, allowed_children = spec
-    for attr in elem.attrib:
-        if attr not in allowed_attrs:
-            problems.append(f"{path}: unknown attribute {attr!r}")
-    for child in elem:
-        if child.tag not in allowed_children:
-            problems.append(
-                f"{path}: element <{child.tag}> not allowed inside <{elem.tag}>"
+def _xml_parser() -> Any:
+    """Expat reading as ``xml.etree`` does: namespaced names as ``uri}local``,
+    and an entity nothing declares (legal beside an external DTD) is an error."""
+    parser = expat.ParserCreate(None, "}")
+    parser.buffer_text = True
+
+    def undefined(name: str, is_parameter_entity: bool) -> None:
+        if not is_parameter_entity:
+            raise ParseError(
+                f"not well-formed XML: undefined entity {f'&{name};'[:100]}: "
+                f"line {parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}"
             )
-            continue
-        _walk(child, problems, path=f"{path}/{child.tag}")
+
+    parser.SkippedEntityHandler = undefined
+    return parser
+
+
+def _run(parser: Any, text: str) -> None:
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise ParseError(f"not well-formed XML: {exc}") from exc
+    finally:  # the handlers refer back to the parser: leave no cycle to collect
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = parser.SkippedEntityHandler = None
+
+
+def _tag(name: str) -> str:
+    """*name* as a message shows it: ``{uri}local`` when namespaced."""
+    return "{" + name if "}" in name else name

@@ -593,8 +593,23 @@ class TestCliObservability:
         assert code == 0
         assert "run statistics:" in out
         assert "attempts/run: mean=" in out
-        assert "pool sampler cache:" in out
-        assert "disk sample cache:   n/a (0 lookups)" in out
+        # The histograms are followed by the disk cache's line, and nothing
+        # else: no per-process cache outlives an estimate to report on.
+        assert out.endswith("disk sample cache:   n/a (0 lookups)\n")
+
+    def test_mc_stats_are_the_same_at_any_worker_count(self, capsys):
+        # Every estimate starts from nothing, so what --stats reports is a
+        # function of the specification: only the header's jobs= differs.
+        argv = ["mc", "--engine", "--technique", "extended", "--mttf", "30"]
+        argv += ["--runs", "30", "--stats"]
+        outs = []
+        for jobs in ("1", "2"):
+            assert main([*argv, "--jobs", jobs]) == 0
+            header, _, rest = capsys.readouterr().out.partition("\n")
+            assert header.endswith(f"jobs={jobs})")
+            outs.append(rest)
+        assert outs[0] == outs[1]
+        assert "run statistics:" in outs[0]
 
     @pytest.mark.parametrize(
         "flags",
@@ -784,6 +799,22 @@ class TestCliFixes:
         assert "is valid" not in out
         assert "unknown attribute 'max_trys'" in out
         assert "unknown attribute 'polcy'" in out
+
+    def test_run_refuses_misspelled_policy_attributes(
+        self, tmp_path, grid_file, capsys
+    ):
+        # The run used to read ``max_tries=1`` and no replication.
+        path = tmp_path / "typo.xml"
+        path.write_text(
+            "<Workflow name='w'>"
+            "<Activity name='a' max_trys='3'>"
+            "<Implement>sum</Implement></Activity>"
+            "<Program name='sum'><Option hostname='n1'/></Program>"
+            "</Workflow>"
+        )
+        assert main(["run", str(path), "--grid", str(grid_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Workflow/Activity: unknown attribute 'max_trys'\n"
 
     def test_report_covers_every_instance(self, capsys):
         argv = ["run", str(SPECS / "mosaic.xml")]

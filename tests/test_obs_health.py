@@ -19,6 +19,7 @@ from repro.obs import (
     EstimatorSuite,
     HealthEngine,
     HealthRule,
+    MetricsRegistry,
     TimeSeriesStore,
     default_rules,
 )
@@ -185,7 +186,7 @@ class TestThresholdRules:
 
 
 class TestDriftRules:
-    def test_a_drift_latches_until_reset(self):
+    def test_a_drift_latches_for_the_life_of_the_plane(self):
         bus = EventBus()
         engine = HealthEngine(bus=bus)
         engine.add_rule(HealthRule("catalog-drift", kind="drift"))
@@ -194,17 +195,29 @@ class TestDriftRules:
         bus.publish("obs.drift.mttf", {"host": "h0", "observed_mttf": 1.0})
         assert engine.evaluate(0.5) == []
         assert bus.stats()["topics"] == bus.stats()["taps"] == 0
-        engine.latch_drift("obs.drift.mttf", {"host": "h1", "observed_mttf": 3.0})
-        (transition,) = engine.evaluate(1.0)
-        assert transition["transition"] == "fired"
-        assert transition["drift"]["host"] == "h1"
-        assert transition["drift"]["topic"] == "obs.drift.mttf"
-        # Level-style evaluation keeps it firing: the latch holds.
-        assert engine.evaluate(50.0) == []
+        # The estimators latch it by call once a host fails ten times as
+        # often as its catalog promises.
+        suite = EstimatorSuite(priors={"h1": (100.0, 0.0)}, health=engine)
+        at = 0.0
+        while not suite.drift_events:
+            at += 10.0
+            suite.record_host_failure("h1", at)
+        (fired,) = engine.alerts()["history"]
+        assert fired["event"] == "fired"
+        assert fired["drift"]["host"] == "h1"
+        assert fired["drift"]["topic"] == "obs.drift.mttf"
+        # Neither many evaluations nor the host keeping its promise again
+        # clears it: the detector's latch is permanent, and so is the alert.
+        for _ in range(200):
+            at += 100.0
+            suite.record_host_failure("h1", at)
+            assert engine.evaluate(at) == []
         assert engine.status() == "degraded"
-        engine.reset_drift("catalog-drift")
-        (transition,) = engine.evaluate(51.0)
-        assert transition["transition"] == "resolved"
+        assert [alert["rule"] for alert in engine.firing()] == ["catalog-drift"]
+        assert len(engine.alerts()["history"]) == 1
+        registry = MetricsRegistry()
+        suite.export(registry)
+        assert registry.value("obs_host_drift", host="h1") == 1.0
 
 
 class TestDefaultRules:

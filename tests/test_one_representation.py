@@ -25,7 +25,9 @@ over it went, with accessors only tests called.  Nothing exists only for
 its tests: the message wire format, the second profiler, the registry's
 keyword-made instruments and the accessors only tests called went, and a
 census fails on a public name only tests read unless ``ONLY_TESTS`` says
-why it stays.
+why it stays.  The Monte-Carlo layer keeps nothing between estimates, so
+the process-wide pool, its sampler cache and its counters went, and a
+drift alert latches for good, so its reset went.
 One walk over ``src/repro`` keeps them deleted, and keeps the retry wait —
 and the decoding of a log record — in one place.
 """
@@ -248,6 +250,18 @@ GONE = {
     "incoming_states",
     "outgoing_indices",
     "incoming_indices",
+    # The Monte-Carlo layer keeps nothing between calls: one executor and
+    # one sampler table per estimate, so the process-wide pool, its sampler
+    # LRU and its hit counters went; and a catalog-drift alert latches for
+    # the life of the plane, as its detector does.
+    "get_pool",
+    "pool_size",
+    "shutdown_pool",
+    "worker_sampler",
+    "sampler_cache_info",
+    "clear_sampler_cache",
+    "SAMPLER_CACHE_LIMIT",
+    "reset_drift",
 }
 
 #: Public names under ``src/repro`` that nothing but tests reaches, kept on
@@ -268,11 +282,8 @@ ONLY_TESTS = {
     "Broker.set_query": "per-activity matchmaking for a '*' option (DESIGN.md)",
     "FailureScript": "scripted faults: the base of scripted workloads",
     "inject_partition": "scripted faults: a timed network partition",
-    "HealthEngine.reset_drift": "the way a latched drift alert resolves",
     "young_checkpoint_count": "Young's interval as K, the analytical cross-check",
-    "run_engine_once": "the replay a failed pool run's message points to",
-    "pool_size": "the pool singleton's width, which a resize must change",
-    "clear_sampler_cache": "without it tests would reach into pool._SAMPLERS",
+    "run_engine_once": "the replay a failed engine run's message points to",
     "fork_join": "a workload family the WPDL round-trip tests sweep",
     "diamond_ladder": "a workload family the WPDL round-trip tests sweep",
     "WorkflowBuilder.subworkflow": "builder form of WPDL's <SubWorkflow>",
@@ -356,6 +367,7 @@ def test_the_deleted_surface_stays_deleted():
     assert not {"encode", "decode", "_KINDS"} & set(vars(messages))
     assert not [m for m in messages.Message.__args__ if hasattr(m, "kind")]
     assert not (SRC / "sim" / "profile.py").exists()
+    assert not (SRC / "sim" / "pool.py").exists()
     # A request names the job; the attempt's flag and instance go with the
     # submission (``checkpoint_flag`` is still the detector's, so these are
     # checked where they lived).

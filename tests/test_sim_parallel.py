@@ -8,6 +8,10 @@ the science.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,9 +23,11 @@ from repro.sim import (
     sample_technique,
     summarize,
 )
+from repro.sim import engine_mc
 from repro.sim.engine_mc import EngineSampler, run_engine_once
 from repro.sim.params import SimulationParams
 from repro.sim.parallel import (
+    DEFAULT_RUN_TIMEOUT,
     SEED_STRIDE,
     resolve_jobs,
     seed_for,
@@ -205,6 +211,61 @@ class TestParallelBitIdentity:
     def test_rejects_zero_runs(self):
         with pytest.raises(SimulationError):
             estimate_cells([("retrying", FAULTY)], runs=0, engine=True)
+
+
+class TestOneExecutorPerEstimate:
+    """Every round of one estimate shares one executor and one sampler
+    table, and neither outlives the call."""
+
+    def test_jobs2_matches_jobs1_across_cells_and_rounds(self):
+        cells = [("checkpointing", FAULTY), ("retrying", FAULTY.with_mttf(50.0))]
+        # An unreachable precision keeps both cells sampling to max_runs:
+        # batches of 4, 4 and 8 runs, each sharded over the workers.
+        target = CITarget(rel=1e-9, min_runs=4, max_runs=16)
+        seq = estimate_cells(cells, target=target, jobs=1, engine=True)
+        par = estimate_cells(cells, target=target, jobs=2, engine=True)
+        again = estimate_cells(cells, target=target, jobs=2, engine=True)
+        for a, b, c in zip(seq, par, again):
+            assert a.samples.size == 16
+            assert np.array_equal(a.samples, b.samples)
+            assert np.array_equal(a.samples, c.samples)
+        assert not np.array_equal(seq[0].samples, seq[1].samples)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Weak references to every sampler this process builds."""
+        refs = []
+
+        class Recorded(EngineSampler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(engine_mc, "EngineSampler", Recorded)
+        return refs
+
+    @pytest.mark.parametrize(
+        "timeout", [DEFAULT_RUN_TIMEOUT, 1.0], ids=["returns", "raises"]
+    )
+    def test_nothing_outlives_an_estimate(self, built, timeout):
+        # A 1-virtual-second budget cuts every run off (the task alone
+        # takes 30), so that estimate raises from its first round.
+        two = [("checkpointing", FAULTY), ("retrying", FAULTY)]
+        for cells, runs, jobs in (
+            (two, 3, 2),  # every round on the workers
+            (two[:1], 1, 2),  # one task: drawn in process under jobs=2
+            (two, 3, 1),  # in process
+        ):
+            options = {"runs": runs, "jobs": jobs, "timeout": timeout}
+            if timeout == 1.0:
+                with pytest.raises(SimulationError, match="run_index=0"):
+                    estimate_cells(cells, engine=True, **options)
+            else:
+                estimate_cells(cells, engine=True, **options)
+            gc.collect()
+            assert multiprocessing.active_children() == []
+            assert all(ref() is None for ref in built), (cells, jobs)
+        assert built  # the in-process draws built samplers to watch
 
 
 class TestWorkerFailureContext:

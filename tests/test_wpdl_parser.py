@@ -13,6 +13,7 @@ from repro.workloads import chain, diamond_ladder, fork_join, layered_dag
 from repro.wpdl import serialize_wpdl
 from repro.wpdl.model import ConditionKind, JoinMode
 from repro.wpdl.parser import parse_wpdl, parse_wpdl_file
+from repro.wpdl.schema import check_vocabulary
 
 # The paper's Figure 2 fragment, completed into a full document.
 FIGURE2 = """
@@ -297,6 +298,44 @@ class TestDocumentErrors:
             validate_graph=False,
         )
         assert wf.name == "w"
+
+    def test_unknown_attributes_are_refused_together(self):
+        # They used to be dropped: this activity ran once without replicas,
+        # and the misspelled ``on`` made a done edge.
+        text = (
+            "<Workflow name='w'>"
+            "<Activity name='a' max_trys='3' polcy='replica'/>"
+            "<Activity name='b'/><Transition from='a' to='b' om='failed'/>"
+            "<Loop name='l' condition='x' cond='y'><Body>"
+            "<Activity name='c' nmae='d'/></Body></Loop>"
+            "</Workflow>"
+        )
+        unknown = [
+            "Workflow/Activity: unknown attribute 'max_trys'",
+            "Workflow/Activity: unknown attribute 'polcy'",
+            "Workflow/Transition: unknown attribute 'om'",
+            "Workflow/Loop: unknown attribute 'cond'",
+            "Workflow/Loop/Body/Activity: unknown attribute 'nmae'",
+        ]
+        assert check_vocabulary(text) == unknown
+        for graph in (True, False):
+            with pytest.raises(ParseError) as info:
+                parse_wpdl(text, validate_graph=graph)
+            assert str(info.value) == "; ".join(unknown)
+        lenient = parse_wpdl(text, validate_graph=False, check_attributes=False)
+        assert lenient.nodes["a"].policy == FailurePolicy()
+
+    def test_a_misplaced_element_is_not_an_attribute_fault(self):
+        # The lint does not look inside an element out of place, and the
+        # parser skips the ones it skipped before.
+        text = (
+            "<Workflow name='w'><Variables><Activity name='v' x='1'/></Variables>"
+            "<Activity name='a'/></Workflow>"
+        )
+        assert check_vocabulary(text) == [
+            "Workflow/Variables: element <Activity> not allowed inside <Variables>"
+        ]
+        assert list(parse_wpdl(text).nodes) == ["a"]
 
     def test_parse_file(self, tmp_path):
         path = tmp_path / "wf.xml"
