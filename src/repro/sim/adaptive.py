@@ -79,7 +79,7 @@ from .samplers import (
     _check_cell,
     sample_technique,
 )
-from .stats import Summary, summarize, z_value
+from .stats import Summary, iid_interval, summarize, z_value
 
 __all__ = [
     "CITarget",
@@ -182,10 +182,12 @@ class CITarget:
             candidates.append(self.abs)
         return max(candidates)
 
-    def met(self, summary: Summary) -> bool:
-        if summary.ci_halfwidth == 0.0:
+    def met(self, mean: float, halfwidth: float) -> bool:
+        """Whether an estimate of *mean* with CI *halfwidth* is precise
+        enough — all the stopping rule reads."""
+        if halfwidth == 0.0:
             return True
-        return summary.ci_halfwidth <= self.threshold(summary.mean)
+        return halfwidth <= self.threshold(mean)
 
     def batch_sizes(self) -> list[int]:
         """The geometric batch schedule up to ``max_runs``."""
@@ -230,37 +232,54 @@ class CITarget:
 
 def _inverse_geometric(u: np.ndarray, p: float) -> np.ndarray:
     """Inverse-CDF geometric (trials to first success, >= 1), matching
-    ``Generator.geometric``'s support."""
+    ``Generator.geometric``'s support.  Overwrites *u*."""
     if p >= 1.0:
         return np.ones(u.shape, dtype=np.int64)
-    return (np.floor(np.log1p(-u) / math.log1p(-p)) + 1).astype(np.int64)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.divide(u, math.log1p(-p), out=u)
+    np.floor(u, out=u)
+    u += 1
+    return u.astype(np.int64)
+
+
+def _inverse_exponential(u: np.ndarray, scale: float) -> np.ndarray:
+    """Inverse-CDF exponential of mean *scale*, in *u*'s storage:
+    ``log1p(−u)·(−scale)`` is ``−scale·log1p(−u)`` bit for bit."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.multiply(u, -scale, out=u)
+    return u
 
 
 class _InverseCDFGenerator:
     """Duck-types the ``Generator`` methods the samplers consume
     (``exponential``/``geometric``/``random``) by pushing the subclass's
-    uniforms (:meth:`_uniforms`, *n* of them, possibly a view of shared
-    storage) through the inverse CDF.  Marginally every draw is exact, so
-    any sampler consuming such a generator stays unbiased."""
+    uniforms (:meth:`_uniforms`, *n* of them) through the inverse CDF.
+    Marginally every draw is exact, so any sampler consuming such a
+    generator stays unbiased."""
 
     def _uniforms(self, n: int) -> np.ndarray:
+        """*n* uniforms in a fresh array the caller owns: the inverse CDFs
+        transform it in place."""
         raise NotImplementedError
 
-    def _draw(self, size, transform=None) -> np.ndarray:
+    def _draw(self, size, transform=None, *args) -> np.ndarray:
         """*size* follows numpy: ``None`` a scalar, an int, or a shape."""
         shape = size if isinstance(size, tuple) else ()
         count = int(np.prod(shape, dtype=np.int64)) if shape else int(size or 1)
         values = self._uniforms(count)
-        values = values.copy() if transform is None else transform(values)
+        if transform is not None:
+            values = transform(values, *args)
         if shape:
             return values.reshape(shape)
         return values[0] if size is None else values
 
     def exponential(self, scale: float = 1.0, size=None) -> np.ndarray:
-        return self._draw(size, lambda u: -scale * np.log1p(-u))
+        return self._draw(size, _inverse_exponential, scale)
 
     def geometric(self, p: float, size=None) -> np.ndarray:
-        return self._draw(size, lambda u: _inverse_geometric(u, p))
+        return self._draw(size, _inverse_geometric, p)
 
     def random(self, size=None) -> np.ndarray:
         return self._draw(size)
@@ -281,11 +300,14 @@ class AntitheticGenerator(_InverseCDFGenerator):
 
     def _uniforms(self, n: int) -> np.ndarray:
         fresh = (n + 1) // 2
-        u = self._rng.random(fresh)
-        out = np.concatenate([u, 1.0 - u[: n - fresh]])
+        out = np.empty(n)
+        self._rng.random(out=out[:fresh])
+        mirrors = out[fresh:]
+        np.subtract(1.0, out[: n - fresh], out=mirrors)
         # 1 - 0.0 == 1.0 falls outside random()'s [0, 1) contract; clip
         # rather than bias every transform with an epsilon.
-        return np.minimum(out, _ALMOST_ONE, out=out)
+        np.minimum(mirrors, _ALMOST_ONE, out=mirrors)
+        return out
 
 
 class UniformPool:
@@ -324,7 +346,8 @@ class CRNGenerator(_InverseCDFGenerator):
         self.cursor = 0
 
     def _uniforms(self, n: int) -> np.ndarray:
-        u = self._pool.take(self.cursor, n)
+        # A copy: the pool is shared, and the inverse CDFs write in place.
+        u = self._pool.take(self.cursor, n).copy()
         self.cursor += n
         return u
 
@@ -346,33 +369,51 @@ def pair_means(samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vr_summary(
+def _interval(
     samples: np.ndarray,
     boundaries: tuple[int, ...],
     mode: str | None,
     confidence: float,
-) -> Summary:
-    """Variance-reduction-aware summary of a (possibly batched) vector.
+) -> tuple[float, float, tuple[float, int] | None]:
+    """The estimate's mean and CI half-width — all the stopping rule reads
+    — and, under antithetic pairing, the variance and count of the pair
+    means the interval is built on (``None`` for i.i.d. draws).
 
-    Plain and CRN draws are i.i.d. within a point, so the ordinary
-    normal-approximation summary applies.  Antithetic draws are
-    negatively correlated in pairs; the estimator is summarised over the
-    per-batch pair means, which restores (approximate) independence and
-    credits the cancellation to the CI — with the effective sample size
-    reporting how many i.i.d. draws the correlation was worth.
+    Plain and CRN draws are i.i.d. within a point: the ordinary
+    normal-approximation interval of :func:`~repro.sim.stats.summarize`.
+    Antithetic draws are negatively correlated in pairs, so the interval
+    is taken over the per-batch pair means, which restores (approximate)
+    independence and credits the cancellation to the CI.
     """
-    if mode != "antithetic":
-        return summarize(samples, confidence=confidence)
     z = z_value(confidence)
+    if mode != "antithetic":
+        mean, _, half = iid_interval(samples, z)
+        return mean, half, None
     # *boundaries* partition the vector: _CellPlan.estimate derives them
     # from its size.
     batches = np.split(samples, np.cumsum(boundaries)[:-1])
     pm = np.concatenate([pair_means(batch) for batch in batches])
     var_pm = float(pm.var(ddof=1)) if pm.size > 1 else 0.0
     half = z * math.sqrt(var_pm / pm.size) if pm.size > 0 else 0.0
+    return float(samples.mean()), half, (var_pm, pm.size)
+
+
+def _vr_summary(
+    samples: np.ndarray,
+    boundaries: tuple[int, ...],
+    mode: str | None,
+    confidence: float,
+) -> Summary:
+    """Variance-reduction-aware summary of a (possibly batched) vector:
+    the interval of :func:`_interval`, and under antithetic pairing the
+    effective sample size ``Var(x)·n_pairs/Var(pairs)`` — how many i.i.d.
+    draws the correlation was worth."""
+    if mode != "antithetic":
+        return summarize(samples, confidence=confidence)
+    _, half, (var_pm, pairs) = _interval(samples, boundaries, mode, confidence)
     var_raw = float(samples.var(ddof=1)) if samples.size > 1 else 0.0
     if var_pm > 0.0:
-        ess = var_raw * pm.size / var_pm
+        ess = var_raw * pairs / var_pm
     else:
         ess = float(samples.size)
     return summarize(samples, confidence=confidence, ci_halfwidth=half, ess=ess)
@@ -553,24 +594,26 @@ class _CellPlan:
     def estimate(
         self, samples: np.ndarray, *, cached: bool = False
     ) -> CellEstimate | None:
-        """Summarise *samples* and apply the stopping rule: the cell's
-        estimate, or ``None`` when the CI target is unmet and the budget
-        allows drawing (or, for a cached vector, refining) further."""
+        """Apply the stopping rule to *samples*: the cell's estimate, or
+        ``None`` when the CI target is unmet and the budget allows drawing
+        (or, for a cached vector, refining) further.  The rule reads only
+        the mean and the CI half-width; the full summary (percentiles,
+        ESS) is built only for a cell that stops."""
         target = self.target
         if target is None:
-            boundaries, confidence = (samples.size,), 0.99
+            boundaries, confidence, converged = (samples.size,), 0.99, True
         else:
             boundaries = target.boundaries_for(samples.size)
             confidence = target.confidence
-        summary = _vr_summary(samples, boundaries, self.mode, confidence)
-        converged = target is None or target.met(summary)
-        if not converged and samples.size < target.max_runs:
-            return None
+            mean, half, _ = _interval(samples, boundaries, self.mode, confidence)
+            converged = target.met(mean, half)
+            if not converged and samples.size < target.max_runs:
+                return None
         return CellEstimate(
             self.technique,
             self.params,
             samples,
-            summary,
+            _vr_summary(samples, boundaries, self.mode, confidence),
             boundaries,
             converged,
             cached,

@@ -189,16 +189,19 @@ def _retry(
                 f"retry sampling did not converge (λF = {lam * F:.3f})"
             )
         ttf = rng.exponential(mttf, size=alive.size)
-        succeeded = ttf >= F
-        total[alive[succeeded]] += F
-        failed = alive[~succeeded]
-        if failed.size:
-            lost = ttf[~succeeded]  # a copy: summed into in place
-            lost += _downtime_draws(params, rng, failed.size)
-            # Every run failing in round n waits the same n-th retry delay.
-            lost += policy.retry_delay(rounds)
-            total[failed] += lost
-        alive = failed
+        failed = ttf < F
+        alive = alive[failed]
+        if alive.size:
+            lost = ttf[failed]  # a copy: summed into in place
+            lost += _downtime_draws(params, rng, alive.size)
+            # Every run failing in round n waits the same n-th retry delay;
+            # lost >= +0.0, so skipping a zero delay changes no bit.
+            delay = policy.retry_delay(rounds)
+            if delay:
+                lost += delay
+            total[alive] += lost
+    # Each run's lost work, then F: the order the sum was always taken in.
+    total += F
     return total
 
 
@@ -226,17 +229,22 @@ def _checkpointing(
         return np.full(runs, F + K * C)
     a = F / K
     p_survive = math.exp(-lam * a)
-    # rng.geometric counts trials to first success (>= 1); failures = n - 1.
-    failures_per_segment = rng.geometric(p_survive, size=(runs, K)) - 1
-    failures_per_run = failures_per_segment.sum(axis=1)
+    # rng.geometric counts trials to first success (>= 1); failures = n - 1,
+    # summed per run as Σn − K (exact in int64).
+    failures_per_run = rng.geometric(p_survive, size=(runs, K)).sum(axis=1) - K
     total = np.full(runs, F + K * C, dtype=float)
     n_failures = int(failures_per_run.sum())
     if n_failures:
-        # Truncated-exponential lost work, via inverse CDF on [0, a).
-        u = rng.random(n_failures)
-        lost = -np.log1p(-u * (1.0 - p_survive)) / lam
-        down = _downtime_draws(params, rng, n_failures)
-        per_failure = lost + down + C + R
+        # Truncated-exponential lost work, via inverse CDF on [0, a), in
+        # the uniforms' own storage: (−u)·q = u·(−q) and −x/λ = x/(−λ) bit
+        # for bit.
+        per_failure = rng.random(n_failures)
+        np.multiply(per_failure, -(1.0 - p_survive), out=per_failure)
+        np.log1p(per_failure, out=per_failure)
+        np.divide(per_failure, -lam, out=per_failure)
+        per_failure += _downtime_draws(params, rng, n_failures)
+        per_failure += C
+        per_failure += R
         # Sum each run's slice of the flat failure array.
         boundaries = np.concatenate(([0], np.cumsum(failures_per_run)))
         sums = np.add.reduceat(

@@ -158,8 +158,9 @@ class _Composite:
 class _Reader:
     """Mints one document's records from its expat events.  A start goes
     to ``open``, the reader of the children of the element it is in, an end
-    to :meth:`close`; in an element whose content is not read only ``depth``
-    moves.  *policies* interns the document's equal policies (bodies too):
+    to :meth:`close`; an element read from its attributes alone is held in
+    ``leaf`` until its end, and any start inside it is refused.
+    *policies* interns the document's equal policies (bodies too):
     activities that declare the same handling share one object, which is
     what lets the engine keep one launch plan per (program, policy)."""
 
@@ -172,23 +173,22 @@ class _Reader:
         self.collect = self.text.append
         self.policies: dict[tuple, FailurePolicy] = {}
         self.open = _Reader._root
-        self.depth = 0
+        self.leaf = ""
         self.frames: list[_Frame] = []
         self.composites: list[_Composite] = []
         self.unknown_attribute = False
 
     def start(self, tag: str, attrs: _Attrs) -> None:
-        if self.depth:
-            self.depth += 1
-        else:
-            # Only flagged here: the lint decides what is unknown where.
-            if not _ATTRIBUTES.get(tag, _NONE).issuperset(attrs):
-                self.unknown_attribute = True
-            self.open(self, tag, attrs)
+        if self.leaf:
+            raise _misplaced(tag, self.leaf)
+        # Only flagged here: the lint decides what is unknown where.
+        if not _ATTRIBUTES.get(tag, _NONE).issuperset(attrs):
+            self.unknown_attribute = True
+        self.open(self, tag, attrs)
 
     def end(self, tag: str) -> None:
-        if self.depth:
-            self.depth -= 1
+        if self.leaf:
+            self.leaf = ""
         else:
             self.close(tag)
 
@@ -221,7 +221,7 @@ class _Reader:
                 )
             edge = _tuple_new(Transition, (source, target, condition))
             self.frame.transitions.append(edge)
-            self.depth = 1
+            self.leaf = tag
         elif tag == "Activity":
             self.name = attrs.get("name", "")
             if not self.name:
@@ -257,18 +257,20 @@ class _Reader:
             raise ParseError(f"unexpected element <{_tag(tag)}> in <Workflow>")
 
     def _in_variables(self, tag: str, attrs: _Attrs) -> None:
-        if tag == "Variable":
-            vname = attrs.get("name", "")
-            if not vname:
-                raise ParseError("<Variable> requires a name attribute")
-            value = _typed_value(attrs.get("value", ""), attrs.get("type", "str"))
-            self.frame.variables[vname] = value
-        self.depth = 1
+        if tag != "Variable":
+            raise _misplaced(tag, "Variables")
+        vname = attrs.get("name", "")
+        if not vname:
+            raise ParseError("<Variable> requires a name attribute")
+        value = _typed_value(attrs.get("value", ""), attrs.get("type", "str"))
+        self.frame.variables[vname] = value
+        self.leaf = tag
 
     def _in_activity(self, tag: str, attrs: _Attrs) -> None:
         if tag in _TEXT_ELEMENTS:
             del self.text[:]
             self.parser.CharacterDataHandler = self.collect
+            self.text_element = tag
             self.open = _Reader._in_text
             return
         where = f"activity {self.name!r}"
@@ -292,21 +294,18 @@ class _Reader:
             self.rethrows += (Rethrow(pattern=pattern, as_name=as_name),)
         else:
             raise ParseError(f"unexpected element <{_tag(tag)}> in {where}")
-        self.depth = 1
+        self.leaf = tag
 
-    def _in_text(self, _tag: str, _attrs: _Attrs) -> None:
-        # A text element's text is what comes before its first child.
-        self.parser.CharacterDataHandler = None
-        self.depth = 1
+    def _in_text(self, tag: str, _attrs: _Attrs) -> None:
+        raise _misplaced(tag, self.text_element)
 
     def _in_composite(self, tag: str, attrs: _Attrs) -> None:
         composite = self.composites[-1]
         if tag != "Body":
-            self.depth = 1
-        elif composite.body is not None:
+            raise _misplaced(tag, composite.tag)
+        if composite.body is not None:
             raise ParseError(f"{composite.label} requires exactly one <Body>")
-        else:
-            self._frame(attrs.get("name", f"{composite.name}_body"))
+        self._frame(attrs.get("name", f"{composite.name}_body"))
 
     def _in_program(self, tag: str, attrs: _Attrs) -> None:
         where = f"program {self.program!r}"
@@ -319,7 +318,7 @@ class _Reader:
         directory = attrs.get("executableDir", "")
         executable = attrs.get("executable", "")
         self.options += (Option(hostname, service, directory, executable),)
-        self.depth = 1
+        self.leaf = tag
 
     def close(self, tag: str) -> None:
         """End an element that was read (not skipped)."""
@@ -394,6 +393,12 @@ class _Reader:
             return Loop(name, body, attrs["condition"], iterations, join)
         except SpecificationError as exc:
             raise ParseError(f"{composite.label}: {exc}") from exc
+
+
+def _misplaced(tag: str, parent: str) -> ParseError:
+    """What :func:`~repro.wpdl.schema.check_vocabulary` says of *tag* inside
+    *parent*, where the vocabulary does not allow it."""
+    return ParseError(f"element <{_tag(tag)}> not allowed inside <{parent}>")
 
 
 def _parse_policy(attrs: _Attrs, name: str) -> FailurePolicy:

@@ -529,6 +529,23 @@ class TestCliObservability:
         kinds = {r["kind"] for r in records}
         assert {"event", "span", "metrics"} <= kinds
 
+    def test_the_mosaic_example_exports_every_format(self, tmp_path):
+        """What CI uploads as the sample artefacts: an instrumented run of
+        the mosaic example writes a Prometheus text summary, a loadable
+        Chrome trace, and a JSON-lines stream whose every line parses on
+        its own."""
+        args = ["run", str(SPECS / "mosaic.xml")]
+        args += ["--grid", str(SPECS / "volunteer_grid.json")]
+        prom, trace, jsonl = (tmp_path / f"run.{x}" for x in ("prom", "json", "jsonl"))
+        assert main([*args, "--metrics", str(prom), "--trace", str(trace)]) == 0
+        assert main([*args, "--trace", str(jsonl)]) == 0
+        assert "engine_nodes_launched_total" in prom.read_text()
+        phases = {e["ph"] for e in json.loads(trace.read_text())["traceEvents"]}
+        assert {"X", "M"} <= phases
+        lines = [line for line in jsonl.read_text().splitlines() if line.strip()]
+        kinds = {json.loads(line)["kind"] for line in lines}
+        assert {"event", "span", "metrics"} <= kinds
+
     def test_a_truncated_export_says_so(
         self, workflow_file, grid_file, tmp_path, capsys, monkeypatch
     ):
@@ -782,8 +799,7 @@ class TestOneCommandPerJob:
 
 
 class TestCliFixes:
-    """Three faults of the parent CLI, each pinned by the input that showed
-    it."""
+    """Faults of earlier CLIs, each pinned by the input that showed it."""
 
     def test_validate_refuses_misspelled_policy_attributes(self, tmp_path, capsys):
         path = tmp_path / "typo.xml"
@@ -815,6 +831,21 @@ class TestCliFixes:
         assert main(["run", str(path), "--grid", str(grid_file)]) == 2
         err = capsys.readouterr().err
         assert err == "error: Workflow/Activity: unknown attribute 'max_trys'\n"
+
+    def test_run_refuses_an_activity_out_of_place(self, tmp_path, grid_file, capsys):
+        # The run used to execute the workflow without ``x``.
+        path = tmp_path / "misplaced.xml"
+        path.write_text(
+            "<Workflow name='w'>"
+            "<Variables><Activity name='x'><Implement>sum</Implement></Activity>"
+            "</Variables>"
+            "<Activity name='a'><Implement>sum</Implement></Activity>"
+            "<Program name='sum'><Option hostname='n1'/></Program>"
+            "</Workflow>"
+        )
+        assert main(["run", str(path), "--grid", str(grid_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: element <Activity> not allowed inside <Variables>\n"
 
     def test_report_covers_every_instance(self, capsys):
         argv = ["run", str(SPECS / "mosaic.xml")]

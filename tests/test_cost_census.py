@@ -1,0 +1,134 @@
+"""Exact costs per unit of work, one row per ledger workload shape.
+
+Wall clock on a shared box swings by more than most changes move it;
+call counts, summary counts and allocation peaks repeat to the unit.  Each
+row drives a ledger workload's shape at a reduced size, built from the
+library alone (the ledger under ``benchmarks/`` is not imported), and
+gates every figure by equality or by a declared ceiling of the recorded
+figure + 5%.  A change that lowers a figure lowers its pin in the same
+diff; one that raises it says why.
+
+Rows so far: ``mc_sweep``.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import dataclasses
+import pstats
+import tracemalloc
+from collections import Counter
+
+import pytest
+
+import repro.sim.adaptive as adaptive
+from repro.sim import CITarget, estimate_cells, sample_technique, sweep_mttf
+from repro.sim.params import PAPER_BASELINE, PAPER_DOWNTIMES, PAPER_MTTF_SWEEP
+from repro.sim.samplers import EXTENDED_TECHNIQUES
+
+# -- mc_sweep: a fixed-budget sweep, then CI-targeted antithetic batches ------
+
+#: The ledger's panel (D = F, every other MTTF point, its seed) with a
+#: tenth of its fixed budget and a looser, lower-capped CI target.
+MC_PANEL = dataclasses.replace(
+    PAPER_BASELINE, downtime=PAPER_DOWNTIMES[1], seed=20030623
+)
+MC_MTTFS = tuple(float(m) for m in PAPER_MTTF_SWEEP[::2])
+MC_RUNS = 4000
+MC_TARGET = CITarget(rel=0.02, min_runs=500, max_runs=32000)
+MC_CELLS = [(t, MC_PANEL.with_mttf(m)) for t in EXTENDED_TECHNIQUES for m in MC_MTTFS]
+
+#: Batches drawn by the CI-targeted cells, summed over cells: the number
+#: of stopping-rule evaluations.
+MC_ROUNDS = 116
+
+#: Python calls per ``_mc_sweep()`` by ``repro`` module (cProfile, CPython
+#: 3.11; 3.12 inlines comprehensions and counts fewer), each gated at the
+#: figure + 5%.  Recorded before the stopping rule read only the CI:
+#: adaptive 36 524, stats 398, every other module as now.  Adaptive's +156
+#: is the interval taken again, with its pair means, when a cell's summary
+#: is built.
+MC_CALLS = {
+    "repro.core.policy": 5064,
+    "repro.sim.adaptive": 36680,
+    "repro.sim.cache": 2,
+    "repro.sim.parallel": 163,
+    "repro.sim.params": 241,
+    "repro.sim.runner": 108,
+    "repro.sim.samplers": 5741,
+    "repro.sim.stats": 291,
+}
+
+#: tracemalloc peak bytes per run of one ``sample_technique`` call
+#: (MTTF 10, D = F, ``PEAK_RUNS`` runs).  Recorded before each draw was
+#: written once: retrying 47.85, replication 143.55, checkpointing 305.53.
+PEAK_RUNS = 20_000
+PEAK_BYTES_PER_RUN = {
+    "retrying": 39.85,
+    "replication": 119.54,
+    "checkpointing": 168.09,
+}
+
+
+def _mc_sweep() -> None:
+    sweep_mttf(MC_PANEL, MC_MTTFS, EXTENDED_TECHNIQUES, runs=MC_RUNS, jobs=1)
+    sweep_mttf(
+        MC_PANEL,
+        MC_MTTFS,
+        EXTENDED_TECHNIQUES,
+        target_ci=MC_TARGET,
+        variance_reduction="antithetic",
+        jobs=1,
+    )
+
+
+def _calls_by_module(fn) -> dict[str, int]:
+    profile = cProfile.Profile()
+    profile.runcall(fn)
+    calls: Counter[str] = Counter()
+    for (filename, _, _), (_, ncalls, *_) in pstats.Stats(profile).stats.items():
+        _, sep, tail = filename.rpartition("/repro/")
+        if sep:
+            calls["repro." + tail.removesuffix(".py").replace("/", ".")] += ncalls
+    return dict(calls)
+
+
+class TestMcSweep:
+    def test_summarize_once_per_cell(self, monkeypatch):
+        """The stopping rule reads the mean and CI only: a full summary
+        (percentiles, ESS) is built once, for the cell that stops — not
+        once per round as before (``MC_ROUNDS`` of them)."""
+        calls = []
+        summarize = adaptive.summarize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return summarize(*args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "summarize", counting)
+        estimates = estimate_cells(
+            MC_CELLS, target=MC_TARGET, variance_reduction="antithetic", jobs=1
+        )
+        assert sum(len(e.boundaries) for e in estimates) == MC_ROUNDS
+        assert len(calls) == len(MC_CELLS)
+
+    def test_python_calls_by_module(self):
+        _mc_sweep()  # anything done once per process is done
+        calls = _calls_by_module(_mc_sweep)
+        assert set(calls) == set(MC_CALLS)
+        for module, count in calls.items():
+            assert count <= MC_CALLS[module] * 1.05, module
+
+    @pytest.mark.parametrize("technique", sorted(PEAK_BYTES_PER_RUN))
+    def test_peak_bytes_per_run(self, technique):
+        params = MC_PANEL.with_mttf(10.0).with_runs(PEAK_RUNS)
+        sample_technique(technique, params)
+        tracemalloc.start()
+        try:
+            held, _ = tracemalloc.get_traced_memory()
+            sample_technique(technique, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ceiling = PEAK_BYTES_PER_RUN[technique] * 1.05
+        assert (peak - held) / PEAK_RUNS <= ceiling

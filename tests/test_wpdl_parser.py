@@ -327,7 +327,8 @@ class TestDocumentErrors:
 
     def test_a_misplaced_element_is_not_an_attribute_fault(self):
         # The lint does not look inside an element out of place, and the
-        # parser skips the ones it skipped before.
+        # parser refuses the element in the lint's words instead of
+        # dropping it from the workflow.
         text = (
             "<Workflow name='w'><Variables><Activity name='v' x='1'/></Variables>"
             "<Activity name='a'/></Workflow>"
@@ -335,7 +336,9 @@ class TestDocumentErrors:
         assert check_vocabulary(text) == [
             "Workflow/Variables: element <Activity> not allowed inside <Variables>"
         ]
-        assert list(parse_wpdl(text).nodes) == ["a"]
+        with pytest.raises(ParseError) as raised:
+            parse_wpdl(text)
+        assert str(raised.value) == "element <Activity> not allowed inside <Variables>"
 
     def test_parse_file(self, tmp_path):
         path = tmp_path / "wf.xml"
@@ -513,7 +516,7 @@ MESSAGES = {
     ),
     "output_text_after_a_child": (
         _W.format("<Activity name='t'><Output><b/>total</Output></Activity>"),
-        "activity 't': empty <Output>",
+        "element <b> not allowed inside <Output>",
     ),
     "rethrow_without_as": (
         _W.format("<Activity name='t'><Rethrow on='E*'/></Activity>"),
@@ -612,7 +615,7 @@ MESSAGES = {
         "loop 'l': loop 'l': max_iterations must be >= 1",
     ),
     "loop_without_body": (
-        _W.format("<Loop name='l' condition='x'><Activity name='a'/></Loop>"),
+        _W.format("<Loop name='l' condition='x'/>"),
         "loop 'l' requires exactly one <Body>",
     ),
     "loop_two_bodies": (
@@ -677,6 +680,67 @@ MESSAGES = {
         _W.format("<Program name='p'/>"),
         "program 'p' has no options",
     ),
+    # -- elements out of place, which the tree parser skipped: refused in ---
+    # -- the lint's words, without the path ----------------------------------
+    "activity_in_variables": (
+        _W.format("<Variables><Activity name='x'/></Variables><Activity name='a'/>"),
+        "element <Activity> not allowed inside <Variables>",
+    ),
+    "activity_in_a_loop_outside_its_body": (
+        _W.format(
+            "<Loop name='l' condition='False'><Activity name='x'/>"
+            "<Body><Activity name='b'/></Body></Loop>"
+        ),
+        "element <Activity> not allowed inside <Loop>",
+    ),
+    "element_after_a_subworkflow_body": (
+        _W.format("<SubWorkflow name='s'><Body/><Note/></SubWorkflow>"),
+        "element <Note> not allowed inside <SubWorkflow>",
+    ),
+    "child_of_a_transition": (
+        _W.format("<Transition from='a' to='b'><Task/></Transition>"),
+        "element <Task> not allowed inside <Transition>",
+    ),
+    "child_of_a_variable": (
+        _W.format(
+            "<Variables><Variable name='v' value='1'><Task/></Variable></Variables>"
+        ),
+        "element <Task> not allowed inside <Variable>",
+    ),
+    "child_of_an_input": (
+        _W.format(
+            "<Activity name='t'><Input name='x' value='1'><Gizmo/></Input></Activity>"
+        ),
+        "element <Gizmo> not allowed inside <Input>",
+    ),
+    "child_of_a_rethrow": (
+        _W.format(
+            "<Activity name='t'><Rethrow on='E' as='F'><Task/></Rethrow></Activity>"
+        ),
+        "element <Task> not allowed inside <Rethrow>",
+    ),
+    "child_of_an_option": (
+        _W.format(
+            "<Program name='p'><Option hostname='h'><Task/></Option></Program>"
+        ),
+        "element <Task> not allowed inside <Option>",
+    ),
+    "child_of_an_implement": (
+        _W.format("<Activity name='t'><Implement>a<b/>c</Implement></Activity>"),
+        "element <b> not allowed inside <Implement>",
+    ),
+    "child_of_a_description": (
+        _W.format(
+            "<Activity name='t'><Description><b/>gone</Description></Activity>"
+        ),
+        "element <b> not allowed inside <Description>",
+    ),
+    "namespaced_child_of_a_leaf": (
+        _W.format(
+            "<Transition from='a' to='b'><x:Task xmlns:x='urn:x'/></Transition>"
+        ),
+        "element <{urn:x}Task> not allowed inside <Transition>",
+    ),
     # -- two faults in one document: the one the tree parser met first -------
     "unexpected_element_then_mismatched_tag": (
         _W.format("<Task/><Activity name='a'>"),
@@ -733,6 +797,14 @@ class TestEveryMessagePinned:
             parse_wpdl(text)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "case", sorted(case for case, (_, m) in MESSAGES.items() if "not allowed" in m)
+    )
+    def test_a_misplaced_element_in_the_lints_words(self, case):
+        text, message = MESSAGES[case]
+        problems = check_vocabulary(text)
+        assert any(problem.endswith(": " + message) for problem in problems)
+
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "missing.xml"
         with pytest.raises(ParseError) as raised:
@@ -768,19 +840,6 @@ MARKUP = """<?xml version='1.0' encoding='iso-8859-1'?>
 MOSAIC_REPR_SHA256 = "575a8a5f3d0be411ed1e07170f2ee563ecdfd751450a909a6803e445ebbb31c6"
 
 
-#: Children the tree parser never looked into, and a loop's children
-#: other than its body.
-CLUTTER = (
-    "<Variables><Note/><Variable name='v' value='1' type='int'><Task/></Variable>"
-    "</Variables>"
-    "<Transition from='summation' to='end'><Task/></Transition>"
-    "<Activity name='end'/>"
-    "<Loop name='l' condition='v &lt; 1'>"
-    "<Note/><Body><Activity name='b'/></Body><Task/>"
-    "</Loop>"
-)
-
-
 class TestWhatTheTreeParserRead:
     def test_markup_that_is_not_an_element(self):
         wf = parse_wpdl(MARKUP)
@@ -792,29 +851,6 @@ class TestWhatTheTreeParserRead:
         )
         assert act.policy.max_tries == 2
         assert wf.programs["sum"].options[0].hostname == "hé"
-
-    def test_text_is_what_comes_before_the_first_child(self):
-        wf = parse_wpdl(
-            _W.format(
-                "<Activity name='t'><Implement>a<b/>c</Implement>"
-                "<Output> x <b>y</b> z </Output>"
-                "<Description><b/>gone</Description></Activity>"
-            ),
-            validate_graph=False,
-        )
-        act = wf.node("t")
-        assert (act.implement, act.outputs, act.description) == ("a", ("x",), "")
-
-    def test_elements_it_never_looked_at_are_ignored(self):
-        bare = parse_wpdl(FIGURE2)
-        text = FIGURE2.replace("'int'/>", "'int'><Gizmo><Task/></Gizmo></Input>")
-        text = text.replace("executable='sum'/>", "executable='sum'><Task/></Option>")
-        cluttered = parse_wpdl(text.replace("</Workflow>", CLUTTER + "</Workflow>"))
-        assert cluttered.node("summation") == bare.node("summation")
-        assert cluttered.programs == bare.programs
-        assert cluttered.variables == {"v": 1}
-        assert cluttered.node("l").body.name == "l_body"
-        assert list(cluttered.node("l").body.nodes) == ["b"]
 
     def test_a_file(self, tmp_path):
         path = tmp_path / "wf.xml"
