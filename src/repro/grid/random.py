@@ -17,6 +17,7 @@ mean, and Bernoulli exception checks.
 from __future__ import annotations
 
 import math
+import operator
 import zlib
 
 import numpy as np
@@ -43,18 +44,23 @@ class RandomStreams:
     """
 
     def __init__(self, seed: int = DEFAULT_SEED) -> None:
-        self.seed = seed
-        self._root = np.random.SeedSequence(seed)
         self._streams: dict[str, np.random.Generator] = {}
+        self.reseed(seed)
 
     def reseed(self, seed: int) -> None:
         """Re-root the factory at *seed*, in place: every stream is
         recreated on next use exactly as a fresh ``RandomStreams(seed)``
         would create it.  Components holding a reference to this factory
         (hosts, the network) see the new streams without rewiring — the
-        backbone of :meth:`repro.grid.simgrid.SimulatedGrid.reset`."""
+        backbone of :meth:`repro.grid.simgrid.SimulatedGrid.reset`.
+
+        A stream's :class:`~numpy.random.SeedSequence` is built from the
+        seed when the stream is first used; the seed is checked here, so a
+        bad one fails now rather than at the first draw.
+        """
+        if operator.index(seed) < 0:  # a non-integer raises TypeError
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = seed
-        self._root = np.random.SeedSequence(seed)
         self._streams.clear()
 
     def get(self, name: str) -> np.random.Generator:

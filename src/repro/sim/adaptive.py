@@ -400,17 +400,17 @@ def _interval(
 
 def _vr_summary(
     samples: np.ndarray,
-    boundaries: tuple[int, ...],
-    mode: str | None,
     confidence: float,
+    interval: tuple[float, float, tuple[float, int] | None] | None,
 ) -> Summary:
-    """Variance-reduction-aware summary of a (possibly batched) vector:
-    the interval of :func:`_interval`, and under antithetic pairing the
-    effective sample size ``Var(x)·n_pairs/Var(pairs)`` — how many i.i.d.
-    draws the correlation was worth."""
-    if mode != "antithetic":
+    """Variance-reduction-aware summary of a (possibly batched) vector,
+    given what :func:`_interval` said of it (``None`` when nobody asked):
+    under antithetic pairing its interval and the effective sample size
+    ``Var(x)·n_pairs/Var(pairs)`` — how many i.i.d. draws the correlation
+    was worth; otherwise the plain summary."""
+    if interval is None or interval[2] is None:
         return summarize(samples, confidence=confidence)
-    _, half, (var_pm, pairs) = _interval(samples, boundaries, mode, confidence)
+    _, half, (var_pm, pairs) = interval
     var_raw = float(samples.var(ddof=1)) if samples.size > 1 else 0.0
     if var_pm > 0.0:
         ess = var_raw * pairs / var_pm
@@ -598,14 +598,18 @@ class _CellPlan:
         ``None`` when the CI target is unmet and the budget allows drawing
         (or, for a cached vector, refining) further.  The rule reads only
         the mean and the CI half-width; the full summary (percentiles,
-        ESS) is built only for a cell that stops."""
+        ESS) is built only for a cell that stops, from the same interval."""
         target = self.target
         if target is None:
             boundaries, confidence, converged = (samples.size,), 0.99, True
         else:
             boundaries = target.boundaries_for(samples.size)
             confidence = target.confidence
-            mean, half, _ = _interval(samples, boundaries, self.mode, confidence)
+        interval = None
+        if target is not None or self.mode == "antithetic":
+            interval = _interval(samples, boundaries, self.mode, confidence)
+        if target is not None:
+            mean, half, _ = interval
             converged = target.met(mean, half)
             if not converged and samples.size < target.max_runs:
                 return None
@@ -613,7 +617,7 @@ class _CellPlan:
             self.technique,
             self.params,
             samples,
-            _vr_summary(samples, boundaries, self.mode, confidence),
+            _vr_summary(samples, confidence, interval),
             boundaries,
             converged,
             cached,

@@ -41,6 +41,16 @@ user-defined exception with probability p; there are no host failures.
 vector of per-run completion times so callers can compute any statistic
 (the figures use the mean).
 
+What a call holds is O(runs) values plus the draws it keeps, never a
+(runs, K) matrix: the K-wide kernels (checkpointing, alone or replicated,
+and Figure 13's three) draw their per-run × per-segment values a row
+block of ``_BLOCK_DRAWS`` at a time (:func:`_row_blocks`) and reduce each
+block before drawing the next.  A ``Generator`` fills in C order, so the
+blocks are the same numbers in the same order as one call over every row
+and the vectors do not depend on the block size.  Only checkpointing's
+per-failure charges are kept whole, since every uniform is drawn before
+any downtime.
+
 :data:`TECHNIQUES` stays the paper's four (Figure 10 sweeps depend on it);
 :data:`EXTENDED_TECHNIQUES` appends ``backoff_retry``.  Neither lists
 Figure 13's three, which :func:`sample_technique` accepts by name.
@@ -108,6 +118,11 @@ _SALTS = {
 
 _MAX_ROUNDS = 10_000_000  # runaway guard for pathological λF
 
+#: Values a K-wide kernel draws per row block (:func:`_row_blocks`):
+#: 1 024 rows at the paper's K = 20.  EXPERIMENTS.md § "What a sampler
+#: kernel holds" has the measured table it was chosen from.
+_BLOCK_DRAWS = 20_480
+
 
 def technique_policy(technique: str, params: SimulationParams) -> FailurePolicy:
     """The task-level policy that encodes *technique* in WPDL terms: what
@@ -149,6 +164,23 @@ def _downtime_draws(
     if params.downtime_distribution == "fixed":
         return np.full(size, params.downtime)
     return rng.exponential(params.downtime, size=size)
+
+
+def _row_blocks(rng: np.random.Generator, rows: int, width: int):
+    """``(start, stop)`` of each block of rows a kernel drawing *width*
+    values per row takes from *rng* at once: ``_BLOCK_DRAWS`` values a
+    block, so what a kernel holds does not grow with K.
+
+    A ``Generator`` is one sequential stream, so row blocks draw the same
+    numbers in the same order as one call over every row.  A duck-typed
+    generator (:class:`~repro.sim.adaptive.AntitheticGenerator` mirrors
+    within each call) gets every row in one block.
+    """
+    step = max(1, rows)
+    if isinstance(rng, np.random.Generator):
+        step = max(1, _BLOCK_DRAWS // width)
+    for start in range(0, rows, step):
+        yield start, min(start + step, rows)
 
 
 def _rng(params: SimulationParams, salt: int) -> np.random.Generator:
@@ -217,7 +249,8 @@ def _checkpointing(
     failures in each segment is geometric (each attempt survives the
     segment with probability ``e^{−λa}``); each failure contributes a
     TTF truncated to [0, a), a downtime draw, and the fixed C + R charge;
-    each segment contributes a + C on top.
+    each segment contributes a + C on top.  The (runs, K) geometric
+    matrix and the downtimes are drawn a row block at a time.
     """
     runs = params.runs if runs is None else runs
     F = params.failure_free_time
@@ -229,31 +262,48 @@ def _checkpointing(
         return np.full(runs, F + K * C)
     a = F / K
     p_survive = math.exp(-lam * a)
+    blocks = list(_row_blocks(rng, runs, K))
     # rng.geometric counts trials to first success (>= 1); failures = n - 1,
     # summed per run as Σn − K (exact in int64).
-    failures_per_run = rng.geometric(p_survive, size=(runs, K)).sum(axis=1) - K
+    failures_per_run = np.empty(runs, dtype=np.int64)
+    for r0, r1 in blocks:
+        tries = rng.geometric(p_survive, size=(r1 - r0, K))
+        tries.sum(axis=1, out=failures_per_run[r0:r1])
+    failures_per_run -= K
     total = np.full(runs, F + K * C, dtype=float)
     n_failures = int(failures_per_run.sum())
     if n_failures:
         # Truncated-exponential lost work, via inverse CDF on [0, a), in
         # the uniforms' own storage: (−u)·q = u·(−q) and −x/λ = x/(−λ) bit
-        # for bit.
+        # for bit.  Every uniform is drawn before any downtime.
         per_failure = rng.random(n_failures)
         np.multiply(per_failure, -(1.0 - p_survive), out=per_failure)
         np.log1p(per_failure, out=per_failure)
         np.divide(per_failure, -lam, out=per_failure)
-        per_failure += _downtime_draws(params, rng, n_failures)
-        per_failure += C
-        per_failure += R
-        # Sum each run's slice of the flat failure array.
-        boundaries = np.concatenate(([0], np.cumsum(failures_per_run)))
-        sums = np.add.reduceat(
-            per_failure, boundaries[:-1].clip(max=n_failures - 1)
-        )
-        # reduceat misbehaves for zero-length slices: patch them to zero.
-        lengths = failures_per_run
-        sums = np.where(lengths > 0, sums, 0.0)
-        total += sums
+        # Where each run's slice of the flat failure array starts.
+        starts = np.cumsum(failures_per_run)
+        starts -= failures_per_run
+        for r0, r1 in blocks:
+            s0 = int(starts[r0])
+            s1 = int(starts[r1 - 1] + failures_per_run[r1 - 1])
+            if s0 == s1:
+                continue
+            own = per_failure[s0:s1]
+            own += _downtime_draws(params, rng, s1 - s0)
+            own += C
+            own += R
+            # Sum each run's slice.  The next block's first start closes
+            # this block's last slice; the last block has none.  Starts are
+            # clipped to the array as the one reduceat over every run
+            # clipped them: when the vector ends in zero-failure runs, the
+            # last run before them with two or more failures loses its
+            # last failure's charge.  The pinned vectors keep that.
+            view = per_failure[s0 : s1 + 1]
+            index = starts[r0 : r1 + 1] - s0
+            np.minimum(index, view.size - 1, out=index)
+            sums = np.add.reduceat(view, index)[: r1 - r0]
+            # reduceat misbehaves for zero-length slices: patch them to zero.
+            total[r0:r1] += np.where(failures_per_run[r0:r1] > 0, sums, 0.0)
     return total
 
 
@@ -297,11 +347,17 @@ def _exception_retrying(
             f"p={p} underflows the success probability; the run would "
             "effectively never complete"
         )
-    failures = rng.geometric(q, size=runs) - 1
+    failures = rng.geometric(q, size=runs)
+    failures -= 1
     # Where a failed attempt fails: check i with P ∝ (1−p)^{i−1}·p.
     odds = (1.0 - p) ** np.arange(K) * p
-    counts = rng.multinomial(failures, odds / odds.sum())
-    return params.segment_length * (counts @ np.arange(1, K + 1)) + F
+    pvals = odds / odds.sum()
+    checks = np.arange(1, K + 1)
+    out = np.empty(runs)
+    for r0, r1 in _row_blocks(rng, runs, K):
+        counts = rng.multinomial(failures[r0:r1], pvals)
+        out[r0:r1] = params.segment_length * (counts @ checks) + F
+    return out
 
 
 def _exception_checkpointing(
@@ -322,13 +378,16 @@ def _exception_checkpointing(
     C = params.checkpoint_overhead
     if p == 0.0:
         return np.full(runs, params.failure_free_time + K * C)
-    tries = rng.geometric(1.0 - p, size=(runs, K))
-    resumes = (tries[:, 1:] - 1).sum(axis=1)
-    return (
-        tries.sum(axis=1) * params.segment_length
-        + K * C
-        + resumes * params.recovery_time
-    )
+    out = np.empty(runs)
+    for r0, r1 in _row_blocks(rng, runs, K):
+        tries = rng.geometric(1.0 - p, size=(r1 - r0, K))
+        resumes = (tries[:, 1:] - 1).sum(axis=1)
+        out[r0:r1] = (
+            tries.sum(axis=1) * params.segment_length
+            + K * C
+            + resumes * params.recovery_time
+        )
+    return out
 
 
 def _alternative_task(
@@ -340,13 +399,17 @@ def _alternative_task(
     """Per-run completion times with Figure 6's exception handler: FU's
     first failed check (check i at i·a) hands over to SR."""
     runs = params.runs if runs is None else runs
-    fails = rng.random((runs, params.checkpoints)) < params.exception_probability
-    first = np.where(fails.any(axis=1), fails.argmax(axis=1) + 1, 0)
-    return np.where(
-        first == 0,
-        params.failure_free_time,
-        first * params.segment_length + params.alternative_time,
-    )
+    K = params.checkpoints
+    out = np.empty(runs)
+    for r0, r1 in _row_blocks(rng, runs, K):
+        fails = rng.random((r1 - r0, K)) < params.exception_probability
+        first = np.where(fails.any(axis=1), fails.argmax(axis=1) + 1, 0)
+        out[r0:r1] = np.where(
+            first == 0,
+            params.failure_free_time,
+            first * params.segment_length + params.alternative_time,
+        )
+    return out
 
 
 _SAMPLERS = {

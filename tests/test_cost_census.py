@@ -8,7 +8,7 @@ gates every figure by equality or by a declared ceiling of the recorded
 figure + 5%.  A change that lowers a figure lowers its pin in the same
 diff; one that raises it says why.
 
-Rows so far: ``mc_sweep``.
+Rows so far: ``mc_sweep``, and ``mc_engine``'s seed sequences.
 """
 
 from __future__ import annotations
@@ -19,12 +19,20 @@ import pstats
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import repro.sim.adaptive as adaptive
-from repro.sim import CITarget, estimate_cells, sample_technique, sweep_mttf
+from repro.grid.random import RandomStreams
+from repro.sim import (
+    CITarget,
+    EngineSampler,
+    estimate_cells,
+    sample_technique,
+    sweep_mttf,
+)
 from repro.sim.params import PAPER_BASELINE, PAPER_DOWNTIMES, PAPER_MTTF_SWEEP
-from repro.sim.samplers import EXTENDED_TECHNIQUES
+from repro.sim.samplers import _EXCEPTION_TECHNIQUES, EXTENDED_TECHNIQUES
 
 # -- mc_sweep: a fixed-budget sweep, then CI-targeted antithetic batches ------
 
@@ -45,29 +53,50 @@ MC_ROUNDS = 116
 #: Python calls per ``_mc_sweep()`` by ``repro`` module (cProfile, CPython
 #: 3.11; 3.12 inlines comprehensions and counts fewer), each gated at the
 #: figure + 5%.  Recorded before the stopping rule read only the CI:
-#: adaptive 36 524, stats 398, every other module as now.  Adaptive's +156
-#: is the interval taken again, with its pair means, when a cell's summary
-#: is built.
+#: adaptive 36 524, stats 398.  Recorded before a stopping cell's summary
+#: reused the stopping rule's interval: adaptive 36 680, stats 291.
+#: Samplers was 5 741 before the K-wide kernels drew in row blocks: each
+#: block is one resumption of ``_row_blocks``, which cProfile counts as a
+#: call.
 MC_CALLS = {
     "repro.core.policy": 5064,
-    "repro.sim.adaptive": 36680,
+    "repro.sim.adaptive": 36514,
     "repro.sim.cache": 2,
     "repro.sim.parallel": 163,
     "repro.sim.params": 241,
     "repro.sim.runner": 108,
-    "repro.sim.samplers": 5741,
-    "repro.sim.stats": 291,
+    "repro.sim.samplers": 5971,
+    "repro.sim.stats": 266,
 }
 
 #: tracemalloc peak bytes per run of one ``sample_technique`` call
-#: (MTTF 10, D = F, ``PEAK_RUNS`` runs).  Recorded before each draw was
-#: written once: retrying 47.85, replication 143.55, checkpointing 305.53.
+#: (MTTF 10, D = F, ``PEAK_RUNS`` runs; Figure 13's kernels at
+#: ``FIGURE13``).  Recorded before each draw was written once: retrying
+#: 47.85, replication 143.55, checkpointing 305.53.  Recorded before the
+#: K-wide kernels drew in row blocks: checkpointing 168.09,
+#: replication_checkpointing 504.09, exception_retrying 187.41,
+#: exception_checkpointing 320.10, alternative_task 180.06.
 PEAK_RUNS = 20_000
 PEAK_BYTES_PER_RUN = {
     "retrying": 39.85,
     "replication": 119.54,
-    "checkpointing": 168.09,
+    "checkpointing": 56.83,
+    "replication_checkpointing": 156.78,
+    "exception_retrying": 32.83,
+    "exception_checkpointing": 27.81,
+    "alternative_task": 18.74,
 }
+#: The kernels that draw K values per run.
+K_WIDE = (
+    "checkpointing",
+    "replication_checkpointing",
+    "exception_retrying",
+    "exception_checkpointing",
+    "alternative_task",
+)
+FIGURE13 = dataclasses.replace(
+    PAPER_BASELINE, exception_probability=0.05, seed=20030623
+)
 
 
 def _mc_sweep() -> None:
@@ -121,14 +150,60 @@ class TestMcSweep:
 
     @pytest.mark.parametrize("technique", sorted(PEAK_BYTES_PER_RUN))
     def test_peak_bytes_per_run(self, technique):
-        params = MC_PANEL.with_mttf(10.0).with_runs(PEAK_RUNS)
-        sample_technique(technique, params)
-        tracemalloc.start()
-        try:
-            held, _ = tracemalloc.get_traced_memory()
-            sample_technique(technique, params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         ceiling = PEAK_BYTES_PER_RUN[technique] * 1.05
-        assert (peak - held) / PEAK_RUNS <= ceiling
+        assert _peak_bytes_per_run(technique) <= ceiling
+
+    @pytest.mark.parametrize("technique", K_WIDE)
+    def test_peak_does_not_grow_with_k(self, technique):
+        """A kernel holds O(runs) values plus what it draws, never a
+        (runs, K) matrix: doubling K does not raise its peak."""
+        k20 = _peak_bytes_per_run(technique, checkpoints=20)
+        k40 = _peak_bytes_per_run(technique, checkpoints=40)
+        assert k40 <= k20 * 1.05
+
+
+def _peak_bytes_per_run(technique: str, **changes) -> float:
+    if technique in _EXCEPTION_TECHNIQUES:
+        params = FIGURE13
+    else:
+        params = MC_PANEL.with_mttf(10.0)
+    params = dataclasses.replace(params.with_runs(PEAK_RUNS), **changes)
+    sample_technique(technique, params)
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        sample_technique(technique, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - held) / PEAK_RUNS
+
+
+# -- mc_engine: sequential EngineSampler runs ----------------------------------
+
+
+class TestMcEngine:
+    @pytest.mark.parametrize("technique", EXTENDED_TECHNIQUES)
+    @pytest.mark.parametrize("mttf", [10.0, 100.0])
+    def test_one_seed_sequence_per_stream_opened(self, technique, mttf, monkeypatch):
+        """A run builds a ``SeedSequence`` for each stream it opens and
+        none besides: a reseed builds none.  The run's reseed empties the
+        factory, so every name it asks for opens one stream."""
+        sampler = EngineSampler(technique, MC_PANEL.with_mttf(mttf))
+        sampler.run(1)
+        built, opened = [], set()
+        seed_sequence, get = np.random.SeedSequence, RandomStreams.get
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return seed_sequence(*args, **kwargs)
+
+        def opening(streams, name):
+            opened.add(name)
+            return get(streams, name)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        monkeypatch.setattr(RandomStreams, "get", opening)
+        sampler.run(2)
+        assert opened
+        assert len(built) == len(opened)

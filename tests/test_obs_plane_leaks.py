@@ -23,7 +23,11 @@ from pathlib import Path
 from unittest import mock
 
 import repro
-from repro.obs import EventLog, Span, server
+from repro.core import FailurePolicy
+from repro.engine import EngineHost
+from repro.grid import RELIABLE, CrashingTask, GridConfig, SimulatedGrid
+from repro.obs import EventLog, Span, TelemetryPlane, Tracer, prometheus_text, server
+from repro.wpdl import WorkflowBuilder
 from tests.obs_plane import ObservedHost
 
 BATCH = 100
@@ -197,3 +201,68 @@ def test_no_declared_family_is_labelled_by_instance():
         }
     ]
     assert offenders == []
+
+
+def _series_lines(instances: int) -> int:
+    """Series lines of ``/metrics`` after *instances* runs of one
+    crash-and-retry specification with the whole plane attached, checking
+    on the way that nothing is named by an instance and nothing was
+    rendered."""
+    grid = SimulatedGrid(seed=7, config=GridConfig(heartbeats=False))
+    grid.add_host(RELIABLE("h1", slots=None))
+    grid.install(
+        "h1", "toy", CrashingTask(duration=3.0, crash_at=1.0, crashes=1, result="ok")
+    )
+    spec = (
+        WorkflowBuilder("toy")
+        .program("toy", hosts=["h1"])
+        .activity("toy", implement="toy", policy=FailurePolicy.retrying(3))
+        .build()
+    )
+    host = EngineHost(grid, reactor=grid.reactor, tracer=Tracer())
+    plane = TelemetryPlane(
+        host.runtime.bus,
+        grid.reactor,
+        grid,
+        host.runtime.detector,
+        flight_record=True,
+        interval=1.0,
+    )
+    for i in range(instances):
+        grid.reactor.call_later(0.1 * i, lambda: host.submit(spec))
+    plane.start()
+    grid.reactor.run_until_complete(
+        lambda: len(host.results()) == instances, timeout=1e7
+    )
+    plane.stop()
+    assert all(r.succeeded for r in host.results().values())
+    # The log's one fold sampled observer, tracker and estimators off one
+    # table, empty once the batch is done, and rendered nothing.
+    fold = EventLog.on(host.runtime.bus).sampled
+    assert (fold.observer, fold.tracker, fold.estimators) == (
+        plane.observer,
+        plane.tracker,
+        plane.estimators,
+    )
+    assert fold.instances == {}, sorted(fold.instances)
+    gc.collect()
+    spans = [o for o in gc.get_objects() if isinstance(o, Span)]
+    assert spans == [], "a Span was built before anybody read the spans"
+    assert len(plane.tracker.snapshot()) == instances
+    text = prometheus_text(plane.observer.metrics)
+    assert "workflow_id" not in text, "an instance id on a series"
+    # The store holds exactly the registry's families: no ring a read
+    # created, none a tick missed.
+    families = {f.name for f in plane.observer.metrics.families()}
+    names = set(plane.store.names())
+    assert names == families, sorted(names ^ families)
+    assert f'workflow="toy"}} {float(instances)}' in text
+    return sum(1 for line in text.splitlines() if line and not line.startswith("#"))
+
+
+def test_the_schema_does_not_grow_with_load():
+    """A series is named by the specification, never by an instance, so
+    ``/metrics`` has as many series lines at 200 instances as at 20.  (It
+    used to grow by 26 per instance.)"""
+    small, large = _series_lines(20), _series_lines(200)
+    assert small == large, f"{small} series lines at 20, {large} at 200"

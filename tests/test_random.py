@@ -42,6 +42,25 @@ class TestStreams:
         b = RandomStreams(seed=2).get("x").random(20)
         assert not np.allclose(a, b)
 
+    @pytest.mark.parametrize(
+        "seed, error", [(-1, ValueError), (1.5, TypeError), ("7", TypeError)]
+    )
+    def test_a_bad_seed_is_refused_at_reseed(self, seed, error):
+        with pytest.raises(error):
+            RandomStreams(seed=seed)
+        streams = RandomStreams(seed=3)
+        with pytest.raises(error):
+            streams.reseed(seed)
+        assert streams.seed == 3
+
+    def test_reseed_equals_a_fresh_factory(self):
+        streams = RandomStreams(seed=3)
+        streams.get("x").random(5)
+        streams.reseed(4)
+        assert np.array_equal(
+            streams.get("x").random(10), RandomStreams(seed=4).get("x").random(10)
+        )
+
 
 class TestDistributions:
     def test_ttf_mean_approximates_mttf(self):
