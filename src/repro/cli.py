@@ -20,8 +20,8 @@ declarative simulated Grid:
     $ python -m repro.cli cache info
     $ python -m repro.cli cache clear
 
-One command per job: ``validate`` checks a specification's vocabulary
-(the parser drops a misspelled attribute) and its graph; ``run`` takes one
+One command per job: ``validate`` lists every grammar and graph problem of
+a specification, all from one reading of the file; ``run`` takes one
 or more specifications, and anything beyond one instance of one file runs
 concurrently on one shared :class:`~repro.engine.host.EngineHost`.  ``mc``
 estimates expected completion times by Monte-Carlo — with the vectorised
@@ -75,7 +75,6 @@ import contextlib
 import math
 import sys
 import time
-from pathlib import Path
 from typing import Sequence
 
 from .engine.checkpoint import EngineCheckpointer
@@ -83,8 +82,7 @@ from .engine.engine import WorkflowEngine, WorkflowResult
 from .report import run_report
 from .errors import GridWFSError
 from .gridspec import load_gridspec
-from .wpdl.parser import parse_wpdl_file
-from .wpdl.schema import check_vocabulary
+from .wpdl.parser import _file_text, _read, parse_wpdl_file
 from .wpdl.validator import validation_problems
 
 __all__ = ["main"]
@@ -102,11 +100,8 @@ def _print_result(result: WorkflowResult) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    workflow = parse_wpdl_file(
-        args.workflow, validate_graph=False, check_attributes=False
-    )
-    # Unknown attributes are listed below with every other problem, not raised.
-    problems = check_vocabulary(Path(args.workflow).read_text())
+    # One reading: the grammar's problems are listed with the graph's, not raised.
+    workflow, problems = _read(_file_text(args.workflow))
     problems += validation_problems(workflow)
     if problems:
         print(f"workflow {workflow.name!r} is INVALID:")

@@ -11,9 +11,8 @@ geometrically; replication is ``policy='replica'``; a missing
 freely: ``policy='replica' restart_from_checkpoint='true' max_tries='3'``
 is replication whose replicas each retry from their checkpoints.
 
-No element tree is built: the records are minted from expat's events as
-the document is read (DESIGN.md §11), and every message and the order in
-which faults are met are those of reading the whole tree first.
+No element tree is built: the records are minted from the events of one
+grammar walk (DESIGN.md §11), and of two faults the one a tree met first wins.
 """
 
 from __future__ import annotations
@@ -37,24 +36,22 @@ from .model import (
     TransitionCondition,
     Workflow,
 )
-from .schema import ELEMENTS, _lint, _run, _tag, _xml_parser
+from .schema import ELEMENTS, TEXT_ELEMENTS, _run, _Walk, _xml_parser
+from .schema import check_vocabulary
 from .validator import validate
 
 __all__ = ["parse_wpdl", "parse_wpdl_file"]
 
 #: The activity attributes a :class:`FailurePolicy` is parsed from.
 _POLICY_ATTRIBUTES = tuple(sorted(ELEMENTS["Activity"][0] - {"name", "join"}))
-#: Each element's attributes (an unknown element has none).
-_ATTRIBUTES = {tag: attributes for tag, (attributes, _) in ELEMENTS.items()}
-_NONE: frozenset[str] = frozenset()
 #: The members of the enum-valued attributes, by value.
 _CHOICES = {
     "join": {mode.value: mode for mode in JoinMode},
     "policy": {mode.value: mode for mode in ReplicationMode},
     "resource_selection": {way.value: way for way in ResourceSelection},
+    "restart_from_checkpoint": {"true": True, "false": False},
+    "retry_on_exception": {"true": True, "false": False},
 }
-#: The elements whose text is read: what comes before their first child.
-_TEXT_ELEMENTS = frozenset({"Implement", "Output", "Description"})
 #: Activities and transitions are minted: the parser has made every check
 #: their constructors make by the time it builds one.
 _tuple_new = tuple.__new__
@@ -70,42 +67,48 @@ _TYPE_PARSERS = {
 _Attrs = dict[str, str]
 
 
-def parse_wpdl(
-    text: str, *, validate_graph: bool = True, check_attributes: bool = True
-) -> Workflow:
+def parse_wpdl(text: str, *, validate_graph: bool = True) -> Workflow:
     """Parse an XML WPDL document string into a validated workflow.
 
-    An attribute outside the vocabulary is refused, with one error listing
-    every such attribute by its path (``Workflow/Activity: unknown attribute
-    'max_trys'``), unless *check_attributes* is false — ``repro validate``
-    lists them itself, beside the graph's problems.
+    A document with grammar problems is refused with one error that lists
+    every one, as :func:`~repro.wpdl.schema.check_vocabulary` does
+    (``Workflow/Loop: element <Activity> not allowed inside <Loop>``).
     """
+    workflow, problems = _read(text)
+    if problems:
+        raise ParseError("; ".join(problems))
+    if validate_graph:
+        validate(workflow)
+    return workflow
+
+
+def parse_wpdl_file(path: str | Path, *, validate_graph: bool = True) -> Workflow:
+    """Parse a WPDL file (the engine's command-line entry point uses this)."""
+    return parse_wpdl(_file_text(path), validate_graph=validate_graph)
+
+
+def _file_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _read(text: str) -> tuple[Workflow, list[str]]:
+    """The workflow *text* declares, unvalidated, and its grammar problems,
+    from one reading.  A fault that stops the reading is raised, unless
+    grammar problems were met before it: then the error lists every one."""
     reader = _Reader()
     try:
         _run(reader.parser, text)
     except ParseError:
         _fault_met_first(text, reader.composites)
-        raise
-    if check_attributes and reader.unknown_attribute:
-        unknown = _lint(text, elements=False)
-        if unknown:
-            raise ParseError("; ".join(unknown))
-    if validate_graph:
-        validate(reader.workflow)
-    return reader.workflow
-
-
-def parse_wpdl_file(
-    path: str | Path, *, validate_graph: bool = True, check_attributes: bool = True
-) -> Workflow:
-    """Parse a WPDL file (the engine's command-line entry point uses this)."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_wpdl(
-        text, validate_graph=validate_graph, check_attributes=check_attributes
-    )
+        if not reader.problems:
+            raise
+        raise ParseError("; ".join(check_vocabulary(text))) from None
+    if reader.workflow is None:  # the root element was refused
+        raise ParseError("; ".join(reader.problems))
+    return reader.workflow, reader.problems
 
 
 def _fault_met_first(text: str, open_composites: list[_Composite]) -> None:
@@ -138,232 +141,166 @@ class _Frame:
         self.name, self.nodes, self.transitions = name, {}, []
         self.programs, self.variables = {}, {}
 
-    def workflow(self) -> Workflow:
-        nodes, programs, variables = self.nodes, self.programs, self.variables
-        return Workflow(self.name, nodes, tuple(self.transitions), programs, variables)
-
 
 class _Composite:
     """A ``<Loop>`` or ``<SubWorkflow>`` being read; *where*, the byte offset
     of its start tag, finds it again in a second reading."""
 
-    __slots__ = ("tag", "label", "name", "attrs", "where", "body")
+    __slots__ = ("label", "name", "attrs", "where", "body")
 
     def __init__(self, tag: str, name: str, attrs: _Attrs, where: int) -> None:
-        self.tag, self.label = tag, f"{tag.lower()} {name!r}"
-        self.name, self.attrs, self.where = name, attrs, where
+        self.label, self.name = f"{tag.lower()} {name!r}", name
+        self.attrs, self.where = attrs, where
         self.body: Workflow | None = None
 
 
-class _Reader:
-    """Mints one document's records from its expat events.  A start goes
-    to ``open``, the reader of the children of the element it is in, an end
-    to :meth:`close`; an element read from its attributes alone is held in
-    ``leaf`` until its end, and any start inside it is refused.
-    *policies* interns the document's equal policies (bodies too):
+class _Reader(_Walk):
+    """Mints one document's records from the elements the grammar walk
+    accepts.  *policies* interns the document's equal policies (bodies too):
     activities that declare the same handling share one object, which is
     what lets the engine keep one launch plan per (program, policy)."""
 
     def __init__(self) -> None:
-        self.parser = parser = _xml_parser()
-        parser.StartElementHandler = self.start
-        parser.EndElementHandler = self.end
-        #: What ``collect`` gathers: a text element's data up to its first child.
+        super().__init__()
         self.text: list[str] = []
         self.collect = self.text.append
         self.policies: dict[tuple, FailurePolicy] = {}
-        self.open = _Reader._root
-        self.leaf = ""
         self.frames: list[_Frame] = []
         self.composites: list[_Composite] = []
-        self.unknown_attribute = False
+        self.workflow: Workflow | None = None
 
-    def start(self, tag: str, attrs: _Attrs) -> None:
-        if self.leaf:
-            raise _misplaced(tag, self.leaf)
-        # Only flagged here: the lint decides what is unknown where.
-        if not _ATTRIBUTES.get(tag, _NONE).issuperset(attrs):
-            self.unknown_attribute = True
-        self.open(self, tag, attrs)
-
-    def end(self, tag: str) -> None:
-        if self.leaf:
-            self.leaf = ""
-        else:
-            self.close(tag)
-
-    def _root(self, tag: str, attrs: _Attrs) -> None:
-        if tag != "Workflow":
-            raise ParseError(f"root element must be <Workflow>, got <{_tag(tag)}>")
-        self._frame(attrs.get("name", ""))
-
-    def _frame(self, name: str) -> None:
+    def _frame(self, tag: str, attrs: _Attrs) -> None:
+        name = attrs.get("name", "")
+        if tag == "Body":
+            composite = self.composites[-1]
+            if composite.body is not None:
+                raise ParseError(f"{composite.label} requires exactly one <Body>")
+            name = attrs.get("name", f"{composite.name}_body")
         if not name:
             raise ParseError("<Workflow> requires a name attribute")
         self.frame = _Frame(name)
         self.frames.append(self.frame)
-        self.open = _Reader._in_workflow
 
-    def _in_workflow(self, tag: str, attrs: _Attrs) -> None:
-        if tag == "Transition":
+    def _transition(self, _tag: str, attrs: _Attrs) -> None:
+        try:
+            source, target = attrs["from"], attrs["to"]
+        except KeyError:
+            source = target = ""
+        if not source or not target:
+            raise ParseError("<Transition> requires from and to attributes")
+        condition = _DONE
+        if "on" in attrs or "condition" in attrs:
+            condition = _condition(attrs, source, target)
+        if source == target:
+            loop = "(use a Loop for iteration)"
+            raise ParseError(f"self-transition on {source!r} {loop}")
+        edge = _tuple_new(Transition, (source, target, condition))
+        self.frame.transitions.append(edge)
+
+    def _activity(self, _tag: str, attrs: _Attrs) -> None:
+        self.name = attrs.get("name", "")
+        if not self.name:
+            raise ParseError("<Activity> requires a name attribute")
+        self.attrs, self.implement, self.description = attrs, None, ""
+        self.inputs = self.outputs = self.rethrows = ()
+
+    def _composite(self, tag: str, attrs: _Attrs) -> None:
+        name = attrs.get("name", "")
+        if not name:
+            raise ParseError(f"<{tag}> requires a name attribute")
+        if tag == "Loop":
+            if not attrs.get("condition", ""):
+                raise ParseError(f"loop {name!r} requires a condition attribute")
             try:
-                source, target = attrs["from"], attrs["to"]
-            except KeyError:
-                source = target = ""
-            if not source or not target:
-                raise ParseError("<Transition> requires from and to attributes")
-            condition = _DONE
-            if "on" in attrs or "condition" in attrs:
-                condition = _condition(attrs, source, target)
-            if source == target:
+                int(attrs.get("max_iterations", "1000"))
+            except ValueError:
                 raise ParseError(
-                    f"self-transition on {source!r} (use a Loop for iteration)"
-                )
-            edge = _tuple_new(Transition, (source, target, condition))
-            self.frame.transitions.append(edge)
-            self.leaf = tag
-        elif tag == "Activity":
-            self.name = attrs.get("name", "")
-            if not self.name:
-                raise ParseError("<Activity> requires a name attribute")
-            self.attrs, self.implement, self.description = attrs, None, ""
-            self.inputs = self.outputs = self.rethrows = ()
-            self.open = _Reader._in_activity
-        elif tag == "Variables":
-            self.open = _Reader._in_variables
-        elif tag == "Loop" or tag == "SubWorkflow":
-            name = attrs.get("name", "")
-            if not name:
-                raise ParseError(f"<{tag}> requires a name attribute")
-            if tag == "Loop":
-                if not attrs.get("condition", ""):
-                    raise ParseError(f"loop {name!r} requires a condition attribute")
-                try:
-                    int(attrs.get("max_iterations", "1000"))
-                except ValueError:
-                    raise ParseError(
-                        f"loop {name!r}: max_iterations must be an integer"
-                    ) from None
-            where = self.parser.CurrentByteIndex
-            self.composites.append(_Composite(tag, name, attrs, where))
-            self.open = _Reader._in_composite
-        elif tag == "Program":
-            self.program = attrs.get("name", "")
-            if not self.program:
-                raise ParseError("<Program> requires a name attribute")
-            self.options: tuple[Option, ...] = ()
-            self.open = _Reader._in_program
-        else:
-            raise ParseError(f"unexpected element <{_tag(tag)}> in <Workflow>")
+                    f"loop {name!r}: max_iterations must be an integer"
+                ) from None
+        where = self.parser.CurrentByteIndex  # found again by a second reading
+        self.composites.append(_Composite(tag, name, attrs, where))
 
-    def _in_variables(self, tag: str, attrs: _Attrs) -> None:
-        if tag != "Variable":
-            raise _misplaced(tag, "Variables")
+    def _program(self, _tag: str, attrs: _Attrs) -> None:
+        self.program = attrs.get("name", "")
+        if not self.program:
+            raise ParseError("<Program> requires a name attribute")
+        self.options: tuple[Option, ...] = ()
+
+    def _variable(self, _tag: str, attrs: _Attrs) -> None:
         vname = attrs.get("name", "")
         if not vname:
             raise ParseError("<Variable> requires a name attribute")
         value = _typed_value(attrs.get("value", ""), attrs.get("type", "str"))
         self.frame.variables[vname] = value
-        self.leaf = tag
 
-    def _in_activity(self, tag: str, attrs: _Attrs) -> None:
-        if tag in _TEXT_ELEMENTS:
-            del self.text[:]
-            self.parser.CharacterDataHandler = self.collect
-            self.text_element = tag
-            self.open = _Reader._in_text
-            return
+    def _text(self, _tag: str, _attrs: _Attrs) -> None:
+        del self.text[:]
+        self.parser.CharacterDataHandler = self.collect
+
+    def _input(self, _tag: str, attrs: _Attrs) -> None:
+        pname, ref = attrs.get("name", ""), attrs.get("ref")
         where = f"activity {self.name!r}"
-        if tag == "Input":
-            pname, ref = attrs.get("name", ""), attrs.get("ref")
-            if not pname:
-                raise ParseError(f"{where}: <Input> requires a name")
-            if ref is None:
-                value = _typed_value(attrs.get("value", ""), attrs.get("type", "str"))
-                self.inputs += (Parameter(name=pname, value=value),)
-            elif attrs.get("value") is not None:
-                raise ParseError(
-                    f"{where} input {pname!r}: value and ref are mutually exclusive"
-                )
-            else:
-                self.inputs += (Parameter(name=pname, ref=ref),)
-        elif tag == "Rethrow":
-            pattern, as_name = attrs.get("on", ""), attrs.get("as", "")
-            if not pattern or not as_name:
-                raise ParseError(f"{where}: <Rethrow> requires on and as")
-            self.rethrows += (Rethrow(pattern=pattern, as_name=as_name),)
+        if not pname:
+            raise ParseError(f"{where}: <Input> requires a name")
+        if ref is None:
+            value = _typed_value(attrs.get("value", ""), attrs.get("type", "str"))
+            self.inputs += (Parameter(name=pname, value=value),)
+        elif attrs.get("value") is not None:
+            raise ParseError(
+                f"{where} input {pname!r}: value and ref are mutually exclusive"
+            )
         else:
-            raise ParseError(f"unexpected element <{_tag(tag)}> in {where}")
-        self.leaf = tag
+            self.inputs += (Parameter(name=pname, ref=ref),)
 
-    def _in_text(self, tag: str, _attrs: _Attrs) -> None:
-        raise _misplaced(tag, self.text_element)
+    def _rethrow(self, _tag: str, attrs: _Attrs) -> None:
+        pattern, as_name = attrs.get("on", ""), attrs.get("as", "")
+        if not pattern or not as_name:
+            raise ParseError(f"activity {self.name!r}: <Rethrow> requires on and as")
+        self.rethrows += (Rethrow(pattern=pattern, as_name=as_name),)
 
-    def _in_composite(self, tag: str, attrs: _Attrs) -> None:
-        composite = self.composites[-1]
-        if tag != "Body":
-            raise _misplaced(tag, composite.tag)
-        if composite.body is not None:
-            raise ParseError(f"{composite.label} requires exactly one <Body>")
-        self._frame(attrs.get("name", f"{composite.name}_body"))
-
-    def _in_program(self, tag: str, attrs: _Attrs) -> None:
-        where = f"program {self.program!r}"
-        if tag != "Option":
-            raise ParseError(f"unexpected element <{_tag(tag)}> in {where}")
+    def _option(self, _tag: str, attrs: _Attrs) -> None:
         hostname = attrs.get("hostname", "")
         if not hostname:
-            raise ParseError(f"{where}: <Option> requires a hostname")
+            raise ParseError(f"program {self.program!r}: <Option> requires a hostname")
         service = attrs.get("service", "jobmanager")
         directory = attrs.get("executableDir", "")
         executable = attrs.get("executable", "")
         self.options += (Option(hostname, service, directory, executable),)
-        self.leaf = tag
 
-    def close(self, tag: str) -> None:
-        """End an element that was read (not skipped)."""
-        if tag in _TEXT_ELEMENTS:
-            self.parser.CharacterDataHandler = None
-            text = "".join(self.text).strip()
-            if tag == "Implement":
-                self.implement = text or None
-            elif tag == "Description":
-                self.description = text
-            elif not text:
-                raise ParseError(f"activity {self.name!r}: empty <Output>")
-            else:
-                self.outputs += (text,)
-            self.open = _Reader._in_activity
-        elif tag == "Workflow" or tag == "Body":
-            frame = self.frames.pop()
-            try:
-                workflow = frame.workflow()
-            except SpecificationError as exc:
-                raise ParseError(str(exc)) from exc
-            if self.frames:
-                self.frame = self.frames[-1]
-                self.composites[-1].body = workflow
-                self.open = _Reader._in_composite
-            self.workflow = workflow
-        elif tag == "Program":
-            try:
-                program = Program(name=self.program, options=self.options)
-            except SpecificationError as exc:
-                raise ParseError(str(exc)) from exc
-            if program.name in self.frame.programs:
-                raise ParseError(f"duplicate program {program.name!r}")
-            self.frame.programs[program.name] = program
-            self.open = _Reader._in_workflow
-        elif tag == "Variables":
-            self.open = _Reader._in_workflow
-        else:  # an activity, a loop or a sub-workflow
-            node = self._activity() if tag == "Activity" else self._composite()
-            if node.name in self.frame.nodes:
-                raise ParseError(f"duplicate {tag.lower()} {node.name!r}")
-            self.frame.nodes[node.name] = node
-            self.open = _Reader._in_workflow
+    def _end_text(self, tag: str) -> None:
+        self.parser.CharacterDataHandler = None
+        text = "".join(self.text).strip()
+        if tag == "Implement":
+            self.implement = text or None
+        elif tag == "Description":
+            self.description = text
+        elif not text:
+            raise ParseError(f"activity {self.name!r}: empty <Output>")
+        else:
+            self.outputs += (text,)
 
-    def _activity(self) -> Activity:
+    def _end_frame(self, _tag: str) -> None:
+        frame = self.frames.pop()
+        nodes, edges, programs = frame.nodes, tuple(frame.transitions), frame.programs
+        try:
+            workflow = Workflow(frame.name, nodes, edges, programs, frame.variables)
+        except SpecificationError as exc:
+            raise ParseError(str(exc)) from exc
+        if self.frames:
+            self.frame = self.frames[-1]
+            self.composites[-1].body = workflow
+        self.workflow = workflow
+
+    def _end_program(self, _tag: str) -> None:
+        try:
+            program = Program(name=self.program, options=self.options)
+        except SpecificationError as exc:
+            raise ParseError(str(exc)) from exc
+        if program.name in self.frame.programs:
+            raise ParseError(f"duplicate program {program.name!r}")
+        self.frame.programs[program.name] = program
+
+    def _end_activity(self, tag: str) -> None:
         name, attrs = self.name, self.attrs
         try:
             # A policy that fails to parse is not kept, so the error names
@@ -378,27 +315,49 @@ class _Reader:
         except (SpecificationError, PolicyError) as exc:
             raise ParseError(f"activity {name!r}: {exc}") from exc
         fields = (name, self.implement, policy, join, self.inputs, self.outputs)
-        return _tuple_new(Activity, (*fields, self.rethrows, self.description))
+        activity = _tuple_new(Activity, (*fields, self.rethrows, self.description))
+        self._add(tag, activity)
 
-    def _composite(self) -> Loop | SubWorkflow:
+    def _end_composite(self, tag: str) -> None:
         composite = self.composites.pop()
         name, attrs, body = composite.name, composite.attrs, composite.body
         if body is None:
             raise ParseError(f"{composite.label} requires exactly one <Body>")
         try:
             join = _choice(attrs, "join", "and", f"node {name!r}")
-            if composite.tag == "SubWorkflow":
-                return SubWorkflow(name=name, body=body, join=join)
-            iterations = int(attrs.get("max_iterations", "1000"))
-            return Loop(name, body, attrs["condition"], iterations, join)
+            if tag == "SubWorkflow":
+                node: Loop | SubWorkflow = SubWorkflow(name=name, body=body, join=join)
+            else:
+                iterations = int(attrs.get("max_iterations", "1000"))
+                node = Loop(name, body, attrs["condition"], iterations, join)
         except SpecificationError as exc:
             raise ParseError(f"{composite.label}: {exc}") from exc
+        self._add(tag, node)
 
+    def _add(self, tag: str, node: Activity | Loop | SubWorkflow) -> None:
+        if node.name in self.frame.nodes:
+            raise ParseError(f"duplicate {tag.lower()} {node.name!r}")
+        self.frame.nodes[node.name] = node
 
-def _misplaced(tag: str, parent: str) -> ParseError:
-    """What :func:`~repro.wpdl.schema.check_vocabulary` says of *tag* inside
-    *parent*, where the vocabulary does not allow it."""
-    return ParseError(f"element <{_tag(tag)}> not allowed inside <{parent}>")
+    opens = _Walk.opens | {
+        **dict.fromkeys(("Workflow", "Body"), _frame),
+        **dict.fromkeys(("Loop", "SubWorkflow"), _composite),
+        **dict.fromkeys(TEXT_ELEMENTS, _text),
+        "Transition": _transition,
+        "Activity": _activity,
+        "Variable": _variable,
+        "Input": _input,
+        "Rethrow": _rethrow,
+        "Program": _program,
+        "Option": _option,
+    }
+    closes = _Walk.closes | {
+        **dict.fromkeys(("Workflow", "Body"), _end_frame),
+        **dict.fromkeys(("Loop", "SubWorkflow"), _end_composite),
+        **dict.fromkeys(TEXT_ELEMENTS, _end_text),
+        "Activity": _end_activity,
+        "Program": _end_program,
+    }
 
 
 def _parse_policy(attrs: _Attrs, name: str) -> FailurePolicy:
@@ -414,8 +373,8 @@ def _parse_policy(attrs: _Attrs, name: str) -> FailurePolicy:
     interval = _number(attrs, "interval", "0", name)
     replication = _choice(attrs, "policy", "none", f"activity {name!r}")
     selection = _choice(attrs, "resource_selection", "same", f"activity {name!r}")
-    restart = attrs.get("restart_from_checkpoint", "true").lower() != "false"
-    retry = attrs.get("retry_on_exception", "false").lower() == "true"
+    restart = _choice(attrs, "restart_from_checkpoint", "true", f"activity {name!r}")
+    retry = _choice(attrs, "retry_on_exception", "false", f"activity {name!r}")
     timeout = _number(attrs, "timeout", None, name)
     backoff = _number(attrs, "backoff", "1", name)
     ceiling = _number(attrs, "max_interval", None, name)

@@ -1,23 +1,20 @@
-"""XML WPDL document type definition.
+"""XML WPDL document type definition, and the grammar walk read from it.
 
-The paper points to the author's thesis for the full DTD; this module is
-our equivalent: the normative element/attribute vocabulary, both as a DTD
-string (:data:`WPDL_DTD`, for documentation and external validators) and as
-Python tables used by :func:`check_vocabulary` for a quick structural lint
-that produces friendlier messages than the parser's first-error behaviour.
-The lint and :func:`~repro.wpdl.parser.parse_wpdl` read a document with the
-same expat setup (:func:`_xml_parser`), so they agree on what it says; the
-parser refuses the lint's unknown attributes.
+The paper points to the author's thesis for the full DTD; :data:`WPDL_DTD`
+is our equivalent, and the one place the vocabulary is written: the tables
+the walk checks are read from it at import.  :func:`check_vocabulary` and
+:func:`~repro.wpdl.parser.parse_wpdl` are one walk (:class:`_Walk`).
 """
 
 from __future__ import annotations
 
-from typing import Any
+import re
+from typing import Any, Callable
 from xml.parsers import expat
 
 from ..errors import ParseError
 
-__all__ = ["WPDL_DTD", "ELEMENTS", "check_vocabulary"]
+__all__ = ["WPDL_DTD", "ELEMENTS", "TEXT_ELEMENTS", "check_vocabulary"]
 
 WPDL_DTD = """\
 <!ELEMENT Workflow (Variables?, (Activity | Loop | SubWorkflow | Transition | Program)*)>
@@ -90,110 +87,93 @@ WPDL_DTD = """\
     executable    CDATA #IMPLIED>
 """
 
-#: element → (allowed attributes, allowed child elements)
+_MODELS = dict(re.findall(r"<!ELEMENT (\w+) ([^>]*)>", WPDL_DTD))
+_ATTLISTS = dict(re.findall(r"<!ATTLIST (\w+)([^>]*)>", WPDL_DTD))
+_DECLARATION = r'(\w+)\s+(?:CDATA|\([^)]*\))\s+(?:#\w+|"[^"]*")'
+
+#: element → (allowed attributes, allowed child elements), read from the DTD.
 ELEMENTS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
-    "Workflow": (
-        frozenset({"name"}),
-        frozenset(
-            {"Variables", "Activity", "Loop", "SubWorkflow", "Transition", "Program"}
-        ),
-    ),
-    "Variables": (frozenset(), frozenset({"Variable"})),
-    "Variable": (frozenset({"name", "value", "type"}), frozenset()),
-    "Activity": (
-        frozenset(
-            {
-                "name",
-                "max_tries",
-                "interval",
-                "backoff",
-                "max_interval",
-                "policy",
-                "resource_selection",
-                "restart_from_checkpoint",
-                "retry_on_exception",
-                "timeout",
-                "join",
-            }
-        ),
-        frozenset({"Description", "Input", "Output", "Rethrow", "Implement"}),
-    ),
-    "Description": (frozenset(), frozenset()),
-    "Input": (frozenset({"name", "value", "type", "ref"}), frozenset()),
-    "Output": (frozenset(), frozenset()),
-    "Rethrow": (frozenset({"on", "as"}), frozenset()),
-    "Implement": (frozenset(), frozenset()),
-    "Loop": (
-        frozenset({"name", "condition", "max_iterations", "join"}),
-        frozenset({"Body"}),
-    ),
-    "Body": (
-        frozenset({"name"}),
-        frozenset(
-            {"Variables", "Activity", "Loop", "SubWorkflow", "Transition", "Program"}
-        ),
-    ),
-    "SubWorkflow": (frozenset({"name", "join"}), frozenset({"Body"})),
-    "Transition": (
-        frozenset({"from", "to", "on", "exception", "condition"}),
-        frozenset(),
-    ),
-    "Program": (frozenset({"name"}), frozenset({"Option"})),
-    "Option": (
-        frozenset({"hostname", "service", "executableDir", "executable"}),
-        frozenset(),
-    ),
+    element: (
+        frozenset(re.findall(_DECLARATION, _ATTLISTS.get(element, ""))),
+        frozenset(re.findall(r"\w+", model)) - {"EMPTY", "PCDATA"},
+    )
+    for element, model in _MODELS.items()
 }
+#: The elements whose content is text, ``(#PCDATA)``.
+TEXT_ELEMENTS = frozenset(e for e, model in _MODELS.items() if model == "(#PCDATA)")
+
+#: What the walk looks up per start tag; ``""`` is the document.
+_CHILDREN = {"": frozenset({"Workflow"}), **{e: c for e, (_, c) in ELEMENTS.items()}}
+_ATTRIBUTES = {element: attributes for element, (attributes, _) in ELEMENTS.items()}
 
 
 def check_vocabulary(text: str) -> list[str]:
-    """Lint an XML document against the WPDL vocabulary.
+    """The grammar problems of an XML document, in document order and each
+    with its path: elements out of place and unknown attributes, in the
+    words :func:`~repro.wpdl.parser.parse_wpdl` refuses them with.  An empty
+    list may still fail semantic validation."""
+    walk = _Walk()
+    _run(walk.parser, text)
+    return walk.problems
 
-    Returns a list of problems (unknown elements / attributes, children in
-    the wrong place) without attempting full semantic parsing.  An empty
-    list means the vocabulary is clean — the document may still fail
-    semantic validation.
-    """
-    return _lint(text, elements=True)
 
+class _Walk:
+    """One document's grammar walk.  A start tag is checked against its
+    parent's children and its own attributes, one ``frozenset`` lookup each;
+    a path is built only for a problem.  Nothing inside an element out of
+    place is read.  A subclass reads what the walk accepts, with
+    ``opens[tag](self, tag, attrs)`` and ``closes[tag](self, tag)``."""
 
-def _lint(text: str, *, elements: bool) -> list[str]:
-    """The vocabulary's problems in document order; with *elements* false,
-    only the unknown attributes.  An element in the wrong place is
-    reported, and nothing inside it is checked."""
-    problems: list[str] = []
-    #: ``(tag, path)`` of each open element; ``None`` when it is not checked.
-    open_at: list[tuple[str, str] | None] = []
+    opens: dict[str, Callable[..., None] | None] = dict.fromkeys(ELEMENTS)
+    closes: dict[str, Callable[..., None] | None] = dict.fromkeys(ELEMENTS)
 
-    def start(name: str, attrs: dict[str, str]) -> None:
-        tag, checked = _tag(name), None
-        if not open_at:
-            if tag == "Workflow":
-                checked = (tag, tag)
-            elif elements:
-                problems.append(f"root element must be <Workflow>, got <{tag}>")
-        elif open_at[-1] is not None:
-            parent, path = open_at[-1]
-            if tag in ELEMENTS[parent][1]:
-                checked = (tag, f"{path}/{tag}")
-            elif elements:
-                problems.append(
-                    f"{path}: element <{tag}> not allowed inside <{parent}>"
-                )
-        if checked is not None:
-            known, path = ELEMENTS[tag][0], checked[1]
-            problems.extend(
-                f"{path}: unknown attribute {_tag(attr)!r}"
-                for attr in attrs
-                if attr not in known
-            )
-        open_at.append(checked)
+    def __init__(self) -> None:
+        self.parser = parser = _xml_parser()
+        parser.StartElementHandler = self.start
+        parser.EndElementHandler = self.end
+        #: The open elements' tags, below the document's ``""``.
+        self.tags = [""]
+        self.problems: list[str] = []
 
-    parser = _xml_parser()
-    parser.StartElementHandler = start
-    parser.EndElementHandler = lambda _name: open_at.pop()
-    _run(parser, text)
-    return problems
+    def start(self, tag: str, attrs: dict[str, str]) -> None:
+        tags = self.tags
+        if tag not in _CHILDREN[tags[-1]]:
+            return self._refuse(tag)
+        known = _ATTRIBUTES[tag]
+        if not known.issuperset(attrs):
+            path = "/".join((*tags[1:], tag))
+            unknown = [a for a in attrs if a not in known]
+            self.problems += [f"{path}: unknown attribute {_tag(a)!r}" for a in unknown]
+        tags.append(tag)
+        read = self.opens[tag]
+        if read is not None:
+            read(self, tag, attrs)
+
+    def end(self, tag: str) -> None:
+        del self.tags[-1]
+        read = self.closes[tag]
+        if read is not None:
+            read(self, tag)
+
+    def _refuse(self, tag: str) -> None:
+        tags, parser, shown = self.tags, self.parser, _tag(tag)
+        problem = f"root element must be <Workflow>, got <{shown}>"
+        if len(tags) > 1:
+            path, parent = "/".join(tags[1:]), tags[-1]
+            problem = f"{path}: element <{shown}> not allowed inside <{parent}>"
+        self.problems.append(problem)
+        self.depth = 1  # how deep the walk is in the element out of place
+        parser.StartElementHandler, parser.EndElementHandler = self._in, self._out
+        parser.CharacterDataHandler = None  # a text element's text ends here
+
+    def _in(self, _tag: str, _attrs: dict[str, str]) -> None:
+        self.depth += 1
+
+    def _out(self, _tag: str) -> None:
+        self.depth -= 1
+        if not self.depth:
+            self.parser.StartElementHandler = self.start
+            self.parser.EndElementHandler = self.end
 
 
 def _xml_parser() -> Any:

@@ -280,6 +280,51 @@ class TestCli:
         assert main(["validate", str(dirty)]) == 2
         assert "unknown attribute 'speed'" in capsys.readouterr().out
 
+    def test_validate_lists_grammar_and_graph_problems(self, tmp_path, capsys):
+        # Recorded from the parser that read the document twice for this.
+        path = tmp_path / "both.xml"
+        path.write_text(
+            "<Workflow name='w'><Activity name='a' max_trys='3'/>"
+            "<Transition from='a' to='ghost' om='failed'/></Workflow>"
+        )
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            "workflow 'w' is INVALID:\n"
+            "  - Workflow/Activity: unknown attribute 'max_trys'\n"
+            "  - Workflow/Transition: unknown attribute 'om'\n"
+            "  - w: transition references unknown target 'ghost'\n"
+        )
+
+    def test_validate_reads_the_document_once(self, tmp_path, monkeypatch, capsys):
+        from repro.wpdl import parser, schema
+
+        path = tmp_path / "dirty.xml"
+        path.write_text("<Workflow name='w'><Activity name='a' speed='9'/></Workflow>")
+        reads = []
+        for module in (parser, schema):
+            run = module._run
+            monkeypatch.setattr(
+                module, "_run", lambda p, text, run=run: reads.append(1) or run(p, text)
+            )
+        assert main(["validate", str(path)]) == 2
+        assert "unknown attribute 'speed'" in capsys.readouterr().out
+        assert len(reads) == 1
+
+    def test_validate_lists_an_element_out_of_place(self, tmp_path, capsys):
+        path = tmp_path / "misplaced.xml"
+        path.write_text(
+            "<Workflow name='w'><Loop name='l' condition='False'>"
+            "<Activity name='x'/><Body><Activity name='b'/></Body></Loop>"
+            "<Variables><Activity name='y'/></Variables></Workflow>"
+        )
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            "workflow 'w' is INVALID:\n"
+            "  - Workflow/Loop: element <Activity> not allowed inside <Loop>\n"
+            "  - Workflow/Variables: element <Activity> not allowed inside "
+            "<Variables>\n"
+        )
+
     def test_run_success(self, workflow_file, grid_file, capsys):
         code = main(["run", str(workflow_file), "--grid", str(grid_file)])
         out = capsys.readouterr().out
@@ -845,7 +890,10 @@ class TestCliFixes:
         )
         assert main(["run", str(path), "--grid", str(grid_file)]) == 2
         err = capsys.readouterr().err
-        assert err == "error: element <Activity> not allowed inside <Variables>\n"
+        assert err == (
+            "error: Workflow/Variables: element <Activity> not allowed inside "
+            "<Variables>\n"
+        )
 
     def test_report_covers_every_instance(self, capsys):
         argv = ["run", str(SPECS / "mosaic.xml")]

@@ -8,13 +8,15 @@ gates every figure by equality or by a declared ceiling of the recorded
 figure + 5%.  A change that lowers a figure lowers its pin in the same
 diff; one that raises it says why.
 
-Rows so far: ``mc_sweep``, and ``mc_engine``'s seed sequences.
+Rows so far: ``mc_sweep``, ``mc_engine``'s seed sequences, and
+``dag_layered``'s parse of its WPDL text.
 """
 
 from __future__ import annotations
 
 import cProfile
 import dataclasses
+import gc
 import pstats
 import tracemalloc
 from collections import Counter
@@ -31,8 +33,11 @@ from repro.sim import (
     sample_technique,
     sweep_mttf,
 )
+from repro.core.policy import FailurePolicy
 from repro.sim.params import PAPER_BASELINE, PAPER_DOWNTIMES, PAPER_MTTF_SWEEP
 from repro.sim.samplers import _EXCEPTION_TECHNIQUES, EXTENDED_TECHNIQUES
+from repro.workloads import layered_dag
+from repro.wpdl import parse_wpdl, serialize_wpdl
 
 # -- mc_sweep: a fixed-budget sweep, then CI-targeted antithetic batches ------
 
@@ -207,3 +212,51 @@ class TestMcEngine:
         sampler.run(2)
         assert opened
         assert len(built) == len(opened)
+
+
+# -- dag_layered: the 60x60 DAG's WPDL text, parsed ---------------------------
+
+#: Python calls per ``parse_wpdl(text, validate_graph=False)`` of the
+#: ledger's 60x60 DAG (seed 20030623) by ``repro`` module (cProfile, CPython
+#: 3.11), each gated at the figure + 5%.  Recorded before the parser and
+#: the lint were one grammar walk: parser 55 363, schema 2.  The walk's
+#: start and end handlers (one call each per element) moved to the schema,
+#: where the grammar is; the reader's calls per element went from 3.7 to
+#: 1.7, and the sum did not move.
+DAG_PARSE_CALLS = {
+    "repro.core.policy": 2,
+    "repro.wpdl.model": 6,
+    "repro.wpdl.parser": 25674,
+    "repro.wpdl.schema": 29696,
+}
+#: The same sum before the walk: no more calls per parse, in whichever module.
+DAG_PARSE_CALLS_BEFORE = 55373
+#: Young collections per parse after ``gc.collect()``: 17 on CPython 3.11
+#: (15 on 3.12), plus 5% rounded up.  The count sits at a collection's edge
+#: (17 or 18 by what ran before, before the walk too).
+DAG_PARSE_YOUNG_COLLECTIONS = 18
+
+
+@pytest.fixture(scope="module")
+def dag_text() -> str:
+    spec, _ = layered_dag(
+        60, 60, hosts=4, seed=20030623, policy=FailurePolicy.retrying(3)
+    )
+    return serialize_wpdl(spec)
+
+
+class TestDagLayered:
+    def test_python_calls_by_module(self, dag_text):
+        parse_wpdl(dag_text, validate_graph=False)  # imports are done
+        calls = _calls_by_module(lambda: parse_wpdl(dag_text, validate_graph=False))
+        assert set(calls) == set(DAG_PARSE_CALLS)
+        for module, count in calls.items():
+            assert count <= DAG_PARSE_CALLS[module] * 1.05, module
+        assert sum(calls.values()) <= DAG_PARSE_CALLS_BEFORE * 1.05
+
+    def test_young_collections_per_parse(self, dag_text):
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        parse_wpdl(dag_text, validate_graph=False)
+        young = gc.get_stats()[0]["collections"] - before
+        assert young <= DAG_PARSE_YOUNG_COLLECTIONS, young

@@ -857,3 +857,164 @@ class TestNothingOutlivesTheVerdict:
         assert sum(h.jobs_killed for h in grid.hosts.values()) > 50  # outages
         assert grid.kernel.stats()["timers_cancelled"] - cancelled > 50
         assert unreachable == 0
+
+
+def test_100_concurrent_toy_workflows_zero_cross_instance_leakage():
+    """100 instances of one spec on one shared runtime, and a 10x10 DAG from
+    WPDL text to result: no cross-instance leak, no subscriber, one compiled
+    form, one launch plan, one ``SubmitRequest`` for the 200 submissions,
+    and no record built by generated code."""
+    import sys
+    from collections import Counter
+
+    from repro.ckpt.manager import CheckpointRecord
+    from repro.core import FailurePolicy
+    from repro.detection import messages
+    from repro.detection.detector import AttemptOutcome, _Attempt
+    from repro.engine import EngineHost, WorkflowEngine
+    from repro.engine.engine import WorkflowResult
+    from repro.engine.instance import NodeInstance
+    from repro.engine.recovery import ActivityRun, TaskResolution, _Slot
+    from repro.execution import SubmitRequest
+    from repro.grid import RELIABLE, CrashingTask, GridConfig, SimulatedGrid
+    from repro.obs.catalogue import topic_specs
+    from repro.workloads import layered_dag
+    from repro.wpdl import WorkflowBuilder, parse_wpdl, serialize_wpdl
+    from repro.wpdl.model import Activity, CompiledNode, Transition, TransitionCondition
+
+    grid = SimulatedGrid(seed=7, config=GridConfig(heartbeats=False))
+    grid.add_host(RELIABLE("h1", slots=None))
+    grid.install(
+        "h1", "toy", CrashingTask(duration=3.0, crash_at=1.0, crashes=1, result="ok")
+    )
+    spec = (
+        WorkflowBuilder("toy")
+        .program("toy", hosts=["h1"])
+        .activity("toy", implement="toy", policy=FailurePolicy.retrying(3))
+        .build()
+    )
+    requests = []
+    submit = grid.submit
+
+    def recording(request, **kwargs):
+        requests.append(request)
+        return submit(request, **kwargs)
+
+    grid.submit = recording
+
+    host = EngineHost(grid, reactor=grid.reactor)
+    bus = host.runtime.bus
+    published = []
+    bus.add_tap(lambda topic, payload: published.append((topic, payload)))
+    handed = []
+    for wfid in host.submit_many(spec, 100):
+        coordinator = host.engine(wfid).coordinator
+
+        def handle(outcome, wfid=wfid, handle=coordinator.handle_outcome):
+            handed.append((wfid, outcome))
+            handle(outcome)
+
+        # Read off the instance at every submit, so this is what
+        # the detector calls.
+        coordinator.handle_outcome = handle
+    generated = Counter()
+
+    def count_generated(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and (
+            code.co_filename == "<string>" or code.co_name == "__post_init__"
+        ):
+            local = frame.f_locals
+            owner = local.get("self", local.get("_cls"))
+            generated[owner if isinstance(owner, type) else type(owner)] += 1
+
+    sys.setprofile(count_generated)
+    try:
+        results = host.wait_all(timeout=1e7)
+    finally:
+        sys.setprofile(None)
+    records = {
+        messages.Heartbeat,
+        messages.TaskStart,
+        messages.TaskEnd,
+        messages.ExceptionNotice,
+        messages.CheckpointNotice,
+        messages.Done,
+        AttemptOutcome,
+        TaskResolution,
+        CheckpointRecord,
+        SubmitRequest,
+        WorkflowResult,
+        NodeInstance,
+        ActivityRun,
+        _Slot,
+        _Attempt,
+        Activity,
+        Transition,
+        TransitionCondition,
+        CompiledNode,
+    }
+    initialised = {t.__name__: n for t, n in generated.items() if t in records}
+    assert not initialised, f"records built by generated code: {initialised}"
+    dag, setup = layered_dag(
+        10, 10, hosts=4, seed=20030623, policy=FailurePolicy.retrying(3)
+    )
+    text = serialize_wpdl(dag)
+    dag_grid = setup(
+        SimulatedGrid(
+            seed=1, config=GridConfig(crash_detection="prompt", heartbeats=True)
+        )
+    )
+    generated.clear()
+    sys.setprofile(count_generated)
+    try:
+        dag_result = WorkflowEngine(
+            parse_wpdl(text),
+            dag_grid,
+            reactor=dag_grid.reactor,
+        ).run(timeout=1e9)
+    finally:
+        sys.setprofile(None)
+    assert dag_result.succeeded, dag_result.node_statuses
+    initialised = {t.__name__: n for t, n in generated.items() if t in records}
+    assert not initialised, f"parsed DAG built by generated code: {initialised}"
+    assert len(results) == 100
+    assert all(r.succeeded for r in results.values())
+    assert all(
+        r.tries["toy"] == 2 for r in results.values()
+    ), "every instance must pay its own crash+retry"
+    declared = {spec.topic for spec in topic_specs()}
+    leaks = sum(1 for mine, outcome in handed if mine != outcome.workflow_id)
+    for topic, payload in published:
+        if topic not in declared:
+            leaks += 1
+        elif topic.startswith("task."):
+            if payload.workflow_id not in results:
+                leaks += 1
+        elif topic.startswith("engine."):
+            if not payload.workflow_id:
+                leaks += 1
+    assert leaks == 0, f"{leaks} cross-instance event leaks"
+    assert len(handed) == 200, len(handed)
+    assert all(isinstance(outcome, tuple) for _, outcome in handed)
+    topics = bus.stats()["topics"]
+    assert topics == 0, f"{topics} subscribed topics"
+    compiled = {id(host.engine(w).workflow.compiled) for w in results}
+    assert len(compiled) == 1, f"{len(compiled)} compiled forms"
+    plans = [
+        plan for table in host.runtime.launch_plans.values() for plan in table.values()
+    ]
+    assert len(plans) == 1, f"{len(plans)} launch plans"
+    assert len(requests) == 200, len(requests)
+    objects = {id(request) for request in requests}
+    assert len(objects) == 1, f"{len(objects)} SubmitRequest objects"
+    assert len(plans[0].requests) == 1, plans[0].requests
+    print(
+        f"multiplex smoke OK: 100 instances, "
+        f"{len(published)} events, {len(handed)} verdicts handed "
+        f"back, 0 leaks, 0 subscribed topics, 1 compiled form, "
+        f"1 launch plan, "
+        f"{len(requests)} submissions of 1 request, "
+        f"{len(handed)} tuple verdicts, 0 records built by generated code, "
+        f"nor in a parsed {len(dag_result.node_statuses)}-node DAG"
+    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from repro.errors import ParseError, ValidationError
 from repro.workloads import chain, diamond_ladder, fork_join, layered_dag
 from repro.wpdl import serialize_wpdl
 from repro.wpdl.model import ConditionKind, JoinMode
+from repro.wpdl import parser, schema
 from repro.wpdl.parser import parse_wpdl, parse_wpdl_file
 from repro.wpdl.schema import check_vocabulary
 
@@ -265,7 +267,7 @@ class TestDocumentErrors:
             parse_wpdl("<Pipeline name='w'/>")
 
     def test_unexpected_element(self):
-        with pytest.raises(ParseError, match="unexpected element"):
+        with pytest.raises(ParseError, match="<Task> not allowed inside"):
             parse_wpdl("<Workflow name='w'><Task name='t'/></Workflow>")
 
     def test_duplicate_activity(self):
@@ -322,23 +324,22 @@ class TestDocumentErrors:
             with pytest.raises(ParseError) as info:
                 parse_wpdl(text, validate_graph=graph)
             assert str(info.value) == "; ".join(unknown)
-        lenient = parse_wpdl(text, validate_graph=False, check_attributes=False)
-        assert lenient.nodes["a"].policy == FailurePolicy()
 
     def test_a_misplaced_element_is_not_an_attribute_fault(self):
-        # The lint does not look inside an element out of place, and the
-        # parser refuses the element in the lint's words instead of
-        # dropping it from the workflow.
+        # Nothing inside an element out of place is read, so its unknown
+        # attribute is not a problem; the parser refuses the element in
+        # the lint's words instead of dropping it from the workflow.
         text = (
             "<Workflow name='w'><Variables><Activity name='v' x='1'/></Variables>"
             "<Activity name='a'/></Workflow>"
         )
-        assert check_vocabulary(text) == [
+        problem = (
             "Workflow/Variables: element <Activity> not allowed inside <Variables>"
-        ]
+        )
+        assert check_vocabulary(text) == [problem]
         with pytest.raises(ParseError) as raised:
             parse_wpdl(text)
-        assert str(raised.value) == "element <Activity> not allowed inside <Variables>"
+        assert str(raised.value) == problem
 
     def test_parse_file(self, tmp_path):
         path = tmp_path / "wf.xml"
@@ -348,6 +349,22 @@ class TestDocumentErrors:
     def test_parse_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             parse_wpdl_file(tmp_path / "missing.xml")
+
+    def test_a_document_is_read_once(self, monkeypatch):
+        # The grammar is checked in the reading that mints the records:
+        # no second walk, and no keyword that asks for one.
+        reads = []
+        for module in (parser, schema):
+            run = module._run
+            monkeypatch.setattr(
+                module, "_run", lambda p, text, run=run: reads.append(1) or run(p, text)
+            )
+        parse_wpdl(FIGURE2)
+        assert len(reads) == 1
+        assert list(inspect.signature(parse_wpdl).parameters) == [
+            "text",
+            "validate_graph",
+        ]
 
 
 class TestTimeoutAttribute:
@@ -383,12 +400,15 @@ _W = "<Workflow name='w'>{}</Workflow>"
 _A = "<Workflow name='w'><Activity name='t' {}/></Workflow>"
 _EXTERNAL_DTD = "<!DOCTYPE Workflow SYSTEM 'wpdl.dtd'>\n"
 
-#: Every ``raise ParseError`` site with the exact message the parser gave
+#: Every ``raise ParseError`` site with its exact message.  A grammar
+#: problem is in the words of ``check_vocabulary``, with its path, and the
+#: error lists every one; the other messages are those the parser gave
 #: when it built an ``xml.etree`` tree first (recorded from that parser).
 #: That parser read the whole document before it looked at an element, so
 #: of two faults an XML fault anywhere came first; and it counted a loop's
 #: ``<Body>`` children before it read the first, so a second body came
-#: before any fault inside the first.  The last block pins that order.
+#: before any fault inside the first.  A grammar problem met before a
+#: fault comes first too.  The last block pins that order.
 MESSAGES = {
     # -- XML (line and column as expat reports them) -------------------------
     "mismatched_tag": (
@@ -443,22 +463,23 @@ MESSAGES = {
     ),
     "unexpected_in_workflow": (
         _W.format("<Task name='t'/>"),
-        "unexpected element <Task> in <Workflow>",
+        "Workflow: element <Task> not allowed inside <Workflow>",
     ),
     "unexpected_in_workflow_namespaced": (
         "<Workflow name='w' xmlns:x='urn:x'><x:Task/></Workflow>",
-        "unexpected element <{urn:x}Task> in <Workflow>",
+        "Workflow: element <{urn:x}Task> not allowed inside <Workflow>",
     ),
     "unexpected_in_body": (
         _W.format("<Loop name='l' condition='x'><Body><Task/></Body></Loop>"),
-        "unexpected element <Task> in <Workflow>",
+        "Workflow/Loop/Body: element <Task> not allowed inside <Body>",
     ),
     "unexpected_in_nested_body": (
         _W.format(
             "<SubWorkflow name='s'><Body><Loop name='l' condition='x'>"
             "<Body><Activity name='a'/><Gizmo/></Body></Loop></Body></SubWorkflow>"
         ),
-        "unexpected element <Gizmo> in <Workflow>",
+        "Workflow/SubWorkflow/Body/Loop/Body: "
+        "element <Gizmo> not allowed inside <Body>",
     ),
     "duplicate_activity": (
         _W.format("<Activity name='t'/><Activity name='t'/>"),
@@ -508,7 +529,7 @@ MESSAGES = {
     ),
     "unexpected_in_activity": (
         _W.format("<Activity name='t'><Option hostname='h'/></Activity>"),
-        "unexpected element <Option> in activity 't'",
+        "Workflow/Activity: element <Option> not allowed inside <Activity>",
     ),
     "empty_output": (
         _W.format("<Activity name='t'><Output>  </Output></Activity>"),
@@ -516,7 +537,7 @@ MESSAGES = {
     ),
     "output_text_after_a_child": (
         _W.format("<Activity name='t'><Output><b/>total</Output></Activity>"),
-        "element <b> not allowed inside <Output>",
+        "Workflow/Activity/Output: element <b> not allowed inside <Output>",
     ),
     "rethrow_without_as": (
         _W.format("<Activity name='t'><Rethrow on='E*'/></Activity>"),
@@ -597,6 +618,16 @@ MESSAGES = {
         _A.format("join='xor'"),
         "activity 't': node 't': join must be 'and' or 'or', got 'xor'",
     ),
+    "restart_from_checkpoint_not_a_boolean": (
+        _A.format("restart_from_checkpoint='no'"),
+        "activity 't': activity 't': restart_from_checkpoint must be 'true' or "
+        "'false', got 'no'",
+    ),
+    "retry_on_exception_not_a_boolean": (
+        _A.format("retry_on_exception='yes'"),
+        "activity 't': activity 't': retry_on_exception must be 'true' or "
+        "'false', got 'yes'",
+    ),
     # -- loops and sub-workflows ---------------------------------------------
     "loop_without_name": (
         _W.format("<Loop condition='x'><Body/></Loop>"),
@@ -670,7 +701,7 @@ MESSAGES = {
     ),
     "unexpected_in_program": (
         _W.format("<Program name='p'><Host name='h'/></Program>"),
-        "unexpected element <Host> in program 'p'",
+        "Workflow/Program: element <Host> not allowed inside <Program>",
     ),
     "option_without_hostname": (
         _W.format("<Program name='p'><Option/></Program>"),
@@ -681,65 +712,65 @@ MESSAGES = {
         "program 'p' has no options",
     ),
     # -- elements out of place, which the tree parser skipped: refused in ---
-    # -- the lint's words, without the path ----------------------------------
+    # -- the lint's words, with the path -------------------------------------
     "activity_in_variables": (
         _W.format("<Variables><Activity name='x'/></Variables><Activity name='a'/>"),
-        "element <Activity> not allowed inside <Variables>",
+        "Workflow/Variables: element <Activity> not allowed inside <Variables>",
     ),
     "activity_in_a_loop_outside_its_body": (
         _W.format(
             "<Loop name='l' condition='False'><Activity name='x'/>"
             "<Body><Activity name='b'/></Body></Loop>"
         ),
-        "element <Activity> not allowed inside <Loop>",
+        "Workflow/Loop: element <Activity> not allowed inside <Loop>",
     ),
     "element_after_a_subworkflow_body": (
         _W.format("<SubWorkflow name='s'><Body/><Note/></SubWorkflow>"),
-        "element <Note> not allowed inside <SubWorkflow>",
+        "Workflow/SubWorkflow: element <Note> not allowed inside <SubWorkflow>",
     ),
     "child_of_a_transition": (
         _W.format("<Transition from='a' to='b'><Task/></Transition>"),
-        "element <Task> not allowed inside <Transition>",
+        "Workflow/Transition: element <Task> not allowed inside <Transition>",
     ),
     "child_of_a_variable": (
         _W.format(
             "<Variables><Variable name='v' value='1'><Task/></Variable></Variables>"
         ),
-        "element <Task> not allowed inside <Variable>",
+        "Workflow/Variables/Variable: element <Task> not allowed inside <Variable>",
     ),
     "child_of_an_input": (
         _W.format(
             "<Activity name='t'><Input name='x' value='1'><Gizmo/></Input></Activity>"
         ),
-        "element <Gizmo> not allowed inside <Input>",
+        "Workflow/Activity/Input: element <Gizmo> not allowed inside <Input>",
     ),
     "child_of_a_rethrow": (
         _W.format(
             "<Activity name='t'><Rethrow on='E' as='F'><Task/></Rethrow></Activity>"
         ),
-        "element <Task> not allowed inside <Rethrow>",
+        "Workflow/Activity/Rethrow: element <Task> not allowed inside <Rethrow>",
     ),
     "child_of_an_option": (
         _W.format(
             "<Program name='p'><Option hostname='h'><Task/></Option></Program>"
         ),
-        "element <Task> not allowed inside <Option>",
+        "Workflow/Program/Option: element <Task> not allowed inside <Option>",
     ),
     "child_of_an_implement": (
         _W.format("<Activity name='t'><Implement>a<b/>c</Implement></Activity>"),
-        "element <b> not allowed inside <Implement>",
+        "Workflow/Activity/Implement: element <b> not allowed inside <Implement>",
     ),
     "child_of_a_description": (
         _W.format(
             "<Activity name='t'><Description><b/>gone</Description></Activity>"
         ),
-        "element <b> not allowed inside <Description>",
+        "Workflow/Activity/Description: element <b> not allowed inside <Description>",
     ),
     "namespaced_child_of_a_leaf": (
         _W.format(
             "<Transition from='a' to='b'><x:Task xmlns:x='urn:x'/></Transition>"
         ),
-        "element <{urn:x}Task> not allowed inside <Transition>",
+        "Workflow/Transition: element <{urn:x}Task> not allowed inside <Transition>",
     ),
     # -- two faults in one document: the one the tree parser met first -------
     "unexpected_element_then_mismatched_tag": (
@@ -776,7 +807,7 @@ MESSAGES = {
     ),
     "activity_child_before_policy": (
         _W.format("<Activity name='t' max_tries='lots'><Gizmo/></Activity>"),
-        "unexpected element <Gizmo> in activity 't'",
+        "Workflow/Activity: element <Gizmo> not allowed inside <Activity>",
     ),
     "output_before_duplicate_name": (
         _W.format("<Activity name='t'/><Activity name='t'><Output/></Activity>"),
@@ -785,6 +816,19 @@ MESSAGES = {
     "loop_attributes_before_body_count": (
         _W.format("<Loop name='l'><Body/><Body/></Loop>"),
         "loop 'l' requires a condition attribute",
+    ),
+    "unknown_attribute_before_a_bad_policy": (
+        _A.format("speed='9' max_tries='lots'"),
+        "Workflow/Activity: unknown attribute 'speed'",
+    ),
+    "every_grammar_problem_when_a_fault_stops_the_read": (
+        _W.format("<Task/><Activity/><Activity name='b' y='1'/>"),
+        "Workflow: element <Task> not allowed inside <Workflow>; "
+        "Workflow/Activity: unknown attribute 'y'",
+    ),
+    "a_fault_before_any_grammar_problem": (
+        _W.format("<Activity/><Task/>"),
+        "<Activity> requires a name attribute",
     ),
 }
 
@@ -802,8 +846,7 @@ class TestEveryMessagePinned:
     )
     def test_a_misplaced_element_in_the_lints_words(self, case):
         text, message = MESSAGES[case]
-        problems = check_vocabulary(text)
-        assert any(problem.endswith(": " + message) for problem in problems)
+        assert "; ".join(check_vocabulary(text)) == message
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "missing.xml"
