@@ -6,10 +6,10 @@ form.  So, when being restarted, the engine creates a parse tree from the
 saved XML file rather than from the original XML file and begins navigation
 from where it left off."
 
-One checkpoint file bundles the static specification (serialised back to
-WPDL, so the checkpoint is self-contained even if the original file
-changed) and the runtime instance state (node statuses, edge states,
-variables, per-activity recovery state) as JSON::
+One checkpoint file bundles the static specification (compact WPDL, so the
+checkpoint is self-contained even if the original file changed; rendered
+once per checkpointer) and the runtime instance state (node statuses, edge
+states, variables, per-activity recovery state) as JSON::
 
     <EngineCheckpoint workflow="..." saved_at="...">
       <Specification>   <!-- a full WPDL <Workflow> element -->
@@ -26,11 +26,12 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Any
+from xml.sax.saxutils import escape
 
 from ..errors import CheckpointError, ParseError
 from ..wpdl.model import Workflow
 from ..wpdl.parser import parse_wpdl
-from ..wpdl.serializer import workflow_to_element
+from ..wpdl.serializer import _attribute, serialize_wpdl
 from .instance import NodeStatus, WorkflowInstance
 
 __all__ = ["EngineCheckpointer", "load_checkpoint"]
@@ -44,6 +45,8 @@ class EngineCheckpointer:
         #: Number of checkpoints written (tests assert the paper's
         #: once-per-task-termination cadence).
         self.saves = 0
+        #: The last specification saved and its text (immutable: rendered once).
+        self._spec: tuple[Workflow, str] | None = None
 
     def save(
         self,
@@ -54,26 +57,29 @@ class EngineCheckpointer:
         workflow_id: str = "",
     ) -> None:
         """Write the checkpoint file atomically."""
+        spec = instance.spec
+        if self._spec is None or self._spec[0] is not spec:
+            self._spec = (spec, serialize_wpdl(spec, pretty=False))
         state = instance.snapshot()
         for name, snap in recovery_snapshots.items():
             if name in state["nodes"]:
                 state["nodes"][name]["recovery_state"] = snap
-        attrs = {"workflow": instance.spec.name, "saved_at": repr(saved_at)}
-        if workflow_id:
-            # Diagnostic provenance for multiplexed runs; readers that
-            # predate multiplexing simply ignore the extra attribute.
-            attrs["workflow_id"] = workflow_id
-        root = ET.Element("EngineCheckpoint", attrs)
-        spec_elem = ET.SubElement(root, "Specification")
-        spec_elem.append(workflow_to_element(instance.spec))
-        state_elem = ET.SubElement(root, "InstanceState")
         try:
-            state_elem.text = json.dumps(state, sort_keys=True)
+            state_text = escape(json.dumps(state, sort_keys=True))
         except TypeError as exc:
             raise CheckpointError(
                 f"instance state is not JSON-serialisable: {exc}"
             ) from exc
-        payload = ET.tostring(root, encoding="unicode")
+        attrs = f'workflow="{_attribute(spec.name)}" saved_at="{saved_at!r}"'
+        if workflow_id:
+            # Diagnostic provenance for multiplexed runs; readers that
+            # predate multiplexing simply ignore the extra attribute.
+            attrs += f' workflow_id="{_attribute(workflow_id)}"'
+        payload = (
+            f"<EngineCheckpoint {attrs}><Specification>{self._spec[1]}"
+            f"</Specification><InstanceState>{state_text}</InstanceState>"
+            "</EngineCheckpoint>"
+        )
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ from .model import (
 )
 from .parser import parse_wpdl, parse_wpdl_file
 from .schema import WPDL_DTD, check_vocabulary
-from .serializer import serialize_wpdl, workflow_to_element
+from .serializer import serialize_wpdl
 from .validator import validate, validation_problems
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "WPDL_DTD",
     "check_vocabulary",
     "serialize_wpdl",
-    "workflow_to_element",
     "validate",
     "validation_problems",
 ]

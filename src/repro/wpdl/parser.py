@@ -60,9 +60,10 @@ _TYPE_PARSERS = {
     "str": str,
     "int": int,
     "float": float,
-    "bool": lambda s: s.strip().lower() in {"true", "1", "yes"},
+    "bool": lambda s: _BOOLS[s.strip().lower()],
     "none": lambda s: None,
 }
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 _Attrs = dict[str, str]
 
@@ -303,15 +304,13 @@ class _Reader(_Walk):
     def _end_activity(self, tag: str) -> None:
         name, attrs = self.name, self.attrs
         try:
-            # A policy that fails to parse is not kept, so the error names
-            # the activity it was found on however many share its attributes.
             key = tuple(map(attrs.get, _POLICY_ATTRIBUTES))
             policy = self.policies.get(key)
             if policy is None:
-                policy = self.policies[key] = _parse_policy(attrs, name)
+                policy = self.policies[key] = _parse_policy(attrs)
             join = JoinMode.AND
             if "join" in attrs:
-                join = _choice(attrs, "join", "and", f"node {name!r}")
+                join = _choice(attrs, "join", "and", f"node {name!r}: ")
         except (SpecificationError, PolicyError) as exc:
             raise ParseError(f"activity {name!r}: {exc}") from exc
         fields = (name, self.implement, policy, join, self.inputs, self.outputs)
@@ -324,7 +323,7 @@ class _Reader(_Walk):
         if body is None:
             raise ParseError(f"{composite.label} requires exactly one <Body>")
         try:
-            join = _choice(attrs, "join", "and", f"node {name!r}")
+            join = _choice(attrs, "join", "and", f"node {name!r}: ")
             if tag == "SubWorkflow":
                 node: Loop | SubWorkflow = SubWorkflow(name=name, body=body, join=join)
             else:
@@ -360,42 +359,41 @@ class _Reader(_Walk):
     }
 
 
-def _parse_policy(attrs: _Attrs, name: str) -> FailurePolicy:
+def _parse_policy(attrs: _Attrs) -> FailurePolicy:
     """The policy's fields are read, and checked, in the attributes' order."""
     raw_tries = attrs.get("max_tries", "1")
     try:
         max_tries = None if raw_tries in {"unlimited", "*"} else int(raw_tries)
     except ValueError:
         raise ParseError(
-            f"activity {name!r}: max_tries must be an integer or "
-            f"'unlimited', got {raw_tries!r}"
+            f"max_tries must be an integer or 'unlimited', got {raw_tries!r}"
         ) from None
-    interval = _number(attrs, "interval", "0", name)
-    replication = _choice(attrs, "policy", "none", f"activity {name!r}")
-    selection = _choice(attrs, "resource_selection", "same", f"activity {name!r}")
-    restart = _choice(attrs, "restart_from_checkpoint", "true", f"activity {name!r}")
-    retry = _choice(attrs, "retry_on_exception", "false", f"activity {name!r}")
-    timeout = _number(attrs, "timeout", None, name)
-    backoff = _number(attrs, "backoff", "1", name)
-    ceiling = _number(attrs, "max_interval", None, name)
+    interval = _number(attrs, "interval", "0")
+    replication = _choice(attrs, "policy", "none")
+    selection = _choice(attrs, "resource_selection", "same")
+    restart = _choice(attrs, "restart_from_checkpoint", "true")
+    retry = _choice(attrs, "retry_on_exception", "false")
+    timeout = _number(attrs, "timeout", None)
+    backoff = _number(attrs, "backoff", "1")
+    ceiling = _number(attrs, "max_interval", None)
     fields = (max_tries, interval, replication, selection, restart, retry)
     return FailurePolicy(*fields, timeout, backoff, ceiling)
 
 
-def _number(attrs: _Attrs, key: str, default: str | None, name: str) -> Any:
+def _number(attrs: _Attrs, key: str, default: str | None) -> Any:
     raw = attrs.get(key, default)
     try:
         return None if raw is None else float(raw)
     except ValueError:
-        raise ParseError(f"activity {name!r}: {key} must be a number") from None
+        raise ParseError(f"{key} must be a number") from None
 
 
-def _choice(attrs: _Attrs, key: str, default: str, where: str) -> Any:
+def _choice(attrs: _Attrs, key: str, default: str, where: str = "") -> Any:
     members = _CHOICES[key]
     raw = attrs.get(key, default)
     if raw not in members:
         allowed = " or ".join(map(repr, members))
-        raise ParseError(f"{where}: {key} must be {allowed}, got {raw!r}")
+        raise ParseError(f"{where}{key} must be {allowed}, got {raw!r}")
     return members[raw]
 
 
@@ -426,5 +424,8 @@ def _typed_value(raw: str, type_name: str) -> Any:
         raise ParseError(f"unknown value type {type_name!r} {expected}")
     try:
         return parser(raw)
+    except KeyError:  # type='bool' and none of its words
+        words = "true, false, yes, no, 1 or 0"
+        raise ParseError(f"cannot parse {raw!r} as bool: expected {words}") from None
     except ValueError as exc:
         raise ParseError(f"cannot parse {raw!r} as {type_name}: {exc}") from exc

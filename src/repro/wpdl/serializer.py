@@ -1,210 +1,203 @@
 """XML WPDL serializer — the inverse of :mod:`repro.wpdl.parser`.
 
-Used for round-tripping specifications and, critically, by the engine's own
-checkpointing (Section 7: "the engine saves the current XML parse tree onto
-a persistent storage in a XML file form"): the engine serialises the static
-specification alongside its runtime instance state so a restarted engine
-can resume navigation.
-
-The serializer emits only non-default attributes, so hand-written WPDL and
-round-tripped WPDL stay diff-friendly.  ``serialize → parse`` is the
-identity on the model (property-tested).
+Used for round-tripping specifications and by the engine's own checkpoints
+(Section 7: "the engine saves the current XML parse tree onto a persistent
+storage in a XML file form").  The text is written in one walk over the
+model, with no element tree in between, and only non-default attributes are
+written, so round-tripped WPDL stays diff-friendly.  ``serialize → parse``
+is the identity on the model (property-tested).
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from typing import Any
+import re
+from typing import Any, Callable
 from xml.sax.saxutils import escape
 
-from ..core.policy import ReplicationMode, ResourceSelection
+from ..core.policy import FailurePolicy, ReplicationMode, ResourceSelection
 from ..errors import SpecificationError
-from .model import (
-    Activity,
-    ConditionKind,
-    JoinMode,
-    Loop,
-    Parameter,
-    Program,
-    SubWorkflow,
-    Transition,
-    Workflow,
-)
+from .model import Activity, ConditionKind, JoinMode, Loop, SubWorkflow, Workflow
 
-__all__ = ["serialize_wpdl", "workflow_to_element"]
+__all__ = ["serialize_wpdl"]
+
+#: A value without these characters (nearly every value) is written as it is.
+#: An attribute escapes all of them, as ``ET.tostring`` does; text escapes
+#: ``&<>``, and pretty text quotes too, as ``xml.dom.minidom`` did.
+_MARKUP = re.compile('[&<>"\r\n\t]').search
+_ATTRIBUTE = {'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+_PRETTY_TEXT = {'"': "&quot;"}
 
 
 def serialize_wpdl(workflow: Workflow, *, pretty: bool = True) -> str:
-    """Render *workflow* as an XML WPDL document string."""
-    elem = workflow_to_element(workflow)
+    """Render *workflow* as an XML WPDL document string: one element a
+    line, indented two spaces a level, or compact, as ``ET.tostring``
+    writes an element tree."""
+    writer = _Writer("  ", "/>", _PRETTY_TEXT) if pretty else _Writer("", " />", {})
+    writer.workflow(workflow, "Workflow", "")
     if not pretty:
-        return ET.tostring(elem, encoding="unicode")
-    lines = ['<?xml version="1.0" ?>']
-    _pretty(elem, "", lines)
-    return "\n".join(lines) + "\n"
+        return "".join(writer.out)
+    return '<?xml version="1.0" ?>\n' + "\n".join(writer.out) + "\n"
 
 
-#: What pretty text escapes besides ``&``, ``<`` and ``>``: quotes, as
-#: ``xml.dom.minidom`` wrote them, and in an attribute value the whitespace
-#: a parser would read back as spaces, as ``ET.tostring`` writes it.
-_TEXT = {'"': "&quot;"}
-_ATTRIBUTE = {**_TEXT, "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+def _attribute(value: str) -> str:
+    """*value* escaped for a double-quoted attribute."""
+    return escape(value, _ATTRIBUTE) if _MARKUP(value) else value
 
 
-def _pretty(elem: ET.Element, indent: str, lines: list[str]) -> None:
-    """Append *elem*, indented two spaces a level; an element with text
-    and no children takes one line."""
-    attrs = "".join(f' {k}="{escape(v, _ATTRIBUTE)}"' for k, v in elem.items())
-    if len(elem):
-        lines.append(f"{indent}<{elem.tag}{attrs}>")
-        for child in elem:
-            _pretty(child, indent + "  ", lines)
-        lines.append(f"{indent}</{elem.tag}>")
-    elif elem.text:
-        text = escape(elem.text, _TEXT)
-        lines.append(f"{indent}<{elem.tag}{attrs}>{text}</{elem.tag}>")
-    else:
-        lines.append(f"{indent}<{elem.tag}{attrs}/>")
+class _Memo(dict):
+    """``memo[key]`` is ``make(key)``, made once per walk (names recur)."""
+
+    def __init__(self, make: Callable[[Any], str]) -> None:
+        self.make = make
+
+    def __missing__(self, key: Any) -> str:
+        value = self[key] = self.make(key)
+        return value
 
 
-def workflow_to_element(workflow: Workflow, *, tag: str = "Workflow") -> ET.Element:
-    root = ET.Element(tag, {"name": workflow.name})
-    if workflow.variables:
-        variables = ET.SubElement(root, "Variables")
-        for name, value in workflow.variables.items():
-            attrs = {"name": name}
-            attrs.update(_typed_attrs(value, context=f"variable {name!r}"))
-            ET.SubElement(variables, "Variable", attrs)
-    for node in workflow.nodes.values():
-        if isinstance(node, Activity):
-            root.append(_activity_to_element(node))
-        elif isinstance(node, Loop):
-            root.append(_loop_to_element(node))
-        elif isinstance(node, SubWorkflow):
-            root.append(_subworkflow_to_element(node))
-    for transition in workflow.transitions:
-        root.append(_transition_to_element(transition))
-    for program in workflow.programs.values():
-        root.append(_program_to_element(program))
-    return root
+class _Writer:
+    """One walk: each element, as a line or a part, goes to :attr:`out`.
+    An element without content closes with *empty*; an element with text
+    and no children takes one entry."""
+
+    def __init__(self, step: str, empty: str, entities: dict[str, str]) -> None:
+        self.step, self.empty, self.out = step, empty, []
+        self.quoted = _Memo(_attribute)
+        self.texts = _Memo(lambda v: escape(v, entities) if _MARKUP(v) else v)
+        #: A policy's attributes by its identity: activities share policies.
+        self.policies: dict[int, str] = {}
+
+    def text(self, pad: str, tag: str, value: str) -> None:
+        text = f">{self.texts[value]}</{tag}>" if value else self.empty
+        self.out.append(f"{pad}<{tag}{text}")
+
+    def workflow(self, workflow: Workflow, tag: str, pad: str) -> None:
+        out, step, empty, q = self.out, self.step, self.empty, self.quoted
+        head = f'{pad}<{tag} name="{q[workflow.name]}"'
+        variables, programs = workflow.variables, workflow.programs
+        if not (variables or workflow.nodes or workflow.transitions or programs):
+            out.append(head + empty)
+            return
+        out.append(head + ">")
+        inner = pad + step
+        if variables:
+            out.append(f"{inner}<Variables>")
+            for name, value in variables.items():
+                typed = _typed(value, f"variable {name!r}")
+                out.append(f'{inner}{step}<Variable name="{q[name]}"{typed}{empty}')
+            out.append(f"{inner}</Variables>")
+        for node in workflow.nodes.values():
+            if isinstance(node, Activity):
+                self.activity(node, inner)
+            else:
+                self.composite(node, inner)
+        for source, target, condition in workflow.transitions:
+            edge = f'{inner}<Transition from="{q[source]}" to="{q[target]}"'
+            kind = condition.kind
+            if kind is ConditionKind.EXPR:
+                edge += f' condition="{q[condition.expr]}"'
+            elif kind is ConditionKind.EXCEPTION:
+                edge += f' on="exception" exception="{q[condition.exception]}"'
+            elif kind is not ConditionKind.DONE:
+                edge += f' on="{kind.value}"'
+            out.append(edge + empty)
+        for program in programs.values():
+            out.append(f'{inner}<Program name="{q[program.name]}">')
+            for option in program.options:
+                attrs = f'hostname="{q[option.hostname]}"'
+                if option.service != "jobmanager":
+                    attrs += f' service="{q[option.service]}"'
+                if option.executable_dir:
+                    attrs += f' executableDir="{q[option.executable_dir]}"'
+                if option.executable:
+                    attrs += f' executable="{q[option.executable]}"'
+                out.append(f"{inner}{step}<Option {attrs}{empty}")
+            out.append(f"{inner}</Program>")
+        out.append(f"{pad}</{tag}>")
+
+    def activity(self, activity: Activity, pad: str) -> None:
+        name, implement, policy, join, inputs, outputs, rethrows, about = activity
+        q = self.quoted
+        attrs = self.policies.get(id(policy))
+        if attrs is None:
+            attrs = self.policies[id(policy)] = _policy(policy)
+        head = f'{pad}<Activity name="{q[name]}"{attrs}'
+        if join is not JoinMode.AND:
+            head += f' join="{join.value}"'
+        if not (about or inputs or outputs or rethrows or implement is not None):
+            self.out.append(head + self.empty)
+            return
+        out, inner, empty = self.out, pad + self.step, self.empty
+        out.append(head + ">")
+        if about:
+            self.text(inner, "Description", about)
+        for param in inputs:
+            if param.ref is not None:
+                attrs = f' ref="{q[param.ref]}"'
+            else:
+                attrs = _typed(param.value, f"activity {name!r} input {param.name!r}")
+            out.append(f'{inner}<Input name="{q[param.name]}"{attrs}{empty}')
+        for output in outputs:
+            self.text(inner, "Output", output)
+        for rethrow in rethrows:
+            on, as_name = q[rethrow.pattern], q[rethrow.as_name]
+            out.append(f'{inner}<Rethrow on="{on}" as="{as_name}"{empty}')
+        if implement is not None:
+            self.text(inner, "Implement", implement)
+        out.append(f"{pad}</Activity>")
+
+    def composite(self, node: Loop | SubWorkflow, pad: str) -> None:
+        """A ``<Loop>`` or a ``<SubWorkflow>`` and its ``<Body>``."""
+        q = self.quoted
+        head = f'{pad}<{type(node).__name__} name="{q[node.name]}"'
+        if isinstance(node, Loop):
+            head += f' condition="{q[node.condition]}"'
+            if node.max_iterations != 1000:
+                head += f' max_iterations="{node.max_iterations}"'
+        if node.join is not JoinMode.AND:
+            head += f' join="{node.join.value}"'
+        self.out.append(head + ">")
+        self.workflow(node.body, "Body", pad + self.step)
+        self.out.append(f"{pad}</{type(node).__name__}>")
 
 
-def _typed_attrs(value: Any, *, context: str) -> dict[str, str]:
+def _policy(policy: FailurePolicy) -> str:
+    """The policy's non-default attributes, in the order they are read."""
+    attrs = ""
+    if policy.max_tries is None:
+        attrs += ' max_tries="unlimited"'
+    elif policy.max_tries != 1:
+        attrs += f' max_tries="{policy.max_tries}"'
+    if policy.interval != 0.0:
+        attrs += f' interval="{policy.interval!r}"'
+    if policy.backoff_factor != 1.0:
+        attrs += f' backoff="{policy.backoff_factor!r}"'
+    if policy.max_interval is not None:
+        attrs += f' max_interval="{policy.max_interval!r}"'
+    if policy.replication is not ReplicationMode.NONE:
+        attrs += f' policy="{policy.replication.value}"'
+    if policy.resource_selection is not ResourceSelection.SAME:
+        attrs += f' resource_selection="{policy.resource_selection.value}"'
+    if not policy.restart_from_checkpoint:
+        attrs += ' restart_from_checkpoint="false"'
+    if policy.retry_on_exception:
+        attrs += ' retry_on_exception="true"'
+    if policy.attempt_timeout is not None:
+        attrs += f' timeout="{policy.attempt_timeout!r}"'
+    return attrs
+
+
+def _typed(value: Any, context: str) -> str:
+    """A literal's ``value`` and ``type`` attributes."""
     if value is None:
-        return {"value": "", "type": "none"}
+        return ' value="" type="none"'
     if isinstance(value, bool):
-        return {"value": "true" if value else "false", "type": "bool"}
-    if isinstance(value, int):
-        return {"value": repr(value), "type": "int"}
-    if isinstance(value, float):
-        return {"value": repr(value), "type": "float"}
+        return f' value="{"true" if value else "false"}" type="bool"'
+    if isinstance(value, (int, float)):
+        kind = "int" if isinstance(value, int) else "float"
+        return f' value="{_attribute(repr(value))}" type="{kind}"'
     if isinstance(value, str):
-        return {"value": value, "type": "str"}
+        return f' value="{_attribute(value)}" type="str"'
     raise SpecificationError(
         f"{context}: cannot serialise value of type {type(value).__name__}"
     )
-
-
-def _activity_to_element(activity: Activity) -> ET.Element:
-    attrs: dict[str, str] = {"name": activity.name}
-    policy = activity.policy
-    if policy.max_tries is None:
-        attrs["max_tries"] = "unlimited"
-    elif policy.max_tries != 1:
-        attrs["max_tries"] = str(policy.max_tries)
-    if policy.interval != 0.0:
-        attrs["interval"] = repr(policy.interval)
-    if policy.backoff_factor != 1.0:
-        attrs["backoff"] = repr(policy.backoff_factor)
-    if policy.max_interval is not None:
-        attrs["max_interval"] = repr(policy.max_interval)
-    if policy.replication is not ReplicationMode.NONE:
-        attrs["policy"] = policy.replication.value
-    if policy.resource_selection is not ResourceSelection.SAME:
-        attrs["resource_selection"] = policy.resource_selection.value
-    if not policy.restart_from_checkpoint:
-        attrs["restart_from_checkpoint"] = "false"
-    if policy.retry_on_exception:
-        attrs["retry_on_exception"] = "true"
-    if policy.attempt_timeout is not None:
-        attrs["timeout"] = repr(policy.attempt_timeout)
-    if activity.join is not JoinMode.AND:
-        attrs["join"] = activity.join.value
-    elem = ET.Element("Activity", attrs)
-    if activity.description:
-        ET.SubElement(elem, "Description").text = activity.description
-    for param in activity.inputs:
-        elem.append(_input_to_element(param, activity))
-    for output in activity.outputs:
-        ET.SubElement(elem, "Output").text = output
-    for rethrow in activity.rethrows:
-        ET.SubElement(
-            elem, "Rethrow", {"on": rethrow.pattern, "as": rethrow.as_name}
-        )
-    if activity.implement is not None:
-        ET.SubElement(elem, "Implement").text = activity.implement
-    return elem
-
-
-def _input_to_element(param: Parameter, activity: Activity) -> ET.Element:
-    attrs = {"name": param.name}
-    if param.ref is not None:
-        attrs["ref"] = param.ref
-    else:
-        attrs.update(
-            _typed_attrs(
-                param.value,
-                context=f"activity {activity.name!r} input {param.name!r}",
-            )
-        )
-    return ET.Element("Input", attrs)
-
-
-def _loop_to_element(loop: Loop) -> ET.Element:
-    attrs = {
-        "name": loop.name,
-        "condition": loop.condition,
-    }
-    if loop.max_iterations != 1000:
-        attrs["max_iterations"] = str(loop.max_iterations)
-    if loop.join is not JoinMode.AND:
-        attrs["join"] = loop.join.value
-    elem = ET.Element("Loop", attrs)
-    elem.append(workflow_to_element(loop.body, tag="Body"))
-    return elem
-
-
-def _subworkflow_to_element(sub: SubWorkflow) -> ET.Element:
-    attrs = {"name": sub.name}
-    if sub.join is not JoinMode.AND:
-        attrs["join"] = sub.join.value
-    elem = ET.Element("SubWorkflow", attrs)
-    elem.append(workflow_to_element(sub.body, tag="Body"))
-    return elem
-
-
-def _transition_to_element(transition: Transition) -> ET.Element:
-    attrs = {"from": transition.source, "to": transition.target}
-    cond = transition.condition
-    if cond.kind is ConditionKind.EXPR:
-        attrs["condition"] = cond.expr
-    elif cond.kind is ConditionKind.EXCEPTION:
-        attrs["on"] = "exception"
-        attrs["exception"] = cond.exception
-    elif cond.kind is not ConditionKind.DONE:
-        attrs["on"] = cond.kind.value
-    return ET.Element("Transition", attrs)
-
-
-def _program_to_element(program: Program) -> ET.Element:
-    elem = ET.Element("Program", {"name": program.name})
-    for option in program.options:
-        attrs = {"hostname": option.hostname}
-        if option.service != "jobmanager":
-            attrs["service"] = option.service
-        if option.executable_dir:
-            attrs["executableDir"] = option.executable_dir
-        if option.executable:
-            attrs["executable"] = option.executable
-        ET.SubElement(elem, "Option", attrs)
-    return elem

@@ -141,6 +141,7 @@ def _misspelt(where: str) -> dict:
     return spec
 
 
+@pytest.mark.contract
 class TestOutsideInputIsChecked:
     """A misspelt gridspec key and a NaN are refused where they enter:
     neither builds a grid, a policy or a parameter set that then behaves
@@ -341,6 +342,7 @@ class TestCli:
         )
         assert main(["run", str(wf), "--grid", str(grid_file)]) == 1
 
+    @pytest.mark.contract
     def test_run_with_checkpoint_then_resume(
         self, workflow_file, grid_file, tmp_path, capsys
     ):
@@ -431,6 +433,7 @@ class TestCliMc:
         ]
 
 
+@pytest.mark.contract
 class TestCliAdaptiveBounds:
     """``--target-ci`` never draws past the ceiling the user set:
     ``--max-runs``, else ``--runs``.  A floor above it is a usage error."""
@@ -659,6 +662,7 @@ class TestCliObservability:
         # else: no per-process cache outlives an estimate to report on.
         assert out.endswith("disk sample cache:   n/a (0 lookups)\n")
 
+    @pytest.mark.contract
     def test_mc_stats_are_the_same_at_any_worker_count(self, capsys):
         # Every estimate starts from nothing, so what --stats reports is a
         # function of the specification: only the header's jobs= differs.
@@ -728,6 +732,7 @@ class TestCliObservability:
 SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
 
 
+@pytest.mark.contract
 class TestOneCommandPerJob:
     """The CLI's jobs, each driven through its one command: many
     specifications per ``run``, pacing, the journal round trip, and the
@@ -843,6 +848,7 @@ class TestOneCommandPerJob:
             assert row["converged"] is cell.converged
 
 
+@pytest.mark.contract
 class TestCliFixes:
     """Faults of earlier CLIs, each pinned by the input that showed it."""
 

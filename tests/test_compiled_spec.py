@@ -509,6 +509,7 @@ def _dag_60x60():
     return layered_dag(60, 60, hosts=4, seed=20030623, policy=FailurePolicy.retrying(3))
 
 
+@pytest.mark.contract
 class TestWhatTheCollectorSees:
     """CPython collects the youngest generation after 700 more tracked
     objects are alive than were, the middle one after 11 young collections
@@ -609,6 +610,7 @@ class TestFlatPerAttemptCost:
         cost = _calls_per_attempt(technique)
         assert cost <= self.CEILINGS[technique], cost
 
+    @pytest.mark.contract
     @pytest.mark.parametrize("seed", sorted(OBSERVED_CEILINGS))
     def test_calls_per_observed_batch_under_the_ceiling(self, seed):
         """Every publish of the batch with the whole plane attached, and

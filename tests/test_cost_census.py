@@ -8,8 +8,9 @@ gates every figure by equality or by a declared ceiling of the recorded
 figure + 5%.  A change that lowers a figure lowers its pin in the same
 diff; one that raises it says why.
 
-Rows so far: ``mc_sweep``, ``mc_engine``'s seed sequences, and
-``dag_layered``'s parse of its WPDL text.
+Rows so far: ``mc_sweep``, ``mc_engine``'s seed sequences,
+``dag_layered``'s parse of its WPDL text, and the writing of that text and
+of an engine checkpoint.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import cProfile
 import dataclasses
 import gc
+import hashlib
 import pstats
 import tracemalloc
 from collections import Counter
@@ -24,7 +26,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.engine.checkpoint as checkpoint
 import repro.sim.adaptive as adaptive
+from repro.engine import EngineCheckpointer, WorkflowEngine
+from repro.grid import RELIABLE, FixedDurationTask, GridConfig, SimulatedGrid
 from repro.grid.random import RandomStreams
 from repro.sim import (
     CITarget,
@@ -37,7 +42,7 @@ from repro.core.policy import FailurePolicy
 from repro.sim.params import PAPER_BASELINE, PAPER_DOWNTIMES, PAPER_MTTF_SWEEP
 from repro.sim.samplers import _EXCEPTION_TECHNIQUES, EXTENDED_TECHNIQUES
 from repro.workloads import layered_dag
-from repro.wpdl import parse_wpdl, serialize_wpdl
+from repro.wpdl import WorkflowBuilder, parse_wpdl, serialize_wpdl
 
 # -- mc_sweep: a fixed-budget sweep, then CI-targeted antithetic batches ------
 
@@ -116,11 +121,16 @@ def _mc_sweep() -> None:
     )
 
 
-def _calls_by_module(fn) -> dict[str, int]:
+def _calls_by_module(fn, stats: dict | None = None) -> dict[str, int]:
+    """Calls into each ``repro`` module while *fn* runs; *stats*, if given,
+    receives cProfile's whole table (builtins and the standard library)."""
     profile = cProfile.Profile()
     profile.runcall(fn)
+    table = pstats.Stats(profile).stats
+    if stats is not None:
+        stats.update(table)
     calls: Counter[str] = Counter()
-    for (filename, _, _), (_, ncalls, *_) in pstats.Stats(profile).stats.items():
+    for (filename, _, _), (_, ncalls, *_) in table.items():
         _, sep, tail = filename.rpartition("/repro/")
         if sep:
             calls["repro." + tail.removesuffix(".py").replace("/", ".")] += ncalls
@@ -260,3 +270,109 @@ class TestDagLayered:
         parse_wpdl(dag_text, validate_graph=False)
         young = gc.get_stats()[0]["collections"] - before
         assert young <= DAG_PARSE_YOUNG_COLLECTIONS, young
+
+
+# -- dag_layered's WPDL text, written; an engine checkpoint, written ----------
+
+#: Python calls per ``serialize_wpdl`` of the ledger's 60x60 DAG (pretty, as
+#: the ledger writes it) by ``repro`` module, and every call cProfile
+#: counts, builtins and the standard library included, each gated at the
+#: figure + 5% (CPython 3.11).  Recorded while the writer built an element
+#: tree and wrote that: serializer 63 419, every call 394 897 (``saxutils``
+#: 52 168 of them).
+WPDL_WRITE_CALLS = {"repro.wpdl.serializer": 14427}
+WPDL_WRITE_EVERY_CALL = 47297
+
+#: Each checkpointed run: its saves, and SHA-256 over every file it wrote,
+#: in save order, recorded while each save built the specification's
+#: element tree and wrote the whole file with ``ET.tostring``.  ``dag10``
+#: is the 10x10 DAG on reliable hosts; ``markup`` a two-task chain whose
+#: name, variable, description, result and workflow id hold markup,
+#: quotes and whitespace.
+CHECKPOINT_FILES = {
+    "dag10": (102, "bfe92340d93491ef449ca65383a7124a5b0851da3fe220332023349709161287"),
+    "markup": (2, "1bcc90eaf5ecf60927b44d09c5909412b98a6b470e5e554dd41a41f318e32ae6"),
+}
+
+
+def _dag(size: int):
+    return layered_dag(
+        size, size, hosts=4, seed=20030623, policy=FailurePolicy.retrying(3)
+    )
+
+
+def _markup_chain():
+    spec = (
+        WorkflowBuilder('ck<&>"\n\t')
+        .variable("note", '<a & "b">\t\r\n')
+        .program("p", hosts=["h1"])
+        .activity("a", implement="p", outputs=["x"], description='d <&> "q"')
+        .activity("b", implement="p")
+        .transition("a", "b")
+        .build()
+    )
+
+    def setup(grid):
+        grid.add_host(RELIABLE("h1"))
+        grid.install("h1", "p", FixedDurationTask(5.0, result='r<&>"'))
+        return grid
+
+    return spec, setup
+
+
+def _checkpointed(spec, setup, path, *, workflow_id="") -> tuple[int, str]:
+    """Run *spec* with a checkpointer at *path*: its saves, and SHA-256 over
+    every file it wrote."""
+    ckpt = EngineCheckpointer(path)
+    save, digest = ckpt.save, hashlib.sha256()
+
+    def saving(*args, **kwargs):
+        save(*args, **kwargs)
+        digest.update(path.read_bytes())
+
+    ckpt.save = saving
+    config = GridConfig(crash_detection="prompt", heartbeats=True)
+    grid = setup(SimulatedGrid(seed=1, config=config))
+    engine = WorkflowEngine(
+        spec, grid, reactor=grid.reactor, checkpointer=ckpt, workflow_id=workflow_id
+    )
+    assert engine.run(timeout=1e9).succeeded
+    return ckpt.saves, digest.hexdigest()
+
+
+class TestWpdlWrite:
+    def test_python_calls_by_module(self):
+        spec, _ = _dag(60)
+        serialize_wpdl(spec)  # imports are done
+        stats: dict = {}
+        calls = _calls_by_module(lambda: serialize_wpdl(spec), stats)
+        assert set(calls) == set(WPDL_WRITE_CALLS)
+        for module, count in calls.items():
+            assert count <= WPDL_WRITE_CALLS[module] * 1.05, module
+        every = sum(ncalls for _, ncalls, *_ in stats.values())
+        assert every <= WPDL_WRITE_EVERY_CALL * 1.05, every
+
+    @pytest.mark.parametrize("size, saves", [(10, 102), (20, 402)])
+    def test_the_spec_is_rendered_once(self, size, saves, tmp_path, monkeypatch):
+        """Under the immutability contract a workflow renders the same text
+        at every save, so a checkpointer renders it at the first (it was
+        rendered at every save: 102 and 402 times)."""
+        renders = []
+        render = checkpoint.serialize_wpdl
+
+        def counting(*args, **kwargs):
+            renders.append(1)
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "serialize_wpdl", counting)
+        assert _checkpointed(*_dag(size), tmp_path / "e.ckpt")[0] == saves
+        assert len(renders) == 1
+
+    @pytest.mark.contract
+    @pytest.mark.parametrize("name", sorted(CHECKPOINT_FILES))
+    def test_every_checkpoint_file_as_the_tree_wrote_it(self, name, tmp_path):
+        spec, setup = _dag(10) if name == "dag10" else _markup_chain()
+        workflow_id = "" if name == "dag10" else 'id<&>"\n1'
+        path = tmp_path / "e.ckpt"
+        got = _checkpointed(spec, setup, path, workflow_id=workflow_id)
+        assert got == CHECKPOINT_FILES[name]

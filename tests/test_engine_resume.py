@@ -198,6 +198,7 @@ class TestResume:
         grid2.kernel.run_until(0.1)
         assert resumed.runtime.checkpoints.progress_of("task@slot0") == 0.5
 
+    @pytest.mark.contract
     def test_resume_keeps_a_rotated_slots_option(self, tmp_path):
         # ``a`` crashes once on h1 and rotates to h2; ``b``'s completion at
         # t=5 checkpoints the engine while that second try runs.
@@ -246,6 +247,7 @@ class TestResume:
         assert resumed.run(timeout=1e6).succeeded
         assert submitted2[0] == "h2"
 
+    @pytest.mark.contract
     def test_a_restored_option_out_of_range_is_a_checkpoint_error(self, tmp_path):
         path = tmp_path / "engine.ckpt"
         wf = single_task_workflow(policy=FailurePolicy.retrying(3))
@@ -370,6 +372,7 @@ def _unread(spec, state, coordinator) -> set[tuple[str, str]]:
     return {(name, key) for name, data in levels for key in data.keys() - data.read}
 
 
+@pytest.mark.contract
 class TestCheckpointSchema:
     def test_every_written_key_is_read_back(self, tmp_path):
         """Every key ``WorkflowInstance.snapshot``, ``NodeInstance.snapshot``

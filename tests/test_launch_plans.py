@@ -131,6 +131,7 @@ class TestWildcardsAreNeverCached:
         assert len(plans_of(host.runtime)) == 1
 
 
+@pytest.mark.contract
 class TestDirectoryBrokeredReplicas:
     """A replica's ``*`` option is matched away from the hosts its sibling
     slots hold: at start, the hosts earlier slots chose; at a retry, the

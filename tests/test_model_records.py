@@ -197,8 +197,7 @@ class TestConstructionMessages:
             ),
             (
                 "<Activity name='a' max_tries='x'/>",
-                "activity 'a': activity 'a': max_tries must be an integer or "
-                "'unlimited', got 'x'",
+                "activity 'a': max_tries must be an integer or 'unlimited', got 'x'",
             ),
             (
                 "<Activity name='a' backoff='0.5'/>",

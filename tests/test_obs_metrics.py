@@ -404,6 +404,7 @@ class TestBoundFamilies:
             MetricSpec("x", "counter", "", ("a",), optional=("a",))
 
 
+@pytest.mark.contract
 def test_every_emitted_family_is_declared(tmp_path, monkeypatch, capsys):
     """A registry holds only families some module declares, so the README's
     catalogue lists everything a run can emit: here a tiny cached engine

@@ -167,6 +167,7 @@ PARENT_FIRST = {
 }
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("traced, scoped", CASES)
 def test_minted_payloads_render_the_entries_the_dicts_did(traced, scoped):
     entries = narration(traced, scoped)
@@ -180,6 +181,7 @@ def test_minted_payloads_render_the_entries_the_dicts_did(traced, scoped):
     assert _digest(entries) == PARENT_DIGESTS[traced, scoped]
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("seed", (20030623, 19990803))
 def test_every_record_of_an_observed_batch_carries_its_topics_type(seed):
     """On the plane golden's batch, a record on an ``engine.*``,
@@ -211,6 +213,7 @@ def test_every_record_of_an_observed_batch_carries_its_topics_type(seed):
     assert seen == set(declared) - {recovery.RECOVERY_EXHAUSTED}
 
 
+@pytest.mark.contract
 def test_a_foreign_payload_is_skipped_by_the_fold_and_journalled():
     """A dict, a bare tuple or nothing on a topic whose publisher declares
     a payload type leaves the fold's state as it was — metrics, statuses,

@@ -78,6 +78,9 @@ from repro.obs.catalogue import metric_specs, topic_specs
 from repro.obs.observer import spans_of
 from tests.obs_plane import ObservedHost, digest
 
+#: Every test here pins a contract of the program (CI's contract step).
+pytestmark = pytest.mark.contract
+
 INSTANCES = 20
 
 GOLDEN = {

@@ -7,6 +7,8 @@ monotonicity/dominance, and condition-evaluator safety.
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
+
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -115,6 +117,15 @@ class TestWpdlRoundTrip:
     @settings(max_examples=30, deadline=None)
     def test_serialization_is_deterministic(self, wf):
         assert serialize_wpdl(wf) == serialize_wpdl(wf)
+
+    @given(workflows())
+    @settings(max_examples=60, deadline=None)
+    def test_compact_text_is_what_element_tree_writes(self, wf):
+        """Read back into an element tree, the compact text is written out
+        by ``ET.tostring`` as the same bytes: its escapes, its attribute
+        order and its ``" />"`` are the tree writer's."""
+        text = serialize_wpdl(wf, pretty=False)
+        assert ET.tostring(ET.fromstring(text), encoding="unicode") == text
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ from repro.sim import EXTENDED_TECHNIQUES, SimulationParams
 from repro.sim.engine_mc import _installs, build_technique_workflow
 from repro.timerheap import TimerHeap
 
+#: Every test here pins a contract of the program (CI's contract step).
+pytestmark = pytest.mark.contract
+
 PARAMS = SimulationParams(mttf=20, runs=10, seed=7)
 HEARTBEAT_TIMEOUT = 3.0
 

@@ -98,6 +98,7 @@ CONFIGS = {
 }
 
 
+@pytest.mark.contract
 class TestBitIdentity:
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("technique", EXTENDED_TECHNIQUES)

@@ -213,6 +213,7 @@ class TestParallelBitIdentity:
             estimate_cells([("retrying", FAULTY)], runs=0, engine=True)
 
 
+@pytest.mark.contract
 class TestOneExecutorPerEstimate:
     """Every round of one estimate shares one executor and one sampler
     table, and neither outlives the call."""

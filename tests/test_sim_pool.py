@@ -10,12 +10,14 @@ from __future__ import annotations
 import multiprocessing
 
 import numpy as np
+import pytest
 
 from repro.sim import SimulationParams, estimate_cells
 
 FAULTY = SimulationParams(mttf=15.0, downtime=30.0)
 
 
+@pytest.mark.contract
 class TestPooledBitIdentity:
     def test_warm_pool_matches_sequential(self):
         cells = [("checkpointing", FAULTY)]

@@ -208,6 +208,7 @@ def policies(max_tries, replicated):
 ROUNDS = 5
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("hosts", [("h1",), ("h1", "h2", "h3")], ids=["1opt", "3opt"])
 @pytest.mark.parametrize("replicated", [False, True], ids=["single", "replica"])
 @pytest.mark.parametrize("max_tries", [1, 3, None])

@@ -223,6 +223,7 @@ def _check(text: str, mutation: str | None) -> None:
         pass
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("block", range(6))
 def test_the_parser_refuses_what_the_lint_lists(block):
     generator = Generator(seed=20030623 + block)

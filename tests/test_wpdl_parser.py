@@ -210,6 +210,19 @@ class TestVariablesAndLoops:
         )
         assert wf.variables == {"s": "hi", "i": 3, "f": 0.5, "b": True, "n": None}
 
+    @pytest.mark.parametrize(
+        "word, value",
+        [("true", True), ("TRUE", True), (" yes ", True), ("1", True)]
+        + [("false", False), ("No", False), ("0", False)],
+    )
+    def test_a_bool_is_one_of_six_words(self, word, value):
+        wf = parse_wpdl(
+            "<Workflow name='w'><Variables>"
+            f"<Variable name='b' value='{word}' type='bool'/></Variables>"
+            "<Activity name='t'/></Workflow>"
+        )
+        assert wf.variables == {"b": value}
+
     def test_unknown_type_rejected(self):
         with pytest.raises(ParseError, match="unknown value type"):
             parse_wpdl(
@@ -522,6 +535,12 @@ MESSAGES = {
         ),
         "cannot parse 'half' as float: could not convert string to float: 'half'",
     ),
+    "variable_bad_bool": (
+        _W.format(
+            "<Variables><Variable name='x' value='maybe' type='bool'/></Variables>"
+        ),
+        "cannot parse 'maybe' as bool: expected true, false, yes, no, 1 or 0",
+    ),
     # -- activities ----------------------------------------------------------
     "activity_without_name": (
         _W.format("<Activity/>"),
@@ -565,8 +584,7 @@ MESSAGES = {
     # -- an activity's policy and join (checked at its end) ------------------
     "bad_max_tries": (
         _A.format("max_tries='lots'"),
-        "activity 't': activity 't': max_tries must be an integer or "
-        "'unlimited', got 'lots'",
+        "activity 't': max_tries must be an integer or 'unlimited', got 'lots'",
     ),
     "zero_max_tries": (
         _A.format("max_tries='0'"),
@@ -574,7 +592,7 @@ MESSAGES = {
     ),
     "bad_interval": (
         _A.format("interval='soon'"),
-        "activity 't': activity 't': interval must be a number",
+        "activity 't': interval must be a number",
     ),
     "negative_interval": (
         _A.format("interval='-1'"),
@@ -582,17 +600,15 @@ MESSAGES = {
     ),
     "bad_policy": (
         _A.format("policy='clone'"),
-        "activity 't': activity 't': policy must be 'none' or 'replica', "
-        "got 'clone'",
+        "activity 't': policy must be 'none' or 'replica', got 'clone'",
     ),
     "bad_resource_selection": (
         _A.format("resource_selection='random'"),
-        "activity 't': activity 't': resource_selection must be 'same' or "
-        "'rotate', got 'random'",
+        "activity 't': resource_selection must be 'same' or 'rotate', got 'random'",
     ),
     "bad_timeout": (
         _A.format("timeout='soon'"),
-        "activity 't': activity 't': timeout must be a number",
+        "activity 't': timeout must be a number",
     ),
     "zero_timeout": (
         _A.format("timeout='0'"),
@@ -600,7 +616,7 @@ MESSAGES = {
     ),
     "bad_backoff": (
         _A.format("backoff='fast'"),
-        "activity 't': activity 't': backoff must be a number",
+        "activity 't': backoff must be a number",
     ),
     "small_backoff": (
         _A.format("backoff='0.5'"),
@@ -608,7 +624,7 @@ MESSAGES = {
     ),
     "bad_max_interval": (
         _A.format("max_interval='soon'"),
-        "activity 't': activity 't': max_interval must be a number",
+        "activity 't': max_interval must be a number",
     ),
     "zero_max_interval": (
         _A.format("max_interval='0'"),
@@ -620,13 +636,11 @@ MESSAGES = {
     ),
     "restart_from_checkpoint_not_a_boolean": (
         _A.format("restart_from_checkpoint='no'"),
-        "activity 't': activity 't': restart_from_checkpoint must be 'true' or "
-        "'false', got 'no'",
+        "activity 't': restart_from_checkpoint must be 'true' or 'false', got 'no'",
     ),
     "retry_on_exception_not_a_boolean": (
         _A.format("retry_on_exception='yes'"),
-        "activity 't': activity 't': retry_on_exception must be 'true' or "
-        "'false', got 'yes'",
+        "activity 't': retry_on_exception must be 'true' or 'false', got 'yes'",
     ),
     # -- loops and sub-workflows ---------------------------------------------
     "loop_without_name": (
@@ -833,6 +847,7 @@ MESSAGES = {
 }
 
 
+@pytest.mark.contract
 class TestEveryMessagePinned:
     @pytest.mark.parametrize("case", sorted(MESSAGES))
     def test_message(self, case):
@@ -883,6 +898,7 @@ MARKUP = """<?xml version='1.0' encoding='iso-8859-1'?>
 MOSAIC_REPR_SHA256 = "575a8a5f3d0be411ed1e07170f2ee563ecdfd751450a909a6803e445ebbb31c6"
 
 
+@pytest.mark.contract
 class TestWhatTheTreeParserRead:
     def test_markup_that_is_not_an_element(self):
         wf = parse_wpdl(MARKUP)
