@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
 from typing import Any
 
 __all__ = ["TopClient", "render_frame", "run_top"]
@@ -45,6 +43,8 @@ class TopClient:
         self._last_poll: tuple[float, float, float] | None = None
 
     def _get(self, path: str) -> Any:
+        import urllib.request
+
         with urllib.request.urlopen(
             self.url + path, timeout=self.timeout
         ) as response:
@@ -264,7 +264,7 @@ def run_top(
     while True:
         try:
             frame = client.frame()
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             if once or time.time() >= deadline:
                 print(f"error: cannot scrape {url}: {exc}", file=sys.stderr)
                 return 2

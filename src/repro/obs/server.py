@@ -33,13 +33,15 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..events import EventBus
 from .export import prometheus_text
 from .log import LogConsumer
 from .metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 __all__ = ["WorkflowStatusTracker", "TelemetryServer"]
 
@@ -179,6 +181,8 @@ class TelemetryServer:
         """Bind and serve in a daemon thread; returns the bound port."""
         if self._httpd is not None:
             return self.port
+        from http.server import ThreadingHTTPServer
+
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
         self._httpd.daemon_threads = True
@@ -288,6 +292,8 @@ _JSON_TYPE = "application/json"
 
 
 def _make_handler(server: TelemetryServer) -> type[BaseHTTPRequestHandler]:
+    from http.server import BaseHTTPRequestHandler
+
     class Handler(BaseHTTPRequestHandler):
         # Telemetry must not spam the run's stderr with access logs.
         def log_message(self, *_args: Any) -> None:

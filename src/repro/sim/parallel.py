@@ -49,7 +49,6 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
@@ -60,6 +59,8 @@ from ..obs.metrics import MetricSpec
 from .params import SimulationParams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from concurrent.futures import ProcessPoolExecutor
+
     from .engine_mc import EngineSampler
 
 __all__ = [
@@ -184,6 +185,8 @@ def estimate_executor(jobs: int) -> Iterator[ProcessPoolExecutor | None]:
         if jobs <= 1:
             yield None
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(jobs, initializer=_clear_samplers) as executor:
                 yield executor
     finally:

@@ -47,9 +47,10 @@ and Figure 13's three) draw their per-run × per-segment values a row
 block of ``_BLOCK_DRAWS`` at a time (:func:`_row_blocks`) and reduce each
 block before drawing the next.  A ``Generator`` fills in C order, so the
 blocks are the same numbers in the same order as one call over every row
-and the vectors do not depend on the block size.  Only checkpointing's
-per-failure charges are kept whole, since every uniform is drawn before
-any downtime.
+and the vectors do not depend on the block size.  Checkpointing's
+per-failure charges are drawn a block at a time too, unless the downtimes
+are random: then every uniform is drawn before any downtime, so they are
+kept whole.
 
 :data:`TECHNIQUES` stays the paper's four (Figure 10 sweeps depend on it);
 :data:`EXTENDED_TECHNIQUES` appends ``backoff_retry``.  Neither lists
@@ -166,6 +167,11 @@ def _downtime_draws(
     return rng.exponential(params.downtime, size=size)
 
 
+def _downtimes_draw(params: SimulationParams) -> bool:
+    """Whether :func:`_downtime_draws` takes anything from the stream."""
+    return params.downtime != 0 and params.downtime_distribution != "fixed"
+
+
 def _row_blocks(rng: np.random.Generator, rows: int, width: int):
     """``(start, stop)`` of each block of rows a kernel drawing *width*
     values per row takes from *rng* at once: ``_BLOCK_DRAWS`` values a
@@ -250,7 +256,8 @@ def _checkpointing(
     segment with probability ``e^{−λa}``); each failure contributes a
     TTF truncated to [0, a), a downtime draw, and the fixed C + R charge;
     each segment contributes a + C on top.  The (runs, K) geometric
-    matrix and the downtimes are drawn a row block at a time.
+    matrix and the downtimes are drawn a row block at a time, and so are
+    the per-failure uniforms when no downtime draws from the stream.
     """
     runs = params.runs if runs is None else runs
     F = params.failure_free_time
@@ -273,13 +280,21 @@ def _checkpointing(
     total = np.full(runs, F + K * C, dtype=float)
     n_failures = int(failures_per_run.sum())
     if n_failures:
-        # Truncated-exponential lost work, via inverse CDF on [0, a), in
-        # the uniforms' own storage: (−u)·q = u·(−q) and −x/λ = x/(−λ) bit
-        # for bit.  Every uniform is drawn before any downtime.
-        per_failure = rng.random(n_failures)
-        np.multiply(per_failure, -(1.0 - p_survive), out=per_failure)
-        np.log1p(per_failure, out=per_failure)
-        np.divide(per_failure, -lam, out=per_failure)
+
+        def lost_work(u: np.ndarray) -> np.ndarray:
+            # Truncated-exponential lost work, via inverse CDF on [0, a), in
+            # the uniforms' own storage: (−u)·q = u·(−q) and −x/λ = x/(−λ)
+            # bit for bit.
+            np.multiply(u, -(1.0 - p_survive), out=u)
+            np.log1p(u, out=u)
+            np.divide(u, -lam, out=u)
+            return u
+
+        # Random downtimes come after every uniform in the stream, so the
+        # uniforms are drawn whole first; otherwise each block draws its own.
+        whole = None
+        if _downtimes_draw(params):
+            whole = lost_work(rng.random(n_failures))
         # Where each run's slice of the flat failure array starts.
         starts = np.cumsum(failures_per_run)
         starts -= failures_per_run
@@ -288,17 +303,22 @@ def _checkpointing(
             s1 = int(starts[r1 - 1] + failures_per_run[r1 - 1])
             if s0 == s1:
                 continue
-            own = per_failure[s0:s1]
+            # This block's failures, and the next block's first if there is
+            # one: its start closes this block's last slice.
+            if whole is None:
+                view = np.zeros(min(s1 + 1, n_failures) - s0)
+                view[: s1 - s0] = lost_work(rng.random(s1 - s0))
+            else:
+                view = whole[s0 : s1 + 1]
+            own = view[: s1 - s0]
             own += _downtime_draws(params, rng, s1 - s0)
             own += C
             own += R
-            # Sum each run's slice.  The next block's first start closes
-            # this block's last slice; the last block has none.  Starts are
-            # clipped to the array as the one reduceat over every run
-            # clipped them: when the vector ends in zero-failure runs, the
-            # last run before them with two or more failures loses its
-            # last failure's charge.  The pinned vectors keep that.
-            view = per_failure[s0 : s1 + 1]
+            # Sum each run's slice.  Starts are clipped to the failure array
+            # as the one reduceat over every run clipped them: when the
+            # vector ends in zero-failure runs, the last run before them
+            # with two or more failures loses its last failure's charge.
+            # The pinned vectors keep that.
             index = starts[r0 : r1 + 1] - s0
             np.minimum(index, view.size - 1, out=index)
             sums = np.add.reduceat(view, index)[: r1 - r0]

@@ -323,6 +323,14 @@ class Activity(FrozenRecord, _ActivityFields):
     ):
         if not name:
             raise SpecificationError("activity requires a name")
+        # What WPDL could not write back: an empty <Implement> reads as a
+        # dummy, and an empty <Output> is refused.
+        if implement == "":
+            raise SpecificationError(
+                f"activity {name!r}: implement is '' (a dummy's is None)"
+            )
+        if "" in outputs:
+            raise SpecificationError(f"activity {name!r}: empty output name")
         return _tuple_new(
             cls,
             (name, implement, policy, join, inputs, outputs, rethrows, description),

@@ -310,7 +310,7 @@ class _Reader(_Walk):
                 policy = self.policies[key] = _parse_policy(attrs)
             join = JoinMode.AND
             if "join" in attrs:
-                join = _choice(attrs, "join", "and", f"node {name!r}: ")
+                join = _choice(attrs, "join", "and")
         except (SpecificationError, PolicyError) as exc:
             raise ParseError(f"activity {name!r}: {exc}") from exc
         fields = (name, self.implement, policy, join, self.inputs, self.outputs)
@@ -322,15 +322,16 @@ class _Reader(_Walk):
         name, attrs, body = composite.name, composite.attrs, composite.body
         if body is None:
             raise ParseError(f"{composite.label} requires exactly one <Body>")
+        join = _choice(attrs, "join", "and", f"{composite.label}: ")
         try:
-            join = _choice(attrs, "join", "and", f"node {name!r}: ")
             if tag == "SubWorkflow":
                 node: Loop | SubWorkflow = SubWorkflow(name=name, body=body, join=join)
             else:
                 iterations = int(attrs.get("max_iterations", "1000"))
                 node = Loop(name, body, attrs["condition"], iterations, join)
         except SpecificationError as exc:
-            raise ParseError(f"{composite.label}: {exc}") from exc
+            # The model's message names the node already.
+            raise ParseError(str(exc)) from exc
         self._add(tag, node)
 
     def _add(self, tag: str, node: Activity | Loop | SubWorkflow) -> None:

@@ -102,8 +102,32 @@ ELEMENTS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
 #: The elements whose content is text, ``(#PCDATA)``.
 TEXT_ELEMENTS = frozenset(e for e, model in _MODELS.items() if model == "(#PCDATA)")
 
-#: What the walk looks up per start tag; ``""`` is the document.
-_CHILDREN = {"": frozenset({"Workflow"}), **{e: c for e, (_, c) in ELEMENTS.items()}}
+
+def _states(element: str) -> dict[str, dict[str, str | None]]:
+    """*element*'s states on the walk's stack, each with what a start tag
+    inside it may be.  A state is the tag, then the children the DTD marks
+    ``?`` (at most once) that the element holds so far, space-separated.  A
+    child maps to ``None``, or, if it is a ``?`` one, to the state the
+    element moves to by holding it, ``""`` if the element holds it already."""
+    once = re.findall(r"(\w+)\?", _MODELS[element])
+    table = {}
+    for mask in range(1 << len(once)):
+        held = [child for i, child in enumerate(once) if mask >> i & 1]
+        moves = {}
+        for child in once:
+            after = [c for c in once if c in held or c == child]
+            moves[child] = "" if child in held else " ".join([element, *after])
+        table[" ".join([element, *held])] = dict.fromkeys(ELEMENTS[element][1]) | moves
+    return table
+
+
+#: What the walk looks up per start tag: the open element's state (see
+#: :func:`_states`; ``""`` is the document) → child → ``None``, or the state
+#: a ``?`` child moves it to.
+_CHILDREN: dict[str, dict[str, str | None]] = {
+    "": {"Workflow": None},
+    **{state: moves for e in ELEMENTS for state, moves in _states(e).items()},
+}
 _ATTRIBUTES = {element: attributes for element, (attributes, _) in ELEMENTS.items()}
 
 
@@ -119,10 +143,12 @@ def check_vocabulary(text: str) -> list[str]:
 
 class _Walk:
     """One document's grammar walk.  A start tag is checked against its
-    parent's children and its own attributes, one ``frozenset`` lookup each;
-    a path is built only for a problem.  Nothing inside an element out of
-    place is read.  A subclass reads what the walk accepts, with
-    ``opens[tag](self, tag, attrs)`` and ``closes[tag](self, tag)``."""
+    parent's state and its own attributes, one lookup each; a child the
+    parent may hold at most once moves the parent to the state that holds
+    it.  A path is built only for a problem.  Nothing inside an element out
+    of place or repeated is read.  The order of children is not checked.  A
+    subclass reads what the walk accepts, with ``opens[tag](self, tag,
+    attrs)`` and ``closes[tag](self, tag)``."""
 
     opens: dict[str, Callable[..., None] | None] = dict.fromkeys(ELEMENTS)
     closes: dict[str, Callable[..., None] | None] = dict.fromkeys(ELEMENTS)
@@ -131,17 +157,23 @@ class _Walk:
         self.parser = parser = _xml_parser()
         parser.StartElementHandler = self.start
         parser.EndElementHandler = self.end
-        #: The open elements' tags, below the document's ``""``.
+        #: The open elements' states, below the document's ``""``.
         self.tags = [""]
         self.problems: list[str] = []
 
     def start(self, tag: str, attrs: dict[str, str]) -> None:
         tags = self.tags
-        if tag not in _CHILDREN[tags[-1]]:
-            return self._refuse(tag)
+        try:
+            held = _CHILDREN[tags[-1]][tag]
+        except KeyError:
+            return self._refuse(tag, "not allowed")
+        if held is not None:
+            if not held:
+                return self._refuse(tag, "repeated")
+            tags[-1] = held
         known = _ATTRIBUTES[tag]
         if not known.issuperset(attrs):
-            path = "/".join((*tags[1:], tag))
+            path = _path([*tags[1:], tag])
             unknown = [a for a in attrs if a not in known]
             self.problems += [f"{path}: unknown attribute {_tag(a)!r}" for a in unknown]
         tags.append(tag)
@@ -155,12 +187,12 @@ class _Walk:
         if read is not None:
             read(self, tag)
 
-    def _refuse(self, tag: str) -> None:
+    def _refuse(self, tag: str, why: str) -> None:
         tags, parser, shown = self.tags, self.parser, _tag(tag)
         problem = f"root element must be <Workflow>, got <{shown}>"
         if len(tags) > 1:
-            path, parent = "/".join(tags[1:]), tags[-1]
-            problem = f"{path}: element <{shown}> not allowed inside <{parent}>"
+            path, parent = _path(tags[1:]), _path(tags[-1:])
+            problem = f"{path}: element <{shown}> {why} inside <{parent}>"
         self.problems.append(problem)
         self.depth = 1  # how deep the walk is in the element out of place
         parser.StartElementHandler, parser.EndElementHandler = self._in, self._out
@@ -201,6 +233,11 @@ def _run(parser: Any, text: str) -> None:
     finally:  # the handlers refer back to the parser: leave no cycle to collect
         parser.StartElementHandler = parser.EndElementHandler = None
         parser.CharacterDataHandler = parser.SkippedEntityHandler = None
+
+
+def _path(states: list[str]) -> str:
+    """The elements whose *states* are open, as a problem names them."""
+    return "/".join(state.partition(" ")[0] for state in states)
 
 
 def _tag(name: str) -> str:

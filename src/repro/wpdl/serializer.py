@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from typing import Any, Callable
-from xml.sax.saxutils import escape
 
 from ..core.policy import FailurePolicy, ReplicationMode, ResourceSelection
 from ..errors import SpecificationError
@@ -22,17 +21,23 @@ __all__ = ["serialize_wpdl"]
 
 #: A value without these characters (nearly every value) is written as it is.
 #: An attribute escapes all of them, as ``ET.tostring`` does; text escapes
-#: ``&<>``, and pretty text quotes too, as ``xml.dom.minidom`` did.
+#: ``&<>``, and pretty text quotes too, as ``xml.dom.minidom`` did.  Each
+#: table maps one character at a time, so an ``&`` it writes is never
+#: escaped again.
 _MARKUP = re.compile('[&<>"\r\n\t]').search
-_ATTRIBUTE = {'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
-_PRETTY_TEXT = {'"': "&quot;"}
+_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
+_TEXT = str.maketrans(_ESCAPES)
+_PRETTY_TEXT = str.maketrans({**_ESCAPES, '"': "&quot;"})
+_ATTRIBUTE = str.maketrans(
+    {**_ESCAPES, '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
 
 
 def serialize_wpdl(workflow: Workflow, *, pretty: bool = True) -> str:
     """Render *workflow* as an XML WPDL document string: one element a
     line, indented two spaces a level, or compact, as ``ET.tostring``
     writes an element tree."""
-    writer = _Writer("  ", "/>", _PRETTY_TEXT) if pretty else _Writer("", " />", {})
+    writer = _Writer("  ", "/>", _PRETTY_TEXT) if pretty else _Writer("", " />", _TEXT)
     writer.workflow(workflow, "Workflow", "")
     if not pretty:
         return "".join(writer.out)
@@ -41,7 +46,7 @@ def serialize_wpdl(workflow: Workflow, *, pretty: bool = True) -> str:
 
 def _attribute(value: str) -> str:
     """*value* escaped for a double-quoted attribute."""
-    return escape(value, _ATTRIBUTE) if _MARKUP(value) else value
+    return value.translate(_ATTRIBUTE) if _MARKUP(value) else value
 
 
 class _Memo(dict):
@@ -60,16 +65,17 @@ class _Writer:
     An element without content closes with *empty*; an element with text
     and no children takes one entry."""
 
-    def __init__(self, step: str, empty: str, entities: dict[str, str]) -> None:
+    def __init__(self, step: str, empty: str, table: dict[int, str]) -> None:
         self.step, self.empty, self.out = step, empty, []
         self.quoted = _Memo(_attribute)
-        self.texts = _Memo(lambda v: escape(v, entities) if _MARKUP(v) else v)
+        self.texts = _Memo(lambda v: v.translate(table) if _MARKUP(v) else v)
         #: A policy's attributes by its identity: activities share policies.
         self.policies: dict[int, str] = {}
 
     def text(self, pad: str, tag: str, value: str) -> None:
-        text = f">{self.texts[value]}</{tag}>" if value else self.empty
-        self.out.append(f"{pad}<{tag}{text}")
+        """*value* is never empty: a model holds no empty implement or
+        output name, and an empty description is not written."""
+        self.out.append(f"{pad}<{tag}>{self.texts[value]}</{tag}>")
 
     def workflow(self, workflow: Workflow, tag: str, pad: str) -> None:
         out, step, empty, q = self.out, self.step, self.empty, self.quoted

@@ -8,9 +8,9 @@ gates every figure by equality or by a declared ceiling of the recorded
 figure + 5%.  A change that lowers a figure lowers its pin in the same
 diff; one that raises it says why.
 
-Rows so far: ``mc_sweep``, ``mc_engine``'s seed sequences,
-``dag_layered``'s parse of its WPDL text, and the writing of that text and
-of an engine checkpoint.
+Rows so far: what ``import repro`` loads, ``mc_sweep``, ``mc_engine``'s
+seed sequences and its D = 0 draws, ``dag_layered``'s parse of its WPDL
+text, and the writing of that text and of an engine checkpoint.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import dataclasses
 import gc
 import hashlib
 import pstats
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -39,10 +41,55 @@ from repro.sim import (
     sweep_mttf,
 )
 from repro.core.policy import FailurePolicy
-from repro.sim.params import PAPER_BASELINE, PAPER_DOWNTIMES, PAPER_MTTF_SWEEP
+from repro.sim.params import (
+    PAPER_BASELINE,
+    PAPER_DOWNTIMES,
+    PAPER_MTTF_SWEEP,
+    SimulationParams,
+)
 from repro.sim.samplers import _EXCEPTION_TECHNIQUES, EXTENDED_TECHNIQUES
 from repro.workloads import layered_dag
 from repro.wpdl import WorkflowBuilder, parse_wpdl, serialize_wpdl
+
+# -- every workload: what the package loads ----------------------------------
+
+#: Standard-library machinery that only a served, fetched, fanned-out or
+#: restored run uses: none of it is loaded by importing the package.  Each
+#: was loaded before the code that uses it imported it where it runs
+#: (``xml.sax.saxutils`` brought in ``urllib.request`` and with it
+#: ``http.client``, ``ssl``, ``email`` and ``socket``).
+NOT_AT_IMPORT = (
+    "urllib.request",
+    "http.client",
+    "http.server",
+    "ssl",
+    "email",
+    "socket",
+    "socketserver",
+    "multiprocessing",
+    "concurrent.futures.process",
+    "xml.sax",
+    "xml.etree.ElementTree",
+)
+
+
+class TestImportSurface:
+    def test_import_loads_no_network_pool_or_tree(self):
+        """A fresh interpreter imports the package and its layers; nothing
+        that serves, fetches, fans out or reads a checkpoint file loads."""
+        script = (
+            "import sys\n"
+            "import repro, repro.obs, repro.sim, repro.engine, repro.cli\n"
+            f"print(' '.join(m for m in {NOT_AT_IMPORT!r} if m in sys.modules))"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        assert loaded == []
+
 
 # -- mc_sweep: a fixed-budget sweep, then CI-targeted antithetic batches ------
 
@@ -95,6 +142,17 @@ PEAK_BYTES_PER_RUN = {
     "exception_retrying": 32.83,
     "exception_checkpointing": 27.81,
     "alternative_task": 18.74,
+}
+#: The same at D = 0 (MTTF 10, ``PEAK_RUNS`` runs).  Recorded while
+#: checkpointing drew every per-failure uniform before its first block
+#: whether or not a downtime drew after them: checkpointing 56.81,
+#: replication_checkpointing 156.77.
+PEAK_BYTES_PER_RUN_D0 = {
+    "retrying": 39.85,
+    "checkpointing": 33.45,
+    "replication": 119.55,
+    "replication_checkpointing": 82.13,
+    "backoff_retry": 39.87,
 }
 #: The kernels that draw K values per run.
 K_WIDE = (
@@ -168,6 +226,11 @@ class TestMcSweep:
         ceiling = PEAK_BYTES_PER_RUN[technique] * 1.05
         assert _peak_bytes_per_run(technique) <= ceiling
 
+    @pytest.mark.parametrize("technique", sorted(PEAK_BYTES_PER_RUN_D0))
+    def test_peak_bytes_per_run_without_downtime(self, technique):
+        ceiling = PEAK_BYTES_PER_RUN_D0[technique] * 1.05
+        assert _peak_bytes_per_run(technique, downtime=0.0) <= ceiling
+
     @pytest.mark.parametrize("technique", K_WIDE)
     def test_peak_does_not_grow_with_k(self, technique):
         """A kernel holds O(runs) values plus what it draws, never a
@@ -192,6 +255,125 @@ def _peak_bytes_per_run(technique: str, **changes) -> float:
     finally:
         tracemalloc.stop()
     return (peak - held) / PEAK_RUNS
+
+
+#: Downtime models: none, fixed F, exponential F.
+VECTOR_DOWNTIMES = {
+    "0": (0.0, "exponential"),
+    "F_fixed": (30.0, "fixed"),
+    "F": (30.0, "exponential"),
+}
+#: Run counts: one run, a block less one, a block, a block and one, three
+#: blocks and seven, many; and 50.
+VECTOR_RUNS = (1, 50, 1023, 1024, 1025, 3079, 20000)
+#: (technique, downtime, seed) → sha256 prefix over the ``VECTOR_RUNS``
+#: vectors at MTTF 10, recorded while checkpointing drew every per-failure
+#: uniform whole.  The kernel's clipped ``reduceat`` drops the last charge
+#: of a run with two or more failures that only zero-failure runs follow:
+#: checkpointing's vector ends so at 50 runs on seed 20 and at 3 079 on
+#: seed 46, and at 1 025 runs on seed 50 the first block ends the failure
+#: array, so the clipping is that block's.
+_VECTOR_PIN_ROWS = """
+retrying 0 20 6574090015484103
+retrying 0 46 8451c2f2cc2ae94e
+retrying 0 50 bd2281ced478aaca
+retrying 0 19990803 06cab8d30797c849
+retrying 0 20030623 8cd360ae9beecef7
+retrying F_fixed 20 bb93868982d9245c
+retrying F_fixed 46 ff5db21ec1618083
+retrying F_fixed 50 b47061c3ca3dd9d4
+retrying F_fixed 19990803 40f9166f2cc5efdc
+retrying F_fixed 20030623 18d96b18952f41ad
+retrying F 20 dd983947ca661a12
+retrying F 46 c8cd9b7334347cc3
+retrying F 50 479e4b224a033f1e
+retrying F 19990803 b9841c3b35ea4c75
+retrying F 20030623 cf39766370acd541
+checkpointing 0 20 1cc532026c388c85
+checkpointing 0 46 26675d70a9a6ec94
+checkpointing 0 50 e88f8f9c6034de1e
+checkpointing 0 19990803 c14f808ecf43f54e
+checkpointing 0 20030623 7a831f58a79a9140
+checkpointing F_fixed 20 19f407ba9f6a20a9
+checkpointing F_fixed 46 6442bdff5ded2262
+checkpointing F_fixed 50 de20ff778db22d45
+checkpointing F_fixed 19990803 74ab64c4aed6ef20
+checkpointing F_fixed 20030623 1ae2ec2f9d7a7e63
+checkpointing F 20 b757299e04ef05a2
+checkpointing F 46 149724f5da395c63
+checkpointing F 50 b7b11f35ccccf79d
+checkpointing F 19990803 faef6668b2afa6a9
+checkpointing F 20030623 b3979307717cb2f0
+replication 0 20 08f0409ac0071978
+replication 0 46 d31c47beb9d034cc
+replication 0 50 143b03df7f0d4bab
+replication 0 19990803 edfd3b58942a3479
+replication 0 20030623 0867a55600d3a7a8
+replication F_fixed 20 28e2a155fc86799c
+replication F_fixed 46 7708843fd7e08adb
+replication F_fixed 50 77695f64db90858c
+replication F_fixed 19990803 8e949d36aae78309
+replication F_fixed 20030623 5777fa3f63aafd3d
+replication F 20 f10edf388b9260a6
+replication F 46 981669b1bf0b05e8
+replication F 50 c971ace35a0f750c
+replication F 19990803 1fdf0c606d7a3cf4
+replication F 20030623 cb53578635c12767
+replication_checkpointing 0 20 28d35f33266a92c0
+replication_checkpointing 0 46 2b55cfb9ce62d5ef
+replication_checkpointing 0 50 dbba1670ecb7113d
+replication_checkpointing 0 19990803 56a8154b0ddab110
+replication_checkpointing 0 20030623 5f904a5ba8758631
+replication_checkpointing F_fixed 20 d8967c4098e13e27
+replication_checkpointing F_fixed 46 a2d19c35ea6d56b5
+replication_checkpointing F_fixed 50 dfb8a102fa8032ae
+replication_checkpointing F_fixed 19990803 e26c741d9438af01
+replication_checkpointing F_fixed 20030623 6a23553b578a6952
+replication_checkpointing F 20 840ff09f1a48e15e
+replication_checkpointing F 46 14b56fa5c22a6c4b
+replication_checkpointing F 50 9565222f9fcf411d
+replication_checkpointing F 19990803 50cc480c0ff3a796
+replication_checkpointing F 20030623 b4bae010f364e551
+backoff_retry 0 20 a13f4436610aedfc
+backoff_retry 0 46 75dd62c495e69f55
+backoff_retry 0 50 1d19c4234dad4574
+backoff_retry 0 19990803 eeb5ec5b41a3c78e
+backoff_retry 0 20030623 2a2cac9a41716533
+backoff_retry F_fixed 20 6e7c7d04ed70481b
+backoff_retry F_fixed 46 62018c30c5666f13
+backoff_retry F_fixed 50 76524d65ce566355
+backoff_retry F_fixed 19990803 b151482fdaf44e11
+backoff_retry F_fixed 20030623 5570ee68cb14ffd7
+backoff_retry F 20 192758d8f809fd41
+backoff_retry F 46 aab355b49dd3aa52
+backoff_retry F 50 f78a124c45f024fd
+backoff_retry F 19990803 11a892ab4048ee96
+backoff_retry F 20030623 88985c92251a0ae0
+"""
+VECTOR_PINS = {
+    tuple(row.split()[:3]): row.split()[3]
+    for row in _VECTOR_PIN_ROWS.split("\n")
+    if row
+}
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize(
+    "technique, downtime, seed",
+    sorted(VECTOR_PINS),
+    ids=["-".join(key) for key in sorted(VECTOR_PINS)],
+)
+def test_vectors_are_the_whole_draws(technique, downtime, seed):
+    """Drawing checkpointing's uniforms a block at a time when no downtime
+    draws after them takes the same numbers in the same order."""
+    mean, distribution = VECTOR_DOWNTIMES[downtime]
+    params = SimulationParams(
+        mttf=10.0, downtime=mean, downtime_distribution=distribution, seed=int(seed)
+    )
+    digest = hashlib.sha256()
+    for runs in VECTOR_RUNS:
+        digest.update(sample_technique(technique, params, runs=runs).tobytes())
+    assert digest.hexdigest()[:16] == VECTOR_PINS[(technique, downtime, seed)]
 
 
 # -- mc_engine: sequential EngineSampler runs ----------------------------------

@@ -193,7 +193,7 @@ class TestConstructionMessages:
             ("<Activity/>", "<Activity> requires a name attribute"),
             (
                 "<Activity name='a' join='xor'/>",
-                "activity 'a': node 'a': join must be 'and' or 'or', got 'xor'",
+                "activity 'a': join must be 'and' or 'or', got 'xor'",
             ),
             (
                 "<Activity name='a' max_tries='x'/>",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import ExceptionBinding, ExceptionTable, UserException
@@ -111,6 +111,25 @@ class TestWpdlRoundTrip:
     @given(workflows())
     @settings(max_examples=60, deadline=None)
     def test_serialize_parse_identity(self, wf):
+        assert parse_wpdl(serialize_wpdl(wf), validate_graph=False) == wf
+
+    @given(
+        st.one_of(st.none(), st.just(""), names),
+        st.lists(st.one_of(st.just(""), names), max_size=3),
+    )
+    @example("", [])
+    @example(None, [""])
+    @settings(max_examples=60, deadline=None)
+    def test_an_activity_reads_back_or_is_refused(self, implement, outputs):
+        """What WPDL cannot write back is refused where it is made: an
+        empty implement would read back as a dummy, an empty output name
+        would not parse."""
+        try:
+            activity = Activity(name="a", implement=implement, outputs=tuple(outputs))
+        except SpecificationError:
+            assert implement == "" or "" in outputs
+            return
+        wf = Workflow(name="w", nodes={"a": activity})
         assert parse_wpdl(serialize_wpdl(wf), validate_graph=False) == wf
 
     @given(workflows())

@@ -2,7 +2,8 @@
 
 A seeded generator builds documents the vocabulary allows, and documents
 with one mutation: an element out of place, an unknown attribute, a
-namespaced tag, or truncation.  On every one:
+namespaced tag, truncation, or a repeat of a child its parent may hold at
+most once (``?`` in the DTD).  On every one:
 
 - ``parse_wpdl`` raises a grammar ``ParseError`` exactly when
   ``check_vocabulary`` lists problems, and its message lists the same
@@ -20,11 +21,17 @@ import pytest
 
 from repro.errors import GridWFSError, ParseError
 from repro.wpdl import parse_wpdl, serialize_wpdl
-from repro.wpdl.schema import ELEMENTS, check_vocabulary
+from repro.wpdl.schema import _CHILDREN, ELEMENTS, TEXT_ELEMENTS, check_vocabulary
 
 #: Documents per block; six blocks make the oracle's 6 000 documents.
 BLOCK = 1000
-MUTATIONS = ("misplaced", "unknown_attribute", "namespaced", "truncated")
+MUTATIONS = ("misplaced", "unknown_attribute", "namespaced", "truncated", "repeated")
+#: element → the children it may hold at most once, as the walk reads them.
+ONCE = {
+    tag: sorted(child for child, after in _CHILDREN[tag].items() if after)
+    for tag in ELEMENTS
+    if any(_CHILDREN[tag].values())
+}
 
 #: Values an optional attribute takes in a valid document.
 VALUES = {
@@ -188,6 +195,15 @@ class Generator:
         elif mutation == "namespaced":
             target.attrs = {"xmlns:x": "urn:x", **target.attrs}
             target.tag = f"x:{target.tag}"
+        elif mutation == "repeated":
+            target = rng.choice([e for e in elements if e.tag in ONCE])
+            tag = rng.choice(ONCE[target.tag])
+            text = "t" if tag in TEXT_ELEMENTS else ""
+            held = sum(child.tag == tag for child in target.children)
+            for _ in range(2 - held):
+                target.children.insert(
+                    rng.randrange(len(target.children) + 1), Element(tag, {}, text)
+                )
         text = document.render()
         if mutation == "truncated":
             text = text[: rng.randrange(len(text))]
@@ -210,7 +226,7 @@ def _check(text: str, mutation: str | None) -> None:
         assert mutation == "truncated", (text, lint)
         assert parsed == lint, text
     elif lint[1]:
-        assert mutation in {"misplaced", "unknown_attribute", "namespaced"}, text
+        assert mutation in set(MUTATIONS) - {"truncated"}, text
         assert parsed == ("error", "; ".join(lint[1])), text
     else:
         assert mutation is None, (text, mutation)
@@ -238,9 +254,20 @@ def test_the_parser_refuses_what_the_lint_lists(block):
 
 def test_the_generator_reaches_every_element():
     """The oracle says something of every element: a few documents use
-    each one."""
+    each one, and none holds an at-most-once child twice."""
     generator = Generator(seed=20030623)
     seen: set[str] = set()
     for _ in range(200):
-        seen.update(element.tag for element in generator.document().walk())
+        for element in generator.document().walk():
+            seen.add(element.tag)
+            tags = [child.tag for child in element.children]
+            assert all(tags.count(tag) <= 1 for tag in ONCE.get(element.tag, ()))
     assert seen == set(ELEMENTS), set(ELEMENTS) - seen
+
+
+def test_the_at_most_once_children_are_the_dtds():
+    assert ONCE == {
+        "Activity": ["Description", "Implement"],
+        "Body": ["Variables"],
+        "Workflow": ["Variables"],
+    }

@@ -494,6 +494,29 @@ MESSAGES = {
         "Workflow/SubWorkflow/Body/Loop/Body: "
         "element <Gizmo> not allowed inside <Body>",
     ),
+    "repeated_implement": (
+        _W.format(
+            "<Program name='p'><Option hostname='h'/></Program>"
+            "<Activity name='t'><Implement>p</Implement><Implement>q</Implement>"
+            "</Activity>"
+        ),
+        "Workflow/Activity: element <Implement> repeated inside <Activity>",
+    ),
+    "repeated_variables": (
+        _W.format(
+            "<Variables><Variable name='x' value='1'/></Variables><Activity name='t'/>"
+            "<Variables><Variable name='x' value='2'/></Variables>"
+        ),
+        "Workflow: element <Variables> repeated inside <Workflow>",
+    ),
+    "repeated_description_in_body": (
+        _W.format(
+            "<Loop name='l' condition='x'><Body><Activity name='t'>"
+            "<Description>a</Description><Description>b</Description>"
+            "</Activity></Body></Loop>"
+        ),
+        "Workflow/Loop/Body/Activity: element <Description> repeated inside <Activity>",
+    ),
     "duplicate_activity": (
         _W.format("<Activity name='t'/><Activity name='t'/>"),
         "duplicate activity 't'",
@@ -632,7 +655,7 @@ MESSAGES = {
     ),
     "bad_join": (
         _A.format("join='xor'"),
-        "activity 't': node 't': join must be 'and' or 'or', got 'xor'",
+        "activity 't': join must be 'and' or 'or', got 'xor'",
     ),
     "restart_from_checkpoint_not_a_boolean": (
         _A.format("restart_from_checkpoint='no'"),
@@ -657,7 +680,7 @@ MESSAGES = {
     ),
     "loop_zero_max_iterations": (
         _W.format("<Loop name='l' condition='x' max_iterations='0'><Body/></Loop>"),
-        "loop 'l': loop 'l': max_iterations must be >= 1",
+        "loop 'l': max_iterations must be >= 1",
     ),
     "loop_without_body": (
         _W.format("<Loop name='l' condition='x'/>"),
@@ -669,7 +692,7 @@ MESSAGES = {
     ),
     "loop_bad_join": (
         _W.format("<Loop name='l' condition='x' join='xor'><Body/></Loop>"),
-        "loop 'l': node 'l': join must be 'and' or 'or', got 'xor'",
+        "loop 'l': join must be 'and' or 'or', got 'xor'",
     ),
     "subworkflow_without_name": (
         _W.format("<SubWorkflow><Body/></SubWorkflow>"),
@@ -681,7 +704,7 @@ MESSAGES = {
     ),
     "subworkflow_bad_join": (
         _W.format("<SubWorkflow name='s' join='xor'><Body/></SubWorkflow>"),
-        "subworkflow 's': node 's': join must be 'and' or 'or', got 'xor'",
+        "subworkflow 's': join must be 'and' or 'or', got 'xor'",
     ),
     # -- transitions ---------------------------------------------------------
     "transition_without_to": (
@@ -857,7 +880,12 @@ class TestEveryMessagePinned:
         assert str(raised.value) == message
 
     @pytest.mark.parametrize(
-        "case", sorted(case for case, (_, m) in MESSAGES.items() if "not allowed" in m)
+        "case",
+        sorted(
+            case
+            for case, (_, m) in MESSAGES.items()
+            if "not allowed" in m or "repeated" in m
+        ),
     )
     def test_a_misplaced_element_in_the_lints_words(self, case):
         text, message = MESSAGES[case]
