@@ -324,13 +324,17 @@ class Activity(FrozenRecord, _ActivityFields):
         if not name:
             raise SpecificationError("activity requires a name")
         # What WPDL could not write back: an empty <Implement> reads as a
-        # dummy, and an empty <Output> is refused.
+        # dummy, an empty <Output> is refused, and both are read stripped.
         if implement == "":
             raise SpecificationError(
                 f"activity {name!r}: implement is '' (a dummy's is None)"
             )
         if "" in outputs:
             raise SpecificationError(f"activity {name!r}: empty output name")
+        for text in (implement or "", *outputs):
+            if text != text.strip():
+                padded = f"activity {name!r}: {text!r} begins or ends with whitespace"
+                raise SpecificationError(padded)
         return _tuple_new(
             cls,
             (name, implement, policy, join, inputs, outputs, rethrows, description),
@@ -540,11 +544,13 @@ class Workflow:
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecificationError("workflow requires a name")
-        for name, node in self.nodes.items():
-            if name != node.name:
-                raise SpecificationError(
-                    f"node key {name!r} does not match node name {node.name!r}"
-                )
+        for kind, table in (("node", self.nodes), ("program", self.programs)):
+            for name, record in table.items():  # WPDL keys each by its name
+                if name != record.name:
+                    raise SpecificationError(
+                        f"{kind} key {name!r} does not match {kind} name "
+                        f"{record.name!r}"
+                    )
 
     # -- the compiled form ---------------------------------------------------
 

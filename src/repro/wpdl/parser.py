@@ -12,7 +12,8 @@ freely: ``policy='replica' restart_from_checkpoint='true' max_tries='3'``
 is replication whose replicas each retry from their checkpoints.
 
 No element tree is built: the records are minted from the events of one
-grammar walk (DESIGN.md §11), and of two faults the one a tree met first wins.
+grammar walk (DESIGN.md §11).  An XML fault anywhere is raised first; else
+the first fault in document order, or every grammar problem if one came first.
 """
 
 from __future__ import annotations
@@ -97,40 +98,19 @@ def _file_text(path: str | Path) -> str:
 
 def _read(text: str) -> tuple[Workflow, list[str]]:
     """The workflow *text* declares, unvalidated, and its grammar problems,
-    from one reading.  A fault that stops the reading is raised, unless
-    grammar problems were met before it: then the error lists every one."""
+    from one reading.  A fault is raised (an XML fault anywhere first),
+    unless grammar problems were met before it: then the error lists every one."""
     reader = _Reader()
     try:
         _run(reader.parser, text)
     except ParseError:
-        _fault_met_first(text, reader.composites)
-        if not reader.problems:
-            raise
-        raise ParseError("; ".join(check_vocabulary(text))) from None
+        if reader.problems:
+            raise ParseError("; ".join(check_vocabulary(text))) from None
+        _run(_xml_parser(), text)
+        raise
     if reader.workflow is None:  # the root element was refused
         raise ParseError("; ".join(reader.problems))
     return reader.workflow, reader.problems
-
-
-def _fault_met_first(text: str, open_composites: list[_Composite]) -> None:
-    """Raise what reading the whole tree first meets before the fault the
-    events met: an XML fault, then an open loop's or sub-workflow's second
-    ``<Body>`` (outermost first: it counts bodies before reading one)."""
-    bodies = {composite.where: 0 for composite in open_composites}
-    parser = _xml_parser()
-    open_at: list[int] = []
-
-    def start(tag: str, _attrs: _Attrs) -> None:
-        if tag == "Body" and open_at and open_at[-1] in bodies:
-            bodies[open_at[-1]] += 1
-        open_at.append(parser.CurrentByteIndex)
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = lambda _tag: open_at.pop()
-    _run(parser, text)
-    for composite in open_composites:
-        if bodies[composite.where] > 1:
-            raise ParseError(f"{composite.label} requires exactly one <Body>")
 
 
 class _Frame:
@@ -141,18 +121,6 @@ class _Frame:
     def __init__(self, name: str) -> None:
         self.name, self.nodes, self.transitions = name, {}, []
         self.programs, self.variables = {}, {}
-
-
-class _Composite:
-    """A ``<Loop>`` or ``<SubWorkflow>`` being read; *where*, the byte offset
-    of its start tag, finds it again in a second reading."""
-
-    __slots__ = ("label", "name", "attrs", "where", "body")
-
-    def __init__(self, tag: str, name: str, attrs: _Attrs, where: int) -> None:
-        self.label, self.name = f"{tag.lower()} {name!r}", name
-        self.attrs, self.where = attrs, where
-        self.body: Workflow | None = None
 
 
 class _Reader(_Walk):
@@ -167,16 +135,14 @@ class _Reader(_Walk):
         self.collect = self.text.append
         self.policies: dict[tuple, FailurePolicy] = {}
         self.frames: list[_Frame] = []
-        self.composites: list[_Composite] = []
+        #: The open ``<Loop>`` and ``<SubWorkflow>`` elements: label, name, attrs.
+        self.composites: list[tuple[str, str, _Attrs]] = []
+        #: The last ``<Workflow>`` or ``<Body>`` read.
         self.workflow: Workflow | None = None
 
     def _frame(self, tag: str, attrs: _Attrs) -> None:
-        name = attrs.get("name", "")
-        if tag == "Body":
-            composite = self.composites[-1]
-            if composite.body is not None:
-                raise ParseError(f"{composite.label} requires exactly one <Body>")
-            name = attrs.get("name", f"{composite.name}_body")
+        default = f"{self.composites[-1][1]}_body" if tag == "Body" else ""
+        name = attrs.get("name", default)
         if not name:
             raise ParseError("<Workflow> requires a name attribute")
         self.frame = _Frame(name)
@@ -218,8 +184,8 @@ class _Reader(_Walk):
                 raise ParseError(
                     f"loop {name!r}: max_iterations must be an integer"
                 ) from None
-        where = self.parser.CurrentByteIndex  # found again by a second reading
-        self.composites.append(_Composite(tag, name, attrs, where))
+        self.composites.append((f"{tag.lower()} {name!r}", name, attrs))
+        self.workflow = None  # until its <Body> is read
 
     def _program(self, _tag: str, attrs: _Attrs) -> None:
         self.program = attrs.get("name", "")
@@ -270,11 +236,13 @@ class _Reader(_Walk):
 
     def _end_text(self, tag: str) -> None:
         self.parser.CharacterDataHandler = None
-        text = "".join(self.text).strip()
+        text = "".join(self.text)
+        if tag == "Description":
+            self.description = text
+            return
+        text = text.strip()  # names: the model holds none padded
         if tag == "Implement":
             self.implement = text or None
-        elif tag == "Description":
-            self.description = text
         elif not text:
             raise ParseError(f"activity {self.name!r}: empty <Output>")
         else:
@@ -289,14 +257,12 @@ class _Reader(_Walk):
             raise ParseError(str(exc)) from exc
         if self.frames:
             self.frame = self.frames[-1]
-            self.composites[-1].body = workflow
         self.workflow = workflow
 
     def _end_program(self, _tag: str) -> None:
-        try:
-            program = Program(name=self.program, options=self.options)
-        except SpecificationError as exc:
-            raise ParseError(str(exc)) from exc
+        if not self.options:  # the walk listed it: <Program> requires <Option>
+            return
+        program = Program(name=self.program, options=self.options)
         if program.name in self.frame.programs:
             raise ParseError(f"duplicate program {program.name!r}")
         self.frame.programs[program.name] = program
@@ -318,11 +284,11 @@ class _Reader(_Walk):
         self._add(tag, activity)
 
     def _end_composite(self, tag: str) -> None:
-        composite = self.composites.pop()
-        name, attrs, body = composite.name, composite.attrs, composite.body
-        if body is None:
-            raise ParseError(f"{composite.label} requires exactly one <Body>")
-        join = _choice(attrs, "join", "and", f"{composite.label}: ")
+        label, name, attrs = self.composites.pop()
+        body = self.workflow
+        if body is None:  # the walk listed it: <Loop> requires <Body>
+            return
+        join = _choice(attrs, "join", "and", f"{label}: ")
         try:
             if tag == "SubWorkflow":
                 node: Loop | SubWorkflow = SubWorkflow(name=name, body=body, join=join)

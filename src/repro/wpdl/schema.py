@@ -1,8 +1,9 @@
 """XML WPDL document type definition, and the grammar walk read from it.
 
 The paper points to the author's thesis for the full DTD; :data:`WPDL_DTD`
-is our equivalent, and the one place the vocabulary is written: the tables
-the walk checks are read from it at import.  :func:`check_vocabulary` and
+is our equivalent, and the one place the grammar is written: at import,
+each element's attributes are read from it and its content model compiled
+into an automaton.  :func:`check_vocabulary` and
 :func:`~repro.wpdl.parser.parse_wpdl` are one walk (:class:`_Walk`).
 """
 
@@ -103,52 +104,76 @@ ELEMENTS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
 TEXT_ELEMENTS = frozenset(e for e, model in _MODELS.items() if model == "(#PCDATA)")
 
 
-def _states(element: str) -> dict[str, dict[str, str | None]]:
-    """*element*'s states on the walk's stack, each with what a start tag
-    inside it may be.  A state is the tag, then the children the DTD marks
-    ``?`` (at most once) that the element holds so far, space-separated.  A
-    child maps to ``None``, or, if it is a ``?`` one, to the state the
-    element moves to by holding it, ``""`` if the element holds it already."""
-    once = re.findall(r"(\w+)\?", _MODELS[element])
-    table = {}
-    for mask in range(1 << len(once)):
-        held = [child for i, child in enumerate(once) if mask >> i & 1]
-        moves = {}
-        for child in once:
-            after = [c for c in once if c in held or c == child]
-            moves[child] = "" if child in held else " ".join([element, *after])
-        table[" ".join([element, *held])] = dict.fromkeys(ELEMENTS[element][1]) | moves
-    return table
+def _automaton(element: str) -> tuple[dict[str, dict[str, str]], dict[str, str]]:
+    """*element*'s content model as a position automaton: :data:`_MOVES`'s
+    and :data:`_UNFINISHED`'s rows for it.  A state is the tag, then the
+    last child read: no tag occurs twice in a model, so a child names its
+    position, and the models are deterministic, so a child has one move."""
+    tokens = [*re.findall(r"\w+|[(),|?*+]", _MODELS[element]), ")"]
+    follow: dict[str, set[str]] = {}  # child → the children that may follow it
+
+    def particle(i: int) -> tuple[int, bool, set[str], set[str]]:
+        """The particle at *i*: the index after it, whether it may be
+        empty, and the children it may begin and end with."""
+        if tokens[i] != "(":
+            follow[tokens[i]] = set()
+            i, empty, first, last = i + 1, False, {tokens[i]}, {tokens[i]}
+        else:
+            i, empty, first, last = particle(i + 1)
+            while tokens[i] != ")":  # a sequence (",") or a choice ("|")
+                choice = tokens[i] == "|"
+                i, then_empty, then_first, then_last = particle(i + 1)
+                for child in () if choice else last:
+                    follow[child] |= then_first
+                first = first | then_first if choice or empty else first
+                last = last | then_last if choice or then_empty else then_last
+                empty = empty or then_empty if choice else empty and then_empty
+            i += 1
+        if tokens[i] in ("*", "+"):
+            for child in last:
+                follow[child] |= first
+        return i + (tokens[i] in "?*+"), empty or tokens[i] in "?*", first, last
+
+    if not ELEMENTS[element][1]:  # EMPTY or (#PCDATA)
+        return {element: {}}, {}
+    _, empty, first, last = particle(0)
+    states = {element: first} | {f"{element} {c}": then for c, then in follow.items()}
+    moves = {s: {c: f"{element} {c}" for c in then} for s, then in states.items()}
+    ends = {f"{element} {c}" for c in last} | ({element} if empty else set())
+    required = {s: " or ".join(f"<{c}>" for c in sorted(moves[s])) for s in moves}
+    return moves, {state: required[state] for state in moves.keys() - ends}
 
 
-#: What the walk looks up per start tag: the open element's state (see
-#: :func:`_states`; ``""`` is the document) → child → ``None``, or the state
-#: a ``?`` child moves it to.
-_CHILDREN: dict[str, dict[str, str | None]] = {
-    "": {"Workflow": None},
-    **{state: moves for e in ELEMENTS for state, moves in _states(e).items()},
-}
-_ATTRIBUTES = {element: attributes for element, (attributes, _) in ELEMENTS.items()}
+#: What the walk looks up per start tag: an open element's state (see
+#: :func:`_automaton`; ``""`` is the document's) → child → the state the
+#: element moves to by holding it.  A child with no move is refused.
+_MOVES: dict[str, dict[str, str]] = {"": {"Workflow": ""}}
+#: What the walk looks up per end tag: a state an element may not end in →
+#: the children it requires next, as a problem names them.
+_UNFINISHED: dict[str, str] = {}
+for _moves, _unfinished in map(_automaton, ELEMENTS):
+    _MOVES |= _moves
+    _UNFINISHED |= _unfinished
 
 
 def check_vocabulary(text: str) -> list[str]:
     """The grammar problems of an XML document, in document order and each
-    with its path: elements out of place and unknown attributes, in the
-    words :func:`~repro.wpdl.parser.parse_wpdl` refuses them with.  An empty
-    list may still fail semantic validation."""
+    with its path: elements not allowed, repeated, out of order or missing,
+    and unknown attributes, in the words
+    :func:`~repro.wpdl.parser.parse_wpdl` refuses them with.  An empty list
+    may still fail semantic validation."""
     walk = _Walk()
     _run(walk.parser, text)
     return walk.problems
 
 
 class _Walk:
-    """One document's grammar walk.  A start tag is checked against its
-    parent's state and its own attributes, one lookup each; a child the
-    parent may hold at most once moves the parent to the state that holds
-    it.  A path is built only for a problem.  Nothing inside an element out
-    of place or repeated is read.  The order of children is not checked.  A
-    subclass reads what the walk accepts, with ``opens[tag](self, tag,
-    attrs)`` and ``closes[tag](self, tag)``."""
+    """One document's grammar walk, each open element's automaton state on
+    its stack.  A start tag is one lookup in its parent's state, which moves
+    the parent or refuses the child, then one check of its attributes; an
+    end tag is one check that the element may end there.  Paths are built
+    for problems only; a refused element's inside is not read.  A subclass
+    reads what passes: ``opens[tag](self, tag, attrs)``, ``closes[tag](self, tag)``."""
 
     opens: dict[str, Callable[..., None] | None] = dict.fromkeys(ELEMENTS)
     closes: dict[str, Callable[..., None] | None] = dict.fromkeys(ELEMENTS)
@@ -164,14 +189,10 @@ class _Walk:
     def start(self, tag: str, attrs: dict[str, str]) -> None:
         tags = self.tags
         try:
-            held = _CHILDREN[tags[-1]][tag]
+            tags[-1] = _MOVES[tags[-1]][tag]
         except KeyError:
-            return self._refuse(tag, "not allowed")
-        if held is not None:
-            if not held:
-                return self._refuse(tag, "repeated")
-            tags[-1] = held
-        known = _ATTRIBUTES[tag]
+            return self._refuse(tag)
+        known = ELEMENTS[tag][0]
         if not known.issuperset(attrs):
             path = _path([*tags[1:], tag])
             unknown = [a for a in attrs if a not in known]
@@ -182,19 +203,26 @@ class _Walk:
             read(self, tag, attrs)
 
     def end(self, tag: str) -> None:
-        del self.tags[-1]
+        tags = self.tags
+        state = tags[-1]
+        del tags[-1]
+        if state in _UNFINISHED:
+            path = _path([*tags[1:], tag])
+            self.problems.append(f"{path}: <{tag}> requires {_UNFINISHED[state]}")
         read = self.closes[tag]
         if read is not None:
             read(self, tag)
 
-    def _refuse(self, tag: str, why: str) -> None:
+    def _refuse(self, tag: str) -> None:
         tags, parser, shown = self.tags, self.parser, _tag(tag)
         problem = f"root element must be <Workflow>, got <{shown}>"
         if len(tags) > 1:
-            path, parent = _path(tags[1:]), _path(tags[-1:])
-            problem = f"{path}: element <{shown}> {why} inside <{parent}>"
+            parent, _, last = tags[-1].partition(" ")
+            why = "out of order" if tag in ELEMENTS[parent][1] else "not allowed"
+            why = "repeated" if tag == last else why
+            problem = f"{_path(tags[1:])}: element <{shown}> {why} inside <{parent}>"
         self.problems.append(problem)
-        self.depth = 1  # how deep the walk is in the element out of place
+        self.depth = 1  # how deep the walk is in the refused element
         parser.StartElementHandler, parser.EndElementHandler = self._in, self._out
         parser.CharacterDataHandler = None  # a text element's text ends here
 

@@ -21,16 +21,15 @@ __all__ = ["serialize_wpdl"]
 
 #: A value without these characters (nearly every value) is written as it is.
 #: An attribute escapes all of them, as ``ET.tostring`` does; text escapes
-#: ``&<>``, and pretty text quotes too, as ``xml.dom.minidom`` did.  Each
-#: table maps one character at a time, so an ``&`` it writes is never
+#: ``&<>``, and pretty text quotes too, as ``xml.dom.minidom`` did, and
+#: both write ``\r`` as a reference (a parser reads a bare one as ``\n``).
+#: Each table maps one character at a time, so an ``&`` it writes is never
 #: escaped again.
 _MARKUP = re.compile('[&<>"\r\n\t]').search
-_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
+_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
 _TEXT = str.maketrans(_ESCAPES)
 _PRETTY_TEXT = str.maketrans({**_ESCAPES, '"': "&quot;"})
-_ATTRIBUTE = str.maketrans(
-    {**_ESCAPES, '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
-)
+_ATTRIBUTE = str.maketrans({**_ESCAPES, '"': "&quot;", "\n": "&#10;", "\t": "&#09;"})
 
 
 def serialize_wpdl(workflow: Workflow, *, pretty: bool = True) -> str:

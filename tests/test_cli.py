@@ -314,16 +314,34 @@ class TestCli:
     def test_validate_lists_an_element_out_of_place(self, tmp_path, capsys):
         path = tmp_path / "misplaced.xml"
         path.write_text(
-            "<Workflow name='w'><Loop name='l' condition='False'>"
-            "<Activity name='x'/><Body><Activity name='b'/></Body></Loop>"
-            "<Variables><Activity name='y'/></Variables></Workflow>"
+            "<Workflow name='w'><Variables><Activity name='y'/></Variables>"
+            "<Loop name='l' condition='False'>"
+            "<Activity name='x'/><Body><Activity name='b'/></Body></Loop></Workflow>"
         )
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().out == (
             "workflow 'w' is INVALID:\n"
-            "  - Workflow/Loop: element <Activity> not allowed inside <Loop>\n"
             "  - Workflow/Variables: element <Activity> not allowed inside "
             "<Variables>\n"
+            "  - Workflow/Loop: element <Activity> not allowed inside <Loop>\n"
+        )
+
+    def test_validate_lists_what_the_dtd_orders_and_requires(self, tmp_path, capsys):
+        # A refused element is not read: the graph then lacks the program.
+        path = tmp_path / "unordered.xml"
+        path.write_text(
+            "<Workflow name='w'><Activity name='a'><Implement>p</Implement>"
+            "<Description>d</Description></Activity><Loop name='l' condition='x'/>"
+            "<Program name='p'/></Workflow>"
+        )
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            "workflow 'w' is INVALID:\n"
+            "  - Workflow/Activity: element <Description> out of order inside "
+            "<Activity>\n"
+            "  - Workflow/Loop: <Loop> requires <Body>\n"
+            "  - Workflow/Program: <Program> requires <Option>\n"
+            "  - w: activity 'a' implements unknown program 'p'\n"
         )
 
     def test_run_success(self, workflow_file, grid_file, capsys):

@@ -6,14 +6,14 @@ adjacency build and the by-name navigator it replaced live on in
 ``tests/eager_models.py`` as the reference, and the property test here
 holds the two to exact equivalence step by step.  The rest pins what the
 sharing must not break: instances stay independent, the shared form is
-immutable and outside ``==`` / ``repr`` / serialisation / pickles, the
-parser interns per document, and per-task cost stays flat in graph size.
+immutable and outside ``==`` / ``repr`` / serialisation / pickles, and
+the parser interns per document.  What a task and an attempt cost in calls
+is pinned in ``tests/test_cost_census.py``.
 """
 
 from __future__ import annotations
 
 import copy
-import cProfile
 import gc
 import pickle
 import sys
@@ -34,7 +34,7 @@ from repro.errors import ParseError
 from repro.grid import GridConfig, SimulatedGrid
 from repro.sim import EngineSampler, SimulationParams
 from repro.sim.samplers import EXTENDED_TECHNIQUES
-from repro.workloads import chain, diamond_ladder, fork_join, layered_dag
+from repro.workloads import diamond_ladder, layered_dag
 from repro.wpdl import (
     JoinMode,
     TransitionCondition,
@@ -45,7 +45,6 @@ from repro.wpdl import (
 from repro.wpdl.model import CompiledNode, Loop, Program
 from tests.eager_models import EagerNavigator, EagerWorkflowInstance
 from tests.helpers import MINTED_TYPES
-from tests.obs_plane import ObservedHost
 
 # ---------------------------------------------------------------------------
 # Generated specifications
@@ -427,79 +426,6 @@ class TestParserInterning:
 
 
 # ---------------------------------------------------------------------------
-# Flat per-task cost (ROADMAP item 1: what was "the 80x80 cliff")
-# ---------------------------------------------------------------------------
-
-
-def _total_calls(profile: cProfile.Profile) -> int:
-    """Every call *profile* saw, Python frames and C functions alike.  Not
-    ``pstats.Stats.total_calls``: pstats keys a function by (file, line,
-    name), so the ``__init__`` methods that ``dataclasses`` generates, all
-    named ``("<string>", 2, "__init__")``, overwrite each other there and
-    most of their calls go uncounted."""
-    return sum(entry.callcount for entry in profile.getstats())
-
-
-def _calls_per_task(spec, setup) -> float:
-    """Calls (:func:`_total_calls`) per task of one fault-free run of
-    *spec*, from XML text to result."""
-    text = serialize_wpdl(spec)
-
-    def run():
-        parsed = parse_wpdl(text)
-        grid = setup(
-            SimulatedGrid(
-                seed=1, config=GridConfig(crash_detection="prompt", heartbeats=True)
-            )
-        )
-        engine = WorkflowEngine(parsed, grid, reactor=grid.reactor, validate_spec=False)
-        return engine.run(timeout=1e9)
-
-    run()  # condition programs, routes and imports are warm
-    profile = cProfile.Profile()
-    profile.enable()
-    result = run()
-    profile.disable()
-    assert result.succeeded
-    return _total_calls(profile) / len(spec.nodes)
-
-
-class TestFlatPerTaskCost:
-    #: Calls per task on CPython 3.11 (216.1 / 211.4 / 210.6 at 10x10 /
-    #: 40x40 / 80x80), plus 5%.  Every call counts, generated ``__init__``
-    #: methods included (:func:`_total_calls`), so a record built by one
-    #: again instead of minted shows here.  A per-node scan of the graph
-    #: reintroduced anywhere between the XML and the result fails here
-    #: instead of in a benchmark.
-    CEILING = 226.9
-    #: The same for a chain (pure sequential navigation: 209.8 / 208.5 /
-    #: 208.1 at 100 / 400 / 1 600 nodes) and a fork-join (one ready set
-    #: 1 600 wide: 207.9 / 207.2 / 207.1), plus 5%.
-    SHAPE_CEILINGS = {"chain": 220.3, "fork_join": 218.3}
-
-    def test_calls_per_task_flat_from_10x10_to_80x80(self):
-        policy = FailurePolicy.retrying(3)
-        costs = {
-            size: _calls_per_task(
-                *layered_dag(size, size, hosts=4, seed=20030623, policy=policy)
-            )
-            for size in (10, 40, 80)
-        }
-        assert max(costs.values()) <= 1.03 * min(costs.values()), costs
-        assert max(costs.values()) <= self.CEILING, costs
-
-    @pytest.mark.parametrize("shape", sorted(SHAPE_CEILINGS))
-    def test_calls_per_task_flat_to_1600_nodes(self, shape):
-        build = {"chain": chain, "fork_join": fork_join}[shape]
-        costs = {
-            n: _calls_per_task(*build(n, policy=FailurePolicy.retrying(3)))
-            for n in (100, 400, 1600)
-        }
-        assert max(costs.values()) <= 1.03 * min(costs.values()), costs
-        assert max(costs.values()) <= self.SHAPE_CEILINGS[shape], costs
-
-
-# ---------------------------------------------------------------------------
 # What the collector sees: a specification is read without a tree, and a
 # wide run keeps nothing it cannot reuse
 # ---------------------------------------------------------------------------
@@ -554,75 +480,6 @@ class TestWhatTheCollectorSees:
         assert result.succeeded
         per_task = kept / len(spec.nodes)
         assert per_task <= self.SURVIVORS_PER_TASK, per_task
-
-
-# ---------------------------------------------------------------------------
-# Per-attempt cost: what one task attempt builds and calls
-# ---------------------------------------------------------------------------
-
-
-def _calls_per_attempt(technique: str) -> float:
-    """Calls (:func:`_total_calls`) per submitted attempt over 20
-    ``EngineSampler.run`` calls at MTTF 10, after a warm-up run."""
-    sampler = EngineSampler(technique, SimulationParams(mttf=10.0))
-    sampler.run(1)
-    gram = sampler.engine.runtime.service.gram
-    calls = attempts = 0
-    for seed in range(2, 22):
-        profile = cProfile.Profile()
-        profile.enable()
-        sampler.run(seed)
-        profile.disable()
-        calls += _total_calls(profile)
-        attempts += gram.submitted_count
-    return calls / attempts
-
-
-class TestFlatPerAttemptCost:
-    #: Calls per attempt on CPython 3.11 (:func:`_total_calls`), plus 5%.
-    #: ``pstats``' ``total_calls``, read here before, missed most generated
-    #: ``__init__`` methods: 113.2 / 216.2 / 109.8 / 191.3 / 135.9 by that
-    #: count before the attempt's records became tuples.  An object built,
-    #: a clock read or a property called again per attempt anywhere
-    #: between submission and verdict fails here.
-    CEILINGS = {
-        "retrying": 123.9,  # 118.0
-        "checkpointing": 237.8,  # 226.4
-        "replication": 120.2,  # 114.5
-        "replication_checkpointing": 210.1,  # 200.1
-        "backoff_retry": 148.2,  # 142.8, +3.8%: a ceiling is never raised
-    }
-
-    #: Calls of one observed 20-instance batch (:mod:`tests.obs_plane`),
-    #: plus 5%.  While narration was published as dicts, stamped with trace
-    #: ids, copied by the log and decoded by a ``startswith`` ladder, the
-    #: batch made 69 352 and 74 416.
-    OBSERVED_CEILINGS = {
-        20030623: 68_855,  # 65 576
-        19990803: 73_782,  # 70 269
-    }
-
-    def test_ceilings_cover_every_technique(self):
-        assert set(self.CEILINGS) == set(EXTENDED_TECHNIQUES)
-
-    @pytest.mark.parametrize("technique", EXTENDED_TECHNIQUES)
-    def test_calls_per_attempt_under_the_ceiling(self, technique):
-        cost = _calls_per_attempt(technique)
-        assert cost <= self.CEILINGS[technique], cost
-
-    @pytest.mark.contract
-    @pytest.mark.parametrize("seed", sorted(OBSERVED_CEILINGS))
-    def test_calls_per_observed_batch_under_the_ceiling(self, seed):
-        """Every publish of the batch with the whole plane attached, and
-        every fold of it, after a warm-up batch on another host."""
-        ObservedHost(seed).run_batch(20)
-        plane = ObservedHost(seed)
-        profile = cProfile.Profile()
-        profile.enable()
-        plane.run_batch(20)
-        profile.disable()
-        calls = _total_calls(profile)
-        assert calls <= self.OBSERVED_CEILINGS[seed], calls
 
 
 def _generated_frames(run) -> Counter:

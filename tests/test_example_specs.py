@@ -8,7 +8,19 @@ import pytest
 
 from repro.cli import main
 
-SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+SPECS = EXAMPLES / "specs"
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize(
+    "document",
+    sorted(EXAMPLES.rglob("*.xml")),
+    ids=lambda path: str(path.relative_to(EXAMPLES)),
+)
+def test_every_shipped_document_validates(document, capsys):
+    """A grammar that refuses a document the repository ships fails here."""
+    assert main(["validate", str(document)]) == 0, capsys.readouterr().out
 
 
 @pytest.mark.skipif(not SPECS.exists(), reason="examples/specs not present")

@@ -63,6 +63,7 @@ from repro.obs import (
     spans,
 )
 from repro.reactor import Reactor
+from repro.wpdl import schema
 from tests.helpers import RECORD_TYPES, SPEC_RECORD_TYPES, STATE_TYPES
 
 SRC = Path(repro.__file__).parent
@@ -273,6 +274,12 @@ GONE = {
     "_transition_to_element",
     "_program_to_element",
     "_input_to_element",
+    # The DTD's content models are automata the walk steps through: the
+    # per-element ``?`` tables, the parser's own <Body> count and the second
+    # reading that counted bodies again went.
+    "_CHILDREN",
+    "_fault_met_first",
+    "_Composite",
 }
 
 #: Public names under ``src/repro`` that nothing but tests reaches, kept on
@@ -344,6 +351,8 @@ def test_the_deleted_surface_stays_deleted():
         assert not hasattr(FailurePolicy, view), view
     # ``job`` is too common a name for GONE: checked where it lived.
     assert not hasattr(GramService, "job")
+    # ``_states`` is still the health engine's: checked where it lived.
+    assert not hasattr(schema, "_states")
     # No layer restates the policy between it and the coordinator: the
     # strategies module is one function, the slots a policy opens.
     tree = ast.parse((SRC / "engine" / "strategies.py").read_text())

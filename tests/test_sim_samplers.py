@@ -335,7 +335,11 @@ class TestRowBlocks:
     def test_block_is_the_pinned_one(self):
         assert samplers._BLOCK_DRAWS // 20 == BLOCK
 
-    @pytest.mark.parametrize("technique, case, runs", sorted(BLOCK_PINS), ids="-".join)
+    @pytest.mark.parametrize(
+        "technique, case, runs",
+        sorted(BLOCK_PINS),
+        ids=[f"{t}-{case}-runs={runs}" for t, case, runs in sorted(BLOCK_PINS)],
+    )
     def test_vectors_match_the_whole_matrix_draw(self, technique, case, runs):
         params = BLOCK_CASES[case]
         samples = sample_technique(technique, params, runs=int(runs))

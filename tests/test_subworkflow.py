@@ -62,7 +62,7 @@ class TestModel:
         assert check_vocabulary(text) == []
 
     def test_parse_requires_single_body(self):
-        with pytest.raises(ParseError, match="exactly one"):
+        with pytest.raises(ParseError, match="<SubWorkflow> requires <Body>"):
             parse_wpdl(
                 "<Workflow name='w'><SubWorkflow name='s'/></Workflow>"
             )

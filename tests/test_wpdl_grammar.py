@@ -1,9 +1,10 @@
-"""The WPDL grammar oracle: documents generated from ``ELEMENTS`` itself.
+"""The WPDL grammar oracle: documents generated from the DTD itself.
 
-A seeded generator builds documents the vocabulary allows, and documents
-with one mutation: an element out of place, an unknown attribute, a
-namespaced tag, truncation, or a repeat of a child its parent may hold at
-most once (``?`` in the DTD).  On every one:
+A seeded generator builds documents the DTD allows, children in its order,
+and documents with one mutation: an element out of place, an unknown
+attribute, a namespaced tag, truncation, a repeat of a child its parent
+may hold at most once, two children of different places in their parent's
+sequence swapped, or a required child dropped.  On every one:
 
 - ``parse_wpdl`` raises a grammar ``ParseError`` exactly when
   ``check_vocabulary`` lists problems, and its message lists the same
@@ -15,23 +16,51 @@ most once (``?`` in the DTD).  On every one:
 from __future__ import annotations
 
 import random
+import re
 from xml.sax.saxutils import escape
 
 import pytest
 
 from repro.errors import GridWFSError, ParseError
 from repro.wpdl import parse_wpdl, serialize_wpdl
-from repro.wpdl.schema import _CHILDREN, ELEMENTS, TEXT_ELEMENTS, check_vocabulary
+from repro.wpdl.schema import (
+    _MOVES,
+    ELEMENTS,
+    TEXT_ELEMENTS,
+    WPDL_DTD,
+    check_vocabulary,
+)
 
 #: Documents per block; six blocks make the oracle's 6 000 documents.
 BLOCK = 1000
-MUTATIONS = ("misplaced", "unknown_attribute", "namespaced", "truncated", "repeated")
-#: element → the children it may hold at most once, as the walk reads them.
+MUTATIONS = (
+    "misplaced",
+    "unknown_attribute",
+    "namespaced",
+    "truncated",
+    "repeated",
+    "reordered",
+    "dropped",
+)
+#: element → the children it may hold at most once, as the walk reads them:
+#: a child whose state has no move on itself.
 ONCE = {
-    tag: sorted(child for child, after in _CHILDREN[tag].items() if after)
+    tag: sorted(c for c in ELEMENTS[tag][1] if c not in _MOVES[f"{tag} {c}"])
     for tag in ELEMENTS
-    if any(_CHILDREN[tag].values())
+    if any(c not in _MOVES[f"{tag} {c}"] for c in ELEMENTS[tag][1])
 }
+#: element → child → the place of the child's particle in the element's
+#: sequence, and element → the children it requires, read from the DTD's
+#: text here rather than from the walk's automata (no model nests a
+#: sequence inside a group).
+RANK: dict[str, dict[str, int]] = {tag: {} for tag in ELEMENTS}
+REQUIRED: dict[str, list[str]] = {}
+for _tag, _model in re.findall(r"<!ELEMENT (\w+) \(([^>]*)\)>", WPDL_DTD):
+    for _place, _particle in enumerate(_model.split(",")):
+        _names = [n for n in re.findall(r"\w+", _particle) if n in ELEMENTS]
+        RANK[_tag].update(dict.fromkeys(_names, _place))
+        if _names and _particle.rstrip()[-1] not in "?*":
+            REQUIRED.setdefault(_tag, []).extend(_names)
 
 #: Values an optional attribute takes in a valid document.
 VALUES = {
@@ -95,7 +124,10 @@ class Generator:
         return attrs
 
     def document(self) -> Element:
-        return self.frame("Workflow", {"name": self.fresh("w")}, depth=0)
+        document = self.frame("Workflow", {"name": self.fresh("w")}, depth=0)
+        for element in document.walk():  # the DTD's order (a stable sort)
+            element.children.sort(key=lambda c, rank=RANK[element.tag]: rank[c.tag])
+        return document
 
     def frame(self, tag: str, attrs: dict[str, str], depth: int) -> Element:
         rng, frame = self.rng, Element(tag, attrs)
@@ -124,10 +156,7 @@ class Generator:
                 option = self.optional("Option", {"hostname": self.fresh("h")})
                 program.children.append(Element("Option", option))
             frame.children.append(program)
-        first = 1 if frame.children[0].tag == "Variables" else 0
-        rest = frame.children[first:]
-        rng.shuffle(rest)
-        frame.children[first:] = rest
+        rng.shuffle(frame.children)
         return frame
 
     def activity(self, _depth: int) -> Element:
@@ -204,6 +233,28 @@ class Generator:
                 target.children.insert(
                     rng.randrange(len(target.children) + 1), Element(tag, {}, text)
                 )
+        elif mutation == "reordered":
+            swaps = [
+                (element, i, j)
+                for element in elements
+                for j, later in enumerate(element.children)
+                for i, earlier in enumerate(element.children[:j])
+                if RANK[element.tag][earlier.tag] != RANK[element.tag][later.tag]
+            ]
+            if not swaps:  # no element holds children of two places
+                document.children.append(Element("Variables", {}))
+            else:
+                target, i, j = rng.choice(swaps)
+                children = target.children
+                children[i], children[j] = children[j], children[i]
+        elif mutation == "dropped":
+            holders = [e for e in elements if e.tag in REQUIRED]
+            if not holders:  # no composite and no program
+                document.children.append(Element("Program", {"name": self.fresh("p")}))
+            else:
+                target = rng.choice(holders)
+                tag = rng.choice(REQUIRED[target.tag])
+                target.children = [c for c in target.children if c.tag != tag]
         text = document.render()
         if mutation == "truncated":
             text = text[: rng.randrange(len(text))]
@@ -254,7 +305,8 @@ def test_the_parser_refuses_what_the_lint_lists(block):
 
 def test_the_generator_reaches_every_element():
     """The oracle says something of every element: a few documents use
-    each one, and none holds an at-most-once child twice."""
+    each one, each holds its children in the DTD's order and every child
+    it requires, and none holds an at-most-once child twice."""
     generator = Generator(seed=20030623)
     seen: set[str] = set()
     for _ in range(200):
@@ -262,6 +314,9 @@ def test_the_generator_reaches_every_element():
             seen.add(element.tag)
             tags = [child.tag for child in element.children]
             assert all(tags.count(tag) <= 1 for tag in ONCE.get(element.tag, ()))
+            assert set(REQUIRED.get(element.tag, ())) <= set(tags)
+            places = [RANK[element.tag][tag] for tag in tags]
+            assert places == sorted(places)
     assert seen == set(ELEMENTS), set(ELEMENTS) - seen
 
 
@@ -269,5 +324,24 @@ def test_the_at_most_once_children_are_the_dtds():
     assert ONCE == {
         "Activity": ["Description", "Implement"],
         "Body": ["Variables"],
+        "Loop": ["Body"],
+        "SubWorkflow": ["Body"],
         "Workflow": ["Variables"],
     }
+
+
+def test_the_required_children_and_places_are_the_dtds():
+    assert REQUIRED == {
+        "Loop": ["Body"],
+        "SubWorkflow": ["Body"],
+        "Program": ["Option"],
+    }
+    assert RANK["Activity"] == {
+        "Description": 0,
+        "Input": 1,
+        "Output": 2,
+        "Rethrow": 3,
+        "Implement": 4,
+    }
+    nodes = dict.fromkeys((*NODES, "Transition", "Program"), 1)
+    assert RANK["Workflow"] == RANK["Body"] == {"Variables": 0, **nodes}

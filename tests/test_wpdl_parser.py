@@ -245,7 +245,7 @@ class TestVariablesAndLoops:
         assert "solve" in loop.body.nodes
 
     def test_loop_requires_single_body(self):
-        with pytest.raises(ParseError, match="exactly one"):
+        with pytest.raises(ParseError, match="<Loop> requires <Body>"):
             parse_wpdl(
                 "<Workflow name='w'>"
                 "<Loop name='l' condition='x'></Loop>"
@@ -418,10 +418,11 @@ _EXTERNAL_DTD = "<!DOCTYPE Workflow SYSTEM 'wpdl.dtd'>\n"
 #: error lists every one; the other messages are those the parser gave
 #: when it built an ``xml.etree`` tree first (recorded from that parser).
 #: That parser read the whole document before it looked at an element, so
-#: of two faults an XML fault anywhere came first; and it counted a loop's
-#: ``<Body>`` children before it read the first, so a second body came
-#: before any fault inside the first.  A grammar problem met before a
-#: fault comes first too.  The last block pins that order.
+#: of two faults an XML fault anywhere comes first.  It also counted a
+#: loop's ``<Body>`` children before it read the first; a second body is
+#: now a grammar problem where it stands, so a fault inside the first body
+#: comes before it.  A grammar problem met before a fault comes first.  The
+#: last block pins that order.
 MESSAGES = {
     # -- XML (line and column as expat reports them) -------------------------
     "mismatched_tag": (
@@ -507,7 +508,18 @@ MESSAGES = {
             "<Variables><Variable name='x' value='1'/></Variables><Activity name='t'/>"
             "<Variables><Variable name='x' value='2'/></Variables>"
         ),
-        "Workflow: element <Variables> repeated inside <Workflow>",
+        "Workflow: element <Variables> out of order inside <Workflow>",
+    ),
+    "description_after_implement": (
+        _W.format(
+            "<Activity name='t'><Implement>p</Implement>"
+            "<Description>d</Description></Activity>"
+        ),
+        "Workflow/Activity: element <Description> out of order inside <Activity>",
+    ),
+    "variables_after_a_node": (
+        _W.format("<Activity name='t'/><Variables><Variable name='x'/></Variables>"),
+        "Workflow: element <Variables> out of order inside <Workflow>",
     ),
     "repeated_description_in_body": (
         _W.format(
@@ -684,11 +696,11 @@ MESSAGES = {
     ),
     "loop_without_body": (
         _W.format("<Loop name='l' condition='x'/>"),
-        "loop 'l' requires exactly one <Body>",
+        "Workflow/Loop: <Loop> requires <Body>",
     ),
     "loop_two_bodies": (
         _W.format("<Loop name='l' condition='x'><Body/><Body/></Loop>"),
-        "loop 'l' requires exactly one <Body>",
+        "Workflow/Loop: element <Body> repeated inside <Loop>",
     ),
     "loop_bad_join": (
         _W.format("<Loop name='l' condition='x' join='xor'><Body/></Loop>"),
@@ -700,7 +712,7 @@ MESSAGES = {
     ),
     "subworkflow_without_body": (
         _W.format("<SubWorkflow name='s'/>"),
-        "subworkflow 's' requires exactly one <Body>",
+        "Workflow/SubWorkflow: <SubWorkflow> requires <Body>",
     ),
     "subworkflow_bad_join": (
         _W.format("<SubWorkflow name='s' join='xor'><Body/></SubWorkflow>"),
@@ -738,7 +750,8 @@ MESSAGES = {
     ),
     "unexpected_in_program": (
         _W.format("<Program name='p'><Host name='h'/></Program>"),
-        "Workflow/Program: element <Host> not allowed inside <Program>",
+        "Workflow/Program: element <Host> not allowed inside <Program>; "
+        "Workflow/Program: <Program> requires <Option>",
     ),
     "option_without_hostname": (
         _W.format("<Program name='p'><Option/></Program>"),
@@ -746,7 +759,7 @@ MESSAGES = {
     ),
     "program_without_options": (
         _W.format("<Program name='p'/>"),
-        "program 'p' has no options",
+        "Workflow/Program: <Program> requires <Option>",
     ),
     # -- elements out of place, which the tree parser skipped: refused in ---
     # -- the lint's words, with the path -------------------------------------
@@ -826,21 +839,23 @@ MESSAGES = {
     ),
     "fault_in_the_first_of_two_bodies": (
         _W.format("<Loop name='l' condition='x'><Body><Gizmo/></Body><Body/></Loop>"),
-        "loop 'l' requires exactly one <Body>",
+        "Workflow/Loop/Body: element <Gizmo> not allowed inside <Body>; "
+        "Workflow/Loop: element <Body> repeated inside <Loop>",
     ),
     "fault_in_a_body_of_two_nested_in_two": (
         _W.format(
             "<SubWorkflow name='s'><Body><Loop name='l' condition='x'>"
             "<Body><Activity/></Body><Body/></Loop></Body><Body/></SubWorkflow>"
         ),
-        "subworkflow 's' requires exactly one <Body>",
+        "<Activity> requires a name attribute",
     ),
     "fault_in_the_only_body_of_a_loop_whose_parent_has_two": (
         _W.format(
             "<Loop name='o' condition='x'><Body><Loop name='l' condition='x'>"
             "<Body><Gizmo/></Body></Loop></Body><Body/></Loop>"
         ),
-        "loop 'o' requires exactly one <Body>",
+        "Workflow/Loop/Body/Loop/Body: element <Gizmo> not allowed inside <Body>; "
+        "Workflow/Loop: element <Body> repeated inside <Loop>",
     ),
     "activity_child_before_policy": (
         _W.format("<Activity name='t' max_tries='lots'><Gizmo/></Activity>"),
@@ -870,6 +885,10 @@ MESSAGES = {
 }
 
 
+#: What only a grammar problem says.
+GRAMMAR_WORDS = ("not allowed", "repeated", "out of order", "> requires <")
+
+
 @pytest.mark.contract
 class TestEveryMessagePinned:
     @pytest.mark.parametrize("case", sorted(MESSAGES))
@@ -884,7 +903,7 @@ class TestEveryMessagePinned:
         sorted(
             case
             for case, (_, m) in MESSAGES.items()
-            if "not allowed" in m or "repeated" in m
+            if any(word in m for word in GRAMMAR_WORDS)
         ),
     )
     def test_a_misplaced_element_in_the_lints_words(self, case):
@@ -912,9 +931,9 @@ MARKUP = """<?xml version='1.0' encoding='iso-8859-1'?>
 <Workflow name='w'>
   <?editor fold='yes'?>
   <Activity name='t'>
-    <Implement>s<!-- c -->u<?pi x?>m</Implement>
-    <Output><![CDATA[a<b]]></Output>
     <Description>&prog; &amp; &#65;&#x42;</Description>
+    <Output><![CDATA[a<b]]></Output>
+    <Implement>s<!-- c -->u<?pi x?>m</Implement>
   </Activity>
   <Program name='&prog;'><Option hostname='h&#233;'/></Program>
 </Workflow>
