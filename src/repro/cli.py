@@ -101,8 +101,8 @@ def _print_result(result: WorkflowResult) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     # One reading: the grammar's problems are listed with the graph's, not raised.
-    workflow, problems = _read(_file_text(args.workflow))
-    problems += validation_problems(workflow)
+    workflow, problems, unread = _read(_file_text(args.workflow))
+    problems += validation_problems(workflow, unread=unread)
     if problems:
         print(f"workflow {workflow.name!r} is INVALID:")
         for problem in problems:
@@ -116,16 +116,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _wants_observer(args: argparse.Namespace) -> bool:
-    """``--metrics``/``--trace`` need the recording; ``--serve-telemetry``
-    needs the live registry behind ``/metrics``."""
-    return bool(args.metrics or args.trace) or args.serve_telemetry is not None
-
-
 def _make_tracer(args: argparse.Namespace):
     """A causal tracer when any telemetry consumer is present; an
     uninstrumented run carries ``tracer=None`` and stamps nothing."""
-    if not (_wants_observer(args) or args.flight_record):
+    if args.serve_telemetry is None and not (
+        args.metrics or args.trace or args.flight_record
+    ):
         return None
     from .obs import Tracer
 
@@ -137,9 +133,9 @@ def _telemetry(args: argparse.Namespace, runtime, grid):
     """The run's telemetry rig for the duration of the ``with`` block: the
     :class:`repro.obs.TelemetryPlane` the flags ask for (``--metrics``/
     ``--trace`` the observer, ``--flight-record`` the journal,
-    ``--serve-telemetry`` the statistical layer) plus the HTTP
-    scrape/status server.  Yields the plane; an uninstrumented run gets
-    one with every part ``None``."""
+    ``--serve-telemetry`` the statistical layer, which brings the
+    observer) plus the HTTP server of that plane.  Yields the plane; an
+    uninstrumented run gets one with every part ``None``."""
     from .obs import TelemetryPlane
 
     serving = args.serve_telemetry is not None
@@ -149,7 +145,7 @@ def _telemetry(args: argparse.Namespace, runtime, grid):
         reactor,
         grid,
         runtime.detector,
-        observe=_wants_observer(args),
+        observe=bool(args.metrics or args.trace),
         flight_record=args.flight_record or False,
         interval=args.telemetry_interval if serving else None,
     )
@@ -159,11 +155,7 @@ def _telemetry(args: argparse.Namespace, runtime, grid):
         from .obs import TelemetryServer
 
         server = TelemetryServer(
-            registry=plane.observer.metrics,
-            tracker=plane.tracker,
-            store=plane.store,
-            health=plane.health,
-            estimators=plane.estimators,
+            plane,
             port=args.serve_telemetry,
             # repro top derives event/progress rates from these levels.
             extra_health=lambda: {

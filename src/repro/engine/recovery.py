@@ -744,10 +744,8 @@ class RecoveryCoordinator:
         self._detector.forget(job_id)
         self._handle_crash(run, slot)
 
-    def _cancel_slots(self, run: ActivityRun, *, except_slot: int | None = None) -> None:
+    def _cancel_slots(self, run: ActivityRun) -> None:
         for slot in run.slots:
-            if slot.index == except_slot:
-                continue
             if slot.retry_timer is not None:
                 slot.retry_timer.cancel()
                 slot.retry_timer = None

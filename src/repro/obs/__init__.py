@@ -20,8 +20,10 @@ The live telemetry plane builds on those:
 narration payload), :mod:`repro.obs.recorder` (the flight recorder journaling
 every event), :mod:`repro.obs.postmortem` (``repro inspect``: the spans of a journal
 read back, grouped by instance), :mod:`repro.obs.server` (the HTTP scrape/status
-endpoint behind ``--serve-telemetry``), and :mod:`repro.obs.plane` (the
-one assembly that attaches all of them to a runtime).
+endpoint behind ``--serve-telemetry``, serving one plane), and
+:mod:`repro.obs.plane` (the one assembly that attaches all of them to a
+runtime).  Every part is built whole, on its bus, with the collaborators
+it reads and feeds; none takes ``None`` for one.
 """
 
 from .dashboard import TopClient, render_frame, run_top

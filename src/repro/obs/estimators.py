@@ -41,6 +41,7 @@ from .metrics import MetricSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events import EventBus
+    from .health import HealthEngine
     from .metrics import MetricsRegistry
     from .timeseries import TimeSeriesStore
 
@@ -57,6 +58,12 @@ __all__ = [
 
 #: Bus topic for catalog-drift events (payloads are plain dicts).
 DRIFT_MTTF = "obs.drift.mttf"
+
+#: The smoothing weight of a suite's per-host MTTF and downtime EWMAs.
+ALPHA = 0.3
+#: A suite's drift detectors' slack and alarm level (:class:`PageHinkley`).
+PH_DELTA = 0.25
+PH_THRESHOLD = 40.0
 
 # -- exported gauges (declared once; see EstimatorSuite.export) ---------------
 
@@ -127,7 +134,7 @@ class Ewma:
 
     __slots__ = ("alpha", "value", "n")
 
-    def __init__(self, alpha: float = 0.3) -> None:
+    def __init__(self, alpha: float = ALPHA) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
         self.alpha = alpha
@@ -199,8 +206,8 @@ class PageHinkley:
     def __init__(
         self,
         *,
-        delta: float = 0.25,
-        threshold: float = 40.0,
+        delta: float = PH_DELTA,
+        threshold: float = PH_THRESHOLD,
         min_observations: int = 5,
     ) -> None:
         self.delta = delta
@@ -263,7 +270,7 @@ class HostEstimator:
         *,
         prior_mttf: float = math.inf,
         prior_downtime: float = 0.0,
-        alpha: float = 0.3,
+        alpha: float = ALPHA,
         detector: PageHinkley | None = None,
     ) -> None:
         self.hostname = hostname
@@ -387,8 +394,8 @@ class EstimatorSuite(LogConsumer):
     the heartbeat monitor's suspicion topics.  When a host's drift detector
     latches it publishes one
     :data:`DRIFT_MTTF` event with observed-vs-prior detail, and latches and
-    re-evaluates the *health* engine (optional) by call, at the failure's
-    own time.  All of it
+    re-evaluates its :attr:`health` engine by call, at the failure's own
+    time.  All of it
     happens when the log is folded — at the collector's tick or before a
     read — so a drift is published, and its alert fired, no later than one
     collector interval after the failure that tripped it.  The collector
@@ -399,28 +406,22 @@ class EstimatorSuite(LogConsumer):
 
     def __init__(
         self,
-        bus: "EventBus | None" = None,
+        bus: "EventBus",
         *,
         clock: Callable[[], float] | None = None,
         priors: Mapping[str, tuple[float, float]] | None = None,
-        alpha: float = 0.3,
-        ph_delta: float = 0.25,
-        ph_threshold: float = 40.0,
         store: "TimeSeriesStore | None" = None,
-        health: Any = None,
     ) -> None:
         self.priors = dict(priors or {})
-        self.alpha = alpha
-        self.ph_delta = ph_delta
-        self.ph_threshold = ph_threshold
         self.store = store
-        self.health = health
+        #: The :class:`~repro.obs.health.HealthEngine` a drift latches,
+        #: assigned once both are built.
+        self.health: "HealthEngine | None" = None
         self._hosts: dict[str, HostEstimator] = {}
         self._activities: dict[tuple[str, str], ActivityEstimator] = {}
         self.drift_events = 0
         self._clock = clock
-        if bus is not None:
-            self.attach_bus(bus)
+        self.attach_bus(bus)
 
     # -- state (reading it folds first) --------------------------------------
 
@@ -443,8 +444,8 @@ class EstimatorSuite(LogConsumer):
                 hostname,
                 prior_mttf=prior_mttf,
                 prior_downtime=prior_downtime,
-                alpha=self.alpha,
-                detector=PageHinkley(delta=self.ph_delta, threshold=self.ph_threshold),
+                alpha=ALPHA,
+                detector=PageHinkley(delta=PH_DELTA, threshold=PH_THRESHOLD),
             )
         return estimator
 
@@ -475,8 +476,7 @@ class EstimatorSuite(LogConsumer):
                 "statistic": estimator.detector.statistic(),
                 "after_events": estimator.detector.drift_at,
             }
-            if self._bus is not None:
-                self._bus.publish(DRIFT_MTTF, drift)
+            self._bus.publish(DRIFT_MTTF, drift)
             # Latch and alert by call; routine failures leave rule
             # evaluation to the collector cadence.
             if self.health is not None:

@@ -136,8 +136,8 @@ class HealthEngine:
     def __init__(
         self,
         *,
-        clock: Callable[[], float] | None = None,
-        bus: "EventBus | None" = None,
+        clock: Callable[[], float],
+        bus: "EventBus",
     ) -> None:
         self._clock = clock
         #: Where alert edges are published.
@@ -175,11 +175,7 @@ class HealthEngine:
 
     def evaluate(self, now: float | None = None) -> list[dict[str, Any]]:
         """One evaluation pass; returns the state transitions it caused."""
-        at = (
-            now
-            if now is not None
-            else (self._clock() if self._clock is not None else 0.0)
-        )
+        at = now if now is not None else self._clock()
         transitions: list[dict[str, Any]] = []
         for rule in self._rules:
             state = self._states[rule.name]
@@ -188,7 +184,7 @@ class HealthEngine:
                 if rule.value is not None:
                     state.last_value = rule.value()
             else:
-                value = rule.value() if rule.value is not None else None
+                value = rule.value()
                 state.last_value = value
                 breach = value is not None and _OPS[rule.op](
                     value, rule.threshold
@@ -245,8 +241,7 @@ class HealthEngine:
         if state.drift_detail is not None:
             detail["drift"] = dict(state.drift_detail)
         self._history.append({"event": "fired", **detail})
-        if self._bus is not None:
-            self._bus.publish(ALERT_FIRED, dict(detail))
+        self._bus.publish(ALERT_FIRED, dict(detail))
         return {"transition": "fired", **detail}
 
     def _resolve(
@@ -263,8 +258,7 @@ class HealthEngine:
         }
         state.fired_at = None
         self._history.append({"event": "resolved", **detail})
-        if self._bus is not None:
-            self._bus.publish(ALERT_RESOLVED, dict(detail))
+        self._bus.publish(ALERT_RESOLVED, dict(detail))
         return {"transition": "resolved", **detail}
 
     # -- reads (any thread) --------------------------------------------------
@@ -318,14 +312,20 @@ class HealthEngine:
         }
 
 
+#: ``attempt-failure-probability`` fires over this Wilson lower bound.
+FAILURE_PROBABILITY_THRESHOLD = 0.5
+#: ``heartbeat-loss`` fires over this many suspicions per heartbeat.
+HEARTBEAT_LOSS_THRESHOLD = 0.2
+#: Simulated seconds a default rule's breach sustains before it fires and
+#: stays clear before it resolves (``event-flow-stalled`` waits three).
+SUSTAIN = 10.0
+
+
 def default_rules(
     engine: HealthEngine,
     *,
-    store: "TimeSeriesStore | None" = None,
-    estimators: "EstimatorSuite | None" = None,
-    failure_probability_threshold: float = 0.5,
-    heartbeat_loss_threshold: float = 0.2,
-    sustain: float = 10.0,
+    store: "TimeSeriesStore",
+    estimators: "EstimatorSuite",
 ) -> HealthEngine:
     """The standard rule set the CLI installs for ``--serve-telemetry``."""
     engine.add_rule(
@@ -337,59 +337,57 @@ def default_rules(
             "catalog prior (obs.drift.* latched)",
         )
     )
-    if estimators is not None:
-        engine.add_rule(
-            HealthRule(
-                "attempt-failure-probability",
-                value=estimators.max_failure_probability,
-                op=">",
-                threshold=failure_probability_threshold,
-                for_seconds=sustain,
-                resolve_after=sustain,
-                severity="warning",
-                description="some activity's attempt failure probability "
-                "is reliably high (Wilson lower bound over threshold)",
-            )
+    engine.add_rule(
+        HealthRule(
+            "attempt-failure-probability",
+            value=estimators.max_failure_probability,
+            op=">",
+            threshold=FAILURE_PROBABILITY_THRESHOLD,
+            for_seconds=SUSTAIN,
+            resolve_after=SUSTAIN,
+            severity="warning",
+            description="some activity's attempt failure probability "
+            "is reliably high (Wilson lower bound over threshold)",
         )
-        engine.add_rule(
-            HealthRule(
-                "heartbeat-loss",
-                value=lambda: max(
-                    (
-                        h.heartbeat_loss_rate()
-                        for h in estimators.hosts.values()
-                        if h.beats
-                    ),
-                    default=0.0,
+    )
+    engine.add_rule(
+        HealthRule(
+            "heartbeat-loss",
+            value=lambda: max(
+                (
+                    h.heartbeat_loss_rate()
+                    for h in estimators.hosts.values()
+                    if h.beats
                 ),
-                op=">",
-                threshold=heartbeat_loss_threshold,
-                for_seconds=sustain,
-                resolve_after=sustain,
-                severity="warning",
-                description="a host keeps going dark (suspicions per "
-                "heartbeat over threshold)",
-            )
+                default=0.0,
+            ),
+            op=">",
+            threshold=HEARTBEAT_LOSS_THRESHOLD,
+            for_seconds=SUSTAIN,
+            resolve_after=SUSTAIN,
+            severity="warning",
+            description="a host keeps going dark (suspicions per "
+            "heartbeat over threshold)",
         )
-    if store is not None:
+    )
 
-        def publish_rate() -> float | None:
-            # Looked up, never created: no ring yet is no value, no breach.
-            ring = store.get("bus_publishes")
-            return ring.rate() if ring is not None else None
+    def publish_rate() -> float | None:
+        # Looked up, never created: no ring yet is no value, no breach.
+        ring = store.get("bus_publishes")
+        return ring.rate() if ring is not None else None
 
-        engine.add_rule(
-            HealthRule(
-                "event-flow-stalled",
-                kind="rate_of_change",
-                value=publish_rate,
-                op="<=",
-                threshold=0.0,
-                for_seconds=3 * sustain,
-                resolve_after=0.0,
-                severity="warning",
-                description="no bus events flowing across recent collector "
-                "windows while workflows are still pending",
-            )
+    engine.add_rule(
+        HealthRule(
+            "event-flow-stalled",
+            kind="rate_of_change",
+            value=publish_rate,
+            op="<=",
+            threshold=0.0,
+            for_seconds=3 * SUSTAIN,
+            resolve_after=0.0,
+            severity="warning",
+            description="no bus events flowing across recent collector "
+            "windows while workflows are still pending",
         )
+    )
     return engine

@@ -37,7 +37,6 @@ recorder's spill line — hooks the append itself (:attr:`EventLog.spills`).
 from __future__ import annotations
 
 from collections import deque
-from contextlib import nullcontext
 from functools import cache
 from itertools import islice
 from threading import RLock, get_ident
@@ -390,9 +389,6 @@ def _no_clock() -> float:
     return 0.0
 
 
-#: What an unattached consumer reads under: nothing folds into it.
-_UNATTACHED = nullcontext()
-
 #: The log of each bus that has one — weakly both ways: a log lives while
 #: its bus taps it or a consumer holds it, never because this table does.
 _LOGS: "WeakKeyDictionary[EventBus, ref[EventLog]]" = WeakKeyDictionary()
@@ -490,10 +486,11 @@ class LogConsumer:
     attached for the life of that bus: a view (the flight recorder) reads
     :meth:`_records`; a kind the log's :class:`Fold` computes names its
     slot there (``_slot``) and reads its state back inside
-    ``with self._synced():``."""
+    ``with self._synced():``.  Every consumer takes its bus when it is
+    built and attaches to it there."""
 
     _bus: EventBus | None = None
-    _log: EventLog | None = None
+    _log: EventLog
     #: What the consumer asks of a log it has to create; the first record
     #: it reads.
     _clock: Callable[[], float] | None = None
@@ -533,16 +530,14 @@ class LogConsumer:
     def sync(self) -> None:
         """Fold what was published since the last fold (a no-op on any
         thread but the publishing one)."""
-        if self._log is not None:
-            self._log.fold()
+        self._log.fold()
 
     def _synced(self) -> ContextManager[Any]:
         """``with self._synced():`` brackets one read of the state: what
         waits is folded first, and no other thread folds inside it."""
-        self.sync()
-        return self._log.lock if self._log is not None else _UNATTACHED
+        self._log.fold()
+        return self._log.lock
 
     def _records(self) -> list[LogRecord]:
         """The retained records published since this consumer attached."""
-        log = self._log
-        return log.records(self._since) if log is not None else []
+        return self._log.records(self._since)

@@ -160,7 +160,7 @@ class RunObserver(LogConsumer):
 
     _slot = "observer"
 
-    def __init__(self, bus: EventBus | None = None, *, clock: Any = None) -> None:
+    def __init__(self, bus: EventBus, *, clock: Any = None) -> None:
         #: A reactor's virtual ``now``; the bus's log stamps events on it.
         self._clock = clock
         #: Read through ``synced()``, which takes in what was published.
@@ -179,8 +179,7 @@ class RunObserver(LogConsumer):
         self._replication_wins = family(REPLICATION_WINS)
         self._slots_exhausted = family(SLOTS_EXHAUSTED)
         self._tries_per_resolution = family(TRIES_PER_RESOLUTION)
-        if bus is not None:
-            self.attach_bus(bus)
+        self.attach_bus(bus)
 
     @classmethod
     def attach(cls, engine: "WorkflowEngine") -> "RunObserver":

@@ -3,7 +3,9 @@
 ``repro run/resume --metrics/--trace/--flight-record/
 --serve-telemetry`` and the plane tests (``tests/obs_plane.py``) attach
 the same consumers to a runtime's bus in the same order; this module is
-that wiring, so there is one place that knows it.
+that wiring, so there is one place that knows it.  Every part is built
+whole, on the bus, with what it reads and feeds: no part is wired with a
+collaborator missing.
 """
 
 from __future__ import annotations
@@ -38,17 +40,21 @@ class TelemetryPlane:
     inside a fold (``obs.drift.mttf``, ``obs.alert.*``) is appended to the
     same log.
 
-    Each part is optional and ``None`` when off:
+    Three parts, each ``None`` when off; what a part uses is built with it:
 
     * *observe* — the :class:`RunObserver` (metrics registry, spans,
-      event ring) behind ``--metrics``/``--trace`` and ``/metrics``;
+      event ring) behind ``--metrics``/``--trace``;
     * *flight_record* — the :class:`FlightRecorder` journaling every bus
       event: ``True`` keeps the ring only, a path also spills to it;
-    * *interval* — the statistical layer on a simulated-seconds cadence:
+    * *interval* — the statistical layer on a simulated-seconds cadence,
+      behind ``--serve-telemetry`` and ``/metrics``: the observer (its
+      registry is what the layer samples, so *interval* brings one),
       status tracker, time-series store, estimator suite (priors from
       *grid*'s catalogue), health rules, and the
       :class:`PeriodicCollector` that scrapes *grid*, *bus* and
-      *detector* into the observer's registry each tick.
+      *detector* into the observer's registry each tick.  A
+      :class:`~repro.obs.server.TelemetryServer` serves a plane built
+      with it.
 
     :meth:`start` and :meth:`stop` bracket the stretches in which the
     simulation is driven; a long-lived host calls them once per batch.
@@ -68,6 +74,7 @@ class TelemetryPlane:
         self._sources = (grid, bus, detector)
         clock = reactor.now
         self._log = EventLog.on(bus, clock=clock)
+        observe = observe or interval is not None
         self.observer = RunObserver(bus, clock=clock) if observe else None
         self.recorder = None
         if flight_record:
@@ -88,7 +95,7 @@ class TelemetryPlane:
         estimators.health = health
         self.collector = PeriodicCollector(
             store=store,
-            registry=self.observer.metrics if observe else None,
+            registry=self.observer.metrics,
             reactor=reactor,
             interval=interval,
             scrapers=(

@@ -48,13 +48,13 @@ class FlightRecorder(LogConsumer):
         if spill_path is not None:
             self._spill = open(spill_path, "w", encoding="utf-8")
             self._spill.write(json.dumps({"journal_version": JOURNAL_VERSION}) + "\n")
-            self._log.spills.append(self._write)  # type: ignore[union-attr]
+            self._log.spills.append(self._write)
 
     def close(self) -> None:
         """Stop spilling and close the spill file, if any (the journal
         stays readable: it is a view of the log)."""
         if self._spill is not None:
-            self._log.spills.remove(self._write)  # type: ignore[union-attr]
+            self._log.spills.remove(self._write)
             self._spill.close()
             self._spill = None
 
@@ -87,7 +87,7 @@ class FlightRecorder(LogConsumer):
         return [expand(record) for record in self._records()]
 
     def stats(self) -> dict[str, int]:
-        recorded = self._log.seq - self._since  # type: ignore[union-attr]
+        recorded = self._log.seq - self._since
         retained = len(self._records())
         return {
             "recorded": recorded,

@@ -1,14 +1,16 @@
 """Live telemetry plane: a zero-dependency HTTP scrape/status server.
 
-Serves the running stack's observability state over plain
-:mod:`http.server` (stdlib only — the whole repo's rule), from a daemon
-thread, while the reactor drives workflows on the main thread:
+Serves one :class:`~repro.obs.plane.TelemetryPlane` — built whole, with
+its statistical layer — over plain :mod:`http.server` (stdlib only — the
+whole repo's rule), from a daemon thread, while the reactor drives
+workflows on the main thread:
 
-* ``GET /metrics``          — the live :class:`~repro.obs.metrics.MetricsRegistry`
-  in Prometheus text exposition format (scrape-able mid-run);
+* ``GET /metrics``          — the observer's live
+  :class:`~repro.obs.metrics.MetricsRegistry` in Prometheus text
+  exposition format (scrape-able mid-run);
 * ``GET /healthz``          — liveness + a tiny run summary;
 * ``GET /health``           — the full statistical health view: the rule
-  engine's snapshot plus estimator state (when wired);
+  engine's snapshot plus estimator state;
 * ``GET /alerts``           — firing alerts and the fired/resolved history;
 * ``GET /timeseries``       — series names held by the store;
 * ``GET /timeseries/<name>``— every labelled ring of one series family;
@@ -38,10 +40,11 @@ from typing import TYPE_CHECKING, Any, Callable
 from ..events import EventBus
 from .export import prometheus_text
 from .log import LogConsumer
-from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    from .plane import TelemetryPlane
 
 __all__ = ["WorkflowStatusTracker", "TelemetryServer"]
 
@@ -62,12 +65,11 @@ class WorkflowStatusTracker(LogConsumer):
 
     _slot = "tracker"
 
-    def __init__(self, bus: EventBus | None = None) -> None:
+    def __init__(self, bus: EventBus) -> None:
         self._status: dict[str, dict[str, Any]] = {}
         #: The finished instances' ids, oldest finish first.
         self._finished: dict[str, None] = {}
-        if bus is not None:
-            self.attach_bus(bus)
+        self.attach_bus(bus)
 
     # -- the fold's side (reactor thread) ------------------------------------
 
@@ -142,11 +144,12 @@ class WorkflowStatusTracker(LogConsumer):
 
 
 class TelemetryServer:
-    """Serves ``/metrics``, ``/healthz`` and ``/workflows`` from a thread.
+    """Serves one :class:`~repro.obs.plane.TelemetryPlane` from a thread.
 
-    *registry* feeds ``/metrics``; *tracker* feeds the workflow routes;
-    *store*, *health* and *estimators* (the statistical plane) feed
-    ``/timeseries``, ``/health`` and ``/alerts``; *extra_health* (an
+    *plane* is built with its statistical layer (an ``interval``): its
+    observer's registry feeds ``/metrics``, its status tracker the
+    workflow routes, and its store, health engine and estimators
+    ``/timeseries``, ``/health`` and ``/alerts``.  *extra_health* (an
     optional callable returning a dict) is merged into ``/healthz`` for
     run-specific detail.  ``port=0`` binds an ephemeral port — read
     :attr:`port` after :meth:`start`.
@@ -154,21 +157,13 @@ class TelemetryServer:
 
     def __init__(
         self,
+        plane: "TelemetryPlane",
         *,
-        registry: MetricsRegistry | None = None,
-        tracker: WorkflowStatusTracker | None = None,
-        store: Any = None,
-        health: Any = None,
-        estimators: Any = None,
         host: str = "127.0.0.1",
         port: int = 0,
         extra_health: Callable[[], dict[str, Any]] | None = None,
     ) -> None:
-        self.registry = registry
-        self.tracker = tracker
-        self.store = store
-        self.health = health
-        self.estimators = estimators
+        self.plane = plane
         self.host = host
         self.port = port
         self.extra_health = extra_health
@@ -218,20 +213,18 @@ class TelemetryServer:
     # -- route bodies (HTTP thread) ------------------------------------------
 
     def render_metrics(self) -> str:
-        if self.registry is None:
-            return ""
+        registry = self.plane.observer.metrics
         # Held still for the whole walk: this is not the reactor's thread.
-        with self.registry.synced():
-            return prometheus_text(self.registry)
+        with registry.synced():
+            return prometheus_text(registry)
 
     def render_health(self) -> dict[str, Any]:
-        health: dict[str, Any] = {"status": "ok"}
-        if self.tracker is not None:
-            statuses = self.tracker.snapshot()
-            health["workflows"] = len(statuses)
-            health["running"] = sum(
-                1 for s in statuses if s["phase"] == "running"
-            )
+        statuses = self.plane.tracker.snapshot()
+        health: dict[str, Any] = {
+            "status": "ok",
+            "workflows": len(statuses),
+            "running": sum(1 for s in statuses if s["phase"] == "running"),
+        }
         if self.extra_health is not None:
             try:
                 health.update(self.extra_health())
@@ -240,40 +233,30 @@ class TelemetryServer:
         return health
 
     def render_workflows(self) -> list[dict[str, Any]]:
-        return self.tracker.snapshot() if self.tracker is not None else []
+        return self.plane.tracker.snapshot()
 
     def render_workflow(self, workflow_id: str) -> dict[str, Any] | None:
-        if self.tracker is None:
-            return None
-        return self.tracker.status_of(workflow_id)
+        return self.plane.tracker.status_of(workflow_id)
 
     def render_health_full(self) -> dict[str, Any]:
         """``/health``: rule engine snapshot + estimator state + the
         ``/healthz`` summary, in one statistical health view."""
-        out = {"summary": self.render_health()}
-        out["rules"] = (
-            self.health.snapshot()
-            if self.health is not None
-            else {"status": "ok", "rules": []}
-        )
-        if self.estimators is not None:
-            out["estimators"] = self.estimators.snapshot()
-        return out
+        return {
+            "summary": self.render_health(),
+            "rules": self.plane.health.snapshot(),
+            "estimators": self.plane.estimators.snapshot(),
+        }
 
     def render_alerts(self) -> dict[str, Any]:
-        if self.health is None:
-            return {"firing": [], "history": []}
-        return self.health.alerts()
+        return self.plane.health.alerts()
 
     def render_timeseries_index(self) -> dict[str, Any]:
-        if self.store is None:
-            return {"series": []}
-        return {"series": self.store.names()}
+        return {"series": self.plane.store.names()}
 
     def render_timeseries(self, name: str) -> dict[str, Any] | None:
         """Every labelled ring of one series family (value series and
         histogram tracks both), or None when the family is unknown."""
-        return self.store.family(name) if self.store is not None else None
+        return self.plane.store.family(name)
 
 
 _ROUTES = [
@@ -325,9 +308,7 @@ def _make_handler(server: TelemetryServer) -> type[BaseHTTPRequestHandler]:
                         404,
                         {
                             "error": f"unknown series {name!r}",
-                            "known": server.store.names()
-                            if server.store is not None
-                            else [],
+                            "known": server.plane.store.names(),
                         },
                     )
                 return self._json(200, payload)
@@ -341,9 +322,7 @@ def _make_handler(server: TelemetryServer) -> type[BaseHTTPRequestHandler]:
                         404,
                         {
                             "error": f"unknown workflow {wfid!r}",
-                            "known": server.tracker.workflow_ids()
-                            if server.tracker is not None
-                            else [],
+                            "known": server.plane.tracker.workflow_ids(),
                         },
                     )
                 return self._json(200, status)

@@ -32,6 +32,8 @@ from .metrics import LabelItems, _label_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..reactor import Reactor, TimerHandle
+    from .estimators import EstimatorSuite
+    from .health import HealthEngine
     from .metrics import MetricsRegistry
 
 __all__ = [
@@ -389,8 +391,8 @@ class PeriodicCollector:
         reactor: "Reactor",
         interval: float = 5.0,
         scrapers: tuple[Callable[["MetricsRegistry"], None], ...] = (),
-        estimators: Any = None,
-        health: Any = None,
+        estimators: "EstimatorSuite",
+        health: "HealthEngine",
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval!r}")
@@ -431,13 +433,10 @@ class PeriodicCollector:
         # Folded before anything is scraped, and held for the writes
         # below: another thread reads the registry between two ticks.
         with self.registry.synced():
-            if self.estimators is not None:
-                self.estimators.sync()
+            self.estimators.sync()
             for scraper in self.scrapers:
                 scraper(self.registry)
-            if self.estimators is not None:
-                self.estimators.export(self.registry)
+            self.estimators.export(self.registry)
             self.store.collect(self.registry, at)
-        if self.health is not None:
-            self.health.evaluate(at)
+        self.health.evaluate(at)
         self.ticks += 1

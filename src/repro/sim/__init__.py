@@ -24,7 +24,6 @@ from .analytical import (
 from .engine_mc import (
     EngineSampler,
     build_technique_workflow,
-    run_engine_once,
 )
 from .cache import SampleCache, default_cache_dir, resolve_cache
 from .parallel import (
@@ -74,7 +73,6 @@ __all__ = [
     "young_interval",
     "EngineSampler",
     "build_technique_workflow",
-    "run_engine_once",
     "SEED_STRIDE",
     "resolve_jobs",
     "seed_for",

@@ -49,7 +49,6 @@ from .params import SimulationParams
 from .samplers import _EXCEPTION_TECHNIQUES, _check_cell, technique_policy
 
 __all__ = [
-    "run_engine_once",
     "build_technique_workflow",
     "EngineSampler",
 ]
@@ -179,7 +178,8 @@ class EngineSampler:
     (:meth:`SimulatedGrid.reset`) and one :class:`WorkflowEngine`
     (:meth:`WorkflowEngine.reset`) in place instead of rebuilding the
     world per run — the Monte-Carlo hot path.  ``sampler.run(seed)`` is
-    bit-identical to :func:`run_engine_once` with the same arguments.
+    bit-identical to a run of the same arguments on a world built from
+    scratch.
     """
 
     def __init__(
@@ -243,32 +243,3 @@ class EngineSampler:
                 result.completion_time
             )
         return result.completion_time
-
-
-def run_engine_once(
-    technique: str,
-    params: SimulationParams,
-    *,
-    seed: int,
-    timeout: float = DEFAULT_RUN_TIMEOUT,
-) -> float:
-    """One end-to-end engine execution; returns the completion time.
-
-    Builds the full stack from scratch — fine for single runs and as the
-    reference for :class:`EngineSampler`'s reuse path; repeated sampling
-    should go through ``estimate_cells(..., engine=True)``
-    (:func:`repro.sim.adaptive.estimate_cells`) or an
-    :class:`EngineSampler` directly, which amortise construction across
-    runs.
-    """
-    workflow = build_technique_workflow(technique, params)
-    grid = _build_grid(technique, params, seed)
-    engine = WorkflowEngine(
-        workflow, grid, reactor=grid.reactor, validate_spec=False
-    )
-    result = engine.run(timeout=timeout)
-    if not result.succeeded:
-        raise SimulationError(
-            f"engine run for {technique!r} failed: {result.node_statuses}"
-        )
-    return result.completion_time

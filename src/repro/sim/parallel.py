@@ -37,7 +37,7 @@ Worker-side failures
     workers wrap any failure in a :class:`repro.errors.SimulationError`
     whose message carries the technique, run index and seed — enough to
     replay the failing run locally with
-    :func:`repro.sim.engine_mc.run_engine_once`.
+    ``EngineSampler(technique, params).run(seed)``.
 
 Single-worker calls (``jobs=1``, the default) open no executor and run
 every task in process, so the sequential path has zero multiprocessing

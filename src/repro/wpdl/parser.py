@@ -76,7 +76,7 @@ def parse_wpdl(text: str, *, validate_graph: bool = True) -> Workflow:
     every one, as :func:`~repro.wpdl.schema.check_vocabulary` does
     (``Workflow/Loop: element <Activity> not allowed inside <Loop>``).
     """
-    workflow, problems = _read(text)
+    workflow, problems, _unread = _read(text)
     if problems:
         raise ParseError("; ".join(problems))
     if validate_graph:
@@ -96,10 +96,12 @@ def _file_text(path: str | Path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _read(text: str) -> tuple[Workflow, list[str]]:
-    """The workflow *text* declares, unvalidated, and its grammar problems,
-    from one reading.  A fault is raised (an XML fault anywhere first),
-    unless grammar problems were met before it: then the error lists every one."""
+def _read(text: str) -> tuple[Workflow, list[str], set[str]]:
+    """The workflow *text* declares, unvalidated, its grammar problems and
+    the names of the programs it declares that the grammar refused (a
+    ``<Program>`` without ``<Option>``), from one reading.  A fault is
+    raised (an XML fault anywhere first), unless grammar problems were met
+    before it: then the error lists every one."""
     reader = _Reader()
     try:
         _run(reader.parser, text)
@@ -110,7 +112,7 @@ def _read(text: str) -> tuple[Workflow, list[str]]:
         raise
     if reader.workflow is None:  # the root element was refused
         raise ParseError("; ".join(reader.problems))
-    return reader.workflow, reader.problems
+    return reader.workflow, reader.problems, reader.unread
 
 
 class _Frame:
@@ -139,6 +141,9 @@ class _Reader(_Walk):
         self.composites: list[tuple[str, str, _Attrs]] = []
         #: The last ``<Workflow>`` or ``<Body>`` read.
         self.workflow: Workflow | None = None
+        #: The programs declared without an ``<Option>``, which the walk
+        #: listed and the model cannot hold.
+        self.unread: set[str] = set()
 
     def _frame(self, tag: str, attrs: _Attrs) -> None:
         default = f"{self.composites[-1][1]}_body" if tag == "Body" else ""
@@ -261,6 +266,7 @@ class _Reader(_Walk):
 
     def _end_program(self, _tag: str) -> None:
         if not self.options:  # the walk listed it: <Program> requires <Option>
+            self.unread.add(self.program)
             return
         program = Program(name=self.program, options=self.options)
         if program.name in self.frame.programs:

@@ -25,6 +25,8 @@ pass.
 
 from __future__ import annotations
 
+from collections.abc import Collection
+
 from ..core.policy import ReplicationMode
 from ..errors import SpecificationError, ValidationError
 from .conditions import compile_condition
@@ -55,8 +57,13 @@ def validate(workflow: Workflow) -> Workflow:
     return workflow
 
 
-def validation_problems(workflow: Workflow, *, _path: str = "") -> list[str]:
-    """All problems with *workflow* (empty list when valid)."""
+def validation_problems(
+    workflow: Workflow, *, unread: Collection[str] = (), _path: str = ""
+) -> list[str]:
+    """All problems with *workflow* (empty list when valid).  *unread* names
+    programs the document declares that its grammar problems already list
+    (:func:`repro.wpdl.parser.parse_wpdl` refuses such a document): an
+    activity implementing one is not listed again for it."""
     prefix = f"{_path}{workflow.name}"
     problems: list[str] = []
 
@@ -104,18 +111,18 @@ def validation_problems(workflow: Workflow, *, _path: str = "") -> list[str]:
             declared_outputs.update(node.outputs)
             if node.inputs:
                 with_inputs.append(node)
-            problems.extend(_check_activity(workflow, node, prefix))
+            problems.extend(_check_activity(workflow, node, prefix, unread))
         elif isinstance(node, Loop):
             try:
                 compile_condition(node.condition)
             except SpecificationError as exc:
                 problems.append(f"{prefix}: loop {node.name!r}: {exc}")
             problems.extend(
-                validation_problems(node.body, _path=f"{prefix}/")
+                validation_problems(node.body, unread=unread, _path=f"{prefix}/")
             )
         elif isinstance(node, SubWorkflow):
             problems.extend(
-                validation_problems(node.body, _path=f"{prefix}/")
+                validation_problems(node.body, unread=unread, _path=f"{prefix}/")
             )
 
     # -- value dependencies ---------------------------------------------------------
@@ -142,17 +149,20 @@ def validation_problems(workflow: Workflow, *, _path: str = "") -> list[str]:
     return problems
 
 
-def _check_activity(workflow: Workflow, activity: Activity, prefix: str) -> list[str]:
+def _check_activity(
+    workflow: Workflow, activity: Activity, prefix: str, unread: Collection[str]
+) -> list[str]:
     problems: list[str] = []
     program = None
+    listed = activity.implement in unread
     if activity.implement is not None:
         program = workflow.programs.get(activity.implement)
-        if program is None:
+        if program is None and not listed:
             problems.append(
                 f"{prefix}: activity {activity.name!r} implements unknown "
                 f"program {activity.implement!r}"
             )
-    if activity.policy.replication is ReplicationMode.REPLICA:
+    if activity.policy.replication is ReplicationMode.REPLICA and not listed:
         if program is None:
             problems.append(
                 f"{prefix}: activity {activity.name!r} uses policy='replica' "

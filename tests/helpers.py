@@ -4,15 +4,19 @@ from __future__ import annotations
 
 from repro.ckpt.manager import CheckpointRecord
 from repro.core import FailurePolicy
-from repro.detection import messages
+from repro.detection import FailureDetector, messages
 from repro.detection.detector import AttemptOutcome, _Attempt
 from repro.engine import WorkflowEngine
 from repro.engine.engine import WorkflowResult
 from repro.engine.instance import NodeInstance
 from repro.engine.recovery import ActivityRun, TaskResolution, _Slot
+from repro.errors import SimulationError
+from repro.events import EventBus
 from repro.execution import SubmitRequest
-from repro.grid import RELIABLE, FixedDurationTask, SimulatedGrid
-from repro.obs import MetricSpec
+from repro.grid import RELIABLE, FixedDurationTask, GridConfig, SimulatedGrid
+from repro.obs import MetricSpec, TelemetryPlane
+from repro.sim.engine_mc import _build_grid, build_technique_workflow
+from repro.sim.parallel import DEFAULT_RUN_TIMEOUT
 from repro.wpdl import JoinMode, WorkflowBuilder
 from repro.wpdl.model import Activity, CompiledNode, Transition, TransitionCondition
 
@@ -153,3 +157,41 @@ def bound_series(registry, kind: str, name: str, *, help="", buckets=None, **lab
     :class:`~repro.obs.MetricSpec` would be."""
     spec = MetricSpec(name, kind, help, tuple(labels), buckets)
     return registry.family(spec).labels(*labels.values())
+
+
+def whole_plane(
+    bus: EventBus | None = None,
+    grid: SimulatedGrid | None = None,
+    *,
+    detector: FailureDetector | None = None,
+    interval: float = 1.0,
+) -> TelemetryPlane:
+    """The whole :class:`~repro.obs.TelemetryPlane` — observer and
+    statistical layer, what a :class:`~repro.obs.TelemetryServer` serves —
+    on *bus* (a fresh one by default) and *grid*'s reactor (one reliable
+    host ``h1`` without heartbeats by default), its collector ticking every
+    *interval* simulated seconds once started.  An engine or host that
+    runs on *bus* takes the plane's *detector*."""
+    if grid is None:
+        grid = SimulatedGrid(config=GridConfig(heartbeats=False))
+        grid.add_host(RELIABLE("h1"))
+    bus = bus if bus is not None else EventBus()
+    if detector is None:
+        detector = FailureDetector(grid.reactor, bus)
+    return TelemetryPlane(bus, grid.reactor, grid, detector, interval=interval)
+
+
+def run_engine_once(technique: str, params, *, seed: int) -> float:
+    """One end-to-end engine execution built from scratch; returns the
+    completion time.  The fresh-world reference for
+    :class:`~repro.sim.EngineSampler`, whose ``run(seed)`` rewinds one
+    world in place and must return the same number."""
+    workflow = build_technique_workflow(technique, params)
+    grid = _build_grid(technique, params, seed)
+    engine = WorkflowEngine(workflow, grid, reactor=grid.reactor, validate_spec=False)
+    result = engine.run(timeout=DEFAULT_RUN_TIMEOUT)
+    if not result.succeeded:
+        raise SimulationError(
+            f"engine run for {technique!r} failed: {result.node_statuses}"
+        )
+    return result.completion_time

@@ -25,6 +25,7 @@ from repro.obs import (
     EstimatorSuite,
     EventLog,
     Ewma,
+    HealthEngine,
     HostEstimator,
     MetricsRegistry,
     PageHinkley,
@@ -157,12 +158,14 @@ class TestDriftGolden:
         bus = EventBus()
         log = EventLog.on(bus, clock=reactor.now)
         suite = EstimatorSuite(bus, priors={"h1": (self.PRIOR_MTTF, 0.0)})
+        suite.health = health = HealthEngine(clock=reactor.now, bus=bus)
         collector = PeriodicCollector(
             store=TimeSeriesStore(step=self.INTERVAL),
             registry=MetricsRegistry(),
             reactor=reactor,
             interval=self.INTERVAL,
             estimators=suite,
+            health=health,
         )
         rng, at = random.Random(42), 0.0
         for i in range(count):
@@ -285,7 +288,7 @@ class TestEstimatorSuite:
         assert suite.hosts["h1"].failures == 1
 
     def test_replica_co_crash_dedupes_to_one_failure(self):
-        suite = EstimatorSuite()
+        suite = EstimatorSuite(EventBus())
         suite.record_host_failure("h1", 10.0)
         suite.record_host_failure("h1", 10.0)  # replica, same instant
         suite.record_host_failure("h1", 30.0)
@@ -302,9 +305,8 @@ class TestEstimatorSuite:
 
         bus.add_tap(drift)
         health = _HealthSpy()
-        suite = EstimatorSuite(
-            bus, priors={"h1": (100.0, 0.0)}, health=health
-        )
+        suite = EstimatorSuite(bus, priors={"h1": (100.0, 0.0)})
+        suite.health = health
         at, fired_at = 0.0, None
         for _ in range(300):
             at += 10.0  # 10x faster than the catalog promises
@@ -327,14 +329,14 @@ class TestEstimatorSuite:
         assert suite.hosts["h1"].detector.drifted
 
     def test_ingest_liveness_folds_monitor_counters(self):
-        suite = EstimatorSuite()
+        suite = EstimatorSuite(EventBus())
         suite.ingest_liveness(
             [{"host": "h1", "beats": 40, "suspicions": 4, "suspected": False}]
         )
         assert suite.hosts["h1"].heartbeat_loss_rate() == pytest.approx(0.1)
 
     def test_max_failure_probability_is_wilson_lower_bound(self):
-        suite = EstimatorSuite()
+        suite = EstimatorSuite(EventBus())
         flaky = suite.activity("wf-1", "flaky")
         for _ in range(30):
             flaky.record("failed")
@@ -345,7 +347,7 @@ class TestEstimatorSuite:
         assert suite.max_failure_probability() == pytest.approx(low)
 
     def test_export_publishes_gauges(self):
-        suite = EstimatorSuite(priors={"h1": (100.0, 0.0)})
+        suite = EstimatorSuite(EventBus(), priors={"h1": (100.0, 0.0)})
         suite.record_host_failure("h1", 10.0)
         suite.record_host_failure("h1", 40.0)
         activity = suite.activity("wf-1", "task")
@@ -415,7 +417,7 @@ class TestExportOfWhatChanged:
     ``export_every_activity`` is its whole reference."""
 
     def test_ticks_match_a_full_walk_in_values_and_order(self):
-        suite = EstimatorSuite()
+        suite = EstimatorSuite(EventBus())
         registry, reference = MetricsRegistry(), MetricsRegistry()
         rng = random.Random(13)
         # Workflows show up out of key order and keep recording later.
@@ -432,7 +434,7 @@ class TestExportOfWhatChanged:
             assert prometheus_text(registry) == prometheus_text(reference), tick
 
     def test_estimator_created_but_never_recorded_is_exported(self):
-        suite = EstimatorSuite()
+        suite = EstimatorSuite(EventBus())
         suite.activity("wf-1", "idle")
         registry, reference = MetricsRegistry(), MetricsRegistry()
         suite.export(registry)
@@ -443,7 +445,7 @@ class TestExportOfWhatChanged:
         assert registry.value("obs_attempt_failure_wilson_high", **labels) == 1.0
 
     def test_second_registry_gets_everything(self):
-        suite = EstimatorSuite()
+        suite = EstimatorSuite(EventBus())
         suite.activity("wf-1", "task").record("failed")
         suite.activity("wf-2", "task").record("done")
         first, second, reference = (MetricsRegistry() for _ in range(3))
@@ -459,7 +461,7 @@ class TestExportOfWhatChanged:
         assert first.snapshot() == reference.snapshot()
 
     def test_cleared_registry_gets_everything(self):
-        suite = EstimatorSuite()
+        suite = EstimatorSuite(EventBus())
         suite.activity("wf-1", "task").record("failed")
         suite.activity("wf-2", "task").record("done")
         registry, reference = MetricsRegistry(), MetricsRegistry()
@@ -471,7 +473,7 @@ class TestExportOfWhatChanged:
         assert registry.snapshot() == reference.snapshot()
 
     def test_gauge_overwritten_by_a_merge_is_restored(self):
-        suite = EstimatorSuite()
+        suite = EstimatorSuite(EventBus())
         suite.activity("wf-1", "task").record("failed")
         registry, reference = MetricsRegistry(), MetricsRegistry()
         suite.export(registry)
@@ -488,7 +490,7 @@ class TestExportOfWhatChanged:
         assert registry.snapshot() == reference.snapshot()
 
     def test_failure_probability_bound_tracks_records_between_exports(self):
-        suite = EstimatorSuite()
+        suite = EstimatorSuite(EventBus())
         estimator = suite.activity("wf-1", "task")
         for n in range(1, 20):
             estimator.record("failed")
@@ -509,6 +511,6 @@ class TestPriorsFromGrid:
         grid.add_host(UNRELIABLE("h1", mttf=120.0, mean_downtime=6.0))
         priors = priors_from_grid(grid)
         assert priors["h1"] == (120.0, 6.0)
-        suite = EstimatorSuite(priors=priors)
+        suite = EstimatorSuite(EventBus(), priors=priors)
         assert suite.host("h1").prior_mttf == 120.0
         assert math.isinf(suite.host("h2").prior_mttf)  # uncatalogued

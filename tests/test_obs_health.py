@@ -13,6 +13,7 @@ import pytest
 from repro.detection.detector import AttemptOutcome, TaskState
 from repro.engine.engine import NodeLaunched, WorkflowFinished
 from repro.events import EventBus
+from repro.obs import health
 from repro.obs import (
     ALERT_FIRED,
     ALERT_RESOLVED,
@@ -23,6 +24,12 @@ from repro.obs import (
     TimeSeriesStore,
     default_rules,
 )
+
+
+def _health(bus: EventBus | None = None) -> HealthEngine:
+    """A health engine on *bus* (a fresh one by default) whose clock reads
+    0; the tests pass every evaluation's time."""
+    return HealthEngine(clock=lambda: 0.0, bus=bus if bus is not None else EventBus())
 
 
 class _Dial:
@@ -49,7 +56,7 @@ class TestHealthRuleValidation:
         assert rule.value is None
 
     def test_duplicate_rule_name_rejected(self):
-        engine = HealthEngine()
+        engine = _health()
         engine.add_rule(HealthRule("r", value=lambda: 0.0))
         with pytest.raises(ValueError):
             engine.add_rule(HealthRule("r", value=lambda: 1.0))
@@ -66,7 +73,7 @@ class TestThresholdRules:
 
         bus.add_tap(alert)
         dial = _Dial(0.0)
-        engine = HealthEngine(bus=bus)
+        engine = _health(bus)
         engine.add_rule(
             HealthRule("hot", value=dial.read, op=">", threshold=5.0)
         )
@@ -95,7 +102,7 @@ class TestThresholdRules:
 
     def test_for_seconds_requires_a_sustained_breach(self):
         dial = _Dial(9.0)
-        engine = HealthEngine()
+        engine = _health()
         engine.add_rule(
             HealthRule(
                 "hot", value=dial.read, op=">", threshold=5.0, for_seconds=10.0
@@ -109,7 +116,7 @@ class TestThresholdRules:
 
     def test_blip_shorter_than_for_seconds_never_fires(self):
         dial = _Dial(9.0)
-        engine = HealthEngine()
+        engine = _health()
         engine.add_rule(
             HealthRule(
                 "hot", value=dial.read, op=">", threshold=5.0, for_seconds=10.0
@@ -126,7 +133,7 @@ class TestThresholdRules:
 
     def test_resolve_after_suppresses_flapping(self):
         dial = _Dial(9.0)
-        engine = HealthEngine()
+        engine = _health()
         engine.add_rule(
             HealthRule(
                 "hot",
@@ -147,10 +154,8 @@ class TestThresholdRules:
         assert transition["transition"] == "resolved"
 
     def test_a_flapping_rule_cannot_grow_the_alert_history(self):
-        from repro.obs import health
-
         dial = _Dial()
-        engine = HealthEngine()
+        engine = _health()
         engine.add_rule(HealthRule("hot", value=dial.read, op=">", threshold=5.0))
         flaps = health._HISTORY  # two edges each: twice what the ring holds
         for i in range(flaps):
@@ -173,13 +178,13 @@ class TestThresholdRules:
         assert engine.snapshot()["rules"][0]["fired_count"] == flaps + 1
 
     def test_none_value_is_not_a_breach(self):
-        engine = HealthEngine()
+        engine = _health()
         engine.add_rule(HealthRule("r", value=lambda: None, op=">", threshold=0))
         assert engine.evaluate(0.0) == []
         assert engine.snapshot()["rules"][0]["state"] == "ok"
 
     def test_clock_supplies_the_default_evaluation_time(self):
-        engine = HealthEngine(clock=lambda: 42.0)
+        engine = HealthEngine(clock=lambda: 42.0, bus=EventBus())
         engine.add_rule(HealthRule("r", value=lambda: 1.0, op=">", threshold=0))
         (transition,) = engine.evaluate()
         assert transition["at"] == 42.0
@@ -188,7 +193,7 @@ class TestThresholdRules:
 class TestDriftRules:
     def test_a_drift_latches_for_the_life_of_the_plane(self):
         bus = EventBus()
-        engine = HealthEngine(bus=bus)
+        engine = _health(bus)
         engine.add_rule(HealthRule("catalog-drift", kind="drift"))
         assert engine.evaluate(0.0) == []
         # A drift on the bus is narration: the engine does not listen.
@@ -197,7 +202,8 @@ class TestDriftRules:
         assert bus.stats()["topics"] == bus.stats()["taps"] == 0
         # The estimators latch it by call once a host fails ten times as
         # often as its catalog promises.
-        suite = EstimatorSuite(priors={"h1": (100.0, 0.0)}, health=engine)
+        suite = EstimatorSuite(bus, priors={"h1": (100.0, 0.0)})
+        suite.health = engine
         at = 0.0
         while not suite.drift_events:
             at += 10.0
@@ -222,9 +228,10 @@ class TestDriftRules:
 
 class TestDefaultRules:
     def test_installs_the_cli_rule_set(self):
-        engine = HealthEngine()
+        bus = EventBus()
+        engine = _health(bus)
         store = TimeSeriesStore()
-        default_rules(engine, store=store, estimators=EstimatorSuite())
+        default_rules(engine, store=store, estimators=EstimatorSuite(bus))
         names = [rule.name for rule in engine.rules]
         assert names == [
             "catalog-drift",
@@ -239,10 +246,12 @@ class TestDefaultRules:
         # the family, not when somebody asks about it.
         assert store.names() == [] and store.snapshot() == {}
 
-    def test_attempt_failure_rule_reads_the_estimators(self):
-        engine = HealthEngine()
-        suite = EstimatorSuite()
-        default_rules(engine, estimators=suite, sustain=0.0)
+    def test_attempt_failure_rule_reads_the_estimators(self, monkeypatch):
+        monkeypatch.setattr(health, "SUSTAIN", 0.0)
+        bus = EventBus()
+        engine = _health(bus)
+        suite = EstimatorSuite(bus)
+        default_rules(engine, store=TimeSeriesStore(), estimators=suite)
         activity = suite.activity("wf-1", "task")
         for _ in range(50):
             activity.record("failed")
@@ -288,8 +297,8 @@ class TestTheAlertMeansWhatItSays:
 
         bus = EventBus()
         suite = EstimatorSuite(bus)
-        engine = HealthEngine(bus=bus)
-        default_rules(engine, estimators=suite)
+        engine = _health(bus)
+        default_rules(engine, store=TimeSeriesStore(), estimators=suite)
         tick = self.TICK
         for at, topic, payload in schedule:
             while tick <= at:

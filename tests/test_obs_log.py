@@ -79,9 +79,11 @@ from repro.obs import (
     prometheus_text,
     scrape_bus,
 )
+from repro.obs import estimators as obs_estimators
+from repro.obs import health as obs_health
 from repro.obs.log import Fold
 from tests.eager_models import EagerSpanFold, EagerTracker, fold_eagerly
-from tests.helpers import single_task_workflow
+from tests.helpers import single_task_workflow, whole_plane
 from tests.obs_plane import ObservedHost
 
 SEEDS = (20030623, 19990803)
@@ -234,16 +236,14 @@ class Rig:
         self.recorder = FlightRecorder(bus)
         self.tracker = WorkflowStatusTracker(bus)
         self.store = store = TimeSeriesStore(step=2.0, capacity=8)
-        # A threshold this low latches on a handful of quick failures.
         self.estimators = estimators = EstimatorSuite(
             bus,
             clock=clock,
             priors={host: (100.0, 1.0) for host in HOSTS},
-            ph_threshold=2.0,
             store=store,
         )
         self.health = health = HealthEngine(clock=clock, bus=bus)
-        default_rules(health, store=store, estimators=estimators, sustain=2.0)
+        default_rules(health, store=store, estimators=estimators)
         estimators.health = health
         self.collector = PeriodicCollector(
             store=store,
@@ -418,6 +418,15 @@ _ops = st.one_of(
 
 
 class TestCadenceIsNotObservable:
+    @pytest.fixture(autouse=True, scope="class")
+    def _quick_drift_and_alerts(self):
+        """A drift threshold this low latches on a handful of quick
+        failures, and rules that sustain two seconds fire in a short run."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(obs_estimators, "PH_THRESHOLD", 2.0)
+            patch.setattr(obs_health, "SUSTAIN", 2.0)
+            yield
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_ops, min_size=5, max_size=80))
     # A drift latched per event evaluates the health rules before any tick:
@@ -523,24 +532,16 @@ class TestOnlyThePublishingThreadFolds:
             grid.install(
                 "h1", "task", CrashingTask(duration=3.0, crash_at=1.0, crashes=1)
             )
-            bus = EventBus()
-            observer = RunObserver(bus, clock=grid.reactor.now)
-            tracker = WorkflowStatusTracker(bus)
-            store = TimeSeriesStore(step=0.5)
-            collector = PeriodicCollector(
-                store=store,
-                registry=observer.metrics,
-                reactor=grid.reactor,
-                interval=0.5,
-                scrapers=(lambda registry: scrape_bus(registry, bus),),
-                estimators=EstimatorSuite(bus, clock=grid.reactor.now),
+            host = EngineHost(grid, reactor=grid.reactor)
+            runtime = host.runtime
+            plane = whole_plane(
+                runtime.bus, grid, detector=runtime.detector, interval=0.5
             )
-            host = EngineHost(grid, reactor=grid.reactor, bus=bus)
             wf = single_task_workflow(policy=FailurePolicy.retrying(3))
             for i in range(instances):
                 grid.reactor.call_later(0.7 * i, lambda: host.submit(wf))
-            collector.start()
-            return grid, observer, tracker, collector, host
+            plane.start()
+            return grid, plane, host
 
         def drive(grid, collector, host, between_ticks=lambda: None):
             ticks, last = 0, None
@@ -553,12 +554,13 @@ class TestOnlyThePublishingThreadFolds:
                     last = ticks
             collector.stop()
 
-        grid, observer, tracker, collector, host = batch()
-        drive(grid, collector, host)
-        quiet = (observer.metrics.snapshot(), tracker.snapshot())
+        grid, plane, host = batch()
+        drive(grid, plane.collector, host)
+        quiet = (plane.observer.metrics.snapshot(), plane.tracker.snapshot())
 
-        grid, observer, tracker, collector, host = batch()
-        server = TelemetryServer(registry=observer.metrics, tracker=tracker)
+        grid, plane, host = batch()
+        collector = plane.collector
+        server = TelemetryServer(plane)
         port = server.start()
         failures: list[str] = []
         responses = [0]
@@ -626,7 +628,7 @@ class TestOnlyThePublishingThreadFolds:
                 assert not reader.is_alive()
             assert not failures, failures[:3]
             assert responses[0] >= collector.ticks
-            assert (observer.metrics.snapshot(), tracker.snapshot()) == quiet
+            assert (plane.observer.metrics.snapshot(), plane.tracker.snapshot()) == quiet
         finally:
             stop.set()
             sys.setswitchinterval(interval)

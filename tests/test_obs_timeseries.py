@@ -205,13 +205,24 @@ class TestPeriodicCollector:
         bound_series(registry, "gauge", "g").set(2.0)
         reactor = SimReactor()
         store = TimeSeriesStore(step=5.0)
+        log: list = []
         collector = PeriodicCollector(
-            store=store, registry=registry, reactor=reactor, interval=5.0
+            store=store,
+            registry=registry,
+            reactor=reactor,
+            interval=5.0,
+            estimators=_Recorder(log, "export"),
+            health=_Recorder(log, "health"),
         )
         collector.start()
         reactor.run_until_idle(timeout=16.0)
         collector.stop()
         assert collector.ticks == 3  # t=5, 10, 15
+        assert [entry for entry in log if entry[0] == "health"] == [
+            ("health", 5.0),
+            ("health", 10.0),
+            ("health", 15.0),
+        ]
         assert [p["t"] for p in store.get("g").points()] == [5.0, 10.0, 15.0]
         # Stopped: driving the reactor further adds nothing.
         reactor.run_until_idle(timeout=50.0)
@@ -224,4 +235,6 @@ class TestPeriodicCollector:
                 registry=MetricsRegistry(),
                 reactor=SimReactor(),
                 interval=0.0,
+                estimators=_Recorder([], "export"),
+                health=_Recorder([], "health"),
             )

@@ -49,6 +49,7 @@ from repro.cli import build_parser
 from repro.ckpt.manager import CheckpointManager
 from repro.core.policy import FailurePolicy
 from repro.detection import messages
+from repro.events import EventBus
 from repro.execution import SubmitRequest
 from repro.grid.gram import GramService
 from repro.grid.simkernel import SimReactor
@@ -57,9 +58,12 @@ from repro.obs import (
     FlightRecorder,
     HealthEngine,
     MetricSpec,
+    PeriodicCollector,
     RunObserver,
+    TelemetryServer,
     TimeSeriesStore,
     WorkflowStatusTracker,
+    default_rules,
     spans,
 )
 from repro.reactor import Reactor
@@ -280,6 +284,16 @@ GONE = {
     "_CHILDREN",
     "_fault_met_first",
     "_Composite",
+    # Every part of the telemetry plane is built whole on its bus and the
+    # server serves one plane: no unattached consumer, no knob only tests
+    # turned, and the fresh-world engine run is the tests' reference.
+    "_UNATTACHED",
+    "ph_delta",
+    "ph_threshold",
+    "failure_probability_threshold",
+    "heartbeat_loss_threshold",
+    "except_slot",
+    "run_engine_once",
 }
 
 #: Public names under ``src/repro`` that nothing but tests reaches, kept on
@@ -301,7 +315,6 @@ ONLY_TESTS = {
     "FailureScript": "scripted faults: the base of scripted workloads",
     "inject_partition": "scripted faults: a timed network partition",
     "young_checkpoint_count": "Young's interval as K, the analytical cross-check",
-    "run_engine_once": "the replay a failed engine run's message points to",
     "fork_join": "a workload family the WPDL round-trip tests sweep",
     "diamond_ladder": "a workload family the WPDL round-trip tests sweep",
     "WorkflowBuilder.subworkflow": "builder form of WPDL's <SubWorkflow>",
@@ -374,7 +387,8 @@ def test_the_deleted_surface_stays_deleted():
     # No consumer folds for itself, or keeps instances for itself
     # (``_running`` is still the collector's and a host's, so it is checked
     # where it lived).
-    for consumer in (RunObserver(), WorkflowStatusTracker(), EstimatorSuite()):
+    bus = EventBus()
+    for consumer in (RunObserver(bus), WorkflowStatusTracker(bus), EstimatorSuite(bus)):
         kept = {*vars(consumer), *dir(type(consumer))}
         assert not kept & {"_fold", "_runs", "_running", "_recorder"}, consumer
     # The journal's window is the log's, and the health engine never
@@ -382,6 +396,30 @@ def test_the_deleted_surface_stays_deleted():
     assert list(inspect.signature(FlightRecorder).parameters) == ["bus", "spill_path"]
     assert not hasattr(HealthEngine, "attach_bus")
     assert list(inspect.signature(HealthEngine).parameters) == ["clock", "bus"]
+    # The server serves one plane, and every part takes what it reads and
+    # feeds: the values only tests set are module constants (``alpha`` and
+    # ``sustain`` are common names: checked where they lived).
+    assert list(inspect.signature(TelemetryServer).parameters) == [
+        "plane",
+        "host",
+        "port",
+        "extra_health",
+    ]
+    assert list(inspect.signature(EstimatorSuite).parameters) == [
+        "bus",
+        "clock",
+        "priors",
+        "store",
+    ]
+    assert list(inspect.signature(default_rules).parameters) == [
+        "engine",
+        "store",
+        "estimators",
+    ]
+    collector = inspect.signature(PeriodicCollector).parameters
+    assert collector["estimators"].default is collector["health"].default is (
+        inspect.Parameter.empty
+    )
     assert not (SRC / "sim" / "exceptions_model.py").exists()
     assert not (SRC / "detection" / "log.py").exists()
     # Messages are passed as objects: no wire format, no discriminator.

@@ -28,7 +28,6 @@ from repro.sim import (
     SimulationParams,
     estimate_cells,
     evaluate_grid,
-    run_engine_once,
     sample_technique,
     seed_for,
     summarize,
@@ -38,6 +37,7 @@ from repro.sim import (
 from repro.sim.adaptive import CRNGenerator, UniformPool, pair_means
 from repro.sim.analytical import expected_time
 from repro.sim.samplers import EXTENDED_TECHNIQUES
+from tests.helpers import run_engine_once
 
 
 def _digest(samples: np.ndarray) -> str:

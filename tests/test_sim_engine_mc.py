@@ -10,10 +10,11 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.adaptive import estimate_cells
 from repro.sim.cache import SampleCache
-from repro.sim.engine_mc import build_technique_workflow, run_engine_once
+from repro.sim.engine_mc import build_technique_workflow
 from repro.sim.params import SimulationParams
 from repro.sim.samplers import EXTENDED_TECHNIQUES, sample_technique
 from repro.sim.stats import relative_error, summarize
+from tests.helpers import run_engine_once
 from repro.wpdl.parser import parse_wpdl
 from repro.wpdl.serializer import serialize_wpdl
 

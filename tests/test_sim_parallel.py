@@ -24,7 +24,7 @@ from repro.sim import (
     summarize,
 )
 from repro.sim import engine_mc
-from repro.sim.engine_mc import EngineSampler, run_engine_once
+from repro.sim.engine_mc import EngineSampler
 from repro.sim.params import SimulationParams
 from repro.sim.parallel import (
     DEFAULT_RUN_TIMEOUT,
@@ -34,6 +34,7 @@ from repro.sim.parallel import (
     shard_bounds,
 )
 from repro.sim.runner import sweep_mttf
+from tests.helpers import run_engine_once
 
 FAULTY = SimulationParams(mttf=15.0, downtime=30.0)
 

@@ -12,7 +12,7 @@ import urllib.request
 
 import pytest
 
-from tests.helpers import bound_series, single_task_workflow
+from tests.helpers import bound_series, single_task_workflow, whole_plane
 from repro.core import FailurePolicy
 from repro.engine import EngineHost, WorkflowEngine
 from repro.engine.engine import (
@@ -52,9 +52,11 @@ from repro.obs.log import expand
 from repro.obs.tracectx import UNTRACED
 
 
-def crashy_run(bus: EventBus, *, crashes: int = 2, tracer: Tracer | None = None):
-    """A single-task run that crashes *crashes* times then succeeds,
-    publishing on *bus*; returns the engine's result."""
+def crashy_engine(
+    bus: EventBus, *, crashes: int = 2, tracer: Tracer | None = None
+):
+    """A single-task engine whose task crashes *crashes* times then
+    succeeds, publishing on *bus*; returns its grid and the engine."""
     from repro.grid import GridConfig, SimulatedGrid
 
     grid = SimulatedGrid(config=GridConfig(heartbeats=False))
@@ -66,6 +68,12 @@ def crashy_run(bus: EventBus, *, crashes: int = 2, tracer: Tracer | None = None)
     engine = WorkflowEngine(
         wf, grid, reactor=grid.reactor, bus=bus, tracer=tracer
     )
+    return grid, engine
+
+
+def crashy_run(bus: EventBus, *, crashes: int = 2, tracer: Tracer | None = None):
+    """:func:`crashy_engine`'s run; returns the engine's result."""
+    _grid, engine = crashy_engine(bus, crashes=crashes, tracer=tracer)
     return engine.run(timeout=1e6)
 
 
@@ -385,16 +393,16 @@ def _get(url: str):
 
 class TestTelemetryServer:
     def test_endpoints_reflect_live_run(self):
-        bus = EventBus()
-        observer = RunObserver(bus)
-        tracker = WorkflowStatusTracker(bus)
-        server = TelemetryServer(registry=observer.metrics, tracker=tracker)
+        grid, engine = crashy_engine(EventBus(), tracer=Tracer())
+        runtime = engine.runtime
+        plane = whole_plane(runtime.bus, grid, detector=runtime.detector)
+        server = TelemetryServer(plane)
         port = server.start()
         try:
-            crashy_run(bus, tracer=Tracer())
+            engine.run(timeout=1e6)
             # The run is folded by the thread that made it (no collector
             # ticks here); the server's thread reads what that left.
-            observer.sync()
+            plane.stop()
             status, text = _get(f"http://127.0.0.1:{port}/metrics")
             assert status == 200
             assert "# TYPE task_attempts_total counter" in text
@@ -416,11 +424,9 @@ class TestTelemetryServer:
             server.stop()
 
     def test_head_matches_get_with_empty_body(self):
-        bus = EventBus()
-        tracker = WorkflowStatusTracker(bus)
-        registry = MetricsRegistry()
-        bound_series(registry, "counter", "c").inc()
-        server = TelemetryServer(registry=registry, tracker=tracker)
+        plane = whole_plane()
+        bound_series(plane.observer.metrics, "counter", "c").inc()
+        server = TelemetryServer(plane)
         port = server.start()
         try:
             for path in ("/metrics", "/healthz", "/health", "/alerts",
@@ -439,7 +445,7 @@ class TestTelemetryServer:
             server.stop()
 
     def test_write_methods_are_405_json_with_allow(self):
-        server = TelemetryServer(registry=MetricsRegistry())
+        server = TelemetryServer(whole_plane())
         port = server.start()
         try:
             for method in ("POST", "PUT", "DELETE"):
@@ -459,7 +465,7 @@ class TestTelemetryServer:
             server.stop()
 
     def test_unknown_route_is_json_404(self):
-        server = TelemetryServer(registry=MetricsRegistry())
+        server = TelemetryServer(whole_plane())
         port = server.start()
         try:
             with pytest.raises(urllib.error.HTTPError) as err:
@@ -471,12 +477,10 @@ class TestTelemetryServer:
             server.stop()
 
     def test_timeseries_routes(self):
-        from repro.obs import TimeSeriesStore
-
-        store = TimeSeriesStore(step=1.0)
-        store.observe("queue_depth", 0.0, 3.0, host="h1")
-        store.observe("queue_depth", 1.0, 5.0, host="h1")
-        server = TelemetryServer(store=store)
+        plane = whole_plane()
+        plane.store.observe("queue_depth", 0.0, 3.0, host="h1")
+        plane.store.observe("queue_depth", 1.0, 5.0, host="h1")
+        server = TelemetryServer(plane)
         port = server.start()
         try:
             _status, text = _get(f"http://127.0.0.1:{port}/timeseries")
@@ -502,8 +506,9 @@ class TestTelemetryServer:
         import threading
 
         bus = EventBus()
-        tracker = WorkflowStatusTracker(bus)
-        server = TelemetryServer(tracker=tracker)
+        plane = whole_plane(bus)
+        tracker = plane.tracker
+        server = TelemetryServer(plane)
         port = server.start()
         failures: list[str] = []
         stop = threading.Event()
@@ -548,7 +553,6 @@ class TestTelemetryServer:
         import time
 
         from repro.grid import GridConfig, SimulatedGrid
-        from repro.obs import EstimatorSuite, PeriodicCollector, TimeSeriesStore
 
         instances = 50
 
@@ -556,23 +560,16 @@ class TestTelemetryServer:
             grid = SimulatedGrid(config=GridConfig(heartbeats=False))
             grid.add_host(RELIABLE("h1"))
             grid.install("h1", "task", FixedDurationTask(3.0))
-            bus = EventBus()
-            observer = RunObserver(bus)
-            store = TimeSeriesStore(step=0.5)
-            collector = PeriodicCollector(
-                store=store,
-                registry=observer.metrics,
-                reactor=grid.reactor,
-                interval=0.5,
-                scrapers=(lambda registry: scrape_bus(registry, bus),),
-                estimators=EstimatorSuite(bus, clock=grid.reactor.now),
+            host = EngineHost(grid, reactor=grid.reactor)
+            runtime = host.runtime
+            plane = whole_plane(
+                runtime.bus, grid, detector=runtime.detector, interval=0.5
             )
-            host = EngineHost(grid, reactor=grid.reactor, bus=bus)
             wf = single_task_workflow()
             for i in range(instances):
                 grid.reactor.call_later(float(i), lambda: host.submit(wf))
-            collector.start()
-            return grid, store, collector, host
+            plane.start()
+            return grid, plane, host
 
         def drive(grid, collector, host, between_ticks=lambda: None):
             ticks, last = 0, None
@@ -586,11 +583,13 @@ class TestTelemetryServer:
                     last = ticks
             collector.stop()
 
-        grid, quiet_store, collector, host = batch()
-        drive(grid, collector, host)
+        grid, quiet, host = batch()
+        drive(grid, quiet.collector, host)
+        quiet_store = quiet.store
 
-        grid, store, collector, host = batch()
-        server = TelemetryServer(store=store)
+        grid, plane, host = batch()
+        store, collector = plane.store, plane.collector
+        server = TelemetryServer(plane)
         port = server.start()
         urls = [
             f"http://127.0.0.1:{port}/timeseries/{family}"

@@ -10,19 +10,8 @@ import json
 from repro.cli import main
 from repro.engine.engine import NodeLaunched
 from repro.events import EventBus
-from repro.obs import (
-    EstimatorSuite,
-    HealthEngine,
-    HealthRule,
-    MetricsRegistry,
-    TelemetryServer,
-    TimeSeriesStore,
-    TopClient,
-    WorkflowStatusTracker,
-    default_rules,
-    render_frame,
-    run_top,
-)
+from repro.obs import TelemetryServer, TopClient, render_frame, run_top
+from tests.helpers import whole_plane
 
 SAMPLE_FRAME = {
     "url": "http://127.0.0.1:9",
@@ -149,30 +138,13 @@ class TestRenderFrame:
         assert "… 5 more" in text
 
 
-def _plane(bus: EventBus):
-    """A small but fully-wired statistical plane for server tests."""
-    registry = MetricsRegistry()
-    store = TimeSeriesStore(step=1.0)
-    health = HealthEngine(bus=bus)
-    suite = EstimatorSuite(
-        bus, priors={"h1": (100.0, 0.0)}, store=store, health=health
-    )
-    default_rules(health, store=store, estimators=suite)
-    tracker = WorkflowStatusTracker(bus)
-    return registry, store, health, suite, tracker
-
-
 class TestTopClientLive:
     def test_frame_against_a_live_server_with_rates(self):
         bus = EventBus()
-        registry, store, health, suite, tracker = _plane(bus)
+        plane = whole_plane(bus)
         publishes = [0.0]
         server = TelemetryServer(
-            registry=registry,
-            tracker=tracker,
-            store=store,
-            health=health,
-            estimators=suite,
+            plane,
             extra_health=lambda: {
                 "sim_now": 10.0,
                 "bus_publishes": publishes[0],
@@ -183,7 +155,7 @@ class TestTopClientLive:
             bus.publish("engine.node_launched", NodeLaunched("w", "wf-1", "task", 0.0))
             # No collector ticks here: fold on the publishing thread, the
             # server's thread only reads what a fold left.
-            tracker.sync()
+            plane.tracker.sync()
             client = TopClient(f"http://127.0.0.1:{port}")
             frame = client.frame()
             assert frame["rates"] == {}  # first poll has no baseline
@@ -203,15 +175,7 @@ class TestTopClientLive:
             server.stop()
 
     def test_run_top_frames_bound_and_json_mode(self):
-        bus = EventBus()
-        registry, store, health, suite, tracker = _plane(bus)
-        server = TelemetryServer(
-            registry=registry,
-            tracker=tracker,
-            store=store,
-            health=health,
-            estimators=suite,
-        )
+        server = TelemetryServer(whole_plane())
         port = server.start()
         try:
             out = io.StringIO()
@@ -253,15 +217,7 @@ class TestTopClientLive:
 
 class TestTopCli:
     def test_once_json_via_main(self, capsys):
-        bus = EventBus()
-        registry, store, health, suite, tracker = _plane(bus)
-        server = TelemetryServer(
-            registry=registry,
-            tracker=tracker,
-            store=store,
-            health=health,
-            estimators=suite,
-        )
+        server = TelemetryServer(whole_plane())
         port = server.start()
         try:
             # Bare host:port — the CLI prepends the scheme.
