@@ -193,7 +193,7 @@ _tuple_new = tuple.__new__
 
 @dataclass
 class EngineRuntime:
-    """Shared infrastructure for an engine and its loop children."""
+    """What every engine on it shares; only :func:`_build_runtime` builds one."""
 
     reactor: Reactor
     bus: EventBus
@@ -213,8 +213,37 @@ class EngineRuntime:
     launch_plans: WeakKeyDictionary = field(default_factory=WeakKeyDictionary)
 
 
+def _build_runtime(
+    service: ExecutionService,
+    reactor: Reactor,
+    bus: EventBus | None,
+    broker: Broker | None,
+    detector: FailureDetector | None,
+    heartbeat_timeout: float | None,
+    tracer: Tracer | None,
+    *,
+    batch_heartbeats: bool = False,
+) -> EngineRuntime:
+    """The one builder of a runtime, a :class:`WorkflowEngine`'s and an
+    :class:`~repro.engine.host.EngineHost`'s alike: a bus, detector or
+    broker not given is made (the detector with *heartbeat_timeout* and
+    *batch_heartbeats*), and *service* delivers to the detector."""
+    bus = bus if bus is not None else EventBus()
+    if detector is None:
+        detector = FailureDetector(
+            reactor,
+            bus,
+            heartbeat_timeout=heartbeat_timeout,
+            batch_heartbeats=batch_heartbeats,
+        )
+    service.connect(detector.deliver)
+    broker = broker if broker is not None else Broker()
+    return EngineRuntime(reactor, bus, service, detector, broker, tracer=tracer)
+
+
 class WorkflowEngine:
-    """Navigates one workflow instance to completion."""
+    """Navigates one workflow instance to completion, on a runtime it builds
+    (a host's instances and a loop's iterations share one: :meth:`_on_runtime`)."""
 
     def __init__(
         self,
@@ -228,49 +257,58 @@ class WorkflowEngine:
         heartbeat_timeout: float | None = None,
         checkpointer: EngineCheckpointer | None = None,
         instance: WorkflowInstance | None = None,
-        runtime: EngineRuntime | None = None,
-        on_finished: Callable[[WorkflowResult], None] | None = None,
         validate_spec: bool = True,
         workflow_id: str = "",
         tracer: Tracer | None = None,
     ) -> None:
         if validate_spec and instance is None:
             validate(workflow)
+        runtime = _build_runtime(
+            service, reactor, bus, broker, detector, heartbeat_timeout, tracer
+        )
+        self._join(runtime, workflow, workflow_id, None, checkpointer)
+        self._begin(instance)
+
+    @classmethod
+    def _on_runtime(
+        cls,
+        runtime: EngineRuntime,
+        workflow: Workflow,
+        workflow_id: str,
+        on_finished: Callable[[WorkflowResult], None],
+        validate_spec: bool = False,
+    ) -> "WorkflowEngine":
+        """An engine on *runtime*, which its builder owns, that hands its
+        result to *on_finished*: the one path by which a host's instances
+        and a loop's iterations get their engines."""
+        if validate_spec:
+            validate(workflow)
+        engine = cls.__new__(cls)
+        engine._join(runtime, workflow, workflow_id, on_finished, None)
+        engine._begin(None)
+        return engine
+
+    def _join(
+        self,
+        runtime: EngineRuntime,
+        workflow: Workflow,
+        workflow_id: str,
+        on_finished: Callable[[WorkflowResult], None] | None,
+        checkpointer: EngineCheckpointer | None,
+    ) -> None:
+        """What an engine holds for its life: its specification, runtime,
+        coordinator, checkpointer and the callback told its result."""
         self.workflow = workflow
         self.workflow_id = workflow_id
-        if runtime is not None:
-            self.runtime = runtime
-        else:
-            bus = bus if bus is not None else EventBus()
-            detector = (
-                detector
-                if detector is not None
-                else FailureDetector(reactor, bus, heartbeat_timeout=heartbeat_timeout)
-            )
-            service.connect(detector.deliver)
-            self.runtime = EngineRuntime(
-                reactor=reactor,
-                bus=bus,
-                service=service,
-                detector=detector,
-                broker=broker if broker is not None else Broker(),
-                tracer=tracer,
-            )
+        self.runtime = runtime
         self.checkpointer = checkpointer
         self._on_finished = on_finished
         self.coordinator = RecoveryCoordinator(
-            self.runtime.service,
-            self.runtime.detector,
-            self.runtime.broker,
-            self.runtime.reactor,
+            runtime,
+            runtime.launch_plans.setdefault(workflow.compiled, {}),
             on_resolution=self._on_resolution,
-            checkpoints=self.runtime.checkpoints,
-            bus=self.runtime.bus,
             workflow_id=workflow_id,
-            tracer=self.runtime.tracer,
-            plans=self.runtime.launch_plans.setdefault(workflow.compiled, {}),
         )
-        self._begin(instance)
 
     def _begin(self, instance: WorkflowInstance | None) -> None:
         """Set up a run on *instance* (resumed from a checkpoint) or, for
@@ -517,8 +555,6 @@ class WorkflowEngine:
 
     def _on_resolution(self, resolution: TaskResolution) -> None:
         name = resolution.activity
-        if name not in self.instance.nodes:
-            return  # a loop child's activity resolved through its own engine
         self._complete_node(
             name,
             _NODE_STATUS[resolution.state],
@@ -610,20 +646,6 @@ class WorkflowEngine:
         elif len(outputs) == 1:
             variables[outputs[0]] = result
 
-    # -- loop completion (called by _LoopRunner) ------------------------------------------------
-
-    def _complete_loop(
-        self, name: str, status: NodeStatus, iterations: int
-    ) -> None:
-        self._loop_runners.pop(name, None)
-        self._complete_node(
-            name,
-            status,
-            result=iterations,
-            tries=iterations,
-            iterations=iterations,
-        )
-
     # -- persistence -----------------------------------------------------------------------------
 
     def _checkpoint(self) -> None:
@@ -632,7 +654,6 @@ class WorkflowEngine:
         snapshots = {
             name: self.coordinator.snapshot_activity(name)
             for name in self.coordinator.running_activities()
-            if name in self.instance.nodes
         }
         self.checkpointer.save(
             self.instance,
@@ -712,20 +733,12 @@ class _LoopRunner:
         if self._cancelled:
             return
         if self.iterations >= self.loop.max_iterations:
-            self.parent._complete_loop(
-                self.loop.name, NodeStatus.FAILED, self.iterations
-            )
+            self._end(NodeStatus.FAILED)
             return
         self.iterations += 1
         body = self._body_with_variables()
-        self._child = WorkflowEngine(
-            body,
-            self.parent.runtime.service,
-            reactor=self.parent.runtime.reactor,
-            runtime=self.parent.runtime,
-            on_finished=self._body_finished,
-            validate_spec=False,
-            workflow_id=self.parent.workflow_id,
+        self._child = WorkflowEngine._on_runtime(
+            self.parent.runtime, body, self.parent.workflow_id, self._body_finished
         )
         self._child.start()
 
@@ -741,9 +754,7 @@ class _LoopRunner:
         if self._cancelled:
             return
         if not result.succeeded:
-            self.parent._complete_loop(
-                self.loop.name, NodeStatus.FAILED, self.iterations
-            )
+            self._end(NodeStatus.FAILED)
             return
         # Merge body outputs into the parent variables (visible to the loop
         # condition and to downstream nodes).
@@ -755,13 +766,18 @@ class _LoopRunner:
         try:
             again = evaluate_condition(self.loop.condition, condition_scope)
         except SpecificationError:
-            self.parent._complete_loop(
-                self.loop.name, NodeStatus.FAILED, self.iterations
-            )
+            self._end(NodeStatus.FAILED)
             return
         if again:
             self.parent.runtime.reactor.call_soon(self._iterate)
         else:
-            self.parent._complete_loop(
-                self.loop.name, NodeStatus.DONE, self.iterations
-            )
+            self._end(NodeStatus.DONE)
+
+    def _end(self, status: NodeStatus) -> None:
+        """Resolve the loop's node in the parent: its result and its tries
+        are the iterations it ran."""
+        parent, name, iterations = self.parent, self.loop.name, self.iterations
+        parent._loop_runners.pop(name, None)
+        parent._complete_node(
+            name, status, result=iterations, tries=iterations, iterations=iterations
+        )

@@ -46,7 +46,7 @@ from ..obs.tracectx import Tracer
 from ..reactor import Reactor
 from ..wpdl.model import Workflow
 from .broker import Broker
-from .engine import EngineRuntime, WorkflowEngine, WorkflowResult
+from .engine import WorkflowEngine, WorkflowResult, _build_runtime
 
 __all__ = ["EngineHost", "ENGINE_WORKFLOW_ADMITTED", "WorkflowAdmitted", "PAYLOADS"]
 
@@ -73,12 +73,12 @@ _tuple_new = tuple.__new__
 class EngineHost:
     """Runs N concurrent workflow instances on one shared runtime.
 
-    Parameters mirror :class:`~repro.engine.engine.WorkflowEngine`'s
-    runtime-building path; the host builds the shared runtime once and
-    every submitted instance rides on it.  A detector the host builds
-    batches heartbeats: with N instances the heartbeat fan-in is the
-    dominant liveness cost, and batching coalesces it to one monitor pass
-    per reactor turn.  Pass ``detector=`` to choose otherwise.
+    Parameters are :class:`~repro.engine.engine.WorkflowEngine`'s runtime
+    keywords: the host builds the shared runtime once, with the engine's
+    own builder, and every submitted instance rides on it.  A detector the
+    host builds batches heartbeats: with N instances the heartbeat fan-in
+    is the dominant liveness cost, and batching coalesces it to one monitor
+    pass per reactor turn.  Pass ``detector=`` to choose otherwise.
     """
 
     def __init__(
@@ -92,22 +92,15 @@ class EngineHost:
         heartbeat_timeout: float | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        bus = bus if bus is not None else EventBus()
-        if detector is None:
-            detector = FailureDetector(
-                reactor,
-                bus,
-                heartbeat_timeout=heartbeat_timeout,
-                batch_heartbeats=True,
-            )
-        service.connect(detector.deliver)
-        self.runtime = EngineRuntime(
-            reactor=reactor,
-            bus=bus,
-            service=service,
-            detector=detector,
-            broker=broker if broker is not None else Broker(),
-            tracer=tracer,
+        self.runtime = _build_runtime(
+            service,
+            reactor,
+            bus,
+            broker,
+            detector,
+            heartbeat_timeout,
+            tracer,
+            batch_heartbeats=True,
         )
         #: The instance-id space: only :meth:`submit` draws from it, and no
         #: engine reset rewinds it.
@@ -137,16 +130,12 @@ class EngineHost:
             raise EngineError("workflow_id must be non-empty")
         if wfid in self._engines:
             raise EngineError(f"workflow_id {wfid!r} already submitted")
-        engine = WorkflowEngine(
+        engine = WorkflowEngine._on_runtime(
+            self.runtime,
             workflow,
-            self.runtime.service,
-            reactor=self.runtime.reactor,
-            runtime=self.runtime,
-            workflow_id=wfid,
-            on_finished=lambda result, _wfid=wfid: self._on_finished(
-                _wfid, result
-            ),
-            validate_spec=validate_spec,
+            wfid,
+            lambda result, _wfid=wfid: self._on_finished(_wfid, result),
+            validate_spec,
         )
         self._engines[wfid] = engine
         self._order.append(wfid)

@@ -41,21 +41,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
-from ..ckpt.manager import CheckpointManager
 from ..core.exceptions import UserException
 from ..core.policy import FailurePolicy
 from ..core.states import TaskState
-from ..detection.detector import AttemptOutcome, FailureDetector
+from ..detection.detector import AttemptOutcome
 from ..errors import CheckpointError, RecoveryError
-from ..events import EventBus
-from ..execution import ExecutionService, SubmitRequest
-from ..obs.tracectx import UNTRACED, TraceContext, Tracer
-from ..reactor import Reactor, TimerHandle
+from ..execution import SubmitRequest
+from ..obs.tracectx import UNTRACED, TraceContext
+from ..reactor import TimerHandle
 from ..wpdl.model import Activity, Program
-from .broker import Broker, ResolvedOption, is_wildcard
+from .broker import ResolvedOption, is_wildcard
 from .strategies import resolve_strategy
+
+if TYPE_CHECKING:
+    from .engine import EngineRuntime
 
 __all__ = [
     "TaskResolution",
@@ -75,13 +76,13 @@ __all__ = [
     "PAYLOADS",
 ]
 
-#: Bus topics narrating recovery decisions.  Only published when the
-#: coordinator is constructed with a bus, and only minted when that bus has
-#: someone to deliver them to.  Each carries its own ``NamedTuple``
-#: (declared below, listed in :data:`PAYLOADS`), minted like the engine's:
-#: the decision's fields, then the decision's trace ids (``None`` untraced),
-#: the clock and the instance (``None`` for an unscoped coordinator) —
-#: which is also the order of their journal entries' keys.
+#: Bus topics narrating recovery decisions, on the runtime's bus: minted
+#: only when that bus has someone to deliver them to.  Each carries its own
+#: ``NamedTuple`` (declared below, listed in :data:`PAYLOADS`), minted like
+#: the engine's: the decision's fields, then the decision's trace ids
+#: (``None`` untraced), the clock and the instance (``None`` for an
+#: unscoped coordinator) — which is also the order of their journal
+#: entries' keys.
 RECOVERY_RETRY = "recovery.retry"
 RECOVERY_EXHAUSTED = "recovery.exhausted"
 RECOVERY_CHECKPOINT_RESTART = "recovery.checkpoint_restart"
@@ -291,31 +292,28 @@ class RecoveryCoordinator:
     each literal resource option's target and request — is derived once
     and kept in a :class:`LaunchPlan`.  *plans* is the table to keep them
     in — the engine passes the one its runtime holds for the
-    specification, so every instance on the runtime shares it; a
-    coordinator built without one keeps its own.
+    specification, so every instance on the runtime shares it.  Service,
+    detector, broker, reactor, checkpoints, bus and tracer are read off
+    *runtime*, the :class:`~repro.engine.engine.EngineRuntime` the engine
+    runs on; each is kept as the object it is, so a wrapper set on one of
+    its methods is what runs.
     """
 
     def __init__(
         self,
-        service: ExecutionService,
-        detector: FailureDetector,
-        broker: Broker,
-        reactor: Reactor,
+        runtime: EngineRuntime,
+        plans: dict[tuple, LaunchPlan],
         *,
         on_resolution: Callable[[TaskResolution], None],
-        checkpoints: CheckpointManager | None = None,
-        bus: EventBus | None = None,
         workflow_id: str = "",
-        tracer: Tracer | None = None,
-        plans: dict[tuple, LaunchPlan] | None = None,
     ) -> None:
-        self._service = service
-        self._detector = detector
-        self._broker = broker
-        self._reactor = reactor
-        self._bus = bus
+        self._service = runtime.service
+        self._detector = runtime.detector
+        self._broker = runtime.broker
+        self._reactor = runtime.reactor
+        self._bus = runtime.bus
         self._on_resolution = on_resolution
-        self.checkpoints = checkpoints or CheckpointManager()
+        self.checkpoints = runtime.checkpoints
         #: Owning workflow instance in a multiplexed host ("" otherwise).
         #: Scopes checkpoint-flag keys, submissions and detector tracking,
         #: so instances sharing a runtime (and its CheckpointManager /
@@ -324,8 +322,8 @@ class RecoveryCoordinator:
         self._flag_scope = f"{workflow_id}::" if workflow_id else ""
         #: Causal-context allocator (``None`` keeps every trace site to a
         #: single ``is None`` check — the uninstrumented hot path).
-        self._tracer = tracer
-        self._plans = plans if plans is not None else {}
+        self._tracer = runtime.tracer
+        self._plans = plans
         self._runs: dict[str, ActivityRun] = {}
         self._job_index: dict[str, tuple[str, int]] = {}  # job_id -> (activity, slot)
 
@@ -344,14 +342,11 @@ class RecoveryCoordinator:
         ``restored_state`` is the recovery snapshot saved in the engine
         checkpoint; preserved try counts keep retry budgets honest across
         engine restarts.  *trace* is the causal root for the activity's
-        attempt tree (the engine passes its node-launch context); when
-        tracing is on but no context is given, the coordinator opens its
-        own root.
+        attempt tree (the engine passes its node-launch context, ``None``
+        when the runtime has no tracer).
         """
         if activity.name in self._runs:
             raise RecoveryError(f"activity {activity.name!r} is already running")
-        if trace is None and self._tracer is not None:
-            trace = self._tracer.root(self.workflow_id or activity.name)
         plan = self._plan(activity, program)
         flag_prefix = f"{self._flag_scope}{activity.name}@slot"
         run = ActivityRun(
@@ -379,7 +374,7 @@ class RecoveryCoordinator:
             self._submit(run, slot, target)
         if not launches:
             # Restored an activity whose budget was already spent.
-            self._resolve_failed(run)
+            self._resolve(run, TaskState.FAILED)
 
     def _plan(self, activity: Activity, program: Program) -> LaunchPlan:
         """The launch plan of *activity*'s (program, policy) pair, made on
@@ -497,14 +492,33 @@ class RecoveryCoordinator:
             )
 
         if outcome.state is TaskState.DONE:
-            self._resolve_done(run, outcome)
+            if len(run.slots) > 1:
+                win_ctx = None
+                if self._tracer is not None and outcome.span_id:
+                    # Parent is the winning attempt, reconstructed from the
+                    # outcome's stamped ids.
+                    win_ctx = self._tracer.child(
+                        TraceContext(
+                            trace_id=outcome.trace_id, span_id=outcome.span_id
+                        )
+                    )
+                # Narrated before the losing replicas are cancelled.
+                if self._bus.wants(RECOVERY_REPLICATION_WIN):
+                    self._publish(
+                        RECOVERY_REPLICATION_WIN,
+                        win_ctx,
+                        run.activity.name,
+                        outcome.hostname,
+                        len(run.slots),
+                    )
+            self._resolve(run, TaskState.DONE, result=outcome.result)
         elif outcome.state is TaskState.EXCEPTION:
             if run.activity.policy.retry_on_exception:
                 # Deliberately mask the task-specific failure like a generic
                 # crash (the configuration Figure 13 shows to be costly).
                 self._handle_crash(run, slot, exception=outcome.exception)
             else:
-                self._resolve_exception(run, outcome)
+                self._resolve(run, TaskState.EXCEPTION, exception=outcome.exception)
         elif outcome.state is TaskState.FAILED:
             self._handle_crash(run, slot)
         else:  # pragma: no cover - defensive
@@ -526,12 +540,8 @@ class RecoveryCoordinator:
         for run in self._runs.values():
             run.resolved = True
             for slot in run.slots:
-                if slot.retry_timer is not None:
-                    slot.retry_timer.cancel()
-                    slot.retry_timer = None
-                if slot.timeout_timer is not None:
-                    slot.timeout_timer.cancel()
-                    slot.timeout_timer = None
+                slot.active_job = None  # so _cancel_slots cancels timers only
+            self._cancel_slots(run)
         self._runs.clear()
         self._job_index.clear()
         # The CheckpointManager is shared with sibling instances: only this
@@ -551,18 +561,13 @@ class RecoveryCoordinator:
 
     # -- internals ---------------------------------------------------------------------------
 
-    def _wants(self, topic: str) -> bool:
-        """Whether narration on *topic* has an audience
-        (:meth:`~repro.events.EventBus.wants`).  Every publish site mints
-        its payload inside this guard and its trace context outside it, so
-        span ids do not depend on who is listening."""
-        return self._bus is not None and self._bus.wants(topic)
-
     def _publish(self, topic: str, ctx: TraceContext | None, *fields: Any) -> None:
         """Mint *topic*'s payload — *fields*, then *ctx*'s ids, the clock and
         the instance — with one ``tuple.__new__`` and publish it; call only
-        after :meth:`_wants`."""
-        self._bus.publish(  # type: ignore[union-attr]
+        when ``self._bus.wants(topic)``.  Every publish site mints its
+        payload inside that guard and its trace context outside it, so span
+        ids do not depend on who is listening."""
+        self._bus.publish(
             topic,
             _tuple_new(
                 PAYLOADS[topic],
@@ -594,7 +599,7 @@ class RecoveryCoordinator:
             if self._tracer is not None and parent is not None:
                 restart_ctx = self._tracer.child(parent)
                 parent = restart_ctx
-            if self._wants(RECOVERY_CHECKPOINT_RESTART):
+            if self._bus.wants(RECOVERY_CHECKPOINT_RESTART):
                 self._publish(
                     RECOVERY_CHECKPOINT_RESTART,
                     restart_ctx,
@@ -671,7 +676,7 @@ class RecoveryCoordinator:
                 # attempt will descend from the decision.
                 decision_ctx = self._tracer.child(slot.attempt_trace)
                 slot.next_parent = decision_ctx
-            if self._wants(RECOVERY_RETRY):
+            if self._bus.wants(RECOVERY_RETRY):
                 self._publish(
                     RECOVERY_RETRY,
                     decision_ctx,
@@ -693,7 +698,7 @@ class RecoveryCoordinator:
         exhausted_ctx = None
         if self._tracer is not None and slot.attempt_trace is not None:
             exhausted_ctx = self._tracer.child(slot.attempt_trace)
-        if self._wants(RECOVERY_EXHAUSTED):
+        if self._bus.wants(RECOVERY_EXHAUSTED):
             self._publish(
                 RECOVERY_EXHAUSTED,
                 exhausted_ctx,
@@ -703,26 +708,10 @@ class RecoveryCoordinator:
                 slot.last_host,
             )
         if all(s.exhausted for s in run.slots):
-            if exception is not None:
-                # A masked-but-unmaskable exception: report it as what it
-                # was, so workflow-level exception edges can still catch it.
-                run.resolved = True
-                self._cancel_slots(run)
-                self._finish(
-                    run,
-                    _tuple_new(
-                        TaskResolution,
-                        (
-                            run.activity.name,
-                            TaskState.EXCEPTION,
-                            None,
-                            exception,
-                            run.total_tries,
-                        ),
-                    ),
-                )
-            else:
-                self._resolve_failed(run)
+            # A masked-but-unmaskable exception is reported as what it was,
+            # so workflow-level exception edges can still catch it.
+            state = TaskState.FAILED if exception is None else TaskState.EXCEPTION
+            self._resolve(run, state, exception=exception)
 
     def _retry_fire(self, run: ActivityRun, slot: _Slot) -> None:
         if run.resolved or slot.exhausted:
@@ -758,91 +747,34 @@ class RecoveryCoordinator:
                 self._job_index.pop(slot.active_job, None)
                 slot.active_job = None
 
-    def _resolve_done(self, run: ActivityRun, outcome: AttemptOutcome) -> None:
-        run.resolved = True
-        if len(run.slots) > 1:
-            win_ctx = None
-            if self._tracer is not None and outcome.span_id:
-                # Parent is the winning attempt, reconstructed from the
-                # outcome's stamped ids.
-                win_ctx = self._tracer.child(
-                    TraceContext(
-                        trace_id=outcome.trace_id, span_id=outcome.span_id
-                    )
-                )
-            if self._wants(RECOVERY_REPLICATION_WIN):
-                self._publish(
-                    RECOVERY_REPLICATION_WIN,
-                    win_ctx,
-                    run.activity.name,
-                    outcome.hostname,
-                    len(run.slots),
-                )
-        self._cancel_slots(run)
-        for slot in run.slots:
-            self.checkpoints.clear(slot.flag_key)
-        self._finish(
-            run,
-            _tuple_new(
-                TaskResolution,
-                (
-                    run.activity.name,
-                    TaskState.DONE,
-                    outcome.result,
-                    None,
-                    run.total_tries,
-                ),
-            ),
-        )
-
-    def _resolve_exception(self, run: ActivityRun, outcome: AttemptOutcome) -> None:
+    def _resolve(
+        self,
+        run: ActivityRun,
+        state: TaskState,
+        result: Any = None,
+        exception: UserException | None = None,
+    ) -> None:
+        """End *run* as *state*: the one place an activity resolves.  Its
+        other attempts are cancelled, a success drops the slots' checkpoint
+        flags, and the :class:`TaskResolution` goes to the engine."""
         run.resolved = True
         self._cancel_slots(run)
-        self._finish(
-            run,
-            _tuple_new(
-                TaskResolution,
-                (
-                    run.activity.name,
-                    TaskState.EXCEPTION,
-                    None,
-                    outcome.exception,
-                    run.total_tries,
-                ),
-            ),
-        )
-
-    def _resolve_failed(self, run: ActivityRun) -> None:
-        run.resolved = True
-        self._cancel_slots(run)
-        self._finish(
-            run,
-            _tuple_new(
-                TaskResolution,
-                (run.activity.name, TaskState.FAILED, None, None, run.total_tries),
-            ),
-        )
-
-    def _finish(self, run: ActivityRun, resolution: TaskResolution) -> None:
-        self._runs.pop(run.activity.name, None)
+        if state is TaskState.DONE:
+            for slot in run.slots:
+                self.checkpoints.clear(slot.flag_key)
+        name = run.activity.name
+        self._runs.pop(name, None)
+        tries = run.total_tries
         resolved_ctx = None
         if self._tracer is not None and run.trace is not None:
             resolved_ctx = self._tracer.child(run.trace)
-        if self._wants(RECOVERY_RESOLVED):
-            self._publish(
-                RECOVERY_RESOLVED,
-                resolved_ctx,
-                resolution.activity,
-                resolution.state.value,
-                resolution.tries_used,
-            )
-        self._on_resolution(resolution)
+        if self._bus.wants(RECOVERY_RESOLVED):
+            self._publish(RECOVERY_RESOLVED, resolved_ctx, name, state.value, tries)
+        self._on_resolution(
+            _tuple_new(TaskResolution, (name, state, result, exception, tries))
+        )
 
     # -- queries ----------------------------------------------------------------------------
 
     def running_activities(self) -> list[str]:
         return sorted(self._runs)
-
-    def tries_used(self, name: str) -> int:
-        run = self._runs.get(name)
-        return run.total_tries if run else 0

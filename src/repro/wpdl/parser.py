@@ -96,12 +96,11 @@ def _file_text(path: str | Path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _read(text: str) -> tuple[Workflow, list[str], set[str]]:
+def _read(text: str) -> tuple[Workflow, list[str], set[tuple[str, str, str]]]:
     """The workflow *text* declares, unvalidated, its grammar problems and
-    the names of the programs it declares that the grammar refused (a
-    ``<Program>`` without ``<Option>``), from one reading.  A fault is
-    raised (an XML fault anywhere first), unless grammar problems were met
-    before it: then the error lists every one."""
+    what the grammar refused of it (``_Reader.unread``), from one reading.
+    A fault is raised (an XML fault anywhere first), unless grammar
+    problems were met before it: then the error lists every one."""
     reader = _Reader()
     try:
         _run(reader.parser, text)
@@ -141,9 +140,9 @@ class _Reader(_Walk):
         self.composites: list[tuple[str, str, _Attrs]] = []
         #: The last ``<Workflow>`` or ``<Body>`` read.
         self.workflow: Workflow | None = None
-        #: The programs declared without an ``<Option>``, which the walk
-        #: listed and the model cannot hold.
-        self.unread: set[str] = set()
+        #: What the walk listed and the model cannot hold (a ``<Program>`` without
+        #: ``<Option>``, a composite without ``<Body>``): (kind, frame name, name).
+        self.unread: set[tuple[str, str, str]] = set()
 
     def _frame(self, tag: str, attrs: _Attrs) -> None:
         default = f"{self.composites[-1][1]}_body" if tag == "Body" else ""
@@ -266,7 +265,7 @@ class _Reader(_Walk):
 
     def _end_program(self, _tag: str) -> None:
         if not self.options:  # the walk listed it: <Program> requires <Option>
-            self.unread.add(self.program)
+            self.unread.add(("program", self.frame.name, self.program))
             return
         program = Program(name=self.program, options=self.options)
         if program.name in self.frame.programs:
@@ -293,6 +292,7 @@ class _Reader(_Walk):
         label, name, attrs = self.composites.pop()
         body = self.workflow
         if body is None:  # the walk listed it: <Loop> requires <Body>
+            self.unread.add(("node", self.frame.name, name))
             return
         join = _choice(attrs, "join", "and", f"{label}: ")
         try:

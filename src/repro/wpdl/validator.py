@@ -58,17 +58,26 @@ def validate(workflow: Workflow) -> Workflow:
 
 
 def validation_problems(
-    workflow: Workflow, *, unread: Collection[str] = (), _path: str = ""
+    workflow: Workflow,
+    *,
+    unread: Collection[tuple[str, str, str]] = (),
+    _path: str = "",
 ) -> list[str]:
-    """All problems with *workflow* (empty list when valid).  *unread* names
-    programs the document declares that its grammar problems already list
-    (:func:`repro.wpdl.parser.parse_wpdl` refuses such a document): an
-    activity implementing one is not listed again for it."""
+    """All problems with *workflow* (empty list when valid).  *unread* holds
+    what the document declares that its grammar problems already list
+    (:func:`repro.wpdl.parser.parse_wpdl` refuses such a document), as
+    ``(kind, workflow, name)``: a ``"program"`` or a ``"node"`` (the two are
+    named apart) *name* declared in the workflow or body named *workflow*.
+    An activity there implementing such a program, or a transition or an
+    input there naming such a node, is not listed again for it."""
     prefix = f"{_path}{workflow.name}"
     problems: list[str] = []
+    here = ("node", workflow.name)
+    refused = {name for kind, where, name in unread if (kind, where) == here}
 
     if not workflow.nodes:
-        problems.append(f"{prefix}: workflow has no nodes")
+        if not refused:
+            problems.append(f"{prefix}: workflow has no nodes")
         return problems
 
     nodes = workflow.nodes
@@ -81,15 +90,17 @@ def validation_problems(
     for edge in workflow.transitions:
         source, target, condition = edge
         if source not in nodes:
-            problems.append(
-                f"{prefix}: transition references unknown source {source!r}"
-            )
             broken = True
+            if source not in refused:
+                problems.append(
+                    f"{prefix}: transition references unknown source {source!r}"
+                )
         if target not in nodes:
-            problems.append(
-                f"{prefix}: transition references unknown target {target!r}"
-            )
             broken = True
+            if target not in refused:
+                problems.append(
+                    f"{prefix}: transition references unknown target {target!r}"
+                )
         if edge in seen_edges:
             problems.append(
                 f"{prefix}: duplicate transition {source!r} -> {target!r} "
@@ -104,7 +115,7 @@ def validation_problems(
 
     # -- nodes ------------------------------------------------------------------
     declared_outputs: set[str] = set(workflow.variables)
-    declared_outputs.update(nodes)
+    declared_outputs.update(nodes, refused)
     with_inputs: list[Activity] = []
     for node in nodes.values():
         if isinstance(node, Activity):
@@ -150,11 +161,14 @@ def validation_problems(
 
 
 def _check_activity(
-    workflow: Workflow, activity: Activity, prefix: str, unread: Collection[str]
+    workflow: Workflow,
+    activity: Activity,
+    prefix: str,
+    unread: Collection[tuple[str, str, str]],
 ) -> list[str]:
     problems: list[str] = []
     program = None
-    listed = activity.implement in unread
+    listed = ("program", workflow.name, activity.implement) in unread
     if activity.implement is not None:
         program = workflow.programs.get(activity.implement)
         if program is None and not listed:

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.engine import EngineRuntime
 from repro.events import EventBus
 from repro.grid import GridConfig, SimKernel, SimReactor, SimulatedGrid
+from tests.helpers import fake_runtime
 
 
 @pytest.fixture
@@ -27,6 +29,13 @@ def bus() -> EventBus:
     bus.published = published = []
     bus.add_tap(lambda topic, payload: published.append((topic, payload)))
     return bus
+
+
+@pytest.fixture
+def runtime(reactor: SimReactor, bus: EventBus) -> EngineRuntime:
+    """A runtime on the ``reactor`` and ``bus`` fixtures with a scripted
+    :class:`~tests.helpers.FakeService` (``runtime.service``)."""
+    return fake_runtime(reactor, bus)
 
 
 @pytest.fixture

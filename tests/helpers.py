@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+
 from repro.ckpt.manager import CheckpointRecord
 from repro.core import FailurePolicy
 from repro.detection import FailureDetector, messages
 from repro.detection.detector import AttemptOutcome, _Attempt
 from repro.engine import WorkflowEngine
-from repro.engine.engine import WorkflowResult
+from repro.engine.broker import Broker
+from repro.engine.engine import EngineRuntime, WorkflowResult
 from repro.engine.instance import NodeInstance
 from repro.engine.recovery import ActivityRun, TaskResolution, _Slot
 from repro.errors import SimulationError
 from repro.events import EventBus
-from repro.execution import SubmitRequest
+from repro.execution import ExecutionService, SubmitRequest
 from repro.grid import RELIABLE, FixedDurationTask, GridConfig, SimulatedGrid
 from repro.obs import MetricSpec, TelemetryPlane
 from repro.sim.engine_mc import _build_grid, build_technique_workflow
@@ -52,6 +55,46 @@ STATE_TYPES = (NodeInstance, ActivityRun, _Slot, _Attempt)
 
 #: None of these runs code that ``dataclasses`` or ``NamedTuple`` generate.
 MINTED_TYPES = RECORD_TYPES + SPEC_RECORD_TYPES + STATE_TYPES
+
+
+class FakeService(ExecutionService):
+    """An execution service that only records: coordinator tests hand every
+    verdict to the coordinator themselves.  Job ids are ``fake-1``, … in
+    submission order."""
+
+    def __init__(self):
+        self.submissions: list[SubmitRequest] = []
+        #: The ``checkpoint_flag`` each submission was given, in order.
+        self.flags: list[str | None] = []
+        self.cancelled: list[str] = []
+        self._seq = itertools.count(1)
+
+    def submit(
+        self, request: SubmitRequest, *, checkpoint_flag=None, workflow_id=""
+    ) -> str:
+        self.submissions.append(request)
+        self.flags.append(checkpoint_flag)
+        return f"fake-{next(self._seq)}"
+
+    def cancel(self, job_id: str) -> None:
+        self.cancelled.append(job_id)
+
+    def connect(self, sink) -> None:  # pragma: no cover - unused here
+        pass
+
+
+def fake_runtime(
+    reactor, bus: EventBus, broker: Broker | None = None
+) -> EngineRuntime:
+    """An :class:`EngineRuntime` on *reactor* and *bus* whose service is a
+    :class:`FakeService`: what a coordinator under test is built on."""
+    return EngineRuntime(
+        reactor,
+        bus,
+        FakeService(),
+        FailureDetector(reactor, bus),
+        broker if broker is not None else Broker(),
+    )
 
 
 def single_task_workflow(

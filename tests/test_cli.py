@@ -344,6 +344,62 @@ class TestCli:
             "  - Workflow/Program: <Program> requires <Option>\n"
         )
 
+    @pytest.mark.parametrize(
+        "nodes, listed",
+        [
+            (
+                "<Activity name='a'/><Loop name='l' condition='x'/>"
+                "<Transition from='a' to='l'/>",
+                ["Workflow/Loop: <Loop> requires <Body>"],
+            ),
+            (
+                "<Activity name='a'/><SubWorkflow name='l'/>"
+                "<Transition from='l' to='a'/>",
+                ["Workflow/SubWorkflow: <SubWorkflow> requires <Body>"],
+            ),
+            (
+                "<Loop name='l' condition='x'/>",
+                ["Workflow/Loop: <Loop> requires <Body>"],
+            ),
+            (
+                "<Activity name='a'><Input name='i' ref='l'/></Activity>"
+                "<Loop name='l' condition='x'/>",
+                ["Workflow/Loop: <Loop> requires <Body>"],
+            ),
+            # A program's name is not a node's, and a node of a body is not
+            # the workflow's: the edge is listed.
+            (
+                "<Activity name='a'/><Program name='l'/>"
+                "<Transition from='a' to='l'/>",
+                [
+                    "Workflow/Program: <Program> requires <Option>",
+                    "w: transition references unknown target 'l'",
+                ],
+            ),
+            (
+                "<Activity name='a'/><SubWorkflow name='s'><Body>"
+                "<Activity name='b'/><Loop name='l' condition='x'/></Body>"
+                "</SubWorkflow><Transition from='a' to='l'/>",
+                [
+                    "Workflow/SubWorkflow/Body/Loop: <Loop> requires <Body>",
+                    "w: transition references unknown target 'l'",
+                ],
+            ),
+        ],
+        ids=["loop", "subworkflow", "only-node", "input", "program", "in-a-body"],
+    )
+    def test_validate_lists_a_refused_element_once(
+        self, tmp_path, capsys, nodes, listed
+    ):
+        # A transition, an input or an empty graph that is what it is only
+        # because the grammar refused a composite is not listed again.
+        path = tmp_path / "refused.xml"
+        path.write_text(f"<Workflow name='w'>{nodes}</Workflow>")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == "".join(
+            ["workflow 'w' is INVALID:\n", *(f"  - {line}\n" for line in listed)]
+        )
+
     def test_run_success(self, workflow_file, grid_file, capsys):
         code = main(["run", str(workflow_file), "--grid", str(grid_file)])
         out = capsys.readouterr().out

@@ -31,7 +31,6 @@ from repro.core.policy import ResourceSelection
 from repro.detection.detector import FailureDetector
 from repro.detection.messages import Done, TaskEnd
 from repro.engine import EngineHost, WorkflowEngine
-from repro.engine.broker import Broker
 from repro.engine.instance import WorkflowInstance
 from repro.errors import EngineError
 from repro.events import EventBus
@@ -734,11 +733,10 @@ class TestNothingOutlivesTheVerdict:
         assert sizes == [0, 0, 0, 0]
         assert gc.collect() == 0
 
-    def test_spec_compiled_form_and_plans_are_free_of_cycles(self, reactor, bus):
+    def test_spec_compiled_form_and_plans_are_free_of_cycles(self, runtime):
         # Without engines in the picture reference counting alone must do:
         # the collector is off, and finds nothing when asked afterwards.
         from repro.engine.recovery import RecoveryCoordinator
-        from tests.test_recovery import FakeService
 
         table = weakref.WeakKeyDictionary()
         gc.collect()
@@ -747,12 +745,9 @@ class TestNothingOutlivesTheVerdict:
             spec = parse_wpdl(self.CHAIN.format(n=0))
             WorkflowInstance(spec)
             coordinator = RecoveryCoordinator(
-                FakeService(),
-                FailureDetector(reactor, bus),
-                Broker(),
-                reactor,
+                runtime,
+                table.setdefault(spec.compiled, {}),
                 on_resolution=[].append,
-                plans=table.setdefault(spec.compiled, {}),
             )
             for node in spec.compiled.nodes.values():
                 coordinator.start_activity(node.node, node.program)

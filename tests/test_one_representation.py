@@ -49,6 +49,7 @@ from repro.cli import build_parser
 from repro.ckpt.manager import CheckpointManager
 from repro.core.policy import FailurePolicy
 from repro.detection import messages
+from repro.engine.recovery import RecoveryCoordinator
 from repro.events import EventBus
 from repro.execution import SubmitRequest
 from repro.grid.gram import GramService
@@ -294,6 +295,14 @@ GONE = {
     "heartbeat_loss_threshold",
     "except_slot",
     "run_engine_once",
+    # A coordinator is built on its engine's runtime and an activity
+    # resolves through one method: no audience check that allowed a
+    # missing bus, no resolution per outcome, and a loop ends itself.
+    "_wants",
+    "_resolve_done",
+    "_resolve_exception",
+    "_resolve_failed",
+    "_complete_loop",
 }
 
 #: Public names under ``src/repro`` that nothing but tests reaches, kept on
@@ -364,6 +373,8 @@ def test_the_deleted_surface_stays_deleted():
         assert not hasattr(FailurePolicy, view), view
     # ``job`` is too common a name for GONE: checked where it lived.
     assert not hasattr(GramService, "job")
+    # ``tries_used`` is still a slot's field: checked where it lived.
+    assert not hasattr(RecoveryCoordinator, "tries_used")
     # ``_states`` is still the health engine's: checked where it lived.
     assert not hasattr(schema, "_states")
     # No layer restates the policy between it and the coordinator: the

@@ -8,56 +8,28 @@ grid simulation, which is covered by the end-to-end engine tests.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro.core.exceptions import UserException
 from repro.core.policy import FailurePolicy, ResourceSelection
 from repro.core.states import TaskState
-from repro.detection.detector import AttemptOutcome, FailureDetector
-from repro.engine.broker import Broker
+from repro.detection.detector import AttemptOutcome
 from repro.engine.recovery import RecoveryCoordinator
 from repro.errors import RecoveryError
-from repro.execution import ExecutionService, SubmitRequest
 from repro.wpdl.model import Activity, Option, Program
 
 
-class FakeService(ExecutionService):
-    def __init__(self):
-        self.submissions: list[SubmitRequest] = []
-        #: The ``checkpoint_flag`` each submission was given, in order.
-        self.flags: list[str | None] = []
-        self.cancelled: list[str] = []
-        self._seq = itertools.count(1)
-
-    def submit(
-        self, request: SubmitRequest, *, checkpoint_flag=None, workflow_id=""
-    ) -> str:
-        self.submissions.append(request)
-        self.flags.append(checkpoint_flag)
-        return f"fake-{next(self._seq)}"
-
-    def cancel(self, job_id: str) -> None:
-        self.cancelled.append(job_id)
-
-    def connect(self, sink) -> None:  # pragma: no cover - unused here
-        pass
+def coordinator_on(runtime):
+    """A coordinator on *runtime* and the list its resolutions go to."""
+    resolutions = []
+    coordinator = RecoveryCoordinator(runtime, {}, on_resolution=resolutions.append)
+    return coordinator, resolutions
 
 
 @pytest.fixture
-def setup(reactor, bus):
-    service = FakeService()
-    detector = FailureDetector(reactor, bus)
-    resolutions = []
-    coordinator = RecoveryCoordinator(
-        service,
-        detector,
-        Broker(),
-        reactor,
-        on_resolution=resolutions.append,
-    )
-    return service, detector, coordinator, resolutions
+def setup(runtime):
+    coordinator, resolutions = coordinator_on(runtime)
+    return runtime.service, runtime.detector, coordinator, resolutions
 
 
 def program(*hosts):
@@ -288,13 +260,9 @@ class TestSnapshotRestore:
         assert snap["slots"][0]["tries"] == 2
         assert snap["slots"][0]["flag"] == "ck-2"
 
-    def test_restore_preserves_budget_across_restart(self, reactor, bus, kernel):
-        service = FakeService()
-        detector = FailureDetector(reactor, bus)
-        resolutions = []
-        coord = RecoveryCoordinator(
-            service, detector, Broker(), reactor, on_resolution=resolutions.append
-        )
+    def test_restore_preserves_budget_across_restart(self, runtime, kernel):
+        service = runtime.service
+        coord, resolutions = coordinator_on(runtime)
         # The engine died after 2 of 3 tries; restart with the snapshot.
         coord.start_activity(
             activity(FailurePolicy.retrying(3)),
@@ -308,13 +276,9 @@ class TestSnapshotRestore:
         # 3 tries total consumed (2 before restart + 1 after): escalate.
         assert resolutions and resolutions[0].state is TaskState.FAILED
 
-    def test_restore_with_exhausted_budget_fails_immediately(self, reactor, bus):
-        service = FakeService()
-        detector = FailureDetector(reactor, bus)
-        resolutions = []
-        coord = RecoveryCoordinator(
-            service, detector, Broker(), reactor, on_resolution=resolutions.append
-        )
+    def test_restore_with_exhausted_budget_fails_immediately(self, runtime):
+        service = runtime.service
+        coord, resolutions = coordinator_on(runtime)
         coord.start_activity(
             activity(FailurePolicy.retrying(2)),
             program("h1"),

@@ -23,15 +23,15 @@ import pytest
 
 from repro.core.policy import FailurePolicy, ReplicationMode, ResourceSelection
 from repro.core.states import TaskState
-from repro.detection.detector import AttemptOutcome, FailureDetector
+from repro.detection.detector import AttemptOutcome
 from repro.engine.broker import Broker
 from repro.engine.recovery import RecoveryCoordinator
 from repro.events import EventBus
-from repro.execution import ExecutionService, SubmitRequest
 from repro.grid import SimKernel, SimReactor
 from repro.sim.params import SimulationParams
 from repro.sim.samplers import sample_technique, technique_policy
 from repro.wpdl.model import Activity, Option, Program
+from tests.helpers import fake_runtime
 
 INTERVAL = 3.0
 CAP = 5.0  # between the first wait and the second doubled one
@@ -43,28 +43,6 @@ def program(*hosts):
 
 def activity(policy, name="act"):
     return Activity(name=name, implement="p", policy=policy)
-
-
-class FakeService(ExecutionService):
-    def __init__(self):
-        self.submissions: list[SubmitRequest] = []
-        #: The ``checkpoint_flag`` each submission was given, in order.
-        self.flags: list[str | None] = []
-        self.cancelled: list[str] = []
-        self._seq = itertools.count(1)
-
-    def submit(
-        self, request: SubmitRequest, *, checkpoint_flag=None, workflow_id=""
-    ) -> str:
-        self.submissions.append(request)
-        self.flags.append(checkpoint_flag)
-        return f"fake-{next(self._seq)}"
-
-    def cancel(self, job_id: str) -> None:
-        self.cancelled.append(job_id)
-
-    def connect(self, sink) -> None:  # pragma: no cover - unused here
-        pass
 
 
 class CountingBroker(Broker):
@@ -106,17 +84,13 @@ class Activation:
 
     def __init__(self, policy, *hosts):
         self.kernel = SimKernel()
-        reactor = SimReactor(self.kernel)
         self.hosts = hosts
-        self.service = FakeService()
         self.broker = CountingBroker()
+        runtime = fake_runtime(SimReactor(self.kernel), EventBus(), self.broker)
+        self.service = runtime.service
         self.resolutions = []
         self.coordinator = RecoveryCoordinator(
-            self.service,
-            FailureDetector(reactor, EventBus()),
-            self.broker,
-            reactor,
-            on_resolution=self.resolutions.append,
+            runtime, {}, on_resolution=self.resolutions.append
         )
         self.coordinator.start_activity(activity(policy), program(*hosts))
         #: Each slot's live job, in slot order (the first submissions).
@@ -393,20 +367,11 @@ class TestSubmitFlags:
 
 
 @pytest.fixture
-def harness(reactor, bus):
-    def build():
-        service = FakeService()
-        resolutions = []
-        coordinator = RecoveryCoordinator(
-            service,
-            FailureDetector(reactor, bus),
-            Broker(),
-            reactor,
-            on_resolution=resolutions.append,
-        )
-        return service, coordinator, resolutions
-
-    return build
+def harness(runtime):
+    """The fake service, a coordinator on ``runtime`` and its resolutions."""
+    resolutions = []
+    coordinator = RecoveryCoordinator(runtime, {}, on_resolution=resolutions.append)
+    return runtime.service, coordinator, resolutions
 
 
 def waits_between_retries(coord, service, kernel, retries):
@@ -424,7 +389,7 @@ def waits_between_retries(coord, service, kernel, retries):
 
 class TestCoordinatorIntegration:
     def test_backoff_policy_waits_before_each_retry(self, harness, kernel):
-        service, coord, resolutions = harness()
+        service, coord, resolutions = harness
         policy = FailurePolicy.backoff_retrying(4, interval=1.0, backoff_factor=2.0)
         coord.start_activity(activity(policy), program("h1"))
         # n-th retry waits interval * 2**(n-1): 1, 2, 4 seconds.
@@ -448,7 +413,7 @@ class TestCoordinatorIntegration:
         policy = technique_policy("backoff_retry", params)
         delays = [policy.retry_delay(n) for n in range(1, 6)]
         # The engine: exactly that number, retry after retry.
-        service, coord, _ = harness()
+        service, coord, _ = harness
         coord.start_activity(activity(policy), program("h1"))
         assert waits_between_retries(coord, service, kernel, 5) == delays
         # The sampler: on one random stream, backoff retrying differs from
@@ -466,7 +431,7 @@ class TestCoordinatorIntegration:
     def test_replicated_retry_from_checkpoint_resubmits_with_flag(
         self, harness, kernel
     ):
-        service, coord, resolutions = harness()
+        service, coord, resolutions = harness
         policy = FailurePolicy.replica(max_tries=3)
         coord.start_activity(activity(policy), program("h1", "h2"))
         assert len(service.submissions) == 2
