@@ -31,8 +31,6 @@ for the reproduction of every figure and table in the evaluation.
 """
 
 from .core import (
-    ExceptionBinding,
-    ExceptionTable,
     FailurePolicy,
     ReplicationMode,
     ResourceSelection,
@@ -86,8 +84,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     # core policies & exceptions
-    "ExceptionBinding",
-    "ExceptionTable",
     "FailurePolicy",
     "ReplicationMode",
     "ResourceSelection",

@@ -3,20 +3,18 @@
 The paper's prototype exposes C functions (``globus_FDS_task_end()``,
 ``globus_FDS_task_checkpoint()``, ...) that application code calls to send
 event notifications to the workflow client.  This module is the Python
-equivalent: a :class:`TaskContext` handed to every running task, through
-which the task announces its start/end, raises user-defined exceptions, and
-registers checkpoints.
+equivalent: a :class:`TaskContext`, through which a task announces its
+start/end, raises user-defined exceptions, and registers checkpoints.
 
-Two producers use it:
-
-* simulated task behaviours (:mod:`repro.grid.behaviors`) drive it from the
-  discrete-event simulation, and
-* real Python callables run by the local executor receive a ``TaskContext``
-  as their first argument.
+Real Python callables run by the local executor
+(:class:`repro.engine.executors.LocalExecutor`) receive one as their first
+argument.  Simulated jobs do not use it: the simulated GRAM service
+(:mod:`repro.grid.gram`) sends the same messages itself, as the task
+behaviours (:mod:`repro.grid.behaviors`) plan them.
 
 Raising :class:`TaskFailedSignal` / returning normally maps onto the
 notification vocabulary; the context forwards every call to a transport
-callback (ultimately the network or the local executor's queue).
+callback (the local executor's queue).
 """
 
 from __future__ import annotations

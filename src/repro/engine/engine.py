@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 from weakref import WeakKeyDictionary
 
 from ..ckpt.manager import CheckpointManager
-from ..core.exceptions import UserException
+from ..core.exceptions import UserException, specificity
 from ..core.records import FrozenRecord
 from ..core.states import TaskState
 from ..detection.detector import FailureDetector
@@ -566,19 +566,19 @@ class WorkflowEngine:
     def _translate_exception(
         self, name: str, exception: UserException | None
     ) -> UserException | None:
-        """Apply the activity's <Rethrow> translations (most specific
-        pattern wins) before workflow-level routing; the original name is
-        preserved in the exception data for diagnostics."""
+        """Apply the activity's <Rethrow> translations before workflow-level
+        routing: the most specific match translates, the first declared of
+        equally specific ones; the original name is preserved in the
+        exception data for diagnostics."""
         if exception is None:
             return None
-        table = self.instance.compiled.nodes[name].rethrow
-        if table is None:
-            return exception
-        binding = table.lookup(exception)
-        if binding is None or binding.rethrow_as is None:
+        rethrows = self.instance.compiled.nodes[name].node.rethrows
+        keys = [specificity(r.pattern, exception.name) for r in rethrows]
+        best = max(filter(None, keys), default=None)
+        if best is None:
             return exception
         return UserException(
-            name=binding.rethrow_as,
+            name=rethrows[keys.index(best)].as_name,
             message=exception.message,
             data={**exception.data, "original_exception": exception.name},
         )
@@ -721,13 +721,18 @@ class _LoopRunner:
         self._iterate()
 
     def cancel(self) -> None:
+        """Stop the loop and everything its iteration runs, nested loops
+        included, publishing nothing: the iteration's engine is marked
+        finished without a result, so a completion still queued for it
+        navigates no further (it is garbage after this)."""
         self._cancelled = True
         child = self._child
         if child is not None and not child.finished:
-            # Reap the child's running activities; the child engine itself
-            # simply never finishes (it is garbage after this).
+            child._finished = True
             for activity in list(child.coordinator.running_activities()):
                 child.coordinator.cancel_activity(activity)
+            for runner in child._loop_runners.values():
+                runner.cancel()
 
     def _iterate(self) -> None:
         if self._cancelled:

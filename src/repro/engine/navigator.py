@@ -15,9 +15,9 @@ Semantics implemented here (see the module docs of
   An OR node becomes ready on the first incoming FIRED edge and is skipped
   only when *all* incoming edges are dead (Figure 5's redundancy).
 * **Edge firing.**  When a node terminates, each outgoing edge resolves per
-  its condition and the terminal status; exception edges use most-specific
-  pattern matching, with FAILED edges as the generic catch-all for
-  unmatched exceptions.
+  its condition and the terminal status; exception edges fire by
+  :func:`repro.core.exceptions.specificity`, with FAILED edges as the
+  generic catch-all for unmatched exceptions.
 * **Skip propagation.**  Dead edges make downstream nodes unreachable;
   skipping a node kills its outgoing edges with the same benignity; this
   iterates to a fixpoint.
@@ -28,11 +28,10 @@ Semantics implemented here (see the module docs of
 
 from __future__ import annotations
 
-import fnmatch
 from collections import deque
 from typing import Iterable
 
-from ..core.exceptions import UserException
+from ..core.exceptions import UserException, specificity
 from ..errors import NavigationError
 from ..wpdl.conditions import evaluate_condition
 from ..wpdl.model import ConditionKind
@@ -46,7 +45,6 @@ __all__ = [
     "cancel_node",
     "evaluate_outcome",
     "assert_no_deadlock",
-    "exception_edge_specificity",
 ]
 
 
@@ -80,20 +78,6 @@ def ready_nodes(
         if fired_in[name] >= need:
             ready.append(name)
     return ready
-
-
-def exception_edge_specificity(pattern: str) -> tuple[int, int]:
-    """Sort key for exception-edge matching: exact name beats glob; longer
-    literal prefix beats shorter (same rule as
-    :meth:`repro.core.exceptions.ExceptionBinding.specificity`)."""
-    if not any(ch in pattern for ch in "*?["):
-        return (2, len(pattern))
-    literal = 0
-    for ch in pattern:
-        if ch in "*?[":
-            break
-        literal += 1
-    return (1, literal)
 
 
 def fire_outgoing_edges(
@@ -157,35 +141,24 @@ def fire_outgoing_edges(
             raise NavigationError(
                 f"node {name!r} ended in EXCEPTION without an exception object"
             )
-        matching = [
-            i
+        keys = {
+            i: specificity(transitions[i].condition.exception, exception.name)
             for i in indices
             if transitions[i].condition.kind is ConditionKind.EXCEPTION
-            and _pattern_matches(transitions[i].condition.exception, exception.name)
-        ]
-        chosen: set[int] = set()
-        if matching:
-            best = max(
-                exception_edge_specificity(transitions[i].condition.exception)
-                for i in matching
-            )
-            chosen = {
-                i
-                for i in matching
-                if exception_edge_specificity(transitions[i].condition.exception)
-                == best
-            }
+        }
+        best = max(filter(None, keys.values()), default=None)
         for i in indices:
             cond = transitions[i].condition
-            if i in chosen or cond.kind is ConditionKind.ALWAYS:
+            key = keys.get(i)
+            if (key is not None and key == best) or cond.kind is ConditionKind.ALWAYS:
                 instance.set_edge(i, EdgeState.FIRED)
                 fired.append(i)
-            elif cond.kind is ConditionKind.FAILED and not matching:
+            elif cond.kind is ConditionKind.FAILED and best is None:
                 # Generic catch-all: an unmatched exception behaves like an
                 # unmasked failure, so the alternative task still runs.
                 instance.set_edge(i, EdgeState.FIRED)
                 fired.append(i)
-            elif cond.kind is ConditionKind.EXCEPTION and i in matching:
+            elif key is not None:
                 instance.set_edge(i, EdgeState.DEAD_OK)  # out-specialised
             else:
                 instance.set_edge(i, EdgeState.DEAD_ERROR)
@@ -194,12 +167,6 @@ def fire_outgoing_edges(
     raise NavigationError(
         f"fire_outgoing_edges called with non-terminal status {status}"
     )
-
-
-def _pattern_matches(pattern: str, name: str) -> bool:
-    if any(ch in pattern for ch in "*?["):
-        return fnmatch.fnmatchcase(name, pattern)
-    return pattern == name
 
 
 def propagate_skips(

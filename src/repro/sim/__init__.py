@@ -18,7 +18,6 @@ from .analytical import (
     expected_time,
     optimal_checkpoint_count,
     retry_expected_time,
-    young_checkpoint_count,
     young_interval,
 )
 from .engine_mc import (
@@ -69,7 +68,6 @@ __all__ = [
     "expected_time",
     "optimal_checkpoint_count",
     "retry_expected_time",
-    "young_checkpoint_count",
     "young_interval",
     "EngineSampler",
     "build_technique_workflow",

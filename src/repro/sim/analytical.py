@@ -56,7 +56,6 @@ __all__ = [
     "expected_time",
     "optimal_checkpoint_count",
     "young_interval",
-    "young_checkpoint_count",
 ]
 
 
@@ -185,16 +184,6 @@ def young_interval(checkpoint_overhead: float, failure_rate: float) -> float:
             f"failure_rate must be positive, got {failure_rate!r}"
         )
     return math.sqrt(2.0 * checkpoint_overhead / failure_rate)
-
-
-def young_checkpoint_count(
-    failure_free_time: float,
-    checkpoint_overhead: float,
-    failure_rate: float,
-) -> int:
-    """K implied by Young's interval for a task of length F (at least 1)."""
-    interval = young_interval(checkpoint_overhead, failure_rate)
-    return max(1, round(failure_free_time / interval))
 
 
 def _check(failure_free_time: float, failure_rate: float, downtime: float) -> None:

@@ -37,7 +37,6 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Union
 
-from ..core.exceptions import ExceptionBinding, ExceptionTable
 from ..core.policy import DEFAULT_POLICY, FailurePolicy
 from ..core.records import FrozenRecord
 from ..errors import SpecificationError
@@ -139,8 +138,9 @@ class Rethrow:
     solver's ``ENOSPC`` and a transfer tool's ``quota_exceeded`` both to
     ``disk_full``.
 
-    Matching follows the most-specific-first rule of
-    :class:`repro.core.exceptions.ExceptionTable`.
+    The most specific matching record translates, by
+    :func:`repro.core.exceptions.specificity`; of equally specific ones,
+    the first declared.
     """
 
     pattern: str
@@ -425,8 +425,6 @@ class CompiledNode(NamedTuple):
     #: Some input is a value dependency, so launching has to bind it.
     has_refs: bool
     outputs: tuple[str, ...]
-    #: The activity's ``<Rethrow>`` translations, ``None`` without any.
-    rethrow: ExceptionTable | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,7 +468,7 @@ def _compile(workflow: "Workflow") -> CompiledWorkflow:
     nodes: dict[str, CompiledNode] = {}
     for name, node in workflow.nodes.items():
         ins, outs = incoming[name], outgoing[name]
-        loop = program = rethrow = None
+        loop = program = None
         has_refs, outputs = False, ()
         if isinstance(node, Activity):
             outputs = node.outputs
@@ -478,13 +476,6 @@ def _compile(workflow: "Workflow") -> CompiledWorkflow:
                 program = programs.get(node.implement)
             if node.inputs:
                 has_refs = any(p.ref is not None for p in node.inputs)
-            if node.rethrows:
-                rethrow = ExceptionTable(
-                    [
-                        ExceptionBinding(r.pattern, rethrow_as=r.as_name)
-                        for r in node.rethrows
-                    ]
-                )
         elif isinstance(node, SubWorkflow):
             # A run-once composite: a do-while whose condition is false.
             loop = Loop(node.name, node.body, "0 > 1", 1, node.join)
@@ -505,7 +496,6 @@ def _compile(workflow: "Workflow") -> CompiledWorkflow:
                 program,
                 has_refs,
                 outputs,
-                rethrow,
             ),
         )
     return CompiledWorkflow(

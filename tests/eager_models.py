@@ -34,7 +34,6 @@ pushes — so one program can run on both kernels.
 
 from __future__ import annotations
 
-import fnmatch
 import heapq
 import itertools
 from collections import deque
@@ -42,9 +41,9 @@ from functools import partial
 from typing import Any, Callable
 
 from repro.engine.instance import EdgeState, NodeInstance, NodeStatus, WorkflowStatus
+from repro.core.exceptions import specificity
 from repro.core.states import LEGAL_TRANSITIONS, TaskState
 from repro.detection.messages import TaskStart
-from repro.engine.navigator import exception_edge_specificity
 from repro.errors import CheckpointError, DetectionError, NavigationError
 from repro.grid.behaviors import PlanContext
 from repro.grid.gram import JobProcess
@@ -339,12 +338,6 @@ class EagerWorkflowInstance:
         return instance
 
 
-def _pattern_matches(pattern, name):
-    if any(ch in pattern for ch in "*?["):
-        return fnmatch.fnmatchcase(name, pattern)
-    return pattern == name
-
-
 class EagerNavigator:
     """The navigator as it was, a namespace of the seven functions: index
     lists copied per call, targets and joins looked up by name, exit nodes
@@ -409,21 +402,14 @@ class EagerNavigator:
         elif status is NodeStatus.EXCEPTION:
             if exception is None:
                 raise NavigationError(f"node {name!r}: EXCEPTION without exception")
-            matching = [
-                i
+            keys = {
+                i: specificity(condition(i).exception, exception.name)
                 for i in indices
                 if condition(i).kind is ConditionKind.EXCEPTION
-                and _pattern_matches(condition(i).exception, exception.name)
-            ]
-            best = max(
-                (exception_edge_specificity(condition(i).exception) for i in matching),
-                default=None,
-            )
-            chosen = {
-                i
-                for i in matching
-                if exception_edge_specificity(condition(i).exception) == best
             }
+            matching = [i for i, key in keys.items() if key is not None]
+            best = max((keys[i] for i in matching), default=None)
+            chosen = {i for i in matching if keys[i] == best}
             for i in indices:
                 cond = condition(i)
                 if i in chosen or cond.kind is ConditionKind.ALWAYS:

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import repro.engine.navigator as navigator
 import repro.wpdl.parser as parser_module
 from repro.core import FailurePolicy
-from repro.core.exceptions import ExceptionTable, UserException
+from repro.core.exceptions import UserException
 from repro.engine import WorkflowEngine
 from repro.engine.instance import EdgeState, NodeStatus, WorkflowInstance
 from repro.errors import ParseError
@@ -250,7 +250,7 @@ class TestEquivalentToThePerInstanceGraph:
 # Shared, immutable, invisible
 # ---------------------------------------------------------------------------
 
-_IMMUTABLE_LEAVES = (str, int, bool, type(None), Program, Loop, ExceptionTable)
+_IMMUTABLE_LEAVES = (str, int, bool, type(None), Program, Loop)
 
 
 def _assert_immutable(value, path="compiled"):

@@ -32,6 +32,19 @@ from repro.sim import SimulationParams, build_technique_workflow
 from repro.wpdl import JoinMode, Parameter, WorkflowBuilder
 
 
+def record_submissions(grid):
+    """``(time, activity)`` of every job *grid*'s GRAM service is handed."""
+    submitted = []
+    submit = grid.gram.submit
+
+    def recording(request, **kwargs):
+        submitted.append((grid.kernel.now(), request.activity))
+        return submit(request, **kwargs)
+
+    grid.gram.submit = recording
+    return submitted
+
+
 class TestSingleTask:
     def test_plain_success(self, quiet_grid):
         quiet_grid.add_host(RELIABLE("h1"))
@@ -437,6 +450,81 @@ class TestControlFlowFeatures:
         assert result.succeeded
         assert result.node_statuses["refine"] is NodeStatus.FAILED
         assert result.node_statuses["alt"] is NodeStatus.DONE
+
+    def test_a_cancelled_loop_stops_its_nested_loops(self, quiet_grid):
+        """``outer`` loses an OR join to a 1 s task: cancelling it stops the
+        five-iteration loop its body runs too, so no ``step`` is submitted
+        once the run has ended."""
+        quiet_grid.add_host(RELIABLE("h1"))
+        quiet_grid.install("h1", "step", FixedDurationTask(10.0))
+        quiet_grid.install("h1", "quick", FixedDurationTask(1.0))
+        steps = (
+            WorkflowBuilder("steps")
+            .program("step", hosts=["h1"])
+            .activity("step", implement="step")
+            .build()
+        )
+        inner = WorkflowBuilder("inner").loop("inner", steps, "inner < 5").build()
+        wf = (
+            WorkflowBuilder("race")
+            .program("quick", hosts=["h1"])
+            .dummy("split")
+            .activity("quick", implement="quick")
+            .loop("outer", inner, "0 > 1")
+            .dummy("join", join=JoinMode.OR)
+            .fan_out("split", "quick", "outer")
+            .fan_in("join", "quick", "outer")
+            .build()
+        )
+        submitted = record_submissions(quiet_grid)
+        result = run_workflow(wf, quiet_grid)
+        assert result.succeeded
+        assert result.completion_time == pytest.approx(1.0)
+        assert result.node_statuses["outer"] is NodeStatus.CANCELLED
+        during = len(submitted)
+        quiet_grid.kernel.run(max_events=10_000)
+        assert submitted[during:] == []
+
+    def test_a_cancelled_loop_launches_nothing_its_iteration_had_queued(
+        self, quiet_grid
+    ):
+        """At t = 1 ``step`` ends first, queueing its dummy successor's
+        completion, then ``quick`` wins the join and ``outer`` is cancelled:
+        the queued completion must not launch ``last``."""
+        quiet_grid.add_host(RELIABLE("h1"))
+        for program, duration in (("pre", 0.5), ("quick", 0.5), ("step", 1.0)):
+            quiet_grid.install("h1", program, FixedDurationTask(duration))
+        quiet_grid.install("h1", "last", FixedDurationTask(10.0))
+        body = (
+            WorkflowBuilder("body")
+            .program("step", hosts=["h1"])
+            .program("last", hosts=["h1"])
+            .activity("step", implement="step")
+            .dummy("between")
+            .activity("last", implement="last")
+            .sequence("step", "between", "last")
+            .build()
+        )
+        wf = (
+            WorkflowBuilder("race")
+            .program("pre", hosts=["h1"])
+            .program("quick", hosts=["h1"])
+            .dummy("split")
+            .activity("pre", implement="pre")
+            .activity("quick", implement="quick")
+            .loop("outer", body, "0 > 1")
+            .dummy("join", join=JoinMode.OR)
+            .fan_out("split", "pre", "outer")
+            .transition("pre", "quick")
+            .fan_in("join", "quick", "outer")
+            .build()
+        )
+        submitted = record_submissions(quiet_grid)
+        result = run_workflow(wf, quiet_grid)
+        assert result.completion_time == pytest.approx(1.0)
+        assert result.node_statuses["outer"] is NodeStatus.CANCELLED
+        quiet_grid.kernel.run(max_events=10_000)
+        assert submitted == [(0.0, "pre"), (0.0, "step"), (0.5, "quick")]
 
     def test_value_dependency_passes_outputs_as_inputs(self, quiet_grid):
         quiet_grid.add_host(RELIABLE("h1"))

@@ -1,10 +1,19 @@
-"""Unit tests for user-defined exceptions and handler bindings."""
+"""Unit tests for user-defined exceptions and the rule that routes them.
+
+``TestBinding`` holds the two forms a specification binds a pattern in —
+an exception edge and a ``<Rethrow>`` record — and the rule's match and
+key; ``TestTable`` holds an activity's ``<Rethrow>`` records, looked up
+by that rule when the activity raises.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.exceptions import ExceptionBinding, ExceptionTable, UserException
+from repro.core.exceptions import UserException, specificity
+from repro.errors import SpecificationError
+from repro.wpdl import Rethrow, TransitionCondition
+from tests.test_exception_routing import route
 
 
 class TestUserException:
@@ -30,71 +39,65 @@ class TestUserException:
 
 class TestBinding:
     def test_exact_match(self):
-        b = ExceptionBinding("disk_full", handler="cleanup")
-        assert b.matches("disk_full")
-        assert not b.matches("disk_full_2")
+        assert specificity("disk_full", "disk_full") is not None
+        assert specificity("disk_full", "disk_full_2") is None
 
     def test_glob_match(self):
-        b = ExceptionBinding("disk_*", handler="h")
-        assert b.matches("disk_full")
-        assert b.matches("disk_quota")
-        assert not b.matches("memory_full")
+        assert specificity("disk_*", "disk_full") is not None
+        assert specificity("disk_*", "disk_quota") is not None
+        assert specificity("disk_*", "memory_full") is None
 
     def test_requires_handler_xor_rethrow(self):
-        with pytest.raises(ValueError):
-            ExceptionBinding("x")
-        with pytest.raises(ValueError):
-            ExceptionBinding("x", handler="h", rethrow_as="y")
+        # An exception edge names its handler as its target; a rethrow
+        # names the exception it raises instead, and must name one.
+        assert TransitionCondition.on_exception("x").exception == "x"
+        with pytest.raises(SpecificationError):
+            Rethrow("x", "")
 
     def test_rethrow_binding(self):
-        b = ExceptionBinding("disk_full", rethrow_as="storage_error")
-        assert b.rethrow_as == "storage_error"
+        assert Rethrow("disk_full", "storage_error").as_name == "storage_error"
 
     def test_empty_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            ExceptionBinding("", handler="h")
+        with pytest.raises(SpecificationError):
+            Rethrow("", "h")
+        with pytest.raises(SpecificationError):
+            TransitionCondition.on_exception("")
 
     def test_specificity_ordering(self):
-        exact = ExceptionBinding("disk_full", handler="a")
-        long_prefix = ExceptionBinding("disk_*", handler="b")
-        short_prefix = ExceptionBinding("d*", handler="c")
-        assert exact.specificity() > long_prefix.specificity()
-        assert long_prefix.specificity() > short_prefix.specificity()
+        exact = specificity("disk_full", "disk_full")
+        long_prefix = specificity("disk_*", "disk_full")
+        short_prefix = specificity("d*", "disk_full")
+        assert exact > long_prefix > short_prefix
+
+
+def translate(rethrows, name):
+    """The name an activity with *rethrows* routes when it raises *name*."""
+    return route([], rethrows, name)[2]
 
 
 class TestTable:
     def test_lookup_returns_none_when_unhandled(self):
-        table = ExceptionTable()
-        assert table.lookup("disk_full") is None
+        assert translate([], "disk_full") == "disk_full"
+        assert route([], [Rethrow("oom", "x")], "disk_full")[3] is None
 
     def test_lookup_exact_beats_pattern(self):
-        table = ExceptionTable(
-            [
-                ExceptionBinding("disk_*", handler="generic"),
-                ExceptionBinding("disk_full", handler="specific"),
-            ]
-        )
-        assert table.lookup("disk_full").handler == "specific"
-        assert table.lookup("disk_quota").handler == "generic"
+        rethrows = [Rethrow("disk_*", "generic"), Rethrow("disk_full", "specific")]
+        assert translate(rethrows, "disk_full") == "specific"
+        assert translate(rethrows, "disk_quota") == "generic"
 
     def test_lookup_longest_literal_prefix_wins_among_patterns(self):
-        table = ExceptionTable(
-            [
-                ExceptionBinding("*", handler="catchall"),
-                ExceptionBinding("net_*", handler="network"),
-            ]
-        )
-        assert table.lookup("net_partition").handler == "network"
-        assert table.lookup("oom").handler == "catchall"
+        rethrows = [Rethrow("*", "catchall"), Rethrow("net_*", "network")]
+        assert translate(rethrows, "net_partition") == "network"
+        assert translate(rethrows, "oom") == "catchall"
 
     def test_lookup_accepts_exception_objects(self):
-        table = ExceptionTable([ExceptionBinding("oom", handler="swap")])
-        assert table.lookup(UserException("oom")).handler == "swap"
+        # The raised exception's name is looked up, and its original name
+        # travels with the translation.
+        _, _, routed, original = route([], [Rethrow("oom", "swap")], "oom")
+        assert (routed, original) == ("swap", "oom")
 
     def test_add_and_len_and_iter(self):
-        table = ExceptionTable()
-        table.add(ExceptionBinding("a", handler="h"))
-        table.add(ExceptionBinding("b*", handler="h"))
-        assert len(table) == 2
-        assert [b.pattern for b in table] == ["a", "b*"]
-
+        # The records keep their declaration order, which breaks ties.
+        rethrows = [Rethrow("a", "first"), Rethrow("a", "second")]
+        assert translate(rethrows, "a") == "first"
+        assert translate(rethrows[::-1], "a") == "second"

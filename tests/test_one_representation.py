@@ -27,7 +27,9 @@ keyword-made instruments and the accessors only tests called went, and a
 census fails on a public name only tests read unless ``ONLY_TESTS`` says
 why it stays.  The Monte-Carlo layer keeps nothing between estimates, so
 the process-wide pool, its sampler cache and its counters went, and a
-drift alert latches for good, so its reset went.
+drift alert latches for good, so its reset went.  A user exception is
+routed by one rule over the two forms a specification states, so the
+handler binding, its table and the navigator's copy of the rule went.
 One walk over ``src/repro`` keeps them deleted, and keeps the retry wait —
 and the decoding of a log record — in one place.
 """
@@ -69,6 +71,7 @@ from repro.obs import (
 )
 from repro.reactor import Reactor
 from repro.wpdl import schema
+from repro.wpdl.model import CompiledNode
 from tests.helpers import RECORD_TYPES, SPEC_RECORD_TYPES, STATE_TYPES
 
 SRC = Path(repro.__file__).parent
@@ -303,6 +306,12 @@ GONE = {
     "_resolve_exception",
     "_resolve_failed",
     "_complete_loop",
+    # A user exception is routed by one rule, over the two forms a
+    # specification states: no handler binding, no table of them.
+    "ExceptionBinding",
+    "ExceptionTable",
+    "exception_edge_specificity",
+    "young_checkpoint_count",
 }
 
 #: Public names under ``src/repro`` that nothing but tests reaches, kept on
@@ -323,7 +332,7 @@ ONLY_TESTS = {
     "Broker.set_query": "per-activity matchmaking for a '*' option (DESIGN.md)",
     "FailureScript": "scripted faults: the base of scripted workloads",
     "inject_partition": "scripted faults: a timed network partition",
-    "young_checkpoint_count": "Young's interval as K, the analytical cross-check",
+    "young_interval": "Young's interval, the analytical cross-check",
     "fork_join": "a workload family the WPDL round-trip tests sweep",
     "diamond_ladder": "a workload family the WPDL round-trip tests sweep",
     "WorkflowBuilder.subworkflow": "builder form of WPDL's <SubWorkflow>",
@@ -613,6 +622,26 @@ def test_the_retry_wait_is_computed_in_one_place():
                 ):
                     multiplies.append(str(path.relative_to(SRC)))
     assert set(multiplies) == {"core/policy.py"}, multiplies
+
+
+@pytest.mark.contract
+def test_a_user_exception_is_routed_by_one_rule():
+    """Only ``core/exceptions.py`` matches an exception name against a
+    pattern, and a compiled node keeps no translation table: the engine
+    reads the activity's own ``<Rethrow>`` records."""
+    importers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if "fnmatch" in modules:
+                importers.append(str(path.relative_to(SRC)))
+    assert importers == ["core/exceptions.py"], importers
+    assert "rethrow" not in CompiledNode._fields
 
 
 @pytest.mark.contract

@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.exceptions import ExceptionBinding, ExceptionTable, UserException
+from repro.core.exceptions import UserException, specificity
 from repro.core.policy import FailurePolicy
 from repro.engine.instance import NodeStatus, WorkflowInstance, WorkflowStatus
 from repro.engine.navigator import (
@@ -25,10 +25,11 @@ from repro.errors import SpecificationError
 from repro.sim.analytical import checkpoint_expected_time, retry_expected_time
 from repro.sim.params import SimulationParams
 from repro.sim.samplers import sample_technique
-from repro.wpdl import parse_wpdl, serialize_wpdl
+from repro.wpdl import Rethrow, TransitionCondition, parse_wpdl, serialize_wpdl
 from repro.wpdl.conditions import compile_condition
 from repro.wpdl.model import Activity, JoinMode, Option, Program, Transition, Workflow
 from tests.eager_models import reference_verdict
+from tests.test_exception_routing import route
 from tests.test_states import DONE_VARIANTS, drive
 
 # ---------------------------------------------------------------------------
@@ -267,24 +268,26 @@ class TestStateMachineProperties:
 
 
 class TestExceptionTableProperties:
+    """The routing rule over random patterns: an activity's ``<Rethrow>``
+    records as the table it looks a name up in, its exception edges as
+    the bindings that fire."""
+
     @given(
         st.lists(names, min_size=1, max_size=6, unique=True),
         names,
     )
     def test_exact_binding_always_wins(self, patterns, probe):
-        bindings = [ExceptionBinding(p + "*", handler="pat") for p in patterns]
-        bindings.append(ExceptionBinding(probe, handler="exact"))
-        table = ExceptionTable(bindings)
-        assert table.lookup(probe).handler == "exact"
+        rethrows = [Rethrow(p + "*", "pat") for p in patterns]
+        rethrows.append(Rethrow(probe, "exact"))
+        assert route([], rethrows, probe)[2] == "exact"
 
     @given(st.lists(names, min_size=1, max_size=6))
     def test_lookup_result_actually_matches(self, patterns):
-        table = ExceptionTable(
-            [ExceptionBinding(p, handler="h") for p in set(patterns)]
-        )
+        bound = sorted(set(patterns))
+        conditions = [TransitionCondition.on_exception(p) for p in bound]
         for p in patterns:
-            found = table.lookup(p)
-            assert found is not None and found.matches(p)
+            fired = route(conditions, [], p)[0]
+            assert fired and all(specificity(bound[i], p) for i in fired)
 
 
 # ---------------------------------------------------------------------------

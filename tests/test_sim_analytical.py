@@ -147,24 +147,22 @@ class TestYoungApproximation:
         )
 
     def test_agrees_with_bruteforce_in_reliable_regime(self):
-        from repro.sim.analytical import (
-            young_checkpoint_count,
-        )
+        from repro.sim.analytical import young_interval
 
-        # λ·a* small: first-order optimum matches the exact optimum within
-        # one checkpoint.
+        # λ·a* small: the K Young's interval implies for a 30 s task
+        # matches the exact optimum within one checkpoint.
         params = SimulationParams(mttf=500.0, failure_free_time=30.0)
         exact = optimal_checkpoint_count(params)
-        young = young_checkpoint_count(30.0, 0.5, 1 / 500.0)
+        young = max(1, round(30.0 / young_interval(0.5, 1 / 500.0)))
         assert abs(exact - young) <= 1
 
     def test_diverges_at_high_failure_rate(self):
-        from repro.sim.analytical import young_checkpoint_count
+        from repro.sim.analytical import young_interval
 
         # λ·a* ~ 1: the expansion under-checkpoints vs the exact optimum.
         params = SimulationParams(mttf=2.0, failure_free_time=30.0)
         exact = optimal_checkpoint_count(params)
-        young = young_checkpoint_count(30.0, 0.5, 1 / 2.0)
+        young = max(1, round(30.0 / young_interval(0.5, 1 / 2.0)))
         assert exact > young
 
     def test_invalid_parameters(self):
