@@ -77,7 +77,7 @@ def run_once(timeout: float, seed: int, jitter: float) -> tuple[float, int]:
     # Only suspicions of the backup are *false* (it never crashes); the
     # monitor's own counter also counts the primary's real-crash suspicion
     # revoked at recovery.
-    backup = engine.runtime.detector.monitor.liveness("backup")
+    backup = engine.runtime.detector.liveness("backup")
     false_suspicions = backup.suspicions if backup else 0
     return result.completion_time, false_suspicions
 

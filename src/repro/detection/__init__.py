@@ -1,21 +1,23 @@
 """Generic failure detection service (heartbeats + event notifications).
 
 Python reproduction of the service the paper cites as [18]: typed
-notification messages, a heartbeat monitor with timeout-based host
-suspicion, a per-task failure detector implementing the paper's state
-determination rules, and the task-side notification API.
+notification messages, one failure detector — timeout-based host suspicion
+from heartbeats, and the paper's per-attempt state determination rules —
+and the task-side notification API.
 """
 
 from .api import TaskContext, TaskFailedSignal, UserExceptionSignal
 from .detector import (
+    HOST_RECOVERED,
+    HOST_SUSPECTED,
     TASK_ACTIVE,
     TASK_DONE,
     TASK_EXCEPTION,
     TASK_FAILED,
     AttemptOutcome,
     FailureDetector,
+    HostLiveness,
 )
-from .heartbeat import HOST_RECOVERED, HOST_SUSPECTED, HeartbeatMonitor, HostLiveness
 from .messages import (
     CheckpointNotice,
     Done,
@@ -38,7 +40,6 @@ __all__ = [
     "FailureDetector",
     "HOST_RECOVERED",
     "HOST_SUSPECTED",
-    "HeartbeatMonitor",
     "HostLiveness",
     "CheckpointNotice",
     "Done",

@@ -1,10 +1,10 @@
-"""Per-task failure detector.
+"""The failure detector: host liveness and per-attempt verdicts.
 
 Combines the two input streams of the generic failure detection service —
-substrate signals (``Done``, host suspicion from the heartbeat monitor) and
-application notifications (``TaskStart`` / ``TaskEnd`` / ``Exception`` /
-``Checkpoint``) — into each attempt's :class:`~repro.core.states.TaskState`,
-applying the paper's determination rules:
+substrate signals (``Done``, heartbeats) and application notifications
+(``TaskStart`` / ``TaskEnd`` / ``Exception`` / ``Checkpoint``) — into each
+attempt's :class:`~repro.core.states.TaskState`, applying the paper's
+determination rules:
 
 * ``TaskStart`` ⇒ ``ACTIVE``;
 * ``Exception`` ⇒ ``EXCEPTION`` (a user-defined, task-specific failure);
@@ -17,6 +17,17 @@ An attempt holds its state directly; every move is checked against
 :class:`~repro.errors.DetectionError`.  A terminal signal that arrives
 before ``TaskStart`` (a task that crashes at once) first promotes the
 attempt to ``ACTIVE``, without narration.
+
+Host liveness is the detector's too, when it is given a heartbeat timeout:
+it keeps one :class:`HostLiveness` record per host it has tracked an
+attempt on or heard a beat from, and a sweep every ``timeout / 2`` seconds
+suspects each host silent for longer than the timeout — the liveness half
+of the service, covering host crashes, reboots and network partitions
+(indistinguishable from the client's vantage point, as usual for failure
+detectors in asynchronous systems).  The sweep narrates the suspicion
+(``detector.host_suspected``, payload the hostname) and fails that host's
+live attempts; a beat from a suspected host revokes the suspicion
+(``detector.host_recovered``) and counts as a false suspicion.
 
 Control goes by call, narration by bus.  For every terminal state the
 detector first narrates the :class:`AttemptOutcome` on the bus
@@ -44,8 +55,7 @@ from ..core.exceptions import UserException
 from ..core.states import LEGAL_TRANSITIONS, TaskState
 from ..errors import DetectionError
 from ..events import EventBus
-from ..reactor import Reactor
-from .heartbeat import HeartbeatMonitor
+from ..reactor import Reactor, TimerHandle
 from .messages import (
     CheckpointNotice,
     Done,
@@ -59,16 +69,22 @@ from .messages import (
 __all__ = [
     "FailureDetector",
     "AttemptOutcome",
+    "HostLiveness",
     "TASK_ACTIVE",
     "TASK_DONE",
     "TASK_FAILED",
     "TASK_EXCEPTION",
+    "HOST_SUSPECTED",
+    "HOST_RECOVERED",
 ]
 
 TASK_ACTIVE = "task.active"
 TASK_DONE = "task.done"
 TASK_FAILED = "task.failed"
 TASK_EXCEPTION = "task.exception"
+
+HOST_SUSPECTED = "detector.host_suspected"
+HOST_RECOVERED = "detector.host_recovered"
 
 _TOPIC_FOR_VERDICT = {
     TaskState.DONE: TASK_DONE,
@@ -115,6 +131,21 @@ class AttemptOutcome(NamedTuple):
 _tuple_new = tuple.__new__
 
 
+@dataclass
+class HostLiveness:
+    """The detector's liveness record for one host."""
+
+    hostname: str
+    last_beat: float
+    last_seq: int
+    suspected: bool = False
+    #: Number of times this host has been suspected (diagnostics).
+    suspicions: int = 0
+    #: Heartbeats observed from this host (the telemetry plane's
+    #: heartbeat-loss feed divides suspicions by this).
+    beats: int = 0
+
+
 @dataclass(slots=True, init=False)
 class _Attempt:
     job_id: str
@@ -156,13 +187,18 @@ class _Attempt:
 
 
 class FailureDetector:
-    """Tracks task attempts, narrates their detected states on the bus and
-    hands each verdict to whoever tracked the attempt.
+    """Tracks task attempts and host liveness, narrates detected states on
+    the bus and hands each verdict to whoever tracked the attempt.
 
-    The detector owns a :class:`HeartbeatMonitor` when constructed with a
-    heartbeat timeout; the monitor tells it of each suspicion by call
-    (after publishing it), which fails the attempts on that host.
+    *heartbeat_timeout* is the silence after which a host is suspected;
+    ``None`` keeps no liveness at all (heartbeats are only counted).  It
+    should exceed the heartbeat period plus the largest expected network
+    delay, or live hosts are falsely suspected — the accuracy/completeness
+    trade-off the heartbeat-timeout ablation benchmark measures.
     """
+
+    #: The pending sweep, while sweeping (nothing to cancel before then).
+    _sweep_handle: TimerHandle | None = None
 
     def __init__(
         self,
@@ -172,51 +208,68 @@ class FailureDetector:
         heartbeat_timeout: float | None = None,
         batch_heartbeats: bool = False,
     ) -> None:
+        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {heartbeat_timeout!r}")
         self._reactor = reactor
         self._bus = bus
-        #: With ``batch_heartbeats`` on, beats are buffered and flushed to
-        #: the monitor once per reactor turn: hosts beating on a shared
+        self.heartbeat_timeout = heartbeat_timeout
+        #: With ``batch_heartbeats`` on, beats are buffered and folded into
+        #: the host table once per reactor turn: hosts beating on a shared
         #: period all land at the same instant, so a multiplexed run pays
         #: one liveness pass per tick instead of one per host.  Off by
         #: default — the single-engine path keeps synchronous observation.
         self.batch_heartbeats = batch_heartbeats
-        self.monitor: HeartbeatMonitor | None = None
-        if heartbeat_timeout is not None:
-            self.monitor = HeartbeatMonitor(
-                reactor,
-                bus,
-                timeout=heartbeat_timeout,
-                on_suspected=self._on_host_suspected,
-            )
         self.reset()
 
     def start(self) -> None:
-        if self.monitor is not None:
-            self.monitor.start()
+        """Begin the liveness sweeps (nothing without a heartbeat timeout,
+        or while already sweeping)."""
+        if self.heartbeat_timeout is not None and self._sweep_handle is None:
+            self._sweep_handle = self._reactor.call_later(
+                self.heartbeat_timeout / 2, self._sweep
+            )
 
     def stop(self) -> None:
-        if self.monitor is not None:
-            self.monitor.stop()
+        """Stop sweeping; the host table is kept."""
+        if self._sweep_handle is not None:
+            self._sweep_handle.cancel()
+            self._sweep_handle = None
 
     def reset(self) -> None:
-        """Forget every tracked attempt (and heartbeat liveness state),
-        returning the detector to its just-constructed state — the
+        """Stop sweeping and forget every tracked attempt and liveness
+        record, returning the detector to its just-constructed state — the
         engine-reuse path (:meth:`repro.engine.engine.WorkflowEngine.reset`)
         rewinds one detector instead of building one per run."""
+        if self._sweep_handle is not None:  # most rewinds have none to stop
+            self.stop()
         self._attempts: dict[str, _Attempt] = {}
         #: Heartbeat messages consumed (GRAM liveness traffic volume) —
         #: scraped by :func:`repro.obs.observer.scrape_detector`.
         self.heartbeats_observed = 0
         self._pending_beats: list[Heartbeat] = []
         self._flush_scheduled = False
-        if self.monitor is not None:
-            self.monitor.reset()
+        self._hosts: dict[str, HostLiveness] = {}
+        #: Suspected hosts that later resumed beating.
+        self.false_suspicions = 0
+
+    def liveness(self, hostname: str) -> HostLiveness | None:
+        """*hostname*'s liveness record (``None`` when not watched)."""
+        return self._hosts.get(hostname)
 
     def liveness_snapshot(self) -> list[dict]:
-        """Per-host beat/suspicion counters from the heartbeat monitor
-        (empty when heartbeat detection is off) — the feed the telemetry
-        plane's estimators derive heartbeat-loss rates from."""
-        return self.monitor.snapshot() if self.monitor is not None else []
+        """JSON-safe per-host beat/suspicion counters (empty when
+        heartbeat detection is off) — the feed the telemetry plane's
+        estimators derive heartbeat-loss rates from."""
+        return [
+            {
+                "host": record.hostname,
+                "beats": record.beats,
+                "suspicions": record.suspicions,
+                "suspected": record.suspected,
+                "last_beat": record.last_beat,
+            }
+            for record in sorted(self._hosts.values(), key=lambda r: r.hostname)
+        ]
 
     # -- registration --------------------------------------------------------
 
@@ -256,8 +309,11 @@ class FailureDetector:
             attempt.trace_id = getattr(trace, "trace_id", "") or ""
             attempt.span_id = getattr(trace, "span_id", "") or ""
             attempt.parent_id = getattr(trace, "parent_id", "") or ""
-        if self.monitor is not None:
-            self.monitor.watch(hostname)
+        # Watching a host starts its timeout now, as if it had just beaten.
+        if self.heartbeat_timeout is not None and hostname not in self._hosts:
+            self._hosts[hostname] = HostLiveness(
+                hostname=hostname, last_beat=self._reactor.now(), last_seq=-1
+            )
 
     def forget(self, job_id: str) -> None:
         """Stop tracking (used when cancelling sibling replicas)."""
@@ -278,28 +334,26 @@ class FailureDetector:
     def deliver(self, msg: Message) -> None:
         """Feed one message from the network / executor into the detector.
 
-        Dispatch is on the message's exact type; a subclass of a message
-        type takes the ``isinstance`` route once per delivery."""
+        Dispatch is on the message's exact type: any other type, a
+        subclass of a message type included, is a :class:`DetectionError`."""
         kind = type(msg)
-        on_message = (
-            None
-            if kind is Heartbeat
-            else _ON_ATTEMPT_MESSAGE.get(kind) or _handler_for_subclass(msg)
-        )
-        if on_message is not None:
-            attempt = self._attempts.get(msg.job_id)  # type: ignore[attr-defined]
+        if kind is not Heartbeat:
+            on_message = _ON_ATTEMPT_MESSAGE.get(kind)
+            if on_message is None:
+                raise DetectionError(f"unhandled message type: {kind.__name__}")
+            attempt = self._attempts.get(msg.job_id)  # type: ignore[union-attr]
             if attempt is not None:  # else late or unknown: the network is async
                 on_message(self, attempt, msg)
             return
         self.heartbeats_observed += 1
-        if self.monitor is not None:
-            if self.batch_heartbeats:
-                self._pending_beats.append(msg)  # type: ignore[arg-type]
-                if not self._flush_scheduled:
-                    self._flush_scheduled = True
-                    self._reactor.call_soon(self._flush_beats)
-            else:
-                self.monitor.observe(msg)  # type: ignore[arg-type]
+        if self.heartbeat_timeout is None:
+            return
+        self._pending_beats.append(msg)  # type: ignore[arg-type]
+        if not self.batch_heartbeats:
+            self._observe_beats()
+        elif not self._flush_scheduled:
+            self._flush_scheduled = True
+            self._reactor.call_soon(self._observe_beats)
 
     def _on_task_start(self, attempt: _Attempt, _msg: TaskStart) -> None:
         if attempt.state is TaskState.INACTIVE:
@@ -321,13 +375,60 @@ class FailureDetector:
             attempt.state = TaskState.ACTIVE
         self._finish(attempt, TaskState.EXCEPTION, reason="exception-notice")
 
-    def _flush_beats(self) -> None:
-        """Deliver the turn's buffered heartbeats to the monitor in one
-        batch (see ``batch_heartbeats``)."""
+    def _observe_beats(self) -> None:
+        """Fold the buffered heartbeats into the host table — at once
+        without ``batch_heartbeats``, else once per reactor turn.
+
+        Each beat touches its host's record in place — the observation
+        time, the sequence number, the beat count — so a batch costs one
+        clock read and no allocation beyond a new host's record.  A
+        suspected host is revoked at its first beat in the batch, so the
+        records, ``false_suspicions`` and the order of recovery
+        publications do not depend on how the beats were batched."""
         self._flush_scheduled = False
         beats, self._pending_beats = self._pending_beats, []
-        if beats and self.monitor is not None:
-            self.monitor.observe_batch(beats)
+        now = self._reactor.now()
+        hosts = self._hosts
+        for beat in beats:
+            hostname = beat.hostname
+            record = hosts.get(hostname)
+            if record is None:
+                hosts[hostname] = HostLiveness(
+                    hostname=hostname, last_beat=now, last_seq=beat.seq, beats=1
+                )
+                continue
+            record.last_beat = now
+            record.last_seq = beat.seq
+            record.beats += 1
+            if record.suspected:
+                record.suspected = False
+                self.false_suspicions += 1
+                self._bus.publish(HOST_RECOVERED, hostname)
+
+    def _sweep(self) -> None:
+        """Suspect every host silent past the timeout — narrate it, then
+        fail the host's live attempts — and sweep again in ``timeout / 2``."""
+        timeout = self.heartbeat_timeout
+        now = self._reactor.now()
+        live = self._attempts
+        # Snapshots: failing an attempt synchronously starts recovery (a
+        # retry on another host watches that host mid-sweep), and can
+        # cancel (forget) or conclude siblings and track new attempts, so
+        # each is failed only if it is still the tracked attempt of its job.
+        for record in list(self._hosts.values()):
+            if record.suspected or now - record.last_beat <= timeout:
+                continue
+            record.suspected = True
+            record.suspicions += 1
+            hostname = record.hostname
+            self._bus.publish(HOST_SUSPECTED, hostname)
+            for attempt in list(live.values()):
+                if attempt.hostname == hostname and live.get(attempt.job_id) is attempt:
+                    if attempt.state is TaskState.INACTIVE:
+                        attempt.state = TaskState.ACTIVE
+                    self._finish(attempt, TaskState.FAILED, reason="host-suspected")
+        if self._sweep_handle is not None:  # else stopped while it swept
+            self._sweep_handle = self._reactor.call_later(timeout / 2, self._sweep)
 
     # -- determination rules ---------------------------------------------------
 
@@ -345,17 +446,6 @@ class FailureDetector:
                 else f"nonzero-exit({msg.exit_code})"
             )
             self._finish(attempt, TaskState.FAILED, reason=reason)
-
-    def _on_host_suspected(self, hostname: str) -> None:
-        # A snapshot of the live attempts: failing one can cancel (forget)
-        # or conclude siblings and start new ones while we walk, so each
-        # is failed only if it is still the tracked attempt of its job.
-        live = self._attempts
-        for attempt in list(live.values()):
-            if attempt.hostname == hostname and live.get(attempt.job_id) is attempt:
-                if attempt.state is TaskState.INACTIVE:
-                    attempt.state = TaskState.ACTIVE
-                self._finish(attempt, TaskState.FAILED, reason="host-suspected")
 
     def _finish(self, attempt: _Attempt, state: TaskState, *, reason: str) -> None:
         if (attempt.state, state) not in LEGAL_TRANSITIONS:
@@ -425,14 +515,3 @@ _ON_ATTEMPT_MESSAGE: dict[type, _AttemptHandler] = {
     ExceptionNotice: FailureDetector._on_exception,
     Done: FailureDetector._on_done,
 }
-
-
-def _handler_for_subclass(msg: Message) -> _AttemptHandler | None:
-    """The handler of the first listed message type *msg* is an instance
-    of; ``None`` for a heartbeat subclass."""
-    if isinstance(msg, Heartbeat):
-        return None
-    for kind, on_message in _ON_ATTEMPT_MESSAGE.items():
-        if isinstance(msg, kind):
-            return on_message
-    raise DetectionError(f"unhandled message type: {type(msg).__name__}")

@@ -17,9 +17,9 @@ Messages are ``NamedTuple`` records: each is built once, by its sender, and
 never changed, and a tuple is the cheapest immutable record Python builds —
 the simulated job runner mints them with one ``tuple.__new__`` per message.
 They are passed as objects and never serialised.
-:data:`Message` is the union of the six types.  A subclass of one is
-handled as that type; since tuples compare by value, compare ``type(m)``
-too when the type matters.
+:data:`Message` is the union of the six types.  The detector dispatches on
+a message's exact type, so it refuses a subclass of one; since tuples
+compare by value, compare ``type(m)`` too when the type matters.
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ class EngineHost:
     keywords: the host builds the shared runtime once, with the engine's
     own builder, and every submitted instance rides on it.  A detector the
     host builds batches heartbeats: with N instances the heartbeat fan-in
-    is the dominant liveness cost, and batching coalesces it to one monitor
+    is the dominant liveness cost, and batching coalesces it to one liveness
     pass per reactor turn.  Pass ``detector=`` to choose otherwise.
     """
 

@@ -1,10 +1,11 @@
 """A small synchronous publish/subscribe event bus.
 
-The bus carries *narration*: the failure detector, the heartbeat monitor,
-the recovery coordinators and the engines publish what they see and decide,
-and the telemetry plane (:mod:`repro.obs`) — observers, recorders, trackers,
-estimators — consumes it.  It carries no control: a verdict reaches the
-coordinator that tracked the attempt by a direct call
+The bus carries *narration*: the failure detector (attempt verdicts and
+host suspicion), the recovery coordinators and the engines publish what
+they see and decide, and the telemetry plane (:mod:`repro.obs`) —
+observers, recorders, trackers, estimators — consumes it.  It carries no
+control: a verdict reaches the coordinator that tracked the attempt by a
+direct call
 (:meth:`repro.detection.detector.FailureDetector.track`'s ``on_verdict``),
 made *after* the verdict is published, so nothing that steers a run
 subscribes here and every observer sees a cause before its effects.

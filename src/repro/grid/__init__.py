@@ -17,7 +17,7 @@ from .behaviors import (
     TaskBehavior,
 )
 from .failures import FailureEvent, FailureScript, inject_crash, inject_partition
-from .gram import GramConfig, GramService
+from .gram import GramService
 from .host import Host, HostState
 from .network import Network
 from .random import DEFAULT_SEED, RandomStreams
@@ -38,7 +38,6 @@ __all__ = [
     "FailureScript",
     "inject_crash",
     "inject_partition",
-    "GramConfig",
     "GramService",
     "Host",
     "HostState",

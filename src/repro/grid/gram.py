@@ -6,15 +6,17 @@ executable; the service instantiates a :class:`JobProcess` that executes the
 behaviour's planned timeline on the target host, emitting detection-service
 messages through the network as it goes.
 
-Crash observability is configurable (``GramConfig.crash_detection``):
+The service is built on its grid and reads the grid's crash observability
+mode (:attr:`repro.grid.simgrid.GridConfig.crash_detection`):
 
 * ``"prompt"`` — when a host crashes, the client's GRAM connection breaks
   and a synthetic ``Done(host_crashed=True)`` is delivered immediately.
   This gives zero failure-detection latency, matching the paper's
   analytical/simulation model (which charges no detection delay).
 * ``"heartbeat"`` — nothing is synthesised; the failure is noticed only
-  when the heartbeat monitor times out.  This is the realistic path and is
-  exercised by the detector tests and the heartbeat ablation benchmark.
+  when the failure detector's heartbeat timeout expires.  This is the
+  realistic path and is exercised by the detector tests and the heartbeat
+  ablation benchmark.
 
 The service's job table holds *live* submissions only: a job's
 :class:`JobProcess` — which is also its record: ``status``, ``attempt``,
@@ -27,10 +29,8 @@ the final one; :attr:`GramService.submitted_count` is a plain counter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from ..ckpt.store import CheckpointStore
 from ..core.exceptions import UserException
 from ..detection.messages import CheckpointNotice, Done, ExceptionNotice, TaskEnd, TaskStart
 from ..errors import CheckpointError, GridError
@@ -38,31 +38,16 @@ from ..execution import SubmitRequest
 from ..timerheap import TimerHandle
 from .behaviors import PlanContext, Step, TaskBehavior
 from .host import Host
-from .network import Network
-from .random import RandomStreams
-from .simkernel import SimKernel
 
-__all__ = ["GramConfig", "GramService", "JobProcess"]
+if TYPE_CHECKING:
+    from .simgrid import SimulatedGrid
+
+__all__ = ["GramService", "JobProcess"]
 
 #: Mints the per-attempt tuples — the :class:`PlanContext` and every
 #: message — positionally, without their generated ``__new__`` (a Python
 #: frame that re-binds defaults per call).
 _tuple_new = tuple.__new__
-
-
-@dataclass(frozen=True)
-class GramConfig:
-    """Submission-service configuration."""
-
-    #: "prompt" (synthetic Done on host crash) or "heartbeat" (silence).
-    crash_detection: str = "prompt"
-
-    def __post_init__(self) -> None:
-        if self.crash_detection not in {"prompt", "heartbeat"}:
-            raise GridError(
-                f"crash_detection must be 'prompt' or 'heartbeat', "
-                f"got {self.crash_detection!r}"
-            )
 
 
 class JobProcess:
@@ -276,23 +261,16 @@ class JobProcess:
 
 
 class GramService:
-    """Client-facing submission service over a set of simulated hosts."""
+    """Client-facing submission service over a grid's simulated hosts."""
 
-    def __init__(
-        self,
-        kernel: SimKernel,
-        network: Network,
-        hosts: dict[str, Host],
-        streams: RandomStreams,
-        store: CheckpointStore,
-        config: GramConfig | None = None,
-    ) -> None:
-        self.kernel = kernel
-        self.network = network
-        self.hosts = hosts
-        self.streams = streams
-        self.store = store
-        self.config = config or GramConfig()
+    def __init__(self, grid: "SimulatedGrid") -> None:
+        self.kernel = grid.kernel
+        self.network = grid.network
+        #: The grid's own table: a host added later is submittable too.
+        self.hosts = grid.hosts
+        self.streams = grid.streams
+        self.store = grid.store
+        self.config = grid.config
         self.reset()
 
     def reset(self) -> None:

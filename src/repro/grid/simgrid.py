@@ -6,6 +6,12 @@ store and GRAM service into one object implementing the engine's
 substitute for the paper's Globus deployment: build a grid, install
 software, hand it to a :class:`repro.engine.engine.WorkflowEngine`, run.
 
+Every grid-wide setting is stated once, on :class:`GridConfig`: the
+network is built from its latency, jitter and loss, every host from its
+``heartbeats``, and the GRAM service, built on the grid, reads its
+``crash_detection``.  Whether anyone *listens* to the heartbeats is the
+failure detector's business (its ``heartbeat_timeout``), not the grid's.
+
 Typical use::
 
     grid = SimulatedGrid(seed=42)
@@ -25,7 +31,7 @@ from ..detection.messages import Message
 from ..errors import GridError
 from ..execution import ExecutionService, SubmitRequest
 from .behaviors import TaskBehavior
-from .gram import GramConfig, GramService
+from .gram import GramService
 from .host import Host
 from .network import Network
 from .random import DEFAULT_SEED, RandomStreams
@@ -37,9 +43,11 @@ __all__ = ["GridConfig", "SimulatedGrid"]
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Grid-wide simulation knobs."""
+    """Grid-wide simulation knobs, each stated once: the network, the
+    hosts and the GRAM service read them from here."""
 
-    #: Crash observability mode; see :class:`repro.grid.gram.GramConfig`.
+    #: Crash observability: ``"prompt"`` (a synthetic ``Done`` on a host
+    #: crash) or ``"heartbeat"`` (silence); see :mod:`repro.grid.gram`.
     crash_detection: str = "prompt"
     #: One-way host→client message latency (and optional jitter).
     network_latency: float = 0.0
@@ -48,6 +56,13 @@ class GridConfig:
     #: Emit heartbeats at all (the evaluation runs with prompt crash
     #: detection and can switch heartbeats off for speed).
     heartbeats: bool = True
+
+    def __post_init__(self) -> None:
+        if self.crash_detection not in {"prompt", "heartbeat"}:
+            raise GridError(
+                f"crash_detection must be 'prompt' or 'heartbeat', "
+                f"got {self.crash_detection!r}"
+            )
 
 
 class SimulatedGrid(ExecutionService):
@@ -73,14 +88,7 @@ class SimulatedGrid(ExecutionService):
         )
         self.store = store if store is not None else MemoryCheckpointStore()
         self.hosts: dict[str, Host] = {}
-        self.gram = GramService(
-            self.kernel,
-            self.network,
-            self.hosts,
-            self.streams,
-            self.store,
-            GramConfig(crash_detection=self.config.crash_detection),
-        )
+        self.gram = GramService(self)
 
     # -- reuse ------------------------------------------------------------------
 

@@ -26,14 +26,19 @@ small JSON schema for it and builds a :class:`~repro.grid.SimulatedGrid`:
 
 Behaviour types map to :mod:`repro.grid.behaviors`:
 ``fixed``, ``checkpointing``, ``exception_prone``, ``crashing``, ``flaky``.
+The keys of a host, of ``config`` and of a behaviour are the fields of the
+class it builds (:class:`~repro.grid.resource.ResourceSpec`,
+:class:`~repro.grid.simgrid.GridConfig`, the behaviour's class), each read
+by the field's declared type; a key left out takes the default its class
+declares, so the classes state every default once.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import GridError
 from .grid.behaviors import (
@@ -49,6 +54,50 @@ from .grid.simgrid import GridConfig, SimulatedGrid
 
 __all__ = ["load_gridspec", "build_grid", "behavior_from_spec"]
 
+#: Behaviour type → the class a behaviour of that type builds.
+_BEHAVIORS: dict[str, type[TaskBehavior]] = {
+    "fixed": FixedDurationTask,
+    "checkpointing": CheckpointingTask,
+    "exception_prone": ExceptionProneTask,
+    "crashing": CrashingTask,
+    "flaky": FlakyTask,
+}
+
+
+def _as_given(value: Any) -> Any:
+    return value
+
+
+def _optional_int(value: Any) -> int | None:
+    return None if value is None else int(value)
+
+
+#: How a JSON value becomes a field of each declared type; a field of any
+#: other type (``Any``) takes the value as given.
+_READERS: dict[str, Callable[[Any], Any]] = {
+    "str": str,
+    "float": float,
+    "int": int,
+    "bool": bool,
+    "int | None": _optional_int,
+    "frozenset[str]": frozenset,
+}
+
+
+def _given(cls: type, spec: dict[str, Any]) -> dict[str, Any]:
+    """The keyword arguments for dataclass *cls* that *spec* gives: each
+    field *spec* names, taken out of it and read by its declared type.  A
+    field left out takes *cls*'s own default; a required one raises
+    :class:`KeyError` naming it."""
+    given = {}
+    for field in fields(cls):
+        if field.name in spec:
+            read = _READERS.get(field.type, _as_given)
+            given[field.name] = read(spec.pop(field.name))
+        elif field.default is MISSING and field.default_factory is MISSING:
+            raise KeyError(field.name)
+    return given
+
 
 def _no_unknown_keys(rest: dict[str, Any], where: str) -> None:
     """*rest* is what is left of a spec once every known key was taken."""
@@ -60,87 +109,36 @@ def behavior_from_spec(spec: dict[str, Any]) -> TaskBehavior:
     """Instantiate a task behaviour from its JSON description."""
     spec = dict(spec)
     kind = spec.pop("type", None)
+    cls = _BEHAVIORS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise GridError(
+            f"unknown behavior type {kind!r} (expected fixed/checkpointing/"
+            "exception_prone/crashing/flaky)"
+        )
     try:
-        behavior = _behavior(kind, spec)
+        behavior = cls(**_given(cls, spec))
     except KeyError as exc:
         raise GridError(
             f"behavior type {kind!r} is missing required field {exc}"
         ) from exc
     except (TypeError, ValueError) as exc:
         raise GridError(f"invalid behavior spec for type {kind!r}: {exc}") from exc
-    if behavior is None:
-        raise GridError(
-            f"unknown behavior type {kind!r} (expected fixed/checkpointing/"
-            "exception_prone/crashing/flaky)"
-        )
     _no_unknown_keys(spec, f"behavior type {kind!r}")
     return behavior
 
 
-def _behavior(kind: Any, spec: dict[str, Any]) -> TaskBehavior | None:
-    """The behaviour of type *kind*, taking its fields out of *spec*."""
-    if kind == "fixed":
-        return FixedDurationTask(
-            duration=float(spec.pop("duration")),
-            result=spec.pop("result", None),
-        )
-    if kind == "checkpointing":
-        return CheckpointingTask(
-            duration=float(spec.pop("duration")),
-            checkpoints=int(spec.pop("checkpoints")),
-            overhead=float(spec.pop("overhead", 0.5)),
-            recovery_time=float(spec.pop("recovery_time", 0.5)),
-            result=spec.pop("result", None),
-        )
-    if kind == "exception_prone":
-        return ExceptionProneTask(
-            duration=float(spec.pop("duration")),
-            checks=int(spec.pop("checks")),
-            probability=float(spec.pop("probability")),
-            exception_name=str(spec.pop("exception_name", "disk_full")),
-            checkpointable=bool(spec.pop("checkpointable", False)),
-            result=spec.pop("result", None),
-        )
-    if kind == "crashing":
-        crashes = spec.pop("crashes", 1)
-        return CrashingTask(
-            duration=float(spec.pop("duration")),
-            crash_at=float(spec.pop("crash_at")),
-            crashes=None if crashes is None else int(crashes),
-            result=spec.pop("result", None),
-        )
-    if kind == "flaky":
-        return FlakyTask(
-            duration=float(spec.pop("duration")),
-            crash_probability=float(spec.pop("crash_probability")),
-            result=spec.pop("result", None),
-        )
-    return None
-
-
 def _host_from_spec(spec: dict[str, Any]) -> ResourceSpec:
     spec = dict(spec)
-    hostname = spec.pop("hostname", "")
+    hostname = spec.get("hostname")
     if not hostname:
         raise GridError("host spec requires a hostname")
     reliable = spec.pop("reliable", False)
-    mttf = spec.pop("mttf", None)
-    if reliable and mttf is not None:
+    if "mttf" in spec and spec["mttf"] is None:
+        del spec["mttf"]  # as if left out: a host that never fails
+    if reliable and "mttf" in spec:
         raise GridError(f"host {hostname!r}: reliable and mttf are exclusive")
     try:
-        slots = spec.pop("slots", None)
-        host = ResourceSpec(
-            hostname=hostname,
-            service=str(spec.pop("service", "jobmanager")),
-            speed=float(spec.pop("speed", 1.0)),
-            disk_gb=float(spec.pop("disk_gb", 100.0)),
-            memory_gb=float(spec.pop("memory_gb", 8.0)),
-            mttf=math.inf if reliable or mttf is None else float(mttf),
-            mean_downtime=float(spec.pop("mean_downtime", 0.0)),
-            heartbeat_period=float(spec.pop("heartbeat_period", 1.0)),
-            slots=None if slots is None else int(slots),
-            tags=frozenset(spec.pop("tags", [])),
-        )
+        host = ResourceSpec(**_given(ResourceSpec, spec))
     except ValueError as exc:
         raise GridError(f"invalid host spec for {hostname!r}: {exc}") from exc
     _no_unknown_keys(spec, f"host {hostname!r}")
@@ -154,23 +152,19 @@ def build_grid(data: dict[str, Any]) -> SimulatedGrid:
     data = dict(data)
     config_data = dict(data.pop("config", {}))
     try:
-        config = GridConfig(
-            crash_detection=config_data.pop("crash_detection", "prompt"),
-            network_latency=float(config_data.pop("network_latency", 0.0)),
-            network_jitter=float(config_data.pop("network_jitter", 0.0)),
-            message_loss=float(config_data.pop("message_loss", 0.0)),
-            heartbeats=bool(config_data.pop("heartbeats", True)),
-        )
+        config = GridConfig(**_given(GridConfig, config_data))
     except (TypeError, ValueError) as exc:
         raise GridError(f"invalid grid config: {exc}") from exc
     _no_unknown_keys(config_data, "grid config")
-    seed = int(data.pop("seed", 20030623))
+    given: dict[str, Any] = {"config": config}
+    if "seed" in data:
+        given["seed"] = int(data.pop("seed"))
     hosts = data.pop("hosts", [])
     softwares = data.pop("software", [])
     _no_unknown_keys(data, "gridspec")
     if not hosts:
         raise GridError("gridspec defines no hosts")
-    grid = SimulatedGrid(seed=seed, config=config)
+    grid = SimulatedGrid(**given)
     for host_spec in hosts:
         grid.add_host(_host_from_spec(host_spec))
     for software in softwares:

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from ..detection import detector, heartbeat
+from ..detection import detector
 from ..engine import engine, host, recovery
 from ..sim import adaptive, engine_mc, parallel
 from . import estimators, health, observer
@@ -58,7 +58,7 @@ class TopicSpec(NamedTuple):
 #: ``workflow_id``.
 _TOPIC_SOURCES = (
     (detector, "TASK_", detector.AttemptOutcome),
-    (heartbeat, "HOST_", "`str` (hostname)"),
+    (detector, "HOST_", "`str` (hostname)"),
     (host, "ENGINE_", None),
     (engine, "ENGINE_", None),
     (recovery, "RECOVERY_", None),

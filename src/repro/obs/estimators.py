@@ -11,9 +11,9 @@ Per host (:class:`HostEstimator`):
 * exponentially-weighted MTTF from inter-failure gaps (a failure is a
   ``task.failed`` outcome whose reason is a host crash/suspicion;
   replica co-crashes at the same instant dedupe to one failure);
-* exponentially-weighted downtime from suspected→recovered spans of the
-  heartbeat monitor;
-* heartbeat-loss rate from the monitor's per-host beat/suspicion
+* exponentially-weighted downtime from the failure detector's
+  suspected→recovered spans;
+* heartbeat-loss rate from the detector's per-host beat/suspicion
   counters (fed on the collector cadence via :meth:`ingest_liveness`);
 * a :class:`PageHinkley` change detector on inter-failure gaps
   *normalised by the catalog MTTF* — under the catalog the normalised
@@ -391,7 +391,7 @@ class EstimatorSuite(LogConsumer):
 
     The fold (:class:`~repro.obs.log.Fold`) feeds it the terminal task
     outcomes, under the name of the specification their instance runs, and
-    the heartbeat monitor's suspicion topics.  When a host's drift detector
+    the failure detector's host suspicion topics.  When a host's drift detector
     latches it publishes one
     :data:`DRIFT_MTTF` event with observed-vs-prior detail, and latches and
     re-evaluates its :attr:`health` engine by call, at the failure's own
@@ -484,8 +484,9 @@ class EstimatorSuite(LogConsumer):
                 self.health.evaluate(at)
 
     def ingest_liveness(self, liveness: list[dict[str, Any]]) -> None:
-        """Fold the heartbeat monitor's per-host beat/suspicion counters
-        (from :meth:`HeartbeatMonitor.snapshot`) into the estimators."""
+        """Fold the failure detector's per-host beat/suspicion counters
+        (from :meth:`FailureDetector.liveness_snapshot`) into the
+        estimators."""
         for record in liveness:
             estimator = self.host(str(record.get("host", "")))
             estimator.beats = int(record.get("beats", 0))

@@ -163,7 +163,7 @@ def _kinds() -> dict[str, tuple[int, type, str]]:
     publisher declares for it, and (for ``task.*``) the attempt's outcome
     label.  Built on first use, from the publishers' own declarations:
     they import :mod:`repro.obs` themselves."""
-    from ..detection import detector, heartbeat
+    from ..detection import detector
     from ..engine import engine, host, recovery
 
     attempt = detector.AttemptOutcome
@@ -172,8 +172,8 @@ def _kinds() -> dict[str, tuple[int, type, str]]:
         detector.TASK_DONE: (_ATTEMPT, attempt, "done"),
         detector.TASK_FAILED: (_ATTEMPT, attempt, "failed"),
         detector.TASK_EXCEPTION: (_ATTEMPT, attempt, "exception"),
-        heartbeat.HOST_SUSPECTED: (_SUSPECTED, str, ""),
-        heartbeat.HOST_RECOVERED: (_RECOVERED, str, ""),
+        detector.HOST_SUSPECTED: (_SUSPECTED, str, ""),
+        detector.HOST_RECOVERED: (_RECOVERED, str, ""),
     }
     narrated = {
         host.ENGINE_WORKFLOW_ADMITTED: _ADMITTED,

@@ -39,7 +39,7 @@ from __future__ import annotations
 import bisect
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, ContextManager, Iterator, Mapping
+from typing import Any, ContextManager, Iterator, Mapping, Sequence
 
 from ..errors import GridWFSError
 
@@ -140,15 +140,24 @@ class Histogram:
         holding the q-th observation); ``inf`` if it lands in overflow."""
         if not 0.0 <= q <= 1.0:
             raise MetricsError(f"quantile must be in [0, 1], got {q!r}")
-        if self.count == 0:
-            return float("nan")
-        target = q * self.count
-        seen = 0
-        for i, n in enumerate(self.counts):
-            seen += n
-            if seen >= target and n:
-                return self.bounds[i] if i < len(self.bounds) else float("inf")
-        return float("inf")
+        return _bucket_quantile(self.bounds, self.counts, self.count, q)
+
+
+def _bucket_quantile(
+    bounds: Sequence[float], counts: Sequence[int], count: int, q: float
+) -> float:
+    """Upper bound of the bucket holding the q-th of *count* observations
+    (``counts`` has one overflow bucket past ``bounds``): ``inf`` if it
+    lands in overflow, NaN when there is no observation."""
+    if count <= 0:
+        return float("nan")
+    target = q * count
+    seen = 0
+    for i, n in enumerate(counts):
+        seen += n
+        if seen >= target and n:
+            return bounds[i] if i < len(bounds) else float("inf")
+    return float("inf")
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

@@ -28,7 +28,7 @@ from array import array
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .export import _finite
-from .metrics import LabelItems, _label_key
+from .metrics import LabelItems, _bucket_quantile, _label_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..reactor import Reactor, TimerHandle
@@ -233,16 +233,10 @@ class HistogramSeries:
         """Windowed bucket-resolution quantile (upper bound of the bucket
         holding the q-th delta observation; NaN on an empty window)."""
         delta = self._delta(since)
-        if delta is None or delta[1] <= 0:
+        if delta is None:
             return float("nan")
         counts, count, _ = delta
-        target = q * count
-        seen = 0
-        for i, n in enumerate(counts):
-            seen += n
-            if seen >= target and n:
-                return self.bounds[i] if i < len(self.bounds) else float("inf")
-        return float("inf")
+        return _bucket_quantile(self.bounds, counts, count, q)
 
     def observations(self, since: float | None = None) -> int:
         delta = self._delta(since)

@@ -16,7 +16,11 @@ from repro.core.policy import FailurePolicy
 from repro.errors import GridError, ParseError, PolicyError, SimulationError
 from repro.gridspec import behavior_from_spec, build_grid, load_gridspec
 from repro.grid import ResourceSpec, SimKernel
-from repro.grid.behaviors import CheckpointingTask, FixedDurationTask
+from repro.grid.behaviors import (
+    CheckpointingTask,
+    ExceptionProneTask,
+    FixedDurationTask,
+)
 from repro.reactor import RealTimeReactor
 from repro.sim import CITarget, SimulationParams
 from repro.wpdl.parser import parse_wpdl
@@ -104,6 +108,28 @@ class TestGridspec:
         ]
         for spec in specs:
             behavior_from_spec(spec)
+
+    def test_exception_prone_takes_its_checkpoint_costs(self):
+        # Figure 13's checkpointing cell, with its C and R, as a document.
+        behavior = behavior_from_spec(
+            {
+                "type": "exception_prone",
+                "duration": 10.0,
+                "checks": 4,
+                "probability": 0.2,
+                "checkpointable": True,
+                "overhead": 0.5,
+                "recovery_time": 0.25,
+            }
+        )
+        assert behavior == ExceptionProneTask(
+            duration=10.0,
+            checks=4,
+            probability=0.2,
+            checkpointable=True,
+            overhead=0.5,
+            recovery_time=0.25,
+        )
 
     def test_checkpointing_defaults(self):
         behavior = behavior_from_spec(

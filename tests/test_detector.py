@@ -119,7 +119,9 @@ class TestDeterminationRules:
         assert len(outcomes(bus, TASK_FAILED)) == 1
         assert outcomes(bus, TASK_DONE) == []
 
-    def test_message_subclasses_are_handled_as_their_base_type(self, detector, bus):
+    def test_message_subclasses_are_refused(self, detector, bus):
+        # Dispatch is on the exact type: a subclass of a message type is
+        # refused by name, as a type that is no message at all is.
         class VerboseDone(Done):
             """A subclass of a tuple message: it adds behaviour, not fields."""
 
@@ -137,13 +139,14 @@ class TestDeterminationRules:
 
         job = track(detector)
         detector.deliver(TaskStart(job_id=job, hostname="n1"))
-        detector.deliver(SignedHeartbeat(hostname="n1", seq=0))
-        assert detector.heartbeats_observed == 1
-        detector.deliver(VerboseDone(job_id=job, hostname="n1", exit_code=3))
-        assert [o.reason for o in outcomes(bus, TASK_FAILED)] == [
-            "done-without-taskend"
-        ]
-        with pytest.raises(DetectionError):
+        with pytest.raises(DetectionError, match="SignedHeartbeat"):
+            detector.deliver(SignedHeartbeat(hostname="n1", seq=0))
+        assert detector.heartbeats_observed == 0
+        with pytest.raises(DetectionError, match="VerboseDone"):
+            detector.deliver(VerboseDone(job_id=job, hostname="n1", exit_code=3))
+        assert outcomes(bus, TASK_FAILED) == []
+        assert detector.state_of(job) is TaskState.ACTIVE
+        with pytest.raises(DetectionError, match="Telegram"):
             detector.deliver(Telegram(job_id=job))  # type: ignore[arg-type]
 
     def test_unknown_job_messages_ignored(self, detector, bus):

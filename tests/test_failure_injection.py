@@ -68,8 +68,8 @@ class TestPartitions:
         )
         result = engine.run(timeout=1e6)
         assert result.succeeded
-        monitor = engine.runtime.detector.monitor
-        assert monitor.false_suspicions >= 1  # h1 was wrongly accused
+        detector = engine.runtime.detector
+        assert detector.false_suspicions >= 1  # h1 was wrongly accused
 
 
 class TestMessageLoss:

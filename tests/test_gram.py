@@ -137,7 +137,7 @@ class TestHostCrashInteraction:
         )
         grid.kernel.run_until(50.0)
         # Nothing crosses the wire while the host is down — the client can
-        # only notice the silence (heartbeat monitor territory).
+        # only notice the silence (the detector's heartbeat timeout).
         assert [type(m).__name__ for m in seen] == ["TaskStart"]
 
     def test_heartbeat_mode_reports_orphan_on_recovery(self):

@@ -250,7 +250,7 @@ class TestMetricCatalogue:
             "obs",
         }
         assert {spec.module for spec in specs} >= {
-            "repro.detection.heartbeat",
+            "repro.detection.detector",
             "repro.engine.host",
             "repro.obs.health",
         }

@@ -10,6 +10,7 @@ import pytest
 
 from repro.grid import SimReactor
 from repro.obs import (
+    Histogram,
     HistogramSeries,
     MetricsRegistry,
     PeriodicCollector,
@@ -121,6 +122,23 @@ class TestHistogramSeries:
         track.sample(2.0, (2, 0), 2, 1.0)  # same 5s bucket
         assert len(track) == 1
         assert track.observations() == 2
+
+    @pytest.mark.parametrize(
+        "values",
+        [(), (0.5,), (0.5, 5.0, 5.0), (50.0,), (0.5, 50.0, 50.0, 50.0)],
+        ids=["empty", "one", "inner", "overflow", "mostly-overflow"],
+    )
+    def test_a_whole_ring_reads_the_histograms_quantiles(self, values):
+        # A track sampled once from a histogram reads its quantiles, NaN
+        # (no observation) and inf (the overflow bucket) included.
+        hist = Histogram((1.0, 10.0))
+        for value in values:
+            hist.observe(value)
+        track = HistogramSeries("h", bounds=hist.bounds)
+        track.sample(0.0, hist.counts, hist.count, hist.sum)
+        for q in (0.0, 0.25, 0.5, 0.75, 0.95, 1.0):
+            expected, read = hist.quantile(q), track.quantile(q)
+            assert read == expected or (math.isnan(read) and math.isnan(expected))
 
 
 class TestTimeSeriesStore:

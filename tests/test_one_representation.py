@@ -312,6 +312,15 @@ GONE = {
     "ExceptionTable",
     "exception_edge_specificity",
     "young_checkpoint_count",
+    # Failure detection is one object: the detector keeps host liveness
+    # itself (no monitor, no callback back into it, no sweep period of its
+    # own), dispatches on exact types, and the grid states its crash mode
+    # once.
+    "HeartbeatMonitor",
+    "GramConfig",
+    "on_suspected",
+    "sweep_interval",
+    "_handler_for_subclass",
 }
 
 #: Public names under ``src/repro`` that nothing but tests reaches, kept on

@@ -39,6 +39,13 @@ from tests.test_states import DONE_VARIANTS, drive
 names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8
 )
+#: A name with whitespace before or after it.
+padded_names = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", " ", "\t", "\n"]),
+    names,
+    st.sampled_from([" ", "\r", "\n "]),
+)
 #: Attribute text: markup characters, and the whitespace a parser reads
 #: back as spaces unless it is written as character references.
 values = st.text(alphabet="ab_ &<>\"'\n\r\t", max_size=8)
@@ -115,20 +122,25 @@ class TestWpdlRoundTrip:
         assert parse_wpdl(serialize_wpdl(wf), validate_graph=False) == wf
 
     @given(
-        st.one_of(st.none(), st.just(""), names),
-        st.lists(st.one_of(st.just(""), names), max_size=3),
+        st.one_of(st.none(), st.just(""), names, padded_names),
+        st.lists(st.one_of(st.just(""), names, padded_names), max_size=3),
     )
     @example("", [])
     @example(None, [""])
+    @example(" p", [])
+    @example(None, ["o\n"])
     @settings(max_examples=60, deadline=None)
     def test_an_activity_reads_back_or_is_refused(self, implement, outputs):
         """What WPDL cannot write back is refused where it is made: an
         empty implement would read back as a dummy, an empty output name
-        would not parse."""
+        would not parse, and a padded one would read back stripped."""
         try:
             activity = Activity(name="a", implement=implement, outputs=tuple(outputs))
         except SpecificationError:
-            assert implement == "" or "" in outputs
+            texts = [implement or "", *outputs]
+            assert implement == "" or "" in outputs or any(
+                text != text.strip() for text in texts
+            )
             return
         wf = Workflow(name="w", nodes={"a": activity})
         assert parse_wpdl(serialize_wpdl(wf), validate_graph=False) == wf

@@ -12,7 +12,7 @@ rather than by discipline, and both are pinned here:
   too), and no attribute is assigned in both;
 * a kernel reset disowns every entry still queued, so a handle kept from
   the previous run cancels nothing in the next one, whoever holds it (the
-  heartbeat monitor's sweep, a coordinator's pending backoff retry).
+  detector's liveness sweep, a coordinator's pending backoff retry).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import textwrap
 import pytest
 
 from repro.detection.detector import FailureDetector
-from repro.detection.heartbeat import HeartbeatMonitor
 from repro.engine.engine import WorkflowEngine
 from repro.errors import EngineError
 from repro.grid.gram import GramService
@@ -78,7 +77,7 @@ def observe(grid: SimulatedGrid, engine: WorkflowEngine) -> dict:
         "network": grid.network.stats,
         "submitted": grid.gram.submitted_count,
         "heartbeats": detector.heartbeats_observed,
-        "liveness": detector.monitor.snapshot() if detector.monitor else None,
+        "liveness": detector.liveness_snapshot(),
     }
 
 
@@ -135,7 +134,6 @@ REWINDABLE = [
     (Network, "reset"),
     (Host, "reset"),
     (GramService, "reset"),
-    (HeartbeatMonitor, "reset"),
     (FailureDetector, "reset"),
     # Its public reset also rewinds the shared detector and coordinator.
     (WorkflowEngine, "_begin"),

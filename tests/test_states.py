@@ -24,7 +24,7 @@ from repro.detection.messages import (
 )
 from repro.errors import DetectionError
 from repro.events import EventBus
-from repro.grid.simkernel import SimReactor
+from repro.grid.simkernel import SimKernel, SimReactor
 from tests.eager_models import reference_verdict
 
 ALL_STATES = list(TaskState)
@@ -37,12 +37,20 @@ DONE_VARIANTS = (("done", 0, False), ("done", 3, False), ("done", 137, True))
 
 def drive(events):
     """Feed *events* (``reference_verdict``'s vocabulary) for one job to a
-    fresh detector; return the topics it narrated, its verdict in the
-    reference's shape, and the detector."""
+    fresh detector; return the ``task.*`` topics it narrated, its verdict in
+    the reference's shape, and the detector.  ``("suspect",)`` is the job's
+    host falling silent past the detector's heartbeat timeout."""
     bus = EventBus()
     published: list[str] = []
-    bus.add_tap(lambda topic, payload: published.append(topic))
-    detector = FailureDetector(SimReactor(), bus)
+
+    def tap(topic, _payload):
+        if topic.startswith("task."):
+            published.append(topic)
+
+    bus.add_tap(tap)
+    kernel = SimKernel()
+    detector = FailureDetector(SimReactor(kernel), bus, heartbeat_timeout=1.0)
+    detector.start()
     verdicts = []
     detector.track("j", "t", HOST, on_verdict=verdicts.append)
     for event in events:
@@ -60,8 +68,9 @@ def drive(events):
                 Done(job_id="j", hostname=HOST, exit_code=event[1], host_crashed=event[2])
             )
         else:
-            # What the heartbeat monitor calls on a suspicion.
-            detector._on_host_suspected(HOST)
+            # Silent since it was watched (or last suspected): the sweep
+            # at +1.5 s suspects the host, and a suspected host stays so.
+            kernel.run_until(kernel.now() + 1.5)
     assert len(verdicts) <= 1
     verdict = None
     if verdicts:
