@@ -8,7 +8,8 @@ retries the task from the checkpointed state by sending back the checkpoint
 flag."
 
 :class:`CheckpointManager` is exactly that bookkeeping: per-activity latest
-flag, checkpoint-enabled marking, and garbage collection on success.  It is
+flag, checkpoint-enabled marking, and collection when the activity's run
+ends (a success, a failure, an exception or a cancellation alike).  It is
 deliberately independent of the storage substrate — flags are opaque.
 """
 
@@ -73,22 +74,8 @@ class CheckpointManager:
         return record.source_span if record else ""
 
     def clear(self, activity: str) -> None:
-        """Forget the activity's flag (after success, or to force a cold
-        restart)."""
+        """Forget the activity's flag: its run ended, however it ended."""
         self._records.pop(activity, None)
-
-    def clear_prefix(self, prefix: str) -> int:
-        """Forget every record whose key starts with *prefix*.
-
-        Multiplexed engines share one manager but key their flags with a
-        per-instance scope; an instance resetting or finishing clears its
-        own records without touching its siblings'.  Returns the number of
-        records removed.
-        """
-        stale = [key for key in self._records if key.startswith(prefix)]
-        for key in stale:
-            del self._records[key]
-        return len(stale)
 
     def snapshot(self) -> dict[str, dict]:
         """Serialisable view, embedded in engine checkpoints."""

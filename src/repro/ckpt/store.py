@@ -46,7 +46,8 @@ class CheckpointStore(ABC):
 
     @abstractmethod
     def delete(self, key: str) -> None:
-        """Drop *key* if present (garbage collection after task success)."""
+        """Drop *key* if present: GRAM drops every key a workflow's jobs
+        wrote when it ends (:meth:`repro.grid.gram.GramService.release`)."""
 
     @abstractmethod
     def keys(self) -> list[str]:

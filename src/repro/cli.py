@@ -311,6 +311,8 @@ def _run_multiplexed(args: argparse.Namespace, grid, workflows) -> int:
         ids = host.submit_many([wf for wf in workflows for _ in range(args.instances)])
         # Asked before every event: look at one unfinished engine, not all.
         unfinished = [host.engine(wfid) for wfid in reversed(ids)]
+        # The host drops an engine when it finishes: keep those reported on.
+        reported = {wfid: host.engine(wfid) for wfid in ids} if args.report else {}
 
         def all_finished() -> bool:
             while unfinished and unfinished[-1].finished:
@@ -327,7 +329,7 @@ def _run_multiplexed(args: argparse.Namespace, grid, workflows) -> int:
         for wfid, result in results.items():
             if args.report:
                 print(f"== {wfid} ==")
-                print(run_report(host.engine(wfid).instance))
+                print(run_report(reported[wfid].instance))
             else:
                 print(
                     f"{wfid:8s} {result.workflow!r}: {result.status} "

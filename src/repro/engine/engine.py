@@ -266,7 +266,7 @@ class WorkflowEngine:
         runtime = _build_runtime(
             service, reactor, bus, broker, detector, heartbeat_timeout, tracer
         )
-        self._join(runtime, workflow, workflow_id, None, checkpointer)
+        self._join(runtime, workflow, workflow_id, None, checkpointer, owns_id=True)
         self._begin(instance)
 
     @classmethod
@@ -277,14 +277,16 @@ class WorkflowEngine:
         workflow_id: str,
         on_finished: Callable[[WorkflowResult], None],
         validate_spec: bool = False,
+        owns_id: bool = True,
     ) -> "WorkflowEngine":
         """An engine on *runtime*, which its builder owns, that hands its
         result to *on_finished*: the one path by which a host's instances
-        and a loop's iterations get their engines."""
+        and a loop's iterations get their engines (which run under their
+        parent's *workflow_id*, not owning it)."""
         if validate_spec:
             validate(workflow)
         engine = cls.__new__(cls)
-        engine._join(runtime, workflow, workflow_id, on_finished, None)
+        engine._join(runtime, workflow, workflow_id, on_finished, None, owns_id)
         engine._begin(None)
         return engine
 
@@ -295,11 +297,14 @@ class WorkflowEngine:
         workflow_id: str,
         on_finished: Callable[[WorkflowResult], None] | None,
         checkpointer: EngineCheckpointer | None,
+        owns_id: bool,
     ) -> None:
         """What an engine holds for its life: its specification, runtime,
-        coordinator, checkpointer and the callback told its result."""
+        coordinator, checkpointer and the callback told its result; and
+        whether it owns *workflow_id*, which its finish releases."""
         self.workflow = workflow
         self.workflow_id = workflow_id
+        self._owns_id = owns_id
         self.runtime = runtime
         self.checkpointer = checkpointer
         self._on_finished = on_finished
@@ -403,13 +408,14 @@ class WorkflowEngine:
         """Rewind to a fresh, not-yet-started instance of the same workflow
         (mirroring :meth:`repro.grid.simgrid.SimulatedGrid.reset`).
 
-        Everything transient — the instance tree, coordinator bookkeeping,
-        detector attempts, loop runners, termination state — is rebuilt by
-        the code that builds it for a newly constructed engine over the same
-        workflow and runtime, so a reset engine produces bit-identical
-        executions.  This is the Monte-Carlo fast path: repeated sampling
-        rewinds one engine per configuration instead of constructing one
-        per run (:class:`repro.sim.engine_mc.EngineSampler`).
+        Whatever the last run still holds is torn down (:meth:`_teardown`),
+        and everything transient — the instance tree, detector attempts,
+        loop runners, termination state — is rebuilt by the code that
+        builds it for a newly constructed engine over the same workflow and
+        runtime, so a reset engine produces bit-identical executions.  This
+        is the Monte-Carlo fast path: repeated sampling rewinds one engine
+        per configuration instead of constructing one per run
+        (:class:`repro.sim.engine_mc.EngineSampler`).
 
         Only meaningful for an engine that owns its runtime; resetting a
         loop-child engine would clobber its parent's shared infrastructure.
@@ -419,8 +425,7 @@ class WorkflowEngine:
         message sink.
         """
         runtime = self.runtime
-        # Coordinator reset also clears the shared CheckpointManager.
-        self.coordinator.reset()
+        self._teardown()
         runtime.detector.reset()
         runtime.service.connect(runtime.detector.deliver)
         self._begin(None)
@@ -522,6 +527,17 @@ class WorkflowEngine:
             for p in activity.inputs
         )
         return activity._replace(inputs=bound)
+
+    def _teardown(self) -> None:
+        """End this engine without a result, publishing nothing: release
+        each running activity through the coordinator and tear down each
+        loop's live iteration.  The one walk every cancellation takes."""
+        self._finished = True
+        coordinator = self.coordinator
+        for name in coordinator.running_activities():
+            coordinator.cancel_activity(name)
+        for runner in self._loop_runners.values():
+            runner.cancel()
 
     def _cancel_running(self, name: str) -> None:
         runner = self._loop_runners.pop(name, None)
@@ -688,6 +704,8 @@ class WorkflowEngine:
                 },
             ),
         )
+        if self._owns_id:
+            self.runtime.service.release(self.workflow_id)
         bus = self.runtime.bus
         if bus.wants(ENGINE_WORKFLOW_FINISHED):
             bus.publish(
@@ -704,6 +722,9 @@ class WorkflowEngine:
                 ),
             )
         if self._on_finished is not None:
+            # Its owner drops the engine next: cut the coordinator's callback
+            # so the two, which refer to each other, go without the collector.
+            self.coordinator._on_resolution = None
             self._on_finished(self._result)
 
 
@@ -722,17 +743,10 @@ class _LoopRunner:
 
     def cancel(self) -> None:
         """Stop the loop and everything its iteration runs, nested loops
-        included, publishing nothing: the iteration's engine is marked
-        finished without a result, so a completion still queued for it
-        navigates no further (it is garbage after this)."""
+        included: the iteration's engine is torn down."""
         self._cancelled = True
-        child = self._child
-        if child is not None and not child.finished:
-            child._finished = True
-            for activity in list(child.coordinator.running_activities()):
-                child.coordinator.cancel_activity(activity)
-            for runner in child._loop_runners.values():
-                runner.cancel()
+        if self._child is not None:
+            self._child._teardown()
 
     def _iterate(self) -> None:
         if self._cancelled:
@@ -742,8 +756,9 @@ class _LoopRunner:
             return
         self.iterations += 1
         body = self._body_with_variables()
+        parent = self.parent
         self._child = WorkflowEngine._on_runtime(
-            self.parent.runtime, body, self.parent.workflow_id, self._body_finished
+            parent.runtime, body, parent.workflow_id, self._body_finished, owns_id=False
         )
         self._child.start()
 
@@ -756,8 +771,6 @@ class _LoopRunner:
         return body.with_variables(f"{body.name}#{self.iterations}", merged)
 
     def _body_finished(self, result: WorkflowResult) -> None:
-        if self._cancelled:
-            return
         if not result.succeeded:
             self._end(NodeStatus.FAILED)
             return

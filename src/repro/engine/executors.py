@@ -100,15 +100,7 @@ class LocalExecutor(ExecutionService):
         fn = self._registry.get(request.executable)
         if fn is None:
             # Same protocol as GRAM's exec-not-found: immediate abnormal Done.
-            self._emit(
-                job,
-                Done(
-                    sent_at=self._reactor.now(),
-                    job_id=job_id,
-                    hostname=request.hostname,
-                    exit_code=127,
-                ),
-            )
+            self._done(job, 127)
             return job_id
         self._reactor.acquire_keepalive()
         thread = threading.Thread(
@@ -154,18 +146,25 @@ class LocalExecutor(ExecutionService):
             exit_code = 139
             self.crash_tracebacks[job.job_id] = traceback.format_exc()
         finally:
-            self._emit(
-                job,
-                Done(
-                    sent_at=self._reactor.now(),
-                    job_id=job.job_id,
-                    hostname=request.hostname,
-                    exit_code=exit_code,
-                ),
-            )
+            self._done(job, exit_code)
             self._reactor.release_keepalive()
 
     # -- delivery -----------------------------------------------------------------------
+
+    def _done(self, job: _LocalJob, exit_code: int) -> None:
+        """Let go of *job* and send its ``Done``: the job table holds live
+        jobs only, so it is gone by the time the ``Done`` is read."""
+        with self._lock:
+            del self._jobs[job.job_id]
+        self._emit(
+            job,
+            Done(
+                sent_at=self._reactor.now(),
+                job_id=job.job_id,
+                hostname=job.request.hostname,
+                exit_code=exit_code,
+            ),
+        )
 
     def _emit(self, job: _LocalJob, msg: Message) -> None:
         if job.cancelled:

@@ -24,8 +24,12 @@ and not from the bus:
   and checkpoint flags are stored under a ``{workflow_id}::`` scope, so
   two concurrent instances of the *same* specification cannot collide.
 
-The shared bus only narrates, on plain topics from a closed set, so
-nothing on it grows with the number of instances a host has run.
+Nothing outlives an instance but its result: each activity run released
+its jobs, timers and checkpoint flags as it ended, the finish releases the
+instance's id at the execution service, and the host drops the engine,
+keeping the :class:`~repro.engine.engine.WorkflowResult`.  The shared bus
+only narrates, on plain topics from a closed set, so nothing on it grows
+with the number of instances a host has run.
 
 With deterministic task behaviours and non-contending resources, N
 multiplexed instances produce bit-identical per-instance
@@ -105,9 +109,11 @@ class EngineHost:
         #: The instance-id space: only :meth:`submit` draws from it, and no
         #: engine reset rewinds it.
         self._ids = itertools.count(1)
+        #: Running instances only: an engine is dropped when it finishes.
         self._engines: dict[str, WorkflowEngine] = {}
-        self._results: dict[str, WorkflowResult] = {}
-        self._order: list[str] = []
+        #: Every admitted instance, in submission order: its result, or
+        #: ``None`` while it runs.
+        self._results: dict[str, WorkflowResult | None] = {}
 
     # -- submission ----------------------------------------------------------
 
@@ -128,7 +134,7 @@ class EngineHost:
         wfid = workflow_id if workflow_id is not None else f"wf-{next(self._ids)}"
         if not wfid:
             raise EngineError("workflow_id must be non-empty")
-        if wfid in self._engines:
+        if wfid in self._results:
             raise EngineError(f"workflow_id {wfid!r} already submitted")
         engine = WorkflowEngine._on_runtime(
             self.runtime,
@@ -138,7 +144,7 @@ class EngineHost:
             validate_spec,
         )
         self._engines[wfid] = engine
-        self._order.append(wfid)
+        self._results[wfid] = None
         # Narrate admission before the first node launches so live
         # trackers (/workflows, repro top) list the instance from the
         # moment it exists, not from its first task.
@@ -183,6 +189,7 @@ class EngineHost:
 
     def _on_finished(self, wfid: str, result: WorkflowResult) -> None:
         self._results[wfid] = result
+        del self._engines[wfid]
 
     def wait_all(self, *, timeout: float | None = None) -> dict[str, WorkflowResult]:
         """Pump the reactor until every submitted instance terminates.
@@ -191,38 +198,30 @@ class EngineHost:
         (reactor seconds) elapses with instances still in flight.
         """
         done = self.runtime.reactor.run_until_complete(
-            lambda: len(self._results) == len(self._engines), timeout=timeout
+            lambda: not self._engines, timeout=timeout
         )
         if not done:
-            pending = [w for w in self._order if w not in self._results]
+            pending = self.pending
             raise EngineError(
-                f"{len(pending)} of {len(self._engines)} instances did not "
+                f"{len(pending)} of {len(self._results)} instances did not "
                 f"terminate (timeout={timeout}, pending: {pending[:10]})"
             )
         return self.results()
 
     def results(self) -> dict[str, WorkflowResult]:
         """Finished results so far, in submission order."""
-        return {
-            wfid: self._results[wfid]
-            for wfid in self._order
-            if wfid in self._results
-        }
+        return {w: r for w, r in self._results.items() if r is not None}
 
     # -- introspection -------------------------------------------------------
 
     @property
-    def workflow_ids(self) -> list[str]:
-        """Every admitted instance id, in submission order."""
-        return list(self._order)
-
-    @property
     def pending(self) -> list[str]:
         """Instances admitted but not yet terminated."""
-        return [w for w in self._order if w not in self._results]
+        return list(self._engines)
 
     def engine(self, workflow_id: str) -> WorkflowEngine:
-        """The engine navigating *workflow_id* (for tests/diagnostics)."""
+        """The engine navigating *workflow_id*, a running instance (a
+        finished one's is dropped: take it at :meth:`submit` to keep it)."""
         try:
             return self._engines[workflow_id]
         except KeyError:

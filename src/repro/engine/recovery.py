@@ -524,40 +524,13 @@ class RecoveryCoordinator:
         else:  # pragma: no cover - defensive
             raise RecoveryError(f"unexpected outcome state {outcome.state}")
 
-    # -- reuse ---------------------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Drop all in-flight bookkeeping, returning the coordinator to its
-        just-constructed state for another run of the same engine.
-
-        Deliberately does **not** notify the execution service or the
-        detector: the engine-reuse path resets those layers itself (the
-        simulated grid rewinds its job table in place), so per-job
-        cancellation would target jobs that no longer exist.  Slot timers
-        are cancelled defensively for real-time reactors, where timers
-        outlive a simulation rewind.
-        """
-        for run in self._runs.values():
-            run.resolved = True
-            for slot in run.slots:
-                slot.active_job = None  # so _cancel_slots cancels timers only
-            self._cancel_slots(run)
-        self._runs.clear()
-        self._job_index.clear()
-        # The CheckpointManager is shared with sibling instances: only this
-        # coordinator's scoped records may be dropped (an unscoped
-        # coordinator's scope, "", prefixes every key).
-        self.checkpoints.clear_prefix(self._flag_scope)
-
     # -- cancellation -------------------------------------------------------------------
 
     def cancel_activity(self, name: str) -> None:
         """Stop all attempts of *name* without a resolution callback."""
-        run = self._runs.pop(name, None)
-        if run is None:
-            return
-        run.resolved = True
-        self._cancel_slots(run)
+        run = self._runs.get(name)
+        if run is not None:
+            self._release(run)
 
     # -- internals ---------------------------------------------------------------------------
 
@@ -733,7 +706,13 @@ class RecoveryCoordinator:
         self._detector.forget(job_id)
         self._handle_crash(run, slot)
 
-    def _cancel_slots(self, run: ActivityRun) -> None:
+    def _release(self, run: ActivityRun) -> None:
+        """Let go of everything *run* holds: the one end of every run,
+        resolved or cancelled.  Its timers and live jobs are cancelled (each
+        job forgotten by the detector and the index) and its slots'
+        checkpoint flags dropped."""
+        run.resolved = True
+        self._runs.pop(run.activity.name, None)
         for slot in run.slots:
             if slot.retry_timer is not None:
                 slot.retry_timer.cancel()
@@ -746,6 +725,7 @@ class RecoveryCoordinator:
                 self._detector.forget(slot.active_job)
                 self._job_index.pop(slot.active_job, None)
                 slot.active_job = None
+            self.checkpoints.clear(slot.flag_key)
 
     def _resolve(
         self,
@@ -754,16 +734,11 @@ class RecoveryCoordinator:
         result: Any = None,
         exception: UserException | None = None,
     ) -> None:
-        """End *run* as *state*: the one place an activity resolves.  Its
-        other attempts are cancelled, a success drops the slots' checkpoint
-        flags, and the :class:`TaskResolution` goes to the engine."""
-        run.resolved = True
-        self._cancel_slots(run)
-        if state is TaskState.DONE:
-            for slot in run.slots:
-                self.checkpoints.clear(slot.flag_key)
+        """End *run* as *state*: the one place an activity resolves.  It is
+        released, the resolution narrated, and the :class:`TaskResolution`
+        goes to the engine."""
+        self._release(run)
         name = run.activity.name
-        self._runs.pop(name, None)
         tries = run.total_tries
         resolved_ctx = None
         if self._tracer is not None and run.trace is not None:

@@ -10,9 +10,10 @@ same engine runs against:
 * :class:`repro.engine.executors.LocalExecutor` — a thread-pool executor
   that runs real Python callables in wall-clock time.
 
-The interface is intentionally one-way: ``submit`` / ``cancel`` go down, and
-all status comes back asynchronously as detection-service messages delivered
-to the sink registered with :meth:`ExecutionService.connect` (normally
+The interface is intentionally one-way: ``submit`` / ``cancel`` / ``release``
+go down, and all status comes back asynchronously as detection-service
+messages delivered to the sink registered with
+:meth:`ExecutionService.connect` (normally
 :meth:`repro.detection.detector.FailureDetector.deliver`).
 """
 
@@ -138,3 +139,8 @@ class ExecutionService(ABC):
     @abstractmethod
     def connect(self, sink: Callable[[Message], None]) -> None:
         """Register the client-side message sink (the failure detector)."""
+
+    def release(self, workflow_id: str) -> None:
+        """*workflow_id* has ended, none of its jobs live: drop what the
+        service keeps for it (an id used again numbers attempts from 1).
+        Called once, at the finish of the engine owning the id."""

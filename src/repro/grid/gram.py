@@ -24,6 +24,8 @@ The service's job table holds *live* submissions only: a job's
 finishes or is cancelled.
 Its status is updated first, so a caller that kept the process still reads
 the final one; :attr:`GramService.submitted_count` is a plain counter.
+What the service keeps per workflow instance — its attempt numbering and
+the store keys its jobs wrote — goes at :meth:`GramService.release`.
 """
 
 from __future__ import annotations
@@ -80,9 +82,12 @@ class JobProcess:
         host: Host,
         behavior: TaskBehavior,
         checkpoint_flag: str | None,
+        keys_written: list[str],
     ) -> None:
         self.service = service
         self.job_id = job_id
+        #: Where the store keys this job writes are noted: its workflow's.
+        self.keys_written = keys_written
         self.request = request
         self.attempt = attempt
         self.checkpoint_flag = checkpoint_flag
@@ -217,6 +222,7 @@ class JobProcess:
         if step.action == "checkpoint":
             flag = f"{self.request.activity}#{self.job_id}@{step.offset:g}"
             self.service.store.save(flag, dict(step.payload.get("state", {})))
+            self.keys_written.append(flag)
             send(
                 hostname,
                 _tuple_new(
@@ -285,6 +291,8 @@ class GramService:
         # (a deterministic crash-on-attempt-1 behaviour would otherwise
         # crash in one instance and spuriously succeed in its sibling).
         self._attempt_counters: dict[str, dict[str, int]] = {}
+        #: By workflow id, as written: the store keys its jobs wrote.
+        self._keys_written: dict[str, list[str]] = {}
         self._seq = itertools.count(1)
 
     # -- submission -----------------------------------------------------------
@@ -310,8 +318,10 @@ class GramService:
         self.submitted_count += 1
         try:
             counters = self._attempt_counters[workflow_id]
+            keys = self._keys_written[workflow_id]
         except KeyError:
             counters = self._attempt_counters[workflow_id] = {}
+            keys = self._keys_written[workflow_id] = []
         attempt = counters[request.activity] = counters.get(request.activity, 0) + 1
         behavior = host.software.get(request.executable)
         if behavior is None:
@@ -321,7 +331,7 @@ class GramService:
             self._reject(job_id, request, exit_code=75)  # EX_TEMPFAIL
             return job_id
         process = JobProcess(
-            self, job_id, request, attempt, host, behavior, checkpoint_flag
+            self, job_id, request, attempt, host, behavior, checkpoint_flag, keys
         )
         self._processes[job_id] = process
         if host.up:
@@ -349,6 +359,13 @@ class GramService:
         process.status = "cancelled"
         process.host.cancel_job(job_id)
         process.abort()
+
+    def release(self, workflow_id: str) -> None:
+        """*workflow_id* has ended: drop its attempt numbering and delete
+        every checkpoint its jobs wrote to the store."""
+        self._attempt_counters.pop(workflow_id, None)
+        for key in self._keys_written.pop(workflow_id, ()):
+            self.store.delete(key)
 
     # -- internal -------------------------------------------------------------------
 

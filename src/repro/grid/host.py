@@ -147,10 +147,8 @@ class Host:
             process.begin()
 
     def cancel_job(self, job_id: str) -> None:
-        process = self._running.pop(job_id, None)
-        if process is not None:
-            process.abort()
-        else:
+        """Let go of a job GRAM cancels (GRAM stops its process)."""
+        if self._running.pop(job_id, None) is None:
             self._queued = deque(p for p in self._queued if p.job_id != job_id)
 
     # -- listeners ---------------------------------------------------------------

@@ -173,6 +173,9 @@ class SimulatedGrid(ExecutionService):
     def cancel(self, job_id: str) -> None:
         self.gram.cancel(job_id)
 
+    def release(self, workflow_id: str) -> None:
+        self.gram.release(workflow_id)
+
     def connect(self, sink: Callable[[Message], None]) -> None:
         self.network.connect(sink)
 

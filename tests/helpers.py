@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import types
 
 from repro.ckpt.manager import CheckpointRecord
 from repro.core import FailurePolicy
@@ -10,17 +12,24 @@ from repro.detection import FailureDetector, messages
 from repro.detection.detector import AttemptOutcome, _Attempt
 from repro.engine import WorkflowEngine
 from repro.engine.broker import Broker
-from repro.engine.engine import EngineRuntime, WorkflowResult
+from repro.engine.engine import EngineRuntime, WorkflowResult, _LoopRunner
 from repro.engine.instance import NodeInstance
-from repro.engine.recovery import ActivityRun, TaskResolution, _Slot
+from repro.engine.recovery import (
+    ActivityRun,
+    RecoveryCoordinator,
+    TaskResolution,
+    _Slot,
+)
 from repro.errors import SimulationError
 from repro.events import EventBus
 from repro.execution import ExecutionService, SubmitRequest
 from repro.grid import RELIABLE, FixedDurationTask, GridConfig, SimulatedGrid
+from repro.grid.gram import JobProcess
 from repro.obs import MetricSpec, TelemetryPlane
 from repro.sim.engine_mc import _build_grid, build_technique_workflow
 from repro.sim.parallel import DEFAULT_RUN_TIMEOUT
 from repro.wpdl import JoinMode, WorkflowBuilder
+from repro.timerheap import CALLBACK, FIRED
 from repro.wpdl.model import Activity, CompiledNode, Transition, TransitionCondition
 
 #: The immutable records an attempt produces, the six messages first: each
@@ -238,3 +247,36 @@ def run_engine_once(technique: str, params, *, seed: int) -> float:
             f"engine run for {technique!r} failed: {result.node_statuses}"
         )
     return result.completion_time
+
+
+#: What a timer of a workflow calls into.
+_WORKFLOW_SIDE = (WorkflowEngine, _LoopRunner, RecoveryCoordinator, JobProcess)
+
+
+def timers_of_workflows(kernel) -> list:
+    """What *kernel*'s pending timers would call into on a workflow's
+    behalf — an engine, a loop, a recovery coordinator or a GRAM job — one
+    per such timer, reached from its callback through a bound method's
+    ``__self__``, a closure's cells and defaults, or a ``partial``'s
+    function and arguments."""
+    owners = []
+    for entry in [*kernel._heap, *kernel._lane]:
+        reached = [entry[CALLBACK]]
+        if reached[0] is None or reached[0] is FIRED:
+            continue
+        for _level in range(4):
+            owner = next((o for o in reached if isinstance(o, _WORKFLOW_SIDE)), None)
+            if owner is not None:
+                owners.append(owner)
+                break
+            inner = []
+            for obj in reached:
+                if isinstance(obj, types.MethodType):
+                    inner.append(obj.__self__)
+                elif isinstance(obj, types.FunctionType):
+                    inner.extend(c.cell_contents for c in obj.__closure__ or ())
+                    inner.extend(obj.__defaults__ or ())
+                elif isinstance(obj, functools.partial):
+                    inner.extend((obj.func, *obj.args))
+            reached = inner
+    return owners

@@ -88,10 +88,11 @@ def test_every_loop_child_holds_its_parents_runtime(children):
 def test_every_engine_of_a_host_holds_the_hosts_runtime(children):
     grid = make_grid()
     host = EngineHost(grid, reactor=grid.reactor)
-    ids = host.submit_many(loop_workflow(2), count=3)
+    # Taken at submit: the host drops an engine when it finishes.
+    engines = [host.engine(w) for w in host.submit_many(loop_workflow(2), count=3)]
     assert all(r.succeeded for r in host.wait_all(timeout=1e7).values())
-    for wfid in ids:
-        _holds_its_runtime(host.engine(wfid), host.runtime)
+    for engine in engines:
+        _holds_its_runtime(engine, host.runtime)
     # Three instances and two iterations of each one's loop.
     assert len(children) == 3 + 3 * 2
     for runtime, child in children:

@@ -14,6 +14,7 @@ from tests.helpers import (
     fig5_workflow,
     run_workflow,
     single_task_workflow,
+    timers_of_workflows,
     two_reliable_hosts,
 )
 from repro.core import FailurePolicy
@@ -43,6 +44,14 @@ def record_submissions(grid):
 
     grid.gram.submit = recording
     return submitted
+
+
+def assert_nothing_left_to_the_workflow(grid):
+    """Once the run ended and its instant drained (what is due then runs,
+    navigating nothing): no job of it on the grid, no timer of it queued."""
+    grid.kernel.run_until(grid.kernel.now())
+    assert grid.gram.live_jobs == 0
+    assert timers_of_workflows(grid.kernel) == []
 
 
 class TestSingleTask:
@@ -481,6 +490,7 @@ class TestControlFlowFeatures:
         assert result.succeeded
         assert result.completion_time == pytest.approx(1.0)
         assert result.node_statuses["outer"] is NodeStatus.CANCELLED
+        assert_nothing_left_to_the_workflow(quiet_grid)
         during = len(submitted)
         quiet_grid.kernel.run(max_events=10_000)
         assert submitted[during:] == []
@@ -523,6 +533,7 @@ class TestControlFlowFeatures:
         result = run_workflow(wf, quiet_grid)
         assert result.completion_time == pytest.approx(1.0)
         assert result.node_statuses["outer"] is NodeStatus.CANCELLED
+        assert_nothing_left_to_the_workflow(quiet_grid)
         quiet_grid.kernel.run(max_events=10_000)
         assert submitted == [(0.0, "pre"), (0.0, "step"), (0.5, "quick")]
 

@@ -123,7 +123,9 @@ class TestWildcardsAreNeverCached:
 
         monkeypatch.setattr(Broker, "resolve_index", counting)
         host = EngineHost(grid, reactor=grid.reactor)
-        host.submit_many(one_task("h2"), 25)
+        # Held here: the host drops its engines, and plans go with the spec.
+        spec = one_task("h2")
+        host.submit_many(spec, 25)
         results = host.wait_all(timeout=1e6)
         assert len(results) == 25 and all(r.succeeded for r in results.values())
         assert [r.hostname for r in submitted] == ["h2"] * 25

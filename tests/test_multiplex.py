@@ -477,10 +477,11 @@ class TestEngineIdAllocation:
         grid = fixed_grid()
         host = EngineHost(grid, reactor=grid.reactor)
         first = host.submit(single_task_workflow())
+        engine = host.engine(first)  # taken while it runs: the host drops it
         host.wait_all(timeout=1e7)
         # An engine reset inside a host-managed runtime must not rewind
         # the shared counter — the next instance still gets a fresh id.
-        host.engine(first).reset()
+        engine.reset()
         grid.reset(seed=42)
         second = host.submit(single_task_workflow())
         assert second != first
@@ -654,6 +655,12 @@ class TestNothingOutlivesTheVerdict:
             # of the jobs its crash orphaned (all long since failed over by
             # heartbeat suspicion); give it time to come back and file it.
             grid.reactor.run_until_idle(timeout=60.0)
+            # Count with every host up and nothing in flight at that
+            # instant, so the hosts' own timers are the same at every census.
+            grid.reactor.run_until_complete(
+                lambda: all(h.up for h in grid.hosts.values()), timeout=1e3
+            )
+            grid.kernel.run_until(grid.kernel.now())
             censuses.append(self._census())
             tables.append((detector.live_attempts, grid.gram.live_jobs))
             submitted.append(grid.gram.submitted_count)
@@ -668,9 +675,9 @@ class TestNothingOutlivesTheVerdict:
         # (counted over what the process held before the first batch).
         requests = [count - censuses[0][2] for _total, _per_attempt, count in censuses]
         assert max(requests) <= 2 * len(hosts), requests
-        # ... so what a batch leaves behind is per-instance state (engines,
-        # results), the same for every batch however many attempts it took
-        # — give or take the hosts' own timers at the moment of the census.
+        # ... so what a batch leaves behind is per-instance state (its
+        # results: the host drops each engine as it finishes), the same for
+        # every batch however many attempts it took.
         totals = [total for total, _per_attempt, _ in censuses]
         assert totals[3] - totals[2] <= 1.05 * (totals[2] - totals[1])
 
@@ -719,14 +726,11 @@ class TestNothingOutlivesTheVerdict:
             assert all(r.succeeded for r in results.values())
             assert len(plans) == 4  # one table per live specification ...
             assert sum(len(table) for table in plans.values()) == 8  # of 2 plans
-            # The host keeps every engine it ever ran, for diagnostics;
-            # retire the batch by hand, the way a long-lived deployment
-            # would, and drop our own references.  An engine and its
-            # coordinator refer to each other, so it takes the collector
-            # to free them — and with them the last holders of the specs.
-            host._engines.clear()
+            # The host drops each engine as it finishes and keeps the
+            # results; retire those by hand, the way a long-lived deployment
+            # would, and drop our own references: with them go the last
+            # holders of the specs.
             host._results.clear()
-            host._order.clear()
             del specs, spec, results
             gc.collect()
             sizes.append(len(plans))
@@ -902,8 +906,10 @@ def test_100_concurrent_toy_workflows_zero_cross_instance_leakage():
     published = []
     bus.add_tap(lambda topic, payload: published.append((topic, payload)))
     handed = []
+    engines = []  # taken at submit: the host drops each as it finishes
     for wfid in host.submit_many(spec, 100):
-        coordinator = host.engine(wfid).coordinator
+        engines.append(host.engine(wfid))
+        coordinator = engines[-1].coordinator
 
         def handle(outcome, wfid=wfid, handle=coordinator.handle_outcome):
             handed.append((wfid, outcome))
@@ -994,7 +1000,7 @@ def test_100_concurrent_toy_workflows_zero_cross_instance_leakage():
     assert all(isinstance(outcome, tuple) for _, outcome in handed)
     topics = bus.stats()["topics"]
     assert topics == 0, f"{topics} subscribed topics"
-    compiled = {id(host.engine(w).workflow.compiled) for w in results}
+    compiled = {id(engine.workflow.compiled) for engine in engines}
     assert len(compiled) == 1, f"{len(compiled)} compiled forms"
     plans = [
         plan for table in host.runtime.launch_plans.values() for plan in table.values()

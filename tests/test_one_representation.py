@@ -51,6 +51,7 @@ from repro.cli import build_parser
 from repro.ckpt.manager import CheckpointManager
 from repro.core.policy import FailurePolicy
 from repro.detection import messages
+from repro.engine import EngineHost
 from repro.engine.recovery import RecoveryCoordinator
 from repro.events import EventBus
 from repro.execution import SubmitRequest
@@ -321,6 +322,11 @@ GONE = {
     "on_suspected",
     "sweep_interval",
     "_handler_for_subclass",
+    # A workflow ends one way: a run is released by one step, an engine
+    # is torn down by one walk, and the host keeps results, not engines.
+    "_cancel_slots",
+    "clear_prefix",
+    "_order",
 }
 
 #: Public names under ``src/repro`` that nothing but tests reaches, kept on
@@ -330,10 +336,7 @@ ONLY_TESTS = {
     "SoftwareCatalog.implementations_of": "Figure 7: a computation's programs",
     "SoftwareCatalog.locations_of": "Figure 7: the hosts a program is installed on",
     "SoftwareCatalog.computations": "Figure 7: the computations catalogued",
-    "CheckpointStore.delete": "the store contract's garbage collection",
-    "MemoryCheckpointStore.delete": "the store contract's garbage collection",
     "FileCheckpointStore": "the on-disk store for wall-clock (LocalExecutor) runs",
-    "FileCheckpointStore.delete": "the store contract's garbage collection",
     "TaskContext.task_checkpoint": "task-side API, globus_FDS equivalent (DESIGN.md)",
     "TaskContext.raise_exception": "task-side API, globus_FDS equivalent (DESIGN.md)",
     "TaskContext.resuming": "task-side API: a task learns it restarts from a flag",
@@ -393,6 +396,10 @@ def test_the_deleted_surface_stays_deleted():
     assert not hasattr(GramService, "job")
     # ``tries_used`` is still a slot's field: checked where it lived.
     assert not hasattr(RecoveryCoordinator, "tries_used")
+    # ``reset`` and ``workflow_ids`` are names other classes keep: a
+    # coordinator's runs end in ``_release``, the host keeps results.
+    assert not hasattr(RecoveryCoordinator, "reset")
+    assert not hasattr(EngineHost, "workflow_ids")
     # ``_states`` is still the health engine's: checked where it lived.
     assert not hasattr(schema, "_states")
     # No layer restates the policy between it and the coordinator: the
